@@ -421,8 +421,12 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 	for r := 0; r < size; r++ {
 		dev := wirings[r].rank.ChMad
 		dev.RelayWindow = window
-		dev.PerLinkSwitch = !uniform
 		dev.Start()
+		if uniform {
+			// The single-protocol ablation: pin the elected device-wide
+			// threshold on every link.
+			dev.SetSwitchPoint(dev.SwitchPoint())
+		}
 		if sp := dev.SwitchPoint(); minSwitch == 0 || sp < minSwitch {
 			minSwitch = sp
 		}
@@ -738,8 +742,8 @@ func (sess *Session) RoutePlan() *route.Plan { return sess.plan }
 
 // RelayStats reports the gateway load accounting of every rank that
 // relayed (or refused) traffic this session: messages and body bytes
-// forwarded, drops broken out by reason (no-route vs queue-full),
-// admission-control activity (deferred bodies, busy nacks) and the peak
+// forwarded, messages dropped at routing holes, admission-control
+// activity (deferred bodies, busy nacks) and the peak
 // store-and-forward queue depth against the configured window. Ordered
 // by rank.
 func (sess *Session) RelayStats() []stats.RelayStat {
@@ -751,15 +755,14 @@ func (sess *Session) RelayStats() []stats.RelayStat {
 			continue
 		}
 		out = append(out, stats.RelayStat{
-			Name:           fmt.Sprintf("rank%d(%s)", rk.Rank, rk.Node),
-			Msgs:           d.NForwarded,
-			Bytes:          d.RelayBytes,
-			DropsNoRoute:   d.NDropsNoRoute,
-			DropsQueueFull: d.NDropsQueueFull,
-			Deferred:       d.NRelayDeferred,
-			BusyNacks:      d.NRelayBusy,
-			QueuePeak:      d.RelayQueuePeak,
-			Window:         d.RelayWindow,
+			Name:         fmt.Sprintf("rank%d(%s)", rk.Rank, rk.Node),
+			Msgs:         d.NForwarded,
+			Bytes:        d.RelayBytes,
+			DropsNoRoute: d.NRelayDrops,
+			Deferred:     d.NRelayDeferred,
+			BusyNacks:    d.NRelayBusy,
+			QueuePeak:    d.RelayQueuePeak,
+			Window:       d.RelayWindow,
 			// Time this rank's outbound packets spent queued behind other
 			// pipes' traffic for a shared trunk — a gateway whose relays
 			// stall here is bottlenecked by the backbone, not its queue.

@@ -217,8 +217,8 @@ func TestRelayStatsAccounting(t *testing.T) {
 		t.Errorf("relayed bytes = %d, want >= %d (4 gateways x payload)", bytes, 4*size)
 	}
 	for _, r := range rs {
-		if r.Drops() != 0 {
-			t.Errorf("gateway %s dropped %d messages", r.Name, r.Drops())
+		if r.DropsNoRoute != 0 {
+			t.Errorf("gateway %s dropped %d messages", r.Name, r.DropsNoRoute)
 		}
 		if r.Window > 0 && r.QueuePeak > r.Window {
 			t.Errorf("gateway %s queue peak %d exceeds window %d", r.Name, r.QueuePeak, r.Window)

@@ -62,12 +62,8 @@ func (d *Device) AuditInvariants() error {
 			d.RelayQueuePeak, d.RelayWindow))
 	}
 
-	// Counter consistency: the drop total must equal its breakdown, and a
-	// device that never relayed must not have accumulated relay state.
-	if d.NRelayDrops != d.NDropsNoRoute+d.NDropsQueueFull {
-		bad = append(bad, fmt.Sprintf("drop counters inconsistent: NRelayDrops=%d != NDropsNoRoute=%d + NDropsQueueFull=%d",
-			d.NRelayDrops, d.NDropsNoRoute, d.NDropsQueueFull))
-	}
+	// Counter consistency: a device that never relayed must not have
+	// accumulated relay state.
 	if d.NForwarded == 0 && d.RelayBytes != 0 {
 		bad = append(bad, fmt.Sprintf("RelayBytes=%d with zero forwards", d.RelayBytes))
 	}

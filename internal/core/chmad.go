@@ -90,18 +90,15 @@ type Device struct {
 	// structure historically allowed (§4.2.2). With the per-link device
 	// mux it is only the fallback: Send resolves the threshold per
 	// destination (SwitchPointTo) from the route's SwitchBytes and any
-	// measured per-class override, unless PerLinkSwitch is off or
-	// SetSwitchPoint forced a uniform value.
+	// measured per-class override, unless SetSwitchPoint forced a uniform
+	// value.
 	switchPoint int
 
 	// forcedSwitch records that SetSwitchPoint explicitly overrode the
-	// threshold (ablation X1): the forced value then governs every link.
+	// threshold (ablation X1, and the uniform ch_mad-only ablation pinning
+	// the elected value): the forced value then governs every link, like
+	// the historical single-threshold MPID_Device.
 	forcedSwitch bool
-
-	// PerLinkSwitch enables per-destination threshold resolution (on by
-	// default). Off, the device behaves like the historical
-	// single-threshold MPID_Device — the uniform ch_mad-only ablation.
-	PerLinkSwitch bool
 
 	// classSwitch holds measured per-device-class threshold overrides
 	// installed by the autotuner (adi.ClassTuner); they take precedence
@@ -136,13 +133,6 @@ type Device struct {
 	// backpressures the inbound channel. Set before Start.
 	RelayWindow int
 
-	// RelayLossyEager models a bounded relay with lossy overflow: a
-	// relayed eager message arriving at a full gateway is dropped (and
-	// counted under NDropsQueueFull) instead of deferred. Off by default —
-	// the ablation/robustness-test mode, since MPI eager semantics give
-	// the sender no completion to retry from.
-	RelayLossyEager bool
-
 	// Trace, when set, records the packet lifecycle (eager send/recv,
 	// RNDV request->ack->body, relay hops, credit waits) on TraceTrack
 	// (the owning rank's track). Metrics aggregates counters per device
@@ -166,15 +156,12 @@ type Device struct {
 	// Counters for tests and experiment reports.
 	NEager, NRndv, NForwarded uint64
 	// RelayBytes counts body bytes this device relayed for other ranks.
-	// NRelayDrops counts relayed messages dropped, broken out by reason:
-	// NDropsNoRoute for lack of an onward route (rendez-vous requests are
-	// additionally nacked back to the sender; other packet types are
-	// silently dropped — see relayNoRoute) and NDropsQueueFull for
-	// admission-control overflow under RelayLossyEager.
-	RelayBytes      uint64
-	NRelayDrops     uint64
-	NDropsNoRoute   uint64
-	NDropsQueueFull uint64
+	// NRelayDrops counts relayed messages dropped for lack of an onward
+	// route (rendez-vous requests are additionally nacked back to the
+	// sender; other packet types are silently dropped — see relayNoRoute).
+	// A full relay queue never drops: it defers or busy-nacks.
+	RelayBytes  uint64
+	NRelayDrops uint64
 	// NRelayDeferred counts relayed bodies that had to wait for a relay
 	// credit (the bounded queue was full); NRelayBusy counts rendez-vous
 	// requests refused with a busy nack. NRndvRetries counts this
@@ -245,7 +232,6 @@ func New(p *marcel.Proc, eng *adi.Engine, rank int) *Device {
 		rank:            rank,
 		RelayPipelining: true,
 		RelayStriping:   true,
-		PerLinkSwitch:   true,
 		routes:          make(map[int]Route),
 		rails:           make(map[int][]Route),
 		pending:         make(map[uint32]*adi.SendReq),
@@ -401,12 +387,12 @@ func (d *Device) SwitchPoint() int { return d.switchPoint }
 
 // SwitchPointTo implements adi.LinkTuner: the eager->rendez-vous
 // threshold for the link toward dst. Resolution order: a forced uniform
-// value (SetSwitchPoint / PerLinkSwitch off), then a measured per-class
+// value (SetSwitchPoint), then a measured per-class
 // override for the route's device class, then the route's native
 // SwitchBytes (smallest switch point along its path), then the elected
 // device-wide fallback.
 func (d *Device) SwitchPointTo(dst int) int {
-	if d.forcedSwitch || !d.PerLinkSwitch {
+	if d.forcedSwitch {
 		return d.switchPoint
 	}
 	rt, ok := d.RouteTo(dst)
@@ -566,10 +552,7 @@ func (d *Device) sendEager(sr *adi.SendReq, rt Route) {
 	d.NEager++
 	d.Metrics.Add("eager.msgs", rt.Class, 1)
 	d.Metrics.Add("eager.bytes", rt.Class, int64(len(sr.Data)))
-	var t0 vtime.Time
-	if d.Trace != nil {
-		t0 = d.proc.S.Now()
-	}
+	t0 := d.traceNow()
 	h := header{
 		Type:    PktShort,
 		SrcRank: sr.Env.Src,
@@ -578,35 +561,20 @@ func (d *Device) sendEager(sr *adi.SendReq, rt Route) {
 		Context: sr.Env.Context,
 		Len:     sr.Env.Len,
 	}
-	conn, err := rt.Channel.BeginPacking(rt.NextNode)
-	if err != nil {
-		sr.Err = err
-		sr.Done.Fire()
-		return
-	}
-	if err == nil {
-		err = conn.Pack(h.encode(), madeleine.SendCheaper, madeleine.ReceiveExpress)
-	}
-	if err == nil && len(sr.Data) > 0 {
+	var body []byte // an empty message ships its header alone
+	if len(sr.Data) > 0 {
+		body = sr.Data
 		if d.MonolithicEager {
 			// Ablation X2: naive ADI short packet with a constant
 			// MPID_PKT_MAX_DATA_SIZE buffer: copy the user data in
-			// (sender-side copy!) and ship the whole padded buffer.
-			bufLen := d.switchPoint
-			if len(sr.Data) > bufLen {
-				bufLen = len(sr.Data) // per-link threshold above the device-wide one
-			}
-			padded := make([]byte, bufLen)
+			// (sender-side copy!) and ship the whole padded buffer. A
+			// per-link threshold may sit above the device-wide one.
+			body = make([]byte, max(d.switchPoint, len(sr.Data)))
 			d.proc.Compute(rt.Channel.Params.CopyTime(len(sr.Data)))
-			copy(padded, sr.Data)
-			err = conn.Pack(padded, madeleine.SendLater, madeleine.ReceiveCheaper)
-		} else {
-			err = conn.Pack(sr.Data, madeleine.SendCheaper, madeleine.ReceiveCheaper)
+			copy(body, sr.Data)
 		}
 	}
-	if err == nil {
-		err = conn.EndPacking()
-	}
+	err := d.emit(rt, h, body, d.eagerBodySendMode())
 	if d.Trace != nil {
 		d.Trace.Span(d.TraceTrack, trace.KPkt, "eager.send", t0, trace.Args{
 			HasPeer: true, Src: int32(sr.Env.Src), Dst: int32(sr.Dst),
@@ -652,6 +620,14 @@ func (d *Device) sendRndvRequest(sr *adi.SendReq, rt Route) {
 // "the other messages do not have a body (thus avoiding unnecessary and
 // expensive pack operations)" (§4.2.1).
 func (d *Device) sendHeaderOnly(rt Route, h header) error {
+	return d.emit(rt, h, nil, madeleine.SendCheaper)
+}
+
+// emit is the one place a ch_mad message is put on the wire: the header as
+// an EXPRESS block, then — unless body is nil — the body as one CHEAPER
+// block in the given send mode (the §4.2.2 header/body split), on the
+// route's channel toward its next hop.
+func (d *Device) emit(rt Route, h header, body []byte, mode madeleine.SendMode) error {
 	conn, err := rt.Channel.BeginPacking(rt.NextNode)
 	if err != nil {
 		return err
@@ -659,7 +635,21 @@ func (d *Device) sendHeaderOnly(rt Route, h header) error {
 	if err := conn.Pack(h.encode(), madeleine.SendCheaper, madeleine.ReceiveExpress); err != nil {
 		return err
 	}
+	if body != nil {
+		if err := conn.Pack(body, mode, madeleine.ReceiveCheaper); err != nil {
+			return err
+		}
+	}
 	return conn.EndPacking()
+}
+
+// traceNow is the start stamp of a span about to be recorded (zero, and
+// never read, when tracing is off).
+func (d *Device) traceNow() vtime.Time {
+	if d.Trace == nil {
+		return 0
+	}
+	return d.proc.S.Now()
 }
 
 // pollLoop is one channel's polling thread (§4.2.3): receive each message
@@ -865,7 +855,8 @@ func (d *Device) inSendOK(ch *madeleine.Channel, conn *madeleine.Connection, h h
 			}
 		}
 		if rt.SegBytes > 0 && len(sr.Data) > rt.SegBytes && rt.Hops > 1 {
-			d.sendRndvSegmented(sr, rt, h.SyncID)
+			// The single-rail pipeline is the stripe over a one-rail set.
+			d.sendRndvStriped(sr, []Route{rt}, h.SyncID)
 			return
 		}
 	}
@@ -876,21 +867,13 @@ func (d *Device) inSendOK(ch *madeleine.Channel, conn *madeleine.Connection, h h
 		Len:     sr.Env.Len,
 		SyncID:  h.SyncID,
 	}
+	body := sr.Data
+	if body == nil {
+		body = []byte{} // a zero-length synchronous send still ships its (empty) body block
+	}
 	d.proc.Spawn("ch_mad.rndvdata", func() {
-		var t0 vtime.Time
-		if d.Trace != nil {
-			t0 = d.proc.S.Now()
-		}
-		conn2, err := rt.Channel.BeginPacking(rt.NextNode)
-		if err == nil {
-			err = conn2.Pack(data.encode(), madeleine.SendCheaper, madeleine.ReceiveExpress)
-		}
-		if err == nil {
-			err = conn2.Pack(sr.Data, madeleine.SendCheaper, madeleine.ReceiveCheaper)
-		}
-		if err == nil {
-			err = conn2.EndPacking()
-		}
+		t0 := d.traceNow()
+		err := d.emit(rt, data, body, madeleine.SendCheaper)
 		if d.Trace != nil {
 			d.Trace.Span(d.TraceTrack, trace.KRndv, "rndv.body", t0, trace.Args{
 				HasPeer: true, Src: int32(sr.Env.Src), Dst: int32(sr.Dst),
@@ -902,7 +885,7 @@ func (d *Device) inSendOK(ch *madeleine.Channel, conn *madeleine.Connection, h h
 	})
 }
 
-// sendRndvSegmented ships a rendez-vous body over a multi-hop route as a
+// sendRndvStriped ships a rendez-vous body over multi-hop routes as a
 // train of independent MAD_RNDVSEG_PKT messages (offset in the header,
 // segment as a zero-copy body). Each gateway relays segments one at a
 // time, so while segment k is re-emitted on the outbound hop, segment
@@ -910,55 +893,9 @@ func (d *Device) inSendOK(ch *madeleine.Channel, conn *madeleine.Connection, h h
 // roughly one hop plus one segment instead of two full store-and-forward
 // passes. The per-segment EndPacking paces injection, so the train never
 // overruns the first hop.
-func (d *Device) sendRndvSegmented(sr *adi.SendReq, rt Route, sync uint32) {
-	d.proc.Spawn("ch_mad.rndvseg", func() {
-		total := len(sr.Data)
-		for off := 0; off < total; off += rt.SegBytes {
-			n := rt.SegBytes
-			if off+n > total {
-				n = total - off
-			}
-			seg := header{
-				Type:    PktRndvSeg,
-				SrcRank: sr.Env.Src,
-				DstRank: sr.Dst,
-				Len:     n,
-				SyncID:  sync,
-				Offset:  off,
-				Budget:  rt.Hops,
-			}
-			var t0 vtime.Time
-			if d.Trace != nil {
-				t0 = d.proc.S.Now()
-			}
-			conn, err := rt.Channel.BeginPacking(rt.NextNode)
-			if err == nil {
-				err = conn.Pack(seg.encode(), madeleine.SendCheaper, madeleine.ReceiveExpress)
-			}
-			if err == nil {
-				err = conn.Pack(sr.Data[off:off+n], madeleine.SendCheaper, madeleine.ReceiveCheaper)
-			}
-			if err == nil {
-				err = conn.EndPacking()
-			}
-			if d.Trace != nil {
-				d.Trace.Span(d.TraceTrack, trace.KRndv, "rndv.seg", t0, trace.Args{
-					HasPeer: true, Src: int32(sr.Env.Src), Dst: int32(sr.Dst),
-					Bytes: int64(n), Rail: 0, Hop: int16(rt.Hops), Seq: sync, Val: int64(off),
-				})
-			}
-			if err != nil {
-				sr.Err = err
-				sr.Done.Fire()
-				return
-			}
-		}
-		sr.Done.Fire()
-	})
-}
-
-// sendRndvStriped stripes a rendez-vous body across the destination's
-// edge-disjoint rails: the body is cut into uniform segments (the
+//
+// Given several rails (the destination's edge-disjoint route set) the
+// train is striped across them: the body is cut into uniform segments (the
 // smallest rail segment, so every rail's bottleneck constraint holds)
 // dealt to whichever rail has the earliest predicted finish — pipeline
 // fill (Route.Cost - Route.BottleneckCost) plus dealt segments times the
@@ -1005,10 +942,7 @@ func (d *Device) sendRndvStriped(sr *adi.SendReq, rails []Route, sync uint32) {
 		total := len(sr.Data)
 		dealt := make([]float64, len(rails))
 		for off := 0; off < total; off += seg {
-			n := seg
-			if off+n > total {
-				n = total - off
-			}
+			n := min(seg, total-off)
 			// Earliest-predicted-finish round-robin (deterministic;
 			// identical rails degrade to pure round-robin).
 			rail := 0
@@ -1029,20 +963,8 @@ func (d *Device) sendRndvStriped(sr *adi.SendReq, rails []Route, sync uint32) {
 				PathID:  rail,
 				Budget:  rt.Hops,
 			}
-			var t0 vtime.Time
-			if d.Trace != nil {
-				t0 = d.proc.S.Now()
-			}
-			conn, err := rt.Channel.BeginPacking(rt.NextNode)
-			if err == nil {
-				err = conn.Pack(h.encode(), madeleine.SendCheaper, madeleine.ReceiveExpress)
-			}
-			if err == nil {
-				err = conn.Pack(sr.Data[off:off+n], madeleine.SendCheaper, madeleine.ReceiveCheaper)
-			}
-			if err == nil {
-				err = conn.EndPacking()
-			}
+			t0 := d.traceNow()
+			err := d.emit(rt, h, sr.Data[off:off+n], madeleine.SendCheaper)
 			if d.Trace != nil {
 				d.Trace.Span(d.TraceTrack, trace.KRndv, "rndv.seg", t0, trace.Args{
 					HasPeer: true, Src: int32(sr.Env.Src), Dst: int32(sr.Dst),
@@ -1308,22 +1230,12 @@ func (d *Device) forward(ch *madeleine.Channel, conn *madeleine.Connection, h he
 			}
 		case bodyLen > 0:
 			if !d.relayCredits.TryAcquire() {
-				if d.RelayLossyEager && h.Type == PktShort {
-					drain()
-					d.handling(ch)
-					d.NRelayDrops++
-					d.NDropsQueueFull++
-					return
-				}
 				// Defer: park the polling thread until a credit frees.
 				// The inbound channel stalls behind us — the modeled
 				// backpressure on upstream senders.
 				d.NRelayDeferred++
 				d.Metrics.Add("relay.deferred", d.MetricsLabel, 1)
-				var w0 vtime.Time
-				if d.Trace != nil {
-					w0 = d.proc.S.Now()
-				}
+				w0 := d.traceNow()
 				d.relayParking++
 				d.noteRelayDepth()
 				d.relayCredits.Acquire()
@@ -1358,20 +1270,8 @@ func (d *Device) forward(ch *madeleine.Channel, conn *madeleine.Connection, h he
 	}
 	// Re-emit on the outbound channel (forward), off the polling thread.
 	d.proc.Spawn("ch_mad.forward", func() {
-		var t0 vtime.Time
-		if d.Trace != nil {
-			t0 = d.proc.S.Now()
-		}
-		conn2, err := rt.Channel.BeginPacking(rt.NextNode)
-		if err == nil {
-			err = conn2.Pack(h.encode(), madeleine.SendCheaper, madeleine.ReceiveExpress)
-		}
-		if err == nil && body != nil {
-			err = conn2.Pack(body, madeleine.SendLater, madeleine.ReceiveCheaper)
-		}
-		if err == nil {
-			err = conn2.EndPacking()
-		}
+		t0 := d.traceNow()
+		err := d.emit(rt, h, body, madeleine.SendLater)
 		if bodyLen > 0 {
 			d.relayInFlight--
 		}
@@ -1475,7 +1375,6 @@ func (d *Device) nackSender(h header, reason int) {
 // hung receive under a broken topology beats crashing every rank.
 func (d *Device) relayNoRoute(h header) {
 	d.NRelayDrops++
-	d.NDropsNoRoute++
 	d.Metrics.Add("relay.drops", d.MetricsLabel, 1)
 	if d.Trace != nil {
 		d.Trace.Instant(d.TraceTrack, trace.KRelay, "relay.drop", trace.Args{

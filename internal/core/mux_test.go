@@ -3,8 +3,8 @@ package core
 import "testing"
 
 // TestSwitchPointToResolution pins the per-link threshold resolution
-// order: forced uniform value (SetSwitchPoint / PerLinkSwitch off), then
-// the measured per-class override, then the route's native SwitchBytes,
+// order: forced uniform value (SetSwitchPoint), then the measured
+// per-class override, then the route's native SwitchBytes,
 // then the elected device-wide fallback.
 func TestSwitchPointToResolution(t *testing.T) {
 	d := New(nil, nil, 0)
@@ -37,15 +37,14 @@ func TestSwitchPointToResolution(t *testing.T) {
 		t.Errorf("override removed: SwitchPointTo = %d, want 64K", got)
 	}
 
-	// The uniform ablation pins every link to the device-wide value.
-	d.PerLinkSwitch = false
-	if got := d.SwitchPointTo(1); got != 8<<10 {
-		t.Errorf("PerLinkSwitch off: SwitchPointTo = %d, want 8K", got)
-	}
-	d.PerLinkSwitch = true
-
-	// A forced SetSwitchPoint (ablation X1) wins over everything.
+	// A forced SetSwitchPoint wins over everything: the uniform ablation
+	// pins every link to the elected device-wide value this way...
 	d.SetClassSwitchPoint("wan", 16<<10)
+	d.SetSwitchPoint(d.SwitchPoint())
+	if got := d.SwitchPointTo(1); got != 8<<10 {
+		t.Errorf("uniform ablation: SwitchPointTo = %d, want 8K", got)
+	}
+	// ... and ablation X1 to a value of its choosing.
 	d.SetSwitchPoint(4 << 10)
 	if got := d.SwitchPointTo(1); got != 4<<10 {
 		t.Errorf("forced uniform: SwitchPointTo = %d, want 4K", got)

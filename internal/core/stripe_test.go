@@ -317,61 +317,3 @@ func TestRelayBusyNackRetry(t *testing.T) {
 		t.Errorf("admission control dropped %d messages", r.devs[1].NRelayDrops)
 	}
 }
-
-// TestRelayDropReasons: queue-full drops (lossy-eager ablation at a full
-// gateway) and no-route drops (routing hole) are counted under distinct
-// reasons — admission-control drops must be distinguishable from routing
-// failures.
-func TestRelayDropReasons(t *testing.T) {
-	const size = 256 << 10
-	r := chainRig(t, 1, 0)
-	r.devs[1].RelayLossyEager = true
-	r.start()
-	payload := pattern(size)
-	r.procs[0].Spawn("send", func() {
-		sr := &adi.SendReq{
-			Env: adi.Envelope{Src: 0, Tag: 9, Context: 0, Len: size},
-			Dst: 2, Data: payload, Done: vtime.NewEvent(r.s, "send"),
-		}
-		r.devs[0].Send(sr)
-		sr.Done.Wait()
-		if sr.Err != nil {
-			t.Error(sr.Err)
-		}
-		// The gateway holds its only credit while the body crosses the
-		// slow hop; an eager message relayed now overflows the queue.
-		r.procs[0].Sleep(2 * vtime.Millisecond)
-		eag := &adi.SendReq{
-			Env: adi.Envelope{Src: 0, Tag: 10, Context: 0, Len: 64},
-			Dst: 2, Data: pattern(64), Done: vtime.NewEvent(r.s, "eager"),
-		}
-		r.devs[0].Send(eag)
-		eag.Done.Wait()
-		if eag.Err != nil {
-			t.Errorf("eager send should complete locally: %v", eag.Err)
-		}
-	})
-	r.procs[2].Spawn("recv", func() {
-		rr := &adi.RecvReq{
-			Src: 0, Tag: 9, Context: 0,
-			Buf:  make([]byte, size),
-			Done: vtime.NewEvent(r.s, "recv"),
-		}
-		r.engs[2].PostRecv(rr)
-		rr.Done.Wait()
-		if rr.Err != nil {
-			t.Error(rr.Err)
-		}
-	})
-	r.run(t)
-	gw := r.devs[1]
-	if gw.NDropsQueueFull != 1 {
-		t.Errorf("queue-full drops = %d, want 1", gw.NDropsQueueFull)
-	}
-	if gw.NDropsNoRoute != 0 {
-		t.Errorf("no-route drops = %d, want 0", gw.NDropsNoRoute)
-	}
-	if gw.NRelayDrops != gw.NDropsQueueFull+gw.NDropsNoRoute {
-		t.Errorf("total drops %d != %d+%d", gw.NRelayDrops, gw.NDropsNoRoute, gw.NDropsQueueFull)
-	}
-}

@@ -10,10 +10,7 @@ import (
 )
 
 func TestAdaptiveMultipathShape(t *testing.T) {
-	r, err := AdaptiveMultipath()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := shared(t, "adaptive")
 	stripe := byName(t, r.Series, "Relay_stripe")
 	single := byName(t, r.Series, "Relay_single")
 	for _, size := range []int{64 << 10, 256 << 10, 1 << 20} {

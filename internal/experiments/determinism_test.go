@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestExperimentsDeterministic pins the bit-identical-runs guarantee the
 // madlint determinism rules exist to protect: every source of randomness
@@ -12,57 +9,17 @@ import (
 // fault-jitter PRNG), so running the same experiment twice in one process
 // must render byte-identical stats tables. A diff here means map order,
 // wall-clock time or an unseeded generator leaked into simulation
-// behavior — exactly the regressions `madlint` hunts statically.
-// scaleDeterminismRun pins determinism of the scale experiment. Under the
-// race detector a single 1024-rank run costs ~35 s, which pushes the whole
-// package past go test's default 10-minute budget, so the race build
-// exercises the same code paths — bloc routing, lazy rails and classes,
-// capped backbone, leader election — on a quarter-size machine.
-func scaleDeterminismRun() (*Result, error) {
-	if raceDetectorOn {
-		return scaleAt(16, 16)
-	}
-	return Scale()
-}
-
+// behavior — exactly the regressions `madlint` hunts statically. The first
+// run is the shared suite's; only the second is paid for here.
 func TestExperimentsDeterministic(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		run  func() (*Result, error)
-	}{
-		{"gateway", GatewayCollectives},
-		{"adaptive", AdaptiveMultipath},
-		{"heteromux", HeteroMux},
-		{"scale", scaleDeterminismRun},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			first, err := tc.run()
-			if err != nil {
-				t.Fatalf("first run: %v", err)
-			}
-			second, err := tc.run()
+	for _, id := range []string{"gateway", "adaptive", "heteromux", "scale"} {
+		t.Run(id, func(t *testing.T) {
+			first := shared(t, id)
+			second, err := ByID(id)
 			if err != nil {
 				t.Fatalf("second run: %v", err)
 			}
-			if first.Text == second.Text {
-				return
-			}
-			a, b := strings.Split(first.Text, "\n"), strings.Split(second.Text, "\n")
-			for i := 0; i < len(a) || i < len(b); i++ {
-				var la, lb string
-				if i < len(a) {
-					la = a[i]
-				}
-				if i < len(b) {
-					lb = b[i]
-				}
-				if la != lb {
-					t.Errorf("line %d diverged:\n  run1: %s\n  run2: %s", i+1, la, lb)
-				}
-			}
-			if !t.Failed() {
-				t.Error("texts differ but no line diverged (trailing whitespace?)")
-			}
+			sameText(t, "run1", first.Text, "run2", second.Text)
 		})
 	}
 }

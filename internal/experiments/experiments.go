@@ -611,33 +611,39 @@ func render(id, title string, part byte, series []*stats.Series) *Result {
 	return &Result{ID: id, Title: title, Text: text, Series: series}
 }
 
+// registry lists every experiment in paper order: the one table All and
+// ByID both read, so an experiment cannot be in one and missing from the
+// other.
+var registry = []struct {
+	id  string
+	run func() (*Result, error)
+}{
+	{"table1", Table1},
+	{"fig6a", func() (*Result, error) { return Fig6('a') }},
+	{"fig6b", func() (*Result, error) { return Fig6('b') }},
+	{"fig7a", func() (*Result, error) { return Fig7('a') }},
+	{"fig7b", func() (*Result, error) { return Fig7('b') }},
+	{"fig8a", func() (*Result, error) { return Fig8('a') }},
+	{"fig8b", func() (*Result, error) { return Fig8('b') }},
+	{"fig9a", func() (*Result, error) { return Fig9('a') }},
+	{"fig9b", func() (*Result, error) { return Fig9('b') }},
+	{"table2", Table2},
+	{"ablation-switch", AblationSwitchPoint},
+	{"ablation-split", AblationHeaderSplit},
+	{"forwarding", Forwarding},
+	{"hcoll", HierCollectives},
+	{"gateway", GatewayCollectives},
+	{"adaptive", AdaptiveMultipath},
+	{"heteromux", HeteroMux},
+	{"multileader", MultiLeader},
+	{"scale", Scale},
+}
+
 // All runs every experiment in paper order.
 func All() ([]*Result, error) {
 	var out []*Result
-	type gen func() (*Result, error)
-	gens := []gen{
-		Table1,
-		func() (*Result, error) { return Fig6('a') },
-		func() (*Result, error) { return Fig6('b') },
-		func() (*Result, error) { return Fig7('a') },
-		func() (*Result, error) { return Fig7('b') },
-		func() (*Result, error) { return Fig8('a') },
-		func() (*Result, error) { return Fig8('b') },
-		func() (*Result, error) { return Fig9('a') },
-		func() (*Result, error) { return Fig9('b') },
-		Table2,
-		AblationSwitchPoint,
-		AblationHeaderSplit,
-		Forwarding,
-		HierCollectives,
-		GatewayCollectives,
-		AdaptiveMultipath,
-		HeteroMux,
-		MultiLeader,
-		Scale,
-	}
-	for _, g := range gens {
-		r, err := g()
+	for _, e := range registry {
+		r, err := e.run()
 		if err != nil {
 			return out, err
 		}
@@ -648,45 +654,10 @@ func All() ([]*Result, error) {
 
 // ByID runs one experiment by its id (e.g. "fig7b").
 func ByID(id string) (*Result, error) {
-	switch id {
-	case "table1":
-		return Table1()
-	case "fig6a":
-		return Fig6('a')
-	case "fig6b":
-		return Fig6('b')
-	case "fig7a":
-		return Fig7('a')
-	case "fig7b":
-		return Fig7('b')
-	case "fig8a":
-		return Fig8('a')
-	case "fig8b":
-		return Fig8('b')
-	case "fig9a":
-		return Fig9('a')
-	case "fig9b":
-		return Fig9('b')
-	case "table2":
-		return Table2()
-	case "ablation-switch":
-		return AblationSwitchPoint()
-	case "ablation-split":
-		return AblationHeaderSplit()
-	case "forwarding":
-		return Forwarding()
-	case "hcoll":
-		return HierCollectives()
-	case "gateway":
-		return GatewayCollectives()
-	case "adaptive":
-		return AdaptiveMultipath()
-	case "heteromux":
-		return HeteroMux()
-	case "multileader":
-		return MultiLeader()
-	case "scale":
-		return Scale()
+	for _, e := range registry {
+		if e.id == id {
+			return e.run()
+		}
 	}
 	return nil, fmt.Errorf("experiments: unknown id %q (see DESIGN.md experiment index)", id)
 }

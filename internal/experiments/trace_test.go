@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"mpichmad/internal/cluster"
@@ -14,10 +13,7 @@ import (
 // run. Tracing only records — it never perturbs virtual time, scheduling
 // order, or any measured quantity.
 func TestTracingLeavesOutputIdentical(t *testing.T) {
-	off, err := GatewayCollectives()
-	if err != nil {
-		t.Fatalf("untraced run: %v", err)
-	}
+	off := shared(t, "gateway") // the suite runs untraced
 
 	tr := trace.New(nil)
 	cluster.SetDefaultTracer(tr)
@@ -30,20 +26,5 @@ func TestTracingLeavesOutputIdentical(t *testing.T) {
 	if len(tr.Events()) == 0 {
 		t.Fatal("default tracer attached but recorded nothing")
 	}
-	if off.Text == on.Text {
-		return
-	}
-	a, b := strings.Split(off.Text, "\n"), strings.Split(on.Text, "\n")
-	for i := 0; i < len(a) || i < len(b); i++ {
-		var la, lb string
-		if i < len(a) {
-			la = a[i]
-		}
-		if i < len(b) {
-			lb = b[i]
-		}
-		if la != lb {
-			t.Errorf("line %d diverged with tracing on:\n  off: %s\n  on:  %s", i+1, la, lb)
-		}
-	}
+	sameText(t, "tracing off", off.Text, "tracing on", on.Text)
 }

@@ -17,9 +17,10 @@ const (
 func (c *Comm) collCtx() int { return c.ctx + 1 }
 
 // Every blocking collective below is its nonblocking twin compiled and
-// immediately waited on: the schedule compilers in this file (flat) and
-// hcoll.go (two-level) hold the only algorithm bodies, so a new algorithm
-// is a new compiler and nothing else.
+// immediately waited on: the schedule compilers in this file, hcoll.go and
+// hmulti.go hold the only algorithm bodies and the collForms table
+// (forms.go) the only place they are bound to an operation, so a new
+// algorithm is a new compiler plus a table row and nothing else.
 
 // Barrier blocks until all members have entered it (MPI_Barrier).
 func (c *Comm) Barrier() error {
@@ -93,76 +94,34 @@ func (c *Comm) Alltoall(sendBuf []byte, recvBuf []byte, count int, dt Datatype) 
 	return req.Wait()
 }
 
-// ---- Flat (topology-blind) schedule compilers ----
+// ---- Topology-blind schedule compilers ----
+//
+// The flat forms that are genuinely different algorithms from their
+// two-level counterparts, not their one-cluster case (those — Bcast,
+// Gather, the rings — are compiled by hcoll.go on the one-cluster view):
+// dissemination vs fan-in/fan-out, one child per round vs all children
+// pre-posted, ring vs leader bundles, pairwise rotation vs leader bundles.
 
-// compileBarrierFlat is the dissemination algorithm: ceil(log2 n) rounds
-// of 0-byte exchanges.
-func (c *Comm) compileBarrierFlat() *schedule {
+// barrierDissemination: ceil(log2 n) rounds of 0-byte exchanges.
+func (c *Comm) barrierDissemination(b *schedBuilder, _ *commTopo, _ collArgs) func() {
 	n := c.Size()
-	b := newSched("barrier")
 	for k := 1; k < n; k <<= 1 {
 		b.recv((c.myRank-k+n)%n, nil)
 		b.send((c.myRank+k)%n, nil)
 		b.endRound()
 	}
-	return b.build(nil)
+	return nil
 }
 
-// bcastFlatRounds appends the binomial-tree broadcast of data (already
-// populated at the root by earlier rounds or at compile time) rooted at
-// root: one receive round from the parent, then the fan-out sends in
-// largest-stride-first order.
-func (c *Comm) bcastFlatRounds(b *schedBuilder, data []byte, root int) {
+// reduceSerialRounds appends the binomial reduction tree rooted at root,
+// taking one child per round in ascending stride order — a partial is
+// folded before the next is even posted, which is what sets it apart from
+// treeReduce — and returns the accumulator, complete at the root.
+func (c *Comm) reduceSerialRounds(b *schedBuilder, a collArgs, root int) []byte {
 	n := c.Size()
+	acc := b.loadAcc(a.send, a.count, a.dt)
 	rel := (c.myRank - root + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			b.recv((rel-mask+root)%n, data)
-			b.endRound()
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < n {
-			b.send((rel+mask+root)%n, data)
-		}
-		mask >>= 1
-	}
-	b.endRound()
-}
-
-// compileBcastFlat: the topology-blind binomial tree, latency O(log n).
-func (c *Comm) compileBcastFlat(buf []byte, count int, dt Datatype, root int) *schedule {
-	var data []byte
-	if c.myRank == root {
-		data = PackBuf(buf, count, dt)
-	} else {
-		data = make([]byte, count*dt.Size())
-	}
-	b := newSched("bcast")
-	c.bcastFlatRounds(b, data, root)
-	return b.build(func() {
-		if c.myRank != root {
-			c.p.M.Compute(c.p.memTime(len(data)))
-			UnpackBuf(buf, count, dt, data)
-		}
-	})
-}
-
-// reduceFlatRounds appends the binomial reduction tree rooted at root and
-// returns the accumulator buffer, which holds the full reduction at the
-// root once the rounds have run.
-func (c *Comm) reduceFlatRounds(b *schedBuilder, sendBuf []byte, count int, dt Datatype, op Op, root int) []byte {
-	n := c.Size()
-	acc := make([]byte, count*dt.Size())
-	b.copyStep(acc, PackBuf(sendBuf, count, dt))
-	b.endRound()
-	rel := (c.myRank - root + n) % n
-	mask := 1
-	for mask < n {
+	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask != 0 {
 			b.send((rel-mask+root)%n, acc)
 			b.endRound()
@@ -171,82 +130,42 @@ func (c *Comm) reduceFlatRounds(b *schedBuilder, sendBuf []byte, count int, dt D
 		if rel+mask < n {
 			part := make([]byte, len(acc))
 			b.recv((rel+mask+root)%n, part)
-			b.reduce(acc, part, count, dt, op)
+			b.reduce(acc, part, a.count, a.dt, a.op)
 			b.endRound()
 		}
-		mask <<= 1
 	}
 	return acc
 }
 
-// compileReduceFlat: the topology-blind binomial reduction tree.
-func (c *Comm) compileReduceFlat(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, root int) *schedule {
-	b := newSched("reduce")
-	acc := c.reduceFlatRounds(b, sendBuf, count, dt, op, root)
-	return b.build(func() {
-		if c.myRank == root {
-			c.p.M.Compute(c.p.memTime(len(acc)))
-			UnpackBuf(recvBuf, count, dt, acc)
-		}
-	})
-}
-
-// compileAllreduceFlat chains the flat reduce-to-0 rounds with the flat
-// broadcast-from-0 rounds over one shared accumulator.
-func (c *Comm) compileAllreduceFlat(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) *schedule {
-	b := newSched("allreduce")
-	acc := c.reduceFlatRounds(b, sendBuf, count, dt, op, 0)
-	c.bcastFlatRounds(b, acc, 0)
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(acc)))
-		UnpackBuf(recvBuf, count, dt, acc)
-	})
-}
-
-// compileGatherFlat: every member ships its block straight to the root.
-func (c *Comm) compileGatherFlat(sendBuf, recvBuf []byte, count int, dt Datatype, root int) *schedule {
-	sz := count * dt.Size()
-	ex := dt.Extent()
-	mine := PackBuf(sendBuf, count, dt)
-	b := newSched("gather")
-	if c.myRank != root {
-		b.send(root, mine)
-		return b.build(nil)
+// reduceSerial: the topology-blind binomial reduction tree.
+func (c *Comm) reduceSerial(b *schedBuilder, _ *commTopo, a collArgs) func() {
+	acc := c.reduceSerialRounds(b, a, a.root)
+	if c.myRank != a.root {
+		return nil
 	}
-	slots := make([][]byte, c.Size())
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		slots[r] = make([]byte, sz)
-		b.recv(r, slots[r])
-	}
-	b.endRound()
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(sz))
-		UnpackBuf(recvBuf[root*count*ex:], count, dt, mine)
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			UnpackBuf(recvBuf[r*count*ex:], count, dt, slots[r])
-		}
-	})
+	return c.unpackVector(a.recv, a.count, a.dt, acc)
 }
 
-// compileAllgatherFlat is the ring algorithm: n-1 rounds, each forwarding
-// the block received in the previous round.
-func (c *Comm) compileAllgatherFlat(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
+// allreduceSerial chains the serial reduce-to-0 rounds with the binomial
+// broadcast-from-0 (the tree broadcast on the one-cluster view) over one
+// shared accumulator.
+func (c *Comm) allreduceSerial(b *schedBuilder, _ *commTopo, a collArgs) func() {
+	acc := c.reduceSerialRounds(b, a, 0)
+	c.bcastTreeRounds(b, oneClusterTopo(c.Size(), c.myRank), acc, 0, 0)
+	return c.unpackVector(a.recv, a.count, a.dt, acc)
+}
+
+// allgatherRing is the ring algorithm: n-1 rounds, each forwarding the
+// block received in the previous round.
+func (c *Comm) allgatherRing(b *schedBuilder, _ *commTopo, a collArgs) func() {
 	n := c.Size()
-	sz := count * dt.Size()
-	ex := dt.Extent()
-	mine := PackBuf(sendBuf, count, dt)
+	sz := a.count * a.dt.Size()
+	ex := a.dt.Extent()
 	own := make([]byte, sz)
 	right := (c.myRank + 1) % n
 	left := (c.myRank - 1 + n) % n
 
-	b := newSched("allgather")
-	b.copyStep(own, mine)
+	b.copyStep(own, PackBuf(a.send, a.count, a.dt))
 	b.endRound()
 	incoming := make([][]byte, n-1)
 	cur := own
@@ -257,28 +176,27 @@ func (c *Comm) compileAllgatherFlat(sendBuf, recvBuf []byte, count int, dt Datat
 		b.endRound()
 		cur = incoming[s]
 	}
-	return b.build(func() {
-		UnpackBuf(recvBuf[c.myRank*count*ex:], count, dt, own)
+	return func() {
+		UnpackBuf(a.recv[c.myRank*a.count*ex:], a.count, a.dt, own)
 		for s := 0; s < n-1; s++ {
 			owner := (c.myRank - s - 1 + 2*n) % n
-			UnpackBuf(recvBuf[owner*count*ex:], count, dt, incoming[s])
+			UnpackBuf(a.recv[owner*a.count*ex:], a.count, a.dt, incoming[s])
 		}
-	})
+	}
 }
 
-// compileAlltoallFlat is the pairwise rotation: n rounds, exchanging with
+// alltoallPairwise is the pairwise rotation: n rounds, exchanging with
 // partners at increasing rank distance.
-func (c *Comm) compileAlltoallFlat(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
+func (c *Comm) alltoallPairwise(b *schedBuilder, _ *commTopo, a collArgs) func() {
 	n := c.Size()
-	sz := count * dt.Size()
-	ex := dt.Extent()
-	b := newSched("alltoall")
+	sz := a.count * a.dt.Size()
+	ex := a.dt.Extent()
 	selfStage := make([]byte, sz)
 	in := make([][]byte, n)
 	for step := 0; step < n; step++ {
 		to := (c.myRank + step) % n
 		from := (c.myRank - step + n) % n
-		out := PackBuf(sendBuf[to*count*ex:], count, dt)
+		out := PackBuf(a.send[to*a.count*ex:], a.count, a.dt)
 		if to == c.myRank {
 			b.copyStep(selfStage, out)
 			b.endRound()
@@ -289,129 +207,15 @@ func (c *Comm) compileAlltoallFlat(sendBuf, recvBuf []byte, count int, dt Dataty
 		b.send(to, out)
 		b.endRound()
 	}
-	return b.build(func() {
-		UnpackBuf(recvBuf[c.myRank*count*ex:], count, dt, selfStage)
+	return func() {
+		UnpackBuf(a.recv[c.myRank*a.count*ex:], a.count, a.dt, selfStage)
 		for from := 0; from < n; from++ {
 			if from == c.myRank {
 				continue
 			}
-			UnpackBuf(recvBuf[from*count*ex:], count, dt, in[from])
+			UnpackBuf(a.recv[from*a.count*ex:], a.count, a.dt, in[from])
 		}
-	})
-}
-
-// ---- Bandwidth-optimal ring compilers ----
-//
-// The binomial trees above move the full vector O(log n) times per rank;
-// the ring algorithms move 2·(n−1)/n of it, at the price of O(n) latency
-// rounds — the classic large-vector tradeoff (MPICH's ring allreduce,
-// Rabenseifner's reduce-scatter + allgather). Both phases are written as
-// round helpers over an explicit member list so the two-level compilers in
-// hcoll.go can run the same rings inside a cluster.
-
-// splitBounds partitions count elements into m contiguous near-equal
-// blocks: block i spans elements [bounds[i], bounds[i+1]).
-func splitBounds(count, m int) []int {
-	bounds := make([]int, m+1)
-	for i := 0; i <= m; i++ {
-		bounds[i] = i * count / m
 	}
-	return bounds
-}
-
-// ringRSRounds appends the ring reduce-scatter over members: m−1 rounds,
-// each forwarding one partially reduced block to the right neighbor while
-// folding the block arriving from the left into acc (the packed full
-// vector, pre-loaded with this rank's contribution). Afterwards acc's
-// block myPos holds the complete reduction over all members. The block
-// indexing is shifted so each member finishes owning its *own* position's
-// block, which is what ReduceScatter semantics need. Requires a
-// commutative op (all predefined ops are).
-func (c *Comm) ringRSRounds(b *schedBuilder, members []int, myPos int, acc []byte, bounds []int, dt Datatype, op Op) {
-	m := len(members)
-	if m < 2 {
-		return
-	}
-	es := dt.Size()
-	right := members[(myPos+1)%m]
-	left := members[(myPos-1+m)%m]
-	blk := func(i int) []byte { return acc[bounds[i]*es : bounds[i+1]*es] }
-	for s := 0; s < m-1; s++ {
-		sendIdx := (myPos - s - 1 + 2*m) % m
-		recvIdx := (myPos - s - 2 + 2*m) % m
-		part := make([]byte, len(blk(recvIdx)))
-		b.recv(left, part)
-		b.send(right, blk(sendIdx))
-		b.reduce(blk(recvIdx), part, bounds[recvIdx+1]-bounds[recvIdx], dt, op)
-		b.endRound()
-	}
-}
-
-// ringAGRounds appends the ring allgather over members: m−1 rounds
-// circulating the completed blocks, starting from each member owning block
-// myPos (the ring reduce-scatter postcondition). Receives land directly in
-// data's block slots.
-func (c *Comm) ringAGRounds(b *schedBuilder, members []int, myPos int, data []byte, bounds []int, es int) {
-	m := len(members)
-	if m < 2 {
-		return
-	}
-	right := members[(myPos+1)%m]
-	left := members[(myPos-1+m)%m]
-	blk := func(i int) []byte { return data[bounds[i]*es : bounds[i+1]*es] }
-	for s := 0; s < m-1; s++ {
-		sendIdx := (myPos - s + m) % m
-		recvIdx := (myPos - s - 1 + 2*m) % m
-		b.recv(left, blk(recvIdx))
-		b.send(right, blk(sendIdx))
-		b.endRound()
-	}
-}
-
-// compileAllreduceRing is the flat bandwidth-optimal ring allreduce: ring
-// reduce-scatter then ring allgather, 2·(n−1) latency rounds but only
-// 2·(n−1)/n of the vector on each link.
-func (c *Comm) compileAllreduceRing(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) *schedule {
-	n := c.Size()
-	members := make([]int, n)
-	for i := range members {
-		members[i] = i
-	}
-	acc := make([]byte, count*dt.Size())
-	bounds := splitBounds(count, n)
-	b := newSched("allreduce.ring")
-	b.copyStep(acc, PackBuf(sendBuf, count, dt))
-	b.endRound()
-	c.ringRSRounds(b, members, c.myRank, acc, bounds, dt, op)
-	c.ringAGRounds(b, members, c.myRank, acc, bounds, dt.Size())
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(acc)))
-		UnpackBuf(recvBuf, count, dt, acc)
-	})
-}
-
-// compileReduceScatterRing is the flat ring reduce-scatter: after n−1
-// rounds each rank owns its fully reduced block, with (n−1)/n of the
-// vector moved per link — no root bottleneck, no full-vector broadcast.
-func (c *Comm) compileReduceScatterRing(sendBuf, recvBuf []byte, countPerRank int, dt Datatype, op Op) *schedule {
-	n := c.Size()
-	members := make([]int, n)
-	for i := range members {
-		members[i] = i
-	}
-	total := countPerRank * n
-	es := dt.Size()
-	acc := make([]byte, total*es)
-	bounds := splitBounds(total, n) // equal blocks: bounds[i] = i*countPerRank
-	b := newSched("redscat.ring")
-	b.copyStep(acc, PackBuf(sendBuf, total, dt))
-	b.endRound()
-	c.ringRSRounds(b, members, c.myRank, acc, bounds, dt, op)
-	mine := acc[bounds[c.myRank]*es : bounds[c.myRank+1]*es]
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(mine)))
-		UnpackBuf(recvBuf, countPerRank, dt, mine)
-	})
 }
 
 // ---- Remaining direct (non-scheduled) collectives ----

@@ -50,18 +50,15 @@ type Process struct {
 	tuned      *tuneTable
 	forcedAlgo *collAlgo
 
-	// linkClass[dst] names the device class of the link toward each world
-	// rank ("self", "smp", "san", "wan"), installed by the cluster wiring
-	// when the session runs the per-link device mux (nil otherwise);
+	// linkClassFn names the device class of the link toward a world rank
+	// ("self", "smp", "san", "wan"): the resolver the cluster wiring
+	// installs when the session runs the per-link device mux (nil
+	// otherwise). Each destination's class is resolved on first query and
+	// memoized in linkClassMemo for the life of the process (classes are
+	// frozen at build time, across re-plans);
 	// classProbes lists the representative rank pairs the autotuner times
 	// to measure per-class eager thresholds, identical on every rank;
 	// classSwitch holds the measured per-class thresholds once installed.
-	// linkClassFn/linkClassMemo are the lazy alternative at scale: the
-	// session installs a resolver instead of an N-entry table, and each
-	// destination's class is resolved on first query and memoized for the
-	// life of the process (matching the eager table's frozen-at-build
-	// semantics across re-plans).
-	linkClass     []string
 	linkClassFn   func(dst int) string
 	linkClassMemo map[int]string
 	classProbes   []ClassProbe

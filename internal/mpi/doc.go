@@ -16,14 +16,76 @@
 // the paper's decoupling of communication progress from the application,
 // applied to collectives (the libNBC/MPI-3 design).
 //
-// Algorithm selection happens once, at compile time, through the tuning
-// table in topology.go (operation kind × payload size × cluster shape →
-// flat, two-level, two-level segmented, ring, or two-level ring). The
-// flat compilers live in collectives.go, the two-level ones in hcoll.go;
-// each algorithm has exactly one body, shared by the blocking and
-// nonblocking entry points. Adding an algorithm means adding a compiler
-// and a tuning-table row — the executor, request handling and progress
-// rules are untouched.
+// # Algorithms: one form table, a handful of phase builders
+//
+// Which algorithm exists for which operation is written down once, in the
+// collForms table (forms.go): one row per (operation, algorithm) naming
+// the communicator shape the form needs — any, multi-cluster, or
+// multi-cluster with a multi-gateway leader set — and the compiler that
+// builds it. Everything that used to enumerate that cross-product reads
+// the table: startColl dispatches through it, sanitizeAlgo degrades an
+// unrunnable choice along the algorithm's fallback columns until a row
+// fits, and the autotuner's candidates for an operation are its runnable
+// rows in table order — flat, ring, 2level, 2level-seg, 2level-ring,
+// 2level-multi — which fixes the probe sequence, the virtual cost of
+// MPI_Init and every cached tune table. Selection itself (chooseAlgo,
+// topology.go) stays a policy: forced mode, then the measured table, then
+// the analytic thresholds. Each algorithm has exactly one body, shared by
+// the blocking and nonblocking entry points; adding one means a compiler
+// and a table row — the executor, request handling and progress rules are
+// untouched.
+//
+// Compilers take a uniform collArgs record and the commTopo they run on,
+// and are compositions of the phase builders in phases.go, each written
+// once over an explicit member list: tree broadcast and pre-posted tree
+// reduce at one tree position (binomialOver inside a cluster or over the
+// leaders, twoLevelTree across both), block gather to a leader, per-part
+// gather/scatter between a leader and its members, the pre-posted
+// all-pairs exchange among leaders, the ring reduce-scatter and ring
+// allgather, and the two unpack completions. An N-level hierarchy would
+// be "a commTopo per level" handed to the same builders, not another
+// family of compilers.
+//
+// Forms that are the one-cluster case of a two-level compiler have no
+// body of their own. The table compiles them with the two-level compiler
+// on oneClusterTopo — every rank in one cluster, so the leader level is
+// empty (rows marked blind):
+//
+//   - flat Bcast = the two-level tree broadcast: with one cluster the
+//     leader tree holds the root alone and the intra-cluster tree is the
+//     classic binomial tree.
+//   - flat Gather = leader-staged gather: the root is the only leader and
+//     every member ships its block straight to it.
+//   - ring Allreduce and ring ReduceScatter = their two-level ring forms
+//     with the chunk gather / leader exchange / chunk scatter skipped
+//     (they are vacuous with one cluster): the ring phases alone remain.
+//   - 2level-seg Bcast and Alltoall = the 2level compiler with a segment
+//     size; the segmented Alltoall shares its gather, assembly and scatter
+//     stages with the whole-bundle form and differs only in the bridge
+//     exchange (alltoallBridge).
+//
+// The other forms are distinct algorithms and stay separate bodies,
+// because their schedules genuinely differ:
+//
+//   - flat Reduce/Allreduce take one child per round (a partial is folded
+//     before the next receive is posted); the two-level tree pre-posts all
+//     its children in one round. Same tree on one cluster, different
+//     rounds — merging them would change every flat-mode number.
+//   - flat Barrier is the dissemination algorithm; two-level is fan-in /
+//     fan-out over the leader tree.
+//   - flat Allgather is a ring, flat Alltoall a pairwise rotation; their
+//     two-level forms move leader bundles.
+//   - 2level-multi (hmulti.go) is not 2level with a one-element leader
+//     set, and 2level is not its K=1 case: multi-leader Bcast walks a
+//     linear chain of clusters per shard where single-leader uses a
+//     binomial leader tree (O(clusters) vs O(log clusters) latency on a
+//     64-cluster machine), and Alltoall feeds emissaries directly instead
+//     of funnelling through the primary.
+//
+// The whole layer is pinned by fingerprint_test.go: every operation ×
+// forced mode × payload × root × topology shape, plus one autotuned
+// session per shape, must reproduce its final virtual time, per-network
+// packet and byte counts and tune table from testdata/fingerprints.txt.
 //
 // # Ring schedules
 //
@@ -130,8 +192,8 @@
 //     frees (backpressuring the inbound channel), and a relayed
 //     rendez-vous REQUEST is refused with a busy nack — the sender backs
 //     off exponentially and retries, so a transfer is only admitted when
-//     the gateway can hold it. Drops (lossy-eager ablation, routing
-//     holes) are counted by reason in stats.RelayTable.
+//     the gateway can hold it. A full gateway never drops; the only
+//     drops are routing holes, counted in stats.RelayTable.
 //
 // # Bandwidth aggregation: multi-leader collectives
 //
@@ -185,11 +247,10 @@
 // classifies every ordered rank pair into a device class — "self"
 // (intra-process, chself), "smp" (intra-node, smp_plug), "san"
 // (intra-cluster SAN such as SCI or Myrinet/BIP) or "wan" (a commodity
-// backbone) — and installs the classification on each rank: small
-// sessions may still hand over an eager table (Process.SetLinkClasses),
-// the cluster wiring installs a lazy resolver
-// (Process.SetLinkClassResolver) that classifies each destination on the
-// first LinkClassOf query and memoizes it for the life of the process.
+// backbone) — and installs the classification on each rank as a lazy
+// resolver (Process.SetLinkClassResolver) that classifies each
+// destination on the first LinkClassOf query and memoizes it for the life
+// of the process.
 // Three layers consume it:
 //
 //   - Routing: internal/route's edge costs are device-aware — an eager
@@ -221,12 +282,14 @@
 // trunk contention (netsim.Params.NetworkBandwidth). Rank 0 picks the
 // fastest candidate per size, places crossovers at geometric midpoints,
 // and broadcasts the (operation → size bracket → algorithm) table; every
-// rank installs identical bytes, so CollAuto dispatch stays agreed
-// everywhere. The sweep is deterministic in the topology (virtual time
-// has no noise). Communicators resolve the table once, at their first
-// collective; Process.TuneSnapshot exports it for reports, and
-// Process.LoadTuneTable installs an exported table directly — the
-// persistence path: cluster.Topology.TuneCache keys tables by a
+// rank decodes identical bytes into TuneSnapshot's row format and installs
+// them through Process.LoadTuneTable — the one install path, validation
+// included — so CollAuto dispatch stays agreed everywhere. The sweep is
+// deterministic in the topology (virtual time has no noise).
+// Communicators resolve the table once, at their first collective;
+// Process.TuneSnapshot exports it for reports, and LoadTuneTable equally
+// installs an exported table without a sweep — the persistence path:
+// cluster.Topology.TuneCache keys tables by a
 // topology-shape hash (device classes, per-network switch points and
 // the Uniform flag included), so repeated sessions of the same shape
 // skip the sweep and load byte-identical rows.
@@ -291,8 +354,8 @@
 // clean run the cluster session calls Process.AuditDevices, and every
 // device implementing adi.Auditor (ch_mad: core.Device.AuditInvariants)
 // must be back at rest — relay credit window full, no rendez-vous syncs
-// or stripe reassemblies open, drop counters consistent with their
-// breakdown. The vtime scheduler's deadlock detector completes the
+// or stripe reassemblies open, no relay bytes without forwards. The vtime
+// scheduler's deadlock detector completes the
 // picture: when no task is runnable and no event pending, Run returns a
 // structured vtime.DeadlockError naming every task and what it waits on.
 //
@@ -351,8 +414,8 @@
 // Callers of the former internal algorithm helpers (barrierFlat,
 // bcastHier, reduceFlat, allgatherHier, ...) now use the public API plus
 // Process.SetCollMode(CollFlat/CollHier) to pin an algorithm family; the
-// helpers were replaced by compile* schedule compilers with identical
-// message patterns. WaitAll now returns one *Status per request (nil for
+// helpers were replaced by the schedule compilers bound in collForms,
+// with identical message patterns. WaitAll now returns one *Status per request (nil for
 // sends) alongside the first error; WaitAny waits event-driven on the
 // virtual-time scheduler instead of polling.
 package mpi

@@ -1,43 +1,34 @@
 package mpi
 
 // Two-level (hierarchy-aware) schedule compilers. Each operation runs an
-// intra-cluster binomial phase on the fast fabric plus a single
-// leader-level exchange over the slow backbone, so the number of
-// inter-cluster messages is O(#clusters) instead of O(log n) (or O(n) for
-// adversarial rank placements). See topology.go for the selection logic
-// and schedule.go for the execution model these compile into.
+// intra-cluster phase on the fast fabric plus a single leader-level
+// exchange over the slow backbone, so the number of inter-cluster messages
+// is O(#clusters) instead of O(log n) (or O(n) for adversarial rank
+// placements). See topology.go for the selection logic, forms.go for the
+// table that binds these to (operation, algorithm) pairs, phases.go for
+// the builders they are composed from and schedule.go for the execution
+// model they compile into.
+//
+// Every compiler takes the commTopo it runs on. Run on the communicator's
+// real hierarchy they are the two-level algorithms; run on the one-cluster
+// view (oneClusterTopo) the leader level is empty and what remains is
+// exactly the topology-blind algorithm — which is how the flat Bcast,
+// Gather, ring Allreduce and ring ReduceScatter are compiled.
 
-// binomialOver computes a binomial tree over an explicit rank list rooted
-// at position rootPos, returning myPos's parent (-1 at the root) and
-// children (largest stride first, matching the flat binomial fan-out).
-func binomialOver(members []int, rootPos, myPos int) (parent int, children []int) {
-	parent = -1
-	n := len(members)
-	rel := (myPos - rootPos + n) % n
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			parent = members[(rel-mask+rootPos)%n]
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < n {
-			children = append(children, members[(rel+mask+rootPos)%n])
-		}
-		mask >>= 1
-	}
-	return parent, children
+// loadAcc opens a reduction: the accumulator, loaded with this rank's
+// packed contribution in a round of its own.
+func (b *schedBuilder) loadAcc(sendBuf []byte, count int, dt Datatype) []byte {
+	acc := make([]byte, count*dt.Size())
+	b.copyStep(acc, PackBuf(sendBuf, count, dt))
+	b.endRound()
+	return acc
 }
 
-// compileBarrierHier: fan-in then fan-out over the two-level tree rooted
-// at comm rank 0. The slow backbone carries exactly 2·(#clusters−1) empty
+// barrierTree: fan-in then fan-out over the two-level tree rooted at comm
+// rank 0. The slow backbone carries exactly 2·(#clusters−1) empty
 // messages, versus the dissemination algorithm's n·ceil(log2 n).
-func (c *Comm) compileBarrierHier() *schedule {
-	parent, children := c.topo().twoLevelTree(c.myRank, 0)
-	b := newSched("barrier.h")
+func (c *Comm) barrierTree(b *schedBuilder, ct *commTopo, _ collArgs) func() {
+	parent, children := ct.twoLevelTree(c.myRank, 0)
 	for i := len(children) - 1; i >= 0; i-- {
 		b.recv(children[i], nil)
 	}
@@ -45,23 +36,19 @@ func (c *Comm) compileBarrierHier() *schedule {
 	if parent >= 0 {
 		b.send(parent, nil)
 		b.endRound()
-		b.recv(parent, nil)
-		b.endRound()
 	}
-	for _, ch := range children {
-		b.send(ch, nil)
-	}
-	return b.build(nil)
+	b.treeBcast(parent, children, nil)
+	return nil
 }
 
-// bcastHierRounds appends the two-level tree broadcast of data rooted at
+// bcastTreeRounds appends the two-level tree broadcast of data rooted at
 // root, optionally pipelining in segBytes segments (segBytes <= 0
 // disables segmentation). Segments ride the eager path, so a rank can
 // forward segment k to its children while its parent is already injecting
 // segment k+1: the slow backbone transfer overlaps the fast intra-cluster
 // fan-out, the paper's store-and-forward §6 scenario.
-func (c *Comm) bcastHierRounds(b *schedBuilder, data []byte, root, segBytes int) {
-	parent, children := c.topo().twoLevelTree(c.myRank, root)
+func (c *Comm) bcastTreeRounds(b *schedBuilder, ct *commTopo, data []byte, root, segBytes int) {
+	parent, children := ct.twoLevelTree(c.myRank, root)
 	total := len(data)
 	seg := segBytes
 	if seg <= 0 || seg > total {
@@ -73,525 +60,268 @@ func (c *Comm) bcastHierRounds(b *schedBuilder, data []byte, root, segBytes int)
 	}
 	for s := 0; s < nseg; s++ {
 		lo := s * seg
-		hi := lo + seg
-		if hi > total {
-			hi = total
-		}
-		chunk := data[lo:hi]
-		if parent >= 0 {
-			b.recv(parent, chunk)
-			b.endRound()
-		}
-		for _, ch := range children {
-			b.send(ch, chunk)
-		}
+		b.treeBcast(parent, children, data[lo:min(lo+seg, total)])
 		b.endRound()
 	}
 }
 
-// compileBcastHier broadcasts through the two-level tree.
-func (c *Comm) compileBcastHier(buf []byte, count int, dt Datatype, root, segBytes int) *schedule {
-	var data []byte
-	if c.myRank == root {
-		data = PackBuf(buf, count, dt)
-	} else {
-		data = make([]byte, count*dt.Size())
+// bcastStaging returns a broadcast's packed staging vector — the payload
+// at the root, empty elsewhere — and the completion closure landing it in
+// the user buffer (nil at the root, whose buffer already holds it).
+func (c *Comm) bcastStaging(a collArgs) (data []byte, fin func()) {
+	if c.myRank == a.root {
+		return PackBuf(a.send, a.count, a.dt), nil
 	}
-	b := newSched("bcast.h")
-	c.bcastHierRounds(b, data, root, segBytes)
-	return b.build(func() {
-		if c.myRank != root {
-			c.p.M.Compute(c.p.memTime(len(data)))
-			UnpackBuf(buf, count, dt, data)
-		}
-	})
+	data = make([]byte, a.count*a.dt.Size())
+	return data, c.unpackVector(a.recv, a.count, a.dt, data)
 }
 
-// reduceHierRounds appends the reduction along the reversed two-level
+// bcastTree broadcasts through the two-level tree. On the one-cluster view
+// the leader level has the root alone, and the tree is the classic
+// binomial one: latency O(log n).
+func (c *Comm) bcastTree(b *schedBuilder, ct *commTopo, a collArgs, segBytes int) func() {
+	data, fin := c.bcastStaging(a)
+	c.bcastTreeRounds(b, ct, data, a.root, segBytes)
+	return fin
+}
+
+// reduceTreeRounds appends the reduction along the reversed two-level
 // tree: every rank folds its children's partials into its accumulator
 // (intra-cluster children first, so the single backbone message carries a
 // fully reduced cluster contribution) and forwards one message to its
 // parent. Returns the accumulator, complete at the root.
-func (c *Comm) reduceHierRounds(b *schedBuilder, sendBuf []byte, count int, dt Datatype, op Op, root int) []byte {
-	parent, children := c.topo().twoLevelTree(c.myRank, root)
-	acc := make([]byte, count*dt.Size())
-	b.copyStep(acc, PackBuf(sendBuf, count, dt))
-	b.endRound()
-	for i := len(children) - 1; i >= 0; i-- {
-		part := make([]byte, len(acc))
-		b.recv(children[i], part)
-		b.reduce(acc, part, count, dt, op)
-	}
-	b.endRound()
-	if parent >= 0 {
-		b.send(parent, acc)
-		b.endRound()
-	}
+func (c *Comm) reduceTreeRounds(b *schedBuilder, ct *commTopo, a collArgs, root int) []byte {
+	acc := b.loadAcc(a.send, a.count, a.dt)
+	parent, children := ct.twoLevelTree(c.myRank, root)
+	b.treeReduce(parent, children, acc, a.count, a.dt, a.op)
 	return acc
 }
 
-// compileReduceHier: two-level reduction to root.
-func (c *Comm) compileReduceHier(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, root int) *schedule {
-	b := newSched("reduce.h")
-	acc := c.reduceHierRounds(b, sendBuf, count, dt, op, root)
-	return b.build(func() {
-		if c.myRank == root {
-			c.p.M.Compute(c.p.memTime(len(acc)))
-			UnpackBuf(recvBuf, count, dt, acc)
-		}
-	})
-}
-
-// compileAllreduceHier chains reduce-to-0 with broadcast-from-0, both
-// two-level: the backbone carries one reduced vector per cluster inbound
-// and one result vector per cluster outbound — once per slow link per
-// direction.
-func (c *Comm) compileAllreduceHier(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) *schedule {
-	b := newSched("allreduce.h")
-	acc := c.reduceHierRounds(b, sendBuf, count, dt, op, 0)
-	c.bcastHierRounds(b, acc, 0, c.bcastSegment(len(acc)))
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(acc)))
-		UnpackBuf(recvBuf, count, dt, acc)
-	})
-}
-
-// compileGatherHier gathers via cluster-leader staging: members send
-// their block to their cluster's operation leader (the root stands in for
-// its own cluster), each leader concatenates its cluster's blocks in rank
-// order and ships one bundle to the root over the backbone.
-func (c *Comm) compileGatherHier(sendBuf, recvBuf []byte, count int, dt Datatype, root int) *schedule {
-	ct := c.topo()
-	sz := count * dt.Size()
-	ex := dt.Extent()
-
-	rootCluster := ct.clusterOf[root]
-	leader := ct.leaders[ct.myCluster]
-	if ct.myCluster == rootCluster {
-		leader = root
+// reduceTree: two-level reduction to root.
+func (c *Comm) reduceTree(b *schedBuilder, ct *commTopo, a collArgs) func() {
+	acc := c.reduceTreeRounds(b, ct, a, a.root)
+	if c.myRank != a.root {
+		return nil
 	}
-	mine := PackBuf(sendBuf, count, dt)
-	b := newSched("gather.h")
+	return c.unpackVector(a.recv, a.count, a.dt, acc)
+}
 
+// allreduceTree chains reduce-to-0 with broadcast-from-0, both two-level:
+// the backbone carries one reduced vector per cluster inbound and one
+// result vector per cluster outbound — once per slow link per direction.
+func (c *Comm) allreduceTree(b *schedBuilder, ct *commTopo, a collArgs) func() {
+	acc := c.reduceTreeRounds(b, ct, a, 0)
+	c.bcastTreeRounds(b, ct, acc, 0, c.bcastSegment(len(acc)))
+	return c.unpackVector(a.recv, a.count, a.dt, acc)
+}
+
+// gatherStaged gathers via cluster-leader staging: members send their
+// block to their cluster's operation leader (the root stands in for its
+// own cluster), each leader concatenates its cluster's blocks in rank
+// order and ships one bundle to the root over the backbone. On the
+// one-cluster view the root is the only leader: every member ships its
+// block straight to it.
+func (c *Comm) gatherStaged(b *schedBuilder, ct *commTopo, a collArgs) func() {
+	sz := a.count * a.dt.Size()
+	ex := a.dt.Extent()
+	leader := ct.leaders[ct.myCluster]
+	if ct.myCluster == ct.clusterOf[a.root] {
+		leader = a.root
+	}
+	mine := PackBuf(a.send, a.count, a.dt)
 	if c.myRank != leader {
 		b.send(leader, mine)
-		return b.build(nil)
+		return nil
 	}
-
-	// Leader: stage my cluster's blocks, in ascending comm-rank order.
-	members := ct.clusters[ct.myCluster]
-	bundle := make([]byte, len(members)*sz)
-	for i, m := range members {
-		slot := bundle[i*sz : (i+1)*sz]
-		if m == c.myRank {
-			b.copyStep(slot, mine)
-			continue
-		}
-		b.recv(m, slot)
-	}
-	b.endRound()
-	if c.myRank != root {
-		b.send(root, bundle)
-		return b.build(nil)
+	bundle := b.gatherBundle(ct.clusters[ct.myCluster], c.myRank, mine)
+	if c.myRank != a.root {
+		b.send(a.root, bundle)
+		return nil
 	}
 
 	// Root: one bundle per remote cluster leader, scattered to each
 	// member's slot in recvBuf at completion.
 	remote := make([][]byte, ct.nClusters)
-	for di := 0; di < ct.nClusters; di++ {
-		if di == ct.myCluster {
-			continue
-		}
+	for _, di := range ct.remote {
 		remote[di] = make([]byte, len(ct.clusters[di])*sz)
 		b.recv(ct.leaders[di], remote[di])
 	}
 	b.endRound()
-	return b.build(func() {
+	return func() {
 		place := func(di int, bun []byte) {
 			for i, m := range ct.clusters[di] {
-				UnpackBuf(recvBuf[m*count*ex:], count, dt, bun[i*sz:(i+1)*sz])
+				UnpackBuf(a.recv[m*a.count*ex:], a.count, a.dt, bun[i*sz:(i+1)*sz])
 			}
 		}
 		place(ct.myCluster, bundle)
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
+		for _, di := range ct.remote {
 			c.p.M.Compute(c.p.memTime(len(remote[di])))
 			place(di, remote[di])
 		}
-	})
+	}
 }
 
-// compileAllgatherHier: intra-cluster gather to the leader, a direct
-// bundle exchange among leaders (receives pre-posted, so concurrent
-// rendez-vous sends cannot deadlock), then an intra-cluster broadcast of
-// the fully assembled vector.
-func (c *Comm) compileAllgatherHier(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
-	ct := c.topo()
-	n := c.Size()
-	sz := count * dt.Size()
-	ex := dt.Extent()
+// allgatherBundles: intra-cluster gather to the leader, a direct bundle
+// exchange among leaders — L·(L−1) backbone messages, one per directed
+// leader pair — then an intra-cluster broadcast of the fully assembled
+// vector.
+func (c *Comm) allgatherBundles(b *schedBuilder, ct *commTopo, a collArgs) func() {
+	sz := a.count * a.dt.Size()
+	members, myPos, leaderPos := ct.clusterPos(c.myRank)
+	mine := PackBuf(a.send, a.count, a.dt)
+	full := make([]byte, c.Size()*sz) // packed world vector, comm-rank order
 
-	members, myPos, leaderPos := c.clusterPos()
-	leader := ct.leaders[ct.myCluster]
-	mine := PackBuf(sendBuf, count, dt)
-	full := make([]byte, n*sz) // packed world vector, comm-rank order
-	b := newSched("allgather.h")
-
-	if c.myRank == leader {
-		bundle := make([]byte, len(members)*sz)
-		for i, m := range members {
-			slot := bundle[i*sz : (i+1)*sz]
-			if m == c.myRank {
-				b.copyStep(slot, mine)
-				continue
-			}
-			b.recv(m, slot)
-		}
+	if myPos == leaderPos {
+		bundle := b.gatherBundle(members, c.myRank, mine)
+		bundles := b.exchange(ct.leaders, ct.myCluster,
+			func(di int) int { return len(ct.clusters[di]) * sz },
+			func(int) []byte { return bundle })
 		b.endRound()
-		// Leader exchange: every leader ships its cluster bundle to every
-		// other leader; L·(L−1) backbone messages total, one per directed
-		// leader pair.
-		bundles := make([][]byte, ct.nClusters)
 		bundles[ct.myCluster] = bundle
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
-			bundles[di] = make([]byte, len(ct.clusters[di])*sz)
-			b.recv(ct.leaders[di], bundles[di])
-		}
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
-			b.send(ct.leaders[di], bundle)
-		}
-		b.endRound()
-		// Assemble the world vector from the cluster bundles.
-		for di := 0; di < ct.nClusters; di++ {
+		for di, bun := range bundles {
 			for i, m := range ct.clusters[di] {
-				b.copyStep(full[m*sz:(m+1)*sz], bundles[di][i*sz:(i+1)*sz])
+				b.copyStep(full[m*sz:(m+1)*sz], bun[i*sz:(i+1)*sz])
 			}
 		}
 		b.endRound()
 	} else {
-		b.send(leader, mine)
+		b.send(members[leaderPos], mine)
 		b.endRound()
 	}
-
-	// Intra-cluster broadcast of the assembled vector.
 	parent, children := binomialOver(members, leaderPos, myPos)
-	if parent >= 0 {
-		b.recv(parent, full)
-		b.endRound()
-	}
-	for _, ch := range children {
-		b.send(ch, full)
-	}
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(n * sz))
-		for r := 0; r < n; r++ {
-			UnpackBuf(recvBuf[r*count*ex:], count, dt, full[r*sz:(r+1)*sz])
-		}
-	})
+	b.treeBcast(parent, children, full)
+	return c.unpackBlocks(a.recv, a.count, a.dt, full)
 }
 
 // ---- Two-level ring compilers ----
 //
-// The bandwidth-optimal rings from collectives.go run *inside* each
-// cluster, where every hop rides the fast fabric; the slow backbone still
-// carries exactly one leader-level exchange. A flat ring on a
-// cluster-of-clusters would be the worst of both worlds: with interleaved
-// rank placement every ring hop crosses the backbone, so the ring's 2(n−1)
-// rounds each pay the slow link.
+// The bandwidth-optimal rings (phases.go) run *inside* each cluster, where
+// every hop rides the fast fabric; the slow backbone still carries exactly
+// one leader-level exchange. A flat ring on a cluster-of-clusters would be
+// the worst of both worlds: with interleaved rank placement every ring hop
+// crosses the backbone, so the ring's 2(n−1) rounds each pay the slow
+// link. On the one-cluster view the leader phases are vacuous and are
+// skipped: what remains is the flat ring, 2·(n−1) latency rounds but only
+// 2·(n−1)/n of the vector on each link.
 
-// clusterPos returns the member list of this rank's cluster plus the
-// positions of this rank and the cluster leader within it.
-func (c *Comm) clusterPos() (members []int, myPos, leaderPos int) {
-	ct := c.topo()
-	members = ct.clusters[ct.myCluster]
-	leader := ct.leaders[ct.myCluster]
-	for i, m := range members {
-		if m == c.myRank {
-			myPos = i
-		}
-		if m == leader {
-			leaderPos = i
-		}
-	}
-	return members, myPos, leaderPos
-}
-
-// compileAllreduceRingHier is the two-level ring allreduce: intra-cluster
-// ring reduce-scatter, chunk gather to the cluster leader, a single
-// binomial leader exchange over the backbone (reduce to cluster 0's
-// leader, result broadcast back to the leaders), then a chunk scatter and
-// intra-cluster ring allgather. Each fast link carries ~2·(m−1)/m of the
-// vector instead of the binomial phases' log(m) full copies; the backbone
-// still sees one vector per cluster per direction.
-func (c *Comm) compileAllreduceRingHier(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) *schedule {
-	ct := c.topo()
-	members, myPos, _ := c.clusterPos()
-	m := len(members)
-	leader := ct.leaders[ct.myCluster]
-	es := dt.Size()
-	acc := make([]byte, count*es)
-	bounds := splitBounds(count, m)
+// allreduceRing is the two-level ring allreduce: intra-cluster ring
+// reduce-scatter, chunk gather to the cluster leader, a single binomial
+// leader exchange over the backbone (reduce to cluster 0's leader, result
+// broadcast back to the leaders), then a chunk scatter and intra-cluster
+// ring allgather. Each fast link carries ~2·(m−1)/m of the vector instead
+// of the binomial phases' log(m) full copies; the backbone still sees one
+// vector per cluster per direction.
+func (c *Comm) allreduceRing(b *schedBuilder, ct *commTopo, a collArgs) func() {
+	members, myPos, leaderPos := ct.clusterPos(c.myRank)
+	es := a.dt.Size()
+	acc := b.loadAcc(a.send, a.count, a.dt)
+	bounds := splitBounds(a.count, len(members))
 	chunk := func(i int) []byte { return acc[bounds[i]*es : bounds[i+1]*es] }
 
-	b := newSched("allreduce.ringh")
-	b.copyStep(acc, PackBuf(sendBuf, count, dt))
-	b.endRound()
-
-	// Phase A: intra-cluster ring reduce-scatter — member at position i
-	// ends up holding the cluster-reduced chunk i.
-	c.ringRSRounds(b, members, myPos, acc, bounds, dt, op)
-
-	// Phase B: chunks converge on the leader, which reassembles the
-	// cluster-reduced full vector in acc.
-	if c.myRank != leader {
-		b.send(leader, chunk(myPos))
-		b.endRound()
-	} else {
-		for i, mr := range members {
-			if mr == c.myRank {
-				continue
-			}
-			b.recv(mr, chunk(i))
-		}
-		b.endRound()
-		// Phase C: the single backbone exchange — binomial reduce over the
-		// cluster leaders to cluster 0's leader, result broadcast back down
-		// the same leader tree.
-		parent, children := binomialOver(ct.leaders, 0, ct.myCluster)
-		for i := len(children) - 1; i >= 0; i-- {
-			part := make([]byte, len(acc))
-			b.recv(children[i], part)
-			b.reduce(acc, part, count, dt, op)
-		}
-		b.endRound()
-		if parent >= 0 {
-			b.send(parent, acc)
-			b.endRound()
-			b.recv(parent, acc)
+	// Member at position i ends up holding the cluster-reduced chunk i.
+	b.ringRSRounds(members, myPos, acc, bounds, a.dt, a.op)
+	if ct.nClusters > 1 {
+		b.gatherParts(members, myPos, members[leaderPos], chunk)
+		if myPos == leaderPos {
+			parent, children := binomialOver(ct.leaders, 0, ct.myCluster)
+			b.treeReduce(parent, children, acc, a.count, a.dt, a.op)
+			b.treeBcast(parent, children, acc)
 			b.endRound()
 		}
-		for _, ch := range children {
-			b.send(ch, acc)
-		}
-		b.endRound()
+		b.scatterParts(members, myPos, members[leaderPos], chunk)
 	}
-
-	// Phase D: scatter the result chunks back and circulate them with the
-	// intra-cluster ring allgather.
-	if c.myRank == leader {
-		for i, mr := range members {
-			if mr == c.myRank {
-				continue
-			}
-			b.send(mr, chunk(i))
-		}
-		b.endRound()
-	} else {
-		b.recv(leader, chunk(myPos))
-		b.endRound()
-	}
-	c.ringAGRounds(b, members, myPos, acc, bounds, es)
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(acc)))
-		UnpackBuf(recvBuf, count, dt, acc)
-	})
+	b.ringAGRounds(members, myPos, acc, bounds, es)
+	return c.unpackVector(a.recv, a.count, a.dt, acc)
 }
 
-// compileReduceScatterRingHier is the two-level ring reduce-scatter:
-// intra-cluster ring reduce-scatter of the full vector (in m near-equal
-// chunks), chunk gather to the leader, then a leader pairwise bundle
-// exchange in which cluster X ships cluster Y exactly the blocks Y's
-// members will keep — |Y|·blockSize bytes per directed leader pair instead
-// of the full vector — and finally each leader scatters the globally
-// reduced block to its member. Bundle layout from X to Y: Y's members'
-// blocks in ascending member order.
-func (c *Comm) compileReduceScatterRingHier(sendBuf, recvBuf []byte, countPerRank int, dt Datatype, op Op) *schedule {
-	ct := c.topo()
-	n := c.Size()
-	members, myPos, _ := c.clusterPos()
-	m := len(members)
-	leader := ct.leaders[ct.myCluster]
-	es := dt.Size()
-	sz := countPerRank * es
-	total := countPerRank * n
-	acc := make([]byte, total*es)
-	bounds := splitBounds(total, m)
+// reduceScatterRing is the two-level ring reduce-scatter (a.count is the
+// per-rank block): intra-cluster ring reduce-scatter of the full vector
+// (in m near-equal chunks), chunk gather to the leader, then a leader
+// pairwise bundle exchange in which cluster X ships cluster Y exactly the
+// blocks Y's members will keep — |Y|·blockSize bytes per directed leader
+// pair instead of the full vector — and finally each leader scatters the
+// globally reduced block to its member. Bundle layout from X to Y: Y's
+// members' blocks in ascending member order. On the one-cluster view the
+// m chunks are the n blocks and each rank already owns its own after the
+// ring — no root bottleneck, no full-vector broadcast.
+func (c *Comm) reduceScatterRing(b *schedBuilder, ct *commTopo, a collArgs) func() {
+	members, myPos, leaderPos := ct.clusterPos(c.myRank)
+	es := a.dt.Size()
+	sz := a.count * es
+	total := a.count * c.Size()
+	acc := b.loadAcc(a.send, total, a.dt)
+	bounds := splitBounds(total, len(members))
 	chunk := func(i int) []byte { return acc[bounds[i]*es : bounds[i+1]*es] }
 	block := func(r int) []byte { return acc[r*sz : (r+1)*sz] }
 
-	b := newSched("redscat.ringh")
-	b.copyStep(acc, PackBuf(sendBuf, total, dt))
-	b.endRound()
-
-	// Phase A: intra-cluster ring reduce-scatter over m chunks.
-	c.ringRSRounds(b, members, myPos, acc, bounds, dt, op)
-
-	if c.myRank != leader {
-		// Phase B: my cluster-reduced chunk to the leader; Phase D: my
-		// globally reduced block comes back.
-		b.send(leader, chunk(myPos))
-		b.endRound()
-		b.recv(leader, block(c.myRank))
-		b.endRound()
-		return b.build(func() {
-			c.p.M.Compute(c.p.memTime(sz))
-			UnpackBuf(recvBuf, countPerRank, dt, block(c.myRank))
-		})
+	b.ringRSRounds(members, myPos, acc, bounds, a.dt, a.op)
+	if ct.nClusters > 1 {
+		b.gatherParts(members, myPos, members[leaderPos], chunk)
+		if myPos == leaderPos {
+			// Stage one outbound bundle per remote cluster, then exchange
+			// among leaders, folding each arriving bundle into my members'
+			// blocks.
+			out := make([][]byte, ct.nClusters)
+			for _, di := range ct.remote {
+				dm := ct.clusters[di]
+				out[di] = make([]byte, len(dm)*sz)
+				for j, dr := range dm {
+					b.copyStep(out[di][j*sz:(j+1)*sz], block(dr))
+				}
+			}
+			b.endRound()
+			in := b.exchange(ct.leaders, ct.myCluster,
+				func(int) int { return len(members) * sz },
+				func(di int) []byte { return out[di] })
+			for _, di := range ct.remote {
+				for j, mr := range members {
+					b.reduce(block(mr), in[di][j*sz:(j+1)*sz], a.count, a.dt, a.op)
+				}
+			}
+			b.endRound()
+		}
+		b.scatterParts(members, myPos, members[leaderPos], func(i int) []byte { return block(members[i]) })
 	}
-
-	// Leader: reassemble the cluster-reduced full vector.
-	for i, mr := range members {
-		if mr == c.myRank {
-			continue
-		}
-		b.recv(mr, chunk(i))
-	}
-	b.endRound()
-
-	// Phase C: stage one outbound bundle per remote cluster (that
-	// cluster's members' blocks), then exchange among leaders with the
-	// receives pre-posted, folding each arriving bundle into my members'
-	// blocks.
-	out := make([][]byte, ct.nClusters)
-	in := make([][]byte, ct.nClusters)
-	for di := 0; di < ct.nClusters; di++ {
-		if di == ct.myCluster {
-			continue
-		}
-		dm := ct.clusters[di]
-		out[di] = make([]byte, len(dm)*sz)
-		for j, dr := range dm {
-			b.copyStep(out[di][j*sz:(j+1)*sz], block(dr))
-		}
-	}
-	b.endRound()
-	for di := 0; di < ct.nClusters; di++ {
-		if di == ct.myCluster {
-			continue
-		}
-		in[di] = make([]byte, len(members)*sz)
-		b.recv(ct.leaders[di], in[di])
-	}
-	for di := 0; di < ct.nClusters; di++ {
-		if di == ct.myCluster {
-			continue
-		}
-		b.send(ct.leaders[di], out[di])
-	}
-	for di := 0; di < ct.nClusters; di++ {
-		if di == ct.myCluster {
-			continue
-		}
-		for j, mr := range members {
-			b.reduce(block(mr), in[di][j*sz:(j+1)*sz], countPerRank, dt, op)
-		}
-	}
-	b.endRound()
-
-	// Phase D: ship each member its globally reduced block.
-	for _, mr := range members {
-		if mr == c.myRank {
-			continue
-		}
-		b.send(mr, block(mr))
-	}
-	b.endRound()
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(sz))
-		UnpackBuf(recvBuf, countPerRank, dt, block(c.myRank))
-	})
+	return c.unpackVector(a.recv, a.count, a.dt, block(c.myRank))
 }
 
-// compileAlltoallHier is the two-level all-to-all closing the last
-// ROADMAP heavy collective: members ship their whole send matrix to the
-// cluster leader, leaders pairwise-exchange per-cluster bundles (one
-// message per directed leader pair, so each backbone link is crossed
-// O(clusters) times instead of the pairwise rotation's O(n)), and each
-// leader scatters the reassembled per-member receive vectors back.
+// alltoallBundles is the two-level all-to-all: members ship their whole
+// send matrix to the cluster leader, leaders pairwise-exchange per-cluster
+// bundles (one message per directed leader pair, so each backbone link is
+// crossed O(clusters) times instead of the pairwise rotation's O(n)), and
+// each leader scatters the reassembled per-member receive vectors back.
+// segBytes > 0 asks for the pipelined bridge exchange (see
+// alltoallBridge); gather, assembly and scatter are the same either way.
 //
 // Bundle layout from cluster S to cluster D: blocks ordered by (source
 // member index in S ascending, destination member index in D ascending).
-func (c *Comm) compileAlltoallHier(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
-	ct := c.topo()
+func (c *Comm) alltoallBundles(b *schedBuilder, ct *commTopo, a collArgs, segBytes int) func() {
 	n := c.Size()
-	sz := count * dt.Size()
-	ex := dt.Extent()
-	members := ct.clusters[ct.myCluster]
-	leader := ct.leaders[ct.myCluster]
-	mine := PackBuf(sendBuf, n*count, dt) // my full send matrix, dense
-	b := newSched("alltoall.h")
+	sz := a.count * a.dt.Size()
+	members, myPos, leaderPos := ct.clusterPos(c.myRank)
+	isLeader := myPos == leaderPos
 
-	var myRecv []byte // my dense receive vector, source-rank order
-	if c.myRank != leader {
-		myRecv = make([]byte, n*sz)
-		b.send(leader, mine)
-		b.endRound()
-		b.recv(leader, myRecv)
-		b.endRound()
-	} else {
-		// Phase 1: gather every member's send matrix.
-		mats := make([][]byte, len(members))
-		for i, m := range members {
-			if m == c.myRank {
-				mats[i] = mine
-				continue
-			}
-			mats[i] = make([]byte, n*sz)
-			b.recv(m, mats[i])
-		}
-		b.endRound()
-		// Phase 2: stage outbound bundles, then exchange among leaders
-		// (receives pre-posted alongside the sends, as in allgather).
-		out := make([][]byte, ct.nClusters)
-		in := make([][]byte, ct.nClusters)
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
-			dm := ct.clusters[di]
-			out[di] = make([]byte, len(members)*len(dm)*sz)
-			k := 0
-			for i := range members {
-				for _, dst := range dm {
-					b.copyStep(out[di][k*sz:(k+1)*sz], mats[i][dst*sz:(dst+1)*sz])
-					k++
-				}
+	// mats[i] is member i's dense send matrix, vec[i] its dense receive
+	// vector in source-rank order; members hold only their own pair.
+	mats := make([][]byte, len(members))
+	vec := make([][]byte, len(members))
+	mats[myPos], vec[myPos] = PackBuf(a.send, n*a.count, a.dt), make([]byte, n*sz)
+	if isLeader {
+		for i := range members {
+			if i != myPos {
+				mats[i], vec[i] = make([]byte, n*sz), make([]byte, n*sz)
 			}
 		}
-		b.endRound()
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
-			in[di] = make([]byte, len(ct.clusters[di])*len(members)*sz)
-			b.recv(ct.leaders[di], in[di])
-		}
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
-			b.send(ct.leaders[di], out[di])
-		}
-		b.endRound()
-		// Phase 3: assemble each member's receive vector and scatter.
-		vec := make([][]byte, len(members))
+	}
+
+	b.gatherParts(members, myPos, members[leaderPos], func(i int) []byte { return mats[i] })
+	if isLeader {
+		in := c.alltoallBridge(b, ct, members, mats, sz, segBytes)
 		for j := range members {
-			vec[j] = make([]byte, n*sz)
 			for i, src := range members {
 				b.copyStep(vec[j][src*sz:(src+1)*sz], mats[i][members[j]*sz:(members[j]+1)*sz])
 			}
-			for di := 0; di < ct.nClusters; di++ {
-				if di == ct.myCluster {
-					continue
-				}
+			for _, di := range ct.remote {
 				for i, src := range ct.clusters[di] {
 					blk := in[di][(i*len(members)+j)*sz : (i*len(members)+j+1)*sz]
 					b.copyStep(vec[j][src*sz:(src+1)*sz], blk)
@@ -599,185 +329,81 @@ func (c *Comm) compileAlltoallHier(sendBuf, recvBuf []byte, count int, dt Dataty
 			}
 		}
 		b.endRound()
-		for j, m := range members {
-			if m == c.myRank {
-				myRecv = vec[j]
-				continue
-			}
-			b.send(m, vec[j])
-		}
-		b.endRound()
 	}
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(n * sz))
-		for r := 0; r < n; r++ {
-			UnpackBuf(recvBuf[r*count*ex:], count, dt, myRecv[r*sz:(r+1)*sz])
-		}
-	})
+	b.scatterParts(members, myPos, members[leaderPos], func(i int) []byte { return vec[i] })
+	return c.unpackBlocks(a.recv, a.count, a.dt, vec[myPos])
 }
 
-// compileAlltoallHierSeg is the pipelined variant of the two-level
-// all-to-all: the leader bundle exchange is cut into eager-path segments
+// alltoallBridge appends a leader's bundle exchange with the other
+// leaders and returns the inbound bundles by cluster. Two forms.
+//
+// Whole bundles (segBytes <= 0, or a block too big for one segment): all
+// staging copies, then one round with every receive pre-posted alongside
+// the sends — rendez-vous bodies, one handshake per directed leader pair.
+//
+// Pipelined (2level-seg): the exchange is cut into eager-path segments
 // (block granularity, each at most segBytes) and the staging copies are
 // interleaved with the segment injections, so assembling segment k+1
-// overlaps segment k's flight across the backbone — the ROADMAP's
-// "intra-cluster staging overlaps the backbone transfer", reusing the
-// relay-pipelining idea at the schedule level. Because the segments ride
-// the eager path they also complete locally, eliminating the per-bundle
-// rendez-vous handshakes the whole-bundle exchange pays over the slow
-// link; the inbound segments buffer in the unexpected stash while this
-// leader is still staging, and one late round collects them all.
-//
-// Callers must guarantee one block fits a segment (count*dt.Size() <=
-// segBytes), which keeps every segment at or under the eager switch
-// point — Ialltoall falls back to the whole-bundle form otherwise.
-func (c *Comm) compileAlltoallHierSeg(sendBuf, recvBuf []byte, count int, dt Datatype, segBytes int) *schedule {
-	ct := c.topo()
-	n := c.Size()
-	sz := count * dt.Size()
-	ex := dt.Extent()
-	members := ct.clusters[ct.myCluster]
-	leader := ct.leaders[ct.myCluster]
-	mine := PackBuf(sendBuf, n*count, dt)
-	b := newSched("alltoall.hseg")
+// overlaps segment k's flight across the backbone — intra-cluster staging
+// overlaps the backbone transfer, the relay-pipelining idea at the
+// schedule level. Because the segments ride the eager path they also
+// complete locally, eliminating the per-bundle rendez-vous handshakes;
+// the inbound segments buffer in the unexpected stash while this leader is
+// still staging, and one late round collects them all (mirroring each
+// sender's slicing of its own bundle; FIFO matching per source pairs them
+// in order).
+func (c *Comm) alltoallBridge(b *schedBuilder, ct *commTopo, members []int, mats [][]byte, sz, segBytes int) [][]byte {
+	nOut := func(di int) int { return len(members) * len(ct.clusters[di]) }
+	inLen := func(di int) int { return nOut(di) * sz }
+	out := make([][]byte, ct.nClusters)
+	for _, di := range ct.remote {
+		out[di] = make([]byte, nOut(di)*sz)
+	}
+	// stage copies blocks [lo, hi) of the bundle for cluster di into place.
+	stage := func(di, lo, hi int) {
+		dm := ct.clusters[di]
+		for k := lo; k < hi; k++ {
+			dst := dm[k%len(dm)]
+			b.copyStep(out[di][k*sz:(k+1)*sz], mats[k/len(dm)][dst*sz:(dst+1)*sz])
+		}
+	}
+	if segBytes <= 0 || sz > segBytes {
+		for _, di := range ct.remote {
+			stage(di, 0, nOut(di))
+		}
+		b.endRound()
+		in := b.exchange(ct.leaders, ct.myCluster, inLen, func(di int) []byte { return out[di] })
+		b.endRound()
+		return in
+	}
 
-	var myRecv []byte
-	if c.myRank != leader {
-		// Members are untouched by the segmentation: whole matrix up,
-		// whole receive vector back.
-		myRecv = make([]byte, n*sz)
-		b.send(leader, mine)
-		b.endRound()
-		b.recv(leader, myRecv)
-		b.endRound()
-	} else {
-		bps := 1
-		if sz > 0 {
-			bps = segBytes / sz
-			if bps < 1 {
-				bps = 1
-			}
-		}
-		// Phase 1: gather every member's send matrix.
-		mats := make([][]byte, len(members))
-		for i, m := range members {
-			if m == c.myRank {
-				mats[i] = mine
-				continue
-			}
-			mats[i] = make([]byte, n*sz)
-			b.recv(m, mats[i])
+	bps := 1 // blocks per segment
+	if sz > 0 {
+		bps = max(segBytes/sz, 1)
+	}
+	nSeg := 0
+	for _, di := range ct.remote {
+		nSeg = max(nSeg, (nOut(di)+bps-1)/bps)
+	}
+	for s := 0; s < nSeg; s++ {
+		for _, di := range ct.remote {
+			stage(di, min(s*bps, nOut(di)), min((s+1)*bps, nOut(di)))
 		}
 		b.endRound()
-		// Phase 2: stage and inject the outbound bundles segment by
-		// segment. Bundle to cluster D holds len(members)*len(D) blocks
-		// ordered (source member asc, destination member asc); segment s
-		// covers blocks [s*bps, (s+1)*bps).
-		out := make([][]byte, ct.nClusters)
-		nSeg := 0
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
-			nb := len(members) * len(ct.clusters[di])
-			out[di] = make([]byte, nb*sz)
-			if s := (nb + bps - 1) / bps; s > nSeg {
-				nSeg = s
-			}
-		}
-		blockSrc := func(di, k int) []byte {
-			dm := ct.clusters[di]
-			i, j := k/len(dm), k%len(dm)
-			dst := dm[j]
-			return mats[i][dst*sz : (dst+1)*sz]
-		}
-		for s := 0; s < nSeg; s++ {
-			for di := 0; di < ct.nClusters; di++ {
-				if di == ct.myCluster {
-					continue
-				}
-				nb := len(out[di]) / sz
-				lo := s * bps
-				if lo >= nb {
-					continue
-				}
-				hi := lo + bps
-				if hi > nb {
-					hi = nb
-				}
-				for k := lo; k < hi; k++ {
-					b.copyStep(out[di][k*sz:(k+1)*sz], blockSrc(di, k))
-				}
-			}
-			b.endRound()
-			for di := 0; di < ct.nClusters; di++ {
-				if di == ct.myCluster {
-					continue
-				}
-				nb := len(out[di]) / sz
-				lo := s * bps
-				if lo >= nb {
-					continue
-				}
-				hi := lo + bps
-				if hi > nb {
-					hi = nb
-				}
+		for _, di := range ct.remote {
+			if lo, hi := s*bps, min((s+1)*bps, nOut(di)); lo < hi {
 				b.send(ct.leaders[di], out[di][lo*sz:hi*sz])
 			}
-			b.endRound()
-		}
-		// Collect every inbound segment (mirroring each sender's slicing
-		// of its own bundle; FIFO matching per source pairs them in
-		// order). Most have already landed in the unexpected stash.
-		in := make([][]byte, ct.nClusters)
-		for di := 0; di < ct.nClusters; di++ {
-			if di == ct.myCluster {
-				continue
-			}
-			nb := len(ct.clusters[di]) * len(members)
-			in[di] = make([]byte, nb*sz)
-			for lo := 0; lo < nb; lo += bps {
-				hi := lo + bps
-				if hi > nb {
-					hi = nb
-				}
-				b.recv(ct.leaders[di], in[di][lo*sz:hi*sz])
-			}
-		}
-		b.endRound()
-		// Phase 3: assemble each member's receive vector and scatter —
-		// identical to the whole-bundle form.
-		vec := make([][]byte, len(members))
-		for j := range members {
-			vec[j] = make([]byte, n*sz)
-			for i, src := range members {
-				b.copyStep(vec[j][src*sz:(src+1)*sz], mats[i][members[j]*sz:(members[j]+1)*sz])
-			}
-			for di := 0; di < ct.nClusters; di++ {
-				if di == ct.myCluster {
-					continue
-				}
-				for i, src := range ct.clusters[di] {
-					blk := in[di][(i*len(members)+j)*sz : (i*len(members)+j+1)*sz]
-					b.copyStep(vec[j][src*sz:(src+1)*sz], blk)
-				}
-			}
-		}
-		b.endRound()
-		for j, m := range members {
-			if m == c.myRank {
-				myRecv = vec[j]
-				continue
-			}
-			b.send(m, vec[j])
 		}
 		b.endRound()
 	}
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(n * sz))
-		for r := 0; r < n; r++ {
-			UnpackBuf(recvBuf[r*count*ex:], count, dt, myRecv[r*sz:(r+1)*sz])
+	in := make([][]byte, ct.nClusters)
+	for _, di := range ct.remote {
+		in[di] = make([]byte, inLen(di))
+		for lo := 0; lo < nOut(di); lo += bps {
+			b.recv(ct.leaders[di], in[di][lo*sz:min(lo+bps, nOut(di))*sz])
 		}
-	})
+	}
+	b.endRound()
+	return in
 }

@@ -17,7 +17,7 @@ package mpi
 // shard between the clusters' co-leaders (each pair's transfer riding
 // its own gateway), and an intra-cluster redistribute phase fans the
 // shards back out. Bcast instead pipelines each shard along a rotated
-// relay chain of bridge-facing co-leaders (see compileBcastHierMulti).
+// relay chain of bridge-facing co-leaders (see bcastMulti).
 // Shards are dealt round-robin (coLeader wraps), so clusters behind a
 // single gateway still work — they just funnel, as before.
 //
@@ -39,43 +39,24 @@ func (ct *commTopo) myShards(me, K int) []int {
 	return ks
 }
 
-// posIn returns r's index within members (-1 when absent).
-func posIn(members []int, r int) int {
-	for i, m := range members {
-		if m == r {
-			return i
-		}
-	}
-	return -1
-}
-
 // shardTreeRounds appends, for each shard k in ascending order, a
-// binomial broadcast of bufs[k] over members rooted at roots[k] — the
-// intra-cluster redistribute phase. The per-shard phases are serialized
-// (each its own recv/send round pair) so a rank's role deep in one shard
-// tree cannot deadlock against its role near the root of another; the
-// shards ride the fast fabric, where the serialization is cheap. Rounds
-// are tagged with their shard's leader index and gateway for the trace.
-func (c *Comm) shardTreeRounds(b *schedBuilder, members []int, roots []int, bufs [][]byte) {
-	ct := c.topo()
+// binomial broadcast of bufs[k] over this rank's cluster rooted at its
+// k-th co-leader — the intra-cluster redistribute phase. The per-shard
+// phases are serialized (each its own recv/send round pair) so a rank's
+// role deep in one shard tree cannot deadlock against its role near the
+// root of another; the shards ride the fast fabric, where the
+// serialization is cheap. Rounds ride their shard's lane (co-leader index
+// and gateway) in the trace.
+func (c *Comm) shardTreeRounds(b *schedBuilder, ct *commTopo, bufs [][]byte) {
+	members := ct.clusters[ct.myCluster]
 	myPos := posIn(members, c.myRank)
 	for k, buf := range bufs {
 		if len(buf) == 0 {
 			continue
 		}
-		parent, children := binomialOver(members, posIn(members, roots[k]), myPos)
-		gw := ct.coLeaderGW(ct.myCluster, k)
-		if parent >= 0 {
-			b.recv(parent, buf)
-			b.tagRound(k, gw)
-			b.endRound()
-		}
-		for _, ch := range children {
-			b.send(ch, buf)
-		}
-		if len(children) > 0 {
-			b.tagRound(k, gw)
-		}
+		parent, children := binomialOver(members, posIn(members, ct.coLeader(ct.myCluster, k)), myPos)
+		b.lane(k, ct.coLeaderGW(ct.myCluster, k))
+		b.treeBcast(parent, children, buf)
 		b.endRound()
 	}
 }
@@ -148,7 +129,7 @@ func (ct *commTopo) shardChain(rootCluster, root, k int) (order, holder, egress 
 	return order, holder, egress, via
 }
 
-// compileBcastHierMulti broadcasts with the inter-cluster phase sharded
+// bcastMulti broadcasts with the inter-cluster phase sharded
 // across the leader sets. Shard k travels a linear relay path over the
 // clusters — root cluster first, the rest rotated by k — where each
 // bridge hop runs directly between the two co-leaders fronting a shared
@@ -175,20 +156,13 @@ func (ct *commTopo) shardChain(rootCluster, root, k int) (order, holder, egress 
 // union of all waits is acyclic; repeated (src, dst) pairs match FIFO
 // because both endpoints enumerate the cycle and the shard-ascending
 // post phases identically.
-func (c *Comm) compileBcastHierMulti(buf []byte, count int, dt Datatype, root int) *schedule {
-	ct := c.topo()
+func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	K := ct.maxLeaderSet()
-	var data []byte
-	if c.myRank == root {
-		data = PackBuf(buf, count, dt)
-	} else {
-		data = make([]byte, count*dt.Size())
-	}
+	data, fin := c.bcastStaging(a)
 	bounds := splitBounds(len(data), K)
-	rootCluster := ct.clusterOf[root]
+	root, rootCluster := a.root, ct.clusterOf[a.root]
 	members := ct.clusters[ct.myCluster]
 	seg := c.segmentBytes()
-	b := newSched("bcast.hm")
 
 	// My role on shard k's relay path and in its intra-cluster fan-out —
 	// identical on every rank by construction.
@@ -254,14 +228,11 @@ func (c *Comm) compileBcastHierMulti(buf []byte, count int, dt Datatype, root in
 	}
 
 	chunkOf := func(pl *shardPlan, s int) []byte {
-		lo, hi := pl.lo, pl.hi
-		if pl.nseg > 1 {
-			lo = pl.lo + s*seg
-			if hi = lo + seg; hi > pl.hi {
-				hi = pl.hi
-			}
+		if pl.nseg == 1 {
+			return data[pl.lo:pl.hi]
 		}
-		return data[lo:hi]
+		lo := pl.lo + s*seg
+		return data[lo:min(lo+seg, pl.hi)]
 	}
 
 	// Segment cycles along the relay paths.
@@ -272,14 +243,13 @@ func (c *Comm) compileBcastHierMulti(buf []byte, count int, dt Datatype, root in
 				continue
 			}
 			chunk := chunkOf(pl, s)
+			b.lane(k, pl.gw)
 			if pl.pred >= 0 && !pl.terminal {
 				b.recv(pl.pred, chunk)
-				b.tagRound(k, pl.gw)
 				b.endRound()
 			}
 			if pl.succ >= 0 {
 				b.send(pl.succ, chunk)
-				b.tagRound(k, pl.gw)
 				b.endRound()
 			}
 		}
@@ -303,29 +273,26 @@ func (c *Comm) compileBcastHierMulti(buf []byte, count int, dt Datatype, root in
 		if pl.hi == pl.lo {
 			continue
 		}
+		b.lane(k, pl.gw)
 		if pl.terminal && pl.pred >= 0 {
 			for s := 0; s < pl.nseg; s++ {
 				b.recv(pl.pred, chunkOf(pl, s))
 			}
-			b.tagRound(k, pl.gw)
 			b.endRound()
 		}
 		if !pl.termCluster {
-			if c.myRank == pl.holder && len(pl.sinks) > 0 {
+			if c.myRank == pl.holder {
 				for s := 0; s < pl.nseg; s++ {
 					for _, sk := range pl.sinks {
 						b.send(sk, chunkOf(pl, s))
 					}
 				}
-				b.tagRound(k, pl.gw)
-				b.endRound()
 			} else if posIn(pl.sinks, c.myRank) >= 0 {
 				for s := 0; s < pl.nseg; s++ {
 					b.recv(pl.holder, chunkOf(pl, s))
 				}
-				b.tagRound(k, pl.gw)
-				b.endRound()
 			}
+			b.endRound()
 			continue
 		}
 		// Terminal cluster: binomial fan-out of the whole shard from the
@@ -339,63 +306,35 @@ func (c *Comm) compileBcastHierMulti(buf []byte, count int, dt Datatype, root in
 		if posIn(group, c.myRank) < 0 || len(group) < 2 {
 			continue
 		}
-		shard := data[pl.lo:pl.hi]
 		parent, children := binomialOver(group, posIn(group, pl.holder), posIn(group, c.myRank))
-		if parent >= 0 {
-			b.recv(parent, shard)
-			b.tagRound(k, pl.gw)
-			b.endRound()
-		}
-		for _, ch := range children {
-			b.send(ch, shard)
-		}
-		if len(children) > 0 {
-			b.tagRound(k, pl.gw)
-		}
+		b.treeBcast(parent, children, data[pl.lo:pl.hi])
 		b.endRound()
 	}
-	return b.build(func() {
-		if c.myRank != root {
-			c.p.M.Compute(c.p.memTime(len(data)))
-			UnpackBuf(buf, count, dt, data)
-		}
-	})
+	return fin
 }
 
-// compileAllreduceHierMulti: intra-cluster binomial reduce to the primary
+// allreduceMulti: intra-cluster binomial reduce to the primary
 // leader, a shard scatter to the co-leaders, a per-shard binomial
 // reduce-then-broadcast over the clusters' k-th co-leaders (rooted at
 // cluster 0), and per-shard intra-cluster trees fanning the reduced
 // shards back to every member. The backbone carries each cluster's
 // reduced vector once per direction — as the single-leader form — but
 // split across every gateway of the leader set concurrently.
-func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) *schedule {
-	ct := c.topo()
+func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	K := ct.maxLeaderSet()
+	count, dt, op := a.count, a.dt, a.op
 	es := dt.Size()
-	members, myPos, leaderPos := c.clusterPos()
-	leader := ct.leaders[ct.myCluster]
-	acc := make([]byte, count*es)
+	members, myPos, leaderPos := ct.clusterPos(c.myRank)
+	leader := members[leaderPos]
+	acc := b.loadAcc(a.send, count, dt)
 	eb := splitBounds(count, K)
 	shard := func(k int) []byte { return acc[eb[k]*es : eb[k+1]*es] }
 	scount := func(k int) int { return eb[k+1] - eb[k] }
 	mine := ct.myShards(c.myRank, K)
-	b := newSched("allreduce.hm")
-	b.copyStep(acc, PackBuf(sendBuf, count, dt))
-	b.endRound()
 
 	// Phase 1: intra-cluster binomial reduce to the primary leader.
 	parent, children := binomialOver(members, leaderPos, myPos)
-	for i := len(children) - 1; i >= 0; i-- {
-		part := make([]byte, len(acc))
-		b.recv(children[i], part)
-		b.reduce(acc, part, count, dt, op)
-	}
-	b.endRound()
-	if parent >= 0 {
-		b.send(parent, acc)
-		b.endRound()
-	}
+	b.treeReduce(parent, children, acc, count, dt, op)
 
 	// Phase 2: the primary deals shard k of the cluster-reduced vector to
 	// co-leader k.
@@ -427,7 +366,7 @@ func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt 
 			}
 			return binomialOver(group, 0, ct.myCluster)
 		}
-		tag := func() { b.tagRound(mine[0], ct.coLeaderGW(ct.myCluster, mine[0])) }
+		b.lane(mine[0], ct.coLeaderGW(ct.myCluster, mine[0]))
 		for _, k := range mine {
 			if scount(k) == 0 {
 				continue
@@ -439,7 +378,6 @@ func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt 
 				b.reduce(shard(k), part, scount(k), dt, op)
 			}
 		}
-		tag()
 		b.endRound()
 		for _, k := range mine {
 			if scount(k) == 0 {
@@ -449,7 +387,6 @@ func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt 
 				b.send(p, shard(k))
 			}
 		}
-		tag()
 		b.endRound()
 		for _, k := range mine {
 			if scount(k) == 0 {
@@ -459,7 +396,6 @@ func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt 
 				b.recv(p, shard(k))
 			}
 		}
-		tag()
 		b.endRound()
 		for _, k := range mine {
 			if scount(k) == 0 {
@@ -470,21 +406,16 @@ func (c *Comm) compileAllreduceHierMulti(sendBuf, recvBuf []byte, count int, dt 
 				b.send(ch, shard(k))
 			}
 		}
-		tag()
 		b.endRound()
 	}
 
 	// Phase 4: per-shard intra-cluster trees from the co-leaders.
-	roots := make([]int, K)
 	bufs := make([][]byte, K)
-	for k := 0; k < K; k++ {
-		roots[k], bufs[k] = ct.coLeader(ct.myCluster, k), shard(k)
+	for k := range bufs {
+		bufs[k] = shard(k)
 	}
-	c.shardTreeRounds(b, members, roots, bufs)
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(len(acc)))
-		UnpackBuf(recvBuf, count, dt, acc)
-	})
+	c.shardTreeRounds(b, ct, bufs)
+	return c.unpackVector(a.recv, count, dt, acc)
 }
 
 // allgatherShardLayout computes the multi-leader allgather's staging
@@ -509,24 +440,24 @@ func allgatherShardLayout(ct *commTopo, sz, K int) (bb [][]int, off [][]int, siz
 	return bb, off, size
 }
 
-// compileAllgatherHierMulti: intra-cluster gather to the primary leader,
+// allgatherMulti: intra-cluster gather to the primary leader,
 // a shard scatter of the home bundle to the co-leaders, a pairwise
 // co-leader exchange (co-leader k of every cluster swaps shard k of its
 // home bundle with its peers, receives pre-posted so the concurrent
 // rendez-vous bodies cannot deadlock), and per-shard intra-cluster trees
 // broadcasting each assembled shard-k staging buffer to every member.
 // Each directed gateway carries 1/K of the inter-cluster bytes.
-func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
-	ct := c.topo()
+func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	K := ct.maxLeaderSet()
 	n := c.Size()
+	count, dt := a.count, a.dt
 	sz := count * dt.Size()
 	ex := dt.Extent()
 	members := ct.clusters[ct.myCluster]
 	leader := ct.leaders[ct.myCluster]
 	myD := ct.myCluster
 	mineKs := ct.myShards(c.myRank, K)
-	mine := PackBuf(sendBuf, count, dt)
+	mine := PackBuf(a.send, count, dt)
 	bb, off, size := allgatherShardLayout(ct, sz, K)
 	// stage[k]: cluster di's bundle bytes [bb[di][k], bb[di][k+1]) at
 	// offset off[k][di] — every member ends up holding all K buffers.
@@ -537,20 +468,10 @@ func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt 
 	homeShard := func(k int) []byte {
 		return stage[k][off[k][myD] : off[k][myD]+bb[myD][k+1]-bb[myD][k]]
 	}
-	b := newSched("allgather.hm")
 
 	if c.myRank == leader {
 		// Phase 1: gather the home bundle.
-		bundle := make([]byte, len(members)*sz)
-		for i, m := range members {
-			slot := bundle[i*sz : (i+1)*sz]
-			if m == c.myRank {
-				b.copyStep(slot, mine)
-				continue
-			}
-			b.recv(m, slot)
-		}
-		b.endRound()
+		bundle := b.gatherBundle(members, c.myRank, mine)
 		// Phase 2: deal shard k of the home bundle to co-leader k (my own
 		// shards land in my staging directly).
 		for k := 0; k < K; k++ {
@@ -581,12 +502,8 @@ func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt 
 	// Phase 3: pairwise co-leader shard exchange across clusters.
 	if len(mineKs) > 0 {
 		for _, k := range mineKs {
-			for di := 0; di < ct.nClusters; di++ {
-				if di == myD {
-					continue
-				}
-				dst := stage[k][off[k][di]:off[k][di+1]]
-				if len(dst) > 0 {
+			for _, di := range ct.remote {
+				if dst := stage[k][off[k][di]:off[k][di+1]]; len(dst) > 0 {
 					b.recv(ct.coLeader(di, k), dst)
 				}
 			}
@@ -595,23 +512,17 @@ func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt 
 			if len(homeShard(k)) == 0 {
 				continue
 			}
-			for di := 0; di < ct.nClusters; di++ {
-				if di != myD {
-					b.send(ct.coLeader(di, k), homeShard(k))
-				}
+			for _, di := range ct.remote {
+				b.send(ct.coLeader(di, k), homeShard(k))
 			}
 		}
-		b.tagRound(mineKs[0], ct.coLeaderGW(myD, mineKs[0]))
+		b.lane(mineKs[0], ct.coLeaderGW(myD, mineKs[0]))
 		b.endRound()
 	}
 
 	// Phase 4: per-shard intra-cluster trees of the staging buffers.
-	roots := make([]int, K)
-	for k := 0; k < K; k++ {
-		roots[k] = ct.coLeader(myD, k)
-	}
-	c.shardTreeRounds(b, members, roots, stage)
-	return b.build(func() {
+	c.shardTreeRounds(b, ct, stage)
+	return func() {
 		c.p.M.Compute(c.p.memTime(n * sz))
 		bun := make([]byte, 0, n*sz)
 		for di := 0; di < ct.nClusters; di++ {
@@ -620,13 +531,13 @@ func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt 
 				bun = append(bun, stage[k][off[k][di]:off[k][di+1]]...)
 			}
 			for i, m := range ct.clusters[di] {
-				UnpackBuf(recvBuf[m*count*ex:], count, dt, bun[i*sz:(i+1)*sz])
+				UnpackBuf(a.recv[m*count*ex:], count, dt, bun[i*sz:(i+1)*sz])
 			}
 		}
-	})
+	}
 }
 
-// compileAlltoallHierMulti is the direct-sharded two-level all-to-all.
+// alltoallMulti is the direct-sharded two-level all-to-all.
 // Alltoall cannot reduce backbone *bytes* (every block is unique), so the
 // levers are where the bytes cross and what they pay on the way: for each
 // directed cluster pair the bundle is striped over the pair's distinct
@@ -644,17 +555,14 @@ func (c *Comm) compileAllgatherHierMulti(sendBuf, recvBuf []byte, count int, dt 
 // (cluster, relay, source, destination) enumeration inside each round,
 // so any directed pair reused across rounds sends and matches its
 // messages in the same order (one tag, FIFO per source).
-func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt Datatype) *schedule {
-	ct := c.topo()
+func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	K := ct.maxLeaderSet()
 	n := c.Size()
-	sz := count * dt.Size()
-	ex := dt.Extent()
+	sz := a.count * a.dt.Size()
 	members := ct.clusters[ct.myCluster]
 	myD := ct.myCluster
-	mine := PackBuf(sendBuf, n*count, dt)
+	mine := PackBuf(a.send, n*a.count, a.dt)
 	myRecv := make([]byte, n*sz)
-	b := newSched("alltoall.hm")
 
 	// The distinct emissary relays striping bundle ci -> cj; shard p of
 	// the bundle rides relay p. Identical on every rank.
@@ -682,23 +590,12 @@ func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt D
 		}
 		return rs
 	}
-	overlap := func(alo, ahi, blo, bhi int) (int, int) {
-		if blo > alo {
-			alo = blo
-		}
-		if bhi < ahi {
-			ahi = bhi
-		}
-		return alo, ahi
-	}
+	overlap := func(alo, ahi, blo, bhi int) (int, int) { return max(alo, blo), min(ahi, bhi) }
 
 	// Round 0: stage my per-cluster outbound bundles (src-member-ascending
 	// slices of the directed bundle) and keep my own block.
 	out := make([][]byte, ct.nClusters)
-	for cj := 0; cj < ct.nClusters; cj++ {
-		if cj == myD {
-			continue
-		}
+	for _, cj := range ct.remote {
 		dm := ct.clusters[cj]
 		out[cj] = make([]byte, len(dm)*sz)
 		for jj, dst := range dm {
@@ -728,10 +625,7 @@ func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt D
 	// outbound shards.
 	shardOut := make([][][]byte, ct.nClusters)
 	myGW := ""
-	for cj := 0; cj < ct.nClusters; cj++ {
-		if cj == myD {
-			continue
-		}
+	for _, cj := range ct.remote {
 		rs := relays(myD, cj)
 		lj := len(ct.clusters[cj])
 		pb := splitBounds(len(members)*lj*sz, len(rs))
@@ -762,7 +656,7 @@ func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt D
 		}
 	}
 	if myGW != "" {
-		b.tagRound(0, myGW)
+		b.lane(0, myGW)
 	}
 	b.endRound()
 
@@ -778,18 +672,11 @@ func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt D
 			return
 		}
 		for off := 0; off < len(buf); off += seg {
-			hi := off + seg
-			if hi > len(buf) {
-				hi = len(buf)
-			}
-			emit(buf[off:hi])
+			emit(buf[off:min(off+seg, len(buf))])
 		}
 	}
 	inShard := make([][][]byte, ct.nClusters)
-	for ci := 0; ci < ct.nClusters; ci++ {
-		if ci == myD {
-			continue
-		}
+	for _, ci := range ct.remote {
 		rs := relays(ci, myD)
 		pb := splitBounds(len(ct.clusters[ci])*len(members)*sz, len(rs))
 		inShard[ci] = make([][]byte, len(rs))
@@ -804,10 +691,7 @@ func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt D
 			}
 		}
 	}
-	for cj := 0; cj < ct.nClusters; cj++ {
-		if cj == myD {
-			continue
-		}
+	for _, cj := range ct.remote {
 		for p, r := range relays(myD, cj) {
 			if r.x == c.myRank {
 				chunks(shardOut[cj][p], func(chunk []byte) { b.send(r.y, chunk) })
@@ -815,17 +699,14 @@ func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt D
 		}
 	}
 	if myGW != "" {
-		b.tagRound(0, myGW)
+		b.lane(0, myGW)
 	}
 	b.endRound()
 
 	// Round 4: scatter — every inbound shard's block pieces go straight
 	// to their final ranks; destinations land them in receive-vector
 	// position, offset by where the shard boundary cut the block.
-	for ci := 0; ci < ct.nClusters; ci++ {
-		if ci == myD {
-			continue
-		}
+	for _, ci := range ct.remote {
 		rs := relays(ci, myD)
 		sm := ct.clusters[ci]
 		pb := splitBounds(len(sm)*len(members)*sz, len(rs))
@@ -852,14 +733,8 @@ func (c *Comm) compileAlltoallHierMulti(sendBuf, recvBuf []byte, count int, dt D
 		}
 	}
 	if myGW != "" {
-		b.tagRound(0, myGW)
+		b.lane(0, myGW)
 	}
 	b.endRound()
-
-	return b.build(func() {
-		c.p.M.Compute(c.p.memTime(n * sz))
-		for r := 0; r < n; r++ {
-			UnpackBuf(recvBuf[r*count*ex:], count, dt, myRecv[r*sz:(r+1)*sz])
-		}
-	})
+	return c.unpackBlocks(a.recv, a.count, a.dt, myRecv)
 }

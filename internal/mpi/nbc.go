@@ -116,23 +116,23 @@ func (c *Comm) progress() {
 	eng.running = false
 }
 
-// noRoot marks the rootless collectives in startColl calls; it is not a
-// valid root value a caller could mean (checkPeer rejects every negative
-// root on the rooted operations).
-const noRoot = -1
-
-// startColl is the shared Icoll entry: validity checks, then compile and
-// submit. compile runs with the communicator checks already done.
-func (c *Comm) startColl(op string, hasRoot bool, root int, compile func() *schedule) (*CollRequest, error) {
+// startColl is the shared Icoll entry: validity checks, then the tuning
+// table names a preference (chooseAlgo), sanitizeAlgo degrades it to a
+// form this communicator can run, that collForms row compiles the schedule
+// and the engine takes it. nBytes is the operation's dispatch
+// metric — the payload size the tuning brackets are keyed by.
+func (c *Comm) startColl(op string, kind collKind, nBytes int, a collArgs) (*CollRequest, error) {
 	if err := c.checkLive(op); err != nil {
 		return nil, err
 	}
-	if hasRoot {
-		if err := c.checkPeer(op, root); err != nil {
+	if collKinds[kind].rooted {
+		if err := c.checkPeer(op, a.root); err != nil {
 			return nil, err
 		}
 	}
-	return c.submit(compile()), nil
+	f := formOf(kind, c.sanitizeAlgo(kind, c.chooseAlgo(kind, nBytes)))
+	b := newSched(f.name)
+	return c.submit(b.build(f.compile(c, b, c.topo(), a))), nil
 }
 
 // checkBuf validates a user buffer against the element count before
@@ -147,32 +147,20 @@ func (c *Comm) checkBuf(op, which string, buf []byte, elems int, dt Datatype) er
 
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier).
 func (c *Comm) Ibarrier() (*CollRequest, error) {
-	return c.startColl("Ibarrier", false, noRoot, func() *schedule {
-		if c.chooseAlgo(kindBarrier, 0) != algoFlat {
-			return c.compileBarrierHier()
-		}
-		return c.compileBarrierFlat()
-	})
+	return c.startColl("Ibarrier", kindBarrier, 0, collArgs{})
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast). The root's buf must
-// stay untouched until completion; other ranks' buf is filled at Wait.
+// stay untouched until completion; other ranks' buf is filled at Wait. The
+// tuning table picks the two-level tree (pipelined in segments for large
+// payloads) or the multi-leader relay chains on multi-cluster topologies,
+// the binomial tree otherwise.
 func (c *Comm) Ibcast(buf []byte, count int, dt Datatype, root int) (*CollRequest, error) {
 	if err := c.checkBuf("Ibcast", "data", buf, count, dt); err != nil {
 		return nil, err
 	}
-	return c.startColl("Ibcast", true, root, func() *schedule {
-		switch c.chooseAlgo(kindBcast, count*dt.Size()) {
-		case algoHier:
-			return c.compileBcastHier(buf, count, dt, root, 0)
-		case algoHierSegmented:
-			return c.compileBcastHier(buf, count, dt, root, c.segmentBytes())
-		case algoHierMulti:
-			return c.compileBcastHierMulti(buf, count, dt, root)
-		default: // algoFlat, and any choice without a bcast compiler
-			return c.compileBcastFlat(buf, count, dt, root)
-		}
-	})
+	return c.startColl("Ibcast", kindBcast, count*dt.Size(),
+		collArgs{send: buf, recv: buf, count: count, dt: dt, root: root})
 }
 
 // Ireduce starts a nonblocking reduction to root (MPI_Ireduce).
@@ -185,16 +173,13 @@ func (c *Comm) Ireduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, r
 			return nil, err
 		}
 	}
-	return c.startColl("Ireduce", true, root, func() *schedule {
-		if c.chooseAlgo(kindReduce, count*dt.Size()) != algoFlat {
-			return c.compileReduceHier(sendBuf, recvBuf, count, dt, op, root)
-		}
-		return c.compileReduceFlat(sendBuf, recvBuf, count, dt, op, root)
-	})
+	return c.startColl("Ireduce", kindReduce, count*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op, root: root})
 }
 
 // Iallreduce starts a nonblocking all-reduce (MPI_Iallreduce): a reduce
-// to rank 0 chained with a broadcast, compiled into one schedule.
+// to rank 0 chained with a broadcast — or a ring, or the multi-leader
+// sharded form — compiled into one schedule.
 func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) (*CollRequest, error) {
 	if err := c.checkBuf("Iallreduce", "send", sendBuf, count, dt); err != nil {
 		return nil, err
@@ -202,20 +187,8 @@ func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op
 	if err := c.checkBuf("Iallreduce", "recv", recvBuf, count, dt); err != nil {
 		return nil, err
 	}
-	return c.startColl("Iallreduce", false, noRoot, func() *schedule {
-		switch c.chooseAlgo(kindAllreduce, count*dt.Size()) {
-		case algoHier:
-			return c.compileAllreduceHier(sendBuf, recvBuf, count, dt, op)
-		case algoRing:
-			return c.compileAllreduceRing(sendBuf, recvBuf, count, dt, op)
-		case algoRingHier:
-			return c.compileAllreduceRingHier(sendBuf, recvBuf, count, dt, op)
-		case algoHierMulti:
-			return c.compileAllreduceHierMulti(sendBuf, recvBuf, count, dt, op)
-		default: // algoFlat, and segmented choices sanitizeAlgo never emits here
-			return c.compileAllreduceFlat(sendBuf, recvBuf, count, dt, op)
-		}
-	})
+	return c.startColl("Iallreduce", kindAllreduce, count*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op})
 }
 
 // IreduceScatter starts a nonblocking reduce-scatter with equal counts
@@ -231,12 +204,8 @@ func (c *Comm) IreduceScatter(sendBuf, recvBuf []byte, countPerRank int, dt Data
 	if err := c.checkBuf("IreduceScatter", "recv", recvBuf, countPerRank, dt); err != nil {
 		return nil, err
 	}
-	return c.startColl("IreduceScatter", false, noRoot, func() *schedule {
-		if c.chooseAlgo(kindReduceScatter, c.Size()*countPerRank*dt.Size()) == algoRingHier {
-			return c.compileReduceScatterRingHier(sendBuf, recvBuf, countPerRank, dt, op)
-		}
-		return c.compileReduceScatterRing(sendBuf, recvBuf, countPerRank, dt, op)
-	})
+	return c.startColl("IreduceScatter", kindReduceScatter, c.Size()*countPerRank*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: countPerRank, dt: dt, op: op})
 }
 
 // Igather starts a nonblocking gather to root (MPI_Igather).
@@ -249,12 +218,8 @@ func (c *Comm) Igather(sendBuf, recvBuf []byte, count int, dt Datatype, root int
 			return nil, err
 		}
 	}
-	return c.startColl("Igather", true, root, func() *schedule {
-		if c.chooseAlgo(kindGather, count*dt.Size()) != algoFlat {
-			return c.compileGatherHier(sendBuf, recvBuf, count, dt, root)
-		}
-		return c.compileGatherFlat(sendBuf, recvBuf, count, dt, root)
-	})
+	return c.startColl("Igather", kindGather, count*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, root: root})
 }
 
 // Iallgather starts a nonblocking all-gather (MPI_Iallgather).
@@ -265,43 +230,20 @@ func (c *Comm) Iallgather(sendBuf, recvBuf []byte, count int, dt Datatype) (*Col
 	if err := c.checkBuf("Iallgather", "recv", recvBuf, c.Size()*count, dt); err != nil {
 		return nil, err
 	}
-	return c.startColl("Iallgather", false, noRoot, func() *schedule {
-		switch c.chooseAlgo(kindAllgather, count*dt.Size()) {
-		case algoHierMulti:
-			return c.compileAllgatherHierMulti(sendBuf, recvBuf, count, dt)
-		case algoFlat:
-			return c.compileAllgatherFlat(sendBuf, recvBuf, count, dt)
-		default: // every other hierarchical choice
-			return c.compileAllgatherHier(sendBuf, recvBuf, count, dt)
-		}
-	})
+	return c.startColl("Iallgather", kindAllgather, count*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt})
 }
 
 // Ialltoall starts a nonblocking all-to-all (MPI_Ialltoall). On
 // multi-cluster topologies the two-level schedule bundles traffic through
 // cluster leaders so each backbone link is crossed O(clusters) times
-// instead of O(n) (see compileAlltoallHier).
+// instead of O(n) (see alltoallBundles).
 func (c *Comm) Ialltoall(sendBuf, recvBuf []byte, count int, dt Datatype) (*CollRequest, error) {
 	want := c.Size() * count * dt.Extent()
 	if len(sendBuf) < want || len(recvBuf) < want {
 		return nil, fmt.Errorf("mpi: Ialltoall: buffers need %d bytes (send %d, recv %d)",
 			want, len(sendBuf), len(recvBuf))
 	}
-	return c.startColl("Ialltoall", false, noRoot, func() *schedule {
-		switch c.chooseAlgo(kindAlltoall, c.Size()*count*dt.Size()) {
-		case algoHierSegmented:
-			// Segmented exchange needs a block to fit one eager segment;
-			// bigger blocks use the whole-bundle rendez-vous form.
-			if seg := c.segmentBytes(); count*dt.Size() <= seg {
-				return c.compileAlltoallHierSeg(sendBuf, recvBuf, count, dt, seg)
-			}
-			return c.compileAlltoallHier(sendBuf, recvBuf, count, dt)
-		case algoHier:
-			return c.compileAlltoallHier(sendBuf, recvBuf, count, dt)
-		case algoHierMulti:
-			return c.compileAlltoallHierMulti(sendBuf, recvBuf, count, dt)
-		default: // algoFlat, and any choice without an alltoall compiler
-			return c.compileAlltoallFlat(sendBuf, recvBuf, count, dt)
-		}
-	})
+	return c.startColl("Ialltoall", kindAlltoall, c.Size()*count*dt.Size(),
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt})
 }

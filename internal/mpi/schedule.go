@@ -74,7 +74,8 @@ type schedule struct {
 }
 
 // schedBuilder accumulates rounds. The zero value (via newSched) starts
-// with an open empty round; endRound closes it and opens the next.
+// with an open empty round; endRound closes it and opens the next. The
+// phase builders in phases.go extend it with the recurring patterns.
 type schedBuilder struct {
 	sch *schedule
 	cur round
@@ -84,11 +85,12 @@ func newSched(name string) *schedBuilder {
 	return &schedBuilder{sch: &schedule{name: name}}
 }
 
-// endRound seals the open round (dropped when empty) and opens a new one.
+// endRound seals the open round (dropped when empty) and opens a new one
+// on the same lane.
 func (b *schedBuilder) endRound() {
 	if len(b.cur.steps) > 0 {
 		b.sch.rounds = append(b.sch.rounds, b.cur)
-		b.cur = round{}
+		b.cur = round{leader1: b.cur.leader1, gw: b.cur.gw}
 	}
 }
 
@@ -108,11 +110,11 @@ func (b *schedBuilder) copyStep(dst, src []byte) {
 	b.cur.steps = append(b.cur.steps, step{kind: stepCopy, dst: dst, src: src})
 }
 
-// tagRound marks the open round with the co-leader (shard) index and the
-// gateway network its transfers ride (multi-leader trace annotation).
-func (b *schedBuilder) tagRound(leaderIdx int, gw string) {
-	b.cur.leader1 = int16(leaderIdx + 1)
-	b.cur.gw = gw
+// lane marks the open round and every later one, until the next call,
+// with the co-leader (shard) index and the gateway network their transfers
+// ride (multi-leader trace annotation).
+func (b *schedBuilder) lane(leaderIdx int, gw string) {
+	b.cur.leader1, b.cur.gw = int16(leaderIdx+1), gw
 }
 
 // build seals the schedule with its completion closure.

@@ -150,6 +150,7 @@ type commTopo struct {
 	clusters  [][]int // dense cluster index -> comm ranks, ascending
 	leaders   []int   // dense cluster index -> lowest comm rank
 	myCluster int
+	remote    []int // every dense cluster index but myCluster, ascending
 	// leaderSets maps each dense cluster to its in-communicator leader
 	// set (comm ranks, primary leader first); always at least the
 	// one-element [leaders[di]]. leaderGW names the gateway network each
@@ -270,10 +271,47 @@ func (c *Comm) topo() *commTopo {
 			}
 		}
 	}
-	ct.nClusters = len(ct.clusters)
-	ct.myCluster = ct.clusterOf[c.myRank]
+	ct.seal(c.myRank)
 	c.ct = ct
 	return ct
+}
+
+// seal derives the view's per-rank fields once membership is final.
+func (ct *commTopo) seal(me int) {
+	ct.nClusters = len(ct.clusters)
+	ct.myCluster = ct.clusterOf[me]
+	for di := range ct.clusters {
+		if di != ct.myCluster {
+			ct.remote = append(ct.remote, di)
+		}
+	}
+}
+
+// oneClusterTopo is the hierarchy-blind view of an n-rank communicator:
+// every rank in one cluster led by rank 0. A two-level compiler run on it
+// has an empty leader level, which makes it the flat algorithm (forms.go's
+// blind rows).
+func oneClusterTopo(n, me int) *commTopo {
+	all := make([]int, n)
+	for r := range all {
+		all[r] = r
+	}
+	ct := &commTopo{
+		clusterOf:  make([]int, n),
+		clusters:   [][]int{all},
+		leaders:    []int{0},
+		leaderSets: [][]int{{0}},
+		leaderGW:   [][]string{{""}},
+	}
+	ct.seal(me)
+	return ct
+}
+
+// clusterPos returns the member list of rank me's cluster plus the
+// positions of me and of the cluster leader within it.
+func (ct *commTopo) clusterPos(me int) (members []int, myPos, leaderPos int) {
+	members = ct.clusters[ct.myCluster]
+	return members, posIn(members, me), posIn(members, ct.leaders[ct.myCluster])
 }
 
 // collAlgo is one row outcome of the tuning table.
@@ -287,16 +325,6 @@ const (
 	algoRingHier      // two-level: intra-cluster rings around the leader exchange
 	algoHierMulti     // two-level with the leader phase sharded across the leader set
 )
-
-// algoNames maps tuning-table rows to stable names for snapshots/reports.
-var algoNames = map[collAlgo]string{
-	algoFlat:          "flat",
-	algoHier:          "2level",
-	algoHierSegmented: "2level-seg",
-	algoRing:          "ring",
-	algoRingHier:      "2level-ring",
-	algoHierMulti:     "2level-multi",
-}
 
 // collKind indexes the tuning table by operation.
 type collKind int
@@ -312,18 +340,6 @@ const (
 	kindReduceScatter
 	numCollKinds
 )
-
-// kindNames mirrors the MPI operation names for snapshots/reports.
-var kindNames = map[collKind]string{
-	kindBarrier:       "Barrier",
-	kindBcast:         "Bcast",
-	kindReduce:        "Reduce",
-	kindAllreduce:     "Allreduce",
-	kindGather:        "Gather",
-	kindAllgather:     "Allgather",
-	kindAlltoall:      "Alltoall",
-	kindReduceScatter: "ReduceScatter",
-}
 
 // defaultSegmentBytes bounds the pipelined-broadcast segment when the
 // hierarchy carries no backbone estimate.
@@ -364,82 +380,24 @@ func (c *Comm) cappedBackbone() bool {
 	return c.p.hier != nil && c.p.hier.Inter.SharedMBs > 0
 }
 
-// ringKind reports whether an operation has a ring compiler.
-func ringKind(kind collKind) bool {
-	return kind == kindAllreduce || kind == kindReduceScatter
-}
-
-// sanitizeAlgo degrades an algorithm choice to one this communicator and
-// operation can actually run: hier families need a multi-cluster shape,
-// ring families need a ring compiler, segmentation is Bcast-only. Keeps
-// forced modes and stale tuning tables safe on any communicator (e.g. a
-// Split sub-communicator confined to one island).
-func (c *Comm) sanitizeAlgo(kind collKind, a collAlgo) collAlgo {
-	ct := c.topo()
-	multi := ct != nil && ct.nClusters >= 2
-	if a == algoHierSegmented && kind != kindBcast && kind != kindAlltoall {
-		a = algoHier
-	}
-	// Multi-leader needs an operation with a sharded compiler AND a
-	// communicator where at least one cluster actually has several
-	// gateways to spread across; otherwise it is exactly the two-level
-	// tree with extra staging, so degrade to algoHier.
-	if a == algoHierMulti {
-		ok := kind == kindBcast || kind == kindAllreduce ||
-			kind == kindAllgather || kind == kindAlltoall
-		if !ok || !multi || ct.maxLeaderSet() < 2 {
-			a = algoHier
-		}
-	}
-	if a == algoRingHier {
-		switch {
-		case !ringKind(kind) && multi:
-			a = algoHier
-		case !ringKind(kind):
-			a = algoFlat
-		case !multi:
-			a = algoRing
-		}
-	}
-	if a == algoRing && !ringKind(kind) {
-		a = algoFlat
-	}
-	if (a == algoHier || a == algoHierSegmented) && !multi {
-		a = algoFlat
-	}
-	// ReduceScatter only has ring compilers: tree-family choices map to
-	// the ring of the same level, so CollHier still gets the
-	// hierarchy-aware form and CollFlat the topology-blind one.
-	if kind == kindReduceScatter {
-		switch a {
-		case algoHier, algoHierSegmented, algoHierMulti:
-			a = algoRingHier
-		case algoFlat:
-			a = algoRing
-		case algoRing, algoRingHier:
-			// Already a ring form: runnable as is.
-		}
-	}
-	return a
-}
-
 // chooseAlgo is the tuning-table lookup: operation kind and message size
 // (total payload bytes) to algorithm, given the communicator's shape.
 // Mirrors MPICH's coll_tuned decision functions. Precedence: the
 // autotuner's force hook (one timed candidate), the explicit CollMode
 // override, the measured crossover table installed by Autotune at
-// MPI_Init, then the analytic fallback thresholds — every result passes
-// through sanitizeAlgo so it is runnable on this communicator.
+// MPI_Init, then the analytic fallback thresholds. The result is a
+// preference: startColl passes it through sanitizeAlgo so what compiles is
+// runnable on this communicator.
 func (c *Comm) chooseAlgo(kind collKind, nBytes int) collAlgo {
 	if f := c.p.forcedAlgo; f != nil {
-		return c.sanitizeAlgo(kind, *f)
+		return *f
 	}
 	switch c.p.collMode {
 	case CollFlat:
-		return c.sanitizeAlgo(kind, algoFlat)
+		return algoFlat
 	case CollHier:
 		if kind == kindBcast && c.bcastSegment(nBytes) > 0 {
-			return c.sanitizeAlgo(kind, algoHierSegmented)
+			return algoHierSegmented
 		}
 		// Segmenting the Alltoall bundle exchange only pays where the
 		// backbone serializes crossings (shared trunk): it trades the
@@ -447,34 +405,35 @@ func (c *Comm) chooseAlgo(kind collKind, nBytes int) collAlgo {
 		// a loss on private full-rate pipes. The autotuner measures both
 		// candidates regardless.
 		if kind == kindAlltoall && c.cappedBackbone() && c.bcastSegment(nBytes) > 0 {
-			return c.sanitizeAlgo(kind, algoHierSegmented)
+			return algoHierSegmented
 		}
-		return c.sanitizeAlgo(kind, algoHier)
+		return algoHier
 	case CollRing:
-		return c.sanitizeAlgo(kind, algoRing)
+		return algoRing
 	case CollHierRing:
-		return c.sanitizeAlgo(kind, algoRingHier)
+		return algoRingHier
 	case CollHierMulti:
-		return c.sanitizeAlgo(kind, algoHierMulti)
+		return algoHierMulti
 	case CollAuto:
 		// Fall past the switch: measured table, then analytic thresholds.
 	}
 	if tt := c.tuneTable(); tt != nil {
 		if a, ok := tt.lookup(kind, nBytes); ok {
-			return c.sanitizeAlgo(kind, a)
+			return a
 		}
 	}
-	return c.sanitizeAlgo(kind, c.analyticAlgo(kind, nBytes))
+	return c.analyticAlgo(kind, nBytes)
 }
 
 // analyticAlgo is the fallback decision table used when no autotuned
-// crossover table is installed. The caller sanitizes the result.
+// crossover table is installed.
 func (c *Comm) analyticAlgo(kind collKind, nBytes int) collAlgo {
-	ct := c.topo()
-	if ct == nil || ct.nClusters < 2 {
-		if ringKind(kind) && nBytes >= 64<<10 {
+	shape := c.shape()
+	if shape < shapeMulti {
+		if nBytes >= 64<<10 {
 			// Large vectors: the ring's 2(n−1)/n bandwidth factor beats
-			// the tree's 2·log(n) even on a uniform fast fabric.
+			// the tree's 2·log(n) even on a uniform fast fabric (operations
+			// without a ring form sanitize back to the flat tree).
 			return algoRing
 		}
 		return algoFlat // single cluster: the flat tree already runs on the fast fabric
@@ -487,7 +446,7 @@ func (c *Comm) analyticAlgo(kind collKind, nBytes int) collAlgo {
 	// leader phase across the leader set aggregates backbone bandwidth.
 	// Only worth the extra intra-cluster scatter/redistribute staging for
 	// payloads large enough to be backbone-bandwidth-bound.
-	multiGW := ct.maxLeaderSet() >= 2
+	multiGW := shape == shapeMultiGW
 	switch kind {
 	case kindBarrier, kindReduce:
 		// Leader aggregation always reduces slow-link crossings; the
@@ -584,16 +543,7 @@ func (ct *commTopo) twoLevelTree(me, root int) (parent int, children []int) {
 	// leader. A leader is its intra-tree's root (p = -1), so its backbone
 	// parent from the leader level is preserved.
 	members := ct.clusters[myCluster]
-	leaderPos, myPos := 0, 0
-	for i, r := range members {
-		if r == opLeader[myCluster] {
-			leaderPos = i
-		}
-		if r == me {
-			myPos = i
-		}
-	}
-	p, kids := binomialOver(members, leaderPos, myPos)
+	p, kids := binomialOver(members, posIn(members, opLeader[myCluster]), posIn(members, me))
 	if p >= 0 {
 		parent = p
 	}

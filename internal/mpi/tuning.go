@@ -71,23 +71,13 @@ type ClassProbe struct {
 	A, B  int
 }
 
-// SetLinkClasses installs the device class of the link from this rank
-// toward every world rank ("self", "smp", "san", "wan") — the per-link
-// device mux's view of the topology, used by diagnostics and the
-// per-class threshold installer. Called by the cluster wiring.
-func (p *Process) SetLinkClasses(classes []string) {
-	p.linkClass = append([]string(nil), classes...)
-	p.linkClassFn, p.linkClassMemo = nil, nil
-}
-
-// SetLinkClassResolver installs a lazy per-destination class resolver in
-// place of the eager N-entry table: LinkClassOf consults fn on the first
-// query for a destination and memoizes the answer for the life of the
-// process. The memo is deliberately never invalidated — the eager table
-// was captured at build time and survived re-plans unchanged, and the
-// lazy path pins the same frozen semantics.
+// SetLinkClassResolver installs the per-destination device-class resolver
+// of the per-link device mux ("self", "smp", "san", "wan"): LinkClassOf
+// consults fn on the first query for a destination and memoizes the answer
+// for the life of the process. The memo is deliberately never invalidated
+// — classes are a build-time property that survives re-plans unchanged.
+// Called by the cluster wiring.
 func (p *Process) SetLinkClassResolver(fn func(dst int) string) {
-	p.linkClass = nil
 	p.linkClassFn = fn
 	p.linkClassMemo = nil
 }
@@ -97,12 +87,6 @@ func (p *Process) SetLinkClassResolver(fn func(dst int) string) {
 func (p *Process) LinkClassOf(dst int) string {
 	if dst < 0 || dst >= p.size {
 		return ""
-	}
-	if p.linkClass != nil {
-		if dst >= len(p.linkClass) {
-			return ""
-		}
-		return p.linkClass[dst]
 	}
 	if p.linkClassFn == nil {
 		return ""
@@ -258,7 +242,7 @@ func (p *Process) TuneSnapshot() []TuneChoice {
 	if p.tuned != nil {
 		for k := collKind(0); k < numCollKinds; k++ {
 			for _, r := range p.tuned.rows[k] {
-				out = append(out, TuneChoice{Op: kindNames[k], MaxBytes: r.maxBytes, Algo: algoNames[r.algo]})
+				out = append(out, TuneChoice{Op: collKinds[k].name, MaxBytes: r.maxBytes, Algo: collAlgos[r.algo].name})
 			}
 		}
 	}
@@ -348,26 +332,6 @@ func ValidateTuneChoices(choices []TuneChoice) error {
 	return nil
 }
 
-// kindByName inverts kindNames (snapshot decoding).
-func kindByName(name string) (collKind, bool) {
-	for k, n := range kindNames {
-		if n == name {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// algoByName inverts algoNames (snapshot decoding).
-func algoByName(name string) (collAlgo, bool) {
-	for a, n := range algoNames {
-		if n == name {
-			return a, true
-		}
-	}
-	return 0, false
-}
-
 // Autotune runs the MPI_Init tuning sweep over MPI_COMM_WORLD: every
 // candidate algorithm of every tunable operation is compiled and executed
 // at each sweep size, rank 0 picks the fastest per (operation, size) and
@@ -377,57 +341,6 @@ func algoByName(name string) (collAlgo, bool) {
 // does so right before the rank main).
 func (p *Process) Autotune() error {
 	return p.World.autotune()
-}
-
-// tuneCandidates lists the algorithms worth timing for an operation on
-// this communicator's shape; fewer than two means there is no choice to
-// measure.
-func (c *Comm) tuneCandidates(kind collKind) []collAlgo {
-	ct := c.topo()
-	multi := ct != nil && ct.nClusters >= 2
-	// Multi-leader candidates exist only where a leader set actually has a
-	// second gateway to aggregate; on single-gateway topologies the probe
-	// sequence (and therefore any cached table) is unchanged.
-	multiGW := multi && ct.maxLeaderSet() > 1
-	switch kind {
-	case kindBcast:
-		if multiGW {
-			return []collAlgo{algoFlat, algoHier, algoHierSegmented, algoHierMulti}
-		}
-		if multi {
-			return []collAlgo{algoFlat, algoHier, algoHierSegmented}
-		}
-	case kindAllreduce:
-		if multiGW {
-			return []collAlgo{algoFlat, algoRing, algoHier, algoRingHier, algoHierMulti}
-		}
-		if multi {
-			return []collAlgo{algoFlat, algoRing, algoHier, algoRingHier}
-		}
-		return []collAlgo{algoFlat, algoRing}
-	case kindAllgather:
-		if multiGW {
-			return []collAlgo{algoFlat, algoHier, algoHierMulti}
-		}
-		if multi {
-			return []collAlgo{algoFlat, algoHier}
-		}
-	case kindAlltoall:
-		if multiGW {
-			return []collAlgo{algoFlat, algoHier, algoHierSegmented, algoHierMulti}
-		}
-		if multi {
-			return []collAlgo{algoFlat, algoHier, algoHierSegmented}
-		}
-	case kindReduceScatter:
-		if multi {
-			return []collAlgo{algoRing, algoRingHier}
-		}
-	default:
-		// Barrier, Gather, Reduce: the analytic choice is not worth
-		// second-guessing with timed probes.
-	}
-	return nil
 }
 
 // runTuneOp executes one probe collective of ~nBytes total payload with
@@ -462,7 +375,7 @@ func (c *Comm) runTuneOp(kind collKind, nBytes int) error {
 		recv := make([]byte, per)
 		return c.ReduceScatter(send, recv, per, Byte, OpMax)
 	default:
-		return fmt.Errorf("mpi: autotune: operation %q is not tunable", kindNames[kind])
+		return fmt.Errorf("mpi: autotune: operation %q is not tunable", collKinds[kind].name)
 	}
 }
 
@@ -508,7 +421,7 @@ func (c *Comm) autotune() error {
 				t, err := c.timeAlgo(pr.kind, a, size)
 				if err != nil {
 					return fmt.Errorf("mpi: autotune %s/%s at %d B: %w",
-						kindNames[pr.kind], algoNames[a], size, err)
+						collKinds[pr.kind].name, collAlgos[a].name, size, err)
 				}
 				if t < bestT {
 					best, bestT = a, t
@@ -550,14 +463,15 @@ func (c *Comm) autotune() error {
 
 	// Rank 0 turns winners into crossover brackets and broadcasts the
 	// encoded table (collective rows, then per-class switch rows tagged
-	// with negative kinds); everyone installs the same bytes.
+	// with negative kinds); everyone decodes the same bytes into the
+	// snapshot format and installs them the way a cached table is.
 	var enc []int64
 	if c.myRank == 0 {
-		tt := &tuneTable{rows: make(map[collKind][]tuneRow)}
-		for _, pr := range probes {
-			tt.rows[pr.kind] = crossoverRows(tuneSizes, winners[pr.kind])
+		for _, pr := range probes { // ascending kind order
+			for _, r := range crossoverRows(tuneSizes, winners[pr.kind]) {
+				enc = append(enc, int64(pr.kind), int64(r.maxBytes), int64(r.algo))
+			}
 		}
-		enc = encodeTuneTable(tt)
 		for i, name := range deviceClassNames {
 			if thr, ok := classThr[name]; ok {
 				enc = append(enc, int64(-(i + 1)), int64(thr), 0)
@@ -581,20 +495,10 @@ func (c *Comm) autotune() error {
 			return err
 		}
 	}
-	vals := BytesInt64(buf)
-	c.p.tuned = decodeTuneTable(vals)
-	for i := 0; i+2 < len(vals); i += 3 {
-		if k := vals[i]; k < 0 {
-			if idx := int(-k) - 1; idx < len(deviceClassNames) {
-				c.p.installClassSwitch(deviceClassNames[idx], int(vals[i+1]))
-			}
-		}
-	}
-	// The sweep's own barriers/broadcasts resolved this communicator's
-	// cache to nil; refresh it so the tuned table governs from the next
-	// collective on.
-	c.tt, c.ttSet = c.p.tuned, true
-	return nil
+	// LoadTuneTable also refreshes the world communicator's table cache,
+	// which the sweep's own barriers/broadcasts resolved to nil, so the
+	// tuned table governs from the next collective on.
+	return c.p.LoadTuneTable(decodeTuneChoices(BytesInt64(buf)))
 }
 
 // crossoverRows compresses per-size winners into brackets, placing each
@@ -613,28 +517,24 @@ func crossoverRows(sizes []int, winners []collAlgo) []tuneRow {
 	return rows
 }
 
-// encodeTuneTable flattens a table into (kind, maxBytes, algo) triples in
-// deterministic kind order for the install broadcast.
-func encodeTuneTable(tt *tuneTable) []int64 {
-	var enc []int64
-	for k := collKind(0); k < numCollKinds; k++ {
-		for _, r := range tt.rows[k] {
-			enc = append(enc, int64(k), int64(r.maxBytes), int64(r.algo))
-		}
-	}
-	return enc
-}
-
-func decodeTuneTable(enc []int64) *tuneTable {
-	tt := &tuneTable{rows: make(map[collKind][]tuneRow)}
+// decodeTuneChoices turns the install broadcast's triples — (kind,
+// maxBytes, algo) bracket rows, then (-(class index + 1), threshold, 0)
+// per-class switch rows — into TuneSnapshot's format. A triple naming no
+// known kind, algorithm or class decodes to empty names, which
+// LoadTuneTable's validation rejects.
+func decodeTuneChoices(enc []int64) []TuneChoice {
+	var choices []TuneChoice
 	for i := 0; i+2 < len(enc); i += 3 {
-		k := collKind(enc[i])
-		if k < 0 || k >= numCollKinds {
-			continue // per-class switch row (negative kind) or junk
+		tc := TuneChoice{MaxBytes: int(enc[i+1])}
+		switch k, a := enc[i], enc[i+2]; {
+		case k < 0 && -k <= int64(len(deviceClassNames)):
+			tc.Op, tc.Algo = switchPointOp, deviceClassNames[-k-1]
+		case k >= 0 && k < int64(numCollKinds) && a >= 0 && a < int64(len(collAlgos)):
+			tc.Op, tc.Algo = collKinds[k].name, collAlgos[a].name
 		}
-		tt.rows[k] = append(tt.rows[k], tuneRow{maxBytes: int(enc[i+1]), algo: collAlgo(enc[i+2])})
+		choices = append(choices, tc)
 	}
-	return tt
+	return choices
 }
 
 // tuneProbeTag is the reserved message tag of the switch-point probe

@@ -66,21 +66,19 @@ func (s *Series) At(size int) (Point, bool) {
 }
 
 // RelayStat is one gateway's relay load accounting for a session:
-// messages and body bytes it forwarded for other ranks, drops broken out
-// by reason (a routing hole vs admission-control overflow of the bounded
-// queue — distinguishable so CI triage can tell a misconfigured topology
-// from a hot gateway), the admission-control activity (deferred bodies,
-// busy-nacked rendez-vous requests), and the peak store-and-forward
-// queue depth against its configured bound.
+// messages and body bytes it forwarded for other ranks, messages dropped
+// at a routing hole (a full gateway never drops — it defers or busy-nacks,
+// so CI triage can tell a misconfigured topology from a hot gateway), the
+// admission-control activity (deferred bodies, busy-nacked rendez-vous
+// requests), and the peak store-and-forward queue depth against its
+// configured bound.
 type RelayStat struct {
 	Name  string
 	Msgs  uint64
 	Bytes uint64
 	// DropsNoRoute counts relayed messages dropped for lack of an onward
-	// route; DropsQueueFull counts admission-control drops at a full
-	// bounded queue (lossy-eager mode).
-	DropsNoRoute   uint64
-	DropsQueueFull uint64
+	// route.
+	DropsNoRoute uint64
 	// Deferred counts relayed bodies that waited for a relay credit;
 	// BusyNacks counts rendez-vous requests refused (and retried
 	// upstream) because the queue was full.
@@ -99,22 +97,19 @@ type RelayStat struct {
 	TrunkWait vtime.Duration
 }
 
-// Drops returns the total dropped messages across all reasons.
-func (r RelayStat) Drops() uint64 { return r.DropsNoRoute + r.DropsQueueFull }
-
 // RelayTable renders gateway relay accounting as an aligned table.
 func RelayTable(title string, rows []RelayStat) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s\n", title)
-	fmt.Fprintf(&b, "%-18s %10s %14s %12s %10s %9s %10s %11s %12s\n",
-		"gateway", "msgs", "bytes", "drop-noroute", "drop-qfull", "deferred", "busy-nack", "queue-peak", "trunk-wait")
+	fmt.Fprintf(&b, "%-18s %10s %14s %12s %9s %10s %11s %12s\n",
+		"gateway", "msgs", "bytes", "drop-noroute", "deferred", "busy-nack", "queue-peak", "trunk-wait")
 	for _, r := range rows {
 		peak := fmt.Sprintf("%d", r.QueuePeak)
 		if r.Window > 0 {
 			peak = fmt.Sprintf("%d/%d", r.QueuePeak, r.Window)
 		}
-		fmt.Fprintf(&b, "%-18s %10d %14d %12d %10d %9d %10d %11s %10.1fus\n",
-			r.Name, r.Msgs, r.Bytes, r.DropsNoRoute, r.DropsQueueFull,
+		fmt.Fprintf(&b, "%-18s %10d %14d %12d %9d %10d %11s %10.1fus\n",
+			r.Name, r.Msgs, r.Bytes, r.DropsNoRoute,
 			r.Deferred, r.BusyNacks, peak, r.TrunkWait.Micros())
 	}
 	return b.String()
