@@ -119,15 +119,6 @@ type ClassTuner interface {
 	SetClassSwitchPoint(class string, bytes int)
 }
 
-// RelayTuner is optionally implemented by devices whose gateway relay
-// credit window can be resized from a measured bandwidth-delay product:
-// the init-time tuner replaces the static default with one window per
-// spanning (backbone) network, and each device adopts the window of the
-// networks it fronts. Installing the current value is a no-op.
-type RelayTuner interface {
-	SetRelayWindowHint(net string, window int)
-}
-
 // Auditor is optionally implemented by devices that can verify their
 // protocol invariants once traffic has drained: credit windows back to
 // full, no rendez-vous or reassembly state left open, counters internally

@@ -103,8 +103,9 @@ type Topology struct {
 
 	// RelayWindow bounds every gateway's store-and-forward queue (the
 	// relay credit window, core.Device.RelayWindow): 0 defaults to
-	// DefaultRelayWindow on forwarded topologies, negative disables the
-	// bound entirely (the historical unbounded queue).
+	// DefaultRelayWindow on forwarded topologies — or, when Autotune is
+	// also on, to each gateway's bandwidth-delay product (bdpRelayWindows)
+	// — and leaves the queue unbounded otherwise.
 	RelayWindow int
 
 	// Trace, when set, records the session's virtual-time event stream
@@ -131,18 +132,14 @@ func (topo Topology) resolvedMaxPaths() int {
 	return 1
 }
 
-// resolvedRelayWindow is the effective gateway queue bound after
+// resolvedRelayWindow is the effective static gateway queue bound after
 // defaulting: DefaultRelayWindow on forwarded topologies, 0 (unbounded)
-// otherwise or when explicitly negative.
+// otherwise.
 func (topo Topology) resolvedRelayWindow() int {
-	w := topo.RelayWindow
-	if w == 0 && topo.Forwarding {
-		w = DefaultRelayWindow
+	if topo.RelayWindow == 0 && topo.Forwarding {
+		return DefaultRelayWindow
 	}
-	if w < 0 {
-		w = 0
-	}
-	return w
+	return topo.RelayWindow
 }
 
 // Rank is one wired MPI process.
@@ -210,6 +207,9 @@ func Build(topo Topology) (*Session, error) {
 	}
 	if topo.Deadline == 0 {
 		topo.Deadline = 1000 * vtime.Second
+	}
+	if topo.RelayWindow < 0 || topo.MaxPaths < 0 {
+		return nil, fmt.Errorf("cluster: negative RelayWindow (%d) or MaxPaths (%d)", topo.RelayWindow, topo.MaxPaths)
 	}
 	s := vtime.New()
 	s.SetDeadline(vtime.Time(topo.Deadline))
@@ -407,27 +407,19 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 	sess.bindLinkClasses()
 	sess.installRoutes(plan)
 
-	// Bound every gateway's store-and-forward queue (admission control);
-	// RelayWindow < 0 keeps the historical unbounded queue.
-	window := sess.Topo.resolvedRelayWindow()
-
-	// Start the devices first (this elects each ch_mad device-wide
-	// fallback threshold), then discover the cluster hierarchy. Uniform
-	// single-threshold sessions cap every backbone pipeline segment at
-	// the globally elected minimum — the historical behaviour; the
-	// per-link mux leaves segCap zero and routedInter instead clamps each
-	// backbone segment by the switch points along its actual path.
+	// Elect each device's fallback threshold, then discover the cluster
+	// hierarchy. Uniform single-threshold sessions pin the elected value on
+	// every link and cap every backbone pipeline segment at the globally
+	// elected minimum — the historical behaviour; the per-link mux leaves
+	// segCap zero and routedInter instead clamps each backbone segment by
+	// the switch points along its actual path.
 	minSwitch := 0
-	for r := 0; r < size; r++ {
-		dev := wirings[r].rank.ChMad
-		dev.RelayWindow = window
-		dev.Start()
+	for _, dev := range sess.devs {
+		sp := dev.ElectSwitchPoint()
 		if uniform {
-			// The single-protocol ablation: pin the elected device-wide
-			// threshold on every link.
-			dev.SetSwitchPoint(dev.SwitchPoint())
+			dev.SetSwitchPoint(sp)
 		}
-		if sp := dev.SwitchPoint(); minSwitch == 0 || sp < minSwitch {
+		if minSwitch == 0 || sp < minSwitch {
 			minSwitch = sp
 		}
 	}
@@ -435,6 +427,26 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 		sess.segCap = minSwitch
 	}
 	hier := sess.discoverHierarchy(sess.segCap)
+
+	// Bound every gateway's store-and-forward queue (admission control)
+	// and start the devices. A session that opted into tuning (Autotune)
+	// without pinning RelayWindow sizes each window from the
+	// bandwidth-delay product of the backbones the device's node fronts
+	// (the largest, so the fat pipe is not throttled to the thin one's
+	// product) instead of the static default.
+	var bdp map[string]int
+	if sess.Topo.Autotune && sess.Topo.RelayWindow == 0 && sess.Topo.Forwarding {
+		bdp = sess.bdpRelayWindows(hier)
+	}
+	for r, dev := range sess.devs {
+		for _, net := range nodeNets[places[r].node] {
+			dev.RelayWindow = max(dev.RelayWindow, bdp[net])
+		}
+		if dev.RelayWindow == 0 {
+			dev.RelayWindow = sess.Topo.resolvedRelayWindow()
+		}
+		dev.Start()
+	}
 
 	probes := sess.classProbes()
 	for r := 0; r < size; r++ {
@@ -473,20 +485,6 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 		sess.Ranks = append(sess.Ranks, w.rank)
 	}
 
-	// Size the gateway relay credit windows from each backbone's
-	// bandwidth-delay product instead of the static DefaultRelayWindow —
-	// but only when the session opted into tuning (Autotune) and did not
-	// pin RelayWindow explicitly. SetRelayWindows pushes the hints into
-	// every ch_mad device (which adopts the largest window among the
-	// backbones it fronts) and records them as "RelayWindow" rows of the
-	// tune snapshot, so a TuneCache round-trip restores identical windows.
-	if sess.Topo.Autotune && sess.Topo.RelayWindow == 0 && sess.Topo.Forwarding {
-		if windows := sess.bdpRelayWindows(hier); len(windows) > 0 {
-			for _, rk := range sess.Ranks {
-				rk.MPI.SetRelayWindows(windows)
-			}
-		}
-	}
 	return nil
 }
 

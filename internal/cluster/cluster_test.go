@@ -34,6 +34,16 @@ func TestBuildValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("ch_p4 without a network accepted")
 	}
+	for name, tweak := range map[string]func(*Topology){
+		"negative RelayWindow": func(topo *Topology) { topo.RelayWindow = -1 },
+		"negative MaxPaths":    func(topo *Topology) { topo.MaxPaths = -1 },
+	} {
+		topo := TwoNodes("tcp")
+		tweak(&topo)
+		if _, err := Build(topo); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestTwoNodesHelper(t *testing.T) {

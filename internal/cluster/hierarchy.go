@@ -379,8 +379,7 @@ const (
 // segments of slack for the store-and-forward handoff, clamped to
 // [minBDPWindow, maxBDPWindow]. Purely analytic — netsim parameters, no
 // measurement — so the result is deterministic and cheap enough to
-// recompute at every Build; the rows a cached tune table carries merely
-// restore the same values.
+// recompute at every Build.
 func (sess *Session) bdpRelayWindows(h *mpi.Hierarchy) map[string]int {
 	names := make([]string, 0, len(sess.Networks))
 	for name := range sess.Networks {

@@ -8,7 +8,6 @@ package cluster
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -247,10 +246,9 @@ func bridgeLoads(t *testing.T, mode mpi.CollMode) map[string]uint64 {
 
 // TestBDPRelayWindows: with Autotune on and RelayWindow unpinned, the
 // wiring sizes one relay credit window per backbone from its
-// bandwidth-delay product, records the windows as tune rows on every
-// rank, and each gateway device adopts the largest window among the
-// backbones it fronts — while non-gateway devices keep the static
-// default, and sessions without Autotune are untouched.
+// bandwidth-delay product and each gateway device adopts the largest
+// window among the backbones it fronts — while non-gateway devices keep
+// the static default, and sessions without Autotune are untouched.
 func TestBDPRelayWindows(t *testing.T) {
 	topo := ringClusterTopo([]int{3, 3, 3})
 	topo.Autotune = true
@@ -266,14 +264,6 @@ func TestBDPRelayWindows(t *testing.T) {
 		if w < minBDPWindow || w > maxBDPWindow {
 			t.Errorf("window for %s = %d, outside [%d, %d]", net, w, minBDPWindow, maxBDPWindow)
 		}
-	}
-	for _, rk := range sess.Ranks {
-		if got := rk.MPI.RelayWindows(); !reflect.DeepEqual(got, windows) {
-			t.Fatalf("rank %d RelayWindows = %v, want %v", rk.Rank, got, windows)
-		}
-	}
-	if err := mpi.ValidateTuneChoices(sess.Ranks[0].MPI.TuneSnapshot()); err != nil {
-		t.Fatalf("snapshot with RelayWindow rows fails validation: %v", err)
 	}
 	tuned := 0
 	for r, dev := range sess.devs {
@@ -295,7 +285,7 @@ func TestBDPRelayWindows(t *testing.T) {
 	if tuned == 0 {
 		t.Error("no device adopted a BDP window: every rank kept the static default")
 	}
-	// The resized credit semaphores must survive real relay traffic and
+	// The BDP-sized credit windows must survive real relay traffic and
 	// the post-run invariant audit.
 	err = sess.Run(func(rank int, comm *mpi.Comm) error {
 		buf := make([]byte, 256<<10)
@@ -319,9 +309,6 @@ func TestBDPRelayWindows(t *testing.T) {
 			t.Errorf("untuned session: rank %d RelayWindow = %d, want %d",
 				r, dev.RelayWindow, DefaultRelayWindow)
 		}
-	}
-	if sess2.Ranks[0].MPI.RelayWindows() != nil {
-		t.Errorf("untuned session recorded relay windows: %v", sess2.Ranks[0].MPI.RelayWindows())
 	}
 }
 

@@ -8,26 +8,22 @@ import (
 
 // AuditInvariants implements adi.Auditor: the Finalize-time counterpart of
 // the madlint static suite. Once a session's traffic has drained, every
-// piece of ch_mad protocol state must have returned to rest; anything left
-// over is a protocol bug (a leaked credit, a half-reassembled stripe, a
-// rendez-vous that never completed) that would surface at scale as a hang
-// or a silent miscount. Returns nil when the device is clean, otherwise an
-// error enumerating every violated invariant.
+// rendez-vous table must be empty and every relay credit home; anything
+// left over is a protocol bug (a leaked credit, a half-reassembled stripe,
+// a rendez-vous that never completed) that would surface at scale as a
+// hang or a silent miscount. Returns nil when the device is clean,
+// otherwise an error enumerating every violated invariant.
 //
 // Called by the cluster session after a clean run; callable from tests on
 // hand-wired devices too.
 func (d *Device) AuditInvariants() error {
 	var bad []string
 
-	// Rendez-vous protocol state: no sends parked awaiting a SendOK, no
-	// receiver syncs open, no stripe reassembly short of bytes.
-	if n := len(d.pending); n != 0 {
+	// Rendez-vous tables: no sends parked awaiting a SendOK, no receiver
+	// syncs open, no stripe reassembly short of bytes.
+	if n := len(d.rndvTx); n != 0 {
 		bad = append(bad, fmt.Sprintf("%d rendez-vous send(s) still pending (req ids %v)",
-			n, sortedKeys(d.pending)))
-	}
-	if n := len(d.retries); n != 0 {
-		bad = append(bad, fmt.Sprintf("%d busy-nack retry counter(s) leaked (req ids %v)",
-			n, sortedKeys(d.retries)))
+			n, sortedKeys(d.rndvTx)))
 	}
 	for _, sync := range sortedKeys(d.rndvRx) {
 		st := d.rndvRx[sync]

@@ -22,8 +22,7 @@ func TestAuditCleanDevice(t *testing.T) {
 func TestAuditCatchesLeakedState(t *testing.T) {
 	s := vtime.New()
 	d := New(nil, nil, 3)
-	d.pending[7] = &adi.SendReq{}
-	d.retries[7] = 2
+	d.rndvTx[7] = rndvSend{sr: &adi.SendReq{}, attempts: 2}
 	d.rndvRx[9] = &rndvState{env: adi.Envelope{Len: 4096}, remaining: 1024}
 	d.relayInFlight = 1
 	d.relayParking = 1
@@ -39,7 +38,6 @@ func TestAuditCatchesLeakedState(t *testing.T) {
 	for _, want := range []string{
 		"ch_mad[3]",
 		"pending (req ids [7])",
-		"retry counter(s) leaked",
 		"stripe reassembly for sync 9 incomplete: 1024 of 4096",
 		"still held for re-emission",
 		"parked for a relay credit",
@@ -64,7 +62,7 @@ func TestAuditFailureIncludesFlightTail(t *testing.T) {
 	d.TraceTrack = 3
 	tr.Instant(3, trace.KRndv, "rndv.req", trace.Args{HasPeer: true, Src: 3, Dst: 8, Bytes: 4096, Seq: 7})
 	tr.Instant(3, trace.KCredit, "relay.busy", trace.Args{HasPeer: true, Src: 3, Dst: 8, Seq: 7})
-	d.pending[7] = &adi.SendReq{} // the leak the events explain
+	d.rndvTx[7] = rndvSend{sr: &adi.SendReq{}} // the leak the events explain
 
 	err := d.AuditInvariants()
 	if err == nil {
@@ -84,7 +82,7 @@ func TestAuditFailureIncludesFlightTail(t *testing.T) {
 
 	// Untraced devices keep the classic one-line report.
 	d2 := New(nil, nil, 3)
-	d2.pending[7] = &adi.SendReq{}
+	d2.rndvTx[7] = rndvSend{sr: &adi.SendReq{}}
 	if err := d2.AuditInvariants(); err == nil ||
 		strings.Contains(err.Error(), "trace events") {
 		t.Fatalf("untraced audit changed shape: %v", err)

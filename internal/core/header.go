@@ -158,6 +158,21 @@ func decodeHeader(buf []byte) (header, error) {
 	}, nil
 }
 
+// carriesBody reports whether a packet with this header has a body block
+// behind it. An empty eager message ships its header alone; rendez-vous
+// data always ships its body block, even an empty one (a zero-length
+// synchronous send); everything else is a header-only control packet.
+func (h *header) carriesBody() bool {
+	switch h.Type {
+	case PktShort:
+		return h.Len > 0
+	case PktRndv, PktRndvSeg:
+		return true
+	default:
+		return false
+	}
+}
+
 func (h *header) envelope() adi.Envelope {
 	return adi.Envelope{Src: h.SrcRank, Tag: h.Tag, Context: h.Context, Len: h.Len}
 }

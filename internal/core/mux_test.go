@@ -28,7 +28,7 @@ func TestSwitchPointToResolution(t *testing.T) {
 	if got := d.SwitchPointTo(1); got != 16<<10 {
 		t.Errorf("class override: SwitchPointTo = %d, want 16K", got)
 	}
-	if got := d.ClassSwitchPoints()["wan"]; got != 16<<10 {
+	if got := d.classSwitch["wan"]; got != 16<<10 {
 		t.Errorf("ClassSwitchPoints[wan] = %d, want 16K", got)
 	}
 	// Removing the override falls back to the native threshold.

@@ -63,9 +63,6 @@ type Process struct {
 	linkClassMemo map[int]string
 	classProbes   []ClassProbe
 	classSwitch   map[string]int
-	// relayWindows holds the per-backbone relay credit windows sized from
-	// each gateway's bandwidth-delay product (RelayWindow tune rows).
-	relayWindows map[string]int
 
 	// tracer, when installed by SetTrace, records schedule-round spans
 	// of every collective this rank executes on traceTrack (the rank's

@@ -186,8 +186,13 @@
 //     Process.RefreshHierarchy invalidates the world communicator's
 //     cached topology so the next collective compiles against them.
 //   - Gateway admission control: each relay's store-and-forward queue is
-//     bounded by a credit window (core.Device.RelayWindow, set from
-//     cluster.Topology.RelayWindow). A body packet must hold a credit
+//     bounded by a credit window (core.Device.RelayWindow). cluster.Build
+//     sets it on every device before the polling threads start:
+//     Topology.RelayWindow when pinned, else DefaultRelayWindow, else —
+//     on Autotune sessions — the largest bandwidth-delay product among
+//     the backbones the device's node fronts (analytic, recomputed at
+//     every Build, so the tune cache carries no row for it). A body
+//     packet must hold a credit
 //     while stored; at a full gateway the polling thread parks until one
 //     frees (backpressuring the inbound channel), and a relayed
 //     rendez-vous REQUEST is refused with a busy nack — the sender backs

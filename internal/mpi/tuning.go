@@ -39,13 +39,6 @@ var switchTuneSizes = []int{2 << 10, 8 << 10, 32 << 10, 128 << 10}
 // the device class.
 const switchPointOp = "SwitchPoint"
 
-// relayWindowOp is the TuneChoice.Op marker for a per-backbone relay
-// credit window row: MaxBytes is the window (in-flight relayed bodies),
-// Algo names the spanning network it was sized for. Produced by the
-// init-time bandwidth-delay-product sizing in the cluster wiring,
-// persisted with the rest of the tune table.
-const relayWindowOp = "RelayWindow"
-
 // deviceClassNames lists the per-link device-mux classes in tier order
 // (mirroring internal/route's DeviceClass taxonomy); the canonical
 // encoding order for per-class threshold rows.
@@ -135,50 +128,6 @@ func (p *Process) installClassSwitch(class string, bytes int) {
 	}
 }
 
-// SetRelayWindows records the per-backbone relay credit windows the
-// cluster wiring sized from each gateway's bandwidth-delay product, and
-// pushes them into every device that accepts relay tuning
-// (adi.RelayTuner). The windows become "RelayWindow" rows of
-// TuneSnapshot, so a cached tune table restores them via LoadTuneTable.
-func (p *Process) SetRelayWindows(windows map[string]int) {
-	nets := make([]string, 0, len(windows))
-	for n := range windows {
-		nets = append(nets, n)
-	}
-	sort.Strings(nets)
-	for _, net := range nets {
-		p.installRelayWindow(net, windows[net])
-	}
-}
-
-// RelayWindows returns the installed per-backbone windows, nil when the
-// static default is in force.
-func (p *Process) RelayWindows() map[string]int {
-	if p.relayWindows == nil {
-		return nil
-	}
-	out := make(map[string]int, len(p.relayWindows))
-	for k, v := range p.relayWindows {
-		out[k] = v
-	}
-	return out
-}
-
-func (p *Process) installRelayWindow(net string, window int) {
-	if window <= 0 {
-		return
-	}
-	if p.relayWindows == nil {
-		p.relayWindows = make(map[string]int)
-	}
-	p.relayWindows[net] = window
-	for _, d := range p.devices {
-		if rt, ok := d.(adi.RelayTuner); ok {
-			rt.SetRelayWindowHint(net, window)
-		}
-	}
-}
-
 // tuneRow is one bracket of the measured table: use algo for payloads up
 // to maxBytes (math.MaxInt on the last, open bracket).
 type tuneRow struct {
@@ -232,10 +181,9 @@ type TuneChoice struct {
 
 // TuneSnapshot returns the installed crossover table in deterministic
 // (operation, then size) order, followed by the measured per-device-class
-// switch points in class-tier order and the per-backbone relay windows in
-// network-name order; nil when Autotune has not run.
+// switch points in class-tier order; nil when Autotune has not run.
 func (p *Process) TuneSnapshot() []TuneChoice {
-	if p.tuned == nil && p.classSwitch == nil && p.relayWindows == nil {
+	if p.tuned == nil && p.classSwitch == nil {
 		return nil
 	}
 	var out []TuneChoice
@@ -254,14 +202,6 @@ func (p *Process) TuneSnapshot() []TuneChoice {
 	for _, c := range classes {
 		out = append(out, TuneChoice{Op: switchPointOp, MaxBytes: p.classSwitch[c], Algo: c})
 	}
-	nets := make([]string, 0, len(p.relayWindows))
-	for n := range p.relayWindows {
-		nets = append(nets, n)
-	}
-	sort.Strings(nets)
-	for _, n := range nets {
-		out = append(out, TuneChoice{Op: relayWindowOp, MaxBytes: p.relayWindows[n], Algo: n})
-	}
 	return out
 }
 
@@ -279,10 +219,6 @@ func (p *Process) LoadTuneTable(choices []TuneChoice) error {
 	for _, tc := range choices {
 		if tc.Op == switchPointOp {
 			p.installClassSwitch(tc.Algo, tc.MaxBytes)
-			continue
-		}
-		if tc.Op == relayWindowOp {
-			p.installRelayWindow(tc.Algo, tc.MaxBytes)
 			continue
 		}
 		kind, _ := kindByName(tc.Op) // validated above
@@ -307,15 +243,6 @@ func ValidateTuneChoices(choices []TuneChoice) error {
 			}
 			if tc.MaxBytes <= 0 {
 				return fmt.Errorf("mpi: tune table: non-positive switch point %d for class %s", tc.MaxBytes, tc.Algo)
-			}
-			continue
-		}
-		if tc.Op == relayWindowOp {
-			if tc.Algo == "" {
-				return fmt.Errorf("mpi: tune table: relay window row without a network name")
-			}
-			if tc.MaxBytes <= 0 {
-				return fmt.Errorf("mpi: tune table: non-positive relay window %d for net %s", tc.MaxBytes, tc.Algo)
 			}
 			continue
 		}

@@ -26,7 +26,7 @@ func (p *Plan) rankTreeFor(src int) *rankTree {
 // rank's congestion term — the relay feedback.
 //
 // The result is bit-identical to the dense linear-scan reference
-// (shortestFrom in dense.go): the heap pops in the same (dist, rank)
+// (shortestFrom in dense_test.go): the heap pops in the same (dist, rank)
 // order the dense selection scan settles nodes in, each settled node
 // relaxes the same neighbors under the same overwrite rule, and relaxing
 // per shared network in sorted-name order reproduces the

@@ -43,7 +43,7 @@
 //     banned-edge searches and use the same heap Dijkstra, cached per
 //     ordered pair as before.
 //
-// The dense all-pairs implementation is retained in dense.go purely as
+// The dense all-pairs implementation is retained in dense_test.go purely as
 // the reference for the eager==lazy equivalence property test.
 //
 // Since the multi-path refactor the planner is no longer single-path or
