@@ -6,10 +6,12 @@ package experiments
 // core (Table 2) packages.
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"mpichmad/internal/cluster"
 	"mpichmad/internal/stats"
 )
 
@@ -320,5 +322,19 @@ func TestAllRegeneratesEveryArtifact(t *testing.T) {
 		if len(r.Text) < 40 {
 			t.Errorf("%s rendered suspiciously short output", r.ID)
 		}
+	}
+}
+
+// A session that is wired but never run (a Build-error path, a planning
+// tool) must cost no goroutine: the 1024-rank machine has ~3 polling
+// threads per rank, and each used to park one from Build on.
+func TestBuildWithoutRunStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sess, err := cluster.Build(ScaleTopo(64, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after Build of %d ranks, %d before", n, len(sess.Ranks), before)
 	}
 }

@@ -18,8 +18,9 @@ import (
 //   - the global math/rand source is forbidden: randomness must flow from
 //     an explicit seed (netsim.PRNG) so runs are bit-identical.
 //   - raw `go` statements, sync.Mutex/RWMutex/WaitGroup/Cond and native
-//     channels are forbidden outside vtime itself: all concurrency is
-//     cooperative, mediated by the scheduler's run token.
+//     channels are forbidden, vtime included (its tasks are coroutines,
+//     not goroutines): all concurrency is cooperative, mediated by the
+//     scheduler.
 //   - a `for range` over a map whose body drives the scheduler or I/O, or
 //     collects elements without a subsequent sort in the same function,
 //     leaks Go's randomized map order into simulation behavior.
@@ -72,17 +73,16 @@ func inSimScope(path string) bool {
 
 func runDeterminism(pass *Pass) []Diagnostic {
 	var out []Diagnostic
-	isVtime := pass.Pkg.Path == vtimePath
 	for _, f := range pass.Pkg.Files {
 		if !inSimScope(pass.Pkg.Path) && !markedSimulation(f) {
 			continue
 		}
-		out = append(out, detFile(pass, f, isVtime)...)
+		out = append(out, detFile(pass, f)...)
 	}
 	return out
 }
 
-func detFile(pass *Pass, f *ast.File, isVtime bool) []Diagnostic {
+func detFile(pass *Pass, f *ast.File) []Diagnostic {
 	var out []Diagnostic
 	report := func(pos token.Pos, format string, args ...interface{}) {
 		out = append(out, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
@@ -102,29 +102,21 @@ func detFile(pass *Pass, f *ast.File, isVtime bool) []Diagnostic {
 				if _, isFunc := obj.(*types.Func); isFunc {
 					report(n.Pos(), "global math/rand.%s is seeded per process: use an explicitly seeded generator (netsim.PRNG)", obj.Name())
 				}
-			case p == "sync" && forbiddenSync[obj.Name()] && !isVtime:
+			case p == "sync" && forbiddenSync[obj.Name()]:
 				report(n.Pos(), "sync.%s bypasses the vtime scheduler: use vtime.Mutex/Sem/Event", obj.Name())
 			}
 		case *ast.GoStmt:
-			if !isVtime {
-				report(n.Pos(), "raw go statement escapes the scheduler's run token: use vtime Scheduler.Go/GoDaemon")
-			}
+			report(n.Pos(), "raw go statement runs beside the scheduler's one running task: use vtime Scheduler.Go/GoDaemon")
 		case *ast.ChanType:
-			if !isVtime {
-				report(n.Pos(), "native channel in simulation code: use vtime.Queue/Event")
-			}
+			report(n.Pos(), "native channel in simulation code: use vtime.Queue/Event")
 		case *ast.SendStmt:
-			if !isVtime {
-				report(n.Pos(), "native channel send in simulation code: use vtime.Queue/Event")
-			}
+			report(n.Pos(), "native channel send in simulation code: use vtime.Queue/Event")
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !isVtime {
+			if n.Op == token.ARROW {
 				report(n.Pos(), "native channel receive in simulation code: use vtime.Queue/Event")
 			}
 		case *ast.SelectStmt:
-			if !isVtime {
-				report(n.Pos(), "select over native channels in simulation code: use vtime primitives")
-			}
+			report(n.Pos(), "select over native channels in simulation code: use vtime primitives")
 		}
 		return true
 	})

@@ -10,11 +10,7 @@
 // latency — emerge structurally rather than being hard-coded.
 package marcel
 
-import (
-	"fmt"
-
-	"mpichmad/internal/vtime"
-)
+import "mpichmad/internal/vtime"
 
 // Proc is a simulated process: a namespace of threads sharing one virtual
 // CPU. It corresponds to one MPI rank.
@@ -38,14 +34,14 @@ func NewProc(s *vtime.Scheduler, name string) *Proc {
 // Spawn starts a regular (non-daemon) thread in this process.
 func (p *Proc) Spawn(name string, fn func()) *vtime.Task {
 	p.nthread++
-	return p.S.Go(fmt.Sprintf("%s/%s", p.Name, name), fn)
+	return p.S.Go(p.Name+"/"+name, fn)
 }
 
 // SpawnDaemon starts a daemon thread (e.g. a polling thread): it does not
 // keep the simulation alive.
 func (p *Proc) SpawnDaemon(name string, fn func()) *vtime.Task {
 	p.nthread++
-	return p.S.GoDaemon(fmt.Sprintf("%s/%s", p.Name, name), fn)
+	return p.S.GoDaemon(p.Name+"/"+name, fn)
 }
 
 // Compute occupies this process's CPU for d of virtual time. Threads of

@@ -335,9 +335,10 @@
 //     seeded generator (netsim.PRNG) owned by the component, so seeds
 //     travel with topologies, not with process start order.
 //   - No preemptive concurrency. Raw `go` statements, sync.Mutex,
-//     sync.WaitGroup and native channels are forbidden outside
-//     internal/vtime: all parallelism is cooperative tasks scheduled by
-//     the run token, which is what makes task interleavings replayable.
+//     sync.WaitGroup and native channels are forbidden everywhere,
+//     internal/vtime included (its tasks are coroutines resumed one at
+//     a time, not goroutines): all parallelism is cooperative tasks
+//     under the scheduler, which is what makes interleavings replayable.
 //   - No map-order effects. Iterating a Go map is randomized per run;
 //     loop bodies must not push, fire, send, spawn or print per entry,
 //     and slices collected from a map must be sorted before use
@@ -362,7 +363,10 @@
 // or stripe reassemblies open, no relay bytes without forwards. The vtime
 // scheduler's deadlock detector completes the
 // picture: when no task is runnable and no event pending, Run returns a
-// structured vtime.DeadlockError naming every task and what it waits on.
+// structured vtime.DeadlockError naming every task and what it waits on;
+// a run past its virtual deadline returns the same dump in a
+// vtime.DeadlineError, and a panic inside a simulated thread surfaces
+// from Run as a vtime.TaskPanic naming the thread and the virtual time.
 //
 // # Observability
 //

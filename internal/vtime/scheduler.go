@@ -1,10 +1,11 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
-	"runtime"
-	"sort"
+	"iter"
+	"maps"
+	"runtime/debug"
+	"slices"
 	"strings"
 )
 
@@ -35,28 +36,33 @@ func (st taskState) String() string {
 	return "?"
 }
 
-// Task is a cooperative unit of execution scheduled in virtual time.
-// A task runs on its own goroutine but only while it holds the scheduler's
-// token, so at most one task executes at any moment.
+// Task is a cooperative unit of execution scheduled in virtual time: a
+// coroutine that runs only between a resume by the scheduler and its next
+// blocking call, so at most one task executes at any moment.
 type Task struct {
 	s      *Scheduler
 	id     int
 	name   string
 	daemon bool
 	state  taskState
+	fn     func()
 
-	resume chan struct{}
+	// next and stop are the scheduler's handles on the task's coroutine,
+	// yield the task's way back: it gives up the CPU and names the task to
+	// resume in its place. All three are nil until the first resume —
+	// iter.Pull starts a goroutine at once, and a task that never runs
+	// (a scheduler that is wired but never Run) must not own one.
+	next  func() (*Task, bool)
+	stop  func()
+	yield func(*Task) bool
 
-	// waitGen is bumped each time the task is woken; pending timeout
-	// timers carry the generation at which they were armed so stale
-	// timers can be ignored.
+	// waitGen is bumped each time the task is woken; timers carry the
+	// generation at which they were armed so stale ones can be ignored.
 	waitGen  uint64
 	timedOut bool
-	// blockedOn is a human-readable description used in deadlock reports.
-	blockedOn string
-	// cancelWait detaches the task from whatever wait list it is on;
-	// invoked when a timeout fires first.
-	cancelWait func()
+	why      waitReason
+	// waitList is the wait list a timeout must take the task off.
+	waitList *fifo[*Task]
 }
 
 // Name returns the task's diagnostic name.
@@ -65,37 +71,184 @@ func (t *Task) Name() string { return t.name }
 // ID returns the task's unique id (assigned in spawn order).
 func (t *Task) ID() int { return t.id }
 
-// timer is an entry in the scheduler's timer heap: either a task wakeup
-// (possibly a timeout for a blocked task) or a callback.
+// waitReason says what a blocked task waits for. It is kept in parts and
+// rendered only by a deadlock or deadline dump, so blocking formats and
+// allocates nothing.
+type waitReason struct {
+	what  string // "sem ", "queue ", "event "; empty for a sleep
+	name  string
+	until Time // sleeps only
+}
+
+func (w waitReason) String() string {
+	if w.what == "" {
+		return fmt.Sprintf("sleep until %v", w.until)
+	}
+	return w.what + w.name
+}
+
+// tornDown is the panic that unwinds a parked task when Run ends without
+// it: its deferred functions run, then main swallows the panic.
+type tornDown struct{}
+
+// main is the body of the task's coroutine.
+func (t *Task) main(yield func(*Task) bool) {
+	s := t.s
+	t.yield = yield
+	defer func() {
+		switch r := recover().(type) {
+		case nil, tornDown:
+		default:
+			panic(s.taskPanic(r))
+		}
+	}()
+	t.fn()
+	t.state = stateDone
+	delete(s.tasks, t.id)
+	if !t.daemon {
+		s.live--
+	}
+}
+
+// resume gives t the CPU until it parks or ends, and returns the task to
+// resume after it (nil when the run is over).
+func (t *Task) resume() *Task {
+	if t.next == nil {
+		t.next, t.stop = iter.Pull(t.main)
+	}
+	t.s.resumes++
+	if next, parked := t.next(); parked {
+		return next
+	}
+	return t.s.pick()
+}
+
+// TaskPanic is what Run panics with when a simulated thread or a callback
+// panics: the original value plus who was running and when.
+type TaskPanic struct {
+	Task  string // empty when an At/After callback panicked
+	Now   Time
+	Value any
+	stack []byte
+}
+
+func (p *TaskPanic) Error() string {
+	who := "callback"
+	if p.Task != "" {
+		who = "task " + p.Task
+	}
+	return fmt.Sprintf("vtime: %s at %v: %v\n%s", who, p.Now, p.Value, p.stack)
+}
+
+// Unwrap returns the original panic value if it was an error.
+func (p *TaskPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
+// taskPanic wraps a recovered panic value once, on the stack it was
+// raised on (the coroutine hand-off would lose that stack).
+func (s *Scheduler) taskPanic(r any) *TaskPanic {
+	if p, ok := r.(*TaskPanic); ok {
+		return p
+	}
+	p := &TaskPanic{Now: s.now, Value: r, stack: debug.Stack()}
+	if s.running != nil {
+		p.Task = s.running.name
+	}
+	return p
+}
+
+// timer is an entry in the scheduler's timer heap: the wake-up of a
+// blocked task (a sleep ending, a timeout expiring) or a callback.
 type timer struct {
 	when Time
 	seq  uint64
 
-	task      *Task
-	gen       uint64 // waitGen at arming time (timeouts only)
-	isTimeout bool
+	task *Task
+	gen  uint64 // the task's waitGen at arming time
 
 	fn func()
 }
 
-type timerHeap []*timer
+// timerHeap is a min-heap of timers by value, ordered by (when, seq).
+type timerHeap []timer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if h[i].when != h[j].when {
 		return h[i].when < h[j].when
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+
+func (h *timerHeap) push(e timer) {
+	*h = append(*h, e)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !a.less(i, up) {
+			break
+		}
+		a[i], a[up] = a[up], a[i]
+		i = up
+	}
+}
+
+func (h *timerHeap) pop() timer {
+	a := *h
+	top, n := a[0], len(a)-1
+	a[0], a[n] = a[n], timer{}
+	a = a[:n]
+	*h = a
+	for i := 0; ; {
+		min := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if a.less(c, min) {
+				min = c
+			}
+		}
+		if min == i {
+			return top
+		}
+		a[i], a[min] = a[min], a[i]
+		i = min
+	}
+}
+
+// fifo is the kernel's one queue — ready tasks, a primitive's waiters, a
+// Queue's items — as a head-index ring: live entries are buf[head:], pop
+// advances head in O(1), and the dead prefix is dropped when the queue
+// drains (the common case: reuse the whole backing array) or once it
+// outgrows the live tail, so the array stays bounded by the peak depth.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
+func (q *fifo[T]) peek() T  { return q.buf[q.head] }
+
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero // release for GC
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	} else if q.head >= 64 && q.head > len(q.buf)-q.head {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	return v
+}
+
+// remove takes v out of the middle of q (a waiter whose timeout won).
+func remove[T comparable](q *fifo[T], v T) {
+	if i := slices.Index(q.buf[q.head:], v); i >= 0 {
+		q.buf = slices.Delete(q.buf, q.head+i, q.head+i+1)
+	}
 }
 
 // Scheduler is the discrete-event simulation kernel. Create one with New,
@@ -103,43 +256,33 @@ func (h *timerHeap) Pop() interface{} {
 // and Go-before-Run must be called from inside a running task (or, where
 // documented, from an At callback).
 type Scheduler struct {
-	now Time
-	seq uint64
-	// rdy is the FIFO ready queue as a head-index ring: live entries are
-	// rdy[rdyHead:], pops advance rdyHead in O(1), and the dead prefix is
-	// compacted away once it dominates the slice so the backing array stays
-	// bounded by the peak queue depth (the old copy-down pop was O(n) per
-	// scheduling decision — the simulator's hot path at thousands of tasks).
-	rdy     []*Task
-	rdyHead int
-	tmrs    timerHeap
+	now  Time
+	seq  uint64
+	rdy  fifo[*Task]
+	tmrs timerHeap
 
-	running *Task
-	park    chan struct{}
-	stop    chan struct{}
+	running *Task // nil while pick or a callback runs
+	resumes int   // coroutine resumes, counted for the self-resume test
+	err     error // why pick ended the run
 
-	nextID  int
-	live    int // live non-daemon tasks
-	liveAll int
-	tasks   map[int]*Task
+	nextID int
+	live   int // live non-daemon tasks
+	tasks  map[int]*Task
 
 	deadline Time
 	started  bool
-	stopped  bool
 
 	// OnDeadlock, when set, supplies extra context lines for deadlock
-	// reports — the cluster layer points it at the trace flight
-	// recorder's tail so the last events before the hang travel with
-	// the error. It runs only when a deadlock is being built and must
-	// not touch the scheduler.
+	// and deadline reports — the cluster layer points it at the trace
+	// flight recorder's tail so the last events before the hang travel
+	// with the error. It runs only when such a report is being built and
+	// must not touch the scheduler.
 	OnDeadlock func() []string
 }
 
 // New creates an empty scheduler with the clock at 0 and no deadline.
 func New() *Scheduler {
 	return &Scheduler{
-		park:     make(chan struct{}),
-		stop:     make(chan struct{}),
 		tasks:    make(map[int]*Task),
 		deadline: Time(1<<63 - 1),
 	}
@@ -166,97 +309,101 @@ func (s *Scheduler) GoDaemon(name string, fn func()) *Task {
 }
 
 func (s *Scheduler) spawn(name string, daemon bool, fn func()) *Task {
-	t := &Task{
-		s:      s,
-		id:     s.nextID,
-		name:   name,
-		daemon: daemon,
-		state:  stateReady,
-		resume: make(chan struct{}),
-	}
+	t := &Task{s: s, id: s.nextID, name: name, daemon: daemon, state: stateReady, fn: fn}
 	s.nextID++
 	s.tasks[t.id] = t
-	s.liveAll++
 	if !daemon {
 		s.live++
 	}
-	s.rdy = append(s.rdy, t)
-	go s.taskMain(t, fn)
+	s.rdy.push(t)
 	return t
 }
 
-func (s *Scheduler) taskMain(t *Task, fn func()) {
-	select {
-	case <-t.resume:
-	case <-s.stop:
-		runtime.Goexit()
-	}
-	fn()
-	t.state = stateDone
-	delete(s.tasks, t.id)
-	s.liveAll--
-	if !t.daemon {
-		s.live--
-	}
-	s.park <- struct{}{}
-}
-
 // Run executes the simulation until every non-daemon task completes.
-// It returns an error on deadlock (live tasks but no pending events) or if
-// the virtual deadline is exceeded.
+// It returns a *DeadlockError (live tasks but no pending events) or a
+// *DeadlineError (the virtual deadline is exceeded). A panic in a task or
+// a callback leaves Run as a *TaskPanic. Run executes callbacks and
+// resumes tasks on its caller's goroutine; when it returns, every task
+// that has not finished has been unwound (its deferred functions run, in
+// id order) and no goroutine is left behind.
 func (s *Scheduler) Run() error {
 	if s.started {
 		return fmt.Errorf("vtime: scheduler already run")
 	}
 	s.started = true
 	defer func() {
-		s.stopped = true
-		close(s.stop) // release parked goroutines
-	}()
-
-	for {
-		if s.live == 0 {
-			return nil
+		s.running = nil
+		for _, t := range s.liveTasks() {
+			if t.stop != nil {
+				t.stop()
+			}
 		}
-		if s.rdyHead < len(s.rdy) {
-			t := s.popReady()
+	}()
+	defer func() {
+		if r := recover(); r != nil {
+			panic(s.taskPanic(r)) // a callback run by pick below
+		}
+	}()
+	for t := s.pick(); t != nil; {
+		t = t.resume()
+	}
+	return s.err
+}
+
+// pick advances the simulation to the next task that gets the CPU: it
+// pops the ready queue or else fires timers in (when, seq) order — moving
+// the clock, running callbacks, waking sleepers — until a task is ready.
+// It returns nil when the run is over (s.err says why, nil for success).
+//
+// It has two callers and is the only code that pops either queue, which
+// is what makes them interchangeable: Run calls it to choose whom to
+// resume, and a parking task calls it to choose its successor — when that
+// is the task itself (a Sleep whose timer is the next event, a Yield with
+// nobody else ready) the task just carries on, with no switch at all.
+func (s *Scheduler) pick() *Task {
+	s.running = nil
+	for s.live > 0 {
+		if s.rdy.len() > 0 {
+			t := s.rdy.pop()
 			t.state = stateRunning
 			s.running = t
-			t.resume <- struct{}{}
-			<-s.park
-			s.running = nil
-			continue
+			return t
 		}
-		if s.tmrs.Len() == 0 {
-			return s.deadlockError()
+		if len(s.tmrs) == 0 {
+			e := &DeadlockError{Now: s.now}
+			e.Tasks, e.FlightTail = s.snapshot()
+			s.err = e
+			return nil
 		}
-		e := heap.Pop(&s.tmrs).(*timer)
-		if e.when > s.deadline {
-			return fmt.Errorf("vtime: virtual deadline %v exceeded (next event at %v)", s.deadline, e.when)
+		if next := s.tmrs[0].when; next > s.deadline {
+			e := &DeadlineError{Deadline: s.deadline, Next: next}
+			e.Tasks, e.FlightTail = s.snapshot()
+			s.err = e
+			return nil
 		}
+		e := s.tmrs.pop()
 		if e.when > s.now {
 			s.now = e.when
 		}
-		switch {
-		case e.fn != nil:
+		if e.fn != nil {
 			e.fn()
-		case e.isTimeout:
-			t := e.task
-			if t.state == stateBlocked && t.waitGen == e.gen {
-				if t.cancelWait != nil {
-					t.cancelWait()
-					t.cancelWait = nil
-				}
-				t.timedOut = true
-				s.makeReady(t)
+		} else if t := e.task; t.state == stateBlocked && t.waitGen == e.gen {
+			if t.waitList != nil {
+				remove(t.waitList, t)
 			}
-		default: // plain sleep wakeup
-			t := e.task
-			if t.state == stateBlocked && t.waitGen == e.gen {
-				t.timedOut = false
-				s.makeReady(t)
-			}
+			t.timedOut = true
+			s.makeReady(t)
 		}
+	}
+	return nil
+}
+
+// switchOut parks the current task, which has already put itself on the
+// ready queue, the timer heap or a wait list. It returns when the task
+// has the CPU again.
+func (s *Scheduler) switchOut(t *Task) {
+	if next := s.pick(); next != t && !t.yield(next) {
+		panic(tornDown{})
 	}
 }
 
@@ -290,73 +437,68 @@ type DeadlockError struct {
 // Error renders the classic diagnosable dump: one line per task with its
 // state and wait reason.
 func (e *DeadlockError) Error() string {
+	return renderDump(fmt.Sprintf("vtime: deadlock at %v: no runnable task, no pending event", e.Now), e.Tasks, e.FlightTail)
+}
+
+// DeadlineError reports that the next event lies past the virtual
+// deadline — the livelock case (a runaway polling loop), where the dump
+// shows who sleeps until when.
+type DeadlineError struct {
+	Deadline   Time
+	Next       Time // when the next event was due
+	Tasks      []TaskState
+	FlightTail []string
+}
+
+func (e *DeadlineError) Error() string {
+	return renderDump(fmt.Sprintf("vtime: virtual deadline %v exceeded (next event at %v)", e.Deadline, e.Next), e.Tasks, e.FlightTail)
+}
+
+func renderDump(head string, tasks []TaskState, tail []string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "vtime: deadlock at %v: no runnable task, no pending event\n", e.Now)
-	for _, ts := range e.Tasks {
+	b.WriteString(head)
+	b.WriteByte('\n')
+	for _, ts := range tasks {
 		fmt.Fprintf(&b, "  task %d %q: %s", ts.ID, ts.Name, ts.State)
 		if ts.BlockedOn != "" {
 			fmt.Fprintf(&b, " on %s", ts.BlockedOn)
 		}
 		b.WriteByte('\n')
 	}
-	if len(e.FlightTail) > 0 {
-		fmt.Fprintf(&b, "  last %d trace events before the hang:\n", len(e.FlightTail))
-		for _, line := range e.FlightTail {
+	if len(tail) > 0 {
+		fmt.Fprintf(&b, "  last %d trace events before the hang:\n", len(tail))
+		for _, line := range tail {
 			fmt.Fprintf(&b, "    %s\n", line)
 		}
 	}
 	return b.String()
 }
 
-// deadlockError snapshots every live task, sorted by id, into a
-// DeadlockError.
-func (s *Scheduler) deadlockError() *DeadlockError {
-	ids := make([]int, 0, len(s.tasks))
-	for id := range s.tasks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	e := &DeadlockError{Now: s.now}
-	for _, id := range ids {
-		t := s.tasks[id]
-		ts := TaskState{ID: t.id, Name: t.name, State: t.state.String(), Daemon: t.daemon}
-		if t.state == stateBlocked {
-			ts.BlockedOn = t.blockedOn
-		}
-		e.Tasks = append(e.Tasks, ts)
-	}
-	if s.OnDeadlock != nil {
-		e.FlightTail = s.OnDeadlock()
-	}
-	return e
+// liveTasks returns every unfinished task, sorted by id.
+func (s *Scheduler) liveTasks() []*Task {
+	return slices.SortedFunc(maps.Values(s.tasks), func(a, b *Task) int { return a.id - b.id })
 }
 
-// popReady dequeues the next ready task in FIFO order. Amortized O(1):
-// the head index advances past consumed entries, and the dead prefix is
-// dropped either when the queue drains (the common case — reset and reuse
-// the whole backing array) or when it outgrows the live tail.
-func (s *Scheduler) popReady() *Task {
-	t := s.rdy[s.rdyHead]
-	s.rdy[s.rdyHead] = nil // release for GC
-	s.rdyHead++
-	if s.rdyHead == len(s.rdy) {
-		s.rdy, s.rdyHead = s.rdy[:0], 0
-	} else if s.rdyHead >= 64 && s.rdyHead > len(s.rdy)-s.rdyHead {
-		n := copy(s.rdy, s.rdy[s.rdyHead:])
-		for i := n; i < len(s.rdy); i++ {
-			s.rdy[i] = nil
+// snapshot describes every live task, and asks OnDeadlock for its lines.
+func (s *Scheduler) snapshot() (tasks []TaskState, tail []string) {
+	for _, t := range s.liveTasks() {
+		ts := TaskState{ID: t.id, Name: t.name, State: t.state.String(), Daemon: t.daemon}
+		if t.state == stateBlocked {
+			ts.BlockedOn = t.why.String()
 		}
-		s.rdy, s.rdyHead = s.rdy[:n], 0
+		tasks = append(tasks, ts)
 	}
-	return t
+	if s.OnDeadlock != nil {
+		tail = s.OnDeadlock()
+	}
+	return tasks, tail
 }
 
 func (s *Scheduler) makeReady(t *Task) {
 	t.waitGen++
 	t.state = stateReady
-	t.blockedOn = ""
-	t.cancelWait = nil
-	s.rdy = append(s.rdy, t)
+	t.waitList = nil
+	s.rdy.push(t)
 }
 
 // cur returns the currently running task, panicking if called from outside
@@ -368,21 +510,10 @@ func (s *Scheduler) cur(op string) *Task {
 	return s.running
 }
 
-// switchOut parks the current task and hands control back to the
-// scheduler loop. The task resumes when woken (made ready and picked).
-func (s *Scheduler) switchOut(t *Task) {
-	s.park <- struct{}{}
-	select {
-	case <-t.resume:
-	case <-s.stop:
-		runtime.Goexit()
-	}
-}
-
-func (s *Scheduler) addTimer(e *timer) {
+func (s *Scheduler) addTimer(e timer) {
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.tmrs, e)
+	s.tmrs.push(e)
 }
 
 // Sleep suspends the current task for d of virtual time. d <= 0 yields.
@@ -392,10 +523,7 @@ func (s *Scheduler) Sleep(d Duration) {
 		s.Yield()
 		return
 	}
-	s.addTimer(&timer{when: s.now.Add(d), task: t, gen: t.waitGen})
-	t.state = stateBlocked
-	t.blockedOn = fmt.Sprintf("sleep until %v", s.now.Add(d))
-	s.switchOut(t)
+	s.block(t, waitReason{until: s.now.Add(d)}, d, nil)
 }
 
 // Yield places the current task at the back of the ready queue and runs
@@ -403,7 +531,7 @@ func (s *Scheduler) Sleep(d Duration) {
 func (s *Scheduler) Yield() {
 	t := s.cur("Yield")
 	t.state = stateReady
-	s.rdy = append(s.rdy, t)
+	s.rdy.push(t)
 	s.switchOut(t)
 }
 
@@ -414,23 +542,23 @@ func (s *Scheduler) At(when Time, fn func()) {
 	if when < s.now {
 		when = s.now
 	}
-	s.addTimer(&timer{when: when, fn: fn})
+	s.addTimer(timer{when: when, fn: fn})
 }
 
 // After schedules fn to run d after the current time.
 func (s *Scheduler) After(d Duration, fn func()) { s.At(s.now.Add(d), fn) }
 
 // block parks the current task until woken by a wake() call or, if
-// timeout >= 0, until the timeout expires. cancel detaches the task from
-// its wait list when the timeout wins. Returns true if it timed out.
-// The caller must have registered the task on a wait list already.
-func (s *Scheduler) block(t *Task, what string, timeout Duration, cancel func()) bool {
+// timeout >= 0, until the timeout expires, which takes the task off list
+// (the wait list the caller has put it on; nil for a sleep). Returns true
+// if it timed out.
+func (s *Scheduler) block(t *Task, why waitReason, timeout Duration, list *fifo[*Task]) bool {
 	t.state = stateBlocked
-	t.blockedOn = what
+	t.why = why
 	t.timedOut = false
-	t.cancelWait = cancel
+	t.waitList = list
 	if timeout >= 0 {
-		s.addTimer(&timer{when: s.now.Add(timeout), task: t, gen: t.waitGen, isTimeout: true})
+		s.addTimer(timer{when: s.now.Add(timeout), task: t, gen: t.waitGen})
 	}
 	s.switchOut(t)
 	return t.timedOut

@@ -14,7 +14,7 @@ type Sem struct {
 	s       *Scheduler
 	name    string
 	n       int
-	waiters []*Task
+	waiters fifo[*Task]
 }
 
 // NewSem creates a semaphore holding n initial permits.
@@ -25,18 +25,18 @@ func NewSem(s *Scheduler, name string, n int) *Sem {
 // Acquire takes one permit, blocking in virtual time until available.
 func (m *Sem) Acquire() {
 	t := m.s.cur("Sem.Acquire")
-	if m.n > 0 && len(m.waiters) == 0 {
+	if m.n > 0 && m.waiters.len() == 0 {
 		m.n--
 		return
 	}
-	m.waiters = append(m.waiters, t)
-	m.s.block(t, "sem "+m.name, -1, nil)
+	m.waiters.push(t)
+	m.s.block(t, waitReason{what: "sem ", name: m.name}, -1, nil)
 	// Handoff semantics: the releaser consumed our permit for us.
 }
 
 // TryAcquire takes a permit without blocking, reporting success.
 func (m *Sem) TryAcquire() bool {
-	if m.n > 0 && len(m.waiters) == 0 {
+	if m.n > 0 && m.waiters.len() == 0 {
 		m.n--
 		return true
 	}
@@ -46,11 +46,8 @@ func (m *Sem) TryAcquire() bool {
 // Release returns one permit, handing it directly to the first waiter if
 // any. Safe from scheduler (At) context.
 func (m *Sem) Release() {
-	if len(m.waiters) > 0 {
-		t := m.waiters[0]
-		copy(m.waiters, m.waiters[1:])
-		m.waiters = m.waiters[:len(m.waiters)-1]
-		m.s.wake(t)
+	if m.waiters.len() > 0 {
+		m.s.wake(m.waiters.pop())
 		return
 	}
 	m.n++
@@ -60,7 +57,7 @@ func (m *Sem) Release() {
 func (m *Sem) Value() int { return m.n }
 
 // Waiting returns how many tasks are queued on the semaphore.
-func (m *Sem) Waiting() int { return len(m.waiters) }
+func (m *Sem) Waiting() int { return m.waiters.len() }
 
 // Mutex is a binary semaphore with Lock/Unlock naming.
 type Mutex struct{ sem *Sem }
@@ -101,7 +98,7 @@ func (e *Event) Wait() {
 	}
 	t := e.s.cur("Event.Wait")
 	e.waiters = append(e.waiters, t)
-	e.s.block(t, "event "+e.name, -1, nil)
+	e.s.block(t, waitReason{what: "event ", name: e.name}, -1, nil)
 }
 
 // Fire marks the event and wakes every waiter. Safe from scheduler
@@ -131,7 +128,9 @@ func (e *Event) Fire() {
 // which is how multi-event waits (MPI_Waitany, collective progress
 // rounds) are built without polling. The returned cancel drops the
 // subscription so callers waiting on many events don't leave dead
-// closures on the ones that never fired.
+// closures on the ones that never fired: it empties its slot and trims
+// the empty tail, so a long-lived event that is waited on again and again
+// (MPI_Waitany over a persistent request) does not grow.
 func (e *Event) OnFire(fn func()) (cancel func()) {
 	if e.fired {
 		fn()
@@ -140,9 +139,15 @@ func (e *Event) OnFire(fn func()) (cancel func()) {
 	e.subs = append(e.subs, fn)
 	i := len(e.subs) - 1
 	return func() {
-		if !e.fired && i < len(e.subs) {
-			e.subs[i] = nil
+		if e.fired || i < 0 {
+			return
 		}
+		e.subs[i], i = nil, -1
+		n := len(e.subs)
+		for n > 0 && e.subs[n-1] == nil {
+			n--
+		}
+		e.subs = e.subs[:n]
 	}
 }
 
@@ -151,8 +156,8 @@ func (e *Event) OnFire(fn func()) (cancel func()) {
 type Queue[T any] struct {
 	s       *Scheduler
 	name    string
-	items   []T
-	waiters []*Task
+	items   fifo[T]
+	waiters fifo[*Task]
 }
 
 // NewQueue creates an empty queue.
@@ -161,40 +166,33 @@ func NewQueue[T any](s *Scheduler, name string) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Push appends v and wakes one waiting Pop, if any. Safe from scheduler
 // (At) context.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		t := q.waiters[0]
-		copy(q.waiters, q.waiters[1:])
-		q.waiters = q.waiters[:len(q.waiters)-1]
-		q.s.wake(t)
+	q.items.push(v)
+	if q.waiters.len() > 0 {
+		q.s.wake(q.waiters.pop())
 	}
 }
 
 // TryPop removes and returns the head item without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items[0] = zero
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Peek returns the head item without removing it.
 func (q *Queue[T]) Peek() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	return q.items[0], true
+	return q.items.peek(), true
 }
 
 // Pop removes and returns the head item, blocking in virtual time until
@@ -205,8 +203,8 @@ func (q *Queue[T]) Pop() T {
 			return v
 		}
 		t := q.s.cur("Queue.Pop")
-		q.waiters = append(q.waiters, t)
-		q.s.block(t, "queue "+q.name, -1, nil)
+		q.waiters.push(t)
+		q.s.block(t, waitReason{what: "queue ", name: q.name}, -1, nil)
 	}
 }
 
@@ -223,16 +221,8 @@ func (q *Queue[T]) PopTimeout(d Duration) (T, bool) {
 			return zero, false
 		}
 		t := q.s.cur("Queue.PopTimeout")
-		q.waiters = append(q.waiters, t)
-		timedOut := q.s.block(t, "queue "+q.name, remain, func() {
-			for i, w := range q.waiters {
-				if w == t {
-					q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-					break
-				}
-			}
-		})
-		if timedOut {
+		q.waiters.push(t)
+		if q.s.block(t, waitReason{what: "queue ", name: q.name}, remain, &q.waiters) {
 			// One last chance: an item may have been pushed at the
 			// exact deadline tick after the timer fired.
 			if v, ok := q.TryPop(); ok {
