@@ -101,14 +101,15 @@ type scaleFile struct {
 // measured curve strictly below that, with the measured values (~13x
 // workload ns, ~9.1x workload bytes, ~6.8x allocs, ~4.2x construction)
 // leaving real headroom. Allocation ratios are deterministic; the wall
-// ceiling is deliberately generous — it exists to catch the planner
-// falling back to all-pairs work (minutes), not host jitter.
+// ceiling sits at several times the measured 1024-rank run (~2 s) — it
+// exists to catch the planner falling back to all-pairs work or a
+// per-packet host cost creeping in, not host jitter.
 const (
 	scaleWorkloadNsMaxRatio = 16.0 // quadratic bound on the resolution sweep
 	scaleWorkloadBMaxRatio  = 14.0 // measured 9.1x
 	scaleAllocsMaxRatio     = 12.0 // measured 6.8x
 	scaleConstructMaxRatio  = 8.0  // near-linear construction, measured 4.2x
-	scaleWallCeilingMs      = 30000
+	scaleWallCeilingMs      = 10000
 )
 
 // checkScale applies the growth-ratio and wall-clock gates to

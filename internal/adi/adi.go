@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"mpichmad/internal/marcel"
+	"mpichmad/internal/netsim"
 	"mpichmad/internal/vtime"
 )
 
@@ -159,6 +160,12 @@ type Engine struct {
 	posted []*RecvReq
 	unexp  []*unexpected
 	probes []*probeWaiter
+
+	// Bufs is where the process's devices stash a payload that must
+	// outlive its packet — an unexpected message, a truncated stream:
+	// taken at arrival, released by the deliver closure once it has
+	// copied out.
+	Bufs netsim.BufList
 
 	// Counters for tests and EXPERIMENTS.md diagnostics.
 	NPosted, NUnexpected, NMatched uint64

@@ -166,6 +166,9 @@ func exchange(t *testing.T, size int, preposted bool) {
 	if err := r.s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if out := r.e0.Bufs.Out() + r.e1.Bufs.Out(); out != 0 {
+		t.Errorf("size %d preposted=%v: %d stash buffers not released", size, preposted, out)
+	}
 }
 
 func TestShortProtocol(t *testing.T) {

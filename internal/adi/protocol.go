@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"mpichmad/internal/netsim"
 	"mpichmad/internal/vtime"
 )
 
@@ -19,7 +20,8 @@ type ChannelDevice interface {
 	// SendBulk transmits a bulk data block following a control packet,
 	// blocking until injected.
 	SendBulk(dst int, data []byte)
-	// RecvControl blocks for the next control packet from any source.
+	// RecvControl blocks for the next control packet from any source. The
+	// packet is only valid until the next RecvControl call.
 	RecvControl() (src int, pkt []byte)
 	// RecvBulk blocks for the next bulk block from src, copying it into
 	// dst and charging the device's receive-side copy.
@@ -210,42 +212,44 @@ func (d *ProtoDevice) inShort(env Envelope, inline []byte) {
 		FinishRecv(r, env, err)
 		return
 	}
-	stash := make([]byte, len(inline))
-	copy(stash, inline)
-	d.eng.AddUnexpected(env, func(r *RecvReq) {
-		n, err := CheckLen(r, env)
-		d.eng.P.Compute(d.dev.CopyCost(n))
-		copy(r.Buf, stash[:n])
-		FinishRecv(r, env, err)
-	})
+	stash := d.eng.Bufs.Get(len(inline))
+	copy(stash.B, inline)
+	d.eng.AddUnexpected(env, func(r *RecvReq) { d.landStash(r, env, stash) })
+}
+
+// landStash completes a receive from a stashed payload: one more charged
+// copy into the user's buffer, then the stash goes home.
+func (d *ProtoDevice) landStash(r *RecvReq, env Envelope, stash *netsim.Buf) {
+	n, err := CheckLen(r, env)
+	d.eng.P.Compute(d.dev.CopyCost(n))
+	copy(r.Buf, stash.B[:n])
+	stash.Release()
+	FinishRecv(r, env, err)
+}
+
+// drain pulls a whole bulk block off src's stream into a stash.
+func (d *ProtoDevice) drain(src int, env Envelope) *netsim.Buf {
+	tmp := d.eng.Bufs.Get(env.Len)
+	d.dev.RecvBulk(src, tmp.B)
+	return tmp
 }
 
 func (d *ProtoDevice) inEager(src int, env Envelope) {
 	if r := d.eng.MatchPosted(env); r != nil {
-		n, err := CheckLen(r, env)
-		if n == env.Len {
+		if n, _ := CheckLen(r, env); n == env.Len {
 			d.dev.RecvBulk(src, r.Buf[:n])
+			FinishRecv(r, env, nil)
 		} else {
 			// Truncating receive still must drain the stream.
-			tmp := make([]byte, env.Len)
-			d.dev.RecvBulk(src, tmp)
-			d.eng.P.Compute(d.dev.CopyCost(n))
-			copy(r.Buf, tmp[:n])
+			d.landStash(r, env, d.drain(src, env))
 		}
-		FinishRecv(r, env, err)
 		return
 	}
 	// Unexpected eager: the stream must be drained now into a temporary
 	// buffer; the eventual receive pays one more copy. This is ch_p4's
 	// well-known unexpected-message penalty.
-	tmp := make([]byte, env.Len)
-	d.dev.RecvBulk(src, tmp)
-	d.eng.AddUnexpected(env, func(r *RecvReq) {
-		n, err := CheckLen(r, env)
-		d.eng.P.Compute(d.dev.CopyCost(n))
-		copy(r.Buf, tmp[:n])
-		FinishRecv(r, env, err)
-	})
+	tmp := d.drain(src, env)
+	d.eng.AddUnexpected(env, func(r *RecvReq) { d.landStash(r, env, tmp) })
 }
 
 func (d *ProtoDevice) inRndvReq(src int, env Envelope, id uint32) {
@@ -279,15 +283,11 @@ func (d *ProtoDevice) inRndvData(src int, id uint32) {
 		panic(fmt.Sprintf("%s: rndv data for unknown id %d from %d", d.name, id, src))
 	}
 	delete(d.rndvRx, key)
-	n, err := CheckLen(rr.r, rr.env)
-	if err != nil {
+	if n, err := CheckLen(rr.r, rr.env); err != nil {
 		// Drain the full stream, keep what fits.
-		tmp := make([]byte, rr.env.Len)
-		d.dev.RecvBulk(src, tmp)
-		d.eng.P.Compute(d.dev.CopyCost(n))
-		copy(rr.r.Buf, tmp[:n])
+		d.landStash(rr.r, rr.env, d.drain(src, rr.env))
 	} else {
 		d.dev.RecvBulk(src, rr.r.Buf[:n])
+		FinishRecv(rr.r, rr.env, nil)
 	}
-	FinishRecv(rr.r, rr.env, err)
 }

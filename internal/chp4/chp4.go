@@ -45,12 +45,15 @@ type Transport struct {
 	nodeOf map[int]string // rank -> node
 
 	ctrl *vtime.Queue[ctrlMsg]
-	bulk map[int]*vtime.Queue[[]byte]
+	bulk map[int]*vtime.Queue[*netsim.Buf]
+	held *netsim.Buf // the control packet RecvControl returned last
 }
 
+// ctrlMsg and the bulk queues hold the socket-buffer copy the sender made
+// in a wire buffer of the network's list; the receive calls release it.
 type ctrlMsg struct {
 	src int
-	pkt []byte
+	pkt *netsim.Buf
 }
 
 // NewTransport attaches a process to the TCP network. ranks maps world
@@ -62,7 +65,7 @@ func NewTransport(p *marcel.Proc, net *netsim.Network, ranks map[int]string) *Tr
 		rankOf: make(map[string]int),
 		nodeOf: make(map[int]string),
 		ctrl:   vtime.NewQueue[ctrlMsg](p.S, p.Name+".p4.ctrl"),
-		bulk:   make(map[int]*vtime.Queue[[]byte]),
+		bulk:   make(map[int]*vtime.Queue[*netsim.Buf]),
 	}
 	for r, node := range ranks {
 		t.rankOf[node] = r
@@ -84,9 +87,9 @@ func (t *Transport) deliver(pkt *netsim.Packet) {
 	}
 	switch p4Kind(pkt.Kind) {
 	case pktCtrl:
-		t.ctrl.Push(ctrlMsg{src: src, pkt: pkt.Header})
+		t.ctrl.Push(ctrlMsg{src: src, pkt: pkt.Meta.(*netsim.Buf)})
 	case pktBulk:
-		t.bulkFrom(src).Push(pkt.Body)
+		t.bulkFrom(src).Push(pkt.Meta.(*netsim.Buf))
 	default:
 		// Same contextual format as ch_mad's dispatch panic: who, which
 		// kind, from which rank/node — diagnosable at 1000 ranks.
@@ -95,13 +98,21 @@ func (t *Transport) deliver(pkt *netsim.Packet) {
 	}
 }
 
-func (t *Transport) bulkFrom(src int) *vtime.Queue[[]byte] {
+func (t *Transport) bulkFrom(src int) *vtime.Queue[*netsim.Buf] {
 	if q, ok := t.bulk[src]; ok {
 		return q
 	}
-	q := vtime.NewQueue[[]byte](t.proc.S, fmt.Sprintf("%s.p4.bulk.%d", t.proc.Name, src))
+	q := vtime.NewQueue[*netsim.Buf](t.proc.S, fmt.Sprintf("%s.p4.bulk.%d", t.proc.Name, src))
 	t.bulk[src] = q
 	return q
+}
+
+// socketCopy is the sender's copy into the socket buffer (charged by the
+// caller): a wire buffer of the network's list, released by the receiver.
+func (t *Transport) socketCopy(data []byte) *netsim.Buf {
+	cp := t.ep.Net.Bufs().Get(len(data))
+	copy(cp.B, data)
+	return cp
 }
 
 // SendControl implements adi.ChannelDevice: control packets cross the
@@ -114,9 +125,8 @@ func (t *Transport) SendControl(dst int, pkt []byte) {
 	t.proc.Compute(CtlOverhead)
 	t.proc.Compute(t.params.SendOverhead)
 	t.proc.Compute(t.params.CopyTime(len(pkt))) // into the socket buffer
-	cp := make([]byte, len(pkt))
-	copy(cp, pkt)
-	if err := t.ep.Send(&netsim.Packet{Dst: node, Kind: int(pktCtrl), Header: cp}); err != nil {
+	cp := t.socketCopy(pkt)
+	if err := t.ep.Send(&netsim.Packet{Dst: node, Kind: int(pktCtrl), Header: cp.B, Meta: cp}); err != nil {
 		panic(fmt.Sprintf("chp4[%s]: control to rank %d (%s): %v", t.proc.Name, dst, node, err))
 	}
 }
@@ -127,9 +137,8 @@ func (t *Transport) SendBulk(dst int, data []byte) {
 	node := t.nodeOf[dst]
 	t.proc.Compute(t.params.SendOverhead)
 	t.proc.Compute(t.params.CopyTime(len(data)))
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	pkt := &netsim.Packet{Dst: node, Kind: int(pktBulk), Body: cp}
+	cp := t.socketCopy(data)
+	pkt := &netsim.Packet{Dst: node, Kind: int(pktBulk), Body: cp.B, Meta: cp}
 	if err := t.ep.Send(pkt); err != nil {
 		panic(fmt.Sprintf("chp4[%s]: bulk to rank %d (%s): %v", t.proc.Name, dst, node, err))
 	}
@@ -142,26 +151,32 @@ func (t *Transport) SendBulk(dst int, data []byte) {
 }
 
 // RecvControl implements adi.ChannelDevice: blocking select-style wait.
+// The previous call's packet goes home here.
 func (t *Transport) RecvControl() (int, []byte) {
+	if t.held != nil {
+		t.held.Release()
+	}
 	spec := marcel.PollSpec{IdleCost: t.params.PollCost, Interval: t.params.PollInterval}
 	m := marcel.WaitPoll(t.proc, t.ctrl, spec)
+	t.held = m.pkt
 	t.proc.Compute(CtlOverhead)
 	t.proc.Compute(t.params.RecvOverhead)
-	t.proc.Compute(t.params.CopyTime(len(m.pkt)))
-	return m.src, m.pkt
+	t.proc.Compute(t.params.CopyTime(len(m.pkt.B)))
+	return m.src, m.pkt.B
 }
 
 // RecvBulk implements adi.ChannelDevice: drain the stream into dst with
 // the receive-side socket copy.
 func (t *Transport) RecvBulk(src int, dst []byte) {
 	data := t.bulkFrom(src).Pop()
-	if len(data) != len(dst) {
+	if len(data.B) != len(dst) {
 		panic(fmt.Sprintf("chp4[%s]: bulk from rank %d of %d bytes, expected %d",
-			t.proc.Name, src, len(data), len(dst)))
+			t.proc.Name, src, len(data.B), len(dst)))
 	}
 	t.proc.Compute(t.params.RecvOverhead)
 	t.proc.Compute(t.params.CopyTime(len(dst)))
-	copy(dst, data)
+	copy(dst, data.B)
+	data.Release()
 }
 
 // CopyCost implements adi.ChannelDevice.

@@ -16,6 +16,7 @@ type rig struct {
 	procs []*marcel.Proc
 	engs  []*adi.Engine
 	devs  []*adi.ProtoDevice
+	net   *netsim.Network
 }
 
 func newRig(t *testing.T, n int) *rig {
@@ -27,7 +28,7 @@ func newRig(t *testing.T, n int) *rig {
 	for i := 0; i < n; i++ {
 		ranks[i] = nodeName(i)
 	}
-	r := &rig{s: s}
+	r := &rig{s: s, net: net}
 	for i := 0; i < n; i++ {
 		p := marcel.NewProc(s, nodeName(i))
 		eng := adi.NewEngine(p, i)
@@ -67,6 +68,11 @@ func (r *rig) exchange(t *testing.T, size int) vtime.Duration {
 	})
 	if err := r.s.Run(); err != nil {
 		t.Fatal(err)
+	}
+	// Each transport holds the control packet it returned last; every
+	// other socket-buffer copy is home once its receiver has copied out.
+	if out := r.net.Bufs().Out(); out > len(r.devs) {
+		t.Errorf("size %d: %d socket buffers still out", size, out)
 	}
 	return done.Sub(0)
 }

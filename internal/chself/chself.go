@@ -55,13 +55,14 @@ func (d *Device) Send(sr *adi.SendReq) {
 	}
 	// Unexpected: snapshot now so the sender may reuse its buffer the
 	// moment Send completes (MPI contract), deliver on match.
-	stash := make([]byte, len(sr.Data))
+	stash := d.eng.Bufs.Get(len(sr.Data))
 	d.proc.Compute(d.params.CopyTime(len(sr.Data)))
-	copy(stash, sr.Data)
+	copy(stash.B, sr.Data)
 	d.eng.AddUnexpected(env, func(r *adi.RecvReq) {
 		n, err := adi.CheckLen(r, env)
 		d.proc.Compute(d.params.CopyTime(n))
-		copy(r.Buf, stash[:n])
+		copy(r.Buf, stash.B[:n])
+		stash.Release()
 		adi.FinishRecv(r, env, err)
 		if sr.Sync {
 			sr.Done.Fire()

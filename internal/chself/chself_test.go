@@ -72,6 +72,9 @@ func TestSelfSendUnexpectedAllowsBufferReuse(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if out := eng.Bufs.Out(); out != 0 {
+		t.Errorf("%d stash buffers not released", out)
+	}
 }
 
 func TestSelfTruncation(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"mpichmad/internal/adi"
 	"mpichmad/internal/madeleine"
 	"mpichmad/internal/marcel"
+	"mpichmad/internal/netsim"
 	"mpichmad/internal/trace"
 	"mpichmad/internal/vtime"
 )
@@ -215,52 +216,70 @@ func (d *Device) SendTerm(dst int) error {
 // "the other messages do not have a body (thus avoiding unnecessary and
 // expensive pack operations)" (§4.2.1).
 func (d *Device) sendHeaderOnly(rt Route, h header) error {
-	return d.emit(rt, h, nil, madeleine.SendCheaper)
+	return d.emit(rt, h, nil, nil, madeleine.SendCheaper)
 }
 
 // emit is the one place a ch_mad message is put on the wire: the header as
-// an EXPRESS block, then — unless body is nil — the body as one CHEAPER
-// block in the given send mode (the §4.2.2 header/body split), on the
-// route's channel toward its next hop.
-func (d *Device) emit(rt Route, h header, body []byte, mode madeleine.SendMode) error {
+// an EXPRESS block, then the body as one CHEAPER block in the given send
+// mode (the §4.2.2 header/body split), on the route's channel toward its
+// next hop. The body is either user memory (body, snapshotted by Pack) or
+// a wire buffer the device already owns (owned — a gateway's relay store —
+// which emit hands over whatever happens); both nil ships the header alone.
+func (d *Device) emit(rt Route, h header, body []byte, owned *netsim.Buf, mode madeleine.SendMode) error {
 	conn, err := rt.Channel.BeginPacking(rt.NextNode)
+	if err == nil {
+		err = conn.Pack(h.encode(), madeleine.SendCheaper, madeleine.ReceiveExpress)
+	}
+	if err != nil {
+		if owned != nil {
+			owned.Release()
+		}
+		return err
+	}
+	if owned != nil {
+		err = conn.PackOwned(owned, mode, madeleine.ReceiveCheaper)
+	} else if body != nil {
+		err = conn.Pack(body, mode, madeleine.ReceiveCheaper)
+	}
 	if err != nil {
 		return err
-	}
-	if err := conn.Pack(h.encode(), madeleine.SendCheaper, madeleine.ReceiveExpress); err != nil {
-		return err
-	}
-	if body != nil {
-		if err := conn.Pack(body, mode, madeleine.ReceiveCheaper); err != nil {
-			return err
-		}
 	}
 	return conn.EndPacking()
 }
 
 // receive is the one place a ch_mad message is taken off the wire once
 // pollLoop has read its header: the body block, when the packet carries
-// one (header.carriesBody), is unpacked into landing — which must then be
-// exactly the block's wire length — the message is ended, and the
-// per-message device overhead measured in §5.2–§5.4 (dispatch, queue
-// management, semaphore wakeup) is charged. Its two halves are separate
-// only for inRndvBody, which charges a truncation copy between them.
-func (d *Device) receive(ch *madeleine.Channel, conn *madeleine.Connection, h header, landing []byte) {
-	d.unpackBody(conn, h, landing)
+// one (header.carriesBody), is taken — the caller owns the returned buffer,
+// exactly the block's wire length, and releases it; nil for a header-only
+// packet — the message is ended, and the per-message device overhead
+// measured in §5.2–§5.4 (dispatch, queue management, semaphore wakeup) is
+// charged. inRndvBody alone lands its body straight in the user's buffer
+// instead (unpackBody) and charges a truncation copy before endReceive.
+func (d *Device) receive(ch *madeleine.Channel, conn *madeleine.Connection, h header) *netsim.Buf {
+	var body *netsim.Buf
+	if h.carriesBody() {
+		var err error
+		if body, err = conn.Take(d.bodyWireLen(h), d.bodySendMode(h), madeleine.ReceiveCheaper); err != nil {
+			panic(fmt.Sprintf("ch_mad[%d]: %s body: %v", d.rank, h.Type, err))
+		}
+	}
 	d.endReceive(ch, conn)
+	return body
 }
 
 func (d *Device) unpackBody(conn *madeleine.Connection, h header, landing []byte) {
-	if !h.carriesBody() {
-		return
-	}
-	mode := madeleine.SendCheaper
-	if h.Type == PktShort {
-		mode = d.eagerBodySendMode()
-	}
-	if err := conn.Unpack(landing, mode, madeleine.ReceiveCheaper); err != nil {
+	if err := conn.Unpack(landing, d.bodySendMode(h), madeleine.ReceiveCheaper); err != nil {
 		panic(fmt.Sprintf("ch_mad[%d]: %s body: %v", d.rank, h.Type, err))
 	}
+}
+
+// bodySendMode is the send mode the body block of a packet travels in: a
+// monolithic eager packet ships a buffer the device filled itself.
+func (d *Device) bodySendMode(h header) madeleine.SendMode {
+	if h.Type == PktShort && d.MonolithicEager {
+		return madeleine.SendLater
+	}
+	return madeleine.SendCheaper
 }
 
 func (d *Device) endReceive(ch *madeleine.Channel, conn *madeleine.Connection) {

@@ -3,6 +3,7 @@ package core
 import (
 	"mpichmad/internal/adi"
 	"mpichmad/internal/madeleine"
+	"mpichmad/internal/netsim"
 	"mpichmad/internal/trace"
 )
 
@@ -35,7 +36,7 @@ func (d *Device) sendEager(sr *adi.SendReq, rt Route) {
 			copy(body, sr.Data)
 		}
 	}
-	err := d.emit(rt, h, body, d.eagerBodySendMode())
+	err := d.emit(rt, h, body, nil, d.bodySendMode(h))
 	if d.Trace != nil {
 		d.Trace.Span(d.TraceTrack, trace.KPkt, "eager.send", t0, trace.Args{
 			HasPeer: true, Src: int32(sr.Env.Src), Dst: int32(sr.Dst),
@@ -44,13 +45,6 @@ func (d *Device) sendEager(sr *adi.SendReq, rt Route) {
 	}
 	sr.Err = err
 	sr.Done.Fire()
-}
-
-func (d *Device) eagerBodySendMode() madeleine.SendMode {
-	if d.MonolithicEager {
-		return madeleine.SendLater
-	}
-	return madeleine.SendCheaper
 }
 
 // bodyWireLen is the length of the body block a packet with this header
@@ -63,17 +57,13 @@ func (d *Device) bodyWireLen(h header) int {
 	return h.Len
 }
 
-// inShort lands an eager message: body into the matched buffer via one
-// intermediary copy ("optimized for latency, at the cost of an
-// intermediary copy on the receiving side", §4.1), or into an unexpected
-// stash.
+// inShort lands an eager message: the body block taken off the wire is
+// the landing area, and the matched buffer gets it via one intermediary
+// copy ("optimized for latency, at the cost of an intermediary copy on the
+// receiving side", §4.1) — at once, or when the unexpected queue matches.
 func (d *Device) inShort(ch *madeleine.Channel, conn *madeleine.Connection, h header) {
 	env := h.envelope()
-	var scratch []byte
-	if h.carriesBody() {
-		scratch = make([]byte, d.bodyWireLen(h))
-	}
-	d.receive(ch, conn, h, scratch)
+	scratch := d.receive(ch, conn, h) // nil for an empty message
 	if d.Trace != nil {
 		d.Trace.Instant(d.TraceTrack, trace.KPkt, "eager.recv", trace.Args{
 			HasPeer: true, Src: int32(env.Src), Dst: int32(d.rank), Bytes: int64(env.Len),
@@ -87,10 +77,14 @@ func (d *Device) inShort(ch *madeleine.Channel, conn *madeleine.Connection, h he
 }
 
 // landEager completes an eager receive: the intermediary copy out of the
-// packet's landing buffer, charged at the receiving channel's copy rate.
-func (d *Device) landEager(ch *madeleine.Channel, r *adi.RecvReq, env adi.Envelope, scratch []byte) {
+// packet's landing buffer, charged at the receiving channel's copy rate,
+// after which the landing buffer goes home.
+func (d *Device) landEager(ch *madeleine.Channel, r *adi.RecvReq, env adi.Envelope, scratch *netsim.Buf) {
 	n, err := adi.CheckLen(r, env)
 	d.proc.Compute(ch.Params.CopyTime(n))
-	copy(r.Buf, scratch[:n])
+	if scratch != nil {
+		copy(r.Buf, scratch.B[:n])
+		scratch.Release()
+	}
 	adi.FinishRecv(r, env, err)
 }

@@ -50,20 +50,22 @@ func (d *Device) forward(ch *madeleine.Channel, conn *madeleine.Connection, h he
 	if h.Budget > 0 {
 		h.Budget-- // one hop of the planned rail consumed by this relay
 	}
-	// The store. Only a non-empty body occupies the store-and-forward
+	// The store is the body block itself, taken off the wire once it has
+	// a credit. Only a non-empty body occupies the store-and-forward
 	// queue: header-only control forwards (SendOK, nacks, admitted
 	// requests) and the empty body of a zero-length synchronous send hold
-	// no buffer and no credit, so they do not count toward the bounded
-	// depth.
-	var body []byte
+	// no credit, so they do not count toward the bounded depth.
+	wire := 0
 	if h.carriesBody() {
-		body = make([]byte, d.bodyWireLen(h))
+		wire = d.bodyWireLen(h)
 	}
-	stored := len(body) > 0
+	stored := wire > 0
 
 	rt, ok := d.railFor(h, conn.Remote)
 	if !ok {
-		d.receive(ch, conn, h, body)
+		if body := d.receive(ch, conn, h); body != nil {
+			body.Release()
+		}
 		d.relayNoRoute(h)
 		return
 	}
@@ -74,7 +76,7 @@ func (d *Device) forward(ch *madeleine.Channel, conn *madeleine.Connection, h he
 		// Admission control: a full gateway refuses to open a new
 		// rendez-vous through itself — the body would have nowhere to
 		// queue. The sender backs off and retries.
-		d.receive(ch, conn, h, nil)
+		d.receive(ch, conn, h)
 		d.NRelayBusy++
 		d.Metrics.Add("relay.busynack", d.MetricsLabel, 1)
 		if d.Trace != nil {
@@ -100,17 +102,17 @@ func (d *Device) forward(ch *madeleine.Channel, conn *madeleine.Connection, h he
 			if d.Trace != nil {
 				d.Trace.Span(d.TraceTrack, trace.KCredit, "relay.credit.wait", w0, trace.Args{
 					HasPeer: true, Src: int32(h.SrcRank), Dst: int32(h.DstRank),
-					Bytes: int64(len(body)),
+					Bytes: int64(wire),
 				})
 			}
 		}
 	}
 
-	d.receive(ch, conn, h, body) // drained off the wire: bounded by the credit window
+	body := d.receive(ch, conn, h) // drained off the wire: bounded by the credit window
 	d.NForwarded++
-	d.RelayBytes += uint64(len(body))
+	d.RelayBytes += uint64(wire)
 	d.Metrics.Add("relay.msgs", d.MetricsLabel, 1)
-	d.Metrics.Add("relay.bytes", d.MetricsLabel, int64(len(body)))
+	d.Metrics.Add("relay.bytes", d.MetricsLabel, int64(wire))
 	if stored {
 		d.relayInFlight++
 		d.noteRelayDepth()
@@ -122,7 +124,7 @@ func (d *Device) forward(ch *madeleine.Channel, conn *madeleine.Connection, h he
 	// Re-emit on the outbound channel (forward), off the polling thread.
 	d.proc.Spawn("ch_mad.forward", func() {
 		t0 := d.traceNow()
-		err := d.emit(rt, h, body, madeleine.SendLater)
+		err := d.emit(rt, h, nil, body, madeleine.SendLater)
 		if stored {
 			d.relayInFlight--
 			if bounded {
@@ -132,7 +134,7 @@ func (d *Device) forward(ch *madeleine.Channel, conn *madeleine.Connection, h he
 		if d.Trace != nil {
 			d.Trace.Span(d.TraceTrack, trace.KRelay, "relay.hop", t0, trace.Args{
 				HasPeer: true, Src: int32(h.SrcRank), Dst: int32(h.DstRank),
-				Bytes: int64(len(body)), Rail: int16(h.PathID), Hop: int16(arrivedBudget),
+				Bytes: int64(wire), Rail: int16(h.PathID), Hop: int16(arrivedBudget),
 				Seq: h.SyncID, GW: rt.Channel.Name,
 			})
 			if stored {

@@ -106,7 +106,7 @@ func (d *Device) failSend(id uint32, err error) {
 // threads in order to perform request and acknowledgement operations of
 // the rendez-vous transfer mode" (§4.2.3).
 func (d *Device) inRequest(ch *madeleine.Channel, conn *madeleine.Connection, h header) {
-	d.receive(ch, conn, h, nil)
+	d.receive(ch, conn, h)
 	env := h.envelope()
 	if r := d.eng.MatchPosted(env); r != nil {
 		d.replySendOK(h, r, env)
@@ -151,7 +151,7 @@ func (d *Device) replySendOK(req header, r *adi.RecvReq, env adi.Envelope) {
 // payload as a zero-copy body. Runs on a temporary thread so the polling
 // thread never blocks in a send.
 func (d *Device) inSendOK(ch *madeleine.Channel, conn *madeleine.Connection, h header) {
-	d.receive(ch, conn, h, nil)
+	d.receive(ch, conn, h)
 	tx, ok := d.rndvTx[h.ReqID]
 	if !ok {
 		panic(fmt.Sprintf("ch_mad[%d]: SendOK for unknown request %d", d.rank, h.ReqID))
@@ -212,7 +212,7 @@ func (d *Device) inSendOK(ch *madeleine.Channel, conn *madeleine.Connection, h h
 	}
 	d.proc.Spawn("ch_mad.rndvdata", func() {
 		t0 := d.traceNow()
-		err := d.emit(rt, data, body, madeleine.SendCheaper)
+		err := d.emit(rt, data, body, nil, madeleine.SendCheaper)
 		if d.Trace != nil {
 			d.Trace.Span(d.TraceTrack, trace.KRndv, "rndv.body", t0, trace.Args{
 				HasPeer: true, Src: int32(sr.Env.Src), Dst: int32(sr.Dst),
@@ -310,7 +310,7 @@ func (d *Device) sendRndvStriped(sr *adi.SendReq, rails []Route, sync uint32) {
 				Budget:  rt.Hops,
 			}
 			t0 := d.traceNow()
-			err := d.emit(rt, h, sr.Data[off:off+n], madeleine.SendCheaper)
+			err := d.emit(rt, h, sr.Data[off:off+n], nil, madeleine.SendCheaper)
 			if d.Trace != nil {
 				d.Trace.Span(d.TraceTrack, trace.KRndv, "rndv.seg", t0, trace.Args{
 					HasPeer: true, Src: int32(sr.Env.Src), Dst: int32(sr.Dst),
@@ -407,7 +407,7 @@ var (
 // re-issues the request after an exponential backoff — the closed-loop
 // backpressure that keeps a hot gateway's queue from growing unboundedly.
 func (d *Device) inNack(ch *madeleine.Channel, conn *madeleine.Connection, h header) {
-	d.receive(ch, conn, h, nil)
+	d.receive(ch, conn, h)
 	tx, ok := d.rndvTx[h.ReqID]
 	if !ok {
 		return // already failed or completed; stale nack

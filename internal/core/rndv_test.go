@@ -16,7 +16,7 @@ import (
 
 // pairRig wires two devices over one SCI network; backRoute selects
 // whether rank 1 can reach rank 0.
-func pairRig(t *testing.T, backRoute bool) *wireRig {
+func pairRig(t testing.TB, backRoute bool) *wireRig {
 	t.Helper()
 	r := newWireRig(t, 2, netsim.SCISISCI())
 	r.devs[0].AddRoute(1, Route{Channel: r.chans[0][0], NextNode: "n1"})

@@ -28,7 +28,7 @@ type wireRig struct {
 	chans [][]*madeleine.Channel // [rank][net index]
 }
 
-func newWireRig(t *testing.T, n int, paramSets ...netsim.Params) *wireRig {
+func newWireRig(t testing.TB, n int, paramSets ...netsim.Params) *wireRig {
 	t.Helper()
 	s := vtime.New()
 	s.SetDeadline(vtime.Time(200 * vtime.Second))
@@ -65,7 +65,7 @@ func (r *wireRig) start() {
 	}
 }
 
-func (r *wireRig) run(t *testing.T) {
+func (r *wireRig) run(t testing.TB) {
 	t.Helper()
 	if err := r.s.Run(); err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestRailForBudget(t *testing.T) {
 // chainRig wires n0 --sci-- n1(gateway) --tcp-- n2 with the gateway's
 // relay window set to w. seg is the relay pipelining segment of the
 // multi-hop route (0 = whole-body store-and-forward).
-func chainRig(t *testing.T, w, seg int) *wireRig {
+func chainRig(t testing.TB, w, seg int) *wireRig {
 	t.Helper()
 	r := newWireRig(t, 3, netsim.SCISISCI(), netsim.FastEthernetTCP())
 	sci := func(i int) *madeleine.Channel { return r.chans[i][0] }

@@ -168,41 +168,53 @@ func (ch *Channel) BeginPacking(remote string) (*Connection, error) {
 }
 
 // Pack appends one data block to the message under construction (§3.2,
-// mad_pack). Express blocks and small cheaper blocks are coalesced into
-// the head packet (a real copy, charged at the driver's copy bandwidth);
-// large cheaper blocks become standalone zero-copy body packets.
+// mad_pack): the user's bytes are snapshotted into a wire buffer of the
+// channel's network and packed as an owned block. The snapshot is the one
+// host copy of the send side and carries no time charge — the NIC DMAs
+// straight from user memory; the copy only exists because the simulator
+// and the application share an address space.
+func (c *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
+	buf := c.Ch.Net.Bufs().Get(len(data))
+	copy(buf.B, data)
+	return c.PackOwned(buf, sm, rm)
+}
+
+// PackOwned appends the block held in buf, which the message takes over
+// (also when it fails). Express blocks and small cheaper blocks are
+// coalesced into the head packet (a real copy, charged at the driver's
+// copy bandwidth; buf goes home at once); large cheaper blocks become
+// standalone zero-copy body packets that carry buf to whoever unpacks
+// them.
 //
 // Every pack operation beyond the first charges the network's extra-pack
 // cost (half here, half at the matching Unpack), reproducing the overhead
 // decomposition of §5.2–§5.4.
-func (c *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
+func (c *Connection) PackOwned(buf *netsim.Buf, sm SendMode, rm RecvMode) error {
 	m := c.out
 	if m == nil {
+		buf.Release()
 		return ErrNotPacking
 	}
 	p := &c.Ch.Params
 	proc := c.Ch.Inst.P
+	n := len(buf.B)
 
 	m.packs++
 	if m.packs > 1 {
 		proc.Compute(vtime.Duration(p.ExtraPackCost) / 2)
 	}
-	m.total += len(data)
+	m.total += n
 
-	aggregate := rm == ReceiveExpress || sm == SendSafer || len(data) <= p.AggLimit
-	if aggregate {
-		proc.Compute(p.CopyTime(len(data)))
-		m.agg = append(m.agg, data...)
-		m.blocks = append(m.blocks, blockDesc{place: placeAgg, sendMode: sm, recvMode: rm, length: uint32(len(data))})
-		return nil
+	d := blockDesc{place: placeBody, sendMode: sm, recvMode: rm, length: uint32(n)}
+	if rm == ReceiveExpress || sm == SendSafer || n <= p.AggLimit {
+		d.place = placeAgg
+		proc.Compute(p.CopyTime(n))
+		m.agg = append(m.agg, buf.B...)
+		buf.Release()
+	} else {
+		m.bodies = append(m.bodies, buf)
 	}
-	// Zero-copy injection: snapshot without a time charge (the NIC DMAs
-	// straight from user memory; the snapshot only exists because the
-	// simulator and the application share an address space).
-	snap := make([]byte, len(data))
-	copy(snap, data)
-	m.bodies = append(m.bodies, snap)
-	m.blocks = append(m.blocks, blockDesc{place: placeBody, sendMode: sm, recvMode: rm, length: uint32(len(data))})
+	m.blocks = append(m.blocks, d)
 	return nil
 }
 
@@ -240,7 +252,7 @@ func (c *Connection) EndPacking() error {
 	// Body packets, in block order, pipelined behind the head.
 	for _, body := range m.bodies {
 		proc.Compute(p.SendOverhead)
-		pkt := &netsim.Packet{Dst: c.Remote, Kind: int(pktBody), Body: body}
+		pkt := &netsim.Packet{Dst: c.Remote, Kind: int(pktBody), Body: body.B, Meta: body}
 		if err := c.Ch.ep.Send(pkt); err != nil {
 			c.sendLock.Release()
 			return err
@@ -293,24 +305,36 @@ func (ch *Channel) startUnpack(conn *Connection) (*Connection, error) {
 }
 
 // Unpack extracts the next block of the current incoming message into dst
-// (§3.2, mad_unpack). The block sequence (length, placement, receive
-// mode) must mirror the sender's Pack sequence; mismatches return
-// ErrBlockMismatch.
+// (§3.2, mad_unpack): the block is taken, copied out and sent home.
 func (c *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
+	buf, err := c.Take(len(dst), sm, rm)
+	if err != nil {
+		return err
+	}
+	copy(dst, buf.B)
+	buf.Release()
+	return nil
+}
+
+// Take hands the next block of the current incoming message, n bytes long,
+// to the caller, who owns the buffer and releases it when done. The block
+// sequence (length, placement, receive mode) must mirror the sender's Pack
+// sequence; mismatches return ErrBlockMismatch.
+func (c *Connection) Take(n int, sm SendMode, rm RecvMode) (*netsim.Buf, error) {
 	m := c.in
 	if m == nil {
-		return ErrNotUnpacking
+		return nil, ErrNotUnpacking
 	}
 	if m.next >= len(m.blocks) {
-		return ErrShortMessage
+		return nil, ErrShortMessage
 	}
 	p := &c.Ch.Params
 	proc := c.Ch.Inst.P
 
 	b := m.blocks[m.next]
-	if int(b.length) != len(dst) || b.recvMode != rm {
-		return fmt.Errorf("%w: block %d is %d bytes %v, unpacking %d bytes %v",
-			ErrBlockMismatch, m.next, b.length, b.recvMode, len(dst), rm)
+	if int(b.length) != n || b.recvMode != rm {
+		return nil, fmt.Errorf("%w: block %d is %d bytes %v, unpacking %d bytes %v",
+			ErrBlockMismatch, m.next, b.length, b.recvMode, n, rm)
 	}
 	m.next++
 	m.unpacks++
@@ -318,25 +342,24 @@ func (c *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 		proc.Compute(vtime.Duration(p.ExtraPackCost) / 2)
 	}
 
-	switch b.place {
-	case placeAgg:
+	if b.place == placeAgg {
 		// Copy out of the head packet's aggregation area.
-		proc.Compute(p.CopyTime(len(dst)))
-		copy(dst, m.agg[m.aggOff:m.aggOff+int(b.length)])
-		m.aggOff += int(b.length)
-	case placeBody:
-		// The body packet follows the head in order on this
-		// connection; it may still be in flight, so this can block.
-		pkt := c.bodies.Pop()
-		proc.Compute(p.RecvOverhead)
-		if len(pkt.Body) != int(b.length) {
-			return fmt.Errorf("madeleine: body packet is %d bytes, descriptor says %d", len(pkt.Body), b.length)
-		}
-		// Zero-copy landing: the NIC deposited the block directly at
-		// the address the unpack designates, so no copy is charged.
-		copy(dst, pkt.Body)
+		proc.Compute(p.CopyTime(n))
+		buf := c.Ch.Net.Bufs().Get(n)
+		copy(buf.B, m.agg[m.aggOff:m.aggOff+n])
+		m.aggOff += n
+		return buf, nil
 	}
-	return nil
+	// The body packet follows the head in order on this connection; it
+	// may still be in flight, so this can block.
+	pkt := c.bodies.Pop()
+	proc.Compute(p.RecvOverhead)
+	if len(pkt.Body) != n {
+		return nil, fmt.Errorf("madeleine: body packet is %d bytes, descriptor says %d", len(pkt.Body), b.length)
+	}
+	// Zero-copy landing: the NIC deposited the block directly at the
+	// address the unpack designates, so no copy is charged.
+	return pkt.Meta.(*netsim.Buf), nil
 }
 
 // UnpackInt is a convenience for the §3.2 example pattern: unpack a

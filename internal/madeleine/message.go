@@ -3,6 +3,8 @@ package madeleine
 import (
 	"encoding/binary"
 	"fmt"
+
+	"mpichmad/internal/netsim"
 )
 
 // Block placement on the wire: either coalesced into the head packet's
@@ -86,7 +88,7 @@ type outMessage struct {
 	seq    uint32
 	blocks []blockDesc
 	agg    []byte
-	bodies [][]byte // snapshots of placeBody blocks, in block order
+	bodies []*netsim.Buf // placeBody blocks, in block order
 	packs  int
 	total  int
 }

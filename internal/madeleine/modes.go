@@ -4,6 +4,22 @@
 // message construction through pack/unpack primitives whose send/receive
 // mode flags let the library choose the optimal transfer strategy for each
 // data block on each network.
+//
+// A block that travels as its own body packet is an owned wire buffer
+// (netsim.Buf) of the channel's network from end to end. Pack snapshots
+// the user's bytes into one — the only host copy of the send side; it
+// models nothing (the NIC reads user memory) and exists because simulator
+// and application share an address space — and Unpack copies out of it
+// into the address the receiver designates and sends it home. Both are
+// thin wrappers over the owned forms a device uses when the block should
+// not be copied again: PackOwned packs a buffer the caller already holds
+// (a gateway re-emitting what it stored) and Take hands the arriving
+// buffer to the caller (an eager landing area, a relay store), who
+// releases it when done. Blocks coalesced into the head packet never hold
+// a buffer in flight: PackOwned copies them into the head and releases at
+// once, Take copies them out into a fresh list buffer, so a taker always
+// owns what it gets. The time charges are those of the block's placement
+// and are identical through either form.
 package madeleine
 
 import "fmt"

@@ -72,12 +72,20 @@ func (c *contiguous) Extent() int  { return c.count * c.base.Extent() }
 func (c *contiguous) Name() string { return fmt.Sprintf("contig(%d,%s)", c.count, c.base.Name()) }
 func (c *contiguous) packOne(dst, src []byte) {
 	bs, be := c.base.Size(), c.base.Extent()
+	if bs == be { // dense base: the element is one run
+		copy(dst, src[:c.count*bs])
+		return
+	}
 	for i := 0; i < c.count; i++ {
 		c.base.packOne(dst[i*bs:(i+1)*bs], src[i*be:])
 	}
 }
 func (c *contiguous) unpackOne(dst, src []byte) {
 	bs, be := c.base.Size(), c.base.Extent()
+	if bs == be {
+		copy(dst[:c.count*bs], src)
+		return
+	}
 	for i := 0; i < c.count; i++ {
 		c.base.unpackOne(dst[i*be:], src[i*bs:(i+1)*bs])
 	}
@@ -244,20 +252,23 @@ func PackBuf(buf []byte, count int, dt Datatype) []byte {
 	return out
 }
 
-// UnpackBuf deserializes n dense bytes into count elements of dt inside
-// user buffer buf. src may be shorter than count*Size on truncation.
+// UnpackBuf deserializes dense bytes into at most count elements of dt
+// inside user buffer buf. src may be shorter than count*Size on truncation
+// or a short message: only the whole elements it holds are unpacked (a
+// partial trailing element is dropped, like MPICH), and the rest of buf is
+// left untouched. A dense datatype moves in one copy.
 func UnpackBuf(buf []byte, count int, dt Datatype, src []byte) {
 	sz, ex := dt.Size(), dt.Extent()
-	for i := 0; i < count; i++ {
-		lo := i * sz
-		if lo >= len(src) {
-			return
-		}
-		hi := lo + sz
-		if hi > len(src) {
-			return // partial trailing element: dropped, like MPICH
-		}
-		dt.unpackOne(buf[i*ex:], src[lo:hi])
+	if sz == 0 {
+		return
+	}
+	n := min(count, len(src)/sz)
+	if sz == ex {
+		copy(buf[:n*sz], src)
+		return
+	}
+	for i := 0; i < n; i++ {
+		dt.unpackOne(buf[i*ex:], src[i*sz:(i+1)*sz])
 	}
 }
 

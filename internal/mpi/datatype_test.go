@@ -266,3 +266,193 @@ func TestStatusCount(t *testing.T) {
 		t.Fatal("Count wrong")
 	}
 }
+
+// layout lists, for each packed byte of one element of dt, its offset in
+// the user buffer — derived from the constructors' definitions alone, so
+// it is a reference the pack/unpack code paths share nothing with.
+func layout(dt Datatype) []int {
+	var out []int
+	shifted := func(base Datatype, at int) {
+		for _, o := range layout(base) {
+			out = append(out, at*base.Extent()+o)
+		}
+	}
+	switch d := dt.(type) {
+	case *basic:
+		for i := 0; i < d.width; i++ {
+			out = append(out, i)
+		}
+	case *contiguous:
+		for i := 0; i < d.count; i++ {
+			shifted(d.base, i)
+		}
+	case *vector:
+		for i := 0; i < d.count; i++ {
+			for j := 0; j < d.blocklen; j++ {
+				shifted(d.base, i*d.stride+j)
+			}
+		}
+	case *indexed:
+		for i, bl := range d.blocklens {
+			for j := 0; j < bl; j++ {
+				shifted(d.base, d.displs[i]+j)
+			}
+		}
+	case *structT:
+		for _, f := range d.fields {
+			for k := 0; k < f.Len; k++ {
+				out = append(out, f.Disp+k)
+			}
+		}
+	default:
+		panic("layout: unknown datatype " + dt.Name())
+	}
+	return out
+}
+
+// TestPackUnpackMatchElementPath: for every datatype constructor — dense
+// and strided, nested both ways, zero-size — every count and every source
+// length from nothing to one byte too many, PackBuf and UnpackBuf put
+// exactly the bytes the element-by-element definition puts, exactly where
+// it puts them: whole elements only, everything else untouched.
+func TestPackUnpackMatchElementPath(t *testing.T) {
+	strided := Vector(2, 1, 2, Int32)
+	types := []Datatype{
+		Byte, Int32, Float64,
+		Contiguous(5, Byte), Contiguous(3, Int64), Contiguous(2, Contiguous(3, Int32)),
+		Contiguous(3, strided), Contiguous(2, Vector(2, 2, 2, Int32)),
+		strided, Vector(3, 2, 2, Byte), Vector(2, 1, 3, Contiguous(4, Byte)), Vector(2, 1, 2, Vector(2, 2, 2, Byte)),
+		Indexed([]int{2, 1}, []int{3, 0}, Int32), Indexed([]int{2, 2}, []int{0, 2}, Byte),
+		Struct(16, []StructField{{0, 3}, {8, 5}}), Struct(8, []StructField{{0, 8}}),
+		Contiguous(0, Int32), Vector(0, 1, 1, Int32), Indexed(nil, nil, Int32), Struct(4, nil), Struct(0, nil),
+	}
+	for _, dt := range types {
+		sz, ex, lay := dt.Size(), dt.Extent(), layout(dt)
+		if len(lay) != sz {
+			t.Fatalf("%s: layout has %d bytes, Size says %d", dt.Name(), len(lay), sz)
+		}
+		for count := 0; count <= 3; count++ {
+			user := make([]byte, count*ex)
+			for i := range user {
+				user[i] = byte(7*i + 1)
+			}
+			wantPacked := make([]byte, 0, count*sz)
+			for i := 0; i < count; i++ {
+				for _, o := range lay {
+					wantPacked = append(wantPacked, user[i*ex+o])
+				}
+			}
+			if got := PackBuf(user, count, dt); !bytes.Equal(got, wantPacked) {
+				t.Errorf("%s x%d: PackBuf = %v, element path %v", dt.Name(), count, got, wantPacked)
+			}
+			for n := 0; n <= count*sz+1; n++ {
+				src := make([]byte, n)
+				for i := range src {
+					src[i] = byte(100 + i)
+				}
+				got := bytes.Repeat([]byte{0xAA}, count*ex)
+				want := bytes.Repeat([]byte{0xAA}, count*ex)
+				for i := 0; sz > 0 && i < count && (i+1)*sz <= n; i++ {
+					for k, o := range lay {
+						want[i*ex+o] = src[i*sz+k]
+					}
+				}
+				UnpackBuf(got, count, dt, src)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s x%d from %d bytes:\n got %v\nwant %v", dt.Name(), count, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// tripwire is a dense datatype whose element path must never run.
+type tripwire struct {
+	basic
+	t *testing.T
+}
+
+func (w *tripwire) packOne(dst, src []byte)   { w.t.Error("packOne reached for a dense datatype") }
+func (w *tripwire) unpackOne(dst, src []byte) { w.t.Error("unpackOne reached for a dense datatype") }
+
+// TestDenseNeverTakesElementPath: a datatype with Size()==Extent() moves
+// by copy — directly, as the base of a Contiguous, and as a Contiguous
+// element inside a strided type — and still moves the right bytes.
+func TestDenseNeverTakesElementPath(t *testing.T) {
+	wire := &tripwire{basic{"tripwire", 4}, t}
+	src := pattern(64)
+	for _, dt := range []Datatype{wire, Contiguous(4, wire), Contiguous(2, Contiguous(2, wire))} {
+		out := make([]byte, 64)
+		UnpackBuf(out, 64/dt.Size(), dt, src)
+		if !bytes.Equal(out, src) {
+			t.Errorf("%s: dense unpack moved the wrong bytes", dt.Name())
+		}
+	}
+	rows := Vector(2, 1, 2, Contiguous(4, wire)) // bytes [0,16) and [32,48) of a 48-byte extent
+	user := pattern(2 * rows.Extent())
+	var want []byte
+	for _, at := range []int{0, 32, 48, 80} {
+		want = append(want, user[at:at+16]...)
+	}
+	packed := PackBuf(user, 2, rows)
+	if !bytes.Equal(packed, want) {
+		t.Errorf("strided rows of a dense Contiguous: packed %v, want %v", packed, want)
+	}
+	out := make([]byte, len(user))
+	UnpackBuf(out, 2, rows, packed)
+	if !bytes.Equal(PackBuf(out, 2, rows), want) {
+		t.Error("strided rows of a dense Contiguous: round trip lost bytes")
+	}
+}
+
+func pattern(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(3*i + 1)
+	}
+	return b
+}
+
+// The two host-side shapes of a collective's completion step: one dense
+// megabyte, and a strided column of a row-major grid.
+func BenchmarkUnpackContig1M(b *testing.B) {
+	src, dst := pattern(1<<20), make([]byte, 1<<20)
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		UnpackBuf(dst, 1<<20, Byte, src)
+	}
+}
+
+func BenchmarkPackContig1M(b *testing.B) {
+	src := pattern(1 << 20)
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = PackBuf(src, 1<<20, Byte)
+	}
+}
+
+const benchRows = 4096
+
+var benchColumn = Vector(benchRows, 1, 64, Float64)
+
+func BenchmarkUnpackVector(b *testing.B) {
+	grid, src := make([]byte, benchColumn.Extent()), pattern(benchColumn.Size())
+	b.SetBytes(int64(benchColumn.Size()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		UnpackBuf(grid, 1, benchColumn, src)
+	}
+}
+
+func BenchmarkPackVector(b *testing.B) {
+	grid := pattern(benchColumn.Extent())
+	b.SetBytes(int64(benchColumn.Size()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = PackBuf(grid, 1, benchColumn)
+	}
+}
+
+var benchSink []byte

@@ -16,6 +16,24 @@
 // the paper's decoupling of communication progress from the application,
 // applied to collectives (the libNBC/MPI-3 design).
 //
+// # Datatypes and who copies a payload
+//
+// A (buffer, count, datatype) triple reaches the devices as dense bytes.
+// PackBuf aliases the user's buffer when the datatype is dense
+// (Size() == Extent()) and walks its elements only when it is strided;
+// UnpackBuf — the completion step of every receive into a strided type
+// and of every collective (phases.go's unpack completions) — moves a
+// dense datatype with one copy, and likewise walks elements only for a
+// strided one. A Contiguous over a dense base is itself one run. Either
+// way only the whole elements that arrived are written: a message shorter
+// than the posted count (the count is an upper bound), or a trailing
+// partial element, leaves the rest of the user's buffer as it was. The
+// virtual cost of these steps (memTime) is charged by the callers and
+// does not depend on which path the host takes. Below this layer a
+// payload lives in owned wire buffers (see internal/netsim and
+// internal/madeleine): the host copies it once into one at Pack and once
+// out of it where it lands.
+//
 // # Algorithms: one form table, a handful of phase builders
 //
 // Which algorithm exists for which operation is written down once, in the

@@ -28,8 +28,9 @@ type Request struct {
 	c  *Comm
 	sr *adi.SendReq
 	rr *adi.RecvReq
-	// finish runs once at completion (derived-type unpack).
-	finish   func()
+	// finish runs once at completion with the number of bytes that
+	// landed (derived-type unpack).
+	finish   func(received int)
 	finished bool
 	status   *Status
 	err      error
@@ -179,13 +180,15 @@ func (c *Comm) Irecv(buf []byte, count int, dt Datatype, src, tag int) (*Request
 	}
 	need := count * dt.Size()
 	landing := buf
-	var finish func()
+	var finish func(int)
 	if !IsContiguous(dt) {
 		tmp := make([]byte, need)
 		landing = tmp
-		finish = func() {
+		// The count is an upper bound: only the elements that arrived are
+		// unpacked, the rest of the user's buffer stays as it was.
+		finish = func(received int) {
 			c.p.M.Compute(c.p.memTime(need))
-			UnpackBuf(buf, count, dt, tmp)
+			UnpackBuf(buf, count, dt, tmp[:received])
 		}
 	} else {
 		landing = buf[:need]
@@ -212,10 +215,10 @@ func (r *Request) Wait() (*Status, error) {
 	case r.rr != nil:
 		r.rr.Done.Wait()
 		r.err = r.rr.Err
-		if r.finish != nil {
-			r.finish()
-		}
 		r.status = r.c.statusOf(r.rr)
+		if r.finish != nil {
+			r.finish(r.status.Bytes)
+		}
 	}
 	r.finished = true
 	return r.status, r.err

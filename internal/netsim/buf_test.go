@@ -1,0 +1,79 @@
+package netsim
+
+import (
+	"testing"
+)
+
+// A released buffer is reused LIFO for any request of its size class, with
+// the requested length, and the list counts what is out.
+func TestBufListReusesByClass(t *testing.T) {
+	var l BufList
+	a := l.Get(3000)
+	if len(a.B) != 3000 || cap(a.B) != 4096 {
+		t.Fatalf("Get(3000): len %d cap %d, want 3000/4096", len(a.B), cap(a.B))
+	}
+	b := l.Get(4096)
+	if l.Out() != 2 {
+		t.Fatalf("Out = %d with two buffers held", l.Out())
+	}
+	a.Release()
+	b.Release()
+	if l.Out() != 0 {
+		t.Fatalf("Out = %d with every buffer home", l.Out())
+	}
+	if c := l.Get(2049); c != b || len(c.B) != 2049 {
+		t.Errorf("Get(2049) did not reuse the last 4096-class buffer released (len %d)", len(c.B))
+	}
+	if c := l.Get(2048); c == a || cap(c.B) != 2048 {
+		t.Errorf("Get(2048) took a buffer of the wrong class (cap %d)", cap(c.B))
+	}
+	for _, n := range []int{0, 1} {
+		z := l.Get(n)
+		if z.B == nil || len(z.B) != n {
+			t.Errorf("Get(%d): %v", n, z.B)
+		}
+		z.Release()
+	}
+}
+
+// The ownership guarantees the devices lean on: in a test binary a
+// released buffer is poisoned, so a consumer that reads after Release sees
+// garbage; a second Release panics; and a buffer always goes home to the
+// list that made it, never to the one that happened to consume it.
+func TestBufReleasePoisonsAndPanicsOnSecondRelease(t *testing.T) {
+	var home, other BufList
+	b := home.Get(100)
+	for i := range b.B {
+		b.B[i] = byte(i)
+	}
+	kept := b.B
+	other.Get(100).Release()
+	b.Release()
+	for i, v := range kept {
+		if v != 0xDB {
+			t.Fatalf("byte %d of a released buffer reads %#x, want the 0xDB poison", i, v)
+		}
+	}
+	if home.Out() != 0 || other.Out() != 0 {
+		t.Errorf("Out = %d/%d after both lists got their buffer back", home.Out(), other.Out())
+	}
+	if got := other.Get(100); got == b {
+		t.Error("a buffer entered a list that did not make it")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("second Release did not panic")
+		}
+	}()
+	b.Release()
+}
+
+// Network.Bufs is one list per network, there without any set-up.
+func TestNetworkBufsPerNetwork(t *testing.T) {
+	a := NewNetwork(nil, "a", SCISISCI())
+	b := NewNetwork(nil, "b", SCISISCI())
+	a.Bufs().Get(8)
+	if a.Bufs().Out() != 1 || b.Bufs().Out() != 0 {
+		t.Errorf("Out = %d/%d, want 1/0: networks share a list", a.Bufs().Out(), b.Bufs().Out())
+	}
+}

@@ -12,12 +12,24 @@ import (
 // coalesced/copied by the sender (aggregation buffer); Body bytes are the
 // bulk payload, which may have been snapshotted without a time charge to
 // model zero-copy injection (DMA from user memory).
+//
+// Ownership of the payload: the network never reads, copies or keeps
+// Header and Body, it only counts their lengths, so they belong to the
+// sending device until delivery and to the receiving one afterwards. The
+// devices of this tree ship payloads in buffers of a BufList (the
+// network's own, Network.Bufs) and put the *Buf that Body or Header
+// aliases in Meta: the sender fills it, the packet owns it in flight, and
+// whoever consumes the packet on the far side either copies out and
+// Releases it or takes it over and Releases it later (an eager landing
+// area, a gateway's relay store). A packet the fault plan drops, or one
+// still queued when a session is torn down, is never consumed: its buffer
+// does not come home and the garbage collector takes it with the session.
 type Packet struct {
 	Src, Dst string // endpoint node names
 	Kind     int    // driver/device-defined discriminator
 	Header   []byte
 	Body     []byte
-	Meta     interface{} // device-defined out-of-band data
+	Meta     interface{} // device-defined out-of-band data (see above)
 
 	Seq      uint64
 	SentAt   vtime.Time
@@ -72,6 +84,7 @@ type Network struct {
 	seq       uint64
 	rng       *PRNG
 	Stats     Stats
+	bufs      BufList
 
 	// Trace, when set, records trunk-contention events on TraceTrack
 	// (the network's own Chrome track); Metrics accumulates per-node
@@ -120,6 +133,9 @@ func NewNetwork(s *vtime.Scheduler, name string, p Params) *Network {
 		pipes:     make(map[[2]string]*pipe),
 	}
 }
+
+// Bufs returns the network's free list of wire buffers.
+func (n *Network) Bufs() *BufList { return &n.bufs }
 
 // SetFaults installs a fault plan (tests only). The jitter stream is a
 // self-contained seeded PRNG: two networks with equal seeds produce

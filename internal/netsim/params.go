@@ -3,6 +3,13 @@
 // Myrinet + BIP). Each protocol is a calibrated LogGP-style cost model;
 // payload bytes genuinely move through simulated NIC pipes, and only time
 // is virtual. See DESIGN.md §2 for the substitution rationale.
+//
+// Payloads ride in wire buffers (Buf) drawn from a free list (BufList),
+// one per Network: power-of-two size classes, LIFO, unsynchronised
+// because a simulation runs on one goroutine, never shrinking because it
+// dies with its session. The network itself never touches a payload; the
+// Packet comment says who owns Body between the sender's fill and the
+// consumer's Release, and what becomes of packets nobody consumes.
 package netsim
 
 import "mpichmad/internal/vtime"

@@ -17,7 +17,7 @@ import (
 // segMsg is one message deposited in the shared segment.
 type segMsg struct {
 	env  adi.Envelope
-	data []byte // already copied into the segment by the sender
+	data *netsim.Buf // already copied into the segment by the sender; the receiver releases it
 	// ack, when non-nil, is fired once the message is matched and
 	// copied out (synchronous-mode sends).
 	ack *vtime.Event
@@ -29,6 +29,7 @@ type Node struct {
 	name   string
 	inbox  map[int]*vtime.Queue[*segMsg] // per destination rank
 	params netsim.Params
+	bufs   netsim.BufList // the segment's message slots
 }
 
 // NewNode creates a node segment.
@@ -87,8 +88,8 @@ func (d *Device) Send(sr *adi.SendReq) {
 	p := &d.node.params
 	d.proc.Compute(p.SendOverhead)
 	d.proc.Compute(p.CopyTime(len(sr.Data))) // copy into the segment
-	seg := make([]byte, len(sr.Data))
-	copy(seg, sr.Data)
+	seg := d.node.bufs.Get(len(sr.Data))
+	copy(seg.B, sr.Data)
 	msg := &segMsg{env: sr.Env, data: seg}
 	if sr.Sync {
 		msg.ack = sr.Done
@@ -114,22 +115,25 @@ func (d *Device) recvLoop() {
 		if r := d.eng.MatchPosted(env); r != nil {
 			n, err := adi.CheckLen(r, env)
 			d.proc.Compute(p.CopyTime(n)) // copy out of the segment
-			copy(r.Buf, msg.data[:n])
-			adi.FinishRecv(r, env, err)
-			if msg.ack != nil {
-				msg.ack.Fire()
-			}
+			msg.land(r, n, err)
 			continue
 		}
 		d.eng.AddUnexpected(env, func(r *adi.RecvReq) {
 			n, err := adi.CheckLen(r, env)
 			d.proc.Compute(p.CopyTime(n))
-			copy(r.Buf, msg.data[:n])
-			adi.FinishRecv(r, env, err)
-			if msg.ack != nil {
-				msg.ack.Fire()
-			}
+			msg.land(r, n, err)
 		})
+	}
+}
+
+// land copies the first n bytes out of the segment (the caller charged the
+// copy), frees the slot and completes the receive.
+func (msg *segMsg) land(r *adi.RecvReq, n int, err error) {
+	copy(r.Buf, msg.data.B[:n])
+	msg.data.Release()
+	adi.FinishRecv(r, msg.env, err)
+	if msg.ack != nil {
+		msg.ack.Fire()
 	}
 }
 

@@ -63,6 +63,9 @@ func TestIntraNodeExchange(t *testing.T) {
 	if r.devs[1].NMessages != 1 {
 		t.Fatalf("NMessages = %d", r.devs[1].NMessages)
 	}
+	if out := r.node.bufs.Out(); out != 0 {
+		t.Errorf("%d segment slots not released", out)
+	}
 }
 
 func TestUnexpectedIntraNode(t *testing.T) {
@@ -87,6 +90,9 @@ func TestUnexpectedIntraNode(t *testing.T) {
 	})
 	if err := r.s.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if out := r.node.bufs.Out(); out != 0 {
+		t.Errorf("%d segment slots not released", out)
 	}
 }
 
