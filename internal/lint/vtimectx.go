@@ -48,6 +48,7 @@ var blockSeeds = map[string]bool{
 	vtimePath + ".Event.Wait":          true,
 	vtimePath + ".Queue.Pop":           true,
 	vtimePath + ".Queue.PopTimeout":    true,
+	vtimePath + ".Queue.PopPoll":       true,
 }
 
 // entryMethods are the scheduler-context registration points: calls to

@@ -18,8 +18,7 @@ type Proc struct {
 	S    *vtime.Scheduler
 	Name string
 
-	cpu     *vtime.Sem
-	nthread int
+	cpu *vtime.Sem
 
 	// CPUBusy accumulates total virtual CPU time charged by threads of
 	// this process; exposed for tests and the Fig. 9 analysis.
@@ -33,14 +32,12 @@ func NewProc(s *vtime.Scheduler, name string) *Proc {
 
 // Spawn starts a regular (non-daemon) thread in this process.
 func (p *Proc) Spawn(name string, fn func()) *vtime.Task {
-	p.nthread++
 	return p.S.Go(p.Name+"/"+name, fn)
 }
 
 // SpawnDaemon starts a daemon thread (e.g. a polling thread): it does not
 // keep the simulation alive.
 func (p *Proc) SpawnDaemon(name string, fn func()) *vtime.Task {
-	p.nthread++
 	return p.S.GoDaemon(p.Name+"/"+name, fn)
 }
 
@@ -73,52 +70,29 @@ type PollSpec struct {
 	// protocol while waiting (e.g. the select system call for TCP, a
 	// cache-coherent flag read for SCI).
 	IdleCost vtime.Duration
-	// DetectCost is the CPU paid when a poll finds a message. The
-	// calibrated network models fold detection into their receive
-	// overheads, so this is usually zero.
-	DetectCost vtime.Duration
 	// Interval is the idle polling period. Zero means pure
 	// wake-on-arrival (no idle CPU burn).
 	Interval vtime.Duration
 }
 
 // WaitPoll blocks until q yields an item, following spec's polling
-// discipline: while idle the thread wakes every Interval and burns
-// IdleCost of CPU; an arrival wakes it immediately, at which point it pays
-// DetectCost to extract the item. With Interval == 0 the wait is a pure
-// blocking wait plus DetectCost.
+// discipline: while idle the thread wakes every Interval and holds the
+// process's CPU for IdleCost, queueing for it like any Compute; an arrival
+// wakes it immediately. With Interval == 0 the wait is a pure blocking
+// wait.
 //
 // The idle burn is the load-bearing detail: an idle TCP poller with a
 // costly select keeps stealing CPU slices from the other threads of its
 // process, which is exactly the multi-protocol interference the paper
-// measures in Figure 9.
+// measures in Figure 9. So every empty poll is simulated — its two timers,
+// its turn in the CPU's FIFO, its share of CPUBusy — but none of them wakes
+// the thread: the kernel steps a parked poller's cycle itself
+// (vtime.Queue.PopPoll) and resumes it only for an item. The simulated
+// cost of polling is unchanged; its cost to the host is no longer a
+// context switch per poll.
 func WaitPoll[T any](p *Proc, q *vtime.Queue[T], spec PollSpec) T {
-	for {
-		if v, ok := q.TryPop(); ok {
-			p.Compute(spec.DetectCost)
-			return v
-		}
-		if spec.Interval <= 0 {
-			v := q.Pop()
-			p.Compute(spec.DetectCost)
-			return v
-		}
-		if v, ok := q.PopTimeout(spec.Interval); ok {
-			p.Compute(spec.DetectCost)
-			return v
-		}
-		// Idle poll: burn the poll cost and go around.
-		p.Compute(spec.IdleCost)
+	if spec.Interval <= 0 {
+		return q.Pop()
 	}
-}
-
-// TryPollOnce performs a single non-blocking poll of q, paying DetectCost
-// only when something was there to extract.
-func TryPollOnce[T any](p *Proc, q *vtime.Queue[T], spec PollSpec) (T, bool) {
-	if v, ok := q.TryPop(); ok {
-		p.Compute(spec.DetectCost)
-		return v, true
-	}
-	var zero T
-	return zero, false
+	return q.PopPoll(spec.Interval, p.cpu, spec.IdleCost, &p.CPUBusy)
 }

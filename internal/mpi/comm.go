@@ -187,8 +187,13 @@ func (c *Comm) Context() int { return c.ctx }
 func (c *Comm) WorldRank(r int) int { return c.group[r] }
 
 // commRankOfWorld translates a world rank back to this communicator's
-// numbering; -1 if absent.
+// numbering; -1 if absent. Where the group is the identity at w (the world
+// and its Dups: every rank) no scan is needed; topo() asks once per cluster
+// leader, which on the 1024-rank world was O(clusters x N) per rank.
 func (c *Comm) commRankOfWorld(w int) int {
+	if uint(w) < uint(len(c.group)) && c.group[w] == w {
+		return w
+	}
 	for i, g := range c.group {
 		if g == w {
 			return i

@@ -534,6 +534,49 @@ func TestCommDupAndSplit(t *testing.T) {
 	}
 }
 
+// A received Status names its source in the communicator's own numbering.
+// The world's group is the identity (translated without a scan); a reversed
+// Split of five ranks is the identity at its middle rank only, and a Dup of
+// it inherits that group.
+func TestStatusSourceOnPermutedComm(t *testing.T) {
+	const n = 5
+	_, err := cluster.Launch(nNodeTopo(n, "sisci"), func(rank int, world *mpi.Comm) error {
+		rev, err := world.Split(0, -rank)
+		if err != nil {
+			return err
+		}
+		dup, err := rev.Dup()
+		if err != nil {
+			return err
+		}
+		for _, comm := range []*mpi.Comm{world, rev, dup} {
+			me := comm.Rank()
+			if comm != world && comm.WorldRank(me) != n-1-me {
+				return fmt.Errorf("rank %d of the reversed split is world rank %d", me, comm.WorldRank(me))
+			}
+			req, err := comm.Isend([]byte{byte(me)}, 1, mpi.Byte, (me+1)%n, 3)
+			if err != nil {
+				return err
+			}
+			got := make([]byte, 1)
+			st, err := comm.Recv(got, 1, mpi.Byte, mpi.AnySource, 3)
+			if err != nil {
+				return err
+			}
+			if want := (me + n - 1) % n; st.Source != want || int(got[0]) != want {
+				return fmt.Errorf("rank %d: message from %d reported as from %d, want %d", me, got[0], st.Source, want)
+			}
+			if _, err := req.Wait(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSmpAndSelfDevices(t *testing.T) {
 	// One dual-proc node plus one remote node: self, smp and network
 	// paths all exercised.

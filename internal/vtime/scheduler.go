@@ -63,6 +63,8 @@ type Task struct {
 	why      waitReason
 	// waitList is the wait list a timeout must take the task off.
 	waitList *fifo[*Task]
+	// poll is the task's Queue.PopPoll, if it is in one (poll.go).
+	poll pollWait
 }
 
 // Name returns the task's diagnostic name.
@@ -365,6 +367,9 @@ func (s *Scheduler) pick() *Task {
 	for s.live > 0 {
 		if s.rdy.len() > 0 {
 			t := s.rdy.pop()
+			if t.poll.q != nil && !s.pollStep(t) {
+				continue // an idle poll: its turn is over and it is parked again
+			}
 			t.state = stateRunning
 			s.running = t
 			return t
@@ -398,9 +403,9 @@ func (s *Scheduler) pick() *Task {
 	return nil
 }
 
-// switchOut parks the current task, which has already put itself on the
-// ready queue, the timer heap or a wait list. It returns when the task
-// has the CPU again.
+// switchOut gives up the CPU of the current task, which has already put
+// itself on the ready queue or parked (park). It returns when the task has
+// the CPU again.
 func (s *Scheduler) switchOut(t *Task) {
 	if next := s.pick(); next != t && !t.yield(next) {
 		panic(tornDown{})
@@ -523,7 +528,8 @@ func (s *Scheduler) Sleep(d Duration) {
 		s.Yield()
 		return
 	}
-	s.block(t, waitReason{until: s.now.Add(d)}, d, nil)
+	s.park(t, waitReason{until: s.now.Add(d)}, d, nil)
+	s.switchOut(t)
 }
 
 // Yield places the current task at the back of the ready queue and runs
@@ -548,11 +554,11 @@ func (s *Scheduler) At(when Time, fn func()) {
 // After schedules fn to run d after the current time.
 func (s *Scheduler) After(d Duration, fn func()) { s.At(s.now.Add(d), fn) }
 
-// block parks the current task until woken by a wake() call or, if
-// timeout >= 0, until the timeout expires, which takes the task off list
-// (the wait list the caller has put it on; nil for a sleep). Returns true
-// if it timed out.
-func (s *Scheduler) block(t *Task, why waitReason, timeout Duration, list *fifo[*Task]) bool {
+// park marks t blocked until a wake() call or, if timeout >= 0, until the
+// timeout expires, which takes the task off list (the wait list the caller
+// has put it on; nil for a sleep). Giving up the CPU is the caller's next
+// step: switchOut for a running task, nothing more for one pick is stepping.
+func (s *Scheduler) park(t *Task, why waitReason, timeout Duration, list *fifo[*Task]) {
 	t.state = stateBlocked
 	t.why = why
 	t.timedOut = false
@@ -560,8 +566,6 @@ func (s *Scheduler) block(t *Task, why waitReason, timeout Duration, list *fifo[
 	if timeout >= 0 {
 		s.addTimer(timer{when: s.now.Add(timeout), task: t, gen: t.waitGen})
 	}
-	s.switchOut(t)
-	return t.timedOut
 }
 
 // wake moves a blocked task to the ready queue. Safe to call from task or

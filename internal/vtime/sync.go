@@ -29,9 +29,15 @@ func (m *Sem) Acquire() {
 		m.n--
 		return
 	}
-	m.waiters.push(t)
-	m.s.block(t, waitReason{what: "sem ", name: m.name}, -1, nil)
+	m.join(t)
+	m.s.switchOut(t)
 	// Handoff semantics: the releaser consumed our permit for us.
+}
+
+// join parks t at the back of the semaphore's FIFO.
+func (m *Sem) join(t *Task) {
+	m.waiters.push(t)
+	m.s.park(t, waitReason{what: "sem ", name: m.name}, -1, nil)
 }
 
 // TryAcquire takes a permit without blocking, reporting success.
@@ -98,7 +104,8 @@ func (e *Event) Wait() {
 	}
 	t := e.s.cur("Event.Wait")
 	e.waiters = append(e.waiters, t)
-	e.s.block(t, waitReason{what: "event ", name: e.name}, -1, nil)
+	e.s.park(t, waitReason{what: "event ", name: e.name}, -1, nil)
+	e.s.switchOut(t)
 }
 
 // Fire marks the event and wakes every waiter. Safe from scheduler
@@ -203,9 +210,16 @@ func (q *Queue[T]) Pop() T {
 			return v
 		}
 		t := q.s.cur("Queue.Pop")
-		q.waiters.push(t)
-		q.s.block(t, waitReason{what: "queue ", name: q.name}, -1, nil)
+		q.join(t, -1)
+		q.s.switchOut(t)
 	}
+}
+
+// join parks t on the queue's wait list until a Push or, if timeout >= 0,
+// until the timeout expires.
+func (q *Queue[T]) join(t *Task, timeout Duration) {
+	q.waiters.push(t)
+	q.s.park(t, waitReason{what: "queue ", name: q.name}, timeout, &q.waiters)
 }
 
 // PopTimeout is Pop with a virtual-time timeout; ok=false on timeout.
@@ -221,8 +235,8 @@ func (q *Queue[T]) PopTimeout(d Duration) (T, bool) {
 			return zero, false
 		}
 		t := q.s.cur("Queue.PopTimeout")
-		q.waiters.push(t)
-		if q.s.block(t, waitReason{what: "queue ", name: q.name}, remain, &q.waiters) {
+		q.join(t, remain)
+		if q.s.switchOut(t); t.timedOut {
 			// One last chance: an item may have been pushed at the
 			// exact deadline tick after the timer fired.
 			if v, ok := q.TryPop(); ok {
