@@ -1,7 +1,8 @@
 package vtime
 
 // pollWait is the state of a task inside Queue.PopPoll; q is nil outside
-// one. It lives in the Task, so a wait and its idle cycles allocate nothing.
+// one. The Task owns it from its first PopPoll on, so a wait and its idle
+// cycles allocate nothing.
 type pollWait struct {
 	q        pollQueue
 	cpu      *Sem
@@ -43,8 +44,11 @@ func (q *Queue[T]) PopPoll(interval Duration, cpu *Sem, cost Duration, busy *Dur
 	}
 	if q.items.len() == 0 {
 		t := q.s.cur("Queue.PopPoll")
-		t.poll = pollWait{q: q, cpu: cpu, busy: busy, interval: interval, cost: cost}
-		q.s.pollInterval(t)
+		if t.poll == nil {
+			t.poll = new(pollWait)
+		}
+		*t.poll = pollWait{q: q, cpu: cpu, busy: busy, interval: interval, cost: cost}
+		q.s.pollInterval(t, t.poll)
 		q.s.switchOut(t)
 		t.poll.q = nil
 	}
@@ -52,8 +56,7 @@ func (q *Queue[T]) PopPoll(interval Duration, cpu *Sem, cost Duration, busy *Dur
 }
 
 // pollInterval starts an interval of t's PopPoll.
-func (s *Scheduler) pollInterval(t *Task) {
-	p := &t.poll
+func (s *Scheduler) pollInterval(t *Task, p *pollWait) {
 	p.phase, p.deadline = pollIdle, s.now.Add(p.interval)
 	p.q.join(t, p.interval)
 }
@@ -65,8 +68,7 @@ func (s *Scheduler) pollInterval(t *Task) {
 // resumed for. A step arms each timer at the instant and in the turn the
 // task would have (so it gets the same seq), wakes others only through the
 // ready queue, and runs no code from outside the package.
-func (s *Scheduler) pollStep(t *Task) bool {
-	p := &t.poll
+func (s *Scheduler) pollStep(t *Task, p *pollWait) bool {
 	switch p.phase {
 	case pollIdle:
 		if p.q.Len() > 0 {
@@ -97,6 +99,6 @@ func (s *Scheduler) pollStep(t *Task) bool {
 			return true // ahead of the waiter Release woke, as a running task is
 		}
 	}
-	s.pollInterval(t)
+	s.pollInterval(t, p)
 	return false
 }

@@ -40,12 +40,11 @@ func (st taskState) String() string {
 // coroutine that runs only between a resume by the scheduler and its next
 // blocking call, so at most one task executes at any moment.
 type Task struct {
-	s      *Scheduler
-	id     int
-	name   string
-	daemon bool
-	state  taskState
-	fn     func()
+	s     *Scheduler
+	id    int
+	name  string
+	state taskState
+	fn    func()
 
 	// next and stop are the scheduler's handles on the task's coroutine,
 	// yield the task's way back: it gives up the CPU and names the task to
@@ -59,12 +58,15 @@ type Task struct {
 	// waitGen is bumped each time the task is woken; timers carry the
 	// generation at which they were armed so stale ones can be ignored.
 	waitGen  uint64
+	daemon   bool
 	timedOut bool
 	why      waitReason
 	// waitList is the wait list a timeout must take the task off.
 	waitList *fifo[*Task]
-	// poll is the task's Queue.PopPoll, if it is in one (poll.go).
-	poll pollWait
+	// poll is the state of the task's Queue.PopPoll (poll.go): nil until
+	// its first one and kept for the next, so that the thousands of
+	// short-lived tasks that never poll do not carry it.
+	poll *pollWait
 }
 
 // Name returns the task's diagnostic name.
@@ -367,7 +369,7 @@ func (s *Scheduler) pick() *Task {
 	for s.live > 0 {
 		if s.rdy.len() > 0 {
 			t := s.rdy.pop()
-			if t.poll.q != nil && !s.pollStep(t) {
+			if p := t.poll; p != nil && p.q != nil && !s.pollStep(t, p) {
 				continue // an idle poll: its turn is over and it is parked again
 			}
 			t.state = stateRunning
