@@ -8,6 +8,13 @@
 // serialized through the process's CPU resource. This is what makes the
 // paper's Figure 9 phenomenon — an idle TCP polling thread degrading SCI
 // latency — emerge structurally rather than being hard-coded.
+//
+// An idle poll therefore has two prices, and they are decoupled. To the
+// simulated CPU it costs what the protocol says — IdleCost every Interval,
+// queued FIFO with every other Compute of the process, counted in CPUBusy.
+// To the host it costs two timers and some bookkeeping inside the kernel's
+// scheduling loop: a polling thread that finds nothing is not resumed to
+// find it (see WaitPoll).
 package marcel
 
 import "mpichmad/internal/vtime"
