@@ -24,16 +24,14 @@
 //     over the same queues, so the event order does not depend on who
 //     called (order_fingerprint_test.go pins it).
 //   - A parked task's turn can be served by pick itself. A thread idling in
-//     Queue.PopPoll (poll.go) has nothing to run between its timers but
-//     bookkeeping — look at the queue, take or queue for the CPU permit,
-//     arm the burn timer, release, arm the next interval — so pick does
-//     that when the task comes off the ready queue and resumes it only
-//     for an item. A step may touch the kernel's own queues, semaphores
-//     and timers, in the order and at the instants the task would have
-//     (every timer gets the seq it would have got, every wake goes through
-//     the ready queue); it may not take an item, call code from outside
-//     the package, or skip ahead in time. internal/marcel's poll pin holds
-//     it to the loop over PopTimeout and Sleep that it replaced.
+//     Queue.PopPoll (poll.go) has only bookkeeping to do between items —
+//     look at the queue, take or queue for the CPU permit, arm the burn
+//     timer, release, arm the next interval — so pick does it when the
+//     task comes off the ready queue and resumes it only for an item. A
+//     step may touch the kernel's own queues, semaphores and timers, in
+//     the order and at the instants the task would have; it may not take
+//     an item, call code from outside the package, or skip ahead in time
+//     (internal/marcel's poll pin holds it to the loop it replaced).
 //   - Blocking formats and allocates nothing: the wait reason is kept in
 //     parts and rendered only by a deadlock or deadline dump, timers live
 //     by value in a (when, seq) min-heap, a timeout finds its wait list
