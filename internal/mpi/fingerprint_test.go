@@ -137,7 +137,9 @@ var fpOps = []fpOp{
 // fpSession runs body on every rank of a fresh session of the shape (on
 // the island sub-communicator when the shape asks for one) and renders the
 // session's fingerprint: final virtual time, then packets/bytes per
-// network in name order.
+// network in name order. Every session must also end with each rank's
+// buffer list whole: a stash or a staging lease still out after a clean
+// run is a leak.
 func fpSession(t *testing.T, sh fpShape, mode mpi.CollMode, autotune bool, body func(c *mpi.Comm) error) (string, *cluster.Session) {
 	t.Helper()
 	topo := sh.topo()
@@ -161,6 +163,13 @@ func fpSession(t *testing.T, sh fpShape, mode mpi.CollMode, autotune bool, body 
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	out := 0
+	for _, rk := range sess.Ranks {
+		out += rk.MPI.Eng.Bufs.Out()
+	}
+	if out != 0 {
+		t.Errorf("%s: %d buffers of the ranks' lists still out at the end of the session", sh.name, out)
 	}
 	names := make([]string, 0, len(sess.Networks))
 	for n := range sess.Networks {

@@ -32,7 +32,9 @@ func sizeClass(n int) int {
 }
 
 // Get hands out a buffer of length n. Its bytes are whatever the previous
-// holder left: the caller overwrites all of them.
+// holder left: the caller overwrites all of them. A fresh buffer is no
+// exception — in a test binary it comes poisoned like a released one, so a
+// holder that leaned on make's zeros fails on first use, not on reuse.
 func (l *BufList) Get(n int) *Buf {
 	c := sizeClass(n)
 	for len(l.free) <= c {
@@ -45,7 +47,11 @@ func (l *BufList) Get(n int) *Buf {
 		b.B, b.home = b.B[:n], false
 		return b
 	}
-	return &Buf{B: make([]byte, n, 1<<c), list: l}
+	b := &Buf{B: make([]byte, n, 1<<c), list: l}
+	if testing.Testing() {
+		poison(b.B)
+	}
+	return b
 }
 
 // Out reports buffers handed out minus buffers released: 0 once every

@@ -68,6 +68,18 @@ func TestBufReleasePoisonsAndPanicsOnSecondRelease(t *testing.T) {
 	b.Release()
 }
 
+// A fresh buffer arrives as dirty as a reused one: nobody may lean on
+// make's zeros, or the first lease of a class would pass where the second
+// fails.
+func TestBufGetPoisonsFreshBuffer(t *testing.T) {
+	var l BufList
+	for i, v := range l.Get(100).B {
+		if v != 0xDB {
+			t.Fatalf("byte %d of a fresh buffer reads %#x, want the 0xDB poison", i, v)
+		}
+	}
+}
+
 // Network.Bufs is one list per network, there without any set-up.
 func TestNetworkBufsPerNetwork(t *testing.T) {
 	a := NewNetwork(nil, "a", SCISISCI())
