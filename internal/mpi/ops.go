@@ -17,17 +17,17 @@ type Op interface {
 
 // Predefined reduction operations.
 var (
-	OpSum  Op = numericOp{"MPI_SUM", addI, addF}
-	OpProd Op = numericOp{"MPI_PROD", mulI, mulF}
-	OpMin  Op = numericOp{"MPI_MIN", minI, minF}
-	OpMax  Op = numericOp{"MPI_MAX", maxI, maxF}
+	OpSum  Op = numericOp{name: "MPI_SUM", kern: kSum}
+	OpProd Op = numericOp{name: "MPI_PROD", kern: kProd}
+	OpMin  Op = numericOp{name: "MPI_MIN", kern: kMin}
+	OpMax  Op = numericOp{name: "MPI_MAX", kern: kMax}
 	OpBAnd Op = bitOp{"MPI_BAND", func(a, b byte) byte { return a & b }}
 	OpBOr  Op = bitOp{"MPI_BOR", func(a, b byte) byte { return a | b }}
 	OpBXor Op = bitOp{"MPI_BXOR", func(a, b byte) byte { return a ^ b }}
-	OpLAnd Op = numericOp{"MPI_LAND", func(a, b int64) int64 { return b2i(a != 0 && b != 0) },
-		func(a, b float64) float64 { return fb2i(a != 0 && b != 0) }}
-	OpLOr Op = numericOp{"MPI_LOR", func(a, b int64) int64 { return b2i(a != 0 || b != 0) },
-		func(a, b float64) float64 { return fb2i(a != 0 || b != 0) }}
+	OpLAnd Op = numericOp{name: "MPI_LAND", fi: func(a, b int64) int64 { return b2i(a != 0 && b != 0) },
+		ff: func(a, b float64) float64 { return fb2i(a != 0 && b != 0) }}
+	OpLOr Op = numericOp{name: "MPI_LOR", fi: func(a, b int64) int64 { return b2i(a != 0 || b != 0) },
+		ff: func(a, b float64) float64 { return fb2i(a != 0 || b != 0) }}
 )
 
 func b2i(b bool) int64 {
@@ -44,64 +44,170 @@ func fb2i(b bool) float64 {
 	return 0
 }
 
-func addI(a, b int64) int64 { return a + b }
-func mulI(a, b int64) int64 { return a * b }
-func minI(a, b int64) int64 {
-	if b < a {
-		return b
-	}
-	return a
-}
-func maxI(a, b int64) int64 {
-	if b > a {
-		return b
-	}
-	return a
-}
-func addF(a, b float64) float64 { return a + b }
-func mulF(a, b float64) float64 { return a * b }
-func minF(a, b float64) float64 { return math.Min(a, b) }
-func maxF(a, b float64) float64 { return math.Max(a, b) }
+// kernel names an operator whose arithmetic Apply writes out in its loops,
+// one loop per (operator, representation), instead of calling a func value
+// per element: the four that reductions spend their time in.
+type kernel uint8
 
-// numericOp dispatches on the datatype's machine representation.
+const (
+	kFunc kernel = iota // no kernel: fi/ff, called per element
+	kSum
+	kProd
+	kMin
+	kMax
+)
+
+// numericOp dispatches on the datatype's machine representation. Integers
+// are combined in their own width (which is what widening to int64 and
+// truncating back computes), Byte unsigned, Float32 widened to float64 and
+// rounded back, Min/Max on floats by math.Min/math.Max (NaN and signed-zero
+// rules included).
 type numericOp struct {
 	name string
+	kern kernel
 	fi   func(a, b int64) int64
 	ff   func(a, b float64) float64
 }
 
 func (o numericOp) Name() string { return o.name }
 
+// Element i of a packed little-endian buffer, read and written in the
+// type the loops below combine it in. The window is sliced exactly, so the
+// one bounds check per access is the slice's.
+func i32(b []byte, i int) int32 { return int32(binary.LittleEndian.Uint32(b[4*i : 4*i+4])) }
+func i64(b []byte, i int) int64 { return int64(binary.LittleEndian.Uint64(b[8*i : 8*i+8])) }
+func f32(b []byte, i int) float64 {
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i : 4*i+4])))
+}
+func f64(b []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i : 8*i+8]))
+}
+func setI32(b []byte, i int, v int32) { binary.LittleEndian.PutUint32(b[4*i:4*i+4], uint32(v)) }
+func setI64(b []byte, i int, v int64) { binary.LittleEndian.PutUint64(b[8*i:8*i+8], uint64(v)) }
+func setF32(b []byte, i int, v float64) {
+	binary.LittleEndian.PutUint32(b[4*i:4*i+4], math.Float32bits(float32(v)))
+}
+func setF64(b []byte, i int, v float64) {
+	binary.LittleEndian.PutUint64(b[8*i:8*i+8], math.Float64bits(v))
+}
+
 func (o numericOp) Apply(dst, src []byte, count int, dt Datatype) error {
-	le := binary.LittleEndian
 	switch dt {
 	case Int32:
-		for i := 0; i < count; i++ {
-			a := int64(int32(le.Uint32(dst[4*i:])))
-			b := int64(int32(le.Uint32(src[4*i:])))
-			le.PutUint32(dst[4*i:], uint32(int32(o.fi(a, b))))
+		switch o.kern {
+		case kSum:
+			for i := range count {
+				setI32(dst, i, i32(dst, i)+i32(src, i))
+			}
+		case kProd:
+			for i := range count {
+				setI32(dst, i, i32(dst, i)*i32(src, i))
+			}
+		case kMin:
+			for i := range count {
+				setI32(dst, i, min(i32(dst, i), i32(src, i)))
+			}
+		case kMax:
+			for i := range count {
+				setI32(dst, i, max(i32(dst, i), i32(src, i)))
+			}
+		default:
+			for i := range count {
+				setI32(dst, i, int32(o.fi(int64(i32(dst, i)), int64(i32(src, i)))))
+			}
 		}
 	case Int64:
-		for i := 0; i < count; i++ {
-			a := int64(le.Uint64(dst[8*i:]))
-			b := int64(le.Uint64(src[8*i:]))
-			le.PutUint64(dst[8*i:], uint64(o.fi(a, b)))
+		switch o.kern {
+		case kSum:
+			for i := range count {
+				setI64(dst, i, i64(dst, i)+i64(src, i))
+			}
+		case kProd:
+			for i := range count {
+				setI64(dst, i, i64(dst, i)*i64(src, i))
+			}
+		case kMin:
+			for i := range count {
+				setI64(dst, i, min(i64(dst, i), i64(src, i)))
+			}
+		case kMax:
+			for i := range count {
+				setI64(dst, i, max(i64(dst, i), i64(src, i)))
+			}
+		default:
+			for i := range count {
+				setI64(dst, i, o.fi(i64(dst, i), i64(src, i)))
+			}
 		}
 	case Byte, Char:
-		for i := 0; i < count; i++ {
-			dst[i] = byte(o.fi(int64(dst[i]), int64(src[i])))
+		dst, src = dst[:count], src[:count]
+		switch o.kern {
+		case kSum:
+			for i, v := range src {
+				dst[i] += v
+			}
+		case kProd:
+			for i, v := range src {
+				dst[i] *= v
+			}
+		case kMin:
+			for i, v := range src {
+				dst[i] = min(dst[i], v)
+			}
+		case kMax:
+			for i, v := range src {
+				dst[i] = max(dst[i], v)
+			}
+		default:
+			for i, v := range src {
+				dst[i] = byte(o.fi(int64(dst[i]), int64(v)))
+			}
 		}
 	case Float32:
-		for i := 0; i < count; i++ {
-			a := float64(math.Float32frombits(le.Uint32(dst[4*i:])))
-			b := float64(math.Float32frombits(le.Uint32(src[4*i:])))
-			le.PutUint32(dst[4*i:], math.Float32bits(float32(o.ff(a, b))))
+		switch o.kern {
+		case kSum:
+			for i := range count {
+				setF32(dst, i, f32(dst, i)+f32(src, i))
+			}
+		case kProd:
+			for i := range count {
+				setF32(dst, i, f32(dst, i)*f32(src, i))
+			}
+		case kMin:
+			for i := range count {
+				setF32(dst, i, math.Min(f32(dst, i), f32(src, i)))
+			}
+		case kMax:
+			for i := range count {
+				setF32(dst, i, math.Max(f32(dst, i), f32(src, i)))
+			}
+		default:
+			for i := range count {
+				setF32(dst, i, o.ff(f32(dst, i), f32(src, i)))
+			}
 		}
 	case Float64:
-		for i := 0; i < count; i++ {
-			a := math.Float64frombits(le.Uint64(dst[8*i:]))
-			b := math.Float64frombits(le.Uint64(src[8*i:]))
-			le.PutUint64(dst[8*i:], math.Float64bits(o.ff(a, b)))
+		switch o.kern {
+		case kSum:
+			for i := range count {
+				setF64(dst, i, f64(dst, i)+f64(src, i))
+			}
+		case kProd:
+			for i := range count {
+				setF64(dst, i, f64(dst, i)*f64(src, i))
+			}
+		case kMin:
+			for i := range count {
+				setF64(dst, i, math.Min(f64(dst, i), f64(src, i)))
+			}
+		case kMax:
+			for i := range count {
+				setF64(dst, i, math.Max(f64(dst, i), f64(src, i)))
+			}
+		default:
+			for i := range count {
+				setF64(dst, i, o.ff(f64(dst, i), f64(src, i)))
+			}
 		}
 	default:
 		return fmt.Errorf("mpi: %s not defined for datatype %s", o.name, dt.Name())
