@@ -128,7 +128,7 @@ func (c *Comm) reduceSerialRounds(b *schedBuilder, a collArgs, root int) []byte 
 			break
 		}
 		if rel+mask < n {
-			part := make([]byte, len(acc))
+			part := b.stage(len(acc))
 			b.recv((rel+mask+root)%n, part)
 			b.reduce(acc, part, a.count, a.dt, a.op)
 			b.endRound()
@@ -151,7 +151,7 @@ func (c *Comm) reduceSerial(b *schedBuilder, _ *commTopo, a collArgs) func() {
 // shared accumulator.
 func (c *Comm) allreduceSerial(b *schedBuilder, _ *commTopo, a collArgs) func() {
 	acc := c.reduceSerialRounds(b, a, 0)
-	c.bcastTreeRounds(b, oneClusterTopo(c.Size(), c.myRank), acc, 0, 0)
+	c.bcastTreeRounds(b, c.oneClusterTopo(), acc, 0, 0)
 	return c.unpackVector(a.recv, a.count, a.dt, acc)
 }
 
@@ -161,7 +161,7 @@ func (c *Comm) allgatherRing(b *schedBuilder, _ *commTopo, a collArgs) func() {
 	n := c.Size()
 	sz := a.count * a.dt.Size()
 	ex := a.dt.Extent()
-	own := make([]byte, sz)
+	own := b.stage(sz)
 	right := (c.myRank + 1) % n
 	left := (c.myRank - 1 + n) % n
 
@@ -170,7 +170,7 @@ func (c *Comm) allgatherRing(b *schedBuilder, _ *commTopo, a collArgs) func() {
 	incoming := make([][]byte, n-1)
 	cur := own
 	for s := 0; s < n-1; s++ {
-		incoming[s] = make([]byte, sz)
+		incoming[s] = b.stage(sz)
 		b.recv(left, incoming[s])
 		b.send(right, cur)
 		b.endRound()
@@ -191,7 +191,7 @@ func (c *Comm) alltoallPairwise(b *schedBuilder, _ *commTopo, a collArgs) func()
 	n := c.Size()
 	sz := a.count * a.dt.Size()
 	ex := a.dt.Extent()
-	selfStage := make([]byte, sz)
+	selfStage := b.stage(sz)
 	in := make([][]byte, n)
 	for step := 0; step < n; step++ {
 		to := (c.myRank + step) % n
@@ -202,7 +202,7 @@ func (c *Comm) alltoallPairwise(b *schedBuilder, _ *commTopo, a collArgs) func()
 			b.endRound()
 			continue
 		}
-		in[from] = make([]byte, sz)
+		in[from] = b.stage(sz)
 		b.recv(from, in[from])
 		b.send(to, out)
 		b.endRound()
@@ -253,11 +253,12 @@ func (c *Comm) Gatherv(sendBuf []byte, sendCount int, recvBuf []byte, counts, di
 			UnpackBuf(dst, counts[r], dt, data)
 			continue
 		}
-		tmp := make([]byte, counts[r]*dt.Size())
-		if _, err := c.recvRaw(tmp, r, tagGather, c.collCtx()); err != nil {
+		tmp := c.p.Eng.Bufs.Get(counts[r] * dt.Size())
+		if _, err := c.recvRaw(tmp.B, r, tagGather, c.collCtx()); err != nil {
 			return err
 		}
-		UnpackBuf(dst, counts[r], dt, tmp)
+		UnpackBuf(dst, counts[r], dt, tmp.B)
+		tmp.Release()
 	}
 	return nil
 }
@@ -281,12 +282,13 @@ func (c *Comm) Scatterv(sendBuf []byte, counts, displs []int, recvBuf []byte, re
 		return err
 	}
 	if c.myRank != root {
-		tmp := make([]byte, recvCount*dt.Size())
-		if _, err := c.recvRaw(tmp, root, tagScatter, c.collCtx()); err != nil {
+		tmp := c.p.Eng.Bufs.Get(recvCount * dt.Size())
+		if _, err := c.recvRaw(tmp.B, root, tagScatter, c.collCtx()); err != nil {
 			return err
 		}
-		c.p.M.Compute(c.p.memTime(len(tmp)))
-		UnpackBuf(recvBuf, recvCount, dt, tmp)
+		c.p.M.Compute(c.p.memTime(len(tmp.B)))
+		UnpackBuf(recvBuf, recvCount, dt, tmp.B)
+		tmp.Release()
 		return nil
 	}
 	if len(counts) != c.Size() {
@@ -321,23 +323,25 @@ func (c *Comm) Scan(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) erro
 	if err := c.checkLive("Scan"); err != nil {
 		return err
 	}
-	acc := make([]byte, count*dt.Size())
-	copy(acc, PackBuf(sendBuf, count, dt))
-	c.p.M.Compute(c.p.memTime(len(acc)))
+	acc := c.p.Eng.Bufs.Get(count * dt.Size())
+	copy(acc.B, PackBuf(sendBuf, count, dt))
+	c.p.M.Compute(c.p.memTime(len(acc.B)))
 	if c.myRank > 0 {
-		prefix := make([]byte, len(acc))
-		if _, err := c.recvRaw(prefix, c.myRank-1, tagScan, c.collCtx()); err != nil {
+		prefix := c.p.Eng.Bufs.Get(len(acc.B))
+		if _, err := c.recvRaw(prefix.B, c.myRank-1, tagScan, c.collCtx()); err != nil {
 			return err
 		}
-		if err := op.Apply(acc, prefix, count, dt); err != nil {
+		if err := op.Apply(acc.B, prefix.B, count, dt); err != nil {
 			return err
 		}
+		prefix.Release()
 	}
 	if c.myRank < c.Size()-1 {
-		if err := c.sendRaw(acc, c.myRank+1, tagScan, c.collCtx()); err != nil {
+		if err := c.sendRaw(acc.B, c.myRank+1, tagScan, c.collCtx()); err != nil {
 			return err
 		}
 	}
-	UnpackBuf(recvBuf, count, dt, acc)
+	UnpackBuf(recvBuf, count, dt, acc.B)
+	acc.Release()
 	return nil
 }

@@ -160,8 +160,9 @@ type Comm struct {
 	ctx    int
 
 	// ct caches the communicator's dense hierarchy view (topology.go),
-	// computed on first collective dispatch.
-	ct *commTopo
+	// computed on first collective dispatch; flat its one-cluster view,
+	// computed when a flat form first compiles against it.
+	ct, flat *commTopo
 
 	// tt caches the process's autotuned table as resolved by this
 	// communicator's first collective (tuning.go); ttSet distinguishes

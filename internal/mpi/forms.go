@@ -61,7 +61,7 @@ type collForm struct {
 // compiler.
 func blind(f compileFn) compileFn {
 	return func(c *Comm, b *schedBuilder, _ *commTopo, a collArgs) func() {
-		return f(c, b, oneClusterTopo(c.Size(), c.myRank), a)
+		return f(c, b, c.oneClusterTopo(), a)
 	}
 }
 

@@ -18,7 +18,7 @@ package mpi
 // loadAcc opens a reduction: the accumulator, loaded with this rank's
 // packed contribution in a round of its own.
 func (b *schedBuilder) loadAcc(sendBuf []byte, count int, dt Datatype) []byte {
-	acc := make([]byte, count*dt.Size())
+	acc := b.stage(count * dt.Size())
 	b.copyStep(acc, PackBuf(sendBuf, count, dt))
 	b.endRound()
 	return acc
@@ -68,11 +68,11 @@ func (c *Comm) bcastTreeRounds(b *schedBuilder, ct *commTopo, data []byte, root,
 // bcastStaging returns a broadcast's packed staging vector — the payload
 // at the root, empty elsewhere — and the completion closure landing it in
 // the user buffer (nil at the root, whose buffer already holds it).
-func (c *Comm) bcastStaging(a collArgs) (data []byte, fin func()) {
+func (c *Comm) bcastStaging(b *schedBuilder, a collArgs) (data []byte, fin func()) {
 	if c.myRank == a.root {
 		return PackBuf(a.send, a.count, a.dt), nil
 	}
-	data = make([]byte, a.count*a.dt.Size())
+	data = b.stage(a.count * a.dt.Size())
 	return data, c.unpackVector(a.recv, a.count, a.dt, data)
 }
 
@@ -80,7 +80,7 @@ func (c *Comm) bcastStaging(a collArgs) (data []byte, fin func()) {
 // the leader level has the root alone, and the tree is the classic
 // binomial one: latency O(log n).
 func (c *Comm) bcastTree(b *schedBuilder, ct *commTopo, a collArgs, segBytes int) func() {
-	data, fin := c.bcastStaging(a)
+	data, fin := c.bcastStaging(b, a)
 	c.bcastTreeRounds(b, ct, data, a.root, segBytes)
 	return fin
 }
@@ -143,7 +143,7 @@ func (c *Comm) gatherStaged(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	// member's slot in recvBuf at completion.
 	remote := make([][]byte, ct.nClusters)
 	for _, di := range ct.remote {
-		remote[di] = make([]byte, len(ct.clusters[di])*sz)
+		remote[di] = b.stage(len(ct.clusters[di]) * sz)
 		b.recv(ct.leaders[di], remote[di])
 	}
 	b.endRound()
@@ -169,7 +169,7 @@ func (c *Comm) allgatherBundles(b *schedBuilder, ct *commTopo, a collArgs) func(
 	sz := a.count * a.dt.Size()
 	members, myPos, leaderPos := ct.clusterPos(c.myRank)
 	mine := PackBuf(a.send, a.count, a.dt)
-	full := make([]byte, c.Size()*sz) // packed world vector, comm-rank order
+	full := b.stage(c.Size() * sz) // packed world vector, comm-rank order
 
 	if myPos == leaderPos {
 		bundle := b.gatherBundle(members, c.myRank, mine)
@@ -264,7 +264,7 @@ func (c *Comm) reduceScatterRing(b *schedBuilder, ct *commTopo, a collArgs) func
 			out := make([][]byte, ct.nClusters)
 			for _, di := range ct.remote {
 				dm := ct.clusters[di]
-				out[di] = make([]byte, len(dm)*sz)
+				out[di] = b.stage(len(dm) * sz)
 				for j, dr := range dm {
 					b.copyStep(out[di][j*sz:(j+1)*sz], block(dr))
 				}
@@ -305,11 +305,11 @@ func (c *Comm) alltoallBundles(b *schedBuilder, ct *commTopo, a collArgs, segByt
 	// vector in source-rank order; members hold only their own pair.
 	mats := make([][]byte, len(members))
 	vec := make([][]byte, len(members))
-	mats[myPos], vec[myPos] = PackBuf(a.send, n*a.count, a.dt), make([]byte, n*sz)
+	mats[myPos], vec[myPos] = PackBuf(a.send, n*a.count, a.dt), b.stage(n*sz)
 	if isLeader {
 		for i := range members {
 			if i != myPos {
-				mats[i], vec[i] = make([]byte, n*sz), make([]byte, n*sz)
+				mats[i], vec[i] = b.stage(n*sz), b.stage(n*sz)
 			}
 		}
 	}
@@ -357,7 +357,7 @@ func (c *Comm) alltoallBridge(b *schedBuilder, ct *commTopo, members []int, mats
 	inLen := func(di int) int { return nOut(di) * sz }
 	out := make([][]byte, ct.nClusters)
 	for _, di := range ct.remote {
-		out[di] = make([]byte, nOut(di)*sz)
+		out[di] = b.stage(nOut(di) * sz)
 	}
 	// stage copies blocks [lo, hi) of the bundle for cluster di into place.
 	stage := func(di, lo, hi int) {
@@ -399,7 +399,7 @@ func (c *Comm) alltoallBridge(b *schedBuilder, ct *commTopo, members []int, mats
 	}
 	in := make([][]byte, ct.nClusters)
 	for _, di := range ct.remote {
-		in[di] = make([]byte, inLen(di))
+		in[di] = b.stage(inLen(di))
 		for lo := 0; lo < nOut(di); lo += bps {
 			b.recv(ct.leaders[di], in[di][lo*sz:min(lo+bps, nOut(di))*sz])
 		}

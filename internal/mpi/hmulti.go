@@ -158,7 +158,7 @@ func (ct *commTopo) shardChain(rootCluster, root, k int) (order, holder, egress 
 // post phases identically.
 func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	K := ct.maxLeaderSet()
-	data, fin := c.bcastStaging(a)
+	data, fin := c.bcastStaging(b, a)
 	bounds := splitBounds(len(data), K)
 	root, rootCluster := a.root, ct.clusterOf[a.root]
 	members := ct.clusters[ct.myCluster]
@@ -373,7 +373,7 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 			}
 			_, kids := tree(k)
 			for i := len(kids) - 1; i >= 0; i-- {
-				part := make([]byte, scount(k)*es)
+				part := b.stage(scount(k) * es)
 				b.recv(kids[i], part)
 				b.reduce(shard(k), part, scount(k), dt, op)
 			}
@@ -463,7 +463,7 @@ func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 	// offset off[k][di] — every member ends up holding all K buffers.
 	stage := make([][]byte, K)
 	for k := 0; k < K; k++ {
-		stage[k] = make([]byte, size[k])
+		stage[k] = b.stage(size[k])
 	}
 	homeShard := func(k int) []byte {
 		return stage[k][off[k][myD] : off[k][myD]+bb[myD][k+1]-bb[myD][k]]
@@ -522,9 +522,9 @@ func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 
 	// Phase 4: per-shard intra-cluster trees of the staging buffers.
 	c.shardTreeRounds(b, ct, stage)
+	bun := b.stage(n * sz)
 	return func() {
 		c.p.M.Compute(c.p.memTime(n * sz))
-		bun := make([]byte, 0, n*sz)
 		for di := 0; di < ct.nClusters; di++ {
 			bun = bun[:0]
 			for k := 0; k < K; k++ {
@@ -562,7 +562,7 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	members := ct.clusters[ct.myCluster]
 	myD := ct.myCluster
 	mine := PackBuf(a.send, n*a.count, a.dt)
-	myRecv := make([]byte, n*sz)
+	myRecv := b.stage(n * sz)
 
 	// The distinct emissary relays striping bundle ci -> cj; shard p of
 	// the bundle rides relay p. Identical on every rank.
@@ -597,7 +597,7 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	out := make([][]byte, ct.nClusters)
 	for _, cj := range ct.remote {
 		dm := ct.clusters[cj]
-		out[cj] = make([]byte, len(dm)*sz)
+		out[cj] = b.stage(len(dm) * sz)
 		for jj, dst := range dm {
 			b.copyStep(out[cj][jj*sz:(jj+1)*sz], mine[dst*sz:(dst+1)*sz])
 		}
@@ -632,7 +632,7 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 		shardOut[cj] = make([][]byte, len(rs))
 		for p, r := range rs {
 			if r.x == c.myRank {
-				shardOut[cj][p] = make([]byte, pb[p+1]-pb[p])
+				shardOut[cj][p] = b.stage(pb[p+1] - pb[p])
 				if myGW == "" {
 					myGW = r.gw
 				}
@@ -684,7 +684,7 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 			if r.y != c.myRank {
 				continue
 			}
-			inShard[ci][p] = make([]byte, pb[p+1]-pb[p])
+			inShard[ci][p] = b.stage(pb[p+1] - pb[p])
 			chunks(inShard[ci][p], func(chunk []byte) { b.recv(r.x, chunk) })
 			if myGW == "" {
 				myGW = r.gw

@@ -131,7 +131,7 @@ func (c *Comm) startColl(op string, kind collKind, nBytes int, a collArgs) (*Col
 		}
 	}
 	f := formOf(kind, c.sanitizeAlgo(kind, c.chooseAlgo(kind, nBytes)))
-	b := newSched(f.name)
+	b := newSched(f.name, &c.p.Eng.Bufs)
 	return c.submit(b.build(f.compile(c, b, c.topo(), a))), nil
 }
 

@@ -68,7 +68,7 @@ func (b *schedBuilder) treeBcast(parent int, children []int, buf []byte) {
 // the root afterwards.
 func (b *schedBuilder) treeReduce(parent int, children []int, acc []byte, count int, dt Datatype, op Op) {
 	for i := len(children) - 1; i >= 0; i-- {
-		part := make([]byte, len(acc))
+		part := b.stage(len(acc))
 		b.recv(children[i], part)
 		b.reduce(acc, part, count, dt, op)
 	}
@@ -84,7 +84,7 @@ func (b *schedBuilder) treeReduce(parent int, children []int, acc []byte, count 
 // leader's own block by local copy). Members send with a plain b.send.
 func (b *schedBuilder) gatherBundle(members []int, me int, mine []byte) []byte {
 	sz := len(mine)
-	bundle := make([]byte, len(members)*sz)
+	bundle := b.stage(len(members) * sz)
 	for i, m := range members {
 		slot := bundle[i*sz : (i+1)*sz]
 		if m == me {
@@ -138,7 +138,7 @@ func (b *schedBuilder) exchange(peers []int, me int, inLen func(i int) int, out 
 	in := make([][]byte, len(peers))
 	for i, p := range peers {
 		if i != me {
-			in[i] = make([]byte, inLen(i))
+			in[i] = b.stage(inLen(i))
 			b.recv(p, in[i])
 		}
 	}
@@ -180,7 +180,7 @@ func (b *schedBuilder) ringRSRounds(members []int, myPos int, acc []byte, bounds
 	for s := 0; s < m-1; s++ {
 		sendIdx := (myPos - s - 1 + 2*m) % m
 		recvIdx := (myPos - s - 2 + 2*m) % m
-		part := make([]byte, len(blk(recvIdx)))
+		part := b.stage(len(blk(recvIdx)))
 		b.recv(left, part)
 		b.send(right, blk(sendIdx))
 		b.reduce(blk(recvIdx), part, bounds[recvIdx+1]-bounds[recvIdx], dt, op)

@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"mpichmad/internal/adi"
+	"mpichmad/internal/netsim"
 	"mpichmad/internal/trace"
 	"mpichmad/internal/vtime"
 )
@@ -71,18 +72,31 @@ type schedule struct {
 	// fin runs after the last round: unpacking staging into the user's
 	// receive buffer plus the associated CPU charge. May be nil.
 	fin func()
+	// leased is the staging the compiler took (schedBuilder.stage), sent
+	// home by execSchedule once fin has returned.
+	leased []*netsim.Buf
 }
 
 // schedBuilder accumulates rounds. The zero value (via newSched) starts
 // with an open empty round; endRound closes it and opens the next. The
-// phase builders in phases.go extend it with the recurring patterns.
+// phase builders in phases.go extend it with the recurring patterns. bufs
+// is the rank's buffer list, where the schedule's staging comes from.
 type schedBuilder struct {
-	sch *schedule
-	cur round
+	sch  *schedule
+	cur  round
+	bufs *netsim.BufList
 }
 
-func newSched(name string) *schedBuilder {
-	return &schedBuilder{sch: &schedule{name: name}}
+func newSched(name string, bufs *netsim.BufList) *schedBuilder {
+	return &schedBuilder{sch: &schedule{name: name}, bufs: bufs}
+}
+
+// stage leases n bytes of staging for the life of the schedule. The bytes
+// are whatever their last holder left: a compiler fills what it reads.
+func (b *schedBuilder) stage(n int) []byte {
+	buf := b.bufs.Get(n)
+	b.sch.leased = append(b.sch.leased, buf)
+	return buf.B
 }
 
 // endRound seals the open round (dropped when empty) and opens a new one
@@ -158,6 +172,13 @@ func (c *Comm) execSchedule(sch *schedule, tag int) error {
 		tr.Span(c.p.traceTrack, trace.KSched, "sched."+sch.name, op0, trace.Args{
 			Seq: uint32(tag), Val: int64(len(sch.rounds)),
 		})
+	}
+	// After an error the staging stays out, for the GC to take with the
+	// schedule: a receive the failed round pre-posted may still land in it.
+	if err == nil {
+		for _, buf := range sch.leased {
+			buf.Release()
+		}
 	}
 	return err
 }

@@ -1,0 +1,253 @@
+package mpi_test
+
+// Tests of the collective layer's staging: it is leased from the rank's
+// buffer list (adi.Engine.Bufs) when a schedule compiles and goes home when
+// the schedule ends, so a collective in steady state allocates no
+// payload-sized object; a schedule that ends in error keeps what it leased.
+// go test poisons a list buffer when it is handed out fresh and when it is
+// released (netsim.Buf), so every payload comparison in this package is
+// also a check that no compiler leans on zeroed staging or reads it after
+// the schedule has let go of it.
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"mpichmad/internal/cluster"
+	"mpichmad/internal/mpi"
+)
+
+// stagingOps are the four collectives of the benchmark's grid. prepare makes
+// the user buffers and the expected result of a ~payload-byte call once and
+// returns the call, which allocates nothing of its own: it clears the
+// receive buffer, runs the collective and compares.
+var stagingOps = []struct {
+	name    string
+	prepare func(c *mpi.Comm, payload int) (call func() error)
+}{
+	{"Allreduce", func(c *mpi.Comm, payload int) func() error {
+		in, out, want := fpFill(c.Rank(), payload), make([]byte, payload), fpFill(0, payload)
+		for r := 1; r < c.Size(); r++ {
+			mpi.OpMax.Apply(want, fpFill(r, payload), payload, mpi.Byte)
+		}
+		return func() error {
+			clear(out)
+			return delivered("Allreduce", c.Allreduce(in, out, payload, mpi.Byte, mpi.OpMax), out, want)
+		}
+	}},
+	{"Bcast", func(c *mpi.Comm, payload int) func() error {
+		buf, want := make([]byte, payload), fpFill(1, payload)
+		return func() error {
+			clear(buf)
+			if c.Rank() == 1 {
+				copy(buf, want)
+			}
+			return delivered("Bcast", c.Bcast(buf, payload, mpi.Byte, 1), buf, want)
+		}
+	}},
+	{"Allgather", func(c *mpi.Comm, payload int) func() error {
+		per := payload / c.Size()
+		in, out := fpFill(c.Rank(), per), make([]byte, per*c.Size())
+		var want []byte
+		for r := 0; r < c.Size(); r++ {
+			want = append(want, fpFill(r, per)...)
+		}
+		return func() error {
+			clear(out)
+			return delivered("Allgather", c.Allgather(in, out, per, mpi.Byte), out, want)
+		}
+	}},
+	{"Alltoall", func(c *mpi.Comm, payload int) func() error {
+		per := payload / c.Size()
+		in, out := fpFill(c.Rank(), per*c.Size()), make([]byte, per*c.Size())
+		var want []byte
+		for r := 0; r < c.Size(); r++ {
+			want = append(want, fpFill(r, per*c.Size())[c.Rank()*per:(c.Rank()+1)*per]...)
+		}
+		return func() error {
+			clear(out)
+			return delivered("Alltoall", c.Alltoall(in, out, per, mpi.Byte), out, want)
+		}
+	}},
+}
+
+func delivered(what string, err error, got, want []byte) error {
+	if err == nil && !bytes.Equal(got, want) {
+		err = fmt.Errorf("%s delivered wrong bytes", what)
+	}
+	return err
+}
+
+// steadyCollBytes is what one more call allocates per rank on the 2+3 shape
+// once a warm-up call has filled the buffer lists: the whole process's
+// TotalAlloc across 50 calls between two barriers.
+func steadyCollBytes(t *testing.T, mode mpi.CollMode, prepare func(*mpi.Comm, int) func() error, payload int) int {
+	t.Helper()
+	const calls = 50
+	sess, err := cluster.Build(twoClusterTopo(2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rk := range sess.Ranks {
+		rk.MPI.SetCollMode(mode)
+	}
+	var before, after runtime.MemStats
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		call := prepare(c, payload)
+		for i := 0; i <= calls; i++ {
+			if err := call(); err != nil {
+				return err
+			}
+			if i > 0 && i < calls {
+				continue
+			}
+			// Around the timed calls every rank is between the same two
+			// collectives, so rank 0's reading covers whole calls of all.
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if rank == 0 && i == 0 {
+				runtime.ReadMemStats(&before)
+			} else if rank == 0 {
+				runtime.ReadMemStats(&after)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(after.TotalAlloc-before.TotalAlloc) / (calls * len(sess.Ranks))
+}
+
+// In steady state a collective allocates no staging: every buffer a
+// schedule stages in already sits on the rank's list, so a call allocates
+// less than its payload — steps, requests, events, packet heads — and a
+// payload four times as large costs nowhere near four times as much. It
+// does cost more: a body crosses the wire in more packets and a segmented
+// form cuts it into more messages (~2 KB of descriptors per 8 KiB segment
+// and rank), so the growth is bounded by a third of the payload's, where
+// staging made per call grew with at least four fifths of it.
+func TestCollectivesAllocateNoStaging(t *testing.T) {
+	const payload = 256 << 10
+	for _, md := range fpModes {
+		for _, op := range stagingOps {
+			small, big := steadyCollBytes(t, md.mode, op.prepare, payload/4), steadyCollBytes(t, md.mode, op.prepare, payload)
+			if big >= payload || 3*(big-small) >= payload-payload/4 {
+				t.Errorf("%s %s: a call allocates %d B per rank at %d B and %d B at %d B: staging is being made per call",
+					md.name, op.name, small, payload/4, big, payload)
+			}
+		}
+	}
+}
+
+// A schedule that ends in a send error keeps what it leased: a receive its
+// failed round pre-posted may still land there. Rank 0 loses its route to
+// rank 1 in the middle of a run and its next ring Allgather fails on the
+// first send, with the three blocks it staged still out. A buffer that is
+// out cannot be handed out again — a list hands out only what sits home or
+// what it makes — so it is enough that the count stays: after every later
+// collective of the same size on that rank exactly those three are out,
+// and every one delivers the right bytes.
+func TestFailedScheduleKeepsItsStaging(t *testing.T) {
+	const per = 20000
+	sess, err := cluster.Build(nNodeTopo(3, "sisci"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rk0 := sess.Ranks[0]
+	out := func() int { return rk0.MPI.Eng.Bufs.Out() }
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		side, err := c.Dup()
+		if err != nil {
+			return err
+		}
+		gather := stagingOps[2].prepare(c, per*c.Size())
+		if err := gather(); err != nil {
+			return err
+		}
+		if rank == 0 {
+			// Only rank 0 enters the doomed collective, on a communicator of
+			// its own so that the world's sequence stays in step.
+			rails := rk0.ChMad.Rails(1)
+			rk0.ChMad.SetRails(1, nil)
+			err := side.Allgather(fpFill(0, per), make([]byte, per*c.Size()), per, mpi.Byte)
+			rk0.ChMad.SetRails(1, rails)
+			if err == nil {
+				return fmt.Errorf("Allgather over a withdrawn route did not fail")
+			}
+			if out() != 3 {
+				return fmt.Errorf("%d buffers out after the failed Allgather, want its 3 staged blocks", out())
+			}
+		}
+		for i := 0; i < 4; i++ {
+			if err := gather(); err != nil {
+				return err
+			}
+			if rank == 0 && out() != 3 {
+				return fmt.Errorf("%d buffers out after a later Allgather, want the failed schedule's 3", out())
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The one-cluster view a flat form compiles against depends on nothing but
+// the communicator's size and the rank: it is built once per communicator.
+func TestFlatFormsShareOneClusterView(t *testing.T) {
+	sess, err := cluster.Build(nNodeTopo(5, "sisci"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		bcast := stagingOps[1].prepare(c, 1000)
+		if err := bcast(); err != nil {
+			return err
+		}
+		first := c.FlatView()
+		if err := bcast(); err != nil {
+			return err
+		}
+		if first == nil || c.FlatView() != first {
+			return fmt.Errorf("two flat Bcasts compiled against views %p and %p", first, c.FlatView())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// One steady-state megabyte Allreduce on the 2+3 shape, all five ranks:
+// B/op is what the call allocates beyond its payload.
+func BenchmarkAllreduce1M(b *testing.B) {
+	sess, err := cluster.Build(twoClusterTopo(2, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(1 << 20)
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		call := stagingOps[0].prepare(c, 1<<20)
+		if err := call(); err != nil {
+			return err
+		}
+		if rank == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			if err := call(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

@@ -287,11 +287,16 @@ func (ct *commTopo) seal(me int) {
 	}
 }
 
-// oneClusterTopo is the hierarchy-blind view of an n-rank communicator:
-// every rank in one cluster led by rank 0. A two-level compiler run on it
-// has an empty leader level, which makes it the flat algorithm (forms.go's
-// blind rows).
-func oneClusterTopo(n, me int) *commTopo {
+// oneClusterTopo is the hierarchy-blind view of the communicator: every
+// rank in one cluster led by rank 0. A two-level compiler run on it has an
+// empty leader level, which makes it the flat algorithm (forms.go's blind
+// rows). It depends on nothing but the communicator's size and this rank,
+// so it is built once and never invalidated.
+func (c *Comm) oneClusterTopo() *commTopo {
+	if c.flat != nil {
+		return c.flat
+	}
+	n := c.Size()
 	all := make([]int, n)
 	for r := range all {
 		all[r] = r
@@ -303,7 +308,8 @@ func oneClusterTopo(n, me int) *commTopo {
 		leaderSets: [][]int{{0}},
 		leaderGW:   [][]string{{""}},
 	}
-	ct.seal(me)
+	ct.seal(c.myRank)
+	c.flat = ct
 	return ct
 }
 

@@ -278,29 +278,28 @@ func (c *Comm) runTuneOp(kind collKind, nBytes int) error {
 	if per < 1 {
 		per = 1
 	}
+	// The probe's own buffers are leased from the rank's list and home
+	// again when it returns: what they hold cannot move virtual time.
+	probe := func(sendLen, recvLen int, run func(send, recv []byte) error) error {
+		send, recv := c.p.Eng.Bufs.Get(sendLen), c.p.Eng.Bufs.Get(recvLen)
+		defer send.Release()
+		defer recv.Release()
+		return run(send.B, recv.B)
+	}
 	switch kind {
 	case kindBcast:
-		buf := make([]byte, nBytes)
-		return c.Bcast(buf, nBytes, Byte, 0)
+		return probe(nBytes, 0, func(buf, _ []byte) error { return c.Bcast(buf, nBytes, Byte, 0) })
 	case kindAllreduce:
-		in := make([]byte, nBytes)
-		out := make([]byte, nBytes)
-		return c.Allreduce(in, out, nBytes, Byte, OpMax)
+		return probe(nBytes, nBytes, func(in, out []byte) error { return c.Allreduce(in, out, nBytes, Byte, OpMax) })
 	case kindAllgather:
 		// Iallgather dispatches on the per-rank contribution, so the sweep
 		// size is the per-rank payload here (not divided by n) to keep the
 		// bracket keys aligned with the dispatch metric.
-		in := make([]byte, nBytes)
-		out := make([]byte, nBytes*n)
-		return c.Allgather(in, out, nBytes, Byte)
+		return probe(nBytes, nBytes*n, func(in, out []byte) error { return c.Allgather(in, out, nBytes, Byte) })
 	case kindAlltoall:
-		send := make([]byte, per*n)
-		recv := make([]byte, per*n)
-		return c.Alltoall(send, recv, per, Byte)
+		return probe(per*n, per*n, func(send, recv []byte) error { return c.Alltoall(send, recv, per, Byte) })
 	case kindReduceScatter:
-		send := make([]byte, per*n)
-		recv := make([]byte, per)
-		return c.ReduceScatter(send, recv, per, Byte, OpMax)
+		return probe(per*n, per, func(send, recv []byte) error { return c.ReduceScatter(send, recv, per, Byte, OpMax) })
 	default:
 		return fmt.Errorf("mpi: autotune: operation %q is not tunable", collKinds[kind].name)
 	}
@@ -422,6 +421,10 @@ func (c *Comm) autotune() error {
 			return err
 		}
 	}
+	// The sweep is a phase of its own: what its probes left on the rank's
+	// buffer list — the big classes above all, which nothing after it may
+	// ever ask for again — would otherwise sit there for the session.
+	c.p.Eng.Bufs.Drop()
 	// LoadTuneTable also refreshes the world communicator's table cache,
 	// which the sweep's own barriers/broadcasts resolved to nil, so the
 	// tuned table governs from the next collective on.
@@ -503,7 +506,8 @@ func (c *Comm) probeClassSwitch(pr ClassProbe) (int, error) {
 			}
 			var dt vtime.Duration
 			if mine && tuner != nil {
-				buf := make([]byte, size)
+				lease := c.p.Eng.Bufs.Get(size)
+				buf := lease.B
 				start := c.p.M.S.Now()
 				for i := 0; i < reps; i++ {
 					var err error
@@ -523,6 +527,7 @@ func (c *Comm) probeClassSwitch(pr ClassProbe) (int, error) {
 					}
 				}
 				dt = c.p.M.S.Now().Sub(start)
+				lease.Release()
 				tuner.SetClassSwitchPoint(pr.Class, 0) // drop the probe override
 			}
 			if err := c.Barrier(); err != nil {

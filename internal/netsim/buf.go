@@ -17,8 +17,8 @@ type Buf struct {
 // BufList is a free list of wire buffers in power-of-two size classes,
 // LIFO per class. Everything in a simulation runs on Scheduler.Run's
 // goroutine, so the list is not synchronised, and it never gives memory
-// back: a session's lists die with the session. The zero value is ready
-// to use.
+// back unless told to (Drop): a session's lists die with the session. The
+// zero value is ready to use.
 type BufList struct {
 	free [][]*Buf // free[c] holds buffers of capacity 1<<c
 	out  int
@@ -53,6 +53,11 @@ func (l *BufList) Get(n int) *Buf {
 	}
 	return b
 }
+
+// Drop forgets every buffer sitting home, for the GC to take; buffers
+// still out come home as before. For a holder whose working set has just
+// shrunk for good — the list itself never decides to.
+func (l *BufList) Drop() { clear(l.free) }
 
 // Out reports buffers handed out minus buffers released: 0 once every
 // message of a session has been consumed.
