@@ -164,7 +164,10 @@ type Engine struct {
 	// Bufs is where the process's devices stash a payload that must
 	// outlive its packet — an unexpected message, a truncated stream:
 	// taken at arrival, released by the deliver closure once it has
-	// copied out.
+	// copied out. The MPI layer above leases its collective staging and
+	// its autotune probe buffers from the same list (mpi's schedule.go),
+	// so one list per process holds every payload-sized scratch buffer
+	// the process owns.
 	Bufs netsim.BufList
 
 	// Counters for tests and EXPERIMENTS.md diagnostics.

@@ -16,6 +16,26 @@
 // the paper's decoupling of communication progress from the application,
 // applied to collectives (the libNBC/MPI-3 design).
 //
+// Staging is leased, not allocated. Every staging buffer a compiler takes
+// is schedBuilder.stage(n): a buffer of the rank's own list
+// (adi.Engine.Bufs, the netsim.BufList that also holds its devices'
+// unexpected-message stashes), recorded on the schedule at compile time
+// and sent home by execSchedule — the one place a schedule ends, inline or
+// on the progress thread — after the completion closure has returned. A
+// lease comes with whatever its last holder left in it, so a compiler
+// fills every byte it later reads or sends (go test poisons a buffer when
+// it is handed out and when it goes home, which is how the fingerprint and
+// property suites check that). A schedule that ends in error keeps its
+// leases: a receive its failed round pre-posted may still land in them,
+// so they are left to the GC with the schedule. The buffers the direct
+// collectives receive into (Gatherv, Scatterv, Scan) and the autotuner's
+// probe buffers are taken from and returned to the same list around each
+// use. The list keeps each size class's high-water mark, and MPI_Init's
+// sweep asks for classes nothing after it may ever want (its Allgather
+// probes reach 4 MiB a rank), so autotune drops the list's home buffers
+// once when it ends; after that the list holds what the application's own
+// collectives need at once, for the session.
+//
 // # Datatypes and who copies a payload
 //
 // A (buffer, count, datatype) triple reaches the devices as dense bytes.

@@ -13,6 +13,11 @@
 // received bytes, which is how store-and-forward trees and pipelined
 // segments are written as plain data.
 //
+// Staging is leased at compile time from the rank's buffer list
+// (schedBuilder.stage), lives until the completion closure has returned,
+// and goes home in execSchedule; a schedule that ends in error keeps it
+// (see the package comment).
+//
 // Compiling an algorithm therefore fixes, at submit time, every message
 // (peer, payload, order) and every CPU charge the operation will incur;
 // executing it needs no algorithm-specific code at all. This is the

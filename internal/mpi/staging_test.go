@@ -27,50 +27,55 @@ var stagingOps = []struct {
 	name    string
 	prepare func(c *mpi.Comm, payload int) (call func() error)
 }{
-	{"Allreduce", func(c *mpi.Comm, payload int) func() error {
-		in, out, want := fpFill(c.Rank(), payload), make([]byte, payload), fpFill(0, payload)
-		for r := 1; r < c.Size(); r++ {
-			mpi.OpMax.Apply(want, fpFill(r, payload), payload, mpi.Byte)
+	{"Allreduce", prepAllreduce}, {"Bcast", prepBcast}, {"Allgather", prepAllgather}, {"Alltoall", prepAlltoall},
+}
+
+func prepAllreduce(c *mpi.Comm, payload int) func() error {
+	in, out, want := fpFill(c.Rank(), payload), make([]byte, payload), fpFill(0, payload)
+	for r := 1; r < c.Size(); r++ {
+		mpi.OpMax.Apply(want, fpFill(r, payload), payload, mpi.Byte)
+	}
+	return func() error {
+		clear(out)
+		return delivered("Allreduce", c.Allreduce(in, out, payload, mpi.Byte, mpi.OpMax), out, want)
+	}
+}
+
+func prepBcast(c *mpi.Comm, payload int) func() error {
+	buf, want := make([]byte, payload), fpFill(1, payload)
+	return func() error {
+		clear(buf)
+		if c.Rank() == 1 {
+			copy(buf, want)
 		}
-		return func() error {
-			clear(out)
-			return delivered("Allreduce", c.Allreduce(in, out, payload, mpi.Byte, mpi.OpMax), out, want)
-		}
-	}},
-	{"Bcast", func(c *mpi.Comm, payload int) func() error {
-		buf, want := make([]byte, payload), fpFill(1, payload)
-		return func() error {
-			clear(buf)
-			if c.Rank() == 1 {
-				copy(buf, want)
-			}
-			return delivered("Bcast", c.Bcast(buf, payload, mpi.Byte, 1), buf, want)
-		}
-	}},
-	{"Allgather", func(c *mpi.Comm, payload int) func() error {
-		per := payload / c.Size()
-		in, out := fpFill(c.Rank(), per), make([]byte, per*c.Size())
-		var want []byte
-		for r := 0; r < c.Size(); r++ {
-			want = append(want, fpFill(r, per)...)
-		}
-		return func() error {
-			clear(out)
-			return delivered("Allgather", c.Allgather(in, out, per, mpi.Byte), out, want)
-		}
-	}},
-	{"Alltoall", func(c *mpi.Comm, payload int) func() error {
-		per := payload / c.Size()
-		in, out := fpFill(c.Rank(), per*c.Size()), make([]byte, per*c.Size())
-		var want []byte
-		for r := 0; r < c.Size(); r++ {
-			want = append(want, fpFill(r, per*c.Size())[c.Rank()*per:(c.Rank()+1)*per]...)
-		}
-		return func() error {
-			clear(out)
-			return delivered("Alltoall", c.Alltoall(in, out, per, mpi.Byte), out, want)
-		}
-	}},
+		return delivered("Bcast", c.Bcast(buf, payload, mpi.Byte, 1), buf, want)
+	}
+}
+
+func prepAllgather(c *mpi.Comm, payload int) func() error {
+	per := payload / c.Size()
+	in, out := fpFill(c.Rank(), per), make([]byte, per*c.Size())
+	var want []byte
+	for r := 0; r < c.Size(); r++ {
+		want = append(want, fpFill(r, per)...)
+	}
+	return func() error {
+		clear(out)
+		return delivered("Allgather", c.Allgather(in, out, per, mpi.Byte), out, want)
+	}
+}
+
+func prepAlltoall(c *mpi.Comm, payload int) func() error {
+	per := payload / c.Size()
+	in, out := fpFill(c.Rank(), per*c.Size()), make([]byte, per*c.Size())
+	var want []byte
+	for r := 0; r < c.Size(); r++ {
+		want = append(want, fpFill(r, per*c.Size())[c.Rank()*per:(c.Rank()+1)*per]...)
+	}
+	return func() error {
+		clear(out)
+		return delivered("Alltoall", c.Alltoall(in, out, per, mpi.Byte), out, want)
+	}
 }
 
 func delivered(what string, err error, got, want []byte) error {
@@ -164,7 +169,7 @@ func TestFailedScheduleKeepsItsStaging(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		gather := stagingOps[2].prepare(c, per*c.Size())
+		gather := prepAllgather(c, per*c.Size())
 		if err := gather(); err != nil {
 			return err
 		}
@@ -205,7 +210,7 @@ func TestFlatFormsShareOneClusterView(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = sess.Run(func(rank int, c *mpi.Comm) error {
-		bcast := stagingOps[1].prepare(c, 1000)
+		bcast := prepBcast(c, 1000)
 		if err := bcast(); err != nil {
 			return err
 		}
@@ -233,7 +238,7 @@ func BenchmarkAllreduce1M(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(1 << 20)
 	err = sess.Run(func(rank int, c *mpi.Comm) error {
-		call := stagingOps[0].prepare(c, 1<<20)
+		call := prepAllreduce(c, 1<<20)
 		if err := call(); err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ import (
 type Buf struct {
 	B    []byte
 	list *BufList
+	next *Buf // the buffer that went home before this one, while home
 	home bool // released, sitting in its list
 }
 
@@ -20,7 +21,7 @@ type Buf struct {
 // back unless told to (Drop): a session's lists die with the session. The
 // zero value is ready to use.
 type BufList struct {
-	free [][]*Buf // free[c] holds buffers of capacity 1<<c
+	free [bits.UintSize]*Buf // free[c] is the last buffer of capacity 1<<c to come home
 	out  int
 }
 
@@ -37,13 +38,9 @@ func sizeClass(n int) int {
 // holder that leaned on make's zeros fails on first use, not on reuse.
 func (l *BufList) Get(n int) *Buf {
 	c := sizeClass(n)
-	for len(l.free) <= c {
-		l.free = append(l.free, nil)
-	}
 	l.out++
-	if s := l.free[c]; len(s) > 0 {
-		b := s[len(s)-1]
-		l.free[c] = s[:len(s)-1]
+	if b := l.free[c]; b != nil {
+		l.free[c], b.next = b.next, nil
 		b.B, b.home = b.B[:n], false
 		return b
 	}
@@ -57,7 +54,7 @@ func (l *BufList) Get(n int) *Buf {
 // Drop forgets every buffer sitting home, for the GC to take; buffers
 // still out come home as before. For a holder whose working set has just
 // shrunk for good — the list itself never decides to.
-func (l *BufList) Drop() { clear(l.free) }
+func (l *BufList) Drop() { clear(l.free[:]) }
 
 // Out reports buffers handed out minus buffers released: 0 once every
 // message of a session has been consumed.
@@ -79,7 +76,7 @@ func (b *Buf) Release() {
 	l := b.list
 	l.out--
 	c := sizeClass(cap(b.B))
-	l.free[c] = append(l.free[c], b)
+	l.free[c], b.next = b, l.free[c]
 }
 
 func poison(b []byte) {
