@@ -449,6 +449,7 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 	}
 
 	probes := sess.classProbes()
+	world := mpi.WorldGroup(size)
 	for r := 0; r < size; r++ {
 		w := wirings[r]
 		devices := []adi.Device{w.self, w.rank.ChMad}
@@ -468,7 +469,7 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 				return chmad
 			}
 		}
-		w.rank.MPI = mpi.NewProcess(w.rank.Proc, w.rank.Eng, r, size, route, devices)
+		w.rank.MPI = mpi.NewProcess(w.rank.Proc, w.rank.Eng, r, world, route, devices)
 		if sess.Tracer != nil {
 			w.rank.MPI.SetTrace(sess.Tracer, r)
 		}
@@ -784,6 +785,7 @@ func (sess *Session) buildChP4(places []placementInfo) error {
 		ranks[r] = pl.proc
 	}
 	hier := sess.discoverHierarchy(0)
+	world := mpi.WorldGroup(size)
 	for r, pl := range places {
 		proc := marcel.NewProc(sess.S, pl.proc)
 		eng := adi.NewEngine(proc, r)
@@ -796,7 +798,7 @@ func (sess *Session) buildChP4(places []placementInfo) error {
 			}
 			return p4
 		}
-		mp := mpi.NewProcess(proc, eng, r, size, route, []adi.Device{self, p4})
+		mp := mpi.NewProcess(proc, eng, r, world, route, []adi.Device{self, p4})
 		mp.SetHierarchy(hier)
 		sess.Ranks = append(sess.Ranks, &Rank{Rank: r, Node: pl.node, Proc: proc, Eng: eng, MPI: mp})
 		sess.nodeOf[r] = pl.node

@@ -81,24 +81,31 @@ func (p *Process) SetTrace(t *trace.Tracer, track int) {
 	p.traceTrack = track
 }
 
-// NewProcess wires a rank's MPI state. route selects the device for each
-// destination world rank; devices lists the distinct devices for
-// Finalize-time shutdown.
-func NewProcess(m *marcel.Proc, eng *adi.Engine, rank, size int,
+// NewProcess wires a rank's MPI state. world is MPI_COMM_WORLD's group, the
+// identity (WorldGroup) — never written, so a session makes one and hands it
+// to every rank. route selects the device for each destination world rank;
+// devices lists the distinct devices for Finalize-time shutdown.
+func NewProcess(m *marcel.Proc, eng *adi.Engine, rank int, world []int,
 	route func(int) adi.Device, devices []adi.Device) *Process {
 	p := &Process{
 		M: m, Eng: eng,
-		rank: rank, size: size,
+		rank: rank, size: len(world),
 		route: route, devices: devices,
 		nextCtx:  2, // 0/1 are world's p2p and collective contexts
 		memcpyBW: 350 * netsim.MB,
 	}
-	group := make([]int, size)
+	p.World = &Comm{p: p, group: world, myRank: rank, ctx: 0}
+	return p
+}
+
+// WorldGroup returns the group of an n-rank MPI_COMM_WORLD: rank r is world
+// rank r.
+func WorldGroup(n int) []int {
+	group := make([]int, n)
 	for i := range group {
 		group[i] = i
 	}
-	p.World = &Comm{p: p, group: group, myRank: rank, ctx: 0}
-	return p
+	return group
 }
 
 // Rank returns the world rank.
@@ -154,9 +161,12 @@ func (p *Process) AuditDevices() error {
 // Point-to-point traffic uses ctx, collectives ctx+1, mirroring MPICH's
 // paired context ids.
 type Comm struct {
-	p      *Process
-	group  []int // comm rank -> world rank
-	myRank int   // my rank within the communicator
+	p *Process
+	// group maps comm rank -> world rank. It is never written once the
+	// communicator exists: Dups share it, and the world's is one slice for
+	// all the ranks of a session.
+	group  []int
+	myRank int // my rank within the communicator
 	ctx    int
 
 	// ct caches the communicator's dense hierarchy view (topology.go),
@@ -219,15 +229,14 @@ func (c *Comm) allocContext() (int, error) {
 }
 
 // Dup creates a duplicate communicator with a fresh context
-// (MPI_Comm_dup). Collective over c.
+// (MPI_Comm_dup). Collective over c. The duplicate shares c's group slice,
+// which is how topo() knows a Dup of the world for one.
 func (c *Comm) Dup() (*Comm, error) {
 	ctx, err := c.allocContext()
 	if err != nil {
 		return nil, err
 	}
-	g := make([]int, len(c.group))
-	copy(g, c.group)
-	return &Comm{p: c.p, group: g, myRank: c.myRank, ctx: ctx}, nil
+	return &Comm{p: c.p, group: c.group, myRank: c.myRank, ctx: ctx}, nil
 }
 
 // Split partitions the communicator by color, ordering each new group by

@@ -8,3 +8,14 @@ func (c *Comm) FlatView() *commTopo { return c.flat }
 // the communicator's next collective compiles against; asking builds the
 // view as a first collective would.
 func (c *Comm) ViewLeaders() []int { return append([]int(nil), c.topo().leaders...) }
+
+// View is the communicator's dense view as a collective would see it: the
+// group's part, which ranks may share, and this rank's remote clusters.
+func (c *Comm) View() (clusterOf []int, clusters [][]int, remote []int) {
+	ct := c.topo()
+	return ct.clusterOf, ct.clusters, ct.remote
+}
+
+// Done reports whether the collective has completed, without the progress
+// call Test makes.
+func (r *CollRequest) Done() bool { return r.done.Fired() }

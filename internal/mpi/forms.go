@@ -34,7 +34,7 @@ func (c *Comm) shape() collShape {
 	switch {
 	case ct == nil || ct.nClusters < 2:
 		return shapeAny
-	case ct.maxLeaderSet() < 2:
+	case ct.widest < 2:
 		return shapeMulti
 	default:
 		return shapeMultiGW

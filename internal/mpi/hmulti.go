@@ -157,7 +157,7 @@ func (ct *commTopo) shardChain(rootCluster, root, k int) (order, holder, egress 
 // because both endpoints enumerate the cycle and the shard-ascending
 // post phases identically.
 func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
-	K := ct.maxLeaderSet()
+	K := ct.widest
 	data, fin := c.bcastStaging(b, a)
 	bounds := splitBounds(len(data), K)
 	root, rootCluster := a.root, ct.clusterOf[a.root]
@@ -321,7 +321,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 // reduced vector once per direction — as the single-leader form — but
 // split across every gateway of the leader set concurrently.
 func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
-	K := ct.maxLeaderSet()
+	K := ct.widest
 	count, dt, op := a.count, a.dt, a.op
 	es := dt.Size()
 	members, myPos, leaderPos := ct.clusterPos(c.myRank)
@@ -448,7 +448,7 @@ func allgatherShardLayout(ct *commTopo, sz, K int) (bb [][]int, off [][]int, siz
 // broadcasting each assembled shard-k staging buffer to every member.
 // Each directed gateway carries 1/K of the inter-cluster bytes.
 func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
-	K := ct.maxLeaderSet()
+	K := ct.widest
 	n := c.Size()
 	count, dt := a.count, a.dt
 	sz := count * dt.Size()
@@ -556,7 +556,7 @@ func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 // so any directed pair reused across rounds sends and matches its
 // messages in the same order (one tag, FIFO per source).
 func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
-	K := ct.maxLeaderSet()
+	K := ct.widest
 	n := c.Size()
 	sz := a.count * a.dt.Size()
 	members := ct.clusters[ct.myCluster]

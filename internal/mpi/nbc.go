@@ -60,11 +60,10 @@ func (r *CollRequest) Test() (bool, error) {
 }
 
 // collEngine is a communicator's collective progress state: the sequence
-// allocator and the queue of submitted-but-unfinished schedules.
+// allocator and the queue of submitted schedules its thread takes from.
 type collEngine struct {
-	seq     int
-	queue   []*collJob
-	running bool
+	seq  int
+	jobs *vtime.Queue[collJob]
 }
 
 type collJob struct {
@@ -74,46 +73,39 @@ type collJob struct {
 
 // submit queues a compiled schedule on the communicator's progress engine
 // and returns its request. Purely local schedules (size-1 communicators)
-// run inline. The engine thread is spawned on demand and exits when the
-// queue drains, so idle communicators cost nothing.
+// run inline. The first scheduled collective starts the engine thread.
 func (c *Comm) submit(sch *schedule) *CollRequest {
-	req := &CollRequest{c: c, sch: sch,
-		done: vtime.NewEvent(c.p.M.S, "mpi.icoll."+sch.name)}
+	req := &CollRequest{c: c, sch: sch, done: vtime.NewEvent(c.p.M.S, sch.doneEvt)}
 	if sch.local() {
 		req.err = c.execSchedule(sch, 0)
 		req.done.Fire()
 		return req
 	}
-	if c.eng == nil {
-		c.eng = &collEngine{}
-	}
 	eng := c.eng
+	if eng == nil {
+		eng = &collEngine{jobs: vtime.NewQueue[collJob](c.p.M.S, "mpi.nbc")}
+		c.eng = eng
+		c.p.M.SpawnDaemon("nbc.progress", c.progress)
+	}
 	tag := tagNBCBase + eng.seq
-	eng.queue = append(eng.queue, &collJob{req: req, tag: tag})
 	eng.seq++
+	eng.jobs.Push(collJob{req: req, tag: tag})
 	if tr := c.p.tracer; tr != nil {
 		tr.Instant(c.p.traceTrack, trace.KSched, "sched.submit", trace.Args{
-			Seq: uint32(tag), Class: sch.name, Val: int64(len(eng.queue)),
+			Seq: uint32(tag), Class: sch.name, Val: int64(eng.jobs.Len()),
 		})
-	}
-	if !eng.running {
-		eng.running = true
-		c.p.M.Spawn("nbc.progress", func() { c.progress() })
 	}
 	return req
 }
 
-// progress drains the engine queue, executing schedules in submission
-// order and firing each request's completion event.
+// progress is the engine thread: it executes schedules in submission order,
+// firing each request's completion event, and parks when there is none.
 func (c *Comm) progress() {
-	eng := c.eng
-	for len(eng.queue) > 0 {
-		job := eng.queue[0]
-		eng.queue = eng.queue[1:]
+	for {
+		job := c.eng.jobs.Pop()
 		job.req.err = c.execSchedule(job.req.sch, job.tag)
 		job.req.done.Fire()
 	}
-	eng.running = false
 }
 
 // startColl is the shared Icoll entry: validity checks, then the tuning

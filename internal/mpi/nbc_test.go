@@ -454,3 +454,92 @@ func TestWaitAllStatuses(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A communicator has one progress thread for its life: what a program
+// spawns does not grow with the collectives it calls. The count is the
+// distance between the ids of two probe threads rank 0 starts before the
+// first collective and after the last.
+func TestOneProgressThreadPerComm(t *testing.T) {
+	spawned := func(onWorld, onDup int) int {
+		sess, err := cluster.Build(twoClusterTopo(2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := func() int { return sess.Ranks[0].Proc.Spawn("probe", func() {}).ID() }
+		var first, last int
+		err = sess.Run(func(rank int, c *mpi.Comm) error {
+			if rank == 0 {
+				first = probe()
+			}
+			dup, err := c.Dup()
+			if err != nil {
+				return err
+			}
+			for i := 0; i < onWorld+onDup; i++ {
+				comm := c
+				if i%4 == 3 && i/4 < onDup {
+					comm = dup
+				}
+				if err := comm.Barrier(); err != nil {
+					return err
+				}
+			}
+			// Every rank is in or past its last barrier: whatever it
+			// spawns for one has been spawned.
+			sess.Ranks[rank].Proc.Sleep(vtime.Millisecond)
+			if rank == 0 {
+				last = probe()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return last - first
+	}
+	few, many := spawned(20, 5), spawned(40, 10)
+	if few != many {
+		t.Fatalf("25 barriers spawn %d threads and 50 spawn %d, want the same number", few, many)
+	}
+	// The probe itself and, per rank, the world's engine and the Dup's.
+	if want := 1 + 4*2; few != want {
+		t.Fatalf("%d threads spawned by a program of 25 barriers on two communicators, want %d", few, want)
+	}
+}
+
+// The engine thread is a daemon, so a collective nobody waits for does not
+// hold the run once the ranks' mains have returned. On the world that
+// changes nothing: the barrier of MPI_Finalize queues behind it on the same
+// in-order engine, so it completes first. On another communicator it ends
+// where the run ends — here a barrier on a Dup that rank 1 never joins: as
+// live threads its three engines kept the pollers idling up to the virtual
+// deadline, and the run ended in the DeadlineError that names them.
+func TestUnwaitedIcollDoesNotHoldRun(t *testing.T) {
+	sess, err := cluster.Build(twoClusterTopo(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onWorld, onDup := make([]*mpi.CollRequest, 4), make([]*mpi.CollRequest, 4)
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		dup, err := c.Dup()
+		if err != nil {
+			return err
+		}
+		if onWorld[rank], err = c.Ibarrier(); err != nil || rank == 1 {
+			return err
+		}
+		onDup[rank], err = dup.Ibarrier()
+		return err
+	})
+	if err != nil {
+		t.Fatalf("un-waited Ibarriers held the run: %v", err)
+	}
+	for rank := range onWorld {
+		if !onWorld[rank].Done() {
+			t.Errorf("rank %d: the world's un-waited Ibarrier did not complete before MPI_Finalize's", rank)
+		}
+		if rank != 1 && onDup[rank].Done() {
+			t.Errorf("rank %d: a barrier rank 1 never joined completed", rank)
+		}
+	}
+}

@@ -72,8 +72,11 @@ type round struct {
 
 // schedule is a compiled collective operation.
 type schedule struct {
-	name   string
-	rounds []round
+	name string
+	// doneEvt and roundEvt name the request's completion event and a
+	// round's receives-landed event (deadlock dumps).
+	doneEvt, roundEvt string
+	rounds            []round
 	// fin runs after the last round: unpacking staging into the user's
 	// receive buffer plus the associated CPU charge. May be nil.
 	fin func()
@@ -93,7 +96,8 @@ type schedBuilder struct {
 }
 
 func newSched(name string, bufs *netsim.BufList) *schedBuilder {
-	return &schedBuilder{sch: &schedule{name: name}, bufs: bufs}
+	sch := &schedule{name: name, doneEvt: "mpi.icoll." + name, roundEvt: "mpi.sched." + name}
+	return &schedBuilder{sch: sch, bufs: bufs}
 }
 
 // stage leases n bytes of staging for the life of the schedule. The bytes
@@ -205,7 +209,7 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 		var recvsDone *vtime.Event
 		var rrs []*adi.RecvReq
 		if nRecv > 0 {
-			recvsDone = vtime.NewEvent(c.p.M.S, "mpi.sched."+sch.name)
+			recvsDone = vtime.NewEvent(c.p.M.S, sch.roundEvt)
 			pending := nRecv
 			for _, st := range rd.steps {
 				if st.kind != stepRecv {

@@ -1,5 +1,7 @@
 package mpi
 
+import "slices"
+
 // Topology-aware collectives: hierarchy discovery metadata and the
 // MPICH-style tuning table that selects between flat (topology-blind) and
 // two-level (cluster-of-clusters) collective algorithms.
@@ -76,6 +78,11 @@ type Hierarchy struct {
 	// each co-leader fronts ("" when the co-leader is the primary leader
 	// without a gateway of its own) — trace annotations and reports.
 	LeaderGateways [][]string
+
+	// world is the dense view of the identity group (the world communicator
+	// and its Dups), shared by every rank holding this Hierarchy: built by
+	// the first that needs it (Comm.topo), dropped by RefreshHierarchy.
+	world *groupView
 }
 
 // NumClusters returns the number of clusters in the hierarchy.
@@ -96,6 +103,9 @@ func (p *Process) SetHierarchy(h *Hierarchy) { p.hier = h }
 // preserving the MPI same-order rule for schedules already compiled.
 func (p *Process) RefreshHierarchy(h *Hierarchy) {
 	p.hier = h
+	if h != nil {
+		h.world = nil
+	}
 	if p.World != nil {
 		p.World.ct = nil
 	}
@@ -142,33 +152,33 @@ func (p *Process) SetCollMode(m CollMode) { p.collMode = m }
 // CollMode returns the current selection mode.
 func (p *Process) CollMode() CollMode { return p.collMode }
 
-// commTopo is a communicator's dense view of the hierarchy: cluster
-// membership restricted to the communicator's group and re-indexed.
-type commTopo struct {
+// groupView is the part of a dense view that depends on the group and the
+// hierarchy alone: every rank of the communicator would build the same one.
+// It is immutable once built and its slices are clipped, so a view shared
+// between ranks can be neither edited nor appended into.
+type groupView struct {
 	nClusters int
 	clusterOf []int   // comm rank -> dense cluster index
 	clusters  [][]int // dense cluster index -> comm ranks, ascending
 	leaders   []int   // dense cluster index -> lowest comm rank
-	myCluster int
-	remote    []int // every dense cluster index but myCluster, ascending
 	// leaderSets maps each dense cluster to its in-communicator leader
 	// set (comm ranks, primary leader first); always at least the
 	// one-element [leaders[di]]. leaderGW names the gateway network each
 	// co-leader fronts, parallel to leaderSets ("" when unknown).
 	leaderSets [][]int
 	leaderGW   [][]string
+	// widest is the widest leader set any cluster of the communicator
+	// carries — the shard count K of the multi-leader algorithms.
+	widest int
 }
 
-// maxLeaderSet is the widest leader set any cluster of the communicator
-// carries — the shard count K of the multi-leader algorithms.
-func (ct *commTopo) maxLeaderSet() int {
-	k := 1
-	for _, ls := range ct.leaderSets {
-		if len(ls) > k {
-			k = len(ls)
-		}
-	}
-	return k
+// commTopo is a communicator's dense view of the hierarchy: cluster
+// membership restricted to the communicator's group and re-indexed, plus
+// where this rank stands in it.
+type commTopo struct {
+	*groupView
+	myCluster int
+	remote    []int // every dense cluster index but myCluster, ascending
 }
 
 // coLeader returns shard k's co-leader in dense cluster di: leader sets
@@ -190,7 +200,9 @@ func (ct *commTopo) coLeaderGW(di, k int) string {
 }
 
 // topo returns the communicator's cached dense hierarchy view, or nil when
-// no hierarchy is installed.
+// no hierarchy is installed. The view of the identity group — the world's,
+// which its Dups share slice and all — is the same on every rank, so the
+// first rank to ask builds it and leaves it on the Hierarchy for the others.
 func (c *Comm) topo() *commTopo {
 	if c.ct != nil {
 		return c.ct
@@ -199,7 +211,21 @@ func (c *Comm) topo() *commTopo {
 	if h == nil {
 		return nil
 	}
-	ct := &commTopo{clusterOf: make([]int, len(c.group))}
+	world := &c.group[0] == &c.p.World.group[0]
+	g := h.world
+	if !world || g == nil {
+		g = c.groupView(h)
+		if world {
+			h.world = g
+		}
+	}
+	c.ct = g.viewFor(c.myRank)
+	return c.ct
+}
+
+// groupView builds the rank-invariant part of the communicator's view of h.
+func (c *Comm) groupView(h *Hierarchy) *groupView {
+	g := &groupView{clusterOf: make([]int, len(c.group))}
 	dense := make(map[int]int) // world cluster id -> dense index
 	var denseWorld []int       // dense index -> world cluster id
 	for r, w := range c.group {
@@ -209,16 +235,16 @@ func (c *Comm) topo() *commTopo {
 		}
 		di, ok := dense[wc]
 		if !ok {
-			di = len(ct.clusters)
+			di = len(g.clusters)
 			dense[wc] = di
 			denseWorld = append(denseWorld, wc)
-			ct.clusters = append(ct.clusters, nil)
+			g.clusters = append(g.clusters, nil)
 			// r ascends, so the first member seen is the cluster's
 			// lowest comm rank: its default leader.
-			ct.leaders = append(ct.leaders, r)
+			g.leaders = append(g.leaders, r)
 		}
-		ct.clusterOf[r] = di
-		ct.clusters[di] = append(ct.clusters[di], r)
+		g.clusterOf[r] = di
+		g.clusters[di] = append(g.clusters[di], r)
 	}
 	// Gateway-aware preference: a cluster whose elected leader is in this
 	// communicator uses it instead of the lowest comm rank, so two-level
@@ -228,8 +254,8 @@ func (c *Comm) topo() *commTopo {
 			if wc >= len(h.Leaders) {
 				continue
 			}
-			if cr := c.commRankOfWorld(h.Leaders[wc]); cr >= 0 && ct.clusterOf[cr] == di {
-				ct.leaders[di] = cr
+			if cr := c.commRankOfWorld(h.Leaders[wc]); cr >= 0 && g.clusterOf[cr] == di {
+				g.leaders[di] = cr
 			}
 		}
 	}
@@ -239,11 +265,11 @@ func (c *Comm) topo() *commTopo {
 	// who fronts the cluster; co-leaders outside the communicator (or
 	// outside the cluster after a Split) simply drop out, possibly
 	// collapsing the set to one rank.
-	ct.leaderSets = make([][]int, len(ct.clusters))
-	ct.leaderGW = make([][]string, len(ct.clusters))
-	for di := range ct.clusters {
-		ct.leaderSets[di] = []int{ct.leaders[di]}
-		ct.leaderGW[di] = []string{""}
+	g.leaderSets = make([][]int, len(g.clusters))
+	g.leaderGW = make([][]string, len(g.clusters))
+	for di := range g.clusters {
+		g.leaderSets[di] = []int{g.leaders[di]}
+		g.leaderGW[di] = []string{""}
 	}
 	if h.LeaderSets != nil {
 		for di, wc := range denseWorld {
@@ -252,39 +278,44 @@ func (c *Comm) topo() *commTopo {
 			}
 			for i, w := range h.LeaderSets[wc] {
 				cr := c.commRankOfWorld(w)
-				if cr < 0 || ct.clusterOf[cr] != di || cr == ct.leaders[di] {
+				if cr < 0 || g.clusterOf[cr] != di || cr == g.leaders[di] {
 					continue
 				}
 				gw := ""
 				if wc < len(h.LeaderGateways) && i < len(h.LeaderGateways[wc]) {
 					gw = h.LeaderGateways[wc][i]
 				}
-				ct.leaderSets[di] = append(ct.leaderSets[di], cr)
-				ct.leaderGW[di] = append(ct.leaderGW[di], gw)
+				g.leaderSets[di] = append(g.leaderSets[di], cr)
+				g.leaderGW[di] = append(g.leaderGW[di], gw)
 			}
 			// Tag the anchor slot with the elected primary's gateway when
 			// they are the same rank.
 			if len(h.LeaderSets[wc]) > 0 && len(h.LeaderGateways) > wc && len(h.LeaderGateways[wc]) > 0 {
-				if cr := c.commRankOfWorld(h.LeaderSets[wc][0]); cr == ct.leaders[di] {
-					ct.leaderGW[di][0] = h.LeaderGateways[wc][0]
+				if cr := c.commRankOfWorld(h.LeaderSets[wc][0]); cr == g.leaders[di] {
+					g.leaderGW[di][0] = h.LeaderGateways[wc][0]
 				}
 			}
 		}
 	}
-	ct.seal(c.myRank)
-	c.ct = ct
-	return ct
+	g.nClusters = len(g.clusters)
+	g.clusters, g.leaders = slices.Clip(g.clusters), slices.Clip(g.leaders)
+	for di, ls := range g.leaderSets {
+		g.clusters[di] = slices.Clip(g.clusters[di])
+		g.leaderSets[di], g.leaderGW[di] = slices.Clip(ls), slices.Clip(g.leaderGW[di])
+		g.widest = max(g.widest, len(ls))
+	}
+	return g
 }
 
-// seal derives the view's per-rank fields once membership is final.
-func (ct *commTopo) seal(me int) {
-	ct.nClusters = len(ct.clusters)
-	ct.myCluster = ct.clusterOf[me]
-	for di := range ct.clusters {
+// viewFor makes rank me's view of the group.
+func (g *groupView) viewFor(me int) *commTopo {
+	ct := &commTopo{groupView: g, myCluster: g.clusterOf[me], remote: make([]int, 0, g.nClusters-1)}
+	for di := range g.clusters {
 		if di != ct.myCluster {
 			ct.remote = append(ct.remote, di)
 		}
 	}
+	return ct
 }
 
 // oneClusterTopo is the hierarchy-blind view of the communicator: every
@@ -301,16 +332,17 @@ func (c *Comm) oneClusterTopo() *commTopo {
 	for r := range all {
 		all[r] = r
 	}
-	ct := &commTopo{
+	g := &groupView{
+		nClusters:  1,
 		clusterOf:  make([]int, n),
 		clusters:   [][]int{all},
 		leaders:    []int{0},
 		leaderSets: [][]int{{0}},
 		leaderGW:   [][]string{{""}},
+		widest:     1,
 	}
-	ct.seal(c.myRank)
-	c.flat = ct
-	return ct
+	c.flat = g.viewFor(c.myRank)
+	return c.flat
 }
 
 // clusterPos returns the member list of rank me's cluster plus the
@@ -532,27 +564,25 @@ func (c *Comm) analyticAlgo(kind collKind, nBytes int) collAlgo {
 // at the root.
 func (ct *commTopo) twoLevelTree(me, root int) (parent int, children []int) {
 	// Operation leaders: the root stands in for its own cluster's leader.
-	rootCluster := ct.clusterOf[root]
-	opLeader := make([]int, ct.nClusters)
-	copy(opLeader, ct.leaders)
-	opLeader[rootCluster] = root
-
-	myCluster := ct.clusterOf[me]
+	rootCluster, myCluster := ct.clusterOf[root], ct.clusterOf[me]
+	lead := ct.leaders[myCluster]
+	if myCluster == rootCluster {
+		lead = root
+	}
 	parent = -1
-	if me == opLeader[myCluster] {
-		p, kids := binomialOver(opLeader, rootCluster, myCluster)
-		parent = p
-		children = append(children, kids...)
+	if me == lead {
+		opLeader := slices.Clone(ct.leaders)
+		opLeader[rootCluster] = root
+		parent, children = binomialOver(opLeader, rootCluster, myCluster)
 	}
 
 	// Intra-cluster binomial tree rooted at the cluster's operation
 	// leader. A leader is its intra-tree's root (p = -1), so its backbone
 	// parent from the leader level is preserved.
 	members := ct.clusters[myCluster]
-	p, kids := binomialOver(members, posIn(members, opLeader[myCluster]), posIn(members, me))
+	p, kids := binomialOver(members, posIn(members, lead), posIn(members, me))
 	if p >= 0 {
 		parent = p
 	}
-	children = append(children, kids...)
-	return parent, children
+	return parent, append(children, kids...)
 }

@@ -117,7 +117,7 @@ func TestSwitchPointTuneRoundTrip(t *testing.T) {
 		{Op: "SwitchPoint", MaxBytes: 16 << 10, Algo: "san"},
 		{Op: "SwitchPoint", MaxBytes: 64 << 10, Algo: "wan"},
 	}
-	p := mpi.NewProcess(nil, nil, 0, 1, nil, nil)
+	p := mpi.NewProcess(nil, nil, 0, mpi.WorldGroup(1), nil, nil)
 	if err := p.LoadTuneTable(table); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSwitchPointTuneRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(snap, table) {
 		t.Fatalf("TuneSnapshot = %v, want the loaded table %v", snap, table)
 	}
-	p2 := mpi.NewProcess(nil, nil, 0, 1, nil, nil)
+	p2 := mpi.NewProcess(nil, nil, 0, mpi.WorldGroup(1), nil, nil)
 	if err := p2.LoadTuneTable(snap); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package mpi_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mpichmad/internal/cluster"
@@ -31,7 +32,7 @@ func TestViewFollowsReelection(t *testing.T) {
 	}
 	leaderOf1 := func(what string, c *mpi.Comm, want int) error {
 		if got := c.ViewLeaders(); len(got) != 2 || got[1] != want {
-			return fmt.Errorf("rank %d: %s view has leaders %v, want cluster 1 led by %d", c.Rank(), what, got, want)
+			return fmt.Errorf("%s view has leaders %v, want cluster 1 led by %d", what, got, want)
 		}
 		return nil
 	}
@@ -90,5 +91,42 @@ func TestViewFollowsReelection(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The world's view depends on the hierarchy alone, so the ranks of a
+// session hold one between them: the group's part is the same memory on
+// every rank, only where the rank stands in it is its own, and what is
+// shared cannot be appended into.
+func TestWorldViewIsShared(t *testing.T) {
+	sess, err := cluster.Build(twoClusterTopo(3, 3)) // world ranks a0 b0 a1 b1 a2 b2
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(sess.Ranks)
+	clusterOf, clusters, remote := make([][]int, n), make([][][]int, n), make([][]int, n)
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		clusterOf[rank], clusters[rank], remote[rank] = c.View()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{0, 2, 4}, {1, 3, 5}}; !slices.EqualFunc(clusters[0], want, slices.Equal[[]int]) {
+		t.Fatalf("rank 0 sees clusters %v, want %v", clusters[0], want)
+	}
+	for r := 1; r < n; r++ {
+		if &clusterOf[r][0] != &clusterOf[0][0] || &clusters[r][0] != &clusters[0][0] || &clusters[r][1][0] != &clusters[0][1][0] {
+			t.Errorf("rank %d holds a view of its own, want the one rank 0 holds", r)
+		}
+		if want := []int{1 - r%2}; !slices.Equal(remote[r], want) {
+			t.Errorf("rank %d: remote clusters %v, want %v", r, remote[r], want)
+		}
+	}
+	// Three members grown by append sit in an array of four: unclipped, two
+	// ranks appending to the list would write the same spare slot.
+	a, b := append(clusters[0][0], 98), append(clusters[1][0], 99)
+	if a[3] != 98 || b[3] != 99 || cap(clusters[0][0]) != 3 {
+		t.Errorf("appends to the shared member list alias: %v and %v (cap %d)", a, b, cap(clusters[0][0]))
 	}
 }

@@ -11,6 +11,9 @@ type pollWait struct {
 	cost     Duration
 	deadline Time // end of the current interval
 	phase    pollPhase
+	// The lanes of delay interval and cost, where the cycle's two timers
+	// go; nil sends them to the heap.
+	everyLane, burnLane *lane
 }
 
 // pollPhase says where a parked poller is in its idle cycle.
@@ -26,7 +29,7 @@ const (
 // is empty and a way onto its wait list. It never sees an item.
 type pollQueue interface {
 	Len() int
-	join(t *Task, timeout Duration)
+	join(t *Task, timeout Duration, ln *lane)
 }
 
 // PopPoll is Pop under a polling discipline: each time interval (> 0)
@@ -47,7 +50,8 @@ func (q *Queue[T]) PopPoll(interval Duration, cpu *Sem, cost Duration, busy *Dur
 		if t.poll == nil {
 			t.poll = new(pollWait)
 		}
-		*t.poll = pollWait{q: q, cpu: cpu, busy: busy, interval: interval, cost: cost}
+		*t.poll = pollWait{q: q, cpu: cpu, busy: busy, interval: interval, cost: cost,
+			everyLane: q.s.laneFor(interval), burnLane: q.s.laneFor(cost)}
 		q.s.pollInterval(t, t.poll)
 		q.s.switchOut(t)
 		t.poll.q = nil
@@ -58,7 +62,7 @@ func (q *Queue[T]) PopPoll(interval Duration, cpu *Sem, cost Duration, busy *Dur
 // pollInterval starts an interval of t's PopPoll.
 func (s *Scheduler) pollInterval(t *Task, p *pollWait) {
 	p.phase, p.deadline = pollIdle, s.now.Add(p.interval)
-	p.q.join(t, p.interval)
+	p.q.join(t, p.interval, p.everyLane)
 }
 
 // pollStep serves the turn of a task parked in PopPoll, from pick: it does
@@ -75,8 +79,9 @@ func (s *Scheduler) pollStep(t *Task, p *pollWait) bool {
 			return true // pushed, or found by the last look at the interval's end
 		}
 		if !t.timedOut {
-			// Woken by a Push whose item somebody else took.
-			p.q.join(t, p.deadline.Sub(s.now))
+			// Woken by a Push whose item somebody else took. The rest of the
+			// interval is not the lane's delay: this timer goes on the heap.
+			p.q.join(t, p.deadline.Sub(s.now), nil)
 			return false
 		}
 		if p.cost <= 0 {
@@ -91,7 +96,7 @@ func (s *Scheduler) pollStep(t *Task, p *pollWait) bool {
 	case pollCPU: // the permit is ours
 		p.phase = pollBurn
 		*p.busy += p.cost
-		s.park(t, waitReason{until: s.now.Add(p.cost)}, p.cost, nil)
+		s.park(t, waitReason{until: s.now.Add(p.cost)}, p.cost, nil, p.burnLane)
 		return false
 	case pollBurn:
 		p.cpu.Release()

@@ -163,8 +163,8 @@ func (s *Scheduler) taskPanic(r any) *TaskPanic {
 	return p
 }
 
-// timer is an entry in the scheduler's timer heap: the wake-up of a
-// blocked task (a sleep ending, a timeout expiring) or a callback.
+// timer is a pending event of the scheduler: the wake-up of a blocked task
+// (a sleep ending, a timeout expiring) or a callback.
 type timer struct {
 	when Time
 	seq  uint64
@@ -175,15 +175,18 @@ type timer struct {
 	fn func()
 }
 
+// before is the order timers fire in: by (when, seq).
+func (e *timer) before(o *timer) bool {
+	if e.when != o.when {
+		return e.when < o.when
+	}
+	return e.seq < o.seq
+}
+
 // timerHeap is a min-heap of timers by value, ordered by (when, seq).
 type timerHeap []timer
 
-func (h timerHeap) less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
+func (h timerHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 
 func (h *timerHeap) push(e timer) {
 	*h = append(*h, e)
@@ -219,11 +222,39 @@ func (h *timerHeap) pop() timer {
 	}
 }
 
+// lane is a FIFO of timers all armed with one delay d. when = now + d with
+// now never decreasing, and seq always increasing, so such timers are armed
+// in (when, seq) order: the FIFO is an exact priority queue, at O(1) a timer
+// however deep the heap beside it. The timers of PopPoll's idle cycle live
+// here (poll.go); pick takes the earliest of the heap's top and the lanes'
+// heads. A lane is free while d is 0 and keeps its delay once it has one.
+type lane struct {
+	d Duration
+	q fifo[timer]
+}
+
+// laneFor returns the lane of delay d, taking a free one if d is new, or nil
+// — use the heap — when d <= 0 or every lane has another delay.
+func (s *Scheduler) laneFor(d Duration) *lane {
+	if d <= 0 {
+		return nil
+	}
+	for i := range s.lanes {
+		// Lanes are taken front to back and never given up, so the lane
+		// that has d, if any, comes before the first free one.
+		if ln := &s.lanes[i]; ln.d == d || ln.d == 0 {
+			ln.d = d
+			return ln
+		}
+	}
+	return nil
+}
+
 // fifo is the kernel's one queue — ready tasks, a primitive's waiters, a
-// Queue's items — as a head-index ring: live entries are buf[head:], pop
-// advances head in O(1), and the dead prefix is dropped when the queue
-// drains (the common case: reuse the whole backing array) or once it
-// outgrows the live tail, so the array stays bounded by the peak depth.
+// Queue's items, a lane's timers — as a head-index ring: live entries are
+// buf[head:], pop advances head in O(1), and the dead prefix is dropped when
+// the queue drains (the common case: reuse the whole backing array) or once
+// it outgrows the live tail, so the array stays bounded by the peak depth.
 type fifo[T any] struct {
 	buf  []T
 	head int
@@ -264,6 +295,9 @@ type Scheduler struct {
 	seq  uint64
 	rdy  fifo[*Task]
 	tmrs timerHeap
+	// lanes is a small fixed array so that pick, which looks at every head,
+	// never scans more than a handful.
+	lanes [4]lane
 
 	running *Task // nil while pick or a callback runs
 	resumes int   // coroutine resumes, counted for the self-resume test
@@ -376,19 +410,25 @@ func (s *Scheduler) pick() *Task {
 			s.running = t
 			return t
 		}
-		if len(s.tmrs) == 0 {
+		next, from := s.earliest()
+		if next == nil {
 			e := &DeadlockError{Now: s.now}
 			e.Tasks, e.FlightTail = s.snapshot()
 			s.err = e
 			return nil
 		}
-		if next := s.tmrs[0].when; next > s.deadline {
-			e := &DeadlineError{Deadline: s.deadline, Next: next}
+		if next.when > s.deadline {
+			e := &DeadlineError{Deadline: s.deadline, Next: next.when}
 			e.Tasks, e.FlightTail = s.snapshot()
 			s.err = e
 			return nil
 		}
-		e := s.tmrs.pop()
+		var e timer
+		if from != nil {
+			e = from.q.pop()
+		} else {
+			e = s.tmrs.pop()
+		}
 		if e.when > s.now {
 			s.now = e.when
 		}
@@ -403,6 +443,23 @@ func (s *Scheduler) pick() *Task {
 		}
 	}
 	return nil
+}
+
+// earliest finds the pending timer that fires next — the heap's top or the
+// head of a lane, whichever is first in (when, seq) — and the lane it heads
+// (nil: the heap). It returns nil when no timer is pending.
+func (s *Scheduler) earliest() (next *timer, from *lane) {
+	if len(s.tmrs) > 0 {
+		next = &s.tmrs[0]
+	}
+	for i := range s.lanes {
+		if ln := &s.lanes[i]; ln.q.len() > 0 {
+			if head := &ln.q.buf[ln.q.head]; next == nil || head.before(next) {
+				next, from = head, ln
+			}
+		}
+	}
+	return next, from
 }
 
 // switchOut gives up the CPU of the current task, which has already put
@@ -517,10 +574,16 @@ func (s *Scheduler) cur(op string) *Task {
 	return s.running
 }
 
-func (s *Scheduler) addTimer(e timer) {
+// addTimer arms e on ln, whose delay the caller used for e.when, or on the
+// heap when ln is nil.
+func (s *Scheduler) addTimer(e timer, ln *lane) {
 	e.seq = s.seq
 	s.seq++
-	s.tmrs.push(e)
+	if ln != nil {
+		ln.q.push(e)
+	} else {
+		s.tmrs.push(e)
+	}
 }
 
 // Sleep suspends the current task for d of virtual time. d <= 0 yields.
@@ -530,7 +593,7 @@ func (s *Scheduler) Sleep(d Duration) {
 		s.Yield()
 		return
 	}
-	s.park(t, waitReason{until: s.now.Add(d)}, d, nil)
+	s.park(t, waitReason{until: s.now.Add(d)}, d, nil, nil)
 	s.switchOut(t)
 }
 
@@ -550,7 +613,7 @@ func (s *Scheduler) At(when Time, fn func()) {
 	if when < s.now {
 		when = s.now
 	}
-	s.addTimer(timer{when: when, fn: fn})
+	s.addTimer(timer{when: when, fn: fn}, nil)
 }
 
 // After schedules fn to run d after the current time.
@@ -558,15 +621,17 @@ func (s *Scheduler) After(d Duration, fn func()) { s.At(s.now.Add(d), fn) }
 
 // park marks t blocked until a wake() call or, if timeout >= 0, until the
 // timeout expires, which takes the task off list (the wait list the caller
-// has put it on; nil for a sleep). Giving up the CPU is the caller's next
-// step: switchOut for a running task, nothing more for one pick is stepping.
-func (s *Scheduler) park(t *Task, why waitReason, timeout Duration, list *fifo[*Task]) {
+// has put it on; nil for a sleep). The timeout's timer goes on ln when that
+// is not nil: timeout is then ln's delay. Giving up the CPU is the caller's
+// next step: switchOut for a running task, nothing more for one pick is
+// stepping.
+func (s *Scheduler) park(t *Task, why waitReason, timeout Duration, list *fifo[*Task], ln *lane) {
 	t.state = stateBlocked
 	t.why = why
 	t.timedOut = false
 	t.waitList = list
 	if timeout >= 0 {
-		s.addTimer(timer{when: s.now.Add(timeout), task: t, gen: t.waitGen})
+		s.addTimer(timer{when: s.now.Add(timeout), task: t, gen: t.waitGen}, ln)
 	}
 }
 

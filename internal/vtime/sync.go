@@ -37,7 +37,7 @@ func (m *Sem) Acquire() {
 // join parks t at the back of the semaphore's FIFO.
 func (m *Sem) join(t *Task) {
 	m.waiters.push(t)
-	m.s.park(t, waitReason{what: "sem ", name: m.name}, -1, nil)
+	m.s.park(t, waitReason{what: "sem ", name: m.name}, -1, nil, nil)
 }
 
 // TryAcquire takes a permit without blocking, reporting success.
@@ -104,7 +104,7 @@ func (e *Event) Wait() {
 	}
 	t := e.s.cur("Event.Wait")
 	e.waiters = append(e.waiters, t)
-	e.s.park(t, waitReason{what: "event ", name: e.name}, -1, nil)
+	e.s.park(t, waitReason{what: "event ", name: e.name}, -1, nil, nil)
 	e.s.switchOut(t)
 }
 
@@ -210,16 +210,16 @@ func (q *Queue[T]) Pop() T {
 			return v
 		}
 		t := q.s.cur("Queue.Pop")
-		q.join(t, -1)
+		q.join(t, -1, nil)
 		q.s.switchOut(t)
 	}
 }
 
 // join parks t on the queue's wait list until a Push or, if timeout >= 0,
-// until the timeout expires.
-func (q *Queue[T]) join(t *Task, timeout Duration) {
+// until the timeout expires (ln as for park).
+func (q *Queue[T]) join(t *Task, timeout Duration, ln *lane) {
 	q.waiters.push(t)
-	q.s.park(t, waitReason{what: "queue ", name: q.name}, timeout, &q.waiters)
+	q.s.park(t, waitReason{what: "queue ", name: q.name}, timeout, &q.waiters, ln)
 }
 
 // PopTimeout is Pop with a virtual-time timeout; ok=false on timeout.
@@ -235,7 +235,7 @@ func (q *Queue[T]) PopTimeout(d Duration) (T, bool) {
 			return zero, false
 		}
 		t := q.s.cur("Queue.PopTimeout")
-		q.join(t, remain)
+		q.join(t, remain, nil)
 		if q.s.switchOut(t); t.timedOut {
 			// One last chance: an item may have been pushed at the
 			// exact deadline tick after the timer fired.
