@@ -12,7 +12,8 @@
 // An idle poll therefore has two prices, and they are decoupled. To the
 // simulated CPU it costs what the protocol says — IdleCost every Interval,
 // queued FIFO with every other Compute of the process, counted in CPUBusy.
-// To the host it costs two timers and some bookkeeping inside the kernel's
+// To the host it costs two entries in the kernel's timer lanes — FIFOs, one
+// per fixed delay, beside the timer heap — and some bookkeeping inside its
 // scheduling loop: a polling thread that finds nothing is not resumed to
 // find it (see WaitPoll).
 package marcel

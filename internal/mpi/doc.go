@@ -14,7 +14,24 @@
 // schedules in order on a dedicated cooperative thread, so transfers
 // advance whenever the application thread blocks, computes or yields:
 // the paper's decoupling of communication progress from the application,
-// applied to collectives (the libNBC/MPI-3 design).
+// applied to collectives (the libNBC/MPI-3 design). That thread is one per
+// communicator and resident: started as a daemon by the first scheduled
+// collective, parked on the engine's queue between jobs, woken by the next
+// submit — which puts it on the ready queue exactly where spawning a fresh
+// one used to, so the event order is what it was. Being a daemon it does
+// not hold the run: an Icoll nobody waits for ends where the run ends,
+// except on the world, where MPI_Finalize's barrier queues behind it.
+//
+// What a rank keeps is per communicator, not per rank of the communicator.
+// The dense view of the hierarchy a compiler runs on (commTopo) is two
+// parts: what follows from the group and the hierarchy alone (groupView:
+// membership, leaders, leader sets) and where this rank stands in it. The
+// first part is built once per group: for the identity group — the world
+// and its Dups, which share the world's group slice — by whichever rank
+// asks first, and kept on the Hierarchy all ranks of a session share until
+// RefreshHierarchy drops it. A Split builds its own on every member, with
+// the same code: no workload splits at a scale where that shows. The
+// world's group itself is one slice per session (NewProcess is handed it).
 //
 // Staging is leased, not allocated. Every staging buffer a compiler takes
 // is schedBuilder.stage(n): a buffer of the rank's own list
@@ -220,9 +237,10 @@
 //     parallel rails. Replanning happens only when the application calls
 //     it at a quiescent collective boundary — schedules stay
 //     deterministic within a run. Routes update immediately (routing is
-//     per message); leaders are re-elected from the new plan and
-//     Process.RefreshHierarchy invalidates the world communicator's
-//     cached topology so the next collective compiles against them.
+//     per message); leaders are re-elected from the new plan — in place,
+//     in the Hierarchy the ranks share — and Process.RefreshHierarchy
+//     drops the world communicator's cached view and the shared one on
+//     the Hierarchy, so the next collective compiles against them.
 //   - Gateway admission control: each relay's store-and-forward queue is
 //     bounded by a credit window (core.Device.RelayWindow). cluster.Build
 //     sets it on every device before the polling threads start:

@@ -10,6 +10,24 @@
 // from the application thread, applied to collectives. The application
 // gets a CollRequest and overlaps computation until Wait/Test.
 //
+// The engine thread is resident, like the paper's polling threads (§4.2.3):
+// the communicator's first scheduled collective starts it, as a daemon, and
+// it never exits — between jobs it is parked on the engine's queue and the
+// next submit wakes it. It used to be spawned by every submit that found
+// the engine idle and to exit when its queue drained; on 1024 ranks that
+// was a coroutine and a stack regrown through the whole send path per
+// collective call per rank. The order of events is what it was: a spawn
+// and a wake both put the thread at the back of the ready queue at the
+// same point of submit, a drained engine hands the CPU on through the
+// scheduler's pick whether it returns or parks, and a submit that finds the
+// engine busy is taken up without a hop either way. One thing differs. As
+// a daemon the thread does not keep the run alive, so an Icoll that nobody
+// waits for no longer holds Scheduler.Run once its rank's main has returned.
+// On the world nothing changes — MPI_Finalize's barrier queues behind it
+// on the same in-order engine, so it completes first; on any other
+// communicator it ends wherever the run ends (it used to be waited for, or,
+// if it could not finish, to turn a clean exit into a deadline error).
+//
 // MPI requires every member to issue collectives on a communicator in the
 // same order, so the per-communicator sequence numbers agree across ranks
 // and in-order execution can never deadlock (it is equivalent to the

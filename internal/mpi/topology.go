@@ -19,11 +19,20 @@ import "slices"
 // declarative topology — which nodes share a fast network — and installs
 // it on every rank's Process via SetHierarchy. Communicators derive their
 // own dense view (commTopo) lazily, so Split/Dup sub-communicators get
-// hierarchy awareness for free. Selection between algorithms goes through
-// a small tuning table (message size × topology shape → algorithm),
-// mirroring MPICH's coll_tuned framework; the flat algorithms remain both
-// the single-cluster fast path and the cross-check reference for the
-// equivalence property tests.
+// hierarchy awareness for free. The view is per group, not per rank: all
+// of it but the rank's own position (groupView) is the same on every
+// member. For the identity group — the world and its Dups, recognised by
+// the group slice they share — the first rank to need it builds it and
+// leaves it on the Hierarchy, which the ranks of a session hold in common;
+// RefreshHierarchy drops it there as it drops the world's own cached view,
+// because a re-plan re-elects that Hierarchy in place. A view is replaced,
+// never edited, so a Dup that has compiled against one keeps it. A Split
+// builds its group's view on every member (the same builder, no sharing).
+//
+// Selection between algorithms goes through a small tuning table (message
+// size × topology shape → algorithm), mirroring MPICH's coll_tuned
+// framework; the flat algorithms remain both the single-cluster fast path
+// and the cross-check reference for the equivalence property tests.
 
 // Link describes one network class of the hierarchy in plain numbers
 // (derived from the netsim cost model by the cluster session), enough for
@@ -94,13 +103,16 @@ func (h *Hierarchy) NumClusters() int { return len(h.ClusterNames) }
 func (p *Process) SetHierarchy(h *Hierarchy) { p.hier = h }
 
 // RefreshHierarchy reinstalls a (possibly re-elected) cluster structure
-// mid-run and invalidates the world communicator's cached dense view, so
-// the next collective compiles against the new leaders and backbone
-// estimate — how an adaptive re-plan (cluster.Session.Replan) propagates
+// mid-run and invalidates the world communicator's cached dense view and
+// the one the ranks share on h — Replan re-elects in place and passes the
+// same pointer again, so a view left there would serve the old leaders —
+// so the next collective compiles against the new leaders and backbone
+// estimate: how an adaptive re-plan (cluster.Session.Replan) propagates
 // between collective rounds. Must be called on every rank at a quiescent
 // point (all ranks share the Hierarchy value, so agreement is free);
-// sub-communicators created before the refresh keep their frozen view,
-// preserving the MPI same-order rule for schedules already compiled.
+// sub-communicators that compiled a collective before the refresh keep
+// their frozen view, preserving the MPI same-order rule for schedules
+// already compiled.
 func (p *Process) RefreshHierarchy(h *Hierarchy) {
 	p.hier = h
 	if h != nil {

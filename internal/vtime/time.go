@@ -32,10 +32,26 @@
 //     the order and at the instants the task would have; it may not take
 //     an item, call code from outside the package, or skip ahead in time
 //     (internal/marcel's poll pin holds it to the loop it replaced).
+//   - The two timers of that idle cycle do not go through the heap. Timers
+//     fire in (when, seq) order, and timers armed with one fixed delay d
+//     are armed in that order already — when = now + d, now never goes
+//     back, seq only grows — so a FIFO per delay (a lane) is an exact
+//     priority queue for them at O(1) a timer, where the heap of a
+//     1024-rank machine is a thousand entries deep and four in five of
+//     the timers that cross it belong to the 64 threads that poll TCP.
+//     PopPoll finds the lanes of its interval and its cost once per wait
+//     (two delays among today's protocols; there are four lanes and the
+//     heap takes what does not fit, so pick never looks at more than four
+//     heads beside the heap's top); the rest of an interval that a lost
+//     Push interrupted is not the lane's delay and goes to the heap. Every
+//     timer exists and gets its seq at the instant it always did, so the
+//     order is unchanged, ties with heap timers included; lane_test.go
+//     runs each case against a scheduler that has no lane to give.
 //   - Blocking formats and allocates nothing: the wait reason is kept in
 //     parts and rendered only by a deadlock or deadline dump, timers live
-//     by value in a (when, seq) min-heap, a timeout finds its wait list
-//     through a pointer, and every queue is the same head-index ring.
+//     by value in a (when, seq) min-heap or a lane, a timeout finds its
+//     wait list through a pointer, and every queue is the same head-index
+//     ring.
 //   - A panic in a task or a callback leaves Run as a *TaskPanic naming
 //     the thread and the virtual time.
 //
@@ -43,8 +59,9 @@
 // ReadyQueueThroughput, SpawnJoin): 62, 313, 484, 240, 1590 ns against
 // 2354, 2933, 2162, 965, 2604 ns for goroutines handing a token through
 // channels, with 0 allocations on every block path (5 before). An idle
-// poll cycle (internal/marcel's BenchmarkIdlePoll) is 240 ns, 610 when each
-// of its two waits was a block of the polling thread.
+// poll cycle (internal/marcel's BenchmarkIdlePoll) is 140 ns: 610 when each
+// of its two waits was a block of the polling thread, 240–280 when its two
+// timers went through the heap.
 package vtime
 
 import "fmt"
