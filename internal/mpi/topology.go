@@ -226,7 +226,7 @@ func (c *Comm) topo() *commTopo {
 	world := &c.group[0] == &c.p.World.group[0]
 	g := h.world
 	if !world || g == nil {
-		g = c.groupView(h)
+		g = c.newGroupView(h)
 		if world {
 			h.world = g
 		}
@@ -235,8 +235,8 @@ func (c *Comm) topo() *commTopo {
 	return c.ct
 }
 
-// groupView builds the rank-invariant part of the communicator's view of h.
-func (c *Comm) groupView(h *Hierarchy) *groupView {
+// newGroupView builds the rank-invariant part of the communicator's view of h.
+func (c *Comm) newGroupView(h *Hierarchy) *groupView {
 	g := &groupView{clusterOf: make([]int, len(c.group))}
 	dense := make(map[int]int) // world cluster id -> dense index
 	var denseWorld []int       // dense index -> world cluster id
@@ -339,15 +339,13 @@ func (c *Comm) oneClusterTopo() *commTopo {
 	if c.flat != nil {
 		return c.flat
 	}
+	// The world's group is the identity, so its first n entries list this
+	// communicator's ranks.
 	n := c.Size()
-	all := make([]int, n)
-	for r := range all {
-		all[r] = r
-	}
 	g := &groupView{
 		nClusters:  1,
 		clusterOf:  make([]int, n),
-		clusters:   [][]int{all},
+		clusters:   [][]int{c.p.World.group[:n:n]},
 		leaders:    []int{0},
 		leaderSets: [][]int{{0}},
 		leaderGW:   [][]string{{""}},

@@ -13,7 +13,7 @@ type pollWait struct {
 	phase    pollPhase
 	// The lanes of delay interval and cost, where the cycle's two timers
 	// go; nil sends them to the heap.
-	everyLane, burnLane *lane
+	intervalLane, burnLane *lane
 }
 
 // pollPhase says where a parked poller is in its idle cycle.
@@ -51,7 +51,7 @@ func (q *Queue[T]) PopPoll(interval Duration, cpu *Sem, cost Duration, busy *Dur
 			t.poll = new(pollWait)
 		}
 		*t.poll = pollWait{q: q, cpu: cpu, busy: busy, interval: interval, cost: cost,
-			everyLane: q.s.laneFor(interval), burnLane: q.s.laneFor(cost)}
+			intervalLane: q.s.laneFor(interval), burnLane: q.s.laneFor(cost)}
 		q.s.pollInterval(t, t.poll)
 		q.s.switchOut(t)
 		t.poll.q = nil
@@ -62,7 +62,7 @@ func (q *Queue[T]) PopPoll(interval Duration, cpu *Sem, cost Duration, busy *Dur
 // pollInterval starts an interval of t's PopPoll.
 func (s *Scheduler) pollInterval(t *Task, p *pollWait) {
 	p.phase, p.deadline = pollIdle, s.now.Add(p.interval)
-	p.q.join(t, p.interval, p.everyLane)
+	p.q.join(t, p.interval, p.intervalLane)
 }
 
 // pollStep serves the turn of a task parked in PopPoll, from pick: it does
