@@ -260,9 +260,10 @@ type fifo[T any] struct {
 	head int
 }
 
-func (q *fifo[T]) len() int { return len(q.buf) - q.head }
-func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
-func (q *fifo[T]) peek() T  { return q.buf[q.head] }
+func (q *fifo[T]) len() int  { return len(q.buf) - q.head }
+func (q *fifo[T]) push(v T)  { q.buf = append(q.buf, v) }
+func (q *fifo[T]) peek() T   { return q.buf[q.head] }
+func (q *fifo[T]) first() *T { return &q.buf[q.head] }
 
 func (q *fifo[T]) pop() T {
 	var zero T
@@ -295,9 +296,12 @@ type Scheduler struct {
 	seq  uint64
 	rdy  fifo[*Task]
 	tmrs timerHeap
-	// lanes is a small fixed array so that pick, which looks at every head,
-	// never scans more than a handful.
-	lanes [4]lane
+	// lanes is a small fixed array, so finding the lane whose head fires
+	// first is a scan of a handful; laneMin caches it (nil: every lane is
+	// empty) so that pick pays one comparison per timer, not the scan. It
+	// is found again whenever a lane's head changes.
+	lanes   [4]lane
+	laneMin *lane
 
 	running *Task // nil while pick or a callback runs
 	resumes int   // coroutine resumes, counted for the self-resume test
@@ -426,6 +430,7 @@ func (s *Scheduler) pick() *Task {
 		var e timer
 		if from != nil {
 			e = from.q.pop()
+			s.laneMin = s.firstLane()
 		} else {
 			e = s.tmrs.pop()
 		}
@@ -446,20 +451,26 @@ func (s *Scheduler) pick() *Task {
 }
 
 // earliest finds the pending timer that fires next — the heap's top or the
-// head of a lane, whichever is first in (when, seq) — and the lane it heads
-// (nil: the heap). It returns nil when no timer is pending.
+// first of the lanes' heads, whichever comes first in (when, seq) — and the
+// lane it heads (nil: the heap). It returns nil when no timer is pending.
 func (s *Scheduler) earliest() (next *timer, from *lane) {
-	if len(s.tmrs) > 0 {
-		next = &s.tmrs[0]
+	if from = s.laneMin; from != nil {
+		next = from.q.first()
 	}
-	for i := range s.lanes {
-		if ln := &s.lanes[i]; ln.q.len() > 0 {
-			if head := &ln.q.buf[ln.q.head]; next == nil || head.before(next) {
-				next, from = head, ln
-			}
-		}
+	if len(s.tmrs) > 0 && (next == nil || s.tmrs[0].before(next)) {
+		return &s.tmrs[0], nil
 	}
 	return next, from
+}
+
+// firstLane scans for the lane whose head fires first.
+func (s *Scheduler) firstLane() (first *lane) {
+	for i := range s.lanes {
+		if ln := &s.lanes[i]; ln.q.len() > 0 && (first == nil || ln.q.first().before(first.q.first())) {
+			first = ln
+		}
+	}
+	return first
 }
 
 // switchOut gives up the CPU of the current task, which has already put
@@ -579,10 +590,10 @@ func (s *Scheduler) cur(op string) *Task {
 func (s *Scheduler) addTimer(e timer, ln *lane) {
 	e.seq = s.seq
 	s.seq++
-	if ln != nil {
-		ln.q.push(e)
-	} else {
+	if ln == nil {
 		s.tmrs.push(e)
+	} else if ln.q.push(e); ln.q.len() == 1 {
+		s.laneMin = s.firstLane()
 	}
 }
 

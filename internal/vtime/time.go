@@ -41,9 +41,11 @@
 //     the timers that cross it belong to the 64 threads that poll TCP.
 //     PopPoll finds the lanes of its interval and its cost once per wait
 //     (two delays among today's protocols; there are four lanes and the
-//     heap takes what does not fit, so pick never looks at more than four
-//     heads beside the heap's top); the rest of an interval that a lost
-//     Push interrupted is not the lane's delay and goes to the heap. Every
+//     heap takes what does not fit). The scheduler remembers which lane's
+//     head fires first and looks at the four heads again only when one of
+//     them changes, so pick pays one comparison with the heap's top per
+//     timer, lanes or no lanes. The rest of an interval that a lost Push
+//     interrupted is not the lane's delay and goes to the heap. Every
 //     timer exists and gets its seq at the instant it always did, so the
 //     order is unchanged, ties with heap timers included; lane_test.go
 //     runs each case against a scheduler that has no lane to give.
