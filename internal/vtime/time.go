@@ -61,7 +61,7 @@
 // ReadyQueueThroughput, SpawnJoin): 62, 313, 484, 240, 1590 ns against
 // 2354, 2933, 2162, 965, 2604 ns for goroutines handing a token through
 // channels, with 0 allocations on every block path (5 before). An idle
-// poll cycle (internal/marcel's BenchmarkIdlePoll) is 140 ns: 610 when each
+// poll cycle (internal/marcel's BenchmarkIdlePoll) is 150 ns: 610 when each
 // of its two waits was a block of the polling thread, 240–280 when its two
 // timers went through the heap.
 package vtime
