@@ -1,228 +1,29 @@
-// Top-level benchmark harness: one benchmark per table and figure of the
-// paper's evaluation (§5), plus the ablations from DESIGN.md. Wall-clock
-// ns/op measures the simulator; the *paper-relevant* results are the
-// custom metrics, reported in virtual microseconds (vus) and paper
-// megabytes per second (MB/s, 1 MB = 2^20 B):
+// Top-level benchmark harness: the two benchmarks CI runs. Each records
+// its experiments' series to a BENCH_*.json file (the format is
+// stats.BenchFile) for cmd/benchcheck's gates; README's "Measuring" section
+// says which command regenerates which number. Wall-clock ns/op measures
+// the simulator; the results that matter are the custom metrics, in
+// virtual microseconds (vus):
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'BenchmarkHierCollectives|BenchmarkScaleMachine' -benchtime 1x .
 //
-// The regenerated rows/series themselves come from:
+// The tables and figures themselves come from:
 //
 //	go run ./cmd/experiments -exp all
 package mpichmad_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
-	"mpichmad/internal/baselines"
-	"mpichmad/internal/cluster"
 	"mpichmad/internal/experiments"
-	"mpichmad/internal/mpptest"
 	"mpichmad/internal/netsim"
 	"mpichmad/internal/route"
 	"mpichmad/internal/stats"
 )
-
-// BenchmarkTable1RawMadeleine regenerates Table 1: raw Madeleine latency
-// (4 B) and bandwidth (8 MB) per protocol.
-func BenchmarkTable1RawMadeleine(b *testing.B) {
-	for _, params := range []netsim.Params{
-		netsim.FastEthernetTCP(), netsim.SCISISCI(), netsim.MyrinetBIP(),
-	} {
-		params := params
-		b.Run(params.Protocol, func(b *testing.B) {
-			var lat, bw float64
-			for i := 0; i < b.N; i++ {
-				l, err := mpptest.RawMadeleine("raw", params, []int{4}, mpptest.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				w, err := mpptest.RawMadeleine("raw", params, []int{8 * netsim.MB}, mpptest.Config{Iters: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				lat = l.Points[0].LatencyUS()
-				bw = w.Points[0].BandwidthMBs()
-			}
-			b.ReportMetric(lat, "vus/4B")
-			b.ReportMetric(bw, "MB/s@8MB")
-		})
-	}
-}
-
-// figBench runs one figure experiment and reports its headline metrics:
-// the small-message latency of each series and the 1 MB bandwidth.
-func figBench(b *testing.B, gen func(byte) (*experiments.Result, error)) {
-	b.Helper()
-	var latA, bw1M map[string]float64
-	for i := 0; i < b.N; i++ {
-		ra, err := gen('a')
-		if err != nil {
-			b.Fatal(err)
-		}
-		rb, err := gen('b')
-		if err != nil {
-			b.Fatal(err)
-		}
-		latA = map[string]float64{}
-		bw1M = map[string]float64{}
-		for _, s := range ra.Series {
-			if p, ok := s.At(4); ok {
-				latA[s.Name] = p.LatencyUS()
-			}
-		}
-		for _, s := range rb.Series {
-			if p, ok := s.At(1 << 20); ok {
-				bw1M[s.Name] = p.BandwidthMBs()
-			}
-		}
-	}
-	for name, v := range latA {
-		b.ReportMetric(v, "vus4B:"+sanitize(name))
-	}
-	for name, v := range bw1M {
-		b.ReportMetric(v, "MB/s1M:"+sanitize(name))
-	}
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch r {
-		case ' ', '/', '+':
-			out = append(out, '_')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
-}
-
-// BenchmarkFig6TCP regenerates Figure 6 (ch_mad vs ch_p4 vs raw Madeleine
-// on TCP/Fast-Ethernet).
-func BenchmarkFig6TCP(b *testing.B) { figBench(b, experiments.Fig6) }
-
-// BenchmarkFig7SCI regenerates Figure 7 (ch_mad vs ScaMPI vs SCI-MPICH vs
-// raw Madeleine on SISCI/SCI).
-func BenchmarkFig7SCI(b *testing.B) { figBench(b, experiments.Fig7) }
-
-// BenchmarkFig8BIP regenerates Figure 8 (ch_mad vs MPI-GM vs MPICH-PM vs
-// raw Madeleine on BIP/Myrinet).
-func BenchmarkFig8BIP(b *testing.B) { figBench(b, experiments.Fig8) }
-
-// BenchmarkFig9MultiProtocol regenerates Figure 9 (SCI alone vs SCI with
-// an additional idle TCP polling thread) and reports the latency gap.
-func BenchmarkFig9MultiProtocol(b *testing.B) {
-	var aloneLat, bothLat, aloneBW, bothBW float64
-	for i := 0; i < b.N; i++ {
-		ra, err := experiments.Fig9('a')
-		if err != nil {
-			b.Fatal(err)
-		}
-		rb, err := experiments.Fig9('b')
-		if err != nil {
-			b.Fatal(err)
-		}
-		pa, _ := ra.Series[0].At(4)
-		pb, _ := ra.Series[1].At(4)
-		aloneLat, bothLat = pa.LatencyUS(), pb.LatencyUS()
-		qa, _ := rb.Series[0].At(1 << 20)
-		qb, _ := rb.Series[1].At(1 << 20)
-		aloneBW, bothBW = qa.BandwidthMBs(), qb.BandwidthMBs()
-	}
-	b.ReportMetric(aloneLat, "vus4B:SCI_only")
-	b.ReportMetric(bothLat, "vus4B:SCI+TCP")
-	b.ReportMetric(bothLat-aloneLat, "vus4B:gap")
-	b.ReportMetric(aloneBW, "MB/s1M:SCI_only")
-	b.ReportMetric(bothBW, "MB/s1M:SCI+TCP")
-}
-
-// BenchmarkTable2Summary regenerates Table 2: ch_mad 0 B / 4 B latency and
-// 8 MB bandwidth per network.
-func BenchmarkTable2Summary(b *testing.B) {
-	for _, proto := range []string{"tcp", "sisci", "bip"} {
-		proto := proto
-		b.Run(proto, func(b *testing.B) {
-			var l0, l4, bw float64
-			for i := 0; i < b.N; i++ {
-				s, err := mpptest.MPIPingPong("ch_mad", cluster.TwoNodes(proto),
-					[]int{0, 4, 8 * netsim.MB}, mpptest.Config{Iters: 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				p0, _ := s.At(0)
-				p4, _ := s.At(4)
-				p8, _ := s.At(8 * netsim.MB)
-				l0, l4, bw = p0.LatencyUS(), p4.LatencyUS(), p8.BandwidthMBs()
-			}
-			b.ReportMetric(l0, "vus/0B")
-			b.ReportMetric(l4, "vus/4B")
-			b.ReportMetric(bw, "MB/s@8MB")
-		})
-	}
-}
-
-// BenchmarkAblationSwitchPoint regenerates ablation X1: the effect of the
-// single elected eager->rendez-vous threshold on the SCI+TCP config.
-func BenchmarkAblationSwitchPoint(b *testing.B) {
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationSwitchPoint()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	for _, s := range res.Series {
-		if p, ok := s.At(16 << 10); ok {
-			b.ReportMetric(p.BandwidthMBs(), "MB/s16K:"+sanitize(s.Name))
-		}
-	}
-}
-
-// BenchmarkAblationHeaderSplit regenerates ablation X2: the §4.2.2
-// header/body split versus the monolithic padded eager buffer.
-func BenchmarkAblationHeaderSplit(b *testing.B) {
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationHeaderSplit()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	for _, s := range res.Series {
-		if p, ok := s.At(1 << 10); ok {
-			b.ReportMetric(p.LatencyUS(), "vus1K:"+sanitize(s.Name))
-		}
-	}
-}
-
-// BenchmarkForwarding regenerates extension X3: gateway store-and-forward
-// across heterogeneous networks versus a direct link.
-func BenchmarkForwarding(b *testing.B) {
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Forwarding()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	for _, s := range res.Series {
-		if p, ok := s.At(4); ok {
-			b.ReportMetric(p.LatencyUS(), "vus4B:"+sanitize(s.Name))
-		}
-		if p, ok := s.At(1 << 20); ok {
-			b.ReportMetric(p.BandwidthMBs(), "MB/s1M:"+sanitize(s.Name))
-		}
-	}
-}
 
 // BenchmarkHierCollectives regenerates extension X4 (flat versus
 // two-level versus ring collectives on the 2x4-rank cluster-of-clusters)
@@ -233,69 +34,10 @@ func BenchmarkForwarding(b *testing.B) {
 // uniform single-protocol transport on the mixed SCI+BIP+TCP cluster)
 // and extension X9 (multi-leader rail-striped collectives vs the
 // single-leader two-level baseline on the bridged triangle), and records
-// the sweeps to BENCH_collectives.json for the regression gate.
+// the sweeps to BENCH_collectives.json so the numbers are versioned with
+// the code and the regression gate can read them.
 func BenchmarkHierCollectives(b *testing.B) {
-	var res, gw, ad, hm, ml *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.HierCollectives()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-		g, err := experiments.GatewayCollectives()
-		if err != nil {
-			b.Fatal(err)
-		}
-		gw = g
-		a, err := experiments.AdaptiveMultipath()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ad = a
-		h, err := experiments.HeteroMux()
-		if err != nil {
-			b.Fatal(err)
-		}
-		hm = h
-		m, err := experiments.MultiLeader()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ml = m
-	}
-	all := append(append([]*stats.Series{}, res.Series...), gw.Series...)
-	all = append(all, ad.Series...)
-	all = append(all, hm.Series...)
-	all = append(all, ml.Series...)
-	for _, s := range all {
-		if p, ok := s.At(8); ok {
-			b.ReportMetric(p.LatencyUS(), "vus8B:"+sanitize(s.Name))
-		}
-		if p, ok := s.At(64 << 10); ok {
-			b.ReportMetric(p.LatencyUS(), "vus64K:"+sanitize(s.Name))
-		}
-	}
-	writeCollectivesJSON(b, res, gw, ad, hm, ml)
-}
-
-// writeCollectivesJSON records the X4 and X5 sweeps next to the benchmark
-// so the flat-vs-hierarchical and gateway-routing numbers are versioned
-// with the code.
-func writeCollectivesJSON(b *testing.B, results ...*experiments.Result) {
-	b.Helper()
-	type point struct {
-		SizeBytes int     `json:"size_bytes"`
-		VirtualUS float64 `json:"virtual_us"`
-	}
-	type series struct {
-		Name   string  `json:"name"`
-		Points []point `json:"points"`
-	}
-	out := struct {
-		Experiment string   `json:"experiment"`
-		Topology   string   `json:"topology"`
-		Series     []series `json:"series"`
-	}{
+	out := stats.BenchFile{
 		Experiment: "X4 hierarchical collectives + X5 multi-gateway routing + X5 variant adaptive multi-path relay" +
 			" + X6 per-link device mux + X9 multi-leader rail-striped collectives",
 		Topology: "X4: 2 SCI islands x 4 single-proc nodes, interleaved ranks, TCP backbone" +
@@ -312,20 +54,28 @@ func writeCollectivesJSON(b *testing.B, results ...*experiments.Result) {
 			" multi-leader 2level-multi algorithms (one co-leader per distinct gateway, shards striped" +
 			" across every bridge), ML_*_single forces the single-leader two-level baseline (CollHier)",
 	}
-	for _, res := range results {
-		for _, s := range res.Series {
-			sr := series{Name: s.Name}
-			for _, p := range s.Points {
-				sr.Points = append(sr.Points, point{SizeBytes: p.Size, VirtualUS: p.LatencyUS()})
+	for i := 0; i < b.N; i++ {
+		out.Series = nil
+		for _, id := range []string{"hcoll", "gateway", "adaptive", "heteromux", "multileader"} {
+			r, err := experiments.ByID(id)
+			if err != nil {
+				b.Fatal(err)
 			}
-			out.Series = append(out.Series, sr)
+			out.Add(r.Series...)
 		}
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
+	sanitize := strings.NewReplacer(" ", "_", "/", "_", "+", "_")
+	for _, s := range out.Series {
+		for _, p := range s.Points {
+			switch p.SizeBytes {
+			case 8:
+				b.ReportMetric(p.VirtualUS, "vus8B:"+sanitize.Replace(s.Name))
+			case 64 << 10:
+				b.ReportMetric(p.VirtualUS, "vus64K:"+sanitize.Replace(s.Name))
+			}
+		}
 	}
-	if err := os.WriteFile("BENCH_collectives.json", append(data, '\n'), 0o644); err != nil {
+	if err := out.WriteFile("BENCH_collectives.json"); err != nil {
 		b.Logf("could not record BENCH_collectives.json: %v", err)
 	}
 }
@@ -393,18 +143,6 @@ func scalePlanWorkload(tb testing.TB, plan *route.Plan, nClusters, perCluster in
 	}
 }
 
-// scalePlannerPoint is one machine size's planner cost sample in
-// BENCH_scale.json: the full construction+resolution workload (ns, allocs)
-// and bare plan construction (ns). The benchcheck growth gate bounds the
-// 256->1024 ratios sub-quadratic (quadratic would be 16x).
-type scalePlannerPoint struct {
-	Ranks            int   `json:"ranks"`
-	WorkloadNsPerOp  int64 `json:"workload_ns_per_op"`
-	WorkloadBPerOp   int64 `json:"workload_bytes_per_op"`
-	WorkloadAllocs   int64 `json:"workload_allocs_per_op"`
-	ConstructNsPerOp int64 `json:"construct_ns_per_op"`
-}
-
 // measureLoop times fn (hand-rolled, since testing.Benchmark cannot be
 // nested inside a running benchmark): it calibrates an iteration count
 // off one warm-up run, then reports per-op wall ns and heap allocation
@@ -447,11 +185,19 @@ func measureLoop(fn func()) (nsPerOp, bPerOp, allocsPerOp int64) {
 
 // BenchmarkScaleMachine measures the 1000+-rank scaling story (X8): the
 // routing planner's cost growth from 256 to 1024 ranks (construction
-// alone and construction plus the session resolution workload) and the
-// full 1024-rank scale experiment's wall-clock time, recording everything
-// to BENCH_scale.json for the benchcheck growth gate.
+// alone and construction plus the session resolution workload; the
+// benchcheck growth gate bounds the 256->1024 ratios sub-quadratic, where
+// quadratic would be 16x) and the full 1024-rank scale experiment's
+// wall-clock time, recording everything to BENCH_scale.json. Unlike
+// BENCH_collectives.json the wall-clock and ns fields are host-dependent;
+// only their growth ratios and a generous wall-clock ceiling are gated.
 func BenchmarkScaleMachine(b *testing.B) {
-	var planner []scalePlannerPoint
+	out := stats.BenchFile{
+		Experiment: "X8 scale: hierarchical routing + scheduler hot paths at 1024 ranks",
+		Topology: "64 SCI islands x 16 ranks (1024 ranks), one gateway per island on a" +
+			" trunk-capped TCP backbone; planner growth sampled at 256 and 1024 ranks" +
+			" on the same shape (workload = construction + bloc/leader resolution sweep)",
+	}
 	for _, shape := range []struct{ nc, per int }{{16, 16}, {64, 16}} {
 		nc, per := shape.nc, shape.per
 		g := scaleRouteGraph(nc, per)
@@ -462,7 +208,7 @@ func BenchmarkScaleMachine(b *testing.B) {
 		cNs, _, _ := measureLoop(func() {
 			route.ComputeOpts(g, opts)
 		})
-		planner = append(planner, scalePlannerPoint{
+		out.Planner = append(out.Planner, stats.PlannerPoint{
 			Ranks:            nc * per,
 			WorkloadNsPerOp:  wNs,
 			WorkloadBPerOp:   wB,
@@ -480,84 +226,19 @@ func BenchmarkScaleMachine(b *testing.B) {
 		}
 		res = r
 	}
-	wallMs := float64(b.Elapsed().Milliseconds()) / float64(b.N)
-	b.ReportMetric(wallMs, "wallms/run")
+	out.RunWallMs = float64(b.Elapsed().Milliseconds()) / float64(b.N)
+	b.ReportMetric(out.RunWallMs, "wallms/run")
 	// After ResetTimer: it deletes user-reported metrics, so the planner
 	// samples are reported here, not inside the measurement loop above.
-	for _, p := range planner {
+	for _, p := range out.Planner {
 		b.ReportMetric(float64(p.WorkloadNsPerOp), fmt.Sprintf("planner_ns@%d", p.Ranks))
 		b.ReportMetric(float64(p.WorkloadBPerOp), fmt.Sprintf("planner_B@%d", p.Ranks))
 	}
-	writeScaleJSON(b, planner, wallMs, res)
-}
-
-// writeScaleJSON records the scale machine's planner growth samples, the
-// 1024-rank experiment's wall-clock cost and its (deterministic) simulated
-// collective sweeps next to the benchmark for the benchcheck gate. Unlike
-// BENCH_collectives.json the wall-clock and ns fields are host-dependent;
-// only their growth ratios and a generous wall-clock ceiling are gated.
-func writeScaleJSON(b *testing.B, planner []scalePlannerPoint, wallMs float64, res *experiments.Result) {
-	b.Helper()
-	type point struct {
-		SizeBytes int     `json:"size_bytes"`
-		VirtualUS float64 `json:"virtual_us"`
+	if _, err := fmt.Sscanf(res.Title, "Scale: %d-rank", &out.RunRanks); err != nil {
+		b.Fatalf("scale title %q names no rank count: %v", res.Title, err)
 	}
-	type series struct {
-		Name   string  `json:"name"`
-		Points []point `json:"points"`
-	}
-	out := struct {
-		Experiment string              `json:"experiment"`
-		Topology   string              `json:"topology"`
-		Planner    []scalePlannerPoint `json:"planner"`
-		RunRanks   int                 `json:"run_ranks"`
-		RunWallMs  float64             `json:"run_wall_ms"`
-		Series     []series            `json:"series"`
-	}{
-		Experiment: "X8 scale: hierarchical routing + scheduler hot paths at 1024 ranks",
-		Topology: "64 SCI islands x 16 ranks (1024 ranks), one gateway per island on a" +
-			" trunk-capped TCP backbone; planner growth sampled at 256 and 1024 ranks" +
-			" on the same shape (workload = construction + bloc/leader resolution sweep)",
-		Planner:   planner,
-		RunRanks:  scaleRanks(res),
-		RunWallMs: wallMs,
-	}
-	for _, s := range res.Series {
-		sr := series{Name: s.Name}
-		for _, p := range s.Points {
-			sr.Points = append(sr.Points, point{SizeBytes: p.Size, VirtualUS: p.LatencyUS()})
-		}
-		out.Series = append(out.Series, sr)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_scale.json", append(data, '\n'), 0o644); err != nil {
+	out.Add(res.Series...)
+	if err := out.WriteFile("BENCH_scale.json"); err != nil {
 		b.Logf("could not record BENCH_scale.json: %v", err)
-	}
-}
-
-// scaleRanks parses the rank count out of the scale result title
-// ("Scale: N-rank machine ..."), falling back to 1024.
-func scaleRanks(res *experiments.Result) int {
-	var n int
-	if _, err := fmt.Sscanf(res.Title, "Scale: %d-rank", &n); err != nil || n <= 0 {
-		return 1024
-	}
-	return n
-}
-
-// BenchmarkBaselineModels exercises the reference-model evaluation (cheap,
-// but keeps the comparator curves regenerable from the bench harness too).
-func BenchmarkBaselineModels(b *testing.B) {
-	sizes := stats.Sizes1B1MB()
-	models := []*baselines.ReferenceModel{
-		baselines.ScaMPI(), baselines.SCIMPICH(), baselines.MPIGM(), baselines.MPICHPM(),
-	}
-	for i := 0; i < b.N; i++ {
-		for _, m := range models {
-			m.Series(sizes)
-		}
 	}
 }

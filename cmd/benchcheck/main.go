@@ -37,27 +37,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+
+	"mpichmad/internal/stats"
 )
-
-type point struct {
-	SizeBytes int     `json:"size_bytes"`
-	VirtualUS float64 `json:"virtual_us"`
-}
-
-type series struct {
-	Name   string  `json:"name"`
-	Points []point `json:"points"`
-}
-
-type benchFile struct {
-	Experiment string   `json:"experiment"`
-	Topology   string   `json:"topology"`
-	Series     []series `json:"series"`
-}
 
 // rule asserts that the challenger series beats the incumbent at every
 // recorded size >= minSize: incumbent > challenger x minRatio. minRatio
@@ -76,24 +61,6 @@ type rule struct {
 type capRule struct {
 	series, bound string
 	why           string
-}
-
-// scalePlanner is one machine size's planner cost sample from
-// BENCH_scale.json.
-type scalePlanner struct {
-	Ranks            int   `json:"ranks"`
-	WorkloadNsPerOp  int64 `json:"workload_ns_per_op"`
-	WorkloadBPerOp   int64 `json:"workload_bytes_per_op"`
-	WorkloadAllocs   int64 `json:"workload_allocs_per_op"`
-	ConstructNsPerOp int64 `json:"construct_ns_per_op"`
-}
-
-type scaleFile struct {
-	Experiment string         `json:"experiment"`
-	Planner    []scalePlanner `json:"planner"`
-	RunRanks   int            `json:"run_ranks"`
-	RunWallMs  float64        `json:"run_wall_ms"`
-	Series     []series       `json:"series"`
 }
 
 // Scale-gate bounds. Rank count grows 4x between the two planner samples,
@@ -115,14 +82,7 @@ const (
 // checkScale applies the growth-ratio and wall-clock gates to
 // BENCH_scale.json; returns the number of failed rules.
 func checkScale(file string) int {
-	data, err := os.ReadFile(file)
-	if err != nil {
-		fatal(err)
-	}
-	var sf scaleFile
-	if err := json.Unmarshal(data, &sf); err != nil {
-		fatal(fmt.Errorf("%s: %w", file, err))
-	}
+	sf := load(file)
 	failed := 0
 	fail := func(format string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, "benchcheck: FAIL: "+format+"\n", args...)
@@ -172,16 +132,13 @@ func checkScale(file string) int {
 	// The simulated sweeps are deterministic: both collectives must have
 	// rendered non-trivial times, and Bcast must stay cheaper than
 	// Allreduce at every common size (it moves half the traffic).
-	bySeries := make(map[string]map[int]float64)
+	bySeries := sf.Values()
 	for _, s := range sf.Series {
-		m := make(map[int]float64)
 		for _, p := range s.Points {
 			if p.VirtualUS <= 0 {
 				fail("%s: series %s has a non-positive simulated time at %d B", file, s.Name, p.SizeBytes)
 			}
-			m[p.SizeBytes] = p.VirtualUS
 		}
-		bySeries[s.Name] = m
 	}
 	ar, okA := bySeries["Allreduce"]
 	bc, okB := bySeries["Bcast"]
@@ -208,38 +165,13 @@ const scaleSeedTolerance = 0.02
 // point-by-point against the seed snapshot; returns the number of failed
 // comparisons.
 func checkScaleSeed(file, seedFile string) int {
-	load := func(name string) (*scaleFile, error) {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		var sf scaleFile
-		if err := json.Unmarshal(data, &sf); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		return &sf, nil
-	}
-	cur, err := load(file)
-	if err != nil {
-		fatal(err)
-	}
-	seed, err := load(seedFile)
-	if err != nil {
-		fatal(err)
-	}
+	cur, seed := load(file), load(seedFile)
 	failed := 0
 	fail := func(format string, args ...interface{}) {
 		fmt.Fprintf(os.Stderr, "benchcheck: FAIL: "+format+"\n", args...)
 		failed++
 	}
-	curBy := make(map[string]map[int]float64)
-	for _, s := range cur.Series {
-		m := make(map[int]float64)
-		for _, p := range s.Points {
-			m[p.SizeBytes] = p.VirtualUS
-		}
-		curBy[s.Name] = m
-	}
+	curBy := cur.Values()
 	checked := 0
 	for _, s := range seed.Series {
 		m, ok := curBy[s.Name]
@@ -280,22 +212,7 @@ func main() {
 	scaleSeed := flag.String("scaleseed", "", "seed BENCH_scale.json snapshot to diff the regenerated scale series against (\"\" to skip)")
 	flag.Parse()
 
-	data, err := os.ReadFile(*file)
-	if err != nil {
-		fatal(err)
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		fatal(fmt.Errorf("%s: %w", *file, err))
-	}
-	byName := make(map[string]map[int]float64)
-	for _, s := range bf.Series {
-		m := make(map[int]float64)
-		for _, p := range s.Points {
-			m[p.SizeBytes] = p.VirtualUS
-		}
-		byName[s.Name] = m
-	}
+	byName := load(*file).Values()
 
 	rules := []rule{
 		{"Allreduce_2level_cap", "Allreduce_flat_cap", 64 << 10, 0,
@@ -443,6 +360,15 @@ func main() {
 	if *scaleF != "" && *scaleSeed != "" {
 		fmt.Printf("benchcheck: scale series within %.0f%% of seed %s\n", scaleSeedTolerance*100, *scaleSeed)
 	}
+}
+
+// load reads one BENCH file (the format is stats.BenchFile) or exits.
+func load(file string) *stats.BenchFile {
+	f, err := stats.ReadBenchFile(file)
+	if err != nil {
+		fatal(err)
+	}
+	return f
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
 // Command experiments regenerates the paper's tables and figures from the
 // simulated reproduction. Each experiment prints the same rows/series the
-// paper reports (see DESIGN.md §4 for the experiment index).
+// paper reports; -h lists the experiment ids, README's "Measuring" section
+// says which command regenerates which number.
 //
 // Usage:
 //
@@ -17,12 +18,11 @@ import (
 
 	"mpichmad/internal/cluster"
 	"mpichmad/internal/experiments"
-	"mpichmad/internal/stats"
 	"mpichmad/internal/trace"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiment ids: table1, fig6a, fig6b, fig7a, fig7b, fig8a, fig8b, fig9a, fig9b, table2, ablation-switch, ablation-split, forwarding, hcoll, gateway, adaptive, heteromux, multileader, scale, or 'all'")
+	exp := flag.String("exp", "all", "comma-separated experiment ids: "+strings.Join(experiments.IDs(), ", ")+", or 'all'")
 	csv := flag.Bool("csv", false, "emit CSV for plotting instead of aligned tables")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable, virtual-time µs) of every session the selected experiments run")
 	flag.Parse()
@@ -66,12 +66,7 @@ func main() {
 	}
 	for _, r := range results {
 		if *csv && len(r.Series) > 0 {
-			fmt.Printf("# %s (%s)\n", r.Title, r.ID)
-			if strings.HasSuffix(r.ID, "a") {
-				fmt.Print(stats.CSV(r.Series, stats.Point.LatencyUS))
-			} else {
-				fmt.Print(stats.CSV(r.Series, stats.Point.BandwidthMBs))
-			}
+			fmt.Print(r.CSV())
 		} else {
 			fmt.Println(r.Text)
 		}

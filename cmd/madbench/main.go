@@ -12,8 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"mpichmad/internal/mpptest"
 	"mpichmad/internal/netsim"
@@ -28,13 +26,9 @@ func main() {
 
 	sizes := append(stats.Sizes1B1MB(), 8*netsim.MB)
 	if *sizesFlag != "" {
-		sizes = nil
-		for _, f := range strings.Split(*sizesFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				fatal(err)
-			}
-			sizes = append(sizes, n)
+		var err error
+		if sizes, err = stats.ParseSizes(*sizesFlag); err != nil {
+			fatal(err)
 		}
 	}
 	protos := []string{"tcp", "sisci", "bip"}

@@ -15,8 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"mpichmad/internal/cluster"
 	"mpichmad/internal/mpptest"
@@ -34,13 +32,9 @@ func main() {
 
 	sizes := stats.Sizes1B1MB()
 	if *sizesFlag != "" {
-		sizes = nil
-		for _, f := range strings.Split(*sizesFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				fatal(err)
-			}
-			sizes = append(sizes, n)
+		var err error
+		if sizes, err = stats.ParseSizes(*sizesFlag); err != nil {
+			fatal(err)
 		}
 	}
 

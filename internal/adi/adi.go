@@ -87,9 +87,9 @@ var ErrTruncate = fmt.Errorf("adi: message truncated: buffer shorter than incomi
 // MPICH's MPID_Device structure (§4.2.2) exposes exactly ONE
 // eager->rendez-vous threshold even when the device multiplexes several
 // networks; SwitchPoint is that device-wide value and remains the
-// fallback. A device that participates in the per-link device mux
-// additionally implements LinkTuner, resolving the threshold per
-// destination from the link actually carrying it — the fix for the
+// fallback. ch_mad, the device behind the per-link device mux,
+// additionally resolves the threshold per destination from the link
+// actually carrying it (core.Device.SwitchPointTo) — the fix for the
 // single-protocol limitation.
 type Device interface {
 	Name() string
@@ -97,19 +97,10 @@ type Device interface {
 	// the MPI (application) thread of the sending process.
 	Send(sr *SendReq)
 	// SwitchPoint returns the device-wide eager->rendez-vous threshold in
-	// bytes (the MPID_Device fallback; see LinkTuner).
+	// bytes (the MPID_Device fallback).
 	SwitchPoint() int
 	// Shutdown stops device threads. Called once at MPI_Finalize.
 	Shutdown()
-}
-
-// LinkTuner is optionally implemented by devices that resolve the
-// eager->rendez-vous threshold per destination link instead of using the
-// single device-wide SwitchPoint: the route toward dst knows which
-// networks carry it, so the threshold is the smallest native switch point
-// along that path (or a measured per-device-class override).
-type LinkTuner interface {
-	SwitchPointTo(dst int) int
 }
 
 // ClassTuner is optionally implemented by devices that accept measured
@@ -170,7 +161,7 @@ type Engine struct {
 	// the process owns.
 	Bufs netsim.BufList
 
-	// Counters for tests and EXPERIMENTS.md diagnostics.
+	// Counters for tests and diagnostics.
 	NPosted, NUnexpected, NMatched uint64
 }
 

@@ -10,7 +10,7 @@
 // ReferenceModel, rather than simulated devices. The systems under test —
 // ch_mad, ch_p4, raw Madeleine — are real implementations in this
 // repository; these models only recreate the comparison lines of the
-// paper's plots. See DESIGN.md §2.
+// paper's plots.
 package baselines
 
 import (

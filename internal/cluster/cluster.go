@@ -3,7 +3,7 @@
 // for intra-process, smp_plug for intra-node, ch_mad over Madeleine
 // channels for inter-node — and launches rank programs, reproducing the
 // paper's Fig. 3 software organization. It is the substitute for real
-// cluster-of-clusters hardware and mpirun (see DESIGN.md §2).
+// cluster-of-clusters hardware and mpirun.
 package cluster
 
 import (
@@ -474,12 +474,6 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 			w.rank.MPI.SetTrace(sess.Tracer, r)
 		}
 		w.rank.MPI.SetHierarchy(hier)
-		// The class resolver binds the build-time plan on purpose: the
-		// eager table it replaces was captured here and never refreshed by
-		// Replan, and the per-process memo pins those frozen semantics.
-		w.rank.MPI.SetLinkClassResolver(func(dst int) string {
-			return sess.linkClassIn(plan, rr, dst)
-		})
 		if !uniform {
 			w.rank.MPI.SetClassProbes(probes)
 		}
@@ -502,11 +496,14 @@ func (sess *Session) bindLinkClasses() {
 	sess.classMemo = make(map[[2]int]string)
 }
 
-// linkClassIn resolves the device class of the src->dst link under a
-// given plan — the lazy replacement for one cell of the old N×N class
-// matrix, byte-identical per pair.
-func (sess *Session) linkClassIn(plan *route.Plan, src, dst int) string {
-	if dst < 0 || dst >= len(sess.places) {
+// LinkClassOf returns the device class of the link from src toward dst
+// ("self", "smp", "san", "wan"), "" for ch_p4 sessions or unroutable
+// pairs. Resolved against the session's current plan — the lazy
+// replacement for one cell of the old N×N class matrix, byte-identical
+// per pair.
+func (sess *Session) LinkClassOf(src, dst int) string {
+	plan := sess.plan
+	if plan == nil || dst < 0 || dst >= len(sess.places) {
 		return ""
 	}
 	switch {
@@ -535,16 +532,6 @@ func (sess *Session) linkClassIn(plan *route.Plan, src, dst int) string {
 		return plan.PathClassOf(hops).String()
 	}
 	return ""
-}
-
-// LinkClassOf returns the device class of the link from src toward dst
-// ("self", "smp", "san", "wan"), "" for ch_p4 sessions or unroutable
-// pairs. Resolved against the session's current plan.
-func (sess *Session) LinkClassOf(src, dst int) string {
-	if sess.plan == nil {
-		return ""
-	}
-	return sess.linkClassIn(sess.plan, src, dst)
 }
 
 // classProbes picks, per inter-node device class present in the session,

@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -63,15 +64,7 @@ func (sess *Session) discoverHierarchy(maxSegment int) *mpi.Hierarchy {
 	if len(h.ClusterNames) > 1 {
 		best := ""
 		var bw float64 = -1
-		names := make([]string, 0, len(sess.Networks))
-		for name := range sess.Networks {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if !sess.spansClusters(name, h) {
-				continue
-			}
+		for _, name := range sess.spanning(h) {
 			if p := sess.Networks[name].Params; p.Bandwidth > bw {
 				best, bw = name, p.Bandwidth
 			}
@@ -88,13 +81,29 @@ func (sess *Session) discoverHierarchy(maxSegment int) *mpi.Hierarchy {
 }
 
 // electLeaders installs the gateway-aware preferred leader of each
-// cluster: the member whose routed paths to every rank outside the
-// cluster cross the fewest gateways (total hop count), path cost then
-// rank breaking ties. On bridged topologies this puts leaders on the
-// gateway nodes, so leader-level exchanges skip the extra intra-cluster
-// hop the lowest-rank convention would pay. Needs the routing plan
-// (ch_mad sessions); single-cluster jobs and the ObliviousLeaders
-// ablation keep the default lowest-rank leaders.
+// cluster — bestFront over all its members. On bridged topologies this
+// puts leaders on the gateway nodes, so leader-level exchanges skip the
+// extra intra-cluster hop the lowest-rank convention would pay. Needs the
+// routing plan (ch_mad sessions); single-cluster jobs and the
+// ObliviousLeaders ablation keep the default lowest-rank leaders.
+func (sess *Session) electLeaders(h *mpi.Hierarchy) {
+	if sess.plan == nil || len(h.ClusterNames) < 2 || sess.Topo.ObliviousLeaders {
+		return
+	}
+	leaders := make([]int, len(h.ClusterNames))
+	for c, ms := range membersOf(h) {
+		if leaders[c] = sess.bestFront(h, c, ms, ""); leaders[c] < 0 {
+			leaders[c] = ms[0] // nothing reachable: keep the default
+		}
+	}
+	h.Leaders = leaders
+}
+
+// bestFront returns the member of cluster c best placed to front it: the
+// one whose routed paths to every rank outside the cluster cross the
+// fewest gateways (total hop count), path cost then rank breaking ties. A
+// non-empty net admits only members attached to that network. -1 when no
+// candidate reaches every outside rank.
 //
 // On a congestion-free plan only one candidate per routing bloc is
 // evaluated: co-bloc members have identical hop and cost sums to every
@@ -104,59 +113,40 @@ func (sess *Session) discoverHierarchy(maxSegment int) *mpi.Hierarchy {
 // election from O(members) to O(blocs) candidates per cluster. Congested
 // plans (adaptive re-plans) carry per-rank congestion terms that break
 // the symmetry, so there every member is still scored exactly.
-func (sess *Session) electLeaders(h *mpi.Hierarchy) {
-	if sess.plan == nil || len(h.ClusterNames) < 2 || sess.Topo.ObliviousLeaders {
-		return
-	}
-	nc := len(h.ClusterNames)
-	members := make([][]int, nc)
-	for r, c := range h.ClusterOf {
-		members[c] = append(members[c], r)
-	}
+func (sess *Session) bestFront(h *mpi.Hierarchy, c int, members []int, net string) int {
 	byBloc := !sess.plan.Congested()
-	leaders := make([]int, nc)
-	for c, ms := range members {
-		best, bestHops, bestCost := -1, 0, 0.0
-		var scored map[int]bool
-		if byBloc {
-			scored = make(map[int]bool, 4)
+	scored := make(map[int]bool, 4)
+	best, bestHops, bestCost := -1, 0, 0.0
+	for _, r := range members {
+		if net != "" && !sess.attached(r, net) {
+			continue
 		}
-		for _, r := range ms {
-			if byBloc {
-				b := sess.plan.BlocOf(r)
-				if scored[b] {
-					continue // co-bloc: identical sums, cannot beat its representative
-				}
-				scored[b] = true
+		if byBloc {
+			b := sess.plan.BlocOf(r)
+			if scored[b] {
+				continue // co-bloc: identical sums, cannot beat its representative
 			}
-			hops, cost, reach := 0, 0.0, true
-			for s, sc := range h.ClusterOf {
-				if sc == c {
-					continue
-				}
-				hp := sess.plan.Hops(r, s)
-				if hp < 0 {
-					reach = false
-					break
-				}
-				pc, _ := sess.plan.Cost(r, s)
-				hops += hp
-				cost += pc
-			}
-			if !reach {
+			scored[b] = true
+		}
+		hops, cost, reach := 0, 0.0, true
+		for s, sc := range h.ClusterOf {
+			if sc == c {
 				continue
 			}
-			if best < 0 || hops < bestHops ||
-				(hops == bestHops && cost < bestCost) {
-				best, bestHops, bestCost = r, hops, cost
+			hp := sess.plan.Hops(r, s)
+			if hp < 0 {
+				reach = false
+				break
 			}
+			pc, _ := sess.plan.Cost(r, s)
+			hops += hp
+			cost += pc
 		}
-		if best < 0 {
-			best = ms[0] // nothing reachable: keep the default
+		if reach && (best < 0 || hops < bestHops || (hops == bestHops && cost < bestCost)) {
+			best, bestHops, bestCost = r, hops, cost
 		}
-		leaders[c] = best
 	}
-	h.Leaders = leaders
+	return best
 }
 
 // electLeaderSets widens each cluster's elected leader into a
@@ -164,50 +154,25 @@ func (sess *Session) electLeaders(h *mpi.Hierarchy) {
 // spanning network the cluster touches, so the multi-leader collectives
 // can shard the inter-cluster phase across every gateway concurrently.
 // The primary leader anchors position 0; each remaining spanning network
-// (sorted by name for determinism) elects the attached member with the
-// fewest total gateway hops to the outside, scored per routing bloc
-// exactly as electLeaders does. Clusters behind a single gateway — or
-// none — get a one-element set, which keeps the multi-leader algorithms
-// off the autotuner's candidate list there.
+// (sorted by name for determinism) elects its bestFront among the members
+// attached to it. Clusters behind a single gateway — or none — get a
+// one-element set, which keeps the multi-leader algorithms off the
+// autotuner's candidate list there.
 func (sess *Session) electLeaderSets(h *mpi.Hierarchy) {
 	if h.Leaders == nil {
 		return
 	}
-	nc := len(h.ClusterNames)
-	members := make([][]int, nc)
-	for r, c := range h.ClusterOf {
-		members[c] = append(members[c], r)
-	}
-	names := make([]string, 0, len(sess.Networks))
-	for name := range sess.Networks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var spanning []string
-	for _, name := range names {
-		if sess.spansClusters(name, h) {
-			spanning = append(spanning, name)
-		}
-	}
+	spanning := sess.spanning(h)
 	if len(spanning) == 0 {
 		return
 	}
-	attached := func(r int, net string) bool {
-		for _, n := range sess.netsOfNode[sess.places[r].node] {
-			if n == net {
-				return true
-			}
-		}
-		return false
-	}
-	byBloc := !sess.plan.Congested()
-	sets := make([][]int, nc)
-	gws := make([][]string, nc)
-	for c, ms := range members {
+	sets := make([][]int, len(h.ClusterNames))
+	gws := make([][]string, len(h.ClusterNames))
+	for c, ms := range membersOf(h) {
 		primary := h.Leaders[c]
 		set, gw := []int{primary}, []string{""}
 		for _, net := range spanning {
-			if attached(primary, net) {
+			if sess.attached(primary, net) {
 				gw[0] = net // the primary's own gateway (first by name)
 				break
 			}
@@ -216,59 +181,12 @@ func (sess *Session) electLeaderSets(h *mpi.Hierarchy) {
 			if net == gw[0] {
 				continue // the primary already fronts this gateway
 			}
-			best, bestHops, bestCost := -1, 0, 0.0
-			var scored map[int]bool
-			if byBloc {
-				scored = make(map[int]bool, 4)
+			// No member of this cluster fronts net, or the one that does
+			// already fronts another.
+			if best := sess.bestFront(h, c, ms, net); best >= 0 && !slices.Contains(set, best) {
+				set = append(set, best)
+				gw = append(gw, net)
 			}
-			for _, r := range ms {
-				if !attached(r, net) {
-					continue
-				}
-				if byBloc {
-					b := sess.plan.BlocOf(r)
-					if scored[b] {
-						continue
-					}
-					scored[b] = true
-				}
-				hops, cost, reach := 0, 0.0, true
-				for s, sc := range h.ClusterOf {
-					if sc == c {
-						continue
-					}
-					hp := sess.plan.Hops(r, s)
-					if hp < 0 {
-						reach = false
-						break
-					}
-					pc, _ := sess.plan.Cost(r, s)
-					hops += hp
-					cost += pc
-				}
-				if !reach {
-					continue
-				}
-				if best < 0 || hops < bestHops ||
-					(hops == bestHops && cost < bestCost) {
-					best, bestHops, bestCost = r, hops, cost
-				}
-			}
-			if best < 0 {
-				continue // no member of this cluster fronts net
-			}
-			dup := false
-			for _, x := range set {
-				if x == best {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			set = append(set, best)
-			gw = append(gw, net)
 		}
 		sets[c], gws[c] = set, gw
 	}
@@ -340,28 +258,41 @@ func (sess *Session) routedInter(h *mpi.Hierarchy, maxSegment int) {
 	}
 }
 
-// spansClusters reports whether a network connects nodes of at least two
-// different clusters.
-func (sess *Session) spansClusters(netName string, h *mpi.Hierarchy) bool {
-	seen := -1
-	for r, pl := range sess.places {
-		attached := false
-		for _, n := range sess.netsOfNode[pl.node] {
-			if n == netName {
-				attached = true
+// membersOf lists the world ranks of each cluster, ascending, in cluster
+// order.
+func membersOf(h *mpi.Hierarchy) [][]int {
+	out := make([][]int, len(h.ClusterNames))
+	for r, c := range h.ClusterOf {
+		out[c] = append(out[c], r)
+	}
+	return out
+}
+
+// attached reports whether rank r's node is on the network.
+func (sess *Session) attached(r int, netName string) bool {
+	return slices.Contains(sess.netsOfNode[sess.places[r].node], netName)
+}
+
+// spanning lists, sorted by name, the networks that connect nodes of at
+// least two different clusters.
+func (sess *Session) spanning(h *mpi.Hierarchy) []string {
+	var out []string
+	for name := range sess.Networks {
+		seen := -1
+		for r := range sess.places {
+			if !sess.attached(r, name) {
+				continue
+			}
+			if seen == -1 {
+				seen = h.ClusterOf[r]
+			} else if h.ClusterOf[r] != seen {
+				out = append(out, name)
 				break
 			}
 		}
-		if !attached {
-			continue
-		}
-		if seen == -1 {
-			seen = h.ClusterOf[r]
-		} else if h.ClusterOf[r] != seen {
-			return true
-		}
 	}
-	return false
+	sort.Strings(out)
+	return out
 }
 
 // Bounds on the BDP-derived relay credit window: deep enough that even a
@@ -381,16 +312,8 @@ const (
 // measurement — so the result is deterministic and cheap enough to
 // recompute at every Build.
 func (sess *Session) bdpRelayWindows(h *mpi.Hierarchy) map[string]int {
-	names := make([]string, 0, len(sess.Networks))
-	for name := range sess.Networks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	windows := make(map[string]int)
-	for _, name := range names {
-		if !sess.spansClusters(name, h) {
-			continue
-		}
+	for _, name := range sess.spanning(h) {
 		p := sess.Networks[name].Params
 		seg := p.PipelineSegment()
 		if seg <= 0 || p.Bandwidth <= 0 {
@@ -440,19 +363,5 @@ func (sess *Session) ClusterOf(rank int) int { return sess.hier.ClusterOf[rank] 
 // RankNode returns the node a world rank is placed on.
 func (sess *Session) RankNode(rank int) string { return sess.places[rank].node }
 
-// RankNetworks returns the names of the networks attached to a rank's
-// node, sorted.
-func (sess *Session) RankNetworks(rank int) []string {
-	out := append([]string(nil), sess.netsOfNode[sess.places[rank].node]...)
-	sort.Strings(out)
-	return out
-}
-
 // Clusters returns the world ranks of each cluster, in cluster order.
-func (sess *Session) Clusters() [][]int {
-	out := make([][]int, len(sess.hier.ClusterNames))
-	for r, c := range sess.hier.ClusterOf {
-		out[c] = append(out[c], r)
-	}
-	return out
-}
+func (sess *Session) Clusters() [][]int { return membersOf(sess.hier) }

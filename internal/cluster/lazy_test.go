@@ -150,9 +150,6 @@ func checkLazyEqualsEager(t *testing.T, sess *Session) {
 			if gc := sess.LinkClassOf(r, dst); gc != wc {
 				t.Fatalf("class(%d->%d): lazy %q, eager %q", r, dst, gc, wc)
 			}
-			if gc := sess.Ranks[r].MPI.LinkClassOf(dst); gc != wc {
-				t.Fatalf("class(%d->%d): process resolver %q, eager %q", r, dst, gc, wc)
-			}
 		}
 	}
 }

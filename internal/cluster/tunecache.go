@@ -2,17 +2,15 @@ package cluster
 
 // Autotuner persistence: the MPI_Init sweep is deterministic in the
 // topology, so its measured crossover table can be cached across sessions
-// and reloaded whenever a topology of the same *shape* comes up again —
-// repeated benchmark sessions and restarted jobs skip the sweep's virtual
+// of one process and reloaded whenever a topology of the same *shape*
+// comes up again — repeated benchmark sessions skip the sweep's virtual
 // init time entirely. The key is a hash over everything that can change a
 // timing: node placement, per-network cost models, device selection,
 // forwarding, and the leader-election policy.
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
 
 	"mpichmad/internal/mpi"
 	"mpichmad/internal/netsim"
@@ -53,51 +51,6 @@ func (tc *TuneCache) Store(key string, table []mpi.TuneChoice) {
 // Stats returns the cache's hit/miss counters (tests, reports).
 func (tc *TuneCache) Stats() (hits, misses int) {
 	return tc.hits, tc.misses
-}
-
-// Len returns the number of cached tables.
-func (tc *TuneCache) Len() int {
-	return len(tc.tables)
-}
-
-// SaveFile persists the cache as JSON (shape hash -> crossover table) so
-// a later process can skip the init sweep for topologies it has already
-// measured. Written atomically via a temp file in the same directory.
-func (tc *TuneCache) SaveFile(path string) error {
-	data, err := json.MarshalIndent(tc.tables, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadTuneCacheFile rebuilds a cache from a SaveFile snapshot. It always
-// returns a usable cache: a missing, truncated or otherwise corrupted
-// file yields an empty one (the session simply pays a fresh sweep), and
-// individual tables that fail validation — unknown algorithm names,
-// nonsense brackets — are dropped rather than poisoning sessions that
-// would load them.
-func LoadTuneCacheFile(path string) *TuneCache {
-	tc := NewTuneCache()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return tc
-	}
-	var tables map[string][]mpi.TuneChoice
-	if err := json.Unmarshal(data, &tables); err != nil {
-		return tc
-	}
-	for key, table := range tables {
-		if mpi.ValidateTuneChoices(table) != nil {
-			continue
-		}
-		tc.tables[key] = table
-	}
-	return tc
 }
 
 // ShapeHash fingerprints everything about the topology that can alter

@@ -149,13 +149,13 @@ func (d *Device) SetSwitchPoint(n int) {
 // SwitchPoint implements adi.Device: the device-wide fallback threshold.
 func (d *Device) SwitchPoint() int { return d.switchPoint }
 
-// SwitchPointTo implements adi.LinkTuner: the eager->rendez-vous
-// threshold for the link toward dst. Resolution order: a forced uniform
-// value (SetSwitchPoint), then a measured per-class
-// override for the route's device class, then the route's native
-// SwitchBytes (smallest switch point along its path), then the elected
-// device-wide fallback — which is all an unroutable destination's zero
-// Route leaves.
+// SwitchPointTo resolves the eager->rendez-vous threshold per link, from
+// the route toward dst, where adi.Device.SwitchPoint is device-wide.
+// Resolution order: a forced uniform value (SetSwitchPoint), then a
+// measured per-class override for the route's device class, then the
+// route's native SwitchBytes (smallest switch point along its path), then
+// the elected device-wide fallback — which is all an unroutable
+// destination's zero Route leaves.
 func (d *Device) SwitchPointTo(dst int) int {
 	if d.forcedSwitch {
 		return d.switchPoint

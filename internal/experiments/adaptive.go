@@ -55,40 +55,12 @@ func stripePingPong(size, maxPaths int) (oneWay vtime.Duration, qPeak int, err e
 	if err != nil {
 		return 0, 0, err
 	}
-	err = sess.Run(func(rank int, comm *mpi.Comm) error {
-		buf := make([]byte, size)
-		const iters = 2
-		switch rank {
-		case 0:
-			start := sess.S.Now()
-			for i := 0; i < iters; i++ {
-				if err := comm.Send(buf, size, mpi.Byte, 8, 1); err != nil {
-					return err
-				}
-				if _, err := comm.Recv(buf, size, mpi.Byte, 8, 1); err != nil {
-					return err
-				}
-			}
-			oneWay = sess.S.Now().Sub(start) / (2 * iters)
-		case 8:
-			for i := 0; i < iters; i++ {
-				if _, err := comm.Recv(buf, size, mpi.Byte, 0, 1); err != nil {
-					return err
-				}
-				if err := comm.Send(buf, size, mpi.Byte, 0, 1); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
+	oneWay, err = pingPong(sess, 0, 8, size)
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, rs := range sess.RelayStats() {
-		if rs.QueuePeak > qPeak {
-			qPeak = rs.QueuePeak
-		}
+		qPeak = max(qPeak, rs.QueuePeak)
 	}
 	return oneWay, qPeak, nil
 }
@@ -101,7 +73,10 @@ func stripePingPong(size, maxPaths int) (oneWay vtime.Duration, qPeak int, err e
 // island-B rails — while the static plan queues behind the backlog.
 // Striping is disabled so the comparison isolates re-routing. Returns
 // the measured transfer time (send start to receive completion) and the
-// hot gateway's queue high-water during that window.
+// hot gateway's queue high-water during that window. It reads the clock
+// itself where every other experiment goes through timed or pingPong: the
+// interval runs from one rank's send to another rank's receive, once,
+// with a re-plan between the barrier and the send.
 //
 // Replan's contract is a quiescent collective boundary: no rank may be
 // compiling a collective while the hierarchy is re-elected. The opening
@@ -233,7 +208,7 @@ func AdaptiveMultipath() (*Result, error) {
 	series := []*stats.Series{stripe, single, adapt, static, adaptQ, staticQ, qmax, qwin}
 	res := render("adaptive",
 		"Extension X5 variant: adaptive multi-path relay on the bridged triangle (third TCP side = second rail)",
-		'a', series)
+		unitTime, series)
 
 	var b strings.Builder
 	b.WriteString(res.Text)

@@ -1,8 +1,18 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5): Table 1 (raw Madeleine), Figures 6–8 (ch_mad vs
 // baselines on TCP, SCI, BIP), Figure 9 (multi-protocol polling overhead),
-// Table 2 (ch_mad summary), plus the ablations and the §6 forwarding
-// extension. Used by cmd/experiments and by the top-level benchmarks.
+// Table 2 (ch_mad summary), plus the ablations, the §6 forwarding
+// extension and the cluster-of-clusters extensions. Used by
+// cmd/experiments and by the top-level benchmarks.
+//
+// Every number comes out of one of two kernels. The paper's figures and
+// the two ablations are ping-pong sweeps (mpptest.PingPong behind
+// mpptest.MPIPingPong: one session per sweep, a barrier before each size)
+// and are rows of the registry table below, not functions. The extension
+// experiments time collectives with measure.go's timed — a fresh session
+// per point, iters repetitions, rank 0's clock — and keep for themselves
+// only what differs between them: topology, sizes, and the counters they
+// read off the session.
 package experiments
 
 import (
@@ -15,7 +25,6 @@ import (
 	"mpichmad/internal/mpptest"
 	"mpichmad/internal/netsim"
 	"mpichmad/internal/stats"
-	"mpichmad/internal/vtime"
 )
 
 // Result is one regenerated artifact: rendered text plus the raw series
@@ -25,13 +34,72 @@ type Result struct {
 	Title  string
 	Text   string
 	Series []*stats.Series
+	// Unit is what Text's table shows of every point — unitTime or
+	// unitBandwidth — and what CSV exports. Empty for the two summary
+	// tables, which have no series.
+	Unit string
 }
 
-// protoTopo returns the mono-protocol two-node ch_mad topology used for
-// the paper's per-network curves ("those figures were obtained by
-// compiling the device in a mono-protocol fashion", §5).
-func protoTopo(protocol string) cluster.Topology {
-	return cluster.TwoNodes(protocol)
+// The two ways a point is rendered: its one-way transfer time in
+// microseconds, or the bandwidth that time amounts to.
+const (
+	unitTime      = "us"
+	unitBandwidth = "MB/s"
+)
+
+func (r *Result) value() func(stats.Point) float64 {
+	if r.Unit == unitBandwidth {
+		return stats.Point.BandwidthMBs
+	}
+	return stats.Point.LatencyUS
+}
+
+// CSV renders the series for plotting, in the unit of the table, which the
+// leading comment line names.
+func (r *Result) CSV() string {
+	return fmt.Sprintf("# %s (%s, %s)\n", r.Title, r.ID, r.Unit) + stats.CSV(r.Series, r.value())
+}
+
+func render(id, title, unit string, series []*stats.Series) *Result {
+	r := &Result{ID: id, Title: title, Series: series, Unit: unit}
+	what := " — transfer time"
+	if unit == unitBandwidth {
+		what = " — bandwidth"
+	}
+	r.Text = stats.Table(title+what, unit, series, r.value())
+	return r
+}
+
+// curve is one line of a ping-pong figure: the sweep's sizes in, a named
+// series out.
+type curve func(sizes []int) (*stats.Series, error)
+
+// chmad is the MPI ping-pong between ranks 0 and 1 of a topology, with an
+// optional adjustment of the built session.
+func chmad(name string, topo cluster.Topology, mutate func(*cluster.Session)) curve {
+	return func(sizes []int) (*stats.Series, error) {
+		return mpptest.MPIPingPong(name, topo, sizes, mpptest.Config{Mutate: mutate})
+	}
+}
+
+// rawMadeleine is the bare-library ping-pong over one protocol's network.
+func rawMadeleine(protocol string) curve {
+	return func(sizes []int) (*stats.Series, error) {
+		params, _ := netsim.ByProtocol(protocol)
+		return mpptest.RawMadeleine("raw_Madeleine", params, sizes, mpptest.Config{})
+	}
+}
+
+// published is a comparator's reference model evaluated over the sweep.
+func published(m *baselines.ReferenceModel) curve {
+	return func(sizes []int) (*stats.Series, error) { return m.Series(sizes), nil }
+}
+
+// p4Topo is the two-node TCP topology under the ch_p4 baseline device.
+func p4Topo() cluster.Topology {
+	topo := cluster.TwoNodes("tcp")
+	topo.Device = "ch_p4"
+	return topo
 }
 
 // multiTopo returns the Fig. 9 topology: SCI and TCP both connecting the
@@ -46,15 +114,135 @@ func multiTopo() cluster.Topology {
 	}
 }
 
+// switchAt is ablation X1's curve: the SCI+TCP configuration with the
+// elected eager->rendez-vous threshold overridden on every rank.
+func switchAt(sp int) curve {
+	return chmad("switch="+stats.SizeLabel(sp), multiTopo(), func(sess *cluster.Session) {
+		for _, rk := range sess.Ranks {
+			rk.ChMad.SetSwitchPoint(sp)
+		}
+	})
+}
+
+// The curves of the paper's figures. The per-network ones run ch_mad on a
+// two-node single-network topology ("those figures were obtained by
+// compiling the device in a mono-protocol fashion", §5).
+var (
+	fig6 = []curve{chmad("ch_mad", cluster.TwoNodes("tcp"), nil), chmad("ch_p4", p4Topo(), nil), rawMadeleine("tcp")}
+	fig7 = []curve{chmad("ch_mad", cluster.TwoNodes("sisci"), nil), rawMadeleine("sisci"),
+		published(baselines.ScaMPI()), published(baselines.SCIMPICH())}
+	fig8 = []curve{chmad("ch_mad", cluster.TwoNodes("bip"), nil), rawMadeleine("bip"),
+		published(baselines.MPIGM()), published(baselines.MPICHPM())}
+	fig9 = []curve{chmad("SCI_thread_only", cluster.TwoNodes("sisci"), nil),
+		chmad("SCI_thread_+_TCP_thread", multiTopo(), nil)}
+)
+
+// experiment is one row of the registry: a ping-pong figure given as data
+// (title, unit, sizes, curves), or anything else given as a function.
+type experiment struct {
+	id     string
+	title  string
+	unit   string
+	sizes  []int
+	curves []curve
+	run    func() (*Result, error)
+}
+
+// registry lists every experiment in paper order: the one table All, ByID
+// and IDs read, so an experiment cannot be in one and missing from another.
+// Part (a) of a figure is transfer time over 1 B–1 KB, part (b) bandwidth
+// over 1 B–1 MB. X1 sweeps the switch point on SCI+TCP, showing why §4.2.2
+// elects SCI's 8 KB; X2 compares the §4.2.2 header/body split against the
+// naive constant-size MPID_PKT_MAX_DATA_SIZE eager buffer on SCI (padding
+// waste plus a sender-side copy).
+var registry = []experiment{
+	{id: "table1", run: Table1},
+	{id: "fig6a", title: "Figure 6: TCP/Fast-Ethernet", unit: unitTime, sizes: stats.Sizes1B1KB(), curves: fig6},
+	{id: "fig6b", title: "Figure 6: TCP/Fast-Ethernet", unit: unitBandwidth, sizes: stats.Sizes1B1MB(), curves: fig6},
+	{id: "fig7a", title: "Figure 7: SISCI/SCI", unit: unitTime, sizes: stats.Sizes1B1KB(), curves: fig7},
+	{id: "fig7b", title: "Figure 7: SISCI/SCI", unit: unitBandwidth, sizes: stats.Sizes1B1MB(), curves: fig7},
+	{id: "fig8a", title: "Figure 8: BIP/Myrinet", unit: unitTime, sizes: stats.Sizes1B1KB(), curves: fig8},
+	{id: "fig8b", title: "Figure 8: BIP/Myrinet", unit: unitBandwidth, sizes: stats.Sizes1B1MB(), curves: fig8},
+	{id: "fig9a", title: "Figure 9: multi-protocol polling overhead on SCI", unit: unitTime, sizes: stats.Sizes1B1KB(), curves: fig9},
+	{id: "fig9b", title: "Figure 9: multi-protocol polling overhead on SCI", unit: unitBandwidth, sizes: stats.Sizes1B1MB(), curves: fig9},
+	{id: "table2", run: Table2},
+	{id: "ablation-switch", unit: unitBandwidth,
+		title:  "Ablation X1: switch-point election on SCI+TCP (unique threshold forced by MPID_Device)",
+		sizes:  []int{2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10},
+		curves: []curve{switchAt(2 << 10), switchAt(8 << 10), switchAt(64 << 10)}},
+	{id: "ablation-split", unit: unitTime,
+		title: "Ablation X2: eager header/body split vs monolithic padded buffer (SCI)",
+		sizes: []int{64, 256, 1 << 10, 4 << 10, 8 << 10},
+		curves: []curve{chmad("header/body split", cluster.TwoNodes("sisci"), nil),
+			chmad("monolithic buffer", cluster.TwoNodes("sisci"), func(sess *cluster.Session) {
+				for _, rk := range sess.Ranks {
+					rk.ChMad.MonolithicEager = true
+				}
+			})}},
+	{id: "forwarding", run: Forwarding},
+	{id: "hcoll", run: HierCollectives},
+	{id: "gateway", run: GatewayCollectives},
+	{id: "adaptive", run: AdaptiveMultipath},
+	{id: "heteromux", run: HeteroMux},
+	{id: "multileader", run: MultiLeader},
+	{id: "scale", run: Scale},
+}
+
+// do runs one registry row.
+func (e experiment) do() (*Result, error) {
+	if e.run != nil {
+		return e.run()
+	}
+	var series []*stats.Series
+	for _, c := range e.curves {
+		s, err := c(e.sizes)
+		if err != nil {
+			return nil, err
+		}
+		series = append(series, s)
+	}
+	return render(e.id, e.title, e.unit, series), nil
+}
+
+// All runs every experiment in paper order.
+func All() ([]*Result, error) {
+	var out []*Result
+	for _, e := range registry {
+		r, err := e.do()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// IDs lists the experiment ids in paper order.
+func IDs() []string {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// ByID runs one experiment by its id (e.g. "fig7b").
+func ByID(id string) (*Result, error) {
+	for _, e := range registry {
+		if e.id == id {
+			return e.do()
+		}
+	}
+	return nil, fmt.Errorf("unknown id %q (the ids are %s)", id, strings.Join(IDs(), ", "))
+}
+
 // Table1 regenerates Table 1: raw Madeleine latency (4 B) and bandwidth
 // (8 MB) for TCP, BIP and SISCI.
 func Table1() (*Result, error) {
-	type row struct {
-		params  netsim.Params
-		wantLat float64
-		wantBW  float64
-	}
-	rows := []row{
+	rows := []struct {
+		params          netsim.Params
+		wantLat, wantBW float64
+	}{
 		{netsim.FastEthernetTCP(), 121, 11.2},
 		{netsim.MyrinetBIP(), 9.2, 122},
 		{netsim.SCISISCI(), 4.4, 82.6},
@@ -79,108 +267,13 @@ func Table1() (*Result, error) {
 	return &Result{ID: "table1", Title: "Table 1", Text: b.String()}, nil
 }
 
-// figSweep measures ch_mad and raw Madeleine over a size sweep on one
-// protocol and appends the given reference models.
-func figSweep(protocol string, sizes []int, refs ...*baselines.ReferenceModel) ([]*stats.Series, error) {
-	params, _ := netsim.ByProtocol(protocol)
-	chmad, err := mpptest.MPIPingPong("ch_mad", protoTopo(protocol), sizes, mpptest.Config{})
-	if err != nil {
-		return nil, err
-	}
-	raw, err := mpptest.RawMadeleine("raw_Madeleine", params, sizes, mpptest.Config{})
-	if err != nil {
-		return nil, err
-	}
-	series := []*stats.Series{chmad, raw}
-	for _, m := range refs {
-		series = append(series, m.Series(sizes))
-	}
-	return series, nil
-}
-
-// Fig6 regenerates Figure 6: ch_mad vs ch_p4 vs raw Madeleine on
-// TCP/Fast-Ethernet. part is 'a' (transfer time, 1 B–1 KB) or 'b'
-// (bandwidth, 1 B–1 MB).
-func Fig6(part byte) (*Result, error) {
-	sizes := stats.Sizes1B1KB()
-	if part == 'b' {
-		sizes = stats.Sizes1B1MB()
-	}
-	chmad, err := mpptest.MPIPingPong("ch_mad", protoTopo("tcp"), sizes, mpptest.Config{})
-	if err != nil {
-		return nil, err
-	}
-	p4topo := protoTopo("tcp")
-	p4topo.Device = "ch_p4"
-	chp4, err := mpptest.MPIPingPong("ch_p4", p4topo, sizes, mpptest.Config{})
-	if err != nil {
-		return nil, err
-	}
-	raw, err := mpptest.RawMadeleine("raw_Madeleine", netsim.FastEthernetTCP(), sizes, mpptest.Config{})
-	if err != nil {
-		return nil, err
-	}
-	series := []*stats.Series{chmad, chp4, raw}
-	return render("fig6"+string(part), "Figure 6: TCP/Fast-Ethernet", part, series), nil
-}
-
-// Fig7 regenerates Figure 7: ch_mad vs ScaMPI vs SCI-MPICH vs raw
-// Madeleine on SISCI/SCI.
-func Fig7(part byte) (*Result, error) {
-	sizes := stats.Sizes1B1KB()
-	if part == 'b' {
-		sizes = stats.Sizes1B1MB()
-	}
-	series, err := figSweep("sisci", sizes, baselines.ScaMPI(), baselines.SCIMPICH())
-	if err != nil {
-		return nil, err
-	}
-	return render("fig7"+string(part), "Figure 7: SISCI/SCI", part, series), nil
-}
-
-// Fig8 regenerates Figure 8: ch_mad vs MPI-GM vs MPICH-PM vs raw
-// Madeleine on BIP/Myrinet.
-func Fig8(part byte) (*Result, error) {
-	sizes := stats.Sizes1B1KB()
-	if part == 'b' {
-		sizes = stats.Sizes1B1MB()
-	}
-	series, err := figSweep("bip", sizes, baselines.MPIGM(), baselines.MPICHPM())
-	if err != nil {
-		return nil, err
-	}
-	return render("fig8"+string(part), "Figure 8: BIP/Myrinet", part, series), nil
-}
-
-// Fig9 regenerates Figure 9: SCI performance with the SCI polling thread
-// alone versus with an additional (idle) TCP polling thread.
-func Fig9(part byte) (*Result, error) {
-	sizes := stats.Sizes1B1KB()
-	if part == 'b' {
-		sizes = stats.Sizes1B1MB()
-	}
-	alone, err := mpptest.MPIPingPong("SCI_thread_only", protoTopo("sisci"), sizes, mpptest.Config{})
-	if err != nil {
-		return nil, err
-	}
-	both, err := mpptest.MPIPingPong("SCI_thread_+_TCP_thread", multiTopo(), sizes, mpptest.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return render("fig9"+string(part), "Figure 9: multi-protocol polling overhead on SCI", part,
-		[]*stats.Series{alone, both}), nil
-}
-
 // Table2 regenerates Table 2: ch_mad 0 B / 4 B latency and 8 MB bandwidth
 // per network.
 func Table2() (*Result, error) {
-	type row struct {
-		protocol string
-		paper0   float64
-		paper4   float64
-		paperBW  float64
-	}
-	rows := []row{
+	rows := []struct {
+		protocol                string
+		paper0, paper4, paperBW float64
+	}{
 		{"tcp", 130, 148.7, 11.2},
 		{"bip", 16.9, 18.9, 115},
 		{"sisci", 13, 20, 82.5},
@@ -190,7 +283,7 @@ func Table2() (*Result, error) {
 	fmt.Fprintf(&b, "%-8s %11s %10s %11s %10s %12s %12s\n",
 		"proto", "lat0B(us)", "paper", "lat4B(us)", "paper", "bw8MB(MB/s)", "paper")
 	for _, r := range rows {
-		s, err := mpptest.MPIPingPong("ch_mad", protoTopo(r.protocol),
+		s, err := mpptest.MPIPingPong("ch_mad", cluster.TwoNodes(r.protocol),
 			[]int{0, 4, 8 * netsim.MB}, mpptest.Config{Iters: 2})
 		if err != nil {
 			return nil, err
@@ -205,64 +298,17 @@ func Table2() (*Result, error) {
 	return &Result{ID: "table2", Title: "Table 2", Text: b.String()}, nil
 }
 
-// AblationSwitchPoint (X1) sweeps the ch_mad eager->rendez-vous threshold
-// on the SCI+TCP configuration, showing why §4.2.2 elects SCI's 8 KB.
-func AblationSwitchPoint() (*Result, error) {
-	msgSizes := []int{2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10}
-	var series []*stats.Series
-	for _, sp := range []int{2 << 10, 8 << 10, 64 << 10} {
-		sp := sp
-		s, err := mpptest.MPIPingPong(fmt.Sprintf("switch=%s", stats.SizeLabel(sp)),
-			multiTopo(), msgSizes, mpptest.Config{
-				Mutate: func(sess *cluster.Session) {
-					for _, rk := range sess.Ranks {
-						rk.ChMad.SetSwitchPoint(sp)
-					}
-				},
-			})
-		if err != nil {
-			return nil, err
-		}
-		series = append(series, s)
-	}
-	return render("ablation-switch",
-		"Ablation X1: switch-point election on SCI+TCP (unique threshold forced by MPID_Device)",
-		'b', series), nil
-}
-
-// AblationHeaderSplit (X2) compares the §4.2.2 header/body split against
-// the naive constant-size MPID_PKT_MAX_DATA_SIZE eager buffer on SCI
-// (padding waste plus a sender-side copy).
-func AblationHeaderSplit() (*Result, error) {
-	msgSizes := []int{64, 256, 1 << 10, 4 << 10, 8 << 10}
-	split, err := mpptest.MPIPingPong("header/body split", protoTopo("sisci"), msgSizes, mpptest.Config{})
-	if err != nil {
-		return nil, err
-	}
-	mono, err := mpptest.MPIPingPong("monolithic buffer", protoTopo("sisci"), msgSizes, mpptest.Config{
-		Mutate: func(sess *cluster.Session) {
-			for _, rk := range sess.Ranks {
-				rk.ChMad.MonolithicEager = true
-			}
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return render("ablation-split",
-		"Ablation X2: eager header/body split vs monolithic padded buffer (SCI)",
-		'a', []*stats.Series{split, mono}), nil
-}
-
 // Forwarding (X3) measures the §6 gateway store-and-forward extension:
-// latency SCI->gateway->Myrinet versus the direct SCI path.
+// latency SCI->gateway->Myrinet versus the direct SCI path. The routed
+// sweep is one session, ranks 0 and 2 bouncing through the gateway (rank
+// 1 forwards only), with no barrier between sizes.
 func Forwarding() (*Result, error) {
 	sizes := []int{4, 256, 4 << 10, 64 << 10, 1 << 20}
-	direct, err := mpptest.MPIPingPong("direct SCI", protoTopo("sisci"), sizes, mpptest.Config{})
+	direct, err := mpptest.MPIPingPong("direct SCI", cluster.TwoNodes("sisci"), sizes, mpptest.Config{})
 	if err != nil {
 		return nil, err
 	}
-	topo := cluster.Topology{
+	sess, err := cluster.Build(cluster.Topology{
 		Nodes: []cluster.NodeSpec{
 			{Name: "n0", Procs: 1}, {Name: "gw", Procs: 1}, {Name: "n1", Procs: 1},
 		},
@@ -271,42 +317,19 @@ func Forwarding() (*Result, error) {
 			{Name: "myri", Protocol: "bip", Nodes: []string{"gw", "n1"}},
 		},
 		Forwarding: true,
-	}
-	// Ping-pong between ranks 0 and 2 (through the gateway): reuse the
-	// MPI harness via a custom runner.
-	series := &stats.Series{Name: "SCI->gw->Myrinet"}
-	sess, err := cluster.Build(topo)
+	})
 	if err != nil {
 		return nil, err
 	}
+	routed := &stats.Series{Name: "SCI->gw->Myrinet"}
 	err = sess.Run(func(rank int, comm *mpi.Comm) error {
-		if rank == 1 {
-			return nil // gateway: forwarding only
-		}
-		peer := 2 - rank // 0 <-> 2
 		for _, size := range sizes {
-			buf := make([]byte, size)
+			oneWay, err := mpptest.PingPong(sess.S, comm, 0, 2, size, 2)
+			if err != nil {
+				return err
+			}
 			if rank == 0 {
-				start := sess.S.Now()
-				const iters = 2
-				for i := 0; i < iters; i++ {
-					if err := comm.Send(buf, size, mpi.Byte, peer, 1); err != nil {
-						return err
-					}
-					if _, err := comm.Recv(buf, size, mpi.Byte, peer, 1); err != nil {
-						return err
-					}
-				}
-				series.Add(size, sess.S.Now().Sub(start)/vtime.Duration(2*2))
-			} else {
-				for i := 0; i < 2; i++ {
-					if _, err := comm.Recv(buf, size, mpi.Byte, peer, 1); err != nil {
-						return err
-					}
-					if err := comm.Send(buf, size, mpi.Byte, peer, 1); err != nil {
-						return err
-					}
-				}
+				routed.Add(size, oneWay)
 			}
 		}
 		return nil
@@ -316,7 +339,7 @@ func Forwarding() (*Result, error) {
 	}
 	return render("forwarding",
 		"Extension X3: heterogeneous forwarding through a gateway node (§6 future work)",
-		'a', []*stats.Series{direct, series}), nil
+		unitTime, []*stats.Series{direct, routed}), nil
 }
 
 // HierCollectives (X4) compares the flat (topology-blind), two-level
@@ -352,34 +375,16 @@ func Forwarding() (*Result, error) {
 // per-iteration wall time minus the injected compute.
 func HierCollectives() (*Result, error) {
 	sizes := []int{8, 256, 4 << 10, 64 << 10, 256 << 10}
+	largest := sizes[len(sizes)-1]
 	topo := hierTopo()
 	capped := hierTopoCapped()
-	type bench struct {
+	const iters = 3
+	benches := []struct {
 		name string
 		topo cluster.Topology
 		mode mpi.CollMode
-		op   func(comm *mpi.Comm, size int) error
-	}
-	bcast := func(comm *mpi.Comm, size int) error {
-		buf := make([]byte, size)
-		return comm.Bcast(buf, size, mpi.Byte, 0)
-	}
-	allreduce := func(comm *mpi.Comm, size int) error {
-		buf := make([]byte, size)
-		out := make([]byte, size)
-		return comm.Allreduce(buf, out, size, mpi.Byte, mpi.OpMax)
-	}
-	allgather := func(comm *mpi.Comm, size int) error {
-		buf := make([]byte, size)
-		big := make([]byte, size*comm.Size())
-		return comm.Allgather(buf, big, size, mpi.Byte)
-	}
-	alltoall := func(comm *mpi.Comm, size int) error {
-		send := make([]byte, size*comm.Size())
-		recv := make([]byte, size*comm.Size())
-		return comm.Alltoall(send, recv, size, mpi.Byte)
-	}
-	benches := []bench{
+		op   collOp
+	}{
 		{"Bcast_flat", topo, mpi.CollFlat, bcast},
 		{"Bcast_2level", topo, mpi.CollHier, bcast},
 		{"Allreduce_flat", topo, mpi.CollFlat, allreduce},
@@ -397,139 +402,83 @@ func HierCollectives() (*Result, error) {
 		{"Alltoall_flat_cap", capped, mpi.CollFlat, alltoall},
 		{"Alltoall_2level_cap", capped, mpi.CollHier, alltoall},
 	}
-	perOpTime := make(map[string]map[int]vtime.Duration)
-	type contention struct {
-		name      string
-		queueMS   float64
-		peakDepth int
-	}
-	var contentions []contention
+	blocking := make(map[string]*stats.Series)
+	var contention strings.Builder
 	var series []*stats.Series
 	for _, bm := range benches {
 		s := &stats.Series{Name: bm.name}
-		perOpTime[bm.name] = make(map[int]vtime.Duration)
 		for _, size := range sizes {
-			sess, err := cluster.Build(bm.topo)
+			sess, err := forced(bm.topo, bm.mode)
 			if err != nil {
 				return nil, err
 			}
-			for _, rk := range sess.Ranks {
-				rk.MPI.SetCollMode(bm.mode)
-			}
-			size := size
-			op := bm.op
-			var perOp vtime.Duration
-			err = sess.Run(func(rank int, comm *mpi.Comm) error {
-				const iters = 3
-				start := sess.S.Now()
-				for i := 0; i < iters; i++ {
-					if err := op(comm, size); err != nil {
-						return err
-					}
-				}
-				if rank == 0 {
-					perOp = sess.S.Now().Sub(start) / iters
-				}
-				return nil
-			})
+			perOp, err := timed(sess, iters, size, bm.op, nil)
 			if err != nil {
 				return nil, err
 			}
-			perOpTime[bm.name][size] = perOp
 			s.Add(size, perOp)
-			if size == sizes[len(sizes)-1] {
-				if st := sess.Networks["wan"].Stats; st.TrunkQueueDelay > 0 || st.TrunkPeak > 0 {
-					contentions = append(contentions, contention{
-						name:      bm.name,
-						queueMS:   st.TrunkQueueDelay.Seconds() * 1e3,
-						peakDepth: st.TrunkPeak,
-					})
-				}
+			if st := sess.Networks["wan"].Stats; size == largest && (st.TrunkQueueDelay > 0 || st.TrunkPeak > 0) {
+				fmt.Fprintf(&contention, "%-22s %18.2f %12d\n", bm.name, st.TrunkQueueDelay.Seconds()*1e3, st.TrunkPeak)
 			}
 		}
+		blocking[bm.name] = s
 		series = append(series, s)
 	}
 
 	// Nonblocking overlap: exposed communication time of the two-level
 	// Allreduce and Alltoall when computation fills the collective's
-	// blocking duration.
-	type ovlBench struct {
-		name string
-		base string
-		op   func(comm *mpi.Comm, size int) (*mpi.CollRequest, error)
-	}
-	ovls := []ovlBench{
+	// blocking duration. The same kernel, with a composite operation:
+	// start the Icoll, compute in chunks, wait.
+	ovls := []struct {
+		name, base string
+		start      func(comm *mpi.Comm, size int) (*mpi.CollRequest, error)
+	}{
 		{"Allreduce_2level_ovl", "Allreduce_2level", func(comm *mpi.Comm, size int) (*mpi.CollRequest, error) {
-			buf := make([]byte, size)
-			out := make([]byte, size)
-			return comm.Iallreduce(buf, out, size, mpi.Byte, mpi.OpMax)
+			return comm.Iallreduce(make([]byte, size), make([]byte, size), size, mpi.Byte, mpi.OpMax)
 		}},
 		{"Alltoall_2level_ovl", "Alltoall_2level", func(comm *mpi.Comm, size int) (*mpi.CollRequest, error) {
-			send := make([]byte, size*comm.Size())
-			recv := make([]byte, size*comm.Size())
-			return comm.Ialltoall(send, recv, size, mpi.Byte)
+			n := size * comm.Size()
+			return comm.Ialltoall(make([]byte, n), make([]byte, n), size, mpi.Byte)
 		}},
 	}
 	for _, ob := range ovls {
 		s := &stats.Series{Name: ob.name}
 		for _, size := range sizes {
-			sess, err := cluster.Build(topo)
+			sess, err := forced(topo, mpi.CollHier)
 			if err != nil {
 				return nil, err
 			}
-			for _, rk := range sess.Ranks {
-				rk.MPI.SetCollMode(mpi.CollHier)
-			}
-			size := size
-			start := ob.op
-			compute := perOpTime[ob.base][size]
-			var exposed vtime.Duration
-			err = sess.Run(func(rank int, comm *mpi.Comm) error {
-				const iters = 3
-				const chunks = 64
-				t0 := sess.S.Now()
-				for i := 0; i < iters; i++ {
-					req, err := start(comm, size)
-					if err != nil {
-						return err
-					}
-					for k := 0; k < chunks; k++ {
-						sess.Ranks[rank].Proc.Compute(compute / chunks)
-					}
-					if err := req.Wait(); err != nil {
-						return err
-					}
+			base, _ := blocking[ob.base].At(size)
+			compute := base.OneWay
+			const chunks = 64
+			per, err := timed(sess, iters, size, func(comm *mpi.Comm, size int) error {
+				req, err := ob.start(comm, size)
+				if err != nil {
+					return err
 				}
-				if rank == 0 {
-					per := sess.S.Now().Sub(t0) / iters
-					exposed = per - compute
-					if exposed < 0 {
-						exposed = 0
-					}
+				for k := 0; k < chunks; k++ {
+					sess.Ranks[comm.Rank()].Proc.Compute(compute / chunks)
 				}
-				return nil
-			})
+				return req.Wait()
+			}, nil)
 			if err != nil {
 				return nil, err
 			}
-			s.Add(size, exposed)
+			s.Add(size, max(per-compute, 0))
 		}
 		series = append(series, s)
 	}
 	res := render("hcoll",
 		"Extension X4: flat vs two-level vs ring vs nonblocking-overlap collectives on a 2x4-rank cluster-of-clusters",
-		'a', series)
+		unitTime, series)
 
 	// Backbone contention table: trunk queueing inflicted at the largest
 	// payload by each algorithm on the capped backbone.
 	var b strings.Builder
 	b.WriteString(res.Text)
-	fmt.Fprintf(&b, "\nBackbone contention at %s (wan trunk capped at the TCP rate):\n",
-		stats.SizeLabel(sizes[len(sizes)-1]))
+	fmt.Fprintf(&b, "\nBackbone contention at %s (wan trunk capped at the TCP rate):\n", stats.SizeLabel(largest))
 	fmt.Fprintf(&b, "%-22s %18s %12s\n", "series", "queue delay(ms)", "peak depth")
-	for _, ct := range contentions {
-		fmt.Fprintf(&b, "%-22s %18.2f %12d\n", ct.name, ct.queueMS, ct.peakDepth)
-	}
+	b.WriteString(contention.String())
 
 	// MPI_Init autotuner: the crossover table measured on the capped
 	// topology (what CollAuto dispatches through when Topology.Autotune
@@ -599,65 +548,4 @@ func hierTopo() cluster.Topology {
 			{Name: "wan", Protocol: "tcp", Nodes: all},
 		},
 	}
-}
-
-func render(id, title string, part byte, series []*stats.Series) *Result {
-	var text string
-	if part == 'a' {
-		text = stats.Table(title+" — transfer time", "us", series, stats.Point.LatencyUS)
-	} else {
-		text = stats.Table(title+" — bandwidth", "MB/s", series, stats.Point.BandwidthMBs)
-	}
-	return &Result{ID: id, Title: title, Text: text, Series: series}
-}
-
-// registry lists every experiment in paper order: the one table All and
-// ByID both read, so an experiment cannot be in one and missing from the
-// other.
-var registry = []struct {
-	id  string
-	run func() (*Result, error)
-}{
-	{"table1", Table1},
-	{"fig6a", func() (*Result, error) { return Fig6('a') }},
-	{"fig6b", func() (*Result, error) { return Fig6('b') }},
-	{"fig7a", func() (*Result, error) { return Fig7('a') }},
-	{"fig7b", func() (*Result, error) { return Fig7('b') }},
-	{"fig8a", func() (*Result, error) { return Fig8('a') }},
-	{"fig8b", func() (*Result, error) { return Fig8('b') }},
-	{"fig9a", func() (*Result, error) { return Fig9('a') }},
-	{"fig9b", func() (*Result, error) { return Fig9('b') }},
-	{"table2", Table2},
-	{"ablation-switch", AblationSwitchPoint},
-	{"ablation-split", AblationHeaderSplit},
-	{"forwarding", Forwarding},
-	{"hcoll", HierCollectives},
-	{"gateway", GatewayCollectives},
-	{"adaptive", AdaptiveMultipath},
-	{"heteromux", HeteroMux},
-	{"multileader", MultiLeader},
-	{"scale", Scale},
-}
-
-// All runs every experiment in paper order.
-func All() ([]*Result, error) {
-	var out []*Result
-	for _, e := range registry {
-		r, err := e.run()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// ByID runs one experiment by its id (e.g. "fig7b").
-func ByID(id string) (*Result, error) {
-	for _, e := range registry {
-		if e.id == id {
-			return e.run()
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown id %q (see DESIGN.md experiment index)", id)
 }

@@ -94,10 +94,7 @@ func byName(t *testing.T, series []*stats.Series, name string) *stats.Series {
 }
 
 func TestFig6Shape(t *testing.T) {
-	a, err := Fig6('a')
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := shared(t, "fig6a")
 	chmad, chp4 := byName(t, a.Series, "ch_mad"), byName(t, a.Series, "ch_p4")
 	raw := byName(t, a.Series, "raw_Madeleine")
 	// §5.2: ch_mad beats ch_p4 up to 256 B; raw is below both.
@@ -110,10 +107,7 @@ func TestFig6Shape(t *testing.T) {
 		}
 	}
 
-	b, err := Fig6('b')
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := shared(t, "fig6b")
 	chmadB, chp4B := byName(t, b.Series, "ch_mad"), byName(t, b.Series, "ch_p4")
 	// §5.2: ch_p4 ceiling ~10 MB/s; ch_mad exceeds 11 MB/s at 1 MB.
 	if bw := get(t, chp4B, 1<<20).BandwidthMBs(); bw > 10.3 {
@@ -132,10 +126,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	b, err := Fig7('b')
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := shared(t, "fig7b")
 	chmad := byName(t, b.Series, "ch_mad")
 	sca := byName(t, b.Series, "ScaMPI")
 	smi := byName(t, b.Series, "SCI-MPICH")
@@ -154,10 +145,7 @@ func TestFig7Shape(t *testing.T) {
 		t.Errorf("fig7b: ch_mad sustained %.1f, want >= 80", bw)
 	}
 
-	a, err := Fig7('a')
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := shared(t, "fig7a")
 	// §5.3: latency comparisons are NOT favourable to ch_mad (the two
 	// native SCI ports are lower).
 	chmadA := byName(t, a.Series, "ch_mad")
@@ -169,10 +157,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	b, err := Fig8('b')
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := shared(t, "fig8b")
 	chmad := byName(t, b.Series, "ch_mad")
 	gm := byName(t, b.Series, "MPI-GM")
 	pm := byName(t, b.Series, "MPICH-PM")
@@ -194,10 +179,7 @@ func TestFig8Shape(t *testing.T) {
 		t.Errorf("fig8b: mid-range not 'roughly the same': ch_mad %.1f vs PM %.1f", m, p)
 	}
 
-	a, err := Fig8('a')
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := shared(t, "fig8a")
 	chmadA, gmA := byName(t, a.Series, "ch_mad"), byName(t, a.Series, "MPI-GM")
 	// §5.4: ch_mad beats MPI-GM below 512 B, loses beyond.
 	if get(t, chmadA, 64).OneWay >= get(t, gmA, 64).OneWay {
@@ -209,10 +191,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	a, err := Fig9('a')
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := shared(t, "fig9a")
 	alone := byName(t, a.Series, "SCI_thread_only")
 	both := byName(t, a.Series, "SCI_thread_+_TCP_thread")
 	// §5.5: a measurable but *limited* gap from the extra TCP poller.
@@ -226,10 +205,7 @@ func TestFig9Shape(t *testing.T) {
 		}
 	}
 
-	b, err := Fig9('b')
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := shared(t, "fig9b")
 	aloneB := byName(t, b.Series, "SCI_thread_only")
 	bothB := byName(t, b.Series, "SCI_thread_+_TCP_thread")
 	// Large messages converge: within 2% at 1 MB.
@@ -240,10 +216,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	sw, err := AblationSwitchPoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sw := shared(t, "ablation-switch")
 	// At 64 KB messages, a 64K switch point (pure eager) must lose to the
 	// 8 KB election (zero-copy rendez-vous).
 	sp8 := byName(t, sw.Series, "switch=8K")
@@ -252,10 +225,7 @@ func TestAblations(t *testing.T) {
 		t.Error("ablation X1: 8K election should beat pure eager at 64KB")
 	}
 
-	split, err := AblationHeaderSplit()
-	if err != nil {
-		t.Fatal(err)
-	}
+	split := shared(t, "ablation-split")
 	s := byName(t, split.Series, "header/body split")
 	m := byName(t, split.Series, "monolithic buffer")
 	// §4.2.2: the monolithic padded buffer wastes wire time on every
@@ -268,10 +238,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestForwardingExperiment(t *testing.T) {
-	r, err := Forwarding()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := shared(t, "forwarding")
 	direct := byName(t, r.Series, "direct SCI")
 	fwd := byName(t, r.Series, "SCI->gw->Myrinet")
 	// Store-and-forward costs roughly a second network traversal.

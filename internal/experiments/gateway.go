@@ -39,61 +39,29 @@ func gatewayTopo() cluster.Topology {
 	}
 }
 
-// gatewayRun executes iters repetitions of op between bracketing
-// barriers on a fresh session and returns rank 0's per-operation time,
-// the total gateway-relayed messages in the measurement window (opening
-// barrier exit to closing barrier exit), and the session's relay stats.
-// op == nil runs the window empty — the baseline whose relays belong to
-// the barriers themselves.
+// gatewayRun times iters repetitions of op on a fresh session and returns
+// rank 0's per-operation time, the gateway-relayed messages of the sampled
+// window (the opening sample is stored, the closing one subtracts it) and
+// the session's relay stats. A nil op leaves the window empty — the
+// baseline whose relays belong to the barriers themselves.
 func gatewayRun(topo cluster.Topology, mode mpi.CollMode, iters, size int,
-	op func(comm *mpi.Comm, size int) error) (vtime.Duration, uint64, []stats.RelayStat, error) {
-	sess, err := cluster.Build(topo)
+	op collOp) (vtime.Duration, uint64, []stats.RelayStat, error) {
+	sess, err := forced(topo, mode)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	for _, rk := range sess.Ranks {
-		rk.MPI.SetCollMode(mode)
-	}
-	forwards := func() uint64 {
-		var total uint64
-		for _, rk := range sess.Ranks {
-			total += rk.ChMad.NForwarded
-		}
-		return total
-	}
-	var perOp vtime.Duration
 	var relayed uint64
-	err = sess.Run(func(rank int, comm *mpi.Comm) error {
-		if err := comm.Barrier(); err != nil {
-			return err
-		}
-		var before uint64
-		if rank == 0 {
-			before = forwards()
-		}
-		start := sess.S.Now()
-		if op != nil {
-			for i := 0; i < iters; i++ {
-				if err := op(comm, size); err != nil {
-					return err
-				}
-			}
-		}
-		if rank == 0 {
-			perOp = sess.S.Now().Sub(start) / vtime.Duration(iters)
-		}
-		if err := comm.Barrier(); err != nil {
-			return err
-		}
-		if rank == 0 {
-			relayed = forwards() - before
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, 0, nil, err
+	perOp, err := timed(sess, iters, size, op, func() { relayed = forwardedBy(sess) - relayed })
+	return perOp, relayed, sess.RelayStats(), err
+}
+
+// forwardedBy is the number of messages the session's gateways have
+// relayed so far.
+func forwardedBy(sess *cluster.Session) (total uint64) {
+	for _, rk := range sess.Ranks {
+		total += rk.ChMad.NForwarded
 	}
-	return perOp, relayed, sess.RelayStats(), nil
+	return total
 }
 
 // gatewayColl measures one collective's per-operation time on the
@@ -102,7 +70,7 @@ func gatewayRun(topo cluster.Topology, mode mpi.CollMode, iters, size int,
 // own gateway traffic) is subtracted, so the hop series reports what the
 // operation itself costs.
 func gatewayColl(topo cluster.Topology, mode mpi.CollMode, sizes []int,
-	op func(comm *mpi.Comm, size int) error) (*stats.Series, map[int]uint64, []stats.RelayStat, error) {
+	op collOp) (*stats.Series, map[int]uint64, []stats.RelayStat, error) {
 	const iters = 3
 	s := &stats.Series{}
 	hops := make(map[int]uint64)
@@ -134,26 +102,16 @@ func gatewayColl(topo cluster.Topology, mode mpi.CollMode, sizes []int,
 // fewer messages than the oblivious ones — both gated by cmd/benchcheck.
 func GatewayCollectives() (*Result, error) {
 	sizes := []int{8, 4 << 10, 64 << 10, 256 << 10}
-	bcast := func(comm *mpi.Comm, size int) error {
-		buf := make([]byte, size)
-		return comm.Bcast(buf, size, mpi.Byte, 0)
-	}
-	allreduce := func(comm *mpi.Comm, size int) error {
-		in := make([]byte, size)
-		out := make([]byte, size)
-		return comm.Allreduce(in, out, size, mpi.Byte, mpi.OpMax)
-	}
 	aware := gatewayTopo()
 	naive := gatewayTopo()
 	naive.ObliviousLeaders = true
 
-	type bench struct {
+	benches := []struct {
 		name string
 		topo cluster.Topology
 		mode mpi.CollMode
-		op   func(comm *mpi.Comm, size int) error
-	}
-	benches := []bench{
+		op   collOp
+	}{
 		{"Bcast_flat_gw", aware, mpi.CollFlat, bcast},
 		{"Bcast_2level_gw", aware, mpi.CollHier, bcast},
 		{"Bcast_2level_gwnaive", naive, mpi.CollHier, bcast},
@@ -198,40 +156,10 @@ func GatewayCollectives() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !pipelined {
-				for _, rk := range sess.Ranks {
-					rk.ChMad.RelayPipelining = false
-				}
+			for _, rk := range sess.Ranks {
+				rk.ChMad.RelayPipelining = pipelined
 			}
-			size := size
-			var oneWay vtime.Duration
-			err = sess.Run(func(rank int, comm *mpi.Comm) error {
-				buf := make([]byte, size)
-				const iters = 2
-				switch rank {
-				case 0:
-					start := sess.S.Now()
-					for i := 0; i < iters; i++ {
-						if err := comm.Send(buf, size, mpi.Byte, 8, 1); err != nil {
-							return err
-						}
-						if _, err := comm.Recv(buf, size, mpi.Byte, 8, 1); err != nil {
-							return err
-						}
-					}
-					oneWay = sess.S.Now().Sub(start) / (2 * iters)
-				case 8:
-					for i := 0; i < iters; i++ {
-						if _, err := comm.Recv(buf, size, mpi.Byte, 0, 1); err != nil {
-							return err
-						}
-						if err := comm.Send(buf, size, mpi.Byte, 0, 1); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
+			oneWay, err := pingPong(sess, 0, 8, size)
 			if err != nil {
 				return nil, err
 			}
@@ -251,7 +179,7 @@ func GatewayCollectives() (*Result, error) {
 
 	res := render("gateway",
 		"Extension X5: cost-model routing on a bridged 3-cluster topology (2 TCP bridges, no common network)",
-		'a', series)
+		unitTime, series)
 
 	var b strings.Builder
 	b.WriteString(res.Text)

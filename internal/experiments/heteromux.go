@@ -59,56 +59,26 @@ func heteroTopo(uniform bool) cluster.Topology {
 // the per-class thresholds the MPI_Init autotuner measured.
 func HeteroMux() (*Result, error) {
 	sizes := []int{8, 256, 4 << 10, 64 << 10, 256 << 10}
-	type opSpec struct {
+	ops := []struct {
 		name string
-		op   func(comm *mpi.Comm, size int) error
-	}
-	ops := []opSpec{
-		{"Bcast", func(comm *mpi.Comm, size int) error {
-			buf := make([]byte, size)
-			return comm.Bcast(buf, size, mpi.Byte, 0)
-		}},
-		{"Allreduce", func(comm *mpi.Comm, size int) error {
-			buf := make([]byte, size)
-			out := make([]byte, size)
-			return comm.Allreduce(buf, out, size, mpi.Byte, mpi.OpMax)
-		}},
-		{"Alltoall", func(comm *mpi.Comm, size int) error {
-			send := make([]byte, size*comm.Size())
-			recv := make([]byte, size*comm.Size())
-			return comm.Alltoall(send, recv, size, mpi.Byte)
-		}},
-	}
+		op   collOp
+	}{{"Bcast", bcast}, {"Allreduce", allreduce}, {"Alltoall", alltoall}}
 
 	// One shared cache per configuration shape: the MPI_Init sweep (and
 	// the per-class switch-point probes) run once per shape, and every
 	// per-size session after that reloads the measured table.
 	cache := cluster.NewTuneCache()
-	run := func(uniform bool, op func(*mpi.Comm, int) error, size int) (vtime.Duration, error) {
+	build := func(uniform bool) (*cluster.Session, error) {
 		topo := heteroTopo(uniform)
 		topo.TuneCache = cache
-		sess, err := cluster.Build(topo)
+		return cluster.Build(topo)
+	}
+	run := func(uniform bool, op collOp, size int) (vtime.Duration, error) {
+		sess, err := build(uniform)
 		if err != nil {
 			return 0, err
 		}
-		var perOp vtime.Duration
-		err = sess.Run(func(rank int, comm *mpi.Comm) error {
-			const iters = 3
-			start := sess.S.Now()
-			for i := 0; i < iters; i++ {
-				if err := op(comm, size); err != nil {
-					return err
-				}
-			}
-			if rank == 0 {
-				perOp = sess.S.Now().Sub(start) / iters
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		return perOp, nil
+		return timed(sess, 3, size, op, nil)
 	}
 
 	var series []*stats.Series
@@ -132,15 +102,13 @@ func HeteroMux() (*Result, error) {
 
 	res := render("heteromux",
 		"Extension X6: per-link device mux vs uniform single-protocol transport (SCI+BIP islands over TCP)",
-		'a', series)
+		unitTime, series)
 
 	// Introspection session: rank 0's view of the mux — which device
 	// class each peer's link resolved to and the switch point in effect
 	// on it, plus the per-class thresholds from the autotuner (also
 	// visible as the SwitchPoint rows of Process.TuneSnapshot).
-	topo := heteroTopo(false)
-	topo.TuneCache = cache
-	sess, err := cluster.Build(topo)
+	sess, err := build(false)
 	if err != nil {
 		return nil, err
 	}

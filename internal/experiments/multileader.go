@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"strings"
 
-	"mpichmad/internal/cluster"
 	"mpichmad/internal/mpi"
 	"mpichmad/internal/stats"
 	"mpichmad/internal/vtime"
@@ -31,62 +30,28 @@ import (
 
 // multiLeaderRun measures one collective's per-operation time on an
 // autotuned bridged-triangle session with the given selection mode, plus
-// each bridge network's wire bytes over the measured window — the
+// each bridge network's wire bytes per operation over the sampled window
+// (the opening sample is stored, the closing one subtracts it) — the
 // crossing-split diagnostic.
-func multiLeaderRun(mode mpi.CollMode, iters, size int,
-	op func(comm *mpi.Comm, size int) error) (vtime.Duration, map[string]uint64, error) {
+func multiLeaderRun(mode mpi.CollMode, iters, size int, op collOp) (vtime.Duration, map[string]uint64, error) {
 	topo := triangleTopo()
 	topo.Autotune = true
-	sess, err := cluster.Build(topo)
+	sess, err := forced(topo, mode)
 	if err != nil {
 		return 0, nil, err
 	}
-	for _, rk := range sess.Ranks {
-		rk.MPI.SetCollMode(mode)
-	}
-	bridgeBytes := func() map[string]uint64 {
-		out := make(map[string]uint64)
+	crossed := make(map[string]uint64)
+	perOp, err := timed(sess, iters, size, op, func() {
 		for name, net := range sess.Networks {
 			if net.Params.Protocol == "tcp" {
-				out[name] = net.Stats.Bytes
+				crossed[name] = net.Stats.Bytes - crossed[name]
 			}
 		}
-		return out
-	}
-	var perOp vtime.Duration
-	var before, after map[string]uint64
-	err = sess.Run(func(rank int, comm *mpi.Comm) error {
-		if err := comm.Barrier(); err != nil {
-			return err
-		}
-		if rank == 0 {
-			before = bridgeBytes()
-		}
-		start := sess.S.Now()
-		for i := 0; i < iters; i++ {
-			if err := op(comm, size); err != nil {
-				return err
-			}
-		}
-		if rank == 0 {
-			perOp = sess.S.Now().Sub(start) / vtime.Duration(iters)
-		}
-		if err := comm.Barrier(); err != nil {
-			return err
-		}
-		if rank == 0 {
-			after = bridgeBytes()
-		}
-		return nil
 	})
-	if err != nil {
-		return 0, nil, err
+	for name := range crossed {
+		crossed[name] /= uint64(iters)
 	}
-	crossed := make(map[string]uint64, len(after))
-	for name, b := range after {
-		crossed[name] = (b - before[name]) / uint64(iters)
-	}
-	return perOp, crossed, nil
+	return perOp, crossed, err
 }
 
 // MultiLeader (X9) benchmarks the multi-leader collectives on the
@@ -96,28 +61,21 @@ func multiLeaderRun(mode mpi.CollMode, iters, size int,
 // engaging every gateway.
 func MultiLeader() (*Result, error) {
 	sizes := []int{4 << 10, 64 << 10, 256 << 10, 1 << 20}
-	bcast := func(comm *mpi.Comm, size int) error {
-		buf := make([]byte, size)
-		return comm.Bcast(buf, size, mpi.Byte, 0)
-	}
-	alltoall := func(comm *mpi.Comm, size int) error {
-		block := size / comm.Size()
-		if block < 1 {
-			block = 1
-		}
-		send := make([]byte, block*comm.Size())
-		recv := make([]byte, block*comm.Size())
-		return comm.Alltoall(send, recv, block, mpi.Byte)
+	// Here an Alltoall's size is the whole matrix a rank sends, so that it
+	// compares with a Bcast of the same size; the shared operation takes
+	// the block.
+	matrix := func(comm *mpi.Comm, size int) error {
+		return alltoall(comm, max(size/comm.Size(), 1))
 	}
 	benches := []struct {
 		name string
 		mode mpi.CollMode
-		op   func(comm *mpi.Comm, size int) error
+		op   collOp
 	}{
 		{"ML_Bcast_multi", mpi.CollAuto, bcast},
 		{"ML_Bcast_single", mpi.CollHier, bcast},
-		{"ML_Alltoall_multi", mpi.CollAuto, alltoall},
-		{"ML_Alltoall_single", mpi.CollHier, alltoall},
+		{"ML_Alltoall_multi", mpi.CollAuto, matrix},
+		{"ML_Alltoall_single", mpi.CollHier, matrix},
 	}
 	const iters = 3
 	var series []*stats.Series
@@ -138,7 +96,7 @@ func MultiLeader() (*Result, error) {
 	}
 	res := render("multileader",
 		"Extension X9: multi-leader collectives on the bridged triangle (autotuned vs forced single-leader)",
-		'a', series)
+		unitTime, series)
 
 	// Per-bridge crossing table at the largest payload: the multi-leader
 	// rows must spread bytes over all three bridges, the single-leader

@@ -14,7 +14,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"mpichmad/internal/cluster"
 	"mpichmad/internal/mpi"
@@ -67,23 +66,18 @@ func ScaleTopo(nClusters, perCluster int) cluster.Topology {
 }
 
 // Scale (X8) runs Allreduce and Bcast sweeps on the full 1024-rank
-// machine and reports per-operation simulated time.
+// machine and reports per-operation simulated time. It is one session for
+// both operations and every size, a barrier before each single timed
+// call, where the other collective experiments build a session per point:
+// a Build of this machine per point would be most of the experiment.
 func Scale() (*Result, error) {
-	return scaleAt(scaleClusters, scaleRanksPer)
-}
-
-// scaleAt is Scale at an arbitrary machine size (the benchmark harness
-// sweeps smaller machines for the growth-ratio series).
-func scaleAt(nClusters, perCluster int) (*Result, error) {
-	topo := ScaleTopo(nClusters, perCluster)
-	sess, err := cluster.Build(topo)
+	sess, err := cluster.Build(ScaleTopo(scaleClusters, scaleRanksPer))
 	if err != nil {
 		return nil, err
 	}
-	size := nClusters * perCluster
 	sizes := []int{64, 1 << 10, scaleMaxPayload}
-	allreduce := &stats.Series{Name: "Allreduce"}
-	bcast := &stats.Series{Name: "Bcast"}
+	ar := &stats.Series{Name: "Allreduce"}
+	bc := &stats.Series{Name: "Bcast"}
 	err = sess.Run(func(rank int, comm *mpi.Comm) error {
 		for _, n := range sizes {
 			in, out := make([]byte, n), make([]byte, n)
@@ -95,7 +89,7 @@ func scaleAt(nClusters, perCluster int) (*Result, error) {
 				return err
 			}
 			if rank == 0 {
-				allreduce.Add(n, sess.S.Now().Sub(start))
+				ar.Add(n, sess.S.Now().Sub(start))
 			}
 			if err := comm.Barrier(); err != nil {
 				return err
@@ -105,7 +99,7 @@ func scaleAt(nClusters, perCluster int) (*Result, error) {
 				return err
 			}
 			if rank == 0 {
-				bcast.Add(n, sess.S.Now().Sub(start))
+				bc.Add(n, sess.S.Now().Sub(start))
 			}
 		}
 		return nil
@@ -113,17 +107,12 @@ func scaleAt(nClusters, perCluster int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	id := "scale"
-	title := fmt.Sprintf("Scale: %d-rank machine (%d clusters x %d ranks, capped backbone)",
-		size, nClusters, perCluster)
-	res := render(id, title, 'a', []*stats.Series{allreduce, bcast})
-	var b strings.Builder
-	b.WriteString(res.Text)
+	res := render("scale", fmt.Sprintf("Scale: %d-rank machine (%d clusters x %d ranks, capped backbone)",
+		len(sess.Ranks), scaleClusters, scaleRanksPer), unitTime, []*stats.Series{ar, bc})
 	// Zero relaying ranks is the election doing its job: leaders sit on
 	// the multi-homed gateways, so leader-level exchanges ride the
 	// backbone directly instead of being store-and-forwarded.
-	b.WriteString(fmt.Sprintf("\nRouting blocs: %d (of %d ranks); store-and-forward relaying ranks: %d\n",
-		sess.RoutePlan().BlocCount(), size, len(sess.RelayStats())))
-	res.Text = b.String()
+	res.Text += fmt.Sprintf("\nRouting blocs: %d (of %d ranks); store-and-forward relaying ranks: %d\n",
+		sess.RoutePlan().BlocCount(), len(sess.Ranks), len(sess.RelayStats()))
 	return res, nil
 }

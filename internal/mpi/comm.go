@@ -50,19 +50,12 @@ type Process struct {
 	tuned      *tuneTable
 	forcedAlgo *collAlgo
 
-	// linkClassFn names the device class of the link toward a world rank
-	// ("self", "smp", "san", "wan"): the resolver the cluster wiring
-	// installs when the session runs the per-link device mux (nil
-	// otherwise). Each destination's class is resolved on first query and
-	// memoized in linkClassMemo for the life of the process (classes are
-	// frozen at build time, across re-plans);
 	// classProbes lists the representative rank pairs the autotuner times
-	// to measure per-class eager thresholds, identical on every rank;
-	// classSwitch holds the measured per-class thresholds once installed.
-	linkClassFn   func(dst int) string
-	linkClassMemo map[int]string
-	classProbes   []ClassProbe
-	classSwitch   map[string]int
+	// to measure per-class eager thresholds ("smp", "san", "wan"),
+	// identical on every rank; classSwitch holds the measured per-class
+	// thresholds once installed.
+	classProbes []ClassProbe
+	classSwitch map[string]int
 
 	// tracer, when installed by SetTrace, records schedule-round spans
 	// of every collective this rank executes on traceTrack (the rank's

@@ -308,10 +308,9 @@
 // classifies every ordered rank pair into a device class — "self"
 // (intra-process, chself), "smp" (intra-node, smp_plug), "san"
 // (intra-cluster SAN such as SCI or Myrinet/BIP) or "wan" (a commodity
-// backbone) — and installs the classification on each rank as a lazy
-// resolver (Process.SetLinkClassResolver) that classifies each
-// destination on the first LinkClassOf query and memoizes it for the life
-// of the process.
+// backbone) — lazily: cluster.Session.LinkClassOf resolves a pair against
+// the session's current plan on the first query and memoizes it per
+// routing-bloc pair; no rank holds a copy.
 // Three layers consume it:
 //
 //   - Routing: internal/route's edge costs are device-aware — an eager

@@ -64,37 +64,6 @@ type ClassProbe struct {
 	A, B  int
 }
 
-// SetLinkClassResolver installs the per-destination device-class resolver
-// of the per-link device mux ("self", "smp", "san", "wan"): LinkClassOf
-// consults fn on the first query for a destination and memoizes the answer
-// for the life of the process. The memo is deliberately never invalidated
-// — classes are a build-time property that survives re-plans unchanged.
-// Called by the cluster wiring.
-func (p *Process) SetLinkClassResolver(fn func(dst int) string) {
-	p.linkClassFn = fn
-	p.linkClassMemo = nil
-}
-
-// LinkClassOf returns the device class of the link toward a world rank,
-// "" when the session didn't install the mux classification.
-func (p *Process) LinkClassOf(dst int) string {
-	if dst < 0 || dst >= p.size {
-		return ""
-	}
-	if p.linkClassFn == nil {
-		return ""
-	}
-	if c, ok := p.linkClassMemo[dst]; ok {
-		return c
-	}
-	c := p.linkClassFn(dst)
-	if p.linkClassMemo == nil {
-		p.linkClassMemo = make(map[int]string)
-	}
-	p.linkClassMemo[dst] = c
-	return c
-}
-
 // SetClassProbes installs the per-class autotuner probe pairs; every rank
 // must receive the identical list (the probe sweep is collective).
 func (p *Process) SetClassProbes(probes []ClassProbe) {

@@ -147,8 +147,11 @@ func TestValidateTuneChoicesRejectsBadSwitchRows(t *testing.T) {
 		{{Op: "SwitchPoint", MaxBytes: 0, Algo: "san"}},
 		{{Op: "SwitchPoint", MaxBytes: -1, Algo: "wan"}},
 		// A row kind older caches carried: rejected like any unknown
-		// operation, so LoadTuneCacheFile drops the table for a fresh sweep.
+		// operation.
 		{{Op: "RelayWindow", MaxBytes: 4, Algo: "gwAB"}},
+		// Collective rows: an algorithm no compiler knows, a nonsense bracket.
+		{{Op: "Bcast", MaxBytes: 1024, Algo: "warp-drive"}},
+		{{Op: "Allreduce", MaxBytes: -5, Algo: "flat"}},
 	}
 	for _, table := range bad {
 		if err := mpi.ValidateTuneChoices(table); err == nil {

@@ -3,6 +3,14 @@
 // mpptest program the authors used for the ch_mad and ch_p4 curves) and at
 // the raw Madeleine level (for the raw_Madeleine curves), reporting
 // one-way transfer time per size in virtual time.
+//
+// PingPong is the one MPI ping-pong loop outside bench/: a rank body that
+// every driver calls from inside its own Session.Run. What it leaves to
+// the caller is session policy, because the numbers depend on it: the
+// paper's figures (MPIPingPong) sweep every size in one session with a
+// barrier before each, so a size starts from the transport state the
+// previous one left behind; the extension series of internal/experiments
+// build a fresh session per size and use no barrier.
 package mpptest
 
 import (
@@ -22,8 +30,6 @@ type Config struct {
 	// Iters round trips per size (the deterministic simulator needs no
 	// large repetition counts; >1 smooths protocol warm-up effects).
 	Iters int
-	// Tag used by the ping-pong messages.
-	Tag int
 	// Mutate, if set, adjusts the built session before it runs (e.g.
 	// overriding the elected switch point for ablations).
 	Mutate func(*cluster.Session)
@@ -35,9 +41,47 @@ func (c *Config) defaults() {
 	}
 }
 
+// pingTag is the tag of every ping-pong message. The tag travels in a
+// fixed-width header field, so its value moves no number.
+const pingTag = 1
+
+// PingPong is the ping-pong kernel, written as a rank body: ranks a and b
+// of comm bounce a size-byte message iters times with blocking MPI_Send /
+// MPI_Recv, exactly like mpptest, and every other rank returns at once.
+// Rank a gets the one-way transfer time — elapsed / 2·iters on s's clock —
+// everyone else 0.
+func PingPong(s *vtime.Scheduler, comm *mpi.Comm, a, b, size, iters int) (vtime.Duration, error) {
+	me := comm.Rank()
+	if me != a && me != b {
+		return 0, nil
+	}
+	peer := a + b - me
+	buf := make([]byte, size)
+	start := s.Now()
+	for i := 0; i < iters; i++ {
+		if me == a {
+			if err := comm.Send(buf, size, mpi.Byte, peer, pingTag); err != nil {
+				return 0, err
+			}
+		}
+		if _, err := comm.Recv(buf, size, mpi.Byte, peer, pingTag); err != nil {
+			return 0, err
+		}
+		if me == b {
+			if err := comm.Send(buf, size, mpi.Byte, peer, pingTag); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if me != a {
+		return 0, nil
+	}
+	return s.Now().Sub(start) / vtime.Duration(2*iters), nil
+}
+
 // MPIPingPong measures one-way transfer time between ranks 0 and 1 of the
-// given topology for every size, using blocking MPI_Send/MPI_Recv exactly
-// like mpptest. The returned series is named after name.
+// given topology for every size: one session for the whole sweep, a
+// barrier before each size. The returned series is named after name.
 func MPIPingPong(name string, topo cluster.Topology, sizes []int, cfg Config) (*stats.Series, error) {
 	cfg.defaults()
 	sess, err := cluster.Build(topo)
@@ -56,29 +100,12 @@ func MPIPingPong(name string, topo cluster.Topology, sizes []int, cfg Config) (*
 			if err := comm.Barrier(); err != nil {
 				return err
 			}
-			buf := make([]byte, size)
-			switch rank {
-			case 0:
-				start := sess.S.Now()
-				for i := 0; i < cfg.Iters; i++ {
-					if err := comm.Send(buf, size, mpi.Byte, 1, cfg.Tag); err != nil {
-						return err
-					}
-					if _, err := comm.Recv(buf, size, mpi.Byte, 1, cfg.Tag); err != nil {
-						return err
-					}
-				}
-				elapsed := sess.S.Now().Sub(start)
-				series.Add(size, elapsed/vtime.Duration(2*cfg.Iters))
-			case 1:
-				for i := 0; i < cfg.Iters; i++ {
-					if _, err := comm.Recv(buf, size, mpi.Byte, 0, cfg.Tag); err != nil {
-						return err
-					}
-					if err := comm.Send(buf, size, mpi.Byte, 0, cfg.Tag); err != nil {
-						return err
-					}
-				}
+			oneWay, err := PingPong(sess.S, comm, 0, 1, size, cfg.Iters)
+			if err != nil {
+				return err
+			}
+			if rank == 0 {
+				series.Add(size, oneWay)
 			}
 		}
 		return nil
@@ -124,30 +151,25 @@ func rawOnce(params netsim.Params, size, iters int) (vtime.Duration, error) {
 	side := func(ch *madeleine.Channel, peer string, lead bool) func() {
 		return func() {
 			buf := make([]byte, size)
-			start := ch.Inst.P.S.Now()
+			start := s.Now()
 			for i := 0; i < iters; i++ {
+				var err error
 				if lead {
-					if err := rawSend(ch, peer, buf); err != nil {
-						rankErr = err
-						return
-					}
-					if err := rawRecv(ch, buf); err != nil {
-						rankErr = err
-						return
-					}
-				} else {
-					if err := rawRecv(ch, buf); err != nil {
-						rankErr = err
-						return
-					}
-					if err := rawSend(ch, peer, buf); err != nil {
-						rankErr = err
-						return
-					}
+					err = rawSend(ch, peer, buf)
+				}
+				if err == nil {
+					err = rawRecv(ch, buf)
+				}
+				if err == nil && !lead {
+					err = rawSend(ch, peer, buf)
+				}
+				if err != nil {
+					rankErr = err
+					return
 				}
 			}
 			if lead {
-				elapsed = ch.Inst.P.S.Now().Sub(start)
+				elapsed = s.Now().Sub(start)
 			}
 		}
 	}
@@ -186,10 +208,4 @@ func rawRecv(ch *madeleine.Channel, buf []byte) error {
 		}
 	}
 	return conn.EndUnpacking()
-}
-
-// Bandwidth8MB measures the paper's Table 1/2 bandwidth figure: one-way
-// bandwidth of an 8 MB transfer, in MB/s.
-func Bandwidth8MB(oneWay8MB vtime.Duration) float64 {
-	return float64(8*netsim.MB) / oneWay8MB.Seconds() / netsim.MB
 }

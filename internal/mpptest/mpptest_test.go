@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpichmad/internal/cluster"
+	"mpichmad/internal/mpi"
 	"mpichmad/internal/netsim"
 	"mpichmad/internal/vtime"
 )
@@ -82,9 +83,93 @@ func TestForcedRendezvousSlowerAtTinySizes(t *testing.T) {
 	}
 }
 
-func TestBandwidth8MBHelper(t *testing.T) {
-	if got := Bandwidth8MB(vtime.Second); math.Abs(got-8.0) > 1e-9 {
-		t.Fatalf("Bandwidth8MB = %f", got)
+// gatewayLine is three ranks on a line, sci -> gw -> bip: ranks 0 and 2
+// share no network and reach each other through rank 1.
+func gatewayLine(t *testing.T) *cluster.Session {
+	t.Helper()
+	sess, err := cluster.Build(cluster.Topology{
+		Nodes: []cluster.NodeSpec{{Name: "n0", Procs: 1}, {Name: "gw", Procs: 1}, {Name: "n1", Procs: 1}},
+		Networks: []cluster.NetworkSpec{
+			{Name: "sci", Protocol: "sisci", Nodes: []string{"n0", "gw"}},
+			{Name: "myri", Protocol: "bip", Nodes: []string{"gw", "n1"}},
+		},
+		Forwarding: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// handWrittenPingPong is the loop as the experiments spelled it out before
+// PingPong existed, kept as the reference the kernel is compared with.
+func handWrittenPingPong(t *testing.T, size, iters int) vtime.Duration {
+	t.Helper()
+	sess := gatewayLine(t)
+	var oneWay vtime.Duration
+	err := sess.Run(func(rank int, comm *mpi.Comm) error {
+		buf := make([]byte, size)
+		switch rank {
+		case 0:
+			start := sess.S.Now()
+			for i := 0; i < iters; i++ {
+				if err := comm.Send(buf, size, mpi.Byte, 2, 1); err != nil {
+					return err
+				}
+				if _, err := comm.Recv(buf, size, mpi.Byte, 2, 1); err != nil {
+					return err
+				}
+			}
+			oneWay = sess.S.Now().Sub(start) / vtime.Duration(2*iters)
+		case 2:
+			for i := 0; i < iters; i++ {
+				if _, err := comm.Recv(buf, size, mpi.Byte, 0, 1); err != nil {
+					return err
+				}
+				if err := comm.Send(buf, size, mpi.Byte, 0, 1); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oneWay
+}
+
+// TestPingPongKernel: between ranks 0 and 2 of the gateway line the kernel
+// measures what the hand-written loop measures, on both sides of the
+// eager/rendez-vous switch point, and the rank that is neither end returns
+// at once with nothing.
+func TestPingPongKernel(t *testing.T) {
+	const iters = 2
+	sp := gatewayLine(t).Ranks[0].ChMad.SwitchPointTo(2)
+	if sp <= 1 {
+		t.Fatalf("switch point toward rank 2 is %d", sp)
+	}
+	for _, size := range []int{0, sp - 1, sp, sp + 1, 1 << 20} {
+		sess := gatewayLine(t)
+		got := make([]vtime.Duration, 3)
+		err := sess.Run(func(rank int, comm *mpi.Comm) error {
+			before := sess.S.Now()
+			d, err := PingPong(sess.S, comm, 0, 2, size, iters)
+			got[rank] = d
+			if rank == 1 && sess.S.Now() != before {
+				t.Errorf("size %d: the bystander spent %v in PingPong", size, sess.S.Now().Sub(before))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := handWrittenPingPong(t, size, iters); got[0] != want || want <= 0 {
+			t.Errorf("size %d: rank 0 measured %v, the hand-written loop %v", size, got[0], want)
+		}
+		if got[1] != 0 || got[2] != 0 {
+			t.Errorf("size %d: ranks 1 and 2 got %v and %v, want 0", size, got[1], got[2])
+		}
 	}
 }
 

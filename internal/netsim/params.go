@@ -2,7 +2,7 @@
 // paper's physical hardware (Fast-Ethernet + TCP, Dolphin SCI + SISCI,
 // Myrinet + BIP). Each protocol is a calibrated LogGP-style cost model;
 // payload bytes genuinely move through simulated NIC pipes, and only time
-// is virtual. See DESIGN.md §2 for the substitution rationale.
+// is virtual.
 //
 // Payloads ride in wire buffers (Buf) drawn from a free list (BufList),
 // one per Network: power-of-two size classes, LIFO, unsynchronised
@@ -20,7 +20,8 @@ const MB = 1 << 20
 
 // Params is the calibrated cost model of one protocol/network pair.
 // The constants below are derived from Table 1, Table 2 and §5.2–§5.4 of
-// the paper (see DESIGN.md §4 "Calibration constants").
+// the paper; bench/'s p2p_paper workload reports the error against each
+// published figure (netsim.paper_err_max_pct).
 type Params struct {
 	// Protocol is the low-level API name: "tcp", "sisci", "bip", "shm",
 	// "self".
@@ -111,11 +112,6 @@ func (p *Params) CopyTime(n int) vtime.Duration {
 		return 0
 	}
 	return vtime.Duration(float64(n) / p.CopyBandwidth * float64(vtime.Second))
-}
-
-// PollSpecTuple returns the protocol's poll cost and interval.
-func (p *Params) PollSpecTuple() (cost, interval vtime.Duration) {
-	return p.PollCost, p.PollInterval
 }
 
 // LatencyBandwidth returns the link's headline cost pair — one-way

@@ -38,24 +38,6 @@ func (c DeviceClass) String() string {
 	return deviceClassNames[c]
 }
 
-// DeviceClassNames lists every class name in tier order (self, smp, san,
-// wan) — the canonical encoding order for per-class tuning tables.
-func DeviceClassNames() []string {
-	out := make([]string, numDeviceClasses)
-	copy(out, deviceClassNames[:])
-	return out
-}
-
-// ClassByName inverts String; ok=false for an unknown name.
-func ClassByName(name string) (DeviceClass, bool) {
-	for i, n := range deviceClassNames {
-		if n == name {
-			return DeviceClass(i), true
-		}
-	}
-	return 0, false
-}
-
 // ClassOf maps a calibrated cost model to its device class by protocol:
 // "self" and "shm" name the loopback and shared-memory tiers, "tcp" is
 // the commodity inter-cluster tier, and everything else (sisci, bip,

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mpichmad/internal/netsim"
@@ -137,9 +138,23 @@ func SizeLabel(n int) string {
 	}
 }
 
-// Table renders aligned columns: size plus one column per series, using
-// render to extract the value (e.g. Point.LatencyUS).
-func Table(title, valueHeader string, series []*Series, render func(Point) float64) string {
+// ParseSizes reads a comma-separated list of byte counts, the -sizes flag
+// of the sweep commands.
+func ParseSizes(list string) ([]int, error) {
+	var sizes []int
+	for _, f := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, err
+		}
+		sizes = append(sizes, n)
+	}
+	return sizes, nil
+}
+
+// sizesOf returns every size any of the series has a point at, ascending:
+// the rows of a table.
+func sizesOf(series []*Series) []int {
 	sizeSet := map[int]bool{}
 	for _, s := range series {
 		for _, p := range s.Points {
@@ -151,7 +166,12 @@ func Table(title, valueHeader string, series []*Series, render func(Point) float
 		sizes = append(sizes, sz)
 	}
 	sort.Ints(sizes)
+	return sizes
+}
 
+// Table renders aligned columns: size plus one column per series, using
+// render to extract the value (e.g. Point.LatencyUS).
+func Table(title, valueHeader string, series []*Series, render func(Point) float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s (%s)\n", title, valueHeader)
 	fmt.Fprintf(&b, "%-10s", "size")
@@ -159,7 +179,7 @@ func Table(title, valueHeader string, series []*Series, render func(Point) float
 		fmt.Fprintf(&b, " %16s", s.Name)
 	}
 	b.WriteByte('\n')
-	for _, sz := range sizes {
+	for _, sz := range sizesOf(series) {
 		fmt.Fprintf(&b, "%-10s", SizeLabel(sz))
 		for _, s := range series {
 			if p, ok := s.At(sz); ok {
@@ -175,17 +195,6 @@ func Table(title, valueHeader string, series []*Series, render func(Point) float
 
 // CSV renders the same data as comma-separated values for plotting.
 func CSV(series []*Series, render func(Point) float64) string {
-	sizeSet := map[int]bool{}
-	for _, s := range series {
-		for _, p := range s.Points {
-			sizeSet[p.Size] = true
-		}
-	}
-	sizes := make([]int, 0, len(sizeSet))
-	for sz := range sizeSet {
-		sizes = append(sizes, sz)
-	}
-	sort.Ints(sizes)
 	var b strings.Builder
 	b.WriteString("size")
 	for _, s := range series {
@@ -193,7 +202,7 @@ func CSV(series []*Series, render func(Point) float64) string {
 		b.WriteString(s.Name)
 	}
 	b.WriteByte('\n')
-	for _, sz := range sizes {
+	for _, sz := range sizesOf(series) {
 		fmt.Fprintf(&b, "%d", sz)
 		for _, s := range series {
 			b.WriteByte(',')

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -105,5 +106,47 @@ func TestTableAndCSVRendering(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[2], "1024,20.000,40.000") {
 		t.Fatalf("csv row %q", lines[2])
+	}
+}
+
+// The BENCH format reads the two committed files and writes them back byte
+// for byte: field order, optional fields, float rendering, final newline.
+func TestBenchFileRoundTripsCommittedFiles(t *testing.T) {
+	for _, name := range []string{"BENCH_collectives.json", "BENCH_scale.json"} {
+		path := "../../" + name
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := ReadBenchFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Series) == 0 || len(f.Values()) != len(f.Series) {
+			t.Errorf("%s: %d series read, %d indexed", name, len(f.Series), len(f.Values()))
+		}
+		got, err := f.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s does not round-trip: %d bytes read, %d written", name, len(want), len(got))
+		}
+	}
+}
+
+func TestBenchFileAddAndParseSizes(t *testing.T) {
+	s := &Series{Name: "x"}
+	s.Add(4, 1500*vtime.Nanosecond)
+	var f BenchFile
+	f.Add(s)
+	if v := f.Values()["x"][4]; v != 1.5 {
+		t.Errorf("recorded %v virtual us, want 1.5", v)
+	}
+	if got, err := ParseSizes("0, 4,1024"); err != nil || len(got) != 3 || got[1] != 4 || got[2] != 1024 {
+		t.Errorf("ParseSizes = %v, %v", got, err)
+	}
+	if _, err := ParseSizes("4,x"); err == nil {
+		t.Error("ParseSizes accepted a non-number")
 	}
 }
