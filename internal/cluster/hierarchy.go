@@ -60,21 +60,20 @@ func (sess *Session) discoverHierarchy(maxSegment int) *mpi.Hierarchy {
 		h.ClusterOf[r] = id
 	}
 
-	// The backbone is the fastest network spanning several clusters.
-	if len(h.ClusterNames) > 1 {
-		best := ""
-		var bw float64 = -1
-		for _, name := range sess.spanning(h) {
-			if p := sess.Networks[name].Params; p.Bandwidth > bw {
-				best, bw = name, p.Bandwidth
-			}
-		}
-		if best != "" {
-			h.Inter = sess.linkFor(best, maxSegment)
+	// The backbone is the fastest network spanning several clusters (none
+	// does when there is one cluster).
+	spanning := sess.spanning(h)
+	best, bw := "", -1.0
+	for _, name := range spanning {
+		if p := sess.Networks[name].Params; p.Bandwidth > bw {
+			best, bw = name, p.Bandwidth
 		}
 	}
+	if best != "" {
+		h.Inter = sess.linkFor(best, maxSegment)
+	}
 	sess.electLeaders(h)
-	sess.electLeaderSets(h)
+	sess.electLeaderSets(h, spanning)
 	sess.routedInter(h, maxSegment)
 	sess.hier = h
 	return h
@@ -153,17 +152,13 @@ func (sess *Session) bestFront(h *mpi.Hierarchy, c int, members []int, net strin
 // gateway-diverse leader *set*: one co-leader per distinct cluster-
 // spanning network the cluster touches, so the multi-leader collectives
 // can shard the inter-cluster phase across every gateway concurrently.
-// The primary leader anchors position 0; each remaining spanning network
-// (sorted by name for determinism) elects its bestFront among the members
+// The primary leader anchors position 0; each remaining network of
+// spanning (sorted by name for determinism) elects its bestFront among the members
 // attached to it. Clusters behind a single gateway — or none — get a
 // one-element set, which keeps the multi-leader algorithms off the
 // autotuner's candidate list there.
-func (sess *Session) electLeaderSets(h *mpi.Hierarchy) {
-	if h.Leaders == nil {
-		return
-	}
-	spanning := sess.spanning(h)
-	if len(spanning) == 0 {
+func (sess *Session) electLeaderSets(h *mpi.Hierarchy, spanning []string) {
+	if h.Leaders == nil || len(spanning) == 0 {
 		return
 	}
 	sets := make([][]int, len(h.ClusterNames))
@@ -181,8 +176,8 @@ func (sess *Session) electLeaderSets(h *mpi.Hierarchy) {
 			if net == gw[0] {
 				continue // the primary already fronts this gateway
 			}
-			// No member of this cluster fronts net, or the one that does
-			// already fronts another.
+			// Skipped when no member of this cluster fronts net, or when
+			// the one that does is already in the set.
 			if best := sess.bestFront(h, c, ms, net); best >= 0 && !slices.Contains(set, best) {
 				set = append(set, best)
 				gw = append(gw, net)

@@ -301,7 +301,9 @@ func TestBuildWithoutRunStartsNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := runtime.NumGoroutine(); n != before {
+	// More, not different: a goroutine of an earlier test's session may
+	// still be on its way out and leave the count lower.
+	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines after Build of %d ranks, %d before", n, len(sess.Ranks), before)
 	}
 }
