@@ -222,9 +222,11 @@ func (d *Device) sendHeaderOnly(rt Route, h header) error {
 // emit is the one place a ch_mad message is put on the wire: the header as
 // an EXPRESS block, then the body as one CHEAPER block in the given send
 // mode (the §4.2.2 header/body split), on the route's channel toward its
-// next hop. The body is either user memory (body, snapshotted by Pack) or
-// a wire buffer the device already owns (owned — a gateway's relay store —
-// which emit hands over whatever happens); both nil ships the header alone.
+// next hop. The body is either user memory (body, lent to the message: it
+// is read until EndPacking returns and not a moment longer, so the request
+// may complete as soon as emit does) or a wire buffer the device already
+// owns (owned — a gateway's relay store — which emit hands over whatever
+// happens); both nil ships the header alone.
 func (d *Device) emit(rt Route, h header, body []byte, owned *netsim.Buf, mode madeleine.SendMode) error {
 	conn, err := rt.Channel.BeginPacking(rt.NextNode)
 	if err == nil {
@@ -254,7 +256,10 @@ func (d *Device) emit(rt Route, h header, body []byte, owned *netsim.Buf, mode m
 // packet — the message is ended, and the per-message device overhead
 // measured in §5.2–§5.4 (dispatch, queue management, semaphore wakeup) is
 // charged. inRndvBody alone lands its body straight in the user's buffer
-// instead (unpackBody) and charges a truncation copy before endReceive.
+// instead (unpackBody) and charges a truncation copy before endReceive:
+// designating the address is what lets Madeleine copy the body once, from
+// the sender's buffer to there, where a taker costs a wire buffer and a
+// second copy out of it.
 func (d *Device) receive(ch *madeleine.Channel, conn *madeleine.Connection, h header) *netsim.Buf {
 	var body *netsim.Buf
 	if h.carriesBody() {

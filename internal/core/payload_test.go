@@ -18,8 +18,9 @@ import (
 
 // pingPongs sets up n round trips of size bytes between ranks a and b of a
 // started rig — both receives posted ahead of the sends — and returns the
-// function that runs them and checks the last payload.
-func pingPongs(tb testing.TB, r *wireRig, a, b, size, n int) (run func()) {
+// function that runs them and checks the last payload. warmed, when not
+// nil, is called on a's thread once the first round trip is complete.
+func pingPongs(tb testing.TB, r *wireRig, a, b, size, n int, warmed func()) (run func()) {
 	payload := pattern(size)
 	side := func(me, peer int, lead bool) func() {
 		buf := make([]byte, size)
@@ -47,6 +48,8 @@ func pingPongs(tb testing.TB, r *wireRig, a, b, size, n int) (run func()) {
 				}
 				if !lead {
 					send()
+				} else if i == 0 && warmed != nil {
+					warmed()
 				}
 			}
 			if n > 0 && !bytes.Equal(buf, payload) {
@@ -63,13 +66,13 @@ func pingPongs(tb testing.TB, r *wireRig, a, b, size, n int) (run func()) {
 // rendez-vous above); relayedPingPongs crosses the SCI -> gateway -> TCP
 // chain with a relay window of 16, the body cut into four relay segments.
 func directPingPongs(tb testing.TB, size, n int) func() {
-	return pingPongs(tb, pairRig(tb, true), 0, 1, size, n)
+	return pingPongs(tb, pairRig(tb, true), 0, 1, size, n, nil)
 }
 
 func relayedPingPongs(tb testing.TB, size, n int) func() {
 	r := chainRig(tb, 16, size/4)
 	r.start()
-	return pingPongs(tb, r, 0, 2, size, n)
+	return pingPongs(tb, r, 0, 2, size, n, nil)
 }
 
 func benchPingPongs(b *testing.B, setup func(testing.TB, int, int) func(), size int) {
@@ -82,6 +85,7 @@ func benchPingPongs(b *testing.B, setup func(testing.TB, int, int) func(), size 
 
 func BenchmarkEagerRoundTrip4K(b *testing.B)    { benchPingPongs(b, directPingPongs, 4<<10) }
 func BenchmarkRndvRoundTrip64K(b *testing.B)    { benchPingPongs(b, directPingPongs, 64<<10) }
+func BenchmarkRndvRoundTrip1M(b *testing.B)     { benchPingPongs(b, directPingPongs, 1<<20) }
 func BenchmarkRelayedRoundTrip64K(b *testing.B) { benchPingPongs(b, relayedPingPongs, 64<<10) }
 
 // steadyBytesPerOp is what one more round trip allocates once the set-up
@@ -98,9 +102,10 @@ func steadyBytesPerOp(run func(n int)) int {
 	return int(long-short) / 200
 }
 
-// In steady state no round trip allocates a payload-sized object: bodies
-// ride wire buffers that already exist — snapshotted into one by Pack,
-// landed from it (eager, rendez-vous) or handed on in it (relay). What a
+// In steady state no round trip allocates a payload-sized object: a body
+// is lent to the wire and lands in the posted buffer (rendez-vous), or
+// rides wire buffers that already exist — settled into one by EndPacking,
+// landed from it (eager) or handed on in it (relay). What a
 // round trip does allocate is its head packets, descriptors, requests and
 // temporary threads, so it is the same for a payload four times as large
 // sent as the same messages, and less than one payload.
@@ -123,6 +128,35 @@ func TestRoundTripsAllocateNoPayload(t *testing.T) {
 			t.Errorf("%s: a round trip allocates %d B (%d B at a quarter of the payload): payload buffers are being made per message",
 				c.name, big, small)
 		}
+	}
+}
+
+// Copied once: a direct rendez-vous body goes from the sender's buffer into
+// the posted receive buffer and through nothing else. In steady state 1 MiB
+// round trips allocate nothing the size of a body and take no wire buffer
+// of its class — the list is emptied after the warm-up, so taking one would
+// mean making one. The guard that keeps Pack's snapshot, or an Unpack
+// through a taken buffer, from coming back unnoticed.
+func TestRndvBodyCopiedOnce(t *testing.T) {
+	const size, trips = 1 << 20, 4
+	r := pairRig(t, true)
+	var before, after runtime.MemStats
+	pingPongs(t, r, 0, 1, size, 1+trips, func() {
+		for _, ch := range r.chans[0] {
+			ch.Net.Bufs().Drop()
+		}
+		runtime.ReadMemStats(&before)
+	})()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Errorf("%d rendez-vous round trips of %d bytes allocated %d bytes: bodies are being copied through buffers made for them",
+			trips, size, grew)
+	}
+	if r.devs[0].NRndv != 1+trips {
+		t.Errorf("%d rendez-vous sends, want %d", r.devs[0].NRndv, 1+trips)
+	}
+	if out := bufsOut(r); out != 0 {
+		t.Errorf("%d wire buffers still out", out)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 )
 
 // Wall-clock cost of a full Madeleine message round trip through the
-// simulator (pack, wire, unpack), per payload size.
+// simulator (pack, wire, unpack), per payload size. Each side has a buffer
+// of its own, so a body that lands does cross memory.
 func benchRoundtrip(b *testing.B, size int) {
 	s := vtime.New()
 	net := netsim.NewNetwork(s, "sci", netsim.SCISISCI())
@@ -22,27 +23,28 @@ func benchRoundtrip(b *testing.B, size int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := make([]byte, size)
+	bufA, bufB := make([]byte, size), make([]byte, size)
 	pa.Spawn("ping", func() {
 		for i := 0; i < b.N; i++ {
 			conn, _ := chA.BeginPacking("b")
-			conn.Pack(buf, SendCheaper, ReceiveCheaper)
+			conn.Pack(bufA, SendCheaper, ReceiveCheaper)
 			conn.EndPacking()
 			conn2, _ := chA.BeginUnpacking()
-			conn2.Unpack(buf, SendCheaper, ReceiveCheaper)
+			conn2.Unpack(bufA, SendCheaper, ReceiveCheaper)
 			conn2.EndUnpacking()
 		}
 	})
 	pb.Spawn("pong", func() {
 		for i := 0; i < b.N; i++ {
 			conn, _ := chB.BeginUnpacking()
-			conn.Unpack(buf, SendCheaper, ReceiveCheaper)
+			conn.Unpack(bufB, SendCheaper, ReceiveCheaper)
 			conn.EndUnpacking()
 			conn2, _ := chB.BeginPacking("a")
-			conn2.Pack(buf, SendCheaper, ReceiveCheaper)
+			conn2.Pack(bufB, SendCheaper, ReceiveCheaper)
 			conn2.EndPacking()
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
@@ -53,6 +55,7 @@ func benchRoundtrip(b *testing.B, size int) {
 func BenchmarkRoundtrip4B(b *testing.B)   { benchRoundtrip(b, 4) }
 func BenchmarkRoundtrip4KB(b *testing.B)  { benchRoundtrip(b, 4<<10) }
 func BenchmarkRoundtrip64KB(b *testing.B) { benchRoundtrip(b, 64<<10) }
+func BenchmarkRoundtrip8MB(b *testing.B)  { benchRoundtrip(b, 8<<20) }
 
 func BenchmarkHeadEncodeDecode(b *testing.B) {
 	blocks := []blockDesc{

@@ -66,6 +66,14 @@ type Connection struct {
 	out    *outMessage
 	in     *inMessage
 	outSeq uint32
+
+	// Body packets put on the wire toward Remote and body packets of Remote
+	// consumed here. A body number means the same packet on both sides as
+	// long as none was lost, which is what lets a sender land a body in the
+	// memory a reader designated (landing); want is that memory, set only
+	// while an Unpack is parked in bodies.Pop.
+	bodiesOut, bodiesIn uint64
+	want                []byte
 }
 
 // NewChannel binds a channel to a network, attaching this process's
@@ -89,6 +97,7 @@ func (inst *Instance) NewChannel(name string, net *netsim.Network) (*Channel, er
 		incoming: vtime.NewQueue[*Connection](inst.P.S, name+".incoming"),
 	}
 	ep.OnDeliver = ch.deliver
+	ep.Landing = ch.landing
 	inst.channels[name] = ch
 	return ch, nil
 }
@@ -168,36 +177,40 @@ func (ch *Channel) BeginPacking(remote string) (*Connection, error) {
 }
 
 // Pack appends one data block to the message under construction (§3.2,
-// mad_pack): the user's bytes are snapshotted into a wire buffer of the
-// channel's network and packed as an owned block. The snapshot is the one
-// host copy of the send side and carries no time charge — the NIC DMAs
-// straight from user memory; the copy only exists because the simulator
-// and the application share an address space.
-func (c *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
-	buf := c.Ch.Net.Bufs().Get(len(data))
-	copy(buf.B, data)
-	return c.PackOwned(buf, sm, rm)
-}
-
-// PackOwned appends the block held in buf, which the message takes over
-// (also when it fails). Express blocks and small cheaper blocks are
-// coalesced into the head packet (a real copy, charged at the driver's
-// copy bandwidth; buf goes home at once); large cheaper blocks become
-// standalone zero-copy body packets that carry buf to whoever unpacks
-// them.
+// mad_pack). A block that travels as its own body packet is not copied: the
+// message borrows data, which — Madeleine's own SendLater/SendCheaper
+// contract — stays untouched until EndPacking returns, and EndPacking does
+// not return before somebody has the bytes (see settle). A block that rides
+// in the head packet (EXPRESS, SendSafer, up to AggLimit bytes) is copied
+// into the aggregation area here, a real copy charged at the driver's copy
+// bandwidth, and data is the caller's again when Pack returns.
 //
 // Every pack operation beyond the first charges the network's extra-pack
 // cost (half here, half at the matching Unpack), reproducing the overhead
 // decomposition of §5.2–§5.4.
+func (c *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
+	return c.pack(data, nil, sm, rm)
+}
+
+// PackOwned appends the block held in buf, a wire buffer the message takes
+// over (also when it fails): a standalone block carries buf to whoever
+// unpacks it, a block that rides in the head packet sends it home at once.
+// Placement and charges are Pack's.
 func (c *Connection) PackOwned(buf *netsim.Buf, sm SendMode, rm RecvMode) error {
+	return c.pack(buf.B, buf, sm, rm)
+}
+
+func (c *Connection) pack(data []byte, owned *netsim.Buf, sm SendMode, rm RecvMode) error {
 	m := c.out
 	if m == nil {
-		buf.Release()
+		if owned != nil {
+			owned.Release()
+		}
 		return ErrNotPacking
 	}
 	p := &c.Ch.Params
 	proc := c.Ch.Inst.P
-	n := len(buf.B)
+	n := len(data)
 
 	m.packs++
 	if m.packs > 1 {
@@ -206,13 +219,18 @@ func (c *Connection) PackOwned(buf *netsim.Buf, sm SendMode, rm RecvMode) error 
 	m.total += n
 
 	d := blockDesc{place: placeBody, sendMode: sm, recvMode: rm, length: uint32(n)}
-	if rm == ReceiveExpress || sm == SendSafer || n <= p.AggLimit {
+	switch {
+	case rm == ReceiveExpress || sm == SendSafer || n <= p.AggLimit:
 		d.place = placeAgg
 		proc.Compute(p.CopyTime(n))
-		m.agg = append(m.agg, buf.B...)
-		buf.Release()
-	} else {
-		m.bodies = append(m.bodies, buf)
+		m.agg = append(m.agg, data...)
+		if owned != nil {
+			owned.Release()
+		}
+	case owned != nil:
+		m.bodies = append(m.bodies, body{pkt: netsim.Packet{Body: data}, buf: owned, state: bodyWired})
+	default:
+		m.bodies = append(m.bodies, body{pkt: netsim.Packet{Body: data}})
 	}
 	m.blocks = append(m.blocks, d)
 	return nil
@@ -221,7 +239,11 @@ func (c *Connection) PackOwned(buf *netsim.Buf, sm SendMode, rm RecvMode) error 
 // EndPacking finalizes and transmits the message (§3.2, mad_end_packing).
 // It blocks (in virtual time) until every packet has been injected on the
 // wire, i.e. until the application may safely reuse SendLater/SendCheaper
-// buffers — matching Madeleine's blocking primitives.
+// buffers — matching Madeleine's blocking primitives — and on the host it
+// makes that true: every body still lent at that instant is settled. When
+// the network refuses a packet the message ends there with the error: the
+// bodies already on the wire are settled, the owned ones that are not go
+// home, and nothing borrowed is kept.
 func (c *Connection) EndPacking() error {
 	m := c.out
 	if m == nil {
@@ -243,30 +265,79 @@ func (c *Connection) EndPacking() error {
 		Kind:   int(pktHead),
 		Header: encodeHead(m.seq, m.blocks, m.agg),
 	}
-	if err := c.Ch.ep.Send(head); err != nil {
-		c.sendLock.Release()
-		return err
-	}
+	err := c.Ch.ep.Send(head)
 	last := head.ArriveAt
 
 	// Body packets, in block order, pipelined behind the head.
-	for _, body := range m.bodies {
+	sent := 0
+	for err == nil && sent < len(m.bodies) {
 		proc.Compute(p.SendOverhead)
-		pkt := &netsim.Packet{Dst: c.Remote, Kind: int(pktBody), Body: body.B, Meta: body}
-		if err := c.Ch.ep.Send(pkt); err != nil {
-			c.sendLock.Release()
-			return err
+		b := &m.bodies[sent]
+		b.pkt.Dst, b.pkt.Kind, b.pkt.Meta = c.Remote, int(pktBody), b
+		if err = c.Ch.ep.Send(&b.pkt); err == nil {
+			last = b.pkt.ArriveAt
+			sent++
 		}
-		last = pkt.ArriveAt
 	}
 
 	// Block until the wire has consumed our buffers: the last packet's
 	// injection completes one wire latency before its arrival.
-	injected := last.Add(-p.WireLatency)
-	if injected > s.Now() {
+	if injected := last.Add(-p.WireLatency); err == nil && injected > s.Now() {
 		s.Sleep(injected.Sub(s.Now()))
 	}
+	// The send lock is still held, so the bodies of this message take the
+	// connection's next numbers in the order they went on the wire.
+	for i := range m.bodies {
+		if b := &m.bodies[i]; i < sent {
+			c.settle(b, c.bodiesOut)
+			c.bodiesOut++
+		} else if b.buf != nil {
+			b.buf.Release()
+		}
+	}
 	c.sendLock.Release()
+	return err
+}
+
+// settle ends the loan of a body that is on the wire, at the instant its
+// sender is about to get its memory back. A body the receiver has popped
+// already was copied from the sender's bytes by that Unpack or Take, and an
+// owned one never was a loan: nothing to do. Otherwise the bytes are copied
+// now, once: into the memory the receiving connection's parked Unpack
+// designates, when it waits for this very packet — the NIC depositing at
+// the posted address; the packet then arrives landed — else into a wire
+// buffer that travels with the packet, as an owned body does.
+//
+// "This very packet" is the counter rule: the sender numbers the body
+// packets it puts on a connection, the receiver counts those it pops, and
+// a reader parked with count k is waiting for body k as long as no body
+// was lost. After a loss the receiver's count stays behind the sender's
+// numbers for good, so the two never agree again on that connection and
+// every later body travels in a wire buffer — never into a destination
+// that is waiting for another packet.
+func (c *Connection) settle(b *body, seq uint64) {
+	if b.state != bodyLent {
+		return
+	}
+	data := b.pkt.Body
+	if peer, ok := c.Ch.Net.Endpoint(c.Remote); ok && peer.Landing != nil {
+		if dst := peer.Landing(c.Ch.ep.Node, seq, len(data)); dst != nil {
+			copy(dst, data)
+			b.pkt.Body, b.state = dst, bodyLanded
+			return
+		}
+	}
+	b.buf = c.Ch.Net.Bufs().Get(len(data))
+	copy(b.buf.B, data)
+	b.pkt.Body, b.state = b.buf.B, bodyWired
+}
+
+// landing is the channel's netsim.Endpoint.Landing: the destination of the
+// Unpack parked on body seq from src, if there is one and it is n bytes.
+func (ch *Channel) landing(src string, seq uint64, n int) []byte {
+	if c := ch.conns[src]; c != nil && c.bodiesIn == seq && len(c.want) == n {
+		return c.want
+	}
 	return nil
 }
 
@@ -305,35 +376,65 @@ func (ch *Channel) startUnpack(conn *Connection) (*Connection, error) {
 }
 
 // Unpack extracts the next block of the current incoming message into dst
-// (§3.2, mad_unpack): the block is taken, copied out and sent home.
+// (§3.2, mad_unpack), with one copy from wherever the bytes are: the head
+// packet's aggregation area (charged); the sender's own memory, when the
+// body packet is popped while its sender is still inside EndPacking; the
+// wire buffer that sender settled into, which goes home — or with none,
+// when the sender found this Unpack parked on the packet and landed the
+// body in dst itself.
 func (c *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
-	buf, err := c.Take(len(dst), sm, rm)
+	src, held, err := c.next(len(dst), rm, dst)
 	if err != nil {
 		return err
 	}
-	copy(dst, buf.B)
-	buf.Release()
+	copy(dst, src)
+	if held != nil {
+		held.Release()
+	}
 	return nil
 }
 
 // Take hands the next block of the current incoming message, n bytes long,
-// to the caller, who owns the buffer and releases it when done. The block
-// sequence (length, placement, receive mode) must mirror the sender's Pack
-// sequence; mismatches return ErrBlockMismatch.
+// to the caller, who owns the buffer and releases it when done (an eager
+// landing area, a gateway's relay store): the wire buffer the body packet
+// arrived with, or one of the network's list filled from the head packet's
+// aggregation area (charged) or from the memory of a sender still inside
+// EndPacking. A taker designates no address, so nothing lands for it. The
+// block sequence (length, placement, receive mode) must mirror the sender's
+// Pack sequence; mismatches return ErrBlockMismatch.
 func (c *Connection) Take(n int, sm SendMode, rm RecvMode) (*netsim.Buf, error) {
+	src, held, err := c.next(n, rm, nil)
+	if err != nil {
+		return nil, err
+	}
+	if held == nil {
+		held = c.Ch.Net.Bufs().Get(n)
+		copy(held.B, src)
+	}
+	return held, nil
+}
+
+// next moves past the next block of the incoming message, which must be n
+// bytes to be received in mode rm, charges the unpack operation and says
+// where the block's bytes are: src, for the caller to copy before it blocks
+// again, and held, the wire buffer they sit in when they sit in one, which
+// is the caller's from here on. dst is the address the caller designates
+// for a body (nil from a taker): src is empty when the body is there
+// already.
+func (c *Connection) next(n int, rm RecvMode, dst []byte) (src []byte, held *netsim.Buf, err error) {
 	m := c.in
 	if m == nil {
-		return nil, ErrNotUnpacking
+		return nil, nil, ErrNotUnpacking
 	}
 	if m.next >= len(m.blocks) {
-		return nil, ErrShortMessage
+		return nil, nil, ErrShortMessage
 	}
 	p := &c.Ch.Params
 	proc := c.Ch.Inst.P
 
 	b := m.blocks[m.next]
 	if int(b.length) != n || b.recvMode != rm {
-		return nil, fmt.Errorf("%w: block %d is %d bytes %v, unpacking %d bytes %v",
+		return nil, nil, fmt.Errorf("%w: block %d is %d bytes %v, unpacking %d bytes %v",
 			ErrBlockMismatch, m.next, b.length, b.recvMode, n, rm)
 	}
 	m.next++
@@ -345,21 +446,32 @@ func (c *Connection) Take(n int, sm SendMode, rm RecvMode) (*netsim.Buf, error) 
 	if b.place == placeAgg {
 		// Copy out of the head packet's aggregation area.
 		proc.Compute(p.CopyTime(n))
-		buf := c.Ch.Net.Bufs().Get(n)
-		copy(buf.B, m.agg[m.aggOff:m.aggOff+n])
 		m.aggOff += n
-		return buf, nil
+		return m.agg[m.aggOff-n : m.aggOff], nil, nil
 	}
 	// The body packet follows the head in order on this connection; it
-	// may still be in flight, so this can block.
+	// may still be in flight, so this can block — and while it does, dst
+	// is where a sender that settles may land the body (landing).
+	c.want = dst
 	pkt := c.bodies.Pop()
+	c.want = nil
+	c.bodiesIn++
 	proc.Compute(p.RecvOverhead)
+	bd := pkt.Meta.(*body)
+	src, held = pkt.Body, bd.buf
+	if bd.state == bodyLanded {
+		src = src[:0]
+	}
+	bd.buf, bd.state = nil, bodyTaken
 	if len(pkt.Body) != n {
-		return nil, fmt.Errorf("madeleine: body packet is %d bytes, descriptor says %d", len(pkt.Body), b.length)
+		if held != nil {
+			held.Release()
+		}
+		return nil, nil, fmt.Errorf("madeleine: body packet is %d bytes, descriptor says %d", len(pkt.Body), n)
 	}
 	// Zero-copy landing: the NIC deposited the block directly at the
 	// address the unpack designates, so no copy is charged.
-	return pkt.Meta.(*netsim.Buf), nil
+	return src, held, nil
 }
 
 // UnpackInt is a convenience for the §3.2 example pattern: unpack a

@@ -82,13 +82,42 @@ func decodeHead(buf []byte) (seq uint32, blocks []blockDesc, agg []byte, err err
 	return seq, blocks, buf[need:], nil
 }
 
+// bodyState says where the bytes of a standalone block are.
+type bodyState uint8
+
+const (
+	// bodyLent: still only in the sender's memory, which pkt.Body aliases.
+	// The sender is inside EndPacking and must not return before the state
+	// has moved on (settle).
+	bodyLent bodyState = iota
+	// bodyWired: in buf, a wire buffer the packet owns — packed owned, or
+	// filled by settle because nobody was waiting for the bytes.
+	bodyWired
+	// bodyLanded: in the destination of the Unpack that was parked on this
+	// very packet when the sender settled; pkt.Body aliases it.
+	bodyLanded
+	// bodyTaken: consumed by the receiver; nothing is held any more.
+	bodyTaken
+)
+
+// body is one standalone block of an outgoing message together with the
+// packet that carries it (whose Meta points back here), so a body costs no
+// allocation of its own. Sender and receiver both work on it — everything
+// in a simulation runs on the scheduler's goroutine — and whoever needs the
+// bytes first moves them, once.
+type body struct {
+	pkt   netsim.Packet
+	buf   *netsim.Buf
+	state bodyState
+}
+
 // outMessage is the sender-side state of a message under construction.
 type outMessage struct {
 	conn   *Connection
 	seq    uint32
 	blocks []blockDesc
 	agg    []byte
-	bodies []*netsim.Buf // placeBody blocks, in block order
+	bodies []body // placeBody blocks, in block order
 	packs  int
 	total  int
 }

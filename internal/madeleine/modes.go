@@ -5,21 +5,38 @@
 // mode flags let the library choose the optimal transfer strategy for each
 // data block on each network.
 //
-// A block that travels as its own body packet is an owned wire buffer
-// (netsim.Buf) of the channel's network from end to end. Pack snapshots
-// the user's bytes into one — the only host copy of the send side; it
-// models nothing (the NIC reads user memory) and exists because simulator
-// and application share an address space — and Unpack copies out of it
-// into the address the receiver designates and sends it home. Both are
-// thin wrappers over the owned forms a device uses when the block should
-// not be copied again: PackOwned packs a buffer the caller already holds
-// (a gateway re-emitting what it stored) and Take hands the arriving
-// buffer to the caller (an eager landing area, a relay store), who
-// releases it when done. Blocks coalesced into the head packet never hold
-// a buffer in flight: PackOwned copies them into the head and releases at
-// once, Take copies them out into a fresh list buffer, so a taker always
-// owns what it gets. The time charges are those of the block's placement
-// and are identical through either form.
+// A block that travels as its own body packet is copied once on the host,
+// by whoever needs its bytes first. Pack does not copy it: the message
+// borrows the caller's slice, which the SendLater/SendCheaper contract keeps
+// untouched until EndPacking returns, and the body packet goes on the wire
+// carrying that loan. If the receiver pops the packet while the sender is
+// still inside EndPacking (the earlier bodies of a multi-body message, a
+// link without latency), its Unpack or Take copies straight from the
+// sender's bytes. Otherwise EndPacking settles the loan before it returns:
+// into the destination of the Unpack parked on that very packet, when there
+// is one — the usual state of a rendez-vous, whose polling thread has read
+// the header and waits for the body while it serialises; the packet then
+// arrives already landed, which is the NIC depositing at the designated
+// address that the zero-copy charge always assumed — or else (receiver late,
+// receiver in Take because it needs to own the buffer, lengths or body
+// counts that disagree) into a wire buffer (netsim.Buf) of the channel's
+// network that travels with the packet. Which of the three happens is
+// decided by what the two connections observe of each other, never by a
+// setting; no time is charged for any of them, and none of them is a
+// scheduler operation, so virtual time cannot tell them apart. The copy
+// exists at all only because simulator and application share an address
+// space.
+//
+// The owned forms are what a device uses when it holds, or wants to hold,
+// the buffer itself: PackOwned packs a wire buffer the caller already has (a
+// gateway re-emitting what it stored) and the packet carries it from the
+// start; Take hands the arriving buffer to the caller (an eager landing
+// area, a relay store), who releases it when done. Blocks coalesced into
+// the head packet never hold a buffer in flight: Pack and PackOwned copy
+// them into the head's aggregation area (charged; an owned buffer goes home
+// at once), Unpack copies them out into the destination and Take into a
+// fresh list buffer, so a taker always owns what it gets. The time charges
+// are those of the block's placement and are identical through either form.
 package madeleine
 
 import "fmt"

@@ -119,7 +119,7 @@ func (c *Comm) barrierDissemination(b *schedBuilder, _ *commTopo, _ collArgs) fu
 // treeReduce — and returns the accumulator, complete at the root.
 func (c *Comm) reduceSerialRounds(b *schedBuilder, a collArgs, root int) []byte {
 	n := c.Size()
-	acc := b.loadAcc(a.send, a.count, a.dt)
+	acc := b.loadAcc(a.send, a.recv, a.count, a.dt)
 	rel := (c.myRank - root + n) % n
 	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask != 0 {

@@ -252,6 +252,11 @@ func PackBuf(buf []byte, count int, dt Datatype) []byte {
 	return out
 }
 
+// sameMemory reports whether two non-empty buffers start at the same byte.
+func sameMemory(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
 // UnpackBuf deserializes dense bytes into at most count elements of dt
 // inside user buffer buf. src may be shorter than count*Size on truncation
 // or a short message: only the whole elements it holds are unpacked (a
@@ -264,7 +269,9 @@ func UnpackBuf(buf []byte, count int, dt Datatype, src []byte) {
 	}
 	n := min(count, len(src)/sz)
 	if sz == ex {
-		copy(buf[:n*sz], src)
+		if !sameMemory(buf, src) { // else already in place (schedBuilder.landing)
+			copy(buf[:n*sz], src)
+		}
 		return
 	}
 	for i := 0; i < n; i++ {

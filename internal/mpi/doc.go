@@ -33,7 +33,24 @@
 // the same code: no workload splits at a scale where that shows. The
 // world's group itself is one slice per session (NewProcess is handed it).
 //
-// Staging is leased, not allocated. Every staging buffer a compiler takes
+// Staging is leased, not allocated — and not taken at all where the user's
+// receive buffer can do the job. The packed vector a schedule finishes in
+// is asked for with schedBuilder.landing(recv, n, dt): for a dense datatype
+// (Size() == Extent()) that is recv itself, the receives and reductions of
+// the schedule work in it, and the completion closure's unpack finds the
+// bytes in place; for a strided one, or a receive buffer that is not
+// significant (Ireduce hands the compilers none off the root, so nothing
+// can write there), it is staging. That covers a Bcast's vector off the
+// root, the accumulator of every Allreduce form and of a Reduce's root,
+// the assembled vector of the two-level Allgather and the receive vector
+// of the two-level and multi-leader Alltoall — the last two only when recv
+// is not the send buffer itself (collArgs.recvApart), because an Alltoall
+// still reads send blocks after the first received one has landed. The
+// ring ReduceScatter (its accumulator is the whole vector, recv one block),
+// the multi-leader Allgather (shard layout, not rank order) and the flat
+// ring and pairwise forms keep their staging. Every memTime charge and
+// every step is where it was, so the schedule fingerprint cannot tell.
+// Every other staging buffer a compiler takes
 // is schedBuilder.stage(n): a buffer of the rank's own list
 // (adi.Engine.Bufs, the netsim.BufList that also holds its devices'
 // unexpected-message stashes), recorded on the schedule at compile time
@@ -60,16 +77,19 @@
 // (Size() == Extent()) and walks its elements only when it is strided;
 // UnpackBuf — the completion step of every receive into a strided type
 // and of every collective (phases.go's unpack completions) — moves a
-// dense datatype with one copy, and likewise walks elements only for a
-// strided one. A Contiguous over a dense base is itself one run. Either
+// dense datatype with one copy, or with none when source and destination
+// are the same memory (a schedule that landed in place, see above), and
+// likewise walks elements only for a strided one. A Contiguous over a dense base is itself one run. Either
 // way only the whole elements that arrived are written: a message shorter
 // than the posted count (the count is an upper bound), or a trailing
 // partial element, leaves the rest of the user's buffer as it was. The
 // virtual cost of these steps (memTime) is charged by the callers and
-// does not depend on which path the host takes. Below this layer a
-// payload lives in owned wire buffers (see internal/netsim and
-// internal/madeleine): the host copies it once into one at Pack and once
-// out of it where it lands.
+// does not depend on which path the host takes. Below this layer
+// (internal/madeleine) a body is lent to the wire, not copied into it: a
+// rendez-vous body goes from the sender's buffer into the posted receive
+// buffer in one copy, made by whichever side gets there first; an eager or
+// relayed one is copied into a wire buffer when its send completes and out
+// of it where it lands, because the device that takes it must own it.
 //
 // # Algorithms: one form table, a handful of phase builders
 //

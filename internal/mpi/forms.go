@@ -18,6 +18,16 @@ type collArgs struct {
 	root       int
 }
 
+// recvApart is a.recv, or nil when it is the very memory of a.send: what an
+// Alltoall compiler passes to schedBuilder.landing, because it still reads
+// blocks of the send matrix after the first received block has landed.
+func (a collArgs) recvApart() []byte {
+	if sameMemory(a.send, a.recv) {
+		return nil
+	}
+	return a.recv
+}
+
 // collShape grades a communicator by how much hierarchy it offers; a form
 // runs on any communicator whose shape is at least the one it needs.
 type collShape int

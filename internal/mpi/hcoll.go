@@ -15,10 +15,12 @@ package mpi
 // exactly the topology-blind algorithm — which is how the flat Bcast,
 // Gather, ring Allreduce and ring ReduceScatter are compiled.
 
-// loadAcc opens a reduction: the accumulator, loaded with this rank's
-// packed contribution in a round of its own.
-func (b *schedBuilder) loadAcc(sendBuf []byte, count int, dt Datatype) []byte {
-	acc := b.stage(count * dt.Size())
+// loadAcc opens a reduction: the accumulator — the landing of recvBuf, the
+// buffer the reduced vector is for (nil: staging) — loaded with this rank's
+// packed contribution in a round of its own. The send buffer is not read
+// again afterwards, so it may be recvBuf.
+func (b *schedBuilder) loadAcc(sendBuf, recvBuf []byte, count int, dt Datatype) []byte {
+	acc := b.landing(recvBuf, count*dt.Size(), dt)
 	b.copyStep(acc, PackBuf(sendBuf, count, dt))
 	b.endRound()
 	return acc
@@ -72,7 +74,7 @@ func (c *Comm) bcastStaging(b *schedBuilder, a collArgs) (data []byte, fin func(
 	if c.myRank == a.root {
 		return PackBuf(a.send, a.count, a.dt), nil
 	}
-	data = b.stage(a.count * a.dt.Size())
+	data = b.landing(a.recv, a.count*a.dt.Size(), a.dt)
 	return data, c.unpackVector(a.recv, a.count, a.dt, data)
 }
 
@@ -91,7 +93,7 @@ func (c *Comm) bcastTree(b *schedBuilder, ct *commTopo, a collArgs, segBytes int
 // fully reduced cluster contribution) and forwards one message to its
 // parent. Returns the accumulator, complete at the root.
 func (c *Comm) reduceTreeRounds(b *schedBuilder, ct *commTopo, a collArgs, root int) []byte {
-	acc := b.loadAcc(a.send, a.count, a.dt)
+	acc := b.loadAcc(a.send, a.recv, a.count, a.dt)
 	parent, children := ct.twoLevelTree(c.myRank, root)
 	b.treeReduce(parent, children, acc, a.count, a.dt, a.op)
 	return acc
@@ -169,7 +171,9 @@ func (c *Comm) allgatherBundles(b *schedBuilder, ct *commTopo, a collArgs) func(
 	sz := a.count * a.dt.Size()
 	members, myPos, leaderPos := ct.clusterPos(c.myRank)
 	mine := PackBuf(a.send, a.count, a.dt)
-	full := b.stage(c.Size() * sz) // packed world vector, comm-rank order
+	// The packed world vector, comm-rank order. mine is read (gathered or
+	// sent) before anything lands in it, so it may be a block of a.recv.
+	full := b.landing(a.recv, c.Size()*sz, a.dt)
 
 	if myPos == leaderPos {
 		bundle := b.gatherBundle(members, c.myRank, mine)
@@ -214,7 +218,7 @@ func (c *Comm) allgatherBundles(b *schedBuilder, ct *commTopo, a collArgs) func(
 func (c *Comm) allreduceRing(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	members, myPos, leaderPos := ct.clusterPos(c.myRank)
 	es := a.dt.Size()
-	acc := b.loadAcc(a.send, a.count, a.dt)
+	acc := b.loadAcc(a.send, a.recv, a.count, a.dt)
 	bounds := splitBounds(a.count, len(members))
 	chunk := func(i int) []byte { return acc[bounds[i]*es : bounds[i+1]*es] }
 
@@ -249,7 +253,7 @@ func (c *Comm) reduceScatterRing(b *schedBuilder, ct *commTopo, a collArgs) func
 	es := a.dt.Size()
 	sz := a.count * es
 	total := a.count * c.Size()
-	acc := b.loadAcc(a.send, total, a.dt)
+	acc := b.loadAcc(a.send, nil, total, a.dt) // the whole vector; a.recv is one block of it
 	bounds := splitBounds(total, len(members))
 	chunk := func(i int) []byte { return acc[bounds[i]*es : bounds[i+1]*es] }
 	block := func(r int) []byte { return acc[r*sz : (r+1)*sz] }
@@ -305,7 +309,7 @@ func (c *Comm) alltoallBundles(b *schedBuilder, ct *commTopo, a collArgs, segByt
 	// vector in source-rank order; members hold only their own pair.
 	mats := make([][]byte, len(members))
 	vec := make([][]byte, len(members))
-	mats[myPos], vec[myPos] = PackBuf(a.send, n*a.count, a.dt), b.stage(n*sz)
+	mats[myPos], vec[myPos] = PackBuf(a.send, n*a.count, a.dt), b.landing(a.recvApart(), n*sz, a.dt)
 	if isLeader {
 		for i := range members {
 			if i != myPos {

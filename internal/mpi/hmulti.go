@@ -326,7 +326,7 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 	es := dt.Size()
 	members, myPos, leaderPos := ct.clusterPos(c.myRank)
 	leader := members[leaderPos]
-	acc := b.loadAcc(a.send, count, dt)
+	acc := b.loadAcc(a.send, a.recv, count, dt)
 	eb := splitBounds(count, K)
 	shard := func(k int) []byte { return acc[eb[k]*es : eb[k+1]*es] }
 	scount := func(k int) int { return eb[k+1] - eb[k] }
@@ -562,7 +562,7 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	members := ct.clusters[ct.myCluster]
 	myD := ct.myCluster
 	mine := PackBuf(a.send, n*a.count, a.dt)
-	myRecv := b.stage(n * sz)
+	myRecv := b.landing(a.recvApart(), n*sz, a.dt)
 
 	// The distinct emissary relays striping bundle ci -> cj; shard p of
 	// the bundle rides relay p. Identical on every rank.

@@ -178,10 +178,13 @@ func (c *Comm) Ireduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, r
 	if err := c.checkBuf("Ireduce", "send", sendBuf, count, dt); err != nil {
 		return nil, err
 	}
-	if c.myRank == root {
-		if err := c.checkBuf("Ireduce", "recv", recvBuf, count, dt); err != nil {
-			return nil, err
-		}
+	if c.myRank != root {
+		// Significant at the root only. The compilers accumulate in the
+		// receive buffer when they can (schedBuilder.landing): elsewhere
+		// they get none, so whatever the caller passed is never written.
+		recvBuf = nil
+	} else if err := c.checkBuf("Ireduce", "recv", recvBuf, count, dt); err != nil {
+		return nil, err
 	}
 	return c.startColl("Ireduce", kindReduce, count*dt.Size(),
 		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op, root: root})

@@ -108,6 +108,22 @@ func (b *schedBuilder) stage(n int) []byte {
 	return buf.B
 }
 
+// landing returns the n bytes a schedule assembles a packed result in, for
+// a completion closure (unpackVector, unpackBlocks) to unpack into user.
+// For a dense datatype the packed form and the user's layout are the same
+// bytes, so the result is assembled in user itself — the transport lands
+// it there and the closure's unpack finds it in place (UnpackBuf) — and
+// nothing is leased; otherwise, or when user is too short to be a
+// significant receive buffer (nil off a Reduce's root), it is staging. A
+// compiler that still reads the send buffer after the first byte lands
+// must not pass a user buffer that is the send buffer (collArgs.recvApart).
+func (b *schedBuilder) landing(user []byte, n int, dt Datatype) []byte {
+	if IsContiguous(dt) && len(user) >= n {
+		return user[:n:n]
+	}
+	return b.stage(n)
+}
+
 // endRound seals the open round (dropped when empty) and opens a new one
 // on the same lane.
 func (b *schedBuilder) endRound() {

@@ -10,20 +10,24 @@ import (
 
 // Packet is one unit of transfer on a simulated link. Header bytes were
 // coalesced/copied by the sender (aggregation buffer); Body bytes are the
-// bulk payload, which may have been snapshotted without a time charge to
-// model zero-copy injection (DMA from user memory).
+// bulk payload, injected without a time charge to model zero-copy injection
+// (DMA from user memory).
 //
 // Ownership of the payload: the network never reads, copies or keeps
 // Header and Body, it only counts their lengths, so they belong to the
-// sending device until delivery and to the receiving one afterwards. The
-// devices of this tree ship payloads in buffers of a BufList (the
-// network's own, Network.Bufs) and put the *Buf that Body or Header
-// aliases in Meta: the sender fills it, the packet owns it in flight, and
-// whoever consumes the packet on the far side either copies out and
-// Releases it or takes it over and Releases it later (an eager landing
-// area, a gateway's relay store). A packet the fault plan drops, or one
-// still queued when a session is torn down, is never consumed: its buffer
-// does not come home and the garbage collector takes it with the session.
+// sending device until delivery and to the receiving one afterwards. What
+// Body points at is therefore the devices' business alone: Madeleine's may
+// be the sending application's own memory until that sender's EndPacking
+// returns (a loan, see madeleine.Pack), a wire buffer afterwards, or the
+// receiver's memory once the body has landed there. The other devices of
+// this tree ship payloads in buffers of a BufList (the network's own,
+// Network.Bufs) and put the *Buf that Body or Header aliases in Meta: the
+// sender fills it, the packet owns it in flight, and whoever consumes the
+// packet on the far side either copies out and Releases it or takes it over
+// and Releases it later (an eager landing area, a gateway's relay store). A
+// packet the fault plan drops, or one still queued when a session is torn
+// down, is never consumed: its buffer does not come home and the garbage
+// collector takes it with the session.
 type Packet struct {
 	Src, Dst string // endpoint node names
 	Kind     int    // driver/device-defined discriminator
@@ -165,6 +169,13 @@ type Endpoint struct {
 	Node string
 	// OnDeliver receives each arriving packet at its arrival time.
 	OnDeliver func(*Packet)
+	// Landing, when the attached device sets it, answers a sender on this
+	// network that is about to let go of the n-byte body it numbers seq
+	// among those it has sent this node (the numbering is the devices'):
+	// the memory a reader blocked on exactly that body has designated for
+	// it, nil when there is none. It is what a NIC depositing at a posted
+	// address knows; the network itself never calls it.
+	Landing func(src string, seq uint64, n int) []byte
 }
 
 // Attach creates (or returns) the endpoint for a node on this network.
