@@ -104,110 +104,288 @@ func TestLeaderSetsShape(t *testing.T) {
 	}
 }
 
-// multiCollOutputs runs the collective suite on a ring-cluster session
-// with the given algorithm family forced and returns every observable
-// output, keyed for comparison across families.
-func multiCollOutputs(t *testing.T, szs []int, mode mpi.CollMode,
-	seed byte, count, root int, op mpi.Op) map[string][]byte {
+// islandTopo builds SCI islands of the given sizes joined by point-to-point
+// TCP bridges: bridge {ci, i, cj, j} links node i of island ci to node j of
+// island cj (a negative node index counts from the island's end).
+func islandTopo(szs []int, bridges [][4]int) Topology {
+	var nodes []NodeSpec
+	names := make([][]string, len(szs))
+	var nets []NetworkSpec
+	for ci, sz := range szs {
+		for i := 0; i < sz; i++ {
+			name := fmt.Sprintf("c%dn%d", ci, i)
+			nodes = append(nodes, NodeSpec{Name: name, Procs: 1})
+			names[ci] = append(names[ci], name)
+		}
+		nets = append(nets, NetworkSpec{Name: fmt.Sprintf("sci%d", ci), Protocol: "sisci", Nodes: names[ci]})
+	}
+	node := func(ci, i int) string { return names[ci][(i+len(names[ci]))%len(names[ci])] }
+	for bi, br := range bridges {
+		nets = append(nets, NetworkSpec{
+			Name:     fmt.Sprintf("gw%d_%d%d", bi, br[0], br[2]),
+			Protocol: "tcp",
+			Nodes:    []string{node(br[0], br[1]), node(br[2], br[3])},
+		})
+	}
+	return Topology{Nodes: nodes, Networks: nets, Forwarding: true}
+}
+
+// mlShapes are the wirings the multi-leader forms branch on, beside the
+// closed rings of ringClusterTopo: a cluster pair with no bridge of its own,
+// a pair with two, and clusters behind one gateway among wider ones.
+var mlShapes = []struct {
+	name string
+	topo func() Topology
+	// noBcast leaves Bcast out of the suite on this wiring, for the reason
+	// given where it is set.
+	noBcast bool
+}{
+	// A-B-C: A and C share no bridge, their traffic is routed through B; A
+	// and C sit behind one gateway each beside B's two.
+	{name: "chain", topo: func() Topology {
+		return islandTopo([]int{2, 3, 2}, [][4]int{{0, -1, 1, 0}, {1, -1, 2, 0}})
+	}},
+	// Two clusters joined by two bridges on four distinct nodes: the pair's
+	// traffic is striped over two relay couples.
+	{name: "twobridges", topo: func() Topology {
+		return islandTopo([]int{3, 3}, [][4]int{{0, 0, 1, 0}, {0, -1, 1, -1}})
+	}},
+	// A triangle with a fourth cluster hanging off A by one bridge, and a
+	// one-node cluster in the ring: leader sets of 3, 2, 1 and 1 members.
+	// The multi-leader Bcast delivers wrong bytes here (the last rank of a
+	// shard's chain posts its receives late; on four clusters its
+	// predecessor also feeds it another shard, and the two streams pair up
+	// crosswise), so Bcast sits this wiring out.
+	{name: "tail", noBcast: true, topo: func() Topology {
+		return islandTopo([]int{3, 2, 1, 2},
+			[][4]int{{0, 0, 1, 0}, {1, -1, 2, 0}, {2, 0, 0, 1}, {0, -1, 3, 0}})
+	}},
+	{name: "ring3", topo: func() Topology { return ringClusterTopo([]int{3, 3, 3}) }},
+}
+
+// pair64 is two int64 with one of padding between them: the strided twin of
+// a pair of MPI_INT64. int64Op runs a predefined operation over the int64
+// values of any datatype's packed form, so reductions are defined on it.
+var pair64 = mpi.Vector(2, 1, 2, mpi.Int64)
+
+type int64Op struct{ mpi.Op }
+
+func (o int64Op) Apply(dst, src []byte, count int, dt mpi.Datatype) error {
+	return o.Op.Apply(dst, src, count*dt.Size()/8, mpi.Int64)
+}
+
+// mlProgram is what every rank runs in one equivalence session.
+type mlProgram struct {
+	seed    byte
+	count   int // elements per rank; an element is one int64, or two when strided
+	root    int
+	op      mpi.Op
+	strided bool // pair64 instead of MPI_INT64
+	aliased bool // Allreduce and Allgather get one buffer as send and receive
+	icoll   bool // Iallreduce and Iallgather pending across tagged p2p
+	noBcast bool // leave Bcast out
+}
+
+// multiCollOutputs runs the collective suite on a session of topo with the
+// given algorithm family forced and returns every observable output, packed,
+// keyed for comparison across families. The session must pass the Finalize
+// audit and leave every wire and staging buffer home.
+func multiCollOutputs(t *testing.T, topo Topology, mode mpi.CollMode, pg mlProgram) map[string][]byte {
 	t.Helper()
-	sess, err := Build(ringClusterTopo(szs))
+	sess, err := Build(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, sz := range szs {
-		n += sz
-	}
+	n := len(sess.Ranks)
 	for _, rk := range sess.Ranks {
 		rk.MPI.SetCollMode(mode)
 	}
-	out := make(map[string][]byte)
-	record := func(what string, rank int, buf []byte) {
-		out[fmt.Sprintf("%s/r%d", what, rank)] = append([]byte(nil), buf...)
+	dt, per, op := mpi.Datatype(mpi.Int64), 1, pg.op
+	if pg.strided {
+		dt, per, op = pair64, 2, int64Op{pg.op}
 	}
-	input := func(rank int) []int64 {
-		v := make([]int64, count)
+	// spread lays packed int64 values out as total elements of dt; squeeze
+	// reads an element buffer back into packed form.
+	spread := func(v []int64, total int) []byte {
+		buf := make([]byte, total*dt.Extent())
+		mpi.UnpackBuf(buf, len(v)/per, dt, mpi.Int64Bytes(v))
+		return buf
+	}
+	squeeze := func(buf []byte, total int) []byte {
+		return append([]byte(nil), mpi.PackBuf(buf, total, dt)...)
+	}
+	out := make(map[string][]byte)
+	record := func(what string, rank int, packed []byte) {
+		out[fmt.Sprintf("%s/r%d", what, rank)] = packed
+	}
+	input := func(rank, salt int) []int64 {
+		v := make([]int64, pg.count*per)
 		for i := range v {
-			v[i] = int64((int(seed)+rank*11+i*5)%9) - 4 // small: OpProd stays exact
+			v[i] = int64((int(pg.seed)+salt+rank*11+i*5)%9) - 4 // small: OpProd stays exact
 		}
 		return v
 	}
+	// bufs returns the send and receive buffers of a call that contributes v
+	// and receives total elements: distinct, or the same memory.
+	bufs := func(v []int64, total int) (send, recv []byte) {
+		if !pg.aliased {
+			return spread(v, pg.count), spread(nil, total)
+		}
+		recv = spread(v, total)
+		return recv, recv
+	}
 	err = sess.Run(func(rank int, comm *mpi.Comm) error {
-		buf := make([]byte, 8*count)
-		if rank == root {
-			copy(buf, mpi.Int64Bytes(input(rank)))
+		count := pg.count
+		buf := spread(nil, count)
+		if rank == pg.root {
+			buf = spread(input(rank, 0), count)
 		}
-		if err := comm.Bcast(buf, count, mpi.Int64, root); err != nil {
-			return err
+		if !pg.noBcast {
+			if err := comm.Bcast(buf, count, dt, pg.root); err != nil {
+				return err
+			}
+			record("bcast", rank, squeeze(buf, count))
 		}
-		record("bcast", rank, buf)
-		all := make([]byte, 8*count)
-		if err := comm.Allreduce(mpi.Int64Bytes(input(rank)), all, count, mpi.Int64, op); err != nil {
-			return err
+
+		arSend, arRecv := bufs(input(rank, 1), count)
+		agSend, agRecv := bufs(input(rank, 2), count*n)
+		if pg.icoll {
+			// Both collectives pending while tagged point-to-point traffic
+			// crosses the same communicator in both directions of the ring.
+			ar, err := comm.Iallreduce(arSend, arRecv, count, dt, op)
+			if err != nil {
+				return err
+			}
+			ag, err := comm.Iallgather(agSend, agRecv, count, dt)
+			if err != nil {
+				return err
+			}
+			next, prev := (rank+1)%n, (rank+n-1)%n
+			got := make([]byte, 16)
+			for tag, to := range []int{next, prev} {
+				from := prev + next - to
+				if _, err := comm.Sendrecv(mpi.Int64Bytes([]int64{int64(rank), int64(tag)}), 2, mpi.Int64, to, 40+tag,
+					got, 2, mpi.Int64, from, 40+tag); err != nil {
+					return err
+				}
+				if v := mpi.BytesInt64(got); v[0] != int64(from) || v[1] != int64(tag) {
+					return fmt.Errorf("rank %d tag %d: got %v from %d", rank, 40+tag, v, from)
+				}
+			}
+			if err := ag.Wait(); err != nil {
+				return err
+			}
+			if err := ar.Wait(); err != nil {
+				return err
+			}
+		} else {
+			if err := comm.Allreduce(arSend, arRecv, count, dt, op); err != nil {
+				return err
+			}
+			if err := comm.Allgather(agSend, agRecv, count, dt); err != nil {
+				return err
+			}
 		}
-		record("allreduce", rank, all)
-		ag := make([]byte, 8*count*n)
-		if err := comm.Allgather(mpi.Int64Bytes(input(rank)), ag, count, mpi.Int64); err != nil {
-			return err
-		}
-		record("allgather", rank, ag)
-		a2a := make([]int64, count*n)
+		record("allreduce", rank, squeeze(arRecv, count))
+		record("allgather", rank, squeeze(agRecv, count*n))
+
+		a2a := make([]int64, count*per*n)
 		for i := range a2a {
 			a2a[i] = int64(rank*1000 + i)
 		}
-		a2aOut := make([]byte, 8*count*n)
-		if err := comm.Alltoall(mpi.Int64Bytes(a2a), a2aOut, count, mpi.Int64); err != nil {
+		a2aOut := spread(nil, count*n)
+		if err := comm.Alltoall(spread(a2a, count*n), a2aOut, count, dt); err != nil {
 			return err
 		}
-		record("alltoall", rank, a2aOut)
+		record("alltoall", rank, squeeze(a2aOut, count*n))
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v: %v", pg, err)
+	}
+	home := 0
+	for _, net := range sess.Networks {
+		home += net.Bufs().Out()
+	}
+	for _, rk := range sess.Ranks {
+		home += rk.MPI.Eng.Bufs.Out()
+	}
+	if home != 0 {
+		t.Errorf("%v: %d wire or staging buffers still out at the end of the session", pg, home)
 	}
 	return out
 }
+
+// mlEquivalent runs pg on topo under the multi-leader, the single-leader and
+// the flat forms and reports whether all three agree byte for byte.
+func mlEquivalent(t *testing.T, what string, topo func() Topology, pg mlProgram) bool {
+	t.Helper()
+	multi := multiCollOutputs(t, topo(), mpi.CollHierMulti, pg)
+	for _, ref := range []struct {
+		name string
+		mode mpi.CollMode
+	}{{"single", mpi.CollHier}, {"flat", mpi.CollFlat}} {
+		want := multiCollOutputs(t, topo(), ref.mode, pg)
+		if len(multi) != len(want) {
+			t.Errorf("%s: output key sets differ: multi %d %s %d", what, len(multi), ref.name, len(want))
+			return false
+		}
+		for k, mv := range multi {
+			if string(mv) != string(want[k]) {
+				t.Errorf("%s root %d op %s count %d strided %v aliased %v icoll %v: %s: multi %v != %s %v",
+					what, pg.root, pg.op.Name(), pg.count, pg.strided, pg.aliased, pg.icoll,
+					k, mpi.BytesInt64(mv), ref.name, mpi.BytesInt64(want[k]))
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// mlOps is every predefined reduction.
+var mlOps = []mpi.Op{mpi.OpSum, mpi.OpMax, mpi.OpMin, mpi.OpProd,
+	mpi.OpBAnd, mpi.OpBOr, mpi.OpBXor, mpi.OpLAnd, mpi.OpLOr}
 
 // TestMultiLeaderEquivalence: on random ring-cluster shapes, payloads,
 // roots and ops, the multi-leader collectives are byte-identical to the
 // single-leader two-level form and to the flat reference.
 func TestMultiLeaderEquivalence(t *testing.T) {
 	f := func(seed, nc, s0, s1, s2, rootSel, opIdx, length uint8) bool {
-		ops := []mpi.Op{mpi.OpSum, mpi.OpMax, mpi.OpMin, mpi.OpProd}
 		szs := []int{int(s0)%3 + 1, int(s1)%3 + 1, int(s2)%3 + 1}[:int(nc)%2+2]
 		n := 0
 		for _, sz := range szs {
 			n += sz
 		}
-		root := int(rootSel) % n
-		op := ops[int(opIdx)%len(ops)]
 		// Counts straddling the shard granularity: smaller than, equal to
 		// and larger than typical leader-set sizes.
-		count := int(length)%29 + 1
-		multi := multiCollOutputs(t, szs, mpi.CollHierMulti, seed, count, root, op)
-		single := multiCollOutputs(t, szs, mpi.CollHier, seed, count, root, op)
-		flat := multiCollOutputs(t, szs, mpi.CollFlat, seed, count, root, op)
-		if len(multi) != len(single) || len(multi) != len(flat) {
-			t.Errorf("output key sets differ: multi %d single %d flat %d",
-				len(multi), len(single), len(flat))
-			return false
-		}
-		for k, mv := range multi {
-			if string(mv) != string(single[k]) {
-				t.Errorf("shape %v root %d op %s count %d: %s: multi %v != single %v",
-					szs, root, op.Name(), count, k, mpi.BytesInt64(mv), mpi.BytesInt64(single[k]))
-				return false
-			}
-			if string(mv) != string(flat[k]) {
-				t.Errorf("shape %v root %d op %s count %d: %s: multi %v != flat %v",
-					szs, root, op.Name(), count, k, mpi.BytesInt64(mv), mpi.BytesInt64(flat[k]))
-				return false
-			}
-		}
-		return true
+		pg := mlProgram{seed: seed, count: int(length)%29 + 1, root: int(rootSel) % n, op: mlOps[int(opIdx)%len(mlOps)]}
+		return mlEquivalent(t, fmt.Sprint("ring ", szs), func() Topology { return ringClusterTopo(szs) }, pg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMultiLeaderEquivalenceShapes walks the branches of the multi-leader
+// compilers one by one: every wiring of mlShapes under every predefined
+// operation, with element counts below the cluster count (empty pieces), in
+// the eager range and in rendez-vous and segmented territory, strided and
+// dense, send and receive buffers apart and aliased, blocking and with both
+// collectives pending across point-to-point traffic.
+func TestMultiLeaderEquivalenceShapes(t *testing.T) {
+	counts := []int{1, 2, 3, 7, 29, 600, 5000}
+	for si, sh := range mlShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			n := len(sh.topo().Nodes)
+			for oi, op := range mlOps {
+				i := si*len(mlOps) + oi
+				pg := mlProgram{
+					seed: byte(17 * i), count: counts[i%len(counts)], root: (5 * i) % n, op: op,
+					strided: i%2 == 1, aliased: i%3 == 1, icoll: i%4 >= 2, noBcast: sh.noBcast,
+				}
+				mlEquivalent(t, sh.name, sh.topo, pg)
+			}
+		})
 	}
 }
 
