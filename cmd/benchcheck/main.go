@@ -249,6 +249,10 @@ func main() {
 		// X9: multi-leader rail-striped collectives on the bridged triangle.
 		{"ML_Bcast_multi", "ML_Bcast_single", 1 << 20, 1.5,
 			"the autotuner-selected multi-leader Bcast must be >= 1.5x faster than the forced single-leader two-level form at 1 MiB"},
+		{"ML_Allreduce_multi", "ML_Allreduce_single", 1 << 20, 1.5,
+			"the autotuner-selected multi-leader Allreduce must be >= 1.5x faster than the forced single-leader two-level form at 1 MiB"},
+		{"ML_Allgather_multi", "ML_Allgather_single", 1 << 20, 1.5,
+			"the autotuner-selected multi-leader Allgather must be >= 1.5x faster than the forced single-leader two-level form at 1 MiB"},
 		{"ML_Alltoall_multi", "ML_Alltoall_single", 1 << 20, 1.5,
 			"the autotuner-selected multi-leader Alltoall must be >= 1.5x faster than the forced single-leader two-level form at 1 MiB"},
 	}

@@ -136,9 +136,6 @@ func islandTopo(szs []int, bridges [][4]int) Topology {
 var mlShapes = []struct {
 	name string
 	topo func() Topology
-	// noBcast leaves Bcast out of the suite on this wiring, for the reason
-	// given where it is set.
-	noBcast bool
 }{
 	// A-B-C: A and C share no bridge, their traffic is routed through B; A
 	// and C sit behind one gateway each beside B's two.
@@ -152,11 +149,9 @@ var mlShapes = []struct {
 	}},
 	// A triangle with a fourth cluster hanging off A by one bridge, and a
 	// one-node cluster in the ring: leader sets of 3, 2, 1 and 1 members.
-	// The multi-leader Bcast delivers wrong bytes here (the last rank of a
-	// shard's chain posts its receives late; on four clusters its
-	// predecessor also feeds it another shard, and the two streams pair up
-	// crosswise), so Bcast sits this wiring out.
-	{name: "tail", noBcast: true, topo: func() Topology {
+	// Here the last rank of one Bcast shard's chain is fed another shard by
+	// the same predecessor, so it may not post its receives late.
+	{name: "tail", topo: func() Topology {
 		return islandTopo([]int{3, 2, 1, 2},
 			[][4]int{{0, 0, 1, 0}, {1, -1, 2, 0}, {2, 0, 0, 1}, {0, -1, 3, 0}})
 	}},
@@ -183,7 +178,6 @@ type mlProgram struct {
 	strided bool // pair64 instead of MPI_INT64
 	aliased bool // Allreduce and Allgather get one buffer as send and receive
 	icoll   bool // Iallreduce and Iallgather pending across tagged p2p
-	noBcast bool // leave Bcast out
 }
 
 // multiCollOutputs runs the collective suite on a session of topo with the
@@ -240,12 +234,10 @@ func multiCollOutputs(t *testing.T, topo Topology, mode mpi.CollMode, pg mlProgr
 		if rank == pg.root {
 			buf = spread(input(rank, 0), count)
 		}
-		if !pg.noBcast {
-			if err := comm.Bcast(buf, count, dt, pg.root); err != nil {
-				return err
-			}
-			record("bcast", rank, squeeze(buf, count))
+		if err := comm.Bcast(buf, count, dt, pg.root); err != nil {
+			return err
 		}
+		record("bcast", rank, squeeze(buf, count))
 
 		arSend, arRecv := bufs(input(rank, 1), count)
 		agSend, agRecv := bufs(input(rank, 2), count*n)
@@ -381,7 +373,7 @@ func TestMultiLeaderEquivalenceShapes(t *testing.T) {
 				i := si*len(mlOps) + oi
 				pg := mlProgram{
 					seed: byte(17 * i), count: counts[i%len(counts)], root: (5 * i) % n, op: op,
-					strided: i%2 == 1, aliased: i%3 == 1, icoll: i%4 >= 2, noBcast: sh.noBcast,
+					strided: i%2 == 1, aliased: i%3 == 1, icoll: i%4 >= 2,
 				}
 				mlEquivalent(t, sh.name, sh.topo, pg)
 			}
@@ -517,5 +509,85 @@ func TestMultiLeaderSplitsBackboneCrossings(t *testing.T) {
 	if got := busyAt(single, payload/8); got >= 3 {
 		t.Errorf("single-leader Bcast engaged all %d bridges (%v); crossing split shows nothing",
 			got, single)
+	}
+}
+
+// ringOpCost runs op once on the three-island ring with mode forced and
+// returns what the operation alone cost: each bridge network's wire bytes,
+// both directions summed, and the ch_mad relay hops summed over the ranks —
+// net of the same session without the operation (the simulator is
+// deterministic, so what MPI_Init and Finalize add subtracts out exactly).
+func ringOpCost(t *testing.T, mode mpi.CollMode, op func(comm *mpi.Comm) error) (map[string]uint64, uint64) {
+	t.Helper()
+	run := func(op func(comm *mpi.Comm) error) (map[string]uint64, uint64) {
+		sess, err := Build(ringClusterTopo([]int{3, 3, 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rk := range sess.Ranks {
+			rk.MPI.SetCollMode(mode)
+		}
+		if err := sess.Run(func(_ int, comm *mpi.Comm) error { return op(comm) }); err != nil {
+			t.Fatal(err)
+		}
+		loads, forwarded := map[string]uint64{}, uint64(0)
+		for name, net := range sess.Networks {
+			if net.Params.Protocol == "tcp" {
+				loads[name] = net.Stats.Bytes
+			}
+		}
+		for _, rk := range sess.Ranks {
+			forwarded += rk.ChMad.NForwarded
+		}
+		return loads, forwarded
+	}
+	loads, forwarded := run(op)
+	idle, idleForwarded := run(func(*mpi.Comm) error { return nil })
+	for name := range loads {
+		loads[name] -= idle[name]
+	}
+	return loads, forwarded - idleForwarded
+}
+
+// TestMultiLeaderCrossesEveryBridgeOnce: a multi-leader Allreduce moves 2/C
+// of the vector over every directed bridge link in each of its two phases
+// and an Allgather one cluster's bundle, 1/C of the result — on the three
+// bridges of the ring 4N/3 and 2N/3 bytes per bridge, both directions
+// summed — the three bridges carry the same load, and every crossing runs
+// between the two ends of a bridge: no ch_mad device relays a message.
+func TestMultiLeaderCrossesEveryBridgeOnce(t *testing.T) {
+	const n = 1 << 20
+	for _, tc := range []struct {
+		name  string
+		bound uint64
+		op    func(comm *mpi.Comm) error
+	}{
+		{"Allreduce", 4 * n / 3, func(comm *mpi.Comm) error {
+			return comm.Allreduce(make([]byte, n), make([]byte, n), n, mpi.Byte, mpi.OpMax)
+		}},
+		{"Allgather", 2 * n / 3, func(comm *mpi.Comm) error {
+			per := n / comm.Size()
+			return comm.Allgather(make([]byte, per), make([]byte, per*comm.Size()), per, mpi.Byte)
+		}},
+	} {
+		loads, forwarded := ringOpCost(t, mpi.CollHierMulti, tc.op)
+		if len(loads) != 3 {
+			t.Fatalf("%s: expected 3 bridge networks, got %v", tc.name, loads)
+		}
+		lo, hi := ^uint64(0), uint64(0)
+		for _, b := range loads {
+			lo, hi = min(lo, b), max(hi, b)
+		}
+		if limit := tc.bound + tc.bound/20; hi > limit {
+			t.Errorf("%s of 1 MiB: a bridge carries %d bytes, want at most %d (1.05 x %d): %v",
+				tc.name, hi, limit, tc.bound, loads)
+		}
+		if hi-lo > hi/20 {
+			t.Errorf("%s of 1 MiB: bridge loads are more than 5%% apart: %v", tc.name, loads)
+		}
+		if forwarded != 0 {
+			t.Errorf("%s of 1 MiB: ch_mad devices relayed %d messages, want 0 (every crossing between the two ends of a bridge)",
+				tc.name, forwarded)
+		}
 	}
 }

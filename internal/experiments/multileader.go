@@ -8,16 +8,22 @@ package experiments
 // single-leader two-level form funnels the whole payload through one
 // gateway and leaves the other bridge idle.
 //
-//   - ML_Bcast_multi / ML_Alltoall_multi: the session autotunes at init
-//     (Autotune: true) and the measured run dispatches through the
-//     resulting table (CollAuto) — the multi-leader schedules must be
-//     *selected*, not forced, for the large-payload brackets.
-//   - ML_Bcast_single / ML_Alltoall_single: the same autotuned sessions
-//     with the single-leader two-level form forced (CollHier), the
-//     baseline the paper's §4.3 two-level collectives correspond to.
+//   - ML_<op>_multi, for Bcast, Allreduce, Allgather and Alltoall: the
+//     session autotunes at init (Autotune: true) and the measured run
+//     dispatches through the resulting table (CollAuto) — the multi-leader
+//     schedules must be *selected*, not forced, for the large-payload
+//     brackets.
+//   - ML_<op>_single: the same autotuned sessions with the single-leader
+//     two-level form forced (CollHier), the baseline the paper's §4.3
+//     two-level collectives correspond to.
+//
+// A size is the whole payload of the operation: the vector of a Bcast or an
+// Allreduce, the matrix a rank sends in an Alltoall, the vector every rank
+// ends an Allgather with — so that the four compare, and with the time the
+// bridges need for it.
 //
 // The acceptance bar (cmd/benchcheck): multi >= 1.5x on time at 1 MiB
-// for both operations.
+// for all four operations.
 
 import (
 	"fmt"
@@ -55,27 +61,29 @@ func multiLeaderRun(mode mpi.CollMode, iters, size int, op collOp) (vtime.Durati
 }
 
 // MultiLeader (X9) benchmarks the multi-leader collectives on the
-// bridged triangle: autotuner-selected multi-leader Bcast and Alltoall
-// against the forced single-leader two-level forms, with a per-bridge
-// crossing table at the largest payload showing the inter-cluster phase
-// engaging every gateway.
+// bridged triangle: autotuner-selected multi-leader Bcast, Allreduce,
+// Allgather and Alltoall against the forced single-leader two-level forms,
+// with a per-bridge crossing table at the largest payload showing the
+// inter-cluster phase engaging every gateway.
 func MultiLeader() (*Result, error) {
 	sizes := []int{4 << 10, 64 << 10, 256 << 10, 1 << 20}
-	// Here an Alltoall's size is the whole matrix a rank sends, so that it
-	// compares with a Bcast of the same size; the shared operation takes
-	// the block.
-	matrix := func(comm *mpi.Comm, size int) error {
-		return alltoall(comm, max(size/comm.Size(), 1))
+	// The shared Allgather and Alltoall take the block of one rank.
+	perRank := func(op collOp) collOp {
+		return func(comm *mpi.Comm, size int) error { return op(comm, max(size/comm.Size(), 1)) }
 	}
-	benches := []struct {
+	type bench struct {
 		name string
 		mode mpi.CollMode
 		op   collOp
-	}{
-		{"ML_Bcast_multi", mpi.CollAuto, bcast},
-		{"ML_Bcast_single", mpi.CollHier, bcast},
-		{"ML_Alltoall_multi", mpi.CollAuto, matrix},
-		{"ML_Alltoall_single", mpi.CollHier, matrix},
+	}
+	var benches []bench
+	for _, o := range []struct {
+		name string
+		op   collOp
+	}{{"Bcast", bcast}, {"Allreduce", allreduce}, {"Allgather", perRank(allgather)}, {"Alltoall", perRank(alltoall)}} {
+		benches = append(benches,
+			bench{"ML_" + o.name + "_multi", mpi.CollAuto, o.op},
+			bench{"ML_" + o.name + "_single", mpi.CollHier, o.op})
 	}
 	const iters = 3
 	var series []*stats.Series

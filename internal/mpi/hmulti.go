@@ -27,69 +27,18 @@ package mpi
 // matching pairs transfers correctly. Zero-length shards (payload
 // smaller than the shard count) are skipped symmetrically.
 
-// myShards returns the ascending shard indices this rank co-leads in its
-// cluster, given K total shards; empty for non-co-leaders.
-func (ct *commTopo) myShards(me, K int) []int {
-	var ks []int
-	for k := 0; k < K; k++ {
-		if ct.coLeader(ct.myCluster, k) == me {
-			ks = append(ks, k)
-		}
-	}
-	return ks
-}
-
-// shardTreeRounds appends, for each shard k in ascending order, a
-// binomial broadcast of bufs[k] over this rank's cluster rooted at its
-// k-th co-leader — the intra-cluster redistribute phase. The per-shard
-// phases are serialized (each its own recv/send round pair) so a rank's
-// role deep in one shard tree cannot deadlock against its role near the
-// root of another; the shards ride the fast fabric, where the
-// serialization is cheap. Rounds ride their shard's lane (co-leader index
-// and gateway) in the trace.
-func (c *Comm) shardTreeRounds(b *schedBuilder, ct *commTopo, bufs [][]byte) {
-	members := ct.clusters[ct.myCluster]
-	myPos := posIn(members, c.myRank)
-	for k, buf := range bufs {
-		if len(buf) == 0 {
-			continue
-		}
-		parent, children := binomialOver(members, posIn(members, ct.coLeader(ct.myCluster, k)), myPos)
-		b.lane(k, ct.coLeaderGW(ct.myCluster, k))
-		b.treeBcast(parent, children, buf)
-		b.endRound()
-	}
-}
-
-// emissary picks the co-leader pair carrying a shard from cluster ci to
-// cluster cj: a sender in ci and receiver in cj fronting the *same*
-// gateway network (the two ends of a direct bridge), rotated by the
-// shard index so different shards ride different bridges when the pair
-// offers several. Returns x = -1 when the clusters share no bridge —
-// the caller then sends from the shard's current holder and the fabric
-// routes the transfer.
+// emissary picks the co-leader couple carrying shard k from cluster ci to
+// cluster cj out of the pair's relay table, rotated by the shard index so
+// different shards ride different bridges when the pair offers several.
+// Returns x = -1 when the clusters share no bridge — the caller then sends
+// from the shard's current holder and the fabric routes the transfer.
 func (ct *commTopo) emissary(ci, cj, k int) (x, y int, g string) {
-	fromGW := make(map[string]int, len(ct.leaderGW[ci]))
-	for idx, gn := range ct.leaderGW[ci] {
-		if _, dup := fromGW[gn]; gn != "" && !dup {
-			fromGW[gn] = ct.leaderSets[ci][idx]
-		}
+	rs := ct.relays[ci][cj]
+	r := rs[k%len(rs)]
+	if !r.direct {
+		return -1, r.y, r.gw
 	}
-	var xs, ys []int
-	var gs []string
-	for idx, gn := range ct.leaderGW[cj] {
-		if gn == "" {
-			continue
-		}
-		if xr, ok := fromGW[gn]; ok {
-			xs, ys, gs = append(xs, xr), append(ys, ct.leaderSets[cj][idx]), append(gs, gn)
-		}
-	}
-	if len(xs) == 0 {
-		return -1, ct.coLeader(cj, k), ct.coLeaderGW(cj, k)
-	}
-	i := k % len(xs)
-	return xs[i], ys[i], gs[i]
+	return r.x, r.y, r.gw
 }
 
 // shardChain lays out shard k's inter-cluster relay chain: the clusters
@@ -177,6 +126,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 		gw          string
 	}
 	plans := make([]shardPlan, K)
+	paths := make([][]int, K)
 	maxSeg := 0
 	for k := 0; k < K; k++ {
 		pl := shardPlan{pred: -1, succ: -1, lo: bounds[k], hi: bounds[k+1]}
@@ -190,7 +140,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 			}
 			// The linear path: holder, then egress when distinct, per
 			// cluster in visiting order.
-			var path []int
+			path := paths[k]
 			for _, cl := range order {
 				path = append(path, holder[cl])
 				if x := egress[cl]; x >= 0 && x != holder[cl] {
@@ -206,6 +156,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 				}
 				pl.terminal = i == len(path)-1
 			}
+			paths[k] = path
 			local := []int{holder[di]}
 			if x := egress[di]; x >= 0 && x != holder[di] {
 				local = append(local, x)
@@ -225,6 +176,22 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 			}
 		}
 		plans[k] = pl
+	}
+	// A terminal rank may post its receives late only where that can neither
+	// block its predecessor nor reorder a pair's streams: a whole shard
+	// above one segment may be a rendez-vous body, which its sender waits
+	// on, and two streams on one directed pair are matched in the order
+	// they are sent — so a terminal rank whose predecessor also feeds it
+	// another shard during the cycles takes its segments as they come.
+	for k := range plans {
+		if pl := &plans[k]; pl.nseg == 1 && pl.hi-pl.lo > seg {
+			pl.terminal = false
+		}
+		for k2, path := range paths {
+			if i := posIn(path, c.myRank); k2 != k && i > 0 && path[i-1] == plans[k].pred {
+				plans[k].terminal = false
+			}
+		}
 	}
 
 	chunkOf := func(pl *shardPlan, s int) []byte {
@@ -313,225 +280,130 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	return fin
 }
 
-// allreduceMulti: intra-cluster binomial reduce to the primary
-// leader, a shard scatter to the co-leaders, a per-shard binomial
-// reduce-then-broadcast over the clusters' k-th co-leaders (rooted at
-// cluster 0), and per-shard intra-cluster trees fanning the reduced
-// shards back to every member. The backbone carries each cluster's
-// reduced vector once per direction — as the single-leader form — but
-// split across every gateway of the leader set concurrently.
+// allreduceMulti is a cluster-level reduce-scatter followed by a
+// cluster-level allgather. After the intra-cluster binomial reduce to the
+// primary leader the vector is cut into one piece per cluster; piece j of
+// every cluster's vector crosses to cluster j (hand-off to the co-leader
+// facing j, bridge exchange, hand-off to j's primary), which folds the
+// partials into the finished piece; the finished pieces cross back the same
+// way and every piece fans out inside each cluster from where it landed. A
+// directed bridge carries 2/C of the vector, once in each phase, and no
+// device relays a byte.
+//
+// When a piece is shorter than the backbone's bandwidth-delay product the
+// second crossing costs more in latency than the bytes it saves: the
+// clusters then exchange their whole vectors in the first crossing, every
+// primary folds all of them, and the allgather phase is dropped.
+//
+// The partials are folded in cluster order on every cluster — the own one
+// in its place, which a commutative op allows — so that the clusters of the
+// whole-vector case end on the same bits whatever the op rounds.
 func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
-	K := ct.widest
 	count, dt, op := a.count, a.dt, a.op
-	es := dt.Size()
+	es, myD, seg := dt.Size(), ct.myCluster, c.segmentBytes()
 	members, myPos, leaderPos := ct.clusterPos(c.myRank)
 	leader := members[leaderPos]
 	acc := b.loadAcc(a.send, a.recv, count, dt)
-	eb := splitBounds(count, K)
-	shard := func(k int) []byte { return acc[eb[k]*es : eb[k+1]*es] }
-	scount := func(k int) int { return eb[k+1] - eb[k] }
-	mine := ct.myShards(c.myRank, K)
 
-	// Phase 1: intra-cluster binomial reduce to the primary leader.
 	parent, children := binomialOver(members, leaderPos, myPos)
 	b.treeReduce(parent, children, acc, count, dt, op)
 
-	// Phase 2: the primary deals shard k of the cluster-reduced vector to
-	// co-leader k.
-	if c.myRank == leader {
-		for k := 0; k < K; k++ {
-			if cl := ct.coLeader(ct.myCluster, k); cl != leader && scount(k) > 0 {
-				b.send(cl, shard(k))
-			}
+	eb := splitBounds(count, ct.nClusters)
+	piece := func(j int) []byte { return acc[eb[j]*es : eb[j+1]*es] }
+	inter := c.p.hier.Inter
+	whole := float64(len(acc)) <= float64(ct.nClusters)*inter.LatencyUS*inter.BandwidthMBs*(1<<20)/1e6
+	if whole {
+		piece = func(int) []byte { return acc }
+	}
+	mine := piece(myD)
+
+	// Reduce-scatter: the other clusters' partials of my piece land in part.
+	part := make([][]byte, ct.nClusters)
+	in := func(ci int) []byte {
+		if part[ci] == nil {
+			part[ci] = b.stage(len(mine))
 		}
-		b.endRound()
-	} else if len(mine) > 0 {
-		for _, k := range mine {
-			if scount(k) > 0 {
-				b.recv(leader, shard(k))
+		return part[ci]
+	}
+	b.handOff(ct, c.myRank, leader, false, piece)
+	b.bridgeExchange(ct, c.myRank, seg, piece, in)
+	b.handOff(ct, c.myRank, leader, true, in)
+	if c.myRank == leader && len(mine) > 0 {
+		run := mine
+		if myD > 0 {
+			run = in(0)
+		}
+		for di := 1; di < ct.nClusters; di++ {
+			if di == myD {
+				b.reduce(mine, run, len(mine)/es, dt, op)
+				run = mine
+			} else {
+				b.reduce(run, in(di), len(mine)/es, dt, op)
 			}
 		}
 		b.endRound()
 	}
 
-	// Phase 3: per-shard binomial reduce over the k-th co-leaders to
-	// cluster 0's co-leader, result broadcast back down the same tree.
-	// The cluster-level tree shape is identical for every k, so the
-	// rounds merge across my shards.
-	if len(mine) > 0 {
-		group := make([]int, ct.nClusters)
-		tree := func(k int) (int, []int) {
-			for di := range group {
-				group[di] = ct.coLeader(di, k)
+	if whole {
+		piece = func(ci int) []byte {
+			if ci != myD {
+				return nil
 			}
-			return binomialOver(group, 0, ct.myCluster)
+			return acc
 		}
-		b.lane(mine[0], ct.coLeaderGW(ct.myCluster, mine[0]))
-		for _, k := range mine {
-			if scount(k) == 0 {
-				continue
-			}
-			_, kids := tree(k)
-			for i := len(kids) - 1; i >= 0; i-- {
-				part := b.stage(scount(k) * es)
-				b.recv(kids[i], part)
-				b.reduce(shard(k), part, scount(k), dt, op)
-			}
-		}
-		b.endRound()
-		for _, k := range mine {
-			if scount(k) == 0 {
-				continue
-			}
-			if p, _ := tree(k); p >= 0 {
-				b.send(p, shard(k))
-			}
-		}
-		b.endRound()
-		for _, k := range mine {
-			if scount(k) == 0 {
-				continue
-			}
-			if p, _ := tree(k); p >= 0 {
-				b.recv(p, shard(k))
-			}
-		}
-		b.endRound()
-		for _, k := range mine {
-			if scount(k) == 0 {
-				continue
-			}
-			_, kids := tree(k)
-			for _, ch := range kids {
-				b.send(ch, shard(k))
-			}
-		}
-		b.endRound()
+	} else {
+		// Allgather: my finished piece to every cluster, theirs in place.
+		home := func(int) []byte { return mine }
+		b.handOff(ct, c.myRank, leader, false, home)
+		b.bridgeExchange(ct, c.myRank, seg, home, piece)
 	}
-
-	// Phase 4: per-shard intra-cluster trees from the co-leaders.
-	bufs := make([][]byte, K)
-	for k := range bufs {
-		bufs[k] = shard(k)
-	}
-	c.shardTreeRounds(b, ct, bufs)
+	b.fanOut(ct, c.myRank, leader, piece)
 	return c.unpackVector(a.recv, count, dt, acc)
 }
 
-// allgatherShardLayout computes the multi-leader allgather's staging
-// geometry: bb[di] are the byte bounds splitting cluster di's bundle into
-// K shards, off[k][di] the offset of cluster di's piece within the
-// shard-k staging buffer, and size[k] that buffer's total length.
-func allgatherShardLayout(ct *commTopo, sz, K int) (bb [][]int, off [][]int, size []int) {
-	bb = make([][]int, ct.nClusters)
-	for di := range bb {
-		bb[di] = splitBounds(len(ct.clusters[di])*sz, K)
-	}
-	off = make([][]int, K)
-	size = make([]int, K)
-	for k := 0; k < K; k++ {
-		off[k] = make([]int, ct.nClusters+1)
-		for di := 0; di < ct.nClusters; di++ {
-			off[k][di] = size[k]
-			size[k] += bb[di][k+1] - bb[di][k]
-		}
-		off[k][ct.nClusters] = size[k]
-	}
-	return bb, off, size
-}
-
-// allgatherMulti: intra-cluster gather to the primary leader,
-// a shard scatter of the home bundle to the co-leaders, a pairwise
-// co-leader exchange (co-leader k of every cluster swaps shard k of its
-// home bundle with its peers, receives pre-posted so the concurrent
-// rendez-vous bodies cannot deadlock), and per-shard intra-cluster trees
-// broadcasting each assembled shard-k staging buffer to every member.
-// Each directed gateway carries 1/K of the inter-cluster bytes.
+// allgatherMulti ships each cluster's bundle once over each of its bridges.
+// The home bundle assembles on every member by a direct exchange on the
+// fast fabric, so every co-leader can ship at once and nothing funnels
+// through the primary; the bridge exchange lands the other clusters'
+// bundles on the co-leaders facing them, and each fans out from there. A
+// directed bridge carries one cluster's bundle, 1/C of the result.
 func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
-	K := ct.widest
-	n := c.Size()
-	count, dt := a.count, a.dt
-	sz := count * dt.Size()
-	ex := dt.Extent()
-	members := ct.clusters[ct.myCluster]
-	leader := ct.leaders[ct.myCluster]
-	myD := ct.myCluster
-	mineKs := ct.myShards(c.myRank, K)
-	mine := PackBuf(a.send, count, dt)
-	bb, off, size := allgatherShardLayout(ct, sz, K)
-	// stage[k]: cluster di's bundle bytes [bb[di][k], bb[di][k+1]) at
-	// offset off[k][di] — every member ends up holding all K buffers.
-	stage := make([][]byte, K)
-	for k := 0; k < K; k++ {
-		stage[k] = b.stage(size[k])
+	sz, ex := a.count*a.dt.Size(), a.dt.Extent()
+	members, myPos, _ := ct.clusterPos(c.myRank)
+	mine := PackBuf(a.send, a.count, a.dt)
+	// bundle[di]: cluster di's blocks in member order, on every rank.
+	bundle := make([][]byte, ct.nClusters)
+	for di := range bundle {
+		bundle[di] = b.stage(len(ct.clusters[di]) * sz)
 	}
-	homeShard := func(k int) []byte {
-		return stage[k][off[k][myD] : off[k][myD]+bb[myD][k+1]-bb[myD][k]]
-	}
+	home := bundle[ct.myCluster]
 
-	if c.myRank == leader {
-		// Phase 1: gather the home bundle.
-		bundle := b.gatherBundle(members, c.myRank, mine)
-		// Phase 2: deal shard k of the home bundle to co-leader k (my own
-		// shards land in my staging directly).
-		for k := 0; k < K; k++ {
-			src := bundle[bb[myD][k]:bb[myD][k+1]]
-			if len(src) == 0 {
-				continue
-			}
-			if cl := ct.coLeader(myD, k); cl != leader {
-				b.send(cl, src)
-			} else {
-				b.copyStep(homeShard(k), src)
-			}
-		}
-		b.endRound()
-	} else {
-		b.send(leader, mine)
-		b.endRound()
-		if len(mineKs) > 0 {
-			for _, k := range mineKs {
-				if len(homeShard(k)) > 0 {
-					b.recv(leader, homeShard(k))
-				}
-			}
-			b.endRound()
+	for i, m := range members {
+		if m != c.myRank {
+			b.recv(m, home[i*sz:(i+1)*sz])
 		}
 	}
-
-	// Phase 3: pairwise co-leader shard exchange across clusters.
-	if len(mineKs) > 0 {
-		for _, k := range mineKs {
-			for _, di := range ct.remote {
-				if dst := stage[k][off[k][di]:off[k][di+1]]; len(dst) > 0 {
-					b.recv(ct.coLeader(di, k), dst)
-				}
-			}
+	for _, m := range members {
+		if m != c.myRank {
+			b.send(m, mine)
 		}
-		for _, k := range mineKs {
-			if len(homeShard(k)) == 0 {
-				continue
-			}
-			for _, di := range ct.remote {
-				b.send(ct.coLeader(di, k), homeShard(k))
-			}
-		}
-		b.lane(mineKs[0], ct.coLeaderGW(myD, mineKs[0]))
-		b.endRound()
 	}
+	b.copyStep(home[myPos*sz:(myPos+1)*sz], mine)
+	b.endRound()
 
-	// Phase 4: per-shard intra-cluster trees of the staging buffers.
-	c.shardTreeRounds(b, ct, stage)
-	bun := b.stage(n * sz)
+	b.bridgeExchange(ct, c.myRank, c.segmentBytes(), func(int) []byte { return home },
+		func(ci int) []byte { return bundle[ci] })
+	b.fanOut(ct, c.myRank, c.myRank, func(ci int) []byte {
+		if ci == ct.myCluster {
+			return nil
+		}
+		return bundle[ci]
+	})
 	return func() {
-		c.p.M.Compute(c.p.memTime(n * sz))
-		for di := 0; di < ct.nClusters; di++ {
-			bun = bun[:0]
-			for k := 0; k < K; k++ {
-				bun = append(bun, stage[k][off[k][di]:off[k][di+1]]...)
-			}
+		c.p.M.Compute(c.p.memTime(c.Size() * sz))
+		for di, bun := range bundle {
 			for i, m := range ct.clusters[di] {
-				UnpackBuf(a.recv[m*count*ex:], count, dt, bun[i*sz:(i+1)*sz])
+				UnpackBuf(a.recv[m*a.count*ex:], a.count, a.dt, bun[i*sz:(i+1)*sz])
 			}
 		}
 	}
@@ -556,40 +428,12 @@ func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 // so any directed pair reused across rounds sends and matches its
 // messages in the same order (one tag, FIFO per source).
 func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
-	K := ct.widest
 	n := c.Size()
 	sz := a.count * a.dt.Size()
 	members := ct.clusters[ct.myCluster]
 	myD := ct.myCluster
 	mine := PackBuf(a.send, n*a.count, a.dt)
 	myRecv := b.landing(a.recvApart(), n*sz, a.dt)
-
-	// The distinct emissary relays striping bundle ci -> cj; shard p of
-	// the bundle rides relay p. Identical on every rank.
-	type relay struct {
-		x, y int
-		gw   string
-	}
-	relays := func(ci, cj int) []relay {
-		var rs []relay
-		for k := 0; k < K; k++ {
-			x, y, g := ct.emissary(ci, cj, k)
-			if x < 0 {
-				x = ct.coLeader(ci, k)
-			}
-			dup := false
-			for _, r := range rs {
-				if r.x == x && r.y == y {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				rs = append(rs, relay{x, y, g})
-			}
-		}
-		return rs
-	}
 	overlap := func(alo, ahi, blo, bhi int) (int, int) { return max(alo, blo), min(ahi, bhi) }
 
 	// Round 0: stage my per-cluster outbound bundles (src-member-ascending
@@ -621,24 +465,17 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	b.endRound()
 
 	// Round 2: gather — each member feeds the pieces of its bundle slice
-	// to the emissary whose shard they fall in; emissaries assemble their
-	// outbound shards.
-	shardOut := make([][][]byte, ct.nClusters)
-	myGW := ""
+	// to the emissary whose stripe they fall in; an emissary assembles its
+	// stripe in place in a bundle-sized buffer.
+	bundleOut := make([][]byte, ct.nClusters)
 	for _, cj := range ct.remote {
-		rs := relays(myD, cj)
+		rs := ct.relays[myD][cj]
 		lj := len(ct.clusters[cj])
 		pb := splitBounds(len(members)*lj*sz, len(rs))
-		shardOut[cj] = make([][]byte, len(rs))
 		for p, r := range rs {
-			if r.x == c.myRank {
-				shardOut[cj][p] = b.stage(pb[p+1] - pb[p])
-				if myGW == "" {
-					myGW = r.gw
-				}
+			if r.x == c.myRank && bundleOut[cj] == nil {
+				bundleOut[cj] = b.stage(len(members) * lj * sz)
 			}
-		}
-		for p, r := range rs {
 			for i := range members {
 				lo, hi := overlap(i*lj*sz, (i+1)*lj*sz, pb[p], pb[p+1])
 				if hi <= lo {
@@ -646,68 +483,33 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 				}
 				switch {
 				case r.x == c.myRank && members[i] == c.myRank:
-					b.copyStep(shardOut[cj][p][lo-pb[p]:hi-pb[p]], out[cj][lo-i*lj*sz:hi-i*lj*sz])
+					b.copyStep(bundleOut[cj][lo:hi], out[cj][lo-i*lj*sz:hi-i*lj*sz])
 				case r.x == c.myRank:
-					b.recv(members[i], shardOut[cj][p][lo-pb[p]:hi-pb[p]])
+					b.recv(members[i], bundleOut[cj][lo:hi])
 				case members[i] == c.myRank:
 					b.send(r.x, out[cj][lo-i*lj*sz:hi-i*lj*sz])
 				}
 			}
 		}
 	}
-	if myGW != "" {
-		b.lane(0, myGW)
-	}
 	b.endRound()
 
-	// Round 3: the bridge exchange — full duplex, every inbound chunk
-	// pre-posted alongside the outbound sends. Big shards cross in
-	// eager-path segments rather than one rendez-vous body: the segments
-	// complete locally at the sender, keep both directions of a shared
-	// bridge concurrently busy, and skip the whole-body handshake.
-	seg := c.segmentBytes()
-	chunks := func(buf []byte, emit func(chunk []byte)) {
-		if len(buf) <= 2*seg {
-			emit(buf)
-			return
-		}
-		for off := 0; off < len(buf); off += seg {
-			emit(buf[off:min(off+seg, len(buf))])
-		}
-	}
-	inShard := make([][][]byte, ct.nClusters)
-	for _, ci := range ct.remote {
-		rs := relays(ci, myD)
-		pb := splitBounds(len(ct.clusters[ci])*len(members)*sz, len(rs))
-		inShard[ci] = make([][]byte, len(rs))
-		for p, r := range rs {
-			if r.y != c.myRank {
-				continue
+	// Round 3: the bridge exchange.
+	bundleIn := make([][]byte, ct.nClusters)
+	b.bridgeExchange(ct, c.myRank, c.segmentBytes(),
+		func(cj int) []byte { return bundleOut[cj] },
+		func(ci int) []byte {
+			if bundleIn[ci] == nil {
+				bundleIn[ci] = b.stage(len(ct.clusters[ci]) * len(members) * sz)
 			}
-			inShard[ci][p] = b.stage(pb[p+1] - pb[p])
-			chunks(inShard[ci][p], func(chunk []byte) { b.recv(r.x, chunk) })
-			if myGW == "" {
-				myGW = r.gw
-			}
-		}
-	}
-	for _, cj := range ct.remote {
-		for p, r := range relays(myD, cj) {
-			if r.x == c.myRank {
-				chunks(shardOut[cj][p], func(chunk []byte) { b.send(r.y, chunk) })
-			}
-		}
-	}
-	if myGW != "" {
-		b.lane(0, myGW)
-	}
-	b.endRound()
+			return bundleIn[ci]
+		})
 
-	// Round 4: scatter — every inbound shard's block pieces go straight
+	// Round 4: scatter — every inbound stripe's block pieces go straight
 	// to their final ranks; destinations land them in receive-vector
-	// position, offset by where the shard boundary cut the block.
+	// position, offset by where the stripe boundary cut the block.
 	for _, ci := range ct.remote {
-		rs := relays(ci, myD)
+		rs := ct.relays[ci][myD]
 		sm := ct.clusters[ci]
 		pb := splitBounds(len(sm)*len(members)*sz, len(rs))
 		for p, r := range rs {
@@ -722,18 +524,15 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 					dstBuf := myRecv[srcR*sz+(lo-blo) : srcR*sz+(hi-blo)]
 					switch {
 					case fromMe && dst == c.myRank:
-						b.copyStep(dstBuf, inShard[ci][p][lo-pb[p]:hi-pb[p]])
+						b.copyStep(dstBuf, bundleIn[ci][lo:hi])
 					case fromMe:
-						b.send(dst, inShard[ci][p][lo-pb[p]:hi-pb[p]])
+						b.send(dst, bundleIn[ci][lo:hi])
 					case dst == c.myRank:
 						b.recv(r.y, dstBuf)
 					}
 				}
 			}
 		}
-	}
-	if myGW != "" {
-		b.lane(0, myGW)
 	}
 	b.endRound()
 	return c.unpackBlocks(a.recv, a.count, a.dt, myRecv)

@@ -150,6 +150,142 @@ func (b *schedBuilder) exchange(peers []int, me int, inLen func(i int) int, out 
 	return in
 }
 
+// stripe returns part p of buf cut into n contiguous near-equal parts
+// (splitBounds' rule, in bytes).
+func stripe(buf []byte, n, p int) []byte {
+	return buf[p*len(buf)/n : (p+1)*len(buf)/n]
+}
+
+// bridgeExchange appends the inter-cluster round of the multi-leader forms.
+// For every ordered cluster pair the traffic crosses between the pair's
+// co-leader couples (ct.relays), stripe p of it on couple p, all pairs in
+// one duplex round: every inbound chunk is pre-posted beside the outbound
+// sends, so both directions of a bridge are busy at once and concurrent
+// bodies cannot deadlock. out(cj) is what this rank's cluster ships to
+// cluster cj, in(ci) the buffer cluster ci's traffic lands in; a rank is
+// asked only for the clusters it carries a stripe of, and both ends of a
+// couple cut the same length the same way. Empty stripes are skipped on
+// both ends.
+//
+// A stripe longer than two segments crosses as seg-byte eager chunks, not
+// as one rendez-vous body. The chunks complete locally at the sender and
+// skip the handshake — and a rendez-vous body between the two ends of a
+// bridge is striped by ch_mad over the pair's second rail, the detour over
+// the two other bridges, which a collective that already fills every bridge
+// pays for twice: a 1 MiB Allreduce on the bridged triangle moves 2.1 MB per
+// bridge as whole pieces and 1.4 MB as chunks.
+func (b *schedBuilder) bridgeExchange(ct *commTopo, me, seg int, out, in func(cl int) []byte) {
+	chunks := func(buf []byte, emit func(chunk []byte)) {
+		if len(buf) <= 2*seg {
+			if len(buf) > 0 {
+				emit(buf)
+			}
+			return
+		}
+		for off := 0; off < len(buf); off += seg {
+			emit(buf[off:min(off+seg, len(buf))])
+		}
+	}
+	gw := ""
+	for _, ci := range ct.remote {
+		rs := ct.relays[ci][ct.myCluster]
+		for p, r := range rs {
+			if r.y == me {
+				chunks(stripe(in(ci), len(rs), p), func(chunk []byte) { b.recv(r.x, chunk) })
+				gw = r.gw
+			}
+		}
+	}
+	for _, cj := range ct.remote {
+		rs := ct.relays[ct.myCluster][cj]
+		for p, r := range rs {
+			if r.x == me {
+				chunks(stripe(out(cj), len(rs), p), func(chunk []byte) { b.send(r.y, chunk) })
+				gw = r.gw
+			}
+		}
+	}
+	if gw != "" {
+		b.lane(0, gw)
+	}
+	b.endRound()
+}
+
+// handOff appends the intra-cluster round that frames a bridge exchange on
+// the forms whose data sits on one holder per cluster: outbound, the holder
+// hands stripe p of buf(cl), its traffic to cluster cl, to couple p's x;
+// inbound, couple p's y hands the stripe of buf(cl) it landed to the holder.
+// The stripe has the same place in buf(cl) on both ends. A couple whose end
+// is the holder moves nothing; empty stripes are skipped.
+func (b *schedBuilder) handOff(ct *commTopo, me, holder int, inbound bool, buf func(cl int) []byte) {
+	for _, cl := range ct.remote {
+		rs := ct.relays[ct.myCluster][cl]
+		if inbound {
+			rs = ct.relays[cl][ct.myCluster]
+		}
+		for p, r := range rs {
+			from, to := holder, r.x
+			if inbound {
+				from, to = r.y, holder
+			}
+			if from == to || me != from && me != to {
+				continue
+			}
+			if s := stripe(buf(cl), len(rs), p); len(s) == 0 {
+				continue
+			} else if me == from {
+				b.send(to, s)
+			} else {
+				b.recv(from, s)
+			}
+		}
+	}
+	b.endRound()
+}
+
+// fanOut appends the intra-cluster broadcast that ends a multi-leader form:
+// buf(ci), cluster ci's part of the result, reaches every member from where
+// the exchange left it — stripe p on the y of couple p of (ci, my cluster),
+// the own cluster's part whole on holder. The binomial trees of all these
+// pieces are walked in lockstep, round t moving every tree's edges of stride
+// 2^(k-1-t), so ceil(log2 m) rounds carry them all and a rank forwards one
+// piece while another lands. A round waits only for edges of earlier rounds,
+// so there is no cycle; pieces sharing a (sender, receiver) pair are listed
+// in the same order on both ends. Empty pieces are skipped.
+func (b *schedBuilder) fanOut(ct *commTopo, me, holder int, buf func(ci int) []byte) {
+	members := ct.clusters[ct.myCluster]
+	m, myPos := len(members), posIn(members, me)
+	var roots []int
+	var pieces [][]byte
+	for ci := 0; ci < ct.nClusters; ci++ {
+		if ci == ct.myCluster {
+			roots, pieces = append(roots, posIn(members, holder)), append(pieces, buf(ci))
+			continue
+		}
+		rs := ct.relays[ci][ct.myCluster]
+		for p, r := range rs {
+			roots, pieces = append(roots, posIn(members, r.y)), append(pieces, stripe(buf(ci), len(rs), p))
+		}
+	}
+	mask := 1
+	for mask < m {
+		mask <<= 1
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		for i, piece := range pieces {
+			rel := (myPos - roots[i] + m) % m
+			switch {
+			case len(piece) == 0:
+			case rel%(2*mask) == 0 && rel+mask < m:
+				b.send(members[(myPos+mask)%m], piece)
+			case rel%(2*mask) == mask:
+				b.recv(members[(myPos-mask+m)%m], piece)
+			}
+		}
+		b.endRound()
+	}
+}
+
 // splitBounds partitions count elements into m contiguous near-equal
 // blocks: block i spans elements [bounds[i], bounds[i+1]).
 func splitBounds(count, m int) []int {

@@ -182,6 +182,43 @@ type groupView struct {
 	// widest is the widest leader set any cluster of the communicator
 	// carries — the shard count K of the multi-leader algorithms.
 	widest int
+	// relays[ci][cj] lists the co-leader couples that carry cluster ci's
+	// traffic to cluster cj, one stripe each (see pairRelays). Built only
+	// where a multi-leader form can run (widest > 1).
+	relays [][][]relay
+}
+
+// relay is one co-leader couple of a directed cluster pair: x ships from the
+// source cluster, y lands in the destination cluster and fronts gateway
+// network gw. A direct couple is the two ends of one bridge — x fronts gw
+// too, the transfer is a single hop no device relays; otherwise the fabric
+// routes it.
+type relay struct {
+	x, y   int
+	gw     string
+	direct bool
+}
+
+// pairRelays lists the couples carrying ci's traffic to cj: every pair of
+// co-leaders fronting the same gateway network, in cj's leader order; when
+// the clusters share no bridge, the k-th co-leaders of both for every shard
+// index k (leader sets wrap), repeats dropped.
+func (g *groupView) pairRelays(ci, cj int) []relay {
+	var rs []relay
+	for jdx, gn := range g.leaderGW[cj] {
+		if idx := slices.Index(g.leaderGW[ci], gn); gn != "" && idx >= 0 {
+			rs = append(rs, relay{g.leaderSets[ci][idx], g.leaderSets[cj][jdx], gn, true})
+		}
+	}
+	if len(rs) > 0 {
+		return rs
+	}
+	for k := 0; k < g.widest; k++ {
+		if r := (relay{g.coLeader(ci, k), g.coLeader(cj, k), g.coLeaderGW(cj, k), false}); !slices.Contains(rs, r) {
+			rs = append(rs, r)
+		}
+	}
+	return rs
 }
 
 // commTopo is a communicator's dense view of the hierarchy: cluster
@@ -196,15 +233,15 @@ type commTopo struct {
 // coLeader returns shard k's co-leader in dense cluster di: leader sets
 // narrower than the shard count wrap, so a single-gateway cluster funnels
 // every shard through its one leader while wider clusters spread them.
-func (ct *commTopo) coLeader(di, k int) int {
-	ls := ct.leaderSets[di]
+func (g *groupView) coLeader(di, k int) int {
+	ls := g.leaderSets[di]
 	return ls[k%len(ls)]
 }
 
 // coLeaderGW names the gateway network behind shard k's co-leader in
 // dense cluster di (trace annotation; "" when unknown).
-func (ct *commTopo) coLeaderGW(di, k int) string {
-	gw := ct.leaderGW[di]
+func (g *groupView) coLeaderGW(di, k int) string {
+	gw := g.leaderGW[di]
 	if len(gw) == 0 {
 		return ""
 	}
@@ -315,6 +352,17 @@ func (c *Comm) newGroupView(h *Hierarchy) *groupView {
 		g.clusters[di] = slices.Clip(g.clusters[di])
 		g.leaderSets[di], g.leaderGW[di] = slices.Clip(ls), slices.Clip(g.leaderGW[di])
 		g.widest = max(g.widest, len(ls))
+	}
+	if g.widest > 1 {
+		g.relays = make([][][]relay, g.nClusters)
+		for ci := range g.relays {
+			g.relays[ci] = make([][]relay, g.nClusters)
+			for cj := range g.relays[ci] {
+				if cj != ci {
+					g.relays[ci][cj] = slices.Clip(g.pairRelays(ci, cj))
+				}
+			}
+		}
 	}
 	return g
 }
