@@ -50,9 +50,11 @@ func BenchmarkHierCollectives(b *testing.B) {
 			" Mux_*/Uniform_* series (X6): 2 dual-proc SCI nodes + 2 dual-proc BIP nodes on a shared TCP" +
 			" backbone — per-link device mux (chself/smp/SAN/TCP classes, per-class autotuned switch" +
 			" points) vs the uniform single-protocol ch_mad configuration (Topology.Uniform);" +
-			" ML_* series (X9): bridged triangle, autotuned sessions — ML_*_multi lets the tuner pick the" +
-			" multi-leader 2level-multi algorithms (one co-leader per distinct gateway, shards striped" +
-			" across every bridge), ML_*_single forces the single-leader two-level baseline (CollHier)",
+			" ML_* series (X9): bridged triangle, autotuned sessions, Bcast/Allreduce/Allgather/Alltoall of" +
+			" the given whole payload — ML_*_multi lets the tuner pick the multi-leader 2level-multi" +
+			" algorithms (one co-leader per distinct gateway, the payload spread over every bridge, each" +
+			" crossing between the two ends of one bridge), ML_*_single forces the single-leader two-level" +
+			" baseline (CollHier)",
 	}
 	for i := 0; i < b.N; i++ {
 		out.Series = nil

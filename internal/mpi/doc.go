@@ -47,8 +47,8 @@
 // is not the send buffer itself (collArgs.recvApart), because an Alltoall
 // still reads send blocks after the first received one has landed. The
 // ring ReduceScatter (its accumulator is the whole vector, recv one block),
-// the multi-leader Allgather (shard layout, not rank order) and the flat
-// ring and pairwise forms keep their staging. Every memTime charge and
+// the multi-leader Allgather (bundles by cluster, not rank order) and the
+// flat ring and pairwise forms keep their staging. Every memTime charge and
 // every step is where it was, so the schedule fingerprint cannot tell.
 // Every other staging buffer a compiler takes
 // is schedBuilder.stage(n): a buffer of the rank's own list
@@ -116,7 +116,8 @@
 // reduce at one tree position (binomialOver inside a cluster or over the
 // leaders, twoLevelTree across both), block gather to a leader, per-part
 // gather/scatter between a leader and its members, the pre-posted
-// all-pairs exchange among leaders, the ring reduce-scatter and ring
+// all-pairs exchange among leaders, the multi-leader bridge exchange with
+// its hand-off and fan-out rounds, the ring reduce-scatter and ring
 // allgather, and the two unpack completions. An N-level hierarchy would
 // be "a commTopo per level" handed to the same builders, not another
 // family of compilers.
@@ -154,8 +155,10 @@
 //     set, and 2level is not its K=1 case: multi-leader Bcast walks a
 //     linear chain of clusters per shard where single-leader uses a
 //     binomial leader tree (O(clusters) vs O(log clusters) latency on a
-//     64-cluster machine), and Alltoall feeds emissaries directly instead
-//     of funnelling through the primary.
+//     64-cluster machine), Allreduce scatters the reduction over the
+//     clusters where single-leader reduces to one root, and Allgather and
+//     Alltoall feed the co-leaders directly instead of funnelling through
+//     the primary.
 //
 // The whole layer is pinned by fingerprint_test.go: every operation ×
 // forced mode × payload × root × topology shape, plus one autotuned
@@ -289,36 +292,60 @@
 //     fronts (Hierarchy.LeaderSets, primary leader first, gateway labels
 //     in Hierarchy.LeaderGateways). On the bridged triangle every island
 //     borders two bridges, so every set has two gateway-diverse members.
-//   - Sharding: the payload (or reduction vector, or bundle matrix) is
-//     split into one shard per co-leader. Each shard's inter-cluster
-//     journey is planned along its own gateway — for every cluster pair
-//     the compiler picks the emissary co-leaders that share a bridge, so
-//     a shard crosses each backbone gap in a single relayless hop. Bcast
-//     pipelines eager-sized segments down per-shard gateway chains;
-//     Allreduce/Allgather reduce-scatter across co-leaders and exchange
-//     per-shard; Alltoall stripes each cluster-pair bundle across the
-//     pair's distinct relay couples and ships the stripes in one duplex
-//     segmented round.
-//   - Redistribute rounds: intra-cluster fan-in/fan-out to and from the
-//     co-leaders frames the backbone phase. The schedules keep every
-//     pure-sink receive out of the pipelined rounds (deferred to
-//     trailing bulk rounds) so no bridge ever waits a round trip for a
-//     rank that is busy forwarding — the send order on every directed
-//     pair equals the receiver's posted order, which is what makes the
-//     one-tag FIFO matching safe.
-//   - Rail hints: co-leader bundle exchanges inherit the multi-path
-//     rails, so a direct pair with two installed rails stripes its
-//     rendez-vous bundles exactly like a forwarded pair would.
+//   - One relay table: for every ordered cluster pair, the co-leader
+//     couples that carry its traffic — the pairs of co-leaders fronting a
+//     bridge the two clusters share, so a crossing is a single hop between
+//     the two ends of that bridge and no device relays it; where the
+//     clusters share none, the k-th co-leaders of both, routed by the
+//     fabric. It follows from the leader sets alone and is built once per
+//     group, with the rest of the dense view (groupView.relays).
+//   - One bridge round (schedBuilder.bridgeExchange): all ordered pairs
+//     cross at once, the traffic of a pair striped over its couples, every
+//     inbound chunk pre-posted beside the outbound sends so both directions
+//     of a bridge are busy together. Allreduce, Allgather and Alltoall are
+//     this round framed by intra-cluster ones. Allreduce is a cluster-level
+//     reduce-scatter and allgather: after the intra-cluster reduce the
+//     vector is cut into one piece per cluster, piece j of every cluster's
+//     vector crosses to cluster j and is folded there, the finished pieces
+//     cross back, and a directed bridge carries 2/C of the vector in each
+//     phase instead of the whole of it through relays; a vector whose
+//     pieces are shorter than the backbone's bandwidth-delay product
+//     (Hierarchy.Inter) crosses once, whole, and is folded everywhere.
+//     Allgather ships each cluster's bundle once over each of its bridges.
+//     Alltoall ships each directed bundle over the pair's own bridge. What
+//     lands fans out from the rank it landed on, all pieces' binomial trees
+//     in lockstep (fanOut). Bcast, which has one source, instead pipelines
+//     eager-sized segments down per-shard chains of the same couples.
+//   - Order: every rank emits the same global sequence of phases and walks
+//     clusters, couples and pieces ascending inside each; receives are
+//     posted before the sends of their round, and only tree edges wait on
+//     the phase they belong to. That is the whole deadlock argument (a
+//     blocked send waits for a rank with only earlier phases to finish) and
+//     the whole FIFO argument (one tag per schedule, both ends of a pair
+//     enumerate alike) — hmulti.go spells it out.
+//   - Eager chunks on the bridge: a stripe longer than two pipeline
+//     segments crosses as segment-sized eager messages, not as one
+//     rendez-vous body. Rails are the reason. A direct pair has two
+//     installed rails on a bridged topology — its own bridge and the
+//     detour over the other two — and ch_mad stripes a rendez-vous body
+//     over both, which doubles a forwarded pair's bandwidth when the
+//     machine is otherwise idle and is pure extra load when the collective
+//     already fills every bridge: a 1 MiB Allreduce on the triangle takes
+//     148 ms and moves 2.1 MB per bridge as whole pieces, 114 ms and 1.4 MB
+//     as chunks.
 //
 // The aggregate effect on the bridged triangle at 1 MiB: Bcast engages
 // all three bridges at half the bytes each (2x over the single-leader
-// form), and Alltoall balances the three bridges exactly where the
-// funneled form tripled the load on the leader's bridge (1.6x). The
-// autotuner treats "2level-multi" as one more candidate — it wins the
-// large-payload brackets on multi-gateway topologies and loses the
-// latency brackets to the segmented single-leader form, and the
-// crossover is measured, not assumed (the multileader experiment and the
-// ML_* benchcheck rules gate the selected-not-forced speedups).
+// form), Allreduce and Allgather load the three bridges equally with two
+// thirds of what the funneled forms put on the leader's (1.9x and 2.0x),
+// and Alltoall balances the three bridges exactly where the funneled form
+// tripled the load on the leader's bridge (1.8x). The autotuner treats
+// "2level-multi" as one more candidate and the crossover is measured, not
+// assumed: on the triangle it takes every bracket of Allreduce, Allgather
+// and Alltoall and the large-payload bracket of Bcast, whose latency
+// brackets go to the segmented single-leader form (the multileader
+// experiment and the ML_* benchcheck rules gate the selected-not-forced
+// speedups).
 //
 // # The per-link device mux
 //

@@ -5,27 +5,50 @@ package mpi
 // compilers in hcoll.go cross the backbone once per slow link — but they
 // funnel that one crossing through one elected leader and therefore one
 // gateway, leaving every other gateway of the cluster idle. These
-// compilers shard the inter-cluster payload across the cluster's *leader
-// set* (Hierarchy.LeaderSets: one co-leader per distinct gateway), so
-// shard k ships over co-leader k's gateway while shard k+1 concurrently
-// rides another — aggregate backbone bandwidth across every link the
-// machine offers, the Madeleine pitch applied to collectives.
+// compilers spread the inter-cluster payload over the cluster's *leader
+// set* (Hierarchy.LeaderSets: one co-leader per distinct gateway), so that
+// every bridge of the machine carries its share at once and every crossing
+// runs between the two co-leaders at the ends of one bridge, which no
+// device has to relay — the Madeleine pitch applied to collectives.
 //
-// Structure shared by Allreduce/Allgather/Alltoall: an intra-cluster
-// phase concentrates data on the primary leader (or the root), a scatter
-// round deals shard k to co-leader k, the inter-cluster phase runs per
-// shard between the clusters' co-leaders (each pair's transfer riding
-// its own gateway), and an intra-cluster redistribute phase fans the
-// shards back out. Bcast instead pipelines each shard along a rotated
-// relay chain of bridge-facing co-leaders (see bcastMulti).
-// Shards are dealt round-robin (coLeader wraps), so clusters behind a
-// single gateway still work — they just funnel, as before.
+// One structure serves all four. Who carries what between two clusters is
+// read off one table, built once per group (groupView.relays): for every
+// ordered cluster pair the co-leader couples fronting a bridge the two
+// share, or, where they share none, the k-th co-leaders of both, whose
+// messages the fabric routes. Leader sets narrower than the widest wrap, so
+// a cluster behind a single gateway still works — it just funnels.
 //
-// Determinism/FIFO discipline: every merged round enumerates (shard k
-// ascending, cluster ascending), and both endpoints of a pair derive the
-// same shard bounds from the same commTopo, so per-(source, tag) FIFO
-// matching pairs transfers correctly. Zero-length shards (payload
-// smaller than the shard count) are skipped symmetrically.
+//   - Allreduce, Allgather and Alltoall frame one bridge round
+//     (schedBuilder.bridgeExchange, phases.go) with intra-cluster rounds:
+//     the traffic of an ordered pair is striped over the pair's couples,
+//     every stripe crosses in eager-path chunks, every inbound chunk is
+//     pre-posted beside the outbound sends. What differs is what crosses
+//     and how it gets to and from the couples: Allreduce cuts the vector
+//     into one piece per cluster and crosses twice, a reduce-scatter and an
+//     allgather, its data handed between the primary leader and the couples
+//     (handOff); Allgather crosses once with each cluster's bundle, which
+//     the members assemble among themselves; Alltoall crosses once with each
+//     directed bundle, which the members feed to the couples and the
+//     couples scatter, block by block. What lands fans out inside the
+//     cluster from where it landed (fanOut).
+//   - Bcast has one source, so it pipelines instead: shard k walks a chain of
+//     clusters rotated by k, each hop a couple picked from the same table
+//     (emissary), in eager-path segments (see bcastMulti).
+//
+// Deadlock and FIFO discipline. Every rank emits the same global sequence
+// of phases, and inside a phase walks clusters, couples, members and
+// pieces in the same ascending order. A round pre-posts all its receives
+// before its first send, and a round's sends wait for nothing the same
+// phase delivers — except along a tree, fan-in or fan-out, whose edges
+// point one way. So a blocked send (a rendez-vous body waiting for its
+// receive to be posted) waits for a rank that only has earlier phases left
+// to finish, and by induction over the phase order nothing waits in a
+// circle. All messages of a schedule share one tag and match FIFO per
+// source: a directed pair that carries several — chunks of a stripe, pieces
+// of a fan-out, transfers of different phases — sends and posts them in
+// the same order because both ends enumerate identically and derive every
+// length from the same commTopo. Empty pieces and stripes (a vector shorter
+// than the cluster count) are skipped on both ends.
 
 // emissary picks the co-leader couple carrying shard k from cluster ci to
 // cluster cj out of the pair's relay table, rotated by the shard index so
@@ -99,7 +122,12 @@ func (ct *commTopo) shardChain(rootCluster, root, k int) (order, holder, egress 
 // cycles, buffered by the eager protocol in the meantime), and the
 // path's *terminal* rank — the one rank with per-segment receives but no
 // forwarding — defers its receives the same way, so its role as a sender
-// of some other shard never blocks on arrivals. Every rank emits its
+// of some other shard never blocks on arrivals. It does so only where the
+// deferral is free: its predecessor's sends must be eager (a whole shard
+// above one segment may be a rendez-vous body, whose sender would wait for
+// a receive posted after rounds that wait, in turn, for that sender) and
+// must be the only stream of the cycles on that directed pair (a second
+// one, received as it comes, would be matched first). Every rank emits its
 // rounds in the same global (cycle, shard, path-position) order and
 // every wait points to a strictly earlier position of that order, so the
 // union of all waits is acyclic; repeated (src, dst) pairs match FIFO

@@ -172,8 +172,10 @@ func stripe(buf []byte, n, p int) []byte {
 // skip the handshake — and a rendez-vous body between the two ends of a
 // bridge is striped by ch_mad over the pair's second rail, the detour over
 // the two other bridges, which a collective that already fills every bridge
-// pays for twice: a 1 MiB Allreduce on the bridged triangle moves 2.1 MB per
-// bridge as whole pieces and 1.4 MB as chunks.
+// pays for twice: a 1 MiB Allreduce on the bridged triangle takes 148 ms and
+// moves 2.1 MB per bridge as whole pieces, 114 ms and 1.4 MB as chunks. Up
+// to two segments a stripe ships whole: it is still one eager message on a
+// bridge, and measured 2-5 % faster than two.
 func (b *schedBuilder) bridgeExchange(ct *commTopo, me, seg int, out, in func(cl int) []byte) {
 	chunks := func(buf []byte, emit func(chunk []byte)) {
 		if len(buf) <= 2*seg {
@@ -231,11 +233,11 @@ func (b *schedBuilder) handOff(ct *commTopo, me, holder int, inbound bool, buf f
 			if from == to || me != from && me != to {
 				continue
 			}
-			if s := stripe(buf(cl), len(rs), p); len(s) == 0 {
-				continue
-			} else if me == from {
+			switch s := stripe(buf(cl), len(rs), p); {
+			case len(s) == 0:
+			case me == from:
 				b.send(to, s)
-			} else {
+			default:
 				b.recv(from, s)
 			}
 		}

@@ -180,7 +180,8 @@ type groupView struct {
 	leaderSets [][]int
 	leaderGW   [][]string
 	// widest is the widest leader set any cluster of the communicator
-	// carries — the shard count K of the multi-leader algorithms.
+	// carries — the shard count K of the multi-leader Bcast, and how many
+	// couples a cluster pair without a bridge of its own is given.
 	widest int
 	// relays[ci][cj] lists the co-leader couples that carry cluster ci's
 	// traffic to cluster cj, one stripe each (see pairRelays). Built only
