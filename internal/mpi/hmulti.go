@@ -168,7 +168,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 			}
 			// The linear path: holder, then egress when distinct, per
 			// cluster in visiting order.
-			path := paths[k]
+			var path []int
 			for _, cl := range order {
 				path = append(path, holder[cl])
 				if x := egress[cl]; x >= 0 && x != holder[cl] {
@@ -212,12 +212,13 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	// they are sent — so a terminal rank whose predecessor also feeds it
 	// another shard during the cycles takes its segments as they come.
 	for k := range plans {
-		if pl := &plans[k]; pl.nseg == 1 && pl.hi-pl.lo > seg {
+		pl := &plans[k]
+		if pl.nseg == 1 && pl.hi-pl.lo > seg {
 			pl.terminal = false
 		}
 		for k2, path := range paths {
-			if i := posIn(path, c.myRank); k2 != k && i > 0 && path[i-1] == plans[k].pred {
-				plans[k].terminal = false
+			if i := posIn(path, c.myRank); k2 != k && i > 0 && path[i-1] == pl.pred {
+				pl.terminal = false
 			}
 		}
 	}
@@ -336,16 +337,18 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 	parent, children := binomialOver(members, leaderPos, myPos)
 	b.treeReduce(parent, children, acc, count, dt, op)
 
+	// piece j is what cluster j finishes; ship(cj) what crosses to cluster cj
+	// first and mine what this cluster folds — a piece, or the whole vector.
 	eb := splitBounds(count, ct.nClusters)
 	piece := func(j int) []byte { return acc[eb[j]*es : eb[j+1]*es] }
+	ship, mine := piece, piece(myD)
 	inter := c.p.hier.Inter
 	whole := float64(len(acc)) <= float64(ct.nClusters)*inter.LatencyUS*inter.BandwidthMBs*(1<<20)/1e6
 	if whole {
-		piece = func(int) []byte { return acc }
+		ship, mine = func(int) []byte { return acc }, acc
 	}
-	mine := piece(myD)
 
-	// Reduce-scatter: the other clusters' partials of my piece land in part.
+	// Reduce-scatter: the other clusters' partials of mine land in part.
 	part := make([][]byte, ct.nClusters)
 	in := func(ci int) []byte {
 		if part[ci] == nil {
@@ -353,8 +356,8 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 		}
 		return part[ci]
 	}
-	b.handOff(ct, c.myRank, leader, false, piece)
-	b.bridgeExchange(ct, c.myRank, seg, piece, in)
+	b.handOff(ct, c.myRank, leader, false, ship)
+	b.bridgeExchange(ct, c.myRank, seg, ship, in)
 	b.handOff(ct, c.myRank, leader, true, in)
 	if c.myRank == leader && len(mine) > 0 {
 		run := mine
@@ -373,19 +376,15 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 	}
 
 	if whole {
-		piece = func(ci int) []byte {
-			if ci != myD {
-				return nil
-			}
-			return acc
-		}
+		b.treeBcast(parent, children, acc)
+		b.endRound()
 	} else {
 		// Allgather: my finished piece to every cluster, theirs in place.
 		home := func(int) []byte { return mine }
 		b.handOff(ct, c.myRank, leader, false, home)
 		b.bridgeExchange(ct, c.myRank, seg, home, piece)
+		b.fanOut(ct, c.myRank, leader, piece)
 	}
-	b.fanOut(ct, c.myRank, leader, piece)
 	return c.unpackVector(a.recv, count, dt, acc)
 }
 
@@ -397,27 +396,21 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 // directed bridge carries one cluster's bundle, 1/C of the result.
 func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	sz, ex := a.count*a.dt.Size(), a.dt.Extent()
-	members, myPos, _ := ct.clusterPos(c.myRank)
+	members := ct.clusters[ct.myCluster]
 	mine := PackBuf(a.send, a.count, a.dt)
-	// bundle[di]: cluster di's blocks in member order, on every rank.
+	// bundle[di]: cluster di's blocks in member order, on every rank. The
+	// home one is gathered by every member at once.
 	bundle := make([][]byte, ct.nClusters)
-	for di := range bundle {
+	for _, di := range ct.remote {
 		bundle[di] = b.stage(len(ct.clusters[di]) * sz)
-	}
-	home := bundle[ct.myCluster]
-
-	for i, m := range members {
-		if m != c.myRank {
-			b.recv(m, home[i*sz:(i+1)*sz])
-		}
 	}
 	for _, m := range members {
 		if m != c.myRank {
 			b.send(m, mine)
 		}
 	}
-	b.copyStep(home[myPos*sz:(myPos+1)*sz], mine)
-	b.endRound()
+	home := b.gatherBundle(members, c.myRank, mine)
+	bundle[ct.myCluster] = home
 
 	b.bridgeExchange(ct, c.myRank, c.segmentBytes(), func(int) []byte { return home },
 		func(ci int) []byte { return bundle[ci] })
