@@ -172,10 +172,12 @@ func (o int64Op) Apply(dst, src []byte, count int, dt mpi.Datatype) error {
 // mlProgram is what every rank runs in one equivalence session.
 type mlProgram struct {
 	seed    byte
-	count   int // elements per rank; an element is one int64, or two when strided
+	count   int // elements of a Bcast and an Allreduce; an element is one int64, two when strided, a byte when bytes
+	per     int // elements per rank of an Allgather, per pair of an Alltoall; 0: count
 	root    int
 	op      mpi.Op
 	strided bool // pair64 instead of MPI_INT64
+	bytes   bool // MPI_BYTE instead of MPI_INT64: lengths that are no multiple of eight
 	aliased bool // Allreduce and Allgather get one buffer as send and receive
 	icoll   bool // Iallreduce and Iallgather pending across tagged p2p
 }
@@ -194,15 +196,23 @@ func multiCollOutputs(t *testing.T, topo Topology, mode mpi.CollMode, pg mlProgr
 	for _, rk := range sess.Ranks {
 		rk.MPI.SetCollMode(mode)
 	}
-	dt, per, op := mpi.Datatype(mpi.Int64), 1, pg.op
-	if pg.strided {
-		dt, per, op = pair64, 2, int64Op{pg.op}
+	dt, op := mpi.Datatype(mpi.Int64), pg.op
+	switch {
+	case pg.strided:
+		dt, op = pair64, int64Op{pg.op}
+	case pg.bytes:
+		dt = mpi.Byte
 	}
-	// spread lays packed int64 values out as total elements of dt; squeeze
-	// reads an element buffer back into packed form.
-	spread := func(v []int64, total int) []byte {
+	es := dt.Size()
+	per := pg.per
+	if per == 0 {
+		per = pg.count
+	}
+	// spread lays packed elements out as total elements of dt; squeeze reads
+	// an element buffer back into packed form.
+	spread := func(packed []byte, total int) []byte {
 		buf := make([]byte, total*dt.Extent())
-		mpi.UnpackBuf(buf, len(v)/per, dt, mpi.Int64Bytes(v))
+		mpi.UnpackBuf(buf, len(packed)/es, dt, packed)
 		return buf
 	}
 	squeeze := func(buf []byte, total int) []byte {
@@ -212,18 +222,32 @@ func multiCollOutputs(t *testing.T, topo Topology, mode mpi.CollMode, pg mlProgr
 	record := func(what string, rank int, packed []byte) {
 		out[fmt.Sprintf("%s/r%d", what, rank)] = packed
 	}
-	input := func(rank, salt int) []int64 {
-		v := make([]int64, pg.count*per)
-		for i := range v {
-			v[i] = int64((int(pg.seed)+salt+rank*11+i*5)%9) - 4 // small: OpProd stays exact
+	// values packs the n-element vector whose value i is f(i): int64 values,
+	// or their low bytes.
+	values := func(n int, f func(i int) int64) []byte {
+		if pg.bytes {
+			v := make([]byte, n)
+			for i := range v {
+				v[i] = byte(f(i))
+			}
+			return v
 		}
-		return v
+		v := make([]int64, n*es/8)
+		for i := range v {
+			v[i] = f(i)
+		}
+		return mpi.Int64Bytes(v)
+	}
+	input := func(rank, salt, n int) []byte {
+		return values(n, func(i int) int64 {
+			return int64((int(pg.seed)+salt+rank*11+i*5)%9) - 4 // small: OpProd stays exact
+		})
 	}
 	// bufs returns the send and receive buffers of a call that contributes v
 	// and receives total elements: distinct, or the same memory.
-	bufs := func(v []int64, total int) (send, recv []byte) {
+	bufs := func(v []byte, total int) (send, recv []byte) {
 		if !pg.aliased {
-			return spread(v, pg.count), spread(nil, total)
+			return spread(v, len(v)/es), spread(nil, total)
 		}
 		recv = spread(v, total)
 		return recv, recv
@@ -232,15 +256,15 @@ func multiCollOutputs(t *testing.T, topo Topology, mode mpi.CollMode, pg mlProgr
 		count := pg.count
 		buf := spread(nil, count)
 		if rank == pg.root {
-			buf = spread(input(rank, 0), count)
+			buf = spread(input(rank, 0, count), count)
 		}
 		if err := comm.Bcast(buf, count, dt, pg.root); err != nil {
 			return err
 		}
 		record("bcast", rank, squeeze(buf, count))
 
-		arSend, arRecv := bufs(input(rank, 1), count)
-		agSend, agRecv := bufs(input(rank, 2), count*n)
+		arSend, arRecv := bufs(input(rank, 1, count), count)
+		agSend, agRecv := bufs(input(rank, 2, per), per*n)
 		if pg.icoll {
 			// Both collectives pending while tagged point-to-point traffic
 			// crosses the same communicator in both directions of the ring.
@@ -248,7 +272,7 @@ func multiCollOutputs(t *testing.T, topo Topology, mode mpi.CollMode, pg mlProgr
 			if err != nil {
 				return err
 			}
-			ag, err := comm.Iallgather(agSend, agRecv, count, dt)
+			ag, err := comm.Iallgather(agSend, agRecv, per, dt)
 			if err != nil {
 				return err
 			}
@@ -274,22 +298,19 @@ func multiCollOutputs(t *testing.T, topo Topology, mode mpi.CollMode, pg mlProgr
 			if err := comm.Allreduce(arSend, arRecv, count, dt, op); err != nil {
 				return err
 			}
-			if err := comm.Allgather(agSend, agRecv, count, dt); err != nil {
+			if err := comm.Allgather(agSend, agRecv, per, dt); err != nil {
 				return err
 			}
 		}
 		record("allreduce", rank, squeeze(arRecv, count))
-		record("allgather", rank, squeeze(agRecv, count*n))
+		record("allgather", rank, squeeze(agRecv, per*n))
 
-		a2a := make([]int64, count*per*n)
-		for i := range a2a {
-			a2a[i] = int64(rank*1000 + i)
-		}
-		a2aOut := spread(nil, count*n)
-		if err := comm.Alltoall(spread(a2a, count*n), a2aOut, count, dt); err != nil {
+		a2a := values(per*n, func(i int) int64 { return int64(rank*1000 + i) })
+		a2aOut := spread(nil, per*n)
+		if err := comm.Alltoall(spread(a2a, per*n), a2aOut, per, dt); err != nil {
 			return err
 		}
-		record("alltoall", rank, squeeze(a2aOut, count*n))
+		record("alltoall", rank, squeeze(a2aOut, per*n))
 		return nil
 	})
 	if err != nil {
@@ -324,9 +345,13 @@ func mlEquivalent(t *testing.T, what string, topo func() Topology, pg mlProgram)
 		}
 		for k, mv := range multi {
 			if string(mv) != string(want[k]) {
-				t.Errorf("%s root %d op %s count %d strided %v aliased %v icoll %v: %s: multi %v != %s %v",
-					what, pg.root, pg.op.Name(), pg.count, pg.strided, pg.aliased, pg.icoll,
-					k, mpi.BytesInt64(mv), ref.name, mpi.BytesInt64(want[k]))
+				at := 0
+				for at < len(mv) && at < len(want[k]) && mv[at] == want[k][at] {
+					at++
+				}
+				t.Errorf("%s root %d op %s count %d per %d strided %v bytes %v aliased %v icoll %v: %s: multi != %s from byte %d of %d: % x, want % x",
+					what, pg.root, pg.op.Name(), pg.count, pg.per, pg.strided, pg.bytes, pg.aliased, pg.icoll,
+					k, ref.name, at, len(mv), mv[at:min(at+16, len(mv))], want[k][at:min(at+16, len(want[k]))])
 				return false
 			}
 		}
@@ -379,6 +404,82 @@ func TestMultiLeaderEquivalenceShapes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMultiLeaderEquivalenceSlabs is the same pin at payloads a slab-pipelined
+// bridge exchange cuts, on every wiring of mlShapes and on the bridged
+// triangle: stripes of exactly two segments and of two segments and a byte
+// (the rule that decides whether a stripe crosses whole or in chunks),
+// stripes of three and more slabs of eight chunks with a ragged last one from
+// a count that neither the clusters nor their couples divide, and one case of
+// 1 MiB per operation on the triangle. Roots are a plain member and a
+// co-leader that is not its cluster's primary; the variants take turns at
+// strided types, one buffer as send and receive, every operation, and both
+// collectives pending across tagged point-to-point traffic.
+func TestMultiLeaderEquivalenceSlabs(t *testing.T) {
+	type shape = struct {
+		name string
+		topo func() Topology
+	}
+	// Beside mlShapes: the bridged triangle with its Myrinet island, and a
+	// ring whose clusters are deep enough for two- and three-level trees.
+	shapes := append(mlShapes[:len(mlShapes):len(mlShapes)], shape{"triangle", bridgedTriangle},
+		shape{"deep", func() Topology { return ringClusterTopo([]int{5, 3, 4}) }})
+	for si, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			sess, err := Build(sh.topo())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sess.Hierarchy()
+			// A plain member and a co-leader behind its cluster's primary; the
+			// widest leader set, which bounds the couples of a cluster pair.
+			plain, second, widest := -1, -1, 0
+			for r := len(sess.Ranks) - 1; r >= 0; r-- {
+				set := h.LeaderSets[h.ClusterOf[r]]
+				widest = max(widest, len(set))
+				switch at := posOf(set, r); {
+				case at < 0:
+					plain = r
+				case at > 0:
+					second = r
+				}
+			}
+			if plain < 0 || second < 0 {
+				t.Fatalf("no plain member (%d) or no second co-leader (%d) in %v", plain, second, h.LeaderSets)
+			}
+			C, seg := h.NumClusters(), h.Inter.SegmentBytes
+			// 19 chunks per couple are three slabs of eight, the last ragged;
+			// the odd element keeps clusters and couples from dividing it.
+			long := C*widest*19*seg/8 + 1
+			progs := []mlProgram{
+				// An Allreduce piece of exactly two segments where one couple
+				// carries it; an Allgather bundle of three ranks a byte or
+				// two over.
+				{count: C * 2 * seg, per: 2*seg/3 + 1, root: plain, bytes: true},
+				// The piece one byte over; nine Alltoall blocks just over.
+				{count: C * (2*seg + 1), per: 2*seg/9 + 1, root: second, bytes: true, aliased: true, icoll: true},
+				{count: long, per: long / C / 3, root: second, aliased: true},
+				{count: long/2 + 1, per: long / C / 6, root: plain, strided: true, icoll: true},
+			}
+			if sh.name == "triangle" {
+				progs = append(progs, mlProgram{count: 1 << 17, per: 1<<17/9 + 1, root: plain, icoll: true})
+			}
+			for pi, pg := range progs {
+				pg.seed, pg.op = byte(29*si+7*pi), mlOps[(len(progs)*si+pi)%len(mlOps)]
+				mlEquivalent(t, sh.name, sh.topo, pg)
+			}
+		})
+	}
+}
+
+func posOf(s []int, r int) int {
+	for i, v := range s {
+		if v == r {
+			return i
+		}
+	}
+	return -1
 }
 
 // bridgeLoads runs one 512K Bcast from rank 0 on the three-island ring
