@@ -247,14 +247,16 @@ func main() {
 		{"Mux_Allreduce", "Uniform_Allreduce", 8, 0,
 			"the per-link device mux must beat the uniform single-protocol transport on Allreduce at every size"},
 		// X9: multi-leader rail-striped collectives on the bridged triangle.
-		{"ML_Bcast_multi", "ML_Bcast_single", 1 << 20, 1.5,
-			"the autotuner-selected multi-leader Bcast must be >= 1.5x faster than the forced single-leader two-level form at 1 MiB"},
-		{"ML_Allreduce_multi", "ML_Allreduce_single", 1 << 20, 1.5,
-			"the autotuner-selected multi-leader Allreduce must be >= 1.5x faster than the forced single-leader two-level form at 1 MiB"},
-		{"ML_Allgather_multi", "ML_Allgather_single", 1 << 20, 1.5,
-			"the autotuner-selected multi-leader Allgather must be >= 1.5x faster than the forced single-leader two-level form at 1 MiB"},
-		{"ML_Alltoall_multi", "ML_Alltoall_single", 1 << 20, 1.5,
-			"the autotuner-selected multi-leader Alltoall must be >= 1.5x faster than the forced single-leader two-level form at 1 MiB"},
+		// The floors are 0.9 x the ratios measured when the bridge rounds
+		// began to hide the intra-cluster phases: 2.00, 2.54, 2.24, 2.12.
+		{"ML_Bcast_multi", "ML_Bcast_single", 1 << 20, 1.8,
+			"the autotuner-selected multi-leader Bcast must be >= 1.8x faster than the forced single-leader two-level form at 1 MiB"},
+		{"ML_Allreduce_multi", "ML_Allreduce_single", 1 << 20, 2.29,
+			"the autotuner-selected multi-leader Allreduce must be >= 2.29x faster than the forced single-leader two-level form at 1 MiB"},
+		{"ML_Allgather_multi", "ML_Allgather_single", 1 << 20, 2.02,
+			"the autotuner-selected multi-leader Allgather must be >= 2.02x faster than the forced single-leader two-level form at 1 MiB"},
+		{"ML_Alltoall_multi", "ML_Alltoall_single", 1 << 20, 1.91,
+			"the autotuner-selected multi-leader Alltoall must be >= 1.91x faster than the forced single-leader two-level form at 1 MiB"},
 	}
 	caps := []capRule{
 		{"RelayQPeakMax", "RelayQWindow",

@@ -55,7 +55,8 @@ type SendReq struct {
 }
 
 // RecvReq is an in-flight receive (MPIR_RHANDLE / rhandle). Done fires
-// when the payload is in Buf and Status is filled.
+// when the payload is in Buf and Status is filled; a request that is only
+// ever completed through OnComplete may leave it nil.
 type RecvReq struct {
 	Src, Tag, Context int // Src/Tag may be wildcards
 	Buf               []byte
@@ -254,7 +255,9 @@ func FinishRecv(r *RecvReq, env Envelope, err error) {
 	if r.OnComplete != nil {
 		r.OnComplete()
 	}
-	r.Done.Fire()
+	if r.Done != nil {
+		r.Done.Fire()
+	}
 }
 
 // CheckLen validates the posted buffer length against the envelope,

@@ -350,17 +350,6 @@ func (ch *Channel) BeginUnpacking() (*Connection, error) {
 	return ch.startUnpack(conn)
 }
 
-// TryBeginUnpacking is the non-blocking variant; ok=false when no message
-// is pending.
-func (ch *Channel) TryBeginUnpacking() (*Connection, bool, error) {
-	conn, ok := ch.incoming.TryPop()
-	if !ok {
-		return nil, false, nil
-	}
-	c, err := ch.startUnpack(conn)
-	return c, true, err
-}
-
 func (ch *Channel) startUnpack(conn *Connection) (*Connection, error) {
 	if conn.in != nil {
 		return nil, fmt.Errorf("madeleine: connection %s already unpacking", conn.Remote)

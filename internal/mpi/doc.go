@@ -22,6 +22,45 @@
 // not hold the run: an Icoll nobody waits for ends where the run ends,
 // except on the world, where MPI_Finalize's barrier queues behind it.
 //
+// A round has two send lanes. The executor pre-posts every receive of a
+// round, then injects its sends one after another, and a sender stays inside
+// madeleine's EndPacking until the wire has taken its bytes — so one thread
+// leaves a rank's fast fabric idle for as long as its bridge drains. A send
+// step marked for the round's second lane (schedBuilder.sendAside) is
+// injected by a second Marcel thread of the same process while the round's
+// plain sends run inline: the paper's one thread per network (§4.2), for the
+// length of a round. The round ends when both lanes and all receives are
+// done; the two threads' CPU charges contend through Compute like any two
+// threads of a process; the first error on either lane ends the schedule,
+// with the staging left out as after any failed round. The lane thread is
+// resident like the engine thread, one per communicator, started by the
+// first round that has two lanes (collEngine.lane, nbc.go). The lane is the
+// one thing the overlap adds to the IR, and a compiler that uses it owes it
+// three things:
+//
+//   - Eager or posted. A send on either lane completes when the wire has it
+//     (eager) or when the peer has posted the receive (rendez-vous). The slab
+//     pipeline posts every receive in the round of the same index as its
+//     send on every rank, so induction over the round index holds: round t
+//     needs only that every rank reached round t. A send whose receive is
+//     posted later than that — a Bcast sink matches what it was streamed
+//     after its own cycles — must be eager, or the two wait for each other
+//     (seen on the Myrinet island: 16 KiB shards are rendez-vous bodies
+//     there). bcastMulti asks the device (Comm.eagerTo) and streams during
+//     the cycles only what is.
+//   - One pair, one lane. Messages of a schedule share a tag and match FIFO
+//     per source. Within a round the two lanes run concurrently, so a
+//     directed pair may have sends on one of them only; across rounds the
+//     order is the rounds', because a round does not end before both its
+//     lanes have. The builders send bridge traffic plain and intra-cluster
+//     traffic aside, and the two never share a pair.
+//   - The second lane exists beside a first. A round that sends nothing
+//     plain runs its marked sends inline, in listed order (endRound clears
+//     the marks): no thread hand-off where nothing could overlap, and a
+//     schedule of one slab is, step for step, the schedule it was before
+//     there were lanes — which is what keeps every pinned line below one
+//     slab byte-identical.
+//
 // What a rank keeps is per communicator, not per rank of the communicator.
 // The dense view of the hierarchy a compiler runs on (commTopo) is two
 // parts: what follows from the group and the hierarchy alone (groupView:
@@ -299,30 +338,60 @@
 //     clusters share none, the k-th co-leaders of both, routed by the
 //     fabric. It follows from the leader sets alone and is built once per
 //     group, with the rest of the dense view (groupView.relays).
-//   - One bridge round (schedBuilder.bridgeExchange): all ordered pairs
-//     cross at once, the traffic of a pair striped over its couples, every
-//     inbound chunk pre-posted beside the outbound sends so both directions
-//     of a bridge are busy together. Allreduce, Allgather and Alltoall are
-//     this round framed by intra-cluster ones. Allreduce is a cluster-level
-//     reduce-scatter and allgather: after the intra-cluster reduce the
-//     vector is cut into one piece per cluster, piece j of every cluster's
-//     vector crosses to cluster j and is folded there, the finished pieces
-//     cross back, and a directed bridge carries 2/C of the vector in each
-//     phase instead of the whole of it through relays; a vector whose
-//     pieces are shorter than the backbone's bandwidth-delay product
-//     (Hierarchy.Inter) crosses once, whole, and is folded everywhere.
-//     Allgather ships each cluster's bundle once over each of its bridges.
-//     Alltoall ships each directed bundle over the pair's own bridge. What
-//     lands fans out from the rank it landed on, all pieces' binomial trees
-//     in lockstep (fanOut). Bcast, which has one source, instead pipelines
-//     eager-sized segments down per-shard chains of the same couples.
-//   - Order: every rank emits the same global sequence of phases and walks
-//     clusters, couples and pieces ascending inside each; receives are
-//     posted before the sends of their round, and only tree edges wait on
-//     the phase they belong to. That is the whole deadlock argument (a
-//     blocked send waits for a rank with only earlier phases to finish) and
-//     the whole FIFO argument (one tag per schedule, both ends of a pair
-//     enumerate alike) — hmulti.go spells it out.
+//   - One pipelined bridge exchange (phases.go: slabbing, pipeline,
+//     bridgeStage, handOffStage, fanOutStages). All ordered pairs cross at
+//     once, the traffic of a pair striped over its couples, every inbound
+//     chunk pre-posted beside the outbound sends so both directions of a
+//     bridge are busy together. A form is a list of stages — hand the data
+//     to the couples, cross, hand on or fold what landed, fan out — and the
+//     exchange is cut into slabs that run through them skewed by a round
+//     each: round t carries slab t-i of stage i, bridge chunks as plain
+//     sends and every intra-cluster send on the round's second lane, so a
+//     co-leader feeds slab t+1 and drains slab t-1 on its fast fabric while
+//     slab t crosses. A slab is eight chunks per couple (slabChunks), at
+//     most eight slabs to an exchange, the same cut on every rank because it
+//     follows from the longest pair's traffic; one slab is the unpipelined
+//     form, the stages one round after the other. Allreduce is a
+//     cluster-level reduce-scatter and allgather in one pipeline of ten or
+//     so stages: the binomial reduce to the primary (a level a stage), the
+//     hand-off of piece j to the couples facing cluster j, the crossing, the
+//     hand-in and the fold of the partials at j's primary, the hand-off of
+//     the finished piece, the second crossing, the fan-out — slab s of the
+//     finished pieces crosses back while the partials of slab s+3 still
+//     cross out, and a directed bridge carries 2/C of the vector in each
+//     direction instead of the whole of it through relays. Its slab is a run
+//     of the vector cut into one piece per cluster (cluster j finishes every
+//     slab's j-th part; one slab is the vector and its pieces the thirds of
+//     it), so what a slab needs reduced is one message a child, not one per
+//     piece — a rendez-vous hand-shake is the dearest thing a slab costs the
+//     host. A vector whose pieces are shorter than the backbone's
+//     bandwidth-delay product (Hierarchy.Inter) crosses once, whole, and is
+//     folded everywhere.
+//     Allgather ships each cluster's bundle once over each of its bridges
+//     and fans the slabs out as they land. Alltoall gathers each directed
+//     bundle's slabs on the pair's couples, crosses, and scatters them block
+//     by block. What lands fans out from the rank it landed on, all pieces'
+//     binomial trees in lockstep, a level a stage (fanOutStages).
+//   - Bcast has one source and pipelines eager-sized segments down per-shard
+//     chains of the same couples instead. A path rank takes a segment and
+//     passes it on, a round each; what its cluster's other members need it
+//     hands them on the second lane of the forwarding round (where they are
+//     eager — see the lane's contract above — and where the holder feeds the
+//     member no other shard's path: the rest goes after the cycles, as all of
+//     it used to). The last rank of a path is the holder of its cluster and
+//     a forwarder of some other shard over the same bridge; it takes segment
+//     s-1 and hands on segment s-2 in cycle s, a segment behind its own
+//     sends. Unskewed, each direction of that bridge waits for the other
+//     every segment: 130 ms for 1 MiB instead of 60.
+//   - Order: every rank emits the same global sequence of rounds and walks
+//     stages, clusters, couples and pieces ascending inside each; receives
+//     are posted before the sends of their round, a send and its receive sit
+//     in the round of the same index, and what a round sends it took in an
+//     earlier one. That is the whole deadlock argument (induction over the
+//     round index: a blocked send waits for a rank that only has to reach the
+//     same round) and the whole FIFO argument (one tag per schedule, both
+//     ends of a pair enumerate alike, one lane per pair per round) —
+//     hmulti.go spells it out, slabs included.
 //   - Eager chunks on the bridge: a stripe longer than two pipeline
 //     segments crosses as segment-sized eager messages, not as one
 //     rendez-vous body. Rails are the reason. A direct pair has two
@@ -330,22 +399,24 @@
 //     detour over the other two — and ch_mad stripes a rendez-vous body
 //     over both, which doubles a forwarded pair's bandwidth when the
 //     machine is otherwise idle and is pure extra load when the collective
-//     already fills every bridge: a 1 MiB Allreduce on the triangle takes
-//     148 ms and moves 2.1 MB per bridge as whole pieces, 114 ms and 1.4 MB
-//     as chunks.
+//     already fills every bridge: a 1 MiB Allreduce on the triangle took
+//     148 ms and moved 2.1 MB per bridge as whole pieces, 114 ms and 1.4 MB
+//     as chunks (82 ms now that the rounds overlap).
 //
 // The aggregate effect on the bridged triangle at 1 MiB: Bcast engages
-// all three bridges at half the bytes each (2x over the single-leader
-// form), Allreduce and Allgather load the three bridges equally with two
-// thirds of what the funneled forms put on the leader's (1.9x and 2.0x),
-// and Alltoall balances the three bridges exactly where the funneled form
-// tripled the load on the leader's bridge (1.8x). The autotuner treats
-// "2level-multi" as one more candidate and the crossover is measured, not
-// assumed: on the triangle it takes every bracket of Allreduce, Allgather
-// and Alltoall and the large-payload bracket of Bcast, whose latency
-// brackets go to the segmented single-leader form (the multileader
-// experiment and the ML_* benchcheck rules gate the selected-not-forced
-// speedups).
+// all three bridges at half the bytes each (2.0x over the single-leader
+// form on the root's clock), Allreduce and Allgather load the three bridges
+// equally with two thirds of what the funneled forms put on the leader's
+// (2.5x and 2.2x), and Alltoall balances the three bridges exactly where the
+// funneled form tripled the load on the leader's bridge (2.1x). On the last
+// rank's clock the four take 1.35, 1.38, 1.42 and 1.32 times what the
+// bridges need for their bytes; README's multi-leader section has the
+// breakdown. The autotuner treats "2level-multi" as one more candidate and
+// the crossover is measured, not assumed: on the triangle it takes every
+// bracket of Allreduce, Allgather and Alltoall and the large-payload bracket
+// of Bcast, whose latency brackets go to the segmented single-leader form
+// (the multileader experiment and the ML_* benchcheck rules gate the
+// selected-not-forced speedups).
 //
 // # The per-link device mux
 //

@@ -225,14 +225,14 @@ func (c *Comm) allreduceRing(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	// Member at position i ends up holding the cluster-reduced chunk i.
 	b.ringRSRounds(members, myPos, acc, bounds, a.dt, a.op)
 	if ct.nClusters > 1 {
-		b.gatherParts(members, myPos, members[leaderPos], chunk)
+		b.leaderParts(members, myPos, members[leaderPos], true, chunk)
 		if myPos == leaderPos {
 			parent, children := binomialOver(ct.leaders, 0, ct.myCluster)
 			b.treeReduce(parent, children, acc, a.count, a.dt, a.op)
 			b.treeBcast(parent, children, acc)
 			b.endRound()
 		}
-		b.scatterParts(members, myPos, members[leaderPos], chunk)
+		b.leaderParts(members, myPos, members[leaderPos], false, chunk)
 	}
 	b.ringAGRounds(members, myPos, acc, bounds, es)
 	return c.unpackVector(a.recv, a.count, a.dt, acc)
@@ -260,7 +260,7 @@ func (c *Comm) reduceScatterRing(b *schedBuilder, ct *commTopo, a collArgs) func
 
 	b.ringRSRounds(members, myPos, acc, bounds, a.dt, a.op)
 	if ct.nClusters > 1 {
-		b.gatherParts(members, myPos, members[leaderPos], chunk)
+		b.leaderParts(members, myPos, members[leaderPos], true, chunk)
 		if myPos == leaderPos {
 			// Stage one outbound bundle per remote cluster, then exchange
 			// among leaders, folding each arriving bundle into my members'
@@ -284,7 +284,7 @@ func (c *Comm) reduceScatterRing(b *schedBuilder, ct *commTopo, a collArgs) func
 			}
 			b.endRound()
 		}
-		b.scatterParts(members, myPos, members[leaderPos], func(i int) []byte { return block(members[i]) })
+		b.leaderParts(members, myPos, members[leaderPos], false, func(i int) []byte { return block(members[i]) })
 	}
 	return c.unpackVector(a.recv, a.count, a.dt, block(c.myRank))
 }
@@ -318,7 +318,7 @@ func (c *Comm) alltoallBundles(b *schedBuilder, ct *commTopo, a collArgs, segByt
 		}
 	}
 
-	b.gatherParts(members, myPos, members[leaderPos], func(i int) []byte { return mats[i] })
+	b.leaderParts(members, myPos, members[leaderPos], true, func(i int) []byte { return mats[i] })
 	if isLeader {
 		in := c.alltoallBridge(b, ct, members, mats, sz, segBytes)
 		for j := range members {
@@ -334,7 +334,7 @@ func (c *Comm) alltoallBundles(b *schedBuilder, ct *commTopo, a collArgs, segByt
 		}
 		b.endRound()
 	}
-	b.scatterParts(members, myPos, members[leaderPos], func(i int) []byte { return vec[i] })
+	b.leaderParts(members, myPos, members[leaderPos], false, func(i int) []byte { return vec[i] })
 	return c.unpackBlocks(a.recv, a.count, a.dt, vec[myPos])
 }
 

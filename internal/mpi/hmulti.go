@@ -18,87 +18,92 @@ package mpi
 // messages the fabric routes. Leader sets narrower than the widest wrap, so
 // a cluster behind a single gateway still works — it just funnels.
 //
-//   - Allreduce, Allgather and Alltoall frame one bridge round
-//     (schedBuilder.bridgeExchange, phases.go) with intra-cluster rounds:
-//     the traffic of an ordered pair is striped over the pair's couples,
-//     every stripe crosses in eager-path chunks, every inbound chunk is
-//     pre-posted beside the outbound sends. What differs is what crosses
-//     and how it gets to and from the couples: Allreduce cuts the vector
-//     into one piece per cluster and crosses twice, a reduce-scatter and an
-//     allgather, its data handed between the primary leader and the couples
-//     (handOff); Allgather crosses once with each cluster's bundle, which
-//     the members assemble among themselves; Alltoall crosses once with each
-//     directed bundle, which the members feed to the couples and the
-//     couples scatter, block by block. What lands fans out inside the
-//     cluster from where it landed (fanOut).
+//   - Allreduce, Allgather and Alltoall are one pipelined bridge exchange
+//     (phases.go): the traffic of an ordered pair is striped over the pair's
+//     couples, every stripe crosses in eager-path chunks, every inbound
+//     chunk is pre-posted beside the outbound sends. What differs is what
+//     crosses and how it gets to and from the couples — the stages before
+//     and after the crossing. Allreduce reduces up a binomial tree to the
+//     primary leader, cuts the vector into one piece per cluster and crosses
+//     twice, a reduce-scatter and an allgather, its data handed between the
+//     primary and the couples (handOffStage); Allgather crosses once with
+//     each cluster's bundle, which the members assemble among themselves;
+//     Alltoall crosses once with each directed bundle, which the members
+//     feed to the couples and the couples scatter, block by block. What
+//     lands fans out inside the cluster from where it landed (fanOutStages).
+//     The exchange is cut into slabs and the stages run skewed by a round
+//     each (pipeline), bridge chunks as plain sends and everything inside the
+//     cluster on the round's second lane: slab t crosses while the cluster
+//     feeds slab t+1 and drains slab t-1.
 //   - Bcast has one source, so it pipelines instead: shard k walks a chain of
-//     clusters rotated by k, each hop a couple picked from the same table
-//     (emissary), in eager-path segments (see bcastMulti).
+//     clusters rotated by k, each hop a couple picked from the same table,
+//     in eager-path segments, and a cluster's holder hands each segment to
+//     the members beside the path on the second lane of the round that
+//     forwards it (see bcastMulti).
 //
 // Deadlock and FIFO discipline. Every rank emits the same global sequence
-// of phases, and inside a phase walks clusters, couples, members and
-// pieces in the same ascending order. A round pre-posts all its receives
-// before its first send, and a round's sends wait for nothing the same
-// phase delivers — except along a tree, fan-in or fan-out, whose edges
-// point one way. So a blocked send (a rendez-vous body waiting for its
-// receive to be posted) waits for a rank that only has earlier phases left
-// to finish, and by induction over the phase order nothing waits in a
-// circle. All messages of a schedule share one tag and match FIFO per
-// source: a directed pair that carries several — chunks of a stripe, pieces
-// of a fan-out, transfers of different phases — sends and posts them in
-// the same order because both ends enumerate identically and derive every
-// length from the same commTopo. Empty pieces and stripes (a vector shorter
-// than the cluster count) are skipped on both ends.
+// of rounds — pipeline round t runs stage i on slab t-i — and inside a stage
+// walks clusters, couples, members and pieces in the same ascending order.
+// A round pre-posts all its receives before its first send; a send and its
+// receive belong to the same stage and slab, so they sit in the round of the
+// same index on both ranks; and what a stage sends of a slab, an earlier
+// stage landed or folded in an earlier round. So a blocked send (a
+// rendez-vous body waiting for its receive to be posted) waits only for its
+// peer to reach the round it is in itself, and the peer's earlier rounds
+// wait only for sends of earlier rounds: by induction over the round index
+// nothing waits in a circle, with one slab — a phase a round, as the forms
+// were before they were cut — or with eight. The two lanes of a round do
+// not change that: each lane's sends are issued in order, and the one thing
+// a send on a lane can wait for is the same peer reaching the same round.
+// All messages of a schedule share one tag and match FIFO per source: a
+// directed pair that carries several — chunks of a stripe, slabs of a
+// piece, transfers of different stages — sends and posts them in the same
+// order because both ends enumerate identically and derive every length
+// from the same commTopo, and because within a round a pair has sends on one
+// lane only (bridge pairs plain, intra-cluster pairs aside) while a round
+// ends only when both its lanes have. Empty pieces and stripes (a vector
+// shorter than the cluster count, a slab past a short pair's last) are
+// skipped on both ends.
+//
+// Only Bcast posts a receive later than the round its send is in — a sink
+// matches what it was streamed when its own cycles are over, a path's last
+// rank a segment late — and there the send must be eager, on a pair no other
+// stream of the cycles uses: bcastMulti checks both.
 
-// emissary picks the co-leader couple carrying shard k from cluster ci to
-// cluster cj out of the pair's relay table, rotated by the shard index so
-// different shards ride different bridges when the pair offers several.
-// Returns x = -1 when the clusters share no bridge — the caller then sends
-// from the shard's current holder and the fabric routes the transfer.
-func (ct *commTopo) emissary(ci, cj, k int) (x, y int, g string) {
-	rs := ct.relays[ci][cj]
-	r := rs[k%len(rs)]
-	if !r.direct {
-		return -1, r.y, r.gw
-	}
-	return r.x, r.y, r.gw
-}
-
-// shardChain lays out shard k's inter-cluster relay chain: the clusters
+// shardChain lays out shard k's inter-cluster relay chain over the clusters
 // in visiting order (root cluster first, the rest rotated by k so each
-// shard walks the machine in a different direction), the rank holding
-// the shard in each cluster (the bridge-facing receiver), the rank it
-// departs each non-terminal cluster from (the bridge-facing sender —
-// the holder itself when the clusters share no direct bridge), and the
-// gateway network it entered through.
-func (ct *commTopo) shardChain(rootCluster, root, k int) (order, holder, egress []int, via []string) {
-	order = make([]int, 0, ct.nClusters)
-	order = append(order, rootCluster)
+// shard walks the machine in a different direction): the linear path of ranks
+// it travels, the rank holding the shard in each cluster (the bridge-facing
+// receiver), the rank it departs each non-terminal cluster from (the
+// bridge-facing sender, on the path behind the holder when distinct — the
+// holder itself when the clusters share no direct bridge), the gateway
+// network it entered through, and the cluster it ends in. Each hop is a co-leader couple out of
+// the pair's relay table, picked by the shard index so different shards ride
+// different bridges when the pair offers several; where the clusters share no
+// bridge the shard leaves from its current holder and the fabric routes it.
+func (ct *commTopo) shardChain(root, k int) (path, holder, egress []int, via []string, last int) {
+	holder, egress, via = make([]int, ct.nClusters), make([]int, ct.nClusters), make([]string, ct.nClusters)
+	last = ct.clusterOf[root]
+	holder[last], path, via[last] = root, []int{root}, ct.coLeaderGW(last, k)
 	var others []int
-	for di := 0; di < ct.nClusters; di++ {
-		if di != rootCluster {
+	for di := range egress {
+		if egress[di] = -1; di != last {
 			others = append(others, di)
 		}
 	}
 	for i := range others {
-		order = append(order, others[(i+k)%len(others)])
-	}
-	holder = make([]int, ct.nClusters)
-	egress = make([]int, ct.nClusters)
-	via = make([]string, ct.nClusters)
-	for di := range egress {
-		egress[di] = -1
-	}
-	holder[rootCluster] = root
-	for i := 1; i < len(order); i++ {
-		ci, cj := order[i-1], order[i]
-		x, y, g := ct.emissary(ci, cj, k)
-		if x < 0 {
-			x = holder[ci]
+		cj := others[(i+k)%len(others)]
+		rs := ct.relays[last][cj]
+		r := rs[k%len(rs)]
+		if !r.direct {
+			r.x = holder[last]
+		} else if r.x != holder[last] {
+			path = append(path, r.x)
 		}
-		egress[ci], holder[cj], via[cj] = x, y, g
+		egress[last], holder[cj], via[cj] = r.x, r.y, r.gw
+		path, last = append(path, r.y), cj
 	}
-	return order, holder, egress, via
+	return path, holder, egress, via, last
 }
 
 // bcastMulti broadcasts with the inter-cluster phase sharded
@@ -111,19 +116,22 @@ func (ct *commTopo) shardChain(rootCluster, root, k int) (order, holder, egress 
 // pipe carries ~1/K of the payload. The path is pipelined in eager-path
 // segments exactly like the segmented single-leader form: each path rank
 // forwards segment s while segment s+1 is still crossing the previous
-// bridge. After the segment cycles, each cluster's holder streams the
-// shard — again as eager segments, so the stream never blocks — to the
-// members the path skipped, except in the path's last cluster where a
-// whole-shard binomial tree from the terminal rank finishes the job.
+// bridge. The members the path skipped get each segment from their cluster's
+// holder — as eager segments, so the stream never blocks — on the second
+// lane of the round that forwards it, while the holder's bridge drains; what
+// cannot go then (a segment above the fabric's eager threshold, a member the
+// holder also feeds another shard's path) goes after the cycles, and an
+// unsegmented shard ends in the path's last cluster by a whole-shard
+// binomial tree from the terminal rank.
 //
 // Two details keep opposite directions of a shared bridge concurrently
 // busy instead of ping-ponging: only path ranks take per-segment rounds
 // (everyone else matches its segments in one deferred round after the
 // cycles, buffered by the eager protocol in the meantime), and the
 // path's *terminal* rank — the one rank with per-segment receives but no
-// forwarding — defers its receives the same way, so its role as a sender
+// forwarding — takes its segments a cycle late, so its role as a sender
 // of some other shard never blocks on arrivals. It does so only where the
-// deferral is free: its predecessor's sends must be eager (a whole shard
+// delay is free: its predecessor's sends must be eager (a whole shard
 // above one segment may be a rendez-vous body, whose sender would wait for
 // a receive posted after rounds that wait, in turn, for that sender) and
 // must be the only stream of the cycles on that directed pair (a second
@@ -131,27 +139,25 @@ func (ct *commTopo) shardChain(rootCluster, root, k int) (order, holder, egress 
 // rounds in the same global (cycle, shard, path-position) order and
 // every wait points to a strictly earlier position of that order, so the
 // union of all waits is acyclic; repeated (src, dst) pairs match FIFO
-// because both endpoints enumerate the cycle and the shard-ascending
+// because both endpoints enumerate the cycles and the shard-ascending
 // post phases identically.
 func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	K := ct.widest
 	data, fin := c.bcastStaging(b, a)
 	bounds := splitBounds(len(data), K)
-	root, rootCluster := a.root, ct.clusterOf[a.root]
 	members := ct.clusters[ct.myCluster]
 	seg := c.segmentBytes()
 
 	// My role on shard k's relay path and in its intra-cluster fan-out —
 	// identical on every rank by construction.
 	type shardPlan struct {
-		pred, succ  int   // my path neighbors (-1 when absent / off-path)
-		terminal    bool  // I am the path's last rank: defer my receives
-		termCluster bool  // my cluster is the path's last stop
-		sinks       []int // my cluster's members the path never touches
-		holder      int   // the shard's holder in my cluster
-		lo, hi      int
-		nseg        int
-		gw          string
+		pred, succ   int   // my path neighbors (-1 when absent / off-path)
+		late         bool  // the path's last rank, my cluster's holder, posts its receives late
+		termCluster  bool  // my cluster is the path's last stop
+		sinks        []int // my cluster's members the path never touches
+		holder       int   // the shard's holder in my cluster
+		lo, hi, nseg int
+		gw           string
 	}
 	plans := make([]shardPlan, K)
 	paths := make([][]int, K)
@@ -159,22 +165,10 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	for k := 0; k < K; k++ {
 		pl := shardPlan{pred: -1, succ: -1, lo: bounds[k], hi: bounds[k+1]}
 		if sz := pl.hi - pl.lo; sz > 0 {
-			order, holder, egress, via := ct.shardChain(rootCluster, root, k)
+			path, holder, egress, via, last := ct.shardChain(a.root, k)
 			di := ct.myCluster
-			pl.holder = holder[di]
+			pl.holder, pl.termCluster = holder[di], di == last
 			pl.gw = via[di]
-			if pl.gw == "" {
-				pl.gw = ct.coLeaderGW(di, k)
-			}
-			// The linear path: holder, then egress when distinct, per
-			// cluster in visiting order.
-			var path []int
-			for _, cl := range order {
-				path = append(path, holder[cl])
-				if x := egress[cl]; x >= 0 && x != holder[cl] {
-					path = append(path, x)
-				}
-			}
 			if i := posIn(path, c.myRank); i >= 0 {
 				if i > 0 {
 					pl.pred = path[i-1]
@@ -182,28 +176,29 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 				if i+1 < len(path) {
 					pl.succ = path[i+1]
 				}
-				pl.terminal = i == len(path)-1
 			}
 			paths[k] = path
-			local := []int{holder[di]}
-			if x := egress[di]; x >= 0 && x != holder[di] {
-				local = append(local, x)
-			}
 			for _, m := range members {
-				if posIn(local, m) < 0 {
+				if m != holder[di] && m != egress[di] {
 					pl.sinks = append(pl.sinks, m)
 				}
 			}
-			pl.termCluster = di == order[len(order)-1]
 			pl.nseg = 1
 			if sz > 2*seg {
 				pl.nseg = (sz + seg - 1) / seg
 			}
-			if pl.nseg > maxSeg {
-				maxSeg = pl.nseg
-			}
+			maxSeg = max(maxSeg, pl.nseg)
 		}
 		plans[k] = pl
+	}
+	// feeds reports whether x sends to y along the path of a shard other than k.
+	feeds := func(k, x, y int) bool {
+		for k2, path := range paths {
+			if i := posIn(path, y); k2 != k && i > 0 && path[i-1] == x {
+				return true
+			}
+		}
+		return false
 	}
 	// A terminal rank may post its receives late only where that can neither
 	// block its predecessor nor reorder a pair's streams: a whole shard
@@ -212,98 +207,125 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	// they are sent — so a terminal rank whose predecessor also feeds it
 	// another shard during the cycles takes its segments as they come.
 	for k := range plans {
+		if pl, last := &plans[k], len(paths[k])-1; pl.termCluster && last > 0 {
+			pl.late = (pl.nseg > 1 || pl.hi-pl.lo <= seg) && !feeds(k, paths[k][last-1], pl.holder)
+		}
+	}
+	// streamed reports whether the holder hands shard k to sink sk during the
+	// cycles, by the same two rules: the segments must be eager, because a
+	// sink matches them late, and the holder may feed that sink no other
+	// shard's path — beside a plain root, a co-leader is sink of one shard
+	// and path of the other, and gets the first after the cycles as it always
+	// did. Asked by the two ends only, each of its own device towards the
+	// other: one link of the cluster's fabric, the same threshold both ways.
+	streamed := func(k, sk int) bool {
 		pl := &plans[k]
-		if pl.nseg == 1 && pl.hi-pl.lo > seg {
-			pl.terminal = false
-		}
-		for k2, path := range paths {
-			if i := posIn(path, c.myRank); k2 != k && i > 0 && path[i-1] == pl.pred {
-				pl.terminal = false
-			}
-		}
+		return pl.nseg > 1 && !feeds(k, pl.holder, sk) && c.eagerTo(pl.holder+sk-c.myRank, seg)
 	}
-
 	chunkOf := func(pl *shardPlan, s int) []byte {
-		if pl.nseg == 1 {
-			return data[pl.lo:pl.hi]
+		if lo := pl.lo + s*seg; pl.nseg > 1 {
+			return data[lo:min(lo+seg, pl.hi)]
 		}
-		lo := pl.lo + s*seg
-		return data[lo:min(lo+seg, pl.hi)]
+		return data[pl.lo:pl.hi]
 	}
 
-	// Segment cycles along the relay paths.
-	for s := 0; s < maxSeg; s++ {
-		for k := 0; k < K; k++ {
+	// Segment cycles along the relay paths. Shard by shard a path rank takes
+	// segment s, a round, and passes it on, a round: across its bridge by a
+	// plain send, and beside that, on the round's second lane, to a successor
+	// in its own cluster and to the sinks its cluster's holder streams to. The
+	// root takes nothing, so nothing separates its sends: one round per cycle.
+	// A terminal rank that posts late takes segment s-1 in whichever round
+	// comes next and hands on segment s-2 beside its next bridge send — a
+	// segment and more behind its own sends, so that the two directions of its
+	// bridge do not wait for each other (taken as they come: 130 ms for 1 MiB
+	// instead of 60). Two more cycles flush the skew.
+	var aside []step // what the next forwarding round carries on its second lane
+	flush := func() {
+		for _, st := range aside {
+			b.sendAside(st.peer, st.buf)
+		}
+		aside = aside[:0]
+		b.endRound()
+	}
+	for s := 0; s < maxSeg+2; s++ {
+		sealed := len(b.sch.rounds)
+		for k := range plans {
 			pl := &plans[k]
-			if pl.hi == pl.lo || s >= pl.nseg {
+			mine := c.myRank == pl.holder
+			late := int(b2i(mine && pl.late))
+			if r := s - late; pl.pred >= 0 && r >= 0 && r < pl.nseg {
+				b.recv(pl.pred, chunkOf(pl, r))
+				if late == 0 {
+					b.endRound()
+				}
+			}
+			for _, sk := range pl.sinks {
+				if r := s - 2*late; mine && r >= 0 && r < pl.nseg && streamed(k, sk) {
+					aside = append(aside, step{peer: sk, buf: chunkOf(pl, r)})
+				}
+			}
+			switch {
+			case pl.succ < 0 || s >= pl.nseg:
 				continue
+			case ct.clusterOf[pl.succ] == ct.myCluster:
+				aside = append(aside, step{peer: pl.succ, buf: chunkOf(pl, s)})
+			default:
+				b.onShard(k, pl.gw)
+				b.send(pl.succ, chunkOf(pl, s))
 			}
-			chunk := chunkOf(pl, s)
-			b.lane(k, pl.gw)
-			if pl.pred >= 0 && !pl.terminal {
-				b.recv(pl.pred, chunk)
-				b.endRound()
+			if pl.pred >= 0 {
+				flush()
 			}
-			if pl.succ >= 0 {
-				b.send(pl.succ, chunk)
-				b.endRound()
+		}
+		// A rank that forwarded nothing this cycle hands on now; one that did
+		// seals what it took since, ahead of the round that hands it on.
+		if len(b.sch.rounds) == sealed {
+			flush()
+		}
+		b.endRound()
+	}
+	flush()
+	// What the holders streamed during the cycles the sinks match now, in the
+	// order it was sent: buffered by the eager protocol in the meantime.
+	for s := 0; s < maxSeg+2; s++ {
+		for k := range plans {
+			pl := &plans[k]
+			if r := s - 2*int(b2i(pl.late)); r >= 0 && r < pl.nseg && posIn(pl.sinks, c.myRank) >= 0 && streamed(k, c.myRank) {
+				b.recv(pl.holder, chunkOf(pl, r))
 			}
 		}
 	}
+	b.endRound()
 
-	// Post phase, serialized per shard. The terminal rank matches all its
-	// (long since buffered) segments in one round. In every non-terminal
-	// cluster the holder then streams the shard's segments — all on the
-	// eager path, so nothing here ever blocks a sender — to the members
-	// the path never touched, which match them in one deferred round. The
-	// terminal cluster instead fans the assembled shard out through a
-	// whole-shard binomial tree rooted at the terminal rank.
+	// Post phase, serialized per shard, for what did not stream. The holder
+	// sends the shard's segments to the members the path never touched, which
+	// match them in the same round — so a segment above the fabric's eager
+	// threshold blocks nobody. An unsegmented shard ends in its last cluster
+	// by a whole-shard binomial tree rooted at the terminal rank instead.
 	//
 	// FIFO safety: every rank's cycle rounds precede its post rounds and
 	// the post phases run in ascending shard order on every rank, so any
-	// directed pair that carries several streams (a path lane of one shard
-	// plus a fan-out lane of another) sends and matches them in the same
+	// directed pair that carries several streams (a path stream of one shard
+	// plus a fan-out stream of another) sends and matches them in the same
 	// global (cycle, then shard-ascending post) order.
-	for k := 0; k < K; k++ {
+	for k := range plans {
 		pl := &plans[k]
-		if pl.hi == pl.lo {
-			continue
+		b.onShard(k, pl.gw)
+		if pl.nseg == 1 && pl.termCluster {
+			parent, children := binomialOver(members, posIn(members, pl.holder), posIn(members, c.myRank))
+			b.treeBcast(parent, children, data[pl.lo:pl.hi])
 		}
-		b.lane(k, pl.gw)
-		if pl.terminal && pl.pred >= 0 {
-			for s := 0; s < pl.nseg; s++ {
-				b.recv(pl.pred, chunkOf(pl, s))
-			}
-			b.endRound()
-		}
-		if !pl.termCluster {
-			if c.myRank == pl.holder {
-				for s := 0; s < pl.nseg; s++ {
-					for _, sk := range pl.sinks {
-						b.send(sk, chunkOf(pl, s))
-					}
-				}
-			} else if posIn(pl.sinks, c.myRank) >= 0 {
-				for s := 0; s < pl.nseg; s++ {
+		for s := 0; s < pl.nseg && !(pl.nseg == 1 && pl.termCluster); s++ {
+			for _, sk := range pl.sinks {
+				switch {
+				case c.myRank != pl.holder && c.myRank != sk || streamed(k, sk):
+				case c.myRank == sk:
 					b.recv(pl.holder, chunkOf(pl, s))
+				default:
+					b.send(sk, chunkOf(pl, s))
 				}
 			}
-			b.endRound()
-			continue
 		}
-		// Terminal cluster: binomial fan-out of the whole shard from the
-		// terminal rank to the members the path never touched.
-		group := make([]int, 0, len(members))
-		for _, m := range members {
-			if m == pl.holder || posIn(pl.sinks, m) >= 0 {
-				group = append(group, m)
-			}
-		}
-		if posIn(group, c.myRank) < 0 || len(group) < 2 {
-			continue
-		}
-		parent, children := binomialOver(group, posIn(group, pl.holder), posIn(group, c.myRank))
-		b.treeBcast(parent, children, data[pl.lo:pl.hi])
 		b.endRound()
 	}
 	return fin
@@ -319,6 +341,15 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 // directed bridge carries 2/C of the vector, once in each phase, and no
 // device relays a byte.
 //
+// All of that is one pipeline. Slab s — a run of the vector, a piece of it
+// for every cluster — is reduced up the tree, handed off, crosses, is handed
+// in and folded, handed off again, crosses back and fans out, a stage a round
+// — so the finished slab s crosses back in the round in which the partials
+// of slab s+3 cross out, the bridges carry both without a gap between the
+// phases, and the tree reduce, the hand-offs and the fan-out of the other
+// slabs run beside them on the second lane. At 1 MiB on the bridged triangle
+// that is 82 ms where the phases one after the other took 114.
+//
 // When a piece is shorter than the backbone's bandwidth-delay product the
 // second crossing costs more in latency than the bytes it saves: the
 // clusters then exchange their whole vectors in the first crossing, every
@@ -333,58 +364,106 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 	members, myPos, leaderPos := ct.clusterPos(c.myRank)
 	leader := members[leaderPos]
 	acc := b.loadAcc(a.send, a.recv, count, dt)
-
 	parent, children := binomialOver(members, leaderPos, myPos)
-	b.treeReduce(parent, children, acc, count, dt, op)
 
-	// piece j is what cluster j finishes; ship(cj) what crosses to cluster cj
-	// first and mine what this cluster folds — a piece, or the whole vector.
-	eb := splitBounds(count, ct.nClusters)
-	piece := func(j int) []byte { return acc[eb[j]*es : eb[j+1]*es] }
-	ship, mine := piece, piece(myD)
+	// A slab is a run of the vector, cut into one piece per cluster: at(j, s)
+	// is what cluster j finishes of slab s — all of it where the clusters fold
+	// the whole vector each. One slab is the whole vector and its pieces the
+	// thirds of it; of a longer vector cluster j finishes every slab's j-th
+	// part, so that what a slab needs reduced, crossed and fanned out is one
+	// run of every rank's memory.
 	inter := c.p.hier.Inter
 	whole := float64(len(acc)) <= float64(ct.nClusters)*inter.LatencyUS*inter.BandwidthMBs*(1<<20)/1e6
+	pieces := ct.nClusters
 	if whole {
-		ship, mine = func(int) []byte { return acc }, acc
+		pieces = 1
 	}
-
-	// Reduce-scatter: the other clusters' partials of mine land in part.
-	part := make([][]byte, ct.nClusters)
-	in := func(ci int) []byte {
-		if part[ci] == nil {
-			part[ci] = b.stage(len(mine))
+	n, w := ct.slabbing(seg, es, func(_, _ int) int { return (count + pieces - 1) / pieces * es })
+	slab := func(s int) (lo, hi int) { return min(s*pieces*w/es, count), min((s+1)*pieces*w/es, count) }
+	at := func(j, s int) []byte {
+		lo, hi := slab(s)
+		if whole {
+			return acc[lo*es : hi*es]
 		}
-		return part[ci]
+		return acc[(lo+j*(hi-lo)/pieces)*es : (lo+(j+1)*(hi-lo)/pieces)*es]
 	}
-	b.handOff(ct, c.myRank, leader, false, ship)
-	b.bridgeExchange(ct, c.myRank, seg, ship, in)
-	b.handOff(ct, c.myRank, leader, true, in)
-	if c.myRank == leader && len(mine) > 0 {
+	// The other clusters' partials of my pieces land in part, slab s at s*w.
+	part := make([][]byte, ct.nClusters)
+	in := func(ci, s int) []byte { return b.lazily(&part[ci], n*w)[s*w:][:len(at(myD, s))] }
+
+	// The binomial reduce to the primary runs slab by slab ahead of the
+	// crossing. A rank sends up in the stage numbered by how many children it
+	// has, which is after the last of them — a child of a binomial tree has
+	// fewer — and its parent takes it in that stage: one round index at both
+	// ends of a message, as a pair's FIFO asks.
+	kids := func(r int) int {
+		_, ch := binomialOver(members, leaderPos, posIn(members, r))
+		return len(ch)
+	}
+	partial := make([][]byte, len(children))
+	var stages []func(int)
+	levels := 0
+	for _, m := range members {
+		if m != leader {
+			levels = max(levels, kids(m)+1)
+		}
+	}
+	for level := 0; level < levels; level++ {
+		stages = append(stages, func(s int) {
+			lo, hi := slab(s)
+			for i := len(children) - 1; i >= 0 && hi > lo; i-- {
+				if kids(children[i]) == level {
+					from := b.lazily(&partial[i], len(acc))[lo*es : hi*es]
+					b.recv(children[i], from)
+					b.reduce(acc[lo*es:hi*es], from, hi-lo, dt, op)
+				}
+			}
+			if parent >= 0 && len(children) == level && hi > lo {
+				b.sendAside(parent, acc[lo*es:hi*es])
+			}
+		})
+	}
+	// Reduce-scatter: the primary folds every slab of the partials as its
+	// last stripe is handed in.
+	handIn := b.handOffStage(ct, c.myRank, leader, true, in)
+	fold := func(s int) {
+		handIn(s)
+		mine := at(myD, s)
+		if c.myRank != leader || len(mine) == 0 {
+			return
+		}
 		run := mine
 		if myD > 0 {
-			run = in(0)
+			run = in(0, s)
 		}
 		for di := 1; di < ct.nClusters; di++ {
 			if di == myD {
 				b.reduce(mine, run, len(mine)/es, dt, op)
 				run = mine
 			} else {
-				b.reduce(run, in(di), len(mine)/es, dt, op)
+				b.reduce(run, in(di, s), len(mine)/es, dt, op)
 			}
 		}
-		b.endRound()
 	}
-
-	if whole {
-		b.treeBcast(parent, children, acc)
-		b.endRound()
-	} else {
-		// Allgather: my finished piece to every cluster, theirs in place.
-		home := func(int) []byte { return mine }
-		b.handOff(ct, c.myRank, leader, false, home)
-		b.bridgeExchange(ct, c.myRank, seg, home, piece)
-		b.fanOut(ct, c.myRank, leader, piece)
+	stages = append(stages,
+		b.handOffStage(ct, c.myRank, leader, false, at),
+		b.bridgeStage(ct, c.myRank, seg, at, in),
+		fold)
+	// Allgather: my finished pieces to every cluster, theirs in place — slab s
+	// as soon as it is folded, behind the partials still crossing. What every
+	// primary folded whole has only to fan out.
+	if !whole {
+		home := func(_, s int) []byte { return at(myD, s) }
+		stages = append(stages,
+			b.handOffStage(ct, c.myRank, leader, false, home),
+			b.bridgeStage(ct, c.myRank, seg, home, at))
 	}
+	b.pipeline(n, append(stages, b.fanOutStages(ct, c.myRank, leader, func(ci, s int) []byte {
+		if whole && ci != myD {
+			return nil
+		}
+		return at(ci, s)
+	})...)...)
 	return c.unpackVector(a.recv, count, dt, acc)
 }
 
@@ -412,14 +491,16 @@ func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 	home := b.gatherBundle(members, c.myRank, mine)
 	bundle[ct.myCluster] = home
 
-	b.bridgeExchange(ct, c.myRank, c.segmentBytes(), func(int) []byte { return home },
-		func(ci int) []byte { return bundle[ci] })
-	b.fanOut(ct, c.myRank, c.myRank, func(ci int) []byte {
+	n, w := ct.slabbing(c.segmentBytes(), 1, func(ci, _ int) int { return len(ct.clusters[ci]) * sz })
+	landed := func(ci, s int) []byte {
 		if ci == ct.myCluster {
 			return nil
 		}
-		return bundle[ci]
-	})
+		return cut(bundle[ci], w, s)
+	}
+	b.pipeline(n, append([]func(int){
+		b.bridgeStage(ct, c.myRank, c.segmentBytes(), func(_, s int) []byte { return cut(home, w, s) }, landed)},
+		b.fanOutStages(ct, c.myRank, c.myRank, landed)...)...)
 	return func() {
 		c.p.M.Compute(c.p.memTime(c.Size() * sz))
 		for di, bun := range bundle {
@@ -455,7 +536,6 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	myD := ct.myCluster
 	mine := PackBuf(a.send, n*a.count, a.dt)
 	myRecv := b.landing(a.recvApart(), n*sz, a.dt)
-	overlap := func(alo, ahi, blo, bhi int) (int, int) { return max(alo, blo), min(ahi, bhi) }
 
 	// Round 0: stage my per-cluster outbound bundles (src-member-ascending
 	// slices of the directed bundle) and keep my own block.
@@ -472,82 +552,64 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 
 	// Round 1: intra-cluster blocks exchange pairwise on the fast fabric.
 	for _, m := range members {
-		if m == c.myRank {
-			continue
-		}
-		b.recv(m, myRecv[m*sz:(m+1)*sz])
-	}
-	for _, m := range members {
-		if m == c.myRank {
-			continue
-		}
-		b.send(m, mine[m*sz:(m+1)*sz])
-	}
-	b.endRound()
-
-	// Round 2: gather — each member feeds the pieces of its bundle slice
-	// to the emissary whose stripe they fall in; an emissary assembles its
-	// stripe in place in a bundle-sized buffer.
-	bundleOut := make([][]byte, ct.nClusters)
-	for _, cj := range ct.remote {
-		rs := ct.relays[myD][cj]
-		lj := len(ct.clusters[cj])
-		pb := splitBounds(len(members)*lj*sz, len(rs))
-		for p, r := range rs {
-			if r.x == c.myRank && bundleOut[cj] == nil {
-				bundleOut[cj] = b.stage(len(members) * lj * sz)
-			}
-			for i := range members {
-				lo, hi := overlap(i*lj*sz, (i+1)*lj*sz, pb[p], pb[p+1])
-				if hi <= lo {
-					continue
-				}
-				switch {
-				case r.x == c.myRank && members[i] == c.myRank:
-					b.copyStep(bundleOut[cj][lo:hi], out[cj][lo-i*lj*sz:hi-i*lj*sz])
-				case r.x == c.myRank:
-					b.recv(members[i], bundleOut[cj][lo:hi])
-				case members[i] == c.myRank:
-					b.send(r.x, out[cj][lo-i*lj*sz:hi-i*lj*sz])
-				}
-			}
+		if m != c.myRank {
+			b.recv(m, myRecv[m*sz:(m+1)*sz])
+			b.send(m, mine[m*sz:(m+1)*sz])
 		}
 	}
 	b.endRound()
 
-	// Round 3: the bridge exchange.
-	bundleIn := make([][]byte, ct.nClusters)
-	b.bridgeExchange(ct, c.myRank, c.segmentBytes(),
-		func(cj int) []byte { return bundleOut[cj] },
-		func(ci int) []byte {
-			if bundleIn[ci] == nil {
-				bundleIn[ci] = b.stage(len(ct.clusters[ci]) * len(members) * sz)
-			}
-			return bundleIn[ci]
-		})
-
-	// Round 4: scatter — every inbound stripe's block pieces go straight
-	// to their final ranks; destinations land them in receive-vector
-	// position, offset by where the stripe boundary cut the block.
-	for _, ci := range ct.remote {
-		rs := ct.relays[ci][myD]
-		sm := ct.clusters[ci]
-		pb := splitBounds(len(sm)*len(members)*sz, len(rs))
-		for p, r := range rs {
-			fromMe := r.y == c.myRank
-			for i, srcR := range sm {
-				for j, dst := range members {
-					blo := (i*len(members) + j) * sz
-					lo, hi := overlap(blo, blo+sz, pb[p], pb[p+1])
-					if hi <= lo {
-						continue
+	// The bundles cross slab by slab, three stages skewed by a round each.
+	// Gather: each member feeds the pieces of its bundle slice to the
+	// emissary whose stripe of the slab they fall in; an emissary assembles
+	// its stripes in place in a bundle-sized buffer. Scatter: every inbound
+	// stripe's block pieces go straight to their final ranks; destinations
+	// land them in receive-vector position, offset by where the stripe
+	// boundary cut the block.
+	seg := c.segmentBytes()
+	n, w := ct.slabbing(seg, 1, func(ci, cj int) int { return len(ct.clusters[ci]) * len(ct.clusters[cj]) * sz })
+	// bundle(cl) is the bundle to or from cluster cl on a rank that carries a
+	// stripe of it: both are my cluster's size times the other's.
+	bundleOut, bundleIn := make([][]byte, ct.nClusters), make([][]byte, ct.nClusters)
+	bundle := func(of [][]byte, cl int) []byte {
+		return b.lazily(&of[cl], len(members)*len(ct.clusters[cl])*sz)
+	}
+	gather := func(s int) {
+		for _, cj := range ct.remote {
+			rs := ct.relays[myD][cj]
+			lj := len(ct.clusters[cj])
+			for p, r := range rs {
+				plo, phi := slabSpan(len(members)*lj*sz, w, s, len(rs), p)
+				for blo := plo - plo%max(lj*sz, 1); blo < phi; blo += lj * sz {
+					i, lo, hi := blo/(lj*sz), max(blo, plo), min(blo+lj*sz, phi)
+					switch {
+					case r.x == c.myRank && members[i] == c.myRank:
+						b.copyStep(bundle(bundleOut, cj)[lo:hi], out[cj][lo-i*lj*sz:hi-i*lj*sz])
+					case r.x == c.myRank:
+						b.recv(members[i], bundle(bundleOut, cj)[lo:hi])
+					case members[i] == c.myRank:
+						b.sendAside(r.x, out[cj][lo-i*lj*sz:hi-i*lj*sz])
 					}
+				}
+			}
+		}
+	}
+	scatter := func(s int) {
+		for _, ci := range ct.remote {
+			rs := ct.relays[ci][myD]
+			sm := ct.clusters[ci]
+			for p, r := range rs {
+				plo, phi := slabSpan(len(sm)*len(members)*sz, w, s, len(rs), p)
+				fromMe := r.y == c.myRank
+				for blo := plo - plo%max(sz, 1); blo < phi; blo += sz {
+					srcR, dst := sm[blo/sz/len(members)], members[blo/sz%len(members)]
+					lo, hi := max(blo, plo), min(blo+sz, phi)
 					dstBuf := myRecv[srcR*sz+(lo-blo) : srcR*sz+(hi-blo)]
 					switch {
 					case fromMe && dst == c.myRank:
 						b.copyStep(dstBuf, bundleIn[ci][lo:hi])
 					case fromMe:
-						b.send(dst, bundleIn[ci][lo:hi])
+						b.sendAside(dst, bundleIn[ci][lo:hi])
 					case dst == c.myRank:
 						b.recv(r.y, dstBuf)
 					}
@@ -555,6 +617,9 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 			}
 		}
 	}
-	b.endRound()
+	b.pipeline(n, gather,
+		b.bridgeStage(ct, c.myRank, seg, func(cj, s int) []byte { return cut(bundle(bundleOut, cj), w, s) },
+			func(ci, s int) []byte { return cut(bundle(bundleIn, ci), w, s) }),
+		scatter)
 	return c.unpackBlocks(a.recv, a.count, a.dt, myRecv)
 }

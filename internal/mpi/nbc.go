@@ -78,10 +78,17 @@ func (r *CollRequest) Test() (bool, error) {
 }
 
 // collEngine is a communicator's collective progress state: the sequence
-// allocator and the queue of submitted schedules its thread takes from.
+// allocator and the queue of submitted schedules its thread takes from —
+// and, from the first round that has sends on a second lane, the mailbox and
+// the return semaphore of the thread that injects those (laneStart).
 type collEngine struct {
 	seq  int
 	jobs *vtime.Queue[collJob]
+
+	lane     *vtime.Queue[*round]
+	laneDone *vtime.Sem
+	laneTag  int
+	laneErr  error
 }
 
 type collJob struct {
@@ -124,6 +131,35 @@ func (c *Comm) progress() {
 		job.req.err = c.execSchedule(job.req.sch, job.tag)
 		job.req.done.Fire()
 	}
+}
+
+// laneStart hands the round's lane-1 sends to the communicator's lane
+// thread, a resident daemon like the engine thread and started like it, by
+// the first round that needs it: a thread per laned round cost the host a
+// coroutine and a stack each (host_s +12-14 % with two forms converted).
+// Between rounds it is parked on its mailbox. The engine collects the round
+// with laneDone.Acquire and reads laneErr.
+func (c *Comm) laneStart(rd *round, tag int) {
+	eng := c.eng
+	if eng.lane == nil {
+		eng.lane = vtime.NewQueue[*round](c.p.M.S, "mpi.nbc.lane")
+		eng.laneDone = vtime.NewSem(c.p.M.S, "mpi.nbc.lane.done", 0)
+		c.p.M.SpawnDaemon("nbc.lane", func() {
+			for {
+				rd := eng.lane.Pop()
+				t0 := c.p.M.S.Now()
+				eng.laneErr = c.sendLane(rd, 1, eng.laneTag)
+				if tr := c.p.tracer; tr != nil {
+					tr.Span(c.p.traceTrack, trace.KSched, "sched.lane", t0, trace.Args{
+						Seq: uint32(eng.laneTag), Bytes: roundBytes(rd)[1], Leader: rd.leader1, GW: rd.gw,
+					})
+				}
+				eng.laneDone.Release()
+			}
+		})
+	}
+	eng.laneTag = tag
+	eng.lane.Push(rd)
 }
 
 // startColl is the shared Icoll entry: validity checks, then the tuning

@@ -72,6 +72,18 @@ func (c *Comm) sendRaw(data []byte, dest, tag, ctx int) error {
 	return sr.Err
 }
 
+// eagerTo reports whether n packed bytes to dest complete locally, without
+// waiting for the receive to be posted: the threshold of the link that
+// carries them where the device resolves one per destination (ch_mad), the
+// device-wide one otherwise.
+func (c *Comm) eagerTo(dest, n int) bool {
+	dev := c.p.route(c.group[dest])
+	if per, ok := dev.(interface{ SwitchPointTo(dst int) int }); ok {
+		return n <= per.SwitchPointTo(c.group[dest])
+	}
+	return dev != nil && n <= dev.SwitchPoint()
+}
+
 // recvRaw posts and completes a receive of packed bytes on an explicit
 // context; src/tag in communicator terms (wildcards allowed).
 func (c *Comm) recvRaw(buf []byte, src, tag, ctx int) (*Status, error) {

@@ -13,6 +13,8 @@ package mpi
 // are received from smallest stride first and sent to largest stride
 // first, member and cluster lists are walked ascending.
 
+import "math/bits"
+
 // binomialOver computes a binomial tree over an explicit rank list rooted
 // at position rootPos, returning myPos's parent (-1 at the root) and
 // children (largest stride first).
@@ -97,32 +99,22 @@ func (b *schedBuilder) gatherBundle(members []int, me int, mine []byte) []byte {
 	return bundle
 }
 
-// gatherParts appends one round converging per-member buffers on the
-// leader: the member at position i ships part(i), the leader lands every
-// other position's part in place.
-func (b *schedBuilder) gatherParts(members []int, myPos, leader int, part func(pos int) []byte) {
-	if members[myPos] != leader {
-		b.send(leader, part(myPos))
-	} else {
-		for i, m := range members {
-			if i != myPos {
-				b.recv(m, part(i))
-			}
+// leaderParts appends one round moving per-member buffers between the
+// members and their leader, part(i) being position i's: gathering, each
+// member ships its own and the leader lands every other position's in place;
+// scattering, the leader ships them and each member lands its own.
+func (b *schedBuilder) leaderParts(members []int, myPos, leader int, gather bool, part func(pos int) []byte) {
+	lead := members[myPos] == leader
+	for i, peer := range members {
+		if !lead {
+			peer = leader
 		}
-	}
-	b.endRound()
-}
-
-// scatterParts is gatherParts reversed: the leader ships part(i) to the
-// member at position i, which lands it in its own part.
-func (b *schedBuilder) scatterParts(members []int, myPos, leader int, part func(pos int) []byte) {
-	if members[myPos] != leader {
-		b.recv(leader, part(myPos))
-	} else {
-		for i, m := range members {
-			if i != myPos {
-				b.send(m, part(i))
-			}
+		switch {
+		case lead == (i == myPos):
+		case lead == gather:
+			b.recv(peer, part(i))
+		default:
+			b.send(peer, part(i))
 		}
 	}
 	b.endRound()
@@ -150,142 +142,191 @@ func (b *schedBuilder) exchange(peers []int, me int, inLen func(i int) int, out 
 	return in
 }
 
-// stripe returns part p of buf cut into n contiguous near-equal parts
-// (splitBounds' rule, in bytes).
-func stripe(buf []byte, n, p int) []byte {
-	return buf[p*len(buf)/n : (p+1)*len(buf)/n]
-}
-
-// bridgeExchange appends the inter-cluster round of the multi-leader forms.
-// For every ordered cluster pair the traffic crosses between the pair's
-// co-leader couples (ct.relays), stripe p of it on couple p, all pairs in
-// one duplex round: every inbound chunk is pre-posted beside the outbound
-// sends, so both directions of a bridge are busy at once and concurrent
-// bodies cannot deadlock. out(cj) is what this rank's cluster ships to
-// cluster cj, in(ci) the buffer cluster ci's traffic lands in; a rank is
-// asked only for the clusters it carries a stripe of, and both ends of a
-// couple cut the same length the same way. Empty stripes are skipped on
-// both ends.
+// The pipelined bridge exchange: the inter-cluster round of the multi-leader
+// forms with the intra-cluster rounds that frame it, cut into slabs so that
+// a co-leader feeds and drains its fast fabric while its bridge is busy.
 //
-// A stripe longer than two segments crosses as seg-byte eager chunks, not
-// as one rendez-vous body. The chunks complete locally at the sender and
-// skip the handshake — and a rendez-vous body between the two ends of a
-// bridge is striped by ch_mad over the pair's second rail, the detour over
-// the two other bridges, which a collective that already fills every bridge
-// pays for twice: a 1 MiB Allreduce on the bridged triangle takes 148 ms and
-// moves 2.1 MB per bridge as whole pieces, 114 ms and 1.4 MB as chunks. Up
-// to two segments a stripe ships whole: it is still one eager message on a
-// bridge, and measured 2-5 % faster than two.
-func (b *schedBuilder) bridgeExchange(ct *commTopo, me, seg int, out, in func(cl int) []byte) {
-	chunks := func(buf []byte, emit func(chunk []byte)) {
-		if len(buf) <= 2*seg {
-			if len(buf) > 0 {
-				emit(buf)
+// For every ordered cluster pair the traffic crosses between the pair's
+// co-leader couples (ct.relays). It is cut into slabs of w bytes and every
+// slab is striped over the couples, stripe p on couple p; a stripe longer
+// than two segments crosses as seg-byte eager chunks, not as one rendez-vous
+// body. The chunks complete locally at the sender and skip the handshake —
+// and a rendez-vous body between the two ends of a bridge is striped by
+// ch_mad over the pair's second rail, the detour over the two other bridges,
+// which a collective that already fills every bridge pays for twice: a 1 MiB
+// Allreduce on the bridged triangle takes 148 ms and moves 2.1 MB per bridge
+// as whole pieces, 114 ms and 1.4 MB as chunks. Up to two segments a stripe
+// ships whole: it is still one eager message on a bridge, and measured 2-5 %
+// faster than two.
+//
+// A form is a list of stages — hand the outbound data to the couples, cross,
+// hand on or fold what landed, fan out — and pipeline runs them skewed by one
+// round each: round t carries slab t-i of stage i, so slab t crosses while
+// slab t+1 is fed and slab t-1 drained. Bridge sends are plain sends and
+// every intra-cluster send of a stage rides the round's second lane
+// (sendAside), which is where the overlap comes from: the two threads of a
+// co-leader drive its two networks at once. One slab is the unpipelined form:
+// the stages then follow each other round by round, no round has two lanes,
+// and the schedule is what it was before there were slabs.
+
+// slabChunks is the least number of chunks per couple in a slab, and the most
+// slabs an exchange is cut into: slabs few enough that the rounds' hand-shakes
+// stay noise, short enough that the first feed and the last drain — the
+// intra-cluster time no bridge round hides — are a small part of the whole
+// (at 1 MiB on the bridged triangle an Allgather takes 42.3 ms with 8-chunk
+// slabs, 43.5 ms with 16, 47.8 ms unpipelined).
+const slabChunks = 8
+
+// slabbing cuts one exchange: n slabs of w bytes of every pair's traffic (the
+// last ragged, pairs with less traffic run out earlier). The same on every
+// rank: size(ci, cj) is what cluster ci ships to cluster cj, and the longest
+// decides. w is a whole number of chunks on each of the most couples any pair
+// has and of es-byte elements, so a fold may follow the slabs.
+func (ct *commTopo) slabbing(seg, es int, size func(ci, cj int) int) (n, w int) {
+	longest, per := 0, seg
+	for ci, row := range ct.relays {
+		for cj, rs := range row {
+			if ci != cj {
+				longest, per = max(longest, size(ci, cj)), max(per, len(rs)*seg)
 			}
-			return
-		}
-		for off := 0; off < len(buf); off += seg {
-			emit(buf[off:min(off+seg, len(buf))])
 		}
 	}
-	gw := ""
-	for _, ci := range ct.remote {
-		rs := ct.relays[ci][ct.myCluster]
-		for p, r := range rs {
-			if r.y == me {
-				chunks(stripe(in(ci), len(rs), p), func(chunk []byte) { b.recv(r.x, chunk) })
-				gw = r.gw
-			}
-		}
-	}
-	for _, cj := range ct.remote {
-		rs := ct.relays[ct.myCluster][cj]
-		for p, r := range rs {
-			if r.x == me {
-				chunks(stripe(out(cj), len(rs), p), func(chunk []byte) { b.send(r.y, chunk) })
-				gw = r.gw
-			}
-		}
-	}
-	if gw != "" {
-		b.lane(0, gw)
-	}
-	b.endRound()
+	chunks := max(slabChunks, ((longest+per-1)/per+slabChunks-1)/slabChunks)
+	w = (chunks*per + es - 1) / es * es
+	return max(1, (longest+w-1)/w), w
 }
 
-// handOff appends the intra-cluster round that frames a bridge exchange on
-// the forms whose data sits on one holder per cluster: outbound, the holder
-// hands stripe p of buf(cl), its traffic to cluster cl, to couple p's x;
-// inbound, couple p's y hands the stripe of buf(cl) it landed to the holder.
-// The stripe has the same place in buf(cl) on both ends. A couple whose end
-// is the holder moves nothing; empty stripes are skipped.
-func (b *schedBuilder) handOff(ct *commTopo, me, holder int, inbound bool, buf func(cl int) []byte) {
-	for _, cl := range ct.remote {
-		rs := ct.relays[ct.myCluster][cl]
-		if inbound {
-			rs = ct.relays[cl][ct.myCluster]
-		}
-		for p, r := range rs {
-			from, to := holder, r.x
-			if inbound {
-				from, to = r.y, holder
-			}
-			if from == to || me != from && me != to {
-				continue
-			}
-			switch s := stripe(buf(cl), len(rs), p); {
-			case len(s) == 0:
-			case me == from:
-				b.send(to, s)
-			default:
-				b.recv(from, s)
-			}
-		}
-	}
-	b.endRound()
+// slabSpan returns where stripe p of n of slab s lies in a buffer of length
+// l cut into slabs of w bytes (stripes by splitBounds' rule, in bytes).
+func slabSpan(l, w, s, n, p int) (lo, hi int) {
+	a, z := min(s*w, l), min((s+1)*w, l)
+	return a + p*(z-a)/n, a + (p+1)*(z-a)/n
 }
 
-// fanOut appends the intra-cluster broadcast that ends a multi-leader form:
-// buf(ci), cluster ci's part of the result, reaches every member from where
-// the exchange left it — stripe p on the y of couple p of (ci, my cluster),
-// the own cluster's part whole on holder. The binomial trees of all these
-// pieces are walked in lockstep, round t moving every tree's edges of stride
-// 2^(k-1-t), so ceil(log2 m) rounds carry them all and a rank forwards one
-// piece while another lands. A round waits only for edges of earlier rounds,
-// so there is no cycle; pieces sharing a (sender, receiver) pair are listed
-// in the same order on both ends. Empty pieces are skipped.
-func (b *schedBuilder) fanOut(ct *commTopo, me, holder int, buf func(ci int) []byte) {
-	members := ct.clusters[ct.myCluster]
-	m, myPos := len(members), posIn(members, me)
-	var roots []int
-	var pieces [][]byte
-	for ci := 0; ci < ct.nClusters; ci++ {
-		if ci == ct.myCluster {
-			roots, pieces = append(roots, posIn(members, holder)), append(pieces, buf(ci))
-			continue
-		}
-		rs := ct.relays[ci][ct.myCluster]
-		for p, r := range rs {
-			roots, pieces = append(roots, posIn(members, r.y)), append(pieces, stripe(buf(ci), len(rs), p))
-		}
-	}
-	mask := 1
-	for mask < m {
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		for i, piece := range pieces {
-			rel := (myPos - roots[i] + m) % m
-			switch {
-			case len(piece) == 0:
-			case rel%(2*mask) == 0 && rel+mask < m:
-				b.send(members[(myPos+mask)%m], piece)
-			case rel%(2*mask) == mask:
-				b.recv(members[(myPos-mask+m)%m], piece)
+// cut returns slab s of a buffer cut into slabs of w bytes, stripe part p of a
+// slab striped n ways.
+func cut(buf []byte, w, s int) []byte { return buf[min(s*w, len(buf)):min((s+1)*w, len(buf))] }
+
+func stripe(buf []byte, n, p int) []byte { return buf[p*len(buf)/n : (p+1)*len(buf)/n] }
+
+// pipeline appends the rounds of n slabs through the stages: round t runs
+// stage i on slab t-i. A nil stage is a round of skew.
+func (b *schedBuilder) pipeline(n int, stages ...func(s int)) {
+	for t := 0; t < n+len(stages)-1; t++ {
+		for i, stage := range stages {
+			if s := t - i; stage != nil && s >= 0 && s < n {
+				stage(s)
 			}
 		}
 		b.endRound()
 	}
+}
+
+// bridgeStage is the crossing: all pairs in one duplex round, every inbound
+// chunk pre-posted beside the outbound sends, so both directions of a bridge
+// are busy at once and concurrent bodies cannot deadlock. out(cj) is what
+// this rank's cluster ships to cluster cj, in(ci) the buffer cluster ci's
+// traffic lands in, of slab s; a rank is asked only for the clusters it
+// carries a stripe of, and both ends of a couple cut the same length the same
+// way. Empty stripes are skipped on both ends. The rounds are annotated with
+// the gateway this rank fronts.
+func (b *schedBuilder) bridgeStage(ct *commTopo, me, seg int, out, in func(cl, s int) []byte) func(s int) {
+	chunks := func(buf []byte, emit func(chunk []byte)) {
+		size := seg
+		if len(buf) <= 2*seg {
+			size = 2 * seg
+		}
+		for off := 0; off < len(buf); off += size {
+			emit(buf[off:min(off+size, len(buf))])
+		}
+	}
+	return func(s int) {
+		for _, cl := range ct.remote {
+			from, to := ct.relays[cl][ct.myCluster], ct.relays[ct.myCluster][cl]
+			for p, r := range from {
+				if r.y == me {
+					b.onShard(0, r.gw)
+					chunks(stripe(in(cl, s), len(from), p), func(chunk []byte) { b.recv(r.x, chunk) })
+				}
+			}
+			for p, r := range to {
+				if r.x == me {
+					b.onShard(0, r.gw)
+					chunks(stripe(out(cl, s), len(to), p), func(chunk []byte) { b.send(r.y, chunk) })
+				}
+			}
+		}
+	}
+}
+
+// move appends this rank's end, if it has one, of an intra-cluster transfer
+// of part between two ranks, the send on the round's second lane. An empty
+// part, or one that is where it is going, moves nothing.
+func (b *schedBuilder) move(me, from, to int, part []byte) {
+	switch {
+	case len(part) == 0 || from == to:
+	case me == from:
+		b.sendAside(to, part)
+	case me == to:
+		b.recv(from, part)
+	}
+}
+
+// handOffStage is the intra-cluster stage that frames a crossing on the forms
+// whose data sits on one holder per cluster: outbound, the holder hands
+// stripe p of buf(cl, s), slab s of its traffic to cluster cl, to couple p's
+// x; inbound, couple p's y hands the stripe it landed to the holder. The
+// stripe has the same place in the slab on both ends.
+func (b *schedBuilder) handOffStage(ct *commTopo, me, holder int, inbound bool, buf func(cl, s int) []byte) func(s int) {
+	return func(s int) {
+		for _, cl := range ct.remote {
+			if rs := ct.relays[ct.myCluster][cl]; !inbound {
+				for p, r := range rs {
+					b.move(me, holder, r.x, stripe(buf(cl, s), len(rs), p))
+				}
+				continue
+			}
+			rs := ct.relays[cl][ct.myCluster]
+			for p, r := range rs {
+				b.move(me, r.y, holder, stripe(buf(cl, s), len(rs), p))
+			}
+		}
+	}
+}
+
+// fanOutStages are the intra-cluster broadcast that ends a multi-leader
+// form, one stage per level of a binomial tree: buf(ci, s), slab s of cluster
+// ci's part of the result, reaches every member from where the exchange left
+// it — stripe p on the y of couple p of (ci, my cluster), the own cluster's
+// part on holder. The trees of all these pieces are walked in lockstep, level
+// t moving every tree's edges of stride 2^(k-1-t), so ceil(log2 m) stages
+// carry them all and a rank forwards one piece while another lands. A level
+// waits only for edges of the level before, a round earlier, so there is no
+// cycle; pieces sharing a (sender, receiver) pair are listed in the same
+// order on both ends. Empty pieces are skipped.
+func (b *schedBuilder) fanOutStages(ct *commTopo, me, holder int, buf func(ci, s int) []byte) (stages []func(s int)) {
+	members := ct.clusters[ct.myCluster]
+	m := len(members)
+	for mask := 1 << bits.Len(uint(m-1)) >> 1; mask > 0; mask >>= 1 {
+		stages = append(stages, func(s int) {
+			level := func(root int, piece []byte) {
+				for rel, at := 0, posIn(members, root); rel+mask < m; rel += 2 * mask {
+					b.move(me, members[(at+rel)%m], members[(at+rel+mask)%m], piece)
+				}
+			}
+			for ci := 0; ci < ct.nClusters; ci++ {
+				if ci == ct.myCluster {
+					level(holder, buf(ci, s))
+					continue
+				}
+				rs := ct.relays[ci][ct.myCluster]
+				for p, r := range rs {
+					level(r.y, stripe(buf(ci, s), len(rs), p))
+				}
+			}
+		})
+	}
+	return stages
 }
 
 // splitBounds partitions count elements into m contiguous near-equal

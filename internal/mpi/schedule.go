@@ -13,6 +13,21 @@
 // received bytes, which is how store-and-forward trees and pipelined
 // segments are written as plain data.
 //
+// A send step may ride the round's second lane (schedBuilder.sendAside).
+// EndPacking keeps a sender until the wire has taken its bytes, so one thread
+// issuing a round's sends one after another leaves a rank's fast fabric idle
+// while its bridge drains; the sends of lane 1 are injected by a second
+// Marcel thread of the same process while lane 0 runs inline — the paper's
+// one thread per network, for the length of a round. The round still
+// pre-posts every receive first and ends when both lanes and all receives
+// are done; CPU charges of the two threads contend through Compute like any
+// two threads of a process; an error on either lane ends the schedule. The
+// thread is resident, one per communicator, started by the first laned round
+// (collEngine.lane). What a compiler owes the lane is in doc.go's schedule
+// model: a lane-1 send is eager or its receive is posted in the peer's same
+// round, and no directed pair has sends on both lanes of one round. A round
+// with no lane-1 step executes exactly as it did before there was one.
+//
 // Staging is leased at compile time from the rank's buffer list
 // (schedBuilder.stage), lives until the completion closure has returned,
 // and goes home in execSchedule; a schedule that ends in error keeps it
@@ -46,26 +61,29 @@ const (
 	stepCopy                   // dst = src, charged as a local memcpy
 )
 
-// step is one schedule operation. Transfers use peer (comm rank) and buf;
-// local steps use dst/src (reduce additionally count/dt/op).
+// step is one schedule operation. Transfers use peer (comm rank) and buf —
+// a send also lane, 1 for the round's second lane; local steps write buf
+// from src (reduce additionally count/dt/op).
 type step struct {
 	kind stepKind
+	lane uint8
 	peer int
 	buf  []byte
 
-	dst, src []byte
-	count    int
-	dt       Datatype
-	op       Op
+	src   []byte
+	count int
+	dt    Datatype
+	op    Op
 }
 
 // round is a set of steps whose transfers may be in flight concurrently.
-// Multi-leader compilers annotate rounds with the shard lane they ride:
+// Multi-leader compilers annotate rounds with the shard they carry:
 // leader1 is 1 + the co-leader (shard) index — zero means untagged — and
 // gw names the gateway network that lane crosses, so trace spans show the
 // parallel gateway lanes side by side.
 type round struct {
 	steps   []step
+	laned   bool // some sends are marked for the second lane and some not
 	leader1 int16
 	gw      string
 }
@@ -108,6 +126,15 @@ func (b *schedBuilder) stage(n int) []byte {
 	return buf.B
 }
 
+// lazily is stage for a buffer only some ranks need: leased by the first step
+// that names it.
+func (b *schedBuilder) lazily(buf *[]byte, n int) []byte {
+	if *buf == nil {
+		*buf = b.stage(n)
+	}
+	return *buf
+}
+
 // landing returns the n bytes a schedule assembles a packed result in, for
 // a completion closure (unpackVector, unpackBlocks) to unpack into user.
 // For a dense datatype the packed form and the user's layout are the same
@@ -125,34 +152,62 @@ func (b *schedBuilder) landing(user []byte, n int, dt Datatype) []byte {
 }
 
 // endRound seals the open round (dropped when empty) and opens a new one
-// on the same lane.
+// under the same annotation. The second lane exists beside a first: in a
+// round that sends nothing on lane 0 the sends marked for lane 1 are plain
+// sends, in the order listed.
 func (b *schedBuilder) endRound() {
 	if len(b.cur.steps) > 0 {
+		var on [2]bool
+		for _, st := range b.cur.steps {
+			on[st.lane] = on[st.lane] || st.kind == stepSend
+		}
+		b.cur.laned = on[0] && on[1]
+		for i := range b.cur.steps {
+			if !b.cur.laned {
+				b.cur.steps[i].lane = 0
+			}
+		}
 		b.sch.rounds = append(b.sch.rounds, b.cur)
 		b.cur = round{leader1: b.cur.leader1, gw: b.cur.gw}
 	}
 }
 
+// add appends a step to the open round. A round's steps are sized after the
+// round before: the rounds of a pipeline are alike, and one that grew step
+// by step cost twice its size.
+func (b *schedBuilder) add(st step) {
+	if n := len(b.sch.rounds); b.cur.steps == nil && n > 0 {
+		b.cur.steps = make([]step, 0, len(b.sch.rounds[n-1].steps))
+	}
+	b.cur.steps = append(b.cur.steps, st)
+}
+
 func (b *schedBuilder) send(to int, buf []byte) {
-	b.cur.steps = append(b.cur.steps, step{kind: stepSend, peer: to, buf: buf})
+	b.add(step{kind: stepSend, peer: to, buf: buf})
+}
+
+// sendAside is send on the round's second lane: injected beside the round's
+// plain sends, by the communicator's lane thread.
+func (b *schedBuilder) sendAside(to int, buf []byte) {
+	b.add(step{kind: stepSend, lane: 1, peer: to, buf: buf})
 }
 
 func (b *schedBuilder) recv(from int, buf []byte) {
-	b.cur.steps = append(b.cur.steps, step{kind: stepRecv, peer: from, buf: buf})
+	b.add(step{kind: stepRecv, peer: from, buf: buf})
 }
 
 func (b *schedBuilder) reduce(dst, src []byte, count int, dt Datatype, op Op) {
-	b.cur.steps = append(b.cur.steps, step{kind: stepReduce, dst: dst, src: src, count: count, dt: dt, op: op})
+	b.add(step{kind: stepReduce, buf: dst, src: src, count: count, dt: dt, op: op})
 }
 
 func (b *schedBuilder) copyStep(dst, src []byte) {
-	b.cur.steps = append(b.cur.steps, step{kind: stepCopy, dst: dst, src: src})
+	b.add(step{kind: stepCopy, buf: dst, src: src})
 }
 
-// lane marks the open round and every later one, until the next call,
+// onShard marks the open round and every later one, until the next call,
 // with the co-leader (shard) index and the gateway network their transfers
 // ride (multi-leader trace annotation).
-func (b *schedBuilder) lane(leaderIdx int, gw string) {
+func (b *schedBuilder) onShard(leaderIdx int, gw string) {
 	b.cur.leader1, b.cur.gw = int16(leaderIdx+1), gw
 }
 
@@ -216,51 +271,54 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 			rd0 = c.p.M.S.Now()
 		}
 
-		nRecv := 0
-		for _, st := range rd.steps {
-			if st.kind == stepRecv {
+		nRecv, laned := 0, rd.laned
+		for i := range rd.steps {
+			if rd.steps[i].kind == stepRecv {
 				nRecv++
 			}
 		}
 		var recvsDone *vtime.Event
-		var rrs []*adi.RecvReq
+		var rrs []adi.RecvReq
 		if nRecv > 0 {
 			recvsDone = vtime.NewEvent(c.p.M.S, sch.roundEvt)
+			rrs = make([]adi.RecvReq, 0, nRecv)
 			pending := nRecv
+			landed := func() {
+				pending--
+				if pending == 0 {
+					recvsDone.Fire()
+				}
+			}
 			for _, st := range rd.steps {
 				if st.kind != stepRecv {
 					continue
 				}
-				rr := &adi.RecvReq{
+				rrs = append(rrs, adi.RecvReq{
 					Src: c.group[st.peer], Tag: tag, Context: c.collCtx(),
-					Buf:  st.buf,
-					Done: vtime.NewEvent(c.p.M.S, "mpi.sched.recv"),
-					OnComplete: func() {
-						pending--
-						if pending == 0 {
-							recvsDone.Fire()
-						}
-					},
-				}
-				c.p.Eng.PostRecv(rr)
-				rrs = append(rrs, rr)
+					Buf: st.buf, OnComplete: landed,
+				})
+				c.p.Eng.PostRecv(&rrs[len(rrs)-1])
 			}
 		}
 
-		for _, st := range rd.steps {
-			if st.kind != stepSend {
-				continue
+		if laned {
+			c.laneStart(rd, tag)
+		}
+		err := c.sendLane(rd, 0, tag)
+		if laned {
+			if c.eng.laneDone.Acquire(); err == nil {
+				err = c.eng.laneErr
 			}
-			if err := c.sendRaw(st.buf, st.peer, tag, c.collCtx()); err != nil {
-				return err
-			}
+		}
+		if err != nil {
+			return err
 		}
 
 		if recvsDone != nil {
 			recvsDone.Wait()
-			for _, rr := range rrs {
-				if rr.Err != nil {
-					return rr.Err
+			for i := range rrs {
+				if rrs[i].Err != nil {
+					return rrs[i].Err
 				}
 			}
 		}
@@ -268,12 +326,12 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 		for _, st := range rd.steps {
 			switch st.kind {
 			case stepReduce:
-				if err := st.op.Apply(st.dst, st.src, st.count, st.dt); err != nil {
+				if err := st.op.Apply(st.buf, st.src, st.count, st.dt); err != nil {
 					return err
 				}
 			case stepCopy:
 				c.p.M.Compute(c.p.memTime(len(st.src)))
-				copy(st.dst, st.src)
+				copy(st.buf, st.src)
 			case stepSend, stepRecv:
 				// Network steps were issued at round start; nothing to
 				// apply locally.
@@ -282,7 +340,7 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 		if tr != nil {
 			tr.Span(c.p.traceTrack, trace.KSched, "sched.round", rd0, trace.Args{
 				Seq: uint32(tag), Val: int64(ri),
-				Bytes: roundBytes(rd), Class: roundPeers(c, rd),
+				Bytes: roundBytes(rd)[0], Class: roundPeers(c, rd),
 				Leader: rd.leader1, GW: rd.gw,
 			})
 		}
@@ -293,12 +351,24 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 	return nil
 }
 
-// roundBytes totals a round's outbound payload (trace annotation).
-func roundBytes(rd *round) int64 {
-	var n int64
+// sendLane injects the round's sends of one lane, in listed order, on the
+// calling thread; the first error ends it.
+func (c *Comm) sendLane(rd *round, lane uint8, tag int) error {
+	for i := range rd.steps {
+		if st := &rd.steps[i]; st.kind == stepSend && st.lane == lane {
+			if err := c.sendRaw(st.buf, st.peer, tag, c.collCtx()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// roundBytes totals the payload a round sends on each lane (trace annotation).
+func roundBytes(rd *round) (n [2]int64) {
 	for _, st := range rd.steps {
 		if st.kind == stepSend {
-			n += int64(len(st.buf))
+			n[st.lane] += int64(len(st.buf))
 		}
 	}
 	return n
@@ -306,8 +376,9 @@ func roundBytes(rd *round) int64 {
 
 // roundPeers summarizes who a round talks to, in world ranks, for the
 // round's trace span: "s5,r0" = one send to world rank 5, one receive
-// from world rank 0 — the leaders and neighbours each round engages.
-// Bounded at 6 entries; only built when tracing is on.
+// from world rank 0 — the leaders and neighbours each round engages; a
+// laned round ends in "/1:" and the bytes lane 1 carried, beside the span's
+// own count for lane 0. Bounded at 6 entries; only built when tracing is on.
 func roundPeers(c *Comm, rd *round) string {
 	var parts []string
 	extra := 0
@@ -319,14 +390,13 @@ func roundPeers(c *Comm, rd *round) string {
 			extra++
 			continue
 		}
-		dir := "s"
-		if st.kind == stepRecv {
-			dir = "r"
-		}
-		parts = append(parts, fmt.Sprintf("%s%d", dir, c.group[st.peer]))
+		parts = append(parts, fmt.Sprintf("%c%d", "sr"[st.kind], c.group[st.peer]))
 	}
 	if extra > 0 {
 		parts = append(parts, fmt.Sprintf("+%d", extra))
+	}
+	if n := roundBytes(rd)[1]; n > 0 {
+		return fmt.Sprintf("%s/1:%d", strings.Join(parts, ","), n)
 	}
 	return strings.Join(parts, ",")
 }

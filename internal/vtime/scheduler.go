@@ -262,7 +262,6 @@ type fifo[T any] struct {
 
 func (q *fifo[T]) len() int  { return len(q.buf) - q.head }
 func (q *fifo[T]) push(v T)  { q.buf = append(q.buf, v) }
-func (q *fifo[T]) peek() T   { return q.buf[q.head] }
 func (q *fifo[T]) first() *T { return &q.buf[q.head] }
 
 func (q *fifo[T]) pop() T {

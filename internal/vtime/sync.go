@@ -193,15 +193,6 @@ func (q *Queue[T]) TryPop() (T, bool) {
 	return q.items.pop(), true
 }
 
-// Peek returns the head item without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	if q.items.len() == 0 {
-		var zero T
-		return zero, false
-	}
-	return q.items.peek(), true
-}
-
 // Pop removes and returns the head item, blocking in virtual time until
 // one is available.
 func (q *Queue[T]) Pop() T {
