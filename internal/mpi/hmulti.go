@@ -155,7 +155,8 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 		late         bool  // the path's last rank, my cluster's holder, posts its receives late
 		termCluster  bool  // my cluster is the path's last stop
 		sinks        []int // my cluster's members the path never touches
-		holder       int   // the shard's holder in my cluster
+		streams      []bool
+		holder       int // the shard's holder in my cluster
 		lo, hi, nseg int
 		gw           string
 	}
@@ -206,21 +207,26 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	// on, and two streams on one directed pair are matched in the order
 	// they are sent — so a terminal rank whose predecessor also feeds it
 	// another shard during the cycles takes its segments as they come.
-	for k := range plans {
-		if pl, last := &plans[k], len(paths[k])-1; pl.termCluster && last > 0 {
-			pl.late = (pl.nseg > 1 || pl.hi-pl.lo <= seg) && !feeds(k, paths[k][last-1], pl.holder)
-		}
-	}
-	// streamed reports whether the holder hands shard k to sink sk during the
+	//
+	// streams[i] says whether the holder hands the shard to sink i during the
 	// cycles, by the same two rules: the segments must be eager, because a
 	// sink matches them late, and the holder may feed that sink no other
 	// shard's path — beside a plain root, a co-leader is sink of one shard
 	// and path of the other, and gets the first after the cycles as it always
-	// did. Asked by the two ends only, each of its own device towards the
-	// other: one link of the cluster's fabric, the same threshold both ways.
-	streamed := func(k, sk int) bool {
+	// did. Worked out by the two ends only, each asking its own device about
+	// the other: one link of the cluster's fabric, the same threshold both
+	// ways.
+	for k := range plans {
 		pl := &plans[k]
-		return pl.nseg > 1 && !feeds(k, pl.holder, sk) && c.eagerTo(pl.holder+sk-c.myRank, seg)
+		if last := len(paths[k]) - 1; pl.termCluster && last > 0 {
+			pl.late = (pl.nseg > 1 || pl.hi-pl.lo <= seg) && !feeds(k, paths[k][last-1], pl.holder)
+		}
+		pl.streams = make([]bool, len(pl.sinks))
+		for i, sk := range pl.sinks {
+			if c.myRank == pl.holder || c.myRank == sk {
+				pl.streams[i] = pl.nseg > 1 && !feeds(k, pl.holder, sk) && c.eagerTo(pl.holder+sk-c.myRank, seg)
+			}
+		}
 	}
 	chunkOf := func(pl *shardPlan, s int) []byte {
 		if lo := pl.lo + s*seg; pl.nseg > 1 {
@@ -259,8 +265,8 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 					b.endRound()
 				}
 			}
-			for _, sk := range pl.sinks {
-				if r := s - 2*late; mine && r >= 0 && r < pl.nseg && streamed(k, sk) {
+			for i, sk := range pl.sinks {
+				if r := s - 2*late; mine && r >= 0 && r < pl.nseg && pl.streams[i] {
 					aside = append(aside, step{peer: sk, buf: chunkOf(pl, r)})
 				}
 			}
@@ -290,7 +296,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	for s := 0; s < maxSeg+2; s++ {
 		for k := range plans {
 			pl := &plans[k]
-			if r := s - 2*int(b2i(pl.late)); r >= 0 && r < pl.nseg && posIn(pl.sinks, c.myRank) >= 0 && streamed(k, c.myRank) {
+			if r, i := s-2*int(b2i(pl.late)), posIn(pl.sinks, c.myRank); r >= 0 && r < pl.nseg && i >= 0 && pl.streams[i] {
 				b.recv(pl.holder, chunkOf(pl, r))
 			}
 		}
@@ -316,9 +322,9 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 			b.treeBcast(parent, children, data[pl.lo:pl.hi])
 		}
 		for s := 0; s < pl.nseg && !(pl.nseg == 1 && pl.termCluster); s++ {
-			for _, sk := range pl.sinks {
+			for i, sk := range pl.sinks {
 				switch {
-				case c.myRank != pl.holder && c.myRank != sk || streamed(k, sk):
+				case c.myRank != pl.holder && c.myRank != sk || pl.streams[i]:
 				case c.myRank == sk:
 					b.recv(pl.holder, chunkOf(pl, s))
 				default:

@@ -161,9 +161,8 @@ func (b *schedBuilder) endRound() {
 		for _, st := range b.cur.steps {
 			on[st.lane] = on[st.lane] || st.kind == stepSend
 		}
-		b.cur.laned = on[0] && on[1]
-		for i := range b.cur.steps {
-			if !b.cur.laned {
+		if b.cur.laned = on[0] && on[1]; !b.cur.laned {
+			for i := range b.cur.steps {
 				b.cur.steps[i].lane = 0
 			}
 		}
@@ -271,7 +270,7 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 			rd0 = c.p.M.S.Now()
 		}
 
-		nRecv, laned := 0, rd.laned
+		nRecv := 0
 		for i := range rd.steps {
 			if rd.steps[i].kind == stepRecv {
 				nRecv++
@@ -301,11 +300,11 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 			}
 		}
 
-		if laned {
+		if rd.laned {
 			c.laneStart(rd, tag)
 		}
 		err := c.sendLane(rd, 0, tag)
-		if laned {
+		if rd.laned {
 			if c.eng.laneDone.Acquire(); err == nil {
 				err = c.eng.laneErr
 			}
@@ -390,7 +389,11 @@ func roundPeers(c *Comm, rd *round) string {
 			extra++
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%c%d", "sr"[st.kind], c.group[st.peer]))
+		dir := "s"
+		if st.kind == stepRecv {
+			dir = "r"
+		}
+		parts = append(parts, fmt.Sprintf("%s%d", dir, c.group[st.peer]))
 	}
 	if extra > 0 {
 		parts = append(parts, fmt.Sprintf("+%d", extra))
