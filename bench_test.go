@@ -198,7 +198,8 @@ func BenchmarkScaleMachine(b *testing.B) {
 		Experiment: "X8 scale: hierarchical routing + scheduler hot paths at 1024 ranks",
 		Topology: "64 SCI islands x 16 ranks (1024 ranks), one gateway per island on a" +
 			" trunk-capped TCP backbone; planner growth sampled at 256 and 1024 ranks" +
-			" on the same shape (workload = construction + bloc/leader resolution sweep)",
+			" on the same shape (workload = construction + bloc/leader resolution sweep);" +
+			" series = completion, synchronised start to the last rank's return",
 	}
 	for _, shape := range []struct{ nc, per int }{{16, 16}, {64, 16}} {
 		nc, per := shape.nc, shape.per

@@ -6,12 +6,11 @@ package experiments
 // shapes the experiments run them on. What stays with each experiment is
 // its topology, its sizes and what it reads off the session afterwards.
 //
-// Two measurements keep a loop of their own, because neither is
-// "iters × op": adaptive.go's loaded transfer times one send from its
-// start on rank 0 to its completion on rank 8, across a re-plan, and
-// scale.go sweeps both collectives and every size inside one 1024-rank
-// session, a barrier before each single operation — a fresh session per
-// point would cost a Build of the machine each.
+// Two measurements are not "iters × op" on rank 0's clock: adaptive.go's
+// loaded transfer times one send from its start on rank 0 to its completion
+// on rank 8, across a re-plan, and scale.go sweeps both collectives and every
+// size inside one 1024-rank session — a fresh session per point would cost a
+// Build of the machine each — and reports what the machine took (completion).
 
 import (
 	"mpichmad/internal/cluster"
@@ -90,6 +89,40 @@ func timed(sess *cluster.Session, iters, size int, op collOp, sample func()) (vt
 		return edge(rank, comm)
 	})
 	return perOp, err
+}
+
+// completion runs the session as one call of each op in turn, each from a
+// synchronised start — a barrier, then a gate every rank leaves at the instant
+// the last one reaches it — and returns per op what the machine took, the time
+// from that instant to the last rank's return, beside rank 0's own.
+func completion(sess *cluster.Session, ops ...func(comm *mpi.Comm) error) (last, rank0 []vtime.Duration, err error) {
+	last, rank0 = make([]vtime.Duration, len(ops)), make([]vtime.Duration, len(ops))
+	gate, waiting := vtime.NewEvent(sess.S, "start"), 0
+	err = sess.Run(func(rank int, comm *mpi.Comm) error {
+		for i, op := range ops {
+			if err := comm.Barrier(); err != nil {
+				return err
+			}
+			if waiting++; waiting < len(sess.Ranks) {
+				gate.Wait()
+			} else {
+				open := gate
+				gate, waiting = vtime.NewEvent(sess.S, "start"), 0
+				open.Fire()
+			}
+			start := sess.S.Now()
+			if err := op(comm); err != nil {
+				return err
+			}
+			took := sess.S.Now().Sub(start)
+			last[i] = max(last[i], took)
+			if rank == 0 {
+				rank0[i] = took
+			}
+		}
+		return nil
+	})
+	return last, rank0, err
 }
 
 // pingPong runs the session as one two-round-trip ping-pong between ranks

@@ -65,50 +65,42 @@ func ScaleTopo(nClusters, perCluster int) cluster.Topology {
 	return topo
 }
 
-// Scale (X8) runs Allreduce and Bcast sweeps on the full 1024-rank
-// machine and reports per-operation simulated time. It is one session for
-// both operations and every size, a barrier before each single timed
-// call, where the other collective experiments build a session per point:
-// a Build of this machine per point would be most of the experiment.
+// Scale (X8) runs Allreduce and Bcast sweeps and a Barrier on the full
+// 1024-rank machine and reports each operation's completion: from a synchronised
+// start to the last rank's return (rank 0 roots every Bcast, and a root
+// leaves when its own sends are away). It is one session for both
+// operations and every size, where the other collective experiments build
+// a session per point: a Build of this machine per point would be most of
+// the experiment.
 func Scale() (*Result, error) {
 	sess, err := cluster.Build(ScaleTopo(scaleClusters, scaleRanksPer))
 	if err != nil {
 		return nil, err
 	}
 	sizes := []int{64, 1 << 10, scaleMaxPayload}
-	ar := &stats.Series{Name: "Allreduce"}
-	bc := &stats.Series{Name: "Bcast"}
-	err = sess.Run(func(rank int, comm *mpi.Comm) error {
-		for _, n := range sizes {
-			in, out := make([]byte, n), make([]byte, n)
-			if err := comm.Barrier(); err != nil {
-				return err
-			}
-			start := sess.S.Now()
-			if err := comm.Allreduce(in, out, n/8, mpi.Float64, mpi.OpSum); err != nil {
-				return err
-			}
-			if rank == 0 {
-				ar.Add(n, sess.S.Now().Sub(start))
-			}
-			if err := comm.Barrier(); err != nil {
-				return err
-			}
-			start = sess.S.Now()
-			if err := comm.Bcast(out, n, mpi.Byte, scaleBcastRoot); err != nil {
-				return err
-			}
-			if rank == 0 {
-				bc.Add(n, sess.S.Now().Sub(start))
-			}
-		}
-		return nil
-	})
+	var ops []func(comm *mpi.Comm) error
+	for _, n := range sizes {
+		ops = append(ops,
+			func(comm *mpi.Comm) error {
+				return comm.Allreduce(make([]byte, n), make([]byte, n), n/8, mpi.Float64, mpi.OpSum)
+			},
+			func(comm *mpi.Comm) error { return comm.Bcast(make([]byte, n), n, mpi.Byte, scaleBcastRoot) })
+	}
+	ops = append(ops, func(comm *mpi.Comm) error { return comm.Barrier() })
+	took, _, err := completion(sess, ops...)
 	if err != nil {
 		return nil, err
 	}
-	res := render("scale", fmt.Sprintf("Scale: %d-rank machine (%d clusters x %d ranks, capped backbone)",
-		len(sess.Ranks), scaleClusters, scaleRanksPer), unitTime, []*stats.Series{ar, bc})
+	ar := &stats.Series{Name: "Allreduce"}
+	bc := &stats.Series{Name: "Bcast"}
+	bar := &stats.Series{Name: "Barrier"} // no payload: its one point sits at size 0
+	for i, n := range sizes {
+		ar.Add(n, took[2*i])
+		bc.Add(n, took[2*i+1])
+	}
+	bar.Add(0, took[len(took)-1])
+	res := render("scale", fmt.Sprintf("Scale: %d-rank machine (%d clusters x %d ranks, capped backbone), synchronised start to the last rank's return",
+		len(sess.Ranks), scaleClusters, scaleRanksPer), unitTime, []*stats.Series{ar, bc, bar})
 	// Zero relaying ranks is the election doing its job: leaders sit on
 	// the multi-homed gateways, so leader-level exchanges ride the
 	// backbone directly instead of being store-and-forwarded.
