@@ -202,3 +202,22 @@ func (ct *Cart) Shift(dim, disp int) (src, dst int, srcOK, dstOK bool) {
 	src, srcOK = ct.RankOf(down)
 	return src, dst, srcOK, dstOK
 }
+
+// Pack serializes count elements of dt from buf into a contiguous byte
+// slice (MPI_Pack), charging the local memcpy.
+func (c *Comm) Pack(buf []byte, count int, dt Datatype) []byte {
+	out := PackBuf(buf, count, dt)
+	if !IsContiguous(dt) {
+		c.p.M.Compute(c.p.memTime(len(out)))
+	}
+	return out
+}
+
+// Unpack deserializes contiguous bytes into count elements of dt inside
+// buf (MPI_Unpack).
+func (c *Comm) Unpack(packed []byte, buf []byte, count int, dt Datatype) {
+	if !IsContiguous(dt) {
+		c.p.M.Compute(c.p.memTime(len(packed)))
+	}
+	UnpackBuf(buf, count, dt, packed)
+}

@@ -222,3 +222,31 @@ func TestCart2DStencilNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCommPackUnpack exercises the MPI_Pack/MPI_Unpack surface with a
+// derived type.
+func TestCommPackUnpack(t *testing.T) {
+	_, err := cluster.Launch(cluster.TwoNodes("sisci"), func(rank int, comm *mpi.Comm) error {
+		dt := mpi.Vector(3, 1, 2, mpi.Int32) // every other int32
+		src := make([]byte, dt.Extent())
+		for i := range src {
+			src[i] = byte(i)
+		}
+		packed := comm.Pack(src, 1, dt)
+		if len(packed) != dt.Size() {
+			return fmt.Errorf("packed %d bytes, want %d", len(packed), dt.Size())
+		}
+		dst := make([]byte, dt.Extent())
+		comm.Unpack(packed, dst, 1, dt)
+		repacked := comm.Pack(dst, 1, dt)
+		for i := range packed {
+			if repacked[i] != packed[i] {
+				return fmt.Errorf("pack/unpack roundtrip broken at %d", i)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

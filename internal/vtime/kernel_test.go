@@ -271,10 +271,10 @@ func TestDeadlineErrorCarriesTaskDump(t *testing.T) {
 }
 
 // A long-lived event that is subscribed to and cancelled over and over
-// (WaitAny over a persistent request) keeps no dead slots.
+// (WaitAny polling the same pending request) keeps no dead slots.
 func TestOnFireCancelDoesNotGrow(t *testing.T) {
 	s := New()
-	ev := NewEvent(s, "persistent")
+	ev := NewEvent(s, "pending")
 	keep := ev.OnFire(func() {})
 	for i := 0; i < 10000; i++ {
 		cancel := ev.OnFire(func() {})

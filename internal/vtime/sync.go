@@ -137,7 +137,7 @@ func (e *Event) Fire() {
 // subscription so callers waiting on many events don't leave dead
 // closures on the ones that never fired: it empties its slot and trims
 // the empty tail, so a long-lived event that is waited on again and again
-// (MPI_Waitany over a persistent request) does not grow.
+// (MPI_Waitany polling the same pending request) does not grow.
 func (e *Event) OnFire(fn func()) (cancel func()) {
 	if e.fired {
 		fn()
