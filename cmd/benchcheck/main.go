@@ -152,6 +152,28 @@ func checkScale(file string) int {
 			}
 		}
 	}
+	// The leader level of the two-level trees is derived from the backbone's
+	// LogGP numbers: against the completions recorded over the binomial
+	// leader tree it replaced, the Barrier must stay well ahead, the 64 B
+	// Allreduce ahead, and no Bcast point may fall behind (the trunk-bound
+	// ones move by the order of their crossings, a fraction of a percent).
+	for _, r := range []struct {
+		series   string
+		size     int
+		binomial float64
+		within   float64 // of binomial; measured 0.78, 0.94, 0.97 / 1.003 / 1.000
+	}{
+		{"Barrier", 0, 1740.459, 0.85},
+		{"Allreduce", 64, 2390.362, 0.97},
+		{"Bcast", 64, 1150.427, 1.01}, {"Bcast", 1 << 10, 6182.296, 1.01}, {"Bcast", 16 << 10, 89508.612, 1.01},
+	} {
+		if got, ok := bySeries[r.series][r.size]; !ok {
+			fail("%s: no %s point at %d B", file, r.series, r.size)
+		} else if got > r.within*r.binomial {
+			fail("%s at %d B completes in %.1f us on the scale machine, want at most %.2f x the %.1f us it took over a binomial leader tree",
+				r.series, r.size, got, r.within, r.binomial)
+		}
+	}
 	return failed
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"mpichmad/internal/mpi"
 	"mpichmad/internal/netsim"
+	"mpichmad/internal/vtime"
 )
 
 // fastestNet returns the highest-bandwidth network attached to a node
@@ -214,7 +215,7 @@ func (sess *Session) routedInter(h *mpi.Hierarchy, maxSegment int) {
 		return // every leader pair is direct: the spanning link is honest
 	}
 	hops, _ := sess.plan.Path(wa, wb)
-	var latUS float64
+	var latUS, deliverUS float64
 	var bwMBs, sharedMBs float64
 	seg := 0
 	names := make([]string, 0, len(hops))
@@ -222,6 +223,7 @@ func (sess *Session) routedInter(h *mpi.Hierarchy, maxSegment int) {
 		p := sess.Networks[hop.Net].Params
 		lat, bw := p.LatencyBandwidth()
 		latUS += lat
+		deliverUS += deliveryOf(&p).Micros()
 		if bwMBs == 0 || bw < bwMBs {
 			bwMBs = bw
 		}
@@ -250,7 +252,28 @@ func (sess *Session) routedInter(h *mpi.Hierarchy, maxSegment int) {
 		BandwidthMBs: bwMBs,
 		SegmentBytes: seg,
 		SharedMBs:    sharedMBs,
+		// The first hop's injection cost, every hop's delivery, the slowest
+		// hop's (or trunk's) byte time.
+		SendUS:    sess.Networks[hops[0].Net].Params.SendOverhead.Micros(),
+		DeliverUS: deliverUS,
+		ByteUS:    byteUS(bwMBs, sharedMBs),
 	}
+}
+
+// deliveryOf is the time from the start of a send over one network to the
+// message being in the receiving rank's hands, less its bytes' time: both
+// overheads, the wire and the ch_mad handling.
+func deliveryOf(p *netsim.Params) vtime.Duration {
+	return p.SendOverhead + p.WireLatency + p.RecvOverhead + p.DeviceHandling
+}
+
+// byteUS is the microseconds a byte adds to a message on a link of bwMBs
+// whose trunk, when capped, all crossings share at sharedMBs.
+func byteUS(bwMBs, sharedMBs float64) float64 {
+	if sharedMBs > 0 {
+		bwMBs = sharedMBs
+	}
+	return 1e6 / (bwMBs * netsim.MB)
 }
 
 // membersOf lists the world ranks of each cluster, ascending, in cluster
@@ -314,7 +337,7 @@ func (sess *Session) bdpRelayWindows(h *mpi.Hierarchy) map[string]int {
 		if seg <= 0 || p.Bandwidth <= 0 {
 			continue
 		}
-		rtt := 2 * (p.WireLatency + p.SendOverhead + p.RecvOverhead + p.DeviceHandling)
+		rtt := 2 * deliveryOf(&p)
 		w := int(math.Ceil(p.Bandwidth*rtt.Seconds()/float64(seg))) + 2
 		if w < minBDPWindow {
 			w = minBDPWindow
@@ -342,9 +365,10 @@ func (sess *Session) linkFor(netName string, maxSegment int) mpi.Link {
 	if maxSegment > 0 && seg > maxSegment {
 		seg = maxSegment
 	}
+	shared := params.NetworkBandwidth / netsim.MB
 	return mpi.Link{
-		Net: netName, LatencyUS: lat, BandwidthMBs: bw, SegmentBytes: seg,
-		SharedMBs: params.NetworkBandwidth / netsim.MB,
+		Net: netName, LatencyUS: lat, BandwidthMBs: bw, SegmentBytes: seg, SharedMBs: shared,
+		SendUS: params.SendOverhead.Micros(), DeliverUS: deliveryOf(&params).Micros(), ByteUS: byteUS(bw, shared),
 	}
 }
 

@@ -30,7 +30,7 @@ func (b *schedBuilder) loadAcc(sendBuf, recvBuf []byte, count int, dt Datatype) 
 // rank 0. The slow backbone carries exactly 2·(#clusters−1) empty
 // messages, versus the dissemination algorithm's n·ceil(log2 n).
 func (c *Comm) barrierTree(b *schedBuilder, ct *commTopo, _ collArgs) func() {
-	parent, children := ct.twoLevelTree(c.myRank, 0)
+	parent, children := c.twoLevelTree(ct, 0, 0)
 	for i := len(children) - 1; i >= 0; i-- {
 		b.recv(children[i], nil)
 	}
@@ -50,12 +50,12 @@ func (c *Comm) barrierTree(b *schedBuilder, ct *commTopo, _ collArgs) func() {
 // segment k+1: the slow backbone transfer overlaps the fast intra-cluster
 // fan-out, the paper's store-and-forward §6 scenario.
 func (c *Comm) bcastTreeRounds(b *schedBuilder, ct *commTopo, data []byte, root, segBytes int) {
-	parent, children := ct.twoLevelTree(c.myRank, root)
 	total := len(data)
 	seg := segBytes
 	if seg <= 0 || seg > total {
 		seg = total
 	}
+	parent, children := c.twoLevelTree(ct, root, seg)
 	nseg := 1
 	if seg > 0 {
 		nseg = (total + seg - 1) / seg
@@ -94,7 +94,7 @@ func (c *Comm) bcastTree(b *schedBuilder, ct *commTopo, a collArgs, segBytes int
 // parent. Returns the accumulator, complete at the root.
 func (c *Comm) reduceTreeRounds(b *schedBuilder, ct *commTopo, a collArgs, root int) []byte {
 	acc := b.loadAcc(a.send, a.recv, a.count, a.dt)
-	parent, children := ct.twoLevelTree(c.myRank, root)
+	parent, children := c.twoLevelTree(ct, root, len(acc))
 	b.treeReduce(parent, children, acc, a.count, a.dt, a.op)
 	return acc
 }

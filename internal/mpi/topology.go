@@ -1,6 +1,13 @@
 package mpi
 
-import "slices"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+
+	"mpichmad/internal/trace"
+	"mpichmad/internal/vtime"
+)
 
 // Topology-aware collectives: hierarchy discovery metadata and the
 // MPICH-style tuning table that selects between flat (topology-blind) and
@@ -54,6 +61,15 @@ type Link struct {
 	// A capped backbone makes every extra crossing queue, which moves the
 	// flat-vs-two-level crossover sharply toward two-level.
 	SharedMBs float64
+	// SendUS, DeliverUS and ByteUS are the link's LogGP numbers, in
+	// microseconds: a message of b bytes keeps its sender busy for
+	// SendUS + b·ByteUS (o: netsim.Params.SendOverhead) and is in the
+	// receiver's hands DeliverUS + b·ByteUS after the send began (send and
+	// receive overheads, wire latency, device handling); ByteUS is one over
+	// the trunk's capacity when it is capped, over the pipe's otherwise.
+	// The leader level of the two-level trees is derived from them
+	// (leaderTree); all zero — no estimate — yields the binomial shape.
+	SendUS, DeliverUS, ByteUS float64
 }
 
 // Hierarchy is the per-job cluster structure, indexed by world rank. It is
@@ -167,9 +183,15 @@ func (p *Process) CollMode() CollMode { return p.collMode }
 // groupView is the part of a dense view that depends on the group and the
 // hierarchy alone: every rank of the communicator would build the same one.
 // It is immutable once built and its slices are clipped, so a view shared
-// between ranks can be neither edited nor appended into.
+// between ranks can be neither edited nor appended into — but for trees,
+// which only ever gains entries every member would compute alike.
 type groupView struct {
 	nClusters int
+	// inter is the backbone the view was built under and trees the leader
+	// level's shape per message size on it, each worked out by the first
+	// rank to compile a tree collective of that size (leaderTree).
+	inter     Link
+	trees     map[int]*leaderTree
 	clusterOf []int   // comm rank -> dense cluster index
 	clusters  [][]int // dense cluster index -> comm ranks, ascending
 	leaders   []int   // dense cluster index -> lowest comm rank
@@ -275,7 +297,7 @@ func (c *Comm) topo() *commTopo {
 
 // newGroupView builds the rank-invariant part of the communicator's view of h.
 func (c *Comm) newGroupView(h *Hierarchy) *groupView {
-	g := &groupView{clusterOf: make([]int, len(c.group))}
+	g := &groupView{clusterOf: make([]int, len(c.group)), inter: h.Inter}
 	dense := make(map[int]int) // world cluster id -> dense index
 	var denseWorld []int       // dense index -> world cluster id
 	for r, w := range c.group {
@@ -615,24 +637,118 @@ func (c *Comm) analyticAlgo(kind collKind, nBytes int) collAlgo {
 	}
 }
 
+// leaderTree is the shape of a two-level tree's leader level in relative
+// indices: 0 is the root's cluster, i the i-th dense cluster after it
+// (cyclically), so one shape serves every root.
+type leaderTree struct {
+	parent []int   // -1 at the root
+	kids   [][]int // in send order
+}
+
+// logGPTree builds the broadcast tree over n nodes a greedy LogGP schedule
+// yields when a message keeps its sender busy for send and reaches its
+// receiver deliver after the send began (Karp et al.'s optimal LogP
+// broadcast, with the per-byte gap folded into both): the informed node that
+// is free soonest sends next, the one informed earlier on a tie. With
+// deliver = send every informed node sends in every step — the binomial tree
+// — and the larger deliver/send, the more messages a node injects while its
+// first is under way: a flatter tree. Two rules on top of the greedy one:
+//
+//   - No node sends more than ⌈log2 n⌉ messages, the binomial root's count.
+//     Where one trunk paces the messages anyway, a wider root finishes the
+//     tree no sooner but stays in the operation until its end, and a root
+//     that leaves early is what a back-to-back loop of collectives runs on.
+//   - Nodes are numbered from the top down: the k-th node informed is n−k.
+//     For n ≤ 3 that is binomialOver's tree in binomialOver's send order, so
+//     schedules on up to three clusters do not depend on the link at all.
+//
+// done is the instant the last node is informed. Times are whole nanoseconds,
+// so that two nodes free at the same instant tie exactly.
+func logGPTree(n int, send, deliver vtime.Duration) (t *leaderTree, done vtime.Duration) {
+	t = &leaderTree{parent: make([]int, n), kids: make([][]int, n)}
+	t.parent[0] = -1
+	fanOut := bits.Len(uint(n - 1))
+	free := make([]vtime.Duration, n) // when an informed node can send next
+	for k := 1; k < n; k++ {
+		from := -1
+		for i := 0; i < k; i++ {
+			r := (n - i) % n // the informed, earliest first: 0, n−1, …, n−k+1
+			if len(t.kids[r]) < fanOut && (from < 0 || free[r] < free[from]) {
+				from = r
+			}
+		}
+		t.parent[n-k], t.kids[from] = from, append(t.kids[from], n-k)
+		free[n-k] = free[from] + deliver
+		free[from] += send
+		done = max(done, free[n-k])
+	}
+	return t, done
+}
+
+// leaderTree returns the leader level's shape for messages of nBytes on the
+// view's backbone, building it on first use. The decision goes on the record:
+// the rank that builds a shape emits one ctrl instant with the LogGP inputs
+// (Class), the message size (Bytes), the leader count (Seq), the predicted
+// completion in ns (Val), and the depth and widest fan-out that came out.
+func (c *Comm) leaderTree(g *groupView, nBytes int) *leaderTree {
+	if t := g.trees[nBytes]; t != nil {
+		return t
+	}
+	l := g.inter
+	send := vtime.Microseconds(l.SendUS + float64(nBytes)*l.ByteUS)
+	deliver := vtime.Microseconds(max(l.DeliverUS, l.SendUS) + float64(nBytes)*l.ByteUS)
+	if deliver == 0 {
+		send, deliver = 1, 1
+	}
+	t, done := logGPTree(g.nClusters, send, deliver)
+	if g.trees == nil {
+		g.trees = make(map[int]*leaderTree)
+	}
+	g.trees[nBytes] = t
+	if tr := c.p.tracer; tr != nil {
+		depth, widest := make([]int, g.nClusters), len(t.kids[0])
+		for r := g.nClusters - 1; r > 0; r-- { // a parent is informed before its children: numbered above them
+			depth[r] = depth[t.parent[r]] + 1
+			widest = max(widest, len(t.kids[r]))
+		}
+		tr.Instant(c.p.traceTrack, trace.KCtrl, "tree.leader", trace.Args{
+			Bytes: int64(nBytes), Seq: uint32(g.nClusters), Val: int64(done),
+			Class: fmt.Sprintf("o=%.4gus,D=%.4gus,G=%.4gus/B,depth=%d,fanout=%d", l.SendUS, l.DeliverUS, l.ByteUS, slices.Max(depth), widest),
+		})
+	}
+	return t
+}
+
 // twoLevelTree builds the rank's position in the two-level spanning tree
-// rooted at root: a binomial tree over cluster leaders (with the root
-// acting as its own cluster's leader) feeding binomial trees inside each
-// cluster. A leader's children list the backbone (inter-cluster) children
-// first so slow-link transfers start as early as possible. parent is -1
-// at the root.
-func (ct *commTopo) twoLevelTree(me, root int) (parent int, children []int) {
+// rooted at root for messages of nBytes: the leaderTree over cluster leaders
+// (with the root acting as its own cluster's leader) feeding binomial trees
+// inside each cluster. A leader's children list the backbone
+// (inter-cluster) children first so slow-link transfers start as early as
+// possible. parent is -1 at the root.
+func (c *Comm) twoLevelTree(ct *commTopo, root, nBytes int) (parent int, children []int) {
 	// Operation leaders: the root stands in for its own cluster's leader.
+	me := c.myRank
 	rootCluster, myCluster := ct.clusterOf[root], ct.clusterOf[me]
 	lead := ct.leaders[myCluster]
 	if myCluster == rootCluster {
 		lead = root
 	}
 	parent = -1
-	if me == lead {
-		opLeader := slices.Clone(ct.leaders)
-		opLeader[rootCluster] = root
-		parent, children = binomialOver(opLeader, rootCluster, myCluster)
+	if me == lead && ct.nClusters > 1 {
+		t, n := c.leaderTree(ct.groupView, nBytes), ct.nClusters
+		opLeader := func(rel int) int {
+			if rel == 0 {
+				return root
+			}
+			return ct.leaders[(rel+rootCluster)%n]
+		}
+		rel := (myCluster - rootCluster + n) % n
+		if rel > 0 {
+			parent = opLeader(t.parent[rel])
+		}
+		for _, k := range t.kids[rel] {
+			children = append(children, opLeader(k))
+		}
 	}
 
 	// Intra-cluster binomial tree rooted at the cluster's operation
