@@ -152,14 +152,51 @@
 // Compilers take a uniform collArgs record and the commTopo they run on,
 // and are compositions of the phase builders in phases.go, each written
 // once over an explicit member list: tree broadcast and pre-posted tree
-// reduce at one tree position (binomialOver inside a cluster or over the
-// leaders, twoLevelTree across both), block gather to a leader, per-part
+// reduce at one tree position (binomialOver inside a cluster, the derived
+// leader tree over the leaders, twoLevelTree across both), block gather to a
+// leader, per-part
 // gather/scatter between a leader and its members, the pre-posted
 // all-pairs exchange among leaders, the multi-leader bridge exchange with
 // its hand-off and fan-out rounds, the ring reduce-scatter and ring
 // allgather, and the two unpack completions. An N-level hierarchy would
 // be "a commTopo per level" handed to the same builders, not another
 // family of compilers.
+//
+// The leader level of a two-level tree is derived, not fixed. twoLevelTree
+// is the one place that shapes it, for Barrier, Bcast (per segment), Reduce
+// and Allreduce, fan-out and fan-in alike. Contract (topology.go, logGPTree):
+//
+//   - Inputs: the number of operation leaders and the backbone's LogGP
+//     numbers off Hierarchy.Inter — SendUS (o: what one message keeps its
+//     sender for), DeliverUS (D: from the start of a send to the message in
+//     the receiver's hands), ByteUS (G: one over the trunk's capacity when
+//     capped, the pipe's otherwise) — and the message size: a send occupies
+//     o + b·G and lands D + b·G after it began. The cluster session fills
+//     them from netsim.Params; there is nothing to set.
+//   - Shape: the greedy LogGP broadcast — the informed leader that is free
+//     soonest sends next. On the TCP backbone D/o is about 4, so a leader
+//     injects several messages while its first is under way and the tree is
+//     flatter than binomial: 64 leaders are three levels deep at 0 B, four
+//     at 64 B, where the binomial tree is six.
+//   - Fan-out bound: no leader sends more than ⌈log2 n⌉ messages, the
+//     binomial root's count. On a capped trunk a wider root ends the tree no
+//     sooner — the trunk paces the messages — but stays in the operation
+//     until its end, and the next collective of a back-to-back loop queues
+//     behind it.
+//   - Numbering: top-down, the k-th leader informed takes relative index
+//     n − k (relative to the root's cluster, so one shape serves every root).
+//     Up to three leaders that is exactly binomialOver's tree and send
+//     order: no schedule on ≤ 3 clusters depends on the link.
+//   - Limit: as b·G outgrows D − o, delivery ≈ injection and the greedy tree
+//     is the binomial one (16 KiB on the capped Fast-Ethernet trunk: the
+//     same six levels and the same children at the root).
+//   - Cost: built once per (group, message size) by the first rank that
+//     compiles such a collective, kept on the shared groupView, and recorded
+//     as a "tree.leader" ctrl instant when tracing.
+//
+// What stays binomial: the tree inside a cluster (binomialOver), the leader
+// exchange of the two-level ring Allreduce, and everything on the
+// one-cluster view.
 //
 // Forms that are the one-cluster case of a two-level compiler have no
 // body of their own. The table compiles them with the two-level compiler
@@ -192,8 +229,8 @@
 //     two-level forms move leader bundles.
 //   - 2level-multi (hmulti.go) is not 2level with a one-element leader
 //     set, and 2level is not its K=1 case: multi-leader Bcast walks a
-//     linear chain of clusters per shard where single-leader uses a
-//     binomial leader tree (O(clusters) vs O(log clusters) latency on a
+//     linear chain of clusters per shard where single-leader uses the
+//     derived leader tree (O(clusters) vs O(log clusters) latency on a
 //     64-cluster machine), Allreduce scatters the reduction over the
 //     clusters where single-leader reduces to one root, and Allgather and
 //     Alltoall feed the co-leaders directly instead of funnelling through
@@ -573,7 +610,11 @@
 //   - net: "trunk.wait" — a packet queued behind other pipes' traffic
 //     for a shared backbone trunk; "trunk.occ" — trunk occupancy.
 //   - ctrl: "replan" — a Session.Replan, with the number of congested
-//     gateways that fed the new plan.
+//     gateways that fed the new plan; "tree.leader" — the leader level of
+//     the two-level trees took a shape: message size (bytes), leader count
+//     (seq), predicted completion in ns (val) and, in class, the LogGP
+//     inputs with the depth and widest fan-out that came out — once per
+//     size and communicator group, on the track of the rank that built it.
 //
 // Reading traces: trace.Tracer.WriteChrome emits Chrome trace-event
 // JSON with timestamps in virtual microseconds — load it in

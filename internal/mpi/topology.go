@@ -36,6 +36,23 @@ import (
 // never edited, so a Dup that has compiled against one keeps it. A Split
 // builds its group's view on every member (the same builder, no sharing).
 //
+// The tree the leaders form is derived from the backbone, not fixed
+// (logGPTree, leaderTree, twoLevelTree at the end of this file). Its inputs
+// are the leader count, the message size and Hierarchy.Inter's LogGP numbers
+// (SendUS, DeliverUS, ByteUS), which the cluster session reads off
+// netsim.Params: there is no shape to choose and no threshold to set. The
+// greedy LogGP broadcast — whoever is informed and free soonest sends next —
+// is flatter than binomial where delivery costs several injections (the TCP
+// backbone: 124 µs against 30) and becomes the binomial tree by itself as
+// the per-byte term swamps that difference (16 KiB on the capped trunk). No
+// leader sends more than ⌈log2 n⌉ messages, so a root leaves the operation as
+// early as it did under the binomial tree; leaders are numbered top-down, the
+// k-th informed taking relative index n − k, which for two and three leaders
+// is binomialOver's tree and send order exactly — schedules on up to three
+// clusters do not depend on the link. The shape is built once per group and
+// message size, kept on the groupView the members share, and recorded as a
+// "tree.leader" ctrl instant. Inside a cluster the tree stays binomial.
+//
 // Selection between algorithms goes through a small tuning table (message
 // size × topology shape → algorithm), mirroring MPICH's coll_tuned
 // framework; the flat algorithms remain both the single-cluster fast path
