@@ -200,14 +200,7 @@ func treeCollOutputs(t *testing.T, topo Topology, mode mpi.CollMode, seed int) m
 	if err != nil {
 		t.Fatalf("%d ranks: %v", n, err)
 	}
-	home := 0
-	for _, net := range sess.Networks {
-		home += net.Bufs().Out()
-	}
-	for _, rk := range sess.Ranks {
-		home += rk.MPI.Eng.Bufs.Out()
-	}
-	if home != 0 {
+	if home := buffersOut(sess); home != 0 {
 		t.Errorf("%d ranks: %d wire or staging buffers still out at the end of the session", n, home)
 	}
 	return out
