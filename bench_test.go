@@ -1,21 +1,22 @@
-// Top-level benchmark harness: the two benchmarks CI runs. Each records
-// its experiments' series to a BENCH_*.json file (the format is
-// stats.BenchFile) for cmd/benchcheck's gates; README's "Measuring" section
-// says which command regenerates which number. Wall-clock ns/op measures
-// the simulator; the results that matter are the custom metrics, in
-// virtual microseconds (vus):
+// Top-level benchmark harness: the one benchmark CI runs. It records what
+// the host pays for the 1024-rank machine — planner growth and the scale
+// experiment's wall clock — to BENCH_scale.json (the format is
+// stats.BenchFile) for cmd/benchcheck's gate; README's "Measuring" section
+// says which command regenerates which number:
 //
-//	go test -run '^$' -bench 'BenchmarkHierCollectives|BenchmarkScaleMachine' -benchtime 1x .
+//	go test -run '^$' -bench BenchmarkScaleMachine -benchtime 1x .
 //
-// The tables and figures themselves come from:
+// The simulated numbers are not recorded here: they come from
 //
 //	go run ./cmd/experiments -exp all
+//
+// and testdata/all.txt pins them and the claims ledger judges them, both in
+// internal/experiments' tier-1 tests.
 package mpichmad_test
 
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -24,63 +25,6 @@ import (
 	"mpichmad/internal/route"
 	"mpichmad/internal/stats"
 )
-
-// BenchmarkHierCollectives regenerates extension X4 (flat versus
-// two-level versus ring collectives on the 2x4-rank cluster-of-clusters)
-// plus extension X5 (the multi-gateway bridged topology: routed
-// collectives, gateway-aware leaders, pipelined relay), its variant
-// (the bridged triangle: two-rail striping, adaptive re-routing, bounded
-// gateway queues), extension X6 (the per-link device mux vs the
-// uniform single-protocol transport on the mixed SCI+BIP+TCP cluster)
-// and extension X9 (multi-leader rail-striped collectives vs the
-// single-leader two-level baseline on the bridged triangle), and records
-// the sweeps to BENCH_collectives.json so the numbers are versioned with
-// the code and the regression gate can read them.
-func BenchmarkHierCollectives(b *testing.B) {
-	out := stats.BenchFile{
-		Experiment: "X4 hierarchical collectives + X5 multi-gateway routing + X5 variant adaptive multi-path relay" +
-			" + X6 per-link device mux + X9 multi-leader rail-striped collectives",
-		Topology: "X4: 2 SCI islands x 4 single-proc nodes, interleaved ranks, TCP backbone" +
-			" (_cap series: backbone trunk capped at the TCP rate via netsim.Params.NetworkBandwidth);" +
-			" *_gw series (X5): bridged 3-cluster topology, 2 TCP bridges, no common network" +
-			" (GwHops_* point values are gateway-relayed message counts, not microseconds);" +
-			" Relay_stripe/_single, Adapt_*, AdaptQ_* and RelayQPeakMax (X5 variant): bridged triangle" +
-			" with a third TCP side — striping vs single-path relay, adaptive re-plan vs static under a" +
-			" loaded bridge (AdaptQ_*/RelayQPeakMax point values are relay queue depths, not microseconds);" +
-			" Mux_*/Uniform_* series (X6): 2 dual-proc SCI nodes + 2 dual-proc BIP nodes on a shared TCP" +
-			" backbone — per-link device mux (chself/smp/SAN/TCP classes, per-class autotuned switch" +
-			" points) vs the uniform single-protocol ch_mad configuration (Topology.Uniform);" +
-			" ML_* series (X9): bridged triangle, autotuned sessions, Bcast/Allreduce/Allgather/Alltoall of" +
-			" the given whole payload — ML_*_multi lets the tuner pick the multi-leader 2level-multi" +
-			" algorithms (one co-leader per distinct gateway, the payload spread over every bridge, each" +
-			" crossing between the two ends of one bridge), ML_*_single forces the single-leader two-level" +
-			" baseline (CollHier)",
-	}
-	for i := 0; i < b.N; i++ {
-		out.Series = nil
-		for _, id := range []string{"hcoll", "gateway", "adaptive", "heteromux", "multileader"} {
-			r, err := experiments.ByID(id)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out.Add(r.Series...)
-		}
-	}
-	sanitize := strings.NewReplacer(" ", "_", "/", "_", "+", "_")
-	for _, s := range out.Series {
-		for _, p := range s.Points {
-			switch p.SizeBytes {
-			case 8:
-				b.ReportMetric(p.VirtualUS, "vus8B:"+sanitize.Replace(s.Name))
-			case 64 << 10:
-				b.ReportMetric(p.VirtualUS, "vus64K:"+sanitize.Replace(s.Name))
-			}
-		}
-	}
-	if err := out.WriteFile("BENCH_collectives.json"); err != nil {
-		b.Logf("could not record BENCH_collectives.json: %v", err)
-	}
-}
 
 // scaleRouteGraph mirrors the X8 scale machine as a planner graph:
 // nClusters SCI islands of perCluster ranks, one gateway per island (the
@@ -190,16 +134,15 @@ func measureLoop(fn func()) (nsPerOp, bPerOp, allocsPerOp int64) {
 // alone and construction plus the session resolution workload; the
 // benchcheck growth gate bounds the 256->1024 ratios sub-quadratic, where
 // quadratic would be 16x) and the full 1024-rank scale experiment's
-// wall-clock time, recording everything to BENCH_scale.json. Unlike
-// BENCH_collectives.json the wall-clock and ns fields are host-dependent;
-// only their growth ratios and a generous wall-clock ceiling are gated.
+// wall-clock time, recording everything to BENCH_scale.json. Every field is
+// host-dependent; only the growth ratios and a generous wall-clock ceiling
+// are gated.
 func BenchmarkScaleMachine(b *testing.B) {
 	out := stats.BenchFile{
 		Experiment: "X8 scale: hierarchical routing + scheduler hot paths at 1024 ranks",
 		Topology: "64 SCI islands x 16 ranks (1024 ranks), one gateway per island on a" +
 			" trunk-capped TCP backbone; planner growth sampled at 256 and 1024 ranks" +
-			" on the same shape (workload = construction + bloc/leader resolution sweep);" +
-			" series = completion, synchronised start to the last rank's return",
+			" on the same shape (workload = construction + bloc/leader resolution sweep)",
 	}
 	for _, shape := range []struct{ nc, per int }{{16, 16}, {64, 16}} {
 		nc, per := shape.nc, shape.per
@@ -223,7 +166,7 @@ func BenchmarkScaleMachine(b *testing.B) {
 	b.ResetTimer()
 	var res *experiments.Result
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Scale()
+		r, err := experiments.ByID("scale")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +183,6 @@ func BenchmarkScaleMachine(b *testing.B) {
 	if _, err := fmt.Sscanf(res.Title, "Scale: %d-rank", &out.RunRanks); err != nil {
 		b.Fatalf("scale title %q names no rank count: %v", res.Title, err)
 	}
-	out.Add(res.Series...)
 	if err := out.WriteFile("BENCH_scale.json"); err != nil {
 		b.Logf("could not record BENCH_scale.json: %v", err)
 	}

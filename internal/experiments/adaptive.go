@@ -41,7 +41,8 @@ func triangleTopo() cluster.Topology {
 }
 
 // adaptiveRelayWindow is the gateway queue bound the X5-variant sessions
-// run under; the RelayQPeakMax series is gated against it.
+// run under; the RelayQWindow series records it and the claims ledger holds
+// RelayQPeakMax within it.
 const adaptiveRelayWindow = 16
 
 // stripePingPong measures the one-way 0<->8 transfer time on the
@@ -152,19 +153,19 @@ func adaptiveRun(size int, adaptive bool) (xfer vtime.Duration, hotPeak int, err
 	return done.Sub(start), hotPeak, nil
 }
 
-// AdaptiveMultipath (X5 variant) benchmarks the multi-path transport on
+// adaptiveMultipath (X5 variant) benchmarks the multi-path transport on
 // the bridged triangle: two-rail striping against the single-path
 // pipelined relay, adaptive re-routing around a loaded bridge against
 // the static plan, and the bounded gateway queues — the three remaining
-// transport criteria, all gated by cmd/benchcheck.
-func AdaptiveMultipath() (*Result, error) {
+// transport criteria, all rows of the claims ledger (claims_test.go).
+func adaptiveMultipath() (*Result, error) {
 	stripeSizes := []int{16 << 10, 64 << 10, 256 << 10, 1 << 20}
 	stripe := &stats.Series{Name: "Relay_stripe"}
 	single := &stats.Series{Name: "Relay_single"}
 	qmax := &stats.Series{Name: "RelayQPeakMax"}
 	// The configured credit window, recorded alongside the peaks so the
-	// benchcheck cap gates against the bound the data was generated
-	// under rather than a hardcoded constant.
+	// ledger's cap row reads the bound the data was generated under rather
+	// than a constant of its own.
 	qwin := &stats.Series{Name: "RelayQWindow"}
 	for _, size := range stripeSizes {
 		striped, qs, err := stripePingPong(size, 2)

@@ -1,16 +1,12 @@
 package experiments
 
-// The claims ledger: every relation the repository states about a number
-// cmd/experiments prints — the paper's reading of its figures (§5.2–5.5), the
-// §4.2.2 ablations, each extension's acceptance bar — is one row of data here,
-// judged by TestClaims on the suite's shared All() run. testdata/all.txt pins
-// the numbers; the ledger says which of them the argument rests on and how far
-// each may move. A row is checked on the number the experiment's table shows
-// (Result.value(): µs for a time table, MB/s for a bandwidth table, the raw
-// count for the GwHops_*, AdaptQ_* and RelayQ* series) at every size it names;
-// an experiment, series or size it names that the suite did not produce fails
-// it. `go test -run TestClaims -v` prints the scorecard: per row its first
-// failing size, else its tightest one, and the margin there.
+// The claims ledger: every relation the repository states about a printed
+// number — the paper's reading of its figures (§5.2–5.5), the §4.2.2
+// ablations, each extension's acceptance bar — as one row of data, judged on
+// the suite's shared All() run. all.txt pins the numbers; a row says which of
+// them the argument rests on and how far each may move, on the number the
+// table shows (Result.value(): µs, MB/s, or a GwHops_*/AdaptQ_*/RelayQ* count)
+// at every size it names. `go test -run TestClaims -v` prints the scorecard.
 
 import (
 	"fmt"
@@ -32,40 +28,28 @@ const (
 	diff                 // a − b
 )
 
-// rel is the interval a measure must lie in; an open end excludes its bound.
+// rel is the interval a measure must lie in (an open end excludes its bound)
+// and how the scorecard spells it.
 type rel struct {
 	lo, hi         float64
 	loOpen, hiOpen bool
+	text           string
 }
 
-func lt(x float64) rel { return rel{math.Inf(-1), x, true, true} }
-func le(x float64) rel { return rel{math.Inf(-1), x, true, false} }
-func gt(x float64) rel { return rel{x, math.Inf(1), true, true} }
-func ge(x float64) rel { return rel{x, math.Inf(1), false, true} }
+func lt(x float64) rel { return rel{math.Inf(-1), x, true, true, fmt.Sprintf("< %g", x)} }
+func le(x float64) rel { return rel{math.Inf(-1), x, true, false, fmt.Sprintf("<= %g", x)} }
+func gt(x float64) rel { return rel{x, math.Inf(1), true, true, fmt.Sprintf("> %g", x)} }
+func ge(x float64) rel { return rel{x, math.Inf(1), false, true, fmt.Sprintf(">= %g", x)} }
 
 // in is [lo, hi], (lo, hi], ... as ends spells it.
-func in(ends string, lo, hi float64) rel { return rel{lo, hi, ends[0] == '(', ends[1] == ')'} }
+func in(ends string, lo, hi float64) rel {
+	return rel{lo, hi, ends[0] == '(', ends[1] == ')', fmt.Sprintf("in %c%.7g, %.7g%c", ends[0], lo, hi, ends[1])}
+}
 
 // judge returns how far v lies inside r (negative outside) and whether r holds it.
 func (r rel) judge(v float64) (margin float64, ok bool) {
 	ok = (v > r.lo || !r.loOpen && v == r.lo) && (v < r.hi || !r.hiOpen && v == r.hi)
 	return min(v-r.lo, r.hi-v), ok
-}
-
-func (r rel) String() string {
-	pick := func(open bool, strict, loose string) string {
-		if open {
-			return strict
-		}
-		return loose
-	}
-	switch {
-	case math.IsInf(r.lo, -1):
-		return fmt.Sprintf("%s %.7g", pick(r.hiOpen, "<", "<="), r.hi)
-	case math.IsInf(r.hi, 1):
-		return fmt.Sprintf("%s %.7g", pick(r.loOpen, ">", ">="), r.lo)
-	}
-	return fmt.Sprintf("in %s%.7g, %.7g%s", pick(r.loOpen, "(", "["), r.lo, r.hi, pick(r.hiOpen, ")", "]"))
 }
 
 // claim is one row: id, source (paper § / Fig., or the PR that set the bar),
@@ -80,35 +64,30 @@ type claim struct {
 func sz(sizes ...int) []int { return sizes }
 
 var claims = []claim{
-	// §5.2, TCP: ch_mad ahead of ch_p4 up to 256 B with raw Madeleine below both;
-	// ch_p4's ceiling near 10 MB/s, ch_mad past 11; alike below the 64 KB switch.
+	// §5.2, TCP: ch_mad ahead of ch_p4 to 256 B, raw below both; ~10 vs > 11 MB/s.
 	{"fig6a.chmad-beats-p4", "§5.2 Fig. 6a", "fig6a", "ch_mad", "ch_p4", diff, sz(1, 4, 64, 256), lt(0)},
 	{"fig6a.raw-below-chmad", "§5.2 Fig. 6a", "fig6a", "raw_Madeleine", "ch_mad", diff, sz(1, 4, 64, 256), lt(0)},
 	{"fig6b.p4-ceiling", "§5.2 Fig. 6b", "fig6b", "ch_p4", "", value, sz(1 << 20), le(10.3)},
 	{"fig6b.chmad-past-11MBs", "§5.2 Fig. 6b", "fig6b", "ch_mad", "", value, sz(1 << 20), ge(11)},
 	{"fig6b.alike-below-switch", "§5.2 Fig. 6b", "fig6b", "ch_mad", "ch_p4", ratio, sz(4<<10, 16<<10), in("[]", 0.9, 1.25)},
-	// §5.3, SCI: not ahead before 8 KB, ahead of both native ports beyond 16 KB
-	// at 80 MB/s sustained; the small-message latency race is theirs.
+	// §5.3, SCI: behind the native ports below 8 KB and in latency, ahead past 16 KB.
 	{"fig7b.not-ahead-below-8K", "§5.3 Fig. 7b", "fig7b", "ch_mad", "ScaMPI", diff, sz(1 << 10), le(0)},
 	{"fig7b.beats-scampi", "§5.3 Fig. 7b", "fig7b", "ch_mad", "ScaMPI", diff, sz(64<<10, 256<<10, 1<<20), gt(0)},
 	{"fig7b.beats-sci-mpich", "§5.3 Fig. 7b", "fig7b", "ch_mad", "SCI-MPICH", diff, sz(64<<10, 256<<10, 1<<20), gt(0)},
 	{"fig7b.80MBs-sustained", "§5.3 Fig. 7b", "fig7b", "ch_mad", "", value, sz(1 << 20), ge(80)},
 	{"fig7a.scampi-lower-latency", "§5.3 Fig. 7a", "fig7a", "ch_mad", "ScaMPI", diff, sz(4), gt(0)},
 	{"fig7a.sci-mpich-lower-latency", "§5.3 Fig. 7a", "fig7a", "ch_mad", "SCI-MPICH", diff, sz(4), gt(0)},
-	// §5.4, BIP: MPI-GM outperformed for large messages by both; PM ahead below
-	// 4 KB, roughly the same mid-range; ch_mad ahead of GM below 512 B only.
+	// §5.4, BIP: GM outperformed by both for large messages; PM ahead below 4 KB.
 	{"fig8b.chmad-beats-gm", "§5.4 Fig. 8b", "fig8b", "ch_mad", "MPI-GM", diff, sz(64<<10, 1<<20), gt(0)},
 	{"fig8b.pm-beats-gm", "§5.4 Fig. 8b", "fig8b", "MPICH-PM", "MPI-GM", diff, sz(64<<10, 1<<20), gt(0)},
 	{"fig8b.pm-leads-below-4K", "§5.4 Fig. 8b", "fig8b", "MPICH-PM", "ch_mad", diff, sz(1 << 10), gt(0)},
 	{"fig8b.pm-alike-mid-range", "§5.4 Fig. 8b", "fig8b", "ch_mad", "MPICH-PM", ratio, sz(64 << 10), in("[]", 0.8, 1.25)},
 	{"fig8a.beats-gm-at-64B", "§5.4 Fig. 8a", "fig8a", "ch_mad", "MPI-GM", diff, sz(64), lt(0)},
 	{"fig8a.gm-ahead-at-1K", "§5.4 Fig. 8a", "fig8a", "ch_mad", "MPI-GM", diff, sz(1 << 10), gt(0)},
-	// §5.5: a second protocol's polling thread costs a measurable but limited
-	// gap, and large messages converge.
+	// §5.5: a second protocol's poller costs a measurable but limited gap.
 	{"fig9a.poll-gap-limited", "§5.5 Fig. 9a", "fig9a", "SCI_thread_+_TCP_thread", "SCI_thread_only", diff, sz(1, 64, 1<<10), in("(]", 0, 15)},
 	{"fig9b.converges-at-1M", "§5.5 Fig. 9b", "fig9b", "SCI_thread_+_TCP_thread", "SCI_thread_only", ratio, sz(1 << 20), ge(0.98)},
-	// §4.2.2's two choices against their ablations, §6's gateway against a
-	// direct link: about one more traversal.
+	// §4.2.2's two choices against their ablations; §6's gateway costs a traversal.
 	{"x1.8K-switch-beats-eager", "§4.2.2 X1", "ablation-switch", "switch=8K", "switch=64K", diff, sz(64 << 10), gt(0)},
 	{"x2.split-beats-monolithic", "§4.2.2 X2", "ablation-split", "monolithic buffer", "header/body split", diff, sz(64, 1<<10), gt(0)},
 	{"x3.forwarding-cost", "§6 X3", "forwarding", "SCI->gw->Myrinet", "direct SCI", ratio, sz(4), in("(]", 1, 4)},
@@ -117,16 +96,13 @@ var claims = []claim{
 	{"x4.2level-bcast-cap", "PR 3 X4", "hcoll", "Bcast_2level_cap", "Bcast_flat_cap", diff, sz(64<<10, 256<<10), lt(0)},
 	{"x4.ring2l-allreduce-cap", "PR 3 X4", "hcoll", "Allreduce_ring2l_cap", "Allreduce_flat_cap", diff, sz(64<<10, 256<<10), lt(0)},
 	{"x4.ring-allreduce", "PR 3 X4", "hcoll", "Allreduce_ring", "Allreduce_flat", diff, sz(64<<10, 256<<10), lt(0)},
-	// X5, the bridged 3-cluster topology: routed two-level beats the flat
-	// forwarded tree, gateway-aware leaders relay fewer messages, the pipelined
-	// relay beats store-and-forward.
+	// X5, bridged 3 clusters: routed two-level, aware leaders, pipelined relay win.
 	{"x5.2level-bcast-routed", "PR 4 X5", "gateway", "Bcast_2level_gw", "Bcast_flat_gw", diff, sz(64<<10, 256<<10), lt(0)},
 	{"x5.2level-allreduce-routed", "PR 4 X5", "gateway", "Allreduce_2level_gw", "Allreduce_flat_gw", diff, sz(64<<10, 256<<10), lt(0)},
 	{"x5.aware-bcast-fewer-hops", "PR 4 X5", "gateway", "GwHops_Bcast_2level_gw", "GwHops_Bcast_2level_gwnaive", diff, sz(64<<10, 256<<10), lt(0)},
 	{"x5.aware-allreduce-fewer-hops", "PR 4 X5", "gateway", "GwHops_Allreduce_2level_gw", "GwHops_Allreduce_2level_gwnaive", diff, sz(64<<10, 256<<10), lt(0)},
 	{"x5.pipelined-relay", "PR 4 X5", "gateway", "Relay_pipelined", "Relay_storefwd", diff, sz(64<<10, 256<<10, 1<<20), lt(0)},
-	// X5 variant, the bridged triangle: striping, re-routing around a loaded
-	// bridge, gateway queues within the credit window.
+	// X5 variant, the bridged triangle: striping, re-routing, bounded queues.
 	{"x5v.stripe-1.5x", "PR 5 X5 variant", "adaptive", "Relay_single", "Relay_stripe", ratio, sz(64<<10, 256<<10, 1<<20), gt(1.5)},
 	{"x5v.stripe-not-slower-16K", "PR 5 X5 variant", "adaptive", "Relay_stripe", "Relay_single", diff, sz(16 << 10), le(0)},
 	{"x5v.adaptive-faster", "PR 5 X5 variant", "adaptive", "Adapt_adaptive", "Adapt_static", diff, sz(64<<10, 256<<10), lt(0)},
@@ -140,8 +116,7 @@ var claims = []claim{
 	{"x9.multi-allreduce", "PR 10/23 X9", "multileader", "ML_Allreduce_single", "ML_Allreduce_multi", ratio, sz(1 << 20), gt(2.29)},
 	{"x9.multi-allgather", "PR 10/23 X9", "multileader", "ML_Allgather_single", "ML_Allgather_multi", ratio, sz(1 << 20), gt(2.02)},
 	{"x9.multi-alltoall", "PR 10/23 X9", "multileader", "ML_Alltoall_single", "ML_Alltoall_multi", ratio, sz(1 << 20), gt(1.91)},
-	// X8, 1024 ranks: a Bcast moves half an Allreduce's traffic; the derived
-	// leader tree against the completions recorded over the binomial one.
+	// X8, 1024 ranks: the derived leader tree against the binomial tree's records.
 	{"x8.bcast-below-allreduce", "PR 8 X8", "scale", "Bcast", "Allreduce", diff, sz(64, 1<<10, 16<<10), lt(0)},
 	{"x8.barrier-vs-binomial", "PR 24 X8", "scale", "Barrier", "", value, sz(0), in("(]", 0, 0.85*1740.459)},
 	{"x8.allreduce64-vs-binomial", "PR 24 X8", "scale", "Allreduce", "", value, sz(64), in("(]", 0, 0.97*2390.362)},
@@ -150,34 +125,38 @@ var claims = []claim{
 	{"x8.bcast16K-vs-binomial", "PR 24 X8", "scale", "Bcast", "", value, sz(16 << 10), in("(]", 0, 1.01*89508.612)},
 }
 
-// verdict is a row judged: at its first failing size, else its tightest.
-type verdict struct {
-	size      int
-	v, margin float64
-	ok        bool
-	missing   string // what the row names that the suite did not produce
-}
-
-func (c claim) eval(results map[string]*Result) verdict {
+// check judges the row on the suite's results — anything it names missing
+// fails it — and returns the scorecard's line: the row, what was measured at
+// its first failing size, else at its tightest one, and the margin there.
+func (c claim) check(results map[string]*Result) (line string, ok bool) {
+	expr := map[measure]string{value: c.a, ratio: c.a + " / " + c.b, diff: c.a + " − " + c.b}[c.m]
+	labels := make([]string, len(c.sizes))
+	for i, size := range c.sizes {
+		labels[i] = stats.SizeLabel(size)
+	}
+	head := fmt.Sprintf("%-30s %-16s %s: %s %s at %s — ", c.id, c.src, c.exp, expr, c.want.text, strings.Join(labels, ","))
+	missing := func(format string, args ...any) (string, bool) {
+		return head + "measured nothing, margin none: " + fmt.Sprintf(format, args...), false
+	}
 	r := results[c.exp]
 	if r == nil {
-		return verdict{missing: fmt.Sprintf("the suite ran no experiment %q", c.exp)}
+		return missing("the suite ran no experiment %q", c.exp)
 	}
 	names := []string{c.a}
 	if c.m != value {
 		names = append(names, c.b)
 	}
-	best := verdict{missing: "the row names no size"}
+	best := math.Inf(1)
 	for _, size := range c.sizes {
 		var vs []float64
 		for _, name := range names {
 			i := slices.IndexFunc(r.Series, func(s *stats.Series) bool { return s.Name == name })
 			if i < 0 {
-				return verdict{missing: fmt.Sprintf("%s has no series %q", c.exp, name)}
+				return missing("%s has no series %q", c.exp, name)
 			}
 			p, ok := r.Series[i].At(size)
 			if !ok {
-				return verdict{missing: fmt.Sprintf("series %q of %s has no point at %s", name, c.exp, stats.SizeLabel(size))}
+				return missing("series %q of %s has no point at %s", name, c.exp, stats.SizeLabel(size))
 			}
 			vs = append(vs, r.value()(p))
 		}
@@ -189,30 +168,17 @@ func (c claim) eval(results map[string]*Result) verdict {
 			v -= vs[1]
 		}
 		margin, ok := c.want.judge(v)
-		if !ok || best.missing != "" || margin < best.margin {
-			best = verdict{size: size, v: v, margin: margin, ok: ok}
+		if line == "" || !ok || margin < best {
+			line, best = head+fmt.Sprintf("measured %.6g at %s, margin %.6g", v, stats.SizeLabel(size), margin), margin
 		}
 		if !ok {
-			break
+			return line, false
 		}
 	}
-	return best
-}
-
-func (c claim) String() string {
-	expr := map[measure]string{value: c.a, ratio: c.a + " / " + c.b, diff: c.a + " − " + c.b}[c.m]
-	labels := make([]string, len(c.sizes))
-	for i, size := range c.sizes {
-		labels[i] = stats.SizeLabel(size)
+	if line == "" {
+		return missing("the row names no size")
 	}
-	return fmt.Sprintf("%-30s %-16s %s: %s %v at %s", c.id, c.src, c.exp, expr, c.want, strings.Join(labels, ","))
-}
-
-func (v verdict) String() string {
-	if v.missing != "" {
-		return "measured nothing, margin none: " + v.missing
-	}
-	return fmt.Sprintf("measured %.6g at %s, margin %.6g", v.v, stats.SizeLabel(v.size), v.margin)
+	return line, true
 }
 
 // TestClaims judges every row of the ledger; -v prints the scorecard.
@@ -227,18 +193,17 @@ func TestClaims(t *testing.T) {
 			t.Errorf("claim id %s is used twice", c.id)
 		}
 		seen[c.id] = true
-		if v := c.eval(results); v.ok {
-			t.Logf("%v — %v", c, v)
+		if line, ok := c.check(results); ok {
+			t.Log(line)
 		} else {
-			t.Errorf("claim %v — %v", c, v)
+			t.Error("claim " + line)
 		}
 	}
 }
 
-// TestClaimFailuresNameThemselves: a row whose relation is flipped, or whose
-// series or size is missing, fails, and its line says which row, what it
-// wanted, what was measured and by how much it missed — a failure is triaged
-// from the log alone.
+// TestClaimFailuresNameThemselves: a flipped relation, a missing series and a
+// missing size each fail, naming the row, what it wanted, what was measured
+// and the margin — a failure is triaged from the log alone.
 func TestClaimFailuresNameThemselves(t *testing.T) {
 	a, b := &stats.Series{Name: "a"}, &stats.Series{Name: "b"}
 	a.Add(4, 10*vtime.Microsecond)
@@ -252,12 +217,11 @@ func TestClaimFailuresNameThemselves(t *testing.T) {
 		{claim{"no-series", "test", "x", "a", "nope", ratio, sz(4), gt(1)}, `x has no series "nope"`},
 		{claim{"no-size", "test", "x", "a", "b", diff, sz(4, 8), lt(0)}, `series "a" of x has no point at 8`},
 	} {
-		v := tc.c.eval(results)
-		line := fmt.Sprintf("%v — %v", tc.c, v)
-		if v.ok {
+		line, ok := tc.c.check(results)
+		if ok {
 			t.Errorf("%s held: %s", tc.c.id, line)
 		}
-		for _, part := range []string{tc.c.id, tc.c.want.String(), "measured", "margin", tc.want} {
+		for _, part := range []string{tc.c.id, tc.c.want.text, "measured", "margin", tc.want} {
 			if !strings.Contains(line, part) {
 				t.Errorf("%s: %q does not say %q", tc.c.id, line, part)
 			}

@@ -156,7 +156,7 @@ type experiment struct {
 // naive constant-size MPID_PKT_MAX_DATA_SIZE eager buffer on SCI (padding
 // waste plus a sender-side copy).
 var registry = []experiment{
-	{id: "table1", run: Table1},
+	{id: "table1", run: table1},
 	{id: "fig6a", title: "Figure 6: TCP/Fast-Ethernet", unit: unitTime, sizes: stats.Sizes1B1KB(), curves: fig6},
 	{id: "fig6b", title: "Figure 6: TCP/Fast-Ethernet", unit: unitBandwidth, sizes: stats.Sizes1B1MB(), curves: fig6},
 	{id: "fig7a", title: "Figure 7: SISCI/SCI", unit: unitTime, sizes: stats.Sizes1B1KB(), curves: fig7},
@@ -165,7 +165,7 @@ var registry = []experiment{
 	{id: "fig8b", title: "Figure 8: BIP/Myrinet", unit: unitBandwidth, sizes: stats.Sizes1B1MB(), curves: fig8},
 	{id: "fig9a", title: "Figure 9: multi-protocol polling overhead on SCI", unit: unitTime, sizes: stats.Sizes1B1KB(), curves: fig9},
 	{id: "fig9b", title: "Figure 9: multi-protocol polling overhead on SCI", unit: unitBandwidth, sizes: stats.Sizes1B1MB(), curves: fig9},
-	{id: "table2", run: Table2},
+	{id: "table2", run: table2},
 	{id: "ablation-switch", unit: unitBandwidth,
 		title:  "Ablation X1: switch-point election on SCI+TCP (unique threshold forced by MPID_Device)",
 		sizes:  []int{2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10},
@@ -179,13 +179,13 @@ var registry = []experiment{
 					rk.ChMad.MonolithicEager = true
 				}
 			})}},
-	{id: "forwarding", run: Forwarding},
-	{id: "hcoll", run: HierCollectives},
-	{id: "gateway", run: GatewayCollectives},
-	{id: "adaptive", run: AdaptiveMultipath},
-	{id: "heteromux", run: HeteroMux},
-	{id: "multileader", run: MultiLeader},
-	{id: "scale", run: Scale},
+	{id: "forwarding", run: forwarding},
+	{id: "hcoll", run: hierCollectives},
+	{id: "gateway", run: gatewayCollectives},
+	{id: "adaptive", run: adaptiveMultipath},
+	{id: "heteromux", run: heteroMux},
+	{id: "multileader", run: multiLeader},
+	{id: "scale", run: scale},
 }
 
 // do runs one registry row.
@@ -236,9 +236,9 @@ func ByID(id string) (*Result, error) {
 	return nil, fmt.Errorf("unknown id %q (the ids are %s)", id, strings.Join(IDs(), ", "))
 }
 
-// Table1 regenerates Table 1: raw Madeleine latency (4 B) and bandwidth
+// table1 regenerates Table 1: raw Madeleine latency (4 B) and bandwidth
 // (8 MB) for TCP, BIP and SISCI.
-func Table1() (*Result, error) {
+func table1() (*Result, error) {
 	rows := []struct {
 		params          netsim.Params
 		wantLat, wantBW float64
@@ -267,9 +267,9 @@ func Table1() (*Result, error) {
 	return &Result{ID: "table1", Title: "Table 1", Text: b.String()}, nil
 }
 
-// Table2 regenerates Table 2: ch_mad 0 B / 4 B latency and 8 MB bandwidth
+// table2 regenerates Table 2: ch_mad 0 B / 4 B latency and 8 MB bandwidth
 // per network.
-func Table2() (*Result, error) {
+func table2() (*Result, error) {
 	rows := []struct {
 		protocol                string
 		paper0, paper4, paperBW float64
@@ -298,11 +298,11 @@ func Table2() (*Result, error) {
 	return &Result{ID: "table2", Title: "Table 2", Text: b.String()}, nil
 }
 
-// Forwarding (X3) measures the §6 gateway store-and-forward extension:
+// forwarding (X3) measures the §6 gateway store-and-forward extension:
 // latency SCI->gateway->Myrinet versus the direct SCI path. The routed
 // sweep is one session, ranks 0 and 2 bouncing through the gateway (rank
 // 1 forwards only), with no barrier between sizes.
-func Forwarding() (*Result, error) {
+func forwarding() (*Result, error) {
 	sizes := []int{4, 256, 4 << 10, 64 << 10, 1 << 20}
 	direct, err := mpptest.MPIPingPong("direct SCI", cluster.TwoNodes("sisci"), sizes, mpptest.Config{})
 	if err != nil {
@@ -342,7 +342,7 @@ func Forwarding() (*Result, error) {
 		unitTime, []*stats.Series{direct, routed}), nil
 }
 
-// HierCollectives (X4) compares the flat (topology-blind), two-level
+// hierCollectives (X4) compares the flat (topology-blind), two-level
 // (hierarchy-aware) and ring collective algorithms on a two-cluster
 // heterogeneous topology: two 4-node SCI islands joined by a TCP
 // backbone, with node declarations interleaved so consecutive ranks
@@ -373,7 +373,7 @@ func Forwarding() (*Result, error) {
 // sized to the blocking two-level time at that payload, then waits; the
 // reported value is the exposed (non-hidden) communication time, i.e.
 // per-iteration wall time minus the injected compute.
-func HierCollectives() (*Result, error) {
+func hierCollectives() (*Result, error) {
 	sizes := []int{8, 256, 4 << 10, 64 << 10, 256 << 10}
 	largest := sizes[len(sizes)-1]
 	topo := hierTopo()

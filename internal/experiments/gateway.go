@@ -93,14 +93,14 @@ func gatewayColl(topo cluster.Topology, mode mpi.CollMode, sizes []int,
 	return s, hops, relays, nil
 }
 
-// GatewayCollectives (X5) benchmarks the bridged 3-cluster topology:
+// gatewayCollectives (X5) benchmarks the bridged 3-cluster topology:
 // flat, gateway-aware two-level and leader-oblivious two-level Bcast and
 // Allreduce (virtual time and gateway hops per operation), plus the
 // pipelined-vs-store-and-forward relay comparison on the longest routed
 // pair (a0 -> c2, four gateways). The *_gw two-level series must beat
 // flat past 64 KiB and the gateway-aware leaders must relay strictly
-// fewer messages than the oblivious ones — both gated by cmd/benchcheck.
-func GatewayCollectives() (*Result, error) {
+// fewer messages than the oblivious ones — both rows of the claims ledger.
+func gatewayCollectives() (*Result, error) {
 	sizes := []int{8, 4 << 10, 64 << 10, 256 << 10}
 	aware := gatewayTopo()
 	naive := gatewayTopo()
@@ -136,7 +136,7 @@ func GatewayCollectives() (*Result, error) {
 		if bm.mode == mpi.CollHier {
 			// Gateway hops as a series of their own: the acceptance
 			// criterion ("aware crosses strictly fewer gateway hops than
-			// oblivious") rides the same regression gate as the timings.
+			// oblivious") is a ledger row like the timings' claims.
 			// The point value is a message count, not microseconds.
 			hs := &stats.Series{Name: "GwHops_" + bm.name}
 			for _, size := range sizes {

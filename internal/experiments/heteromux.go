@@ -16,8 +16,8 @@ package experiments
 // intra-node pairs fall back to ch_mad over the fastest shared network,
 // one global switch point is elected for every link (§4.2.2's unique-
 // threshold constraint), and backbone pipeline segments are capped by
-// that global election. The Mux_*/Uniform_* ratios are gated by
-// cmd/benchcheck.
+// that global election. Mux beating Uniform on Bcast and Allreduce at
+// every size is a pair of rows of the claims ledger.
 
 import (
 	"fmt"
@@ -51,13 +51,13 @@ func heteroTopo(uniform bool) cluster.Topology {
 	}
 }
 
-// HeteroMux (X6, id "heteromux") benchmarks the per-link device mux
+// heteroMux (X6, id "heteromux") benchmarks the per-link device mux
 // against the uniform single-protocol transport on the mixed
 // SCI+BIP+TCP cluster: the same collectives, the same placement, only
 // the link wiring and tuning differ. The report appends rank 0's link
 // classification (device class and effective switch point per peer) and
 // the per-class thresholds the MPI_Init autotuner measured.
-func HeteroMux() (*Result, error) {
+func heteroMux() (*Result, error) {
 	sizes := []int{8, 256, 4 << 10, 64 << 10, 256 << 10}
 	ops := []struct {
 		name string

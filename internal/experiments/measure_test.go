@@ -96,7 +96,7 @@ func TestCSVCarriesTheTablesValues(t *testing.T) {
 	if want := "# " + r.Title + " (forwarding, us)"; lines[0] != want {
 		t.Errorf("comment line %q, want %q", lines[0], want)
 	}
-	direct, routed := get(t, r.Series[0], 4), get(t, r.Series[1], 4)
+	direct, routed := r.Series[0].Points[0], r.Series[1].Points[0] // 4 B
 	if want := fmt.Sprintf("4,%.3f,%.3f", direct.LatencyUS(), routed.LatencyUS()); lines[2] != want {
 		t.Errorf("4 B row %q, want %q", lines[2], want)
 	}

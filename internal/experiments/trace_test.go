@@ -18,7 +18,7 @@ func TestTracingLeavesOutputIdentical(t *testing.T) {
 	tr := trace.New(nil)
 	cluster.SetDefaultTracer(tr)
 	defer cluster.SetDefaultTracer(nil)
-	on, err := GatewayCollectives()
+	on, err := gatewayCollectives()
 	if err != nil {
 		t.Fatalf("traced run: %v", err)
 	}

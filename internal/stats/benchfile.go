@@ -6,18 +6,18 @@ import (
 	"os"
 )
 
-// BenchFile is the format of the BENCH_*.json files at the repository
-// root, declared here once: the root benchmarks write it, cmd/benchcheck
-// reads it. BENCH_collectives.json is experiment, topology and series —
-// virtual time only, so it regenerates byte for byte; BENCH_scale.json
-// adds the host-dependent planner samples and the run's wall clock.
+// BenchFile is the format of BENCH_scale.json at the repository root,
+// declared here once: the root BenchmarkScaleMachine writes it,
+// cmd/benchcheck reads it. It holds host-clock numbers only — the planner
+// samples and the 1024-rank run's wall clock; the simulated numbers are
+// pinned by internal/experiments/testdata/all.txt and judged by the claims
+// ledger there.
 type BenchFile struct {
 	Experiment string         `json:"experiment"`
 	Topology   string         `json:"topology"`
 	Planner    []PlannerPoint `json:"planner,omitempty"`
 	RunRanks   int            `json:"run_ranks,omitempty"`
 	RunWallMs  float64        `json:"run_wall_ms,omitempty"`
-	Series     []BenchSeries  `json:"series"`
 }
 
 // PlannerPoint is one machine size's routing-planner cost sample: the full
@@ -29,31 +29,6 @@ type PlannerPoint struct {
 	WorkloadBPerOp   int64 `json:"workload_bytes_per_op"`
 	WorkloadAllocs   int64 `json:"workload_allocs_per_op"`
 	ConstructNsPerOp int64 `json:"construct_ns_per_op"`
-}
-
-// BenchSeries is one recorded curve.
-type BenchSeries struct {
-	Name   string       `json:"name"`
-	Points []BenchPoint `json:"points"`
-}
-
-// BenchPoint is one recorded measurement, its transfer time in virtual
-// microseconds (a few series encode a count there instead; the file's
-// topology text says which).
-type BenchPoint struct {
-	SizeBytes int     `json:"size_bytes"`
-	VirtualUS float64 `json:"virtual_us"`
-}
-
-// Add appends measured series to the file.
-func (f *BenchFile) Add(series ...*Series) {
-	for _, s := range series {
-		bs := BenchSeries{Name: s.Name}
-		for _, p := range s.Points {
-			bs.Points = append(bs.Points, BenchPoint{SizeBytes: p.Size, VirtualUS: p.LatencyUS()})
-		}
-		f.Series = append(f.Series, bs)
-	}
 }
 
 // Encode renders the file as it is stored: indented JSON and a final
@@ -83,17 +58,4 @@ func ReadBenchFile(path string) (*BenchFile, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return f, nil
-}
-
-// Values indexes the series: name -> size in bytes -> virtual µs.
-func (f *BenchFile) Values() map[string]map[int]float64 {
-	out := make(map[string]map[int]float64, len(f.Series))
-	for _, s := range f.Series {
-		m := make(map[int]float64, len(s.Points))
-		for _, p := range s.Points {
-			m[p.SizeBytes] = p.VirtualUS
-		}
-		out[s.Name] = m
-	}
-	return out
 }

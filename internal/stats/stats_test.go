@@ -109,40 +109,33 @@ func TestTableAndCSVRendering(t *testing.T) {
 	}
 }
 
-// The BENCH format reads the two committed files and writes them back byte
-// for byte: field order, optional fields, float rendering, final newline.
+// The BENCH format reads the committed file and writes it back byte for
+// byte: field order, optional fields, float rendering, final newline.
 func TestBenchFileRoundTripsCommittedFiles(t *testing.T) {
-	for _, name := range []string{"BENCH_collectives.json", "BENCH_scale.json"} {
-		path := "../../" + name
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := ReadBenchFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(f.Series) == 0 || len(f.Values()) != len(f.Series) {
-			t.Errorf("%s: %d series read, %d indexed", name, len(f.Series), len(f.Values()))
-		}
-		got, err := f.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("%s does not round-trip: %d bytes read, %d written", name, len(want), len(got))
-		}
+	const path = "../../BENCH_scale.json"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadBenchFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Planner) != 2 || f.RunWallMs <= 0 {
+		t.Errorf("%s: %d planner samples read, run wall clock %v ms", path, len(f.Planner), f.RunWallMs)
+	}
+	got, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("%s does not round-trip: %d bytes read, %d written", path, len(want), len(got))
 	}
 }
 
+// ParseSizes, the sweep commands' -sizes flag. (The name's other half,
+// BenchFile.Add, went with the virtual series the BENCH files used to hold.)
 func TestBenchFileAddAndParseSizes(t *testing.T) {
-	s := &Series{Name: "x"}
-	s.Add(4, 1500*vtime.Nanosecond)
-	var f BenchFile
-	f.Add(s)
-	if v := f.Values()["x"][4]; v != 1.5 {
-		t.Errorf("recorded %v virtual us, want 1.5", v)
-	}
 	if got, err := ParseSizes("0, 4,1024"); err != nil || len(got) != 3 || got[1] != 4 || got[2] != 1024 {
 		t.Errorf("ParseSizes = %v, %v", got, err)
 	}
