@@ -306,11 +306,12 @@
 // reinstall), link classes are memoized per bloc pair, leader election
 // scores one candidate per bloc, and the autotuner keeps probing one
 // representative pair per device class — so a session only ever pays for
-// the pairs that actually communicate. The growth is machine-checked:
-// BenchmarkScaleMachine samples the planner at 256 and 1024 ranks into
-// BENCH_scale.json and cmd/benchcheck fails CI if the cost ratio
+// the pairs that actually communicate. The growth is machine-checked on the
+// host clock: BenchmarkScaleMachine samples the planner at 256 and 1024
+// ranks into BENCH_scale.json and cmd/benchcheck fails CI if the cost ratio
 // approaches quadratic or the 1024-rank scale experiment exceeds its
-// wall-clock ceiling.
+// wall-clock ceiling. The scale experiment's simulated times are rows of the
+// claims ledger (internal/experiments/claims_test.go) instead.
 //
 // # Adaptive re-routing, striping, and admission control
 //
@@ -328,7 +329,7 @@
 //     relaying gateways keep each stripe on the matching, non-backtracking
 //     rail, and reassembled by offset at the receiver. On the bridged
 //     triangle this roughly doubles forwarded bandwidth (>= 1.5x at
-//     64 KiB, ~2x at 1 MiB — gated by cmd/benchcheck).
+//     64 KiB, ~2x at 1 MiB — a row of the claims ledger).
 //   - Adaptive re-routing: cluster.Session.Replan feeds every gateway's
 //     relay-queue high-water mark (Session.RelayStats' source counters)
 //     back into the edge costs as a congestion term and recomputes the
@@ -452,7 +453,7 @@
 // the crossover is measured, not assumed: on the triangle it takes every
 // bracket of Allreduce, Allgather and Alltoall and the large-payload bracket
 // of Bcast, whose latency brackets go to the segmented single-leader form
-// (the multileader experiment and the ML_* benchcheck rules gate the
+// (the multileader experiment and the ledger's x9.* rows hold the
 // selected-not-forced speedups).
 //
 // # The per-link device mux
@@ -583,9 +584,10 @@
 // The transport stack is instrumented end to end by internal/trace: a
 // virtual-time event tracer, an always-on metrics registry, and a
 // bounded flight-recorder ring. Tracing is off by default and costs one
-// nil-check branch per hot path (measured by BenchmarkNilTracer; the
-// scale-seed benchcheck gate proves disabled tracing leaves every
-// simulated time bit-identical). Attach a tracer per topology
+// nil-check branch per hot path (measured by BenchmarkNilTracer;
+// internal/experiments' all.txt pins every simulated time of the untraced
+// suite byte for byte, and TestTracingLeavesOutputIdentical holds a traced
+// run to the same bytes). Attach a tracer per topology
 // (cluster.Topology.Trace) or process-wide (cluster.SetDefaultTracer —
 // the `cmd/experiments -trace out.json` path).
 //

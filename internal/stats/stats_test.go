@@ -133,8 +133,7 @@ func TestBenchFileRoundTripsCommittedFiles(t *testing.T) {
 	}
 }
 
-// ParseSizes, the sweep commands' -sizes flag. (The name's other half,
-// BenchFile.Add, went with the virtual series the BENCH files used to hold.)
+// ParseSizes reads the sweep commands' -sizes flag.
 func TestBenchFileAddAndParseSizes(t *testing.T) {
 	if got, err := ParseSizes("0, 4,1024"); err != nil || len(got) != 3 || got[1] != 4 || got[2] != 1024 {
 		t.Errorf("ParseSizes = %v, %v", got, err)
