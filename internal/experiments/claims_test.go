@@ -181,25 +181,46 @@ func (c claim) check(results map[string]*Result) (line string, ok bool) {
 	return line, true
 }
 
-// TestClaims judges every row of the ledger; -v prints the scorecard.
-func TestClaims(t *testing.T) {
+// judgeClaims judges the rows whose id starts with one of prefixes ("" takes
+// every row) on the suite's shared All() run; judging none fails.
+func judgeClaims(t *testing.T, prefixes ...string) {
 	results := map[string]*Result{}
 	for _, r := range allOnce(t) {
 		results[r.ID] = r
 	}
-	seen := map[string]bool{}
+	seen, judged := map[string]bool{}, 0
 	for _, c := range claims {
 		if seen[c.id] {
 			t.Errorf("claim id %s is used twice", c.id)
 		}
 		seen[c.id] = true
+		if !slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(c.id, p) }) {
+			continue
+		}
+		judged++
 		if line, ok := c.check(results); ok {
 			t.Log(line)
 		} else {
 			t.Error("claim " + line)
 		}
 	}
+	if judged == 0 {
+		t.Errorf("no claim row starts with any of %q", prefixes)
+	}
 }
+
+// TestClaims judges every row of the ledger; -v prints the scorecard.
+func TestClaims(t *testing.T) { judgeClaims(t, "") }
+
+// The shape tests the ledger absorbed keep their names, each judging the rows
+// that hold its relations (docs/changes/PR-25.md maps them).
+func TestFig6Shape(t *testing.T)              { judgeClaims(t, "fig6") }
+func TestFig7Shape(t *testing.T)              { judgeClaims(t, "fig7") }
+func TestFig8Shape(t *testing.T)              { judgeClaims(t, "fig8") }
+func TestFig9Shape(t *testing.T)              { judgeClaims(t, "fig9") }
+func TestAblations(t *testing.T)              { judgeClaims(t, "x1.", "x2.") }
+func TestForwardingExperiment(t *testing.T)   { judgeClaims(t, "x3.") }
+func TestAdaptiveMultipathShape(t *testing.T) { judgeClaims(t, "x5v.") }
 
 // TestClaimFailuresNameThemselves: a flipped relation, a missing series and a
 // missing size each fail, naming the row, what it wanted, what was measured
