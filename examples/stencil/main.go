@@ -120,21 +120,25 @@ func main() {
 
 // overlapDemo shows the schedule-driven nonblocking collectives hiding a
 // global residual reduction behind local compute: each iteration starts
-// an Iallreduce of a 64 KB residual vector, runs the "update loop" (a
-// chunked CPU charge, as the real update would be), and only then waits.
-// The blocking variant pays reduction and compute back to back.
+// an Iallreduce of a 64 KB residual vector, runs the update (application
+// compute as long as the blocking reduction) and only then waits. The
+// engine's charges preempt the update, so the reduction advances beneath
+// it; the blocking variant pays reduction and update back to back. Times
+// are the last rank's. The update is 64 Compute calls, as in X4's overlap
+// kernel: the Ethernet poller's idle burns never preempt a Compute, so it
+// notices an arrival only when a charge cuts the update or a call ends.
+// With the update as one call, 55% of the reduction is hidden.
 func overlapDemo(topo cluster.Topology) {
 	const (
 		resVec = 64 << 10 // residual vector bytes
 		iters  = 5
-		chunks = 256
+		chunks = 64
 	)
-	run := func(nonblocking bool) vtime.Duration {
+	run := func(nonblocking bool, update vtime.Duration) vtime.Duration {
 		sess, err := cluster.Build(topo)
 		if err != nil {
 			log.Fatal(err)
 		}
-		compute := 10 * vtime.Millisecond
 		var elapsed vtime.Duration
 		err = sess.Run(func(rank int, comm *mpi.Comm) error {
 			local := make([]byte, resVec)
@@ -148,7 +152,7 @@ func overlapDemo(topo cluster.Topology) {
 						return err
 					}
 					for k := 0; k < chunks; k++ {
-						proc.Compute(compute / chunks)
+						proc.Compute(update / chunks)
 					}
 					if err := req.Wait(); err != nil {
 						return err
@@ -158,13 +162,11 @@ func overlapDemo(topo cluster.Topology) {
 						return err
 					}
 					for k := 0; k < chunks; k++ {
-						proc.Compute(compute / chunks)
+						proc.Compute(update / chunks)
 					}
 				}
 			}
-			if rank == 0 {
-				elapsed = sess.S.Now().Sub(start)
-			}
+			elapsed = max(elapsed, sess.S.Now().Sub(start))
 			return nil
 		})
 		if err != nil {
@@ -172,12 +174,14 @@ func overlapDemo(topo cluster.Topology) {
 		}
 		return elapsed
 	}
-	blocking := run(false)
-	overlapped := run(true)
-	fmt.Printf("\noverlap demo: %d iterations of 64KB residual Allreduce + 10ms update\n", iters)
-	fmt.Printf("  blocking Allreduce then compute: %v\n", blocking)
-	fmt.Printf("  Iallreduce overlapped:           %v (%.0f%% of the reduction hidden)\n",
-		overlapped, 100*float64(blocking-overlapped)/float64(blocking-vtime.Duration(iters)*10*vtime.Millisecond))
+	reduction := run(false, 0)
+	update := reduction / iters
+	blocking := run(false, update)
+	overlapped := run(true, update)
+	fmt.Printf("\noverlap demo: %d iterations of a 64KB residual Allreduce (%v) and an update as long\n", iters, update)
+	fmt.Printf("  blocking Allreduce then update: %v\n", blocking)
+	fmt.Printf("  Iallreduce beside the update:   %v (%.0f%% of the reduction hidden)\n",
+		overlapped, 100*(1-float64(overlapped-iters*update)/float64(reduction)))
 }
 
 func initial(i int) float64 {

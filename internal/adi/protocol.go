@@ -207,7 +207,7 @@ func (d *ProtoDevice) pump() {
 func (d *ProtoDevice) inShort(env Envelope, inline []byte) {
 	if r := d.eng.MatchPosted(env); r != nil {
 		n, err := CheckLen(r, env)
-		d.eng.P.Compute(d.dev.CopyCost(n))
+		d.eng.P.Charge(d.dev.CopyCost(n))
 		copy(r.Buf, inline[:n])
 		FinishRecv(r, env, err)
 		return
@@ -221,7 +221,7 @@ func (d *ProtoDevice) inShort(env Envelope, inline []byte) {
 // copy into the user's buffer, then the stash goes home.
 func (d *ProtoDevice) landStash(r *RecvReq, env Envelope, stash *netsim.Buf) {
 	n, err := CheckLen(r, env)
-	d.eng.P.Compute(d.dev.CopyCost(n))
+	d.eng.P.Charge(d.dev.CopyCost(n))
 	copy(r.Buf, stash.B[:n])
 	stash.Release()
 	FinishRecv(r, env, err)

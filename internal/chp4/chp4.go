@@ -122,9 +122,9 @@ func (t *Transport) SendControl(dst int, pkt []byte) {
 	if !ok {
 		panic(fmt.Sprintf("chp4: no node for rank %d", dst))
 	}
-	t.proc.Compute(CtlOverhead)
-	t.proc.Compute(t.params.SendOverhead)
-	t.proc.Compute(t.params.CopyTime(len(pkt))) // into the socket buffer
+	t.proc.Charge(CtlOverhead)
+	t.proc.Charge(t.params.SendOverhead)
+	t.proc.Charge(t.params.CopyTime(len(pkt))) // into the socket buffer
 	cp := t.socketCopy(pkt)
 	if err := t.ep.Send(&netsim.Packet{Dst: node, Kind: int(pktCtrl), Header: cp.B, Meta: cp}); err != nil {
 		panic(fmt.Sprintf("chp4[%s]: control to rank %d (%s): %v", t.proc.Name, dst, node, err))
@@ -135,8 +135,8 @@ func (t *Transport) SendControl(dst int, pkt []byte) {
 // socket buffer — this is the copy ch_mad's rendez-vous avoids.
 func (t *Transport) SendBulk(dst int, data []byte) {
 	node := t.nodeOf[dst]
-	t.proc.Compute(t.params.SendOverhead)
-	t.proc.Compute(t.params.CopyTime(len(data)))
+	t.proc.Charge(t.params.SendOverhead)
+	t.proc.Charge(t.params.CopyTime(len(data)))
 	cp := t.socketCopy(data)
 	pkt := &netsim.Packet{Dst: node, Kind: int(pktBulk), Body: cp.B, Meta: cp}
 	if err := t.ep.Send(pkt); err != nil {
@@ -159,9 +159,9 @@ func (t *Transport) RecvControl() (int, []byte) {
 	spec := marcel.PollSpec{IdleCost: t.params.PollCost, Interval: t.params.PollInterval}
 	m := marcel.WaitPoll(t.proc, t.ctrl, spec)
 	t.held = m.pkt
-	t.proc.Compute(CtlOverhead)
-	t.proc.Compute(t.params.RecvOverhead)
-	t.proc.Compute(t.params.CopyTime(len(m.pkt.B)))
+	t.proc.Charge(CtlOverhead)
+	t.proc.Charge(t.params.RecvOverhead)
+	t.proc.Charge(t.params.CopyTime(len(m.pkt.B)))
 	return m.src, m.pkt.B
 }
 
@@ -173,8 +173,8 @@ func (t *Transport) RecvBulk(src int, dst []byte) {
 		panic(fmt.Sprintf("chp4[%s]: bulk from rank %d of %d bytes, expected %d",
 			t.proc.Name, src, len(data.B), len(dst)))
 	}
-	t.proc.Compute(t.params.RecvOverhead)
-	t.proc.Compute(t.params.CopyTime(len(dst)))
+	t.proc.Charge(t.params.RecvOverhead)
+	t.proc.Charge(t.params.CopyTime(len(dst)))
 	copy(dst, data.B)
 	data.Release()
 }

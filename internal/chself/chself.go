@@ -44,10 +44,10 @@ func (d *Device) Shutdown() {}
 func (d *Device) Send(sr *adi.SendReq) {
 	d.NMessages++
 	env := sr.Env
-	d.proc.Compute(d.params.SendOverhead)
+	d.proc.Charge(d.params.SendOverhead)
 	if r := d.eng.MatchPosted(env); r != nil {
 		n, err := adi.CheckLen(r, env)
-		d.proc.Compute(d.params.CopyTime(n))
+		d.proc.Charge(d.params.CopyTime(n))
 		copy(r.Buf, sr.Data[:n])
 		adi.FinishRecv(r, env, err)
 		sr.Done.Fire()
@@ -56,11 +56,11 @@ func (d *Device) Send(sr *adi.SendReq) {
 	// Unexpected: snapshot now so the sender may reuse its buffer the
 	// moment Send completes (MPI contract), deliver on match.
 	stash := d.eng.Bufs.Get(len(sr.Data))
-	d.proc.Compute(d.params.CopyTime(len(sr.Data)))
+	d.proc.Charge(d.params.CopyTime(len(sr.Data)))
 	copy(stash.B, sr.Data)
 	d.eng.AddUnexpected(env, func(r *adi.RecvReq) {
 		n, err := adi.CheckLen(r, env)
-		d.proc.Compute(d.params.CopyTime(n))
+		d.proc.Charge(d.params.CopyTime(n))
 		copy(r.Buf, stash.B[:n])
 		stash.Release()
 		adi.FinishRecv(r, env, err)

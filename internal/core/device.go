@@ -291,7 +291,7 @@ func (d *Device) endReceive(ch *madeleine.Channel, conn *madeleine.Connection) {
 	if err := conn.EndUnpacking(); err != nil {
 		panic(err)
 	}
-	d.proc.Compute(ch.Params.DeviceHandling)
+	d.proc.Charge(ch.Params.DeviceHandling)
 }
 
 // traceNow is the start stamp of a span about to be recorded (zero, and

@@ -32,7 +32,7 @@ func (d *Device) sendEager(sr *adi.SendReq, rt Route) {
 			// (sender-side copy!) and ship the whole padded buffer. A
 			// per-link threshold may sit above the device-wide one.
 			body = make([]byte, max(d.switchPoint, len(sr.Data)))
-			d.proc.Compute(rt.Channel.Params.CopyTime(len(sr.Data)))
+			d.proc.Charge(rt.Channel.Params.CopyTime(len(sr.Data)))
 			copy(body, sr.Data)
 		}
 	}
@@ -81,7 +81,7 @@ func (d *Device) inShort(ch *madeleine.Channel, conn *madeleine.Connection, h he
 // after which the landing buffer goes home.
 func (d *Device) landEager(ch *madeleine.Channel, r *adi.RecvReq, env adi.Envelope, scratch *netsim.Buf) {
 	n, err := adi.CheckLen(r, env)
-	d.proc.Compute(ch.Params.CopyTime(n))
+	d.proc.Charge(ch.Params.CopyTime(n))
 	if scratch != nil {
 		copy(r.Buf, scratch.B[:n])
 		scratch.Release()

@@ -353,7 +353,7 @@ func (d *Device) inRndvBody(ch *madeleine.Channel, conn *madeleine.Connection, h
 	done := st.segDone(h.Len)
 	copyOut := func() {
 		if done && lenErr != nil {
-			d.proc.Compute(ch.Params.CopyTime(n))
+			d.proc.Charge(ch.Params.CopyTime(n))
 			copy(st.r.Buf, st.scratch[:n])
 		}
 	}

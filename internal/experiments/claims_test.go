@@ -23,9 +23,10 @@ import (
 type measure int
 
 const (
-	value measure = iota // a
-	ratio                // a / b
-	diff                 // a − b
+	value  measure = iota // a
+	ratio                 // a / b
+	diff                  // a − b
+	hidden                // 1 − a / b: the share of b that a leaves hidden
 )
 
 // rel is the interval a measure must lie in (an open end excludes its bound)
@@ -96,6 +97,14 @@ var claims = []claim{
 	{"x4.2level-bcast-cap", "PR 3 X4", "hcoll", "Bcast_2level_cap", "Bcast_flat_cap", diff, sz(64<<10, 256<<10), lt(0)},
 	{"x4.ring2l-allreduce-cap", "PR 3 X4", "hcoll", "Allreduce_ring2l_cap", "Allreduce_flat_cap", diff, sz(64<<10, 256<<10), lt(0)},
 	{"x4.ring-allreduce", "PR 3 X4", "hcoll", "Allreduce_ring", "Allreduce_flat", diff, sz(64<<10, 256<<10), lt(0)},
+	// X4 overlap: an Icoll beside compute as long as the blocking call hides
+	// most of it, because a Charge preempts a Compute (§3.3's threads sharing
+	// a CPU). Floors 0.02 below the landed 0.871 / 0.906 and 0.911 / 0.917 at
+	// 64K / 256K; before preemption they read 0.44 / 0.27 and 0.16 / 0.16.
+	// The 8 B and 256 B cells are unchanged by it: there a compute chunk is
+	// shorter than a Quantum, so a Charge queued behind one never cuts it.
+	{"x4.allreduce-ovl-hidden", "§3.3 X4", "hcoll", "Allreduce_2level_ovl", "Allreduce_2level", hidden, sz(64<<10, 256<<10), ge(0.85)},
+	{"x4.alltoall-ovl-hidden", "§3.3 X4", "hcoll", "Alltoall_2level_ovl", "Alltoall_2level", hidden, sz(64<<10, 256<<10), ge(0.89)},
 	// X5, bridged 3 clusters: routed two-level, aware leaders, pipelined relay win.
 	{"x5.2level-bcast-routed", "PR 4 X5", "gateway", "Bcast_2level_gw", "Bcast_flat_gw", diff, sz(64<<10, 256<<10), lt(0)},
 	{"x5.2level-allreduce-routed", "PR 4 X5", "gateway", "Allreduce_2level_gw", "Allreduce_flat_gw", diff, sz(64<<10, 256<<10), lt(0)},
@@ -129,7 +138,7 @@ var claims = []claim{
 // fails it — and returns the scorecard's line: the row, what was measured at
 // its first failing size, else at its tightest one, and the margin there.
 func (c claim) check(results map[string]*Result) (line string, ok bool) {
-	expr := map[measure]string{value: c.a, ratio: c.a + " / " + c.b, diff: c.a + " − " + c.b}[c.m]
+	expr := map[measure]string{value: c.a, ratio: c.a + " / " + c.b, diff: c.a + " − " + c.b, hidden: "1 − " + c.a + " / " + c.b}[c.m]
 	labels := make([]string, len(c.sizes))
 	for i, size := range c.sizes {
 		labels[i] = stats.SizeLabel(size)
@@ -166,6 +175,8 @@ func (c claim) check(results map[string]*Result) (line string, ok bool) {
 			v /= vs[1]
 		case diff:
 			v -= vs[1]
+		case hidden:
+			v = 1 - v/vs[1]
 		}
 		margin, ok := c.want.judge(v)
 		if line == "" || !ok || margin < best {

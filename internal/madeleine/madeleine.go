@@ -214,7 +214,7 @@ func (c *Connection) pack(data []byte, owned *netsim.Buf, sm SendMode, rm RecvMo
 
 	m.packs++
 	if m.packs > 1 {
-		proc.Compute(vtime.Duration(p.ExtraPackCost) / 2)
+		proc.Charge(vtime.Duration(p.ExtraPackCost) / 2)
 	}
 	m.total += n
 
@@ -222,7 +222,7 @@ func (c *Connection) pack(data []byte, owned *netsim.Buf, sm SendMode, rm RecvMo
 	switch {
 	case rm == ReceiveExpress || sm == SendSafer || n <= p.AggLimit:
 		d.place = placeAgg
-		proc.Compute(p.CopyTime(n))
+		proc.Charge(p.CopyTime(n))
 		m.agg = append(m.agg, data...)
 		if owned != nil {
 			owned.Release()
@@ -255,11 +255,11 @@ func (c *Connection) EndPacking() error {
 	s := proc.S
 
 	if p.LargeMsgLimit > 0 && m.total > p.LargeMsgLimit {
-		proc.Compute(p.LargeMsgPenalty)
+		proc.Charge(p.LargeMsgPenalty)
 	}
 
 	// Head packet: descriptor table + aggregated data.
-	proc.Compute(p.SendOverhead)
+	proc.Charge(p.SendOverhead)
 	head := &netsim.Packet{
 		Dst:    c.Remote,
 		Kind:   int(pktHead),
@@ -271,7 +271,7 @@ func (c *Connection) EndPacking() error {
 	// Body packets, in block order, pipelined behind the head.
 	sent := 0
 	for err == nil && sent < len(m.bodies) {
-		proc.Compute(p.SendOverhead)
+		proc.Charge(p.SendOverhead)
 		b := &m.bodies[sent]
 		b.pkt.Dst, b.pkt.Kind, b.pkt.Meta = c.Remote, int(pktBody), b
 		if err = c.Ch.ep.Send(&b.pkt); err == nil {
@@ -355,7 +355,7 @@ func (ch *Channel) startUnpack(conn *Connection) (*Connection, error) {
 		return nil, fmt.Errorf("madeleine: connection %s already unpacking", conn.Remote)
 	}
 	pkt := conn.heads.Pop() // must be present: incoming was signalled
-	ch.Inst.P.Compute(ch.Params.RecvOverhead)
+	ch.Inst.P.Charge(ch.Params.RecvOverhead)
 	seq, blocks, agg, err := decodeHead(pkt.Header)
 	if err != nil {
 		return nil, err
@@ -429,12 +429,12 @@ func (c *Connection) next(n int, rm RecvMode, dst []byte) (src []byte, held *net
 	m.next++
 	m.unpacks++
 	if m.unpacks > 1 {
-		proc.Compute(vtime.Duration(p.ExtraPackCost) / 2)
+		proc.Charge(vtime.Duration(p.ExtraPackCost) / 2)
 	}
 
 	if b.place == placeAgg {
 		// Copy out of the head packet's aggregation area.
-		proc.Compute(p.CopyTime(n))
+		proc.Charge(p.CopyTime(n))
 		m.aggOff += n
 		return m.agg[m.aggOff-n : m.aggOff], nil, nil
 	}
@@ -445,7 +445,7 @@ func (c *Connection) next(n int, rm RecvMode, dst []byte) (src []byte, held *net
 	pkt := c.bodies.Pop()
 	c.want = nil
 	c.bodiesIn++
-	proc.Compute(p.RecvOverhead)
+	proc.Charge(p.RecvOverhead)
 	bd := pkt.Meta.(*body)
 	src, held = pkt.Body, bd.buf
 	if bd.state == bodyLanded {

@@ -18,16 +18,21 @@ import (
 // timeout/burn lattice. One line per program (testdata/
 // poll_fingerprints.txt) must regenerate byte-unchanged after any change to
 // WaitPoll or to the kernel under it; after an *intended* change, delete
-// the file and run the test once to re-record.
+// the file and run the test once to re-record. The compute threads there
+// Charge; testdata/preempt_fingerprints.txt pins the same programs with
+// them in Compute, which the pollers' handling charges preempt.
 //
 // waitPollLoop below is WaitPoll as a plain loop over the kernel's public
 // primitives. It is the reference: TestWaitPollMatchesLoop runs further
 // seeds through both and compares the whole event logs.
 
-const pollFingerprintFile = "testdata/poll_fingerprints.txt"
+const (
+	pollFingerprintFile    = "testdata/poll_fingerprints.txt"
+	preemptFingerprintFile = "testdata/preempt_fingerprints.txt"
+)
 
 // waitPollLoop is the reference implementation of WaitPoll: every idle
-// cycle is a PopTimeout that runs out followed by a Compute, each a real
+// cycle is a PopTimeout that runs out followed by a Charge, each a real
 // block of the calling thread.
 func waitPollLoop[T any](p *Proc, q *vtime.Queue[T], spec PollSpec) T {
 	for {
@@ -41,11 +46,15 @@ func waitPollLoop[T any](p *Proc, q *vtime.Queue[T], spec PollSpec) T {
 			return v
 		}
 		// Idle poll: burn the poll cost and go around.
-		p.Compute(spec.IdleCost)
+		p.Charge(spec.IdleCost)
 	}
 }
 
 type pollWaitFn func(*Proc, *vtime.Queue[int], PollSpec) int
+
+// grainFn is how a program's compute threads spend their grains:
+// (*Proc).Charge in the poll pin, (*Proc).Compute in the preemption pin.
+type grainFn func(*Proc, vtime.Duration)
 
 // pollRand is a private splitmix64, so the programs do not depend on any
 // library generator's stream.
@@ -87,6 +96,7 @@ type pollQueue struct {
 type pollProg struct {
 	s     *vtime.Scheduler
 	wait  pollWaitFn
+	grain grainFn
 	lines []string
 	procs []*Proc
 	item  int // next value to push
@@ -152,12 +162,14 @@ type pollResult struct {
 	end   int    // how it ended
 }
 
-// pollProgram builds and runs program k with the given WaitPoll.
-func pollProgram(k int, wait pollWaitFn) pollResult {
+// pollProgram builds and runs program k with the given WaitPoll, its
+// compute threads spending their grains through grain. Every other use of
+// the CPU — a poller's handling of an item, its idle burns — is a Charge.
+func pollProgram(k int, wait pollWaitFn, grain grainFn) pollResult {
 	r := pollRand(k*104729 + 7)
 	end := []int{endOK, endOK, endDeadlock, endDeadline}[k%4]
 	s := vtime.New()
-	g := &pollProg{s: s, wait: wait}
+	g := &pollProg{s: s, wait: wait, grain: grain}
 	nproc := 1 + r.n(8)
 	grid := pollGrid[:3]
 	if r.n(3) != 0 {
@@ -225,7 +237,7 @@ func pollProgram(k int, wait pollWaitFn) pollResult {
 			take := func() {
 				v := g.wait(p, pq.q, spec)
 				g.log(p, p.Name+"/"+name, fmt.Sprintf("got %d", v))
-				p.Compute(handle)
+				p.Charge(handle)
 				g.echo(p, pq)
 			}
 			if pl.daemon {
@@ -262,7 +274,7 @@ func pollProgram(k int, wait pollWaitFn) pollResult {
 			p.Spawn(name, func() {
 				for n := 0; n < steps; n++ {
 					d := grains[seed.n(len(grains))]
-					p.Compute(d)
+					g.grain(p, d)
 					g.log(p, p.Name+"/"+name, fmt.Sprintf("slice %d", d))
 					if seed.n(3) == 0 {
 						p.Sleep(grains[seed.n(len(grains))])
@@ -394,30 +406,43 @@ func pollProgram(k int, wait pollWaitFn) pollResult {
 const pollPrograms = 48
 
 func TestPollFingerprint(t *testing.T) {
+	checkPin(t, pollFingerprintFile, (*Proc).Charge)
+}
+
+// TestPreemptFingerprint is the same 48 programs with the compute threads'
+// grains spent through Compute, so every poller's handling charge that
+// queues behind one cuts it (Quantum) while the idle burns do not.
+func TestPreemptFingerprint(t *testing.T) {
+	checkPin(t, preemptFingerprintFile, (*Proc).Compute)
+}
+
+// checkPin runs the pinned programs with WaitPoll and grain and compares
+// one line per program with file, recording the file when it is missing.
+func checkPin(t *testing.T, file string, grain grainFn) {
 	var got []string
 	for k := 0; k < pollPrograms; k++ {
-		res := pollProgram(k, WaitPoll[int])
+		res := pollProgram(k, WaitPoll[int], grain)
 		if res.end != res.built {
 			t.Errorf("program %d ended %d, built to end %d: %s", k, res.end, res.built, res.line)
 		}
 		got = append(got, res.line)
 	}
-	raw, err := os.ReadFile(pollFingerprintFile)
+	raw, err := os.ReadFile(file)
 	if os.IsNotExist(err) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(pollFingerprintFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Fatalf("%s did not exist: recorded %d lines; review and commit it", pollFingerprintFile, len(got))
+		t.Fatalf("%s did not exist: recorded %d lines; review and commit it", file, len(got))
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 	if len(got) != len(want) {
-		t.Errorf("fingerprint has %d lines, %s has %d", len(got), pollFingerprintFile, len(want))
+		t.Errorf("fingerprint has %d lines, %s has %d", len(got), file, len(want))
 	}
 	for i := 0; i < len(got) && i < len(want); i++ {
 		if got[i] != want[i] {
@@ -428,9 +453,11 @@ func TestPollFingerprint(t *testing.T) {
 
 // TestWaitPollMatchesLoop compares WaitPoll with the reference loop
 // directly, event by event, on seeds the fingerprint file does not hold.
+// Its grains are charges: the reference loop's burn is a Charge, which
+// would preempt a Compute where WaitPoll's burn does not.
 func TestWaitPollMatchesLoop(t *testing.T) {
 	for k := pollPrograms; k < pollPrograms+200; k++ {
-		got, want := pollProgram(k, WaitPoll[int]), pollProgram(k, waitPollLoop[int])
+		got, want := pollProgram(k, WaitPoll[int], (*Proc).Charge), pollProgram(k, waitPollLoop[int], (*Proc).Charge)
 		if got.line != want.line {
 			t.Errorf("program %d:\n got  %s\n want %s", k, got.line, want.line)
 		}

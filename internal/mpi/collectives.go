@@ -249,7 +249,7 @@ func (c *Comm) Gatherv(sendBuf []byte, sendCount int, recvBuf []byte, counts, di
 		dst := recvBuf[displs[r]*ex:]
 		if r == root {
 			data := PackBuf(sendBuf, sendCount, dt)
-			c.p.M.Compute(c.p.memTime(len(data)))
+			c.p.M.Charge(c.p.memTime(len(data)))
 			UnpackBuf(dst, counts[r], dt, data)
 			continue
 		}
@@ -286,7 +286,7 @@ func (c *Comm) Scatterv(sendBuf []byte, counts, displs []int, recvBuf []byte, re
 		if _, err := c.recvRaw(tmp.B, root, tagScatter, c.collCtx()); err != nil {
 			return err
 		}
-		c.p.M.Compute(c.p.memTime(len(tmp.B)))
+		c.p.M.Charge(c.p.memTime(len(tmp.B)))
 		UnpackBuf(recvBuf, recvCount, dt, tmp.B)
 		tmp.Release()
 		return nil
@@ -306,7 +306,7 @@ func (c *Comm) Scatterv(sendBuf []byte, counts, displs []int, recvBuf []byte, re
 	for r := 0; r < c.Size(); r++ {
 		chunk := PackBuf(sendBuf[displs[r]*ex:], counts[r], dt)
 		if r == root {
-			c.p.M.Compute(c.p.memTime(len(chunk)))
+			c.p.M.Charge(c.p.memTime(len(chunk)))
 			UnpackBuf(recvBuf, recvCount, dt, chunk)
 			continue
 		}
@@ -325,7 +325,7 @@ func (c *Comm) Scan(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) erro
 	}
 	acc := c.p.Eng.Bufs.Get(count * dt.Size())
 	copy(acc.B, PackBuf(sendBuf, count, dt))
-	c.p.M.Compute(c.p.memTime(len(acc.B)))
+	c.p.M.Charge(c.p.memTime(len(acc.B)))
 	if c.myRank > 0 {
 		prefix := c.p.Eng.Bufs.Get(len(acc.B))
 		if _, err := c.recvRaw(prefix.B, c.myRank-1, tagScan, c.collCtx()); err != nil {

@@ -26,7 +26,7 @@ func (c *Comm) Ssend(buf []byte, count int, dt Datatype, dest, tag int) error {
 	}
 	data := PackBuf(buf, count, dt)
 	if !IsContiguous(dt) {
-		c.p.M.Compute(c.p.memTime(len(data)))
+		c.p.M.Charge(c.p.memTime(len(data)))
 	}
 	dstWorld := c.group[dest]
 	sr := &adi.SendReq{
@@ -208,7 +208,7 @@ func (ct *Cart) Shift(dim, disp int) (src, dst int, srcOK, dstOK bool) {
 func (c *Comm) Pack(buf []byte, count int, dt Datatype) []byte {
 	out := PackBuf(buf, count, dt)
 	if !IsContiguous(dt) {
-		c.p.M.Compute(c.p.memTime(len(out)))
+		c.p.M.Charge(c.p.memTime(len(out)))
 	}
 	return out
 }
@@ -217,7 +217,7 @@ func (c *Comm) Pack(buf []byte, count int, dt Datatype) []byte {
 // buf (MPI_Unpack).
 func (c *Comm) Unpack(packed []byte, buf []byte, count int, dt Datatype) {
 	if !IsContiguous(dt) {
-		c.p.M.Compute(c.p.memTime(len(packed)))
+		c.p.M.Charge(c.p.memTime(len(packed)))
 	}
 	UnpackBuf(buf, count, dt, packed)
 }

@@ -157,7 +157,7 @@ func (c *Comm) gatherStaged(b *schedBuilder, ct *commTopo, a collArgs) func() {
 		}
 		place(ct.myCluster, bundle)
 		for _, di := range ct.remote {
-			c.p.M.Compute(c.p.memTime(len(remote[di])))
+			c.p.M.Charge(c.p.memTime(len(remote[di])))
 			place(di, remote[di])
 		}
 	}

@@ -508,7 +508,7 @@ func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 		b.bridgeStage(ct, c.myRank, c.segmentBytes(), func(_, s int) []byte { return cut(home, w, s) }, landed)},
 		b.fanOutStages(ct, c.myRank, c.myRank, landed)...)...)
 	return func() {
-		c.p.M.Compute(c.p.memTime(c.Size() * sz))
+		c.p.M.Charge(c.p.memTime(c.Size() * sz))
 		for di, bun := range bundle {
 			for i, m := range ct.clusters[di] {
 				UnpackBuf(a.recv[m*a.count*ex:], a.count, a.dt, bun[i*sz:(i+1)*sz])

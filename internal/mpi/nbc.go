@@ -4,11 +4,12 @@
 // Each Icoll call compiles its algorithm into a schedule (schedule.go),
 // assigns it the next tag in the communicator's collective sequence and
 // hands it to the engine, which runs submitted schedules in order on a
-// dedicated Marcel thread. Because Marcel threads are cooperative, the
-// engine makes progress exactly when the application thread blocks,
-// computes or yields — the paper's decoupling of communication progress
-// from the application thread, applied to collectives. The application
-// gets a CollRequest and overlaps computation until Wait/Test.
+// dedicated Marcel thread. The engine makes progress while the application
+// thread blocks or yields, and while it computes: a charge of the engine
+// queued behind the application's marcel.Compute preempts it within a
+// marcel.Quantum — the paper's decoupling of communication progress from
+// the application thread, applied to collectives. The application gets a
+// CollRequest and overlaps computation until Wait/Test.
 //
 // The engine thread is resident, like the paper's polling threads (§4.2.3):
 // the communicator's first scheduled collective starts it, as a daemon, and
@@ -62,11 +63,11 @@ func (r *CollRequest) Wait() error {
 	return r.err
 }
 
-// Test reports completion without blocking indefinitely (MPI_Test). Like
-// MPICH's request polling it is also a progress call: when the operation
-// is still in flight the caller sleeps one poll quantum of virtual time,
-// which hands the cooperative CPU to the engine thread — a Test poll loop
-// therefore drives the schedule instead of livelocking the scheduler.
+// Test reports completion without blocking indefinitely (MPI_Test). When
+// the operation is still in flight the caller sleeps 1 µs of virtual time:
+// a Test poll loop lets the engine thread's charges in between its
+// iterations instead of livelocking the scheduler. It is not needed for
+// progress: the engine's charges preempt a Compute of the caller anyway.
 func (r *CollRequest) Test() (bool, error) {
 	if !r.done.Fired() {
 		r.c.p.M.Sleep(vtime.Microsecond)

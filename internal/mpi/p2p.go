@@ -129,7 +129,7 @@ func (c *Comm) Send(buf []byte, count int, dt Datatype, dest, tag int) error {
 	}
 	data := PackBuf(buf, count, dt)
 	if !IsContiguous(dt) {
-		c.p.M.Compute(c.p.memTime(len(data)))
+		c.p.M.Charge(c.p.memTime(len(data)))
 	}
 	return c.sendRaw(data, dest, tag, c.ctx)
 }
@@ -149,7 +149,7 @@ func (c *Comm) Isend(buf []byte, count int, dt Datatype, dest, tag int) (*Reques
 	}
 	data := PackBuf(buf, count, dt)
 	if !IsContiguous(dt) {
-		c.p.M.Compute(c.p.memTime(len(data)))
+		c.p.M.Charge(c.p.memTime(len(data)))
 	}
 	dstWorld := c.group[dest]
 	sr := &adi.SendReq{
@@ -199,7 +199,7 @@ func (c *Comm) Irecv(buf []byte, count int, dt Datatype, src, tag int) (*Request
 		// The count is an upper bound: only the elements that arrived are
 		// unpacked, the rest of the user's buffer stays as it was.
 		finish = func(received int) {
-			c.p.M.Compute(c.p.memTime(need))
+			c.p.M.Charge(c.p.memTime(need))
 			UnpackBuf(buf, count, dt, tmp[:received])
 		}
 	} else {

@@ -392,7 +392,7 @@ func (b *schedBuilder) ringAGRounds(members []int, myPos int, data []byte, bound
 // one memcpy charge, then the packed count-element vector lands in dst.
 func (c *Comm) unpackVector(dst []byte, count int, dt Datatype, packed []byte) func() {
 	return func() {
-		c.p.M.Compute(c.p.memTime(len(packed)))
+		c.p.M.Charge(c.p.memTime(len(packed)))
 		UnpackBuf(dst, count, dt, packed)
 	}
 }
@@ -403,7 +403,7 @@ func (c *Comm) unpackVector(dst []byte, count int, dt Datatype, packed []byte) f
 func (c *Comm) unpackBlocks(recvBuf []byte, count int, dt Datatype, packed []byte) func() {
 	sz, ex := count*dt.Size(), dt.Extent()
 	return func() {
-		c.p.M.Compute(c.p.memTime(len(packed)))
+		c.p.M.Charge(c.p.memTime(len(packed)))
 		for r := 0; r < c.Size(); r++ {
 			UnpackBuf(recvBuf[r*count*ex:], count, dt, packed[r*sz:(r+1)*sz])
 		}

@@ -12,6 +12,7 @@ import (
 
 	"mpichmad/internal/cluster"
 	"mpichmad/internal/mpi"
+	"mpichmad/internal/vtime"
 )
 
 // ringInput derives a deterministic per-rank int64 vector from a seed.
@@ -138,41 +139,60 @@ func TestRingReduceScatterEquivalence(t *testing.T) {
 }
 
 // TestIreduceScatterOverlap: the nonblocking variant completes correctly
-// with computation between start and Wait.
+// with computation between start and Wait, and the computation hides the
+// communication. One unchunked Compute as long as the blocking call must
+// end, Wait included, within the blocking time plus half the compute on
+// every rank: the schedule's charges preempt it instead of queueing behind
+// all of it. The blocks are 64 KiB, so the wire sets most of the blocking
+// time. At 8 elements the collective's own charges keep a rank's CPU busy
+// 55 of the call's 66 µs, and no schedule of one CPU fits them and the
+// compute within the bound.
 func TestIreduceScatterOverlap(t *testing.T) {
-	const n, per = 4, 8
-	sess, err := cluster.Build(nNodeTopo(n, "sisci"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sess.Run(func(rank int, comm *mpi.Comm) error {
-		in := make([]int64, per*n)
-		for i := range in {
-			in[i] = int64(rank + i)
-		}
-		res := make([]byte, 8*per)
-		req, err := comm.IreduceScatter(mpi.Int64Bytes(in), res, per, mpi.Int64, mpi.OpSum)
+	const n, per = 4, 8 << 10
+	run := func(compute vtime.Duration) (last vtime.Duration) {
+		sess, err := cluster.Build(nNodeTopo(n, "sisci"))
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		sess.Ranks[rank].Proc.Compute(0) // yield to the progress engine
-		if err := req.Wait(); err != nil {
-			return err
-		}
-		got := mpi.BytesInt64(res)
-		for i := 0; i < per; i++ {
-			// sum over ranks of (rank + rank*per + i)
-			want := int64(0)
-			for r := 0; r < n; r++ {
-				want += int64(r + rank*per + i)
+		err = sess.Run(func(rank int, comm *mpi.Comm) error {
+			in := make([]int64, per*n)
+			for i := range in {
+				in[i] = int64(rank + i)
 			}
-			if got[i] != want {
-				return fmt.Errorf("rank %d: [%d] = %d, want %d", rank, i, got[i], want)
+			res := make([]byte, 8*per)
+			start := sess.S.Now()
+			req, err := comm.IreduceScatter(mpi.Int64Bytes(in), res, per, mpi.Int64, mpi.OpSum)
+			if err != nil {
+				return err
 			}
+			sess.Ranks[rank].Proc.Compute(compute)
+			if err := req.Wait(); err != nil {
+				return err
+			}
+			last = max(last, sess.S.Now().Sub(start))
+			got := mpi.BytesInt64(res)
+			for i := 0; i < per; i++ {
+				// sum over ranks of (rank + rank*per + i)
+				want := int64(0)
+				for r := 0; r < n; r++ {
+					want += int64(r + rank*per + i)
+				}
+				if got[i] != want {
+					return fmt.Errorf("rank %d: [%d] = %d, want %d", rank, i, got[i], want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		return last
+	}
+	blocking := run(0)
+	overlapped := run(blocking)
+	t.Logf("blocking %v, beside a compute of as long %v", blocking, overlapped)
+	if overlapped > blocking+blocking/2 {
+		t.Errorf("IreduceScatter beside a compute of %v took %v, more than the blocking time plus half the compute (%v)",
+			blocking, overlapped, blocking+blocking/2)
 	}
 }

@@ -20,13 +20,14 @@
 // Marcel thread of the same process while lane 0 runs inline — the paper's
 // one thread per network, for the length of a round. The round still
 // pre-posts every receive first and ends when both lanes and all receives
-// are done; CPU charges of the two threads contend through Compute like any
-// two threads of a process; an error on either lane ends the schedule. The
-// thread is resident, one per communicator, started by the first laned round
-// (collEngine.lane). What a compiler owes the lane is in doc.go's schedule
-// model: a lane-1 send is eager or its receive is posted in the peer's same
-// round, and no directed pair has sends on both lanes of one round. A round
-// with no lane-1 step executes exactly as it did before there was one.
+// are done; CPU charges of the two threads contend through marcel.Charge
+// like any two threads of a process; an error on either lane ends the
+// schedule. The thread is resident, one per communicator, started by the
+// first laned round (collEngine.lane). What a compiler owes the lane is in
+// doc.go's schedule model: a lane-1 send is eager or its receive is posted
+// in the peer's same round, and no directed pair has sends on both lanes of
+// one round. A round with no lane-1 step executes exactly as it did before
+// there was one.
 //
 // Staging is leased at compile time from the rank's buffer list
 // (schedBuilder.stage), lives until the completion closure has returned,
@@ -329,7 +330,7 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 					return err
 				}
 			case stepCopy:
-				c.p.M.Compute(c.p.memTime(len(st.src)))
+				c.p.M.Charge(c.p.memTime(len(st.src)))
 				copy(st.buf, st.src)
 			case stepSend, stepRecv:
 				// Network steps were issued at round start; nothing to

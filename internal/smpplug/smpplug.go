@@ -86,8 +86,8 @@ func (d *Device) Send(sr *adi.SendReq) {
 		return
 	}
 	p := &d.node.params
-	d.proc.Compute(p.SendOverhead)
-	d.proc.Compute(p.CopyTime(len(sr.Data))) // copy into the segment
+	d.proc.Charge(p.SendOverhead)
+	d.proc.Charge(p.CopyTime(len(sr.Data))) // copy into the segment
 	seg := d.node.bufs.Get(len(sr.Data))
 	copy(seg.B, sr.Data)
 	msg := &segMsg{env: sr.Env, data: seg}
@@ -110,17 +110,17 @@ func (d *Device) recvLoop() {
 	for !d.stopped {
 		msg := marcel.WaitPoll(d.proc, q, spec)
 		d.NMessages++
-		d.proc.Compute(p.RecvOverhead)
+		d.proc.Charge(p.RecvOverhead)
 		env := msg.env
 		if r := d.eng.MatchPosted(env); r != nil {
 			n, err := adi.CheckLen(r, env)
-			d.proc.Compute(p.CopyTime(n)) // copy out of the segment
+			d.proc.Charge(p.CopyTime(n)) // copy out of the segment
 			msg.land(r, n, err)
 			continue
 		}
 		d.eng.AddUnexpected(env, func(r *adi.RecvReq) {
 			n, err := adi.CheckLen(r, env)
-			d.proc.Compute(p.CopyTime(n))
+			d.proc.Charge(p.CopyTime(n))
 			msg.land(r, n, err)
 		})
 	}
