@@ -9,10 +9,12 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mpichmad/internal/mpi"
 	"mpichmad/internal/netsim"
+	"mpichmad/internal/trace"
 )
 
 // starTopo builds one SCI island per entry of szs, the first node of each on
@@ -238,6 +240,58 @@ func TestLeaderTreeEquivalence(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestLeaderTreeAllreduceSameBitsOnEveryRank: where a two-level Allreduce's
+// leaders exchange their partials, every leader computes the result itself,
+// and a Float64 sum depends on the order it is taken in: with cluster
+// partials 1e16, 1, −1e16 (and 1), (1e16 + 1) − 1e16 is 0 but (−1e16 + 1e16)
+// + 1 is 1. On 3 and 4 clusters, where the backbone's numbers choose the
+// exchange (the trace says so), every rank must hold the same bits.
+func TestLeaderTreeAllreduceSameBitsOnEveryRank(t *testing.T) {
+	partials := []float64{1e16, 1, -1e16, 1}
+	for _, szs := range [][]int{{2, 3, 1}, {3, 1, 2, 2}} {
+		for _, count := range []int{3, 8 << 10} {
+			topo := starTopo(szs, false)
+			topo.Trace = trace.New(nil)
+			sess, err := Build(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rk := range sess.Ranks {
+				rk.MPI.SetCollMode(mpi.CollHier)
+			}
+			clusters := sess.Clusters()
+			got := make([][]byte, len(sess.Ranks))
+			err = sess.Run(func(rank int, comm *mpi.Comm) error {
+				// The first rank of a cluster holds its partial, the others 0.
+				v := make([]float64, count)
+				if c := sess.ClusterOf(rank); clusters[c][0] == rank {
+					for i := range v {
+						v[i] = partials[c]
+					}
+				}
+				got[rank] = make([]byte, 8*count)
+				return comm.Allreduce(mpi.Float64Bytes(v), got[rank], count, mpi.Float64, mpi.OpSum)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank := range got {
+				if string(got[rank]) != string(got[0]) {
+					t.Errorf("%v, %d doubles: rank %d holds %v, rank 0 %v", szs, count, rank,
+						mpi.BytesFloat64(got[rank])[0], mpi.BytesFloat64(got[0])[0])
+				}
+			}
+			exchanged := false
+			for _, ev := range topo.Trace.Events() {
+				exchanged = exchanged || ev.Name == "tree.leader" && ev.Args.Bytes == int64(8*count) && strings.Contains(ev.Args.Class, "allreduce=exchange")
+			}
+			if !exchanged {
+				t.Errorf("%v, %d doubles: no tree.leader instant chose the exchange", szs, count)
+			}
 		}
 	}
 }

@@ -97,6 +97,9 @@ var claims = []claim{
 	{"x4.2level-bcast-cap", "PR 3 X4", "hcoll", "Bcast_2level_cap", "Bcast_flat_cap", diff, sz(64<<10, 256<<10), lt(0)},
 	{"x4.ring2l-allreduce-cap", "PR 3 X4", "hcoll", "Allreduce_ring2l_cap", "Allreduce_flat_cap", diff, sz(64<<10, 256<<10), lt(0)},
 	{"x4.ring-allreduce", "PR 3 X4", "hcoll", "Allreduce_ring", "Allreduce_flat", diff, sz(64<<10, 256<<10), lt(0)},
+	// X4: two leaders that swap their partials cross the backbone once, the
+	// flat ring n−1 times each way (a reduce up and a broadcast back, twice).
+	{"x4.2level-allreduce-beats-ring", "PR 27 X4", "hcoll", "Allreduce_2level", "Allreduce_ring", diff, sz(64<<10, 256<<10), lt(0)},
 	// X4 overlap: an Icoll beside compute as long as the blocking call hides
 	// most of it, because a Charge preempts a Compute (§3.3's threads sharing
 	// a CPU). Floors 0.02 below the landed 0.871 / 0.906 and 0.911 / 0.917 at

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpichmad/internal/cluster"
 	"mpichmad/internal/mpi"
 	"mpichmad/internal/trace"
 	"mpichmad/internal/vtime"
@@ -68,12 +69,89 @@ func TestLeaderTreeFinishesSooner(t *testing.T) {
 	}
 }
 
+// leaderLevel is what a tree.leader instant's class records: the LogGP inputs
+// in µs, the tree's depth and widest fan-out, and the Allreduce's shape of the
+// leader level with what the exchange and the tree (up and down) are priced at.
+type leaderLevel struct {
+	o, d, g            float64
+	depth, fanOut      int
+	allreduce          string
+	exchange, twoTrees float64
+}
+
+func readLeaderLevel(t *testing.T, ev trace.Event) (l leaderLevel) {
+	t.Helper()
+	if _, err := fmt.Sscanf(strings.NewReplacer(",", " ", "us", " ", "/B", "").Replace(ev.Args.Class),
+		"o=%g D=%g G=%g depth=%d fanout=%d allreduce=%s exchange=%g tree=%g",
+		&l.o, &l.d, &l.g, &l.depth, &l.fanOut, &l.allreduce, &l.exchange, &l.twoTrees); err != nil {
+		t.Fatalf("%v: %v", ev, err)
+	}
+	return l
+}
+
+// TestLeaderTreeAllreduceShapeIsLegible: the Allreduce's choice between the
+// leaders' all-pairs exchange and the tree up and down is on the record, with
+// both prices, and goes to the cheaper. Two leaders on the TCP backbone (the
+// 2×4 SCI + Myrinet machine) exchange; 64 leaders behind the capped trunk
+// would put 64·63 vectors on it, and keep the tree at 64 B, 1 KiB and 16 KiB.
+func TestLeaderTreeAllreduceShapeIsLegible(t *testing.T) {
+	hetero := heteroTopo(false)
+	hetero.Autotune = false
+	for _, c := range []struct {
+		name  string
+		topo  cluster.Topology
+		sizes []int
+		want  string
+	}{
+		{"2x4 SCI+Myrinet", hetero, []int{64, 1 << 10, 64 << 10}, "exchange"},
+		{"64x16 scale", ScaleTopo(64, 16), []int{64, 1 << 10, 16 << 10}, "tree"},
+	} {
+		tr := trace.New(nil)
+		c.topo.Trace = tr
+		sess, err := forced(c.topo, mpi.CollHier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sess.Run(func(_ int, comm *mpi.Comm) error {
+			for _, size := range c.sizes {
+				if err := comm.Allreduce(make([]byte, size), make([]byte, size), size/8, mpi.Float64, mpi.OpSum); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range c.sizes {
+			seen := 0
+			for _, ev := range tr.Events() {
+				if ev.Name != "tree.leader" || ev.Args.Bytes != int64(size) {
+					continue
+				}
+				seen++
+				l := readLeaderLevel(t, ev)
+				t.Logf("%s: %v", c.name, ev)
+				cheaper := map[bool]string{true: "exchange", false: "tree"}[l.exchange < l.twoTrees]
+				if l.allreduce != c.want || cheaper != c.want || l.exchange <= 0 || l.twoTrees <= 0 {
+					t.Errorf("%s, %d B: allreduce=%s at exchange %g us, tree %g us; want %s, and priced lower",
+						c.name, size, l.allreduce, l.exchange, l.twoTrees, c.want)
+				}
+			}
+			if seen != 1 {
+				t.Errorf("%s: %d tree.leader instants for %d B, want one", c.name, seen, size)
+			}
+		}
+	}
+}
+
 // TestLeaderTreeIsLegible: the shape of the leader level is on the record.
 // A traced session emits one tree.leader instant per message size its tree
 // collectives compile — here two, the Barrier's 0 B and the 64 B the Bcast
 // and both halves of the Allreduce share — carrying the LogGP inputs, the
-// leader count, depth, widest fan-out and the predicted completion, which
-// (the model knows no trunk) the measured one is not below. -v prints the
+// leader count, depth, widest fan-out, the predicted completion, which (the
+// model knows no trunk) the measured one is not below, and the Allreduce's
+// shape of the leader level with both its prices. -v prints the
 // rows README quotes for 16, 32 and 64 clusters of 16 ranks.
 func TestLeaderTreeIsLegible(t *testing.T) {
 	for _, nc := range []int{16, 32, 64} {
@@ -97,13 +175,8 @@ func TestLeaderTreeIsLegible(t *testing.T) {
 			if !ok || len(bySize) != 2 {
 				t.Fatalf("%d clusters: tree.leader instants for sizes %v, want one for 0 B and one for 64 B", nc, bySize)
 			}
-			var o, d, g float64
-			var depth, fanOut int
-			if _, err := fmt.Sscanf(strings.NewReplacer(",", " ", "us", " ", "/B", "").Replace(ev.Args.Class),
-				"o=%g D=%g G=%g depth=%d fanout=%d", &o, &d, &g, &depth, &fanOut); err != nil {
-				t.Fatalf("%d clusters: class %q: %v", nc, ev.Args.Class, err)
-			}
-			if o != 30 || d != 124 || g <= 0 || int(ev.Args.Seq) != nc || depth < 2 || fanOut > 6 {
+			l := readLeaderLevel(t, ev)
+			if l.o != 30 || l.d != 124 || l.g <= 0 || int(ev.Args.Seq) != nc || l.depth < 2 || l.fanOut > 6 {
 				t.Errorf("%d clusters: %v: want o=30 D=124 of the TCP backbone, G > 0, %d leaders, a tree at least two deep and at most 6 wide", nc, ev, nc)
 			}
 			if predicted := vtime.Duration(ev.Args.Val); predicted <= 0 || predicted > last[i] {

@@ -166,7 +166,8 @@
 //
 // The leader level of a two-level tree is derived, not fixed. twoLevelTree
 // is the one place that shapes it, for Barrier, Bcast (per segment), Reduce
-// and Allreduce, fan-out and fan-in alike. Contract (topology.go, logGPTree):
+// and an Allreduce that keeps the tree, fan-out and fan-in alike. Contract
+// (topology.go, logGPTree, leaderTree):
 //
 //   - Inputs: the number of operation leaders and the backbone's LogGP
 //     numbers off Hierarchy.Inter — SendUS (o: what one message keeps its
@@ -188,17 +189,29 @@
 //   - Numbering: top-down, the k-th leader informed takes relative index
 //     n − k (relative to the root's cluster, so one shape serves every root).
 //     Up to three leaders that is exactly binomialOver's tree and send
-//     order: no schedule on ≤ 3 clusters depends on the link.
+//     order: no tree on ≤ 3 clusters depends on the link.
 //   - Limit: as b·G outgrows D − o, delivery ≈ injection and the greedy tree
 //     is the binomial one (16 KiB on the capped Fast-Ethernet trunk: the
 //     same six levels and the same children at the root).
+//   - Allreduce: up the tree and back down is two crossings in a row, priced
+//     at twice the tree's predicted completion. The alternative is one
+//     all-pairs round in which every leader sends its cluster's partial to
+//     every other, priced at (L−1)·(o + b·G) + D + b·G and, on a capped trunk,
+//     at least L·(L−1)·b·G. allreduceTree compiles the cheaper. In the
+//     exchange every leader folds the partials itself, in cluster order —
+//     its own partial goes on the left of the prefix before it, which is the
+//     same bits because every predefined op is commutative — so every rank
+//     ends with the same bits. Two or three leaders exchange (the 2×4 X4/X6
+//     machines, the triangle, X5's chain); 64 behind the capped trunk keep
+//     the tree at every size.
 //   - Cost: built once per (group, message size) by the first rank that
 //     compiles such a collective, kept on the shared groupView, and recorded
-//     as a "tree.leader" ctrl instant when tracing.
+//     as a "tree.leader" ctrl instant when tracing, the Allreduce's choice
+//     and both its prices included.
 //
 // What stays binomial: the tree inside a cluster (binomialOver), the leader
-// exchange of the two-level ring Allreduce, and everything on the
-// one-cluster view.
+// phase of the two-level ring Allreduce (reduce to cluster 0's leader and
+// back), and everything on the one-cluster view.
 //
 // Forms that are the one-cluster case of a two-level compiler have no
 // body of their own. The table compiles them with the two-level compiler
@@ -234,7 +247,8 @@
 //     linear chain of clusters per shard where single-leader uses the
 //     derived leader tree (O(clusters) vs O(log clusters) latency on a
 //     64-cluster machine), Allreduce scatters the reduction over the
-//     clusters where single-leader reduces to one root, and Allgather and
+//     clusters where single-leader reduces whole vectors at one root or at
+//     every leader, and Allgather and
 //     Alltoall feed the co-leaders directly instead of funnelling through
 //     the primary.
 //
@@ -526,7 +540,7 @@
 // engine (a send's overhead, a copy, a reduction) that queues behind it cuts
 // it after at most one marcel.Quantum, and it resumes once the engine has
 // stopped asking for the CPU or after another Quantum. Beside a compute as
-// long as the blocking call, X4's two-level Allreduce hides 87–91 % of it at
+// long as the blocking call, X4's two-level Allreduce hides 87–94 % of it at
 // 64K–256K and the Alltoall 91–92 % (the x4.*-ovl-hidden ledger rows); what
 // stays exposed is the engine's own CPU time, which shares the one CPU with
 // the computation, and the quanta its charges wait behind it. Output

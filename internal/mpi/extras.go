@@ -130,79 +130,6 @@ func (c *Comm) ReduceScatter(sendBuf, recvBuf []byte, countPerRank int, dt Datat
 	return req.Wait()
 }
 
-// Cart is a Cartesian process topology over a communicator
-// (MPI_Cart_create and friends), the natural fit for the stencil
-// workloads the paper's clusters ran.
-type Cart struct {
-	Comm     *Comm
-	Dims     []int
-	Periodic []bool
-}
-
-// CartCreate builds a row-major Cartesian topology. The product of dims
-// must equal the communicator size.
-func CartCreate(comm *Comm, dims []int, periodic []bool) (*Cart, error) {
-	if len(dims) != len(periodic) {
-		return nil, fmt.Errorf("mpi: CartCreate: %d dims, %d periodic flags", len(dims), len(periodic))
-	}
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			return nil, fmt.Errorf("mpi: CartCreate: non-positive dimension %d", d)
-		}
-		n *= d
-	}
-	if n != comm.Size() {
-		return nil, fmt.Errorf("mpi: CartCreate: grid %d != communicator size %d", n, comm.Size())
-	}
-	return &Cart{
-		Comm:     comm,
-		Dims:     append([]int(nil), dims...),
-		Periodic: append([]bool(nil), periodic...),
-	}, nil
-}
-
-// Coords returns the Cartesian coordinates of a rank (MPI_Cart_coords).
-func (ct *Cart) Coords(rank int) []int {
-	coords := make([]int, len(ct.Dims))
-	for i := len(ct.Dims) - 1; i >= 0; i-- {
-		coords[i] = rank % ct.Dims[i]
-		rank /= ct.Dims[i]
-	}
-	return coords
-}
-
-// RankOf returns the rank at the given coordinates, applying periodic
-// wraparound; ok=false if a non-periodic coordinate falls off the grid
-// (MPI_Cart_rank / MPI_PROC_NULL).
-func (ct *Cart) RankOf(coords []int) (int, bool) {
-	rank := 0
-	for i, c := range coords {
-		d := ct.Dims[i]
-		if c < 0 || c >= d {
-			if !ct.Periodic[i] {
-				return -1, false
-			}
-			c = ((c % d) + d) % d
-		}
-		rank = rank*d + c
-	}
-	return rank, true
-}
-
-// Shift returns the source and destination ranks for a displacement along
-// one dimension (MPI_Cart_shift); ok=false mirrors MPI_PROC_NULL.
-func (ct *Cart) Shift(dim, disp int) (src, dst int, srcOK, dstOK bool) {
-	me := ct.Coords(ct.Comm.Rank())
-	up := append([]int(nil), me...)
-	up[dim] += disp
-	down := append([]int(nil), me...)
-	down[dim] -= disp
-	dst, dstOK = ct.RankOf(up)
-	src, srcOK = ct.RankOf(down)
-	return src, dst, srcOK, dstOK
-}
-
 // Pack serializes count elements of dt from buf into a contiguous byte
 // slice (MPI_Pack), charging the local memcpy.
 func (c *Comm) Pack(buf []byte, count int, dt Datatype) []byte {

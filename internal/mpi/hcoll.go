@@ -1,9 +1,12 @@
 package mpi
 
-// Two-level (hierarchy-aware) schedule compilers. Each operation runs an
-// intra-cluster phase on the fast fabric plus a single leader-level
-// exchange over the slow backbone, so the number of inter-cluster messages
-// is O(#clusters) instead of O(log n) (or O(n) for adversarial rank
+// Two-level (hierarchy-aware) schedule compilers. Each operation runs
+// intra-cluster phases on the fast fabric around one leader level over the
+// slow backbone: a tree or a star (Barrier, Bcast, Reduce, Gather), an
+// all-pairs exchange (Allgather, Alltoall, ReduceScatter), or for Allreduce
+// whichever of the two the backbone's LogGP numbers price lower. The number
+// of inter-cluster messages depends on the clusters alone, where a flat
+// algorithm's grows with n (O(log n), or O(n) for adversarial rank
 // placements). See topology.go for the selection logic, forms.go for the
 // table that binds these to (operation, algorithm) pairs, phases.go for
 // the builders they are composed from and schedule.go for the execution
@@ -108,12 +111,43 @@ func (c *Comm) reduceTree(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	return c.unpackVector(a.recv, a.count, a.dt, acc)
 }
 
-// allreduceTree chains reduce-to-0 with broadcast-from-0, both two-level:
-// the backbone carries one reduced vector per cluster inbound and one
-// result vector per cluster outbound — once per slow link per direction.
+// allreduceTree is the two-level Allreduce in the leader-level shape the
+// backbone's LogGP numbers price lower (leaderTree). Tree: reduce to rank 0
+// up the two-level tree and broadcast back down it — one partial per cluster
+// inbound, the result outbound, two crossings one after the other. Exchange:
+// each cluster reduces to its leader, the leaders swap their partials in one
+// all-pairs round — one crossing, L−1 sends per leader — and every leader
+// folds them in cluster order, so every rank gets the same bits, then
+// broadcasts inside its cluster.
 func (c *Comm) allreduceTree(b *schedBuilder, ct *commTopo, a collArgs) func() {
-	acc := c.reduceTreeRounds(b, ct, a, 0)
-	c.bcastTreeRounds(b, ct, acc, 0, c.bcastSegment(len(acc)))
+	if !c.leaderTree(ct.groupView, a.count*a.dt.Size()).exchange {
+		acc := c.reduceTreeRounds(b, ct, a, 0)
+		c.bcastTreeRounds(b, ct, acc, 0, c.bcastSegment(len(acc)))
+		return c.unpackVector(a.recv, a.count, a.dt, acc)
+	}
+	members, myPos, leaderPos := ct.clusterPos(c.myRank)
+	acc := b.loadAcc(a.send, a.recv, a.count, a.dt)
+	parent, children := binomialOver(members, leaderPos, myPos)
+	b.treeReduce(parent, children, acc, a.count, a.dt, a.op)
+	if parent < 0 {
+		in := b.exchange(ct.leaders, ct.myCluster, func(int) int { return len(acc) }, func(int) []byte { return acc })
+		// p0 op … op p(L−1) with acc holding p(me): the partials before mine
+		// fold into in[0], and an op being commutative, p(me) op that prefix
+		// has the bits of the prefix op p(me).
+		fold := func(dst, src []byte) { b.reduce(dst, src, a.count, a.dt, a.op) }
+		me := ct.myCluster
+		for di := 1; di < me; di++ {
+			fold(in[0], in[di])
+		}
+		if me > 0 {
+			fold(acc, in[0])
+		}
+		for di := me + 1; di < len(in); di++ {
+			fold(acc, in[di])
+		}
+		b.endRound()
+	}
+	b.treeBcast(parent, children, acc)
 	return c.unpackVector(a.recv, a.count, a.dt, acc)
 }
 

@@ -176,53 +176,6 @@ func TestAllgathervAndReduceScatter(t *testing.T) {
 	}
 }
 
-// TestCart2DStencilNeighbors runs a 2x3 Cartesian halo exchange where each
-// rank sums its neighbours' ranks — a structural check of Shift on a real
-// communicator.
-func TestCart2DStencilNeighbors(t *testing.T) {
-	const n = 6
-	_, err := cluster.Launch(nNodeTopo(n, "sisci"), func(rank int, comm *mpi.Comm) error {
-		cart, err := mpi.CartCreate(comm, []int{2, 3}, []bool{true, true})
-		if err != nil {
-			return err
-		}
-		sum := 0
-		for dim := 0; dim < 2; dim++ {
-			for _, disp := range []int{1, -1} {
-				src, dst, srcOK, dstOK := cart.Shift(dim, disp)
-				if !srcOK || !dstOK {
-					return fmt.Errorf("fully periodic grid has null neighbours")
-				}
-				in := make([]byte, 8)
-				if _, err := comm.Sendrecv(
-					mpi.Int64Bytes([]int64{int64(rank)}), 1, mpi.Int64, dst, 10+dim,
-					in, 1, mpi.Int64, src, 10+dim); err != nil {
-					return err
-				}
-				sum += int(mpi.BytesInt64(in)[0])
-			}
-		}
-		// Verify against directly computed neighbour ranks.
-		want := 0
-		me := cart.Coords(rank)
-		for dim := 0; dim < 2; dim++ {
-			for _, disp := range []int{1, -1} {
-				c := append([]int(nil), me...)
-				c[dim] -= disp // the rank whose send we received
-				r, _ := cart.RankOf(c)
-				want += r
-			}
-		}
-		if sum != want {
-			return fmt.Errorf("rank %d: neighbour sum %d, want %d", rank, sum, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCommPackUnpack exercises the MPI_Pack/MPI_Unpack surface with a
 // derived type.
 func TestCommPackUnpack(t *testing.T) {

@@ -227,9 +227,10 @@ func (c *Comm) Ireduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, r
 		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op, root: root})
 }
 
-// Iallreduce starts a nonblocking all-reduce (MPI_Iallreduce): a reduce
-// to rank 0 chained with a broadcast — or a ring, or the multi-leader
-// sharded form — compiled into one schedule.
+// Iallreduce starts a nonblocking all-reduce (MPI_Iallreduce) compiled into
+// one schedule: a reduce to rank 0 chained with a broadcast, a two-level
+// form whose cluster leaders exchange their partials, a ring, or the
+// multi-leader sharded form.
 func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) (*CollRequest, error) {
 	if err := c.checkBuf("Iallreduce", "send", sendBuf, count, dt); err != nil {
 		return nil, err

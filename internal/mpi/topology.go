@@ -48,10 +48,14 @@ import (
 // leader sends more than ⌈log2 n⌉ messages, so a root leaves the operation as
 // early as it did under the binomial tree; leaders are numbered top-down, the
 // k-th informed taking relative index n − k, which for two and three leaders
-// is binomialOver's tree and send order exactly — schedules on up to three
-// clusters do not depend on the link. The shape is built once per group and
-// message size, kept on the groupView the members share, and recorded as a
-// "tree.leader" ctrl instant. Inside a cluster the tree stays binomial.
+// is binomialOver's tree and send order exactly — trees on up to three
+// clusters do not depend on the link. The same numbers decide whether an
+// Allreduce's leaders use the tree at all — up and down it is two crossings
+// in a row — or exchange their partials all-pairs in one round, L−1 sends
+// each, every one of the L·(L−1) messages on the trunk when it is capped.
+// Shape and choice are built once per group and message size, kept on the
+// groupView the members share, and recorded as a "tree.leader" ctrl instant.
+// Inside a cluster the tree stays binomial.
 //
 // Selection between algorithms goes through a small tuning table (message
 // size × topology shape → algorithm), mirroring MPICH's coll_tuned
@@ -84,8 +88,9 @@ type Link struct {
 	// receiver's hands DeliverUS + b·ByteUS after the send began (send and
 	// receive overheads, wire latency, device handling); ByteUS is one over
 	// the trunk's capacity when it is capped, over the pipe's otherwise.
-	// The leader level of the two-level trees is derived from them
-	// (leaderTree); all zero — no estimate — yields the binomial shape.
+	// The leader level of the two-level trees, and whether an Allreduce's
+	// leaders exchange instead, is derived from them (leaderTree); all zero
+	// — no estimate — yields the binomial shape and keeps the tree.
 	SendUS, DeliverUS, ByteUS float64
 }
 
@@ -656,10 +661,13 @@ func (c *Comm) analyticAlgo(kind collKind, nBytes int) collAlgo {
 
 // leaderTree is the shape of a two-level tree's leader level in relative
 // indices: 0 is the root's cluster, i the i-th dense cluster after it
-// (cyclically), so one shape serves every root.
+// (cyclically), so one shape serves every root. exchange says that an
+// Allreduce's leaders are better off exchanging their partials all-pairs than
+// reducing up this tree and broadcasting back down it (allreduceTree).
 type leaderTree struct {
-	parent []int   // -1 at the root
-	kids   [][]int // in send order
+	parent   []int   // -1 at the root
+	kids     [][]int // in send order
+	exchange bool
 }
 
 // logGPTree builds the broadcast tree over n nodes a greedy LogGP schedule
@@ -677,7 +685,7 @@ type leaderTree struct {
 //     that leaves early is what a back-to-back loop of collectives runs on.
 //   - Nodes are numbered from the top down: the k-th node informed is n−k.
 //     For n ≤ 3 that is binomialOver's tree in binomialOver's send order, so
-//     schedules on up to three clusters do not depend on the link at all.
+//     trees on up to three clusters do not depend on the link at all.
 //
 // done is the instant the last node is informed. Times are whole nanoseconds,
 // so that two nodes free at the same instant tie exactly.
@@ -703,34 +711,49 @@ func logGPTree(n int, send, deliver vtime.Duration) (t *leaderTree, done vtime.D
 }
 
 // leaderTree returns the leader level's shape for messages of nBytes on the
-// view's backbone, building it on first use. The decision goes on the record:
-// the rank that builds a shape emits one ctrl instant with the LogGP inputs
-// (Class), the message size (Bytes), the leader count (Seq), the predicted
-// completion in ns (Val), and the depth and widest fan-out that came out.
+// view's backbone, building it on first use, with the Allreduce's choice
+// beside it, priced on the same numbers: the tree costs its completion twice
+// (up, then down), the exchange (L−1) sends and one delivery — on a capped
+// trunk at least the L·(L−1) messages' bytes. No estimate keeps the tree.
+// The decisions go on the record: the rank that builds a shape emits one ctrl
+// instant with the LogGP inputs (Class), the message size (Bytes), the leader
+// count (Seq), the predicted completion in ns (Val), the depth and widest
+// fan-out that came out, and the Allreduce's shape with both its prices.
 func (c *Comm) leaderTree(g *groupView, nBytes int) *leaderTree {
 	if t := g.trees[nBytes]; t != nil {
 		return t
 	}
-	l := g.inter
+	l, n := g.inter, g.nClusters
 	send := vtime.Microseconds(l.SendUS + float64(nBytes)*l.ByteUS)
 	deliver := vtime.Microseconds(max(l.DeliverUS, l.SendUS) + float64(nBytes)*l.ByteUS)
-	if deliver == 0 {
+	estimate := deliver > 0
+	if !estimate {
 		send, deliver = 1, 1
 	}
-	t, done := logGPTree(g.nClusters, send, deliver)
+	t, done := logGPTree(n, send, deliver)
+	exchange := vtime.Duration(n-1)*send + deliver
+	if l.SharedMBs > 0 {
+		exchange = max(exchange, vtime.Microseconds(float64(n*(n-1)*nBytes)*l.ByteUS))
+	}
+	t.exchange = estimate && exchange < 2*done
 	if g.trees == nil {
 		g.trees = make(map[int]*leaderTree)
 	}
 	g.trees[nBytes] = t
 	if tr := c.p.tracer; tr != nil {
-		depth, widest := make([]int, g.nClusters), len(t.kids[0])
-		for r := g.nClusters - 1; r > 0; r-- { // a parent is informed before its children: numbered above them
+		depth, widest := make([]int, n), len(t.kids[0])
+		for r := n - 1; r > 0; r-- { // a parent is informed before its children: numbered above them
 			depth[r] = depth[t.parent[r]] + 1
 			widest = max(widest, len(t.kids[r]))
 		}
+		shape := "tree"
+		if t.exchange {
+			shape = "exchange"
+		}
 		tr.Instant(c.p.traceTrack, trace.KCtrl, "tree.leader", trace.Args{
-			Bytes: int64(nBytes), Seq: uint32(g.nClusters), Val: int64(done),
-			Class: fmt.Sprintf("o=%.4gus,D=%.4gus,G=%.4gus/B,depth=%d,fanout=%d", l.SendUS, l.DeliverUS, l.ByteUS, slices.Max(depth), widest),
+			Bytes: int64(nBytes), Seq: uint32(n), Val: int64(done),
+			Class: fmt.Sprintf("o=%.4gus,D=%.4gus,G=%.4gus/B,depth=%d,fanout=%d,allreduce=%s,exchange=%.4gus,tree=%.4gus",
+				l.SendUS, l.DeliverUS, l.ByteUS, slices.Max(depth), widest, shape, exchange.Micros(), (2 * done).Micros()),
 		})
 	}
 	return t

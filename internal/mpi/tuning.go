@@ -143,8 +143,8 @@ type TuneChoice struct {
 	// eager->rendez-vous threshold of the class.
 	MaxBytes int
 	// Algo names the selected algorithm: "flat", "2level", "2level-seg",
-	// "ring", "2level-ring". For a "SwitchPoint" row it names the device
-	// class ("smp", "san", "wan").
+	// "ring", "2level-ring", "2level-multi". For a "SwitchPoint" row it
+	// names the device class ("smp", "san", "wan").
 	Algo string
 }
 
