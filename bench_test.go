@@ -72,7 +72,7 @@ func scalePlanWorkload(tb testing.TB, plan *route.Plan, nClusters, perCluster in
 	for c := 0; c < nClusters; c++ {
 		leader := c * perCluster
 		for m := 1; m < perCluster; m++ {
-			if _, _, ok := plan.NextHop(leader+m, leader); !ok {
+			if hops, ok := plan.Path(leader+m, leader); !ok || len(hops) == 0 {
 				tb.Fatalf("member %d cannot reach leader %d", leader+m, leader)
 			}
 		}

@@ -1,6 +1,6 @@
 // Command madlint machine-checks the simulator's coding rules: it loads
 // the named packages (default ./...) with full type information and runs
-// the three analyzers from internal/lint —
+// the four analyzers from internal/lint —
 //
 //	determinism  no wall clock, global rand, raw concurrency or
 //	             map-order effects in simulation packages
@@ -9,6 +9,9 @@
 //	vtimectx     scheduler-context callbacks (Scheduler.At/After,
 //	             Event.OnFire, Endpoint.OnDeliver) never reach a
 //	             vtime-blocking primitive
+//	deadexport   every exported func, method, var and const of a
+//	             non-main package is referenced by some non-test file
+//	             of the loaded packages (lint the whole module)
 //
 // Findings print as file:line:col: [analyzer] message and the exit status
 // is 1 when any survive. Suppress a finding with a

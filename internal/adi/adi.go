@@ -129,19 +129,6 @@ type unexpected struct {
 	deliver func(*RecvReq)
 }
 
-// probeWaiter is a blocked MPI_Probe.
-type probeWaiter struct {
-	src, tag, ctx int
-	env           *Envelope
-	ev            *vtime.Event
-}
-
-func (w *probeWaiter) matches(env Envelope) bool {
-	return w.ctx == env.Context &&
-		(w.src == AnySource || w.src == env.Src) &&
-		(w.tag == AnyTag || w.tag == env.Tag)
-}
-
 // Engine holds the per-process matching state shared by every device of
 // that process: the posted-receive queue and the unexpected-message queue
 // (§2.2: "process the queues of pending messages").
@@ -151,7 +138,6 @@ type Engine struct {
 
 	posted []*RecvReq
 	unexp  []*unexpected
-	probes []*probeWaiter
 
 	// Bufs is where the process's devices stash a payload that must
 	// outlive its packet — an unexpected message, a truncated stream:
@@ -199,50 +185,11 @@ func (e *Engine) MatchPosted(env Envelope) *RecvReq {
 	return nil
 }
 
-// AddUnexpected queues an arrived-but-unmatched message and wakes any
-// matching probe.
+// AddUnexpected queues an arrived-but-unmatched message.
 func (e *Engine) AddUnexpected(env Envelope, deliver func(*RecvReq)) {
 	e.NUnexpected++
 	e.unexp = append(e.unexp, &unexpected{env: env, deliver: deliver})
-	for i, w := range e.probes {
-		if w.matches(env) {
-			*w.env = env
-			e.probes = append(e.probes[:i], e.probes[i+1:]...)
-			w.ev.Fire()
-			return
-		}
-	}
 }
-
-// FindUnexpected returns the envelope of the first queued unexpected
-// message matching (src, tag, ctx) without removing it (MPI_Iprobe).
-func (e *Engine) FindUnexpected(src, tag, ctx int) (Envelope, bool) {
-	w := probeWaiter{src: src, tag: tag, ctx: ctx}
-	for _, u := range e.unexp {
-		if w.matches(u.env) {
-			return u.env, true
-		}
-	}
-	return Envelope{}, false
-}
-
-// WaitUnexpected blocks until a matching message is in the unexpected
-// queue (MPI_Probe). The caller must not have a matching posted receive,
-// or the message may bypass the unexpected queue entirely.
-func (e *Engine) WaitUnexpected(src, tag, ctx int) Envelope {
-	if env, ok := e.FindUnexpected(src, tag, ctx); ok {
-		return env
-	}
-	var env Envelope
-	w := &probeWaiter{src: src, tag: tag, ctx: ctx, env: &env,
-		ev: vtime.NewEvent(e.P.S, "probe")}
-	e.probes = append(e.probes, w)
-	w.ev.Wait()
-	return env
-}
-
-// QueueLens reports (posted, unexpected) queue lengths for tests.
-func (e *Engine) QueueLens() (int, int) { return len(e.posted), len(e.unexp) }
 
 // FinishRecv fills in status/error and fires completion; shared helper for
 // device delivery paths. Every device's receive path funnels through here,

@@ -866,6 +866,8 @@ func (sess *Session) Run(main func(rank int, comm *mpi.Comm) error) error {
 }
 
 // Launch is Build followed by Run.
+//
+//madlint:ignore deadexport tests in other packages call it (the mpi suites run on it)
 func Launch(topo Topology, main func(rank int, comm *mpi.Comm) error) (*Session, error) {
 	sess, err := Build(topo)
 	if err != nil {

@@ -256,9 +256,8 @@ func TestTuneCachePersistence(t *testing.T) {
 		t.Fatal("first session installed no tuning table")
 	}
 	second, tSecond := run()
-	hits, misses := cache.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("cache hits=%d misses=%d, want 1/1", hits, misses)
+	if n := len(cache.tables); n != 1 {
+		t.Fatalf("cache holds %d tables after two sessions of one shape, want 1", n)
 	}
 	if len(first) != len(second) {
 		t.Fatalf("save/load mismatch: %d vs %d rows", len(first), len(second))

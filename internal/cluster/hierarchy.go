@@ -376,9 +376,6 @@ func (sess *Session) linkFor(netName string, maxSegment int) mpi.Link {
 // every rank's mpi.Process at build time).
 func (sess *Session) Hierarchy() *mpi.Hierarchy { return sess.hier }
 
-// ClusterOf returns the cluster index of a world rank.
-func (sess *Session) ClusterOf(rank int) int { return sess.hier.ClusterOf[rank] }
-
 // RankNode returns the node a world rank is placed on.
 func (sess *Session) RankNode(rank int) string { return sess.places[rank].node }
 

@@ -50,8 +50,8 @@ func TestDiscoverHierarchyTwoClusters(t *testing.T) {
 	}
 	for r := 0; r < 8; r++ {
 		want := r % 2 // ranks alternate islands
-		if sess.ClusterOf(r) != want {
-			t.Fatalf("rank %d in cluster %d, want %d", r, sess.ClusterOf(r), want)
+		if sess.hier.ClusterOf[r] != want {
+			t.Fatalf("rank %d in cluster %d, want %d", r, sess.hier.ClusterOf[r], want)
 		}
 	}
 	for _, c := range h.Intra {
@@ -84,7 +84,7 @@ func TestDiscoverHierarchyTwoClusters(t *testing.T) {
 		if !ok {
 			t.Fatalf("rank 0 has no route metadata for rank %d", dst)
 		}
-		if sess.ClusterOf(dst) == sess.ClusterOf(0) {
+		if sess.hier.ClusterOf[dst] == sess.hier.ClusterOf[0] {
 			if name != "sciA" || params.Protocol != "sisci" {
 				t.Errorf("intra-cluster route to rank %d uses %s/%s, want sciA/sisci", dst, name, params.Protocol)
 			}

@@ -268,7 +268,7 @@ func TestLeaderTreeAllreduceSameBitsOnEveryRank(t *testing.T) {
 			err = sess.Run(func(rank int, comm *mpi.Comm) error {
 				// The first rank of a cluster holds its partial, the others 0.
 				v := make([]float64, count)
-				if c := sess.ClusterOf(rank); clusters[c][0] == rank {
+				if c := sess.hier.ClusterOf[rank]; clusters[c][0] == rank {
 					for i := range v {
 						v[i] = partials[c]
 					}

@@ -77,8 +77,8 @@ func TestLeaderSetsShape(t *testing.T) {
 		seenGW := map[string]bool{}
 		seenRank := map[int]bool{}
 		for i, r := range set {
-			if sess.ClusterOf(r) != ci {
-				t.Fatalf("cluster %d co-leader %d lives in cluster %d", ci, r, sess.ClusterOf(r))
+			if sess.hier.ClusterOf[r] != ci {
+				t.Fatalf("cluster %d co-leader %d lives in cluster %d", ci, r, sess.hier.ClusterOf[r])
 			}
 			if seenRank[r] {
 				t.Fatalf("cluster %d leader set %v repeats rank %d", ci, set, r)

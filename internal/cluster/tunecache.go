@@ -23,8 +23,6 @@ import (
 // package documentation) forbid preemptive sync in simulation packages.
 type TuneCache struct {
 	tables map[string][]mpi.TuneChoice
-	hits   int
-	misses int
 }
 
 // NewTuneCache returns an empty cache, ready to hang on Topology.TuneCache.
@@ -35,22 +33,12 @@ func NewTuneCache() *TuneCache {
 // Lookup returns the cached table for a shape key.
 func (tc *TuneCache) Lookup(key string) ([]mpi.TuneChoice, bool) {
 	t, ok := tc.tables[key]
-	if ok {
-		tc.hits++
-	} else {
-		tc.misses++
-	}
 	return t, ok
 }
 
 // Store records a measured table under a shape key.
 func (tc *TuneCache) Store(key string, table []mpi.TuneChoice) {
 	tc.tables[key] = append([]mpi.TuneChoice(nil), table...)
-}
-
-// Stats returns the cache's hit/miss counters (tests, reports).
-func (tc *TuneCache) Stats() (hits, misses int) {
-	return tc.hits, tc.misses
 }
 
 // ShapeHash fingerprints everything about the topology that can alter

@@ -14,6 +14,23 @@ import (
 	"mpichmad/internal/vtime"
 )
 
+// addRoute maps a destination world rank to a channel and next-hop node:
+// the one-rail case of SetRails.
+func (d *Device) addRoute(rank int, r Route) { d.SetRails(rank, []Route{r}) }
+
+// pending returns the outstanding rendez-vous counts.
+func (d *Device) pending() (sends, recvs int) { return len(d.rndvTx), len(d.rndvRx) }
+
+// sendTerm emits a MAD_TERM_PKT to a neighbour's channel, terminating its
+// polling loop.
+func (d *Device) sendTerm(dst int) error {
+	rt, ok := d.RouteTo(dst)
+	if !ok {
+		return fmt.Errorf("ch_mad: no route to rank %d", dst)
+	}
+	return d.sendHeaderOnly(rt, header{Type: PktTerm, SrcRank: d.rank, DstRank: dst})
+}
+
 // rig wires n ranks (one per node) with ch_mad devices over one or more
 // networks, fully connected, routing over the first network by default.
 type rig struct {
@@ -53,7 +70,7 @@ func newRig(t *testing.T, n int, paramSets ...netsim.Params) *rig {
 			if i == j {
 				continue
 			}
-			r.devs[i].AddRoute(j, Route{Channel: r.devs[i].Channels()[0], NextNode: fmt.Sprintf("n%d", j)})
+			r.devs[i].addRoute(j, Route{Channel: r.devs[i].Channels()[0], NextNode: fmt.Sprintf("n%d", j)})
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -161,7 +178,7 @@ func TestRendezvousBookkeepingDrained(t *testing.T) {
 	})
 	r.run(t)
 	for i, d := range r.devs {
-		s, rc := d.Pending()
+		s, rc := d.pending()
 		if s != 0 || rc != 0 {
 			t.Errorf("dev %d: pending sends=%d recvs=%d after completion", i, s, rc)
 		}
@@ -357,12 +374,12 @@ func TestForwardingAcrossHeterogeneousNetworks(t *testing.T) {
 	ch2 := mk(2, "myri", myri)
 	devs[2].AddChannel(ch2)
 
-	devs[0].AddRoute(1, Route{Channel: ch0, NextNode: "n1"})
-	devs[0].AddRoute(2, Route{Channel: ch0, NextNode: "n1"}) // via gateway
-	devs[1].AddRoute(0, Route{Channel: ch1s, NextNode: "n0"})
-	devs[1].AddRoute(2, Route{Channel: ch1m, NextNode: "n2"})
-	devs[2].AddRoute(1, Route{Channel: ch2, NextNode: "n1"})
-	devs[2].AddRoute(0, Route{Channel: ch2, NextNode: "n1"}) // via gateway
+	devs[0].addRoute(1, Route{Channel: ch0, NextNode: "n1"})
+	devs[0].addRoute(2, Route{Channel: ch0, NextNode: "n1"}) // via gateway
+	devs[1].addRoute(0, Route{Channel: ch1s, NextNode: "n0"})
+	devs[1].addRoute(2, Route{Channel: ch1m, NextNode: "n2"})
+	devs[2].addRoute(1, Route{Channel: ch2, NextNode: "n1"})
+	devs[2].addRoute(0, Route{Channel: ch2, NextNode: "n1"}) // via gateway
 	for i := 0; i < 3; i++ {
 		devs[i].Start()
 	}
@@ -517,11 +534,11 @@ func TestShutdownIdempotent(t *testing.T) {
 		// Channels stay open after shutdown (gateways may still forward):
 		// an orderly MAD_TERM_PKT can still be emitted and terminates the
 		// peer's polling loop.
-		if err := r.devs[0].SendTerm(1); err != nil {
-			t.Errorf("SendTerm after shutdown: %v", err)
+		if err := r.devs[0].sendTerm(1); err != nil {
+			t.Errorf("sendTerm after shutdown: %v", err)
 		}
-		if err := r.devs[0].SendTerm(42); err == nil {
-			t.Error("SendTerm to unroutable rank should fail")
+		if err := r.devs[0].sendTerm(42); err == nil {
+			t.Error("sendTerm to unroutable rank should fail")
 		}
 		ch := r.devs[0].Channels()[0]
 		ch.Close()
@@ -530,7 +547,7 @@ func TestShutdownIdempotent(t *testing.T) {
 		}
 	})
 	r.run(t)
-	if r.devs[0].Name() != "ch_mad" || r.devs[0].Rank() != 0 {
+	if r.devs[0].Name() != "ch_mad" || r.devs[0].rank != 0 {
 		t.Fatal("identity accessors broken")
 	}
 }

@@ -130,7 +130,7 @@ type Device struct {
 }
 
 // New creates a ch_mad device for one process. Channels are added with
-// AddChannel and destinations with AddRoute/SetRails/SetRailSource; call
+// AddChannel and destinations with SetRails/SetRailSource; call
 // Start once wiring is complete to launch the per-channel polling threads
 // (§4.2.3).
 func New(p *marcel.Proc, eng *adi.Engine, rank int) *Device {
@@ -150,15 +150,14 @@ func New(p *marcel.Proc, eng *adi.Engine, rank int) *Device {
 // Name implements adi.Device.
 func (d *Device) Name() string { return "ch_mad" }
 
-// Rank returns the owning process's world rank.
-func (d *Device) Rank() int { return d.rank }
-
 // AddChannel registers a Madeleine channel (one per network protocol).
 func (d *Device) AddChannel(ch *madeleine.Channel) {
 	d.channels = append(d.channels, ch)
 }
 
 // Channels returns the registered channels (for tests and experiments).
+//
+//madlint:ignore deadexport bench/ uses it
 func (d *Device) Channels() []*madeleine.Channel { return d.channels }
 
 // Start launches one polling thread per channel ("we assign one thread
@@ -200,16 +199,6 @@ func (d *Device) Send(sr *adi.SendReq) {
 		return
 	}
 	d.sendRndvRequest(sr, rt)
-}
-
-// SendTerm emits a MAD_TERM_PKT to a neighbour's channel, terminating its
-// polling loop (used by orderly shutdown tests).
-func (d *Device) SendTerm(dst int) error {
-	rt, ok := d.RouteTo(dst)
-	if !ok {
-		return fmt.Errorf("ch_mad: no route to rank %d", dst)
-	}
-	return d.sendHeaderOnly(rt, header{Type: PktTerm, SrcRank: d.rank, DstRank: dst})
 }
 
 // sendHeaderOnly ships a body-less control message (REQUEST/SENDOK/TERM):
@@ -349,8 +338,5 @@ func (d *Device) pollLoop(ch *madeleine.Channel) {
 		}
 	}
 }
-
-// Pending returns outstanding rendez-vous counts (tests).
-func (d *Device) Pending() (sends, recvs int) { return len(d.rndvTx), len(d.rndvRx) }
 
 var _ adi.Device = (*Device)(nil)

@@ -39,7 +39,8 @@ const (
 	// PktRndv carries rendez-vous data: sync_address in the header, the
 	// payload as a zero-copy body.
 	PktRndv
-	// PktTerm terminates a polling loop at MPI_Finalize.
+	// PktTerm terminates the receiving polling loop (MAD_TERM_PKT). The
+	// daemon pollers need none at MPI_Finalize; the tests send it.
 	PktTerm
 	// PktRndvSeg carries one pipelined segment of a multi-hop rendez-vous
 	// body (§6 forwarding extension): sync_address and byte offset in the

@@ -10,8 +10,8 @@ func TestSwitchPointToResolution(t *testing.T) {
 	d := New(nil, nil, 0)
 	d.switchPoint = 8 << 10 // stand-in for the elected fallback
 
-	d.AddRoute(1, Route{SwitchBytes: 64 << 10, Class: "wan"})
-	d.AddRoute(2, Route{Class: "san"}) // no native threshold recorded
+	d.addRoute(1, Route{SwitchBytes: 64 << 10, Class: "wan"})
+	d.addRoute(2, Route{Class: "san"}) // no native threshold recorded
 
 	if got := d.SwitchPointTo(9); got != 8<<10 {
 		t.Errorf("unroutable dst: SwitchPointTo = %d, want elected 8K", got)

@@ -56,11 +56,11 @@ func brokenGatewayRig(t *testing.T) (*vtime.Scheduler, []*marcel.Proc, []*Device
 	devs[1].AddChannel(ch1m)
 	devs[2].AddChannel(ch2)
 
-	devs[0].AddRoute(1, Route{Channel: ch0, NextNode: "n1"})
-	devs[0].AddRoute(2, Route{Channel: ch0, NextNode: "n1", Hops: 2}) // via gateway
-	devs[1].AddRoute(0, Route{Channel: ch1s, NextNode: "n0"})
-	// Deliberately missing: devs[1].AddRoute(2, ...).
-	devs[2].AddRoute(1, Route{Channel: ch2, NextNode: "n1"})
+	devs[0].addRoute(1, Route{Channel: ch0, NextNode: "n1"})
+	devs[0].addRoute(2, Route{Channel: ch0, NextNode: "n1", Hops: 2}) // via gateway
+	devs[1].addRoute(0, Route{Channel: ch1s, NextNode: "n0"})
+	// Deliberately missing: devs[1].addRoute(2, ...).
+	devs[2].addRoute(1, Route{Channel: ch2, NextNode: "n1"})
 	for i := 0; i < 3; i++ {
 		devs[i].Start()
 	}
@@ -95,7 +95,7 @@ func TestRelayNoRouteNacksRendezvous(t *testing.T) {
 	if devs[1].NRelayDrops != 1 {
 		t.Fatalf("gateway drops = %d, want 1", devs[1].NRelayDrops)
 	}
-	if sends, _ := devs[0].Pending(); sends != 0 {
+	if sends, _ := devs[0].pending(); sends != 0 {
 		t.Fatalf("sender still holds %d pending rendez-vous", sends)
 	}
 }

@@ -19,9 +19,9 @@ import (
 func pairRig(t testing.TB, backRoute bool) *wireRig {
 	t.Helper()
 	r := newWireRig(t, 2, netsim.SCISISCI())
-	r.devs[0].AddRoute(1, Route{Channel: r.chans[0][0], NextNode: "n1"})
+	r.devs[0].addRoute(1, Route{Channel: r.chans[0][0], NextNode: "n1"})
 	if backRoute {
-		r.devs[1].AddRoute(0, Route{Channel: r.chans[1][0], NextNode: "n0"})
+		r.devs[1].addRoute(0, Route{Channel: r.chans[1][0], NextNode: "n0"})
 	}
 	r.start()
 	return r

@@ -58,13 +58,11 @@ type Route struct {
 // traffic use), the rest are the extra rails the striper spreads large
 // rendez-vous bodies over. An empty rs withdraws the destination: it stays
 // unroutable until the next SetRails or SetRailSource.
+//
+//madlint:ignore deadexport tests in another package call it (mpi's staging and lane tests withdraw a route mid-run)
 func (d *Device) SetRails(rank int, rs []Route) {
 	d.rails[rank] = append([]Route(nil), rs...)
 }
-
-// AddRoute maps a destination world rank to a channel and next-hop node:
-// the one-rail case of SetRails.
-func (d *Device) AddRoute(rank int, r Route) { d.SetRails(rank, []Route{r}) }
 
 // SetRailSource installs a lazy rail resolver and drops every cached
 // route: subsequent lookups resolve destinations on first use through fn

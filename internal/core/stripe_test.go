@@ -80,19 +80,19 @@ func diamondRig(t *testing.T, seg int) *wireRig {
 	r := newWireRig(t, 4, netsim.SCISISCI(), netsim.MyrinetBIP())
 	left := func(i int) *madeleine.Channel { return r.chans[i][0] }
 	right := func(i int) *madeleine.Channel { return r.chans[i][1] }
-	r.devs[0].AddRoute(1, Route{Channel: left(0), NextNode: "n1"})
-	r.devs[0].AddRoute(2, Route{Channel: left(0), NextNode: "n2"})
+	r.devs[0].addRoute(1, Route{Channel: left(0), NextNode: "n1"})
+	r.devs[0].addRoute(2, Route{Channel: left(0), NextNode: "n2"})
 	r.devs[0].SetRails(3, []Route{
 		{Channel: left(0), NextNode: "n1", Hops: 2, SegBytes: seg, Cost: 1e-3},
 		{Channel: left(0), NextNode: "n2", Hops: 2, SegBytes: seg, Cost: 1e-3},
 	})
 	for _, gw := range []int{1, 2} {
-		r.devs[gw].AddRoute(0, Route{Channel: left(gw), NextNode: "n0"})
-		r.devs[gw].AddRoute(3, Route{Channel: right(gw), NextNode: "n3"})
+		r.devs[gw].addRoute(0, Route{Channel: left(gw), NextNode: "n0"})
+		r.devs[gw].addRoute(3, Route{Channel: right(gw), NextNode: "n3"})
 	}
-	r.devs[3].AddRoute(0, Route{Channel: right(3), NextNode: "n1", Hops: 2})
-	r.devs[3].AddRoute(1, Route{Channel: right(3), NextNode: "n1"})
-	r.devs[3].AddRoute(2, Route{Channel: right(3), NextNode: "n2"})
+	r.devs[3].addRoute(0, Route{Channel: right(3), NextNode: "n1", Hops: 2})
+	r.devs[3].addRoute(1, Route{Channel: right(3), NextNode: "n1"})
+	r.devs[3].addRoute(2, Route{Channel: right(3), NextNode: "n2"})
 	return r
 }
 
@@ -200,12 +200,12 @@ func chainRig(t testing.TB, w, seg int) *wireRig {
 	r := newWireRig(t, 3, netsim.SCISISCI(), netsim.FastEthernetTCP())
 	sci := func(i int) *madeleine.Channel { return r.chans[i][0] }
 	tcp := func(i int) *madeleine.Channel { return r.chans[i][1] }
-	r.devs[0].AddRoute(1, Route{Channel: sci(0), NextNode: "n1"})
-	r.devs[0].AddRoute(2, Route{Channel: sci(0), NextNode: "n1", Hops: 2, SegBytes: seg})
-	r.devs[1].AddRoute(0, Route{Channel: sci(1), NextNode: "n0"})
-	r.devs[1].AddRoute(2, Route{Channel: tcp(1), NextNode: "n2"})
-	r.devs[2].AddRoute(1, Route{Channel: tcp(2), NextNode: "n1"})
-	r.devs[2].AddRoute(0, Route{Channel: tcp(2), NextNode: "n1", Hops: 2})
+	r.devs[0].addRoute(1, Route{Channel: sci(0), NextNode: "n1"})
+	r.devs[0].addRoute(2, Route{Channel: sci(0), NextNode: "n1", Hops: 2, SegBytes: seg})
+	r.devs[1].addRoute(0, Route{Channel: sci(1), NextNode: "n0"})
+	r.devs[1].addRoute(2, Route{Channel: tcp(1), NextNode: "n2"})
+	r.devs[2].addRoute(1, Route{Channel: tcp(2), NextNode: "n1"})
+	r.devs[2].addRoute(0, Route{Channel: tcp(2), NextNode: "n1", Hops: 2})
 	r.devs[1].RelayWindow = w
 	return r
 }

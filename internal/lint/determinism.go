@@ -103,7 +103,7 @@ func detFile(pass *Pass, f *ast.File) []Diagnostic {
 					report(n.Pos(), "global math/rand.%s is seeded per process: use an explicitly seeded generator (netsim.PRNG)", obj.Name())
 				}
 			case p == "sync" && forbiddenSync[obj.Name()]:
-				report(n.Pos(), "sync.%s bypasses the vtime scheduler: use vtime.Mutex/Sem/Event", obj.Name())
+				report(n.Pos(), "sync.%s bypasses the vtime scheduler: use vtime.Sem/Event/Queue", obj.Name())
 			}
 		case *ast.GoStmt:
 			report(n.Pos(), "raw go statement runs beside the scheduler's one running task: use vtime Scheduler.Go/GoDaemon")

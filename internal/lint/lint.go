@@ -38,7 +38,7 @@ func (d Diagnostic) String(fset *token.FileSet) string {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, PktSwitch, VtimeCtx}
+	return []*Analyzer{Determinism, PktSwitch, VtimeCtx, DeadExport}
 }
 
 // Run applies the analyzers to every package of prog, honoring
@@ -80,29 +80,37 @@ func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 //	//madlint:ignore <analyzer> [reason]
 //
 // suppresses findings of that analyzer on its own line and on the line
-// directly below (so it can sit above the offending statement).
+// directly below (so it can sit above the offending statement). In the doc
+// comment of a parenthesized declaration group it covers the whole group.
 type ignores map[string]map[string]bool
 
 func ignoreIndex(fset *token.FileSet, pkg *Package) ignores {
 	idx := make(ignores)
+	add := func(c *ast.Comment, last int) {
+		rest, ok := strings.CutPrefix(c.Text, "//madlint:ignore")
+		fields := strings.Fields(rest)
+		if !ok || len(fields) == 0 {
+			return
+		}
+		pos := fset.Position(c.Pos())
+		for line := pos.Line; line <= max(last, pos.Line+1); line++ {
+			key := fmt.Sprintf("%s:%d", pos.Filename, line)
+			if idx[key] == nil {
+				idx[key] = make(map[string]bool)
+			}
+			idx[key][fields[0]] = true
+		}
+	}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, "//madlint:ignore")
-				if !ok {
-					continue
-				}
-				fields := strings.Fields(rest)
-				if len(fields) == 0 {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				for _, line := range []int{pos.Line, pos.Line + 1} {
-					key := fmt.Sprintf("%s:%d", pos.Filename, line)
-					if idx[key] == nil {
-						idx[key] = make(map[string]bool)
-					}
-					idx[key][fields[0]] = true
+				add(c, 0)
+			}
+		}
+		for _, d := range f.Decls {
+			if g, ok := d.(*ast.GenDecl); ok && g.Lparen.IsValid() && g.Doc != nil {
+				for _, c := range g.Doc.List {
+					add(c, fset.Position(g.Rparen).Line)
 				}
 			}
 		}

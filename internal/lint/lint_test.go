@@ -132,6 +132,26 @@ func TestVtimeCtxFixture(t *testing.T) {
 	}
 }
 
+func TestDeadExportFixture(t *testing.T) {
+	prog := load(t, "./testdata/deadexport")
+	lines := render(prog, Run(prog, []*Analyzer{DeadExport}))
+	want := []string{
+		"deadexport.go [deadexport] exported method Perimeter",
+		"deadexport.go [deadexport] exported func Unused",
+		"deadexport.go [deadexport] exported func OnlyTested",
+		"deadexport.go [deadexport] exported func Self",
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("findings = %d, want %d (Perimeter, Unused, OnlyTested, Self; Area and Kept clean):\n%s",
+			len(lines), len(want), strings.Join(lines, "\n"))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[i], w+" ") {
+			t.Errorf("finding %d = %q, want %q", i, lines[i], w)
+		}
+	}
+}
+
 // TestRepositoryIsClean is the gate that keeps the codebase lint-green:
 // the full analyzer suite over every package must report nothing. If this
 // fails, fix the code or justify an inline //madlint:ignore.

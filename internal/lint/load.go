@@ -1,8 +1,9 @@
-// Package lint is madlint's engine: a stdlib-only loader plus the three
-// analyzers (determinism, pktswitch, vtimectx) that machine-check the
-// simulator's coding rules. The toolchain's go/analysis framework lives in
-// an external module this repository deliberately does not depend on, so
-// the package reimplements the small slice it needs: load packages with
+// Package lint is madlint's engine: a stdlib-only loader plus the four
+// analyzers (determinism, pktswitch, vtimectx, deadexport) that
+// machine-check the simulator's coding rules. The toolchain's go/analysis
+// framework lives in an external module this repository deliberately does
+// not depend on, so the package reimplements the small slice it needs: load
+// packages with
 // full type information, walk their syntax, report positioned diagnostics,
 // honor //madlint:ignore suppressions.
 //
@@ -40,13 +41,14 @@ type Package struct {
 }
 
 // Program is the loaded set of root packages sharing one FileSet. The
-// vtimectx analyzer builds its whole-program call graph lazily and caches
-// it here.
+// vtimectx and deadexport analyzers build their whole-program indexes
+// lazily and cache them here.
 type Program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
 	blockers *blockGraph // lazily built by vtimectx
+	exports  *exportUse  // lazily built by deadexport
 }
 
 // listedPkg is the subset of `go list -json` output the loader consumes.

@@ -44,7 +44,6 @@ var blockSeeds = map[string]bool{
 	vtimePath + ".Scheduler.Sleep":     true,
 	vtimePath + ".Scheduler.Yield":     true,
 	vtimePath + ".Sem.Acquire":         true,
-	vtimePath + ".Mutex.Lock":          true,
 	vtimePath + ".Event.Wait":          true,
 	vtimePath + ".Queue.Pop":           true,
 	vtimePath + ".Queue.PopTimeout":    true,

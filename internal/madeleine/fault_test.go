@@ -18,13 +18,13 @@ func TestDroppedHeadIsDiagnosableDeadlock(t *testing.T) {
 	p.net.SetFaults(netsim.Faults{DropEvery: 1}) // drop everything
 	p.pa.Spawn("send", func() {
 		conn, _ := p.chA.BeginPacking("b")
-		conn.PackInt(42, SendCheaper, ReceiveExpress)
+		conn.packInt(42, SendCheaper, ReceiveExpress)
 		conn.EndPacking()
 	})
 	p.pb.Spawn("recv", func() {
 		conn, err := p.chB.BeginUnpacking()
 		if err == nil {
-			conn.UnpackInt(SendCheaper, ReceiveExpress)
+			conn.unpackInt(SendCheaper, ReceiveExpress)
 			conn.EndUnpacking()
 			t.Error("received a message that was dropped on the wire")
 		}
@@ -46,7 +46,7 @@ func TestDroppedBodyStallsOnlyTheUnpack(t *testing.T) {
 	big := make([]byte, 100000)
 	p.pa.Spawn("send", func() {
 		conn, _ := p.chA.BeginPacking("b")
-		conn.PackInt(len(big), SendCheaper, ReceiveExpress)
+		conn.packInt(len(big), SendCheaper, ReceiveExpress)
 		conn.Pack(big, SendCheaper, ReceiveCheaper) // own packet: dropped
 		conn.EndPacking()
 	})
@@ -57,7 +57,7 @@ func TestDroppedBodyStallsOnlyTheUnpack(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if n, err := conn.UnpackInt(SendCheaper, ReceiveExpress); err != nil || n != len(big) {
+		if n, err := conn.unpackInt(SendCheaper, ReceiveExpress); err != nil || n != len(big) {
 			t.Errorf("express part should arrive intact: n=%d err=%v", n, err)
 			return
 		}
@@ -83,7 +83,7 @@ func TestJitterDoesNotBreakMessageIntegrity(t *testing.T) {
 	p.pa.Spawn("send", func() {
 		for i := 0; i < msgs; i++ {
 			conn, _ := p.chA.BeginPacking("b")
-			conn.PackInt(i, SendCheaper, ReceiveExpress)
+			conn.packInt(i, SendCheaper, ReceiveExpress)
 			conn.Pack(make([]byte, 5000), SendCheaper, ReceiveCheaper)
 			conn.EndPacking()
 		}
@@ -95,7 +95,7 @@ func TestJitterDoesNotBreakMessageIntegrity(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			v, _ := conn.UnpackInt(SendCheaper, ReceiveExpress)
+			v, _ := conn.unpackInt(SendCheaper, ReceiveExpress)
 			if v != i {
 				t.Errorf("message %d arrived as %d under jitter", i, v)
 			}

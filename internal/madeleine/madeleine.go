@@ -102,12 +102,6 @@ func (inst *Instance) NewChannel(name string, net *netsim.Network) (*Channel, er
 	return ch, nil
 }
 
-// Channel returns a channel by name.
-func (inst *Instance) Channel(name string) (*Channel, bool) {
-	ch, ok := inst.channels[name]
-	return ch, ok
-}
-
 // deliver runs in scheduler context at each packet arrival: route the
 // packet to its connection and, for message heads, enqueue the connection
 // for BeginUnpacking pickup.
@@ -461,22 +455,6 @@ func (c *Connection) next(n int, rm RecvMode, dst []byte) (src []byte, held *net
 	// Zero-copy landing: the NIC deposited the block directly at the
 	// address the unpack designates, so no copy is charged.
 	return src, held, nil
-}
-
-// UnpackInt is a convenience for the §3.2 example pattern: unpack a
-// 4-byte little-endian length field with EXPRESS semantics.
-func (c *Connection) UnpackInt(sm SendMode, rm RecvMode) (int, error) {
-	var b [4]byte
-	if err := c.Unpack(b[:], sm, rm); err != nil {
-		return 0, err
-	}
-	return int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24), nil
-}
-
-// PackInt packs a 4-byte little-endian integer.
-func (c *Connection) PackInt(v int, sm SendMode, rm RecvMode) error {
-	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-	return c.Pack(b[:], sm, rm)
 }
 
 // EndUnpacking finishes consumption of the current message (§3.2,

@@ -12,6 +12,22 @@ import (
 	"mpichmad/internal/vtime"
 )
 
+// unpackInt unpacks a 4-byte little-endian length field with EXPRESS
+// semantics, the §3.2 example pattern.
+func (c *Connection) unpackInt(sm SendMode, rm RecvMode) (int, error) {
+	var b [4]byte
+	if err := c.Unpack(b[:], sm, rm); err != nil {
+		return 0, err
+	}
+	return int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24), nil
+}
+
+// packInt packs a 4-byte little-endian integer.
+func (c *Connection) packInt(v int, sm SendMode, rm RecvMode) error {
+	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
+	return c.Pack(b[:], sm, rm)
+}
+
 // pair is a two-process test harness on one network.
 type pair struct {
 	s        *vtime.Scheduler
@@ -60,7 +76,7 @@ func TestExpressCheaperRoundtrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := conn.PackInt(len(payload), SendCheaper, ReceiveExpress); err != nil {
+		if err := conn.packInt(len(payload), SendCheaper, ReceiveExpress); err != nil {
 			t.Error(err)
 		}
 		if err := conn.Pack(payload, SendCheaper, ReceiveCheaper); err != nil {
@@ -79,7 +95,7 @@ func TestExpressCheaperRoundtrip(t *testing.T) {
 		if conn.Remote != "a" {
 			t.Errorf("message from %q, want a", conn.Remote)
 		}
-		size, err := conn.UnpackInt(SendCheaper, ReceiveExpress)
+		size, err := conn.unpackInt(SendCheaper, ReceiveExpress)
 		if err != nil {
 			t.Error(err)
 			return
@@ -201,14 +217,14 @@ func TestMessagesInOrderOnConnection(t *testing.T) {
 	p.pa.Spawn("send", func() {
 		for i := 0; i < n; i++ {
 			conn, _ := p.chA.BeginPacking("b")
-			conn.PackInt(i, SendCheaper, ReceiveExpress)
+			conn.packInt(i, SendCheaper, ReceiveExpress)
 			conn.EndPacking()
 		}
 	})
 	p.pb.Spawn("recv", func() {
 		for i := 0; i < n; i++ {
 			conn, _ := p.chB.BeginUnpacking()
-			v, err := conn.UnpackInt(SendCheaper, ReceiveExpress)
+			v, err := conn.unpackInt(SendCheaper, ReceiveExpress)
 			if err != nil {
 				t.Error(err)
 				return
@@ -245,7 +261,7 @@ func TestTwoSendersFIFOByArrival(t *testing.T) {
 		return func() {
 			ch.Inst.P.Sleep(delay)
 			conn, _ := ch.BeginPacking("a")
-			conn.PackInt(tag, SendCheaper, ReceiveExpress)
+			conn.packInt(tag, SendCheaper, ReceiveExpress)
 			conn.EndPacking()
 		}
 	}
@@ -259,7 +275,7 @@ func TestTwoSendersFIFOByArrival(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			v, _ := conn.UnpackInt(SendCheaper, ReceiveExpress)
+			v, _ := conn.unpackInt(SendCheaper, ReceiveExpress)
 			order = append(order, v)
 			conn.EndUnpacking()
 		}
@@ -347,7 +363,7 @@ func TestOneChannelPerNetworkPerProcess(t *testing.T) {
 	if _, err := ia.NewChannel("c1", net); err == nil {
 		t.Fatal("duplicate channel name should fail")
 	}
-	if _, ok := ia.Channel("c1"); !ok {
+	if _, ok := ia.channels["c1"]; !ok {
 		t.Fatal("channel lookup failed")
 	}
 }

@@ -275,10 +275,6 @@ func (c *compute) end() {
 	c.wake.Push(struct{}{})
 }
 
-// Yield gives other threads of any process a chance to run without
-// advancing virtual time.
-func (p *Proc) Yield() { p.S.Yield() }
-
 // Sleep suspends the calling thread without occupying the CPU.
 func (p *Proc) Sleep(d vtime.Duration) { p.S.Sleep(d) }
 

@@ -1,19 +1,9 @@
 package mpi
 
-import "fmt"
-
-// Static collective tags for the operations that still run as direct call
-// trees (variable-count gather/scatter, scan). Everything else compiles
-// into a schedule (schedule.go) whose messages carry a unique per-operation
-// tag at tagNBCBase and above; collectives run on the communicator's
-// paired context (ctx+1), so neither can collide with user point-to-point
-// traffic.
-const (
-	tagGather = iota
-	tagScatter
-	tagScan
-)
-
+// collCtx is the communicator's paired context (ctx+1). Every collective
+// compiles into a schedule (schedule.go) whose messages carry a unique
+// per-operation tag (nbc.go) on it, so none can collide with user
+// point-to-point traffic.
 func (c *Comm) collCtx() int { return c.ctx + 1 }
 
 // Every blocking collective below is its nonblocking twin compiled and
@@ -45,6 +35,8 @@ func (c *Comm) Bcast(buf []byte, count int, dt Datatype, root int) error {
 
 // Reduce combines count elements from every member's sendBuf with op,
 // leaving the result in root's recvBuf (MPI_Reduce).
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
 func (c *Comm) Reduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, root int) error {
 	req, err := c.Ireduce(sendBuf, recvBuf, count, dt, op, root)
 	if err != nil {
@@ -53,8 +45,11 @@ func (c *Comm) Reduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, ro
 	return req.Wait()
 }
 
-// Allreduce is Reduce to rank 0 chained with Bcast (MPI_Allreduce),
-// compiled as one schedule.
+// Allreduce combines count elements from every member's sendBuf with op,
+// leaving the result in every member's recvBuf (MPI_Allreduce), compiled
+// as one schedule: a reduce to rank 0 chained with a broadcast, a two-level
+// form whose cluster leaders exchange their partials, a ring, or the
+// multi-leader sharded form.
 func (c *Comm) Allreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) error {
 	req, err := c.Iallreduce(sendBuf, recvBuf, count, dt, op)
 	if err != nil {
@@ -216,132 +211,4 @@ func (c *Comm) alltoallPairwise(b *schedBuilder, _ *commTopo, a collArgs) func()
 			UnpackBuf(a.recv[from*a.count*ex:], a.count, a.dt, in[from])
 		}
 	}
-}
-
-// ---- Remaining direct (non-scheduled) collectives ----
-
-// Gatherv is the variable-count gather (MPI_Gatherv). displs are element
-// offsets into recvBuf per rank; nil means dense packing in rank order.
-func (c *Comm) Gatherv(sendBuf []byte, sendCount int, recvBuf []byte, counts, displs []int, dt Datatype, root int) error {
-	if err := c.checkLive("Gatherv"); err != nil {
-		return err
-	}
-	if err := c.checkPeer("Gatherv", root); err != nil {
-		return err
-	}
-	if c.myRank != root {
-		data := PackBuf(sendBuf, sendCount, dt)
-		return c.sendRaw(data, root, tagGather, c.collCtx())
-	}
-	if len(counts) != c.Size() {
-		return fmt.Errorf("mpi: Gatherv: %d counts for %d ranks", len(counts), c.Size())
-	}
-	if displs == nil {
-		displs = make([]int, c.Size())
-		off := 0
-		for i, n := range counts {
-			displs[i] = off
-			off += n
-		}
-	}
-	ex := dt.Extent()
-	for r := 0; r < c.Size(); r++ {
-		dst := recvBuf[displs[r]*ex:]
-		if r == root {
-			data := PackBuf(sendBuf, sendCount, dt)
-			c.p.M.Charge(c.p.memTime(len(data)))
-			UnpackBuf(dst, counts[r], dt, data)
-			continue
-		}
-		tmp := c.p.Eng.Bufs.Get(counts[r] * dt.Size())
-		if _, err := c.recvRaw(tmp.B, r, tagGather, c.collCtx()); err != nil {
-			return err
-		}
-		UnpackBuf(dst, counts[r], dt, tmp.B)
-		tmp.Release()
-	}
-	return nil
-}
-
-// Scatter distributes count elements per rank from root's sendBuf
-// (MPI_Scatter).
-func (c *Comm) Scatter(sendBuf []byte, recvBuf []byte, count int, dt Datatype, root int) error {
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = count
-	}
-	return c.Scatterv(sendBuf, counts, nil, recvBuf, count, dt, root)
-}
-
-// Scatterv is the variable-count scatter (MPI_Scatterv).
-func (c *Comm) Scatterv(sendBuf []byte, counts, displs []int, recvBuf []byte, recvCount int, dt Datatype, root int) error {
-	if err := c.checkLive("Scatterv"); err != nil {
-		return err
-	}
-	if err := c.checkPeer("Scatterv", root); err != nil {
-		return err
-	}
-	if c.myRank != root {
-		tmp := c.p.Eng.Bufs.Get(recvCount * dt.Size())
-		if _, err := c.recvRaw(tmp.B, root, tagScatter, c.collCtx()); err != nil {
-			return err
-		}
-		c.p.M.Charge(c.p.memTime(len(tmp.B)))
-		UnpackBuf(recvBuf, recvCount, dt, tmp.B)
-		tmp.Release()
-		return nil
-	}
-	if len(counts) != c.Size() {
-		return fmt.Errorf("mpi: Scatterv: %d counts for %d ranks", len(counts), c.Size())
-	}
-	if displs == nil {
-		displs = make([]int, c.Size())
-		off := 0
-		for i, n := range counts {
-			displs[i] = off
-			off += n
-		}
-	}
-	ex := dt.Extent()
-	for r := 0; r < c.Size(); r++ {
-		chunk := PackBuf(sendBuf[displs[r]*ex:], counts[r], dt)
-		if r == root {
-			c.p.M.Charge(c.p.memTime(len(chunk)))
-			UnpackBuf(recvBuf, recvCount, dt, chunk)
-			continue
-		}
-		if err := c.sendRaw(chunk, r, tagScatter, c.collCtx()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Scan computes the inclusive prefix reduction: rank r receives
-// op(x_0, ..., x_r) (MPI_Scan). Linear chain.
-func (c *Comm) Scan(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) error {
-	if err := c.checkLive("Scan"); err != nil {
-		return err
-	}
-	acc := c.p.Eng.Bufs.Get(count * dt.Size())
-	copy(acc.B, PackBuf(sendBuf, count, dt))
-	c.p.M.Charge(c.p.memTime(len(acc.B)))
-	if c.myRank > 0 {
-		prefix := c.p.Eng.Bufs.Get(len(acc.B))
-		if _, err := c.recvRaw(prefix.B, c.myRank-1, tagScan, c.collCtx()); err != nil {
-			return err
-		}
-		if err := op.Apply(acc.B, prefix.B, count, dt); err != nil {
-			return err
-		}
-		prefix.Release()
-	}
-	if c.myRank < c.Size()-1 {
-		if err := c.sendRaw(acc.B, c.myRank+1, tagScan, c.collCtx()); err != nil {
-			return err
-		}
-	}
-	UnpackBuf(recvBuf, count, dt, acc.B)
-	acc.Release()
-	return nil
 }

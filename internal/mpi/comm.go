@@ -14,7 +14,8 @@ import (
 // Wildcards (same values as the ADI's).
 const (
 	AnySource = adi.AnySource
-	AnyTag    = adi.AnyTag
+	//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
+	AnyTag = adi.AnyTag
 )
 
 // Undefined is the color passed to Split by ranks that want no resulting
@@ -101,9 +102,6 @@ func WorldGroup(n int) []int {
 	return group
 }
 
-// Rank returns the world rank.
-func (p *Process) Rank() int { return p.rank }
-
 // Size returns the world size.
 func (p *Process) Size() int { return p.size }
 
@@ -184,12 +182,6 @@ func (c *Comm) Rank() int { return c.myRank }
 // Size returns the number of processes in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// Context returns the communicator's point-to-point context id.
-func (c *Comm) Context() int { return c.ctx }
-
-// WorldRank translates a communicator rank to a world rank.
-func (c *Comm) WorldRank(r int) int { return c.group[r] }
-
 // commRankOfWorld translates a world rank back to this communicator's
 // numbering; -1 if absent. Where the group is the identity at w (the world
 // and its Dups: every rank) no scan is needed; topo() asks once per cluster
@@ -224,6 +216,8 @@ func (c *Comm) allocContext() (int, error) {
 // Dup creates a duplicate communicator with a fresh context
 // (MPI_Comm_dup). Collective over c. The duplicate shares c's group slice,
 // which is how topo() knows a Dup of the world for one.
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
 func (c *Comm) Dup() (*Comm, error) {
 	ctx, err := c.allocContext()
 	if err != nil {
@@ -271,12 +265,4 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		}
 	}
 	return &Comm{p: c.p, group: group, myRank: myNew, ctx: ctx}, nil
-}
-
-// Group returns a copy of the communicator's world-rank membership
-// (MPI_Comm_group).
-func (c *Comm) Group() []int {
-	g := make([]int, len(c.group))
-	copy(g, c.group)
-	return g
 }

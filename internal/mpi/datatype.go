@@ -58,6 +58,8 @@ var (
 
 // Contiguous builds a type of count consecutive elements of base
 // (MPI_Type_contiguous).
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
 func Contiguous(count int, base Datatype) Datatype {
 	return &contiguous{base: base, count: count}
 }
@@ -93,6 +95,8 @@ func (c *contiguous) unpackOne(dst, src []byte) {
 
 // Vector builds a strided type: count blocks of blocklen base elements,
 // with stride base elements between block starts (MPI_Type_vector).
+//
+//madlint:ignore deadexport bench/ uses it
 func Vector(count, blocklen, stride int, base Datatype) Datatype {
 	if blocklen > stride {
 		panic("mpi: Vector blocklen exceeds stride")
@@ -138,6 +142,8 @@ func (v *vector) unpackOne(dst, src []byte) {
 
 // Indexed builds a type of variable-length blocks at element
 // displacements (MPI_Type_indexed).
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
 func Indexed(blocklens, displs []int, base Datatype) Datatype {
 	if len(blocklens) != len(displs) {
 		panic("mpi: Indexed blocklens/displs length mismatch")
@@ -199,6 +205,8 @@ type StructField struct {
 
 // Struct builds a byte-granularity structure type (MPI_Type_struct with
 // MPI_BYTE members).
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
 func Struct(extent int, fields []StructField) Datatype {
 	return &structT{extent: extent, fields: fields}
 }
@@ -280,24 +288,6 @@ func UnpackBuf(buf []byte, count int, dt Datatype, src []byte) {
 }
 
 // --- Typed slice helpers -------------------------------------------------
-
-// Int32Bytes views a []int32 as wire bytes (little endian).
-func Int32Bytes(v []int32) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
-	}
-	return b
-}
-
-// BytesInt32 decodes wire bytes into a []int32.
-func BytesInt32(b []byte) []int32 {
-	v := make([]int32, len(b)/4)
-	for i := range v {
-		v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return v
-}
 
 // Int64Bytes views a []int64 as wire bytes.
 func Int64Bytes(v []int64) []byte {

@@ -2,9 +2,28 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
+
+// int32Bytes views a []int32 as wire bytes (little endian).
+func int32Bytes(v []int32) []byte {
+	b := make([]byte, 4*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+	}
+	return b
+}
+
+// bytesInt32 decodes wire bytes into a []int32.
+func bytesInt32(b []byte) []int32 {
+	v := make([]int32, len(b)/4)
+	for i := range v {
+		v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return v
+}
 
 func TestBasicTypes(t *testing.T) {
 	cases := []struct {
@@ -134,7 +153,7 @@ func TestContiguousOfVector(t *testing.T) {
 
 func TestTypedHelpers(t *testing.T) {
 	i32 := []int32{-1, 0, 1 << 30}
-	if got := BytesInt32(Int32Bytes(i32)); got[0] != -1 || got[2] != 1<<30 {
+	if got := bytesInt32(int32Bytes(i32)); got[0] != -1 || got[2] != 1<<30 {
 		t.Fatalf("int32 roundtrip: %v", got)
 	}
 	i64 := []int64{-1 << 62, 42}
@@ -227,16 +246,16 @@ func TestOpsOnFloats(t *testing.T) {
 }
 
 func TestOpsBitwiseAndLogical(t *testing.T) {
-	a := Int32Bytes([]int32{0b1100, 1})
-	if err := OpBAnd.Apply(a, Int32Bytes([]int32{0b1010, 0}), 2, Int32); err != nil {
+	a := int32Bytes([]int32{0b1100, 1})
+	if err := OpBAnd.Apply(a, int32Bytes([]int32{0b1010, 0}), 2, Int32); err != nil {
 		t.Fatal(err)
 	}
-	if g := BytesInt32(a); g[0] != 0b1000 || g[1] != 0 {
+	if g := bytesInt32(a); g[0] != 0b1000 || g[1] != 0 {
 		t.Fatalf("band = %v", g)
 	}
-	b := Int32Bytes([]int32{0b1100})
-	OpBOr.Apply(b, Int32Bytes([]int32{0b0011}), 1, Int32)
-	if BytesInt32(b)[0] != 0b1111 {
+	b := int32Bytes([]int32{0b1100})
+	OpBOr.Apply(b, int32Bytes([]int32{0b0011}), 1, Int32)
+	if bytesInt32(b)[0] != 0b1111 {
 		t.Fatal("bor")
 	}
 	x := Int64Bytes([]int64{1, 0, 7})

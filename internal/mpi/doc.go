@@ -102,10 +102,8 @@
 // it is handed out and when it goes home, which is how the fingerprint and
 // property suites check that). A schedule that ends in error keeps its
 // leases: a receive its failed round pre-posted may still land in them,
-// so they are left to the GC with the schedule. The buffers the direct
-// collectives receive into (Gatherv, Scatterv, Scan) and the autotuner's
-// probe buffers are taken from and returned to the same list around each
-// use. The list keeps each size class's high-water mark, and MPI_Init's
+// so they are left to the GC with the schedule. The autotuner's probe
+// buffers are taken from and returned to the same list around each use. The list keeps each size class's high-water mark, and MPI_Init's
 // sweep asks for classes nothing after it may ever want (its Allgather
 // probes reach 4 MiB a rank), so autotune drops the list's home buffers
 // once when it ends; after that the list holds what the application's own
@@ -314,7 +312,7 @@
 // automorphism — and runs one quotient-graph Dijkstra per source bloc,
 // lazily on first query, instead of N rank-level sweeps: on the scale
 // machine (64 islands x 16 ranks = 1024 ranks behind one backbone) that
-// is 128 blocs, and Plan.NextHop/Path/Cost resolve hierarchically with
+// is 128 blocs, and Plan.Path/Paths/Cost/Hops resolve hierarchically with
 // unchanged signatures and bit-identical results (pinned against the
 // dense reference planner by a property test). Everything downstream is
 // equally lazy: devices resolve rails through a per-destination resolver
@@ -550,9 +548,9 @@
 // order (the MPI rule); the engine relies on it to number schedules
 // identically across ranks.
 //
-// Blocking Barrier/Bcast/Reduce/Allreduce/Gather/Allgather/Alltoall are
-// compile-then-Wait wrappers around their I-twins. Gatherv, Scatterv,
-// Scan and the point-to-point API are unchanged.
+// Blocking Barrier/Bcast/Reduce/Allreduce/Gather/Allgather/Alltoall/
+// ReduceScatter are compile-then-Wait wrappers around their I-twins: every
+// collective is a schedule, and there is no second collective mechanism.
 //
 // # Determinism rules
 //
@@ -590,7 +588,11 @@
 // would panic "called outside a running task" at depth. A justified
 // exception is silenced in place with `//madlint:ignore <analyzer>
 // <reason>`; out-of-tree simulation files opt in with
-// `//madlint:simulation`.
+// `//madlint:simulation`. A fourth, deadexport, holds the API to what the
+// module calls: an exported identifier of a non-main package that no
+// non-test file references is deleted, moved into the tests that use it,
+// or kept with a `//madlint:ignore deadexport <reason>` naming its caller
+// (bench/, a test of another package, a ROADMAP item).
 //
 // The runtime counterpart is the Finalize-time invariant audit: after a
 // clean run the cluster session calls Process.AuditDevices, and every
@@ -665,7 +667,6 @@
 // bcastHier, reduceFlat, allgatherHier, ...) now use the public API plus
 // Process.SetCollMode(CollFlat/CollHier) to pin an algorithm family; the
 // helpers were replaced by the schedule compilers bound in collForms,
-// with identical message patterns. WaitAll now returns one *Status per request (nil for
-// sends) alongside the first error; WaitAny waits event-driven on the
-// virtual-time scheduler instead of polling.
+// with identical message patterns. WaitAll returns one *Status per request
+// (nil for sends) alongside the first error.
 package mpi

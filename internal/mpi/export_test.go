@@ -51,3 +51,44 @@ func (c *Comm) StartRounds(name string, staged int, rounds [][]Step) *CollReques
 	}
 	return c.submit(b.build(nil))
 }
+
+// Context returns the communicator's point-to-point context id.
+func (c *Comm) Context() int { return c.ctx }
+
+// WorldRank translates a communicator rank to a world rank.
+func (c *Comm) WorldRank(r int) int { return c.group[r] }
+
+// Pack serializes count elements of dt from buf into a contiguous byte
+// slice (MPI_Pack), charging the local memcpy.
+func (c *Comm) Pack(buf []byte, count int, dt Datatype) []byte {
+	out := PackBuf(buf, count, dt)
+	if !IsContiguous(dt) {
+		c.p.M.Charge(c.p.memTime(len(out)))
+	}
+	return out
+}
+
+// Unpack deserializes contiguous bytes into count elements of dt inside
+// buf (MPI_Unpack).
+func (c *Comm) Unpack(packed []byte, buf []byte, count int, dt Datatype) {
+	if !IsContiguous(dt) {
+		c.p.M.Charge(c.p.memTime(len(packed)))
+	}
+	UnpackBuf(buf, count, dt, packed)
+}
+
+// Test polls for completion without blocking (MPI_Test).
+func (r *Request) Test() (done bool, st *Status, err error) {
+	if r.finished {
+		return true, r.status, r.err
+	}
+	ev := r.rr.Done
+	if r.sr != nil {
+		ev = r.sr.Done
+	}
+	if !ev.Fired() {
+		return false, nil, nil
+	}
+	st, err = r.Wait()
+	return true, st, err
+}

@@ -199,7 +199,7 @@ func TestSendrecvExchange(t *testing.T) {
 	}
 }
 
-func TestWildcardsAndProbe(t *testing.T) {
+func TestWildcards(t *testing.T) {
 	_, err := cluster.Launch(nNodeTopo(3, "sisci"), func(rank int, comm *mpi.Comm) error {
 		if rank == 0 {
 			// Two messages from different sources, matched by wildcards.
@@ -218,34 +218,9 @@ func TestWildcardsAndProbe(t *testing.T) {
 			if !seen[1] || !seen[2] {
 				return fmt.Errorf("sources seen: %v", seen)
 			}
-			// Probe before receive.
-			st, err := comm.Probe(1, 9)
-			if err != nil {
-				return err
-			}
-			if st.Bytes != 8 {
-				return fmt.Errorf("probe bytes %d", st.Bytes)
-			}
-			ok, _, err := comm.Iprobe(1, 9)
-			if err != nil || !ok {
-				return fmt.Errorf("iprobe after probe: %v %v", ok, err)
-			}
-			if _, err := comm.Recv(buf, 1, mpi.Int64, 1, 9); err != nil {
-				return err
-			}
-			ok, _, _ = comm.Iprobe(mpi.AnySource, mpi.AnyTag)
-			if ok {
-				return fmt.Errorf("iprobe found stale message")
-			}
 			return nil
 		}
-		if err := comm.Send(mpi.Int64Bytes([]int64{int64(rank*10 + rank)}), 1, mpi.Int64, 0, rank); err != nil {
-			return err
-		}
-		if rank == 1 {
-			return comm.Send(mpi.Int64Bytes([]int64{77}), 1, mpi.Int64, 0, 9)
-		}
-		return nil
+		return comm.Send(mpi.Int64Bytes([]int64{int64(rank*10 + rank)}), 1, mpi.Int64, 0, rank)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,23 +323,6 @@ func TestCollectivesCorrectness(t *testing.T) {
 			}
 		}
 
-		// Scatter from root 0.
-		var src []byte
-		if rank == 0 {
-			vals := make([]int64, n)
-			for i := range vals {
-				vals[i] = int64(100 + i)
-			}
-			src = mpi.Int64Bytes(vals)
-		}
-		one := make([]byte, 8)
-		if err := comm.Scatter(src, one, 1, mpi.Int64, 0); err != nil {
-			return err
-		}
-		if mpi.BytesInt64(one)[0] != int64(100+rank) {
-			return fmt.Errorf("scatter got %d", mpi.BytesInt64(one)[0])
-		}
-
 		// Allgather.
 		all := make([]byte, 8*n)
 		if err := comm.Allgather(mpi.Int64Bytes([]int64{int64(rank + 7)}), all, 1, mpi.Int64); err != nil {
@@ -393,45 +351,6 @@ func TestCollectivesCorrectness(t *testing.T) {
 			}
 		}
 
-		// Scan (inclusive prefix sum of 1s -> rank+1).
-		sc := make([]byte, 8)
-		if err := comm.Scan(mpi.Int64Bytes([]int64{1}), sc, 1, mpi.Int64, mpi.OpSum); err != nil {
-			return err
-		}
-		if mpi.BytesInt64(sc)[0] != int64(rank+1) {
-			return fmt.Errorf("scan = %d", mpi.BytesInt64(sc)[0])
-		}
-
-		// Gatherv with uneven counts: rank r contributes r+1 values.
-		counts := make([]int, n)
-		total := 0
-		for r := range counts {
-			counts[r] = r + 1
-			total += r + 1
-		}
-		myVals := make([]int64, rank+1)
-		for i := range myVals {
-			myVals[i] = int64(rank)
-		}
-		var gv []byte
-		if rank == 0 {
-			gv = make([]byte, 8*total)
-		}
-		if err := comm.Gatherv(mpi.Int64Bytes(myVals), rank+1, gv, counts, nil, mpi.Int64, 0); err != nil {
-			return err
-		}
-		if rank == 0 {
-			vals := mpi.BytesInt64(gv)
-			idx := 0
-			for r := 0; r < n; r++ {
-				for k := 0; k < r+1; k++ {
-					if vals[idx] != int64(r) {
-						return fmt.Errorf("gatherv[%d] = %d, want %d", idx, vals[idx], r)
-					}
-					idx++
-				}
-			}
-		}
 		return nil
 	})
 	if err != nil {

@@ -63,33 +63,6 @@ func TestAllreduceMatchesReference(t *testing.T) {
 	}
 }
 
-// TestScanMatchesReference: inclusive prefix sums equal the sequential
-// prefix for random inputs.
-func TestScanMatchesReference(t *testing.T) {
-	f := func(seed uint8, nRanks uint8) bool {
-		n := int(nRanks%5) + 2
-		val := func(rank int) int64 { return int64((int(seed) + rank*13) % 100) }
-		_, err := cluster.Launch(nNodeTopo(n, "bip"), func(rank int, comm *mpi.Comm) error {
-			out := make([]byte, 8)
-			if err := comm.Scan(mpi.Int64Bytes([]int64{val(rank)}), out, 1, mpi.Int64, mpi.OpSum); err != nil {
-				return err
-			}
-			var want int64
-			for r := 0; r <= rank; r++ {
-				want += val(r)
-			}
-			if got := mpi.BytesInt64(out)[0]; got != want {
-				return fmt.Errorf("rank %d: scan = %d, want %d", rank, got, want)
-			}
-			return nil
-		})
-		return err == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestBcastGatherRoundtripProperty: Bcast then Gather over random payloads
 // and roots is the identity on the data.
 func TestBcastGatherRoundtripProperty(t *testing.T) {

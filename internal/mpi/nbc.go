@@ -44,8 +44,8 @@ import (
 	"mpichmad/internal/vtime"
 )
 
-// tagNBCBase offsets schedule tags past the static collective tags
-// (Gatherv/Scatterv/Scan) that share the collective context.
+// tagNBCBase is the first schedule tag on the collective context; each
+// scheduled collective takes the next one in the communicator's sequence.
 const tagNBCBase = 1 << 10
 
 // CollRequest is an outstanding nonblocking collective (MPI_Request for
@@ -68,6 +68,8 @@ func (r *CollRequest) Wait() error {
 // a Test poll loop lets the engine thread's charges in between its
 // iterations instead of livelocking the scheduler. It is not needed for
 // progress: the engine's charges preempt a Compute of the caller anyway.
+//
+//madlint:ignore deadexport bench/ uses it
 func (r *CollRequest) Test() (bool, error) {
 	if !r.done.Fired() {
 		r.c.p.M.Sleep(vtime.Microsecond)

@@ -3,8 +3,7 @@ package mpi_test
 // Tests of the schedule-driven nonblocking collectives (Icoll): byte
 // equivalence with the blocking API across randomized shapes, genuine
 // compute/communication overlap in virtual time, multiple outstanding
-// schedules, and the request-plumbing changes (WaitAll statuses,
-// event-driven WaitAny).
+// schedules, and the request plumbing (WaitAll statuses).
 
 import (
 	"bytes"

@@ -116,7 +116,7 @@ func TestNumericOpsMatchClosureForm(t *testing.T) {
 	add(Float32, d, s, n)
 	d, s, n = pairs(i64s, Int64Bytes)
 	add(Int64, d, s, n)
-	d, s, n = pairs(i32s, Int32Bytes)
+	d, s, n = pairs(i32s, int32Bytes)
 	add(Int32, d, s, n)
 	d, s, n = pairs(u8s, func(v []byte) []byte { return v })
 	add(Byte, d, s, n)

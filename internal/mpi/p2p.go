@@ -16,6 +16,8 @@ type Status struct {
 }
 
 // Count returns the number of dt elements received.
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
 func (s *Status) Count(dt Datatype) int {
 	if dt.Size() == 0 {
 		return 0
@@ -82,24 +84,6 @@ func (c *Comm) eagerTo(dest, n int) bool {
 		return n <= per.SwitchPointTo(c.group[dest])
 	}
 	return dev != nil && n <= dev.SwitchPoint()
-}
-
-// recvRaw posts and completes a receive of packed bytes on an explicit
-// context; src/tag in communicator terms (wildcards allowed).
-func (c *Comm) recvRaw(buf []byte, src, tag, ctx int) (*Status, error) {
-	worldSrc := adi.AnySource
-	if src != AnySource {
-		worldSrc = c.group[src]
-	}
-	rr := &adi.RecvReq{
-		Src: worldSrc, Tag: tag, Context: ctx,
-		Buf:  buf,
-		Done: vtime.NewEvent(c.p.M.S, "mpi.recv"),
-	}
-	c.p.Eng.PostRecv(rr)
-	rr.Done.Wait()
-	st := c.statusOf(rr)
-	return st, rr.Err
 }
 
 func (c *Comm) statusOf(rr *adi.RecvReq) *Status {
@@ -236,30 +220,10 @@ func (r *Request) Wait() (*Status, error) {
 	return r.status, r.err
 }
 
-// Test polls for completion without blocking (MPI_Test).
-func (r *Request) Test() (done bool, st *Status, err error) {
-	if r.finished {
-		return true, r.status, r.err
-	}
-	ev := r.doneEvent()
-	if !ev.Fired() {
-		return false, nil, nil
-	}
-	st, err = r.Wait()
-	return true, st, err
-}
-
-// doneEvent returns the request's completion event; every Request holds
-// exactly one of sr/rr, so this never returns nil.
-func (r *Request) doneEvent() *vtime.Event {
-	if r.sr != nil {
-		return r.sr.Done
-	}
-	return r.rr.Done
-}
-
 // WaitAll completes every request (MPI_Waitall), returning one status per
 // request in order (nil for sends) and the first error encountered.
+//
+//madlint:ignore deadexport bench/ uses it
 func WaitAll(reqs ...*Request) ([]*Status, error) {
 	statuses := make([]*Status, len(reqs))
 	var first error
@@ -289,40 +253,4 @@ func (c *Comm) Sendrecv(sendBuf []byte, sendCount int, sendDT Datatype, dest, se
 		return nil, err
 	}
 	return rreq.Wait()
-}
-
-// Probe blocks until a matching message is available without receiving it
-// (MPI_Probe).
-func (c *Comm) Probe(src, tag int) (*Status, error) {
-	if err := c.checkLive("Probe"); err != nil {
-		return nil, err
-	}
-	worldSrc := adi.AnySource
-	if src != AnySource {
-		if err := c.checkPeer("Probe", src); err != nil {
-			return nil, err
-		}
-		worldSrc = c.group[src]
-	}
-	env := c.p.Eng.WaitUnexpected(worldSrc, tag, c.ctx)
-	return &Status{Source: c.commRankOfWorld(env.Src), Tag: env.Tag, Bytes: env.Len}, nil
-}
-
-// Iprobe checks for a matching message without blocking (MPI_Iprobe).
-func (c *Comm) Iprobe(src, tag int) (bool, *Status, error) {
-	if err := c.checkLive("Iprobe"); err != nil {
-		return false, nil, err
-	}
-	worldSrc := adi.AnySource
-	if src != AnySource {
-		if err := c.checkPeer("Iprobe", src); err != nil {
-			return false, nil, err
-		}
-		worldSrc = c.group[src]
-	}
-	env, ok := c.p.Eng.FindUnexpected(worldSrc, tag, c.ctx)
-	if !ok {
-		return false, nil, nil
-	}
-	return true, &Status{Source: c.commRankOfWorld(env.Src), Tag: env.Tag, Bytes: env.Len}, nil
 }

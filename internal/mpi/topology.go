@@ -161,9 +161,6 @@ func (p *Process) RefreshHierarchy(h *Hierarchy) {
 	}
 }
 
-// Hierarchy returns the installed cluster structure (nil if none).
-func (p *Process) Hierarchy() *Hierarchy { return p.hier }
-
 // CollMode forces or frees the collective algorithm selection (tests,
 // benchmarks, ablations).
 type CollMode int
@@ -198,9 +195,6 @@ const (
 // SetCollMode overrides collective algorithm selection for this rank.
 // Every rank of a communicator must use the same mode.
 func (p *Process) SetCollMode(m CollMode) { p.collMode = m }
-
-// CollMode returns the current selection mode.
-func (p *Process) CollMode() CollMode { return p.collMode }
 
 // groupView is the part of a dense view that depends on the group and the
 // hierarchy alone: every rank of the communicator would build the same one.

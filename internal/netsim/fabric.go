@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
 	"mpichmad/internal/trace"
 	"mpichmad/internal/vtime"
@@ -144,6 +143,8 @@ func (n *Network) Bufs() *BufList { return &n.bufs }
 // SetFaults installs a fault plan (tests only). The jitter stream is a
 // self-contained seeded PRNG: two networks with equal seeds produce
 // identical jitter no matter what else the process does.
+//
+//madlint:ignore deadexport the fault model of ROADMAP item 6 drives it
 func (n *Network) SetFaults(f Faults) {
 	n.Faults = f
 	seed := f.Seed
@@ -192,17 +193,6 @@ func (n *Network) Attach(node string) *Endpoint {
 func (n *Network) Endpoint(node string) (*Endpoint, bool) {
 	ep, ok := n.endpoints[node]
 	return ep, ok
-}
-
-// Nodes returns the attached node names in lexical order, so callers
-// iterating the fabric see the same sequence every run.
-func (n *Network) Nodes() []string {
-	out := make([]string, 0, len(n.endpoints))
-	for name := range n.endpoints {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Send injects pkt onto the wire from ep toward pkt.Dst. The caller has

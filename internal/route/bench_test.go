@@ -54,7 +54,7 @@ func planWorkload(b *testing.B, plan *Plan, nClusters, perCluster int) {
 	for c := 0; c < nClusters; c++ {
 		leader := c * perCluster
 		for m := 1; m < perCluster; m++ {
-			if _, _, ok := plan.NextHop(leader+m, leader); !ok {
+			if hops, ok := plan.Path(leader+m, leader); !ok || len(hops) == 0 {
 				b.Fatalf("member %d cannot reach leader %d", leader+m, leader)
 			}
 		}

@@ -88,6 +88,8 @@ func (p *Plan) BlocOf(rank int) int { return p.blocOf[rank] }
 
 // BlocMembers returns the ascending member ranks of a bloc. The returned
 // slice is the plan's own and must not be modified.
+//
+//madlint:ignore deadexport bench/ uses it
 func (p *Plan) BlocMembers(b int) []int { return p.blocs[b].members }
 
 // rep returns the bloc's representative: its lowest member, the rank the

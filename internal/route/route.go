@@ -198,13 +198,6 @@ type bloc struct {
 	sig     []string // sorted net names, no duplicates
 }
 
-// Compute plans shortest-cost routing state at the given reference
-// payload size (DefaultRefBytes when refBytes <= 0) with the classic
-// single-path, congestion-free options.
-func Compute(g Graph, refBytes int) *Plan {
-	return ComputeOpts(g, Options{RefBytes: refBytes})
-}
-
 // ComputeOpts builds the routing state under the given options. This is
 // O(N + nets): attachment indexes and the bloc partition only. All
 // shortest-path trees are computed lazily on first query and cached —
@@ -310,17 +303,17 @@ func (p *Plan) DirectEdge(a, b int) (net string, cost float64, ok bool) {
 }
 
 // N returns the number of procs planned over.
+//
+//madlint:ignore deadexport bench/ uses it
 func (p *Plan) N() int { return p.n }
 
 // RefBytes returns the reference payload the edge costs were taken at.
 func (p *Plan) RefBytes() int { return p.ref }
 
-// MaxPaths returns the number of edge-disjoint paths the plan exposes per
-// pair (1 for the classic single-path planner).
-func (p *Plan) MaxPaths() int { return p.maxPaths }
-
 // CongestionOf returns the congestion term the plan was computed with for
 // a rank (0 when none was supplied).
+//
+//madlint:ignore deadexport tests in another package call it (cluster's adaptive re-planning tests)
 func (p *Plan) CongestionOf(rank int) float64 {
 	if p.congestion == nil {
 		return 0
@@ -337,22 +330,6 @@ func (p *Plan) Congested() bool { return p.congestion != nil }
 
 // useHier reports whether queries resolve over the bloc quotient graph.
 func (p *Plan) useHier() bool { return p.congestion == nil }
-
-// Routable reports whether dst is reachable from src.
-func (p *Plan) Routable(src, dst int) bool {
-	if src == dst {
-		return true
-	}
-	if p.useHier() {
-		bs, bd := p.blocOf[src], p.blocOf[dst]
-		if bs == bd {
-			_, _, ok := p.cheapestEdge(src, dst, nil)
-			return ok
-		}
-		return p.quotientFor(bs).prevNR[bd] != unreached
-	}
-	return p.rankTreeFor(src).prev[dst] != unreached
-}
 
 // Cost returns the path cost in seconds at the reference payload
 // (including any congestion terms the plan was computed with); ok=false
@@ -466,28 +443,6 @@ func (p *Plan) Hops(src, dst int) int {
 	return len(hops)
 }
 
-// NextHop returns the first hop toward dst and the network carrying it;
-// ok=false when unroutable or src == dst.
-func (p *Plan) NextHop(src, dst int) (hop int, net string, ok bool) {
-	hops, routable := p.Path(src, dst)
-	if !routable || len(hops) == 0 {
-		return -1, "", false
-	}
-	return hops[0].Rank, hops[0].Net, true
-}
-
-// PathCost re-evaluates the path's cost at an arbitrary payload size
-// (the planner picked the path at the reference size); ok=false when
-// unroutable. Congestion terms are not included: this is the wire cost of
-// the chosen path.
-func (p *Plan) PathCost(src, dst, nBytes int) (float64, bool) {
-	hops, ok := p.Path(src, dst)
-	if !ok {
-		return 0, false
-	}
-	return p.PathCostOf(hops, nBytes), true
-}
-
 // PathCostOf evaluates the wire cost of an explicit hop list at a payload
 // size (used to weight stripe rails and rank alternates).
 func (p *Plan) PathCostOf(hops []Hop, nBytes int) float64 {
@@ -512,19 +467,9 @@ func (p *Plan) PathBottleneckOf(hops []Hop, nBytes int) float64 {
 	return worst
 }
 
-// PathSegment recommends the relay pipelining segment for the src->dst
-// path: the smallest PipelineSegment of the networks along it (the
-// bottleneck hop paces the pipeline); 0 when unroutable or direct.
-func (p *Plan) PathSegment(src, dst int) int {
-	hops, ok := p.Path(src, dst)
-	if !ok {
-		return 0
-	}
-	return p.PathSegmentOf(hops)
-}
-
-// PathSegmentOf is PathSegment for an explicit hop list; 0 for direct
-// (single-hop) paths.
+// PathSegmentOf recommends the relay pipelining segment for a path: the
+// smallest PipelineSegment of the networks along it (the bottleneck hop
+// paces the pipeline); 0 for direct (single-hop) paths.
 func (p *Plan) PathSegmentOf(hops []Hop) int {
 	if len(hops) < 2 {
 		return 0
@@ -545,26 +490,4 @@ func (p *Plan) StripeSegmentOf(hops []Hop) int {
 		}
 	}
 	return seg
-}
-
-// RelayLoad counts, per rank, how many ordered routable pairs relay
-// through it (the rank is an interior hop of the pair's path) — the
-// static gateway load of the plan.
-func (p *Plan) RelayLoad() []int {
-	load := make([]int, p.n)
-	for s := 0; s < p.n; s++ {
-		for d := 0; d < p.n; d++ {
-			if s == d {
-				continue
-			}
-			hops, ok := p.Path(s, d)
-			if !ok {
-				continue
-			}
-			for _, h := range hops[:len(hops)-1] {
-				load[h.Rank]++
-			}
-		}
-	}
-	return load
 }

@@ -9,6 +9,12 @@ import (
 	"mpichmad/internal/netsim"
 )
 
+// compute plans the classic single-path, congestion-free state at a
+// reference payload size (DefaultRefBytes when refBytes <= 0).
+func compute(g Graph, refBytes int) *Plan {
+	return ComputeOpts(g, Options{RefBytes: refBytes})
+}
+
 // randomGraph builds a random heterogeneous proc/network graph with n
 // procs and up to four networks of mixed protocols, some trunk-capped.
 func randomGraph(rng *rand.Rand, n int) Graph {
@@ -97,29 +103,28 @@ func TestPlanMatchesBruteForce(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		n := rng.Intn(7) + 2
 		g := randomGraph(rng, n)
-		plan := Compute(g, DefaultRefBytes)
+		plan := compute(g, DefaultRefBytes)
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
 				if s == d {
 					continue
 				}
 				want, reachable := bruteCost(g, DefaultRefBytes, s, d)
-				if plan.Routable(s, d) != reachable {
-					t.Fatalf("iter %d: routable(%d,%d) = %v, brute force says %v",
-						iter, s, d, plan.Routable(s, d), reachable)
+				got, ok := plan.Cost(s, d)
+				if ok != reachable {
+					t.Fatalf("iter %d: Cost(%d,%d) ok = %v, brute force says reachable = %v",
+						iter, s, d, ok, reachable)
 				}
 				if !reachable {
 					continue
 				}
-				got, _ := plan.Cost(s, d)
 				if math.Abs(got-want) > 1e-12 {
 					t.Fatalf("iter %d: cost(%d,%d) = %g, brute force %g", iter, s, d, got, want)
 				}
-				viaPath, _ := plan.PathCost(s, d, DefaultRefBytes)
-				if math.Abs(viaPath-got) > 1e-12 {
-					t.Fatalf("iter %d: PathCost(%d,%d) = %g, Cost = %g", iter, s, d, viaPath, got)
-				}
 				hops, _ := plan.Path(s, d)
+				if viaPath := plan.PathCostOf(hops, DefaultRefBytes); math.Abs(viaPath-got) > 1e-12 {
+					t.Fatalf("iter %d: PathCostOf(Path(%d,%d)) = %g, Cost = %g", iter, s, d, viaPath, got)
+				}
 				if hops[len(hops)-1].Rank != d {
 					t.Fatalf("iter %d: path(%d,%d) ends at %d", iter, s, d, hops[len(hops)-1].Rank)
 				}
@@ -137,7 +142,7 @@ func TestPlanDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 10; iter++ {
 		g := randomGraph(rng, 6)
-		a, b := Compute(g, DefaultRefBytes), Compute(g, DefaultRefBytes)
+		a, b := compute(g, DefaultRefBytes), compute(g, DefaultRefBytes)
 		for s := 0; s < g.N; s++ {
 			for d := 0; d < g.N; d++ {
 				pa, oka := a.Path(s, d)
@@ -202,7 +207,7 @@ func randomClusterGraph(rng *rand.Rand, maxRanks int) Graph {
 // TestHierarchicalMatchesDense is the eager==lazy equivalence property
 // test: on random multi-cluster topologies (and on the unstructured
 // random graphs, where almost every rank is its own bloc), the lazy
-// hierarchical plan answers Routable/Cost/Path/NextHop/Hops/Paths
+// hierarchical plan answers Cost/Path/Hops/Paths
 // byte-identically to the retained dense all-pairs reference — including
 // exact float equality of costs and the deterministic tie-breaks — with
 // and without congestion feedback, across MaxPaths settings.
@@ -228,10 +233,6 @@ func TestHierarchicalMatchesDense(t *testing.T) {
 		dense := computeDense(g, opts)
 		for s := 0; s < g.N; s++ {
 			for d := 0; d < g.N; d++ {
-				if lazy.Routable(s, d) != dense.routable(s, d) {
-					t.Fatalf("iter %d: Routable(%d,%d): lazy %v, dense %v",
-						iter, s, d, lazy.Routable(s, d), dense.routable(s, d))
-				}
 				lc, lok := lazy.Cost(s, d)
 				dc, dok := dense.cost(s, d)
 				if lok != dok || lc != dc {
@@ -254,16 +255,6 @@ func TestHierarchicalMatchesDense(t *testing.T) {
 				} else if got != want {
 					t.Fatalf("iter %d: Hops(%d,%d) = %d for unroutable pair", iter, s, d, got)
 				}
-				if s != d {
-					lr, ln, lok := lazy.NextHop(s, d)
-					if lok != (dok && len(dp) > 0) {
-						t.Fatalf("iter %d: NextHop(%d,%d) ok=%v, dense %v", iter, s, d, lok, dok)
-					}
-					if lok && (lr != dp[0].Rank || ln != dp[0].Net) {
-						t.Fatalf("iter %d: NextHop(%d,%d) = (%d,%s), dense (%d,%s)",
-							iter, s, d, lr, ln, dp[0].Rank, dp[0].Net)
-					}
-				}
 				lps, lok := lazy.Paths(s, d)
 				dps, dok := dense.paths(s, d)
 				if lok != dok || !reflect.DeepEqual(lps, dps) {
@@ -282,7 +273,7 @@ func TestBlocInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 20; iter++ {
 		g := randomClusterGraph(rng, 48)
-		plan := Compute(g, DefaultRefBytes)
+		plan := compute(g, DefaultRefBytes)
 		for b := 0; b < plan.BlocCount(); b++ {
 			members := plan.BlocMembers(b)
 			repr := members[0]
@@ -484,7 +475,7 @@ func TestPathSegmentBottleneck(t *testing.T) {
 		},
 		Nets: map[string]netsim.Params{"sci": sci, "tcp": tcp, "myri": bip},
 	}
-	plan := Compute(g, DefaultRefBytes)
+	plan := compute(g, DefaultRefBytes)
 	if got := plan.Hops(0, 3); got != 3 {
 		t.Fatalf("hops(0,3) = %d, want 3", got)
 	}
@@ -495,15 +486,12 @@ func TestPathSegmentBottleneck(t *testing.T) {
 	if s := bip.PipelineSegment(); s < want {
 		want = s
 	}
-	if got := plan.PathSegment(0, 3); got != want {
-		t.Fatalf("PathSegment(0,3) = %d, want bottleneck %d", got, want)
+	path, _ := plan.Path(0, 3)
+	if got := plan.PathSegmentOf(path); got != want {
+		t.Fatalf("PathSegmentOf(Path(0,3)) = %d, want bottleneck %d", got, want)
 	}
-	if got := plan.PathSegment(0, 1); got != 0 {
+	direct, _ := plan.Path(0, 1)
+	if got := plan.PathSegmentOf(direct); got != 0 {
 		t.Fatalf("direct pair segment = %d, want 0", got)
-	}
-	// Gateways 1 and 2 each relay for the chain's separated pairs.
-	load := plan.RelayLoad()
-	if load[1] == 0 || load[2] == 0 || load[0] != 0 || load[3] != 0 {
-		t.Fatalf("relay load = %v", load)
 	}
 }

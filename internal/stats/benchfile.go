@@ -39,6 +39,8 @@ func (f *BenchFile) Encode() ([]byte, error) {
 }
 
 // WriteFile stores the file at path.
+//
+//madlint:ignore deadexport tests in another package call it (the root BenchmarkScaleMachine writes BENCH_scale.json)
 func (f *BenchFile) WriteFile(path string) error {
 	data, err := f.Encode()
 	if err != nil {

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"mpichmad/internal/netsim"
@@ -136,20 +135,6 @@ func SizeLabel(n int) string {
 	default:
 		return fmt.Sprintf("%d", n)
 	}
-}
-
-// ParseSizes reads a comma-separated list of byte counts, the -sizes flag
-// of the sweep commands.
-func ParseSizes(list string) ([]int, error) {
-	var sizes []int
-	for _, f := range strings.Split(list, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		sizes = append(sizes, n)
-	}
-	return sizes, nil
 }
 
 // sizesOf returns every size any of the series has a point at, ascending:

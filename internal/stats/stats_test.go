@@ -132,13 +132,3 @@ func TestBenchFileRoundTripsCommittedFiles(t *testing.T) {
 		t.Errorf("%s does not round-trip: %d bytes read, %d written", path, len(want), len(got))
 	}
 }
-
-// ParseSizes reads the sweep commands' -sizes flag.
-func TestBenchFileAddAndParseSizes(t *testing.T) {
-	if got, err := ParseSizes("0, 4,1024"); err != nil || len(got) != 3 || got[1] != 4 || got[2] != 1024 {
-		t.Errorf("ParseSizes = %v, %v", got, err)
-	}
-	if _, err := ParseSizes("4,x"); err == nil {
-		t.Error("ParseSizes accepted a non-number")
-	}
-}

@@ -72,6 +72,8 @@ func (r *Registry) Get(name, label string) int64 {
 
 // Snapshot returns every metric sorted by (name, label) — a
 // deterministic structured export regardless of map order.
+//
+//madlint:ignore deadexport bench/ uses it
 func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil

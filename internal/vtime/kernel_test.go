@@ -271,7 +271,7 @@ func TestDeadlineErrorCarriesTaskDump(t *testing.T) {
 }
 
 // A long-lived event that is subscribed to and cancelled over and over
-// (WaitAny polling the same pending request) keeps no dead slots.
+// (a waiter polling the same pending request) keeps no dead slots.
 func TestOnFireCancelDoesNotGrow(t *testing.T) {
 	s := New()
 	ev := NewEvent(s, "pending")

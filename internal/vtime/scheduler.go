@@ -73,6 +73,8 @@ type Task struct {
 func (t *Task) Name() string { return t.name }
 
 // ID returns the task's unique id (assigned in spawn order).
+//
+//madlint:ignore deadexport tests in another package call it (mpi's progress-thread count)
 func (t *Task) ID() int { return t.id }
 
 // waitReason says what a blocked task waits for. It is kept in parts and
@@ -145,6 +147,8 @@ func (p *TaskPanic) Error() string {
 }
 
 // Unwrap returns the original panic value if it was an error.
+//
+//madlint:ignore deadexport errors.Unwrap calls it
 func (p *TaskPanic) Unwrap() error {
 	err, _ := p.Value.(error)
 	return err

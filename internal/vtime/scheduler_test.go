@@ -387,17 +387,19 @@ func TestSpawnFromTask(t *testing.T) {
 	}
 }
 
+// TestMutex: a one-permit Sem excludes: ten read-sleep-write sections held
+// across a virtual sleep lose no update.
 func TestMutex(t *testing.T) {
 	s := New()
-	mu := NewMutex(s, "m")
+	mu := NewSem(s, "m", 1)
 	n := 0
 	for i := 0; i < 10; i++ {
 		s.Go("w", func() {
-			mu.Lock()
+			mu.Acquire()
 			v := n
 			s.Sleep(1 * Microsecond) // would expose races without the lock
 			n = v + 1
-			mu.Unlock()
+			mu.Release()
 		})
 	}
 	if err := s.Run(); err != nil {

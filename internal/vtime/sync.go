@@ -1,7 +1,7 @@
 package vtime
 
 // This file provides virtual-time synchronization primitives. They mirror
-// the shapes of sync.Mutex / semaphores / condition variables but block in
+// the shapes of semaphores / condition variables / channels but block in
 // virtual time: a waiting task consumes no simulated CPU and wakes exactly
 // when the corresponding release/fire/push event occurs.
 //
@@ -65,20 +65,6 @@ func (m *Sem) Value() int { return m.n }
 // Waiting returns how many tasks are queued on the semaphore.
 func (m *Sem) Waiting() int { return m.waiters.len() }
 
-// Mutex is a binary semaphore with Lock/Unlock naming.
-type Mutex struct{ sem *Sem }
-
-// NewMutex creates an unlocked virtual-time mutex.
-func NewMutex(s *Scheduler, name string) *Mutex {
-	return &Mutex{sem: NewSem(s, name, 1)}
-}
-
-// Lock acquires the mutex, blocking in virtual time.
-func (m *Mutex) Lock() { m.sem.Acquire() }
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.sem.Release() }
-
 // Event is a one-shot broadcast flag: Wait blocks until Fire, after which
 // all current and future Waits return immediately.
 type Event struct {
@@ -138,6 +124,8 @@ func (e *Event) Fire() {
 // closures on the ones that never fired: it empties its slot and trims
 // the empty tail, so a long-lived event that is waited on again and again
 // (MPI_Waitany polling the same pending request) does not grow.
+//
+//madlint:ignore deadexport the order pin's programs subscribe with it, and vtimectx's rule names it
 func (e *Event) OnFire(fn func()) (cancel func()) {
 	if e.fired {
 		fn()
@@ -214,6 +202,8 @@ func (q *Queue[T]) join(t *Task, timeout Duration, ln *lane) {
 }
 
 // PopTimeout is Pop with a virtual-time timeout; ok=false on timeout.
+//
+//madlint:ignore deadexport the poll pin's reference loop (waitPollLoop) calls it
 func (q *Queue[T]) PopTimeout(d Duration) (T, bool) {
 	deadline := q.s.Now().Add(d)
 	for {
