@@ -75,8 +75,8 @@ func stripePingPong(size, maxPaths int) (oneWay vtime.Duration, qPeak int, err e
 // Striping is disabled so the comparison isolates re-routing. Returns
 // the measured transfer time (send start to receive completion) and the
 // hot gateway's queue high-water during that window. It reads the clock
-// itself where every other experiment goes through timed or pingPong: the
-// interval runs from one rank's send to another rank's receive, once,
+// itself where every other experiment goes through completion or pingPong:
+// the interval runs from one rank's send to another rank's receive, once,
 // with a re-plan between the barrier and the send.
 //
 // Replan's contract is a quiescent collective boundary: no rank may be

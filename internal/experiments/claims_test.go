@@ -123,11 +123,19 @@ var claims = []claim{
 	// X6: the per-link device mux beats the uniform single-protocol transport.
 	{"x6.mux-bcast", "PR 6 X6", "heteromux", "Mux_Bcast", "Uniform_Bcast", diff, sz(8, 256, 4<<10, 64<<10, 256<<10), lt(0)},
 	{"x6.mux-allreduce", "PR 6 X6", "heteromux", "Mux_Allreduce", "Uniform_Allreduce", diff, sz(8, 256, 4<<10, 64<<10, 256<<10), lt(0)},
-	// X9: multi-leader over single-leader at 1 MiB, floors 0.9 x PR 23's ratios.
-	{"x9.multi-bcast", "PR 10/23 X9", "multileader", "ML_Bcast_single", "ML_Bcast_multi", ratio, sz(1 << 20), gt(1.8)},
-	{"x9.multi-allreduce", "PR 10/23 X9", "multileader", "ML_Allreduce_single", "ML_Allreduce_multi", ratio, sz(1 << 20), gt(2.29)},
-	{"x9.multi-allgather", "PR 10/23 X9", "multileader", "ML_Allgather_single", "ML_Allgather_multi", ratio, sz(1 << 20), gt(2.02)},
-	{"x9.multi-alltoall", "PR 10/23 X9", "multileader", "ML_Alltoall_single", "ML_Alltoall_multi", ratio, sz(1 << 20), gt(1.91)},
+	// X9: multi-leader over single-leader at 1 MiB, floors 0.9 × the ratios on
+	// the completion clock (1.8025, 2.8907, 2.9667, 2.1510), rounded down.
+	{"x9.multi-bcast", "X9 0.9 × ratio", "multileader", "ML_Bcast_single", "ML_Bcast_multi", ratio, sz(1 << 20), gt(1.62)},
+	{"x9.multi-allreduce", "X9 0.9 × ratio", "multileader", "ML_Allreduce_single", "ML_Allreduce_multi", ratio, sz(1 << 20), gt(2.6)},
+	{"x9.multi-allgather", "X9 0.9 × ratio", "multileader", "ML_Allgather_single", "ML_Allgather_multi", ratio, sz(1 << 20), gt(2.67)},
+	{"x9.multi-alltoall", "X9 0.9 × ratio", "multileader", "ML_Alltoall_single", "ML_Alltoall_multi", ratio, sz(1 << 20), gt(1.93)},
+	// X9: no multi-leader time below what the wires allow — the busiest
+	// directed bridge's share of the 1 MiB (N/2, 2N/3, N/3, N) at Table 1's
+	// 11.2 MB/s TCP rate, in µs rounded down.
+	{"x9.bcast-bridge-bound", "Table 1 X9", "multileader", "ML_Bcast_multi", "", value, sz(1 << 20), ge(44642.8)},
+	{"x9.allreduce-bridge-bound", "Table 1 X9", "multileader", "ML_Allreduce_multi", "", value, sz(1 << 20), ge(59523.8)},
+	{"x9.allgather-bridge-bound", "Table 1 X9", "multileader", "ML_Allgather_multi", "", value, sz(1 << 20), ge(29761.9)},
+	{"x9.alltoall-bridge-bound", "Table 1 X9", "multileader", "ML_Alltoall_multi", "", value, sz(1 << 20), ge(89285.7)},
 	// X8, 1024 ranks: the derived leader tree against the binomial tree's records.
 	{"x8.bcast-below-allreduce", "PR 8 X8", "scale", "Bcast", "Allreduce", diff, sz(64, 1<<10, 16<<10), lt(0)},
 	{"x8.barrier-vs-binomial", "PR 24 X8", "scale", "Barrier", "", value, sz(0), in("(]", 0, 0.85*1740.459)},

@@ -9,8 +9,9 @@
 // the two ablations are ping-pong sweeps (mpptest.PingPong behind
 // mpptest.MPIPingPong: one session per sweep, a barrier before each size)
 // and are rows of the registry table below, not functions. The extension
-// experiments time collectives with measure.go's timed — a fresh session
-// per point, iters repetitions, rank 0's clock — and keep for themselves
+// experiments time collectives with measure.go's completion — from a
+// synchronised start to the last rank's return, one operation per fresh
+// session except on scale's 1024-rank machine — and keep for themselves
 // only what differs between them: topology, sizes, and the counters they
 // read off the session.
 package experiments
@@ -347,7 +348,8 @@ func forwarding() (*Result, error) {
 // heterogeneous topology: two 4-node SCI islands joined by a TCP
 // backbone, with node declarations interleaved so consecutive ranks
 // alternate islands (the adversarial placement for a flat binomial tree).
-// Reported value is the per-operation completion time at rank 0.
+// Reported value is one operation's completion: from a synchronised start
+// to the last rank's return.
 //
 // The *_cap series rerun the headline operations with the backbone's
 // aggregate-bandwidth arbiter on (netsim.Params.NetworkBandwidth set to
@@ -368,17 +370,16 @@ func forwarding() (*Result, error) {
 // allgather); Allreduce_ring2l_cap is its two-level form (intra-cluster
 // rings around the single leader exchange) under the capped backbone.
 //
-// The *_ovl series measure the schedule engine's overlap: each iteration
+// The *_ovl series measure the schedule engine's overlap: every rank
 // starts the nonblocking two-level operation, runs a chunked compute loop
 // sized to the blocking two-level time at that payload, then waits; the
 // reported value is the exposed (non-hidden) communication time, i.e.
-// per-iteration wall time minus the injected compute.
+// the composite's completion minus the injected compute.
 func hierCollectives() (*Result, error) {
 	sizes := []int{8, 256, 4 << 10, 64 << 10, 256 << 10}
 	largest := sizes[len(sizes)-1]
 	topo := hierTopo()
 	capped := hierTopoCapped()
-	const iters = 3
 	benches := []struct {
 		name string
 		topo cluster.Topology
@@ -412,11 +413,11 @@ func hierCollectives() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			perOp, err := timed(sess, iters, size, bm.op, nil)
+			took, _, err := completion(sess, nil, bm.op.at(size))
 			if err != nil {
 				return nil, err
 			}
-			s.Add(size, perOp)
+			s.Add(size, took[0])
 			if st := sess.Networks["wan"].Stats; size == largest && (st.TrunkQueueDelay > 0 || st.TrunkPeak > 0) {
 				fmt.Fprintf(&contention, "%-22s %18.2f %12d\n", bm.name, st.TrunkQueueDelay.Seconds()*1e3, st.TrunkPeak)
 			}
@@ -451,7 +452,7 @@ func hierCollectives() (*Result, error) {
 			base, _ := blocking[ob.base].At(size)
 			compute := base.OneWay
 			const chunks = 64
-			per, err := timed(sess, iters, size, func(comm *mpi.Comm, size int) error {
+			took, _, err := completion(sess, nil, func(comm *mpi.Comm) error {
 				req, err := ob.start(comm, size)
 				if err != nil {
 					return err
@@ -460,11 +461,11 @@ func hierCollectives() (*Result, error) {
 					sess.Ranks[comm.Rank()].Proc.Compute(compute / chunks)
 				}
 				return req.Wait()
-			}, nil)
+			})
 			if err != nil {
 				return nil, err
 			}
-			s.Add(size, max(per-compute, 0))
+			s.Add(size, max(took[0]-compute, 0))
 		}
 		series = append(series, s)
 	}

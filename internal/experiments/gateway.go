@@ -39,20 +39,19 @@ func gatewayTopo() cluster.Topology {
 	}
 }
 
-// gatewayRun times iters repetitions of op on a fresh session and returns
-// rank 0's per-operation time, the gateway-relayed messages of the sampled
-// window (the opening sample is stored, the closing one subtracts it) and
-// the session's relay stats. A nil op leaves the window empty — the
-// baseline whose relays belong to the barriers themselves.
-func gatewayRun(topo cluster.Topology, mode mpi.CollMode, iters, size int,
+// gatewayRun times one op on a fresh session and returns its completion,
+// the messages the gateways relayed between the synchronised start and the
+// last rank's return (the opening sample is stored, the closing one
+// subtracts it) and the whole session's relay stats.
+func gatewayRun(topo cluster.Topology, mode mpi.CollMode, size int,
 	op collOp) (vtime.Duration, uint64, []stats.RelayStat, error) {
 	sess, err := forced(topo, mode)
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	var relayed uint64
-	perOp, err := timed(sess, iters, size, op, func() { relayed = forwardedBy(sess) - relayed })
-	return perOp, relayed, sess.RelayStats(), err
+	took, _, err := completion(sess, func() { relayed = forwardedBy(sess) - relayed }, op.at(size))
+	return took[0], relayed, sess.RelayStats(), err
 }
 
 // forwardedBy is the number of messages the session's gateways have
@@ -64,28 +63,20 @@ func forwardedBy(sess *cluster.Session) (total uint64) {
 	return total
 }
 
-// gatewayColl measures one collective's per-operation time on the
-// bridged topology and the gateway-relayed message count per operation.
-// The relay count of an identical empty window (the bracketing barriers'
-// own gateway traffic) is subtracted, so the hop series reports what the
-// operation itself costs.
+// gatewayColl measures one collective's completion on the bridged topology
+// and the messages the gateways relayed for it, per size.
 func gatewayColl(topo cluster.Topology, mode mpi.CollMode, sizes []int,
 	op collOp) (*stats.Series, map[int]uint64, []stats.RelayStat, error) {
-	const iters = 3
 	s := &stats.Series{}
 	hops := make(map[int]uint64)
 	var relays []stats.RelayStat
-	_, base, _, err := gatewayRun(topo, mode, iters, 0, nil)
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	for _, size := range sizes {
-		perOp, relayed, rs, err := gatewayRun(topo, mode, iters, size, op)
+		took, relayed, rs, err := gatewayRun(topo, mode, size, op)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		s.Add(size, perOp)
-		hops[size] = (relayed - base) / iters
+		s.Add(size, took)
+		hops[size] = relayed
 		if size == sizes[len(sizes)-1] {
 			relays = rs
 		}

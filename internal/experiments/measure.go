@@ -1,16 +1,17 @@
 package experiments
 
-// The measurement kernels every extension experiment shares. The
-// ping-pong is mpptest.PingPong; this file holds the timed-collective
-// loop, the four collective operations it is given, and the two session
-// shapes the experiments run them on. What stays with each experiment is
-// its topology, its sizes and what it reads off the session afterwards.
+// The measurement kernels every extension experiment shares. The p2p one is
+// the paper's ping-pong (mpptest.PingPong); the collective one is completion:
+// each operation from a synchronised start to the last rank's return. This
+// file holds both, the four collective operations the experiments give
+// completion, and the forced-mode session shape. What stays with each
+// experiment is its topology, its sizes and the counters it reads.
 //
-// Two measurements are not "iters × op" on rank 0's clock: adaptive.go's
-// loaded transfer times one send from its start on rank 0 to its completion
-// on rank 8, across a re-plan, and scale.go sweeps both collectives and every
-// size inside one 1024-rank session — a fresh session per point would cost a
-// Build of the machine each — and reports what the machine took (completion).
+// Two experiments do not build a fresh session per point. adaptive.go's
+// loaded transfer reads the clock itself: one send from its start on rank 0
+// to its completion on rank 8, across a re-plan. scale.go sweeps both
+// collectives and every size inside one 1024-rank session through completion,
+// because a Build of that machine per point would be most of the experiment.
 
 import (
 	"mpichmad/internal/cluster"
@@ -22,6 +23,11 @@ import (
 // collOp is one collective call on fresh buffers; size is the per-rank
 // payload in bytes (for alltoall, the block each pair exchanges).
 type collOp func(comm *mpi.Comm, size int) error
+
+// at binds op to one payload size, as completion takes it.
+func (op collOp) at(size int) func(comm *mpi.Comm) error {
+	return func(comm *mpi.Comm) error { return op(comm, size) }
+}
 
 func bcast(comm *mpi.Comm, size int) error {
 	return comm.Bcast(make([]byte, size), size, mpi.Byte, 0)
@@ -53,51 +59,19 @@ func forced(topo cluster.Topology, mode mpi.CollMode) (*cluster.Session, error) 
 	return sess, nil
 }
 
-// timed runs the session as iters repetitions of op on every rank and
-// returns rank 0's time per operation. With a sample, barriers bracket the
-// loop and rank 0 calls sample as it leaves each: two calls, which open
-// and close the window a counter is read over. The window is wider than
-// the timed loop by the closing barrier, so a nil op — the empty window —
-// measures what the barriers themselves add to the counter.
-func timed(sess *cluster.Session, iters, size int, op collOp, sample func()) (vtime.Duration, error) {
-	var perOp vtime.Duration
-	edge := func(rank int, comm *mpi.Comm) error {
-		if sample == nil {
-			return nil
-		}
-		if err := comm.Barrier(); err != nil {
-			return err
-		}
-		if rank == 0 {
-			sample()
-		}
-		return nil
-	}
-	err := sess.Run(func(rank int, comm *mpi.Comm) error {
-		if err := edge(rank, comm); err != nil {
-			return err
-		}
-		start := sess.S.Now()
-		for i := 0; op != nil && i < iters; i++ {
-			if err := op(comm, size); err != nil {
-				return err
-			}
-		}
-		if rank == 0 {
-			perOp = sess.S.Now().Sub(start) / vtime.Duration(iters)
-		}
-		return edge(rank, comm)
-	})
-	return perOp, err
-}
-
 // completion runs the session as one call of each op in turn, each from a
 // synchronised start — a barrier, then a gate every rank leaves at the instant
 // the last one reaches it — and returns per op what the machine took, the time
-// from that instant to the last rank's return, beside rank 0's own.
-func completion(sess *cluster.Session, ops ...func(comm *mpi.Comm) error) (last, rank0 []vtime.Duration, err error) {
+// from that instant to the last rank's return, beside rank 0's own. A non-nil
+// sample is called twice per op, opening and closing the window a counter is
+// read over: as the gate fires, before any rank leaves it, and as the last
+// rank returns — so neither the barrier nor Finalize is inside it.
+func completion(sess *cluster.Session, sample func(), ops ...func(comm *mpi.Comm) error) (last, rank0 []vtime.Duration, err error) {
 	last, rank0 = make([]vtime.Duration, len(ops)), make([]vtime.Duration, len(ops))
-	gate, waiting := vtime.NewEvent(sess.S, "start"), 0
+	gate, waiting, done := vtime.NewEvent(sess.S, "start"), 0, 0
+	if sample == nil {
+		sample = func() {}
+	}
 	err = sess.Run(func(rank int, comm *mpi.Comm) error {
 		for i, op := range ops {
 			if err := comm.Barrier(); err != nil {
@@ -107,7 +81,8 @@ func completion(sess *cluster.Session, ops ...func(comm *mpi.Comm) error) (last,
 				gate.Wait()
 			} else {
 				open := gate
-				gate, waiting = vtime.NewEvent(sess.S, "start"), 0
+				gate, waiting, done = vtime.NewEvent(sess.S, "start"), 0, 0
+				sample()
 				open.Fire()
 			}
 			start := sess.S.Now()
@@ -118,6 +93,9 @@ func completion(sess *cluster.Session, ops ...func(comm *mpi.Comm) error) (last,
 			last[i] = max(last[i], took)
 			if rank == 0 {
 				rank0[i] = took
+			}
+			if done++; done == len(sess.Ranks) {
+				sample()
 			}
 		}
 		return nil

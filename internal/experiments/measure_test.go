@@ -6,85 +6,38 @@ import (
 	"testing"
 
 	"mpichmad/internal/mpi"
-	"mpichmad/internal/vtime"
 )
 
-// handWrittenWindow is the sampled empty window as gateway.go spelled it
-// out before timed existed, kept as the reference: barrier, rank 0 reads
-// the counter, barrier, rank 0 reads it again. It returns the instants of
-// rank 0's two readings, the gateway-relayed messages between them, and
-// when each rank left the closing barrier.
-func handWrittenWindow(t *testing.T) (at [2]vtime.Time, relayed uint64, left []vtime.Time) {
-	t.Helper()
-	sess, err := forced(gatewayTopo(), mpi.CollHier)
+// TestCompletionEmptyWindow: completion's counter window holds the operation
+// and nothing else. With an operation that does nothing, it takes no time and
+// counts no relayed message on the bridged topology, although the session's
+// barriers and Finalize relay some, and no bridge byte on the autotuned
+// triangle — so what gateway and multileader print needs no baseline run.
+func TestCompletionEmptyWindow(t *testing.T) {
+	nothing := func(*mpi.Comm, int) error { return nil }
+	took, relayed, relays, err := gatewayRun(gatewayTopo(), mpi.CollHier, 0, nothing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	left = make([]vtime.Time, len(sess.Ranks))
-	err = sess.Run(func(rank int, comm *mpi.Comm) error {
-		if err := comm.Barrier(); err != nil {
-			return err
-		}
-		var before uint64
-		if rank == 0 {
-			before, at[0] = forwardedBy(sess), sess.S.Now()
-		}
-		if err := comm.Barrier(); err != nil {
-			return err
-		}
-		left[rank] = sess.S.Now()
-		if rank == 0 {
-			relayed, at[1] = forwardedBy(sess)-before, sess.S.Now()
-		}
-		return nil
-	})
+	var session uint64
+	for _, rs := range relays {
+		session += rs.Msgs
+	}
+	if took != 0 || relayed != 0 || session == 0 {
+		t.Errorf("bridged topology: the empty window took %v and counted %d relayed messages (the session %d, want > 0)",
+			took, relayed, session)
+	}
+	took, crossed, err := multiLeaderRun(mpi.CollAuto, 0, nothing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return at, relayed, left
-}
-
-// TestTimedEmptyWindow: with a nil op and a sample, timed calls the sample
-// twice, both times on rank 0 as it leaves a barrier, and what a counter
-// gains between the two calls is the barriers' own traffic — the baseline
-// gatewayColl subtracts from every measured window.
-func TestTimedEmptyWindow(t *testing.T) {
-	wantAt, wantRelayed, left := handWrittenWindow(t)
-	elsewhere := false
-	for _, at := range left {
-		elsewhere = elsewhere || at != left[0]
+	if took != 0 || len(crossed) != 3 {
+		t.Errorf("triangle: the empty window took %v and sampled bridges %v, want gwAB, gwBC and gwCA", took, crossed)
 	}
-	if !elsewhere {
-		t.Fatal("every rank leaves the closing barrier when rank 0 does: the instants below would not tell rank 0 from another")
-	}
-	if wantRelayed == 0 {
-		t.Fatal("the barriers of the bridged topology cross no gateway: the empty window has nothing to count")
-	}
-
-	sess, err := forced(gatewayTopo(), mpi.CollHier)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var at []vtime.Time
-	var relayed uint64
-	perOp, err := timed(sess, 3, 0, nil, func() {
-		at = append(at, sess.S.Now())
-		relayed = forwardedBy(sess) - relayed
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perOp != 0 {
-		t.Errorf("an empty window took %v per operation", perOp)
-	}
-	if len(at) != 2 || at[0] != wantAt[0] || at[1] != wantAt[1] {
-		t.Errorf("sample ran at %v, want rank 0's two barrier exits %v", at, wantAt)
-	}
-	if relayed != wantRelayed {
-		t.Errorf("the empty window counted %d relayed messages, the hand-written one %d", relayed, wantRelayed)
-	}
-	if _, base, _, err := gatewayRun(gatewayTopo(), mpi.CollHier, 3, 0, nil); err != nil || base != wantRelayed {
-		t.Errorf("gatewayRun's empty window: %d relayed messages (%v), want %d", base, err, wantRelayed)
+	for bridge, bytes := range crossed {
+		if bytes != 0 {
+			t.Errorf("triangle: the empty window counted %d bytes on %s", bytes, bridge)
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ func scale() (*Result, error) {
 			func(comm *mpi.Comm) error { return comm.Bcast(make([]byte, n), n, mpi.Byte, scaleBcastRoot) })
 	}
 	ops = append(ops, func(comm *mpi.Comm) error { return comm.Barrier() })
-	took, _, err := completion(sess, ops...)
+	took, _, err := completion(sess, nil, ops...)
 	if err != nil {
 		return nil, err
 	}

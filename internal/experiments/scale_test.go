@@ -36,7 +36,7 @@ func latencies(t *testing.T, nClusters, perCluster int, tr *trace.Tracer) (last,
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, rank0, err = completion(sess, latencyOps...)
+	last, rank0, err = completion(sess, nil, latencyOps...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,9 @@ func (c *Comm) Barrier() error {
 }
 
 // Bcast broadcasts count elements of dt from root to every member
-// (MPI_Bcast). The tuning table picks the two-level tree (pipelined in
-// segments for large payloads) on multi-cluster topologies, the flat
-// binomial tree otherwise.
+// (MPI_Bcast), compiled as one schedule: the flat binomial tree, the
+// two-level tree, whole or pipelined in segments, or the multi-leader form
+// whose shards walk chains of clusters over every bridge at once.
 func (c *Comm) Bcast(buf []byte, count int, dt Datatype, root int) error {
 	req, err := c.Ibcast(buf, count, dt, root)
 	if err != nil {
@@ -79,8 +79,10 @@ func (c *Comm) Allgather(sendBuf []byte, recvBuf []byte, count int, dt Datatype)
 }
 
 // Alltoall sends a distinct count-element block to every member and
-// receives one from each (MPI_Alltoall). Flat pairwise rotation, or the
-// two-level leader-bundled exchange on multi-cluster topologies.
+// receives one from each (MPI_Alltoall), compiled as one schedule: the flat
+// pairwise rotation, the two-level leader-bundled exchange, whole or
+// pipelined in segments, or the multi-leader form whose co-leaders carry
+// each directed cluster bundle over their own bridge.
 func (c *Comm) Alltoall(sendBuf []byte, recvBuf []byte, count int, dt Datatype) error {
 	req, err := c.Ialltoall(sendBuf, recvBuf, count, dt)
 	if err != nil {

@@ -455,13 +455,13 @@
 //     148 ms and moved 2.1 MB per bridge as whole pieces, 114 ms and 1.4 MB
 //     as chunks (82 ms now that the rounds overlap).
 //
-// The aggregate effect on the bridged triangle at 1 MiB: Bcast engages
-// all three bridges at half the bytes each (2.0x over the single-leader
-// form on the root's clock), Allreduce and Allgather load the three bridges
-// equally with two thirds of what the funneled forms put on the leader's
-// (2.5x and 2.2x), and Alltoall balances the three bridges exactly where the
-// funneled form tripled the load on the leader's bridge (2.1x). On the last
-// rank's clock the four take 1.35, 1.38, 1.42 and 1.32 times what the
+// The aggregate effect on the bridged triangle at 1 MiB, from a synchronised
+// start to the last rank's return: Bcast engages all three bridges at half
+// the bytes each (1.8x over the single-leader form), Allreduce and Allgather
+// load the three bridges equally with two thirds of what the funneled forms
+// put on the leader's (2.9x and 3.0x), and Alltoall balances the three
+// bridges exactly where the funneled form tripled the load on the leader's
+// bridge (2.2x). The four take 1.35, 1.38, 1.42 and 1.31 times what the
 // bridges need for their bytes; README's multi-leader section has the
 // breakdown. The autotuner treats "2level-multi" as one more candidate and
 // the crossover is measured, not assumed: on the triangle it takes every
