@@ -16,6 +16,7 @@ import (
 
 	"mpichmad/internal/mpi"
 	"mpichmad/internal/netsim"
+	"mpichmad/internal/route"
 	"mpichmad/internal/vtime"
 )
 
@@ -35,14 +36,16 @@ func (sess *Session) fastestNet(node string) string {
 }
 
 // discoverHierarchy groups ranks into clusters and summarizes the intra-
-// and inter-cluster links for the collective tuning table. maxSegment,
-// when positive, caps the backbone pipeline segment at the session's
-// single globally elected eager threshold — only uniform single-threshold
-// sessions pass one. Per-link mux sessions pass 0: each network's
-// PipelineSegment is already clamped by its own native switch point, and
-// routedInter additionally clamps multi-hop backbone paths by the
-// smallest switch point actually along them, so broadcast segments never
-// trigger a rendez-vous round-trip per segment on any hop.
+// and inter-cluster links for the collective tuning table, and every
+// network for the multi-leader forms' pipeline sizes. maxSegment, when
+// positive, caps the backbone's and every network's pipeline segment and
+// switch point at the session's single globally elected eager threshold —
+// only uniform single-threshold sessions pass one. Per-link mux sessions
+// pass 0: each network's PipelineSegment is already clamped by its own
+// native switch point, and routedInter additionally clamps multi-hop
+// backbone paths by the smallest switch point actually along them, so
+// broadcast segments never trigger a rendez-vous round-trip per segment on
+// any hop.
 func (sess *Session) discoverHierarchy(maxSegment int) *mpi.Hierarchy {
 	h := &mpi.Hierarchy{ClusterOf: make([]int, len(sess.places))}
 	clusterIdx := make(map[string]int) // cluster key -> dense id, by first rank
@@ -69,6 +72,10 @@ func (sess *Session) discoverHierarchy(maxSegment int) *mpi.Hierarchy {
 		if p := sess.Networks[name].Params; p.Bandwidth > bw {
 			best, bw = name, p.Bandwidth
 		}
+	}
+	h.Nets = make(map[string]mpi.Link, len(sess.Networks))
+	for name := range sess.Networks {
+		h.Nets[name] = sess.linkFor(name, maxSegment)
 	}
 	if best != "" {
 		h.Inter = sess.linkFor(best, maxSegment)
@@ -351,7 +358,8 @@ func (sess *Session) bdpRelayWindows(h *mpi.Hierarchy) map[string]int {
 }
 
 // linkFor summarizes one network as a tuning-table link. maxSegment > 0
-// caps the pipeline segment (devices' elected eager threshold).
+// caps the pipeline segment and the switch point (devices' elected eager
+// threshold).
 func (sess *Session) linkFor(netName string, maxSegment int) mpi.Link {
 	var params netsim.Params
 	if net, ok := sess.Networks[netName]; ok {
@@ -361,13 +369,14 @@ func (sess *Session) linkFor(netName string, maxSegment int) mpi.Link {
 		params = netsim.SharedMemory()
 	}
 	lat, bw := params.LatencyBandwidth()
-	seg := params.PipelineSegment()
-	if maxSegment > 0 && seg > maxSegment {
-		seg = maxSegment
+	seg, sw := params.PipelineSegment(), params.SwitchPoint
+	if maxSegment > 0 {
+		seg, sw = min(seg, maxSegment), min(sw, maxSegment)
 	}
 	shared := params.NetworkBandwidth / netsim.MB
 	return mpi.Link{
 		Net: netName, LatencyUS: lat, BandwidthMBs: bw, SegmentBytes: seg, SharedMBs: shared,
+		SwitchBytes: sw, Class: route.ClassOf(params).String(),
 		SendUS: params.SendOverhead.Micros(), DeliverUS: deliveryOf(&params).Micros(), ByteUS: byteUS(bw, shared),
 	}
 }

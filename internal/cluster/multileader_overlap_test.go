@@ -18,9 +18,10 @@ import (
 // mlTriangleOps are the four multi-leader operations at a whole payload of
 // 1 MiB (the vector of a Bcast or an Allreduce, the matrix a rank sends in an
 // Alltoall, the vector an Allgather ends with), each with the time the
-// bridges need for its bytes, the factor of it the form may take, the bytes
-// one bridge carried at the parent (both directions; the Bcast's over the
-// three) and the roots a rooted form is measured from.
+// bridges need for its bytes, the factor of it the form may take (what it
+// measures, 1.36 / 1.36 / 1.38 / 1.27, plus 0.05), the most bytes one bridge
+// may carry (both directions; the Bcast's over the three) — what it moved
+// in 7 KiB chunks — and the roots a rooted form is measured from.
 var mlTriangleOps = []struct {
 	name        string
 	boundMS     float64
@@ -29,17 +30,17 @@ var mlTriangleOps = []struct {
 	roots       []int
 	call        func(comm *mpi.Comm, root int) error
 }{
-	{"Bcast", 44.6, 1.5, 2.114e6, []int{0, 4, 8}, func(comm *mpi.Comm, root int) error {
+	{"Bcast", 44.6, 1.41, 2113432, []int{0, 4, 8}, func(comm *mpi.Comm, root int) error {
 		return comm.Bcast(make([]byte, 1<<20), 1<<20, mpi.Byte, root)
 	}},
-	{"Allreduce", 59.5, 1.6, 1.41e6, []int{0}, func(comm *mpi.Comm, _ int) error {
+	{"Allreduce", 59.5, 1.41, 1408892, []int{0}, func(comm *mpi.Comm, _ int) error {
 		return comm.Allreduce(make([]byte, 1<<20), make([]byte, 1<<20), 1<<17, mpi.Float64, mpi.OpSum)
 	}},
-	{"Allgather", 29.8, 1.45, 0.70e6, []int{0}, func(comm *mpi.Comm, _ int) error {
+	{"Allgather", 29.8, 1.43, 704438, []int{0}, func(comm *mpi.Comm, _ int) error {
 		per := (1 << 20) / comm.Size()
 		return comm.Allgather(make([]byte, per), make([]byte, per*comm.Size()), per, mpi.Byte)
 	}},
-	{"Alltoall", 89.3, 1.38, 2.11e6, []int{0}, func(comm *mpi.Comm, _ int) error {
+	{"Alltoall", 89.3, 1.32, 2113314, []int{0}, func(comm *mpi.Comm, _ int) error {
 		per := (1 << 20) / comm.Size()
 		return comm.Alltoall(make([]byte, per*comm.Size()), make([]byte, per*comm.Size()), per, mpi.Byte)
 	}},
@@ -117,12 +118,12 @@ func TestMultiLeaderOverlapsBridgeRounds(t *testing.T) {
 			total := uint64(0)
 			for name, b := range loads {
 				total += b
-				if tc.name != "Bcast" && b > tc.bridgeBytes+tc.bridgeBytes/50 {
-					t.Errorf("%s of 1 MiB: bridge %s carried %d bytes, %d before the rounds overlapped", tc.name, name, b, tc.bridgeBytes)
+				if tc.name != "Bcast" && b > tc.bridgeBytes {
+					t.Errorf("%s of 1 MiB: bridge %s carried %d bytes, %d in 7 KiB chunks", tc.name, name, b, tc.bridgeBytes)
 				}
 			}
-			if tc.name == "Bcast" && total > tc.bridgeBytes+tc.bridgeBytes/50 {
-				t.Errorf("Bcast of 1 MiB from %d: the bridges carried %d bytes, %d before the rounds overlapped", root, total, tc.bridgeBytes)
+			if tc.name == "Bcast" && total > tc.bridgeBytes {
+				t.Errorf("Bcast of 1 MiB from %d: the bridges carried %d bytes, %d in 7 KiB chunks", root, total, tc.bridgeBytes)
 			}
 			if forwarded != 0 {
 				t.Errorf("%s of 1 MiB: ch_mad devices relayed %d messages, want 0", tc.name, forwarded)

@@ -8,6 +8,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -412,23 +414,64 @@ func TestMultiLeaderEquivalenceShapes(t *testing.T) {
 	}
 }
 
+// slabUnit mirrors the multi-leader forms' slab unit (slabbing) on a session
+// without measured thresholds: of the cluster pair whose couples carry the
+// most, its couple count times the chunk of its first couple — a bridge's
+// pipeline segment for couples at the two ends of one, the least segment of
+// any network for couples the fabric routes. An exchange whose longest pair
+// carries c units is cut into ⌈c/⌈√c⌉⌉ slabs: one up to two units, two up to
+// six, four from thirteen on.
+func slabUnit(h *mpi.Hierarchy) int {
+	least, widest, unit := math.MaxInt, 0, 0
+	for _, l := range h.Nets {
+		least = min(least, l.SegmentBytes)
+	}
+	for _, set := range h.LeaderSets {
+		widest = max(widest, len(set))
+	}
+	for ci, gi := range h.LeaderGateways {
+		for cj, gj := range h.LeaderGateways {
+			var shared []string
+			for _, gw := range gj {
+				if gw != "" && slices.Contains(gi, gw) {
+					shared = append(shared, gw)
+				}
+			}
+			couples := map[[2]int]bool{}
+			for k := 0; k < widest && len(shared) == 0; k++ {
+				si, sj := h.LeaderSets[ci], h.LeaderSets[cj]
+				couples[[2]int{si[k%len(si)], sj[k%len(sj)]}] = true
+			}
+			switch {
+			case ci == cj:
+			case len(shared) > 0:
+				unit = max(unit, len(shared)*h.Nets[shared[0]].SegmentBytes)
+			default:
+				unit = max(unit, len(couples)*least)
+			}
+		}
+	}
+	return unit
+}
+
 // TestMultiLeaderEquivalenceSlabs is the same pin at payloads a slab-pipelined
-// bridge exchange cuts, on every wiring of mlShapes and on the bridged
-// triangle: stripes of exactly two segments and of two segments and a byte
-// (the rule that decides whether a stripe crosses whole or in chunks),
-// stripes of three and more slabs of eight chunks with a ragged last one from
-// a count that neither the clusters nor their couples divide, and one case of
-// 1 MiB per operation on the triangle. Roots are a plain member and a
-// co-leader that is not its cluster's primary; the variants take turns at
-// strided types, one buffer as send and receive, every operation, and both
-// collectives pending across tagged point-to-point traffic.
+// bridge exchange cuts, on every wiring of mlShapes, on the bridged triangle
+// and on a ring deep enough for two- and three-level trees: an exchange of one
+// slab (an Allreduce piece of exactly two units, stripes of whole chunks), of
+// two slabs (four units and a byte, the last chunk and slab ragged) and of
+// four slabs and more (seventeen units and an element, which neither the
+// clusters nor their couples divide), plus one case of 1 MiB per operation on
+// the triangle. Roots are a plain member and a co-leader that is not its
+// cluster's primary; the variants take turns at strided types, one buffer as
+// send and receive, every operation, and both collectives pending across
+// tagged point-to-point traffic. The chain keeps, as a row of its own, the
+// case that hung when its couple through the middle island was cut in chunks
+// above that island's eager threshold.
 func TestMultiLeaderEquivalenceSlabs(t *testing.T) {
 	type shape = struct {
 		name string
 		topo func() Topology
 	}
-	// Beside mlShapes: the bridged triangle with its Myrinet island, and a
-	// ring whose clusters are deep enough for two- and three-level trees.
 	shapes := append(mlShapes[:len(mlShapes):len(mlShapes)], shape{"triangle", bridgedTriangle},
 		shape{"deep", func() Topology { return ringClusterTopo([]int{5, 3, 4}) }})
 	for si, sh := range shapes {
@@ -438,13 +481,10 @@ func TestMultiLeaderEquivalenceSlabs(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := sess.Hierarchy()
-			// A plain member and a co-leader behind its cluster's primary; the
-			// widest leader set, which bounds the couples of a cluster pair.
-			plain, second, widest := -1, -1, 0
+			// A plain member and a co-leader behind its cluster's primary.
+			plain, second := -1, -1
 			for r := len(sess.Ranks) - 1; r >= 0; r-- {
-				set := h.LeaderSets[h.ClusterOf[r]]
-				widest = max(widest, len(set))
-				switch at := posOf(set, r); {
+				switch at := posOf(h.LeaderSets[h.ClusterOf[r]], r); {
 				case at < 0:
 					plain = r
 				case at > 0:
@@ -454,25 +494,25 @@ func TestMultiLeaderEquivalenceSlabs(t *testing.T) {
 			if plain < 0 || second < 0 {
 				t.Fatalf("no plain member (%d) or no second co-leader (%d) in %v", plain, second, h.LeaderSets)
 			}
-			C, seg := h.NumClusters(), h.Inter.SegmentBytes
-			// 19 chunks per couple are three slabs of eight, the last ragged;
-			// the odd element keeps clusters and couples from dividing it.
-			long := C*widest*19*seg/8 + 1
+			// The Allreduce's pair carries a piece, count/C elements; an
+			// Allgather's one island's blocks, an Alltoall's two islands' worth.
+			C, u := h.NumClusters(), slabUnit(h)
 			progs := []mlProgram{
-				// An Allreduce piece of exactly two segments where one couple
-				// carries it; an Allgather bundle of three ranks a byte or
-				// two over.
-				{count: C * 2 * seg, per: 2*seg/3 + 1, root: plain, bytes: true},
-				// The piece one byte over; nine Alltoall blocks just over.
-				{count: C * (2*seg + 1), per: 2*seg/9 + 1, root: second, bytes: true, aliased: true, icoll: true},
-				{count: long, per: long / C / 3, root: second, aliased: true},
-				{count: long/2 + 1, per: long / C / 6, root: plain, strided: true, icoll: true},
+				{count: C * 2 * u, per: 2 * u / 9, root: plain, bytes: true},
+				{count: C * (4*u + 1), per: (4*u + 1) / 3, root: second, bytes: true, aliased: true, icoll: true},
+				{count: C*17*u/8 + 1, per: 17 * u / 8 / 3, root: second, aliased: true},
+				{count: C*17*u/16 + 1, per: 17 * u / 16 / 6, root: plain, strided: true, icoll: true},
 			}
-			if sh.name == "triangle" {
-				progs = append(progs, mlProgram{count: 1 << 17, per: 1<<17/9 + 1, root: plain, icoll: true})
+			for pi := range progs {
+				progs[pi].seed, progs[pi].op = byte(29*si+7*pi), mlOps[(4*si+pi)%len(mlOps)]
 			}
-			for pi, pg := range progs {
-				pg.seed, pg.op = byte(29*si+7*pi), mlOps[(len(progs)*si+pi)%len(mlOps)]
+			switch sh.name {
+			case "chain":
+				progs = append(progs, mlProgram{seed: 14, count: 116737, per: 116737 / 3 / 3, root: second, op: mpi.OpMin, aliased: true})
+			case "triangle":
+				progs = append(progs, mlProgram{seed: 29*byte(si) + 28, count: 1 << 17, per: 1<<17/9 + 1, root: plain, op: mpi.OpSum, icoll: true})
+			}
+			for _, pg := range progs {
 				mlEquivalent(t, sh.name, sh.topo, pg)
 			}
 		})

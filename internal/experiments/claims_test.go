@@ -136,6 +136,13 @@ var claims = []claim{
 	{"x9.allreduce-bridge-bound", "Table 1 X9", "multileader", "ML_Allreduce_multi", "", value, sz(1 << 20), ge(59523.8)},
 	{"x9.allgather-bridge-bound", "Table 1 X9", "multileader", "ML_Allgather_multi", "", value, sz(1 << 20), ge(29761.9)},
 	{"x9.alltoall-bridge-bound", "Table 1 X9", "multileader", "ML_Alltoall_multi", "", value, sz(1 << 20), ge(89285.7)},
+	// X9: with chunks, slabs and Bcast segments sized from the links they ride
+	// (§4.2.2: each network carries messages sized for it), no multi-leader
+	// time above 1.03 × what it measures so.
+	{"x9.bcast-bridge-ceiling", "§4.2.2 X9", "multileader", "ML_Bcast_multi", "", value, sz(1 << 20), le(1.03 * 57818.48)},
+	{"x9.allreduce-bridge-ceiling", "§4.2.2 X9", "multileader", "ML_Allreduce_multi", "", value, sz(1 << 20), le(1.03 * 80616.05)},
+	{"x9.allgather-bridge-ceiling", "§4.2.2 X9", "multileader", "ML_Allgather_multi", "", value, sz(1 << 20), le(1.03 * 40990.50)},
+	{"x9.alltoall-bridge-ceiling", "§4.2.2 X9", "multileader", "ML_Alltoall_multi", "", value, sz(1 << 20), le(1.03 * 111724.65)},
 	// X8, 1024 ranks: the derived leader tree against the binomial tree's records.
 	{"x8.bcast-below-allreduce", "PR 8 X8", "scale", "Bcast", "Allreduce", diff, sz(64, 1<<10, 16<<10), lt(0)},
 	{"x8.barrier-vs-binomial", "PR 24 X8", "scale", "Barrier", "", value, sz(0), in("(]", 0, 0.85*1740.459)},

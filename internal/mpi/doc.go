@@ -48,8 +48,9 @@
 //     posted later than that — a Bcast sink matches what it was streamed
 //     after its own cycles — must be eager, or the two wait for each other
 //     (seen on the Myrinet island: 16 KiB shards are rendez-vous bodies
-//     there). bcastMulti asks the device (Comm.eagerTo) and streams during
-//     the cycles only what is.
+//     there). bcastMulti cuts no segment above any network's eager threshold
+//     (chainSegment) and streams during the cycles only a segmented shard,
+//     never one that ships whole.
 //   - One pair, one lane. Messages of a schedule share a tag and match FIFO
 //     per source. Within a round the two lanes run concurrently, so a
 //     directed pair may have sends on one of them only; across rounds the
@@ -400,10 +401,13 @@
 //     each: round t carries slab t-i of stage i, bridge chunks as plain
 //     sends and every intra-cluster send on the round's second lane, so a
 //     co-leader feeds slab t+1 and drains slab t-1 on its fast fabric while
-//     slab t crosses. A slab is eight chunks per couple (slabChunks), at
-//     most eight slabs to an exchange, the same cut on every rank because it
-//     follows from the longest pair's traffic; one slab is the unpipelined
-//     form, the stages one round after the other. Allreduce is a
+//     slab t crosses. A couple's chunk is the largest that stays eager on
+//     the bridge it crosses, capped by the bridge's pipeline segment (the
+//     least of every network's for a couple the fabric routes), and a slab
+//     is about √(chunks of the longest pair) chunks per couple — the same
+//     cut on every rank, because it follows from the Hierarchy and the
+//     class thresholds every rank holds; one slab is the unpipelined form,
+//     the stages one round after the other. Allreduce is a
 //     cluster-level reduce-scatter and allgather in one pipeline of ten or
 //     so stages: the binomial reduce to the primary (a level a stage), the
 //     hand-off of piece j to the couples facing cluster j, the crossing, the
@@ -444,24 +448,24 @@
 //     same round) and the whole FIFO argument (one tag per schedule, both
 //     ends of a pair enumerate alike, one lane per pair per round) —
 //     hmulti.go spells it out, slabs included.
-//   - Eager chunks on the bridge: a stripe longer than two pipeline
-//     segments crosses as segment-sized eager messages, not as one
-//     rendez-vous body. Rails are the reason. A direct pair has two
+//   - Eager chunks on the bridge: a stripe crosses as chunks sized from
+//     the bridge (§4.2.2: each network carries messages sized for it), not
+//     as one rendez-vous body. Rails are the reason. A direct pair has two
 //     installed rails on a bridged topology — its own bridge and the
 //     detour over the other two — and ch_mad stripes a rendez-vous body
 //     over both, which doubles a forwarded pair's bandwidth when the
 //     machine is otherwise idle and is pure extra load when the collective
 //     already fills every bridge: a 1 MiB Allreduce on the triangle took
 //     148 ms and moved 2.1 MB per bridge as whole pieces, 114 ms and 1.4 MB
-//     as chunks (82 ms now that the rounds overlap).
+//     as chunks (81 ms with the rounds overlapped and TCP-sized chunks).
 //
 // The aggregate effect on the bridged triangle at 1 MiB, from a synchronised
 // start to the last rank's return: Bcast engages all three bridges at half
-// the bytes each (1.8x over the single-leader form), Allreduce and Allgather
+// the bytes each (1.9x over the single-leader form), Allreduce and Allgather
 // load the three bridges equally with two thirds of what the funneled forms
-// put on the leader's (2.9x and 3.0x), and Alltoall balances the three
+// put on the leader's (2.9x and 3.1x), and Alltoall balances the three
 // bridges exactly where the funneled form tripled the load on the leader's
-// bridge (2.2x). The four take 1.35, 1.38, 1.42 and 1.31 times what the
+// bridge (2.2x). The four take 1.30, 1.35, 1.38 and 1.25 times what the
 // bridges need for their bytes; README's multi-leader section has the
 // breakdown. The autotuner treats "2level-multi" as one more candidate and
 // the crossover is measured, not assumed: on the triangle it takes every

@@ -16,6 +16,37 @@ func (c *Comm) View() (clusterOf []int, clusters [][]int, remote []int) {
 	return ct.clusterOf, ct.clusters, ct.remote
 }
 
+// Couple is one co-leader couple of the multi-leader forms' pair table: the
+// ranks at its two ends, whether they front one bridge, and the chunk this
+// rank derives for it.
+type Couple struct {
+	X, Y   int
+	Direct bool
+	Chunk  int
+}
+
+// Couples lists every couple of the communicator's view, pair by pair.
+func (c *Comm) Couples() (out []Couple) {
+	for _, row := range c.topo().relays {
+		for _, rs := range row {
+			for _, r := range rs {
+				out = append(out, Couple{r.x, r.y, r.direct, c.chunkBytes(r)})
+			}
+		}
+	}
+	return out
+}
+
+// Slabbing is how the multi-leader forms cut an exchange in which every
+// cluster pair carries size bytes, in elements of es bytes: n slabs of w.
+func (c *Comm) Slabbing(size, es int) (n, w int) {
+	return c.topo().slabbing(c.chunkBytes, es, func(_, _ int) int { return size })
+}
+
+// ChainSegment is the segment a multi-leader Bcast of n bytes cuts its
+// shards into.
+func (c *Comm) ChainSegment(n int) int { return c.chainSegment(c.topo(), n) }
+
 // Done reports whether the collective has completed, without the progress
 // call Test makes.
 func (r *CollRequest) Done() bool { return r.done.Fired() }

@@ -1,5 +1,7 @@
 package mpi
 
+import "slices"
+
 // Multi-leader two-level schedule compilers: the bandwidth-aggregation
 // forms of Bcast/Allreduce/Allgather/Alltoall. The single-leader
 // compilers in hcoll.go cross the backbone once per slow link — but they
@@ -37,9 +39,9 @@ package mpi
 //     feeds slab t+1 and drains slab t-1.
 //   - Bcast has one source, so it pipelines instead: shard k walks a chain of
 //     clusters rotated by k, each hop a couple picked from the same table,
-//     in eager-path segments, and a cluster's holder hands each segment to
-//     the members beside the path on the second lane of the round that
-//     forwards it (see bcastMulti).
+//     in segments eager on every network, and a cluster's holder hands each
+//     segment to the members beside the path on the second lane of the round
+//     that forwards it (see bcastMulti).
 //
 // Deadlock and FIFO discipline. Every rank emits the same global sequence
 // of rounds — pipeline round t runs stage i on slab t-i — and inside a stage
@@ -52,7 +54,7 @@ package mpi
 // peer to reach the round it is in itself, and the peer's earlier rounds
 // wait only for sends of earlier rounds: by induction over the round index
 // nothing waits in a circle, with one slab — a phase a round, as the forms
-// were before they were cut — or with eight. The two lanes of a round do
+// were before they were cut — or with many. The two lanes of a round do
 // not change that: each lane's sends are issued in order, and the one thing
 // a send on a lane can wait for is the same peer reaching the same round.
 // All messages of a schedule share one tag and match FIFO per source: a
@@ -68,7 +70,8 @@ package mpi
 // Only Bcast posts a receive later than the round its send is in — a sink
 // matches what it was streamed when its own cycles are over, a path's last
 // rank a segment late — and there the send must be eager, on a pair no other
-// stream of the cycles uses: bcastMulti checks both.
+// stream of the cycles uses: chainSegment sees to the first, bcastMulti
+// checks the second.
 
 // shardChain lays out shard k's inter-cluster relay chain over the clusters
 // in visiting order (root cluster first, the rest rotated by k so each
@@ -113,16 +116,16 @@ func (ct *commTopo) shardChain(root, k int) (path, holder, egress []int, via []s
 // gateway (the shard reaches its cluster's bridge-facing egress in one
 // fast-fabric hop first), so concurrent shards cross the machine in
 // different directions over different gateways and every directed bridge
-// pipe carries ~1/K of the payload. The path is pipelined in eager-path
-// segments exactly like the segmented single-leader form: each path rank
-// forwards segment s while segment s+1 is still crossing the previous
-// bridge. The members the path skipped get each segment from their cluster's
-// holder — as eager segments, so the stream never blocks — on the second
-// lane of the round that forwards it, while the holder's bridge drains; what
-// cannot go then (a segment above the fabric's eager threshold, a member the
-// holder also feeds another shard's path) goes after the cycles, and an
-// unsegmented shard ends in the path's last cluster by a whole-shard
-// binomial tree from the terminal rank.
+// pipe carries ~1/K of the payload. The path is pipelined in segments sized
+// from the links (chainSegment), eager on every network, like the segmented
+// single-leader form: each path rank forwards segment s while segment s+1 is
+// still crossing the previous bridge. The members the path skipped get each
+// segment from their cluster's holder — as eager segments, so the stream
+// never blocks — on the second lane of the round that forwards it, while the
+// holder's bridge drains; what cannot go then (a member the holder also feeds
+// another shard's path) goes after the cycles, and an unsegmented shard ends
+// in the path's last cluster by a whole-shard binomial tree from the terminal
+// rank.
 //
 // Two details keep opposite directions of a shared bridge concurrently
 // busy instead of ping-ponging: only path ranks take per-segment rounds
@@ -146,7 +149,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	data, fin := c.bcastStaging(b, a)
 	bounds := splitBounds(len(data), K)
 	members := ct.clusters[ct.myCluster]
-	seg := c.segmentBytes()
+	seg := c.chainSegment(ct, len(data))
 
 	// My role on shard k's relay path and in its intra-cluster fan-out —
 	// identical on every rank by construction.
@@ -170,7 +173,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 			di := ct.myCluster
 			pl.holder, pl.termCluster = holder[di], di == last
 			pl.gw = via[di]
-			if i := posIn(path, c.myRank); i >= 0 {
+			if i := slices.Index(path, c.myRank); i >= 0 {
 				if i > 0 {
 					pl.pred = path[i-1]
 				}
@@ -195,7 +198,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	// feeds reports whether x sends to y along the path of a shard other than k.
 	feeds := func(k, x, y int) bool {
 		for k2, path := range paths {
-			if i := posIn(path, y); k2 != k && i > 0 && path[i-1] == x {
+			if i := slices.Index(path, y); k2 != k && i > 0 && path[i-1] == x {
 				return true
 			}
 		}
@@ -210,12 +213,10 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	//
 	// streams[i] says whether the holder hands the shard to sink i during the
 	// cycles, by the same two rules: the segments must be eager, because a
-	// sink matches them late, and the holder may feed that sink no other
-	// shard's path — beside a plain root, a co-leader is sink of one shard
-	// and path of the other, and gets the first after the cycles as it always
-	// did. Worked out by the two ends only, each asking its own device about
-	// the other: one link of the cluster's fabric, the same threshold both
-	// ways.
+	// sink matches them late — which a segment is, on every network
+	// (chainSegment) — and the holder may feed that sink no other shard's
+	// path: beside a plain root, a co-leader is sink of one shard and path of
+	// the other, and gets the first after the cycles as it always did.
 	for k := range plans {
 		pl := &plans[k]
 		if last := len(paths[k]) - 1; pl.termCluster && last > 0 {
@@ -223,9 +224,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 		}
 		pl.streams = make([]bool, len(pl.sinks))
 		for i, sk := range pl.sinks {
-			if c.myRank == pl.holder || c.myRank == sk {
-				pl.streams[i] = pl.nseg > 1 && !feeds(k, pl.holder, sk) && c.eagerTo(pl.holder+sk-c.myRank, seg)
-			}
+			pl.streams[i] = pl.nseg > 1 && !feeds(k, pl.holder, sk)
 		}
 	}
 	chunkOf := func(pl *shardPlan, s int) []byte {
@@ -296,7 +295,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	for s := 0; s < maxSeg+2; s++ {
 		for k := range plans {
 			pl := &plans[k]
-			if r, i := s-2*int(b2i(pl.late)), posIn(pl.sinks, c.myRank); r >= 0 && r < pl.nseg && i >= 0 && pl.streams[i] {
+			if r, i := s-2*int(b2i(pl.late)), slices.Index(pl.sinks, c.myRank); r >= 0 && r < pl.nseg && i >= 0 && pl.streams[i] {
 				b.recv(pl.holder, chunkOf(pl, r))
 			}
 		}
@@ -305,9 +304,9 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 
 	// Post phase, serialized per shard, for what did not stream. The holder
 	// sends the shard's segments to the members the path never touched, which
-	// match them in the same round — so a segment above the fabric's eager
-	// threshold blocks nobody. An unsegmented shard ends in its last cluster
-	// by a whole-shard binomial tree rooted at the terminal rank instead.
+	// match them in the same round — so even a rendez-vous body blocks nobody.
+	// An unsegmented shard ends in its last cluster by a whole-shard binomial
+	// tree rooted at the terminal rank instead.
 	//
 	// FIFO safety: every rank's cycle rounds precede its post rounds and
 	// the post phases run in ascending shard order on every rank, so any
@@ -318,7 +317,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 		pl := &plans[k]
 		b.onShard(k, pl.gw)
 		if pl.nseg == 1 && pl.termCluster {
-			parent, children := binomialOver(members, posIn(members, pl.holder), posIn(members, c.myRank))
+			parent, children := binomialOver(members, slices.Index(members, pl.holder), slices.Index(members, c.myRank))
 			b.treeBcast(parent, children, data[pl.lo:pl.hi])
 		}
 		for s := 0; s < pl.nseg && !(pl.nseg == 1 && pl.termCluster); s++ {
@@ -354,7 +353,8 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 // of slab s+3 cross out, the bridges carry both without a gap between the
 // phases, and the tree reduce, the hand-offs and the fan-out of the other
 // slabs run beside them on the second lane. At 1 MiB on the bridged triangle
-// that is 82 ms where the phases one after the other took 114.
+// that is 81 ms, five slabs of five 14 562 B chunks on each bridge, where the
+// phases one after the other took 114 in 7 KiB chunks.
 //
 // When a piece is shorter than the backbone's bandwidth-delay product the
 // second crossing costs more in latency than the bytes it saves: the
@@ -366,7 +366,7 @@ func (c *Comm) bcastMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 // whole-vector case end on the same bits whatever the op rounds.
 func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	count, dt, op := a.count, a.dt, a.op
-	es, myD, seg := dt.Size(), ct.myCluster, c.segmentBytes()
+	es, myD := dt.Size(), ct.myCluster
 	members, myPos, leaderPos := ct.clusterPos(c.myRank)
 	leader := members[leaderPos]
 	acc := b.loadAcc(a.send, a.recv, count, dt)
@@ -384,7 +384,7 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 	if whole {
 		pieces = 1
 	}
-	n, w := ct.slabbing(seg, es, func(_, _ int) int { return (count + pieces - 1) / pieces * es })
+	n, w := ct.slabbing(c.chunkBytes, es, func(_, _ int) int { return (count + pieces - 1) / pieces * es })
 	slab := func(s int) (lo, hi int) { return min(s*pieces*w/es, count), min((s+1)*pieces*w/es, count) }
 	at := func(j, s int) []byte {
 		lo, hi := slab(s)
@@ -403,7 +403,7 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 	// fewer — and its parent takes it in that stage: one round index at both
 	// ends of a message, as a pair's FIFO asks.
 	kids := func(r int) int {
-		_, ch := binomialOver(members, leaderPos, posIn(members, r))
+		_, ch := binomialOver(members, leaderPos, slices.Index(members, r))
 		return len(ch)
 	}
 	partial := make([][]byte, len(children))
@@ -453,7 +453,7 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 	}
 	stages = append(stages,
 		b.handOffStage(ct, c.myRank, leader, false, at),
-		b.bridgeStage(ct, c.myRank, seg, at, in),
+		b.bridgeStage(ct, c.myRank, c.chunkBytes, at, in),
 		fold)
 	// Allgather: my finished pieces to every cluster, theirs in place — slab s
 	// as soon as it is folded, behind the partials still crossing. What every
@@ -462,7 +462,7 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 		home := func(_, s int) []byte { return at(myD, s) }
 		stages = append(stages,
 			b.handOffStage(ct, c.myRank, leader, false, home),
-			b.bridgeStage(ct, c.myRank, seg, home, at))
+			b.bridgeStage(ct, c.myRank, c.chunkBytes, home, at))
 	}
 	b.pipeline(n, append(stages, b.fanOutStages(ct, c.myRank, leader, func(ci, s int) []byte {
 		if whole && ci != myD {
@@ -497,7 +497,7 @@ func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 	home := b.gatherBundle(members, c.myRank, mine)
 	bundle[ct.myCluster] = home
 
-	n, w := ct.slabbing(c.segmentBytes(), 1, func(ci, _ int) int { return len(ct.clusters[ci]) * sz })
+	n, w := ct.slabbing(c.chunkBytes, 1, func(ci, _ int) int { return len(ct.clusters[ci]) * sz })
 	landed := func(ci, s int) []byte {
 		if ci == ct.myCluster {
 			return nil
@@ -505,7 +505,7 @@ func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 		return cut(bundle[ci], w, s)
 	}
 	b.pipeline(n, append([]func(int){
-		b.bridgeStage(ct, c.myRank, c.segmentBytes(), func(_, s int) []byte { return cut(home, w, s) }, landed)},
+		b.bridgeStage(ct, c.myRank, c.chunkBytes, func(_, s int) []byte { return cut(home, w, s) }, landed)},
 		b.fanOutStages(ct, c.myRank, c.myRank, landed)...)...)
 	return func() {
 		c.p.M.Charge(c.p.memTime(c.Size() * sz))
@@ -572,8 +572,7 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	// stripe's block pieces go straight to their final ranks; destinations
 	// land them in receive-vector position, offset by where the stripe
 	// boundary cut the block.
-	seg := c.segmentBytes()
-	n, w := ct.slabbing(seg, 1, func(ci, cj int) int { return len(ct.clusters[ci]) * len(ct.clusters[cj]) * sz })
+	n, w := ct.slabbing(c.chunkBytes, 1, func(ci, cj int) int { return len(ct.clusters[ci]) * len(ct.clusters[cj]) * sz })
 	// bundle(cl) is the bundle to or from cluster cl on a rank that carries a
 	// stripe of it: both are my cluster's size times the other's.
 	bundleOut, bundleIn := make([][]byte, ct.nClusters), make([][]byte, ct.nClusters)
@@ -624,7 +623,7 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 		}
 	}
 	b.pipeline(n, gather,
-		b.bridgeStage(ct, c.myRank, seg, func(cj, s int) []byte { return cut(bundle(bundleOut, cj), w, s) },
+		b.bridgeStage(ct, c.myRank, c.chunkBytes, func(cj, s int) []byte { return cut(bundle(bundleOut, cj), w, s) },
 			func(ci, s int) []byte { return cut(bundle(bundleIn, ci), w, s) }),
 		scatter)
 	return c.unpackBlocks(a.recv, a.count, a.dt, myRecv)

@@ -74,18 +74,6 @@ func (c *Comm) sendRaw(data []byte, dest, tag, ctx int) error {
 	return sr.Err
 }
 
-// eagerTo reports whether n packed bytes to dest complete locally, without
-// waiting for the receive to be posted: the threshold of the link that
-// carries them where the device resolves one per destination (ch_mad), the
-// device-wide one otherwise.
-func (c *Comm) eagerTo(dest, n int) bool {
-	dev := c.p.route(c.group[dest])
-	if per, ok := dev.(interface{ SwitchPointTo(dst int) int }); ok {
-		return n <= per.SwitchPointTo(c.group[dest])
-	}
-	return dev != nil && n <= dev.SwitchPoint()
-}
-
 func (c *Comm) statusOf(rr *adi.RecvReq) *Status {
 	n := rr.Status.Len
 	if n > len(rr.Buf) {

@@ -13,7 +13,11 @@ package mpi
 // are received from smallest stride first and sent to largest stride
 // first, member and cluster lists are walked ascending.
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // binomialOver computes a binomial tree over an explicit rank list rooted
 // at position rootPos, returning myPos's parent (-1 at the root) and
@@ -38,16 +42,6 @@ func binomialOver(members []int, rootPos, myPos int) (parent int, children []int
 		mask >>= 1
 	}
 	return parent, children
-}
-
-// posIn returns r's index within members (-1 when absent).
-func posIn(members []int, r int) int {
-	for i, m := range members {
-		if m == r {
-			return i
-		}
-	}
-	return -1
 }
 
 // treeBcast appends one tree position's share of a broadcast of buf: a
@@ -148,16 +142,26 @@ func (b *schedBuilder) exchange(peers []int, me int, inLen func(i int) int, out 
 //
 // For every ordered cluster pair the traffic crosses between the pair's
 // co-leader couples (ct.relays). It is cut into slabs of w bytes and every
-// slab is striped over the couples, stripe p on couple p; a stripe longer
-// than two segments crosses as seg-byte eager chunks, not as one rendez-vous
-// body. The chunks complete locally at the sender and skip the handshake —
-// and a rendez-vous body between the two ends of a bridge is striped by
-// ch_mad over the pair's second rail, the detour over the two other bridges,
-// which a collective that already fills every bridge pays for twice: a 1 MiB
-// Allreduce on the bridged triangle takes 148 ms and moves 2.1 MB per bridge
-// as whole pieces, 114 ms and 1.4 MB as chunks. Up to two segments a stripe
-// ships whole: it is still one eager message on a bridge, and measured 2-5 %
-// faster than two.
+// slab is striped over the couples, stripe p on couple p; a stripe crosses as
+// eager chunks, not as one rendez-vous body. The chunks complete locally at
+// the sender and skip the handshake — and a rendez-vous body between the two
+// ends of a bridge is striped by ch_mad over the pair's second rail, the
+// detour over the two other bridges, which a collective that already fills
+// every bridge pays for twice: a 1 MiB Allreduce on the bridged triangle took
+// 148 ms and moved 2.1 MB per bridge as whole pieces, 114 ms and 1.4 MB as
+// chunks.
+//
+// The sizes come from the links (§4.2.2: each network carries messages sized
+// for it). A couple's chunk is the largest that stays eager on the bridge it
+// crosses, capped by that bridge's pipeline segment (TCP: 14 562 B); a couple
+// the fabric routes may ride any link of the hierarchy and takes the least of
+// them all. A slab is about √(chunks of the longest pair) chunks per couple,
+// so there are about as many slabs: the first feed and the last drain, the
+// intra-cluster time no bridge round hides, grow with a slab, the rounds'
+// hand-shakes with their number, and the square root balances the two. A
+// pair of at most two chunks is one slab. Every input is on the Hierarchy or
+// among the class thresholds MPI_Init installed on every rank alike, so every
+// rank derives the same sizes and both ends of a couple cut the same chunks.
 //
 // A form is a list of stages — hand the outbound data to the couples, cross,
 // hand on or fold what landed, fan out — and pipeline runs them skewed by one
@@ -169,30 +173,64 @@ func (b *schedBuilder) exchange(peers []int, me int, inLen func(i int) int, out 
 // the stages then follow each other round by round, no round has two lanes,
 // and the schedule is what it was before there were slabs.
 
-// slabChunks is the least number of chunks per couple in a slab, and the most
-// slabs an exchange is cut into: slabs few enough that the rounds' hand-shakes
-// stay noise, short enough that the first feed and the last drain — the
-// intra-cluster time no bridge round hides — are a small part of the whole
-// (at 1 MiB on the bridged triangle an Allgather takes 42.3 ms with 8-chunk
-// slabs, 43.5 ms with 16, 47.8 ms unpipelined).
-const slabChunks = 8
+// eagerBytes is the largest message that rides l without a rendez-vous: the
+// threshold MPI_Init measured for l's device class, else l's own.
+func (c *Comm) eagerBytes(l Link) int {
+	if sp := c.p.classSwitch[l.Class]; sp > 0 {
+		return sp
+	}
+	return l.SwitchBytes
+}
+
+// chunkBytes is couple r's chunk: the least pipeline segment and eager
+// threshold of the bridge it crosses, or of every network for a couple the
+// fabric routes.
+func (c *Comm) chunkBytes(r relay) int {
+	chunk := math.MaxInt
+	for name, l := range c.p.hier.Nets {
+		if !r.direct || name == r.gw {
+			chunk = min(chunk, l.SegmentBytes, c.eagerBytes(l))
+		}
+	}
+	return chunk
+}
+
+// chainSegment is the segment a multi-leader Bcast of n bytes cuts each of
+// its shards into on the chains over the view's bridges: the LogGP optimum
+// √(shard·o/(hops·G)), where the shard/s segments' overheads meet the hops·s·G
+// the first segment takes to reach the chain's end, o and G being the
+// largest over the networks of what a segment costs the CPUs at a link's two
+// ends (both overheads and the device's handling) and of the time a byte
+// takes: the TCP bridges' on the bridged triangle. It is never below the
+// segment the single-leader forms cut, so a shard that ships whole there ships
+// whole here, and never above the eager threshold of any network: bridges,
+// fabrics and the holders' streams to their sinks.
+func (c *Comm) chainSegment(ct *commTopo, n int) int {
+	hi, o, g := math.MaxInt, 0.0, 0.0
+	for _, l := range c.p.hier.Nets {
+		hi, o, g = min(hi, c.eagerBytes(l)), max(o, l.DeliverUS-l.LatencyUS), max(g, l.ByteUS)
+	}
+	shard, hops := float64(n/ct.widest), float64(ct.nClusters-1)
+	return min(hi, max(c.segmentBytes(), int(math.Sqrt(shard*o/(hops*g)))))
+}
 
 // slabbing cuts one exchange: n slabs of w bytes of every pair's traffic (the
 // last ragged, pairs with less traffic run out earlier). The same on every
 // rank: size(ci, cj) is what cluster ci ships to cluster cj, and the longest
-// decides. w is a whole number of chunks on each of the most couples any pair
-// has and of es-byte elements, so a fold may follow the slabs.
-func (ct *commTopo) slabbing(seg, es int, size func(ci, cj int) int) (n, w int) {
-	longest, per := 0, seg
+// decides. w is about √(the longest pair's chunks) chunks on each couple of the
+// pair that carries the most per chunk, in whole es-byte elements so that a
+// fold may follow the slabs.
+func (ct *commTopo) slabbing(chunk func(relay) int, es int, size func(ci, cj int) int) (n, w int) {
+	longest, per := 0, 1
 	for ci, row := range ct.relays {
 		for cj, rs := range row {
 			if ci != cj {
-				longest, per = max(longest, size(ci, cj)), max(per, len(rs)*seg)
+				longest, per = max(longest, size(ci, cj)), max(per, len(rs)*chunk(rs[0]))
 			}
 		}
 	}
-	chunks := max(slabChunks, ((longest+per-1)/per+slabChunks-1)/slabChunks)
-	w = (chunks*per + es - 1) / es * es
+	k := max(1, int(math.Ceil(math.Sqrt(float64((longest+per-1)/per)))))
+	w = (k*per + es - 1) / es * es
 	return max(1, (longest+w-1)/w), w
 }
 
@@ -228,14 +266,10 @@ func (b *schedBuilder) pipeline(n int, stages ...func(s int)) {
 // this rank's cluster ships to cluster cj, in(ci) the buffer cluster ci's
 // traffic lands in, of slab s; a rank is asked only for the clusters it
 // carries a stripe of, and both ends of a couple cut the same length the same
-// way. Empty stripes are skipped on both ends. The rounds are annotated with
-// the gateway this rank fronts.
-func (b *schedBuilder) bridgeStage(ct *commTopo, me, seg int, out, in func(cl, s int) []byte) func(s int) {
-	chunks := func(buf []byte, emit func(chunk []byte)) {
-		size := seg
-		if len(buf) <= 2*seg {
-			size = 2 * seg
-		}
+// way, in chunk(couple)-byte chunks. Empty stripes are skipped on both ends.
+// The rounds are annotated with the gateway this rank fronts.
+func (b *schedBuilder) bridgeStage(ct *commTopo, me int, chunk func(relay) int, out, in func(cl, s int) []byte) func(s int) {
+	chunks := func(buf []byte, size int, emit func(chunk []byte)) {
 		for off := 0; off < len(buf); off += size {
 			emit(buf[off:min(off+size, len(buf))])
 		}
@@ -246,13 +280,13 @@ func (b *schedBuilder) bridgeStage(ct *commTopo, me, seg int, out, in func(cl, s
 			for p, r := range from {
 				if r.y == me {
 					b.onShard(0, r.gw)
-					chunks(stripe(in(cl, s), len(from), p), func(chunk []byte) { b.recv(r.x, chunk) })
+					chunks(stripe(in(cl, s), len(from), p), chunk(r), func(chunk []byte) { b.recv(r.x, chunk) })
 				}
 			}
 			for p, r := range to {
 				if r.x == me {
 					b.onShard(0, r.gw)
-					chunks(stripe(out(cl, s), len(to), p), func(chunk []byte) { b.send(r.y, chunk) })
+					chunks(stripe(out(cl, s), len(to), p), chunk(r), func(chunk []byte) { b.send(r.y, chunk) })
 				}
 			}
 		}
@@ -310,7 +344,7 @@ func (b *schedBuilder) fanOutStages(ct *commTopo, me, holder int, buf func(ci, s
 	for mask := 1 << bits.Len(uint(m-1)) >> 1; mask > 0; mask >>= 1 {
 		stages = append(stages, func(s int) {
 			level := func(root int, piece []byte) {
-				for rel, at := 0, posIn(members, root); rel+mask < m; rel += 2 * mask {
+				for rel, at := 0, slices.Index(members, root); rel+mask < m; rel += 2 * mask {
 					b.move(me, members[(at+rel)%m], members[(at+rel+mask)%m], piece)
 				}
 			}

@@ -74,8 +74,18 @@ type Link struct {
 	// BandwidthMBs is the sustained bandwidth in paper MB/s (2^20 B).
 	BandwidthMBs float64
 	// SegmentBytes is the recommended pipeline segment size for
-	// store-and-forward stages over this link (netsim.Params.PipelineSegment).
+	// store-and-forward stages over this link: netsim.Params.PipelineSegment
+	// of a network, capped at the elected threshold in a uniform session.
+	// For Inter on a forwarded topology whose leaders are not all one hop
+	// apart it is the worst routed leader-pair path's minimum — of every
+	// hop's PipelineSegment and switch point — not one network's.
 	SegmentBytes int
+	// SwitchBytes is a network's native eager->rendez-vous threshold
+	// (netsim.Params.SwitchPoint) and Class its device class ("san", "wan",
+	// ...), whose threshold measured at MPI_Init, when there is one, replaces
+	// it (Comm.eagerBytes). Zero on a routed Inter.
+	SwitchBytes int
+	Class       string
 	// SharedMBs is the link's aggregate trunk capacity in paper MB/s when
 	// the network models shared-bandwidth contention
 	// (netsim.Params.NetworkBandwidth); 0 means private per-pair pipes.
@@ -106,6 +116,11 @@ type Hierarchy struct {
 	// Inter describes the slow inter-cluster backbone. Zero-valued when
 	// the job spans a single cluster.
 	Inter Link
+	// Nets describes every network of the job by name — the cluster fabrics
+	// and the bridges the co-leader couples cross (LeaderGateways names
+	// them) — which the multi-leader forms size their chunks and segments
+	// by.
+	Nets map[string]Link
 	// Leaders, when non-nil, is the gateway-aware preferred leader world
 	// rank of each cluster, elected by the cluster session from the
 	// routing plan (ranks on gateway nodes, weighted by path cost).
@@ -446,7 +461,7 @@ func (c *Comm) oneClusterTopo() *commTopo {
 // positions of me and of the cluster leader within it.
 func (ct *commTopo) clusterPos(me int) (members []int, myPos, leaderPos int) {
 	members = ct.clusters[ct.myCluster]
-	return members, posIn(members, me), posIn(members, ct.leaders[ct.myCluster])
+	return members, slices.Index(members, me), slices.Index(members, ct.leaders[ct.myCluster])
 }
 
 // collAlgo is one row outcome of the tuning table.
@@ -789,7 +804,7 @@ func (c *Comm) twoLevelTree(ct *commTopo, root, nBytes int) (parent int, childre
 	// leader. A leader is its intra-tree's root (p = -1), so its backbone
 	// parent from the leader level is preserved.
 	members := ct.clusters[myCluster]
-	p, kids := binomialOver(members, posIn(members, lead), posIn(members, me))
+	p, kids := binomialOver(members, slices.Index(members, lead), slices.Index(members, me))
 	if p >= 0 {
 		parent = p
 	}

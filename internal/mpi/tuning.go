@@ -16,6 +16,7 @@ package mpi
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -72,16 +73,7 @@ func (p *Process) SetClassProbes(probes []ClassProbe) {
 
 // ClassSwitchPoints returns the measured per-device-class eager
 // thresholds installed by Autotune or LoadTuneTable, nil when none.
-func (p *Process) ClassSwitchPoints() map[string]int {
-	if p.classSwitch == nil {
-		return nil
-	}
-	out := make(map[string]int, len(p.classSwitch))
-	for k, v := range p.classSwitch {
-		out[k] = v
-	}
-	return out
-}
+func (p *Process) ClassSwitchPoints() map[string]int { return maps.Clone(p.classSwitch) }
 
 // installClassSwitch records one measured per-class threshold and pushes
 // it into every device that accepts per-class tuning (adi.ClassTuner).
