@@ -65,7 +65,7 @@ func main() {
 			len(tracer.Events()), *traceOut)
 	}
 	for _, r := range results {
-		if *csv && len(r.Series) > 0 {
+		if *csv && r.Unit != "" {
 			fmt.Print(r.CSV())
 		} else {
 			fmt.Println(r.Text)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 
 	"mpichmad/internal/adi"
@@ -458,53 +457,6 @@ func devPingPong(t *testing.T, params netsim.Params, size, iters int) vtime.Dura
 	})
 	r.run(t)
 	return elapsed / vtime.Duration(2*iters)
-}
-
-// TestTable2Latencies validates the ch_mad summary table of the paper.
-func TestTable2Latencies(t *testing.T) {
-	cases := []struct {
-		params netsim.Params
-		size   int
-		want   float64 // us
-		tolPct float64
-	}{
-		{netsim.FastEthernetTCP(), 0, 130, 5},
-		{netsim.FastEthernetTCP(), 4, 148.7, 5},
-		{netsim.SCISISCI(), 0, 13, 8},
-		{netsim.SCISISCI(), 4, 20, 8},
-		{netsim.MyrinetBIP(), 0, 16.9, 10},
-		{netsim.MyrinetBIP(), 4, 18.9, 12},
-	}
-	for _, c := range cases {
-		got := devPingPong(t, c.params, c.size, 4).Micros()
-		if math.Abs(got-c.want)/c.want*100 > c.tolPct {
-			t.Errorf("%s %dB ch_mad latency = %.2fus, want %.1f ±%.0f%%",
-				c.params.Network, c.size, got, c.want, c.tolPct)
-		}
-	}
-}
-
-// TestTable2Bandwidth validates the 8 MB ch_mad bandwidths (TCP 11.2,
-// BIP 115, SISCI 82.5 MB/s) — the rendez-vous zero-copy path delivers
-// nearly all of Madeleine's bandwidth.
-func TestTable2Bandwidth(t *testing.T) {
-	cases := []struct {
-		params netsim.Params
-		want   float64
-		tolPct float64
-	}{
-		{netsim.FastEthernetTCP(), 11.2, 3},
-		{netsim.SCISISCI(), 82.5, 3},
-		{netsim.MyrinetBIP(), 115, 8}, // paper reports 115 of the raw 122
-	}
-	for _, c := range cases {
-		oneWay := devPingPong(t, c.params, 8*netsim.MB, 1)
-		got := float64(8*netsim.MB) / oneWay.Seconds() / netsim.MB
-		if math.Abs(got-c.want)/c.want*100 > c.tolPct {
-			t.Errorf("%s ch_mad 8MB bandwidth = %.1f MB/s, want %.1f ±%.0f%%",
-				c.params.Network, got, c.want, c.tolPct)
-		}
-	}
 }
 
 func TestHeaderRoundtrip(t *testing.T) {

@@ -2,19 +2,23 @@ package experiments
 
 // The claims ledger: every relation the repository states about a printed
 // number — the paper's reading of its figures (§5.2–5.5), the §4.2.2
-// ablations, each extension's acceptance bar — as one row of data, judged on
-// the suite's shared All() run. all.txt pins the numbers; a row says which of
-// them the argument rests on and how far each may move, on the number the
-// table shows (Result.value(): µs, MB/s, or a GwHops_*/AdaptQ_*/RelayQ* count)
-// at every size it names. `go test -run TestClaims -v` prints the scorecard.
+// ablations, each extension's acceptance bar — and every figure the paper
+// publishes in Tables 1 and 2 (§5), as one row of data, judged on the suite's
+// shared All() run. all.txt pins the numbers; a row says which of them the
+// argument rests on and how far each may move, on the number the table shows
+// (µs, MB/s, or a GwHops_*/AdaptQ_*/RelayQ* count; a paper row reads its
+// figure's own unit) at every size it names. `go test -run TestClaims -v`
+// prints the scorecard; README's "Claims" table is it in markdown.
 
 import (
 	"fmt"
 	"math"
+	"os"
 	"slices"
 	"strings"
 	"testing"
 
+	"mpichmad/internal/netsim"
 	"mpichmad/internal/stats"
 	"mpichmad/internal/vtime"
 )
@@ -27,6 +31,7 @@ const (
 	ratio                 // a / b
 	diff                  // a − b
 	hidden                // 1 − a / b: the share of b that a leaves hidden
+	paper                 // 100 · |a − p| / p: a's error in % against the published figure p
 )
 
 // rel is the interval a measure must lie in (an open end excludes its bound)
@@ -37,10 +42,10 @@ type rel struct {
 	text           string
 }
 
-func lt(x float64) rel { return rel{math.Inf(-1), x, true, true, fmt.Sprintf("< %g", x)} }
-func le(x float64) rel { return rel{math.Inf(-1), x, true, false, fmt.Sprintf("<= %g", x)} }
-func gt(x float64) rel { return rel{x, math.Inf(1), true, true, fmt.Sprintf("> %g", x)} }
-func ge(x float64) rel { return rel{x, math.Inf(1), false, true, fmt.Sprintf(">= %g", x)} }
+func lt(x float64) rel { return rel{math.Inf(-1), x, true, true, fmt.Sprintf("< %.7g", x)} }
+func le(x float64) rel { return rel{math.Inf(-1), x, true, false, fmt.Sprintf("<= %.7g", x)} }
+func gt(x float64) rel { return rel{x, math.Inf(1), true, true, fmt.Sprintf("> %.7g", x)} }
+func ge(x float64) rel { return rel{x, math.Inf(1), false, true, fmt.Sprintf(">= %.7g", x)} }
 
 // in is [lo, hi], (lo, hi], ... as ends spells it.
 func in(ends string, lo, hi float64) rel {
@@ -64,7 +69,25 @@ type claim struct {
 
 func sz(sizes ...int) []int { return sizes }
 
-var claims = []claim{
+// paperRows makes one row per published figure: the simulated value lies
+// within the figure's tolerance of the paper's.
+func paperRows() []claim {
+	var rows []claim
+	for _, f := range published {
+		rows = append(rows, claim{fmt.Sprintf("%s.%s@%s", f.exp, f.series, stats.SizeLabel(f.size)),
+			"§5 Table " + strings.TrimPrefix(f.exp, "table"), f.exp, f.series, "", paper, sz(f.size), le(f.tolPct)})
+	}
+	return rows
+}
+
+// bridgeBound is the least time, in µs, the busiest directed bridge needs to
+// carry its share of 1 MiB at the raw TCP bandwidth Table 1 publishes.
+func bridgeBound(share float64) rel {
+	want, _, _ := Published("raw_tcp", 8*netsim.MB)
+	return ge(share * (1 << 20) / (want * netsim.MB) * 1e6)
+}
+
+var claims = append(paperRows(), []claim{
 	// §5.2, TCP: ch_mad ahead of ch_p4 to 256 B, raw below both; ~10 vs > 11 MB/s.
 	{"fig6a.chmad-beats-p4", "§5.2 Fig. 6a", "fig6a", "ch_mad", "ch_p4", diff, sz(1, 4, 64, 256), lt(0)},
 	{"fig6a.raw-below-chmad", "§5.2 Fig. 6a", "fig6a", "raw_Madeleine", "ch_mad", diff, sz(1, 4, 64, 256), lt(0)},
@@ -130,12 +153,11 @@ var claims = []claim{
 	{"x9.multi-allgather", "X9 0.9 × ratio", "multileader", "ML_Allgather_single", "ML_Allgather_multi", ratio, sz(1 << 20), gt(2.67)},
 	{"x9.multi-alltoall", "X9 0.9 × ratio", "multileader", "ML_Alltoall_single", "ML_Alltoall_multi", ratio, sz(1 << 20), gt(1.93)},
 	// X9: no multi-leader time below what the wires allow — the busiest
-	// directed bridge's share of the 1 MiB (N/2, 2N/3, N/3, N) at Table 1's
-	// 11.2 MB/s TCP rate, in µs rounded down.
-	{"x9.bcast-bridge-bound", "Table 1 X9", "multileader", "ML_Bcast_multi", "", value, sz(1 << 20), ge(44642.8)},
-	{"x9.allreduce-bridge-bound", "Table 1 X9", "multileader", "ML_Allreduce_multi", "", value, sz(1 << 20), ge(59523.8)},
-	{"x9.allgather-bridge-bound", "Table 1 X9", "multileader", "ML_Allgather_multi", "", value, sz(1 << 20), ge(29761.9)},
-	{"x9.alltoall-bridge-bound", "Table 1 X9", "multileader", "ML_Alltoall_multi", "", value, sz(1 << 20), ge(89285.7)},
+	// directed bridge's share of the 1 MiB (N/2, 2N/3, N/3, N).
+	{"x9.bcast-bridge-bound", "Table 1 X9", "multileader", "ML_Bcast_multi", "", value, sz(1 << 20), bridgeBound(1. / 2)},
+	{"x9.allreduce-bridge-bound", "Table 1 X9", "multileader", "ML_Allreduce_multi", "", value, sz(1 << 20), bridgeBound(2. / 3)},
+	{"x9.allgather-bridge-bound", "Table 1 X9", "multileader", "ML_Allgather_multi", "", value, sz(1 << 20), bridgeBound(1. / 3)},
+	{"x9.alltoall-bridge-bound", "Table 1 X9", "multileader", "ML_Alltoall_multi", "", value, sz(1 << 20), bridgeBound(1)},
 	// X9: with chunks, slabs and Bcast segments sized from the links they ride
 	// (§4.2.2: each network carries messages sized for it), no multi-leader
 	// time above 1.03 × what it measures so.
@@ -150,31 +172,57 @@ var claims = []claim{
 	{"x8.bcast64-vs-binomial", "PR 24 X8", "scale", "Bcast", "", value, sz(64), in("(]", 0, 1.01*1150.427)},
 	{"x8.bcast1K-vs-binomial", "PR 24 X8", "scale", "Bcast", "", value, sz(1 << 10), in("(]", 0, 1.01*6182.296)},
 	{"x8.bcast16K-vs-binomial", "PR 24 X8", "scale", "Bcast", "", value, sz(16 << 10), in("(]", 0, 1.01*89508.612)},
+}...)
+
+// verdict is a judged row as the scorecard shows it: a line of TestClaims's
+// log, or a row of README's "Claims" table in markdown.
+type verdict struct {
+	c                          claim
+	relation, measured, margin string
+	ok                         bool
+}
+
+const line, markdown = "%-30s %-16s %s: %s — measured %s, margin %s", "| `%s` | %s | `%s`: %s | %s | %s |"
+
+func (v verdict) as(format string) string {
+	return fmt.Sprintf(format, v.c.id, v.c.src, v.c.exp, v.relation, v.measured, v.margin)
 }
 
 // check judges the row on the suite's results — anything it names missing
-// fails it — and returns the scorecard's line: the row, what was measured at
-// its first failing size, else at its tightest one, and the margin there.
-func (c claim) check(results map[string]*Result) (line string, ok bool) {
-	expr := map[measure]string{value: c.a, ratio: c.a + " / " + c.b, diff: c.a + " − " + c.b, hidden: "1 − " + c.a + " / " + c.b}[c.m]
+// fails it — and returns what was measured at its first failing size, else at
+// its tightest one, and the margin there. A paper row also shows the
+// simulated and the published value.
+func (c claim) check(results map[string]*Result) verdict {
+	expr := map[measure]string{value: c.a, ratio: c.a + " / " + c.b, diff: c.a + " − " + c.b,
+		hidden: "1 − " + c.a + " / " + c.b, paper: "% error of " + c.a}[c.m]
 	labels := make([]string, len(c.sizes))
 	for i, size := range c.sizes {
 		labels[i] = stats.SizeLabel(size)
 	}
-	head := fmt.Sprintf("%-30s %-16s %s: %s %s at %s — ", c.id, c.src, c.exp, expr, c.want.text, strings.Join(labels, ","))
-	missing := func(format string, args ...any) (string, bool) {
-		return head + "measured nothing, margin none: " + fmt.Sprintf(format, args...), false
+	v := verdict{c: c, relation: fmt.Sprintf("%s %s at %s", expr, c.want.text, strings.Join(labels, ","))}
+	missing := func(format string, args ...any) verdict {
+		v.measured, v.margin = "nothing", "none: "+fmt.Sprintf(format, args...)
+		return v
 	}
 	r := results[c.exp]
 	if r == nil {
 		return missing("the suite ran no experiment %q", c.exp)
 	}
 	names := []string{c.a}
-	if c.m != value {
+	if c.m != value && c.m != paper {
 		names = append(names, c.b)
 	}
 	best := math.Inf(1)
 	for _, size := range c.sizes {
+		read, label := valueIn(r.Unit), stats.SizeLabel(size)
+		var f figure
+		if c.m == paper {
+			i := slices.IndexFunc(published, func(f figure) bool { return f.exp == c.exp && f.series == c.a && f.size == size })
+			if i < 0 {
+				return missing("the paper publishes no %s of %s at %s", c.a, c.exp, label)
+			}
+			f, read = published[i], valueIn(published[i].unit)
+		}
 		var vs []float64
 		for _, name := range names {
 			i := slices.IndexFunc(r.Series, func(s *stats.Series) bool { return s.Name == name })
@@ -183,41 +231,48 @@ func (c claim) check(results map[string]*Result) (line string, ok bool) {
 			}
 			p, ok := r.Series[i].At(size)
 			if !ok {
-				return missing("series %q of %s has no point at %s", name, c.exp, stats.SizeLabel(size))
+				return missing("series %q of %s has no point at %s", name, c.exp, label)
 			}
-			vs = append(vs, r.value()(p))
+			vs = append(vs, read(p))
 		}
-		v := vs[0]
+		x := vs[0]
 		switch c.m {
 		case ratio:
-			v /= vs[1]
+			x /= vs[1]
 		case diff:
-			v -= vs[1]
+			x -= vs[1]
 		case hidden:
-			v = 1 - v/vs[1]
+			x = 1 - x/vs[1]
+		case paper:
+			x = 100 * math.Abs(x-f.want) / f.want
 		}
-		margin, ok := c.want.judge(v)
-		if line == "" || !ok || margin < best {
-			line, best = head+fmt.Sprintf("measured %.6g at %s, margin %.6g", v, stats.SizeLabel(size), margin), margin
+		margin, ok := c.want.judge(x)
+		if v.measured == "" || !ok || margin < best {
+			v.measured, v.margin, best = fmt.Sprintf("%.6g at %s", x, label), fmt.Sprintf("%.6g", margin), margin
+			if c.m == paper {
+				v.measured = fmt.Sprintf("%.3g at %s: %.1f %s, published %g", x, label, vs[0], f.unit, f.want)
+			}
 		}
 		if !ok {
-			return line, false
+			return v
 		}
 	}
-	if line == "" {
+	if v.measured == "" {
 		return missing("the row names no size")
 	}
-	return line, true
+	v.ok = true
+	return v
 }
 
 // judgeClaims judges the rows whose id starts with one of prefixes ("" takes
-// every row) on the suite's shared All() run; judging none fails.
-func judgeClaims(t *testing.T, prefixes ...string) {
+// every row) on the suite's shared All() run and returns their verdicts;
+// judging none fails.
+func judgeClaims(t *testing.T, prefixes ...string) (judged []verdict) {
 	results := map[string]*Result{}
 	for _, r := range allOnce(t) {
 		results[r.ID] = r
 	}
-	seen, judged := map[string]bool{}, 0
+	seen := map[string]bool{}
 	for _, c := range claims {
 		if seen[c.id] {
 			t.Errorf("claim id %s is used twice", c.id)
@@ -226,20 +281,37 @@ func judgeClaims(t *testing.T, prefixes ...string) {
 		if !slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(c.id, p) }) {
 			continue
 		}
-		judged++
-		if line, ok := c.check(results); ok {
-			t.Log(line)
+		v := c.check(results)
+		if judged = append(judged, v); v.ok {
+			t.Log(v.as(line))
 		} else {
-			t.Error("claim " + line)
+			t.Error("claim " + v.as(line))
 		}
 	}
-	if judged == 0 {
+	if len(judged) == 0 {
 		t.Errorf("no claim row starts with any of %q", prefixes)
 	}
+	return judged
 }
 
-// TestClaims judges every row of the ledger; -v prints the scorecard.
-func TestClaims(t *testing.T) { judgeClaims(t, "") }
+// TestClaims judges every row of the ledger; -v prints the scorecard. README's
+// "Claims" table, between its markers, is the scorecard in markdown, byte for
+// byte: on a mismatch the test prints the block to paste to standard output.
+func TestClaims(t *testing.T) {
+	want := "| claim | source | relation, at sizes in bytes | measured, at its tightest size | margin |\n|---|---|---|---|---|\n"
+	for _, v := range judgeClaims(t, "") {
+		want += v.as(markdown) + "\n"
+	}
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(raw), "<!-- claims:begin -->\n")
+	if block, _, _ := strings.Cut(rest, "<!-- claims:end -->"); !ok || block != want {
+		t.Error("README.md's claims block is missing or differs from the scorecard; the block to paste between its markers follows")
+		fmt.Print(want)
+	}
+}
 
 // The shape tests the ledger absorbed keep their names, each judging the rows
 // that hold its relations (docs/changes/PR-25.md maps them).
@@ -251,14 +323,23 @@ func TestAblations(t *testing.T)              { judgeClaims(t, "x1.", "x2.") }
 func TestForwardingExperiment(t *testing.T)   { judgeClaims(t, "x3.") }
 func TestAdaptiveMultipathShape(t *testing.T) { judgeClaims(t, "x5v.") }
 
-// TestClaimFailuresNameThemselves: a flipped relation, a missing series and a
-// missing size each fail, naming the row, what it wanted, what was measured
-// and the margin — a failure is triaged from the log alone.
+// TestClaimFailuresNameThemselves: a flipped relation, a missing series, a
+// missing size and a figure off the paper's by more than its tolerance each
+// fail, naming the row, what it wanted, what was measured and the margin — a
+// failure is triaged from the log alone.
 func TestClaimFailuresNameThemselves(t *testing.T) {
 	a, b := &stats.Series{Name: "a"}, &stats.Series{Name: "b"}
 	a.Add(4, 10*vtime.Microsecond)
 	b.Add(4, 30*vtime.Microsecond)
-	results := map[string]*Result{"x": render("x", "two series", unitTime, []*stats.Series{a, b})}
+	// A figure simulated at twice the paper's value is 100 % off.
+	f := published[slices.IndexFunc(published, func(f figure) bool { return f.series == "chmad_bip" && f.size == 4 })]
+	off := &stats.Series{Name: f.series}
+	off.Add(f.size, vtime.Microseconds(2*f.want))
+	results := map[string]*Result{
+		"x":   render("x", "two series", unitTime, []*stats.Series{a, b}),
+		f.exp: {ID: f.exp, Series: []*stats.Series{off}},
+	}
+	row := claims[slices.IndexFunc(claims, func(c claim) bool { return c.m == paper && c.a == f.series && c.sizes[0] == f.size })]
 	for _, tc := range []struct {
 		c    claim
 		want string
@@ -266,14 +347,15 @@ func TestClaimFailuresNameThemselves(t *testing.T) {
 		{claim{"flipped", "test", "x", "a", "b", diff, sz(4), gt(0)}, "measured -20 at 4, margin -20"},
 		{claim{"no-series", "test", "x", "a", "nope", ratio, sz(4), gt(1)}, `x has no series "nope"`},
 		{claim{"no-size", "test", "x", "a", "b", diff, sz(4, 8), lt(0)}, `series "a" of x has no point at 8`},
+		{row, fmt.Sprintf("measured 100 at 4: %.1f us, published %g, margin %g", 2*f.want, f.want, f.tolPct-100)},
 	} {
-		line, ok := tc.c.check(results)
-		if ok {
-			t.Errorf("%s held: %s", tc.c.id, line)
+		v := tc.c.check(results)
+		if v.ok {
+			t.Errorf("%s held: %s", tc.c.id, v.as(line))
 		}
 		for _, part := range []string{tc.c.id, tc.c.want.text, "measured", "margin", tc.want} {
-			if !strings.Contains(line, part) {
-				t.Errorf("%s: %q does not say %q", tc.c.id, line, part)
+			if !strings.Contains(v.as(line), part) {
+				t.Errorf("%s: %q does not say %q", tc.c.id, v.as(line), part)
 			}
 		}
 	}

@@ -2,8 +2,7 @@ package experiments
 
 // The suite run the package's tests share, and the registry's own tests. The
 // paper's *shape* claims — who wins, by what factor, where crossovers fall —
-// are rows of claims_test.go; absolute calibration is asserted in the
-// madeleine (Table 1) and core (Table 2) packages.
+// and its published figures (Tables 1 and 2) are rows of claims_test.go.
 
 import (
 	"runtime"

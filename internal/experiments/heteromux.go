@@ -21,7 +21,8 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"mpichmad/internal/cluster"
@@ -130,13 +131,8 @@ func heteroMux() (*Result, error) {
 	}
 	b.WriteString("\nMeasured per-class eager thresholds (MPI_Init probes):\n")
 	classes := sess.Ranks[0].MPI.ClassSwitchPoints()
-	names := make([]string, 0, len(classes))
-	for class := range classes {
-		names = append(names, class)
-	}
-	sort.Strings(names)
 	fmt.Fprintf(&b, "%-8s %14s\n", "class", "threshold")
-	for _, class := range names {
+	for _, class := range slices.Sorted(maps.Keys(classes)) {
 		fmt.Fprintf(&b, "%-8s %14s\n", class, stats.SizeLabel(classes[class]))
 	}
 	fmt.Fprintf(&b, "\nMux speedup over the uniform single-protocol transport:\n")

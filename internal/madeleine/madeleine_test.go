@@ -403,88 +403,6 @@ func TestHeadDecodingRejectsCorruption(t *testing.T) {
 	}
 }
 
-// pingPong measures one-way small-message latency (half round trip) at the
-// raw Madeleine level, mirroring the paper's Table 1 methodology.
-func pingPong(t *testing.T, params netsim.Params, size, iters int) (latency vtime.Duration) {
-	t.Helper()
-	p := newPair(t, params)
-	var elapsed vtime.Duration
-	p.pa.Spawn("ping", func() {
-		buf := make([]byte, size)
-		start := p.s.Now()
-		for i := 0; i < iters; i++ {
-			conn, _ := p.chA.BeginPacking("b")
-			if size > 0 {
-				conn.Pack(buf, SendCheaper, ReceiveCheaper)
-			}
-			conn.EndPacking()
-			conn2, _ := p.chA.BeginUnpacking()
-			if size > 0 {
-				conn2.Unpack(buf, SendCheaper, ReceiveCheaper)
-			}
-			conn2.EndUnpacking()
-		}
-		elapsed = p.s.Now().Sub(start)
-	})
-	p.pb.Spawn("pong", func() {
-		buf := make([]byte, size)
-		for i := 0; i < iters; i++ {
-			conn, _ := p.chB.BeginUnpacking()
-			if size > 0 {
-				conn.Unpack(buf, SendCheaper, ReceiveCheaper)
-			}
-			conn.EndUnpacking()
-			conn2, _ := p.chB.BeginPacking("a")
-			if size > 0 {
-				conn2.Pack(buf, SendCheaper, ReceiveCheaper)
-			}
-			conn2.EndPacking()
-		}
-	})
-	p.run(t)
-	return elapsed / vtime.Duration(2*iters)
-}
-
-// TestTable1RawLatency checks the calibrated raw Madeleine latencies
-// against the paper's Table 1 (TCP 121 us, SISCI 4.4 us, BIP 9.2 us).
-func TestTable1RawLatency(t *testing.T) {
-	cases := []struct {
-		params netsim.Params
-		want   float64 // us
-		tolPct float64
-	}{
-		{netsim.FastEthernetTCP(), 121, 5},
-		{netsim.SCISISCI(), 4.4, 12},
-		{netsim.MyrinetBIP(), 9.2, 8},
-	}
-	for _, c := range cases {
-		got := pingPong(t, c.params, 4, 4).Micros()
-		if math.Abs(got-c.want)/c.want*100 > c.tolPct {
-			t.Errorf("%s raw latency = %.2fus, want %.1fus ±%.0f%%", c.params.Network, got, c.want, c.tolPct)
-		}
-	}
-}
-
-// TestTable1RawBandwidth checks 8 MB bandwidth against Table 1
-// (TCP 11.2 MB/s, SISCI 82.6 MB/s, BIP 122 MB/s).
-func TestTable1RawBandwidth(t *testing.T) {
-	cases := []struct {
-		params netsim.Params
-		want   float64 // MB/s
-	}{
-		{netsim.FastEthernetTCP(), 11.2},
-		{netsim.SCISISCI(), 82.6},
-		{netsim.MyrinetBIP(), 122},
-	}
-	for _, c := range cases {
-		oneWay := pingPong(t, c.params, 8*netsim.MB, 1)
-		got := float64(8*netsim.MB) / oneWay.Seconds() / netsim.MB
-		if math.Abs(got-c.want)/c.want*100 > 3 {
-			t.Errorf("%s raw bandwidth = %.1f MB/s, want %.1f ±3%%", c.params.Network, got, c.want)
-		}
-	}
-}
-
 // Property: any sequence of blocks with any modes roundtrips bit-exactly
 // and consumes the whole message.
 func TestPackUnpackProperty(t *testing.T) {

@@ -36,7 +36,7 @@ func (c *Comm) Bcast(buf []byte, count int, dt Datatype, root int) error {
 // Reduce combines count elements from every member's sendBuf with op,
 // leaving the result in root's recvBuf (MPI_Reduce).
 //
-//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) Reduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, root int) error {
 	req, err := c.Ireduce(sendBuf, recvBuf, count, dt, op, root)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // Wildcards (same values as the ADI's).
 const (
 	AnySource = adi.AnySource
-	//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
+	//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 	AnyTag = adi.AnyTag
 )
 
@@ -217,7 +217,7 @@ func (c *Comm) allocContext() (int, error) {
 // (MPI_Comm_dup). Collective over c. The duplicate shares c's group slice,
 // which is how topo() knows a Dup of the world for one.
 //
-//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) Dup() (*Comm, error) {
 	ctx, err := c.allocContext()
 	if err != nil {

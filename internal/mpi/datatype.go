@@ -59,7 +59,7 @@ var (
 // Contiguous builds a type of count consecutive elements of base
 // (MPI_Type_contiguous).
 //
-//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func Contiguous(count int, base Datatype) Datatype {
 	return &contiguous{base: base, count: count}
 }
@@ -143,7 +143,7 @@ func (v *vector) unpackOne(dst, src []byte) {
 // Indexed builds a type of variable-length blocks at element
 // displacements (MPI_Type_indexed).
 //
-//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func Indexed(blocklens, displs []int, base Datatype) Datatype {
 	if len(blocklens) != len(displs) {
 		panic("mpi: Indexed blocklens/displs length mismatch")
@@ -206,7 +206,7 @@ type StructField struct {
 // Struct builds a byte-granularity structure type (MPI_Type_struct with
 // MPI_BYTE members).
 //
-//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func Struct(extent int, fields []StructField) Datatype {
 	return &structT{extent: extent, fields: fields}
 }

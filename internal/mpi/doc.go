@@ -596,7 +596,8 @@
 // module calls: an exported identifier of a non-main package that no
 // non-test file references is deleted, moved into the tests that use it,
 // or kept with a `//madlint:ignore deadexport <reason>` naming its caller
-// (bench/, a test of another package, a ROADMAP item).
+// (bench/, a test of another package, a ROADMAP item by its title: items are
+// renumbered).
 //
 // The runtime counterpart is the Finalize-time invariant audit: after a
 // clean run the cluster session calls Process.AuditDevices, and every

@@ -11,7 +11,7 @@ import (
 // after the receiver has matched the message. The devices implement it by
 // forcing the rendez-vous transfer mode regardless of size.
 //
-//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) Ssend(buf []byte, count int, dt Datatype, dest, tag int) error {
 	if err := c.checkLive("Ssend"); err != nil {
 		return err

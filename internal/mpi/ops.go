@@ -17,7 +17,7 @@ type Op interface {
 
 // Predefined reduction operations.
 //
-//madlint:ignore deadexport madsim needs it (ROADMAP item 5): every predefined Op
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference"): every predefined Op
 var (
 	OpSum  Op = numericOp{name: "MPI_SUM", kern: kSum}
 	OpProd Op = numericOp{name: "MPI_PROD", kern: kProd}

@@ -17,7 +17,7 @@ type Status struct {
 
 // Count returns the number of dt elements received.
 //
-//madlint:ignore deadexport madsim needs it (ROADMAP item 5)
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (s *Status) Count(dt Datatype) int {
 	if dt.Size() == 0 {
 		return 0

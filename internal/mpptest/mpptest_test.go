@@ -1,29 +1,12 @@
 package mpptest
 
 import (
-	"math"
 	"testing"
 
 	"mpichmad/internal/cluster"
 	"mpichmad/internal/mpi"
-	"mpichmad/internal/netsim"
 	"mpichmad/internal/vtime"
 )
-
-func TestRawMatchesTable1(t *testing.T) {
-	s, err := RawMadeleine("raw", netsim.SCISISCI(), []int{4, 8 * netsim.MB}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lat, _ := s.At(4)
-	if got := lat.LatencyUS(); math.Abs(got-4.4) > 0.6 {
-		t.Errorf("SCI raw 4B = %.2fus, want ~4.4", got)
-	}
-	bw, _ := s.At(8 * netsim.MB)
-	if got := bw.BandwidthMBs(); math.Abs(got-82.6) > 2 {
-		t.Errorf("SCI raw 8MB = %.1f MB/s, want ~82.6", got)
-	}
-}
 
 func TestMPIPingPongBasics(t *testing.T) {
 	s, err := MPIPingPong("ch_mad", cluster.TwoNodes("bip"), []int{0, 4, 1024}, Config{Iters: 2})

@@ -144,7 +144,7 @@ func (n *Network) Bufs() *BufList { return &n.bufs }
 // self-contained seeded PRNG: two networks with equal seeds produce
 // identical jitter no matter what else the process does.
 //
-//madlint:ignore deadexport the fault model of ROADMAP item 6 drives it
+//madlint:ignore deadexport the perturbed ledger and the fault model drive it (ROADMAP, "Claims that survive noise" and "Failures are inputs")
 func (n *Network) SetFaults(f Faults) {
 	n.Faults = f
 	seed := f.Seed

@@ -340,30 +340,6 @@ func TestPresetsSane(t *testing.T) {
 	}
 }
 
-func TestPresetLatencyTargets(t *testing.T) {
-	// The one-way small-message time (send + wire + recv) must match the
-	// paper's Table 1 raw latencies.
-	// The sum of static overheads sits slightly below the Table 1
-	// latencies; the remainder comes from header serialization and
-	// polling interference measured by the end-to-end calibration tests
-	// (madeleine.TestTable1RawLatency, core.TestTable2Latencies).
-	cases := []struct {
-		p    Params
-		want float64 // us
-		tol  float64
-	}{
-		{FastEthernetTCP(), 117, 1},
-		{SCISISCI(), 4.5, 0.2},
-		{MyrinetBIP(), 9.2, 0.2},
-	}
-	for _, c := range cases {
-		got := (c.p.SendOverhead + c.p.WireLatency + c.p.RecvOverhead).Micros()
-		if got < c.want-c.tol || got > c.want+c.tol {
-			t.Errorf("%s: one-way latency %.2fus, want %.1f±%.1f", c.p.Network, got, c.want, c.tol)
-		}
-	}
-}
-
 // Property: for any payload sizes, arrival order on one directed pair
 // equals send order, and each arrival >= send + tx + 0.
 func TestInOrderProperty(t *testing.T) {

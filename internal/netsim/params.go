@@ -20,8 +20,8 @@ const MB = 1 << 20
 
 // Params is the calibrated cost model of one protocol/network pair.
 // The constants below are derived from Table 1, Table 2 and §5.2–§5.4 of
-// the paper; bench/'s p2p_paper workload reports the error against each
-// published figure (netsim.paper_err_max_pct).
+// the paper; the claims ledger's paper rows (internal/experiments) judge
+// the error against each published figure.
 type Params struct {
 	// Protocol is the low-level API name: "tcp", "sisci", "bip", "shm",
 	// "self".
@@ -139,9 +139,9 @@ func (p *Params) PipelineSegment() int {
 	return seg
 }
 
-// FastEthernetTCP returns the calibrated TCP / Fast-Ethernet model.
-// Targets (paper): raw Madeleine latency 121 us, bandwidth 11.2 MB/s;
-// ch_mad latency 148 us (4 B), 130 us (0 B); ch_p4 ceiling ~10 MB/s.
+// FastEthernetTCP returns the calibrated TCP / Fast-Ethernet model. Its
+// targets are the TCP figures of internal/experiments' published table, and
+// a ch_p4 ceiling of ~10 MB/s.
 func FastEthernetTCP() Params {
 	return Params{
 		Protocol:       "tcp",
@@ -160,9 +160,9 @@ func FastEthernetTCP() Params {
 	}
 }
 
-// SCISISCI returns the calibrated SISCI / SCI (Dolphin D310) model.
-// Targets: raw latency 4.5 us, bandwidth 82.6 MB/s; ch_mad 13 us (0 B),
-// 20 us (4 B), 82.5 MB/s (8 MB); switch point 8 KB.
+// SCISISCI returns the calibrated SISCI / SCI (Dolphin D310) model. Its
+// targets are the SISCI figures of internal/experiments' published table;
+// switch point 8 KB.
 func SCISISCI() Params {
 	return Params{
 		Protocol:       "sisci",
@@ -181,10 +181,9 @@ func SCISISCI() Params {
 	}
 }
 
-// MyrinetBIP returns the calibrated BIP / Myrinet (LANai 4.3) model.
-// Targets: raw latency 9.2 us, bandwidth 122 MB/s raw / 115 MB/s via MPI;
-// ch_mad 16.9 us (0 B), 18.9 us (4 B); switch point 7 KB; 1 KB dip from
-// BIP's internal small-message boundary.
+// MyrinetBIP returns the calibrated BIP / Myrinet (LANai 4.3) model. Its
+// targets are the BIP figures of internal/experiments' published table;
+// switch point 7 KB; 1 KB dip from BIP's internal small-message boundary.
 func MyrinetBIP() Params {
 	return Params{
 		Protocol:        "bip",
