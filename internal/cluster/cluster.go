@@ -82,12 +82,6 @@ type Topology struct {
 	// virtual init time per rank program.
 	Autotune bool
 
-	// TuneCache, when set alongside Autotune, caches the measured
-	// crossover table across sessions keyed by the topology's shape hash:
-	// the first session pays the init sweep, repeated sessions of the
-	// same shape load the cached table and skip it.
-	TuneCache *TuneCache
-
 	// ObliviousLeaders disables the gateway-aware cluster-leader election
 	// (the two-level collectives fall back to the lowest-rank leaders):
 	// the ablation baseline for the routing subsystem's benchmarks.
@@ -799,35 +793,13 @@ func (sess *Session) buildChP4(places []placementInfo) error {
 // automatically.
 func (sess *Session) Run(main func(rank int, comm *mpi.Comm) error) error {
 	sess.rankErr = make([]error, len(sess.Ranks))
-	// Autotuner persistence: a cached crossover table for this topology
-	// shape replaces the init sweep (the sweep is deterministic in the
-	// topology, so the cached measurement is exact, not approximate).
-	var tuneKey string
-	var cachedTune []mpi.TuneChoice
-	if sess.Topo.Autotune && sess.Topo.TuneCache != nil {
-		key, err := sess.Topo.ShapeHash()
-		if err != nil {
-			return err
-		}
-		tuneKey = key
-		cachedTune, _ = sess.Topo.TuneCache.Lookup(tuneKey)
-	}
 	for _, rk := range sess.Ranks {
 		rk := rk
 		rk.Proc.Spawn("main", func() {
-			switch {
-			case sess.Topo.Autotune && cachedTune != nil:
-				if err := rk.MPI.LoadTuneTable(cachedTune); err != nil {
-					sess.rankErr[rk.Rank] = fmt.Errorf("rank %d tune cache: %w", rk.Rank, err)
-					return
-				}
-			case sess.Topo.Autotune:
+			if sess.Topo.Autotune {
 				if err := rk.MPI.Autotune(); err != nil {
 					sess.rankErr[rk.Rank] = fmt.Errorf("rank %d autotune: %w", rk.Rank, err)
 					return
-				}
-				if rk.Rank == 0 && sess.Topo.TuneCache != nil {
-					sess.Topo.TuneCache.Store(tuneKey, rk.MPI.TuneSnapshot())
 				}
 			}
 			if err := main(rk.Rank, rk.MPI.World); err != nil {

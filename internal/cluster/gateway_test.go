@@ -2,14 +2,13 @@ package cluster
 
 // Tests of the routing subsystem at the session level: the 3-cluster
 // bridged topology of the acceptance criteria (no common network, one
-// gateway node per bridge), gateway-aware leader election, gateway hop
-// accounting, and autotuner persistence.
+// gateway node per bridge), gateway-aware leader election and gateway hop
+// accounting.
 
 import (
 	"testing"
 
 	"mpichmad/internal/mpi"
-	"mpichmad/internal/vtime"
 )
 
 // bridgedTriple is the acceptance topology: three islands (SCI, SCI,
@@ -223,51 +222,5 @@ func TestRelayStatsAccounting(t *testing.T) {
 		if r.Window > 0 && r.QueuePeak > r.Window {
 			t.Errorf("gateway %s queue peak %d exceeds window %d", r.Name, r.QueuePeak, r.Window)
 		}
-	}
-}
-
-// TestTuneCachePersistence: with a TuneCache installed, the first
-// autotuned session pays the sweep and stores its crossover table; a
-// second session of the same shape loads it (cache hit), installs an
-// identical table, and finishes in strictly less virtual time.
-func TestTuneCachePersistence(t *testing.T) {
-	cache := NewTuneCache()
-	run := func() ([]mpi.TuneChoice, vtime.Duration) {
-		topo := bridgedTriple()
-		topo.Autotune = true
-		topo.TuneCache = cache
-		sess, err := Build(topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var snap []mpi.TuneChoice
-		if err := sess.Run(func(rank int, comm *mpi.Comm) error {
-			if rank == 0 {
-				snap = sess.Ranks[0].MPI.TuneSnapshot()
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return snap, vtime.Duration(sess.S.Now())
-	}
-	first, tFirst := run()
-	if first == nil {
-		t.Fatal("first session installed no tuning table")
-	}
-	second, tSecond := run()
-	if n := len(cache.tables); n != 1 {
-		t.Fatalf("cache holds %d tables after two sessions of one shape, want 1", n)
-	}
-	if len(first) != len(second) {
-		t.Fatalf("save/load mismatch: %d vs %d rows", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("save/load row %d: %+v != %+v", i, first[i], second[i])
-		}
-	}
-	if tSecond >= tFirst {
-		t.Errorf("cached session took %v, sweep session %v — cache should skip the sweep", tSecond, tFirst)
 	}
 }

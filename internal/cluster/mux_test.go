@@ -1,10 +1,9 @@
 package cluster
 
 // Tests of the per-link device mux: link classification, the planner
-// metadata on fallback rails, the topology-shape hash over the mux
-// fields, the per-path backbone segment bound, and the headline safety
-// property — mux-routed communication is byte-identical to the uniform
-// single-protocol configuration; only the timing may differ.
+// metadata on fallback rails, the per-path backbone segment bound, and the
+// headline safety property — mux-routed communication is byte-identical to
+// the uniform single-protocol configuration; only the timing may differ.
 
 import (
 	"bytes"
@@ -117,36 +116,6 @@ func TestRailsForFallbackMetadata(t *testing.T) {
 	}
 	if rt.Class != "wan" {
 		t.Errorf("fallback Class = %q, want wan", rt.Class)
-	}
-}
-
-// TestShapeHashMuxFields: an unknown protocol is an error (it has no
-// cost model, so hashing it would let distinct topologies collide on one
-// cached tuning table), and the uniform-ablation flag is part of the
-// shape — a mux session must never reuse a uniform session's table.
-func TestShapeHashMuxFields(t *testing.T) {
-	bad := muxTopo(false)
-	bad.Networks[0].Protocol = "carrier-pigeon"
-	if _, err := bad.ShapeHash(); err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
-		t.Errorf("unknown protocol: ShapeHash err = %v, want error naming the protocol", err)
-	}
-	mux, err := muxTopo(false).ShapeHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := muxTopo(true).ShapeHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mux == uni {
-		t.Error("mux and uniform topologies hash to the same shape key")
-	}
-	again, err := muxTopo(false).ShapeHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mux != again {
-		t.Error("ShapeHash is not deterministic")
 	}
 }
 

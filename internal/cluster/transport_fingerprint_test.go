@@ -75,19 +75,6 @@ func tfEachDevice(f func(rk *Rank)) func(*Session) {
 }
 
 func tfWirings() []tfWiring {
-	// The autotuned triangle gets its BDP-sized relay windows at Build; a
-	// cached tune table stands in for the MPI_Init sweep (whose own cost the
-	// schedule fingerprint pins) and installs a measured wan-class switch
-	// point, the second level of the threshold resolution.
-	autotuned := bridgedTriangle()
-	autotuned.Device = "ch_mad" // spelled out: Run hashes the defaulted topology
-	autotuned.Autotune = true
-	autotuned.TuneCache = NewTuneCache()
-	key, err := autotuned.ShapeHash()
-	if err != nil {
-		panic(err)
-	}
-	autotuned.TuneCache.Store(key, []mpi.TuneChoice{{Op: "SwitchPoint", MaxBytes: 32768, Algo: "wan"}})
 	return []tfWiring{
 		{name: "tcp", topo: func() Topology { return TwoNodes("tcp") }, stride: 1},
 		{name: "sisci", topo: func() Topology { return TwoNodes("sisci") }, stride: 1},
@@ -113,8 +100,19 @@ func tfWirings() []tfWiring {
 			topo.RelayWindow = 2
 			return topo
 		}, stride: 3},
-		{name: "triangle-autotuned", topo: func() Topology { return autotuned }, stride: 3,
-			extra: []int{32767, 32768, 32769}},
+		// Built with Autotune for its BDP-sized relay windows; the tweak skips
+		// the MPI_Init sweep (whose own cost the schedule fingerprint pins)
+		// and installs a measured wan-class switch point in its place, the
+		// second level of the threshold resolution.
+		{name: "triangle-autotuned", topo: func() Topology {
+			topo := bridgedTriangle()
+			topo.Autotune = true
+			return topo
+		}, stride: 3, extra: []int{32767, 32768, 32769},
+			tweak: func(sess *Session) {
+				sess.Topo.Autotune = false
+				tfEachDevice(func(rk *Rank) { rk.ChMad.SetClassSwitchPoint("wan", 32768) })(sess)
+			}},
 		{name: "triangle-storefwd", topo: bridgedTriangle, stride: 3, aboveSeg: true,
 			tweak: tfEachDevice(func(rk *Rank) { rk.ChMad.RelayPipelining = false })},
 		{name: "triangle-nostripe", topo: bridgedTriangle, stride: 3, aboveSeg: true,

@@ -50,7 +50,7 @@ func gatewayRun(topo cluster.Topology, mode mpi.CollMode, size int,
 		return 0, 0, nil, err
 	}
 	var relayed uint64
-	took, _, err := completion(sess, func() { relayed = forwardedBy(sess) - relayed }, op.at(size))
+	took, _, err := completion(sess, func(int) { relayed = forwardedBy(sess) - relayed }, op.at(size))
 	return took[0], relayed, sess.RelayStats(), err
 }
 

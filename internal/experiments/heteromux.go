@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"mpichmad/internal/cluster"
-	"mpichmad/internal/mpi"
 	"mpichmad/internal/stats"
 	"mpichmad/internal/vtime"
 )
@@ -60,44 +59,36 @@ func heteroTopo(uniform bool) cluster.Topology {
 // the per-class thresholds the MPI_Init autotuner measured.
 func heteroMux() (*Result, error) {
 	sizes := []int{8, 256, 4 << 10, 64 << 10, 256 << 10}
-	ops := []struct {
-		name string
-		op   collOp
-	}{{"Bcast", bcast}, {"Allreduce", allreduce}, {"Alltoall", alltoall}}
+	ops := []string{"Bcast", "Allreduce", "Alltoall"}
+	points := grid(sizes, bcast, allreduce, alltoall)
 
-	// One shared cache per configuration shape: the MPI_Init sweep (and
-	// the per-class switch-point probes) run once per shape, and every
-	// per-size session after that reloads the measured table.
-	cache := cluster.NewTuneCache()
-	build := func(uniform bool) (*cluster.Session, error) {
-		topo := heteroTopo(uniform)
-		topo.TuneCache = cache
-		return cluster.Build(topo)
-	}
-	run := func(uniform bool, op collOp, size int) (vtime.Duration, error) {
-		sess, err := build(uniform)
+	// One session per configuration: the MPI_Init sweep (and the per-class
+	// switch-point probes) run once, and every point is a completion inside
+	// it.
+	run := func(uniform bool) (*cluster.Session, []vtime.Duration, error) {
+		sess, err := cluster.Build(heteroTopo(uniform))
 		if err != nil {
-			return 0, err
+			return nil, nil, err
 		}
-		took, _, err := completion(sess, nil, op.at(size))
-		return took[0], err
+		took, _, err := completion(sess, nil, points...)
+		return sess, took, err
+	}
+	sess, mt, err := run(false)
+	if err != nil {
+		return nil, fmt.Errorf("mux: %w", err)
+	}
+	_, ut, err := run(true)
+	if err != nil {
+		return nil, fmt.Errorf("uniform: %w", err)
 	}
 
 	var series []*stats.Series
-	for _, spec := range ops {
-		mux := &stats.Series{Name: "Mux_" + spec.name}
-		uni := &stats.Series{Name: "Uniform_" + spec.name}
-		for _, size := range sizes {
-			mt, err := run(false, spec.op, size)
-			if err != nil {
-				return nil, fmt.Errorf("mux %s %d: %w", spec.name, size, err)
-			}
-			ut, err := run(true, spec.op, size)
-			if err != nil {
-				return nil, fmt.Errorf("uniform %s %d: %w", spec.name, size, err)
-			}
-			mux.Add(size, mt)
-			uni.Add(size, ut)
+	for o, name := range ops {
+		mux := &stats.Series{Name: "Mux_" + name}
+		uni := &stats.Series{Name: "Uniform_" + name}
+		for s, size := range sizes {
+			mux.Add(size, mt[o*len(sizes)+s])
+			uni.Add(size, ut[o*len(sizes)+s])
 		}
 		series = append(series, mux, uni)
 	}
@@ -106,17 +97,10 @@ func heteroMux() (*Result, error) {
 		"Extension X6: per-link device mux vs uniform single-protocol transport (SCI+BIP islands over TCP)",
 		unitTime, series)
 
-	// Introspection session: rank 0's view of the mux — which device
-	// class each peer's link resolved to and the switch point in effect
-	// on it, plus the per-class thresholds from the autotuner (also
-	// visible as the SwitchPoint rows of Process.TuneSnapshot).
-	sess, err := build(false)
-	if err != nil {
-		return nil, err
-	}
-	if err := sess.Run(func(rank int, comm *mpi.Comm) error { return nil }); err != nil {
-		return nil, err
-	}
+	// Rank 0's view of the mux session — which device class each peer's
+	// link resolved to and the switch point in effect on it, plus the
+	// per-class thresholds from the autotuner (also visible as the
+	// SwitchPoint rows of Process.TuneSnapshot).
 	var b strings.Builder
 	b.WriteString(res.Text)
 	b.WriteString("\nRank 0 link map (per-link device mux):\n")
@@ -137,8 +121,8 @@ func heteroMux() (*Result, error) {
 	}
 	fmt.Fprintf(&b, "\nMux speedup over the uniform single-protocol transport:\n")
 	fmt.Fprintf(&b, "%-12s", "size")
-	for _, spec := range ops {
-		fmt.Fprintf(&b, " %12s", spec.name)
+	for _, name := range ops {
+		fmt.Fprintf(&b, " %12s", name)
 	}
 	b.WriteString("\n")
 	for _, size := range sizes {

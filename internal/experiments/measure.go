@@ -7,11 +7,13 @@ package experiments
 // completion, and the forced-mode session shape. What stays with each
 // experiment is its topology, its sizes and the counters it reads.
 //
-// Two experiments do not build a fresh session per point. adaptive.go's
+// Four experiments do not build a fresh session per point. adaptive.go's
 // loaded transfer reads the clock itself: one send from its start on rank 0
-// to its completion on rank 8, across a re-plan. scale.go sweeps both
-// collectives and every size inside one 1024-rank session through completion,
-// because a Build of that machine per point would be most of the experiment.
+// to its completion on rank 8, across a re-plan. scale.go, heteromux.go and
+// multileader.go time every (operation, size) point of a configuration inside
+// one session through completion: a Build of scale's 1024-rank machine per
+// point, or an MPI_Init sweep per point on the autotuned machines of the other
+// two, would be most of the experiment.
 
 import (
 	"mpichmad/internal/cluster"
@@ -46,6 +48,18 @@ func alltoall(comm *mpi.Comm, size int) error {
 	return comm.Alltoall(make([]byte, n), make([]byte, n), size, mpi.Byte)
 }
 
+// grid is every point of a configuration as one session times them: each op
+// at each size, op by op, so ops[o] at sizes[s] is point o*len(sizes)+s.
+func grid(sizes []int, ops ...collOp) []func(comm *mpi.Comm) error {
+	var points []func(comm *mpi.Comm) error
+	for _, op := range ops {
+		for _, size := range sizes {
+			points = append(points, op.at(size))
+		}
+	}
+	return points
+}
+
 // forced builds a session whose every rank selects its collective
 // algorithms by mode instead of by topology.
 func forced(topo cluster.Topology, mode mpi.CollMode) (*cluster.Session, error) {
@@ -63,14 +77,15 @@ func forced(topo cluster.Topology, mode mpi.CollMode) (*cluster.Session, error) 
 // synchronised start — a barrier, then a gate every rank leaves at the instant
 // the last one reaches it — and returns per op what the machine took, the time
 // from that instant to the last rank's return, beside rank 0's own. A non-nil
-// sample is called twice per op, opening and closing the window a counter is
-// read over: as the gate fires, before any rank leaves it, and as the last
-// rank returns — so neither the barrier nor Finalize is inside it.
-func completion(sess *cluster.Session, sample func(), ops ...func(comm *mpi.Comm) error) (last, rank0 []vtime.Duration, err error) {
+// sample is called twice per op with the op's index, opening and closing the
+// window a counter is read over: as the gate fires, before any rank leaves
+// it, and as the last rank returns — so neither a barrier, another op nor
+// Finalize is inside it.
+func completion(sess *cluster.Session, sample func(op int), ops ...func(comm *mpi.Comm) error) (last, rank0 []vtime.Duration, err error) {
 	last, rank0 = make([]vtime.Duration, len(ops)), make([]vtime.Duration, len(ops))
 	gate, waiting, done := vtime.NewEvent(sess.S, "start"), 0, 0
 	if sample == nil {
-		sample = func() {}
+		sample = func(int) {}
 	}
 	err = sess.Run(func(rank int, comm *mpi.Comm) error {
 		for i, op := range ops {
@@ -82,7 +97,7 @@ func completion(sess *cluster.Session, sample func(), ops ...func(comm *mpi.Comm
 			} else {
 				open := gate
 				gate, waiting, done = vtime.NewEvent(sess.S, "start"), 0, 0
-				sample()
+				sample(i)
 				open.Fire()
 			}
 			start := sess.S.Now()
@@ -95,7 +110,7 @@ func completion(sess *cluster.Session, sample func(), ops ...func(comm *mpi.Comm
 				rank0[i] = took
 			}
 			if done++; done == len(sess.Ranks) {
-				sample()
+				sample(i)
 			}
 		}
 		return nil

@@ -12,9 +12,11 @@ import (
 // and nothing else. With an operation that does nothing, it takes no time and
 // counts no relayed message on the bridged topology, although the session's
 // barriers and Finalize relay some, and no bridge byte on the autotuned
-// triangle — so what gateway and multileader print needs no baseline run.
+// triangle, although the 1 MiB Bcast the same session ran just before it
+// crossed every bridge — so what gateway and multileader print needs no
+// baseline run, and each of a session's operations reads its own bytes.
 func TestCompletionEmptyWindow(t *testing.T) {
-	nothing := func(*mpi.Comm, int) error { return nil }
+	nothing := collOp(func(*mpi.Comm, int) error { return nil })
 	took, relayed, relays, err := gatewayRun(gatewayTopo(), mpi.CollHier, 0, nothing)
 	if err != nil {
 		t.Fatal(err)
@@ -27,16 +29,21 @@ func TestCompletionEmptyWindow(t *testing.T) {
 		t.Errorf("bridged topology: the empty window took %v and counted %d relayed messages (the session %d, want > 0)",
 			took, relayed, session)
 	}
-	took, crossed, err := multiLeaderRun(mpi.CollAuto, 0, nothing)
+	times, crossed, err := multiLeaderRun(mpi.CollAuto, collOp(bcast).at(1<<20), nothing.at(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if took != 0 || len(crossed) != 3 {
-		t.Errorf("triangle: the empty window took %v and sampled bridges %v, want gwAB, gwBC and gwCA", took, crossed)
+	bcastBytes, empty := crossed[0], crossed[1]
+	if times[1] != 0 || len(empty) != 3 || len(bcastBytes) != 3 {
+		t.Errorf("triangle: the empty window took %v and sampled bridges %v (the Bcast's %v), want gwAB, gwBC and gwCA",
+			times[1], empty, bcastBytes)
 	}
-	for bridge, bytes := range crossed {
+	for bridge, bytes := range empty {
 		if bytes != 0 {
 			t.Errorf("triangle: the empty window counted %d bytes on %s", bytes, bridge)
+		}
+		if bcastBytes[bridge] == 0 {
+			t.Errorf("triangle: the 1 MiB Bcast's window counted no byte on %s", bridge)
 		}
 	}
 }

@@ -13,9 +13,12 @@ package experiments
 //     dispatches through the resulting table (CollAuto) — the multi-leader
 //     schedules must be *selected*, not forced, for the large-payload
 //     brackets.
-//   - ML_<op>_single: the same autotuned sessions with the single-leader
+//   - ML_<op>_single: the same autotuned machine with the single-leader
 //     two-level form forced (CollHier), the baseline the paper's §4.3
 //     two-level collectives correspond to.
+//
+// Each mode is one session: the MPI_Init sweep runs once, and every
+// (operation, size) point is a completion inside it.
 //
 // A size is the whole payload of the operation: the vector of a Bcast or an
 // Allreduce, the matrix a rank sends in an Alltoall, the vector every rank
@@ -37,27 +40,30 @@ import (
 	"mpichmad/internal/vtime"
 )
 
-// multiLeaderRun measures one collective's completion on an autotuned
-// bridged-triangle session with the given selection mode, plus the wire
-// bytes each bridge network carried between the synchronised start and the
-// last rank's return (the opening sample is stored, the closing one
+// multiLeaderRun times ops in turn on one autotuned bridged-triangle session
+// with the given selection mode and returns per op its completion and the
+// wire bytes each bridge network carried between its synchronised start and
+// the last rank's return (the opening sample is stored, the closing one
 // subtracts it) — the crossing-split diagnostic.
-func multiLeaderRun(mode mpi.CollMode, size int, op collOp) (vtime.Duration, map[string]uint64, error) {
+func multiLeaderRun(mode mpi.CollMode, ops ...func(comm *mpi.Comm) error) ([]vtime.Duration, []map[string]uint64, error) {
 	topo := triangleTopo()
 	topo.Autotune = true
 	sess, err := forced(topo, mode)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	crossed := make(map[string]uint64)
-	took, _, err := completion(sess, func() {
+	crossed := make([]map[string]uint64, len(ops))
+	for i := range crossed {
+		crossed[i] = make(map[string]uint64)
+	}
+	took, _, err := completion(sess, func(op int) {
 		for name, net := range sess.Networks {
 			if net.Params.Protocol == "tcp" {
-				crossed[name] = net.Stats.Bytes - crossed[name]
+				crossed[op][name] = net.Stats.Bytes - crossed[op][name]
 			}
 		}
-	}, op.at(size))
-	return took[0], crossed, err
+	}, ops...)
+	return took, crossed, err
 }
 
 // multiLeader (X9) benchmarks the multi-leader collectives on the
@@ -71,35 +77,28 @@ func multiLeader() (*Result, error) {
 	perRank := func(op collOp) collOp {
 		return func(comm *mpi.Comm, size int) error { return op(comm, max(size/comm.Size(), 1)) }
 	}
-	type bench struct {
-		name string
-		mode mpi.CollMode
-		op   collOp
-	}
-	var benches []bench
-	for _, o := range []struct {
-		name string
-		op   collOp
-	}{{"Bcast", bcast}, {"Allreduce", allreduce}, {"Allgather", perRank(allgather)}, {"Alltoall", perRank(alltoall)}} {
-		benches = append(benches,
-			bench{"ML_" + o.name + "_multi", mpi.CollAuto, o.op},
-			bench{"ML_" + o.name + "_single", mpi.CollHier, o.op})
-	}
-	var series []*stats.Series
-	crossings := make(map[string]map[string]uint64)
-	for _, bm := range benches {
-		s := &stats.Series{Name: bm.name}
-		for _, size := range sizes {
-			took, crossed, err := multiLeaderRun(bm.mode, size, bm.op)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%d: %w", bm.name, size, err)
-			}
-			s.Add(size, took)
-			if size == sizes[len(sizes)-1] {
-				crossings[bm.name] = crossed
-			}
+	ops := []string{"Bcast", "Allreduce", "Allgather", "Alltoall"}
+	points := grid(sizes, bcast, allreduce, perRank(allgather), perRank(alltoall))
+	modes := []struct {
+		suffix string
+		mode   mpi.CollMode
+	}{{"_multi", mpi.CollAuto}, {"_single", mpi.CollHier}}
+	// One session per mode; the series go op by op, multi before single.
+	series := make([]*stats.Series, len(ops)*len(modes))
+	crossings := make([]map[string]uint64, len(series))
+	for m, md := range modes {
+		took, crossed, err := multiLeaderRun(md.mode, points...)
+		if err != nil {
+			return nil, fmt.Errorf("ML%s: %w", md.suffix, err)
 		}
-		series = append(series, s)
+		for o, name := range ops {
+			s := &stats.Series{Name: "ML_" + name + md.suffix}
+			for i, size := range sizes {
+				s.Add(size, took[o*len(sizes)+i])
+			}
+			series[o*len(modes)+m] = s
+			crossings[o*len(modes)+m] = crossed[(o+1)*len(sizes)-1]
+		}
 	}
 	res := render("multileader",
 		"Extension X9: multi-leader collectives on the bridged triangle (autotuned vs forced single-leader)",
@@ -113,9 +112,9 @@ func multiLeader() (*Result, error) {
 	b.WriteString(res.Text)
 	fmt.Fprintf(&b, "\nBridge bytes per operation at %s:\n", stats.SizeLabel(sizes[len(sizes)-1]))
 	fmt.Fprintf(&b, "%-22s %12s %12s %12s\n", "series", bridges[0], bridges[1], bridges[2])
-	for _, bm := range benches {
-		c := crossings[bm.name]
-		fmt.Fprintf(&b, "%-22s %12d %12d %12d\n", bm.name, c[bridges[0]], c[bridges[1]], c[bridges[2]])
+	for i, s := range series {
+		c := crossings[i]
+		fmt.Fprintf(&b, "%-22s %12d %12d %12d\n", s.Name, c[bridges[0]], c[bridges[1]], c[bridges[2]])
 	}
 	res.Text = b.String()
 	return res, nil

@@ -143,7 +143,7 @@
 // fits, and the autotuner's candidates for an operation are its runnable
 // rows in table order — flat, ring, 2level, 2level-seg, 2level-ring,
 // 2level-multi — which fixes the probe sequence, the virtual cost of
-// MPI_Init and every cached tune table. Selection itself (chooseAlgo,
+// MPI_Init and the table it installs. Selection itself (chooseAlgo,
 // topology.go) stays a policy: forced mode, then the measured table, then
 // the analytic thresholds. Each algorithm has exactly one body, shared by
 // the blocking and nonblocking entry points; adding one means a compiler
@@ -465,7 +465,7 @@
 // load the three bridges equally with two thirds of what the funneled forms
 // put on the leader's (2.9x and 3.1x), and Alltoall balances the three
 // bridges exactly where the funneled form tripled the load on the leader's
-// bridge (2.2x). The four take 1.30, 1.35, 1.38 and 1.25 times what the
+// bridge (2.2x). The four take 1.30, 1.35, 1.37 and 1.25 times what the
 // bridges need for their bytes; README's multi-leader section has the
 // breakdown. The autotuner treats "2level-multi" as one more candidate and
 // the crossover is measured, not assumed: on the triangle it takes every
@@ -502,9 +502,8 @@
 //   - Tuning: the MPI_Init autotuner probes one representative rank
 //     pair per class (ClassProbe) with eager- and rendez-vous-forced
 //     ping-pongs and broadcasts the measured per-class thresholds with
-//     the crossover table; they install through adi.ClassTuner, appear
-//     as "SwitchPoint" rows of TuneSnapshot, and persist through the
-//     TuneCache like every other row.
+//     the crossover table; they install through adi.ClassTuner and appear
+//     as "SwitchPoint" rows of TuneSnapshot.
 //
 // # The MPI_Init autotuner
 //
@@ -515,18 +514,16 @@
 // placement, elected switch points and, when netsim models it, backbone
 // trunk contention (netsim.Params.NetworkBandwidth). Rank 0 picks the
 // fastest candidate per size, places crossovers at geometric midpoints,
-// and broadcasts the (operation → size bracket → algorithm) table; every
-// rank decodes identical bytes into TuneSnapshot's row format and installs
-// them through Process.LoadTuneTable — the one install path, validation
-// included — so CollAuto dispatch stays agreed everywhere. The sweep is
-// deterministic in the topology (virtual time has no noise).
+// and broadcasts the (operation → size bracket → algorithm) table as
+// integer triples; every rank installs the identical triples straight into
+// its table and class thresholds, refusing a triple that names no known
+// operation, algorithm or class or carries a non-positive bound, so CollAuto
+// dispatch stays agreed everywhere. The sweep is deterministic in the
+// topology (virtual time has no noise), and it is the only install path:
+// nothing persists a table across sessions, so an experiment that wants
+// several measurements on one tuned machine makes them inside one session.
 // Communicators resolve the table once, at their first collective;
-// Process.TuneSnapshot exports it for reports, and LoadTuneTable equally
-// installs an exported table without a sweep — the persistence path:
-// cluster.Topology.TuneCache keys tables by a
-// topology-shape hash (device classes, per-network switch points and
-// the Uniform flag included), so repeated sessions of the same shape
-// skip the sweep and load byte-identical rows.
+// Process.TuneSnapshot exports it for reports.
 //
 // # The Icoll API
 //
@@ -561,8 +558,8 @@
 // The simulator's core guarantee is that a run is a pure function of its
 // inputs: same topology, same program, same seeds — bit-identical stats
 // tables, virtual timestamps and routes, every time. That guarantee is
-// what makes autotuned tables shareable (the TuneCache), experiment
-// output diffable in CI, and rare protocol bugs reproducible at will.
+// what makes experiment output diffable in CI and rare protocol bugs
+// reproducible at will.
 // Simulation code (everything under internal/ except the linter itself)
 // therefore follows four rules, machine-checked by `go run ./cmd/madlint
 // ./...` (cmd/madlint, analyzers in internal/lint):

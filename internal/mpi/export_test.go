@@ -83,6 +83,10 @@ func (c *Comm) StartRounds(name string, staged int, rounds [][]Step) *CollReques
 	return c.submit(b.build(nil))
 }
 
+// InstallTuneTable installs encoded (kind, bound, algo) triples as the
+// autotuner's broadcast installs them.
+func (p *Process) InstallTuneTable(enc []int64) error { return p.installTuneTable(enc) }
+
 // Context returns the communicator's point-to-point context id.
 func (c *Comm) Context() int { return c.ctx }
 

@@ -180,26 +180,6 @@ var collAlgos = [...]struct {
 	algoHierMulti:     {"2level-multi", algoHier, algoHier},
 }
 
-// kindByName inverts collKinds' names (snapshot decoding).
-func kindByName(name string) (collKind, bool) {
-	for k := range collKinds {
-		if collKinds[k].name == name {
-			return collKind(k), true
-		}
-	}
-	return 0, false
-}
-
-// algoByName inverts collAlgos' names (snapshot decoding).
-func algoByName(name string) (collAlgo, bool) {
-	for a := range collAlgos {
-		if collAlgos[a].name == name {
-			return collAlgo(a), true
-		}
-	}
-	return 0, false
-}
-
 // sanitizeAlgo degrades an algorithm choice to one this communicator and
 // operation can actually run, following collAlgos' degrade columns until a
 // table row fits: multi-leader and segmented choices fall back to the

@@ -470,7 +470,7 @@ type collAlgo int
 const (
 	algoFlat collAlgo = iota
 	algoHier
-	algoHierSegmented // two-level with pipelined segments (Bcast only)
+	algoHierSegmented // two-level with pipelined segments (Bcast, Alltoall)
 	algoRing          // flat bandwidth-optimal ring (Allreduce, ReduceScatter)
 	algoRingHier      // two-level: intra-cluster rings around the leader exchange
 	algoHierMulti     // two-level with the leader phase sharded across the leader set

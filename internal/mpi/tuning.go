@@ -72,7 +72,7 @@ func (p *Process) SetClassProbes(probes []ClassProbe) {
 }
 
 // ClassSwitchPoints returns the measured per-device-class eager
-// thresholds installed by Autotune or LoadTuneTable, nil when none.
+// thresholds installed by Autotune, nil when none.
 func (p *Process) ClassSwitchPoints() map[string]int { return maps.Clone(p.classSwitch) }
 
 // installClassSwitch records one measured per-class threshold and pushes
@@ -164,60 +164,6 @@ func (p *Process) TuneSnapshot() []TuneChoice {
 		out = append(out, TuneChoice{Op: switchPointOp, MaxBytes: p.classSwitch[c], Algo: c})
 	}
 	return out
-}
-
-// LoadTuneTable installs a previously exported crossover table
-// (TuneSnapshot's format) without running the init sweep: the
-// autotuner-persistence path. The table must come from a topology of the
-// same shape — the cluster session keys its cache by a topology-shape
-// hash — and every rank must load the same rows, mirroring the broadcast
-// agreement of a live sweep. Costs no virtual time.
-func (p *Process) LoadTuneTable(choices []TuneChoice) error {
-	if err := ValidateTuneChoices(choices); err != nil {
-		return fmt.Errorf("mpi: LoadTuneTable: %w", err)
-	}
-	tt := &tuneTable{rows: make(map[collKind][]tuneRow)}
-	for _, tc := range choices {
-		if tc.Op == switchPointOp {
-			p.installClassSwitch(tc.Algo, tc.MaxBytes)
-			continue
-		}
-		kind, _ := kindByName(tc.Op) // validated above
-		algo, _ := algoByName(tc.Algo)
-		tt.rows[kind] = append(tt.rows[kind], tuneRow{maxBytes: tc.MaxBytes, algo: algo})
-	}
-	p.tuned = tt
-	p.World.tt, p.World.ttSet = tt, true
-	return nil
-}
-
-// ValidateTuneChoices reports whether an exported crossover table could
-// be installed by LoadTuneTable: every row must name a known operation
-// and algorithm and carry a positive bracket bound. The persistence
-// layer's sanity check — a cache deserialized from disk drops tables
-// failing it instead of failing every session that loads them.
-func ValidateTuneChoices(choices []TuneChoice) error {
-	for _, tc := range choices {
-		if tc.Op == switchPointOp {
-			if classIndex(tc.Algo) < 0 {
-				return fmt.Errorf("mpi: tune table: unknown device class %q", tc.Algo)
-			}
-			if tc.MaxBytes <= 0 {
-				return fmt.Errorf("mpi: tune table: non-positive switch point %d for class %s", tc.MaxBytes, tc.Algo)
-			}
-			continue
-		}
-		if _, ok := kindByName(tc.Op); !ok {
-			return fmt.Errorf("mpi: tune table: unknown operation %q", tc.Op)
-		}
-		if _, ok := algoByName(tc.Algo); !ok {
-			return fmt.Errorf("mpi: tune table: unknown algorithm %q", tc.Algo)
-		}
-		if tc.MaxBytes <= 0 {
-			return fmt.Errorf("mpi: tune table: non-positive bracket %d for %s", tc.MaxBytes, tc.Op)
-		}
-	}
-	return nil
 }
 
 // Autotune runs the MPI_Init tuning sweep over MPI_COMM_WORLD: every
@@ -350,8 +296,7 @@ func (c *Comm) autotune() error {
 
 	// Rank 0 turns winners into crossover brackets and broadcasts the
 	// encoded table (collective rows, then per-class switch rows tagged
-	// with negative kinds); everyone decodes the same bytes into the
-	// snapshot format and installs them the way a cached table is.
+	// with negative kinds); everyone installs the same triples.
 	var enc []int64
 	if c.myRank == 0 {
 		for _, pr := range probes { // ascending kind order
@@ -386,10 +331,50 @@ func (c *Comm) autotune() error {
 	// buffer list — the big classes above all, which nothing after it may
 	// ever ask for again — would otherwise sit there for the session.
 	c.p.Eng.Bufs.Drop()
-	// LoadTuneTable also refreshes the world communicator's table cache,
-	// which the sweep's own barriers/broadcasts resolved to nil, so the
-	// tuned table governs from the next collective on.
-	return c.p.LoadTuneTable(decodeTuneChoices(BytesInt64(buf)))
+	return c.p.installTuneTable(BytesInt64(buf))
+}
+
+// installTuneTable installs the install broadcast's triples — (kind,
+// maxBytes, algo) bracket rows, then (-(class index + 1), threshold, 0)
+// per-class switch rows — as the process's crossover table and class
+// thresholds. It also refreshes the world communicator's table cache, which
+// the sweep's own barriers and broadcasts resolved to nil, so the table
+// governs from the next collective on. A triple naming no known operation,
+// algorithm or device class, or carrying a non-positive bound, is an error
+// and nothing is installed. Costs no virtual time.
+func (p *Process) installTuneTable(enc []int64) error {
+	tt := &tuneTable{rows: make(map[collKind][]tuneRow)}
+	type classRow struct {
+		class string
+		bytes int
+	}
+	var classes []classRow
+	for i := 0; i+2 < len(enc); i += 3 {
+		k, bound, a := enc[i], enc[i+1], enc[i+2]
+		bad := func(what string) error {
+			return fmt.Errorf("mpi: tune table: triple (%d, %d, %d): %s", k, bound, a, what)
+		}
+		switch {
+		case bound <= 0:
+			return bad("non-positive bound")
+		case k < -int64(len(deviceClassNames)):
+			return bad("unknown device class")
+		case k < 0:
+			classes = append(classes, classRow{deviceClassNames[-k-1], int(bound)})
+		case k >= int64(numCollKinds):
+			return bad("unknown operation")
+		case a < 0 || a >= int64(len(collAlgos)):
+			return bad("unknown algorithm")
+		default:
+			tt.rows[collKind(k)] = append(tt.rows[collKind(k)], tuneRow{maxBytes: int(bound), algo: collAlgo(a)})
+		}
+	}
+	for _, c := range classes {
+		p.installClassSwitch(c.class, c.bytes)
+	}
+	p.tuned = tt
+	p.World.tt, p.World.ttSet = tt, true
+	return nil
 }
 
 // crossoverRows compresses per-size winners into brackets, placing each
@@ -406,26 +391,6 @@ func crossoverRows(sizes []int, winners []collAlgo) []tuneRow {
 		rows = append(rows, tuneRow{maxBytes: math.MaxInt, algo: w})
 	}
 	return rows
-}
-
-// decodeTuneChoices turns the install broadcast's triples — (kind,
-// maxBytes, algo) bracket rows, then (-(class index + 1), threshold, 0)
-// per-class switch rows — into TuneSnapshot's format. A triple naming no
-// known kind, algorithm or class decodes to empty names, which
-// LoadTuneTable's validation rejects.
-func decodeTuneChoices(enc []int64) []TuneChoice {
-	var choices []TuneChoice
-	for i := 0; i+2 < len(enc); i += 3 {
-		tc := TuneChoice{MaxBytes: int(enc[i+1])}
-		switch k, a := enc[i], enc[i+2]; {
-		case k < 0 && -k <= int64(len(deviceClassNames)):
-			tc.Op, tc.Algo = switchPointOp, deviceClassNames[-k-1]
-		case k >= 0 && k < int64(numCollKinds) && a >= 0 && a < int64(len(collAlgos)):
-			tc.Op, tc.Algo = collKinds[k].name, collAlgos[a].name
-		}
-		choices = append(choices, tc)
-	}
-	return choices
 }
 
 // tuneProbeTag is the reserved message tag of the switch-point probe

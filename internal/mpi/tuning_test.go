@@ -7,6 +7,8 @@ package mpi_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"mpichmad/internal/cluster"
@@ -109,58 +111,38 @@ func TestAutotuneMeasuresClassSwitchPoints(t *testing.T) {
 	}
 }
 
-// TestSwitchPointTuneRoundTrip: SwitchPoint rows survive the persistence
-// path — LoadTuneTable installs them as per-class thresholds and
-// TuneSnapshot exports them back byte-identically.
-func TestSwitchPointTuneRoundTrip(t *testing.T) {
-	table := []mpi.TuneChoice{
-		{Op: "SwitchPoint", MaxBytes: 16 << 10, Algo: "san"},
-		{Op: "SwitchPoint", MaxBytes: 64 << 10, Algo: "wan"},
+// TestTuneTableRejectsBadTriples: the autotuner's install path refuses a
+// broadcast triple naming an unknown operation, algorithm or device class,
+// or carrying a non-positive bound, with an error naming the triple, and
+// installs nothing of a table that holds one; a good table installs its
+// class thresholds.
+func TestTuneTableRejectsBadTriples(t *testing.T) {
+	good := []int64{1, 4096, 0, -3, 16 << 10, 0} // Bcast flat up to 4 KiB; san at 16 KiB
+	bad := [][]int64{
+		{99, 4096, 0}, // no such operation
+		{1, 4096, 99}, // no such algorithm
+		{-9, 8192, 0}, // no such device class
+		{1, 0, 0},     // empty bracket
+		{-4, -1, 0},   // negative threshold
 	}
-	p := mpi.NewProcess(nil, nil, 0, mpi.WorldGroup(1), nil, nil)
-	if err := p.LoadTuneTable(table); err != nil {
-		t.Fatal(err)
-	}
-	got := p.ClassSwitchPoints()
-	if got["san"] != 16<<10 || got["wan"] != 64<<10 {
-		t.Fatalf("ClassSwitchPoints = %v, want san=16K wan=64K", got)
-	}
-	snap := p.TuneSnapshot()
-	if !reflect.DeepEqual(snap, table) {
-		t.Fatalf("TuneSnapshot = %v, want the loaded table %v", snap, table)
-	}
-	p2 := mpi.NewProcess(nil, nil, 0, mpi.WorldGroup(1), nil, nil)
-	if err := p2.LoadTuneTable(snap); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p2.ClassSwitchPoints(), got) {
-		t.Fatalf("reloaded thresholds %v differ from %v", p2.ClassSwitchPoints(), got)
-	}
-}
-
-// TestValidateTuneChoicesRejectsBadSwitchRows: the persistence sanity
-// check must reject SwitchPoint rows naming an unknown device class or a
-// non-positive threshold, so a corrupted cache cannot poison sessions.
-func TestValidateTuneChoicesRejectsBadSwitchRows(t *testing.T) {
-	bad := [][]mpi.TuneChoice{
-		{{Op: "SwitchPoint", MaxBytes: 8 << 10, Algo: "quantum"}},
-		{{Op: "SwitchPoint", MaxBytes: 0, Algo: "san"}},
-		{{Op: "SwitchPoint", MaxBytes: -1, Algo: "wan"}},
-		// A row kind older caches carried: rejected like any unknown
-		// operation.
-		{{Op: "RelayWindow", MaxBytes: 4, Algo: "gwAB"}},
-		// Collective rows: an algorithm no compiler knows, a nonsense bracket.
-		{{Op: "Bcast", MaxBytes: 1024, Algo: "warp-drive"}},
-		{{Op: "Allreduce", MaxBytes: -5, Algo: "flat"}},
-	}
-	for _, table := range bad {
-		if err := mpi.ValidateTuneChoices(table); err == nil {
-			t.Errorf("ValidateTuneChoices(%v) = nil, want error", table)
+	for _, triple := range bad {
+		p := mpi.NewProcess(nil, nil, 0, mpi.WorldGroup(1), nil, nil)
+		err := p.InstallTuneTable(append(slices.Clone(good), triple...))
+		name := fmt.Sprintf("(%d, %d, %d)", triple[0], triple[1], triple[2])
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("triple %s: err = %v, want an error naming it", name, err)
+		}
+		if p.TuneSnapshot() != nil {
+			t.Errorf("triple %s: installed %v", name, p.TuneSnapshot())
 		}
 	}
-	good := []mpi.TuneChoice{{Op: "SwitchPoint", MaxBytes: 8 << 10, Algo: "smp"}}
-	if err := mpi.ValidateTuneChoices(good); err != nil {
-		t.Errorf("ValidateTuneChoices(%v) = %v, want nil", good, err)
+	p := mpi.NewProcess(nil, nil, 0, mpi.WorldGroup(1), nil, nil)
+	if err := p.InstallTuneTable(good); err != nil {
+		t.Fatal(err)
+	}
+	want := []mpi.TuneChoice{{Op: "Bcast", MaxBytes: 4096, Algo: "flat"}, {Op: "SwitchPoint", MaxBytes: 16 << 10, Algo: "san"}}
+	if got := p.TuneSnapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("TuneSnapshot = %v, want %v", got, want)
 	}
 }
 
