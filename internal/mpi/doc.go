@@ -512,10 +512,14 @@
 // algorithm of every tunable operation is compiled and executed on the
 // live topology over a small payload sweep — so the timings include rank
 // placement, elected switch points and, when netsim models it, backbone
-// trunk contention (netsim.Params.NetworkBandwidth). Rank 0 picks the
-// fastest candidate per size, places crossovers at geometric midpoints,
-// and broadcasts the (operation → size bracket → algorithm) table as
-// integer triples; every rank installs the identical triples straight into
+// trunk contention (netsim.Params.NetworkBandwidth). Rank 0 keeps every
+// reading, picks the fastest candidate per size and places each crossover
+// where the two winners' readings cross, each candidate's time a straight
+// line between the adjacent sweep sizes — the α–β crossing by which §4.2.2
+// argues the eager/rendez-vous switch point (the per-class switch-point
+// probe itself still elects the geometric midpoint of its bracket). It
+// broadcasts the (operation → size bracket → algorithm) table as integer
+// triples; every rank installs the identical triples straight into
 // its table and class thresholds, refusing a triple that names no known
 // operation, algorithm or class or carries a non-positive bound, so CollAuto
 // dispatch stays agreed everywhere. The sweep is deterministic in the
@@ -645,7 +649,10 @@
 //     the two-level trees took a shape: message size (bytes), leader count
 //     (seq), predicted completion in ns (val) and, in class, the LogGP
 //     inputs with the depth and widest fan-out that came out — once per
-//     size and communicator group, on the track of the rank that built it.
+//     size and communicator group, on the track of the rank that built it;
+//     "tune.cross" — the MPI_Init autotuner placed a bracket bound: the bound
+//     (bytes) and, in class, the operation, the sweep sizes around it and
+//     both algorithms' readings at them — once per bound, on rank 0's track.
 //
 // Reading traces: trace.Tracer.WriteChrome emits Chrome trace-event
 // JSON with timestamps in virtual microseconds — load it in

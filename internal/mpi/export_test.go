@@ -1,5 +1,7 @@
 package mpi
 
+import "mpichmad/internal/vtime"
+
 // FlatView is the identity of the communicator's cached one-cluster view,
 // nil before a flat form has compiled against it.
 func (c *Comm) FlatView() *commTopo { return c.flat }
@@ -86,6 +88,30 @@ func (c *Comm) StartRounds(name string, staged int, rounds [][]Step) *CollReques
 // InstallTuneTable installs encoded (kind, bound, algo) triples as the
 // autotuner's broadcast installs them.
 func (p *Process) InstallTuneTable(enc []int64) error { return p.installTuneTable(enc) }
+
+// TuneRow is one bracket crossoverRows placed: its upper bound and the index
+// of the candidate it selects.
+type TuneRow struct{ MaxBytes, Cand int }
+
+// CrossoverRows brackets readings ([size][candidate]) as the autotuner does,
+// candidate j standing for algorithm j, and returns the brackets with the
+// candidate a table of them looks up for n bytes.
+func CrossoverRows(sizes []int, readings [][]vtime.Duration) ([]TuneRow, func(n int) int) {
+	cands := make([]collAlgo, len(readings[0]))
+	for j := range cands {
+		cands[j] = collAlgo(j)
+	}
+	rows := crossoverRows(sizes, cands, readings)
+	out := make([]TuneRow, len(rows))
+	for i, r := range rows {
+		out[i] = TuneRow{r.maxBytes, int(r.algo)}
+	}
+	tt := &tuneTable{rows: map[collKind][]tuneRow{kindBcast: rows}}
+	return out, func(n int) int {
+		a, _ := tt.lookup(kindBcast, n)
+		return int(a)
+	}
+}
 
 // Context returns the communicator's point-to-point context id.
 func (c *Comm) Context() int { return c.ctx }

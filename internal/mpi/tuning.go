@@ -18,15 +18,17 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"mpichmad/internal/adi"
+	"mpichmad/internal/trace"
 	"mpichmad/internal/vtime"
 )
 
 // tuneSizes is the sweep: one size per decade of the latency-, mixed- and
-// bandwidth-dominated regimes. Crossovers between adjacent sweep points
-// are placed at their geometric midpoint.
+// bandwidth-dominated regimes. A crossover between adjacent sweep points is
+// placed where the two winners' readings cross, each taken as a straight
+// line between the two sizes (crossoverRows).
 var tuneSizes = []int{1 << 10, 16 << 10, 256 << 10}
 
 // switchTuneSizes is the per-device-class eager/rendez-vous probe sweep:
@@ -44,16 +46,6 @@ const switchPointOp = "SwitchPoint"
 // (mirroring internal/route's DeviceClass taxonomy); the canonical
 // encoding order for per-class threshold rows.
 var deviceClassNames = []string{"self", "smp", "san", "wan"}
-
-// classIndex inverts deviceClassNames; -1 for an unknown name.
-func classIndex(name string) int {
-	for i, n := range deviceClassNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
 
 // ClassProbe names the representative ordered rank pair the MPI_Init
 // autotuner times to measure one device class's eager/rendez-vous
@@ -155,13 +147,10 @@ func (p *Process) TuneSnapshot() []TuneChoice {
 			}
 		}
 	}
-	classes := make([]string, 0, len(p.classSwitch))
-	for c := range p.classSwitch {
-		classes = append(classes, c)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classIndex(classes[i]) < classIndex(classes[j]) })
-	for _, c := range classes {
-		out = append(out, TuneChoice{Op: switchPointOp, MaxBytes: p.classSwitch[c], Algo: c})
+	for _, c := range deviceClassNames {
+		if thr, ok := p.classSwitch[c]; ok {
+			out = append(out, TuneChoice{Op: switchPointOp, MaxBytes: thr, Algo: c})
+		}
 	}
 	return out
 }
@@ -181,10 +170,7 @@ func (p *Process) Autotune() error {
 // whatever algorithm is currently forced.
 func (c *Comm) runTuneOp(kind collKind, nBytes int) error {
 	n := c.Size()
-	per := nBytes / n
-	if per < 1 {
-		per = 1
-	}
+	per := max(nBytes/n, 1)
 	// The probe's own buffers are leased from the rank's list and home
 	// again when it returns: what they hold cannot move virtual time.
 	probe := func(sendLen, recvLen int, run func(send, recv []byte) error) error {
@@ -236,6 +222,7 @@ func (c *Comm) autotune() error {
 	type probe struct {
 		kind       collKind
 		candidates []collAlgo
+		readings   [][]vtime.Duration // [sweep size][candidate]
 	}
 	var probes []probe
 	for k := collKind(0); k < numCollKinds; k++ {
@@ -244,23 +231,21 @@ func (c *Comm) autotune() error {
 		}
 	}
 
-	// Rank 0 collects winners; every rank runs every probe in the same
-	// order (MPI's collective-ordering rule makes the sweep legal).
-	winners := make(map[collKind][]collAlgo, len(probes))
-	for _, pr := range probes {
+	// Every rank runs every probe in the same order (MPI's
+	// collective-ordering rule makes the sweep legal); rank 0's readings
+	// decide.
+	for i := range probes {
+		pr := &probes[i]
 		for _, size := range tuneSizes {
-			best, bestT := pr.candidates[0], vtime.Duration(math.MaxInt64)
-			for _, a := range pr.candidates {
-				t, err := c.timeAlgo(pr.kind, a, size)
-				if err != nil {
+			ts := make([]vtime.Duration, len(pr.candidates))
+			for j, a := range pr.candidates {
+				var err error
+				if ts[j], err = c.timeAlgo(pr.kind, a, size); err != nil {
 					return fmt.Errorf("mpi: autotune %s/%s at %d B: %w",
 						collKinds[pr.kind].name, collAlgos[a].name, size, err)
 				}
-				if t < bestT {
-					best, bestT = a, t
-				}
 			}
-			winners[pr.kind] = append(winners[pr.kind], best)
+			pr.readings = append(pr.readings, ts)
 		}
 	}
 
@@ -294,13 +279,15 @@ func (c *Comm) autotune() error {
 		}
 	}
 
-	// Rank 0 turns winners into crossover brackets and broadcasts the
+	// Rank 0 turns its readings into crossover brackets and broadcasts the
 	// encoded table (collective rows, then per-class switch rows tagged
 	// with negative kinds); everyone installs the same triples.
 	var enc []int64
 	if c.myRank == 0 {
 		for _, pr := range probes { // ascending kind order
-			for _, r := range crossoverRows(tuneSizes, winners[pr.kind]) {
+			rows := crossoverRows(tuneSizes, pr.candidates, pr.readings)
+			c.traceCrossings(pr.kind, pr.candidates, pr.readings, rows)
+			for _, r := range rows {
 				enc = append(enc, int64(pr.kind), int64(r.maxBytes), int64(r.algo))
 			}
 		}
@@ -310,10 +297,7 @@ func (c *Comm) autotune() error {
 			}
 		}
 	}
-	nRows := make([]byte, 8)
-	if c.myRank == 0 {
-		copy(nRows, Int64Bytes([]int64{int64(len(enc))}))
-	}
+	nRows := Int64Bytes([]int64{int64(len(enc))}) // 0 off rank 0: the Bcast fills it
 	if err := c.Bcast(nRows, 1, Int64, 0); err != nil {
 		return err
 	}
@@ -344,11 +328,7 @@ func (c *Comm) autotune() error {
 // and nothing is installed. Costs no virtual time.
 func (p *Process) installTuneTable(enc []int64) error {
 	tt := &tuneTable{rows: make(map[collKind][]tuneRow)}
-	type classRow struct {
-		class string
-		bytes int
-	}
-	var classes []classRow
+	var classes []int // where the class triples start, installed once all are good
 	for i := 0; i+2 < len(enc); i += 3 {
 		k, bound, a := enc[i], enc[i+1], enc[i+2]
 		bad := func(what string) error {
@@ -360,7 +340,7 @@ func (p *Process) installTuneTable(enc []int64) error {
 		case k < -int64(len(deviceClassNames)):
 			return bad("unknown device class")
 		case k < 0:
-			classes = append(classes, classRow{deviceClassNames[-k-1], int(bound)})
+			classes = append(classes, i)
 		case k >= int64(numCollKinds):
 			return bad("unknown operation")
 		case a < 0 || a >= int64(len(collAlgos)):
@@ -369,28 +349,56 @@ func (p *Process) installTuneTable(enc []int64) error {
 			tt.rows[collKind(k)] = append(tt.rows[collKind(k)], tuneRow{maxBytes: int(bound), algo: collAlgo(a)})
 		}
 	}
-	for _, c := range classes {
-		p.installClassSwitch(c.class, c.bytes)
+	for _, i := range classes {
+		p.installClassSwitch(deviceClassNames[-enc[i]-1], int(enc[i+1]))
 	}
 	p.tuned = tt
 	p.World.tt, p.World.ttSet = tt, true
 	return nil
 }
 
-// crossoverRows compresses per-size winners into brackets, placing each
-// crossover at the geometric midpoint of the adjacent sweep sizes.
-func crossoverRows(sizes []int, winners []collAlgo) []tuneRow {
+// crossoverRows compresses the sweep's readings ([size][candidate]) into
+// brackets. Each size's winner is its fastest candidate (the first on a
+// tie). Where the winner changes between adjacent sizes lo and hi, the
+// bound goes where the two winners' readings cross, each candidate's time
+// taken as a straight line between lo and hi: lo + (hi−lo)·lead/(lead+lag),
+// lead ≥ 0 how far the low-side winner is ahead at lo, lag how far it is
+// behind at hi. The bound lies in [lo, hi) (hi − 1 when the two tie at hi),
+// so every sweep size still looks up its own measured winner.
+func crossoverRows(sizes []int, candidates []collAlgo, readings [][]vtime.Duration) []tuneRow {
 	var rows []tuneRow
-	for i, w := range winners {
-		if len(rows) > 0 && rows[len(rows)-1].algo == w {
+	prev := -1
+	for i, ts := range readings {
+		w := slices.Index(ts, slices.Min(ts))
+		if w == prev {
 			continue
 		}
-		if len(rows) > 0 {
-			rows[len(rows)-1].maxBytes = int(math.Sqrt(float64(sizes[i-1]) * float64(sizes[i])))
+		if prev >= 0 {
+			lo, hi := sizes[i-1], sizes[i]
+			lead, lag := int64(readings[i-1][w]-readings[i-1][prev]), int64(ts[prev]-ts[w])
+			rows[len(rows)-1].maxBytes = min(lo+int(int64(hi-lo)*lead/max(lead+lag, 1)), hi-1)
 		}
-		rows = append(rows, tuneRow{maxBytes: math.MaxInt, algo: w})
+		rows = append(rows, tuneRow{maxBytes: math.MaxInt, algo: candidates[w]})
+		prev = w
 	}
 	return rows
+}
+
+// traceCrossings puts each bound crossoverRows placed on the trace as a
+// "tune.cross" ctrl instant: the bound in bytes, and in class the
+// operation, the sweep sizes around the bound and, for the algorithm below
+// and the one above it, its readings at those two sizes.
+func (c *Comm) traceCrossings(kind collKind, candidates []collAlgo, readings [][]vtime.Duration, rows []tuneRow) {
+	tr := c.p.tracer
+	for r := 1; tr != nil && r < len(rows); r++ {
+		bound, below, above := rows[r-1].maxBytes, rows[r-1].algo, rows[r].algo
+		i := slices.IndexFunc(tuneSizes, func(s int) bool { return s > bound })
+		a, b := slices.Index(candidates, below), slices.Index(candidates, above)
+		tr.Instant(c.p.traceTrack, trace.KCtrl, "tune.cross", trace.Args{Bytes: int64(bound), Class: fmt.Sprintf(
+			"op=%s,lo=%d,hi=%d,%s=%.6gus/%.6gus,%s=%.6gus/%.6gus", collKinds[kind].name, tuneSizes[i-1], tuneSizes[i],
+			collAlgos[below].name, readings[i-1][a].Micros(), readings[i][a].Micros(),
+			collAlgos[above].name, readings[i-1][b].Micros(), readings[i][b].Micros())})
+	}
 }
 
 // tuneProbeTag is the reserved message tag of the switch-point probe

@@ -6,6 +6,8 @@ package mpi_test
 
 import (
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"mpichmad/internal/cluster"
 	"mpichmad/internal/mpi"
 	"mpichmad/internal/netsim"
+	"mpichmad/internal/vtime"
 )
 
 // autotunedTables builds a topology with Autotune on, runs an empty rank
@@ -189,5 +192,117 @@ func TestAutotunedCollectivesStayCorrect(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCrossoverRows: the tuner puts each bracket bound where the two
+// winners' readings cross, each candidate a straight line between adjacent
+// sweep sizes, and picks the first candidate on a tie.
+func TestCrossoverRows(t *testing.T) {
+	sizes := []int{1 << 10, 16 << 10, 256 << 10}
+	// line samples a candidate costing base + perByte·size ns at every size.
+	line := func(base, perByte float64) []vtime.Duration {
+		var out []vtime.Duration
+		for _, s := range sizes {
+			out = append(out, vtime.Duration(base+perByte*float64(s)))
+		}
+		return out
+	}
+	// columns turns per-candidate series into [size][candidate] readings.
+	columns := func(cands ...[]vtime.Duration) [][]vtime.Duration {
+		out := make([][]vtime.Duration, len(sizes))
+		for i := range sizes {
+			for _, c := range cands {
+				out[i] = append(out[i], c[i])
+			}
+		}
+		return out
+	}
+	cases := []struct {
+		name     string
+		readings [][]vtime.Duration
+		want     []mpi.TuneRow // bounds within ±slack, candidates exact
+		slack    int
+	}{
+		{
+			name:     "lines cross in the first gap",
+			readings: columns(line(10e3, 4), line(50e3, 1)), // 40e3/3 B
+			want:     []mpi.TuneRow{{13333, 0}, {math.MaxInt, 1}},
+			slack:    1,
+		},
+		{
+			name:     "lines cross in the second gap",
+			readings: columns(line(0, 2), line(100e3, 1)), // 100e3 B
+			want:     []mpi.TuneRow{{100000, 0}, {math.MaxInt, 1}},
+			slack:    1,
+		},
+		{
+			name:     "tie at lo goes to the first candidate, bound lo",
+			readings: [][]vtime.Duration{{500, 500}, {900, 800}, {9000, 8000}},
+			want:     []mpi.TuneRow{{1 << 10, 0}, {math.MaxInt, 1}},
+		},
+		{
+			name:     "the first candidate wins a tie at hi too",
+			readings: [][]vtime.Duration{{700, 500}, {800, 800}, {9000, 9500}},
+			want:     []mpi.TuneRow{{16<<10 - 1, 1}, {math.MaxInt, 0}},
+		},
+		{
+			name:     "one winner everywhere",
+			readings: columns(line(0, 1), line(1, 2)),
+			want:     []mpi.TuneRow{{math.MaxInt, 0}},
+		},
+	}
+	for _, c := range cases {
+		got, _ := mpi.CrossoverRows(sizes, c.readings)
+		ok := len(got) == len(c.want)
+		for i := 0; ok && i < len(got); i++ {
+			d := got[i].MaxBytes - c.want[i].MaxBytes
+			ok = got[i].Cand == c.want[i].Cand && d >= -c.slack && d <= c.slack
+		}
+		if !ok {
+			t.Errorf("%s: rows %v, want %v (bounds ±%d B)", c.name, got, c.want, c.slack)
+		}
+	}
+
+	// Three candidates that each win one sweep size: one bound per gap.
+	got, _ := mpi.CrossoverRows(sizes, [][]vtime.Duration{{1, 5, 9}, {50, 10, 40}, {900, 800, 100}})
+	if len(got) != 3 || got[0].Cand != 0 || got[1].Cand != 1 || got[2].Cand != 2 ||
+		got[0].MaxBytes < sizes[0] || got[0].MaxBytes >= sizes[1] ||
+		got[1].MaxBytes < sizes[1] || got[1].MaxBytes >= sizes[2] {
+		t.Errorf("three winners: rows %v, want candidates 0, 1, 2 with one bound in each gap of %v", got, sizes)
+	}
+}
+
+// TestCrossoverRowsProperty: over random readings (ties included), every
+// bound lies in [lo, hi) of the gap where the winner changes, and the table
+// looks up each sweep size's fastest candidate, the first on a tie.
+func TestCrossoverRowsProperty(t *testing.T) {
+	rng := rand.New(rand.NewPCG(33, 1))
+	for trial := 0; trial < 2000; trial++ {
+		sizes := []int{1 + rng.IntN(64)}
+		for len(sizes) < 2+rng.IntN(4) {
+			sizes = append(sizes, sizes[len(sizes)-1]+1+rng.IntN(1<<16))
+		}
+		cands := 2 + rng.IntN(3)
+		readings := make([][]vtime.Duration, len(sizes))
+		for i := range readings {
+			for j := 0; j < cands; j++ {
+				readings[i] = append(readings[i], vtime.Duration(1+rng.IntN(6)))
+			}
+		}
+		rows, lookup := mpi.CrossoverRows(sizes, readings)
+		prev := 0 // sizes[gap-1] <= bound < sizes[gap], one bound per gap
+		for _, r := range rows[:len(rows)-1] {
+			gap := slices.IndexFunc(sizes, func(s int) bool { return s > r.MaxBytes })
+			if gap <= prev {
+				t.Fatalf("sizes %v readings %v: bound %d of rows %v is outside [lo, hi) of a gap of its own", sizes, readings, r.MaxBytes, rows)
+			}
+			prev = gap
+		}
+		for i, s := range sizes {
+			if want := slices.Index(readings[i], slices.Min(readings[i])); lookup(s) != want {
+				t.Fatalf("sizes %v readings %v rows %v: %d B looks up candidate %d, want %d", sizes, readings, rows, s, lookup(s), want)
+			}
+		}
 	}
 }
