@@ -47,7 +47,7 @@ func main() {
 	h := sess.Hierarchy()
 	fmt.Printf("discovered hierarchy: %d clusters\n", h.NumClusters())
 	for ci, ranks := range sess.Clusters() {
-		link := h.Intra[ci]
+		link := h.Nets[h.ClusterNames[ci]]
 		fmt.Printf("  cluster %d %-9s (%6.1f MB/s, %5.1f us) ranks %v leader %d\n",
 			ci, link.Net, link.BandwidthMBs, link.LatencyUS, ranks, ranks[0])
 	}

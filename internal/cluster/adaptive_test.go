@@ -6,6 +6,7 @@ package cluster
 // queue steers it back), and striping through a real session.
 
 import (
+	"slices"
 	"testing"
 
 	"mpichmad/internal/mpi"
@@ -183,5 +184,68 @@ func TestReplanClosedLoop(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplanReelectsLeaderSets: a Replan that moves a cluster's primary
+// leader re-elects the cluster's leader set with it. On the triangle, a
+// 64 KiB flood a2 → c1 observed at 2 ms moves cluster C's primary from c0
+// (rank 6) to c1 (rank 7). Afterwards every set must open with its
+// cluster's leader, every co-leader must front the gateway it is tagged
+// with, and every cluster pair must share a bridge both sets front: its
+// multi-leader couples are direct, no device relays them.
+func TestReplanReelectsLeaderSets(t *testing.T) {
+	const flood = 64 << 10
+	sess, err := Build(bridgedTriangle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rk := range sess.Ranks {
+		rk.ChMad.RelayStriping = false
+	}
+	h := sess.Hierarchy()
+	before := slices.Clone(h.Leaders)
+	err = sess.Run(func(rank int, comm *mpi.Comm) error {
+		if err := comm.Barrier(); err != nil {
+			return err
+		}
+		switch rank {
+		case 2:
+			err = comm.Send(make([]byte, flood), flood, mpi.Byte, 7, 5)
+		case 7:
+			_, err = comm.Recv(make([]byte, flood), flood, mpi.Byte, 2, 5)
+		case 0:
+			sess.Ranks[0].Proc.Sleep(2 * vtime.Millisecond)
+			sess.Replan()
+			return nil
+		}
+		// Stay clear of the Finalize barrier until the re-plan is over.
+		sess.Ranks[rank].Proc.Sleep(100 * vtime.Millisecond)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := h.ClusterOf[7]; before[c] != 6 || h.Leaders[c] != 7 {
+		t.Fatalf("cluster C's leader went from %d to %d across the re-plan, want 6 to 7", before[c], h.Leaders[c])
+	}
+	for c, set := range h.LeaderSets {
+		if set[0] != h.Leaders[c] {
+			t.Errorf("cluster %d: leader set %v does not open with its leader %d", c, set, h.Leaders[c])
+		}
+		for k, gw := range h.LeaderGateways[c] {
+			if gw != "" && !sess.attached(set[k], gw) {
+				t.Errorf("cluster %d: co-leader %d is tagged with gateway %s it does not front", c, set[k], gw)
+			}
+		}
+		for d := c + 1; d < len(h.LeaderSets); d++ {
+			shared := slices.ContainsFunc(h.LeaderGateways[c], func(gw string) bool {
+				return gw != "" && slices.Contains(h.LeaderGateways[d], gw)
+			})
+			if !shared {
+				t.Errorf("clusters %d and %d (gateways %v, %v) share no bridge: their couples are relayed",
+					c, d, h.LeaderGateways[c], h.LeaderGateways[d])
+			}
+		}
 	}
 }

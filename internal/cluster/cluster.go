@@ -694,6 +694,7 @@ func (sess *Session) Replan() *route.Plan {
 	}
 	if sess.hier != nil {
 		sess.electLeaders(sess.hier)
+		sess.electLeaderSets(sess.hier, sess.spanning(sess.hier))
 		sess.routedInter(sess.hier, sess.segCap)
 		for _, rk := range sess.Ranks {
 			rk.MPI.RefreshHierarchy(sess.hier)

@@ -59,7 +59,6 @@ func (sess *Session) discoverHierarchy(maxSegment int) *mpi.Hierarchy {
 			id = len(h.ClusterNames)
 			clusterIdx[key] = id
 			h.ClusterNames = append(h.ClusterNames, key)
-			h.Intra = append(h.Intra, sess.linkFor(key, 0))
 		}
 		h.ClusterOf[r] = id
 	}

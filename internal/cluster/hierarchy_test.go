@@ -54,7 +54,8 @@ func TestDiscoverHierarchyTwoClusters(t *testing.T) {
 			t.Fatalf("rank %d in cluster %d, want %d", r, sess.hier.ClusterOf[r], want)
 		}
 	}
-	for _, c := range h.Intra {
+	for _, name := range h.ClusterNames {
+		c := h.Nets[name]
 		if c.BandwidthMBs <= h.Inter.BandwidthMBs {
 			t.Fatalf("intra link %s (%.1f MB/s) not faster than backbone (%.1f MB/s)",
 				c.Net, c.BandwidthMBs, h.Inter.BandwidthMBs)

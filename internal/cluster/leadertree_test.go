@@ -197,6 +197,43 @@ func treeCollOutputs(t *testing.T, topo Topology, mode mpi.CollMode, seed int) m
 		}
 		record("ibcast", rank, ib)
 		record("iallreduce", rank, arOut)
+		if sess.Hierarchy().NumClusters() > 1 {
+			return nil
+		}
+		// A Float64 sum depends on the order it is taken in (1e16 + 1 − 1e16
+		// is 0, 1e16 − 1e16 + 1 is 1). On one cluster the flat Reduce and
+		// Allreduce are the two-level tree's one-cluster case: both fold the
+		// binomial tree's children in ascending stride order.
+		val := func(r int) float64 { return []float64{1e16, 1, -1e16, 1, 3, -1e16}[r%6] }
+		fold := func(root int) float64 {
+			var at func(rel int) float64
+			at = func(rel int) float64 {
+				v := val((rel + root) % n)
+				for mask := 1; mask < n && rel&mask == 0; mask <<= 1 {
+					if rel+mask < n {
+						v += at(rel + mask)
+					}
+				}
+				return v
+			}
+			return at(0)
+		}
+		mine, sum := mpi.Float64Bytes([]float64{val(rank)}), make([]byte, 8)
+		check := func(what string, root int, err error) error {
+			if got := mpi.BytesFloat64(sum)[0]; err == nil && (what == "Allreduce" || rank == root) && got != fold(root) {
+				err = fmt.Errorf("rank %d: Float64 %s to %d is %g, the binomial fold %g", rank, what, root, got, fold(root))
+			}
+			return err
+		}
+		for root := 0; root < n; root++ {
+			if err := check("Reduce", root, comm.Reduce(mine, sum, 1, mpi.Float64, mpi.OpSum, root)); err != nil {
+				return err
+			}
+		}
+		if err := check("Allreduce", 0, comm.Allreduce(mine, sum, 1, mpi.Float64, mpi.OpSum)); err != nil {
+			return err
+		}
+		record("float64sum", rank, sum)
 		return nil
 	})
 	if err != nil {
@@ -219,28 +256,38 @@ var leaderTreeClusters = []int{4, 5, 8, 13, 33}
 // as root, plain members included, every predefined operation, strided and
 // aliased buffers, a segmented Bcast, Icolls pending across p2p traffic.
 func TestLeaderTreeEquivalence(t *testing.T) {
+	type input struct {
+		szs    []int
+		capped bool
+		seed   int
+	}
+	// One cluster of six ranks first: there the two-level forms degrade to
+	// the flat ones, and a Float64 sum holds the same bits under both.
+	inputs := []input{{[]int{6}, false, 5}}
 	for ci, nc := range leaderTreeClusters {
 		for _, capped := range []bool{true, false} {
-			t.Run(fmt.Sprintf("%dclusters/capped=%v", nc, capped), func(t *testing.T) {
-				szs := starSizes(nc, int64(100*nc+ci))
-				seed := 31*ci + 7
-				hier := treeCollOutputs(t, starTopo(szs, capped), mpi.CollHier, seed)
-				flat := treeCollOutputs(t, starTopo(szs, capped), mpi.CollFlat, seed)
-				if len(hier) != len(flat) {
-					t.Fatalf("%v: output key sets differ: 2level %d flat %d", szs, len(hier), len(flat))
-				}
-				for k, hv := range hier {
-					if string(hv) != string(flat[k]) {
-						at := 0
-						for at < len(hv) && at < len(flat[k]) && hv[at] == flat[k][at] {
-							at++
-						}
-						t.Fatalf("%v: %s: 2level != flat from byte %d of %d: % x, want % x",
-							szs, k, at, len(hv), hv[at:min(at+16, len(hv))], flat[k][at:min(at+16, len(flat[k]))])
-					}
-				}
-			})
+			inputs = append(inputs, input{starSizes(nc, int64(100*nc+ci)), capped, 31*ci + 7})
 		}
+	}
+	for _, in := range inputs {
+		t.Run(fmt.Sprintf("%dclusters/capped=%v", len(in.szs), in.capped), func(t *testing.T) {
+			szs := in.szs
+			hier := treeCollOutputs(t, starTopo(szs, in.capped), mpi.CollHier, in.seed)
+			flat := treeCollOutputs(t, starTopo(szs, in.capped), mpi.CollFlat, in.seed)
+			if len(hier) != len(flat) {
+				t.Fatalf("%v: output key sets differ: 2level %d flat %d", szs, len(hier), len(flat))
+			}
+			for k, hv := range hier {
+				if string(hv) != string(flat[k]) {
+					at := 0
+					for at < len(hv) && at < len(flat[k]) && hv[at] == flat[k][at] {
+						at++
+					}
+					t.Fatalf("%v: %s: 2level != flat from byte %d of %d: % x, want % x",
+						szs, k, at, len(hv), hv[at:min(at+16, len(hv))], flat[k][at:min(at+16, len(flat[k]))])
+				}
+			}
+		})
 	}
 }
 

@@ -245,10 +245,10 @@ func (d *Device) emit(rt Route, h header, body []byte, owned *netsim.Buf, mode m
 // packet — the message is ended, and the per-message device overhead
 // measured in §5.2–§5.4 (dispatch, queue management, semaphore wakeup) is
 // charged. inRndvBody alone lands its body straight in the user's buffer
-// instead (unpackBody) and charges a truncation copy before endReceive:
-// designating the address is what lets Madeleine copy the body once, from
-// the sender's buffer to there, where a taker costs a wire buffer and a
-// second copy out of it.
+// instead (unpackBody), and charges a truncation copy only after
+// endReceive: designating the address is what lets Madeleine copy the body
+// once, from the sender's buffer to there, where a taker costs a wire
+// buffer and a second copy out of it.
 func (d *Device) receive(ch *madeleine.Channel, conn *madeleine.Connection, h header) *netsim.Buf {
 	var body *netsim.Buf
 	if h.carriesBody() {

@@ -335,10 +335,8 @@ func (d *Device) sendRndvStriped(sr *adi.SendReq, rails []Route, sync uint32) {
 // (MAD_RNDVSEG_PKT; segments may interleave with unrelated traffic). The
 // rhandle completes, releasing the semaphore the main thread waits on, when
 // the last byte lands. A truncating receive collects the body in a scratch
-// whose prefix is copied out (charged) at completion — ahead of the
-// handling charge for a whole body, after the last segment's for a train:
-// the two orders interleave differently with the other threads queued on
-// the process's CPU, and the transport fingerprint pins both.
+// whose prefix is copied out (charged) once, at completion, after the last
+// packet's handling charge — a whole body and a segment train alike.
 func (d *Device) inRndvBody(ch *madeleine.Channel, conn *madeleine.Connection, h header) {
 	st := d.rndvRx[h.SyncID]
 	if st == nil {
@@ -351,15 +349,6 @@ func (d *Device) inRndvBody(ch *madeleine.Channel, conn *madeleine.Connection, h
 	}
 	d.unpackBody(conn, h, landing)
 	done := st.segDone(h.Len)
-	copyOut := func() {
-		if done && lenErr != nil {
-			d.proc.Charge(ch.Params.CopyTime(n))
-			copy(st.r.Buf, st.scratch[:n])
-		}
-	}
-	if h.Type == PktRndv {
-		copyOut()
-	}
 	d.endReceive(ch, conn)
 	if d.Trace != nil {
 		name := "rndv.land"
@@ -376,8 +365,9 @@ func (d *Device) inRndvBody(ch *madeleine.Channel, conn *madeleine.Connection, h
 		return
 	}
 	delete(d.rndvRx, h.SyncID)
-	if h.Type == PktRndvSeg {
-		copyOut()
+	if lenErr != nil {
+		d.proc.Charge(ch.Params.CopyTime(n))
+		copy(st.r.Buf, st.scratch[:n])
 	}
 	adi.FinishRecv(st.r, st.env, lenErr)
 }

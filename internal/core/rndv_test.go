@@ -6,6 +6,8 @@ package core
 // gateway like any other rendez-vous.
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -117,6 +119,55 @@ func TestRelayedZeroLengthSsend(t *testing.T) {
 	for i, d := range r.devs {
 		if err := d.AuditInvariants(); err != nil {
 			t.Errorf("rank %d audit: %v", i, err)
+		}
+	}
+}
+
+// TestTruncatedBodyCopiedOnce: a rendez-vous body longer than the posted
+// buffer, whole (MAD_RNDV_PKT) or as a segment train (MAD_RNDVSEG_PKT), ends
+// the receive in ErrTruncate with the buffer holding the body's prefix, and
+// costs the receiver one copy of that prefix on top of what a receive of the
+// whole body costs: not none, not two.
+func TestTruncatedBodyCopiedOnce(t *testing.T) {
+	const size, post = 64 << 10, 10 << 10
+	sci := netsim.SCISISCI()
+	payload := pattern(size)
+	for _, seg := range []int{0, 4 << 10} {
+		hops := 1
+		if seg > 0 {
+			hops = 2 // a multi-hop route ships its body as a segment train
+		}
+		recv := func(n int) (*adi.RecvReq, vtime.Duration) {
+			r := newWireRig(t, 2, sci)
+			r.devs[0].addRoute(1, Route{Channel: r.chans[0][0], NextNode: "n1", Hops: hops, SegBytes: seg})
+			r.devs[1].addRoute(0, Route{Channel: r.chans[1][0], NextNode: "n0"})
+			r.start()
+			r.procs[0].Spawn("send", func() {
+				sr := rndvSendReq(r, 1, payload)
+				r.devs[0].Send(sr)
+				sr.Done.Wait()
+			})
+			var rr *adi.RecvReq
+			var busy vtime.Duration
+			r.procs[1].Spawn("recv", func() {
+				rr = postRecv(r, 1, n)
+				rr.Done.Wait()
+				busy = r.procs[1].CPUBusy
+			})
+			r.run(t)
+			return rr, busy
+		}
+		whole, wholeBusy := recv(size)
+		cut, cutBusy := recv(post)
+		if whole.Err != nil || !bytes.Equal(whole.Buf, payload) {
+			t.Fatalf("segment %d: the untruncated receive failed (%v) or corrupted its body", seg, whole.Err)
+		}
+		if !errors.Is(cut.Err, adi.ErrTruncate) || !bytes.Equal(cut.Buf, payload[:post]) {
+			t.Errorf("segment %d: truncated receive err=%v, prefix intact %v; want ErrTruncate and the prefix",
+				seg, cut.Err, bytes.Equal(cut.Buf, payload[:post]))
+		}
+		if extra, once := cutBusy-wholeBusy, sci.CopyTime(post); extra != once {
+			t.Errorf("segment %d: truncating cost the receiver %v more CPU, want one %d-byte copy, %v", seg, extra, post, once)
 		}
 	}
 }

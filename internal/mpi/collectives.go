@@ -95,9 +95,9 @@ func (c *Comm) Alltoall(sendBuf []byte, recvBuf []byte, count int, dt Datatype) 
 //
 // The flat forms that are genuinely different algorithms from their
 // two-level counterparts, not their one-cluster case (those — Bcast,
-// Gather, the rings — are compiled by hcoll.go on the one-cluster view):
-// dissemination vs fan-in/fan-out, one child per round vs all children
-// pre-posted, ring vs leader bundles, pairwise rotation vs leader bundles.
+// Reduce, Allreduce, Gather, the rings — are compiled by hcoll.go on the
+// one-cluster view): dissemination vs fan-in/fan-out, ring vs leader
+// bundles, pairwise rotation vs leader bundles.
 
 // barrierDissemination: ceil(log2 n) rounds of 0-byte exchanges.
 func (c *Comm) barrierDissemination(b *schedBuilder, _ *commTopo, _ collArgs) func() {
@@ -110,107 +110,47 @@ func (c *Comm) barrierDissemination(b *schedBuilder, _ *commTopo, _ collArgs) fu
 	return nil
 }
 
-// reduceSerialRounds appends the binomial reduction tree rooted at root,
-// taking one child per round in ascending stride order — a partial is
-// folded before the next is even posted, which is what sets it apart from
-// treeReduce — and returns the accumulator, complete at the root.
-func (c *Comm) reduceSerialRounds(b *schedBuilder, a collArgs, root int) []byte {
-	n := c.Size()
-	acc := b.loadAcc(a.send, a.recv, a.count, a.dt)
-	rel := (c.myRank - root + n) % n
-	for mask := 1; mask < n; mask <<= 1 {
-		if rel&mask != 0 {
-			b.send((rel-mask+root)%n, acc)
-			b.endRound()
-			break
-		}
-		if rel+mask < n {
-			part := b.stage(len(acc))
-			b.recv((rel+mask+root)%n, part)
-			b.reduce(acc, part, a.count, a.dt, a.op)
-			b.endRound()
-		}
-	}
-	return acc
-}
-
-// reduceSerial: the topology-blind binomial reduction tree.
-func (c *Comm) reduceSerial(b *schedBuilder, _ *commTopo, a collArgs) func() {
-	acc := c.reduceSerialRounds(b, a, a.root)
-	if c.myRank != a.root {
-		return nil
-	}
-	return c.unpackVector(a.recv, a.count, a.dt, acc)
-}
-
-// allreduceSerial chains the serial reduce-to-0 rounds with the binomial
-// broadcast-from-0 (the tree broadcast on the one-cluster view) over one
-// shared accumulator.
-func (c *Comm) allreduceSerial(b *schedBuilder, _ *commTopo, a collArgs) func() {
-	acc := c.reduceSerialRounds(b, a, 0)
-	c.bcastTreeRounds(b, c.oneClusterTopo(), acc, 0, 0)
-	return c.unpackVector(a.recv, a.count, a.dt, acc)
-}
-
 // allgatherRing is the ring algorithm: n-1 rounds, each forwarding the
-// block received in the previous round.
+// block received in the previous round. The blocks land in place in the
+// packed result (schedBuilder.landing); the send buffer is read only by the
+// first round's copy, so it may be a block of a.recv.
 func (c *Comm) allgatherRing(b *schedBuilder, _ *commTopo, a collArgs) func() {
 	n := c.Size()
 	sz := a.count * a.dt.Size()
-	ex := a.dt.Extent()
-	own := b.stage(sz)
+	full := b.landing(a.recv, n*sz, a.dt)
+	block := func(r int) []byte { return full[r*sz : (r+1)*sz] }
 	right := (c.myRank + 1) % n
 	left := (c.myRank - 1 + n) % n
 
-	b.copyStep(own, PackBuf(a.send, a.count, a.dt))
+	b.copyStep(block(c.myRank), PackBuf(a.send, a.count, a.dt))
 	b.endRound()
-	incoming := make([][]byte, n-1)
-	cur := own
 	for s := 0; s < n-1; s++ {
-		incoming[s] = b.stage(sz)
-		b.recv(left, incoming[s])
-		b.send(right, cur)
+		b.recv(left, block((c.myRank-s-1+n)%n))
+		b.send(right, block((c.myRank-s+n)%n))
 		b.endRound()
-		cur = incoming[s]
 	}
-	return func() {
-		UnpackBuf(a.recv[c.myRank*a.count*ex:], a.count, a.dt, own)
-		for s := 0; s < n-1; s++ {
-			owner := (c.myRank - s - 1 + 2*n) % n
-			UnpackBuf(a.recv[owner*a.count*ex:], a.count, a.dt, incoming[s])
-		}
-	}
+	return c.landBlocks(a.recv, a.count, a.dt, full)
 }
 
 // alltoallPairwise is the pairwise rotation: n rounds, exchanging with
-// partners at increasing rank distance.
+// partners at increasing rank distance. Every round reads the send matrix,
+// so the result lands in a.recv only when that is apart from it.
 func (c *Comm) alltoallPairwise(b *schedBuilder, _ *commTopo, a collArgs) func() {
 	n := c.Size()
 	sz := a.count * a.dt.Size()
 	ex := a.dt.Extent()
-	selfStage := b.stage(sz)
-	in := make([][]byte, n)
+	vec := b.landing(a.recvApart(), n*sz, a.dt)
 	for step := 0; step < n; step++ {
 		to := (c.myRank + step) % n
 		from := (c.myRank - step + n) % n
 		out := PackBuf(a.send[to*a.count*ex:], a.count, a.dt)
 		if to == c.myRank {
-			b.copyStep(selfStage, out)
-			b.endRound()
-			continue
+			b.copyStep(vec[to*sz:(to+1)*sz], out)
+		} else {
+			b.recv(from, vec[from*sz:(from+1)*sz])
+			b.send(to, out)
 		}
-		in[from] = b.stage(sz)
-		b.recv(from, in[from])
-		b.send(to, out)
 		b.endRound()
 	}
-	return func() {
-		UnpackBuf(a.recv[c.myRank*a.count*ex:], a.count, a.dt, selfStage)
-		for from := 0; from < n; from++ {
-			if from == c.myRank {
-				continue
-			}
-			UnpackBuf(a.recv[from*a.count*ex:], a.count, a.dt, in[from])
-		}
-	}
+	return c.landBlocks(a.recv, a.count, a.dt, vec)
 }

@@ -165,12 +165,6 @@ type Comm struct {
 	// computed when a flat form first compiles against it.
 	ct, flat *commTopo
 
-	// tt caches the process's autotuned table as resolved by this
-	// communicator's first collective (tuning.go); ttSet distinguishes
-	// "resolved to nil" from "not yet resolved".
-	tt    *tuneTable
-	ttSet bool
-
 	// eng is the communicator's collective progress engine (nbc.go),
 	// created on the first scheduled collective.
 	eng *collEngine

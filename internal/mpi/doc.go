@@ -84,14 +84,14 @@
 // significant (Ireduce hands the compilers none off the root, so nothing
 // can write there), it is staging. That covers a Bcast's vector off the
 // root, the accumulator of every Allreduce form and of a Reduce's root,
-// the assembled vector of the two-level Allgather and the receive vector
-// of the two-level and multi-leader Alltoall — the last two only when recv
-// is not the send buffer itself (collArgs.recvApart), because an Alltoall
-// still reads send blocks after the first received one has landed. The
-// ring ReduceScatter (its accumulator is the whole vector, recv one block),
-// the multi-leader Allgather (bundles by cluster, not rank order) and the
-// flat ring and pairwise forms keep their staging. Every memTime charge and
-// every step is where it was, so the schedule fingerprint cannot tell.
+// the assembled vector of the two-level and flat Allgather and the receive
+// vector of the flat, two-level and multi-leader Alltoall — the Alltoalls'
+// only when recv is not the send buffer itself (collArgs.recvApart),
+// because an Alltoall still reads send blocks after the first received one
+// has landed. The ring ReduceScatter (its accumulator is the whole vector,
+// recv one block) and the multi-leader Allgather (bundles by cluster, not
+// rank order) keep their staging. Every memTime charge and every step is
+// where it was, so the schedule fingerprint cannot tell.
 // Every other staging buffer a compiler takes
 // is schedBuilder.stage(n): a buffer of the rank's own list
 // (adi.Engine.Bufs, the netsim.BufList that also holds its devices'
@@ -220,6 +220,13 @@
 //   - flat Bcast = the two-level tree broadcast: with one cluster the
 //     leader tree holds the root alone and the intra-cluster tree is the
 //     classic binomial tree.
+//   - flat Reduce = the two-level tree reduction: the binomial tree, every
+//     child's partial pre-posted in one round and folded in ascending
+//     stride order, one message to the parent.
+//   - flat Allreduce = the two-level Allreduce's tree shape: that reduce
+//     to rank 0 and the binomial broadcast back, unsegmented. On one
+//     cluster allreduceTree asks no leaderTree whether the leaders should
+//     exchange (there are none), so no tree.leader instant is traced.
 //   - flat Gather = leader-staged gather: the root is the only leader and
 //     every member ships its block straight to it.
 //   - ring Allreduce and ring ReduceScatter = their two-level ring forms
@@ -233,14 +240,16 @@
 // The other forms are distinct algorithms and stay separate bodies,
 // because their schedules genuinely differ:
 //
-//   - flat Reduce/Allreduce take one child per round (a partial is folded
-//     before the next receive is posted); the two-level tree pre-posts all
-//     its children in one round. Same tree on one cluster, different
-//     rounds — merging them would change every flat-mode number.
-//   - flat Barrier is the dissemination algorithm; two-level is fan-in /
-//     fan-out over the leader tree.
-//   - flat Allgather is a ring, flat Alltoall a pairwise rotation; their
-//     two-level forms move leader bundles.
+//   - flat Barrier is the dissemination algorithm: ⌈log2 n⌉ rounds in
+//     which every rank sends and receives, where two-level is fan-in /
+//     fan-out over the leader tree, 2·(n−1) messages in 2·⌈log2 n⌉ rounds.
+//   - flat Allgather is a ring: n−1 rounds of one block each, every link
+//     busy every round; the two-level form gathers to a leader and moves
+//     one bundle per leader pair — on one cluster that is a gather and a
+//     broadcast of the whole vector, not a ring.
+//   - flat Alltoall is a pairwise rotation: n rounds, one partner each;
+//     the two-level form funnels every send matrix through the leader —
+//     on one cluster, every block through one rank.
 //   - 2level-multi (hmulti.go) is not 2level with a one-element leader
 //     set, and 2level is not its K=1 case: multi-leader Bcast walks a
 //     linear chain of clusters per shard where single-leader uses the
@@ -250,6 +259,11 @@
 //     every leader, and Allgather and
 //     Alltoall feed the co-leaders directly instead of funnelling through
 //     the primary.
+//
+// The ring and the rotation assemble their result where the two-level
+// forms do (schedBuilder.landing): in the user's receive buffer for a
+// dense datatype, the Alltoall's only when apart from its send buffer, so
+// a dense call leases no staging and unpacks nothing.
 //
 // The whole layer is pinned by fingerprint_test.go: every operation ×
 // forced mode × payload × root × topology shape, plus one autotuned

@@ -85,6 +85,24 @@ func (c *Comm) StartRounds(name string, staged int, rounds [][]Step) *CollReques
 	return c.submit(b.build(nil))
 }
 
+// FlatLeases compiles the flat form of the named operation ("Allgather",
+// "Alltoall") on these buffers without running it and returns how many
+// staging buffers the schedule leased, sent home again.
+func (c *Comm) FlatLeases(op string, send, recv []byte, count int, dt Datatype) int {
+	var f *collForm
+	for k := range collKinds {
+		if collKinds[k].name == op {
+			f = formOf(collKind(k), algoFlat)
+		}
+	}
+	b := newSched(f.name, &c.p.Eng.Bufs)
+	f.compile(c, b, c.topo(), collArgs{send: send, recv: recv, count: count, dt: dt})
+	for _, buf := range b.sch.leased {
+		buf.Release()
+	}
+	return len(b.sch.leased)
+}
+
 // InstallTuneTable installs encoded (kind, bound, algo) triples as the
 // autotuner's broadcast installs them.
 func (p *Process) InstallTuneTable(enc []int64) error { return p.installTuneTable(enc) }

@@ -110,10 +110,10 @@ var collForms = []collForm{
 	{kindBcast, algoHierSegmented, shapeMulti, "bcast.h", segmented((*Comm).bcastTree)},
 	{kindBcast, algoHierMulti, shapeMultiGW, "bcast.hm", (*Comm).bcastMulti},
 
-	{kindReduce, algoFlat, shapeAny, "reduce", (*Comm).reduceSerial},
+	{kindReduce, algoFlat, shapeAny, "reduce", blind((*Comm).reduceTree)},
 	{kindReduce, algoHier, shapeMulti, "reduce.h", (*Comm).reduceTree},
 
-	{kindAllreduce, algoFlat, shapeAny, "allreduce", (*Comm).allreduceSerial},
+	{kindAllreduce, algoFlat, shapeAny, "allreduce", blind((*Comm).allreduceTree)},
 	{kindAllreduce, algoRing, shapeAny, "allreduce.ring", blind((*Comm).allreduceRing)},
 	{kindAllreduce, algoHier, shapeMulti, "allreduce.h", (*Comm).allreduceTree},
 	{kindAllreduce, algoRingHier, shapeMulti, "allreduce.ringh", (*Comm).allreduceRing},

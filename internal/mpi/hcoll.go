@@ -16,7 +16,8 @@ package mpi
 // real hierarchy they are the two-level algorithms; run on the one-cluster
 // view (oneClusterTopo) the leader level is empty and what remains is
 // exactly the topology-blind algorithm — which is how the flat Bcast,
-// Gather, ring Allreduce and ring ReduceScatter are compiled.
+// Reduce, Allreduce, Gather, ring Allreduce and ring ReduceScatter are
+// compiled.
 
 // loadAcc opens a reduction: the accumulator — the landing of recvBuf, the
 // buffer the reduced vector is for (nil: staging) — loaded with this rank's
@@ -114,15 +115,21 @@ func (c *Comm) reduceTree(b *schedBuilder, ct *commTopo, a collArgs) func() {
 // allreduceTree is the two-level Allreduce in the leader-level shape the
 // backbone's LogGP numbers price lower (leaderTree). Tree: reduce to rank 0
 // up the two-level tree and broadcast back down it — one partial per cluster
-// inbound, the result outbound, two crossings one after the other. Exchange:
-// each cluster reduces to its leader, the leaders swap their partials in one
-// all-pairs round — one crossing, L−1 sends per leader — and every leader
-// folds them in cluster order, so every rank gets the same bits, then
-// broadcasts inside its cluster.
+// inbound, the result outbound, two crossings one after the other. On the
+// one-cluster view (the flat Allreduce) it takes the tree without
+// consulting leaderTree and broadcasts unsegmented: the binomial reduce to
+// rank 0 and broadcast back. Exchange: each cluster reduces to its leader,
+// the leaders swap their partials in one all-pairs round — one crossing,
+// L−1 sends per leader — and every leader folds them in cluster order, so
+// every rank gets the same bits, then broadcasts inside its cluster.
 func (c *Comm) allreduceTree(b *schedBuilder, ct *commTopo, a collArgs) func() {
-	if !c.leaderTree(ct.groupView, a.count*a.dt.Size()).exchange {
+	if one := ct.nClusters == 1; one || !c.leaderTree(ct.groupView, a.count*a.dt.Size()).exchange {
 		acc := c.reduceTreeRounds(b, ct, a, 0)
-		c.bcastTreeRounds(b, ct, acc, 0, c.bcastSegment(len(acc)))
+		seg := 0
+		if !one {
+			seg = c.bcastSegment(len(acc))
+		}
+		c.bcastTreeRounds(b, ct, acc, 0, seg)
 		return c.unpackVector(a.recv, a.count, a.dt, acc)
 	}
 	members, myPos, leaderPos := ct.clusterPos(c.myRank)

@@ -432,12 +432,21 @@ func (c *Comm) unpackVector(dst []byte, count int, dt Datatype, packed []byte) f
 }
 
 // unpackBlocks is the completion closure of the per-rank-block operations
-// (Allgather, Alltoall): one memcpy charge, then block r of the packed
-// communicator-rank-ordered vector lands in recvBuf's slot r.
+// (Allgather, Alltoall): one memcpy charge, then landBlocks.
 func (c *Comm) unpackBlocks(recvBuf []byte, count int, dt Datatype, packed []byte) func() {
-	sz, ex := count*dt.Size(), dt.Extent()
+	land := c.landBlocks(recvBuf, count, dt, packed)
 	return func() {
 		c.p.M.Charge(c.p.memTime(len(packed)))
+		land()
+	}
+}
+
+// landBlocks unpacks block r of the packed communicator-rank-ordered vector
+// into recvBuf's slot r, uncharged: the completion closure of the flat
+// Allgather and Alltoall, whose one local copy is a charged step.
+func (c *Comm) landBlocks(recvBuf []byte, count int, dt Datatype, packed []byte) func() {
+	sz, ex := count*dt.Size(), dt.Extent()
+	return func() {
 		for r := 0; r < c.Size(); r++ {
 			UnpackBuf(recvBuf[r*count*ex:], count, dt, packed[r*sz:(r+1)*sz])
 		}

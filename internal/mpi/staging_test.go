@@ -135,8 +135,43 @@ func steadyCollBytes(t *testing.T, mode mpi.CollMode, prepare func(*mpi.Comm, in
 // form cuts it into more messages (~2 KB of descriptors per 8 KiB segment
 // and rank), so the growth is bounded by a third of the payload's, where
 // staging made per call grew with at least four fifths of it.
+//
+// The flat Allgather and Alltoall lease nothing on top: on a dense type, into
+// a receive buffer apart from the send buffer, they assemble the result in
+// the user's buffer. On a strided type, or an Alltoall into its own send
+// buffer, it is one leased vector.
 func TestCollectivesAllocateNoStaging(t *testing.T) {
 	const payload = 256 << 10
+	sess, err := cluster.Build(twoClusterTopo(2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		const per = 1000
+		strided := mpi.Vector(2, 1, 2, mpi.Byte)
+		send, recv := make([]byte, 3*per*c.Size()), make([]byte, 3*per*c.Size())
+		for _, tc := range []struct {
+			op         string
+			send, recv []byte
+			dt         mpi.Datatype
+			want       int
+		}{
+			{"Allgather", send[:per], recv, mpi.Byte, 0},
+			{"Alltoall", send, recv, mpi.Byte, 0},
+			{"Allgather", send, recv, strided, 1},
+			{"Alltoall", send, recv, strided, 1},
+			{"Alltoall", send, send, mpi.Byte, 1},
+		} {
+			if got := c.FlatLeases(tc.op, tc.send, tc.recv, per, tc.dt); got != tc.want {
+				return fmt.Errorf("flat %s of %s, receive buffer apart %v: %d buffers leased, want %d",
+					tc.op, tc.dt.Name(), &tc.send[0] != &tc.recv[0], got, tc.want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, md := range fpModes {
 		for _, op := range stagingOps {
 			small, big := steadyCollBytes(t, md.mode, op.prepare, payload/4), steadyCollBytes(t, md.mode, op.prepare, payload)
@@ -148,16 +183,37 @@ func TestCollectivesAllocateNoStaging(t *testing.T) {
 	}
 }
 
+// prepStridedAllgather is prepAllgather on a strided type, two bytes of
+// every three: a result that is not the user's layout, so the schedule
+// assembles it in one leased vector and unpacks it at completion.
+func prepStridedAllgather(c *mpi.Comm, per int) func() error {
+	strided := mpi.Vector(2, 1, 2, mpi.Byte)
+	ex := strided.Extent()
+	in, out := fpFill(c.Rank(), per*ex), make([]byte, per*ex*c.Size())
+	var want []byte
+	for r := 0; r < c.Size(); r++ {
+		blk := fpFill(r, per*ex)
+		for i := 1; i < len(blk); i += ex {
+			blk[i] = 0 // the gap the type skips: left as cleared
+		}
+		want = append(want, blk...)
+	}
+	return func() error {
+		clear(out)
+		return delivered("strided Allgather", c.Allgather(in, out, per, strided), out, want)
+	}
+}
+
 // A schedule that ends in a send error keeps what it leased: a receive its
 // failed round pre-posted may still land there. Rank 0 loses its route to
-// rank 1 in the middle of a run and its next ring Allgather fails on the
-// first send, with the three blocks it staged still out. A buffer that is
+// rank 1 in the middle of a run and its next strided ring Allgather fails on
+// the first send, with the one vector it staged still out. A buffer that is
 // out cannot be handed out again — a list hands out only what sits home or
 // what it makes — so it is enough that the count stays: after every later
-// collective of the same size on that rank exactly those three are out,
-// and every one delivers the right bytes.
+// collective of the same size on that rank exactly that one is out, and
+// every one delivers the right bytes.
 func TestFailedScheduleKeepsItsStaging(t *testing.T) {
-	const per = 20000
+	const per = 10000
 	sess, err := cluster.Build(nNodeTopo(3, "sisci"))
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +225,7 @@ func TestFailedScheduleKeepsItsStaging(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		gather := prepAllgather(c, per*c.Size())
+		gather := prepStridedAllgather(c, per)
 		if err := gather(); err != nil {
 			return err
 		}
@@ -178,21 +234,21 @@ func TestFailedScheduleKeepsItsStaging(t *testing.T) {
 			// its own so that the world's sequence stays in step.
 			rails := rk0.ChMad.Rails(1)
 			rk0.ChMad.SetRails(1, nil)
-			err := side.Allgather(fpFill(0, per), make([]byte, per*c.Size()), per, mpi.Byte)
+			err := prepStridedAllgather(side, per)()
 			rk0.ChMad.SetRails(1, rails)
 			if err == nil {
 				return fmt.Errorf("Allgather over a withdrawn route did not fail")
 			}
-			if out() != 3 {
-				return fmt.Errorf("%d buffers out after the failed Allgather, want its 3 staged blocks", out())
+			if out() != 1 {
+				return fmt.Errorf("%d buffers out after the failed Allgather, want its 1 staged vector", out())
 			}
 		}
 		for i := 0; i < 4; i++ {
 			if err := gather(); err != nil {
 				return err
 			}
-			if rank == 0 && out() != 3 {
-				return fmt.Errorf("%d buffers out after a later Allgather, want the failed schedule's 3", out())
+			if rank == 0 && out() != 1 {
+				return fmt.Errorf("%d buffers out after a later Allgather, want the failed schedule's 1", out())
 			}
 		}
 		return nil

@@ -111,8 +111,6 @@ type Hierarchy struct {
 	ClusterOf []int
 	// ClusterNames names each cluster after its fast network.
 	ClusterNames []string
-	// Intra describes each cluster's fast fabric.
-	Intra []Link
 	// Inter describes the slow inter-cluster backbone. Zero-valued when
 	// the job spans a single cluster.
 	Inter Link
@@ -567,7 +565,7 @@ func (c *Comm) chooseAlgo(kind collKind, nBytes int) collAlgo {
 	case CollAuto:
 		// Fall past the switch: measured table, then analytic thresholds.
 	}
-	if tt := c.tuneTable(); tt != nil {
+	if tt := c.p.tuned; tt != nil {
 		if a, ok := tt.lookup(kind, nBytes); ok {
 			return a
 		}

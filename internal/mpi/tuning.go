@@ -105,18 +105,6 @@ func (tt *tuneTable) lookup(kind collKind, nBytes int) (collAlgo, bool) {
 	return 0, false
 }
 
-// tuneTable resolves the process's autotuned table once per communicator
-// (the per-communicator cache: a communicator created before Autotune ran
-// deliberately keeps its resolved nil and stays on the analytic defaults,
-// so selection never changes mid-stream under an already-used
-// communicator).
-func (c *Comm) tuneTable() *tuneTable {
-	if !c.ttSet {
-		c.tt, c.ttSet = c.p.tuned, true
-	}
-	return c.tt
-}
-
 // TuneChoice is one exported row of the autotuned table (TuneSnapshot).
 type TuneChoice struct {
 	// Op is the MPI operation name ("Allreduce", "Bcast", ...), or
@@ -353,7 +341,6 @@ func (p *Process) installTuneTable(enc []int64) error {
 		p.installClassSwitch(deviceClassNames[-enc[i]-1], int(enc[i+1]))
 	}
 	p.tuned = tt
-	p.World.tt, p.World.ttSet = tt, true
 	return nil
 }
 
