@@ -9,6 +9,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
@@ -236,5 +237,19 @@ func TestEveryBodyBufferComesHome(t *testing.T) {
 		if out := ch.Net.Bufs().Out(); out != 0 {
 			t.Errorf("%s: %d wire buffers still out after the gateway dropped what it could not route", ch.Net.Name, out)
 		}
+	}
+}
+
+// A ch_mad eager 4 KiB round trip allocates at most 20 times once set up:
+// the head packets, their encodings and deliveries, the ch_mad headers and
+// the requests and their events. Madeleine's message records are the
+// connection's own and reused (34 when every message made them anew).
+func TestAllocBudgetEagerRoundTrip4K(t *testing.T) {
+	const short, long = 50, 250
+	at := func(n int) float64 { return testing.AllocsPerRun(3, func() { directPingPongs(t, 4<<10, n)() }) }
+	// Rounded: a stray runtime allocation (the race detector's) or two
+	// shows in the difference of two whole-run averages.
+	if per := (at(long) - at(short)) / (long - short); math.Round(per) > 20 {
+		t.Errorf("an eager 4 KiB round trip allocates %.2f times, budget 20", per)
 	}
 }

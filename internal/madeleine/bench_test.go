@@ -66,7 +66,7 @@ func BenchmarkHeadEncodeDecode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf := encodeHead(uint32(i), blocks, agg)
-		if _, _, _, err := decodeHead(buf); err != nil {
+		if _, _, _, err := decodeHead(buf, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ func FuzzHeadCodec(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		seq, blocks, agg, err := decodeHead(data)
+		seq, blocks, agg, err := decodeHead(data, nil)
 		if err != nil {
 			return
 		}

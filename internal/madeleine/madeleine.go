@@ -63,8 +63,10 @@ type Connection struct {
 	// slot; FIFO, in virtual time.
 	sendLock *vtime.Sem
 
-	out    *outMessage
-	in     *inMessage
+	// The connection's one outgoing and one incoming message record, reused
+	// by every message (see the package comment for when bodies may be).
+	out    outMessage
+	in     inMessage
 	outSeq uint32
 
 	// Body packets put on the wire toward Remote and body packets of Remote
@@ -161,12 +163,12 @@ func (ch *Channel) BeginPacking(remote string) (*Connection, error) {
 		conn.sendLock.Release()
 		return nil, ErrChannelClosed
 	}
-	if conn.out != nil {
+	if conn.out.open {
 		conn.sendLock.Release()
 		return nil, ErrAlreadyPacking
 	}
 	conn.outSeq++
-	conn.out = &outMessage{conn: conn, seq: conn.outSeq}
+	conn.out.begin(conn.outSeq)
 	return conn, nil
 }
 
@@ -195,8 +197,8 @@ func (c *Connection) PackOwned(buf *netsim.Buf, sm SendMode, rm RecvMode) error 
 }
 
 func (c *Connection) pack(data []byte, owned *netsim.Buf, sm SendMode, rm RecvMode) error {
-	m := c.out
-	if m == nil {
+	m := &c.out
+	if !m.open {
 		if owned != nil {
 			owned.Release()
 		}
@@ -239,11 +241,11 @@ func (c *Connection) pack(data []byte, owned *netsim.Buf, sm SendMode, rm RecvMo
 // bodies already on the wire are settled, the owned ones that are not go
 // home, and nothing borrowed is kept.
 func (c *Connection) EndPacking() error {
-	m := c.out
-	if m == nil {
+	m := &c.out
+	if !m.open {
 		return ErrNotPacking
 	}
-	c.out = nil
+	m.open = false
 	p := &c.Ch.Params
 	proc := c.Ch.Inst.P
 	s := proc.S
@@ -345,16 +347,16 @@ func (ch *Channel) BeginUnpacking() (*Connection, error) {
 }
 
 func (ch *Channel) startUnpack(conn *Connection) (*Connection, error) {
-	if conn.in != nil {
+	if conn.in.open {
 		return nil, fmt.Errorf("madeleine: connection %s already unpacking", conn.Remote)
 	}
 	pkt := conn.heads.Pop() // must be present: incoming was signalled
 	ch.Inst.P.Charge(ch.Params.RecvOverhead)
-	seq, blocks, agg, err := decodeHead(pkt.Header)
+	seq, blocks, agg, err := decodeHead(pkt.Header, conn.in.blocks)
 	if err != nil {
 		return nil, err
 	}
-	conn.in = &inMessage{conn: conn, seq: seq, blocks: blocks, agg: agg}
+	conn.in = inMessage{open: true, seq: seq, blocks: blocks, agg: agg}
 	return conn, nil
 }
 
@@ -405,8 +407,8 @@ func (c *Connection) Take(n int, sm SendMode, rm RecvMode) (*netsim.Buf, error) 
 // for a body (nil from a taker): src is empty when the body is there
 // already.
 func (c *Connection) next(n int, rm RecvMode, dst []byte) (src []byte, held *netsim.Buf, err error) {
-	m := c.in
-	if m == nil {
+	m := &c.in
+	if !m.open {
 		return nil, nil, ErrNotUnpacking
 	}
 	if m.next >= len(m.blocks) {
@@ -441,16 +443,18 @@ func (c *Connection) next(n int, rm RecvMode, dst []byte) (src []byte, held *net
 	c.bodiesIn++
 	proc.Charge(p.RecvOverhead)
 	bd := pkt.Meta.(*body)
-	src, held = pkt.Body, bd.buf
+	src, held, size := pkt.Body, bd.buf, len(pkt.Body)
 	if bd.state == bodyLanded {
 		src = src[:0]
 	}
-	bd.buf, bd.state = nil, bodyTaken
-	if len(pkt.Body) != n {
+	// Taken: the sender's record, which its connection keeps for the next
+	// message, no longer holds the bytes or the buffer.
+	*bd = body{state: bodyTaken}
+	if size != n {
 		if held != nil {
 			held.Release()
 		}
-		return nil, nil, fmt.Errorf("madeleine: body packet is %d bytes, descriptor says %d", len(pkt.Body), n)
+		return nil, nil, fmt.Errorf("madeleine: body packet is %d bytes, descriptor says %d", size, n)
 	}
 	// Zero-copy landing: the NIC deposited the block directly at the
 	// address the unpack designates, so no copy is charged.
@@ -460,14 +464,14 @@ func (c *Connection) next(n int, rm RecvMode, dst []byte) (src []byte, held *net
 // EndUnpacking finishes consumption of the current message (§3.2,
 // mad_end_unpacking). Every packed block must have been unpacked.
 func (c *Connection) EndUnpacking() error {
-	m := c.in
-	if m == nil {
+	m := &c.in
+	if !m.open {
 		return ErrNotUnpacking
 	}
 	if m.next != len(m.blocks) {
 		return fmt.Errorf("%w: %d of %d blocks unpacked", ErrBlockMismatch, m.next, len(m.blocks))
 	}
-	c.in = nil
+	m.open = false
 	c.Ch.Messages++
 	return nil
 }

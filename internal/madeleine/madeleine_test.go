@@ -376,7 +376,7 @@ func TestHeadEncodingRoundtrip(t *testing.T) {
 	}
 	agg := []byte{1, 2, 3, 4, 5, 6, 7}
 	buf := encodeHead(42, blocks, agg)
-	seq, gotBlocks, gotAgg, err := decodeHead(buf)
+	seq, gotBlocks, gotAgg, err := decodeHead(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,14 +391,14 @@ func TestHeadEncodingRoundtrip(t *testing.T) {
 }
 
 func TestHeadDecodingRejectsCorruption(t *testing.T) {
-	if _, _, _, err := decodeHead([]byte{1, 2}); err == nil {
+	if _, _, _, err := decodeHead([]byte{1, 2}, nil); err == nil {
 		t.Error("truncated head accepted")
 	}
 	buf := encodeHead(1, []blockDesc{{place: placeAgg, length: 10}}, make([]byte, 10))
-	if _, _, _, err := decodeHead(buf[:len(buf)-3]); err == nil {
+	if _, _, _, err := decodeHead(buf[:len(buf)-3], nil); err == nil {
 		t.Error("truncated agg accepted")
 	}
-	if _, _, _, err := decodeHead(buf[:headFixed+2]); err == nil {
+	if _, _, _, err := decodeHead(buf[:headFixed+2], nil); err == nil {
 		t.Error("truncated descriptor table accepted")
 	}
 }

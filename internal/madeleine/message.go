@@ -3,6 +3,7 @@ package madeleine
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"mpichmad/internal/netsim"
 )
@@ -50,18 +51,19 @@ func encodeHead(seq uint32, blocks []blockDesc, agg []byte) []byte {
 	return buf
 }
 
-// decodeHead parses a head packet produced by encodeHead.
-func decodeHead(buf []byte) (seq uint32, blocks []blockDesc, agg []byte, err error) {
+// decodeHead parses a head packet produced by encodeHead, decoding the
+// descriptor table into blocks' storage.
+func decodeHead(buf []byte, blocks []blockDesc) (uint32, []blockDesc, []byte, error) {
 	if len(buf) < headFixed {
 		return 0, nil, nil, fmt.Errorf("madeleine: truncated head (%d bytes)", len(buf))
 	}
-	seq = binary.LittleEndian.Uint32(buf[0:])
+	seq := binary.LittleEndian.Uint32(buf[0:])
 	n := int(binary.LittleEndian.Uint16(buf[4:]))
 	need := headFixed + perBlock*n
 	if len(buf) < need {
 		return 0, nil, nil, fmt.Errorf("madeleine: truncated descriptor table (%d blocks, %d bytes)", n, len(buf))
 	}
-	blocks = make([]blockDesc, n)
+	blocks = slices.Grow(blocks[:0], n)[:n]
 	off := headFixed
 	aggLen := 0
 	for i := range blocks {
@@ -111,9 +113,10 @@ type body struct {
 	state bodyState
 }
 
-// outMessage is the sender-side state of a message under construction.
+// outMessage is the sender-side state of a message under construction,
+// open from BeginPacking to EndPacking.
 type outMessage struct {
-	conn   *Connection
+	open   bool
 	seq    uint32
 	blocks []blockDesc
 	agg    []byte
@@ -122,9 +125,28 @@ type outMessage struct {
 	total  int
 }
 
-// inMessage is the receiver-side state of a message being consumed.
+// begin opens the record for message seq. It keeps the storage of the
+// descriptor table and the aggregation area, whose bytes encodeHead copied
+// into the last head packet, and that of the bodies only when every one of
+// them has been taken. A body in flight is a packet the network or the
+// receiver holds, which the next message must not overwrite, and the sender
+// cannot tell it from one the wire lost; a body never sent is not taken
+// either. Any of them makes the next message start a fresh slice.
+func (m *outMessage) begin(seq uint32) {
+	bodies := m.bodies[:0]
+	for i := range m.bodies {
+		if m.bodies[i].state != bodyTaken {
+			bodies = nil
+			break
+		}
+	}
+	*m = outMessage{open: true, seq: seq, blocks: m.blocks[:0], agg: m.agg[:0], bodies: bodies}
+}
+
+// inMessage is the receiver-side state of a message being consumed, open
+// from BeginUnpacking to EndUnpacking.
 type inMessage struct {
-	conn    *Connection
+	open    bool
 	seq     uint32
 	blocks  []blockDesc
 	agg     []byte

@@ -37,6 +37,20 @@
 // at once), Unpack copies them out into the destination and Take into a
 // fresh list buffer, so a taker always owns what it gets. The time charges
 // are those of the block's placement and are identical through either form.
+//
+// A message's records belong to its connection, not to the message. Each
+// Connection keeps one outgoing and one incoming record (outMessage,
+// inMessage) that every message reuses: the descriptor table and the
+// aggregation area are overwritten by the next BeginPacking (encodeHead has
+// copied them into the head packet), and decodeHead decodes each head into
+// the incoming record's table. The bodies are different, because a body
+// embeds the packet the network and the receiving connection hold by
+// address: the next message reuses their storage only when every earlier
+// body has reached bodyTaken. A body still in flight or queued, one the
+// network lost and one EndPacking never sent (the wire refused an earlier
+// packet) keep their packets, and the next message starts a fresh slice.
+// What a message still allocates is its head packet, the head's encoding and
+// the network's delivery callback.
 package madeleine
 
 import "fmt"

@@ -64,6 +64,10 @@ type Process struct {
 	tracer     *trace.Tracer
 	traceTrack int
 
+	// spare holds the schedules that ran to completion, cleared, for the
+	// next compile to reuse (newSched, recycle).
+	spare []*schedule
+
 	memcpyBW  float64
 	finalized bool
 }

@@ -110,6 +110,23 @@
 // once when it ends; after that the list holds what the application's own
 // collectives need at once, for the session.
 //
+// A schedule's life has three stages. It is compiled at submit, into a
+// schedule the process recycled when it has one (Process.newSched): the
+// storage of its rounds and of each round's steps is reused round by round
+// (schedBuilder.add), and its event names when the form is the same. It is
+// run by the engine, which re-arms one receive-request slice and one
+// countdown event for every round that receives (collEngine.arm) instead of
+// making them per round; the event takes the schedule's round name, so a
+// deadlock dump still names the schedule. It then ends in execSchedule. A
+// schedule that succeeded sends its leases home and is recycled
+// (Process.recycle): its steps, lease list and completion closure are
+// cleared first, so a schedule on the free list pins no user buffer. A
+// schedule that failed is kept as it is — steps, staging and the engine's
+// round storage alike — because a receive its failed round pre-posted may
+// still land there: it goes to the GC, and the engine makes new round
+// storage for its next round. Two Icolls submitted back to back are two
+// schedules, since a schedule returns to the list only once it has run.
+//
 // # Datatypes and who copies a payload
 //
 // A (buffer, count, datatype) triple reaches the devices as dense bytes.

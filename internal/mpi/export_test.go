@@ -1,6 +1,10 @@
 package mpi
 
-import "mpichmad/internal/vtime"
+import (
+	"slices"
+
+	"mpichmad/internal/vtime"
+)
 
 // FlatView is the identity of the communicator's cached one-cluster view,
 // nil before a flat form has compiled against it.
@@ -53,6 +57,54 @@ func (c *Comm) ChainSegment(n int) int { return c.chainSegment(c.topo(), n) }
 // call Test makes.
 func (r *CollRequest) Done() bool { return r.done.Fired() }
 
+// Recycled reports whether the schedule the request ran is on its process's
+// free list.
+func (r *CollRequest) Recycled() bool { return slices.Contains(r.c.p.spare, r.sch) }
+
+// SameSchedule reports whether two requests were compiled into one schedule.
+func (r *CollRequest) SameSchedule(o *CollRequest) bool { return r.sch == o.sch }
+
+// RoundStorage is the receive bookkeeping the communicator's engine re-arms
+// every round, nil before the first round that receives and after a failure.
+func (c *Comm) RoundStorage() any {
+	if c.eng == nil || c.eng.rw == nil {
+		return nil
+	}
+	return c.eng.rw
+}
+
+// Steps counts the steps of the schedule the request ran.
+func (r *CollRequest) Steps() (n int) {
+	for _, rd := range r.sch.rounds {
+		n += len(rd.steps)
+	}
+	return n
+}
+
+// SpareSchedules counts the schedules on the process's free list and what
+// they still hold over all their storage: steps that name a buffer, leases
+// and completion closures.
+func (p *Process) SpareSchedules() (spare, pins int) {
+	for _, sch := range p.spare {
+		if sch.fin != nil {
+			pins++
+		}
+		for _, l := range sch.leased[:cap(sch.leased)] {
+			if l != nil {
+				pins++
+			}
+		}
+		for _, rd := range sch.rounds[:cap(sch.rounds)] {
+			for _, st := range rd.steps[:cap(rd.steps)] {
+				if st.buf != nil || st.src != nil {
+					pins++
+				}
+			}
+		}
+	}
+	return len(p.spare), pins
+}
+
 // Step is one transfer of a hand-written schedule: a receive from Peer into
 // Buf, or a send of Buf to Peer, plain or on the round's second lane.
 type Step struct {
@@ -65,7 +117,7 @@ type Step struct {
 // staged blocks of staging, as an Icoll would one it had compiled: the
 // executor's own test bench.
 func (c *Comm) StartRounds(name string, staged int, rounds [][]Step) *CollRequest {
-	b := newSched(name, &c.p.Eng.Bufs)
+	b := c.p.newSched(name)
 	for i := 0; i < staged; i++ {
 		b.stage(1 << 10)
 	}
@@ -95,7 +147,7 @@ func (c *Comm) FlatLeases(op string, send, recv []byte, count int, dt Datatype) 
 			f = formOf(collKind(k), algoFlat)
 		}
 	}
-	b := newSched(f.name, &c.p.Eng.Bufs)
+	b := c.p.newSched(f.name)
 	f.compile(c, b, c.topo(), collArgs{send: send, recv: recv, count: count, dt: dt})
 	for _, buf := range b.sch.leased {
 		buf.Release()

@@ -412,6 +412,10 @@ func (c *Comm) alltoallBridge(b *schedBuilder, ct *commTopo, members []int, mats
 			b.copyStep(out[di][k*sz:(k+1)*sz], mats[k/len(dm)][dst*sz:(dst+1)*sz])
 		}
 	}
+	// segBytes is sized on the worst routed leader pair (Hierarchy.Inter),
+	// and another pair's route may cross a lower eager threshold: a segment
+	// is cut to stay eager on every pair's route, alike at both ends.
+	segBytes = min(segBytes, c.leaderEager(ct))
 	if segBytes <= 0 || sz > segBytes {
 		for _, di := range ct.remote {
 			stage(di, 0, nOut(di))

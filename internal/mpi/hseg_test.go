@@ -147,3 +147,48 @@ func TestSegmentedAlltoallDatatypes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A zero-latency wire on the bridged triangle's three TCP bridges moves the
+// worst routed leader pair, which sizes the backbone segment, to one that
+// does not cross Myrinet: the segment is 7868 B, above BIP's 7168 B threshold
+// on the routed leader pair c1 -> c0 -> a1. MPI_Init's 2level-seg Alltoall
+// probe sent that pair's segments as rendez-vous bodies whose receives sit in
+// a later round, and a1 and c1 waited on each other until the virtual
+// deadline. Every leader pair's segments now stay eager on its route.
+func TestZeroLatencyTriangleAlltoall(t *testing.T) {
+	topo := triangleTopo()
+	topo.Autotune = true
+	for i, ns := range topo.Networks {
+		if ns.Protocol == "tcp" {
+			p := netsim.FastEthernetTCP()
+			p.WireLatency = 0
+			topo.Networks[i].Params = &p
+		}
+	}
+	sess, err := cluster.Build(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const count = 64
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		n := c.Size()
+		send, recv := make([]byte, n*count), make([]byte, n*count)
+		for i := range send {
+			send[i] = byte(rank*31 + i)
+		}
+		if err := c.Alltoall(send, recv, count, mpi.Byte); err != nil {
+			return err
+		}
+		for src := 0; src < n; src++ {
+			for i := 0; i < count; i++ {
+				if want := byte(src*31 + rank*count + i); recv[src*count+i] != want {
+					return fmt.Errorf("rank %d: byte %d from %d is %d, want %d", rank, i, src, recv[src*count+i], want)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

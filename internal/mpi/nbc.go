@@ -87,6 +87,7 @@ func (r *CollRequest) Test() (bool, error) {
 type collEngine struct {
 	seq  int
 	jobs *vtime.Queue[collJob]
+	rw   *roundWait // every round's receive bookkeeping (execRounds)
 
 	lane     *vtime.Queue[*round]
 	laneDone *vtime.Sem
@@ -180,7 +181,7 @@ func (c *Comm) startColl(op string, kind collKind, nBytes int, a collArgs) (*Col
 		}
 	}
 	f := formOf(kind, c.sanitizeAlgo(kind, c.chooseAlgo(kind, nBytes)))
-	b := newSched(f.name, &c.p.Eng.Bufs)
+	b := c.p.newSched(f.name)
 	return c.submit(b.build(f.compile(c, b, c.topo(), a))), nil
 }
 

@@ -114,9 +114,31 @@ type schedBuilder struct {
 	bufs *netsim.BufList
 }
 
-func newSched(name string, bufs *netsim.BufList) *schedBuilder {
-	sch := &schedule{name: name, doneEvt: "mpi.icoll." + name, roundEvt: "mpi.sched." + name}
-	return &schedBuilder{sch: sch, bufs: bufs}
+// newSched starts a schedule in one the process recycled, when it has one:
+// its rounds' and steps' storage is reused (add) and, for the same name, its
+// event names.
+func (p *Process) newSched(name string) *schedBuilder {
+	sch := &schedule{}
+	if n := len(p.spare); n > 0 {
+		sch, p.spare = p.spare[n-1], p.spare[:n-1]
+	}
+	if sch.name != name {
+		sch.name, sch.doneEvt, sch.roundEvt = name, "mpi.icoll."+name, "mpi.sched."+name
+	}
+	return &schedBuilder{sch: sch, bufs: &p.Eng.Bufs}
+}
+
+// recycle keeps a schedule that ran to completion for the next compile,
+// cleared first — steps, leases, completion closure — so that it pins no
+// user buffer. A schedule that failed is never recycled: it keeps its steps
+// and its staging, where a receive it pre-posted may still land.
+func (p *Process) recycle(sch *schedule) {
+	for _, rd := range sch.rounds {
+		clear(rd.steps)
+	}
+	clear(sch.leased)
+	sch.rounds, sch.leased, sch.fin = sch.rounds[:0], sch.leased[:0], nil
+	p.spare = append(p.spare, sch)
 }
 
 // stage leases n bytes of staging for the life of the schedule. The bytes
@@ -172,10 +194,14 @@ func (b *schedBuilder) endRound() {
 	}
 }
 
-// add appends a step to the open round. A round's steps are sized after the
-// round before: the rounds of a pipeline are alike, and one that grew step
-// by step cost twice its size.
+// add appends a step to the open round. A round's steps go where a recycled
+// schedule kept the steps of the round of the same index, else they are
+// sized after the round before: the rounds of a pipeline are alike, and one
+// that grew step by step cost twice its size.
 func (b *schedBuilder) add(st step) {
+	if rs, n := b.sch.rounds, len(b.sch.rounds); b.cur.steps == nil && n < cap(rs) {
+		b.cur.steps = rs[:n+1][n].steps[:0]
+	}
 	if n := len(b.sch.rounds); b.cur.steps == nil && n > 0 {
 		b.cur.steps = make([]step, 0, len(b.sch.rounds[n-1].steps))
 	}
@@ -254,11 +280,15 @@ func (c *Comm) execSchedule(sch *schedule, tag int) error {
 		})
 	}
 	// After an error the staging stays out, for the GC to take with the
-	// schedule: a receive the failed round pre-posted may still land in it.
+	// schedule, and so does the engine's round storage: a receive the failed
+	// round pre-posted may still land in them.
 	if err == nil {
 		for _, buf := range sch.leased {
 			buf.Release()
 		}
+		c.p.recycle(sch)
+	} else if c.eng != nil {
+		c.eng.rw = nil
 	}
 	return err
 }
@@ -271,33 +301,23 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 			rd0 = c.p.M.S.Now()
 		}
 
-		nRecv := 0
-		for i := range rd.steps {
-			if rd.steps[i].kind == stepRecv {
-				nRecv++
+		var rw *roundWait
+		for _, st := range rd.steps {
+			if st.kind == stepRecv {
+				if rw == nil {
+					rw = c.eng.arm(c.p.M.S, sch.roundEvt)
+				}
+				rw.rrs = append(rw.rrs, adi.RecvReq{
+					Src: c.group[st.peer], Tag: tag, Context: c.collCtx(),
+					Buf: st.buf, OnComplete: rw.landed,
+				})
 			}
 		}
-		var recvsDone *vtime.Event
-		var rrs []adi.RecvReq
-		if nRecv > 0 {
-			recvsDone = vtime.NewEvent(c.p.M.S, sch.roundEvt)
-			rrs = make([]adi.RecvReq, 0, nRecv)
-			pending := nRecv
-			landed := func() {
-				pending--
-				if pending == 0 {
-					recvsDone.Fire()
-				}
-			}
-			for _, st := range rd.steps {
-				if st.kind != stepRecv {
-					continue
-				}
-				rrs = append(rrs, adi.RecvReq{
-					Src: c.group[st.peer], Tag: tag, Context: c.collCtx(),
-					Buf: st.buf, OnComplete: landed,
-				})
-				c.p.Eng.PostRecv(&rrs[len(rrs)-1])
+		if rw != nil {
+			// Posted by address, so only once the slice has stopped growing.
+			rw.pending = len(rw.rrs)
+			for i := range rw.rrs {
+				c.p.Eng.PostRecv(&rw.rrs[i])
 			}
 		}
 
@@ -314,13 +334,14 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 			return err
 		}
 
-		if recvsDone != nil {
-			recvsDone.Wait()
-			for i := range rrs {
-				if rrs[i].Err != nil {
-					return rrs[i].Err
+		if rw != nil {
+			rw.done.Wait()
+			for i := range rw.rrs {
+				if rw.rrs[i].Err != nil {
+					return rw.rrs[i].Err
 				}
 			}
+			clear(rw.rrs) // the engine keeps the storage, not the buffers
 		}
 
 		for _, st := range rd.steps {
@@ -349,6 +370,34 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 		sch.fin()
 	}
 	return nil
+}
+
+// roundWait is a round's receive bookkeeping: the requests it pre-posts and
+// the event (named sch.roundEvt, for deadlock dumps) their completions count
+// down to. The engine keeps one that every round re-arms.
+type roundWait struct {
+	rrs     []adi.RecvReq
+	pending int
+	done    *vtime.Event
+	landed  func()
+}
+
+// arm re-arms the engine's round bookkeeping under the round event's name,
+// made on first use and again after a failed schedule dropped it.
+func (e *collEngine) arm(s *vtime.Scheduler, name string) *roundWait {
+	rw := e.rw
+	if rw == nil {
+		rw = &roundWait{done: vtime.NewEvent(s, name)}
+		rw.landed = func() {
+			if rw.pending--; rw.pending == 0 {
+				rw.done.Fire()
+			}
+		}
+		e.rw = rw
+	}
+	rw.done.Rearm(name)
+	rw.rrs = rw.rrs[:0]
+	return rw
 }
 
 // sendLane injects the round's sends of one lane, in listed order, on the

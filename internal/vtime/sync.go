@@ -94,6 +94,12 @@ func (e *Event) Wait() {
 	e.s.switchOut(t)
 }
 
+// Rearm returns an event that has fired, or that nobody waits on, to the
+// unfired state under a new name: an owner that waits on one event per phase
+// (the collective engine's per-round countdown) keeps one instead of making
+// one a phase.
+func (e *Event) Rearm(name string) { e.fired, e.name = false, name }
+
 // Fire marks the event and wakes every waiter. Safe from scheduler
 // context. Firing twice is a no-op.
 func (e *Event) Fire() {
