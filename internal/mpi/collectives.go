@@ -80,8 +80,8 @@ func (c *Comm) Allgather(sendBuf []byte, recvBuf []byte, count int, dt Datatype)
 
 // Alltoall sends a distinct count-element block to every member and
 // receives one from each (MPI_Alltoall), compiled as one schedule: the flat
-// pairwise rotation, the two-level leader-bundled exchange, whole or
-// pipelined in segments, or the multi-leader form whose co-leaders carry
+// pairwise rotation, the two-level leader-bundled exchange (one bundle per
+// directed leader pair), or the multi-leader form whose co-leaders carry
 // each directed cluster bundle over their own bridge.
 func (c *Comm) Alltoall(sendBuf []byte, recvBuf []byte, count int, dt Datatype) error {
 	req, err := c.Ialltoall(sendBuf, recvBuf, count, dt)

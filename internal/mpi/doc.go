@@ -158,9 +158,9 @@
 // the table: startColl dispatches through it, sanitizeAlgo degrades an
 // unrunnable choice along the algorithm's fallback columns until a row
 // fits, and the autotuner's candidates for an operation are its runnable
-// rows in table order — flat, ring, 2level, 2level-seg, 2level-ring,
-// 2level-multi — which fixes the probe sequence, the virtual cost of
-// MPI_Init and the table it installs. Selection itself (chooseAlgo,
+// rows in table order — flat, ring, 2level, 2level-seg (Bcast only),
+// 2level-ring, 2level-multi — which fixes the probe sequence, the virtual
+// cost of MPI_Init and the table it installs. Selection itself (chooseAlgo,
 // topology.go) stays a policy: forced mode, then the measured table, then
 // the analytic thresholds. Each algorithm has exactly one body, shared by
 // the blocking and nonblocking entry points; adding one means a compiler
@@ -249,10 +249,8 @@
 //   - ring Allreduce and ring ReduceScatter = their two-level ring forms
 //     with the chunk gather / leader exchange / chunk scatter skipped
 //     (they are vacuous with one cluster): the ring phases alone remain.
-//   - 2level-seg Bcast and Alltoall = the 2level compiler with a segment
-//     size; the segmented Alltoall shares its gather, assembly and scatter
-//     stages with the whole-bundle form and differs only in the bridge
-//     exchange (alltoallBridge).
+//   - 2level-seg Bcast = the 2level compiler with the backbone's pipeline
+//     segment (segmentBytes) for a segment size.
 //
 // The other forms are distinct algorithms and stay separate bodies,
 // because their schedules genuinely differ:
@@ -329,12 +327,6 @@
 //     segment k while segment k+1 is still inbound (pipelined relay
 //     instead of whole-body store-and-forward; 2.5-3.3x on balanced
 //     3-gateway chains).
-//
-// The segmented two-level Alltoall applies the same idea inside a
-// schedule: on contended backbones the leader bundle exchange is cut
-// into eager segments with the staging copies interleaved between
-// injections, trading the per-bundle rendez-vous handshakes for
-// overlapped staging and transfer.
 //
 // # Routing at scale (1000+ ranks)
 //

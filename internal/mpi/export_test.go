@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"slices"
+	"strings"
 
 	"mpichmad/internal/vtime"
 )
@@ -153,6 +154,20 @@ func (c *Comm) FlatLeases(op string, send, recv []byte, count int, dt Datatype) 
 		buf.Release()
 	}
 	return len(b.sch.leased)
+}
+
+// TuneCandidates names, per operation, the algorithms MPI_Init's sweep times
+// on this communicator, in probe order ("" for none).
+func (c *Comm) TuneCandidates() map[string]string {
+	out := make(map[string]string)
+	for k, kd := range collKinds {
+		var names []string
+		for _, a := range c.tuneCandidates(collKind(k)) {
+			names = append(names, collAlgos[a].name)
+		}
+		out[kd.name] = strings.Join(names, ", ")
+	}
+	return out
 }
 
 // InstallTuneTable installs encoded (kind, bound, algo) triples as the

@@ -75,26 +75,11 @@ func blind(f compileFn) compileFn {
 	}
 }
 
-// segFn is a compiler with a pipelining variant: segBytes > 0 cuts its
-// backbone transfers into eager-path segments.
-type segFn func(c *Comm, b *schedBuilder, ct *commTopo, a collArgs, segBytes int) func()
-
-// whole binds a segFn to its unsegmented form.
-func whole(f segFn) compileFn {
-	return func(c *Comm, b *schedBuilder, ct *commTopo, a collArgs) func() { return f(c, b, ct, a, 0) }
-}
-
-// segmented binds a segFn to the backbone's pipeline segment.
-func segmented(f segFn) compileFn {
-	return func(c *Comm, b *schedBuilder, ct *commTopo, a collArgs) func() {
-		return f(c, b, ct, a, c.segmentBytes())
-	}
-}
-
 // collForms lists every form. Within an operation the rows keep the global
 // order flat, ring, 2level, 2level-seg, 2level-ring, 2level-multi: it is
 // the autotuner's probe order, and with it the virtual cost of MPI_Init
-// and the content of every cached tune table.
+// and the table MPI_Init installs (a probe's reading depends on what ran
+// before it).
 //
 // Rows marked blind are not algorithms of their own: they are the
 // two-level compiler of the same operation run on one cluster. The
@@ -105,9 +90,15 @@ var collForms = []collForm{
 	{kindBarrier, algoFlat, shapeAny, "barrier", (*Comm).barrierDissemination},
 	{kindBarrier, algoHier, shapeMulti, "barrier.h", (*Comm).barrierTree},
 
-	{kindBcast, algoFlat, shapeAny, "bcast", blind(whole((*Comm).bcastTree))},
-	{kindBcast, algoHier, shapeMulti, "bcast.h", whole((*Comm).bcastTree)},
-	{kindBcast, algoHierSegmented, shapeMulti, "bcast.h", segmented((*Comm).bcastTree)},
+	{kindBcast, algoFlat, shapeAny, "bcast", blind(func(c *Comm, b *schedBuilder, ct *commTopo, a collArgs) func() {
+		return c.bcastTree(b, ct, a, 0)
+	})},
+	{kindBcast, algoHier, shapeMulti, "bcast.h", func(c *Comm, b *schedBuilder, ct *commTopo, a collArgs) func() {
+		return c.bcastTree(b, ct, a, 0)
+	}},
+	{kindBcast, algoHierSegmented, shapeMulti, "bcast.h", func(c *Comm, b *schedBuilder, ct *commTopo, a collArgs) func() {
+		return c.bcastTree(b, ct, a, c.segmentBytes())
+	}},
 	{kindBcast, algoHierMulti, shapeMultiGW, "bcast.hm", (*Comm).bcastMulti},
 
 	{kindReduce, algoFlat, shapeAny, "reduce", blind((*Comm).reduceTree)},
@@ -127,8 +118,7 @@ var collForms = []collForm{
 	{kindAllgather, algoHierMulti, shapeMultiGW, "allgather.hm", (*Comm).allgatherMulti},
 
 	{kindAlltoall, algoFlat, shapeAny, "alltoall", (*Comm).alltoallPairwise},
-	{kindAlltoall, algoHier, shapeMulti, "alltoall.h", whole((*Comm).alltoallBundles)},
-	{kindAlltoall, algoHierSegmented, shapeMulti, "alltoall.hseg", segmented((*Comm).alltoallBundles)},
+	{kindAlltoall, algoHier, shapeMulti, "alltoall.h", (*Comm).alltoallBundles},
 	{kindAlltoall, algoHierMulti, shapeMultiGW, "alltoall.hm", (*Comm).alltoallMulti},
 
 	{kindReduceScatter, algoRing, shapeAny, "redscat.ring", blind((*Comm).reduceScatterRing)},

@@ -82,9 +82,9 @@ func (c *Comm) bcastStaging(b *schedBuilder, a collArgs) (data []byte, fin func(
 	return data, c.unpackVector(a.recv, a.count, a.dt, data)
 }
 
-// bcastTree broadcasts through the two-level tree. On the one-cluster view
-// the leader level has the root alone, and the tree is the classic
-// binomial one: latency O(log n).
+// bcastTree broadcasts through the two-level tree, pipelined in segBytes
+// segments (0: whole). On the one-cluster view the leader level has the
+// root alone, and the tree is the classic binomial one: latency O(log n).
 func (c *Comm) bcastTree(b *schedBuilder, ct *commTopo, a collArgs, segBytes int) func() {
 	data, fin := c.bcastStaging(b, a)
 	c.bcastTreeRounds(b, ct, data, a.root, segBytes)
@@ -335,12 +335,12 @@ func (c *Comm) reduceScatterRing(b *schedBuilder, ct *commTopo, a collArgs) func
 // bundles (one message per directed leader pair, so each backbone link is
 // crossed O(clusters) times instead of the pairwise rotation's O(n)), and
 // each leader scatters the reassembled per-member receive vectors back.
-// segBytes > 0 asks for the pipelined bridge exchange (see
-// alltoallBridge); gather, assembly and scatter are the same either way.
+// A leader stages all its outbound bundles in one round and exchanges them
+// in the next, every inbound bundle (as long as the outbound) pre-posted.
 //
 // Bundle layout from cluster S to cluster D: blocks ordered by (source
 // member index in S ascending, destination member index in D ascending).
-func (c *Comm) alltoallBundles(b *schedBuilder, ct *commTopo, a collArgs, segBytes int) func() {
+func (c *Comm) alltoallBundles(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	n := c.Size()
 	sz := a.count * a.dt.Size()
 	members, myPos, leaderPos := ct.clusterPos(c.myRank)
@@ -361,7 +361,18 @@ func (c *Comm) alltoallBundles(b *schedBuilder, ct *commTopo, a collArgs, segByt
 
 	b.leaderParts(members, myPos, members[leaderPos], true, func(i int) []byte { return mats[i] })
 	if isLeader {
-		in := c.alltoallBridge(b, ct, members, mats, sz, segBytes)
+		out := make([][]byte, ct.nClusters)
+		for _, di := range ct.remote {
+			dm := ct.clusters[di]
+			out[di] = b.stage(len(members) * len(dm) * sz)
+			for k := range len(members) * len(dm) {
+				dst := dm[k%len(dm)]
+				b.copyStep(out[di][k*sz:(k+1)*sz], mats[k/len(dm)][dst*sz:(dst+1)*sz])
+			}
+		}
+		b.endRound()
+		in := b.exchange(ct.leaders, ct.myCluster, func(di int) int { return len(out[di]) }, func(di int) []byte { return out[di] })
+		b.endRound()
 		for j := range members {
 			for i, src := range members {
 				b.copyStep(vec[j][src*sz:(src+1)*sz], mats[i][members[j]*sz:(members[j]+1)*sz])
@@ -377,82 +388,4 @@ func (c *Comm) alltoallBundles(b *schedBuilder, ct *commTopo, a collArgs, segByt
 	}
 	b.leaderParts(members, myPos, members[leaderPos], false, func(i int) []byte { return vec[i] })
 	return c.unpackBlocks(a.recv, a.count, a.dt, vec[myPos])
-}
-
-// alltoallBridge appends a leader's bundle exchange with the other
-// leaders and returns the inbound bundles by cluster. Two forms.
-//
-// Whole bundles (segBytes <= 0, or a block too big for one segment): all
-// staging copies, then one round with every receive pre-posted alongside
-// the sends — rendez-vous bodies, one handshake per directed leader pair.
-//
-// Pipelined (2level-seg): the exchange is cut into eager-path segments
-// (block granularity, each at most segBytes) and the staging copies are
-// interleaved with the segment injections, so assembling segment k+1
-// overlaps segment k's flight across the backbone — intra-cluster staging
-// overlaps the backbone transfer, the relay-pipelining idea at the
-// schedule level. Because the segments ride the eager path they also
-// complete locally, eliminating the per-bundle rendez-vous handshakes;
-// the inbound segments buffer in the unexpected stash while this leader is
-// still staging, and one late round collects them all (mirroring each
-// sender's slicing of its own bundle; FIFO matching per source pairs them
-// in order).
-func (c *Comm) alltoallBridge(b *schedBuilder, ct *commTopo, members []int, mats [][]byte, sz, segBytes int) [][]byte {
-	nOut := func(di int) int { return len(members) * len(ct.clusters[di]) }
-	inLen := func(di int) int { return nOut(di) * sz }
-	out := make([][]byte, ct.nClusters)
-	for _, di := range ct.remote {
-		out[di] = b.stage(nOut(di) * sz)
-	}
-	// stage copies blocks [lo, hi) of the bundle for cluster di into place.
-	stage := func(di, lo, hi int) {
-		dm := ct.clusters[di]
-		for k := lo; k < hi; k++ {
-			dst := dm[k%len(dm)]
-			b.copyStep(out[di][k*sz:(k+1)*sz], mats[k/len(dm)][dst*sz:(dst+1)*sz])
-		}
-	}
-	// segBytes is sized on the worst routed leader pair (Hierarchy.Inter),
-	// and another pair's route may cross a lower eager threshold: a segment
-	// is cut to stay eager on every pair's route, alike at both ends.
-	segBytes = min(segBytes, c.leaderEager(ct))
-	if segBytes <= 0 || sz > segBytes {
-		for _, di := range ct.remote {
-			stage(di, 0, nOut(di))
-		}
-		b.endRound()
-		in := b.exchange(ct.leaders, ct.myCluster, inLen, func(di int) []byte { return out[di] })
-		b.endRound()
-		return in
-	}
-
-	bps := 1 // blocks per segment
-	if sz > 0 {
-		bps = max(segBytes/sz, 1)
-	}
-	nSeg := 0
-	for _, di := range ct.remote {
-		nSeg = max(nSeg, (nOut(di)+bps-1)/bps)
-	}
-	for s := 0; s < nSeg; s++ {
-		for _, di := range ct.remote {
-			stage(di, min(s*bps, nOut(di)), min((s+1)*bps, nOut(di)))
-		}
-		b.endRound()
-		for _, di := range ct.remote {
-			if lo, hi := s*bps, min((s+1)*bps, nOut(di)); lo < hi {
-				b.send(ct.leaders[di], out[di][lo*sz:hi*sz])
-			}
-		}
-		b.endRound()
-	}
-	in := make([][]byte, ct.nClusters)
-	for _, di := range ct.remote {
-		in[di] = b.stage(inLen(di))
-		for lo := 0; lo < nOut(di); lo += bps {
-			b.recv(ct.leaders[di], in[di][lo*sz:min(lo+bps, nOut(di))*sz])
-		}
-	}
-	b.endRound()
-	return in
 }

@@ -195,25 +195,6 @@ func (c *Comm) chunkBytes(r relay) int {
 	return chunk
 }
 
-// leaderEager is the largest message that rides eagerly between any two of
-// the view's leaders, by chunkBytes's rule: the eager threshold of the one
-// network every leader fronts, else — some pair's route is relayed — the
-// least of every network's. Every rank derives it alike.
-func (c *Comm) leaderEager(ct *commTopo) int {
-	gw, lim := ct.leaderGW[0][0], math.MaxInt
-	for _, g := range ct.leaderGW {
-		if g[0] != gw {
-			gw = ""
-		}
-	}
-	for name, l := range c.p.hier.Nets {
-		if gw == "" || name == gw {
-			lim = min(lim, c.eagerBytes(l))
-		}
-	}
-	return lim
-}
-
 // chainSegment is the segment a multi-leader Bcast of n bytes cuts each of
 // its shards into on the chains over the view's bridges: the LogGP optimum
 // √(shard·o/(hops·G)), where the shard/s segments' overheads meet the hops·s·G

@@ -468,7 +468,7 @@ type collAlgo int
 const (
 	algoFlat collAlgo = iota
 	algoHier
-	algoHierSegmented // two-level with pipelined segments (Bcast, Alltoall)
+	algoHierSegmented // two-level with pipelined segments (Bcast)
 	algoRing          // flat bandwidth-optimal ring (Allreduce, ReduceScatter)
 	algoRingHier      // two-level: intra-cluster rings around the leader exchange
 	algoHierMulti     // two-level with the leader phase sharded across the leader set
@@ -545,14 +545,6 @@ func (c *Comm) chooseAlgo(kind collKind, nBytes int) collAlgo {
 		return algoFlat
 	case CollHier:
 		if kind == kindBcast && c.bcastSegment(nBytes) > 0 {
-			return algoHierSegmented
-		}
-		// Segmenting the Alltoall bundle exchange only pays where the
-		// backbone serializes crossings (shared trunk): it trades the
-		// per-bundle rendez-vous handshakes for per-segment eager copies,
-		// a loss on private full-rate pipes. The autotuner measures both
-		// candidates regardless.
-		if kind == kindAlltoall && c.cappedBackbone() && c.bcastSegment(nBytes) > 0 {
 			return algoHierSegmented
 		}
 		return algoHier

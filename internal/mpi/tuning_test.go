@@ -6,6 +6,7 @@ package mpi_test
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -59,7 +60,10 @@ func TestAutotuneDeterministic(t *testing.T) {
 
 // TestAutotuneSingleClusterStillTunes: on a uniform fabric the only
 // choice is tree-vs-ring Allreduce; the sweep must still run and produce
-// a table covering it.
+// a table covering it. The candidates the sweep times are pinned per shape —
+// one cluster, two clusters, the bridged triangle whose clusters front
+// several gateways — since a candidate more or less moves every autotuned
+// number through the sweep's history.
 func TestAutotuneSingleClusterStillTunes(t *testing.T) {
 	tables := autotunedTables(t, nNodeTopo(6, "sisci"))
 	found := false
@@ -70,6 +74,53 @@ func TestAutotuneSingleClusterStillTunes(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("single-cluster sweep produced no Allreduce brackets: %v", tables[0])
+	}
+
+	untuned := map[string]string{"Barrier": "", "Reduce": "", "Gather": ""}
+	for _, tc := range []struct {
+		name string
+		topo cluster.Topology
+		want map[string]string
+	}{
+		{"one cluster", nNodeTopo(6, "sisci"), map[string]string{
+			"Bcast":         "flat",
+			"Allreduce":     "flat, ring",
+			"Allgather":     "flat",
+			"Alltoall":      "flat",
+			"ReduceScatter": "ring",
+		}},
+		{"two clusters", twoClusterTopo(3, 2), map[string]string{
+			"Bcast":         "flat, 2level, 2level-seg",
+			"Allreduce":     "flat, ring, 2level, 2level-ring",
+			"Allgather":     "flat, 2level",
+			"Alltoall":      "flat, 2level",
+			"ReduceScatter": "ring, 2level-ring",
+		}},
+		{"triangle", triangleTopo(), map[string]string{
+			"Bcast":         "flat, 2level, 2level-seg, 2level-multi",
+			"Allreduce":     "flat, ring, 2level, 2level-ring, 2level-multi",
+			"Allgather":     "flat, 2level, 2level-multi",
+			"Alltoall":      "flat, 2level, 2level-multi",
+			"ReduceScatter": "ring, 2level-ring",
+		}},
+	} {
+		maps.Copy(tc.want, untuned)
+		sess, err := cluster.Build(tc.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]string
+		if err := sess.Run(func(rank int, comm *mpi.Comm) error {
+			if rank == 0 {
+				got = comm.TuneCandidates()
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(got, tc.want) {
+			t.Errorf("%s: sweep candidates\n%v\nwant\n%v", tc.name, got, tc.want)
+		}
 	}
 }
 
