@@ -52,6 +52,7 @@ type SendReq struct {
 	Sync bool
 	Done *vtime.Event
 	Err  error
+	pooled
 }
 
 // RecvReq is an in-flight receive (MPIR_RHANDLE / rhandle). Done fires
@@ -68,6 +69,73 @@ type RecvReq struct {
 	// progress engine uses it to advance schedule rounds event-driven
 	// instead of polling each request.
 	OnComplete func()
+	pooled
+}
+
+// pooled is what a request of an engine's free list carries (NewSend,
+// NewRecv): the engine, and a generation count that is odd while the
+// request is out and even while it is home, so that a second Release
+// panics. A request made by hand has none and is never released.
+type pooled struct {
+	eng *Engine
+	gen uint32
+}
+
+// home moves the request's generation on to "home", panicking when it was
+// home already.
+func (p *pooled) home(what string) {
+	if p.gen%2 == 0 {
+		panic("adi: " + what + " request released twice, or never handed out by an engine")
+	}
+	p.gen++
+}
+
+// NewSend hands out a send request of the engine's free list, every field
+// zero but Done: unfired, named name (deadlock dumps). Whoever waits for its
+// completion gives it back with Release. A free list is the engine's own,
+// like everything else of a simulated process, so it takes no lock.
+func (e *Engine) NewSend(name string) *SendReq {
+	var sr *SendReq
+	if n := len(e.sends); n > 0 {
+		sr, e.sends = e.sends[n-1], e.sends[:n-1]
+		sr.Done.Rearm(name)
+	} else {
+		sr = &SendReq{Done: vtime.NewEvent(e.P.S, name), pooled: pooled{eng: e}}
+	}
+	sr.gen++
+	return sr
+}
+
+// Release sends a completed send request home, cleared, so that it pins no
+// buffer. The holder must not touch it again: its Done event is retired
+// until the request is handed out anew, so a stale Wait or Fire panics, and
+// so does a second Release.
+func (sr *SendReq) Release() {
+	sr.home("send")
+	*sr = SendReq{Done: sr.Done, pooled: sr.pooled}
+	sr.Done.Retire()
+	sr.eng.sends = append(sr.eng.sends, sr)
+}
+
+// NewRecv is NewSend for a receive request.
+func (e *Engine) NewRecv(name string) *RecvReq {
+	var rr *RecvReq
+	if n := len(e.recvs); n > 0 {
+		rr, e.recvs = e.recvs[n-1], e.recvs[:n-1]
+		rr.Done.Rearm(name)
+	} else {
+		rr = &RecvReq{Done: vtime.NewEvent(e.P.S, name), pooled: pooled{eng: e}}
+	}
+	rr.gen++
+	return rr
+}
+
+// Release is SendReq.Release for a completed receive request.
+func (rr *RecvReq) Release() {
+	rr.home("receive")
+	*rr = RecvReq{Done: rr.Done, pooled: rr.pooled}
+	rr.Done.Retire()
+	rr.eng.recvs = append(rr.eng.recvs, rr)
 }
 
 // matches reports whether an incoming envelope satisfies this receive.
@@ -139,6 +207,10 @@ type Engine struct {
 	posted []*RecvReq
 	unexp  []*unexpected
 
+	// The free lists of NewSend and NewRecv, the last request home on top.
+	sends []*SendReq
+	recvs []*RecvReq
+
 	// Bufs is where the process's devices stash a payload that must
 	// outlive its packet — an unexpected message, a truncated stream:
 	// taken at arrival, released by the deliver closure once it has
@@ -160,6 +232,9 @@ func NewEngine(p *marcel.Proc, rank int) *Engine {
 // PostRecv registers a receive request, first trying to satisfy it from
 // the unexpected queue. Called from the application thread.
 func (e *Engine) PostRecv(r *RecvReq) {
+	if r.eng != nil && r.gen%2 == 0 {
+		panic("adi: receive request posted after its Release")
+	}
 	for i, u := range e.unexp {
 		if r.matches(u.env) {
 			e.unexp = append(e.unexp[:i], e.unexp[i+1:]...)

@@ -58,13 +58,17 @@ func (d *Device) Send(sr *adi.SendReq) {
 	stash := d.eng.Bufs.Get(len(sr.Data))
 	d.proc.Charge(d.params.CopyTime(len(sr.Data)))
 	copy(stash.B, sr.Data)
+	// The match may come after a standard send has completed and its
+	// request has gone back to a free list: only a synchronous one is
+	// still the sender's then.
+	sync := sr.Sync
 	d.eng.AddUnexpected(env, func(r *adi.RecvReq) {
 		n, err := adi.CheckLen(r, env)
 		d.proc.Charge(d.params.CopyTime(n))
 		copy(r.Buf, stash.B[:n])
 		stash.Release()
 		adi.FinishRecv(r, env, err)
-		if sr.Sync {
+		if sync {
 			sr.Done.Fire()
 		}
 	})

@@ -170,7 +170,8 @@ type Session struct {
 	// Tracer is the session's event tracer (nil: tracing off); Metrics
 	// is the always-on counter registry every device and network feeds
 	// (gateway relay load, trunk contention) — it is what RelayStats
-	// reads, so it exists even when tracing is off.
+	// reads, so it exists even when tracing is off. Run adds the
+	// scheduler's vtime.tasks and vtime.coroutines to it at the end.
 	Tracer  *trace.Tracer
 	Metrics *trace.Registry
 
@@ -359,8 +360,7 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 			chanOf[netName] = ch
 		}
 		w := &rankWiring{
-			rank: &Rank{Rank: r, Node: pl.node, Proc: proc,
-				Eng: eng, ChMad: dev},
+			rank:   &Rank{Rank: r, Node: pl.node, Proc: proc, Eng: eng, ChMad: dev},
 			self:   chself.New(proc, eng),
 			chanOf: chanOf,
 		}
@@ -570,7 +570,6 @@ func (sess *Session) installRoutes(plan *route.Plan) {
 		if dev == nil {
 			continue
 		}
-		r := r
 		dev.SetRailSource(func(dst int) []core.Route {
 			if dst == r || dst < 0 || dst >= size {
 				return nil
@@ -795,7 +794,6 @@ func (sess *Session) buildChP4(places []placementInfo) error {
 func (sess *Session) Run(main func(rank int, comm *mpi.Comm) error) error {
 	sess.rankErr = make([]error, len(sess.Ranks))
 	for _, rk := range sess.Ranks {
-		rk := rk
 		rk.Proc.Spawn("main", func() {
 			if sess.Topo.Autotune {
 				if err := rk.MPI.Autotune(); err != nil {
@@ -813,6 +811,9 @@ func (sess *Session) Run(main func(rank int, comm *mpi.Comm) error) error {
 		})
 	}
 	schedErr := sess.S.Run()
+	tasks, coros := sess.S.Counts()
+	sess.Metrics.Add("vtime.tasks", "", int64(tasks))
+	sess.Metrics.Add("vtime.coroutines", "", int64(coros))
 	// A rank error usually deadlocks the rest of the job (they wait for
 	// a peer that already failed); report the root cause first.
 	for _, err := range sess.rankErr {

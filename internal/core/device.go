@@ -215,11 +215,13 @@ func (d *Device) sendHeaderOnly(rt Route, h header) error {
 // is read until EndPacking returns and not a moment longer, so the request
 // may complete as soon as emit does) or a wire buffer the device already
 // owns (owned — a gateway's relay store — which emit hands over whatever
-// happens); both nil ships the header alone.
+// happens); both nil ships the header alone. The header is encoded in place,
+// in the head packet's aggregation area.
 func (d *Device) emit(rt Route, h header, body []byte, owned *netsim.Buf, mode madeleine.SendMode) error {
 	conn, err := rt.Channel.BeginPacking(rt.NextNode)
+	var hb []byte
 	if err == nil {
-		err = conn.Pack(h.encode(), madeleine.SendCheaper, madeleine.ReceiveExpress)
+		hb, err = conn.PackExpress(HeaderSize)
 	}
 	if err != nil {
 		if owned != nil {
@@ -227,7 +229,7 @@ func (d *Device) emit(rt Route, h header, body []byte, owned *netsim.Buf, mode m
 		}
 		return err
 	}
-	if owned != nil {
+	if h.put(hb); owned != nil {
 		err = conn.PackOwned(owned, mode, madeleine.ReceiveCheaper)
 	} else if body != nil {
 		err = conn.Pack(body, mode, madeleine.ReceiveCheaper)

@@ -107,3 +107,10 @@ func FuzzRndvSegmentReassembly(f *testing.F) {
 		}
 	})
 }
+
+// encode is the header as a buffer of its own.
+func (h *header) encode() []byte {
+	buf := make([]byte, HeaderSize)
+	h.put(buf)
+	return buf
+}

@@ -122,8 +122,8 @@ type header struct {
 // HeaderSize is the wire size of the ch_mad header block.
 const HeaderSize = 1 + 5*4 + 2*4 + 4 + 2
 
-func (h *header) encode() []byte {
-	buf := make([]byte, HeaderSize)
+// put encodes the header into buf, HeaderSize bytes.
+func (h *header) put(buf []byte) {
 	buf[0] = byte(h.Type)
 	le := binary.LittleEndian
 	le.PutUint32(buf[1:], uint32(int32(h.SrcRank)))
@@ -136,7 +136,6 @@ func (h *header) encode() []byte {
 	le.PutUint32(buf[29:], uint32(int32(h.Offset)))
 	buf[33] = byte(h.PathID)
 	buf[34] = byte(h.Budget)
-	return buf
 }
 
 func decodeHeader(buf []byte) (header, error) {

@@ -29,3 +29,8 @@ func FuzzHeadCodec(f *testing.F) {
 		}
 	})
 }
+
+// encodeHead is the head of a message as a buffer of its own.
+func encodeHead(seq uint32, blocks []blockDesc, agg []byte) []byte {
+	return appendHead(nil, seq, blocks, agg)
+}

@@ -2,6 +2,7 @@ package madeleine
 
 import (
 	"fmt"
+	"slices"
 
 	"mpichmad/internal/marcel"
 	"mpichmad/internal/netsim"
@@ -185,7 +186,18 @@ func (ch *Channel) BeginPacking(remote string) (*Connection, error) {
 // cost (half here, half at the matching Unpack), reproducing the overhead
 // decomposition of §5.2–§5.4.
 func (c *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
-	return c.pack(data, nil, sm, rm)
+	return c.pack(data, len(data), nil, sm, rm)
+}
+
+// PackExpress packs an n-byte EXPRESS block (SendCheaper) that the caller
+// writes straight into the head's aggregation area, instead of handing
+// Pack bytes to copy there: it returns the block's n bytes, the caller's to
+// fill before it packs or blocks again. Placement and charges are Pack's.
+func (c *Connection) PackExpress(n int) ([]byte, error) {
+	if err := c.pack(nil, n, nil, SendCheaper, ReceiveExpress); err != nil {
+		return nil, err
+	}
+	return c.out.agg[len(c.out.agg)-n:], nil
 }
 
 // PackOwned appends the block held in buf, a wire buffer the message takes
@@ -193,10 +205,10 @@ func (c *Connection) Pack(data []byte, sm SendMode, rm RecvMode) error {
 // unpacks it, a block that rides in the head packet sends it home at once.
 // Placement and charges are Pack's.
 func (c *Connection) PackOwned(buf *netsim.Buf, sm SendMode, rm RecvMode) error {
-	return c.pack(buf.B, buf, sm, rm)
+	return c.pack(buf.B, len(buf.B), buf, sm, rm)
 }
 
-func (c *Connection) pack(data []byte, owned *netsim.Buf, sm SendMode, rm RecvMode) error {
+func (c *Connection) pack(data []byte, n int, owned *netsim.Buf, sm SendMode, rm RecvMode) error {
 	m := &c.out
 	if !m.open {
 		if owned != nil {
@@ -206,7 +218,6 @@ func (c *Connection) pack(data []byte, owned *netsim.Buf, sm SendMode, rm RecvMo
 	}
 	p := &c.Ch.Params
 	proc := c.Ch.Inst.P
-	n := len(data)
 
 	m.packs++
 	if m.packs > 1 {
@@ -219,14 +230,13 @@ func (c *Connection) pack(data []byte, owned *netsim.Buf, sm SendMode, rm RecvMo
 	case rm == ReceiveExpress || sm == SendSafer || n <= p.AggLimit:
 		d.place = placeAgg
 		proc.Charge(p.CopyTime(n))
-		m.agg = append(m.agg, data...)
+		m.agg = slices.Grow(m.agg, n)[:len(m.agg)+n]
+		copy(m.agg[len(m.agg)-n:], data)
 		if owned != nil {
 			owned.Release()
 		}
-	case owned != nil:
-		m.bodies = append(m.bodies, body{pkt: netsim.Packet{Body: data}, buf: owned, state: bodyWired})
 	default:
-		m.bodies = append(m.bodies, body{pkt: netsim.Packet{Body: data}})
+		m.addBody(data, owned)
 	}
 	m.blocks = append(m.blocks, d)
 	return nil
@@ -256,13 +266,14 @@ func (c *Connection) EndPacking() error {
 
 	// Head packet: descriptor table + aggregated data.
 	proc.Charge(p.SendOverhead)
-	head := &netsim.Packet{
-		Dst:    c.Remote,
-		Kind:   int(pktHead),
-		Header: encodeHead(m.seq, m.blocks, m.agg),
-	}
+	head := c.Ch.Net.NewPacket()
+	head.Dst, head.Kind = c.Remote, int(pktHead)
+	head.Header = appendHead(head.Header, m.seq, m.blocks, m.agg)
 	err := c.Ch.ep.Send(head)
 	last := head.ArriveAt
+	if err != nil {
+		head.Release() // refused: nobody else has it
+	}
 
 	// Body packets, in block order, pipelined behind the head.
 	sent := 0
@@ -356,7 +367,7 @@ func (ch *Channel) startUnpack(conn *Connection) (*Connection, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn.in = inMessage{open: true, seq: seq, blocks: blocks, agg: agg}
+	conn.in = inMessage{open: true, seq: seq, head: pkt, blocks: blocks, agg: agg}
 	return conn, nil
 }
 
@@ -448,8 +459,9 @@ func (c *Connection) next(n int, rm RecvMode, dst []byte) (src []byte, held *net
 		src = src[:0]
 	}
 	// Taken: the sender's record, which its connection keeps for the next
-	// message, no longer holds the bytes or the buffer.
-	*bd = body{state: bodyTaken}
+	// message, no longer holds the bytes or the buffer. Its packet stays
+	// bound for that message's body (addBody).
+	bd.pkt.Body, bd.buf, bd.state = nil, nil, bodyTaken
 	if size != n {
 		if held != nil {
 			held.Release()
@@ -472,6 +484,8 @@ func (c *Connection) EndUnpacking() error {
 		return fmt.Errorf("%w: %d of %d blocks unpacked", ErrBlockMismatch, m.next, len(m.blocks))
 	}
 	m.open = false
+	m.head.Release()
+	m.head, m.agg = nil, nil
 	c.Ch.Messages++
 	return nil
 }

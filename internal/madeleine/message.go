@@ -34,24 +34,19 @@ type blockDesc struct {
 const headFixed = 4 + 2
 const perBlock = 1 + 1 + 1 + 4
 
-// encodeHead serializes the descriptor table and aggregation area.
-func encodeHead(seq uint32, blocks []blockDesc, agg []byte) []byte {
-	buf := make([]byte, headFixed+perBlock*len(blocks)+len(agg))
-	binary.LittleEndian.PutUint32(buf[0:], seq)
-	binary.LittleEndian.PutUint16(buf[4:], uint16(len(blocks)))
-	off := headFixed
+// appendHead appends the encoding of a head — descriptor table, then
+// aggregation area — to buf, growing it at most once.
+func appendHead(buf []byte, seq uint32, blocks []blockDesc, agg []byte) []byte {
+	buf = slices.Grow(buf, headFixed+perBlock*len(blocks)+len(agg))
+	le := binary.LittleEndian
+	buf = le.AppendUint16(le.AppendUint32(buf, seq), uint16(len(blocks)))
 	for _, b := range blocks {
-		buf[off] = byte(b.place)
-		buf[off+1] = byte(b.sendMode)
-		buf[off+2] = byte(b.recvMode)
-		binary.LittleEndian.PutUint32(buf[off+3:], b.length)
-		off += perBlock
+		buf = le.AppendUint32(append(buf, byte(b.place), byte(b.sendMode), byte(b.recvMode)), b.length)
 	}
-	copy(buf[off:], agg)
-	return buf
+	return append(buf, agg...)
 }
 
-// decodeHead parses a head packet produced by encodeHead, decoding the
+// decodeHead parses a head packet produced by appendHead, decoding the
 // descriptor table into blocks' storage.
 func decodeHead(buf []byte, blocks []blockDesc) (uint32, []blockDesc, []byte, error) {
 	if len(buf) < headFixed {
@@ -126,12 +121,13 @@ type outMessage struct {
 }
 
 // begin opens the record for message seq. It keeps the storage of the
-// descriptor table and the aggregation area, whose bytes encodeHead copied
-// into the last head packet, and that of the bodies only when every one of
-// them has been taken. A body in flight is a packet the network or the
-// receiver holds, which the next message must not overwrite, and the sender
-// cannot tell it from one the wire lost; a body never sent is not taken
-// either. Any of them makes the next message start a fresh slice.
+// descriptor table and the aggregation area, whose bytes appendHead copied
+// into the last head packet, and that of the bodies, packets included, only
+// when every one of them has been taken. A body in flight is a packet the
+// network or the receiver holds, which the next message must not
+// overwrite, and the sender cannot tell it from one the wire lost; a body
+// never sent is not taken either. Any of them makes the next message start
+// a fresh slice.
 func (m *outMessage) begin(seq uint32) {
 	bodies := m.bodies[:0]
 	for i := range m.bodies {
@@ -143,13 +139,32 @@ func (m *outMessage) begin(seq uint32) {
 	*m = outMessage{open: true, seq: seq, blocks: m.blocks[:0], agg: m.agg[:0], bodies: bodies}
 }
 
+// addBody appends a body record for data and returns it. A slot the
+// record had from an earlier message keeps its packet, whose delivery the
+// network has bound already; everything the earlier body held is gone
+// (next took it).
+func (m *outMessage) addBody(data []byte, owned *netsim.Buf) *body {
+	if n := len(m.bodies); n < cap(m.bodies) {
+		m.bodies = m.bodies[:n+1]
+	} else {
+		m.bodies = append(m.bodies, body{})
+	}
+	b := &m.bodies[len(m.bodies)-1]
+	b.pkt.Body, b.buf, b.state = data, owned, bodyLent
+	if owned != nil {
+		b.state = bodyWired
+	}
+	return b
+}
+
 // inMessage is the receiver-side state of a message being consumed, open
 // from BeginUnpacking to EndUnpacking.
 type inMessage struct {
 	open    bool
 	seq     uint32
+	head    *netsim.Packet // sent home by EndUnpacking
 	blocks  []blockDesc
-	agg     []byte
+	agg     []byte // in head's Header
 	aggOff  int
 	next    int // index of the next block to unpack
 	unpacks int

@@ -41,7 +41,7 @@
 // A message's records belong to its connection, not to the message. Each
 // Connection keeps one outgoing and one incoming record (outMessage,
 // inMessage) that every message reuses: the descriptor table and the
-// aggregation area are overwritten by the next BeginPacking (encodeHead has
+// aggregation area are overwritten by the next BeginPacking (appendHead has
 // copied them into the head packet), and decodeHead decodes each head into
 // the incoming record's table. The bodies are different, because a body
 // embeds the packet the network and the receiving connection hold by
@@ -49,8 +49,11 @@
 // body has reached bodyTaken. A body still in flight or queued, one the
 // network lost and one EndPacking never sent (the wire refused an earlier
 // packet) keep their packets, and the next message starts a fresh slice.
-// What a message still allocates is its head packet, the head's encoding and
-// the network's delivery callback.
+// The head packet is a record of the network's free list (NewPacket), its
+// encoding appended to the storage the record kept; the receiver sends it
+// home at EndUnpacking, once every block has been copied out of it. A
+// reused packet keeps the delivery the network bound to it, so a message
+// allocates nothing once its connection and the network's list are warm.
 package madeleine
 
 import "fmt"

@@ -7,18 +7,15 @@ package mpi
 func (c *Comm) collCtx() int { return c.ctx + 1 }
 
 // Every blocking collective below is its nonblocking twin compiled and
-// immediately waited on: the schedule compilers in this file, hcoll.go and
-// hmulti.go hold the only algorithm bodies and the collForms table
-// (forms.go) the only place they are bound to an operation, so a new
-// algorithm is a new compiler plus a table row and nothing else.
+// immediately waited on (blocking, which recycles the request): the
+// schedule compilers in this file, hcoll.go and hmulti.go hold the only
+// algorithm bodies and the collForms table (forms.go) the only place they
+// are bound to an operation, so a new algorithm is a new compiler plus a
+// table row and nothing else.
 
 // Barrier blocks until all members have entered it (MPI_Barrier).
 func (c *Comm) Barrier() error {
-	req, err := c.Ibarrier()
-	if err != nil {
-		return err
-	}
-	return req.Wait()
+	return c.blocking(c.Ibarrier())
 }
 
 // Bcast broadcasts count elements of dt from root to every member
@@ -26,11 +23,7 @@ func (c *Comm) Barrier() error {
 // two-level tree, whole or pipelined in segments, or the multi-leader form
 // whose shards walk chains of clusters over every bridge at once.
 func (c *Comm) Bcast(buf []byte, count int, dt Datatype, root int) error {
-	req, err := c.Ibcast(buf, count, dt, root)
-	if err != nil {
-		return err
-	}
-	return req.Wait()
+	return c.blocking(c.Ibcast(buf, count, dt, root))
 }
 
 // Reduce combines count elements from every member's sendBuf with op,
@@ -38,11 +31,7 @@ func (c *Comm) Bcast(buf []byte, count int, dt Datatype, root int) error {
 //
 //madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) Reduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, root int) error {
-	req, err := c.Ireduce(sendBuf, recvBuf, count, dt, op, root)
-	if err != nil {
-		return err
-	}
-	return req.Wait()
+	return c.blocking(c.Ireduce(sendBuf, recvBuf, count, dt, op, root))
 }
 
 // Allreduce combines count elements from every member's sendBuf with op,
@@ -51,31 +40,19 @@ func (c *Comm) Reduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, ro
 // form whose cluster leaders exchange their partials, a ring, or the
 // multi-leader sharded form.
 func (c *Comm) Allreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) error {
-	req, err := c.Iallreduce(sendBuf, recvBuf, count, dt, op)
-	if err != nil {
-		return err
-	}
-	return req.Wait()
+	return c.blocking(c.Iallreduce(sendBuf, recvBuf, count, dt, op))
 }
 
 // Gather collects count elements from every member into root's recvBuf,
 // ordered by rank (MPI_Gather). recvBuf needs size*count elements at root.
 func (c *Comm) Gather(sendBuf []byte, recvBuf []byte, count int, dt Datatype, root int) error {
-	req, err := c.Igather(sendBuf, recvBuf, count, dt, root)
-	if err != nil {
-		return err
-	}
-	return req.Wait()
+	return c.blocking(c.Igather(sendBuf, recvBuf, count, dt, root))
 }
 
 // Allgather gathers count elements from each member into every member's
 // recvBuf in rank order (MPI_Allgather).
 func (c *Comm) Allgather(sendBuf []byte, recvBuf []byte, count int, dt Datatype) error {
-	req, err := c.Iallgather(sendBuf, recvBuf, count, dt)
-	if err != nil {
-		return err
-	}
-	return req.Wait()
+	return c.blocking(c.Iallgather(sendBuf, recvBuf, count, dt))
 }
 
 // Alltoall sends a distinct count-element block to every member and
@@ -84,11 +61,7 @@ func (c *Comm) Allgather(sendBuf []byte, recvBuf []byte, count int, dt Datatype)
 // directed leader pair), or the multi-leader form whose co-leaders carry
 // each directed cluster bundle over their own bridge.
 func (c *Comm) Alltoall(sendBuf []byte, recvBuf []byte, count int, dt Datatype) error {
-	req, err := c.Ialltoall(sendBuf, recvBuf, count, dt)
-	if err != nil {
-		return err
-	}
-	return req.Wait()
+	return c.blocking(c.Ialltoall(sendBuf, recvBuf, count, dt))
 }
 
 // ---- Topology-blind schedule compilers ----

@@ -65,8 +65,10 @@ type Process struct {
 	traceTrack int
 
 	// spare holds the schedules that ran to completion, cleared, for the
-	// next compile to reuse (newSched, recycle).
+	// next compile to reuse (newSched, recycle), and reqs the requests of
+	// the blocking collectives that did (newReq, blocking).
 	spare []*schedule
+	reqs  []*CollRequest
 
 	memcpyBW  float64
 	finalized bool

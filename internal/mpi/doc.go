@@ -111,9 +111,10 @@
 // collectives need at once, for the session.
 //
 // A schedule's life has three stages. It is compiled at submit, into a
-// schedule the process recycled when it has one (Process.newSched): the
-// storage of its rounds and of each round's steps is reused round by round
-// (schedBuilder.add), and its event names when the form is the same. It is
+// schedule the process recycled when it has one (Process.newSched): its
+// builder, the storage of its rounds and of each round's steps are reused
+// round by round (schedBuilder.add), and its event names when the form is
+// the same. It is
 // run by the engine, which re-arms one receive-request slice and one
 // countdown event for every round that receives (collEngine.arm) instead of
 // making them per round; the event takes the schedule's round name, so a
@@ -126,6 +127,24 @@
 // still land there: it goes to the GC, and the engine makes new round
 // storage for its next round. Two Icolls submitted back to back are two
 // schedules, since a schedule returns to the list only once it has run.
+//
+// Requests live as long as somebody can hold them, and no longer. A
+// CollRequest comes from the process's free list (Process.newReq). An
+// Icoll's is its caller's: it may wait on it and test it as often as it
+// likes, and the GC takes it. A blocking collective's goes back once its
+// Wait has returned (Comm.blocking), with its event retired, so that a
+// stale Wait or Test panics instead of waiting on a later collective. The
+// point-to-point sends of every schedule step and of the blocking Send go
+// through sendRaw, which takes its adi.SendReq, event included, from the
+// engine's free list and releases it when the send is complete; the
+// free list's generation count makes a second Release panic, and a stale
+// Wait or Fire hits the retired event. The device requests of an Isend and
+// an Irecv come from the same list and go back at the first Wait of the
+// mpi.Request, which keeps the outcome for a later one; that Request is
+// the caller's, as an Icoll's is. Below the requests, a message allocates
+// nothing either: Madeleine's head packets are records of the network's
+// free list, sent home when the receiver ends the message, and the ch_mad
+// header is encoded into the head's aggregation area.
 //
 // # Datatypes and who copies a payload
 //

@@ -49,9 +49,5 @@ func (c *Comm) Ssend(buf []byte, count int, dt Datatype, dest, tag int) error {
 // (n−1)/n of the vector per link instead of the old reduce-then-scatter
 // body's full log(n) copies.
 func (c *Comm) ReduceScatter(sendBuf, recvBuf []byte, countPerRank int, dt Datatype, op Op) error {
-	req, err := c.IreduceScatter(sendBuf, recvBuf, countPerRank, dt, op)
-	if err != nil {
-		return err
-	}
-	return req.Wait()
+	return c.blocking(c.IreduceScatter(sendBuf, recvBuf, countPerRank, dt, op))
 }

@@ -63,6 +63,35 @@ func (r *CollRequest) Wait() error {
 	return r.err
 }
 
+// newReq hands out a request of the process's free list, or a new one. A
+// blocking collective's comes back once it has completed (blocking); an
+// Icoll's stays with its caller.
+func (p *Process) newReq(c *Comm, sch *schedule) *CollRequest {
+	var req *CollRequest
+	if n := len(p.reqs); n > 0 {
+		req, p.reqs = p.reqs[n-1], p.reqs[:n-1]
+		req.done.Rearm(sch.doneEvt)
+	} else {
+		req = &CollRequest{done: vtime.NewEvent(p.M.S, sch.doneEvt)}
+	}
+	req.c, req.sch = c, sch
+	return req
+}
+
+// blocking is Wait for the request of a blocking collective, which nobody
+// else holds: once complete, it goes back to the process's free list with
+// its event retired, so that a stale Wait or Test panics.
+func (c *Comm) blocking(req *CollRequest, err error) error {
+	if err != nil {
+		return err
+	}
+	err = req.Wait()
+	*req = CollRequest{done: req.done}
+	req.done.Retire()
+	c.p.reqs = append(c.p.reqs, req)
+	return err
+}
+
 // Test reports completion without blocking indefinitely (MPI_Test). When
 // the operation is still in flight the caller sleeps 1 µs of virtual time:
 // a Test poll loop lets the engine thread's charges in between its
@@ -104,7 +133,7 @@ type collJob struct {
 // and returns its request. Purely local schedules (size-1 communicators)
 // run inline. The first scheduled collective starts the engine thread.
 func (c *Comm) submit(sch *schedule) *CollRequest {
-	req := &CollRequest{c: c, sch: sch, done: vtime.NewEvent(c.p.M.S, sch.doneEvt)}
+	req := c.p.newReq(c, sch)
 	if sch.local() {
 		req.err = c.execSchedule(sch, 0)
 		req.done.Fire()

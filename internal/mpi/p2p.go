@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpichmad/internal/adi"
-	"mpichmad/internal/vtime"
 )
 
 // Status reports a completed receive, with Source in communicator ranks.
@@ -56,22 +55,21 @@ func (c *Comm) checkPeer(op string, r int) error {
 }
 
 // sendRaw transmits packed bytes on an explicit context. Blocking: it
-// returns when the send is locally complete.
+// returns when the send is locally complete, and its request, which nobody
+// else holds then, goes back to the engine's free list.
 func (c *Comm) sendRaw(data []byte, dest, tag, ctx int) error {
 	dstWorld := c.group[dest]
-	sr := &adi.SendReq{
-		Env:  adi.Envelope{Src: c.p.rank, Tag: tag, Context: ctx, Len: len(data)},
-		Dst:  dstWorld,
-		Data: data,
-		Done: vtime.NewEvent(c.p.M.S, "mpi.send"),
-	}
 	dev := c.p.route(dstWorld)
 	if dev == nil {
 		return fmt.Errorf("mpi: no device for destination world rank %d", dstWorld)
 	}
+	sr := c.p.Eng.NewSend("mpi.send")
+	sr.Env, sr.Dst, sr.Data = adi.Envelope{Src: c.p.rank, Tag: tag, Context: ctx, Len: len(data)}, dstWorld, data
 	dev.Send(sr)
 	sr.Done.Wait()
-	return sr.Err
+	err := sr.Err
+	sr.Release()
+	return err
 }
 
 func (c *Comm) statusOf(rr *adi.RecvReq) *Status {
@@ -124,16 +122,12 @@ func (c *Comm) Isend(buf []byte, count int, dt Datatype, dest, tag int) (*Reques
 		c.p.M.Charge(c.p.memTime(len(data)))
 	}
 	dstWorld := c.group[dest]
-	sr := &adi.SendReq{
-		Env:  adi.Envelope{Src: c.p.rank, Tag: tag, Context: c.ctx, Len: len(data)},
-		Dst:  dstWorld,
-		Data: data,
-		Done: vtime.NewEvent(c.p.M.S, "mpi.isend"),
-	}
 	dev := c.p.route(dstWorld)
 	if dev == nil {
 		return nil, fmt.Errorf("mpi: no device for destination world rank %d", dstWorld)
 	}
+	sr := c.p.Eng.NewSend("mpi.isend")
+	sr.Env, sr.Dst, sr.Data = adi.Envelope{Src: c.p.rank, Tag: tag, Context: c.ctx, Len: len(data)}, dstWorld, data
 	c.p.M.Spawn("mpi.isend", func() { dev.Send(sr) })
 	return &Request{c: c, sr: sr}, nil
 }
@@ -177,17 +171,15 @@ func (c *Comm) Irecv(buf []byte, count int, dt Datatype, src, tag int) (*Request
 	} else {
 		landing = buf[:need]
 	}
-	rr := &adi.RecvReq{
-		Src: worldSrc, Tag: tag, Context: c.ctx,
-		Buf:  landing,
-		Done: vtime.NewEvent(c.p.M.S, "mpi.irecv"),
-	}
+	rr := c.p.Eng.NewRecv("mpi.irecv")
+	rr.Src, rr.Tag, rr.Context, rr.Buf = worldSrc, tag, c.ctx, landing
 	c.p.Eng.PostRecv(rr)
 	return &Request{c: c, rr: rr, finish: finish}, nil
 }
 
 // Wait blocks until the request completes (MPI_Wait), returning the
-// receive status (nil for sends).
+// receive status (nil for sends). The device request goes back to the
+// engine's free list then: a second Wait returns what the first did.
 func (r *Request) Wait() (*Status, error) {
 	if r.finished {
 		return r.status, r.err
@@ -196,15 +188,17 @@ func (r *Request) Wait() (*Status, error) {
 	case r.sr != nil:
 		r.sr.Done.Wait()
 		r.err = r.sr.Err
+		r.sr.Release()
 	case r.rr != nil:
 		r.rr.Done.Wait()
 		r.err = r.rr.Err
 		r.status = r.c.statusOf(r.rr)
+		r.rr.Release()
 		if r.finish != nil {
 			r.finish(r.status.Bytes)
 		}
 	}
-	r.finished = true
+	r.sr, r.rr, r.finished = nil, nil, true
 	return r.status, r.err
 }
 

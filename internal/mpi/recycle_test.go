@@ -105,6 +105,64 @@ func TestRecycledSchedulePinsNoBuffer(t *testing.T) {
 	}
 }
 
+// mustPanic reports whether fn panicked.
+func mustPanic(what string, fn func()) (err error) {
+	defer func() {
+		if recover() == nil {
+			err = fmt.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+	return nil
+}
+
+// A blocking collective's request goes back to its process once complete,
+// and the next collective's request is that record: between the two, a
+// stale Wait or Test on it panics. An Icoll's request stays with its
+// caller, to wait on and test as often as it likes.
+func TestStaleHandleCollRequest(t *testing.T) {
+	sess, err := cluster.Build(nNodeTopo(3, "sisci"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		req, err := c.Ibarrier()
+		if err != nil {
+			return err
+		}
+		if err := c.Blocking(req); err != nil {
+			return err
+		}
+		for _, e := range []error{
+			mustPanic("Wait on a request a blocking collective gave back", func() { req.Wait() }),
+			mustPanic("Test of a request a blocking collective gave back", func() { req.Test() }),
+		} {
+			if e != nil {
+				return e
+			}
+		}
+		again, err := c.Ibarrier()
+		if err != nil {
+			return err
+		}
+		if again != req {
+			return fmt.Errorf("rank %d: the next collective made a request while one was home", rank)
+		}
+		for i := 0; i < 2; i++ {
+			if err := again.Wait(); err != nil {
+				return err
+			}
+			if done, err := again.Test(); !done || err != nil {
+				return fmt.Errorf("rank %d: Test after Wait = %v, %v", rank, done, err)
+			}
+		}
+		return c.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Two Iallreduces submitted back to back, the first not yet run, are two
 // schedules even when the process has a recycled one to hand out, and each
 // delivers its own sum.
@@ -163,11 +221,12 @@ func TestRecycleBackToBackIallreduce(t *testing.T) {
 }
 
 // A steady-state blocking 4 KiB Allreduce on the 2+3 shape, every rank
-// calling it after one warm-up call, allocates at most 100 times on the
-// whole machine per call, counted over rank 0's window (98; 232 when every
-// call made its schedule, round storage, countdown event and Madeleine
-// message records anew). What is left is per message below the schedule —
-// heads, ch_mad headers, requests and their events — and the compile.
+// calling it after one warm-up call, allocates at most 30 times on the
+// whole machine per call, counted over rank 0's window (10: the compilers'
+// closures; 98 when every message made its head, delivery, ch_mad header
+// and request, and every call its builder and request; 232 when every call
+// also made its schedule, round storage, countdown event and Madeleine
+// message records anew).
 func TestAllocBudgetAllreduce(t *testing.T) {
 	sess, err := cluster.Build(twoClusterTopo(2, 3))
 	if err != nil {
@@ -190,7 +249,8 @@ func TestAllocBudgetAllreduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if per > 100 {
-		t.Errorf("a steady-state Allreduce allocates %.0f times, budget 100", per)
+	t.Logf("a steady-state Allreduce allocates %.0f times", per)
+	if per > 30 {
+		t.Errorf("a steady-state Allreduce allocates %.0f times, budget 30", per)
 	}
 }

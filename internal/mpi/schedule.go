@@ -89,8 +89,10 @@ type round struct {
 	gw      string
 }
 
-// schedule is a compiled collective operation.
+// schedule is a compiled collective operation, and the builder that
+// compiles it (newSched).
 type schedule struct {
+	b    schedBuilder
 	name string
 	// doneEvt and roundEvt name the request's completion event and a
 	// round's receives-landed event (deadlock dumps).
@@ -115,17 +117,20 @@ type schedBuilder struct {
 }
 
 // newSched starts a schedule in one the process recycled, when it has one:
-// its rounds' and steps' storage is reused (add) and, for the same name, its
-// event names.
+// its builder, its rounds' and steps' storage (add) and, for the same name,
+// its event names are reused.
 func (p *Process) newSched(name string) *schedBuilder {
-	sch := &schedule{}
+	var sch *schedule
 	if n := len(p.spare); n > 0 {
 		sch, p.spare = p.spare[n-1], p.spare[:n-1]
+	} else {
+		sch = &schedule{}
 	}
 	if sch.name != name {
 		sch.name, sch.doneEvt, sch.roundEvt = name, "mpi.icoll."+name, "mpi.sched."+name
 	}
-	return &schedBuilder{sch: sch, bufs: &p.Eng.Bufs}
+	sch.b = schedBuilder{sch: sch, bufs: &p.Eng.Bufs}
+	return &sch.b
 }
 
 // recycle keeps a schedule that ran to completion for the next compile,

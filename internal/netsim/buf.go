@@ -81,6 +81,37 @@ func (b *Buf) Release() {
 	l.free[c], b.next = b, l.free[c]
 }
 
+// NewPacket hands out a packet record of the network's free list: its
+// Header empty but with the storage of the record's last use, for the
+// caller to append to, and every other field the caller's to set. A device
+// that ships one record per message (Madeleine's heads) allocates nothing
+// per message once the list holds the most it had in flight; whoever
+// consumes the packet sends it home with Release. A packet the fault plan
+// drops, or one still queued at the end of a session, does not come home.
+func (n *Network) NewPacket() *Packet {
+	p := n.pkts
+	if p == nil {
+		return &Packet{net: n}
+	}
+	n.pkts, p.next, p.home = p.next, nil, false
+	return p
+}
+
+// Release sends a packet of NewPacket home, wherever it was consumed. The
+// holder must not touch it afterwards: in a test binary the Header bytes are
+// poisoned, as a released Buf's are. Releasing twice is a bug and panics.
+func (p *Packet) Release() {
+	if p.home {
+		panic("netsim: packet released twice")
+	}
+	if testing.Testing() {
+		poison(p.Header)
+	}
+	p.home = true
+	p.Header, p.Body, p.Meta = p.Header[:0], nil, nil
+	p.next, p.net.pkts = p.net.pkts, p
+}
+
 func poison(b []byte) {
 	if len(b) == 0 {
 		return

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"testing"
+
+	"mpichmad/internal/vtime"
 )
 
 // A released buffer is reused LIFO for any request of its size class, with
@@ -88,4 +90,59 @@ func TestNetworkBufsPerNetwork(t *testing.T) {
 	if a.Bufs().Out() != 1 || b.Bufs().Out() != 0 {
 		t.Errorf("Out = %d/%d, want 1/0: networks share a list", a.Bufs().Out(), b.Bufs().Out())
 	}
+}
+
+// mustPanic reports whether fn panicked.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// A packet record of a network's list comes back with the storage of its
+// Header and the delivery the network bound to it, so a record sent again
+// allocates nothing; a holder that kept its Header after Release reads the
+// poison, and a second Release panics.
+func TestStaleHandlePacket(t *testing.T) {
+	s := vtime.New()
+	n := NewNetwork(s, "net", SCISISCI())
+	a, b := n.Attach("a"), n.Attach("b")
+	got := make([]*Packet, 0, 16)
+	b.OnDeliver = func(p *Packet) { got = append(got, p) }
+	p := n.NewPacket()
+	p.Dst, p.Header = "b", append(p.Header, "hello"...)
+	kept := p.Header
+	s.Go("send", func() {
+		if err := a.Send(p); err != nil {
+			t.Error(err)
+		}
+		s.Sleep(vtime.Millisecond)
+		got[0].Release()
+		if q := n.NewPacket(); q != p || len(q.Header) != 0 || cap(q.Header) < 5 {
+			t.Errorf("NewPacket after a Release: %p len %d cap %d, want the record back with its storage", q, len(q.Header), cap(q.Header))
+		}
+		got = got[:0]
+		if allocs := testing.AllocsPerRun(10, func() {
+			p.Dst, p.Header = "b", append(p.Header[:0], "again"...)
+			a.Send(p)
+			s.Sleep(vtime.Millisecond)
+		}); allocs != 0 {
+			t.Errorf("sending a reused packet allocates %v times, want 0", allocs)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 11 || got[10] != p || string(p.Header) != "again" {
+		t.Fatalf("%d deliveries of the reused record", len(got))
+	}
+	p.Release()
+	if kept[0] != 0xDB {
+		t.Errorf("a released packet's Header reads %q, want the 0xDB poison", kept)
+	}
+	mustPanic(t, "a second Release", p.Release)
 }

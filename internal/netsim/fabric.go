@@ -24,9 +24,12 @@ import (
 // sender fills it, the packet owns it in flight, and whoever consumes the
 // packet on the far side either copies out and Releases it or takes it over
 // and Releases it later (an eager landing area, a gateway's relay store). A
-// packet the fault plan drops, or one still queued when a session is torn
-// down, is never consumed: its buffer does not come home and the garbage
-// collector takes it with the session.
+// device may take the packet record itself from the network's free list too
+// (NewPacket, Madeleine's heads): its Header storage stays with the record,
+// and whoever consumes the packet sends it home (Packet.Release). A packet
+// the fault plan drops, or one still queued when a session is torn down, is
+// never consumed: neither it nor its buffer comes home, and the garbage
+// collector takes them with the session.
 type Packet struct {
 	Src, Dst string // endpoint node names
 	Kind     int    // driver/device-defined discriminator
@@ -37,6 +40,29 @@ type Packet struct {
 	Seq      uint64
 	SentAt   vtime.Time
 	ArriveAt vtime.Time
+
+	// to and deliver are Send's: the endpoint the packet travels to, and
+	// its arrival as a method value bound to self. A record sent again —
+	// a device's reused packet — keeps it, so its delivery is scheduled
+	// without an allocation; a copy is bound anew.
+	to      *Endpoint
+	deliver func()
+	self    *Packet
+
+	// net, next and home are NewPacket's: the network whose free list
+	// the record belongs to, the record below it there, and whether it is
+	// there.
+	net  *Network
+	next *Packet
+	home bool
+}
+
+// arrive hands the packet to its destination's device, at its arrival.
+func (pkt *Packet) arrive() {
+	if pkt.to.OnDeliver == nil {
+		panic(fmt.Sprintf("netsim: endpoint %s/%s has no OnDeliver", pkt.to.Net.Name, pkt.to.Node))
+	}
+	pkt.to.OnDeliver(pkt)
 }
 
 // WireSize returns the number of bytes the packet occupies on the wire.
@@ -88,6 +114,7 @@ type Network struct {
 	rng       *PRNG
 	Stats     Stats
 	bufs      BufList
+	pkts      *Packet // NewPacket's free list, the last record home on top
 
 	// Trace, when set, records trunk-contention events on TraceTrack
 	// (the network's own Chrome track); Metrics accumulates per-node
@@ -284,11 +311,9 @@ func (ep *Endpoint) Send(pkt *Packet) error {
 	pp.lastArrival = arrive
 	pkt.ArriveAt = arrive
 
-	n.S.At(arrive, func() {
-		if dst.OnDeliver == nil {
-			panic(fmt.Sprintf("netsim: endpoint %s/%s has no OnDeliver", n.Name, dst.Node))
-		}
-		dst.OnDeliver(pkt)
-	})
+	if pkt.to = dst; pkt.self != pkt {
+		pkt.self, pkt.deliver = pkt, pkt.arrive
+	}
+	n.S.At(arrive, pkt.deliver)
 	return nil
 }

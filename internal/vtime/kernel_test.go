@@ -113,17 +113,21 @@ func TestNoGoroutineBeforeRun(t *testing.T) {
 }
 
 // However Run ends, the tasks it leaves unfinished are unwound before it
-// returns: their deferred functions have run and their goroutines are gone.
+// returns: their deferred functions have run and their goroutines are gone,
+// and so are those of the idle coroutines, whose tasks have ended.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	for _, end := range []string{"success", "deadlock", "deadline", "panic"} {
 		t.Run(end, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			s := New()
 			q := NewQueue[int](s, "rx")
-			deferred := false
+			deferred, idle := false, 0
 			s.GoDaemon("poller", func() {
-				defer func() { deferred = true }()
+				defer func() { deferred, idle = true, len(s.idle) }()
 				func() { q.Pop() }() // parked mid-stack
+			})
+			s.Go("brief", func() {
+				s.Go("briefer", func() {}) // both end: two idle coroutines
 			})
 			s.GoDaemon("ticker", func() {
 				if end == "deadlock" {
@@ -164,6 +168,9 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			}
 			if !deferred {
 				t.Error("the parked daemon's deferred function did not run")
+			}
+			if idle == 0 {
+				t.Error("no coroutine was idle when Run ended")
 			}
 			if n := runtime.NumGoroutine(); n != before {
 				t.Errorf("%d goroutines after Run, %d before", n, before)

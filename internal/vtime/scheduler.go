@@ -36,9 +36,9 @@ func (st taskState) String() string {
 	return "?"
 }
 
-// Task is a cooperative unit of execution scheduled in virtual time: a
-// coroutine that runs only between a resume by the scheduler and its next
-// blocking call, so at most one task executes at any moment.
+// Task is a cooperative unit of execution scheduled in virtual time, run
+// by a coroutine between a resume by the scheduler and its next blocking
+// call, so at most one task executes at any moment.
 type Task struct {
 	s     *Scheduler
 	id    int
@@ -46,14 +46,10 @@ type Task struct {
 	state taskState
 	fn    func()
 
-	// next and stop are the scheduler's handles on the task's coroutine,
-	// yield the task's way back: it gives up the CPU and names the task to
-	// resume in its place. All three are nil until the first resume —
-	// iter.Pull starts a goroutine at once, and a task that never runs
-	// (a scheduler that is wired but never Run) must not own one.
-	next  func() (*Task, bool)
-	stop  func()
-	yield func(*Task) bool
+	// co is the coroutine running the task, nil until its first resume: a
+	// task that never runs (a scheduler that is wired but never Run) owns
+	// none. A coroutine outlives its task: it goes on to run later ones.
+	co *coro
 
 	// waitGen is bumped each time the task is woken; timers carry the
 	// generation at which they were armed so stale ones can be ignored.
@@ -94,13 +90,29 @@ func (w waitReason) String() string {
 }
 
 // tornDown is the panic that unwinds a parked task when Run ends without
-// it: its deferred functions run, then main swallows the panic.
+// it: its deferred functions run, then the coroutine swallows the panic.
 type tornDown struct{}
 
-// main is the body of the task's coroutine.
-func (t *Task) main(yield func(*Task) bool) {
-	s := t.s
-	t.yield = yield
+// coro is an iter.Pull coroutine that runs tasks one after another. next
+// and stop are the scheduler's handles on it, yield the running task's way
+// back: it gives up the CPU and names the task to resume in its place.
+type coro struct {
+	s     *Scheduler
+	t     *Task // the task it runs; nil while it sits on the idle list
+	next  func() (*Task, bool)
+	stop  func()
+	yield func(*Task) bool
+}
+
+// main is the body of a coroutine. It runs the task that adopted it, does
+// the done-bookkeeping, chooses the task to resume next and, before handing
+// it the CPU, joins its scheduler's idle list, where the next task to start
+// adopts it (resume) and wakes it up with the yield returning. A task that
+// panics or is torn down ends the coroutine, which never goes back on the
+// list; one stopped while idle (Run's teardown) returns.
+func (co *coro) main(yield func(*Task) bool) {
+	s := co.s
+	co.yield = yield
 	defer func() {
 		switch r := recover().(type) {
 		case nil, tornDown:
@@ -108,25 +120,42 @@ func (t *Task) main(yield func(*Task) bool) {
 			panic(s.taskPanic(r))
 		}
 	}()
-	t.fn()
-	t.state = stateDone
-	delete(s.tasks, t.id)
-	if !t.daemon {
-		s.live--
+	for {
+		t := co.t
+		t.fn()
+		t.state = stateDone
+		delete(s.tasks, t.id)
+		if !t.daemon {
+			s.live--
+		}
+		co.t = nil
+		next := s.pick()
+		s.idle = append(s.idle, co)
+		if !yield(next) {
+			return
+		}
 	}
 }
 
 // resume gives t the CPU until it parks or ends, and returns the task to
-// resume after it (nil when the run is over).
+// resume after it (nil when the run is over). A task that has never run
+// adopts the coroutine that went idle last, or a new one when none is.
 func (t *Task) resume() *Task {
-	if t.next == nil {
-		t.next, t.stop = iter.Pull(t.main)
+	s := t.s
+	if t.co == nil {
+		if n := len(s.idle); n > 0 {
+			t.co, s.idle[n-1] = s.idle[n-1], nil
+			s.idle = s.idle[:n-1]
+		} else {
+			t.co = &coro{s: s}
+			t.co.next, t.co.stop = iter.Pull(t.co.main)
+			s.coros++
+		}
+		t.co.t = t
 	}
-	t.s.resumes++
-	if next, parked := t.next(); parked {
-		return next
-	}
-	return t.s.pick()
+	s.resumes++
+	next, _ := t.co.next() // a coroutine returns only when stopped
+	return next
 }
 
 // TaskPanic is what Run panics with when a simulated thread or a callback
@@ -310,6 +339,11 @@ type Scheduler struct {
 	resumes int   // coroutine resumes, counted for the self-resume test
 	err     error // why pick ended the run
 
+	// idle holds the coroutines whose task has ended, the last to end on
+	// top; coros counts the coroutines made.
+	idle  []*coro
+	coros int
+
 	nextID int
 	live   int // live non-daemon tasks
 	tasks  map[int]*Task
@@ -335,6 +369,10 @@ func New() *Scheduler {
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
+
+// Counts reports how many tasks have been spawned and how many coroutines
+// were made to run them.
+func (s *Scheduler) Counts() (tasks, coroutines int) { return s.nextID, s.coros }
 
 // SetDeadline aborts Run with an error if virtual time would advance past
 // t. Useful as a watchdog against livelock (e.g. runaway polling loops).
@@ -370,7 +408,8 @@ func (s *Scheduler) spawn(name string, daemon bool, fn func()) *Task {
 // a callback leaves Run as a *TaskPanic. Run executes callbacks and
 // resumes tasks on its caller's goroutine; when it returns, every task
 // that has not finished has been unwound (its deferred functions run, in
-// id order) and no goroutine is left behind.
+// id order), every idle coroutine has been stopped, and no goroutine is
+// left behind.
 func (s *Scheduler) Run() error {
 	if s.started {
 		return fmt.Errorf("vtime: scheduler already run")
@@ -379,10 +418,14 @@ func (s *Scheduler) Run() error {
 	defer func() {
 		s.running = nil
 		for _, t := range s.liveTasks() {
-			if t.stop != nil {
-				t.stop()
+			if t.co != nil {
+				t.co.stop()
 			}
 		}
+		for _, co := range s.idle {
+			co.stop()
+		}
+		s.idle = nil
 	}()
 	defer func() {
 		if r := recover(); r != nil {
@@ -480,7 +523,7 @@ func (s *Scheduler) firstLane() (first *lane) {
 // itself on the ready queue or parked (park). It returns when the task has
 // the CPU again.
 func (s *Scheduler) switchOut(t *Task) {
-	if next := s.pick(); next != t && !t.yield(next) {
+	if next := s.pick(); next != t && !t.co.yield(next) {
 		panic(tornDown{})
 	}
 }

@@ -71,6 +71,7 @@ type Event struct {
 	s       *Scheduler
 	name    string
 	fired   bool
+	retired bool
 	waiters []*Task
 	subs    []func()
 }
@@ -81,11 +82,14 @@ func NewEvent(s *Scheduler, name string) *Event {
 }
 
 // Fired reports whether the event has fired.
-func (e *Event) Fired() bool { return e.fired }
+func (e *Event) Fired() bool {
+	e.live()
+	return e.fired
+}
 
 // Wait blocks the calling task until the event fires.
 func (e *Event) Wait() {
-	if e.fired {
+	if e.live(); e.fired {
 		return
 	}
 	t := e.s.cur("Event.Wait")
@@ -97,21 +101,35 @@ func (e *Event) Wait() {
 // Rearm returns an event that has fired, or that nobody waits on, to the
 // unfired state under a new name: an owner that waits on one event per phase
 // (the collective engine's per-round countdown) keeps one instead of making
-// one a phase.
-func (e *Event) Rearm(name string) { e.fired, e.name = false, name }
+// one a phase, and a free list hands out a retired one again.
+func (e *Event) Rearm(name string) { e.fired, e.retired, e.name = false, false, name }
+
+// Retire marks the event of a record that has gone back to its free list
+// (a released request): until Rearm, waiting on it, firing it, asking
+// whether it fired or subscribing to it panics, because whoever does holds
+// a stale handle.
+func (e *Event) Retire() { e.retired = true }
+
+func (e *Event) live() {
+	if e.retired {
+		panic("vtime: event " + e.name + " used after its owner released it")
+	}
+}
 
 // Fire marks the event and wakes every waiter. Safe from scheduler
 // context. Firing twice is a no-op.
 func (e *Event) Fire() {
-	if e.fired {
+	if e.live(); e.fired {
 		return
 	}
 	e.fired = true
-	ws := e.waiters
-	e.waiters = nil
-	for _, t := range ws {
+	for _, t := range e.waiters {
 		e.s.wake(t)
 	}
+	// wake only queues the task, so nobody has joined meanwhile: the
+	// storage is kept for the next phase of a rearmed event.
+	clear(e.waiters)
+	e.waiters = e.waiters[:0]
 	subs := e.subs
 	e.subs = nil
 	for _, fn := range subs {
@@ -133,7 +151,7 @@ func (e *Event) Fire() {
 //
 //madlint:ignore deadexport the order pin's programs subscribe with it, and vtimectx's rule names it
 func (e *Event) OnFire(fn func()) (cancel func()) {
-	if e.fired {
+	if e.live(); e.fired {
 		fn()
 		return func() {}
 	}
