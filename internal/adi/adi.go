@@ -215,10 +215,10 @@ type Engine struct {
 	// outlive its packet — an unexpected message, a truncated stream:
 	// taken at arrival, released by the deliver closure once it has
 	// copied out. The MPI layer above leases its collective staging and
-	// its autotune probe buffers from the same list (mpi's schedule.go),
-	// so one list per process holds every payload-sized scratch buffer
-	// the process owns.
-	Bufs netsim.BufList
+	// its autotune probe buffers from the same list (mpi's schedule.go).
+	// NewEngine gives the engine a list of its own; a cluster session
+	// replaces it with the session's one, which its networks share too.
+	Bufs *netsim.BufList
 
 	// Counters for tests and diagnostics.
 	NPosted, NUnexpected, NMatched uint64
@@ -226,7 +226,7 @@ type Engine struct {
 
 // NewEngine creates the matching engine for one process.
 func NewEngine(p *marcel.Proc, rank int) *Engine {
-	return &Engine{P: p, Rank: rank}
+	return &Engine{P: p, Rank: rank, Bufs: new(netsim.BufList)}
 }
 
 // PostRecv registers a receive request, first trying to satisfy it from

@@ -171,9 +171,16 @@ type Session struct {
 	// is the always-on counter registry every device and network feeds
 	// (gateway relay load, trunk contention) — it is what RelayStats
 	// reads, so it exists even when tracing is off. Run adds the
-	// scheduler's vtime.tasks and vtime.coroutines to it at the end.
+	// scheduler's vtime.tasks and vtime.coroutines to it at the end, and the
+	// buffers the session's list made (netsim.bufs_made, _MB).
 	Tracer  *trace.Tracer
 	Metrics *trace.Registry
+
+	// bufs is the session's one free list of payload buffers: every
+	// network's wire buffers, every process's stashes, collective staging
+	// and autotune probes, and the shared-memory segments' slots (drawn
+	// through the engines).
+	bufs netsim.BufList
 
 	traceCtrl int // session-control trace track (replan instants)
 
@@ -212,6 +219,7 @@ func Build(topo Topology) (*Session, error) {
 		S:        s,
 		Topo:     topo,
 		Networks: make(map[string]*netsim.Network),
+		Metrics:  trace.NewRegistry(),
 		nodeOf:   make(map[int]string),
 	}
 
@@ -229,6 +237,8 @@ func Build(topo Topology) (*Session, error) {
 			params = p
 		}
 		net := netsim.NewNetwork(s, ns.Name, params)
+		net.SetBufs(&sess.bufs)
+		net.Metrics = sess.Metrics
 		sess.Networks[ns.Name] = net
 		nets = append(nets, net)
 		for _, n := range ns.Nodes {
@@ -257,12 +267,11 @@ func Build(topo Topology) (*Session, error) {
 	sess.places = places
 	sess.netsOfNode = nodeNets
 
-	// Observability wiring: the registry is unconditional (RelayStats
-	// and the trunk-delay column read it); the tracer — explicit on the
-	// topology or the process-wide default — additionally gets a Chrome
-	// track per rank, per network, and one control track, plus the
-	// scheduler's deadlock hook pointed at the flight recorder.
-	sess.Metrics = trace.NewRegistry()
+	// Observability wiring: the registry, which every network feeds, is
+	// unconditional (RelayStats and the trunk-delay column read it); the
+	// tracer — explicit on the topology or the process-wide default — gets
+	// a Chrome track per rank, per network, and one control track, plus
+	// the scheduler's deadlock hook pointed at the flight recorder.
 	tracer := topo.Trace
 	if tracer == nil {
 		tracer = defaultTracer
@@ -283,9 +292,6 @@ func Build(topo Topology) (*Session, error) {
 		sess.traceCtrl = size + len(topo.Networks)
 		tracer.SetTrackName(sess.traceCtrl, "session")
 		s.OnDeadlock = func() []string { return tracer.Tail(deadlockTailEvents) }
-	}
-	for _, ns := range topo.Networks {
-		sess.Networks[ns.Name].Metrics = sess.Metrics
 	}
 
 	switch topo.Device {
@@ -341,6 +347,7 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 	for r, pl := range places {
 		proc := marcel.NewProc(s, pl.proc)
 		eng := adi.NewEngine(proc, r)
+		eng.Bufs = &sess.bufs
 		dev := core.New(proc, eng, r)
 		dev.Metrics = sess.Metrics
 		dev.MetricsLabel = fmt.Sprintf("rank%d(%s)", r, pl.node)
@@ -770,6 +777,7 @@ func (sess *Session) buildChP4(places []placementInfo) error {
 	for r, pl := range places {
 		proc := marcel.NewProc(sess.S, pl.proc)
 		eng := adi.NewEngine(proc, r)
+		eng.Bufs = &sess.bufs
 		p4 := chp4.New(proc, eng, tcp, ranks)
 		self := chself.New(proc, eng)
 		rr := r
@@ -812,8 +820,11 @@ func (sess *Session) Run(main func(rank int, comm *mpi.Comm) error) error {
 	}
 	schedErr := sess.S.Run()
 	tasks, coros := sess.S.Counts()
+	made, bytes := sess.bufs.Made()
 	sess.Metrics.Add("vtime.tasks", "", int64(tasks))
 	sess.Metrics.Add("vtime.coroutines", "", int64(coros))
+	sess.Metrics.Add("netsim.bufs_made", "", int64(made))
+	sess.Metrics.Add("netsim.bufs_made_MB", "", bytes/netsim.MB)
 	// A rank error usually deadlocks the rest of the job (they wait for
 	// a peer that already failed); report the root cause first.
 	for _, err := range sess.rankErr {

@@ -345,13 +345,7 @@ func (sess *Session) bdpRelayWindows(h *mpi.Hierarchy) map[string]int {
 		}
 		rtt := 2 * deliveryOf(&p)
 		w := int(math.Ceil(p.Bandwidth*rtt.Seconds()/float64(seg))) + 2
-		if w < minBDPWindow {
-			w = minBDPWindow
-		}
-		if w > maxBDPWindow {
-			w = maxBDPWindow
-		}
-		windows[name] = w
+		windows[name] = min(max(w, minBDPWindow), maxBDPWindow)
 	}
 	return windows
 }

@@ -239,7 +239,7 @@ func treeCollOutputs(t *testing.T, topo Topology, mode mpi.CollMode, seed int) m
 	if err != nil {
 		t.Fatalf("%d ranks: %v", n, err)
 	}
-	if home := buffersOut(sess); home != 0 {
+	if home := sess.bufs.Out(); home != 0 {
 		t.Errorf("%d ranks: %d wire or staging buffers still out at the end of the session", n, home)
 	}
 	return out

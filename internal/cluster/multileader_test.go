@@ -318,21 +318,8 @@ func multiCollOutputs(t *testing.T, topo Topology, mode mpi.CollMode, pg mlProgr
 	if err != nil {
 		t.Fatalf("%v: %v", pg, err)
 	}
-	if home := buffersOut(sess); home != 0 {
+	if home := sess.bufs.Out(); home != 0 {
 		t.Errorf("%v: %d wire or staging buffers still out at the end of the session", pg, home)
-	}
-	return out
-}
-
-// buffersOut counts the wire buffers of every network and the staging
-// buffers of every rank that are not home.
-func buffersOut(sess *Session) int {
-	out := 0
-	for _, net := range sess.Networks {
-		out += net.Bufs().Out()
-	}
-	for _, rk := range sess.Ranks {
-		out += rk.MPI.Eng.Bufs.Out()
 	}
 	return out
 }

@@ -296,15 +296,14 @@ func tfSession(t *testing.T, w tfWiring, size int, mode string) string {
 	sort.Strings(names)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "t=%d", int64(sess.S.Now()))
-	out := 0
 	for _, name := range names {
 		st := sess.Networks[name].Stats
 		fmt.Fprintf(&sb, " %s=%d/%d", name, st.Packets, st.Bytes)
-		out += sess.Networks[name].Bufs().Out()
 	}
-	// Every message of a fingerprint session is received, so every wire
-	// buffer — snapshot, eager landing area, relay store — must be home.
-	if out != 0 {
+	// Every message of a fingerprint session is received, so every buffer
+	// of the session's list — snapshot, eager landing area, relay store,
+	// stash — must be home.
+	if out := sess.bufs.Out(); out != 0 {
 		t.Errorf("%s %dB %s: %d wire buffers still out at the end of the session", w.name, size, mode, out)
 	}
 	for _, rk := range sess.Ranks {

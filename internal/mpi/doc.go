@@ -84,31 +84,33 @@
 // significant (Ireduce hands the compilers none off the root, so nothing
 // can write there), it is staging. That covers a Bcast's vector off the
 // root, the accumulator of every Allreduce form and of a Reduce's root,
-// the assembled vector of the two-level and flat Allgather and the receive
-// vector of the flat, two-level and multi-leader Alltoall — the Alltoalls'
-// only when recv is not the send buffer itself (collArgs.recvApart),
-// because an Alltoall still reads send blocks after the first received one
+// the assembled vector of the two-level and flat Allgather, each cluster's
+// bundle of the multi-leader Allgather when the cluster's members are
+// consecutive ranks (a bundle is in member order, which is then the
+// receive vector's), and the receive vector of the flat, two-level and
+// multi-leader Alltoall. The Alltoalls and the multi-leader Allgather land
+// there only when recv is not the send buffer itself (collArgs.recvApart),
+// because they still read the send buffer after the first received block
 // has landed. The ring ReduceScatter (its accumulator is the whole vector,
-// recv one block) and the multi-leader Allgather (bundles by cluster, not
-// rank order) keep their staging. Every memTime charge and every step is
-// where it was, so the schedule fingerprint cannot tell.
+// recv one block) keeps its staging. Every memTime charge and every step
+// is where it was, so the schedule fingerprint cannot tell.
 // Every other staging buffer a compiler takes
-// is schedBuilder.stage(n): a buffer of the rank's own list
-// (adi.Engine.Bufs, the netsim.BufList that also holds its devices'
-// unexpected-message stashes), recorded on the schedule at compile time
-// and sent home by execSchedule — the one place a schedule ends, inline or
-// on the progress thread — after the completion closure has returned. A
-// lease comes with whatever its last holder left in it, so a compiler
-// fills every byte it later reads or sends (go test poisons a buffer when
-// it is handed out and when it goes home, which is how the fingerprint and
-// property suites check that). A schedule that ends in error keeps its
-// leases: a receive its failed round pre-posted may still land in them,
-// so they are left to the GC with the schedule. The autotuner's probe
-// buffers are taken from and returned to the same list around each use. The list keeps each size class's high-water mark, and MPI_Init's
-// sweep asks for classes nothing after it may ever want (its Allgather
-// probes reach 4 MiB a rank), so autotune drops the list's home buffers
-// once when it ends; after that the list holds what the application's own
-// collectives need at once, for the session.
+// is schedBuilder.stage(n): a buffer of the rank's list (adi.Engine.Bufs:
+// in a cluster session the session's one netsim.BufList, which also holds
+// every device's wire buffers and unexpected-message stashes), recorded on
+// the schedule at compile time and sent home by execSchedule — the one
+// place a schedule ends, inline or on the progress thread — after the
+// completion closure has returned. A lease comes with whatever its last
+// holder left in it, so a compiler fills every byte it later reads or
+// sends (go test poisons a buffer when it is handed out and when it goes
+// home, which is how the fingerprint and property suites check that). A
+// schedule that ends in error keeps its leases: a receive its failed round
+// pre-posted may still land in them, so they are left to the GC with the
+// schedule. The autotuner's probe buffers are taken from and returned to
+// the same list around each use. The list keeps each size class's
+// high-water mark for the session; since every rank and network shares
+// it, what MPI_Init's sweep leaves home serves the application's
+// collectives and their wire buffers afterwards, on any rank.
 //
 // A schedule's life has three stages. It is compiled at submit, into a
 // schedule the process recycled when it has one (Process.newSched): its

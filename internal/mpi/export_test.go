@@ -142,18 +142,21 @@ func (c *Comm) StartRounds(name string, staged int, rounds [][]Step) *CollReques
 	return c.submit(b.build(nil))
 }
 
-// FlatLeases compiles the flat form of the named operation ("Allgather",
-// "Alltoall") on these buffers without running it and returns how many
-// staging buffers the schedule leased, sent home again.
-func (c *Comm) FlatLeases(op string, send, recv []byte, count int, dt Datatype) int {
+// Leases compiles the named form ("flat", "2level-multi", ...) of the named
+// operation ("Allgather", "Allreduce", ...) on these buffers without running
+// it and returns how many staging buffers the schedule leased, sent home
+// again. A reduction compiles with MPI_MAX.
+func (c *Comm) Leases(op, form string, send, recv []byte, count int, dt Datatype) int {
 	var f *collForm
 	for k := range collKinds {
-		if collKinds[k].name == op {
-			f = formOf(collKind(k), algoFlat)
+		for a := range collAlgos {
+			if collKinds[k].name == op && collAlgos[a].name == form {
+				f = formOf(collKind(k), collAlgo(a))
+			}
 		}
 	}
 	b := c.p.newSched(f.name)
-	f.compile(c, b, c.topo(), collArgs{send: send, recv: recv, count: count, dt: dt})
+	f.compile(c, b, c.topo(), collArgs{send: send, recv: recv, count: count, dt: dt, op: OpMax})
 	for _, buf := range b.sch.leased {
 		buf.Release()
 	}

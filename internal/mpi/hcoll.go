@@ -176,7 +176,7 @@ func (c *Comm) gatherStaged(b *schedBuilder, ct *commTopo, a collArgs) func() {
 		b.send(leader, mine)
 		return nil
 	}
-	bundle := b.gatherBundle(ct.clusters[ct.myCluster], c.myRank, mine)
+	bundle := b.gatherBundle(b.stage(len(ct.clusters[ct.myCluster])*sz), ct.clusters[ct.myCluster], c.myRank, mine)
 	if c.myRank != a.root {
 		b.send(a.root, bundle)
 		return nil
@@ -217,7 +217,7 @@ func (c *Comm) allgatherBundles(b *schedBuilder, ct *commTopo, a collArgs) func(
 	full := b.landing(a.recv, c.Size()*sz, a.dt)
 
 	if myPos == leaderPos {
-		bundle := b.gatherBundle(members, c.myRank, mine)
+		bundle := b.gatherBundle(b.stage(len(members)*sz), members, c.myRank, mine)
 		bundles := b.exchange(ct.leaders, ct.myCluster,
 			func(di int) int { return len(ct.clusters[di]) * sz },
 			func(int) []byte { return bundle })

@@ -483,19 +483,25 @@ func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 	sz, ex := a.count*a.dt.Size(), a.dt.Extent()
 	members := ct.clusters[ct.myCluster]
 	mine := PackBuf(a.send, a.count, a.dt)
-	// bundle[di]: cluster di's blocks in member order, on every rank. The
-	// home one is gathered by every member at once.
-	bundle := make([][]byte, ct.nClusters)
-	for _, di := range ct.remote {
-		bundle[di] = b.stage(len(ct.clusters[di]) * sz)
+	// bundle[di]: cluster di's blocks in member order, on every rank. A
+	// cluster of consecutive ranks has them in its stretch of the receive
+	// vector, so on a dense type the bundle lands right there — unless that
+	// is the send buffer, whose block mine is still being read (sent, and
+	// copied to its slot) while the others land: recvApart.
+	recv, bundle := a.recvApart(), make([][]byte, ct.nClusters)
+	for di, cl := range ct.clusters {
+		var at []byte
+		if cl[len(cl)-1]-cl[0] == len(cl)-1 {
+			at = recv[min(cl[0]*sz, len(recv)):]
+		}
+		bundle[di] = b.landing(at, len(cl)*sz, a.dt)
 	}
 	for _, m := range members {
 		if m != c.myRank {
 			b.send(m, mine)
 		}
 	}
-	home := b.gatherBundle(members, c.myRank, mine)
-	bundle[ct.myCluster] = home
+	home := b.gatherBundle(bundle[ct.myCluster], members, c.myRank, mine)
 
 	n, w := ct.slabbing(c.chunkBytes, 1, func(ci, _ int) int { return len(ct.clusters[ci]) * sz })
 	landed := func(ci, s int) []byte {

@@ -155,17 +155,17 @@ func TestInPlaceReduceSparesNonRootRecv(t *testing.T) {
 
 // A rank that is a leaf of the reduction has nothing to stage: its
 // accumulator is its receive buffer and it takes no partial from anyone.
-// Staging is leased when the schedule compiles, so the rank's list shows it
-// between Iallreduce and Wait.
+// Staging is leased when the schedule compiles, so compiling the leaf's form
+// counts it (the list is the session's: it holds the other ranks' leases too).
 func TestInPlaceAllreduceLeafLeasesNothing(t *testing.T) {
 	const per, leaf = 100000, 4
 	for _, tc := range []struct {
-		name string
-		topo cluster.Topology
-		mode mpi.CollMode
+		name, form string
+		topo       cluster.Topology
+		mode       mpi.CollMode
 	}{
-		{"flat on single5", nNodeTopo(5, "sisci"), mpi.CollFlat}, // rank 4 has no child in the binomial tree
-		{"2level on 2+3", twoClusterTopo(2, 3), mpi.CollHier},    // rank 4 is the last member of its cluster
+		{"flat on single5", "flat", nNodeTopo(5, "sisci"), mpi.CollFlat}, // rank 4 has no child in the binomial tree
+		{"2level on 2+3", "2level", twoClusterTopo(2, 3), mpi.CollHier},  // rank 4 is the last member of its cluster
 	} {
 		sess, err := cluster.Build(tc.topo)
 		if err != nil {
@@ -174,19 +174,13 @@ func TestInPlaceAllreduceLeafLeasesNothing(t *testing.T) {
 		for _, rk := range sess.Ranks {
 			rk.MPI.SetCollMode(tc.mode)
 		}
-		list := &sess.Ranks[leaf].MPI.Eng.Bufs
 		err = sess.Run(func(rank int, c *mpi.Comm) error {
-			if rank != leaf {
-				return prepAllreduce(c, per)()
+			if rank == leaf {
+				if leased := c.Leases("Allreduce", tc.form, fpFill(leaf, per), make([]byte, per), per, mpi.Byte); leased != 0 {
+					return fmt.Errorf("the leaf's Allreduce leased %d staging buffers", leased)
+				}
 			}
-			req, err := c.Iallreduce(fpFill(leaf, per), make([]byte, per), per, mpi.Byte, mpi.OpMax)
-			if err != nil {
-				return err
-			}
-			if leased := list.Out(); leased != 0 {
-				return fmt.Errorf("the leaf's Allreduce leased %d staging buffers", leased)
-			}
-			return req.Wait()
+			return prepAllreduce(c, per)()
 		})
 		if err != nil {
 			t.Errorf("%s: %v", tc.name, err)

@@ -76,11 +76,10 @@ func (b *schedBuilder) treeReduce(parent int, children []int, acc []byte, count 
 }
 
 // gatherBundle appends the leader's side of a block gather: every other
-// member's block lands, in member order, in one staging bundle (the
-// leader's own block by local copy). Members send with a plain b.send.
-func (b *schedBuilder) gatherBundle(members []int, me int, mine []byte) []byte {
+// member's block lands, in member order, in bundle (the leader's own block
+// by local copy). Members send with a plain b.send.
+func (b *schedBuilder) gatherBundle(bundle []byte, members []int, me int, mine []byte) []byte {
 	sz := len(mine)
-	bundle := b.stage(len(members) * sz)
 	for i, m := range members {
 		slot := bundle[i*sz : (i+1)*sz]
 		if m == me {

@@ -109,7 +109,8 @@ type schedule struct {
 // schedBuilder accumulates rounds. The zero value (via newSched) starts
 // with an open empty round; endRound closes it and opens the next. The
 // phase builders in phases.go extend it with the recurring patterns. bufs
-// is the rank's buffer list, where the schedule's staging comes from.
+// is the rank's buffer list (its session's), where the schedule's staging
+// comes from.
 type schedBuilder struct {
 	sch  *schedule
 	cur  round
@@ -129,7 +130,7 @@ func (p *Process) newSched(name string) *schedBuilder {
 	if sch.name != name {
 		sch.name, sch.doneEvt, sch.roundEvt = name, "mpi.icoll."+name, "mpi.sched."+name
 	}
-	sch.b = schedBuilder{sch: sch, bufs: &p.Eng.Bufs}
+	sch.b = schedBuilder{sch: sch, bufs: p.Eng.Bufs}
 	return &sch.b
 }
 

@@ -1,6 +1,6 @@
 package mpi_test
 
-// Tests of the collective layer's staging: it is leased from the rank's
+// Tests of the collective layer's staging: it is leased from the session's
 // buffer list (adi.Engine.Bufs) when a schedule compiles and goes home when
 // the schedule ends, so a collective in steady state allocates no
 // payload-sized object; a schedule that ends in error keeps what it leased.
@@ -139,39 +139,29 @@ func steadyCollBytes(t *testing.T, mode mpi.CollMode, prepare func(*mpi.Comm, in
 // The flat Allgather and Alltoall lease nothing on top: on a dense type, into
 // a receive buffer apart from the send buffer, they assemble the result in
 // the user's buffer. On a strided type, or an Alltoall into its own send
-// buffer, it is one leased vector.
+// buffer, it is one leased vector. The multi-leader Allgather lands every
+// cluster's bundle in the user's buffer too, when the cluster is a run of
+// consecutive ranks; otherwise — a strided type, the send buffer as the
+// receive buffer, clusters that interleave — it stages one per cluster.
 func TestCollectivesAllocateNoStaging(t *testing.T) {
 	const payload = 256 << 10
-	sess, err := cluster.Build(twoClusterTopo(2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sess.Run(func(rank int, c *mpi.Comm) error {
-		const per = 1000
-		strided := mpi.Vector(2, 1, 2, mpi.Byte)
-		send, recv := make([]byte, 3*per*c.Size()), make([]byte, 3*per*c.Size())
-		for _, tc := range []struct {
-			op         string
-			send, recv []byte
-			dt         mpi.Datatype
-			want       int
-		}{
-			{"Allgather", send[:per], recv, mpi.Byte, 0},
-			{"Alltoall", send, recv, mpi.Byte, 0},
-			{"Allgather", send, recv, strided, 1},
-			{"Alltoall", send, recv, strided, 1},
-			{"Alltoall", send, send, mpi.Byte, 1},
-		} {
-			if got := c.FlatLeases(tc.op, tc.send, tc.recv, per, tc.dt); got != tc.want {
-				return fmt.Errorf("flat %s of %s, receive buffer apart %v: %d buffers leased, want %d",
-					tc.op, tc.dt.Name(), &tc.send[0] != &tc.recv[0], got, tc.want)
-			}
-		}
-		return nil
+	strided := mpi.Vector(2, 1, 2, mpi.Byte)
+	checkLeases(t, "2+3", twoClusterTopo(2, 3), []leaseRow{
+		{"Allgather", "flat", mpi.Byte, false, 0},
+		{"Alltoall", "flat", mpi.Byte, false, 0},
+		{"Allgather", "flat", strided, false, 1},
+		{"Alltoall", "flat", strided, false, 1},
+		{"Alltoall", "flat", mpi.Byte, true, 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkLeases(t, "triangle", triangleTopo(), []leaseRow{
+		{"Allgather", "2level-multi", mpi.Byte, false, 0},
+		{"Allgather", "2level-multi", strided, false, 3},
+		{"Allgather", "2level-multi", mpi.Byte, true, 3},
+	})
+	interleaved := triangleTopo()
+	n := interleaved.Nodes
+	interleaved.Nodes = []cluster.NodeSpec{n[0], n[3], n[6], n[1], n[4], n[7], n[2], n[5], n[8]}
+	checkLeases(t, "interleaved triangle", interleaved, []leaseRow{{"Allgather", "2level-multi", mpi.Byte, false, 3}})
 	for _, md := range fpModes {
 		for _, op := range stagingOps {
 			small, big := steadyCollBytes(t, md.mode, op.prepare, payload/4), steadyCollBytes(t, md.mode, op.prepare, payload)
@@ -180,6 +170,42 @@ func TestCollectivesAllocateNoStaging(t *testing.T) {
 					md.name, op.name, small, payload/4, big, payload)
 			}
 		}
+	}
+}
+
+// leaseRow is one compile checkLeases makes on every rank: the named form
+// of op on 1000 elements of dt per rank, the receive buffer apart from the
+// send buffer or the same memory, and the staging buffers it should lease.
+type leaseRow struct {
+	op, form string
+	dt       mpi.Datatype
+	aliased  bool
+	want     int
+}
+
+func checkLeases(t *testing.T, shape string, topo cluster.Topology, rows []leaseRow) {
+	t.Helper()
+	sess, err := cluster.Build(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		const per = 1000
+		send, apart := make([]byte, 3*per*c.Size()), make([]byte, 3*per*c.Size())
+		for _, tc := range rows {
+			recv := apart
+			if tc.aliased {
+				recv = send
+			}
+			if got := c.Leases(tc.op, tc.form, send, recv, per, tc.dt); got != tc.want {
+				return fmt.Errorf("%s: %s %s of %s, one buffer for both %v: %d buffers leased, want %d",
+					shape, tc.form, tc.op, tc.dt.Name(), tc.aliased, got, tc.want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -209,9 +235,10 @@ func prepStridedAllgather(c *mpi.Comm, per int) func() error {
 // rank 1 in the middle of a run and its next strided ring Allgather fails on
 // the first send, with the one vector it staged still out. A buffer that is
 // out cannot be handed out again — a list hands out only what sits home or
-// what it makes — so it is enough that the count stays: after every later
-// collective of the same size on that rank exactly that one is out, and
-// every one delivers the right bytes.
+// what it makes — so it is enough that the count stays: once every later
+// collective of the same size has run, exactly that one is out of the
+// session's list (shared by every rank, so read when all are done), and
+// every one delivered the right bytes.
 func TestFailedScheduleKeepsItsStaging(t *testing.T) {
 	const per = 10000
 	sess, err := cluster.Build(nNodeTopo(3, "sisci"))
@@ -219,7 +246,6 @@ func TestFailedScheduleKeepsItsStaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	rk0 := sess.Ranks[0]
-	out := func() int { return rk0.MPI.Eng.Bufs.Out() }
 	err = sess.Run(func(rank int, c *mpi.Comm) error {
 		side, err := c.Dup()
 		if err != nil {
@@ -239,22 +265,19 @@ func TestFailedScheduleKeepsItsStaging(t *testing.T) {
 			if err == nil {
 				return fmt.Errorf("Allgather over a withdrawn route did not fail")
 			}
-			if out() != 1 {
-				return fmt.Errorf("%d buffers out after the failed Allgather, want its 1 staged vector", out())
-			}
 		}
 		for i := 0; i < 4; i++ {
 			if err := gather(); err != nil {
 				return err
-			}
-			if rank == 0 && out() != 1 {
-				return fmt.Errorf("%d buffers out after a later Allgather, want the failed schedule's 1", out())
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if out := rk0.MPI.Eng.Bufs.Out(); out != 1 {
+		t.Errorf("%d buffers out after the later Allgathers, want the failed schedule's 1", out)
 	}
 }
 

@@ -299,10 +299,6 @@ func (c *Comm) autotune() error {
 			return err
 		}
 	}
-	// The sweep is a phase of its own: what its probes left on the rank's
-	// buffer list — the big classes above all, which nothing after it may
-	// ever ask for again — would otherwise sit there for the session.
-	c.p.Eng.Bufs.Drop()
 	return c.p.installTuneTable(BytesInt64(buf))
 }
 
@@ -427,20 +423,19 @@ func (c *Comm) probeClassSwitch(pr ClassProbe) (int, error) {
 			}
 			var dt vtime.Duration
 			if mine && tuner != nil {
-				lease := c.p.Eng.Bufs.Get(size)
-				buf := lease.B
+				buf := c.p.Eng.Bufs.Get(size)
 				start := c.p.M.S.Now()
 				for i := 0; i < reps; i++ {
 					var err error
 					if c.myRank == pr.A {
-						err = c.Send(buf, size, Byte, peer, tuneProbeTag)
+						err = c.Send(buf.B, size, Byte, peer, tuneProbeTag)
 						if err == nil {
-							_, err = c.Recv(buf, size, Byte, peer, tuneProbeTag)
+							_, err = c.Recv(buf.B, size, Byte, peer, tuneProbeTag)
 						}
 					} else {
-						_, err = c.Recv(buf, size, Byte, peer, tuneProbeTag)
+						_, err = c.Recv(buf.B, size, Byte, peer, tuneProbeTag)
 						if err == nil {
-							err = c.Send(buf, size, Byte, peer, tuneProbeTag)
+							err = c.Send(buf.B, size, Byte, peer, tuneProbeTag)
 						}
 					}
 					if err != nil {
@@ -448,7 +443,7 @@ func (c *Comm) probeClassSwitch(pr ClassProbe) (int, error) {
 					}
 				}
 				dt = c.p.M.S.Now().Sub(start)
-				lease.Release()
+				buf.Release()
 				tuner.SetClassSwitchPoint(pr.Class, 0) // drop the probe override
 			}
 			if err := c.Barrier(); err != nil {

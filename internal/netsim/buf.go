@@ -18,11 +18,15 @@ type Buf struct {
 // BufList is a free list of wire buffers in power-of-two size classes,
 // LIFO per class. Everything in a simulation runs on Scheduler.Run's
 // goroutine, so the list is not synchronised, and it never gives memory
-// back unless told to (Drop): a session's lists die with the session. The
-// zero value is ready to use.
+// back: it dies with its session. A session has one, which its networks,
+// processes and shared-memory segments all draw from, so a buffer one rank
+// released serves the next lease of its class anywhere; a network or an
+// engine made on its own has its own. The zero value is ready to use.
 type BufList struct {
-	free [bits.UintSize]*Buf // free[c] is the last buffer of capacity 1<<c to come home
-	out  int
+	free      [bits.UintSize]*Buf // free[c] is the last buffer of capacity 1<<c to come home
+	out       int
+	made      int   // buffers allocated fresh
+	madeBytes int64 // and their capacity
 }
 
 func sizeClass(n int) int {
@@ -45,16 +49,17 @@ func (l *BufList) Get(n int) *Buf {
 		return b
 	}
 	b := &Buf{B: make([]byte, n, 1<<c), list: l}
+	l.made++
+	l.madeBytes += 1 << c
 	if testing.Testing() {
 		poison(b.B)
 	}
 	return b
 }
 
-// Drop forgets every buffer sitting home, for the GC to take; buffers
-// still out come home as before. For a holder whose working set has just
-// shrunk for good — the list itself never decides to.
-func (l *BufList) Drop() { clear(l.free[:]) }
+// Made reports how many buffers the list has allocated fresh, and their
+// bytes: what its users asked of it beyond what came home.
+func (l *BufList) Made() (n int, bytes int64) { return l.made, l.madeBytes }
 
 // Out reports buffers handed out minus buffers released: 0 once every
 // message of a session has been consumed.

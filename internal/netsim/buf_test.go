@@ -82,13 +82,34 @@ func TestBufGetPoisonsFreshBuffer(t *testing.T) {
 	}
 }
 
-// Network.Bufs is one list per network, there without any set-up.
+// Network.Bufs is one list per network, there without any set-up; SetBufs
+// makes networks share one.
 func TestNetworkBufsPerNetwork(t *testing.T) {
 	a := NewNetwork(nil, "a", SCISISCI())
 	b := NewNetwork(nil, "b", SCISISCI())
 	a.Bufs().Get(8)
 	if a.Bufs().Out() != 1 || b.Bufs().Out() != 0 {
 		t.Errorf("Out = %d/%d, want 1/0: networks share a list", a.Bufs().Out(), b.Bufs().Out())
+	}
+	var shared BufList
+	a.SetBufs(&shared)
+	b.SetBufs(&shared)
+	a.Bufs().Get(8).Release()
+	if got := b.Bufs().Get(8); got.list != &shared || shared.Out() != 1 {
+		t.Errorf("after SetBufs: a buffer of list %p, %d out of the shared list", got.list, shared.Out())
+	}
+}
+
+// Made counts the buffers a list allocates, at their class's capacity, and
+// nothing a buffer that came home serves again.
+func TestBufListCountsWhatItMakes(t *testing.T) {
+	var l BufList
+	a, b := l.Get(3000), l.Get(100)
+	a.Release()
+	l.Get(4096).Release()
+	b.Release()
+	if n, bytes := l.Made(); n != 2 || bytes != 4096+128 {
+		t.Errorf("Made = %d buffers of %d bytes, want 2 of %d", n, bytes, 4096+128)
 	}
 }
 

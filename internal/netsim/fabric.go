@@ -19,8 +19,9 @@ import (
 // be the sending application's own memory until that sender's EndPacking
 // returns (a loan, see madeleine.Pack), a wire buffer afterwards, or the
 // receiver's memory once the body has landed there. The other devices of
-// this tree ship payloads in buffers of a BufList (the network's own,
-// Network.Bufs) and put the *Buf that Body or Header aliases in Meta: the
+// this tree ship payloads in buffers of a BufList (Network.Bufs: the
+// session's one list, which every network and process of a cluster session
+// shares) and put the *Buf that Body or Header aliases in Meta: the
 // sender fills it, the packet owns it in flight, and whoever consumes the
 // packet on the far side either copies out and Releases it or takes it over
 // and Releases it later (an eager landing area, a gateway's relay store). A
@@ -113,7 +114,7 @@ type Network struct {
 	seq       uint64
 	rng       *PRNG
 	Stats     Stats
-	bufs      BufList
+	bufs      *BufList
 	pkts      *Packet // NewPacket's free list, the last record home on top
 
 	// Trace, when set, records trunk-contention events on TraceTrack
@@ -161,11 +162,18 @@ func NewNetwork(s *vtime.Scheduler, name string, p Params) *Network {
 		Params:    p,
 		endpoints: make(map[string]*Endpoint),
 		pipes:     make(map[[2]string]*pipe),
+		bufs:      new(BufList),
 	}
 }
 
-// Bufs returns the network's free list of wire buffers.
-func (n *Network) Bufs() *BufList { return &n.bufs }
+// Bufs returns the free list the network's wire buffers come from: its own,
+// or the one SetBufs installed.
+func (n *Network) Bufs() *BufList { return n.bufs }
+
+// SetBufs makes the network draw its wire buffers from l, a list it shares
+// with the rest of its session, instead of its own. Call it before the
+// first packet: a buffer goes home to the list that made it either way.
+func (n *Network) SetBufs(l *BufList) { n.bufs = l }
 
 // SetFaults installs a fault plan (tests only). The jitter stream is a
 // self-contained seeded PRNG: two networks with equal seeds produce

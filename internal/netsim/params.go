@@ -5,7 +5,8 @@
 // is virtual.
 //
 // Payloads ride in wire buffers (Buf) drawn from a free list (BufList),
-// one per Network: power-of-two size classes, LIFO, unsynchronised
+// one per session, shared by its networks and processes (a Network made on
+// its own has its own): power-of-two size classes, LIFO, unsynchronised
 // because a simulation runs on one goroutine, never shrinking because it
 // dies with its session. The network itself never touches a payload; the
 // Packet comment says who owns Body between the sender's fill and the

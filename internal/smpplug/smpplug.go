@@ -29,7 +29,6 @@ type Node struct {
 	name   string
 	inbox  map[int]*vtime.Queue[*segMsg] // per destination rank
 	params netsim.Params
-	bufs   netsim.BufList // the segment's message slots
 }
 
 // NewNode creates a node segment.
@@ -88,7 +87,7 @@ func (d *Device) Send(sr *adi.SendReq) {
 	p := &d.node.params
 	d.proc.Charge(p.SendOverhead)
 	d.proc.Charge(p.CopyTime(len(sr.Data))) // copy into the segment
-	seg := d.node.bufs.Get(len(sr.Data))
+	seg := d.eng.Bufs.Get(len(sr.Data))     // a slot of the segment, from the sender's list
 	copy(seg.B, sr.Data)
 	msg := &segMsg{env: sr.Env, data: seg}
 	if sr.Sync {

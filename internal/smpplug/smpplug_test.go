@@ -63,7 +63,7 @@ func TestIntraNodeExchange(t *testing.T) {
 	if r.devs[1].NMessages != 1 {
 		t.Fatalf("NMessages = %d", r.devs[1].NMessages)
 	}
-	if out := r.node.bufs.Out(); out != 0 {
+	if out := r.engs[0].Bufs.Out(); out != 0 {
 		t.Errorf("%d segment slots not released", out)
 	}
 }
@@ -91,7 +91,7 @@ func TestUnexpectedIntraNode(t *testing.T) {
 	if err := r.s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if out := r.node.bufs.Out(); out != 0 {
+	if out := r.engs[0].Bufs.Out(); out != 0 {
 		t.Errorf("%d segment slots not released", out)
 	}
 }
