@@ -69,6 +69,14 @@ type RecvReq struct {
 	// progress engine uses it to advance schedule rounds event-driven
 	// instead of polling each request.
 	OnComplete func()
+	// Lease, on a request posted with no Buf, is the length of the buffer
+	// the engine leases it from Bufs when a message matches it — at
+	// MatchPosted, or in PostRecv from the unexpected queue — so that its
+	// bytes are held from the match on, not from the post. Leased is that
+	// buffer, Buf its bytes: the poster sends it home once it has read
+	// them. A request of the free list drops both at its Release.
+	Lease  int
+	Leased *netsim.Buf
 	pooled
 }
 
@@ -136,6 +144,15 @@ func (rr *RecvReq) Release() {
 	*rr = RecvReq{Done: rr.Done, pooled: rr.pooled}
 	rr.Done.Retire()
 	rr.eng.recvs = append(rr.eng.recvs, rr)
+}
+
+// ReleaseLease sends the buffer the engine leased the request at match home,
+// if it leased one: its poster's last use of Buf is behind it.
+func (rr *RecvReq) ReleaseLease() {
+	if rr.Leased != nil {
+		rr.Leased.Release()
+		rr.Buf, rr.Leased = nil, nil
+	}
 }
 
 // matches reports whether an incoming envelope satisfies this receive.
@@ -214,8 +231,9 @@ type Engine struct {
 	// Bufs is where the process's devices stash a payload that must
 	// outlive its packet — an unexpected message, a truncated stream:
 	// taken at arrival, released by the deliver closure once it has
-	// copied out. The MPI layer above leases its collective staging and
-	// its autotune probe buffers from the same list (mpi's schedule.go).
+	// copied out — and where a receive posted with a Lease gets its
+	// buffer at match. The MPI layer above leases its collective staging
+	// and its autotune probe buffers from the same list (mpi's schedule.go).
 	// NewEngine gives the engine a list of its own; a cluster session
 	// replaces it with the session's one, which its networks share too.
 	Bufs *netsim.BufList
@@ -239,6 +257,7 @@ func (e *Engine) PostRecv(r *RecvReq) {
 		if r.matches(u.env) {
 			e.unexp = append(e.unexp[:i], e.unexp[i+1:]...)
 			e.NMatched++
+			e.lease(r)
 			u.deliver(r)
 			return
 		}
@@ -254,10 +273,19 @@ func (e *Engine) MatchPosted(env Envelope) *RecvReq {
 		if r.matches(env) {
 			e.posted = append(e.posted[:i], e.posted[i+1:]...)
 			e.NMatched++
+			e.lease(r)
 			return r
 		}
 	}
 	return nil
+}
+
+// lease gives a matched request posted with a lease length its buffer.
+func (e *Engine) lease(r *RecvReq) {
+	if r.Buf == nil && r.Lease > 0 {
+		r.Leased = e.Bufs.Get(r.Lease)
+		r.Buf = r.Leased.B
+	}
 }
 
 // AddUnexpected queues an arrived-but-unmatched message.

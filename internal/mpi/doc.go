@@ -8,8 +8,9 @@
 // Since PR 2 every collective — blocking or nonblocking, flat or
 // hierarchical — is *schedule-driven*. Calling a collective compiles the
 // selected algorithm into a schedule (schedule.go): a list of rounds
-// whose steps are plain data — send, recv, local reduce, local copy —
-// with inter-round data flow expressed through shared staging buffers.
+// whose steps are plain data — send, recv, fold (a receive reduced into
+// a buffer in its own round), local reduce, local copy — with inter-round
+// data flow expressed through shared staging buffers.
 // The communicator's progress engine (nbc.go) executes submitted
 // schedules in order on a dedicated Marcel thread, so transfers advance
 // while the application thread blocks, yields or computes: its CPU charges
@@ -94,23 +95,37 @@
 // has landed. The ring ReduceScatter (its accumulator is the whole vector,
 // recv one block) keeps its staging. Every memTime charge and every step
 // is where it was, so the schedule fingerprint cannot tell.
-// Every other staging buffer a compiler takes
-// is schedBuilder.stage(n): a buffer of the rank's list (adi.Engine.Bufs:
-// in a cluster session the session's one netsim.BufList, which also holds
-// every device's wire buffers and unexpected-message stashes), recorded on
-// the schedule at compile time and sent home by execSchedule — the one
-// place a schedule ends, inline or on the progress thread — after the
-// completion closure has returned. A lease comes with whatever its last
-// holder left in it, so a compiler fills every byte it later reads or
-// sends (go test poisons a buffer when it is handed out and when it goes
-// home, which is how the fingerprint and property suites check that). A
-// schedule that ends in error keeps its leases: a receive its failed round
-// pre-posted may still land in them, so they are left to the GC with the
-// schedule. The autotuner's probe buffers are taken from and returned to
-// the same list around each use. The list keeps each size class's
-// high-water mark for the session; since every rank and network shares
-// it, what MPI_Init's sweep leaves home serves the application's
-// collectives and their wire buffers afterwards, on any rank.
+// Every other staging buffer is a buffer of the rank's list
+// (adi.Engine.Bufs: in a cluster session the session's one netsim.BufList,
+// which also holds every device's wire buffers and unexpected-message
+// stashes), with one of two lifetimes. A received partial that one reduce
+// of its own round reads and nothing else does — a child's partial in the
+// tree reduction, the block from the left in the ring reduce-scatter, a
+// child's slab in the multi-leader Allreduce — is a fold step
+// (schedBuilder.fold): the executor posts it as a receive with a lease
+// length and no buffer (adi.RecvReq.Lease), the engine leases the buffer
+// when the message matches, and the executor sends it home once the
+// round's local steps, the fold among them in listed order, are done. A
+// tree Allreduce's leaves land their partials at their parents in the same
+// instant, so about half as many partials are held at once as the tree has
+// edges, where a lease from compile to completion held every one of them.
+// Every buffer a later round or the completion closure reads is
+// schedBuilder.stage(n), leased at compile time, recorded on the schedule
+// and sent home by execSchedule — the one place a schedule ends, inline or
+// on the progress thread — after the completion closure has returned:
+// bundles the leaders exchange and fold bundle by bundle, and the
+// multi-leader partials handed across the bridges. A lease comes with
+// whatever its last holder left in it, so a compiler fills every byte it
+// later reads or sends (go test poisons a buffer when it is handed out and
+// when it goes home, which is how the fingerprint and property suites check
+// that). A schedule that ends in error keeps its leases, and a round that
+// fails keeps those its folds took: a receive a failed round pre-posted may
+// still land in them, so they are left to the GC with the schedule and the
+// engine's dropped round storage. The autotuner's probe buffers are taken
+// from and returned to the same list around each use. The list keeps each
+// size class's high-water mark for the session; since every rank and
+// network shares it, what MPI_Init's sweep leaves home serves the
+// application's collectives and their wire buffers afterwards, on any rank.
 //
 // A schedule's life has three stages. It is compiled at submit, into a
 // schedule the process recycled when it has one (Process.newSched): its

@@ -60,12 +60,8 @@ func (c *Comm) bcastTreeRounds(b *schedBuilder, ct *commTopo, data []byte, root,
 		seg = total
 	}
 	parent, children := c.twoLevelTree(ct, root, seg)
-	nseg := 1
-	if seg > 0 {
-		nseg = (total + seg - 1) / seg
-	}
-	for s := 0; s < nseg; s++ {
-		lo := s * seg
+	// One segment at least: an empty vector still makes its rounds.
+	for lo := 0; lo < max(total, 1); lo += max(seg, 1) {
 		b.treeBcast(parent, children, data[lo:min(lo+seg, total)])
 		b.endRound()
 	}
@@ -138,20 +134,7 @@ func (c *Comm) allreduceTree(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	b.treeReduce(parent, children, acc, a.count, a.dt, a.op)
 	if parent < 0 {
 		in := b.exchange(ct.leaders, ct.myCluster, func(int) int { return len(acc) }, func(int) []byte { return acc })
-		// p0 op … op p(L−1) with acc holding p(me): the partials before mine
-		// fold into in[0], and an op being commutative, p(me) op that prefix
-		// has the bits of the prefix op p(me).
-		fold := func(dst, src []byte) { b.reduce(dst, src, a.count, a.dt, a.op) }
-		me := ct.myCluster
-		for di := 1; di < me; di++ {
-			fold(in[0], in[di])
-		}
-		if me > 0 {
-			fold(acc, in[0])
-		}
-		for di := me + 1; di < len(in); di++ {
-			fold(acc, in[di])
-		}
+		b.reduceInOrder(acc, ct.myCluster, len(in), func(di int) []byte { return in[di] }, a.count, a.dt, a.op)
 		b.endRound()
 	}
 	b.treeBcast(parent, children, acc)

@@ -406,7 +406,6 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 		_, ch := binomialOver(members, leaderPos, slices.Index(members, r))
 		return len(ch)
 	}
-	partial := make([][]byte, len(children))
 	var stages []func(int)
 	levels := 0
 	for _, m := range members {
@@ -419,9 +418,7 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 			lo, hi := slab(s)
 			for i := len(children) - 1; i >= 0 && hi > lo; i-- {
 				if kids(children[i]) == level {
-					from := b.lazily(&partial[i], len(acc))[lo*es : hi*es]
-					b.recv(children[i], from)
-					b.reduce(acc[lo*es:hi*es], from, hi-lo, dt, op)
+					b.fold(children[i], acc[lo*es:hi*es], hi-lo, dt, op)
 				}
 			}
 			if parent >= 0 && len(children) == level && hi > lo {
@@ -438,18 +435,7 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 		if c.myRank != leader || len(mine) == 0 {
 			return
 		}
-		run := mine
-		if myD > 0 {
-			run = in(0, s)
-		}
-		for di := 1; di < ct.nClusters; di++ {
-			if di == myD {
-				b.reduce(mine, run, len(mine)/es, dt, op)
-				run = mine
-			} else {
-				b.reduce(run, in(di, s), len(mine)/es, dt, op)
-			}
-		}
+		b.reduceInOrder(mine, myD, ct.nClusters, func(di int) []byte { return in(di, s) }, len(mine)/es, dt, op)
 	}
 	stages = append(stages,
 		b.handOffStage(ct, c.myRank, leader, false, at),

@@ -59,19 +59,37 @@ func (b *schedBuilder) treeBcast(parent int, children []int, buf []byte) {
 
 // treeReduce appends one tree position's share of a reduction into acc
 // (count elements of dt, pre-loaded with this rank's contribution): every
-// child's partial is pre-posted in a single round and folded in as listed,
-// then one message carries the result to the parent. acc is complete at
-// the root afterwards.
+// child's partial is folded in a single round, as listed, then one message
+// carries the result to the parent. acc is complete at the root afterwards.
 func (b *schedBuilder) treeReduce(parent int, children []int, acc []byte, count int, dt Datatype, op Op) {
 	for i := len(children) - 1; i >= 0; i-- {
-		part := b.stage(len(acc))
-		b.recv(children[i], part)
-		b.reduce(acc, part, count, dt, op)
+		b.fold(children[i], acc, count, dt, op)
 	}
 	b.endRound()
 	if parent >= 0 {
 		b.send(parent, acc)
 		b.endRound()
+	}
+}
+
+// reduceInOrder appends the reduction of n clusters' partials, part(di) being
+// cluster di's, into mine, the partial of cluster me: p0 op … op p(n−1), in
+// that order on every cluster, so that every cluster ends on the same bits
+// whatever the op rounds. The partials before mine fold into part(0), and an
+// op being commutative, mine op that prefix has the bits of the prefix op
+// mine.
+func (b *schedBuilder) reduceInOrder(mine []byte, me, n int, part func(di int) []byte, count int, dt Datatype, op Op) {
+	run := mine
+	if me > 0 {
+		run = part(0)
+	}
+	for di := 1; di < n; di++ {
+		if di == me {
+			b.reduce(mine, run, count, dt, op)
+			run = mine
+		} else {
+			b.reduce(run, part(di), count, dt, op)
+		}
 	}
 }
 
@@ -392,10 +410,8 @@ func (b *schedBuilder) ringRSRounds(members []int, myPos int, acc []byte, bounds
 	for s := 0; s < m-1; s++ {
 		sendIdx := (myPos - s - 1 + 2*m) % m
 		recvIdx := (myPos - s - 2 + 2*m) % m
-		part := b.stage(len(blk(recvIdx)))
-		b.recv(left, part)
+		b.fold(left, blk(recvIdx), bounds[recvIdx+1]-bounds[recvIdx], dt, op)
 		b.send(right, blk(sendIdx))
-		b.reduce(blk(recvIdx), part, bounds[recvIdx+1]-bounds[recvIdx], dt, op)
 		b.endRound()
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mpichmad/internal/cluster"
+	"mpichmad/internal/experiments"
 	"mpichmad/internal/mpi"
 )
 
@@ -221,12 +222,13 @@ func TestRecycleBackToBackIallreduce(t *testing.T) {
 }
 
 // A steady-state blocking 4 KiB Allreduce on the 2+3 shape, every rank
-// calling it after one warm-up call, allocates at most 30 times on the
+// calling it after one warm-up call, allocates at most 12 times on the
 // whole machine per call, counted over rank 0's window (10: the compilers'
-// closures; 98 when every message made its head, delivery, ch_mad header
-// and request, and every call its builder and request; 232 when every call
-// also made its schedule, round storage, countdown event and Madeleine
-// message records anew).
+// closures — a fold and the release of its lease at the end of its round
+// allocate nothing; 98 when every message made its head, delivery, ch_mad
+// header and request, and every call its builder and request; 232 when
+// every call also made its schedule, round storage, countdown event and
+// Madeleine message records anew).
 func TestAllocBudgetAllreduce(t *testing.T) {
 	sess, err := cluster.Build(twoClusterTopo(2, 3))
 	if err != nil {
@@ -250,7 +252,30 @@ func TestAllocBudgetAllreduce(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("a steady-state Allreduce allocates %.0f times", per)
-	if per > 30 {
-		t.Errorf("a steady-state Allreduce allocates %.0f times, budget 30", per)
+	if per > 12 {
+		t.Errorf("a steady-state Allreduce allocates %.0f times, budget 12", per)
+	}
+}
+
+// One 16 KiB Allreduce on 4 clusters of 16 ranks makes at most 36 buffers of
+// the session's list (32: a tree's leaves land their partials at their
+// parents in the same instant, so half the ranks' partials are out at once;
+// 64 when every child's partial was leased when its parent's schedule
+// compiled and held until it ended).
+func TestAllocBudgetScaleTreeAllreduce(t *testing.T) {
+	sess, err := cluster.Build(experiments.ScaleTopo(4, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		return prepAllreduce(c, 16<<10)()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	made := sess.Metrics.Get("netsim.bufs_made", "")
+	t.Logf("one 16 KiB Allreduce on 4x16 ranks made %d buffers", made)
+	if made > 36 {
+		t.Errorf("one 16 KiB Allreduce on 4x16 ranks made %d buffers, budget 36", made)
 	}
 }

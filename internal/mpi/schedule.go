@@ -3,15 +3,16 @@
 // the per-communicator progress engine (nbc.go) drives.
 //
 // A schedule is a DAG of rounds linearized in dependency order. Each round
-// holds steps of four kinds — send, recv, local reduce, local copy — with
-// the invariant that a round's transfers are independent of each other:
-// the executor pre-posts every receive of the round, streams out the
-// sends, waits for the receives, then runs the round's local steps in
-// listed order. Data dependencies between rounds are expressed purely
-// through shared staging buffers: a send step in round k+1 that names a
-// buffer filled by a receive in round k automatically forwards the
-// received bytes, which is how store-and-forward trees and pipelined
-// segments are written as plain data.
+// holds steps of five kinds — send, recv, fold (a receive whose bytes the
+// round reduces into a buffer), local reduce, local copy — with the
+// invariant that a round's transfers are independent of each other: the
+// executor pre-posts every receive of the round, streams out the sends,
+// waits for the receives, then runs the round's local steps, folds
+// included, in listed order. Data dependencies between rounds are
+// expressed purely through shared staging buffers: a send step in round
+// k+1 that names a buffer filled by a receive in round k automatically
+// forwards the received bytes, which is how store-and-forward trees and
+// pipelined segments are written as plain data.
 //
 // A send step may ride the round's second lane (schedBuilder.sendAside).
 // EndPacking keeps a sender until the wire has taken its bytes, so one thread
@@ -29,10 +30,13 @@
 // one round. A round with no lane-1 step executes exactly as it did before
 // there was one.
 //
-// Staging is leased at compile time from the rank's buffer list
-// (schedBuilder.stage), lives until the completion closure has returned,
-// and goes home in execSchedule; a schedule that ends in error keeps it
-// (see the package comment).
+// Staging comes from the rank's buffer list with one of two lifetimes. A
+// buffer that a later round or the completion closure reads is leased at
+// compile time (schedBuilder.stage), lives until the completion closure has
+// returned, and goes home in execSchedule. A fold's buffer is leased by the
+// engine when its message matches (adi.RecvReq.Lease) and goes home once
+// the round's local steps have read it. A schedule that ends in error keeps
+// both (see the package comment).
 //
 // Compiling an algorithm therefore fixes, at submit time, every message
 // (peer, payload, order) and every CPU charge the operation will incur;
@@ -58,13 +62,14 @@ type stepKind int
 const (
 	stepSend   stepKind = iota // transmit buf to peer
 	stepRecv                   // land a message from peer into buf
+	stepFold                   // buf = op(buf, a message from peer), leased from its match to the round's end
 	stepReduce                 // dst = op(dst, src), count elements of dt
 	stepCopy                   // dst = src, charged as a local memcpy
 )
 
 // step is one schedule operation. Transfers use peer (comm rank) and buf —
 // a send also lane, 1 for the round's second lane; local steps write buf
-// from src (reduce additionally count/dt/op).
+// from src (reduce and fold additionally count/dt/op).
 type step struct {
 	kind stepKind
 	lane uint8
@@ -228,6 +233,14 @@ func (b *schedBuilder) recv(from int, buf []byte) {
 	b.add(step{kind: stepRecv, peer: from, buf: buf})
 }
 
+// fold lands a message from peer and reduces it into dst (count elements of
+// dt) among the round's local steps, in listed order: for a received
+// partial that nothing but this one reduce reads, which then holds a buffer
+// only from its match to the end of its round.
+func (b *schedBuilder) fold(from int, dst []byte, count int, dt Datatype, op Op) {
+	b.add(step{kind: stepFold, peer: from, buf: dst, count: count, dt: dt, op: op})
+}
+
 func (b *schedBuilder) reduce(dst, src []byte, count int, dt Datatype, op Op) {
 	b.add(step{kind: stepReduce, buf: dst, src: src, count: count, dt: dt, op: op})
 }
@@ -250,13 +263,16 @@ func (b *schedBuilder) build(fin func()) *schedule {
 	return b.sch
 }
 
+// lands reports whether the step receives a message: a recv or a fold.
+func (st *step) lands() bool { return st.kind == stepRecv || st.kind == stepFold }
+
 // local reports whether the schedule moves no bytes over the network
 // (size-1 communicators, self-rooted trivial cases); such schedules run
 // inline at submit instead of through the progress engine.
 func (sch *schedule) local() bool {
 	for _, rd := range sch.rounds {
 		for _, st := range rd.steps {
-			if st.kind == stepSend || st.kind == stepRecv {
+			if st.kind == stepSend || st.lands() {
 				return false
 			}
 		}
@@ -286,8 +302,8 @@ func (c *Comm) execSchedule(sch *schedule, tag int) error {
 		})
 	}
 	// After an error the staging stays out, for the GC to take with the
-	// schedule, and so does the engine's round storage: a receive the failed
-	// round pre-posted may still land in them.
+	// schedule, and so does the engine's round storage with the failed
+	// round's leases: a receive the round pre-posted may still land in them.
 	if err == nil {
 		for _, buf := range sch.leased {
 			buf.Release()
@@ -309,14 +325,15 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 
 		var rw *roundWait
 		for _, st := range rd.steps {
-			if st.kind == stepRecv {
+			if st.lands() {
 				if rw == nil {
 					rw = c.eng.arm(c.p.M.S, sch.roundEvt)
 				}
-				rw.rrs = append(rw.rrs, adi.RecvReq{
-					Src: c.group[st.peer], Tag: tag, Context: c.collCtx(),
-					Buf: st.buf, OnComplete: rw.landed,
-				})
+				rr := adi.RecvReq{Src: c.group[st.peer], Tag: tag, Context: c.collCtx(), Buf: st.buf, OnComplete: rw.landed}
+				if st.kind == stepFold {
+					rr.Buf, rr.Lease = nil, len(st.buf)
+				}
+				rw.rrs = append(rw.rrs, rr)
 			}
 		}
 		if rw != nil {
@@ -347,13 +364,18 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 					return rw.rrs[i].Err
 				}
 			}
-			clear(rw.rrs) // the engine keeps the storage, not the buffers
 		}
 
+		// A fold reads the request it was posted as, the k-th receive listed.
+		k := 0
 		for _, st := range rd.steps {
+			src := st.src
+			if st.lands() {
+				src, k = rw.rrs[k].Buf, k+1
+			}
 			switch st.kind {
-			case stepReduce:
-				if err := st.op.Apply(st.buf, st.src, st.count, st.dt); err != nil {
+			case stepFold, stepReduce:
+				if err := st.op.Apply(st.buf, src, st.count, st.dt); err != nil {
 					return err
 				}
 			case stepCopy:
@@ -363,6 +385,12 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 				// Network steps were issued at round start; nothing to
 				// apply locally.
 			}
+		}
+		if rw != nil {
+			for i := range rw.rrs {
+				rw.rrs[i].ReleaseLease()
+			}
+			clear(rw.rrs) // the engine keeps the storage, not the buffers
 		}
 		if tr != nil {
 			tr.Span(c.p.traceTrack, trace.KSched, "sched.round", rd0, trace.Args{
@@ -438,7 +466,7 @@ func roundPeers(c *Comm, rd *round) string {
 	var parts []string
 	extra := 0
 	for _, st := range rd.steps {
-		if st.kind != stepSend && st.kind != stepRecv {
+		if st.kind != stepSend && !st.lands() {
 			continue
 		}
 		if len(parts) >= 6 {
@@ -446,7 +474,7 @@ func roundPeers(c *Comm, rd *round) string {
 			continue
 		}
 		dir := "s"
-		if st.kind == stepRecv {
+		if st.lands() {
 			dir = "r"
 		}
 		parts = append(parts, fmt.Sprintf("%s%d", dir, c.group[st.peer]))

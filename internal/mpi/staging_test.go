@@ -11,6 +11,7 @@ package mpi_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -143,10 +144,21 @@ func steadyCollBytes(t *testing.T, mode mpi.CollMode, prepare func(*mpi.Comm, in
 // cluster's bundle in the user's buffer too, when the cluster is a run of
 // consecutive ranks; otherwise — a strided type, the send buffer as the
 // receive buffer, clusters that interleave — it stages one per cluster.
+//
+// A reduction's partials that one reduce of their round reads are folds,
+// leased when their message matches rather than when the schedule compiles:
+// on a dense type the tree Allreduce and Reduce lease nothing at compile
+// time on any rank, inner ranks of the tree included (one per child before),
+// nor does the ring Allreduce (m−1 before); the ring ReduceScatter leases
+// only the whole vector it accumulates in.
 func TestCollectivesAllocateNoStaging(t *testing.T) {
 	const payload = 256 << 10
 	strided := mpi.Vector(2, 1, 2, mpi.Byte)
 	checkLeases(t, "2+3", twoClusterTopo(2, 3), []leaseRow{
+		{"Allreduce", "flat", mpi.Byte, false, 0},
+		{"Reduce", "flat", mpi.Byte, false, 0},
+		{"Allreduce", "ring", mpi.Byte, false, 0},
+		{"ReduceScatter", "ring", mpi.Byte, false, 1},
 		{"Allgather", "flat", mpi.Byte, false, 0},
 		{"Alltoall", "flat", mpi.Byte, false, 0},
 		{"Allgather", "flat", strided, false, 1},
@@ -278,6 +290,47 @@ func TestFailedScheduleKeepsItsStaging(t *testing.T) {
 	}
 	if out := rk0.MPI.Eng.Bufs.Out(); out != 1 {
 		t.Errorf("%d buffers out after the later Allgathers, want the failed schedule's 1", out)
+	}
+}
+
+// A round that fails keeps the leases its folds took at match, as a failed
+// schedule keeps its compile-time staging. Three ranks run the flat tree
+// Allreduce with an op the datatype does not define: rank 0, the root, folds
+// the partials of its two children, leaves of the tree, in one round, and
+// that round fails on its first fold once both have landed. The leaves then
+// wait for a broadcast that never comes, so the run ends in rank 0's error;
+// the engine has dropped its round storage, nothing was released twice (that
+// panics), and the session's list has exactly the root's two leases out: the
+// leaves lease nothing on a dense type.
+func TestFailedRoundKeepsItsLeases(t *testing.T) {
+	const per = 1000
+	sess, err := cluster.Build(nNodeTopo(3, "sisci"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rk := range sess.Ranks {
+		rk.MPI.SetCollMode(mpi.CollFlat)
+	}
+	errFold := errors.New("the failed Allreduce")
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		in, out := make([]byte, 8*per), make([]byte, 8*per)
+		err := c.Allreduce(in, out, per, mpi.Float64, mpi.OpBAnd)
+		if rank != 0 {
+			return err
+		}
+		if err == nil {
+			return fmt.Errorf("MPI_BAND over MPI_DOUBLE did not fail")
+		}
+		if c.RoundStorage() != nil {
+			return fmt.Errorf("the engine kept the round storage of a failed round")
+		}
+		return fmt.Errorf("%w: %v", errFold, err)
+	})
+	if !errors.Is(err, errFold) {
+		t.Fatalf("the run ended in %v, want rank 0's failed Allreduce", err)
+	}
+	if out := sess.Ranks[0].MPI.Eng.Bufs.Out(); out != 2 {
+		t.Errorf("%d buffers out after the failed round, want the root's 2 leased partials", out)
 	}
 }
 
