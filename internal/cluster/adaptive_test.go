@@ -43,8 +43,8 @@ func relaysThrough(t *testing.T, sess *Session, src, dst, rank int) bool {
 
 // TestTriangleRailsInstalled: on the bridged triangle the wiring installs
 // two edge-disjoint rails between the far corners (primary over the
-// gwCA bridge, alternate through island B), tags their costs for the
-// striper, and bounds every gateway with the default relay window.
+// gwCA bridge, alternate through island B), tags their costs and
+// segments for the striper, and bounds every gateway with the default relay window.
 func TestTriangleRailsInstalled(t *testing.T) {
 	sess, err := Build(bridgedTriangle())
 	if err != nil {
@@ -62,6 +62,12 @@ func TestTriangleRailsInstalled(t *testing.T) {
 	}
 	if rails[0].SegBytes <= 0 || rails[1].SegBytes <= 0 {
 		t.Fatalf("rail segments = %d,%d", rails[0].SegBytes, rails[1].SegBytes)
+	}
+	// The two ends of the gwCA bridge (a1, c0) are a direct pair with an
+	// alternate through island B: its one-hop rail stripes, so it carries
+	// the segment a lone direct rail goes without.
+	if rails := sess.Ranks[1].ChMad.Rails(6); len(rails) != 2 || rails[0].Hops != 1 || rails[0].SegBytes <= 0 {
+		t.Fatalf("rails 1->6 = %+v, want a direct rail with a stripe segment and an alternate", rails)
 	}
 	for _, rk := range sess.Ranks {
 		if rk.ChMad.RelayWindow != DefaultRelayWindow {
@@ -190,9 +196,8 @@ func TestReplanClosedLoop(t *testing.T) {
 // TestReplanReelectsLeaderSets: a Replan that moves a cluster's primary
 // leader re-elects the cluster's leader set with it. On the triangle, a
 // 64 KiB flood a2 → c1 observed at 2 ms moves cluster C's primary from c0
-// (rank 6) to c1 (rank 7). Afterwards every set must open with its
-// cluster's leader, every co-leader must front the gateway it is tagged
-// with, and every cluster pair must share a bridge both sets front: its
+// (rank 6) to c1 (rank 7). Afterwards every co-leader must front the
+// gateway it is tagged with, and every cluster pair must share a bridge both sets front: its
 // multi-leader couples are direct, no device relays them.
 func TestReplanReelectsLeaderSets(t *testing.T) {
 	const flood = 64 << 10
@@ -226,25 +231,22 @@ func TestReplanReelectsLeaderSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := h.ClusterOf[7]; before[c] != 6 || h.Leaders[c] != 7 {
-		t.Fatalf("cluster C's leader went from %d to %d across the re-plan, want 6 to 7", before[c], h.Leaders[c])
+	if c := h.ClusterOf[7]; before[c][0].Rank != 6 || h.Leaders[c][0].Rank != 7 {
+		t.Fatalf("cluster C's leader went from %d to %d across the re-plan, want 6 to 7", before[c][0].Rank, h.Leaders[c][0].Rank)
 	}
-	for c, set := range h.LeaderSets {
-		if set[0] != h.Leaders[c] {
-			t.Errorf("cluster %d: leader set %v does not open with its leader %d", c, set, h.Leaders[c])
-		}
-		for k, gw := range h.LeaderGateways[c] {
-			if gw != "" && !sess.attached(set[k], gw) {
-				t.Errorf("cluster %d: co-leader %d is tagged with gateway %s it does not front", c, set[k], gw)
+	for c, set := range h.Leaders {
+		for _, l := range set {
+			if l.Gateway != "" && !sess.attached(l.Rank, l.Gateway) {
+				t.Errorf("cluster %d: co-leader %d is tagged with gateway %s it does not front", c, l.Rank, l.Gateway)
 			}
 		}
-		for d := c + 1; d < len(h.LeaderSets); d++ {
-			shared := slices.ContainsFunc(h.LeaderGateways[c], func(gw string) bool {
-				return gw != "" && slices.Contains(h.LeaderGateways[d], gw)
+		for d := c + 1; d < len(h.Leaders); d++ {
+			shared := slices.ContainsFunc(set, func(l mpi.Leader) bool {
+				return l.Gateway != "" && slices.ContainsFunc(h.Leaders[d], func(m mpi.Leader) bool { return m.Gateway == l.Gateway })
 			})
 			if !shared {
-				t.Errorf("clusters %d and %d (gateways %v, %v) share no bridge: their couples are relayed",
-					c, d, h.LeaderGateways[c], h.LeaderGateways[d])
+				t.Errorf("clusters %d and %d (leader sets %v, %v) share no bridge: their couples are relayed",
+					c, d, set, h.Leaders[d])
 			}
 		}
 	}

@@ -189,7 +189,7 @@ type Session struct {
 	places     []placementInfo     // rank -> placement
 	hier       *mpi.Hierarchy      // discovered cluster structure
 	plan       *route.Plan         // cost-model routing (ch_mad only)
-	graph      route.Graph         // the proc graph the plan was computed on
+	graph      route.Graph         // the proc graph the plan was computed on (Nets also for ch_p4)
 	maxPaths   int                 // resolved Topology.MaxPaths
 	segCap     int                 // global backbone-segment cap (uniform sessions only; 0 = per-path clamping)
 	// classMemo caches routed link classes of the session's *current* plan
@@ -221,6 +221,7 @@ func Build(topo Topology) (*Session, error) {
 		Networks: make(map[string]*netsim.Network),
 		Metrics:  trace.NewRegistry(),
 		nodeOf:   make(map[int]string),
+		graph:    route.Graph{Nets: make(map[string]netsim.Params, len(topo.Networks))},
 	}
 
 	nodeNets := make(map[string][]string) // node -> network names
@@ -240,6 +241,7 @@ func Build(topo Topology) (*Session, error) {
 		net.SetBufs(&sess.bufs)
 		net.Metrics = sess.Metrics
 		sess.Networks[ns.Name] = net
+		sess.graph.Nets[ns.Name] = params
 		nets = append(nets, net)
 		for _, n := range ns.Nodes {
 			nodeNets[n] = append(nodeNets[n], ns.Name)
@@ -384,18 +386,11 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 	// MaxPaths edge-disjoint rails carrying the path metadata (hop count,
 	// relay pipelining segment, wire cost for stripe weighting). Multi-hop
 	// routes through gateways are installed only when Forwarding is on.
-	g := route.Graph{
-		N:      size,
-		NetsOf: make([][]string, size),
-		Nets:   make(map[string]netsim.Params, len(sess.Networks)),
-	}
+	g := &sess.graph
+	g.N, g.NetsOf = size, make([][]string, size)
 	for r, pl := range places {
 		g.NetsOf[r] = nodeNets[pl.node]
 	}
-	for name, net := range sess.Networks {
-		g.Nets[name] = net.Params
-	}
-	sess.graph = g
 	sess.maxPaths = sess.Topo.resolvedMaxPaths()
 	sess.devs = make([]*core.Device, size)
 	sess.chanOf = make([]map[string]*madeleine.Channel, size)
@@ -403,7 +398,7 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 		sess.devs[r] = wirings[r].rank.ChMad
 		sess.chanOf[r] = wirings[r].chanOf
 	}
-	plan := route.ComputeOpts(g, route.Options{RefBytes: route.DefaultRefBytes, MaxPaths: sess.maxPaths})
+	plan := route.ComputeOpts(*g, route.Options{RefBytes: route.DefaultRefBytes, MaxPaths: sess.maxPaths})
 	sess.plan = plan
 	sess.bindLinkClasses()
 	sess.installRoutes(plan)
@@ -522,15 +517,18 @@ func (sess *Session) LinkClassOf(src, dst int) string {
 		if c, ok := sess.classMemo[key]; ok {
 			return c
 		}
-		c := ""
-		if hops, ok := plan.Path(src, dst); ok {
-			c = plan.PathClassOf(hops).String()
-		}
+		c := sess.routedClass(plan, src, dst)
 		sess.classMemo[key] = c
 		return c
 	}
+	return sess.routedClass(plan, src, dst)
+}
+
+// routedClass is the dominating class of the planned path from src to dst,
+// "" when unroutable.
+func (sess *Session) routedClass(plan *route.Plan, src, dst int) string {
 	if hops, ok := plan.Path(src, dst); ok {
-		return plan.PathClassOf(hops).String()
+		return plan.Info(hops).Class.String()
 	}
 	return ""
 }
@@ -593,8 +591,9 @@ func (sess *Session) installRoutes(plan *route.Plan) {
 // rails[0] is the primary, alternates follow while their wire cost stays
 // within railCostFactor of the primary's. Gateways required but
 // forwarding off falls back to a direct shared network if one exists
-// (the planner may have preferred a cheaper relayed path), else the pair
-// stays unroutable and Send errors.
+// (the planner may have preferred a cheaper relayed path): that edge is
+// the pair's one path, priced like every other. Else the pair stays
+// unroutable and Send errors.
 func (sess *Session) railsFor(plan *route.Plan, r, dst int) []core.Route {
 	paths, ok := plan.Paths(r, dst)
 	if !ok || len(paths) == 0 {
@@ -605,51 +604,33 @@ func (sess *Session) railsFor(plan *route.Plan, r, dst int) []core.Route {
 		if !shared {
 			return nil
 		}
-		// The fallback rail carries the same planner metadata as every
-		// planner-built rail: a zero Cost/BottleneckCost would make stripe
-		// weighting and re-plan ranking treat the slow direct edge as free.
-		hops := []route.Hop{{Rank: dst, Net: direct}}
-		return []core.Route{{
-			Channel:        sess.chanOf[r][direct],
-			NextNode:       sess.places[dst].proc,
-			Hops:           1,
-			SegBytes:       plan.PathSegmentOf(hops),
-			Cost:           plan.PathCostOf(hops, plan.RefBytes()),
-			BottleneckCost: plan.PathBottleneckOf(hops, plan.RefBytes()),
-			SwitchBytes:    plan.PathSwitchOf(hops),
-			Class:          plan.PathClassOf(hops).String(),
-		}}
+		paths = [][]route.Hop{{{Rank: dst, Net: direct}}}
 	}
-	primCost := plan.PathCostOf(paths[0], plan.RefBytes())
 	var rails []core.Route
 	for i, hops := range paths {
 		if len(hops) > 1 && !sess.Topo.Forwarding {
 			break // no gateway rails in a session without forwarding
 		}
-		cost := plan.PathCostOf(hops, plan.RefBytes())
-		if i > 0 && cost > railCostFactor*primCost {
+		in := plan.Info(hops)
+		if i > 0 && in.Cost > railCostFactor*rails[0].Cost {
 			break // alternates only get worse from here
 		}
 		rails = append(rails, core.Route{
 			Channel:        sess.chanOf[r][hops[0].Net],
 			NextNode:       sess.places[hops[0].Rank].proc,
 			Hops:           len(hops),
-			SegBytes:       plan.PathSegmentOf(hops),
-			Cost:           cost,
-			BottleneckCost: plan.PathBottleneckOf(hops, plan.RefBytes()),
-			SwitchBytes:    plan.PathSwitchOf(hops),
-			Class:          plan.PathClassOf(hops).String(),
+			SegBytes:       in.Segment,
+			Cost:           in.Cost,
+			BottleneckCost: in.Bottleneck,
+			SwitchBytes:    in.Switch,
+			Class:          in.Class.String(),
 		})
 	}
-	// Direct rails carry no relay segment (PathSegmentOf is 0 for one
-	// hop), but once a pair has alternates its bodies stripe, and the
+	// A direct rail pipelines through no relay, so it carries no segment —
+	// unless its pair has alternates: then its bodies stripe, and the
 	// stripe deal needs every rail's pacing segment.
-	if len(rails) > 1 {
-		for i := range rails {
-			if rails[i].SegBytes == 0 {
-				rails[i].SegBytes = plan.StripeSegmentOf(paths[i])
-			}
-		}
+	if len(rails) == 1 && rails[0].Hops == 1 {
+		rails[0].SegBytes = 0
 	}
 	return rails
 }
@@ -699,8 +680,7 @@ func (sess *Session) Replan() *route.Plan {
 			trace.Args{Val: int64(nCongested)})
 	}
 	if sess.hier != nil {
-		sess.electLeaders(sess.hier)
-		sess.electLeaderSets(sess.hier, sess.spanning(sess.hier))
+		sess.electLeaders(sess.hier, sess.spanning(sess.hier))
 		sess.routedInter(sess.hier, sess.segCap)
 		for _, rk := range sess.Ranks {
 			rk.MPI.RefreshHierarchy(sess.hier)

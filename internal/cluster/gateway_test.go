@@ -86,8 +86,8 @@ func TestGatewayAwareLeaderElection(t *testing.T) {
 	if len(h.Leaders) != 3 {
 		t.Fatalf("leaders = %v", h.Leaders)
 	}
-	for i, l := range h.Leaders {
-		if l != want[i] {
+	for i, set := range h.Leaders {
+		if set[0].Rank != want[i] {
 			t.Fatalf("leaders = %v, want %v", h.Leaders, want)
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"mpichmad/internal/mpi"
 	"mpichmad/internal/netsim"
 	"mpichmad/internal/route"
-	"mpichmad/internal/vtime"
 )
 
 // fastestNet returns the highest-bandwidth network attached to a node
@@ -42,10 +41,9 @@ func (sess *Session) fastestNet(node string) string {
 // switch point at the session's single globally elected eager threshold —
 // only uniform single-threshold sessions pass one. Per-link mux sessions
 // pass 0: each network's PipelineSegment is already clamped by its own
-// native switch point, and routedInter additionally clamps multi-hop
-// backbone paths by the smallest switch point actually along them, so
-// broadcast segments never trigger a rendez-vous round-trip per segment on
-// any hop.
+// native switch point, so a path's smallest segment is at most the switch
+// point of its slowest-threshold hop, and broadcast segments never trigger
+// a rendez-vous round-trip per segment on any hop.
 func (sess *Session) discoverHierarchy(maxSegment int) *mpi.Hierarchy {
 	h := &mpi.Hierarchy{ClusterOf: make([]int, len(sess.places))}
 	clusterIdx := make(map[string]int) // cluster key -> dense id, by first rank
@@ -74,35 +72,58 @@ func (sess *Session) discoverHierarchy(maxSegment int) *mpi.Hierarchy {
 	}
 	h.Nets = make(map[string]mpi.Link, len(sess.Networks))
 	for name := range sess.Networks {
-		h.Nets[name] = sess.linkFor(name, maxSegment)
+		h.Nets[name] = sess.linkOf(name, []route.Hop{{Net: name}}, maxSegment)
 	}
 	if best != "" {
-		h.Inter = sess.linkFor(best, maxSegment)
+		h.Inter = h.Nets[best]
 	}
-	sess.electLeaders(h)
-	sess.electLeaderSets(h, spanning)
+	sess.electLeaders(h, spanning)
 	sess.routedInter(h, maxSegment)
 	sess.hier = h
 	return h
 }
 
-// electLeaders installs the gateway-aware preferred leader of each
-// cluster — bestFront over all its members. On bridged topologies this
-// puts leaders on the gateway nodes, so leader-level exchanges skip the
-// extra intra-cluster hop the lowest-rank convention would pay. Needs the
-// routing plan (ch_mad sessions); single-cluster jobs and the
-// ObliviousLeaders ablation keep the default lowest-rank leaders.
-func (sess *Session) electLeaders(h *mpi.Hierarchy) {
+// electLeaders installs each cluster's leader set, preferred leader first.
+// The preferred leader is the gateway-aware one — bestFront over all the
+// cluster's members — and fronts the first spanning network (by name) it is
+// attached to. On bridged topologies this puts leaders on the gateway
+// nodes, so leader-level exchanges skip the extra intra-cluster hop the
+// lowest-rank convention would pay. Each other spanning network the
+// cluster touches then adds its bestFront among the members attached to
+// it, unless no member fronts it or the one that does is already in the
+// set: one co-leader per distinct gateway, so the multi-leader collectives
+// can shard the inter-cluster phase across every gateway concurrently.
+// Clusters behind a single gateway — or none — get a one-element set,
+// which keeps the multi-leader algorithms off the autotuner's candidate
+// list there. Needs the routing plan (ch_mad sessions); single-cluster
+// jobs and the ObliviousLeaders ablation keep the default lowest-rank
+// leaders.
+func (sess *Session) electLeaders(h *mpi.Hierarchy, spanning []string) {
 	if sess.plan == nil || len(h.ClusterNames) < 2 || sess.Topo.ObliviousLeaders {
 		return
 	}
-	leaders := make([]int, len(h.ClusterNames))
+	sets := make([][]mpi.Leader, len(h.ClusterNames))
 	for c, ms := range membersOf(h) {
-		if leaders[c] = sess.bestFront(h, c, ms, ""); leaders[c] < 0 {
-			leaders[c] = ms[0] // nothing reachable: keep the default
+		lead := mpi.Leader{Rank: sess.bestFront(h, c, ms, "")}
+		if lead.Rank < 0 {
+			lead.Rank = ms[0] // nothing reachable: keep the default
 		}
+		if i := slices.IndexFunc(spanning, func(net string) bool { return sess.attached(lead.Rank, net) }); i >= 0 {
+			lead.Gateway = spanning[i]
+		}
+		set := []mpi.Leader{lead}
+		for _, net := range spanning {
+			if net == lead.Gateway {
+				continue
+			}
+			best := sess.bestFront(h, c, ms, net)
+			if best >= 0 && !slices.ContainsFunc(set, func(l mpi.Leader) bool { return l.Rank == best }) {
+				set = append(set, mpi.Leader{Rank: best, Gateway: net})
+			}
+		}
+		sets[c] = set
 	}
-	h.Leaders = leaders
+	h.Leaders = sets
 }
 
 // bestFront returns the member of cluster c best placed to front it: the
@@ -155,65 +176,25 @@ func (sess *Session) bestFront(h *mpi.Hierarchy, c int, members []int, net strin
 	return best
 }
 
-// electLeaderSets widens each cluster's elected leader into a
-// gateway-diverse leader *set*: one co-leader per distinct cluster-
-// spanning network the cluster touches, so the multi-leader collectives
-// can shard the inter-cluster phase across every gateway concurrently.
-// The primary leader anchors position 0; each remaining network of
-// spanning (sorted by name for determinism) elects its bestFront among the members
-// attached to it. Clusters behind a single gateway — or none — get a
-// one-element set, which keeps the multi-leader algorithms off the
-// autotuner's candidate list there.
-func (sess *Session) electLeaderSets(h *mpi.Hierarchy, spanning []string) {
-	if h.Leaders == nil || len(spanning) == 0 {
-		return
-	}
-	sets := make([][]int, len(h.ClusterNames))
-	gws := make([][]string, len(h.ClusterNames))
-	for c, ms := range membersOf(h) {
-		primary := h.Leaders[c]
-		set, gw := []int{primary}, []string{""}
-		for _, net := range spanning {
-			if sess.attached(primary, net) {
-				gw[0] = net // the primary's own gateway (first by name)
-				break
-			}
-		}
-		for _, net := range spanning {
-			if net == gw[0] {
-				continue // the primary already fronts this gateway
-			}
-			// Skipped when no member of this cluster fronts net, or when
-			// the one that does is already in the set.
-			if best := sess.bestFront(h, c, ms, net); best >= 0 && !slices.Contains(set, best) {
-				set = append(set, best)
-				gw = append(gw, net)
-			}
-		}
-		sets[c], gws[c] = set, gw
-	}
-	h.LeaderSets, h.LeaderGateways = sets, gws
-}
-
 // routedInter recalibrates the backbone link when leader-level exchanges
 // are actually multi-hop (bridged topologies under forwarding): the
 // spanning-network summary understates a path that relays through
 // gateways, which would mislead the analytic tuning thresholds and the
 // broadcast segmentation rule. The link becomes the worst routed
-// leader-pair path: latency summed over the hops, bandwidth and pipeline
-// segment of the bottleneck hop.
+// leader-pair path's.
 func (sess *Session) routedInter(h *mpi.Hierarchy, maxSegment int) {
 	if sess.plan == nil || h.Leaders == nil || !sess.Topo.Forwarding {
 		return
 	}
 	worst, wa, wb := 0.0, -1, -1
-	for i := 0; i < len(h.Leaders); i++ {
+	for i := range h.Leaders {
 		for j := i + 1; j < len(h.Leaders); j++ {
-			if sess.plan.Hops(h.Leaders[i], h.Leaders[j]) <= 1 {
+			a, b := h.Leaders[i][0].Rank, h.Leaders[j][0].Rank
+			if sess.plan.Hops(a, b) <= 1 {
 				continue
 			}
-			if c, ok := sess.plan.Cost(h.Leaders[i], h.Leaders[j]); ok && c > worst {
-				worst, wa, wb = c, h.Leaders[i], h.Leaders[j]
+			if c, ok := sess.plan.Cost(a, b); ok && c > worst {
+				worst, wa, wb = c, a, b
 			}
 		}
 	}
@@ -221,56 +202,30 @@ func (sess *Session) routedInter(h *mpi.Hierarchy, maxSegment int) {
 		return // every leader pair is direct: the spanning link is honest
 	}
 	hops, _ := sess.plan.Path(wa, wb)
-	var latUS, deliverUS float64
-	var bwMBs, sharedMBs float64
-	seg := 0
-	names := make([]string, 0, len(hops))
-	for _, hop := range hops {
-		p := sess.Networks[hop.Net].Params
-		lat, bw := p.LatencyBandwidth()
-		latUS += lat
-		deliverUS += deliveryOf(&p).Micros()
-		if bwMBs == 0 || bw < bwMBs {
-			bwMBs = bw
-		}
-		if sh := p.NetworkBandwidth / netsim.MB; sh > 0 && (sharedMBs == 0 || sh < sharedMBs) {
-			sharedMBs = sh
-		}
-		if s := p.PipelineSegment(); seg == 0 || s < seg {
-			seg = s
-		}
-		names = append(names, hop.Net)
+	names := make([]string, len(hops))
+	for i, hop := range hops {
+		names[i] = hop.Net
 	}
-	// Per-link thresholds: a pipelined segment must stay on the eager
-	// path of every hop of its actual route, so the bound is the smallest
-	// native switch point along this path — not one session-global
-	// election (which would either over-constrain a fast-threshold path
-	// or let a segment trip rendez-vous on a slow-threshold hop).
-	if sw := sess.plan.PathSwitchOf(hops); sw > 0 && seg > sw {
-		seg = sw
-	}
-	if maxSegment > 0 && seg > maxSegment {
-		seg = maxSegment
-	}
-	h.Inter = mpi.Link{
-		Net:          "routed(" + strings.Join(names, "+") + ")",
-		LatencyUS:    latUS,
-		BandwidthMBs: bwMBs,
-		SegmentBytes: seg,
-		SharedMBs:    sharedMBs,
-		// The first hop's injection cost, every hop's delivery, the slowest
-		// hop's (or trunk's) byte time.
-		SendUS:    sess.Networks[hops[0].Net].Params.SendOverhead.Micros(),
-		DeliverUS: deliverUS,
-		ByteUS:    byteUS(bwMBs, sharedMBs),
-	}
+	h.Inter = sess.linkOf("routed("+strings.Join(names, "+")+")", hops, maxSegment)
 }
 
-// deliveryOf is the time from the start of a send over one network to the
-// message being in the receiving rank's hands, less its bytes' time: both
-// overheads, the wire and the ch_mad handling.
-func deliveryOf(p *netsim.Params) vtime.Duration {
-	return p.SendOverhead + p.WireLatency + p.RecvOverhead + p.DeviceHandling
+// linkOf summarizes a path as the tuning-table link named name: latency
+// and delivery summed over the hops, the first hop's injection, the
+// bandwidth, trunk, pipeline segment and switch point of the bottleneck
+// hops, the dominating class. A network's link is its one-hop path's.
+// maxSegment > 0 caps the pipeline segment and the switch point (devices'
+// elected eager threshold).
+func (sess *Session) linkOf(name string, hops []route.Hop, maxSegment int) mpi.Link {
+	in := route.Info(sess.graph.Nets, hops, route.DefaultRefBytes)
+	seg, sw := in.Segment, in.Switch
+	if maxSegment > 0 {
+		seg, sw = min(seg, maxSegment), min(sw, maxSegment)
+	}
+	return mpi.Link{
+		Net: name, LatencyUS: in.LatencyUS, BandwidthMBs: in.BandwidthMBs, SegmentBytes: seg, SharedMBs: in.SharedMBs,
+		SwitchBytes: sw, Class: in.Class.String(),
+		SendUS: in.SendUS, DeliverUS: in.DeliverUS, ByteUS: byteUS(in.BandwidthMBs, in.SharedMBs),
+	}
 }
 
 // byteUS is the microseconds a byte adds to a message on a link of bwMBs
@@ -343,35 +298,11 @@ func (sess *Session) bdpRelayWindows(h *mpi.Hierarchy) map[string]int {
 		if seg <= 0 || p.Bandwidth <= 0 {
 			continue
 		}
-		rtt := 2 * deliveryOf(&p)
+		rtt := 2 * p.Delivery()
 		w := int(math.Ceil(p.Bandwidth*rtt.Seconds()/float64(seg))) + 2
 		windows[name] = min(max(w, minBDPWindow), maxBDPWindow)
 	}
 	return windows
-}
-
-// linkFor summarizes one network as a tuning-table link. maxSegment > 0
-// caps the pipeline segment and the switch point (devices' elected eager
-// threshold).
-func (sess *Session) linkFor(netName string, maxSegment int) mpi.Link {
-	var params netsim.Params
-	if net, ok := sess.Networks[netName]; ok {
-		params = net.Params
-	} else {
-		// Unnetworked single-node cluster: intra-node shared memory.
-		params = netsim.SharedMemory()
-	}
-	lat, bw := params.LatencyBandwidth()
-	seg, sw := params.PipelineSegment(), params.SwitchPoint
-	if maxSegment > 0 {
-		seg, sw = min(seg, maxSegment), min(sw, maxSegment)
-	}
-	shared := params.NetworkBandwidth / netsim.MB
-	return mpi.Link{
-		Net: netName, LatencyUS: lat, BandwidthMBs: bw, SegmentBytes: seg, SharedMBs: shared,
-		SwitchBytes: sw, Class: route.ClassOf(params).String(),
-		SendUS: params.SendOverhead.Micros(), DeliverUS: deliveryOf(&params).Micros(), ByteUS: byteUS(bw, shared),
-	}
 }
 
 // Hierarchy returns the discovered cluster structure (also installed on

@@ -118,7 +118,7 @@ func eagerClass(sess *Session, src, dst int) string {
 		return route.ClassSMP.String()
 	}
 	if hops, ok := sess.plan.Path(src, dst); ok {
-		return sess.plan.PathClassOf(hops).String()
+		return sess.plan.Info(hops).Class.String()
 	}
 	return ""
 }

@@ -50,8 +50,8 @@ func ringClusterTopo(szs []int) Topology {
 }
 
 // TestLeaderSetsShape: on the bridged ring every island's leader set has
-// one member per distinct gateway net, the primary leader first, gateways
-// distinct and members in their own cluster.
+// one member per distinct gateway net, gateways distinct and members in
+// their own cluster.
 func TestLeaderSetsShape(t *testing.T) {
 	sess, err := Build(ringClusterTopo([]int{3, 3, 3}))
 	if err != nil {
@@ -61,35 +61,27 @@ func TestLeaderSetsShape(t *testing.T) {
 	if h.NumClusters() != 3 {
 		t.Fatalf("discovered %d clusters, want 3", h.NumClusters())
 	}
-	if len(h.LeaderSets) != 3 || len(h.LeaderGateways) != 3 {
-		t.Fatalf("LeaderSets/LeaderGateways = %v/%v, want 3 entries each",
-			h.LeaderSets, h.LeaderGateways)
+	if len(h.Leaders) != 3 {
+		t.Fatalf("Leaders = %v, want 3 entries", h.Leaders)
 	}
-	for ci, set := range h.LeaderSets {
+	for ci, set := range h.Leaders {
 		if len(set) != 2 {
 			t.Fatalf("cluster %d leader set %v, want 2 members (two bridges per island)", ci, set)
 		}
-		if set[0] != h.Leaders[ci] {
-			t.Fatalf("cluster %d leader set %v does not lead with primary %d", ci, set, h.Leaders[ci])
-		}
-		gws := h.LeaderGateways[ci]
-		if len(gws) != len(set) {
-			t.Fatalf("cluster %d gateway labels %v do not match set %v", ci, gws, set)
-		}
 		seenGW := map[string]bool{}
 		seenRank := map[int]bool{}
-		for i, r := range set {
-			if sess.hier.ClusterOf[r] != ci {
-				t.Fatalf("cluster %d co-leader %d lives in cluster %d", ci, r, sess.hier.ClusterOf[r])
+		for _, l := range set {
+			if sess.hier.ClusterOf[l.Rank] != ci {
+				t.Fatalf("cluster %d co-leader %d lives in cluster %d", ci, l.Rank, sess.hier.ClusterOf[l.Rank])
 			}
-			if seenRank[r] {
-				t.Fatalf("cluster %d leader set %v repeats rank %d", ci, set, r)
+			if seenRank[l.Rank] {
+				t.Fatalf("cluster %d leader set %v repeats rank %d", ci, set, l.Rank)
 			}
-			seenRank[r] = true
-			if gws[i] == "" || seenGW[gws[i]] {
-				t.Fatalf("cluster %d gateway labels %v not distinct and non-empty", ci, gws)
+			seenRank[l.Rank] = true
+			if l.Gateway == "" || seenGW[l.Gateway] {
+				t.Fatalf("cluster %d gateway labels of %v not distinct and non-empty", ci, set)
 			}
-			seenGW[gws[i]] = true
+			seenGW[l.Gateway] = true
 		}
 	}
 	// A chain without alternates keeps sets at one member: the middle
@@ -99,7 +91,7 @@ func TestLeaderSetsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ci, set := range sess2.Hierarchy().LeaderSets {
+	for ci, set := range sess2.Hierarchy().Leaders {
 		if len(set) != 2 {
 			t.Fatalf("two-island ring: cluster %d set %v, want 2 (both bridges)", ci, set)
 		}
@@ -413,21 +405,20 @@ func slabUnit(h *mpi.Hierarchy) int {
 	for _, l := range h.Nets {
 		least = min(least, l.SegmentBytes)
 	}
-	for _, set := range h.LeaderSets {
+	for _, set := range h.Leaders {
 		widest = max(widest, len(set))
 	}
-	for ci, gi := range h.LeaderGateways {
-		for cj, gj := range h.LeaderGateways {
+	for ci, si := range h.Leaders {
+		for cj, sj := range h.Leaders {
 			var shared []string
-			for _, gw := range gj {
-				if gw != "" && slices.Contains(gi, gw) {
-					shared = append(shared, gw)
+			for _, l := range sj {
+				if l.Gateway != "" && slices.ContainsFunc(si, func(m mpi.Leader) bool { return m.Gateway == l.Gateway }) {
+					shared = append(shared, l.Gateway)
 				}
 			}
 			couples := map[[2]int]bool{}
 			for k := 0; k < widest && len(shared) == 0; k++ {
-				si, sj := h.LeaderSets[ci], h.LeaderSets[cj]
-				couples[[2]int{si[k%len(si)], sj[k%len(sj)]}] = true
+				couples[[2]int{si[k%len(si)].Rank, sj[k%len(sj)].Rank}] = true
 			}
 			switch {
 			case ci == cj:
@@ -471,7 +462,7 @@ func TestMultiLeaderEquivalenceSlabs(t *testing.T) {
 			// A plain member and a co-leader behind its cluster's primary.
 			plain, second := -1, -1
 			for r := len(sess.Ranks) - 1; r >= 0; r-- {
-				switch at := posOf(h.LeaderSets[h.ClusterOf[r]], r); {
+				switch at := posOf(h.Leaders[h.ClusterOf[r]], r); {
 				case at < 0:
 					plain = r
 				case at > 0:
@@ -479,7 +470,7 @@ func TestMultiLeaderEquivalenceSlabs(t *testing.T) {
 				}
 			}
 			if plain < 0 || second < 0 {
-				t.Fatalf("no plain member (%d) or no second co-leader (%d) in %v", plain, second, h.LeaderSets)
+				t.Fatalf("no plain member (%d) or no second co-leader (%d) in %v", plain, second, h.Leaders)
 			}
 			// The Allreduce's pair carries a piece, count/C elements; an
 			// Allgather's one island's blocks, an Alltoall's two islands' worth.
@@ -506,13 +497,8 @@ func TestMultiLeaderEquivalenceSlabs(t *testing.T) {
 	}
 }
 
-func posOf(s []int, r int) int {
-	for i, v := range s {
-		if v == r {
-			return i
-		}
-	}
-	return -1
+func posOf(set []mpi.Leader, r int) int {
+	return slices.IndexFunc(set, func(l mpi.Leader) bool { return l.Rank == r })
 }
 
 // bridgeLoads runs one 512K Bcast from rank 0 on the three-island ring

@@ -107,8 +107,8 @@ func TestRailsForFallbackMetadata(t *testing.T) {
 			rt.Cost, rt.BottleneckCost)
 	}
 	if rt.SegBytes != 0 {
-		// Single-hop rails never pipeline through a relay; PathSegmentOf
-		// returns 0 for them by convention, fallback included.
+		// A single-hop rail without alternates never pipelines through a
+		// relay; railsFor leaves its segment 0, fallback included.
 		t.Errorf("fallback SegBytes = %d, want 0 for a direct rail", rt.SegBytes)
 	}
 	if rt.SwitchBytes != 64<<10 {

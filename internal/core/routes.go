@@ -19,20 +19,21 @@ type Route struct {
 	Hops int
 
 	// SegBytes is the relay pipelining segment for multi-hop routes: the
-	// bottleneck network's recommended pipeline segment along the path.
-	// Rendez-vous bodies larger than this are shipped as independent
+	// bottleneck network's recommended pipeline segment along the path
+	// (route.PathInfo.Segment), also the stripe segment of a direct rail
+	// whose pair has alternates. Rendez-vous bodies larger than this are shipped as independent
 	// per-segment messages so gateways overlap inbound and outbound
 	// transfers instead of store-and-forwarding the whole body. Zero
 	// disables segmentation.
 	SegBytes int
 
 	// Cost is the planner's wire cost of the full path in seconds at the
-	// reference payload (route.Plan.PathCostOf): what rail installation
+	// reference payload (route.PathInfo.Cost): what rail installation
 	// ranks and caps alternates by. Zero means unknown.
 	Cost float64
 
 	// BottleneckCost is the most expensive single hop of the path at the
-	// reference payload (route.Plan.PathBottleneckOf) — the pacing rate
+	// reference payload (route.PathInfo.Bottleneck) — the pacing rate
 	// of a pipelined segment train on this rail. The striper weights each
 	// rail's share by 1/BottleneckCost (falling back to 1/Cost, then
 	// equal shares): two rails whose bottleneck is one bridge each split
@@ -41,13 +42,13 @@ type Route struct {
 
 	// SwitchBytes is the per-link eager->rendez-vous threshold of this
 	// route: the smallest native switch point of the networks along the
-	// path (route.Plan.PathSwitchOf), so a payload at or below it rides
+	// path (route.PathInfo.Switch), so a payload at or below it rides
 	// the eager path on every hop. Zero means unknown; the device falls
 	// back to its elected device-wide threshold.
 	SwitchBytes int
 
 	// Class names the route's device class ("smp", "san", "wan" — the
-	// dominating tier along the path, route.Plan.PathClassOf), letting
+	// dominating tier along the path, route.PathInfo.Class), letting
 	// measured per-class threshold overrides apply to the right links.
 	// Empty means unclassified.
 	Class string

@@ -151,9 +151,9 @@
 // likes, and the GC takes it. A blocking collective's goes back once its
 // Wait has returned (Comm.blocking), with its event retired, so that a
 // stale Wait or Test panics instead of waiting on a later collective. The
-// point-to-point sends of every schedule step and of the blocking Send go
-// through sendRaw, which takes its adi.SendReq, event included, from the
-// engine's free list and releases it when the send is complete; the
+// point-to-point sends of every schedule step and of the blocking Send and
+// Ssend take their adi.SendReq, event included, from the engine's free list
+// (Comm.address) and release it when the send is complete (sendWait); the
 // free list's generation count makes a second Release panic, and a stale
 // Wait or Fire hits the retired event. The device requests of an Isend and
 // an Irecv come from the same list and go back at the first Wait of the
@@ -440,8 +440,8 @@
 //
 //   - Leader sets: cluster election widens each cluster's leader into a
 //     set with one member per distinct gateway network the cluster
-//     fronts (Hierarchy.LeaderSets, primary leader first, gateway labels
-//     in Hierarchy.LeaderGateways). On the bridged triangle every island
+//     fronts (Hierarchy.Leaders, primary leader first, each Leader with
+//     the gateway it fronts). On the bridged triangle every island
 //     borders two bridges, so every set has two gateway-diverse members.
 //   - One relay table: for every ordered cluster pair, the co-leader
 //     couples that carry its traffic — the pairs of co-leaders fronting a

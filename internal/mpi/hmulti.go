@@ -8,7 +8,7 @@ import "slices"
 // funnel that one crossing through one elected leader and therefore one
 // gateway, leaving every other gateway of the cluster idle. These
 // compilers spread the inter-cluster payload over the cluster's *leader
-// set* (Hierarchy.LeaderSets: one co-leader per distinct gateway), so that
+// set* (Hierarchy.Leaders: one co-leader per distinct gateway), so that
 // every bridge of the machine carries its share at once and every crossing
 // runs between the two co-leaders at the ends of one bridge, which no
 // device has to relay — the Madeleine pitch applied to collectives.
@@ -87,7 +87,7 @@ import "slices"
 func (ct *commTopo) shardChain(root, k int) (path, holder, egress []int, via []string, last int) {
 	holder, egress, via = make([]int, ct.nClusters), make([]int, ct.nClusters), make([]string, ct.nClusters)
 	last = ct.clusterOf[root]
-	holder[last], path, via[last] = root, []int{root}, ct.coLeaderGW(last, k)
+	holder[last], path, via[last] = root, []int{root}, ct.coLeader(last, k).Gateway
 	var others []int
 	for di := range egress {
 		if egress[di] = -1; di != last {

@@ -54,17 +54,52 @@ func (c *Comm) checkPeer(op string, r int) error {
 	return nil
 }
 
-// sendRaw transmits packed bytes on an explicit context. Blocking: it
-// returns when the send is locally complete, and its request, which nobody
-// else holds then, goes back to the engine's free list.
-func (c *Comm) sendRaw(data []byte, dest, tag, ctx int) error {
+// outbound is what Send, Ssend and Isend do before the transfer: check the
+// communicator, peer and tag, pack and charge the payload, and address it
+// (op names the call in errors, event the request's completion event).
+func (c *Comm) outbound(op, event string, buf []byte, count int, dt Datatype, dest, tag int) (adi.Device, *adi.SendReq, error) {
+	if err := c.checkLive(op); err != nil {
+		return nil, nil, err
+	}
+	if err := c.checkPeer(op, dest); err != nil {
+		return nil, nil, err
+	}
+	if tag < 0 {
+		return nil, nil, fmt.Errorf("mpi: %s: negative tag %d", op, tag)
+	}
+	data := PackBuf(buf, count, dt)
+	if !IsContiguous(dt) {
+		c.p.M.Charge(c.p.memTime(len(data)))
+	}
+	return c.address(event, data, dest, tag, c.ctx)
+}
+
+// address looks up the device toward dest and fills a request from the
+// engine's free list with packed data on an explicit context.
+func (c *Comm) address(event string, data []byte, dest, tag, ctx int) (adi.Device, *adi.SendReq, error) {
 	dstWorld := c.group[dest]
 	dev := c.p.route(dstWorld)
 	if dev == nil {
-		return fmt.Errorf("mpi: no device for destination world rank %d", dstWorld)
+		return nil, nil, fmt.Errorf("mpi: no device for destination world rank %d", dstWorld)
 	}
-	sr := c.p.Eng.NewSend("mpi.send")
+	sr := c.p.Eng.NewSend(event)
 	sr.Env, sr.Dst, sr.Data = adi.Envelope{Src: c.p.rank, Tag: tag, Context: ctx, Len: len(data)}, dstWorld, data
+	return dev, sr, nil
+}
+
+// sendRaw transmits packed bytes on an explicit context.
+func (c *Comm) sendRaw(data []byte, dest, tag, ctx int) error {
+	dev, sr, err := c.address("mpi.send", data, dest, tag, ctx)
+	if err != nil {
+		return err
+	}
+	return sendWait(dev, sr)
+}
+
+// sendWait sends sr on dev and blocks until it is locally complete; the
+// request, which nobody else holds then, goes back to the engine's free
+// list.
+func sendWait(dev adi.Device, sr *adi.SendReq) error {
 	dev.Send(sr)
 	sr.Done.Wait()
 	err := sr.Err
@@ -88,46 +123,21 @@ func (c *Comm) statusOf(rr *adi.RecvReq) *Status {
 // the buffer is reusable. Eager sends complete locally; rendez-vous sends
 // complete when the receiver's acknowledgement round-trip finishes.
 func (c *Comm) Send(buf []byte, count int, dt Datatype, dest, tag int) error {
-	if err := c.checkLive("Send"); err != nil {
+	dev, sr, err := c.outbound("Send", "mpi.send", buf, count, dt, dest, tag)
+	if err != nil {
 		return err
 	}
-	if err := c.checkPeer("Send", dest); err != nil {
-		return err
-	}
-	if tag < 0 {
-		return fmt.Errorf("mpi: Send: negative tag %d", tag)
-	}
-	data := PackBuf(buf, count, dt)
-	if !IsContiguous(dt) {
-		c.p.M.Charge(c.p.memTime(len(data)))
-	}
-	return c.sendRaw(data, dest, tag, c.ctx)
+	return sendWait(dev, sr)
 }
 
 // Isend starts a non-blocking send (MPI_Isend). Per the paper (§4.2.3),
 // "the MPI control thread creates a thread for each non-blocking send
 // operation": the blocking device send runs on a temporary Marcel thread.
 func (c *Comm) Isend(buf []byte, count int, dt Datatype, dest, tag int) (*Request, error) {
-	if err := c.checkLive("Isend"); err != nil {
+	dev, sr, err := c.outbound("Isend", "mpi.isend", buf, count, dt, dest, tag)
+	if err != nil {
 		return nil, err
 	}
-	if err := c.checkPeer("Isend", dest); err != nil {
-		return nil, err
-	}
-	if tag < 0 {
-		return nil, fmt.Errorf("mpi: Isend: negative tag %d", tag)
-	}
-	data := PackBuf(buf, count, dt)
-	if !IsContiguous(dt) {
-		c.p.M.Charge(c.p.memTime(len(data)))
-	}
-	dstWorld := c.group[dest]
-	dev := c.p.route(dstWorld)
-	if dev == nil {
-		return nil, fmt.Errorf("mpi: no device for destination world rank %d", dstWorld)
-	}
-	sr := c.p.Eng.NewSend("mpi.isend")
-	sr.Env, sr.Dst, sr.Data = adi.Envelope{Src: c.p.rank, Tag: tag, Context: c.ctx, Len: len(data)}, dstWorld, data
 	c.p.M.Spawn("mpi.isend", func() { dev.Send(sr) })
 	return &Request{c: c, sr: sr}, nil
 }

@@ -257,6 +257,49 @@ func TestAllocBudgetAllreduce(t *testing.T) {
 	}
 }
 
+// A warm 4 B Ssend round trip between two BIP nodes — rank 0 Ssends and
+// receives the reply, rank 1 receives and Ssends it back — allocates at most
+// 20 times on the whole machine, counted over rank 0's window (26 when
+// every Ssend made its own request and completion event outside the
+// engine's free list).
+func TestAllocBudgetSsendRoundTrip(t *testing.T) {
+	sess, err := cluster.Build(cluster.TwoNodes("bip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var per float64
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		buf, peer := make([]byte, 4), 1-rank
+		var err error
+		allocs := testing.AllocsPerRun(50, func() {
+			if rank == 1 {
+				if _, e := c.Recv(buf, 4, mpi.Byte, peer, 3); e != nil {
+					err = e
+				}
+			}
+			if e := c.Ssend(buf, 4, mpi.Byte, peer, 3); e != nil {
+				err = e
+			}
+			if rank == 0 {
+				if _, e := c.Recv(buf, 4, mpi.Byte, peer, 3); e != nil {
+					err = e
+				}
+			}
+		})
+		if rank == 0 {
+			per = allocs
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("a warm Ssend round trip allocates %.0f times", per)
+	if per > 20 {
+		t.Errorf("a warm Ssend round trip allocates %.0f times, budget 20", per)
+	}
+}
+
 // One 16 KiB Allreduce on 4 clusters of 16 ranks makes at most 36 buffers of
 // the session's list (32: a tree's leaves land their partials at their
 // parents in the same instant, so half the ranks' partials are out at once;

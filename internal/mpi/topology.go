@@ -77,13 +77,14 @@ type Link struct {
 	// store-and-forward stages over this link: netsim.Params.PipelineSegment
 	// of a network, capped at the elected threshold in a uniform session.
 	// For Inter on a forwarded topology whose leaders are not all one hop
-	// apart it is the worst routed leader-pair path's minimum — of every
-	// hop's PipelineSegment and switch point — not one network's.
+	// apart it is the worst routed leader-pair path's smallest, not one
+	// network's.
 	SegmentBytes int
 	// SwitchBytes is a network's native eager->rendez-vous threshold
 	// (netsim.Params.SwitchPoint) and Class its device class ("san", "wan",
 	// ...), whose threshold measured at MPI_Init, when there is one, replaces
-	// it (Comm.eagerBytes). Zero on a routed Inter.
+	// it (Comm.eagerBytes). A routed Inter carries its path's smallest
+	// threshold and dominating class.
 	SwitchBytes int
 	Class       string
 	// SharedMBs is the link's aggregate trunk capacity in paper MB/s when
@@ -115,34 +116,35 @@ type Hierarchy struct {
 	// the job spans a single cluster.
 	Inter Link
 	// Nets describes every network of the job by name — the cluster fabrics
-	// and the bridges the co-leader couples cross (LeaderGateways names
+	// and the bridges the co-leader couples cross (Leader.Gateway names
 	// them) — which the multi-leader forms size their chunks and segments
 	// by.
 	Nets map[string]Link
-	// Leaders, when non-nil, is the gateway-aware preferred leader world
-	// rank of each cluster, elected by the cluster session from the
-	// routing plan (ranks on gateway nodes, weighted by path cost).
-	// Communicators use the preferred leader when it is a member and the
-	// lowest comm rank of the cluster otherwise; nil keeps the
-	// lowest-rank convention everywhere.
-	Leaders []int
-	// LeaderSets, when non-nil, lists each cluster's gateway-diverse
-	// leader set in world ranks: one co-leader per distinct cluster-
-	// spanning network the cluster touches, primary leader first. The
-	// multi-leader collectives shard the inter-cluster phase across the
-	// set so each co-leader ships its shard over its own gateway
+	// Leaders, when non-nil, is each cluster's leader set, elected by the
+	// cluster session from the routing plan. Its first entry is the
+	// gateway-aware preferred leader (a rank on a gateway node, weighted by
+	// path cost), which communicators use when it is a member and the
+	// lowest comm rank of the cluster otherwise. The rest are co-leaders,
+	// one per further distinct cluster-spanning network the cluster
+	// touches: the multi-leader collectives shard the inter-cluster phase
+	// across the set so each co-leader ships its shard over its own gateway
 	// concurrently. Clusters behind a single gateway (or none) carry a
-	// one-element set; nil keeps every algorithm on the primary leader.
-	LeaderSets [][]int
-	// LeaderGateways names, parallel to LeaderSets, the spanning network
-	// each co-leader fronts ("" when the co-leader is the primary leader
-	// without a gateway of its own) — trace annotations and reports.
-	LeaderGateways [][]string
+	// one-element set; nil keeps the lowest-rank convention everywhere.
+	Leaders [][]Leader
 
 	// world is the dense view of the identity group (the world communicator
 	// and its Dups), shared by every rank holding this Hierarchy: built by
 	// the first that needs it (Comm.topo), dropped by RefreshHierarchy.
 	world *groupView
+}
+
+// Leader is one member of a cluster's leader set: a rank (a world rank on
+// the Hierarchy, a comm rank in a communicator's view) and the spanning
+// network it fronts ("" when it fronts none) — the bridge its couples
+// cross, and a trace annotation.
+type Leader struct {
+	Rank    int
+	Gateway string
 }
 
 // NumClusters returns the number of clusters in the hierarchy.
@@ -223,13 +225,10 @@ type groupView struct {
 	trees     map[int]*leaderTree
 	clusterOf []int   // comm rank -> dense cluster index
 	clusters  [][]int // dense cluster index -> comm ranks, ascending
-	leaders   []int   // dense cluster index -> lowest comm rank
-	// leaderSets maps each dense cluster to its in-communicator leader
-	// set (comm ranks, primary leader first); always at least the
-	// one-element [leaders[di]]. leaderGW names the gateway network each
-	// co-leader fronts, parallel to leaderSets ("" when unknown).
-	leaderSets [][]int
-	leaderGW   [][]string
+	leaders   []int   // dense cluster index -> its leader, sets[di][0].Rank
+	// sets maps each dense cluster to its in-communicator leader set, in
+	// comm ranks, leader first; never empty.
+	sets [][]Leader
 	// widest is the widest leader set any cluster of the communicator
 	// carries — the shard count K of the multi-leader Bcast, and how many
 	// couples a cluster pair without a bridge of its own is given.
@@ -257,16 +256,17 @@ type relay struct {
 // index k (leader sets wrap), repeats dropped.
 func (g *groupView) pairRelays(ci, cj int) []relay {
 	var rs []relay
-	for jdx, gn := range g.leaderGW[cj] {
-		if idx := slices.Index(g.leaderGW[ci], gn); gn != "" && idx >= 0 {
-			rs = append(rs, relay{g.leaderSets[ci][idx], g.leaderSets[cj][jdx], gn, true})
+	for _, y := range g.sets[cj] {
+		if x := slices.IndexFunc(g.sets[ci], func(l Leader) bool { return l.Gateway == y.Gateway }); y.Gateway != "" && x >= 0 {
+			rs = append(rs, relay{g.sets[ci][x].Rank, y.Rank, y.Gateway, true})
 		}
 	}
 	if len(rs) > 0 {
 		return rs
 	}
 	for k := 0; k < g.widest; k++ {
-		if r := (relay{g.coLeader(ci, k), g.coLeader(cj, k), g.coLeaderGW(cj, k), false}); !slices.Contains(rs, r) {
+		x, y := g.coLeader(ci, k), g.coLeader(cj, k)
+		if r := (relay{x.Rank, y.Rank, y.Gateway, false}); !slices.Contains(rs, r) {
 			rs = append(rs, r)
 		}
 	}
@@ -285,19 +285,9 @@ type commTopo struct {
 // coLeader returns shard k's co-leader in dense cluster di: leader sets
 // narrower than the shard count wrap, so a single-gateway cluster funnels
 // every shard through its one leader while wider clusters spread them.
-func (g *groupView) coLeader(di, k int) int {
-	ls := g.leaderSets[di]
+func (g *groupView) coLeader(di, k int) Leader {
+	ls := g.sets[di]
 	return ls[k%len(ls)]
-}
-
-// coLeaderGW names the gateway network behind shard k's co-leader in
-// dense cluster di (trace annotation; "" when unknown).
-func (g *groupView) coLeaderGW(di, k int) string {
-	gw := g.leaderGW[di]
-	if len(gw) == 0 {
-		return ""
-	}
-	return gw[k%len(gw)]
 }
 
 // topo returns the communicator's cached dense hierarchy view, or nil when
@@ -340,70 +330,34 @@ func (c *Comm) newGroupView(h *Hierarchy) *groupView {
 			dense[wc] = di
 			denseWorld = append(denseWorld, wc)
 			g.clusters = append(g.clusters, nil)
-			// r ascends, so the first member seen is the cluster's
-			// lowest comm rank: its default leader.
-			g.leaders = append(g.leaders, r)
 		}
 		g.clusterOf[r] = di
 		g.clusters[di] = append(g.clusters[di], r)
 	}
-	// Gateway-aware preference: a cluster whose elected leader is in this
-	// communicator uses it instead of the lowest comm rank, so two-level
-	// exchanges start and end on gateway ranks when they can.
-	if h.Leaders != nil {
-		for di, wc := range denseWorld {
-			if wc >= len(h.Leaders) {
-				continue
-			}
-			if cr := c.commRankOfWorld(h.Leaders[wc]); cr >= 0 && g.clusterOf[cr] == di {
-				g.leaders[di] = cr
-			}
-		}
-	}
-	// Leader sets: the elected gateway-diverse co-leaders of each cluster,
-	// restricted to this communicator. The primary comm leader always
-	// anchors position 0 so single-leader and multi-leader forms agree on
+	// Leader sets: the elected leaders of each cluster, restricted to this
+	// communicator. The elected leader opens the set when it is a member,
+	// else the cluster's lowest comm rank (r ascends, so it is the first
+	// member seen) does, so single-leader and multi-leader forms agree on
 	// who fronts the cluster; co-leaders outside the communicator (or
-	// outside the cluster after a Split) simply drop out, possibly
-	// collapsing the set to one rank.
-	g.leaderSets = make([][]int, len(g.clusters))
-	g.leaderGW = make([][]string, len(g.clusters))
-	for di := range g.clusters {
-		g.leaderSets[di] = []int{g.leaders[di]}
-		g.leaderGW[di] = []string{""}
-	}
-	if h.LeaderSets != nil {
-		for di, wc := range denseWorld {
-			if wc >= len(h.LeaderSets) {
-				continue
-			}
-			for i, w := range h.LeaderSets[wc] {
-				cr := c.commRankOfWorld(w)
-				if cr < 0 || g.clusterOf[cr] != di || cr == g.leaders[di] {
-					continue
-				}
-				gw := ""
-				if wc < len(h.LeaderGateways) && i < len(h.LeaderGateways[wc]) {
-					gw = h.LeaderGateways[wc][i]
-				}
-				g.leaderSets[di] = append(g.leaderSets[di], cr)
-				g.leaderGW[di] = append(g.leaderGW[di], gw)
-			}
-			// Tag the anchor slot with the elected primary's gateway when
-			// they are the same rank.
-			if len(h.LeaderSets[wc]) > 0 && len(h.LeaderGateways) > wc && len(h.LeaderGateways[wc]) > 0 {
-				if cr := c.commRankOfWorld(h.LeaderSets[wc][0]); cr == g.leaders[di] {
-					g.leaderGW[di][0] = h.LeaderGateways[wc][0]
+	// outside the cluster after a Split) drop out, possibly collapsing the
+	// set to one rank.
+	g.nClusters = len(g.clusters)
+	g.clusters, g.leaders, g.sets = slices.Clip(g.clusters), make([]int, g.nClusters), make([][]Leader, g.nClusters)
+	for di, wc := range denseWorld {
+		set := []Leader{{Rank: g.clusters[di][0]}}
+		if wc < len(h.Leaders) {
+			for i, l := range h.Leaders[wc] {
+				switch cr := c.commRankOfWorld(l.Rank); {
+				case cr < 0 || g.clusterOf[cr] != di:
+				case i == 0:
+					set[0] = Leader{cr, l.Gateway}
+				case cr != set[0].Rank:
+					set = append(set, Leader{cr, l.Gateway})
 				}
 			}
 		}
-	}
-	g.nClusters = len(g.clusters)
-	g.clusters, g.leaders = slices.Clip(g.clusters), slices.Clip(g.leaders)
-	for di, ls := range g.leaderSets {
-		g.clusters[di] = slices.Clip(g.clusters[di])
-		g.leaderSets[di], g.leaderGW[di] = slices.Clip(ls), slices.Clip(g.leaderGW[di])
-		g.widest = max(g.widest, len(ls))
+		g.clusters[di], g.sets[di], g.leaders[di] = slices.Clip(g.clusters[di]), slices.Clip(set), set[0].Rank
+		g.widest = max(g.widest, len(set))
 	}
 	if g.widest > 1 {
 		g.relays = make([][][]relay, g.nClusters)
@@ -443,13 +397,12 @@ func (c *Comm) oneClusterTopo() *commTopo {
 	// communicator's ranks.
 	n := c.Size()
 	g := &groupView{
-		nClusters:  1,
-		clusterOf:  make([]int, n),
-		clusters:   [][]int{c.p.World.group[:n:n]},
-		leaders:    []int{0},
-		leaderSets: [][]int{{0}},
-		leaderGW:   [][]string{{""}},
-		widest:     1,
+		nClusters: 1,
+		clusterOf: make([]int, n),
+		clusters:  [][]int{c.p.World.group[:n:n]},
+		leaders:   []int{0},
+		sets:      [][]Leader{{{Rank: 0}}},
+		widest:    1,
 	}
 	c.flat = g.viewFor(c.myRank)
 	return c.flat

@@ -24,7 +24,7 @@ func TestViewFollowsReelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := sess.Hierarchy()
-	if h.Leaders == nil || h.Leaders[1] != 1 {
+	if h.Leaders == nil || h.Leaders[1][0].Rank != 1 {
 		t.Fatalf("elected leaders %v, want cluster 1 led by rank 1", h.Leaders)
 	}
 	for _, rk := range sess.Ranks {
@@ -66,7 +66,9 @@ func TestViewFollowsReelection(t *testing.T) {
 		}
 		sess.Ranks[rank].Proc.Sleep(vtime.Millisecond)
 		if rank == 0 {
-			h.Leaders[1] = 3
+			// A re-election writes a whole set: the new leader fronts the
+			// old one's gateway.
+			h.Leaders[1] = []mpi.Leader{{Rank: 3, Gateway: h.Leaders[1][0].Gateway}}
 			for _, rk := range sess.Ranks {
 				rk.MPI.RefreshHierarchy(h)
 			}

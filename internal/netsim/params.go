@@ -122,15 +122,20 @@ func (p *Params) LatencyBandwidth() (latUS, bwMBs float64) {
 	return p.WireLatency.Micros(), p.Bandwidth / MB
 }
 
+// Delivery is the fixed cost of one message: the time from the start of a
+// send to the message being in the receiving rank's hands, less its bytes'
+// time — both overheads, the wire latency and the ch_mad device handling.
+func (p *Params) Delivery() vtime.Duration {
+	return p.SendOverhead + p.WireLatency + p.RecvOverhead + p.DeviceHandling
+}
+
 // PipelineSegment recommends a segment size for store-and-forward
 // pipelining (segmented broadcast, gateway relaying) over this link:
-// large enough that the per-segment fixed costs (wire latency, injection
-// and extraction overheads, device handling) stay under ~10% of the
-// segment's serialization time, clamped to [4 KB, SwitchPoint] so
+// large enough that the per-segment fixed costs (Delivery) stay under ~10%
+// of the segment's serialization time, clamped to [4 KB, SwitchPoint] so
 // segments stay on the eager path.
 func (p *Params) PipelineSegment() int {
-	fixed := p.WireLatency + p.SendOverhead + p.RecvOverhead + p.DeviceHandling
-	seg := int(10 * fixed.Seconds() * p.Bandwidth)
+	seg := int(10 * p.Delivery().Seconds() * p.Bandwidth)
 	if seg < 4<<10 {
 		seg = 4 << 10
 	}

@@ -53,31 +53,3 @@ func ClassOf(p netsim.Params) DeviceClass {
 	}
 	return ClassSAN
 }
-
-// PathClassOf returns the dominating (slowest-tier) device class along a
-// path: a path with any TCP-class hop is TCP-class end to end, otherwise
-// any SAN-class hop makes it SAN-class, and so on. ClassSelf for an empty
-// (self) path.
-func (p *Plan) PathClassOf(hops []Hop) DeviceClass {
-	worst := ClassSelf
-	for _, h := range hops {
-		if c := ClassOf(p.nets[h.Net]); c > worst {
-			worst = c
-		}
-	}
-	return worst
-}
-
-// PathSwitchOf returns the smallest native eager->rendez-vous switch
-// point along a path — the largest payload that can ride the eager path
-// on *every* hop. Hops whose params leave SwitchPoint zero (no threshold)
-// don't constrain it; 0 when no hop has one.
-func (p *Plan) PathSwitchOf(hops []Hop) int {
-	sw := 0
-	for _, h := range hops {
-		if s := p.nets[h.Net].SwitchPoint; s > 0 && (sw == 0 || s < sw) {
-			sw = s
-		}
-	}
-	return sw
-}

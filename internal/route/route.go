@@ -123,7 +123,7 @@ type Hop struct {
 // therefore price the same payload differently, which is what lets the
 // planner tell a SAN-class edge from a TCP-class one.
 func HopCost(p netsim.Params, nBytes int) float64 {
-	fixed := p.WireLatency + p.SendOverhead + p.RecvOverhead + p.DeviceHandling
+	fixed := p.Delivery()
 	cost := fixed.Seconds() + p.TxTime(nBytes).Seconds()
 	if p.SwitchPoint > 0 && nBytes > p.SwitchPoint {
 		cost += 2 * fixed.Seconds() // rendez-vous: REQUEST out, SENDOK back
@@ -307,9 +307,6 @@ func (p *Plan) DirectEdge(a, b int) (net string, cost float64, ok bool) {
 //madlint:ignore deadexport bench/ uses it
 func (p *Plan) N() int { return p.n }
 
-// RefBytes returns the reference payload the edge costs were taken at.
-func (p *Plan) RefBytes() int { return p.ref }
-
 // CongestionOf returns the congestion term the plan was computed with for
 // a rank (0 when none was supplied).
 //
@@ -443,51 +440,65 @@ func (p *Plan) Hops(src, dst int) int {
 	return len(hops)
 }
 
-// PathCostOf evaluates the wire cost of an explicit hop list at a payload
-// size (used to weight stripe rails and rank alternates).
-func (p *Plan) PathCostOf(hops []Hop, nBytes int) float64 {
-	total := 0.0
-	for _, h := range hops {
-		total += HopCost(p.nets[h.Net], nBytes)
-	}
-	return total
+// PathInfo is what a path is worth, in the one walk over its hops that
+// rail installation, link classification and the tuning table's links all
+// read from.
+type PathInfo struct {
+	// Cost is the path's wire cost in seconds at the reference payload
+	// (the sum of its HopCosts): what rails are ranked and capped by.
+	// Bottleneck is its most expensive hop, the pacing rate of a
+	// pipelined segment train riding it (the other hops only add fill).
+	Cost, Bottleneck float64
+	// Segment is the smallest PipelineSegment along the path (the
+	// bottleneck hop paces a relay pipeline); Switch the smallest native
+	// eager->rendez-vous switch point, the largest payload that rides the
+	// eager path on every hop (hops without one don't constrain it, 0 when
+	// none has one).
+	Segment, Switch int
+	// Class is the dominating (slowest-tier) device class along the path:
+	// any TCP-class hop makes it TCP-class end to end; ClassSelf for none.
+	Class DeviceClass
+	// LatencyUS and DeliverUS sum every hop's wire latency and Delivery,
+	// SendUS is the first hop's injection overhead, in microseconds;
+	// BandwidthMBs is the slowest hop's bandwidth and SharedMBs the
+	// narrowest capped trunk's (0 when none is capped), in paper MB/s.
+	LatencyUS, DeliverUS, SendUS float64
+	BandwidthMBs, SharedMBs      float64
 }
 
-// PathBottleneckOf returns the most expensive single hop of a path at a
-// payload size — the pacing rate of a pipelined segment train riding it
-// (the other hops only contribute pipeline fill). Rail striping weights
-// each rail's share by the inverse of this, not of the full path cost.
-func (p *Plan) PathBottleneckOf(hops []Hop, nBytes int) float64 {
-	worst := 0.0
-	for _, h := range hops {
-		if c := HopCost(p.nets[h.Net], nBytes); c > worst {
-			worst = c
+// Info walks hops over the networks' cost models, pricing them at a
+// payload of ref bytes. It needs no plan, so a session without one (ch_p4)
+// summarizes its networks the same way.
+func Info(nets map[string]netsim.Params, hops []Hop, ref int) PathInfo {
+	var in PathInfo
+	for i, h := range hops {
+		p := nets[h.Net]
+		c := HopCost(p, ref)
+		in.Cost += c
+		in.Bottleneck = max(in.Bottleneck, c)
+		in.Segment = lower(in.Segment, p.PipelineSegment())
+		in.Switch = lower(in.Switch, p.SwitchPoint)
+		in.Class = max(in.Class, ClassOf(p))
+		lat, bw := p.LatencyBandwidth()
+		in.LatencyUS += lat
+		in.DeliverUS += p.Delivery().Micros()
+		if i == 0 {
+			in.SendUS = p.SendOverhead.Micros()
 		}
+		in.BandwidthMBs = lower(in.BandwidthMBs, bw)
+		in.SharedMBs = lower(in.SharedMBs, p.NetworkBandwidth/netsim.MB)
 	}
-	return worst
+	return in
 }
 
-// PathSegmentOf recommends the relay pipelining segment for a path: the
-// smallest PipelineSegment of the networks along it (the bottleneck hop
-// paces the pipeline); 0 for direct (single-hop) paths.
-func (p *Plan) PathSegmentOf(hops []Hop) int {
-	if len(hops) < 2 {
-		return 0
+// lower folds v into the running minimum m of the positive values seen so
+// far (0 while there is none).
+func lower[T int | float64](m, v T) T {
+	if v > 0 && (m == 0 || v < m) {
+		return v
 	}
-	return p.StripeSegmentOf(hops)
+	return m
 }
 
-// StripeSegmentOf is the stripe segment for a path of a multi-rail set:
-// the smallest PipelineSegment along it, even for a direct single-hop
-// rail — a direct pair with edge-disjoint alternates stripes its bodies
-// just like a relayed one, so its rails need a segment too.
-func (p *Plan) StripeSegmentOf(hops []Hop) int {
-	seg := 0
-	for _, h := range hops {
-		params := p.nets[h.Net]
-		if s := params.PipelineSegment(); seg == 0 || s < seg {
-			seg = s
-		}
-	}
-	return seg
-}
+// Info summarizes an explicit hop list at the plan's reference payload.
+func (p *Plan) Info(hops []Hop) PathInfo { return Info(p.nets, hops, p.ref) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mpichmad/internal/netsim"
+	"mpichmad/internal/vtime"
 )
 
 // compute plans the classic single-path, congestion-free state at a
@@ -122,8 +123,8 @@ func TestPlanMatchesBruteForce(t *testing.T) {
 					t.Fatalf("iter %d: cost(%d,%d) = %g, brute force %g", iter, s, d, got, want)
 				}
 				hops, _ := plan.Path(s, d)
-				if viaPath := plan.PathCostOf(hops, DefaultRefBytes); math.Abs(viaPath-got) > 1e-12 {
-					t.Fatalf("iter %d: PathCostOf(Path(%d,%d)) = %g, Cost = %g", iter, s, d, viaPath, got)
+				if viaPath := plan.Info(hops).Cost; math.Abs(viaPath-got) > 1e-12 {
+					t.Fatalf("iter %d: Info(Path(%d,%d)).Cost = %g, Cost = %g", iter, s, d, viaPath, got)
 				}
 				if hops[len(hops)-1].Rank != d {
 					t.Fatalf("iter %d: path(%d,%d) ends at %d", iter, s, d, hops[len(hops)-1].Rank)
@@ -465,7 +466,9 @@ func TestPathsDisjointProperty(t *testing.T) {
 }
 
 // TestPathSegmentBottleneck: the relay segment of a multi-hop path is the
-// smallest PipelineSegment along it, and direct pairs get none.
+// smallest PipelineSegment along it, and a direct pair's is its one
+// network's own (its stripe segment; the cluster drops it for a lone
+// direct rail, which relays nothing).
 func TestPathSegmentBottleneck(t *testing.T) {
 	sci, tcp, bip := netsim.SCISISCI(), netsim.FastEthernetTCP(), netsim.MyrinetBIP()
 	g := Graph{
@@ -479,19 +482,68 @@ func TestPathSegmentBottleneck(t *testing.T) {
 	if got := plan.Hops(0, 3); got != 3 {
 		t.Fatalf("hops(0,3) = %d, want 3", got)
 	}
-	want := sci.PipelineSegment()
-	if s := tcp.PipelineSegment(); s < want {
-		want = s
-	}
-	if s := bip.PipelineSegment(); s < want {
-		want = s
-	}
+	want := min(sci.PipelineSegment(), tcp.PipelineSegment(), bip.PipelineSegment())
 	path, _ := plan.Path(0, 3)
-	if got := plan.PathSegmentOf(path); got != want {
-		t.Fatalf("PathSegmentOf(Path(0,3)) = %d, want bottleneck %d", got, want)
+	if got := plan.Info(path).Segment; got != want {
+		t.Fatalf("Info(Path(0,3)).Segment = %d, want bottleneck %d", got, want)
 	}
 	direct, _ := plan.Path(0, 1)
-	if got := plan.PathSegmentOf(direct); got != 0 {
-		t.Fatalf("direct pair segment = %d, want 0", got)
+	if got := plan.Info(direct).Segment; got != sci.PipelineSegment() {
+		t.Fatalf("direct pair segment = %d, want SCI's own %d", got, sci.PipelineSegment())
+	}
+}
+
+// TestPathInfo: on a three-network line (SCI, TCP on a capped trunk,
+// Myrinet) the one walk
+// over a direct, a two-hop and a three-hop path prices each as the planner
+// does, its bottleneck is its dearest hop, its segment and switch point the
+// smallest along it, its class the slowest tier, and the link figures are
+// summed, taken from the first hop or bounded by the narrowest as mpi.Link
+// needs them.
+func TestPathInfo(t *testing.T) {
+	sci, tcp, bip := netsim.SCISISCI(), netsim.FastEthernetTCP(), netsim.MyrinetBIP()
+	tcp.NetworkBandwidth = 5.6 * netsim.MB
+	g := Graph{
+		N:      4,
+		NetsOf: [][]string{{"sci"}, {"sci", "tcp"}, {"tcp", "myri"}, {"myri"}},
+		Nets:   map[string]netsim.Params{"sci": sci, "tcp": tcp, "myri": bip},
+	}
+	plan := compute(g, DefaultRefBytes)
+	hop := func(p netsim.Params) float64 { return HopCost(p, DefaultRefBytes) }
+	us := func(d vtime.Duration) float64 { return d.Micros() }
+	for _, tc := range []struct {
+		name                string
+		dst                 int
+		bottleneck          float64
+		segment, switchAt   int
+		class               DeviceClass
+		latencyUS, bwMBs    float64
+		deliverUS, sharedMB float64
+	}{
+		{"direct", 1, hop(sci), sci.PipelineSegment(), 8 << 10, ClassSAN,
+			us(sci.WireLatency), 82.6, us(sci.Delivery()), 0},
+		{"two-hop", 2, hop(tcp), min(sci.PipelineSegment(), tcp.PipelineSegment()), 8 << 10, ClassWAN,
+			us(sci.WireLatency) + us(tcp.WireLatency), 11.2, us(sci.Delivery()) + us(tcp.Delivery()), 5.6},
+		{"three-hop", 3, hop(tcp), min(sci.PipelineSegment(), tcp.PipelineSegment(), bip.PipelineSegment()), 7 << 10, ClassWAN,
+			us(sci.WireLatency) + us(tcp.WireLatency) + us(bip.WireLatency), 11.2,
+			us(sci.Delivery()) + us(tcp.Delivery()) + us(bip.Delivery()), 5.6},
+	} {
+		hops, ok := plan.Path(0, tc.dst)
+		if !ok || len(hops) != tc.dst {
+			t.Fatalf("%s: Path(0,%d) = %v, want %d hops", tc.name, tc.dst, hops, tc.dst)
+		}
+		in := plan.Info(hops)
+		if cost, _ := plan.Cost(0, tc.dst); in.Cost != cost {
+			t.Errorf("%s: Cost = %g, Plan.Cost %g", tc.name, in.Cost, cost)
+		}
+		if in.Bottleneck != tc.bottleneck || in.Segment != tc.segment || in.Switch != tc.switchAt || in.Class != tc.class {
+			t.Errorf("%s: bottleneck %g, segment %d, switch %d, class %s; want %g, %d, %d, %s", tc.name,
+				in.Bottleneck, in.Segment, in.Switch, in.Class, tc.bottleneck, tc.segment, tc.switchAt, tc.class)
+		}
+		if in.LatencyUS != tc.latencyUS || in.DeliverUS != tc.deliverUS || in.SendUS != us(sci.SendOverhead) ||
+			in.BandwidthMBs != tc.bwMBs || in.SharedMBs != tc.sharedMB {
+			t.Errorf("%s: link figures %+v, want latency %g, delivery %g, send %g, bandwidth %g, trunk %g", tc.name,
+				in, tc.latencyUS, tc.deliverUS, us(sci.SendOverhead), tc.bwMBs, tc.sharedMB)
+		}
 	}
 }
