@@ -193,9 +193,10 @@ type Session struct {
 	maxPaths   int                 // resolved Topology.MaxPaths
 	segCap     int                 // global backbone-segment cap (uniform sessions only; 0 = per-path clamping)
 	// classMemo caches routed link classes of the session's *current* plan
-	// by (source bloc, destination bloc) — on a congestion-free plan the
-	// class is a bloc invariant, so the cache stays O(blocs²) no matter how
-	// many rank pairs are queried. Reset whenever the plan changes.
+	// by (source bloc, destination bloc) — co-bloc ranks share signature and
+	// congestion term, so the class is a bloc invariant and the cache stays
+	// O(blocs²) no matter how many rank pairs are queried. Reset whenever
+	// the plan changes.
 	classMemo map[[2]int]string
 	devs      []*core.Device // rank -> ch_mad device (nil for ch_p4)
 	chanOf    []map[string]*madeleine.Channel
@@ -485,7 +486,7 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 // chself-class, intra-node pairs smp-class (when the mux wires smp_plug),
 // and routed pairs take the dominating class of their planned path
 // (SAN-class intra-cluster, TCP-class across a commodity backbone) —
-// memoized per bloc pair, since on a congestion-free plan co-bloc ranks
+// memoized per bloc pair, since co-bloc ranks (same signature and term)
 // route through identical network sequences. Unroutable pairs stay
 // unclassified ("").
 func (sess *Session) bindLinkClasses() {
@@ -508,29 +509,15 @@ func (sess *Session) LinkClassOf(src, dst int) string {
 	case sess.places[dst].node == sess.places[src].node && !sess.Topo.Uniform:
 		return route.ClassSMP.String()
 	}
-	if !plan.Congested() {
-		// Bloc-invariant on a congestion-free plan: memoize per bloc pair.
-		// The memo is shared across congestion-free plans of the session —
-		// they are computed from the same graph and options, so their
-		// routed classes coincide.
-		key := [2]int{plan.BlocOf(src), plan.BlocOf(dst)}
-		if c, ok := sess.classMemo[key]; ok {
-			return c
+	key := [2]int{plan.BlocOf(src), plan.BlocOf(dst)}
+	c, ok := sess.classMemo[key]
+	if !ok {
+		if hops, routed := plan.Path(src, dst); routed {
+			c = plan.Info(hops).Class.String()
 		}
-		c := sess.routedClass(plan, src, dst)
 		sess.classMemo[key] = c
-		return c
 	}
-	return sess.routedClass(plan, src, dst)
-}
-
-// routedClass is the dominating class of the planned path from src to dst,
-// "" when unroutable.
-func (sess *Session) routedClass(plan *route.Plan, src, dst int) string {
-	if hops, ok := plan.Path(src, dst); ok {
-		return plan.Info(hops).Class.String()
-	}
-	return ""
+	return c
 }
 
 // classProbes picks, per inter-node device class present in the session,

@@ -132,29 +132,25 @@ func (sess *Session) electLeaders(h *mpi.Hierarchy, spanning []string) {
 // non-empty net admits only members attached to that network. -1 when no
 // candidate reaches every outside rank.
 //
-// On a congestion-free plan only one candidate per routing bloc is
-// evaluated: co-bloc members have identical hop and cost sums to every
-// outside rank (swapping them is a graph automorphism), and the
-// strict-improvement rule below keeps the earliest optimum, so skipping
-// the later co-members cannot change the winner — it just cuts the
-// election from O(members) to O(blocs) candidates per cluster. Congested
-// plans (adaptive re-plans) carry per-rank congestion terms that break
-// the symmetry, so there every member is still scored exactly.
+// Only one candidate per routing bloc is evaluated: co-bloc members share
+// their network signature and congestion term, so they have identical hop
+// and cost sums to every outside rank (swapping them is a graph
+// automorphism), and the strict-improvement rule below keeps the earliest
+// optimum, so skipping the later co-members cannot change the winner — it
+// just cuts the election from O(members) to O(blocs) candidates per
+// cluster.
 func (sess *Session) bestFront(h *mpi.Hierarchy, c int, members []int, net string) int {
-	byBloc := !sess.plan.Congested()
 	scored := make(map[int]bool, 4)
 	best, bestHops, bestCost := -1, 0, 0.0
 	for _, r := range members {
 		if net != "" && !sess.attached(r, net) {
 			continue
 		}
-		if byBloc {
-			b := sess.plan.BlocOf(r)
-			if scored[b] {
-				continue // co-bloc: identical sums, cannot beat its representative
-			}
-			scored[b] = true
+		b := sess.plan.BlocOf(r)
+		if scored[b] {
+			continue // co-bloc: identical sums, cannot beat its representative
 		}
+		scored[b] = true
 		hops, cost, reach := 0, 0.0, true
 		for s, sc := range h.ClusterOf {
 			if sc == c {

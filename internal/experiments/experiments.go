@@ -18,6 +18,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"mpichmad/internal/baselines"
@@ -517,7 +518,7 @@ func hierCollectives() (*Result, error) {
 	fmt.Fprintf(&b, "%-14s %14s %14s\n", "operation", "payload <=", "algorithm")
 	for _, tc := range tuned {
 		bound := "inf"
-		if tc.MaxBytes < 1<<40 {
+		if tc.MaxBytes < math.MaxInt {
 			bound = stats.SizeLabel(tc.MaxBytes)
 		}
 		fmt.Fprintf(&b, "%-14s %14s %14s\n", tc.Op, bound, tc.Algo)

@@ -35,7 +35,7 @@ func scaleGraph(nClusters, perCluster int) Graph {
 // other bloc (builds all quotient trees), route installation for every
 // member toward its cluster leader, and hop/cost queries over all leader
 // pairs (the inter-cluster recalibration scan).
-func planWorkload(b *testing.B, plan *Plan, nClusters, perCluster int) {
+func planWorkload(b testing.TB, plan *Plan, nClusters, perCluster int) {
 	for bl := 0; bl < plan.BlocCount(); bl++ {
 		r := plan.BlocMembers(bl)[0]
 		for ob := 0; ob < plan.BlocCount(); ob++ {
@@ -71,21 +71,33 @@ func planWorkload(b *testing.B, plan *Plan, nClusters, perCluster int) {
 	}
 }
 
+// oneHotGateway is scaleGraph's congestion vector with one term set: the
+// gateway of cluster 1 holds a relay queue, as Replan would observe it.
+func oneHotGateway(g Graph, perCluster int) Options {
+	cong := make([]float64, g.N)
+	cong[perCluster] = 1e-3
+	return Options{Congestion: cong}
+}
+
 // BenchmarkComputeOpts measures lazy plan construction plus the full
 // session-style resolution workload at growing rank counts — the series
-// the scale benchcheck gate bounds sub-quadratic.
+// the scale benchcheck gate bounds sub-quadratic — and, report-only, the
+// 1024-rank plan with one congested gateway.
 func BenchmarkComputeOpts(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		nClusters := n / 16
-		g := scaleGraph(nClusters, 16)
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+	run := func(name string, g Graph, opts Options, nClusters int) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				plan := ComputeOpts(g, Options{})
+				plan := ComputeOpts(g, opts)
 				planWorkload(b, plan, nClusters, 16)
 			}
 		})
 	}
+	for _, n := range []int{64, 256, 1024} {
+		run(fmt.Sprintf("N=%d", n), scaleGraph(n/16, 16), Options{}, n/16)
+	}
+	g := scaleGraph(64, 16)
+	run("congested", g, oneHotGateway(g, 16), 64)
 }
 
 // BenchmarkComputeEager measures the retained dense all-pairs reference —

@@ -6,28 +6,31 @@ import (
 )
 
 // This file is the hierarchical half of the planner: the bloc partition
-// (ranks grouped by identical network signature) and the quotient-graph
-// Dijkstra that answers congestion-free queries with one tree per source
-// *bloc* instead of one per source rank.
+// (ranks grouped by identical network signature and congestion term) and
+// the quotient-graph Dijkstra that answers every query with one tree per
+// source *bloc* instead of one per source rank.
 //
 // Why the quotient is exact, not an approximation:
 //
 //   - Distances out of a bloc are the same for every member. Swapping two
-//     co-members is a graph automorphism (identical signatures mean
-//     identical adjacency and edge costs), and a path that detours
-//     through a co-member of its source always costs strictly more than
-//     leaving the source directly (every edge the co-member can use, the
-//     source can use at the same cost, and the detour hop itself is
-//     strictly positive). So co-members are never interior hops and never
-//     predecessors, and the rank-level problem collapses onto blocs.
+//     co-members is a graph automorphism (identical signatures and terms
+//     mean identical adjacency, edge costs and relay charges), and a path
+//     that detours through a co-member of its source always costs
+//     strictly more than leaving the source directly (every edge the
+//     co-member can use, the source can use at the same cost, the detour
+//     hop itself is strictly positive, and the co-member pays its term to
+//     relay where the source pays none). So co-members are never interior
+//     hops and never predecessors, and the rank-level problem collapses
+//     onto blocs.
 //   - Cost sums are bit-identical to the dense planner's, not just
-//     mathematically equal: both fold the same float64 edge costs
-//     left-to-right along the same bloc sequence.
+//     mathematically equal: both fold the same float64 edge costs and
+//     relay terms (each relaying bloc pays its representative's, the
+//     source pays none) left-to-right along the same bloc sequence.
 //   - The dense planner's deterministic tie-breaks survive the quotient.
 //     In the dense Dijkstra the final predecessor of v is the
-//     lowest-ranked u with dist(u)+cost(u,v) == dist(v) (every such u
-//     pops strictly before v, and the overwrite rule keeps the lowest),
-//     and all members of a qualifying bloc qualify together — so the
+//     lowest-ranked u with dist(u)+cost(u,v)+term(u) == dist(v) (every
+//     such u pops strictly before v, and the overwrite rule keeps the
+//     lowest), and all members of a qualifying bloc qualify together — so the
 //     dense choice is exactly "the representative (lowest member) of the
 //     qualifying bloc with the lowest representative", which is what
 //     prevNR tracks. The one per-source asymmetry is the source itself:
@@ -38,19 +41,23 @@ import (
 //     non-root bloc's representative.
 
 // buildBlocs partitions the ranks into blocs — maximal groups with
-// identical sorted network signatures — and indexes bloc adjacency per
-// network. Bloc ids ascend with their lowest member, so id order is
-// representative-rank order.
-func (p *Plan) buildBlocs(g Graph) {
+// identical sorted network signatures and identical congestion terms — and
+// indexes bloc adjacency per network. Bloc ids ascend with their lowest
+// member, so id order is representative-rank order.
+func (p *Plan) buildBlocs() {
 	p.blocOf = make([]int, p.n)
-	index := make(map[string]int, p.n)
+	type blocKey struct {
+		sig  string
+		term float64
+	}
+	index := make(map[blocKey]int)
 	for r := 0; r < p.n; r++ {
 		sig := make([]string, 0, len(p.attached[r]))
 		for nm := range p.attached[r] {
 			sig = append(sig, nm)
 		}
 		sort.Strings(sig)
-		key := strings.Join(sig, "\x1f")
+		key := blocKey{strings.Join(sig, "\x1f"), p.CongestionOf(r)}
 		id, ok := index[key]
 		if !ok {
 			id = len(p.blocs)
@@ -73,14 +80,14 @@ func (p *Plan) buildBlocs(g Graph) {
 	}
 }
 
-// BlocCount returns the number of blocs (distinct network signatures) in
-// the plan — the size of the quotient graph the hierarchical resolver
-// routes over.
+// BlocCount returns the number of blocs (distinct pairs of network
+// signature and congestion term) in the plan — the size of the quotient
+// graph the resolver routes over.
 func (p *Plan) BlocCount() int { return len(p.blocs) }
 
 // BlocOf returns the bloc id of a rank. Two ranks share a bloc exactly
-// when they are attached to the same set of networks; on a
-// congestion-free plan, such ranks have identical costs and hop counts
+// when they are attached to the same set of networks and carry the same
+// congestion term; such ranks have identical costs and hop counts
 // to (and from) every rank outside the bloc, which is what lets
 // bloc-aggregated consumers (leader election, the autotuner's
 // representative sampling) query one member per bloc.
@@ -111,7 +118,7 @@ type quotientTree struct {
 	// srcFree is set when no bloc's predecessor resolution depends on the
 	// querying source (no bloc has both a qualifying root edge and a
 	// qualifying non-root bloc — the overwhelmingly common case). Then
-	// hops holds each bloc's precomputed path length and hierHops is O(1);
+	// hops holds each bloc's precomputed path length and Hops is O(1);
 	// otherwise hop counts are resolved by walking the chain per source.
 	srcFree bool
 	hops    []int
@@ -211,6 +218,10 @@ func (p *Plan) quotientFor(b0 int) *quotientTree {
 		}
 		done[cur] = true
 		order = append(order, cur)
+		relay := 0.0
+		if cur != b0 {
+			relay = p.CongestionOf(p.rep(cur)) // cur's representative would relay this hop
+		}
 		for _, ni := range p.blocSigIDs[cur] {
 			c := p.netCostByID[ni]
 			lb := live[ni]
@@ -224,7 +235,7 @@ func (p *Plan) quotientFor(b0 int) *quotientTree {
 				}
 				lb[w] = b
 				w++
-				nd := t.dist[cur] + c
+				nd := t.dist[cur] + c + relay
 				switch {
 				case t.prevNR[b] == unreached || nd < t.dist[b]:
 					t.dist[b] = nd
@@ -278,71 +289,4 @@ func (p *Plan) hierStep(t *quotientTree, src, b int) (prevBloc int, isRoot bool)
 		return -1, true
 	}
 	return t.prevNR[b], false
-}
-
-// hierPath reconstructs the rank-level src->dst path from the bloc chain:
-// the representative of each interior bloc relays, and each hop rides the
-// cheapest (then lexicographically first) network the two endpoints
-// share — exactly the dense planner's prev/prevNet choices.
-func (p *Plan) hierPath(src, dst int) ([]Hop, bool) {
-	bs, bd := p.blocOf[src], p.blocOf[dst]
-	if bs == bd {
-		nm, _, ok := p.cheapestEdge(src, dst, nil)
-		if !ok {
-			return nil, false
-		}
-		return []Hop{{Rank: dst, Net: nm}}, true
-	}
-	t := p.quotientFor(bs)
-	if t.prevNR[bd] == unreached {
-		return nil, false
-	}
-	rev := []int{dst}
-	for b := bd; ; {
-		pb, isRoot := p.hierStep(t, src, b)
-		if isRoot {
-			break
-		}
-		rev = append(rev, p.rep(pb))
-		b = pb
-	}
-	hops := make([]Hop, len(rev))
-	at := src
-	for i := len(rev) - 1; i >= 0; i-- {
-		r := rev[i]
-		nm, _, _ := p.cheapestEdge(at, r, nil)
-		hops[len(rev)-1-i] = Hop{Rank: r, Net: nm}
-		at = r
-	}
-	return hops, true
-}
-
-// hierHops counts the src->dst path length without materializing it —
-// leader election sums hop counts over whole blocs, so this is O(path)
-// with no allocation.
-func (p *Plan) hierHops(src, dst int) (int, bool) {
-	bs, bd := p.blocOf[src], p.blocOf[dst]
-	if bs == bd {
-		if _, _, ok := p.cheapestEdge(src, dst, nil); !ok {
-			return 0, false
-		}
-		return 1, true
-	}
-	t := p.quotientFor(bs)
-	if t.prevNR[bd] == unreached {
-		return 0, false
-	}
-	if t.srcFree {
-		return t.hops[bd], true
-	}
-	n := 0
-	for b := bd; ; {
-		pb, isRoot := p.hierStep(t, src, b)
-		n++
-		if isRoot {
-			break
-		}
-		b = pb
-	}
-	return n, true
 }

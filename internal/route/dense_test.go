@@ -4,8 +4,7 @@ package route
 // the reference implementation for the eager==lazy equivalence property
 // tests: it materializes a full Dijkstra tree from every source with the
 // O(N^2) linear selection scan the package shipped with. Production
-// queries never touch it — Plan resolves hierarchically (bloc.go) or via
-// memoized per-source heap trees (ranktree.go).
+// queries never touch it — Plan resolves over the bloc quotient (bloc.go).
 type densePlan struct {
 	p       *Plan
 	dist    [][]float64

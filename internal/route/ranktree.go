@@ -1,23 +1,13 @@
 package route
 
 // rankTree is one source rank's shortest-cost tree over the full rank
-// graph: the fallback resolver for congested plans (per-rank congestion
-// terms break bloc symmetry) and the engine of the banned-edge searches
-// behind edge-disjoint alternates.
+// graph: the engine of the banned-edge searches behind edge-disjoint
+// alternates, where a banned edge breaks the bloc symmetry the quotient
+// resolver (bloc.go) relies on.
 type rankTree struct {
 	dist    []float64
 	prev    []int
 	prevNet []string
-}
-
-// rankTreeFor returns the (lazily built, memoized) tree rooted at src.
-func (p *Plan) rankTreeFor(src int) *rankTree {
-	if t, ok := p.rts[src]; ok {
-		return t
-	}
-	t := p.dijkstraFrom(src, nil)
-	p.rts[src] = t
-	return t
 }
 
 // dijkstraFrom runs one heap-based Dijkstra from src over the real
@@ -55,8 +45,8 @@ func (p *Plan) dijkstraFrom(src int, banned map[edgeKey]bool) *rankTree {
 		}
 		done[cur] = true
 		relay := 0.0
-		if cur != src && p.congestion != nil {
-			relay = p.congestion[cur] // cur would store-and-forward this hop
+		if cur != src {
+			relay = p.CongestionOf(cur) // cur would store-and-forward this hop
 		}
 		for _, ni := range p.blocSigIDs[p.blocOf[cur]] {
 			c := p.netCostByID[ni]

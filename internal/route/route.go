@@ -22,10 +22,11 @@
 // The planner no longer materializes all-pairs dist/prev matrices. Plan
 // construction is O(N + nets): it only indexes attachments and partitions
 // the ranks into blocs — maximal groups with identical network
-// signatures (e.g. "the 15 non-gateway members of cluster 12"). All
-// shortest-path state is computed lazily and hierarchically:
+// signature and congestion term (e.g. "the 15 non-gateway members of
+// cluster 12"). All shortest-path state is computed lazily and
+// hierarchically:
 //
-//   - Congestion-free plans route over the quotient graph whose nodes are
+//   - Every plan routes over the quotient graph whose nodes are
 //     blocs (a 64-cluster × 16-rank machine has ~129 blocs, not 1024
 //     ranks). One Dijkstra per source *bloc* is computed on first use and
 //     shared by every co-member, because distances out of a bloc are
@@ -35,13 +36,9 @@
 //     Rank-level paths are reconstructed from the bloc chain on demand
 //     (the representative of each interior bloc relays), reproducing the
 //     dense planner's deterministic tie-breaks exactly — see bloc.go.
-//   - Congested plans (re-plans fed by per-rank relay observations) break
-//     bloc symmetry, so they fall back to one heap-based Dijkstra with
-//     real adjacency per *queried source*, memoized — still never the
-//     eager all-sources sweep (ranktree.go).
 //   - Edge-disjoint alternates (Paths with MaxPaths > 1) need per-pair
-//     banned-edge searches and use the same heap Dijkstra, cached per
-//     ordered pair as before.
+//     banned-edge searches and use a heap Dijkstra with real adjacency
+//     (ranktree.go), cached per ordered pair.
 //
 // The dense all-pairs implementation is retained in dense_test.go purely as
 // the reference for the eager==lazy equivalence property test.
@@ -155,9 +152,9 @@ func keyOf(a, b int, net string) edgeKey {
 }
 
 // Plan is the computed routing state: the indexed graph, its bloc
-// partition, and lazily-built shortest-cost trees (per source bloc for
-// congestion-free plans, per source rank otherwise), queryable per
-// ordered pair, plus up to MaxPaths edge-disjoint alternates per pair.
+// partition, and lazily-built shortest-cost trees per source bloc,
+// queryable per ordered pair, plus up to MaxPaths edge-disjoint
+// alternates per pair.
 type Plan struct {
 	n          int
 	ref        int
@@ -185,14 +182,13 @@ type Plan struct {
 	blocs        []bloc
 	netBlocsByID [][]int // attached bloc ids per net id, ascending
 
-	qts map[int]*quotientTree // lazily built per source bloc (congestion-free)
-	rts map[int]*rankTree     // lazily built per source rank (congested fallback)
+	qts map[int]*quotientTree // lazily built per source bloc
 	alt map[[2]int][][]Hop    // lazily computed disjoint path sets per pair
 }
 
 // bloc is one equivalence class of ranks with identical network
-// signatures. members is ascending; members[0] is the representative that
-// relays when the bloc sits interior on a routed path.
+// signature and congestion term. members is ascending; members[0] is the
+// representative that relays when the bloc sits interior on a routed path.
 type bloc struct {
 	members []int
 	sig     []string // sorted net names, no duplicates
@@ -200,11 +196,11 @@ type bloc struct {
 
 // ComputeOpts builds the routing state under the given options. This is
 // O(N + nets): attachment indexes and the bloc partition only. All
-// shortest-path trees are computed lazily on first query and cached —
-// per source bloc when congestion-free, per source rank otherwise.
+// shortest-path trees are computed lazily on first query and cached per
+// source bloc.
 func ComputeOpts(g Graph, opts Options) *Plan {
 	p := newPlan(g, opts)
-	p.buildBlocs(g)
+	p.buildBlocs()
 	return p
 }
 
@@ -224,7 +220,6 @@ func newPlan(g Graph, opts Options) *Plan {
 		maxPaths: opts.MaxPaths,
 		nets:     g.Nets,
 		qts:      make(map[int]*quotientTree),
-		rts:      make(map[int]*rankTree),
 		alt:      make(map[[2]int][][]Hop),
 	}
 	if opts.Congestion != nil {
@@ -318,16 +313,6 @@ func (p *Plan) CongestionOf(rank int) float64 {
 	return p.congestion[rank]
 }
 
-// Congested reports whether the plan was computed with relay-congestion
-// feedback. Congestion terms are per rank, which breaks the bloc symmetry
-// the hierarchical resolver relies on, so congested plans answer from
-// per-source rank trees instead (and bloc-aggregated consumers like
-// leader election must fall back to exact per-member queries).
-func (p *Plan) Congested() bool { return p.congestion != nil }
-
-// useHier reports whether queries resolve over the bloc quotient graph.
-func (p *Plan) useHier() bool { return p.congestion == nil }
-
 // Cost returns the path cost in seconds at the reference payload
 // (including any congestion terms the plan was computed with); ok=false
 // when unroutable.
@@ -335,39 +320,89 @@ func (p *Plan) Cost(src, dst int) (float64, bool) {
 	if src == dst {
 		return 0, true
 	}
-	if p.useHier() {
-		bs, bd := p.blocOf[src], p.blocOf[dst]
-		if bs == bd {
-			_, c, ok := p.cheapestEdge(src, dst, nil)
-			return c, ok
-		}
-		t := p.quotientFor(bs)
-		if t.prevNR[bd] == unreached {
-			return 0, false
-		}
-		return t.dist[bd], true
+	bs, bd := p.blocOf[src], p.blocOf[dst]
+	if bs == bd {
+		_, c, ok := p.cheapestEdge(src, dst, nil)
+		return c, ok
 	}
-	t := p.rankTreeFor(src)
-	if t.prev[dst] == unreached {
+	t := p.quotientFor(bs)
+	if t.prevNR[bd] == unreached {
 		return 0, false
 	}
-	return t.dist[dst], true
+	return t.dist[bd], true
 }
 
 // Path returns the hops from src to dst, excluding src and including dst;
-// nil, false when unroutable. A direct pair returns one hop.
+// nil, false when unroutable. A direct pair returns one hop. It is read
+// off the bloc chain: the representative of each interior bloc relays, and
+// each hop rides the cheapest (then lexicographically first) network the
+// two endpoints share — exactly the dense planner's prev/prevNet choices.
 func (p *Plan) Path(src, dst int) ([]Hop, bool) {
 	if src == dst {
 		return nil, true
 	}
-	if p.useHier() {
-		return p.hierPath(src, dst)
+	bs, bd := p.blocOf[src], p.blocOf[dst]
+	if bs == bd {
+		nm, _, ok := p.cheapestEdge(src, dst, nil)
+		if !ok {
+			return nil, false
+		}
+		return []Hop{{Rank: dst, Net: nm}}, true
 	}
-	t := p.rankTreeFor(src)
-	if t.prev[dst] == unreached {
+	t := p.quotientFor(bs)
+	if t.prevNR[bd] == unreached {
 		return nil, false
 	}
-	return pathFrom(t.prev, t.prevNet, src, dst), true
+	rev := []int{dst}
+	for b := bd; ; {
+		pb, isRoot := p.hierStep(t, src, b)
+		if isRoot {
+			break
+		}
+		rev = append(rev, p.rep(pb))
+		b = pb
+	}
+	hops := make([]Hop, len(rev))
+	at := src
+	for i := len(rev) - 1; i >= 0; i-- {
+		r := rev[i]
+		nm, _, _ := p.cheapestEdge(at, r, nil)
+		hops[len(rev)-1-i] = Hop{Rank: r, Net: nm}
+		at = r
+	}
+	return hops, true
+}
+
+// Hops returns the path length from src to dst (1 = direct neighbours,
+// 0 = self), or -1 when unroutable. Leader election sums hop counts over
+// whole clusters, so this counts the chain without materializing it.
+func (p *Plan) Hops(src, dst int) int {
+	if src == dst {
+		return 0
+	}
+	bs, bd := p.blocOf[src], p.blocOf[dst]
+	if bs == bd {
+		if _, _, ok := p.cheapestEdge(src, dst, nil); !ok {
+			return -1
+		}
+		return 1
+	}
+	t := p.quotientFor(bs)
+	if t.prevNR[bd] == unreached {
+		return -1
+	}
+	if t.srcFree {
+		return t.hops[bd]
+	}
+	n := 0
+	for b := bd; ; {
+		pb, isRoot := p.hierStep(t, src, b)
+		n++
+		if isRoot {
+			return n
+		}
+		b = pb
+	}
 }
 
 // pathFrom reconstructs the src->dst hop list from one Dijkstra result.
@@ -418,26 +453,6 @@ func (p *Plan) Paths(src, dst int) ([][]Hop, bool) {
 	}
 	p.alt[key] = paths
 	return paths, true
-}
-
-// Hops returns the path length from src to dst (1 = direct neighbours,
-// 0 = self), or -1 when unroutable.
-func (p *Plan) Hops(src, dst int) int {
-	if src == dst {
-		return 0
-	}
-	if p.useHier() {
-		n, ok := p.hierHops(src, dst)
-		if !ok {
-			return -1
-		}
-		return n
-	}
-	hops, ok := p.Path(src, dst)
-	if !ok {
-		return -1
-	}
-	return len(hops)
 }
 
 // PathInfo is what a path is worth, in the one walk over its hops that

@@ -205,13 +205,34 @@ func randomClusterGraph(rng *rand.Rand, maxRanks int) Graph {
 	return g
 }
 
+// gatewayTerms is a re-plan's congestion vector where every gateway (a
+// rank on more than one network) of a cluster (its first network) holds
+// the same term, drawn per cluster from {0, 1, 2} ms.
+func gatewayTerms(rng *rand.Rand, g Graph) []float64 {
+	cong := make([]float64, g.N)
+	perCluster := make(map[string]float64)
+	for r, nets := range g.NetsOf {
+		if len(nets) < 2 {
+			continue
+		}
+		term, ok := perCluster[nets[0]]
+		if !ok {
+			term = float64(rng.Intn(3)) * 1e-3
+			perCluster[nets[0]] = term
+		}
+		cong[r] = term
+	}
+	return cong
+}
+
 // TestHierarchicalMatchesDense is the eager==lazy equivalence property
 // test: on random multi-cluster topologies (and on the unstructured
 // random graphs, where almost every rank is its own bloc), the lazy
 // hierarchical plan answers Cost/Path/Hops/Paths
 // byte-identically to the retained dense all-pairs reference — including
 // exact float equality of costs and the deterministic tie-breaks — with
-// and without congestion feedback, across MaxPaths settings.
+// and without congestion feedback (Replan's all-zero vector, one term per
+// cluster's gateways, random per-rank terms), across MaxPaths settings.
 func TestHierarchicalMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 60; iter++ {
@@ -222,7 +243,12 @@ func TestHierarchicalMatchesDense(t *testing.T) {
 			g = randomClusterGraph(rng, 64)
 		}
 		opts := Options{MaxPaths: rng.Intn(3) + 1}
-		if iter%4 == 3 {
+		switch iter % 4 {
+		case 1:
+			opts.Congestion = make([]float64, g.N)
+		case 2:
+			opts.Congestion = gatewayTerms(rand.New(rand.NewSource(int64(iter))), g)
+		case 3:
 			opts.Congestion = make([]float64, g.N)
 			for r := range opts.Congestion {
 				if rng.Intn(3) == 0 {
@@ -266,35 +292,47 @@ func TestHierarchicalMatchesDense(t *testing.T) {
 	}
 }
 
-// TestBlocInvariants: co-members of a bloc share their signature, and on
-// congestion-free plans every member answers external queries identically
-// to the bloc representative — the contract bloc-aggregated leader
-// election relies on.
+// TestBlocInvariants: co-members of a bloc share their signature and
+// congestion term, and every member answers external queries identically
+// to the bloc representative — congestion-free, with one term per
+// cluster's gateways, and with per-rank terms splitting blocs — the
+// contract bloc-aggregated leader election and the link-class memo rely on.
 func TestBlocInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 20; iter++ {
 		g := randomClusterGraph(rng, 48)
-		plan := compute(g, DefaultRefBytes)
-		for b := 0; b < plan.BlocCount(); b++ {
-			members := plan.BlocMembers(b)
-			repr := members[0]
-			for _, m := range members {
-				if plan.BlocOf(m) != b {
-					t.Fatalf("iter %d: BlocOf(%d) = %d, want %d", iter, m, plan.BlocOf(m), b)
-				}
-				for d := 0; d < g.N; d++ {
-					if plan.BlocOf(d) == b {
-						continue
+		terms := rand.New(rand.NewSource(int64(iter)))
+		perRank := make([]float64, g.N)
+		for r := range perRank {
+			perRank[r] = float64(terms.Intn(2)) * 1e-3
+		}
+		for _, plan := range []*Plan{
+			compute(g, DefaultRefBytes),
+			ComputeOpts(g, Options{Congestion: gatewayTerms(terms, g)}),
+			ComputeOpts(g, Options{Congestion: perRank}),
+		} {
+			for b := 0; b < plan.BlocCount(); b++ {
+				members := plan.BlocMembers(b)
+				repr := members[0]
+				for _, m := range members {
+					if plan.BlocOf(m) != b || plan.CongestionOf(m) != plan.CongestionOf(repr) {
+						t.Fatalf("iter %d: rank %d in bloc %d, term %g; want bloc %d, term %g",
+							iter, m, plan.BlocOf(m), plan.CongestionOf(m), b, plan.CongestionOf(repr))
 					}
-					mc, mok := plan.Cost(m, d)
-					rc, rok := plan.Cost(repr, d)
-					if mok != rok || mc != rc {
-						t.Fatalf("iter %d: Cost(%d,%d)=%v/%v but Cost(%d,%d)=%v/%v within bloc %d",
-							iter, m, d, mc, mok, repr, d, rc, rok, b)
-					}
-					if plan.Hops(m, d) != plan.Hops(repr, d) {
-						t.Fatalf("iter %d: Hops(%d,%d)=%d but Hops(%d,%d)=%d within bloc %d",
-							iter, m, d, plan.Hops(m, d), repr, d, plan.Hops(repr, d), b)
+					for d := 0; d < g.N; d++ {
+						if plan.BlocOf(d) == b {
+							continue
+						}
+						mc, mok := plan.Cost(m, d)
+						rc, rok := plan.Cost(repr, d)
+						if mok != rok || mc != rc {
+							t.Fatalf("iter %d: Cost(%d,%d)=%v/%v but Cost(%d,%d)=%v/%v within bloc %d",
+								iter, m, d, mc, mok, repr, d, rc, rok, b)
+						}
+						if plan.Hops(m, d) != plan.Hops(repr, d) {
+							t.Fatalf("iter %d: Hops(%d,%d)=%d but Hops(%d,%d)=%d within bloc %d",
+								iter, m, d, plan.Hops(m, d), repr, d, plan.Hops(repr, d), b)
+						}
 					}
 				}
 			}
@@ -404,6 +442,24 @@ func TestCongestionRoutesAround(t *testing.T) {
 	}
 	if back := ComputeOpts(g, Options{MaxPaths: 2}); !reflect.DeepEqual(mustPath(t, back, 0, 8), hops) {
 		t.Fatal("uncongested re-plan did not restore the primary rail")
+	}
+}
+
+// TestCongestedPlanKeepsTheQuotient: on the 1024-rank scale graph, one
+// congested gateway (already alone in its bloc) leaves the bloc count
+// where the congestion-free plan has it, and planning plus the session
+// workload allocates at most twice what it does without congestion.
+func TestCongestedPlanKeepsTheQuotient(t *testing.T) {
+	g := scaleGraph(64, 16)
+	hot := oneHotGateway(g, 16)
+	if got, want := ComputeOpts(g, hot).BlocCount(), ComputeOpts(g, Options{}).BlocCount(); got != want {
+		t.Fatalf("congested plan has %d blocs, congestion-free %d", got, want)
+	}
+	allocs := func(opts Options) float64 {
+		return testing.AllocsPerRun(3, func() { planWorkload(t, ComputeOpts(g, opts), 64, 16) })
+	}
+	if got, free := allocs(hot), allocs(Options{}); got > 2*free {
+		t.Fatalf("congested plan allocates %.0f per plan, more than twice the congestion-free %.0f", got, free)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 func heapOnly() *Scheduler {
 	s := New()
 	for i := range s.lanes {
-		s.lanes[i].d = Duration(1<<62 + i)
+		s.lanes[i].d = Duration(1<<62) + Duration(i)
 	}
 	return s
 }
