@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -35,7 +36,8 @@ const transportFingerprintFile = "testdata/transport_fingerprints.txt"
 // arriving at loaded relay queues second. tweak flips device ablation
 // flags between Build and Run; aboveSeg marks an ablation that only acts on
 // rendez-vous bodies larger than the relay segment, so the payloads below
-// it (the base wiring's lines again) are skipped. extra adds payloads.
+// it (the base wiring's lines again) are skipped. extra adds payloads, kept
+// even where aboveSeg would skip them.
 type tfWiring struct {
 	name     string
 	topo     func() Topology
@@ -54,6 +56,21 @@ func tfChain() Topology {
 		},
 		Forwarding: true,
 	}
+}
+
+// tfRelaySegment is the relay segment of rank 0's route to the last rank,
+// read off the routing plan's path summary.
+func tfRelaySegment(topo Topology) int {
+	sess, err := Build(topo)
+	if err != nil {
+		panic(err)
+	}
+	plan := sess.RoutePlan()
+	hops, ok := plan.Path(0, len(sess.Ranks)-1)
+	if !ok {
+		panic("tfRelaySegment: no route")
+	}
+	return plan.Info(hops).Segment
 }
 
 func tfMulti() Topology {
@@ -75,6 +92,9 @@ func tfEachDevice(f func(rk *Rank)) func(*Session) {
 }
 
 func tfWirings() []tfWiring {
+	// The chain's relayed body at the relay segment and one byte above it:
+	// the last uncut body and the first segment train.
+	seg := tfRelaySegment(tfChain())
 	return []tfWiring{
 		{name: "tcp", topo: func() Topology { return TwoNodes("tcp") }, stride: 1},
 		{name: "sisci", topo: func() Topology { return TwoNodes("sisci") }, stride: 1},
@@ -82,7 +102,7 @@ func tfWirings() []tfWiring {
 		{name: "sci+tcp", topo: tfMulti, stride: 1},
 		{name: "sisci-monolithic", topo: func() Topology { return TwoNodes("sisci") }, stride: 1,
 			tweak: tfEachDevice(func(rk *Rank) { rk.ChMad.MonolithicEager = true })},
-		{name: "chain", topo: tfChain, stride: 1},
+		{name: "chain", topo: tfChain, stride: 1, extra: []int{seg, seg + 1}},
 		// Monolithic eager pads to the device-wide threshold, so both ends
 		// must elect the same one: an all-SCI chain.
 		{name: "scichain-monolithic", topo: func() Topology {
@@ -91,7 +111,7 @@ func tfWirings() []tfWiring {
 			return topo
 		}, stride: 1,
 			tweak: tfEachDevice(func(rk *Rank) { rk.ChMad.MonolithicEager = true })},
-		{name: "chain-storefwd", topo: tfChain, stride: 1, aboveSeg: true,
+		{name: "chain-storefwd", topo: tfChain, stride: 1, aboveSeg: true, extra: []int{seg, seg + 1},
 			tweak: tfEachDevice(func(rk *Rank) { rk.ChMad.RelayPipelining = false })},
 		{name: "line", topo: bridgedTriple, stride: 3},
 		{name: "triangle", topo: bridgedTriangle, stride: 3},
@@ -178,7 +198,7 @@ func tfSizes(t *testing.T, w tfWiring) (sizes []int, ranks int) {
 	sort.Ints(sizes)
 	var out []int
 	for _, s := range sizes {
-		if w.aboveSeg && s <= minSeg {
+		if w.aboveSeg && s <= minSeg && !slices.Contains(w.extra, s) {
 			continue
 		}
 		if len(out) == 0 || s != out[len(out)-1] {
