@@ -40,11 +40,11 @@ type ReferenceModel struct {
 func (m *ReferenceModel) OneWay(n int) vtime.Duration {
 	for _, s := range m.Segments {
 		if n <= s.UpTo {
-			return vtime.Microseconds(s.Lat0 + float64(n)/(s.BwMBs*netsim.MB)*1e6)
+			return vtime.Microseconds(s.Lat0 + float64(float64(n)/(s.BwMBs*netsim.MB)*1e6))
 		}
 	}
 	last := m.Segments[len(m.Segments)-1]
-	return vtime.Microseconds(last.Lat0 + float64(n)/(last.BwMBs*netsim.MB)*1e6)
+	return vtime.Microseconds(last.Lat0 + float64(float64(n)/(last.BwMBs*netsim.MB)*1e6))
 }
 
 // Series evaluates the model over a size sweep.

@@ -8,6 +8,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,7 +69,8 @@ func renderEvents(tr *trace.Tracer) string {
 // tracer exists to expose — rendez-vous segments tagged with rail/hop,
 // gateway relay hops, schedule rounds.
 func TestGoldenTraceTwoClusterBcast(t *testing.T) {
-	s1 := renderEvents(runTracedBcast(t))
+	tr := runTracedBcast(t)
+	s1 := renderEvents(tr)
 	s2 := renderEvents(runTracedBcast(t))
 	if s1 != s2 {
 		a, b := strings.Split(s1, "\n"), strings.Split(s2, "\n")
@@ -86,9 +88,15 @@ func TestGoldenTraceTwoClusterBcast(t *testing.T) {
 	if s1 == "" {
 		t.Fatal("traced Bcast recorded no events")
 	}
+	// A segmented rendez-vous body over the bridge: a rndv.body span past
+	// offset 0, tagged with its rail's hop budget.
+	if !slices.ContainsFunc(tr.Events(), func(ev trace.Event) bool {
+		return ev.Name == "rndv.body" && ev.Args.Val > 0 && ev.Args.Hop > 1
+	}) {
+		t.Error("event stream has no rndv.body segment at a non-zero offset over the bridge")
+	}
 	for _, want := range []string{
-		"rndv.seg",   // segmented rendez-vous body over the bridge
-		"rail=",      // ...with rail/hop tags
+		"rail=",      // rail/hop tags
 		"relay.hop",  // the gateway forwarded it
 		"sched.",     // collective schedule rounds
 		"eager.send", // control/small traffic stayed eager

@@ -471,7 +471,7 @@ func TestHeaderRoundtrip(t *testing.T) {
 	if _, err := decodeHeader([]byte{1, 2}); err == nil {
 		t.Fatal("short header accepted")
 	}
-	for _, k := range []PktType{PktShort, PktRequest, PktSendOK, PktRndv, PktTerm, 99} {
+	for _, k := range []PktType{PktShort, PktRequest, PktSendOK, PktRndv, PktTerm, PktNack, 99} {
 		if k.String() == "" {
 			t.Fatal("empty packet name")
 		}

@@ -331,7 +331,7 @@ func (d *Device) pollLoop(ch *madeleine.Channel) {
 			d.inRequest(ch, conn, h)
 		case PktSendOK:
 			d.inSendOK(ch, conn, h)
-		case PktRndv, PktRndvSeg:
+		case PktRndv:
 			d.inRndvBody(ch, conn, h)
 		case PktNack:
 			d.inNack(ch, conn, h)

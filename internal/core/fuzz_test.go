@@ -12,7 +12,7 @@ import (
 // re-encoding reproduces it bit for bit. Anything else must be rejected
 // with an error, never a panic.
 func FuzzHeaderCodec(f *testing.F) {
-	h := header{Type: PktRndvSeg, SrcRank: 3, DstRank: 9, Tag: 42, Context: 1,
+	h := header{Type: PktRndv, SrcRank: 3, DstRank: 9, Tag: 42, Context: 1,
 		Len: 1 << 16, ReqID: 7, SyncID: 12, Offset: 4096, PathID: 2, Budget: 3}
 	f.Add(h.encode())
 	f.Add((&header{Type: PktShort, SrcRank: -1, Tag: -1}).encode())

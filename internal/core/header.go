@@ -36,18 +36,16 @@ const (
 	// PktSendOK acknowledges a rendez-vous: carries the receiver's
 	// sync_address (MPID_RNDV_T hook) and echoes the sender's request id.
 	PktSendOK
-	// PktRndv carries rendez-vous data: sync_address in the header, the
-	// payload as a zero-copy body.
+	// PktRndv carries rendez-vous data: sync_address and byte offset in
+	// the header, the payload as a zero-copy body. A body cut for a
+	// multi-hop route (§6 forwarding extension) is a train of them, each
+	// relayed independently, so segment k+1 is in flight on the inbound
+	// hop while segment k is already being re-emitted outbound; an uncut
+	// body is the one segment at offset 0.
 	PktRndv
 	// PktTerm terminates the receiving polling loop (MAD_TERM_PKT). The
 	// daemon pollers need none at MPI_Finalize; the tests send it.
 	PktTerm
-	// PktRndvSeg carries one pipelined segment of a multi-hop rendez-vous
-	// body (§6 forwarding extension): sync_address and byte offset in the
-	// header, the segment as a zero-copy body. Gateways relay each segment
-	// independently, so segment k+1 is in flight on the inbound hop while
-	// segment k is already being re-emitted outbound.
-	PktRndvSeg
 	// PktNack reports a relay refusal back to the original sender of a
 	// rendez-vous request. Carries the request id plus a reason code in
 	// the Context field: NackNoRoute (a gateway had no onward route; the
@@ -82,8 +80,6 @@ func (t PktType) String() string {
 		return "MAD_RNDV_PKT"
 	case PktTerm:
 		return "MAD_TERM_PKT"
-	case PktRndvSeg:
-		return "MAD_RNDVSEG_PKT"
 	case PktNack:
 		return "MAD_NACK_PKT"
 	default:
@@ -105,7 +101,7 @@ type header struct {
 	Len     int
 	ReqID   uint32 // sender-side rendez-vous request id
 	SyncID  uint32 // receiver-side sync_address (MPID_RNDV_T)
-	Offset  int    // byte offset of a pipelined RNDV segment (PktRndvSeg)
+	Offset  int    // byte offset of a rendez-vous segment (PktRndv)
 	PathID  int    // rail tag of a striped RNDV segment: which of the
 	// sender's edge-disjoint paths this segment rides; relaying gateways
 	// use it to keep the stripe on the matching rail of their own route
@@ -166,7 +162,7 @@ func (h *header) carriesBody() bool {
 	switch h.Type {
 	case PktShort:
 		return h.Len > 0
-	case PktRndv, PktRndvSeg:
+	case PktRndv:
 		return true
 	default:
 		return false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"mpichmad/internal/adi"
@@ -23,10 +24,10 @@ type rndvState struct {
 	r   *adi.RecvReq
 	env adi.Envelope
 
-	// remaining tracks outstanding body bytes: the body arrives whole
-	// (PktRndv, the segment [0, Len)) or as pipelined segments
-	// (PktRndvSeg). scratch is the landing area for truncating receives,
-	// allocated on first need.
+	// remaining tracks outstanding body bytes: the body arrives as a train
+	// of PktRndv segments, an uncut body being the one segment [0, Len).
+	// scratch is the landing area for truncating receives, allocated on
+	// first need.
 	remaining int
 	scratch   []byte
 }
@@ -146,10 +147,22 @@ func (d *Device) replySendOK(req header, r *adi.RecvReq, env adi.Envelope) {
 	})
 }
 
-// inSendOK completes the sender side (Fig. 4b step 3): the data message
-// MAD_RNDV_PKT carries the receiver's sync_address in its header and the
-// payload as a zero-copy body. Runs on a temporary thread so the polling
-// thread never blocks in a send.
+// inSendOK completes the sender side (Fig. 4b step 3) once the SendOK
+// brings the receiver's sync_address: it decides how the body travels and
+// hands it to sendRndvBody on a temporary thread, so the polling thread
+// never blocks in a send.
+//
+// A body is cut into a segment train only with RelayPipelining on and above
+// its threshold. Striping is gated on the rail set, not on the hop count
+// alone: a direct *backbone* pair with edge-disjoint alternates (co-leader
+// bundle exchanges over parallel bridges) stripes exactly like the
+// multi-hop p2p path, instead of funneling the whole body down the primary
+// rail — its threshold comes from the rails' own stripe segments, because a
+// direct primary has no relay segment. Direct SAN/SMP pairs do NOT stripe
+// even with alternates: their "alternate" is a detour over the same shared
+// intra-cluster medium, so dealing segments onto it only adds relay hops. A
+// single-rail multi-hop route keeps the segmented pipeline — the stripe over
+// a one-rail set; a direct pair ships its body uncut.
 func (d *Device) inSendOK(ch *madeleine.Channel, conn *madeleine.Connection, h header) {
 	d.receive(ch, conn, h)
 	tx, ok := d.rndvTx[h.ReqID]
@@ -162,66 +175,26 @@ func (d *Device) inSendOK(ch *madeleine.Channel, conn *madeleine.Connection, h h
 			HasPeer: true, Src: int32(h.SrcRank), Dst: int32(d.rank), Seq: h.ReqID,
 		})
 	}
-	rt, ok := d.RouteTo(sr.Dst)
-	if !ok {
+	rails := d.Rails(sr.Dst)
+	if len(rails) == 0 {
 		// The destination's rails were withdrawn between REQUEST and SENDOK.
 		d.failSend(h.ReqID, fmt.Errorf("ch_mad: rank %d lost its route to rank %d before the rendez-vous body", d.rank, sr.Dst))
 		return
 	}
 	delete(d.rndvTx, h.ReqID)
-	if d.RelayPipelining {
-		// Which rails carry the body, and above which size it is cut into
-		// a segment train. Striping is gated on the rail set, not on the
-		// hop count alone: a direct *backbone* pair with edge-disjoint
-		// alternates (co-leader bundle exchanges over parallel bridges)
-		// stripes exactly like the multi-hop p2p path, instead of funneling
-		// the whole body down the primary rail — its threshold comes from
-		// the rails' own stripe segments, because a direct primary has no
-		// relay segment. Direct SAN/SMP pairs do NOT stripe even with
-		// alternates: their "alternate" is a detour over the same shared
-		// intra-cluster medium, so dealing segments onto it only adds
-		// relay hops. A single-rail multi-hop route keeps the segmented
-		// pipeline — the stripe over a one-rail set; a single-rail direct
-		// pair keeps the whole-body rendez-vous.
-		rails, thr := d.Rails(sr.Dst), rt.SegBytes
-		switch {
-		case d.RelayStriping && len(rails) > 1 && (rt.Hops > 1 || rt.Class == "wan"):
-			if thr == 0 {
-				thr = minSegBytes(rails)
-			}
-		case rt.Hops > 1:
-			rails = rails[:1]
-		default:
-			thr = 0
-		}
-		if thr > 0 && len(sr.Data) > thr {
-			d.sendRndvStriped(sr, rails, h.SyncID)
-			return
-		}
+	rt, thr := rails[0], 0
+	switch {
+	case !d.RelayPipelining:
+	case d.RelayStriping && len(rails) > 1 && (rt.Hops > 1 || rt.Class == "wan"):
+		thr = cmp.Or(rt.SegBytes, minSegBytes(rails))
+	case rt.Hops > 1:
+		rails, thr = rails[:1], rt.SegBytes
 	}
-	data := header{
-		Type:    PktRndv,
-		SrcRank: sr.Env.Src,
-		DstRank: sr.Dst,
-		Len:     sr.Env.Len,
-		SyncID:  h.SyncID,
+	seg := minSegBytes(rails)
+	if thr == 0 || len(sr.Data) <= thr {
+		rails, seg = rails[:1], 0
 	}
-	body := sr.Data
-	if body == nil {
-		body = []byte{} // a zero-length synchronous send still ships its (empty) body block
-	}
-	d.proc.Spawn("ch_mad.rndvdata", func() {
-		t0 := d.traceNow()
-		err := d.emit(rt, data, body, nil, madeleine.SendCheaper)
-		if d.Trace != nil {
-			d.Trace.Span(d.TraceTrack, trace.KRndv, "rndv.body", t0, trace.Args{
-				HasPeer: true, Src: int32(sr.Env.Src), Dst: int32(sr.Dst),
-				Bytes: int64(len(sr.Data)), Seq: h.SyncID,
-			})
-		}
-		sr.Err = err
-		sr.Done.Fire()
-	})
+	d.proc.Spawn("ch_mad.rndvbody", func() { d.sendRndvBody(sr, rails, seg, h.SyncID) })
 }
 
 // minSegBytes is the smallest pacing segment any of the rails carries, 0
@@ -236,107 +209,95 @@ func minSegBytes(rails []Route) int {
 	return seg
 }
 
-// sendRndvStriped ships a rendez-vous body over multi-hop routes as a
-// train of independent MAD_RNDVSEG_PKT messages (offset in the header,
-// segment as a zero-copy body). Each gateway relays segments one at a
-// time, so while segment k is re-emitted on the outbound hop, segment
-// k+1 is already serializing on the inbound hop: a 2-hop transfer costs
-// roughly one hop plus one segment instead of two full store-and-forward
-// passes. The per-segment EndPacking paces injection, so the train never
-// overruns the first hop.
+// sendRndvBody ships a rendez-vous body as a train of MAD_RNDV_PKT
+// messages, each with the receiver's sync_address and its byte offset in
+// the header and its bytes as a zero-copy body. An uncut body (seg 0) is
+// the one segment [0, Len) on the primary rail, carrying no rail tag and no
+// hop budget (a budget would let a gateway's railFor pick another rail); a
+// zero-length synchronous send still ships its empty body block.
 //
-// Given several rails (the destination's edge-disjoint route set) the
-// train is striped across them: the body is cut into uniform segments (the
-// smallest rail segment, so every rail's bottleneck constraint holds)
-// dealt to whichever rail has the earliest predicted finish — pipeline
-// fill (Route.Cost - Route.BottleneckCost) plus dealt segments times the
-// bottleneck pace — so two rails with equal bottlenecks converge on an
-// even split regardless of path length, with the first segments biased
-// toward the shorter fill. Each segment's header carries its rail index
-// (PathID) and the rail's hop budget; gateways keep the stripe on the
-// matching budget-fitting rail of their own route set, and the receiver
-// reassembles by offset exactly as for the single-rail pipeline.
-func (d *Device) sendRndvStriped(sr *adi.SendReq, rails []Route, sync uint32) {
-	seg := minSegBytes(rails)
-	if seg == 0 {
-		// No rail carries a pacing segment (shouldn't happen — the rail
-		// installer backfills stripe segments): ship the whole body as a
-		// single stripe rather than divide by zero below.
-		seg = len(sr.Data)
+// A cut body is a train of seg-byte segments. Each gateway relays segments
+// one at a time, so while segment k is re-emitted on the outbound hop,
+// segment k+1 is already serializing on the inbound hop: a 2-hop transfer
+// costs roughly one hop plus one segment instead of two full
+// store-and-forward passes. The per-segment EndPacking paces injection, so
+// the train never overruns the first hop. Given several rails (the
+// destination's edge-disjoint route set, seg their smallest segment so every
+// rail's bottleneck constraint holds) each segment goes to the rail with the
+// earliest predicted finish — pipeline fill (Route.Cost -
+// Route.BottleneckCost) plus dealt segments times the bottleneck pace — so
+// two rails with equal bottlenecks converge on an even split regardless of
+// path length, with the first segments biased toward the shorter fill. A cut
+// segment's header carries its rail index (PathID) and the rail's hop
+// budget; gateways keep the stripe on the matching budget-fitting rail of
+// their own route set, and the receiver reassembles by offset.
+func (d *Device) sendRndvBody(sr *adi.SendReq, rails []Route, seg int, sync uint32) {
+	total := len(sr.Data)
+	var dealt []float64 // segments dealt per rail, when there is a choice
+	if len(rails) > 1 {
+		dealt = make([]float64, len(rails))
 	}
-	// Per-rail pacing (the bottleneck hop's cost per segment) and fixed
-	// pipeline fill (the rest of the path): the deal below hands each
-	// segment to the rail with the earliest predicted finish, which
-	// biases the first segments toward the short rail and converges to
-	// bottleneck-proportional shares on long trains.
-	pace := make([]float64, len(rails))
-	fill := make([]float64, len(rails))
-	for i, r := range rails {
-		switch {
-		case r.BottleneckCost > 0:
-			pace[i] = r.BottleneckCost
-		case r.Cost > 0:
-			pace[i] = r.Cost
-		default:
-			pace[i] = 1
-		}
-		if r.Cost > pace[i] {
-			fill[i] = r.Cost - pace[i]
-		}
-	}
-	d.proc.Spawn("ch_mad.rndvstripe", func() {
-		total := len(sr.Data)
-		dealt := make([]float64, len(rails))
-		for off := 0; off < total; off += seg {
-			n := min(seg, total-off)
-			// Earliest-predicted-finish round-robin (deterministic;
-			// identical rails degrade to pure round-robin).
-			rail := 0
-			for i := 1; i < len(rails); i++ {
-				if fill[i]+(dealt[i]+1)*pace[i] < fill[rail]+(dealt[rail]+1)*pace[rail] {
-					rail = i
-				}
+	for off := 0; ; {
+		// Earliest-predicted-finish round-robin (deterministic; identical
+		// rails degrade to pure round-robin).
+		rail := 0
+		for i := 1; i < len(rails); i++ {
+			if finish(rails[i], dealt[i]+1) < finish(rails[rail], dealt[rail]+1) {
+				rail = i
 			}
+		}
+		if dealt != nil {
 			dealt[rail]++
-			rt := rails[rail]
-			h := header{
-				Type:    PktRndvSeg,
-				SrcRank: sr.Env.Src,
-				DstRank: sr.Dst,
-				Len:     n,
-				SyncID:  sync,
-				Offset:  off,
-				PathID:  rail,
-				Budget:  rt.Hops,
-			}
-			t0 := d.traceNow()
-			err := d.emit(rt, h, sr.Data[off:off+n], nil, madeleine.SendCheaper)
-			if d.Trace != nil {
-				d.Trace.Span(d.TraceTrack, trace.KRndv, "rndv.seg", t0, trace.Args{
-					HasPeer: true, Src: int32(sr.Env.Src), Dst: int32(sr.Dst),
-					Bytes: int64(n), Rail: int16(rail), Hop: int16(rt.Hops), Seq: sync, Val: int64(off),
-				})
-			}
-			if err != nil {
-				sr.Err = err
-				sr.Done.Fire()
-				return
-			}
 		}
-		sr.Done.Fire()
-	})
+		rt := rails[rail]
+		h := header{Type: PktRndv, SrcRank: sr.Env.Src, DstRank: sr.Dst, Len: total - off, SyncID: sync, Offset: off}
+		if seg > 0 {
+			h.Len, h.PathID, h.Budget = min(seg, h.Len), rail, rt.Hops
+		}
+		body := sr.Data[off : off+h.Len]
+		if body == nil {
+			body = []byte{} // a nil body would ship the header alone
+		}
+		t0 := d.traceNow()
+		err := d.emit(rt, h, body, nil, madeleine.SendCheaper)
+		if d.Trace != nil {
+			d.Trace.Span(d.TraceTrack, trace.KRndv, "rndv.body", t0, trace.Args{
+				HasPeer: true, Src: int32(sr.Env.Src), Dst: int32(sr.Dst),
+				Bytes: int64(h.Len), Rail: int16(rail), Hop: int16(h.Budget), Seq: sync, Val: int64(off),
+			})
+		}
+		if off += h.Len; err != nil || off >= total {
+			sr.Err = err
+			sr.Done.Fire()
+			return
+		}
+	}
+}
+
+// finish is a rail's predicted finish once it carries k segments: its
+// pipeline fill plus k segments at its pace — the bottleneck hop's cost,
+// else the whole path's, else a unit. The product is rounded on its own, so
+// no platform fuses it into the sum.
+func finish(r Route, k float64) float64 {
+	pace := r.BottleneckCost
+	if pace <= 0 {
+		pace = r.Cost
+	}
+	if pace <= 0 {
+		pace = 1
+	}
+	return max(r.Cost-pace, 0) + float64(k*pace)
 }
 
 // inRndvBody lands rendez-vous data (Fig. 4b final step): the polling
 // thread finds the rhandle from the sync_address in the header and the
 // block goes straight to the user buffer at its offset — "avoiding any
-// intermediate copies" — the whole body (MAD_RNDV_PKT: the segment
-// [0, Len)) or one pipelined segment of a multi-hop transfer
-// (MAD_RNDVSEG_PKT; segments may interleave with unrelated traffic). The
-// rhandle completes, releasing the semaphore the main thread waits on, when
-// the last byte lands. A truncating receive collects the body in a scratch
-// whose prefix is copied out (charged) once, at completion, after the last
-// packet's handling charge — a whole body and a segment train alike.
+// intermediate copies" — one segment of the body's train (segments may
+// interleave with unrelated traffic). The rhandle completes, releasing the
+// semaphore the main thread waits on, when the last byte lands. A
+// truncating receive collects the body in a scratch whose prefix is copied
+// out (charged) once, at completion, after the last packet's handling
+// charge.
 func (d *Device) inRndvBody(ch *madeleine.Channel, conn *madeleine.Connection, h header) {
 	st := d.rndvRx[h.SyncID]
 	if st == nil {
@@ -351,11 +312,7 @@ func (d *Device) inRndvBody(ch *madeleine.Channel, conn *madeleine.Connection, h
 	done := st.segDone(h.Len)
 	d.endReceive(ch, conn)
 	if d.Trace != nil {
-		name := "rndv.land"
-		if h.Type == PktRndvSeg {
-			name = "rndv.seg.land"
-		}
-		d.Trace.Instant(d.TraceTrack, trace.KRndv, name, trace.Args{
+		d.Trace.Instant(d.TraceTrack, trace.KRndv, "rndv.land", trace.Args{
 			HasPeer: true, Src: int32(h.SrcRank), Dst: int32(d.rank),
 			Bytes: int64(h.Len), Rail: int16(h.PathID), Hop: int16(h.Budget),
 			Seq: h.SyncID, Val: int64(h.Offset),

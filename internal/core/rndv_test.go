@@ -124,7 +124,7 @@ func TestRelayedZeroLengthSsend(t *testing.T) {
 }
 
 // TestTruncatedBodyCopiedOnce: a rendez-vous body longer than the posted
-// buffer, whole (MAD_RNDV_PKT) or as a segment train (MAD_RNDVSEG_PKT), ends
+// buffer, uncut or cut into a segment train of MAD_RNDV_PKTs, ends
 // the receive in ErrTruncate with the buffer holding the body's prefix, and
 // costs the receiver one copy of that prefix on top of what a receive of the
 // whole body costs: not none, not two.

@@ -687,11 +687,11 @@
 //
 //   - pkt: "eager.send"/"eager.recv" — short-protocol message
 //     lifecycle, one span per send with src/dst/bytes/class.
-//   - rndv: "rndv.req", "rndv.ok", "rndv.ack", "rndv.body",
-//     "rndv.land" — the rendez-vous handshake and whole-body transfer;
-//     "rndv.seg"/"rndv.seg.land" — striped segments, tagged with their
-//     rail (header PathID), hop budget and byte offset; "rndv.nack" —
-//     a busy-refused request.
+//   - rndv: "rndv.req", "rndv.ok", "rndv.ack" — the rendez-vous
+//     handshake; "rndv.body"/"rndv.land" — one body segment sent and
+//     landed (an uncut body is one), tagged with its rail (header
+//     PathID), hop budget and byte offset; "rndv.nack" — a busy-refused
+//     request.
 //   - relay: "relay.hop" — one gateway forward (span covers the parked
 //     store-and-forward time), with rail/hop tags; "relay.depth" — the
 //     queue-occupancy counter track; "relay.drop".

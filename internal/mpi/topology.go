@@ -676,8 +676,8 @@ func (c *Comm) leaderTree(g *groupView, nBytes int) *leaderTree {
 		return t
 	}
 	l, n := g.inter, g.nClusters
-	send := vtime.Microseconds(l.SendUS + float64(nBytes)*l.ByteUS)
-	deliver := vtime.Microseconds(max(l.DeliverUS, l.SendUS) + float64(nBytes)*l.ByteUS)
+	send := vtime.Microseconds(l.SendUS + float64(float64(nBytes)*l.ByteUS))
+	deliver := vtime.Microseconds(max(l.DeliverUS, l.SendUS) + float64(float64(nBytes)*l.ByteUS))
 	estimate := deliver > 0
 	if !estimate {
 		send, deliver = 1, 1

@@ -304,12 +304,11 @@ func (c *Comm) autotune() error {
 
 // installTuneTable installs the install broadcast's triples — (kind,
 // maxBytes, algo) bracket rows, then (-(class index + 1), threshold, 0)
-// per-class switch rows — as the process's crossover table and class
-// thresholds. It also refreshes the world communicator's table cache, which
-// the sweep's own barriers and broadcasts resolved to nil, so the table
-// governs from the next collective on. A triple naming no known operation,
-// algorithm or device class, or carrying a non-positive bound, is an error
-// and nothing is installed. Costs no virtual time.
+// per-class switch rows — as the process's crossover table (Process.tuned,
+// which every communicator's selection reads from its next collective on)
+// and its class thresholds. A triple naming no known operation, algorithm or
+// device class, or carrying a non-positive bound, is an error and nothing is
+// installed. Costs no virtual time.
 func (p *Process) installTuneTable(enc []int64) error {
 	tt := &tuneTable{rows: make(map[collKind][]tuneRow)}
 	var classes []int // where the class triples start, installed once all are good

@@ -112,7 +112,7 @@ func TestChromeOutput(t *testing.T) {
 	tr.Instant(0, KRndv, "rndv.req", Args{HasPeer: true, Src: 0, Dst: 8, Bytes: 4096, Seq: 7})
 	start := now
 	now = 3500
-	tr.Span(0, KRndv, "rndv.seg", start, Args{HasPeer: true, Src: 0, Dst: 8, Bytes: 1024, Rail: 1, Hop: 2})
+	tr.Span(0, KRndv, "rndv.body", start, Args{HasPeer: true, Src: 0, Dst: 8, Bytes: 1024, Rail: 1, Hop: 2})
 	tr.Counter(2, KRelay, "relay.depth", 3)
 
 	var b strings.Builder
