@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"mpichmad/internal/mpi"
 	"mpichmad/internal/netsim"
+	"mpichmad/internal/vtime"
 )
 
 func TestBuildValidation(t *testing.T) {
@@ -202,5 +205,39 @@ func TestDeterministicSessions(t *testing.T) {
 		if got := run(); got != first {
 			t.Fatalf("session nondeterministic: %d vs %d", got, first)
 		}
+	}
+}
+
+// A hung session reports in host milliseconds. Rank 0 waits for a message
+// nobody sends, and both ranks' TCP pollers idle up to the default 1000 s
+// virtual deadline: 30 million idle cycles, which stepping one by one took
+// about 10 s of host time, and which the kernel crosses in a few steps of
+// whole poll periods. The report is the one stepping gave.
+func TestHangReportsWithinAHostSecond(t *testing.T) {
+	start := time.Now()
+	_, err := Launch(TwoNodes("tcp"), func(rank int, c *mpi.Comm) error {
+		if rank == 0 {
+			_, err := c.Recv(make([]byte, 4), 4, mpi.Byte, 1, 0)
+			return err
+		}
+		return nil
+	})
+	host := time.Since(start)
+	var de *vtime.DeadlineError
+	if !errors.As(err, &de) {
+		t.Fatalf("want a *vtime.DeadlineError, got %v", err)
+	}
+	want := `vtime: virtual deadline 1000000000.000us exceeded (next event at 1000000019.178us)
+  task 0 "n0/ch_mad.poll.tcp": blocked on queue tcp.incoming
+  task 1 "n1/ch_mad.poll.tcp": blocked on queue tcp.incoming
+  task 2 "n0/main": blocked on event mpi.irecv
+  task 3 "n1/main": blocked on event mpi.icoll.barrier
+  task 4 "n1/nbc.progress": blocked on event mpi.sched.barrier
+`
+	if got := err.Error(); got != want {
+		t.Errorf("report:\n%s\nwant:\n%s", got, want)
+	}
+	if host > time.Second {
+		t.Errorf("the hang took %v of host time to report, budget 1 s", host)
 	}
 }

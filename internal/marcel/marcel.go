@@ -29,7 +29,9 @@
 // To the host it costs two entries in the kernel's timer lanes — FIFOs, one
 // per fixed delay, beside the timer heap — and some bookkeeping inside its
 // scheduling loop: a polling thread that finds nothing is not resumed to
-// find it (see WaitPoll).
+// find it (see WaitPoll). In a quiet stretch, where the pollers' cycles are
+// all that happens, it costs less still: the kernel moves every poller on
+// by whole periods in one step.
 package marcel
 
 import (
@@ -304,9 +306,10 @@ type PollSpec struct {
 // measures in Figure 9. So every empty poll is simulated — its two timers,
 // its turn in the CPU's FIFO, its share of CPUBusy — but none of them wakes
 // the thread: the kernel steps a parked poller's cycle itself
-// (vtime.Queue.PopPoll) and resumes it only for an item. The simulated
-// cost of polling is unchanged; its cost to the host is no longer a
-// context switch per poll.
+// (vtime.Queue.PopPoll) and resumes it only for an item, and it crosses a
+// stretch where nothing else happens in one step of whole periods, with
+// the same burns counted. The simulated cost of polling is unchanged; its
+// cost to the host is no longer a context switch per poll.
 func WaitPoll[T any](p *Proc, q *vtime.Queue[T], spec PollSpec) T {
 	if spec.Interval <= 0 {
 		return q.Pop()

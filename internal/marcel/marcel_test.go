@@ -427,19 +427,42 @@ func TestUnpreemptedComputeIsCharge(t *testing.T) {
 
 // BenchmarkIdlePoll is the host cost of one idle poll cycle (timeout, burn,
 // next interval) at the calibrated TCP discipline: 64 processes, each with
-// a poller idling beside a rank thread that stays blocked.
+// a poller idling beside a rank thread. The first rank thread ticks, waking
+// more often than once a period, so that no stretch is quiet long enough to
+// be crossed in one step: every cycle is stepped.
 func BenchmarkIdlePoll(b *testing.B) {
+	benchIdlePoll(b, 30*vtime.Microsecond)
+}
+
+// BenchmarkIdlePollQuiet is the host cost per idle poll cycle when the
+// stretches between the ticks are a thousand periods long: the kernel crosses
+// each in one step (vtime's fastForward) and steps only the cycles around
+// the tick.
+func BenchmarkIdlePollQuiet(b *testing.B) {
+	benchIdlePoll(b, 1000*33*vtime.Microsecond)
+}
+
+func benchIdlePoll(b *testing.B, tick vtime.Duration) {
 	const procs = 64
 	s := vtime.New()
 	tcp := PollSpec{IdleCost: 8 * vtime.Microsecond, Interval: 25 * vtime.Microsecond}
+	end := vtime.Time(vtime.Duration(b.N/procs+1) * (tcp.Interval + tcp.IdleCost))
 	done := vtime.NewEvent(s, "done")
 	for i := 0; i < procs; i++ {
 		p := NewProc(s, fmt.Sprintf("n%d", i))
 		q := vtime.NewQueue[int](s, "tcp.rx")
 		p.SpawnDaemon("poller", func() { WaitPoll(p, q, tcp) })
-		p.Spawn("rank", done.Wait)
+		if i > 0 {
+			p.Spawn("rank", done.Wait)
+			continue
+		}
+		p.Spawn("rank", func() {
+			for now := s.Now(); now < end; now = s.Now() {
+				p.Sleep(min(tick, end.Sub(now)))
+			}
+			done.Fire()
+		})
 	}
-	s.After(vtime.Duration(b.N/procs+1)*(tcp.Interval+tcp.IdleCost), done.Fire)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := s.Run(); err != nil {

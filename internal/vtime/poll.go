@@ -107,3 +107,76 @@ func (s *Scheduler) pollStep(t *Task, p *pollWait) bool {
 	s.pollInterval(t, p)
 	return false
 }
+
+// fastForward crosses a quiet stretch in one step. pick calls it when no
+// task is ready and next, the timer due first, is a lane's. The stretch is
+// quiet when every live lane timer is a poller's whose cycle runs free: its
+// queue is empty; its CPU is free, or held by it mid-burn, with nobody
+// queued and no other such poller on it; its cost is > 0 and its period,
+// interval + cost, is the one of them all. Then each poller goes round and
+// round, meeting nobody, until the heap's top is due, and fastForward moves
+// every one on by the most whole periods k that keep the last lane timer
+// before the heap's top and within the deadline: its timer k periods later,
+// its generation 2k wakes on (its timer's too), its interval end or burn end
+// later, k burns more on its account. Stale lane timers move with the rest,
+// so that each lane stays in (when, seq) order.
+//
+// The shift is exact. A uniform shift keeps the lanes' (when, seq) order,
+// which is the order the skipped cycles would have kept, and every shifted
+// timer stays before each heap timer, so it never ties with a timer armed
+// before the step that did not move with it: no seq has to be reserved for
+// the skipped timers. Each shifted timer fires before anything else runs,
+// so where a poller stands on its queue's wait list is, by then, where
+// stepping puts it.
+func (s *Scheduler) fastForward(next *timer) {
+	t := next.task
+	if t.state != stateBlocked || t.waitGen != next.gen || t.poll.cost <= 0 {
+		// A stale head goes first: were every lane timer stale, the last one
+		// would be the instant a deadlock is reported at, and none may move.
+		// A poller that does not burn has no period to cross (see the scan).
+		return
+	}
+	horizon, period := s.deadline, t.poll.interval+t.poll.cost
+	if len(s.tmrs) > 0 {
+		horizon = min(horizon, s.tmrs[0].when-1)
+	}
+	k := int64(horizon.Sub(s.laneLast) / period)
+	if k <= 0 {
+		return
+	}
+	s.mark++
+	for i := range s.lanes {
+		q := &s.lanes[i].q
+		for _, e := range q.buf[q.head:] {
+			t := e.task
+			if t.state != stateBlocked || t.waitGen != e.gen {
+				continue
+			}
+			p := t.poll
+			if p.cost <= 0 || p.interval+p.cost != period || p.q.Len() > 0 || p.cpu.waiters.len() > 0 || p.cpu.mark == s.mark ||
+				p.phase == pollIdle && p.cpu.n == 0 {
+				return
+			}
+			p.cpu.mark = s.mark
+		}
+	}
+	d := Duration(k) * period
+	for i := range s.lanes {
+		q := &s.lanes[i].q
+		for j := q.head; j < len(q.buf); j++ {
+			e := &q.buf[j]
+			if t := e.task; t.state == stateBlocked && t.waitGen == e.gen {
+				p := t.poll
+				t.waitGen += 2 * uint64(k)
+				e.gen = t.waitGen
+				p.deadline = p.deadline.Add(d)
+				if p.phase == pollBurn {
+					t.why.until = t.why.until.Add(d)
+				}
+				*p.busy += Duration(k) * p.cost
+			}
+			e.when = e.when.Add(d)
+		}
+	}
+	s.laneLast = s.laneLast.Add(d)
+}

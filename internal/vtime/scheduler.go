@@ -334,10 +334,16 @@ type Scheduler struct {
 	// is found again whenever a lane's head changes.
 	lanes   [4]lane
 	laneMin *lane
+	// laneLast is the latest when a lane timer was armed for, so no lane
+	// timer is due after it (fastForward moves it with them).
+	laneLast Time
 
 	running *Task // nil while pick or a callback runs
 	resumes int   // coroutine resumes, counted for the self-resume test
 	err     error // why pick ended the run
+	// mark numbers fastForward's scans (poll.go): a scan stamps it on the
+	// CPU of each poller it passes, so that it sees two pollers on one.
+	mark uint64
 
 	// idle holds the coroutines whose task has ended, the last to end on
 	// top; coros counts the coroutines made.
@@ -440,7 +446,8 @@ func (s *Scheduler) Run() error {
 
 // pick advances the simulation to the next task that gets the CPU: it
 // pops the ready queue or else fires timers in (when, seq) order — moving
-// the clock, running callbacks, waking sleepers — until a task is ready.
+// the clock, running callbacks, waking sleepers, crossing a quiet stretch
+// of idle polls in one step (fastForward) — until a task is ready.
 // It returns nil when the run is over (s.err says why, nil for success).
 //
 // It has two callers and is the only code that pops either queue, which
@@ -475,6 +482,12 @@ func (s *Scheduler) pick() *Task {
 		}
 		var e timer
 		if from != nil {
+			// A period is longer than each of its two delays: unless the
+			// heap's top is due more than next's after the last lane timer,
+			// no whole period fits before it.
+			if len(s.tmrs) == 0 || s.tmrs[0].when.Sub(s.laneLast) > from.d {
+				s.fastForward(next)
+			}
 			e = from.q.pop()
 			s.laneMin = s.firstLane()
 		} else {
@@ -638,7 +651,10 @@ func (s *Scheduler) addTimer(e timer, ln *lane) {
 	s.seq++
 	if ln == nil {
 		s.tmrs.push(e)
-	} else if ln.q.push(e); ln.q.len() == 1 {
+		return
+	}
+	s.laneLast = max(s.laneLast, e.when)
+	if ln.q.push(e); ln.q.len() == 1 {
 		s.laneMin = s.firstLane()
 	}
 }

@@ -15,6 +15,7 @@ type Sem struct {
 	name    string
 	n       int
 	waiters fifo[*Task]
+	mark    uint64 // the last fastForward scan that found a poller on it
 }
 
 // NewSem creates a semaphore holding n initial permits.

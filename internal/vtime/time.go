@@ -49,6 +49,17 @@
 //     timer exists and gets its seq at the instant it always did, so the
 //     order is unchanged, ties with heap timers included; lane_test.go
 //     runs each case against a scheduler that has no lane to give.
+//   - A quiet stretch is crossed in one step. When no task is ready, a lane
+//     timer is due next, and every live lane timer is a poller's whose cycle
+//     runs free — nothing in its queue, its CPU its own, one period for all
+//     (fastForward, poll.go) — each of them would go round meeting nobody
+//     until the heap's top is due. pick moves them all on by the most whole
+//     periods that end before it and within the deadline: timers,
+//     generations, burn counts. A uniform shift keeps the lanes' (when, seq)
+//     order, and the shifted timers stay before every heap timer, so the
+//     skipped timers need no seq and the order is the stepped one; the lane
+//     tests cross quiet stretches against the scheduler without lanes, which
+//     never skips. A session hung until its deadline costs a few steps.
 //   - Blocking formats and allocates nothing: the wait reason is kept in
 //     parts and rendered only by a deadlock or deadline dump, timers live
 //     by value in a (when, seq) min-heap or a lane, a timeout finds its
@@ -61,9 +72,10 @@
 // ReadyQueueThroughput, SpawnJoin): 62, 313, 484, 240, 1590 ns against
 // 2354, 2933, 2162, 965, 2604 ns for goroutines handing a token through
 // channels, with 0 allocations on every block path (5 before). An idle
-// poll cycle (internal/marcel's BenchmarkIdlePoll) is 150 ns: 610 when each
-// of its two waits was a block of the polling thread, 240–280 when its two
-// timers went through the heap.
+// poll cycle that is stepped (internal/marcel's BenchmarkIdlePoll) is
+// 150–200 ns: 610 when each of its two waits was a block of the polling
+// thread, 240–280 when its two timers went through the heap. One crossed in
+// a quiet stretch of a thousand periods (BenchmarkIdlePollQuiet) is < 1 ns.
 package vtime
 
 import "fmt"
