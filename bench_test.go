@@ -142,12 +142,20 @@ func BenchmarkScaleMachine(b *testing.B) {
 		Experiment: "X8 scale: hierarchical routing + scheduler hot paths at 1024 ranks",
 		Topology: "64 SCI islands x 16 ranks (1024 ranks), one gateway per island on a" +
 			" trunk-capped TCP backbone; planner growth sampled at 256 and 1024 ranks" +
-			" on the same shape (workload = construction + bloc/leader resolution sweep)",
+			" on the same shape, 1024 also with one gateway congested (workload = construction + bloc/leader resolution sweep)",
 	}
-	for _, shape := range []struct{ nc, per int }{{16, 16}, {64, 16}} {
+	// The third sample is the 1024-rank plan with one gateway's congestion
+	// term set (a relay queue, as Replan observes it, and as route's
+	// BenchmarkComputeOpts sets it): benchcheck bounds its allocations by the
+	// congestion-free sample's.
+	for _, shape := range []struct{ nc, per, hot int }{{16, 16, 0}, {64, 16, 0}, {64, 16, 1}} {
 		nc, per := shape.nc, shape.per
 		g := scaleRouteGraph(nc, per)
 		opts := route.Options{RefBytes: route.DefaultRefBytes, MaxPaths: 1}
+		if shape.hot > 0 {
+			opts.Congestion = make([]float64, g.N)
+			opts.Congestion[per] = 1e-3 // the gateway of island 1
+		}
 		wNs, wB, wAllocs := measureLoop(func() {
 			scalePlanWorkload(b, route.ComputeOpts(g, opts), nc, per)
 		})
@@ -160,6 +168,7 @@ func BenchmarkScaleMachine(b *testing.B) {
 			WorkloadBPerOp:   wB,
 			WorkloadAllocs:   wAllocs,
 			ConstructNsPerOp: cNs,
+			HotGateways:      shape.hot,
 		})
 	}
 
@@ -177,8 +186,8 @@ func BenchmarkScaleMachine(b *testing.B) {
 	// After ResetTimer: it deletes user-reported metrics, so the planner
 	// samples are reported here, not inside the measurement loop above.
 	for _, p := range out.Planner {
-		b.ReportMetric(float64(p.WorkloadNsPerOp), fmt.Sprintf("planner_ns@%d", p.Ranks))
-		b.ReportMetric(float64(p.WorkloadBPerOp), fmt.Sprintf("planner_B@%d", p.Ranks))
+		b.ReportMetric(float64(p.WorkloadNsPerOp), fmt.Sprintf("planner_ns@%d/hot%d", p.Ranks, p.HotGateways))
+		b.ReportMetric(float64(p.WorkloadBPerOp), fmt.Sprintf("planner_B@%d/hot%d", p.Ranks, p.HotGateways))
 	}
 	if _, err := fmt.Sscanf(res.Title, "Scale: %d-rank", &out.RunRanks); err != nil {
 		b.Fatalf("scale title %q names no rank count: %v", res.Title, err)

@@ -2,7 +2,9 @@
 // BENCH_scale.json (written by the root BenchmarkScaleMachine) and fails if
 // the routing planner's cost grows from 256 to 1024 ranks toward the
 // quadratic 16x on time or allocated bytes (plan construction itself must
-// stay near-linear), or if the 1024-rank scale experiment exceeds a generous
+// stay near-linear), if one congested gateway raises the 1024-rank plan's
+// allocations by more than 10 % (a congestion term must not leave the bloc
+// resolver), or if the 1024-rank scale experiment exceeds a generous
 // wall-clock ceiling — the regression alarms for the hierarchical routing
 // and lazy-resolution hot paths.
 //
@@ -41,6 +43,9 @@ const (
 	scaleAllocsMaxRatio     = 12.0 // measured 6.8x
 	scaleConstructMaxRatio  = 8.0  // near-linear construction, measured 4.2x
 	scaleWallCeilingMs      = 10000
+	// One gateway's congestion term may not take the plan out of the bloc
+	// resolver: measured 15 364 allocs/op against 15 363 without it, exact.
+	hotAllocsMaxRatio = 1.10
 )
 
 // checkScale applies the growth-ratio and wall-clock gates to a scale file;
@@ -56,11 +61,11 @@ func checkScale(file string) int {
 		fmt.Fprintf(os.Stderr, "benchcheck: FAIL: "+format+"\n", args...)
 		failed++
 	}
-	if len(sf.Planner) != 2 || sf.Planner[0].Ranks >= sf.Planner[1].Ranks {
-		fail("%s: want two planner samples in increasing rank order, got %+v", file, sf.Planner)
+	if len(sf.Planner) != 3 || sf.Planner[0].Ranks >= sf.Planner[1].Ranks || sf.Planner[2].HotGateways == 0 {
+		fail("%s: want two planner samples in increasing rank order, then a congested one, got %+v", file, sf.Planner)
 		return failed
 	}
-	small, big := sf.Planner[0], sf.Planner[1]
+	small, big, hot := sf.Planner[0], sf.Planner[1], sf.Planner[2]
 	ratio := func(a, b int64) float64 {
 		if b <= 0 {
 			return 0
@@ -88,6 +93,10 @@ func checkScale(file string) int {
 			fail("planner %s grew %.2fx from %d to %d ranks (bound %.1fx) — %s",
 				g.name, g.got, small.Ranks, big.Ranks, g.max, g.why)
 		}
+	}
+	if r := ratio(hot.WorkloadAllocs, big.WorkloadAllocs); r <= 0 || r > hotAllocsMaxRatio {
+		fail("planner workload allocs/op with %d congested gateway(s) at %d ranks are %.3fx the congestion-free run's (bound %.2fx) — a congested plan must stay on the bloc resolver",
+			hot.HotGateways, hot.Ranks, r, hotAllocsMaxRatio)
 	}
 	if sf.RunWallMs <= 0 {
 		fail("%s: missing run_wall_ms for the %d-rank scale run", file, sf.RunRanks)

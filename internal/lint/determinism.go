@@ -24,9 +24,14 @@ import (
 //   - a `for range` over a map whose body drives the scheduler or I/O, or
 //     collects elements without a subsequent sort in the same function,
 //     leaks Go's randomized map order into simulation behavior.
+//   - a float product added or subtracted unconverted (x*y + z, z -= x*y)
+//     may be fused into one rounding on a CPU with fused multiply-add
+//     (arm64, ppc64le, s390x, riscv64, loong64) and not on amd64, so the
+//     same program computes different bits there: the product must be
+//     rounded explicitly, float64(x*y) + z.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock, global rand, raw concurrency and map-order effects in simulation code",
+	Doc:  "forbid wall-clock, global rand, raw concurrency, map-order effects and unrounded float products in simulation code",
 	Run:  runDeterminism,
 }
 
@@ -117,6 +122,20 @@ func detFile(pass *Pass, f *ast.File) []Diagnostic {
 			}
 		case *ast.SelectStmt:
 			report(n.Pos(), "select over native channels in simulation code: use vtime primitives")
+		case *ast.BinaryExpr:
+			if n.Op == token.ADD || n.Op == token.SUB {
+				for _, x := range []ast.Expr{n.X, n.Y} {
+					if p := floatProduct(pass, x); p != nil {
+						report(p.Pos(), fusedMsg)
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			if (n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN) && len(n.Rhs) == 1 {
+				if p := floatProduct(pass, n.Rhs[0]); p != nil {
+					report(p.Pos(), fusedMsg)
+				}
+			}
 		}
 		return true
 	})
@@ -140,6 +159,25 @@ func detFile(pass *Pass, f *ast.File) []Diagnostic {
 		}
 	}
 	return out
+}
+
+const fusedMsg = "float product added unrounded: a CPU with fused multiply-add may round x*y + z once, amd64 rounds twice; convert the product to its type, float64(x*y)"
+
+// floatProduct returns e, parentheses stripped, if it is a non-constant
+// float multiplication that no conversion rounds.
+func floatProduct(pass *Pass, e ast.Expr) *ast.BinaryExpr {
+	m, ok := ast.Unparen(e).(*ast.BinaryExpr)
+	if !ok || m.Op != token.MUL {
+		return nil
+	}
+	tv, ok := pass.Pkg.Info.Types[m]
+	if !ok || tv.Value != nil {
+		return nil
+	}
+	if b, ok := tv.Type.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return nil
+	}
+	return m
 }
 
 // detMapRanges flags map iterations in body (excluding nested function

@@ -61,6 +61,13 @@ func TestDeterminismFixture(t *testing.T) {
 			n, strings.Join(lines, "\n"))
 	}
 
+	// Fma's three unrounded float products are flagged, FmaRounded's
+	// converted, constant and integer products are not.
+	if n := countContaining(lines, "float product added unrounded"); n != 3 {
+		t.Errorf("float-product findings = %d, want 3 (Fma yes, FmaRounded no):\n%s",
+			n, strings.Join(lines, "\n"))
+	}
+
 	// The //madlint:ignore directive suppresses the violation in ignored.go.
 	if n := countContaining(lines, "ignored.go"); n != 0 {
 		t.Errorf("suppressed finding leaked from ignored.go:\n%s", strings.Join(lines, "\n"))

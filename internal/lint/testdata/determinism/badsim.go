@@ -63,3 +63,21 @@ func CollectSorted(m map[int]string) []string {
 	sort.Strings(out)
 	return out
 }
+
+// Fma adds and subtracts unrounded float products, which a CPU with fused
+// multiply-add may round once: three findings, one per product.
+func Fma(x, y, z float64) float64 {
+	z += x * y
+	z -= (x * y)
+	return z - x*y
+}
+
+// FmaRounded is the legal version of Fma: each product is converted before
+// it is added, a constant product is exact, and integers never round.
+func FmaRounded(x, y, z float64, i, j int) float64 {
+	const half = 0.5 * 1
+	z += float64(x * y)
+	z -= half
+	i += i * j
+	return float64(x*y) + z + float64(i*j) + half*2
+}

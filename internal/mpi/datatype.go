@@ -69,27 +69,34 @@ type contiguous struct {
 	count int
 }
 
-func (c *contiguous) Size() int    { return c.count * c.base.Size() }
-func (c *contiguous) Extent() int  { return c.count * c.base.Extent() }
-func (c *contiguous) Name() string { return fmt.Sprintf("contig(%d,%s)", c.count, c.base.Name()) }
-func (c *contiguous) packOne(dst, src []byte) {
-	bs, be := c.base.Size(), c.base.Extent()
-	if bs == be { // dense base: the element is one run
-		copy(dst, src[:c.count*bs])
+func (c *contiguous) Size() int                 { return c.count * c.base.Size() }
+func (c *contiguous) Extent() int               { return c.count * c.base.Extent() }
+func (c *contiguous) Name() string              { return fmt.Sprintf("contig(%d,%s)", c.count, c.base.Name()) }
+func (c *contiguous) packOne(dst, src []byte)   { packBlock(dst, src, c.count, c.base) }
+func (c *contiguous) unpackOne(dst, src []byte) { unpackBlock(dst, src, c.count, c.base) }
+
+// packBlock packs a block of n consecutive base elements from src into dst:
+// one copy over a dense base, else element by element.
+func packBlock(dst, src []byte, n int, base Datatype) {
+	bs, be := base.Size(), base.Extent()
+	if bs == be {
+		copy(dst[:n*bs], src)
 		return
 	}
-	for i := 0; i < c.count; i++ {
-		c.base.packOne(dst[i*bs:(i+1)*bs], src[i*be:])
+	for j := range n {
+		base.packOne(dst[j*bs:(j+1)*bs], src[j*be:])
 	}
 }
-func (c *contiguous) unpackOne(dst, src []byte) {
-	bs, be := c.base.Size(), c.base.Extent()
+
+// unpackBlock is packBlock's inverse.
+func unpackBlock(dst, src []byte, n int, base Datatype) {
+	bs, be := base.Size(), base.Extent()
 	if bs == be {
-		copy(dst[:c.count*bs], src)
+		copy(dst[:n*bs], src)
 		return
 	}
-	for i := 0; i < c.count; i++ {
-		c.base.unpackOne(dst[i*be:], src[i*bs:(i+1)*bs])
+	for j := range n {
+		base.unpackOne(dst[j*be:], src[j*bs:(j+1)*bs])
 	}
 }
 
@@ -121,21 +128,23 @@ func (v *vector) Name() string {
 }
 func (v *vector) packOne(dst, src []byte) {
 	bs, be := v.base.Size(), v.base.Extent()
-	o := 0
-	for i := 0; i < v.count; i++ {
-		for j := 0; j < v.blocklen; j++ {
-			v.base.packOne(dst[o:o+bs], src[(i*v.stride+j)*be:])
-			o += bs
+	n, st := v.blocklen*bs, v.stride*be
+	for i := range v.count {
+		if bs == be { // a block over a dense base is one run
+			copy(dst[i*n:i*n+n], src[i*st:i*st+n])
+		} else {
+			packBlock(dst[i*n:], src[i*st:], v.blocklen, v.base)
 		}
 	}
 }
 func (v *vector) unpackOne(dst, src []byte) {
 	bs, be := v.base.Size(), v.base.Extent()
-	o := 0
-	for i := 0; i < v.count; i++ {
-		for j := 0; j < v.blocklen; j++ {
-			v.base.unpackOne(dst[(i*v.stride+j)*be:], src[o:o+bs])
-			o += bs
+	n, st := v.blocklen*bs, v.stride*be
+	for i := range v.count {
+		if bs == be {
+			copy(dst[i*st:i*st+n], src[i*n:i*n+n])
+		} else {
+			unpackBlock(dst[i*st:], src[i*n:], v.blocklen, v.base)
 		}
 	}
 }
@@ -180,20 +189,16 @@ func (x *indexed) packOne(dst, src []byte) {
 	bs, be := x.base.Size(), x.base.Extent()
 	o := 0
 	for i, bl := range x.blocklens {
-		for j := 0; j < bl; j++ {
-			x.base.packOne(dst[o:o+bs], src[(x.displs[i]+j)*be:])
-			o += bs
-		}
+		packBlock(dst[o:], src[x.displs[i]*be:], bl, x.base)
+		o += bl * bs
 	}
 }
 func (x *indexed) unpackOne(dst, src []byte) {
 	bs, be := x.base.Size(), x.base.Extent()
 	o := 0
 	for i, bl := range x.blocklens {
-		for j := 0; j < bl; j++ {
-			x.base.unpackOne(dst[(x.displs[i]+j)*be:], src[o:o+bs])
-			o += bs
-		}
+		unpackBlock(dst[x.displs[i]*be:], src[o:], bl, x.base)
+		o += bl * bs
 	}
 }
 
@@ -253,10 +258,7 @@ func PackBuf(buf []byte, count int, dt Datatype) []byte {
 		return buf[:need]
 	}
 	out := make([]byte, need)
-	sz, ex := dt.Size(), dt.Extent()
-	for i := 0; i < count; i++ {
-		dt.packOne(out[i*sz:(i+1)*sz], buf[i*ex:])
-	}
+	packBlock(out, buf, count, dt)
 	return out
 }
 
@@ -271,20 +273,11 @@ func sameMemory(a, b []byte) bool {
 // partial trailing element is dropped, like MPICH), and the rest of buf is
 // left untouched. A dense datatype moves in one copy.
 func UnpackBuf(buf []byte, count int, dt Datatype, src []byte) {
-	sz, ex := dt.Size(), dt.Extent()
-	if sz == 0 {
+	sz := dt.Size()
+	if sz == 0 || sz == dt.Extent() && sameMemory(buf, src) { // already in place (schedBuilder.landing)
 		return
 	}
-	n := min(count, len(src)/sz)
-	if sz == ex {
-		if !sameMemory(buf, src) { // else already in place (schedBuilder.landing)
-			copy(buf[:n*sz], src)
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		dt.unpackOne(buf[i*ex:], src[i*sz:(i+1)*sz])
-	}
+	unpackBlock(buf, src, min(count, len(src)/sz), dt)
 }
 
 // --- Typed slice helpers -------------------------------------------------

@@ -341,7 +341,9 @@ func TestPackUnpackMatchElementPath(t *testing.T) {
 		Contiguous(5, Byte), Contiguous(3, Int64), Contiguous(2, Contiguous(3, Int32)),
 		Contiguous(3, strided), Contiguous(2, Vector(2, 2, 2, Int32)),
 		strided, Vector(3, 2, 2, Byte), Vector(2, 1, 3, Contiguous(4, Byte)), Vector(2, 1, 2, Vector(2, 2, 2, Byte)),
+		Vector(3, 2, 5, Float64), Contiguous(2, Vector(3, 2, 4, Float64)),
 		Indexed([]int{2, 1}, []int{3, 0}, Int32), Indexed([]int{2, 2}, []int{0, 2}, Byte),
+		Indexed([]int{3, 0, 1}, []int{4, 9, 0}, Float64),
 		Struct(16, []StructField{{0, 3}, {8, 5}}), Struct(8, []StructField{{0, 8}}),
 		Contiguous(0, Int32), Vector(0, 1, 1, Int32), Indexed(nil, nil, Int32), Struct(4, nil), Struct(0, nil),
 	}
@@ -395,8 +397,10 @@ func (w *tripwire) packOne(dst, src []byte)   { w.t.Error("packOne reached for a
 func (w *tripwire) unpackOne(dst, src []byte) { w.t.Error("unpackOne reached for a dense datatype") }
 
 // TestDenseNeverTakesElementPath: a datatype with Size()==Extent() moves
-// by copy — directly, as the base of a Contiguous, and as a Contiguous
-// element inside a strided type — and still moves the right bytes.
+// by copy — directly, as the base of a Contiguous, as a Contiguous element
+// inside a strided type, and block by block as the base of a Vector (blocklen
+// > 1), an Indexed, a Vector inside a Contiguous, or as a dense Vector inside
+// another Vector — and still moves the right bytes.
 func TestDenseNeverTakesElementPath(t *testing.T) {
 	wire := &tripwire{basic{"tripwire", 4}, t}
 	src := pattern(64)
@@ -421,6 +425,40 @@ func TestDenseNeverTakesElementPath(t *testing.T) {
 	UnpackBuf(out, 2, rows, packed)
 	if !bytes.Equal(PackBuf(out, 2, rows), want) {
 		t.Error("strided rows of a dense Contiguous: round trip lost bytes")
+	}
+	// Each type is built again over Int32, the tripwire's width, for the
+	// reference layout.
+	for _, mk := range []func(base Datatype) Datatype{
+		func(b Datatype) Datatype { return Vector(3, 2, 5, b) },
+		func(b Datatype) Datatype { return Indexed([]int{3, 0, 1}, []int{4, 9, 0}, b) },
+		func(b Datatype) Datatype { return Contiguous(2, Vector(3, 2, 4, b)) },
+		func(b Datatype) Datatype { return Vector(2, 1, 3, Vector(2, 2, 2, b)) },
+	} {
+		dt, lay := mk(wire), layout(mk(Int32))
+		ex := dt.Extent()
+		user := pattern(2 * ex)
+		var want []byte
+		for i := 0; i < 2; i++ {
+			for _, o := range lay {
+				want = append(want, user[i*ex+o])
+			}
+		}
+		packed := PackBuf(user, 2, dt)
+		if !bytes.Equal(packed, want) {
+			t.Errorf("%s: packed %v, want %v", dt.Name(), packed, want)
+		}
+		out := bytes.Repeat([]byte{0xAA}, 2*ex)
+		UnpackBuf(out, 2, dt, packed)
+		for i := range out {
+			inLayout := false
+			for _, o := range lay {
+				inLayout = inLayout || i%ex == o
+			}
+			if inLayout && out[i] != user[i] || !inLayout && out[i] != 0xAA {
+				t.Errorf("%s: unpacked byte %d is %#x (user %#x, in layout %v)", dt.Name(), i, out[i], user[i], inLayout)
+				break
+			}
+		}
 	}
 }
 

@@ -172,8 +172,11 @@
 // and of every collective (phases.go's unpack completions) — moves a
 // dense datatype with one copy, or with none when source and destination
 // are the same memory (a schedule that landed in place, see above), and
-// likewise walks elements only for a strided one. A Contiguous over a dense base is itself one run. Either
-// way only the whole elements that arrived are written: a message shorter
+// walks a strided one block by block: a block of a Contiguous, Vector or
+// Indexed over a dense base is one run, moved with one copy (as is a dense
+// Vector nested in another type), and only a block over a strided base is
+// walked element by element. Either way only the whole elements that
+// arrived are written: a message shorter
 // than the posted count (the count is an upper bound), or a trailing
 // partial element, leaves the rest of the user's buffer as it was. The
 // virtual cost of these steps (memTime) is charged by the callers and
@@ -624,7 +627,7 @@
 // what makes experiment output diffable in CI and rare protocol bugs
 // reproducible at will.
 // Simulation code (everything under internal/ except the linter itself)
-// therefore follows four rules, machine-checked by `go run ./cmd/madlint
+// therefore follows five rules, machine-checked by `go run ./cmd/madlint
 // ./...` (cmd/madlint, analyzers in internal/lint):
 //
 //   - No wall clock. time.Now/Sleep/After read or wait on host time;
@@ -641,6 +644,10 @@
 //     loop bodies must not push, fire, send, spawn or print per entry,
 //     and slices collected from a map must be sorted before use
 //     (iterate sorted keys, or append then sort.*).
+//   - No unrounded float product in a sum. A CPU with fused multiply-add
+//     (arm64, ppc64le, s390x, riscv64, loong64) may round x*y + z once
+//     where amd64 rounds twice; an explicit conversion, float64(x*y) + z,
+//     rounds the product on every GOARCH.
 //
 // Two further madlint analyzers guard protocol structure: pktswitch
 // proves every switch over an enum-shaped discriminator (core.PktType,

@@ -32,9 +32,9 @@ var closureOps = map[string]closureOp{
 		return a
 	}, math.Max},
 	"MPI_LAND": {func(a, b int64) int64 { return b2i(a != 0 && b != 0) },
-		func(a, b float64) float64 { return fb2i(a != 0 && b != 0) }},
+		func(a, b float64) float64 { return float64(b2i(a != 0 && b != 0)) }},
 	"MPI_LOR": {func(a, b int64) int64 { return b2i(a != 0 || b != 0) },
-		func(a, b float64) float64 { return fb2i(a != 0 || b != 0) }},
+		func(a, b float64) float64 { return float64(b2i(a != 0 || b != 0)) }},
 }
 
 func (o closureOp) apply(dst, src []byte, count int, dt Datatype) {
@@ -122,7 +122,8 @@ func TestNumericOpsMatchClosureForm(t *testing.T) {
 	add(Byte, d, s, n)
 	add(Char, d, s, n)
 
-	for _, op := range []Op{OpSum, OpProd, OpMin, OpMax, OpLAnd, OpLOr} {
+	numOps := []Op{OpSum, OpProd, OpMin, OpMax, OpLAnd, OpLOr}
+	for _, op := range numOps {
 		ref := closureOps[op.Name()]
 		for _, v := range vecs {
 			got, want := bytes.Clone(v.dst), bytes.Clone(v.dst)
@@ -142,6 +143,34 @@ func TestNumericOpsMatchClosureForm(t *testing.T) {
 			}
 		}
 	}
+	// Every count from 0 to 33 (every tail of the four-element step and of
+	// the eight-lane word), at every offset 0 to 7 into a larger buffer, on a
+	// run of the same operands: the kernels combine exactly count elements,
+	// wherever the window starts, and touch no byte around it.
+	for _, op := range numOps {
+		ref := closureOps[op.Name()]
+		for _, v := range vecs {
+			es := v.dt.Size()
+			for count := 0; count <= 33; count++ {
+				for off := 0; off < 8; off++ {
+					at := (7*count + 13*off) % (v.count - count) * es // where the operands' run starts
+					n := count * es
+					got := bytes.Repeat([]byte{0xa5}, off+n+8)
+					copy(got[off:], v.dst[at:at+n])
+					src := append(make([]byte, off), v.src[at:at+n]...)
+					want := bytes.Clone(got)
+					ref.apply(want[off:], src[off:], count, v.dt)
+					if err := op.Apply(got[off:], src[off:], count, v.dt); err != nil {
+						t.Fatalf("%s on %s: %v", op.Name(), v.dt.Name(), err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s on %s, %d elements at offset %d: % x, closure form gives % x",
+							op.Name(), v.dt.Name(), count, off, got, want)
+					}
+				}
+			}
+		}
+	}
 	if err := OpSum.Apply(nil, nil, 0, Vector(2, 1, 2, Byte)); err == nil {
 		t.Error("OpSum on a derived datatype did not fail")
 	}
@@ -155,6 +184,80 @@ func BenchmarkReduceF64(b *testing.B) {
 	b.SetBytes(8 * n)
 	for i := 0; i < b.N; i++ {
 		if err := OpSum.Apply(dst, src, n, Float64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The bitwise operators combine a word at a time: on every integer type, at
+// every count from 0 to 33 and every offset 0 to 7 into a larger buffer, they
+// give the per-byte operator's bytes and touch no byte around the window.
+func TestBitOpsMatchPerByte(t *testing.T) {
+	perByte := map[Op]func(a, b byte) byte{
+		OpBAnd: func(a, b byte) byte { return a & b },
+		OpBOr:  func(a, b byte) byte { return a | b },
+		OpBXor: func(a, b byte) byte { return a ^ b },
+	}
+	for op, f := range perByte {
+		for _, dt := range []Datatype{Int32, Int64, Byte, Char} {
+			for count := 0; count <= 33; count++ {
+				for off := 0; off < 8; off++ {
+					n := count * dt.Size()
+					got := bytes.Repeat([]byte{0xa5}, off+n+8)
+					src := make([]byte, off+n)
+					for i := range n {
+						got[off+i], src[off+i] = byte(37*i+11*count+off), byte(101*i+3)
+					}
+					want := bytes.Clone(got)
+					for i := range n {
+						want[off+i] = f(want[off+i], src[off+i])
+					}
+					if err := op.Apply(got[off:], src[off:], count, dt); err != nil {
+						t.Fatalf("%s on %s: %v", op.Name(), dt.Name(), err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s on %s, %d elements at offset %d: % x, per byte % x", op.Name(), dt.Name(), count, off, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Byte Sum, Min and Max combine eight lanes per word: every pair of byte
+// values, in every lane of the word (k leading elements shift each pair
+// through the lanes), gives the byte loop's result.
+func TestByteLanesMatchClosureForm(t *testing.T) {
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	d, s, n := pairs(all, func(v []byte) []byte { return v })
+	for _, op := range []Op{OpSum, OpMin, OpMax} {
+		for k := 0; k < 8; k++ {
+			dst, src := append(make([]byte, k), d...), append(make([]byte, k), s...)
+			got, want := bytes.Clone(dst), bytes.Clone(dst)
+			if err := op.Apply(got, src, n+k, Byte); err != nil {
+				t.Fatal(err)
+			}
+			closureOps[op.Name()].apply(want, src, n+k, Byte)
+			for i := k; i < n+k; i++ {
+				if got[i] != want[i] {
+					t.Fatalf("%s, lane %d: %d op %d = %d, byte loop gives %d", op.Name(), i%8, dst[i], src[i], got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// The MPI_Init sweep's probe operator: byte max over 256 KiB, the largest
+// sweep size.
+func BenchmarkReduceByteMax(b *testing.B) {
+	const n = 256 << 10
+	dst, src := pattern(n), bytes.Repeat([]byte{0x80}, n)
+	b.SetBytes(n)
+	for i := 0; i < b.N; i++ {
+		if err := OpMax.Apply(dst, src, n, Byte); err != nil {
 			b.Fatal(err)
 		}
 	}

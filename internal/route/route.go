@@ -123,7 +123,7 @@ func HopCost(p netsim.Params, nBytes int) float64 {
 	fixed := p.Delivery()
 	cost := fixed.Seconds() + p.TxTime(nBytes).Seconds()
 	if p.SwitchPoint > 0 && nBytes > p.SwitchPoint {
-		cost += 2 * fixed.Seconds() // rendez-vous: REQUEST out, SENDOK back
+		cost += float64(2 * fixed.Seconds()) // rendez-vous: REQUEST out, SENDOK back
 	} else {
 		cost += p.CopyTime(nBytes).Seconds() // eager: intermediary buffer copy
 	}

@@ -22,9 +22,10 @@ type BenchFile struct {
 
 // PlannerPoint is one machine size's routing-planner cost sample: the full
 // construction + resolution workload (ns, bytes, allocs) and bare plan
-// construction (ns).
+// construction (ns), with HotGateways gateways' congestion terms set.
 type PlannerPoint struct {
 	Ranks            int   `json:"ranks"`
+	HotGateways      int   `json:"hot_gateways,omitempty"`
 	WorkloadNsPerOp  int64 `json:"workload_ns_per_op"`
 	WorkloadBPerOp   int64 `json:"workload_bytes_per_op"`
 	WorkloadAllocs   int64 `json:"workload_allocs_per_op"`

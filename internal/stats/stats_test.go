@@ -121,7 +121,7 @@ func TestBenchFileRoundTripsCommittedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Planner) != 2 || f.RunWallMs <= 0 {
+	if len(f.Planner) != 3 || f.RunWallMs <= 0 {
 		t.Errorf("%s: %d planner samples read, run wall clock %v ms", path, len(f.Planner), f.RunWallMs)
 	}
 	got, err := f.Encode()
