@@ -95,14 +95,14 @@ func (c *Comm) allgatherRing(b *schedBuilder, _ *commTopo, a collArgs) func() {
 	right := (c.myRank + 1) % n
 	left := (c.myRank - 1 + n) % n
 
-	b.copyStep(block(c.myRank), PackBuf(a.send, a.count, a.dt))
+	b.copyStep(block(c.myRank), b.packed(a.send, a.count, a.dt))
 	b.endRound()
 	for s := 0; s < n-1; s++ {
 		b.recv(left, block((c.myRank-s-1+n)%n))
 		b.send(right, block((c.myRank-s+n)%n))
 		b.endRound()
 	}
-	return c.landBlocks(a.recv, a.count, a.dt, full)
+	return func() { UnpackBuf(a.recv, n*a.count, a.dt, full) }
 }
 
 // alltoallPairwise is the pairwise rotation: n rounds, exchanging with
@@ -111,12 +111,11 @@ func (c *Comm) allgatherRing(b *schedBuilder, _ *commTopo, a collArgs) func() {
 func (c *Comm) alltoallPairwise(b *schedBuilder, _ *commTopo, a collArgs) func() {
 	n := c.Size()
 	sz := a.count * a.dt.Size()
-	ex := a.dt.Extent()
-	vec := b.landing(a.recvApart(), n*sz, a.dt)
+	vec, mat := b.landing(a.recvApart(), n*sz, a.dt), b.packed(a.send, n*a.count, a.dt)
 	for step := 0; step < n; step++ {
 		to := (c.myRank + step) % n
 		from := (c.myRank - step + n) % n
-		out := PackBuf(a.send[to*a.count*ex:], a.count, a.dt)
+		out := mat[to*sz : (to+1)*sz]
 		if to == c.myRank {
 			b.copyStep(vec[to*sz:(to+1)*sz], out)
 		} else {
@@ -125,5 +124,5 @@ func (c *Comm) alltoallPairwise(b *schedBuilder, _ *commTopo, a collArgs) func()
 		}
 		b.endRound()
 	}
-	return c.landBlocks(a.recv, a.count, a.dt, vec)
+	return func() { UnpackBuf(a.recv, n*a.count, a.dt, vec) }
 }

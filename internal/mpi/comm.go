@@ -29,9 +29,9 @@ type Process struct {
 	M   *marcel.Proc
 	Eng *adi.Engine
 
-	rank, size int
-	route      func(dstWorldRank int) adi.Device
-	devices    []adi.Device // distinct devices, for Finalize
+	rank    int
+	route   func(dstWorldRank int) adi.Device
+	devices []adi.Device // distinct devices, for Finalize
 
 	// World is MPI_COMM_WORLD.
 	World *Comm
@@ -89,7 +89,7 @@ func NewProcess(m *marcel.Proc, eng *adi.Engine, rank int, world []int,
 	route func(int) adi.Device, devices []adi.Device) *Process {
 	p := &Process{
 		M: m, Eng: eng,
-		rank: rank, size: len(world),
+		rank:  rank,
 		route: route, devices: devices,
 		nextCtx:  2, // 0/1 are world's p2p and collective contexts
 		memcpyBW: 350 * netsim.MB,
@@ -107,9 +107,6 @@ func WorldGroup(n int) []int {
 	}
 	return group
 }
-
-// Size returns the world size.
-func (p *Process) Size() int { return p.size }
 
 // memTime is the CPU cost of an n-byte local memcpy (datatype packing,
 // collective staging).

@@ -15,89 +15,102 @@ import (
 	"math"
 )
 
-// Datatype describes the memory layout of one element.
-type Datatype interface {
-	// Size is the number of bytes of actual data per element.
-	Size() int
-	// Extent is the span of one element in the user buffer (>= Size
-	// for non-contiguous types).
-	Extent() int
-	// Name identifies the type in diagnostics.
-	Name() string
-	// packOne serializes one element from src (Extent bytes) into dst
-	// (Size bytes).
-	packOne(dst, src []byte)
-	// unpackOne deserializes one element from src (Size bytes) into
-	// dst (Extent bytes).
-	unpackOne(dst, src []byte)
+// Datatype describes the memory layout of one element (MPI_Datatype): a
+// handle to its flattened form.
+type Datatype = *datatype
+
+// datatype is every datatype, predefined or derived: Size bytes of data in
+// an element Extent bytes long, flattened at construction into runs — the
+// flattened form of Träff et al., "Flattening on the Fly" (EuroPVM/MPI
+// 1999), and of MPICH's dataloops — which one loop (move) walks in order,
+// to pack and to unpack. A type whose Size equals its Extent is dense: it
+// moves as its bytes, in one copy, and nothing reads its runs.
+type datatype struct {
+	name         string
+	size, extent int
+	runs         []run
+	basic        bool // predefined: the reduction operators are defined on it
 }
 
-// basic is a contiguous fixed-width type.
-type basic struct {
-	name  string
-	width int
-}
+// run is count blocks of n bytes, the first off bytes into an element,
+// each stride bytes after the one before.
+type run struct{ off, n, count, stride int }
 
-func (b *basic) Size() int               { return b.width }
-func (b *basic) Extent() int             { return b.width }
-func (b *basic) Name() string            { return b.name }
-func (b *basic) packOne(dst, src []byte) { copy(dst, src[:b.width]) }
-func (b *basic) unpackOne(dst, src []byte) {
-	copy(dst[:b.width], src)
+// Size is the number of bytes of data in one element.
+func (t *datatype) Size() int { return t.size }
+
+// Extent is the span of one element in the user buffer (>= Size for a
+// strided type).
+func (t *datatype) Extent() int { return t.extent }
+
+// Name identifies the type in diagnostics.
+func (t *datatype) Name() string { return t.name }
+
+func predefined(name string, width int) Datatype {
+	return &datatype{name: name, size: width, extent: width, runs: []run{{0, width, 1, 0}}, basic: true}
 }
 
 // Predefined basic datatypes.
 var (
-	Byte    Datatype = &basic{"MPI_BYTE", 1}
-	Char    Datatype = &basic{"MPI_CHAR", 1}
-	Int32   Datatype = &basic{"MPI_INT32", 4}
-	Int64   Datatype = &basic{"MPI_INT64", 8}
-	Float32 Datatype = &basic{"MPI_FLOAT", 4}
-	Float64 Datatype = &basic{"MPI_DOUBLE", 8}
+	Byte    = predefined("MPI_BYTE", 1)
+	Char    = predefined("MPI_CHAR", 1)
+	Int32   = predefined("MPI_INT32", 4)
+	Int64   = predefined("MPI_INT64", 8)
+	Float32 = predefined("MPI_FLOAT", 4)
+	Float64 = predefined("MPI_DOUBLE", 8)
 )
+
+// blocks lays count blocks of bl consecutive base elements into t's
+// element, block i at byte off+i*stride: one run over a dense base.
+func (t *datatype) blocks(off, count, bl, stride int, base Datatype) {
+	if base.size == base.extent {
+		t.push(run{off, bl * base.size, count, stride})
+		return
+	}
+	for i := range count {
+		for j := range bl {
+			for _, r := range base.runs {
+				r.off += off + i*stride + j*base.extent
+				t.push(r)
+			}
+		}
+	}
+}
+
+// push appends r to t's runs, where it continues the last run: a lone block
+// right after a lone block lengthens it, and blocks of the same length at
+// the same forward spacing fold into one run.
+func (t *datatype) push(r run) {
+	t.size += r.n * r.count
+	if r.n == 0 || r.count == 0 {
+		return
+	}
+	if k := len(t.runs) - 1; k >= 0 {
+		l := &t.runs[k]
+		s := r.off - l.off - (l.count-1)*l.stride // from l's last block to r's first
+		switch {
+		case l.count == 1 && r.count == 1 && s == l.n:
+			l.n += r.n
+			return
+		case l.n == r.n && s > l.n && (l.count == 1 || l.stride == s) && (r.count == 1 || r.stride == s):
+			l.count, l.stride = l.count+r.count, s
+			return
+		}
+	}
+	t.runs = append(t.runs, r)
+}
 
 // Contiguous builds a type of count consecutive elements of base
 // (MPI_Type_contiguous).
 //
 //madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func Contiguous(count int, base Datatype) Datatype {
-	return &contiguous{base: base, count: count}
-}
-
-type contiguous struct {
-	base  Datatype
-	count int
-}
-
-func (c *contiguous) Size() int                 { return c.count * c.base.Size() }
-func (c *contiguous) Extent() int               { return c.count * c.base.Extent() }
-func (c *contiguous) Name() string              { return fmt.Sprintf("contig(%d,%s)", c.count, c.base.Name()) }
-func (c *contiguous) packOne(dst, src []byte)   { packBlock(dst, src, c.count, c.base) }
-func (c *contiguous) unpackOne(dst, src []byte) { unpackBlock(dst, src, c.count, c.base) }
-
-// packBlock packs a block of n consecutive base elements from src into dst:
-// one copy over a dense base, else element by element.
-func packBlock(dst, src []byte, n int, base Datatype) {
-	bs, be := base.Size(), base.Extent()
-	if bs == be {
-		copy(dst[:n*bs], src)
-		return
+	if count < 0 { // a negative argument would build a type with no layout
+		panic(fmt.Sprintf("mpi: Contiguous count is negative (%d)", count))
 	}
-	for j := range n {
-		base.packOne(dst[j*bs:(j+1)*bs], src[j*be:])
-	}
-}
-
-// unpackBlock is packBlock's inverse.
-func unpackBlock(dst, src []byte, n int, base Datatype) {
-	bs, be := base.Size(), base.Extent()
-	if bs == be {
-		copy(dst[:n*bs], src)
-		return
-	}
-	for j := range n {
-		base.unpackOne(dst[j*be:], src[j*bs:(j+1)*bs])
-	}
+	t := &datatype{name: fmt.Sprintf("contig(%d,%s)", count, base.name), extent: count * base.extent}
+	t.blocks(0, 1, count, 0, base)
+	return t
 }
 
 // Vector builds a strided type: count blocks of blocklen base elements,
@@ -105,48 +118,16 @@ func unpackBlock(dst, src []byte, n int, base Datatype) {
 //
 //madlint:ignore deadexport bench/ uses it
 func Vector(count, blocklen, stride int, base Datatype) Datatype {
+	if count < 0 || blocklen < 0 {
+		panic(fmt.Sprintf("mpi: Vector has a negative count (%d) or blocklen (%d)", count, blocklen))
+	}
 	if blocklen > stride {
 		panic("mpi: Vector blocklen exceeds stride")
 	}
-	return &vector{base: base, count: count, blocklen: blocklen, stride: stride}
-}
-
-type vector struct {
-	base                    Datatype
-	count, blocklen, stride int
-}
-
-func (v *vector) Size() int { return v.count * v.blocklen * v.base.Size() }
-func (v *vector) Extent() int {
-	if v.count == 0 {
-		return 0
-	}
-	return ((v.count-1)*v.stride + v.blocklen) * v.base.Extent()
-}
-func (v *vector) Name() string {
-	return fmt.Sprintf("vector(%d,%d,%d,%s)", v.count, v.blocklen, v.stride, v.base.Name())
-}
-func (v *vector) packOne(dst, src []byte) {
-	bs, be := v.base.Size(), v.base.Extent()
-	n, st := v.blocklen*bs, v.stride*be
-	for i := range v.count {
-		if bs == be { // a block over a dense base is one run
-			copy(dst[i*n:i*n+n], src[i*st:i*st+n])
-		} else {
-			packBlock(dst[i*n:], src[i*st:], v.blocklen, v.base)
-		}
-	}
-}
-func (v *vector) unpackOne(dst, src []byte) {
-	bs, be := v.base.Size(), v.base.Extent()
-	n, st := v.blocklen*bs, v.stride*be
-	for i := range v.count {
-		if bs == be {
-			copy(dst[i*st:i*st+n], src[i*n:i*n+n])
-		} else {
-			unpackBlock(dst[i*st:], src[i*n:], v.blocklen, v.base)
-		}
-	}
+	t := &datatype{name: fmt.Sprintf("vector(%d,%d,%d,%s)", count, blocklen, stride, base.name),
+		extent: max(0, (count-1)*stride+blocklen) * base.extent}
+	t.blocks(0, count, blocklen, stride*base.extent, base)
+	return t
 }
 
 // Indexed builds a type of variable-length blocks at element
@@ -157,49 +138,15 @@ func Indexed(blocklens, displs []int, base Datatype) Datatype {
 	if len(blocklens) != len(displs) {
 		panic("mpi: Indexed blocklens/displs length mismatch")
 	}
-	return &indexed{base: base, blocklens: blocklens, displs: displs}
-}
-
-type indexed struct {
-	base      Datatype
-	blocklens []int
-	displs    []int
-}
-
-func (x *indexed) Size() int {
-	n := 0
-	for _, b := range x.blocklens {
-		n += b
-	}
-	return n * x.base.Size()
-}
-func (x *indexed) Extent() int {
-	end := 0
-	for i, b := range x.blocklens {
-		if e := x.displs[i] + b; e > end {
-			end = e
+	t := &datatype{name: fmt.Sprintf("indexed(%d,%s)", len(blocklens), base.name)}
+	for i, bl := range blocklens {
+		if bl < 0 || displs[i] < 0 {
+			panic(fmt.Sprintf("mpi: Indexed block %d has a negative length (%d) or displacement (%d)", i, bl, displs[i]))
 		}
+		t.extent = max(t.extent, (displs[i]+bl)*base.extent)
+		t.blocks(displs[i]*base.extent, 1, bl, 0, base)
 	}
-	return end * x.base.Extent()
-}
-func (x *indexed) Name() string {
-	return fmt.Sprintf("indexed(%d,%s)", len(x.blocklens), x.base.Name())
-}
-func (x *indexed) packOne(dst, src []byte) {
-	bs, be := x.base.Size(), x.base.Extent()
-	o := 0
-	for i, bl := range x.blocklens {
-		packBlock(dst[o:], src[x.displs[i]*be:], bl, x.base)
-		o += bl * bs
-	}
-}
-func (x *indexed) unpackOne(dst, src []byte) {
-	bs, be := x.base.Size(), x.base.Extent()
-	o := 0
-	for i, bl := range x.blocklens {
-		unpackBlock(dst[x.displs[i]*be:], src[o:], bl, x.base)
-		o += bl * bs
-	}
+	return t
 }
 
 // StructField is one member of a Struct datatype: Len bytes at byte
@@ -213,52 +160,61 @@ type StructField struct {
 //
 //madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func Struct(extent int, fields []StructField) Datatype {
-	return &structT{extent: extent, fields: fields}
-}
-
-type structT struct {
-	extent int
-	fields []StructField
-}
-
-func (s *structT) Size() int {
-	n := 0
-	for _, f := range s.fields {
-		n += f.Len
+	t := &datatype{name: fmt.Sprintf("struct(%d)", len(fields)), extent: extent}
+	for i, f := range fields {
+		if f.Disp < 0 || f.Len < 0 {
+			panic(fmt.Sprintf("mpi: Struct field %d has a negative Disp (%d) or Len (%d)", i, f.Disp, f.Len))
+		}
+		t.push(run{f.Disp, f.Len, 1, 0})
 	}
-	return n
-}
-func (s *structT) Extent() int  { return s.extent }
-func (s *structT) Name() string { return fmt.Sprintf("struct(%d)", len(s.fields)) }
-func (s *structT) packOne(dst, src []byte) {
-	o := 0
-	for _, f := range s.fields {
-		copy(dst[o:o+f.Len], src[f.Disp:])
-		o += f.Len
-	}
-}
-func (s *structT) unpackOne(dst, src []byte) {
-	o := 0
-	for _, f := range s.fields {
-		copy(dst[f.Disp:f.Disp+f.Len], src[o:o+f.Len])
-		o += f.Len
-	}
+	return t
 }
 
 // IsContiguous reports whether count elements of dt occupy a dense byte
 // range (no packing buffer needed).
-func IsContiguous(dt Datatype) bool { return dt.Size() == dt.Extent() }
+func IsContiguous(dt Datatype) bool { return dt.size == dt.extent }
+
+// move copies count elements of a strided type between the user's layout
+// in user and their packed form in packed, run by run: into packed when
+// pack is set, else out of it, leaving the user's other bytes alone.
+func (t *datatype) move(user, packed []byte, count int, pack bool) {
+	o := 0
+	for e := range count {
+		for _, r := range t.runs {
+			u := user[e*t.extent+r.off:]
+			if pack {
+				strided(packed[o:], u, r.count, r.n, r.n, r.stride)
+			} else {
+				strided(u, packed[o:], r.count, r.n, r.stride, r.n)
+			}
+			o += r.n * r.count
+		}
+	}
+}
+
+// strided copies count blocks of n bytes from src to dst, block i at
+// i*sstride in src and i*dstride in dst. It stays out of line: inlined in
+// move, each copy of the loop reloaded move's state around it.
+//
+//go:noinline
+func strided(dst, src []byte, count, n, dstride, sstride int) {
+	for i := range count {
+		copy(dst[i*dstride:i*dstride+n], src[i*sstride:i*sstride+n])
+	}
+}
 
 // PackBuf serializes count elements of dt from user buffer buf into a
-// dense []byte. For contiguous types it returns a subslice of buf without
-// copying.
+// dense []byte: a subslice of buf for a dense type, else a fresh slice —
+// for callers outside the package, whose own calls pack into a lease of
+// the rank's buffer list.
+//
+//madlint:ignore deadexport bench/ uses it
 func PackBuf(buf []byte, count int, dt Datatype) []byte {
-	need := count * dt.Size()
 	if IsContiguous(dt) {
-		return buf[:need]
+		return buf[:count*dt.size]
 	}
-	out := make([]byte, need)
-	packBlock(out, buf, count, dt)
+	out := make([]byte, count*dt.size)
+	dt.move(buf, out, count, true)
 	return out
 }
 
@@ -271,13 +227,15 @@ func sameMemory(a, b []byte) bool {
 // inside user buffer buf. src may be shorter than count*Size on truncation
 // or a short message: only the whole elements it holds are unpacked (a
 // partial trailing element is dropped, like MPICH), and the rest of buf is
-// left untouched. A dense datatype moves in one copy.
+// left untouched. A dense datatype moves in one copy, or none when it is
+// already in place (schedBuilder.landing).
 func UnpackBuf(buf []byte, count int, dt Datatype, src []byte) {
-	sz := dt.Size()
-	if sz == 0 || sz == dt.Extent() && sameMemory(buf, src) { // already in place (schedBuilder.landing)
-		return
+	n := min(count, len(src)/max(dt.size, 1)) // a zero-size type moves nothing
+	if !IsContiguous(dt) {
+		dt.move(buf, src, n, false)
+	} else if !sameMemory(buf, src) {
+		copy(buf[:n*dt.size], src)
 	}
-	unpackBlock(buf, src, min(count, len(src)/sz), dt)
 }
 
 // --- Typed slice helpers -------------------------------------------------

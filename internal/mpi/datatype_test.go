@@ -3,6 +3,8 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -286,71 +288,102 @@ func TestStatusCount(t *testing.T) {
 	}
 }
 
-// layout lists, for each packed byte of one element of dt, its offset in
-// the user buffer — derived from the constructors' definitions alone, so
-// it is a reference the pack/unpack code paths share nothing with.
-func layout(dt Datatype) []int {
-	var out []int
-	shifted := func(base Datatype, at int) {
-		for _, o := range layout(base) {
-			out = append(out, at*base.Extent()+o)
+// recipe is a datatype beside its reference: for each packed byte of one
+// element, its offset in the user buffer, and the element's extent —
+// worked out from the constructor's arguments alone, so it shares nothing
+// with the runs the pack and unpack loops walk.
+type recipe struct {
+	dt     Datatype
+	layout []int
+	extent int
+}
+
+func rBasic(dt Datatype, width int) recipe {
+	r := recipe{dt: dt, extent: width}
+	for i := range width {
+		r.layout = append(r.layout, i)
+	}
+	return r
+}
+
+// blocks appends, to r's layout, base element at for each at.
+func (r *recipe) blocks(base recipe, at ...int) {
+	for _, a := range at {
+		for _, o := range base.layout {
+			r.layout = append(r.layout, a*base.extent+o)
 		}
 	}
-	switch d := dt.(type) {
-	case *basic:
-		for i := 0; i < d.width; i++ {
-			out = append(out, i)
-		}
-	case *contiguous:
-		for i := 0; i < d.count; i++ {
-			shifted(d.base, i)
-		}
-	case *vector:
-		for i := 0; i < d.count; i++ {
-			for j := 0; j < d.blocklen; j++ {
-				shifted(d.base, i*d.stride+j)
-			}
-		}
-	case *indexed:
-		for i, bl := range d.blocklens {
-			for j := 0; j < bl; j++ {
-				shifted(d.base, d.displs[i]+j)
-			}
-		}
-	case *structT:
-		for _, f := range d.fields {
-			for k := 0; k < f.Len; k++ {
-				out = append(out, f.Disp+k)
-			}
-		}
-	default:
-		panic("layout: unknown datatype " + dt.Name())
+}
+
+func span(from, n int) []int {
+	at := make([]int, n)
+	for i := range at {
+		at[i] = from + i
 	}
-	return out
+	return at
+}
+
+func rContig(count int, base recipe) recipe {
+	r := recipe{dt: Contiguous(count, base.dt), extent: count * base.extent}
+	r.blocks(base, span(0, count)...)
+	return r
+}
+
+func rVector(count, blocklen, stride int, base recipe) recipe {
+	r := recipe{dt: Vector(count, blocklen, stride, base.dt)}
+	for i := range count {
+		r.blocks(base, span(i*stride, blocklen)...)
+		r.extent = (i*stride + blocklen) * base.extent
+	}
+	return r
+}
+
+func rIndexed(blocklens, displs []int, base recipe) recipe {
+	r := recipe{dt: Indexed(blocklens, displs, base.dt)}
+	for i, bl := range blocklens {
+		r.blocks(base, span(displs[i], bl)...)
+		r.extent = max(r.extent, (displs[i]+bl)*base.extent)
+	}
+	return r
+}
+
+func rStruct(extent int, fields []StructField) recipe {
+	r := recipe{dt: Struct(extent, fields), extent: extent}
+	for _, f := range fields {
+		r.layout = append(r.layout, span(f.Disp, f.Len)...)
+	}
+	return r
 }
 
 // TestPackUnpackMatchElementPath: for every datatype constructor — dense
-// and strided, nested both ways, zero-size — every count and every source
+// and strided, nested every way, zero-size — every count and every source
 // length from nothing to one byte too many, PackBuf and UnpackBuf put
 // exactly the bytes the element-by-element definition puts, exactly where
 // it puts them: whole elements only, everything else untouched.
 func TestPackUnpackMatchElementPath(t *testing.T) {
-	strided := Vector(2, 1, 2, Int32)
-	types := []Datatype{
-		Byte, Int32, Float64,
-		Contiguous(5, Byte), Contiguous(3, Int64), Contiguous(2, Contiguous(3, Int32)),
-		Contiguous(3, strided), Contiguous(2, Vector(2, 2, 2, Int32)),
-		strided, Vector(3, 2, 2, Byte), Vector(2, 1, 3, Contiguous(4, Byte)), Vector(2, 1, 2, Vector(2, 2, 2, Byte)),
-		Vector(3, 2, 5, Float64), Contiguous(2, Vector(3, 2, 4, Float64)),
-		Indexed([]int{2, 1}, []int{3, 0}, Int32), Indexed([]int{2, 2}, []int{0, 2}, Byte),
-		Indexed([]int{3, 0, 1}, []int{4, 9, 0}, Float64),
-		Struct(16, []StructField{{0, 3}, {8, 5}}), Struct(8, []StructField{{0, 8}}),
-		Contiguous(0, Int32), Vector(0, 1, 1, Int32), Indexed(nil, nil, Int32), Struct(4, nil), Struct(0, nil),
-	}
-	for _, dt := range types {
-		sz, ex, lay := dt.Size(), dt.Extent(), layout(dt)
-		if len(lay) != sz {
-			t.Fatalf("%s: layout has %d bytes, Size says %d", dt.Name(), len(lay), sz)
+	i32, f64, b8 := rBasic(Int32, 4), rBasic(Float64, 8), rBasic(Byte, 1)
+	strided := rVector(2, 1, 2, i32)
+	for _, rc := range []recipe{
+		b8, i32, f64,
+		rContig(5, b8), rContig(3, rBasic(Int64, 8)), rContig(2, rContig(3, i32)),
+		rContig(3, strided), rContig(2, rVector(2, 2, 2, i32)),
+		strided, rVector(3, 2, 2, b8), rVector(2, 1, 3, rContig(4, b8)), rVector(2, 1, 2, rVector(2, 2, 2, b8)),
+		rVector(3, 2, 5, f64), rContig(2, rVector(3, 2, 4, f64)),
+		rIndexed([]int{2, 1}, []int{3, 0}, i32), rIndexed([]int{2, 2}, []int{0, 2}, b8),
+		rIndexed([]int{3, 0, 1}, []int{4, 9, 0}, f64),
+		rStruct(16, []StructField{{0, 3}, {8, 5}}), rStruct(8, []StructField{{0, 8}}),
+		rContig(0, i32), rVector(0, 1, 1, i32), rIndexed(nil, nil, i32), rStruct(4, nil), rStruct(0, nil),
+		// Descending displacements, at an equal spacing the runs must not
+		// fold backwards over.
+		rIndexed([]int{1, 1, 1}, []int{6, 3, 0}, i32), rIndexed([]int{2, 2}, []int{4, 0}, f64),
+		rVector(2, 2, 3, rVector(2, 1, 2, i32)),
+		rIndexed([]int{2, 1}, []int{3, 0}, rVector(2, 1, 3, i32)),
+		rContig(3, rStruct(12, []StructField{{0, 0}, {2, 3}, {5, 0}, {8, 4}})),
+	} {
+		dt, lay := rc.dt, rc.layout
+		sz, ex := dt.Size(), dt.Extent()
+		if len(lay) != sz || rc.extent != ex {
+			t.Fatalf("%s: Size %d, Extent %d; the recipe has %d bytes in %d", dt.Name(), sz, ex, len(lay), rc.extent)
 		}
 		for count := 0; count <= 3; count++ {
 			user := make([]byte, count*ex)
@@ -387,31 +420,26 @@ func TestPackUnpackMatchElementPath(t *testing.T) {
 	}
 }
 
-// tripwire is a dense datatype whose element path must never run.
-type tripwire struct {
-	basic
-	t *testing.T
-}
-
-func (w *tripwire) packOne(dst, src []byte)   { w.t.Error("packOne reached for a dense datatype") }
-func (w *tripwire) unpackOne(dst, src []byte) { w.t.Error("unpackOne reached for a dense datatype") }
-
-// TestDenseNeverTakesElementPath: a datatype with Size()==Extent() moves
-// by copy — directly, as the base of a Contiguous, as a Contiguous element
-// inside a strided type, and block by block as the base of a Vector (blocklen
-// > 1), an Indexed, a Vector inside a Contiguous, or as a dense Vector inside
-// another Vector — and still moves the right bytes.
+// TestDenseNeverTakesElementPath: a dense nest flattens to one run of one
+// block — moved by one copy — and a Vector over a dense base to one run
+// whatever its count; a Contiguous over a Vector keeps one run per block
+// of the Vector it repeats, and still moves the right bytes.
 func TestDenseNeverTakesElementPath(t *testing.T) {
-	wire := &tripwire{basic{"tripwire", 4}, t}
-	src := pattern(64)
-	for _, dt := range []Datatype{wire, Contiguous(4, wire), Contiguous(2, Contiguous(2, wire))} {
-		out := make([]byte, 64)
-		UnpackBuf(out, 64/dt.Size(), dt, src)
-		if !bytes.Equal(out, src) {
-			t.Errorf("%s: dense unpack moved the wrong bytes", dt.Name())
+	for _, c := range []struct {
+		dt           Datatype
+		runs, blocks int // of the runs, and of the first
+	}{
+		{Int32, 1, 1}, {Contiguous(4, Int32), 1, 1}, {Contiguous(2, Contiguous(2, Int32)), 1, 1},
+		{Contiguous(2, Vector(4, 2, 2, Int32)), 1, 1}, {Indexed([]int{2, 2}, []int{0, 2}, Byte), 1, 1},
+		{Vector(4096, 1, 64, Float64), 1, 4096}, {Vector(2, 1, 3, Vector(2, 2, 2, Int32)), 1, 2},
+		{Indexed([]int{1, 1, 1}, []int{0, 2, 4}, Float64), 1, 3}, {Indexed([]int{1, 1, 1}, []int{4, 2, 0}, Float64), 3, 1},
+		{Contiguous(3, Vector(2, 1, 2, Int32)), 3, 2},
+	} {
+		if len(c.dt.runs) != c.runs || c.dt.runs[0].count != c.blocks {
+			t.Errorf("%s flattens to %v, want %d runs, the first of %d blocks", c.dt.Name(), c.dt.runs, c.runs, c.blocks)
 		}
 	}
-	rows := Vector(2, 1, 2, Contiguous(4, wire)) // bytes [0,16) and [32,48) of a 48-byte extent
+	rows := Vector(2, 1, 2, Contiguous(4, Int32)) // bytes [0,16) and [32,48) of a 48-byte extent
 	user := pattern(2 * rows.Extent())
 	var want []byte
 	for _, at := range []int{0, 32, 48, 80} {
@@ -426,39 +454,31 @@ func TestDenseNeverTakesElementPath(t *testing.T) {
 	if !bytes.Equal(PackBuf(out, 2, rows), want) {
 		t.Error("strided rows of a dense Contiguous: round trip lost bytes")
 	}
-	// Each type is built again over Int32, the tripwire's width, for the
-	// reference layout.
-	for _, mk := range []func(base Datatype) Datatype{
-		func(b Datatype) Datatype { return Vector(3, 2, 5, b) },
-		func(b Datatype) Datatype { return Indexed([]int{3, 0, 1}, []int{4, 9, 0}, b) },
-		func(b Datatype) Datatype { return Contiguous(2, Vector(3, 2, 4, b)) },
-		func(b Datatype) Datatype { return Vector(2, 1, 3, Vector(2, 2, 2, b)) },
+}
+
+// TestConstructorsRejectNegative: a negative count, block length or
+// displacement panics at construction, naming the argument, instead of
+// building a type the first pack fails on.
+func TestConstructorsRejectNegative(t *testing.T) {
+	for _, c := range []struct {
+		want string
+		make func() Datatype
+	}{
+		{"Contiguous count is negative (-1)", func() Datatype { return Contiguous(-1, Int32) }},
+		{"Vector has a negative count (-2) or blocklen (1)", func() Datatype { return Vector(-2, 1, 1, Int32) }},
+		{"Indexed block 1 has a negative length (1) or displacement (-3)", func() Datatype { return Indexed([]int{1, 1}, []int{0, -3}, Int32) }},
+		{"Indexed block 0 has a negative length (-1) or displacement (2)", func() Datatype { return Indexed([]int{-1}, []int{2}, Int32) }},
+		{"Struct field 0 has a negative Disp (-4) or Len (4)", func() Datatype { return Struct(8, []StructField{{-4, 4}}) }},
 	} {
-		dt, lay := mk(wire), layout(mk(Int32))
-		ex := dt.Extent()
-		user := pattern(2 * ex)
-		var want []byte
-		for i := 0; i < 2; i++ {
-			for _, o := range lay {
-				want = append(want, user[i*ex+o])
-			}
-		}
-		packed := PackBuf(user, 2, dt)
-		if !bytes.Equal(packed, want) {
-			t.Errorf("%s: packed %v, want %v", dt.Name(), packed, want)
-		}
-		out := bytes.Repeat([]byte{0xAA}, 2*ex)
-		UnpackBuf(out, 2, dt, packed)
-		for i := range out {
-			inLayout := false
-			for _, o := range lay {
-				inLayout = inLayout || i%ex == o
-			}
-			if inLayout && out[i] != user[i] || !inLayout && out[i] != 0xAA {
-				t.Errorf("%s: unpacked byte %d is %#x (user %#x, in layout %v)", dt.Name(), i, out[i], user[i], inLayout)
-				break
-			}
-		}
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); !strings.Contains(got, c.want) {
+					t.Errorf("panic %q, want one saying %q", got, c.want)
+				}
+			}()
+			dt := c.make()
+			t.Errorf("built %s (Size %d), want a panic saying %q", dt.Name(), dt.Size(), c.want)
+		}()
 	}
 }
 

@@ -93,8 +93,10 @@
 // there only when recv is not the send buffer itself (collArgs.recvApart),
 // because they still read the send buffer after the first received block
 // has landed. The ring ReduceScatter (its accumulator is the whole vector,
-// recv one block) keeps its staging. Every memTime charge and every step
-// is where it was, so the schedule fingerprint cannot tell.
+// recv one block) keeps its staging. The send side's twin,
+// schedBuilder.packed(send, count, dt), is send itself for a dense datatype
+// and staging the compiler packs a strided one into. Every memTime charge
+// and every step is where it was, so the schedule fingerprint cannot tell.
 // Every other staging buffer is a buffer of the rank's list
 // (adi.Engine.Bufs: in a cluster session the session's one netsim.BufList,
 // which also holds every device's wire buffers and unexpected-message
@@ -166,26 +168,25 @@
 // # Datatypes and who copies a payload
 //
 // A (buffer, count, datatype) triple reaches the devices as dense bytes.
-// PackBuf aliases the user's buffer when the datatype is dense
-// (Size() == Extent()) and walks its elements only when it is strided;
-// UnpackBuf — the completion step of every receive into a strided type
-// and of every collective (phases.go's unpack completions) — moves a
-// dense datatype with one copy, or with none when source and destination
-// are the same memory (a schedule that landed in place, see above), and
-// walks a strided one block by block: a block of a Contiguous, Vector or
-// Indexed over a dense base is one run, moved with one copy (as is a dense
-// Vector nested in another type), and only a block over a strided base is
-// walked element by element. Either way only the whole elements that
-// arrived are written: a message shorter
-// than the posted count (the count is an upper bound), or a trailing
-// partial element, leaves the rest of the user's buffer as it was. The
-// virtual cost of these steps (memTime) is charged by the callers and
-// does not depend on which path the host takes. Below this layer
-// (internal/madeleine) a body is lent to the wire, not copied into it: a
-// rendez-vous body goes from the sender's buffer into the posted receive
-// buffer in one copy, made by whichever side gets there first; an eager or
-// relayed one is copied into a wire buffer when its send completes and out
-// of it where it lands, because the device that takes it must own it.
+// Every datatype is flattened by its constructor into strided runs {off,
+// n, count, stride} (datatype.go): adjacent blocks merge and equal blocks
+// at equal spacing fold, so a Vector over a dense base is one run. A dense
+// type (Size() == Extent()) is never walked: it travels from and lands in
+// the user's buffer, unpacked in one copy or none when in place. A strided
+// one is packed into, or lands in, a lease of the rank's buffer list — in
+// Send, Ssend and Isend, in Irecv until its Wait unpacks it, in a
+// schedule's compiler (schedBuilder.packed, landing) for the schedule's
+// life — by one loop over the runs; PackBuf's fresh slice is for callers
+// outside the package. Only whole elements that arrived are unpacked: a
+// short message (the count is an upper bound) or a trailing partial
+// element leaves the rest of the user's buffer as it was. The callers
+// charge these copies (memTime), whatever path the host takes. Below this
+// layer (internal/madeleine) a body is lent to the wire, not copied into
+// it: a rendez-vous body goes from the sender's buffer into the posted
+// receive buffer in one copy, made by whichever side gets there first; an
+// eager or relayed one is copied into a wire buffer when its send completes
+// and out of it where it lands, because the device that takes it must own
+// it.
 //
 // # Algorithms: one form table, a handful of phase builders
 //

@@ -6,12 +6,12 @@ package mpi
 //
 //madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) Ssend(buf []byte, count int, dt Datatype, dest, tag int) error {
-	dev, sr, err := c.outbound("Ssend", "mpi.ssend", buf, count, dt, dest, tag)
+	dev, sr, lease, err := c.outbound("Ssend", "mpi.ssend", buf, count, dt, dest, tag)
 	if err != nil {
 		return err
 	}
 	sr.Sync = true
-	return sendWait(dev, sr)
+	return sendWait(dev, sr, lease)
 }
 
 // ReduceScatter combines count-per-rank blocks with op and scatters block

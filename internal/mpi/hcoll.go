@@ -25,7 +25,7 @@ package mpi
 // again afterwards, so it may be recvBuf.
 func (b *schedBuilder) loadAcc(sendBuf, recvBuf []byte, count int, dt Datatype) []byte {
 	acc := b.landing(recvBuf, count*dt.Size(), dt)
-	b.copyStep(acc, PackBuf(sendBuf, count, dt))
+	b.copyStep(acc, b.packed(sendBuf, count, dt))
 	b.endRound()
 	return acc
 }
@@ -72,7 +72,7 @@ func (c *Comm) bcastTreeRounds(b *schedBuilder, ct *commTopo, data []byte, root,
 // the user buffer (nil at the root, whose buffer already holds it).
 func (c *Comm) bcastStaging(b *schedBuilder, a collArgs) (data []byte, fin func()) {
 	if c.myRank == a.root {
-		return PackBuf(a.send, a.count, a.dt), nil
+		return b.packed(a.send, a.count, a.dt), nil
 	}
 	data = b.landing(a.recv, a.count*a.dt.Size(), a.dt)
 	return data, c.unpackVector(a.recv, a.count, a.dt, data)
@@ -154,7 +154,7 @@ func (c *Comm) gatherStaged(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	if ct.myCluster == ct.clusterOf[a.root] {
 		leader = a.root
 	}
-	mine := PackBuf(a.send, a.count, a.dt)
+	mine := b.packed(a.send, a.count, a.dt)
 	if c.myRank != leader {
 		b.send(leader, mine)
 		return nil
@@ -194,7 +194,7 @@ func (c *Comm) gatherStaged(b *schedBuilder, ct *commTopo, a collArgs) func() {
 func (c *Comm) allgatherBundles(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	sz := a.count * a.dt.Size()
 	members, myPos, leaderPos := ct.clusterPos(c.myRank)
-	mine := PackBuf(a.send, a.count, a.dt)
+	mine := b.packed(a.send, a.count, a.dt)
 	// The packed world vector, comm-rank order. mine is read (gathered or
 	// sent) before anything lands in it, so it may be a block of a.recv.
 	full := b.landing(a.recv, c.Size()*sz, a.dt)
@@ -218,7 +218,7 @@ func (c *Comm) allgatherBundles(b *schedBuilder, ct *commTopo, a collArgs) func(
 	}
 	parent, children := binomialOver(members, leaderPos, myPos)
 	b.treeBcast(parent, children, full)
-	return c.unpackBlocks(a.recv, a.count, a.dt, full)
+	return c.unpackVector(a.recv, c.Size()*a.count, a.dt, full)
 }
 
 // ---- Two-level ring compilers ----
@@ -333,7 +333,7 @@ func (c *Comm) alltoallBundles(b *schedBuilder, ct *commTopo, a collArgs) func()
 	// vector in source-rank order; members hold only their own pair.
 	mats := make([][]byte, len(members))
 	vec := make([][]byte, len(members))
-	mats[myPos], vec[myPos] = PackBuf(a.send, n*a.count, a.dt), b.landing(a.recvApart(), n*sz, a.dt)
+	mats[myPos], vec[myPos] = b.packed(a.send, n*a.count, a.dt), b.landing(a.recvApart(), n*sz, a.dt)
 	if isLeader {
 		for i := range members {
 			if i != myPos {
@@ -370,5 +370,5 @@ func (c *Comm) alltoallBundles(b *schedBuilder, ct *commTopo, a collArgs) func()
 		b.endRound()
 	}
 	b.leaderParts(members, myPos, members[leaderPos], false, func(i int) []byte { return vec[i] })
-	return c.unpackBlocks(a.recv, a.count, a.dt, vec[myPos])
+	return c.unpackVector(a.recv, n*a.count, a.dt, vec[myPos])
 }

@@ -468,7 +468,7 @@ func (c *Comm) allreduceMulti(b *schedBuilder, ct *commTopo, a collArgs) func() 
 func (c *Comm) allgatherMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	sz, ex := a.count*a.dt.Size(), a.dt.Extent()
 	members := ct.clusters[ct.myCluster]
-	mine := PackBuf(a.send, a.count, a.dt)
+	mine := b.packed(a.send, a.count, a.dt)
 	// bundle[di]: cluster di's blocks in member order, on every rank. A
 	// cluster of consecutive ranks has them in its stretch of the receive
 	// vector, so on a dense type the bundle lands right there — unless that
@@ -532,7 +532,7 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 	sz := a.count * a.dt.Size()
 	members := ct.clusters[ct.myCluster]
 	myD := ct.myCluster
-	mine := PackBuf(a.send, n*a.count, a.dt)
+	mine := b.packed(a.send, n*a.count, a.dt)
 	myRecv := b.landing(a.recvApart(), n*sz, a.dt)
 
 	// Round 0: stage my per-cluster outbound bundles (src-member-ascending
@@ -618,5 +618,5 @@ func (c *Comm) alltoallMulti(b *schedBuilder, ct *commTopo, a collArgs) func() {
 		b.bridgeStage(ct, c.myRank, c.chunkBytes, func(cj, s int) []byte { return cut(bundle(bundleOut, cj), w, s) },
 			func(ci, s int) []byte { return cut(bundle(bundleIn, ci), w, s) }),
 		scatter)
-	return c.unpackBlocks(a.recv, a.count, a.dt, myRecv)
+	return c.unpackVector(a.recv, c.Size()*a.count, a.dt, myRecv)
 }

@@ -218,6 +218,9 @@ func (c *Comm) startColl(op string, kind collKind, nBytes int, a collArgs) (*Col
 // compiling, so misuse fails synchronously at the call site instead of
 // panicking later on the engine thread.
 func (c *Comm) checkBuf(op, which string, buf []byte, elems int, dt Datatype) error {
+	if elems < 0 {
+		return fmt.Errorf("mpi: %s: negative count %d", op, elems)
+	}
 	if need := elems * dt.Extent(); len(buf) < need {
 		return fmt.Errorf("mpi: %s: %s buffer is %d bytes, need %d", op, which, len(buf), need)
 	}

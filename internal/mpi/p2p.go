@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mpichmad/internal/adi"
+	"mpichmad/internal/netsim"
 )
 
 // Status reports a completed receive, with Source in communicator ranks.
@@ -29,9 +30,14 @@ type Request struct {
 	c  *Comm
 	sr *adi.SendReq
 	rr *adi.RecvReq
-	// finish runs once at completion with the number of bytes that
-	// landed (derived-type unpack).
-	finish   func(received int)
+	// staged is the lease of the rank's buffer list a strided payload is
+	// packed into or lands in (nil for a dense one), home at completion;
+	// a receive first unpacks what landed into count elements of dt in
+	// user.
+	staged   *netsim.Buf
+	user     []byte
+	count    int
+	dt       Datatype
 	finished bool
 	status   *Status
 	err      error
@@ -55,23 +61,32 @@ func (c *Comm) checkPeer(op string, r int) error {
 }
 
 // outbound is what Send, Ssend and Isend do before the transfer: check the
-// communicator, peer and tag, pack and charge the payload, and address it
-// (op names the call in errors, event the request's completion event).
-func (c *Comm) outbound(op, event string, buf []byte, count int, dt Datatype, dest, tag int) (adi.Device, *adi.SendReq, error) {
+// communicator, peer, tag and buffer, address the payload, and pack and
+// charge it (op names the call in errors, event the request's completion
+// event). A strided payload is packed into a lease of the rank's buffer
+// list, for the caller to send home once the send is complete.
+func (c *Comm) outbound(op, event string, buf []byte, count int, dt Datatype, dest, tag int) (adi.Device, *adi.SendReq, *netsim.Buf, error) {
 	if err := c.checkLive(op); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err := c.checkPeer(op, dest); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if tag < 0 {
-		return nil, nil, fmt.Errorf("mpi: %s: negative tag %d", op, tag)
+		return nil, nil, nil, fmt.Errorf("mpi: %s: negative tag %d", op, tag)
 	}
-	data := PackBuf(buf, count, dt)
-	if !IsContiguous(dt) {
-		c.p.M.Charge(c.p.memTime(len(data)))
+	if err := c.checkBuf(op, "send", buf, count, dt); err != nil {
+		return nil, nil, nil, err
 	}
-	return c.address(event, data, dest, tag, c.ctx)
+	dev, sr, err := c.address(event, buf[:count*dt.size], dest, tag, c.ctx)
+	if err != nil || IsContiguous(dt) {
+		return dev, sr, nil, err
+	}
+	lease := c.p.Eng.Bufs.Get(len(sr.Data))
+	dt.move(buf, lease.B, count, true)
+	c.p.M.Charge(c.p.memTime(len(lease.B)))
+	sr.Data = lease.B
+	return dev, sr, lease, nil
 }
 
 // address looks up the device toward dest and fills a request from the
@@ -93,17 +108,20 @@ func (c *Comm) sendRaw(data []byte, dest, tag, ctx int) error {
 	if err != nil {
 		return err
 	}
-	return sendWait(dev, sr)
+	return sendWait(dev, sr, nil)
 }
 
 // sendWait sends sr on dev and blocks until it is locally complete; the
 // request, which nobody else holds then, goes back to the engine's free
-// list.
-func sendWait(dev adi.Device, sr *adi.SendReq) error {
+// list, and the lease its payload was packed into (if any) home.
+func sendWait(dev adi.Device, sr *adi.SendReq, lease *netsim.Buf) error {
 	dev.Send(sr)
 	sr.Done.Wait()
 	err := sr.Err
 	sr.Release()
+	if lease != nil {
+		lease.Release()
+	}
 	return err
 }
 
@@ -123,23 +141,23 @@ func (c *Comm) statusOf(rr *adi.RecvReq) *Status {
 // the buffer is reusable. Eager sends complete locally; rendez-vous sends
 // complete when the receiver's acknowledgement round-trip finishes.
 func (c *Comm) Send(buf []byte, count int, dt Datatype, dest, tag int) error {
-	dev, sr, err := c.outbound("Send", "mpi.send", buf, count, dt, dest, tag)
+	dev, sr, lease, err := c.outbound("Send", "mpi.send", buf, count, dt, dest, tag)
 	if err != nil {
 		return err
 	}
-	return sendWait(dev, sr)
+	return sendWait(dev, sr, lease)
 }
 
 // Isend starts a non-blocking send (MPI_Isend). Per the paper (§4.2.3),
 // "the MPI control thread creates a thread for each non-blocking send
 // operation": the blocking device send runs on a temporary Marcel thread.
 func (c *Comm) Isend(buf []byte, count int, dt Datatype, dest, tag int) (*Request, error) {
-	dev, sr, err := c.outbound("Isend", "mpi.isend", buf, count, dt, dest, tag)
+	dev, sr, lease, err := c.outbound("Isend", "mpi.isend", buf, count, dt, dest, tag)
 	if err != nil {
 		return nil, err
 	}
 	c.p.M.Spawn("mpi.isend", func() { dev.Send(sr) })
-	return &Request{c: c, sr: sr}, nil
+	return &Request{c: c, sr: sr, staged: lease}, nil
 }
 
 // Recv performs a blocking receive (MPI_Recv). src may be AnySource, tag
@@ -162,29 +180,22 @@ func (c *Comm) Irecv(buf []byte, count int, dt Datatype, src, tag int) (*Request
 			return nil, err
 		}
 	}
+	if err := c.checkBuf("Irecv", "receive", buf, count, dt); err != nil {
+		return nil, err
+	}
 	worldSrc := adi.AnySource
 	if src != AnySource {
 		worldSrc = c.group[src]
 	}
-	need := count * dt.Size()
-	landing := buf
-	var finish func(int)
-	if !IsContiguous(dt) {
-		tmp := make([]byte, need)
-		landing = tmp
-		// The count is an upper bound: only the elements that arrived are
-		// unpacked, the rest of the user's buffer stays as it was.
-		finish = func(received int) {
-			c.p.M.Charge(c.p.memTime(need))
-			UnpackBuf(buf, count, dt, tmp[:received])
-		}
-	} else {
-		landing = buf[:need]
-	}
 	rr := c.p.Eng.NewRecv("mpi.irecv")
-	rr.Src, rr.Tag, rr.Context, rr.Buf = worldSrc, tag, c.ctx, landing
+	r := &Request{c: c, rr: rr}
+	rr.Src, rr.Tag, rr.Context, rr.Buf = worldSrc, tag, c.ctx, buf[:count*dt.size]
+	if !IsContiguous(dt) {
+		r.staged, r.user, r.count, r.dt = c.p.Eng.Bufs.Get(len(rr.Buf)), buf, count, dt
+		rr.Buf = r.staged.B
+	}
 	c.p.Eng.PostRecv(rr)
-	return &Request{c: c, rr: rr, finish: finish}, nil
+	return r, nil
 }
 
 // Wait blocks until the request completes (MPI_Wait), returning the
@@ -204,11 +215,17 @@ func (r *Request) Wait() (*Status, error) {
 		r.err = r.rr.Err
 		r.status = r.c.statusOf(r.rr)
 		r.rr.Release()
-		if r.finish != nil {
-			r.finish(r.status.Bytes)
+		if r.staged != nil {
+			// The count is an upper bound: only the elements that arrived
+			// are unpacked, the rest of the user's buffer stays as it was.
+			r.c.p.M.Charge(r.c.p.memTime(len(r.staged.B)))
+			UnpackBuf(r.user, r.count, r.dt, r.staged.B[:r.status.Bytes])
 		}
 	}
-	r.sr, r.rr, r.finished = nil, nil, true
+	if r.staged != nil {
+		r.staged.Release()
+	}
+	r.sr, r.rr, r.staged, r.user, r.finished = nil, nil, nil, nil, true
 	return r.status, r.err
 }
 

@@ -437,33 +437,14 @@ func (b *schedBuilder) ringAGRounds(members []int, myPos int, data []byte, bound
 	}
 }
 
-// unpackVector is the completion closure of the whole-vector operations:
-// one memcpy charge, then the packed count-element vector lands in dst.
+// unpackVector is the completion closure of the operations that finish in
+// one packed vector: one memcpy charge, then its count elements land in dst.
+// For a per-rank-block operation (Allgather, Alltoall) count covers every
+// rank's block, so block r lands in rank r's slot. The flat Allgather and
+// Alltoall unpack theirs uncharged: their one local copy is a charged step.
 func (c *Comm) unpackVector(dst []byte, count int, dt Datatype, packed []byte) func() {
 	return func() {
 		c.p.M.Charge(c.p.memTime(len(packed)))
 		UnpackBuf(dst, count, dt, packed)
-	}
-}
-
-// unpackBlocks is the completion closure of the per-rank-block operations
-// (Allgather, Alltoall): one memcpy charge, then landBlocks.
-func (c *Comm) unpackBlocks(recvBuf []byte, count int, dt Datatype, packed []byte) func() {
-	land := c.landBlocks(recvBuf, count, dt, packed)
-	return func() {
-		c.p.M.Charge(c.p.memTime(len(packed)))
-		land()
-	}
-}
-
-// landBlocks unpacks block r of the packed communicator-rank-ordered vector
-// into recvBuf's slot r, uncharged: the completion closure of the flat
-// Allgather and Alltoall, whose one local copy is a charged step.
-func (c *Comm) landBlocks(recvBuf []byte, count int, dt Datatype, packed []byte) func() {
-	sz, ex := count*dt.Size(), dt.Extent()
-	return func() {
-		for r := 0; r < c.Size(); r++ {
-			UnpackBuf(recvBuf[r*count*ex:], count, dt, packed[r*sz:(r+1)*sz])
-		}
 	}
 }

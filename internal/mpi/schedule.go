@@ -170,7 +170,7 @@ func (b *schedBuilder) lazily(buf *[]byte, n int) []byte {
 }
 
 // landing returns the n bytes a schedule assembles a packed result in, for
-// a completion closure (unpackVector, unpackBlocks) to unpack into user.
+// a completion closure (unpackVector) to unpack into user.
 // For a dense datatype the packed form and the user's layout are the same
 // bytes, so the result is assembled in user itself — the transport lands
 // it there and the closure's unpack finds it in place (UnpackBuf) — and
@@ -183,6 +183,18 @@ func (b *schedBuilder) landing(user []byte, n int, dt Datatype) []byte {
 		return user[:n:n]
 	}
 	return b.stage(n)
+}
+
+// packed is landing's twin for a buffer a schedule sends from: count
+// elements of dt from user, packed — user itself for a dense datatype, else
+// staging the compiler packs them into.
+func (b *schedBuilder) packed(user []byte, count int, dt Datatype) []byte {
+	if IsContiguous(dt) {
+		return user[:count*dt.size]
+	}
+	buf := b.stage(count * dt.size)
+	dt.move(user, buf, count, true)
+	return buf
 }
 
 // endRound seals the open round (dropped when empty) and opens a new one

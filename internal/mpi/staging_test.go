@@ -143,7 +143,8 @@ func steadyCollBytes(t *testing.T, mode mpi.CollMode, prepare func(*mpi.Comm, in
 // buffer, it is one leased vector. The multi-leader Allgather lands every
 // cluster's bundle in the user's buffer too, when the cluster is a run of
 // consecutive ranks; otherwise — a strided type, the send buffer as the
-// receive buffer, clusters that interleave — it stages one per cluster.
+// receive buffer, clusters that interleave — it stages one per cluster. A
+// strided send buffer is packed into one lease as well (schedBuilder.packed).
 //
 // A reduction's partials that one reduce of their round reads are folds,
 // leased when their message matches rather than when the schedule compiles:
@@ -161,13 +162,13 @@ func TestCollectivesAllocateNoStaging(t *testing.T) {
 		{"ReduceScatter", "ring", mpi.Byte, false, 1},
 		{"Allgather", "flat", mpi.Byte, false, 0},
 		{"Alltoall", "flat", mpi.Byte, false, 0},
-		{"Allgather", "flat", strided, false, 1},
-		{"Alltoall", "flat", strided, false, 1},
+		{"Allgather", "flat", strided, false, 2},
+		{"Alltoall", "flat", strided, false, 2},
 		{"Alltoall", "flat", mpi.Byte, true, 1},
 	})
 	checkLeases(t, "triangle", triangleTopo(), []leaseRow{
 		{"Allgather", "2level-multi", mpi.Byte, false, 0},
-		{"Allgather", "2level-multi", strided, false, 3},
+		{"Allgather", "2level-multi", strided, false, 4},
 		{"Allgather", "2level-multi", mpi.Byte, true, 3},
 	})
 	interleaved := triangleTopo()
@@ -245,12 +246,12 @@ func prepStridedAllgather(c *mpi.Comm, per int) func() error {
 // A schedule that ends in a send error keeps what it leased: a receive its
 // failed round pre-posted may still land there. Rank 0 loses its route to
 // rank 1 in the middle of a run and its next strided ring Allgather fails on
-// the first send, with the one vector it staged still out. A buffer that is
-// out cannot be handed out again — a list hands out only what sits home or
-// what it makes — so it is enough that the count stays: once every later
-// collective of the same size has run, exactly that one is out of the
-// session's list (shared by every rank, so read when all are done), and
-// every one delivered the right bytes.
+// the first send, with the two buffers it staged — its packed block and the
+// vector — still out. A buffer that is out cannot be handed out again — a
+// list hands out only what sits home or what it makes — so it is enough that
+// the count stays: once every later collective of the same size has run,
+// exactly those two are out of the session's list (shared by every rank, so
+// read when all are done), and every one delivered the right bytes.
 func TestFailedScheduleKeepsItsStaging(t *testing.T) {
 	const per = 10000
 	sess, err := cluster.Build(nNodeTopo(3, "sisci"))
@@ -288,8 +289,8 @@ func TestFailedScheduleKeepsItsStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := rk0.MPI.Eng.Bufs.Out(); out != 1 {
-		t.Errorf("%d buffers out after the later Allgathers, want the failed schedule's 1", out)
+	if out := rk0.MPI.Eng.Bufs.Out(); out != 2 {
+		t.Errorf("%d buffers out after the later Allgathers, want the failed schedule's 2", out)
 	}
 }
 
