@@ -6,24 +6,25 @@ package mpi
 // point-to-point traffic.
 func (c *Comm) collCtx() int { return c.ctx + 1 }
 
-// Every blocking collective below is its nonblocking twin compiled and
-// immediately waited on (blocking, which recycles the request): the
-// schedule compilers in this file, hcoll.go and hmulti.go hold the only
-// algorithm bodies and the collForms table (forms.go) the only place they
-// are bound to an operation, so a new algorithm is a new compiler plus a
-// table row and nothing else.
+// Every blocking collective below compiles the schedule its nonblocking
+// twin does and runs it on the calling thread, or queued behind pending
+// work when there is some (submit): the schedule compilers in this file,
+// hcoll.go and hmulti.go hold the only algorithm bodies and the collForms
+// table (forms.go) the only place they are bound to an operation, so a new
+// algorithm is a new compiler plus a table row and nothing else.
+
+// errOf is the outcome of a collective its caller waited for.
+func errOf(_ *CollRequest, err error) error { return err }
 
 // Barrier blocks until all members have entered it (MPI_Barrier).
-func (c *Comm) Barrier() error {
-	return c.blocking(c.Ibarrier())
-}
+func (c *Comm) Barrier() error { return errOf(c.barrier(true)) }
 
 // Bcast broadcasts count elements of dt from root to every member
 // (MPI_Bcast), compiled as one schedule: the flat binomial tree, the
 // two-level tree, whole or pipelined in segments, or the multi-leader form
 // whose shards walk chains of clusters over every bridge at once.
 func (c *Comm) Bcast(buf []byte, count int, dt Datatype, root int) error {
-	return c.blocking(c.Ibcast(buf, count, dt, root))
+	return errOf(c.bcast(buf, count, dt, root, true))
 }
 
 // Reduce combines count elements from every member's sendBuf with op,
@@ -31,7 +32,7 @@ func (c *Comm) Bcast(buf []byte, count int, dt Datatype, root int) error {
 //
 //madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) Reduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, root int) error {
-	return c.blocking(c.Ireduce(sendBuf, recvBuf, count, dt, op, root))
+	return errOf(c.reduce(sendBuf, recvBuf, count, dt, op, root, true))
 }
 
 // Allreduce combines count elements from every member's sendBuf with op,
@@ -40,19 +41,19 @@ func (c *Comm) Reduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, ro
 // form whose cluster leaders exchange their partials, a ring, or the
 // multi-leader sharded form.
 func (c *Comm) Allreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) error {
-	return c.blocking(c.Iallreduce(sendBuf, recvBuf, count, dt, op))
+	return errOf(c.allreduce(sendBuf, recvBuf, count, dt, op, true))
 }
 
 // Gather collects count elements from every member into root's recvBuf,
 // ordered by rank (MPI_Gather). recvBuf needs size*count elements at root.
 func (c *Comm) Gather(sendBuf []byte, recvBuf []byte, count int, dt Datatype, root int) error {
-	return c.blocking(c.Igather(sendBuf, recvBuf, count, dt, root))
+	return errOf(c.gather(sendBuf, recvBuf, count, dt, root, true))
 }
 
 // Allgather gathers count elements from each member into every member's
 // recvBuf in rank order (MPI_Allgather).
 func (c *Comm) Allgather(sendBuf []byte, recvBuf []byte, count int, dt Datatype) error {
-	return c.blocking(c.Iallgather(sendBuf, recvBuf, count, dt))
+	return errOf(c.allgather(sendBuf, recvBuf, count, dt, true))
 }
 
 // Alltoall sends a distinct count-element block to every member and
@@ -61,7 +62,7 @@ func (c *Comm) Allgather(sendBuf []byte, recvBuf []byte, count int, dt Datatype)
 // directed leader pair), or the multi-leader form whose co-leaders carry
 // each directed cluster bundle over their own bridge.
 func (c *Comm) Alltoall(sendBuf []byte, recvBuf []byte, count int, dt Datatype) error {
-	return c.blocking(c.Ialltoall(sendBuf, recvBuf, count, dt))
+	return errOf(c.alltoall(sendBuf, recvBuf, count, dt, true))
 }
 
 // ---- Topology-blind schedule compilers ----

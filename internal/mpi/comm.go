@@ -65,10 +65,8 @@ type Process struct {
 	traceTrack int
 
 	// spare holds the schedules that ran to completion, cleared, for the
-	// next compile to reuse (newSched, recycle), and reqs the requests of
-	// the blocking collectives that did (newReq, blocking).
+	// next compile to reuse (newSched, recycle).
 	spare []*schedule
-	reqs  []*CollRequest
 
 	memcpyBW  float64
 	finalized bool
@@ -169,7 +167,8 @@ type Comm struct {
 	ct, flat *commTopo
 
 	// eng is the communicator's collective progress engine (nbc.go),
-	// created on the first scheduled collective.
+	// created by its first collective; the engine's thread is started by
+	// the first collective that queues.
 	eng *collEngine
 }
 

@@ -23,13 +23,20 @@ type Datatype = *datatype
 // an element Extent bytes long, flattened at construction into runs — the
 // flattened form of Träff et al., "Flattening on the Fly" (EuroPVM/MPI
 // 1999), and of MPICH's dataloops — which one loop (move) walks in order,
-// to pack and to unpack. A type whose Size equals its Extent is dense: it
-// moves as its bytes, in one copy, and nothing reads its runs.
+// to pack and to unpack. A type whose runs cover its extent once, in order,
+// is dense: it moves as its bytes, in one copy, and nothing reads its runs.
+// A derived type's name is formatted when asked for, so a type built per
+// step makes no string: its name field is a format whose operands are the
+// constructor's integer arguments and, fourth, its base's name. A type with
+// no base is predefined: its name field is its name, and the reduction
+// operators are defined on it alone.
 type datatype struct {
 	name         string
+	args         [3]int
+	base         Datatype
 	size, extent int
 	runs         []run
-	basic        bool // predefined: the reduction operators are defined on it
+	dense        bool
 }
 
 // run is count blocks of n bytes, the first off bytes into an element,
@@ -44,10 +51,15 @@ func (t *datatype) Size() int { return t.size }
 func (t *datatype) Extent() int { return t.extent }
 
 // Name identifies the type in diagnostics.
-func (t *datatype) Name() string { return t.name }
+func (t *datatype) Name() string {
+	if t.base == nil {
+		return t.name
+	}
+	return fmt.Sprintf(t.name, t.args[0], t.args[1], t.args[2], t.base.Name())
+}
 
 func predefined(name string, width int) Datatype {
-	return &datatype{name: name, size: width, extent: width, runs: []run{{0, width, 1, 0}}, basic: true}
+	return &datatype{name: name, size: width, extent: width, runs: []run{{0, width, 1, 0}}, dense: true}
 }
 
 // Predefined basic datatypes.
@@ -63,7 +75,7 @@ var (
 // blocks lays count blocks of bl consecutive base elements into t's
 // element, block i at byte off+i*stride: one run over a dense base.
 func (t *datatype) blocks(off, count, bl, stride int, base Datatype) {
-	if base.size == base.extent {
+	if base.dense {
 		t.push(run{off, bl * base.size, count, stride})
 		return
 	}
@@ -79,11 +91,15 @@ func (t *datatype) blocks(off, count, bl, stride int, base Datatype) {
 
 // push appends r to t's runs, where it continues the last run: a lone block
 // right after a lone block lengthens it, and blocks of the same length at
-// the same forward spacing fold into one run.
+// the same forward spacing fold into one run. Blocks that touch are one
+// block, so a dense type has one run of one block.
 func (t *datatype) push(r run) {
 	t.size += r.n * r.count
 	if r.n == 0 || r.count == 0 {
 		return
+	}
+	if r.count == 1 || r.stride == r.n {
+		r = run{r.off, r.n * r.count, 1, 0}
 	}
 	if k := len(t.runs) - 1; k >= 0 {
 		l := &t.runs[k]
@@ -108,9 +124,9 @@ func Contiguous(count int, base Datatype) Datatype {
 	if count < 0 { // a negative argument would build a type with no layout
 		panic(fmt.Sprintf("mpi: Contiguous count is negative (%d)", count))
 	}
-	t := &datatype{name: fmt.Sprintf("contig(%d,%s)", count, base.name), extent: count * base.extent}
+	t := &datatype{name: "contig(%d,%[4]s)", args: [3]int{count}, base: base, extent: count * base.extent}
 	t.blocks(0, 1, count, 0, base)
-	return t
+	return t.seal()
 }
 
 // Vector builds a strided type: count blocks of blocklen base elements,
@@ -124,10 +140,10 @@ func Vector(count, blocklen, stride int, base Datatype) Datatype {
 	if blocklen > stride {
 		panic("mpi: Vector blocklen exceeds stride")
 	}
-	t := &datatype{name: fmt.Sprintf("vector(%d,%d,%d,%s)", count, blocklen, stride, base.name),
+	t := &datatype{name: "vector(%d,%d,%d,%s)", args: [3]int{count, blocklen, stride}, base: base,
 		extent: max(0, (count-1)*stride+blocklen) * base.extent}
 	t.blocks(0, count, blocklen, stride*base.extent, base)
-	return t
+	return t.seal()
 }
 
 // Indexed builds a type of variable-length blocks at element
@@ -138,7 +154,7 @@ func Indexed(blocklens, displs []int, base Datatype) Datatype {
 	if len(blocklens) != len(displs) {
 		panic("mpi: Indexed blocklens/displs length mismatch")
 	}
-	t := &datatype{name: fmt.Sprintf("indexed(%d,%s)", len(blocklens), base.name)}
+	t := &datatype{name: "indexed(%d,%[4]s)", args: [3]int{len(blocklens)}, base: base}
 	for i, bl := range blocklens {
 		if bl < 0 || displs[i] < 0 {
 			panic(fmt.Sprintf("mpi: Indexed block %d has a negative length (%d) or displacement (%d)", i, bl, displs[i]))
@@ -146,7 +162,7 @@ func Indexed(blocklens, displs []int, base Datatype) Datatype {
 		t.extent = max(t.extent, (displs[i]+bl)*base.extent)
 		t.blocks(displs[i]*base.extent, 1, bl, 0, base)
 	}
-	return t
+	return t.seal()
 }
 
 // StructField is one member of a Struct datatype: Len bytes at byte
@@ -160,19 +176,27 @@ type StructField struct {
 //
 //madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func Struct(extent int, fields []StructField) Datatype {
-	t := &datatype{name: fmt.Sprintf("struct(%d)", len(fields)), extent: extent}
+	t := &datatype{name: "struct(%[1]d)", args: [3]int{len(fields)}, base: Byte, extent: extent}
 	for i, f := range fields {
 		if f.Disp < 0 || f.Len < 0 {
 			panic(fmt.Sprintf("mpi: Struct field %d has a negative Disp (%d) or Len (%d)", i, f.Disp, f.Len))
 		}
 		t.push(run{f.Disp, f.Len, 1, 0})
 	}
+	return t.seal()
+}
+
+// seal marks t dense when its runs cover [0, extent) in order, exactly once:
+// push merges touching blocks, so that is one run of one block spanning the
+// extent, or no run in an empty extent.
+func (t *datatype) seal() Datatype {
+	t.dense = len(t.runs) == 0 && t.extent == 0 || len(t.runs) == 1 && t.runs[0] == run{0, t.extent, 1, 0}
 	return t
 }
 
 // IsContiguous reports whether count elements of dt occupy a dense byte
 // range (no packing buffer needed).
-func IsContiguous(dt Datatype) bool { return dt.size == dt.extent }
+func IsContiguous(dt Datatype) bool { return dt.dense }
 
 // move copies count elements of a strided type between the user's layout
 // in user and their packed form in packed, run by run: into packed when

@@ -379,6 +379,9 @@ func TestPackUnpackMatchElementPath(t *testing.T) {
 		rVector(2, 2, 3, rVector(2, 1, 2, i32)),
 		rIndexed([]int{2, 1}, []int{3, 0}, rVector(2, 1, 3, i32)),
 		rContig(3, rStruct(12, []StructField{{0, 0}, {2, 3}, {5, 0}, {8, 4}})),
+		// Size equals Extent, yet the bytes are listed out of order or twice.
+		rStruct(8, []StructField{{4, 4}, {0, 4}}), rIndexed([]int{1, 1}, []int{1, 0}, i32),
+		rStruct(8, []StructField{{0, 4}, {0, 4}}), rContig(2, rIndexed([]int{1, 1}, []int{1, 0}, i32)),
 	} {
 		dt, lay := rc.dt, rc.layout
 		sz, ex := dt.Size(), dt.Extent()
@@ -453,6 +456,61 @@ func TestDenseNeverTakesElementPath(t *testing.T) {
 	UnpackBuf(out, 2, rows, packed)
 	if !bytes.Equal(PackBuf(out, 2, rows), want) {
 		t.Error("strided rows of a dense Contiguous: round trip lost bytes")
+	}
+}
+
+// TestDenseIsReadFromTheRuns: a type is dense when its runs cover its
+// extent once, in order — not whenever its Size equals its Extent. Two
+// halves listed back to front pack the back half first, as MPI packs in
+// type-map order; a half listed twice is no dense type either; a dense
+// nest, a Vector whose blocks touch and a one-block Vector are.
+func TestDenseIsReadFromTheRuns(t *testing.T) {
+	user := pattern(8)
+	swapped := append(append([]byte(nil), user[4:8]...), user[0:4]...)
+	for _, dt := range []Datatype{
+		Struct(8, []StructField{{4, 4}, {0, 4}}), Indexed([]int{1, 1}, []int{1, 0}, Int32),
+	} {
+		if IsContiguous(dt) {
+			t.Errorf("%s is dense", dt.Name())
+		}
+		if got := PackBuf(user, 1, dt); !bytes.Equal(got, swapped) {
+			t.Errorf("%s: PackBuf = %v, want bytes 4-7 first: %v", dt.Name(), got, swapped)
+		}
+	}
+	for _, c := range []struct {
+		dt    Datatype
+		dense bool
+	}{
+		{Struct(8, []StructField{{0, 4}, {0, 4}}), false}, {Struct(8, []StructField{{0, 4}, {4, 4}}), true},
+		{Indexed([]int{1, 1}, []int{0, 1}, Int32), true}, {Vector(3, 2, 2, Int32), true},
+		{Vector(1, 2, 5, Int32), true}, {Contiguous(2, Vector(4, 2, 2, Int32)), true},
+		{Struct(4, []StructField{{0, 2}, {4, 2}}), false}, {Struct(4, nil), false}, {Contiguous(0, Int32), true},
+	} {
+		if IsContiguous(c.dt) != c.dense {
+			t.Errorf("%s (runs %v): dense %v, want %v", c.dt.Name(), c.dt.runs, !c.dense, c.dense)
+		}
+	}
+}
+
+// A derived type formats its name when Name is called, not when it is
+// built: the halo column bench/ builds every step costs the type and its
+// runs, and the name is the one the constructor's arguments spell.
+func TestNameFormattedOnDemand(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _ = Vector(256, 1, 256, Float64) }); n > 2 {
+		t.Errorf("Vector(256,1,256,Float64) allocates %.0f times, want at most 2", n)
+	}
+	for _, c := range []struct {
+		dt   Datatype
+		want string
+	}{
+		{Vector(256, 1, 256, Float64), "vector(256,1,256,MPI_DOUBLE)"},
+		{Contiguous(3, Vector(2, 1, 3, Int32)), "contig(3,vector(2,1,3,MPI_INT32))"},
+		{Indexed([]int{1, 1}, []int{1, 0}, Int32), "indexed(2,MPI_INT32)"},
+		{Struct(8, []StructField{{4, 4}, {0, 4}}), "struct(2)"}, {Byte, "MPI_BYTE"},
+	} {
+		if got := c.dt.Name(); got != c.want {
+			t.Errorf("Name() = %q, want %q", got, c.want)
+		}
 	}
 }
 

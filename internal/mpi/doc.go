@@ -11,19 +11,23 @@
 // whose steps are plain data — send, recv, fold (a receive reduced into
 // a buffer in its own round), local reduce, local copy — with inter-round
 // data flow expressed through shared staging buffers.
-// The communicator's progress engine (nbc.go) executes submitted
-// schedules in order on a dedicated Marcel thread, so transfers advance
-// while the application thread blocks, yields or computes: its CPU charges
-// preempt the application's marcel.Compute within a marcel.Quantum, as
-// Marcel's threads share the CPU with a PM2 application (§3.3). That is the
-// paper's decoupling of communication progress from the application,
-// applied to collectives (the libNBC/MPI-3 design). That thread is one per
-// communicator and resident: started as a daemon by the first scheduled
-// collective, parked on the engine's queue between jobs, woken by the next
-// submit — which puts it on the ready queue exactly where spawning a fresh
-// one used to, so the event order is what it was. Being a daemon it does
-// not hold the run: an Icoll nobody waits for ends where the run ends,
-// except on the world, where MPI_Finalize's barrier queues behind it.
+// Where a schedule runs is decided in one place, submit (nbc.go). A
+// blocking collective runs on the thread that called it, as every blocking
+// operation does in the paper, when its communicator's engine has nothing
+// queued or running; otherwise it queues behind that work. The tag sequence
+// is the same either way. An Icoll always queues: the communicator's
+// progress engine executes queued schedules in order on a dedicated Marcel
+// thread, so transfers advance while the application thread blocks, yields
+// or computes: its CPU charges preempt the application's marcel.Compute
+// within a marcel.Quantum, as Marcel's threads share the CPU with a PM2
+// application (§3.3). That is the paper's decoupling of communication
+// progress from the application, applied to nonblocking collectives (the
+// libNBC/MPI-3 design). That thread is one per communicator and resident:
+// started as a daemon by the first collective that queues — a program of
+// blocking collectives starts none — and parked on the engine's queue
+// between jobs. Being a daemon it does not hold the run: an Icoll nobody
+// waits for ends where the run ends, except on the world, where
+// MPI_Finalize's barrier queues behind it.
 //
 // A round has two send lanes. The executor pre-posts every receive of a
 // round, then injects its sends one after another, and a sender stays inside
@@ -79,7 +83,7 @@
 // Staging is leased, not allocated — and not taken at all where the user's
 // receive buffer can do the job. The packed vector a schedule finishes in
 // is asked for with schedBuilder.landing(recv, n, dt): for a dense datatype
-// (Size() == Extent()) that is recv itself, the receives and reductions of
+// (IsContiguous) that is recv itself, the receives and reductions of
 // the schedule work in it, and the completion closure's unpack finds the
 // bytes in place; for a strided one, or a receive buffer that is not
 // significant (Ireduce hands the compilers none off the root, so nothing
@@ -113,8 +117,8 @@
 // edges, where a lease from compile to completion held every one of them.
 // Every buffer a later round or the completion closure reads is
 // schedBuilder.stage(n), leased at compile time, recorded on the schedule
-// and sent home by execSchedule — the one place a schedule ends, inline or
-// on the progress thread — after the completion closure has returned:
+// and sent home by execSchedule — the one place a schedule ends, on its
+// caller or on the progress thread — after the completion closure has returned:
 // bundles the leaders exchange and fold bundle by bundle, and the
 // multi-leader partials handed across the bridges. A lease comes with
 // whatever its last holder left in it, so a compiler fills every byte it
@@ -147,12 +151,11 @@
 // storage for its next round. Two Icolls submitted back to back are two
 // schedules, since a schedule returns to the list only once it has run.
 //
-// Requests live as long as somebody can hold them, and no longer. A
-// CollRequest comes from the process's free list (Process.newReq). An
-// Icoll's is its caller's: it may wait on it and test it as often as it
-// likes, and the GC takes it. A blocking collective's goes back once its
-// Wait has returned (Comm.blocking), with its event retired, so that a
-// stale Wait or Test panics instead of waiting on a later collective. The
+// Requests live as long as somebody can hold them, and no longer. An
+// Icoll's CollRequest is its caller's: it may wait on it and test it as
+// often as it likes, and the GC takes it. A blocking collective that runs
+// on its caller has no request; one that queues waits on a request nobody
+// else can hold, which the GC takes when it returns. The
 // point-to-point sends of every schedule step and of the blocking Send and
 // Ssend take their adi.SendReq, event included, from the engine's free list
 // (Comm.address) and release it when the send is complete (sendWait); the
@@ -170,8 +173,11 @@
 // A (buffer, count, datatype) triple reaches the devices as dense bytes.
 // Every datatype is flattened by its constructor into strided runs {off,
 // n, count, stride} (datatype.go): adjacent blocks merge and equal blocks
-// at equal spacing fold, so a Vector over a dense base is one run. A dense
-// type (Size() == Extent()) is never walked: it travels from and lands in
+// at equal spacing fold, so a Vector over a dense base is one run. A type
+// whose runs cover its extent once, in order — one run of one block, since
+// touching blocks merge — is dense (IsContiguous, a flag set at
+// construction; a Size equal to the Extent is not enough: two halves listed
+// back to front pack the back half first). A dense type is never walked: it travels from and lands in
 // the user's buffer, unpacked in one copy or none when in place. A strided
 // one is packed into, or lands in, a lease of the rank's buffer list — in
 // Send, Ssend and Isend, in Irecv until its Wait unpacks it, in a
@@ -708,7 +714,9 @@
 //   - sched: "sched.<op>" and "sched.round" — the collective progress
 //     engine's schedule execution, one span per round with the ranks it
 //     talks to ("s5,r0" = send to world rank 5, receive from 0);
-//     "sched.submit" — a nonblocking collective entering the queue.
+//     "sched.submit" — a collective starting: class "caller:<form>" when
+//     it runs on its caller, "queued:<form>" when it queues for the engine
+//     thread, val the queue depth (0 on the caller).
 //   - net: "trunk.wait" — a packet queued behind other pipes' traffic
 //     for a shared backbone trunk; "trunk.occ" — trunk occupancy.
 //   - ctrl: "replan" — a Session.Replan, with the number of congested

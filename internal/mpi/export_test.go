@@ -62,10 +62,6 @@ func (r *CollRequest) Done() bool { return r.done.Fired() }
 // free list.
 func (r *CollRequest) Recycled() bool { return slices.Contains(r.c.p.spare, r.sch) }
 
-// Blocking waits for req as a blocking collective waits for its own, which
-// hands the request back to the process.
-func (c *Comm) Blocking(req *CollRequest) error { return c.blocking(req, nil) }
-
 // SameSchedule reports whether two requests were compiled into one schedule.
 func (r *CollRequest) SameSchedule(o *CollRequest) bool { return r.sch == o.sch }
 
@@ -139,7 +135,8 @@ func (c *Comm) StartRounds(name string, staged int, rounds [][]Step) *CollReques
 		}
 		b.endRound()
 	}
-	return c.submit(b.build(nil))
+	req, _ := c.submit(b.build(nil), false)
+	return req
 }
 
 // Leases compiles the named form ("flat", "2level-multi", ...) of the named

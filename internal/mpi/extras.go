@@ -20,5 +20,5 @@ func (c *Comm) Ssend(buf []byte, count int, dt Datatype, dest, tag int) error {
 // (n−1)/n of the vector per link instead of the old reduce-then-scatter
 // body's full log(n) copies.
 func (c *Comm) ReduceScatter(sendBuf, recvBuf []byte, countPerRank int, dt Datatype, op Op) error {
-	return c.blocking(c.IreduceScatter(sendBuf, recvBuf, countPerRank, dt, op))
+	return errOf(c.reduceScatter(sendBuf, recvBuf, countPerRank, dt, op, true))
 }

@@ -1,33 +1,30 @@
 // Nonblocking collectives (the Icoll API) and the per-communicator
 // progress engine that executes compiled schedules.
 //
-// Each Icoll call compiles its algorithm into a schedule (schedule.go),
-// assigns it the next tag in the communicator's collective sequence and
-// hands it to the engine, which runs submitted schedules in order on a
-// dedicated Marcel thread. The engine makes progress while the application
+// Every collective compiles its algorithm into a schedule (schedule.go)
+// and takes the next tag in the communicator's collective sequence; submit
+// then decides where it runs. A blocking collective runs on the thread that
+// called it, as every blocking operation does in the paper, whose only
+// threads beside the application's are one polling thread per network and
+// a temporary one per nonblocking send (§4.2.3) — unless the engine still
+// has work queued or running, in which case it queues behind that work. An
+// Icoll always queues, and the engine runs the queue in order on a
+// dedicated Marcel thread. That thread makes progress while the application
 // thread blocks or yields, and while it computes: a charge of the engine
 // queued behind the application's marcel.Compute preempts it within a
 // marcel.Quantum — the paper's decoupling of communication progress from
 // the application thread, applied to collectives. The application gets a
 // CollRequest and overlaps computation until Wait/Test.
 //
-// The engine thread is resident, like the paper's polling threads (§4.2.3):
-// the communicator's first scheduled collective starts it, as a daemon, and
+// The engine thread is resident, like the paper's polling threads: the
+// communicator's first collective that queues starts it, as a daemon, and
 // it never exits — between jobs it is parked on the engine's queue and the
-// next submit wakes it. It used to be spawned by every submit that found
-// the engine idle and to exit when its queue drained; on 1024 ranks that
-// was a coroutine and a stack regrown through the whole send path per
-// collective call per rank. The order of events is what it was: a spawn
-// and a wake both put the thread at the back of the ready queue at the
-// same point of submit, a drained engine hands the CPU on through the
-// scheduler's pick whether it returns or parks, and a submit that finds the
-// engine busy is taken up without a hop either way. One thing differs. As
-// a daemon the thread does not keep the run alive, so an Icoll that nobody
-// waits for no longer holds Scheduler.Run once its rank's main has returned.
-// On the world nothing changes — MPI_Finalize's barrier queues behind it
-// on the same in-order engine, so it completes first; on any other
-// communicator it ends wherever the run ends (it used to be waited for, or,
-// if it could not finish, to turn a clean exit into a deadline error).
+// next queued collective wakes it. A program of blocking collectives only
+// starts none. As a daemon the thread does not keep the run alive, so an
+// Icoll that nobody waits for does not hold Scheduler.Run once its rank's
+// main has returned. On the world it still completes — MPI_Finalize's
+// barrier queues behind it on the same in-order engine; on any other
+// communicator it ends wherever the run ends.
 //
 // MPI requires every member to issue collectives on a communicator in the
 // same order, so the per-communicator sequence numbers agree across ranks
@@ -38,6 +35,7 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
 
 	"mpichmad/internal/trace"
@@ -53,6 +51,7 @@ const tagNBCBase = 1 << 10
 type CollRequest struct {
 	c    *Comm
 	sch  *schedule
+	tag  int
 	done *vtime.Event
 	err  error
 }
@@ -61,35 +60,6 @@ type CollRequest struct {
 func (r *CollRequest) Wait() error {
 	r.done.Wait()
 	return r.err
-}
-
-// newReq hands out a request of the process's free list, or a new one. A
-// blocking collective's comes back once it has completed (blocking); an
-// Icoll's stays with its caller.
-func (p *Process) newReq(c *Comm, sch *schedule) *CollRequest {
-	var req *CollRequest
-	if n := len(p.reqs); n > 0 {
-		req, p.reqs = p.reqs[n-1], p.reqs[:n-1]
-		req.done.Rearm(sch.doneEvt)
-	} else {
-		req = &CollRequest{done: vtime.NewEvent(p.M.S, sch.doneEvt)}
-	}
-	req.c, req.sch = c, sch
-	return req
-}
-
-// blocking is Wait for the request of a blocking collective, which nobody
-// else holds: once complete, it goes back to the process's free list with
-// its event retired, so that a stale Wait or Test panics.
-func (c *Comm) blocking(req *CollRequest, err error) error {
-	if err != nil {
-		return err
-	}
-	err = req.Wait()
-	*req = CollRequest{done: req.done}
-	req.done.Retire()
-	c.p.reqs = append(c.p.reqs, req)
-	return err
 }
 
 // Test reports completion without blocking indefinitely (MPI_Test). When
@@ -102,21 +72,20 @@ func (c *Comm) blocking(req *CollRequest, err error) error {
 func (r *CollRequest) Test() (bool, error) {
 	if !r.done.Fired() {
 		r.c.p.M.Sleep(vtime.Microsecond)
-		if !r.done.Fired() {
-			return false, nil
-		}
 	}
-	return true, r.err
+	return r.done.Fired(), r.err // err is set when done fires, not before
 }
 
 // collEngine is a communicator's collective progress state: the sequence
-// allocator and the queue of submitted schedules its thread takes from —
-// and, from the first round that has sends on a second lane, the mailbox and
-// the return semaphore of the thread that injects those (laneStart).
+// allocator, the turn the schedule that runs holds wherever it runs, and —
+// from the first collective that queues — the queue its thread takes from;
+// from the first round that has sends on a second lane, the mailbox and the
+// return semaphore of the thread that injects those (laneStart).
 type collEngine struct {
 	seq  int
-	jobs *vtime.Queue[collJob]
-	rw   *roundWait // every round's receive bookkeeping (execRounds)
+	turn *vtime.Sem                 // one permit: at most one schedule runs at a time
+	jobs *vtime.Queue[*CollRequest] // nil until a collective queues
+	rw   *roundWait                 // every round's receive bookkeeping (execRounds)
 
 	lane     *vtime.Queue[*round]
 	laneDone *vtime.Sem
@@ -124,94 +93,116 @@ type collEngine struct {
 	laneErr  error
 }
 
-type collJob struct {
-	req *CollRequest
-	tag int
-}
-
-// submit queues a compiled schedule on the communicator's progress engine
-// and returns its request. Purely local schedules (size-1 communicators)
-// run inline. The first scheduled collective starts the engine thread.
-func (c *Comm) submit(sch *schedule) *CollRequest {
-	req := c.p.newReq(c, sch)
-	if sch.local() {
-		req.err = c.execSchedule(sch, 0)
-		req.done.Fire()
-		return req
+// submit starts a compiled schedule under the next tag of the sequence; it
+// is the one place that decides where a collective runs. When the engine
+// has nothing queued or running, a schedule runs on the calling thread if
+// that thread waits for it anyway (wait) or if it moves no bytes, so that
+// nothing can keep it. Otherwise it queues behind the pending work, in
+// submission order — MPI's per-communicator collective order — and the
+// first one that does starts the engine thread. A caller that waits gets
+// no request: a queued blocking collective waits on one that nobody else
+// can hold.
+func (c *Comm) submit(sch *schedule, wait bool) (*CollRequest, error) {
+	if c.eng == nil {
+		c.eng = &collEngine{turn: vtime.NewSem(c.p.M.S, "mpi.nbc.turn", 1)}
 	}
 	eng := c.eng
-	if eng == nil {
-		eng = &collEngine{jobs: vtime.NewQueue[collJob](c.p.M.S, "mpi.nbc")}
-		c.eng = eng
-		c.p.M.SpawnDaemon("nbc.progress", c.progress)
-	}
 	tag := tagNBCBase + eng.seq
 	eng.seq++
-	eng.jobs.Push(collJob{req: req, tag: tag})
-	if tr := c.p.tracer; tr != nil {
-		tr.Instant(c.p.traceTrack, trace.KSched, "sched.submit", trace.Args{
-			Seq: uint32(tag), Class: sch.name, Val: int64(eng.jobs.Len()),
-		})
+	if (wait || sch.local()) && (eng.jobs == nil || eng.jobs.Len() == 0) && eng.turn.TryAcquire() {
+		c.traceSubmit(sch, tag, "caller", 0)
+		err := c.execSchedule(sch, tag)
+		eng.turn.Release()
+		if wait {
+			return nil, err
+		}
+		req := &CollRequest{c: c, sch: sch, err: err, done: vtime.NewEvent(c.p.M.S, sch.doneEvt)}
+		req.done.Fire()
+		return req, nil
 	}
-	return req
+	if eng.jobs == nil {
+		eng.jobs = vtime.NewQueue[*CollRequest](c.p.M.S, "mpi.nbc")
+		c.p.M.SpawnDaemon("nbc.progress", c.progress)
+	}
+	req := &CollRequest{c: c, sch: sch, tag: tag, done: vtime.NewEvent(c.p.M.S, sch.doneEvt)}
+	eng.jobs.Push(req)
+	c.traceSubmit(sch, tag, "queued", eng.jobs.Len())
+	if wait {
+		return nil, req.Wait()
+	}
+	return req, nil
 }
 
-// progress is the engine thread: it executes schedules in submission order,
-// firing each request's completion event, and parks when there is none.
+// traceSubmit records a collective's start: where it runs — on its caller
+// or queued for the engine thread — and how many schedules are queued.
+func (c *Comm) traceSubmit(sch *schedule, tag int, where string, depth int) {
+	if tr := c.p.tracer; tr != nil {
+		tr.Instant(c.p.traceTrack, trace.KSched, "sched.submit", trace.Args{
+			Seq: uint32(tag), Class: where + ":" + sch.name, Val: int64(depth),
+		})
+	}
+}
+
+// progress is the engine thread: it executes queued schedules in submission
+// order, each once it holds the turn — a blocking collective another
+// thread of the rank runs on itself holds it meanwhile — firing each
+// request's completion event, and parks when there is none.
 func (c *Comm) progress() {
 	for {
-		job := c.eng.jobs.Pop()
-		job.req.err = c.execSchedule(job.req.sch, job.tag)
-		job.req.done.Fire()
+		req := c.eng.jobs.Pop()
+		c.eng.turn.Acquire()
+		req.err = c.execSchedule(req.sch, req.tag)
+		c.eng.turn.Release()
+		req.done.Fire()
 	}
 }
 
 // laneStart hands the round's lane-1 sends to the communicator's lane
-// thread, a resident daemon like the engine thread and started like it, by
-// the first round that needs it: a thread per laned round cost the host a
-// coroutine and a stack each (host_s +12-14 % with two forms converted).
-// Between rounds it is parked on its mailbox. The engine collects the round
-// with laneDone.Acquire and reads laneErr.
+// thread, a resident daemon like the engine thread, started by the first
+// round that needs it — whether that round runs on the engine thread or on
+// a blocking collective's caller: one thread per laned round would cost the
+// host a coroutine and a stack each. Between rounds it is parked on its
+// mailbox. The round's thread collects it with laneDone.Acquire and reads
+// laneErr.
 func (c *Comm) laneStart(rd *round, tag int) {
-	eng := c.eng
-	if eng.lane == nil {
-		eng.lane = vtime.NewQueue[*round](c.p.M.S, "mpi.nbc.lane")
-		eng.laneDone = vtime.NewSem(c.p.M.S, "mpi.nbc.lane.done", 0)
+	if c.eng.lane == nil {
+		c.eng.lane = vtime.NewQueue[*round](c.p.M.S, "mpi.nbc.lane")
+		c.eng.laneDone = vtime.NewSem(c.p.M.S, "mpi.nbc.lane.done", 0)
 		c.p.M.SpawnDaemon("nbc.lane", func() {
 			for {
-				rd := eng.lane.Pop()
+				rd := c.eng.lane.Pop()
 				t0 := c.p.M.S.Now()
-				eng.laneErr = c.sendLane(rd, 1, eng.laneTag)
+				c.eng.laneErr = c.sendLane(rd, 1, c.eng.laneTag)
 				if tr := c.p.tracer; tr != nil {
 					tr.Span(c.p.traceTrack, trace.KSched, "sched.lane", t0, trace.Args{
-						Seq: uint32(eng.laneTag), Bytes: roundBytes(rd)[1], Leader: rd.leader1, GW: rd.gw,
+						Seq: uint32(c.eng.laneTag), Bytes: roundBytes(rd)[1], Leader: rd.leader1, GW: rd.gw,
 					})
 				}
-				eng.laneDone.Release()
+				c.eng.laneDone.Release()
 			}
 		})
 	}
-	eng.laneTag = tag
-	eng.lane.Push(rd)
+	c.eng.laneTag = tag
+	c.eng.lane.Push(rd)
 }
 
-// startColl is the shared Icoll entry: validity checks, then the tuning
-// table names a preference (chooseAlgo), sanitizeAlgo degrades it to a
-// form this communicator can run, that collForms row compiles the schedule
-// and the engine takes it. nBytes is the operation's dispatch
-// metric — the payload size the tuning brackets are keyed by.
-func (c *Comm) startColl(op string, kind collKind, nBytes int, a collArgs) (*CollRequest, error) {
-	if err := c.checkLive(op); err != nil {
+// startColl is the shared entry of every collective, blocking (wait) or
+// not: the call's own validity checks, in order, then the communicator's
+// and the root's; then the tuning table names a preference (chooseAlgo),
+// sanitizeAlgo degrades it to a form this communicator can run, that
+// collForms row compiles the schedule and submit starts it. nBytes is the
+// operation's dispatch metric — the payload size the tuning brackets are
+// keyed by.
+func (c *Comm) startColl(op string, kind collKind, nBytes int, wait bool, a collArgs, checks ...error) (*CollRequest, error) {
+	if err := cmp.Or(cmp.Or(checks...), c.checkLive(op)); err != nil {
 		return nil, err
 	}
-	if collKinds[kind].rooted {
-		if err := c.checkPeer(op, a.root); err != nil {
-			return nil, err
-		}
+	if err := c.checkPeer(op, a.root); collKinds[kind].rooted && err != nil {
+		return nil, err
 	}
 	f := formOf(kind, c.sanitizeAlgo(kind, c.chooseAlgo(kind, nBytes)))
 	b := c.p.newSched(f.name)
-	return c.submit(b.build(f.compile(c, b, c.topo(), a))), nil
+	return c.submit(b.build(f.compile(c, b, c.topo(), a)), wait)
 }
 
 // checkBuf validates a user buffer against the element count before
@@ -227,9 +218,17 @@ func (c *Comm) checkBuf(op, which string, buf []byte, elems int, dt Datatype) er
 	return nil
 }
 
+// Each Icoll below starts the collective its blocking twin (collectives.go)
+// runs; both go through the lower-case form, which validates the call and
+// reports errors under the Icoll's name.
+
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier).
-func (c *Comm) Ibarrier() (*CollRequest, error) {
-	return c.startColl("Ibarrier", kindBarrier, 0, collArgs{})
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
+func (c *Comm) Ibarrier() (*CollRequest, error) { return c.barrier(false) }
+
+func (c *Comm) barrier(wait bool) (*CollRequest, error) {
+	return c.startColl("Ibarrier", kindBarrier, 0, wait, collArgs{})
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast). The root's buf must
@@ -237,29 +236,36 @@ func (c *Comm) Ibarrier() (*CollRequest, error) {
 // tuning table picks the two-level tree (pipelined in segments for large
 // payloads) or the multi-leader relay chains on multi-cluster topologies,
 // the binomial tree otherwise.
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) Ibcast(buf []byte, count int, dt Datatype, root int) (*CollRequest, error) {
-	if err := c.checkBuf("Ibcast", "data", buf, count, dt); err != nil {
-		return nil, err
-	}
-	return c.startColl("Ibcast", kindBcast, count*dt.Size(),
-		collArgs{send: buf, recv: buf, count: count, dt: dt, root: root})
+	return c.bcast(buf, count, dt, root, false)
+}
+
+func (c *Comm) bcast(buf []byte, count int, dt Datatype, root int, wait bool) (*CollRequest, error) {
+	return c.startColl("Ibcast", kindBcast, count*dt.Size(), wait,
+		collArgs{send: buf, recv: buf, count: count, dt: dt, root: root},
+		c.checkBuf("Ibcast", "data", buf, count, dt))
 }
 
 // Ireduce starts a nonblocking reduction to root (MPI_Ireduce).
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) Ireduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, root int) (*CollRequest, error) {
-	if err := c.checkBuf("Ireduce", "send", sendBuf, count, dt); err != nil {
-		return nil, err
-	}
+	return c.reduce(sendBuf, recvBuf, count, dt, op, root, false)
+}
+
+func (c *Comm) reduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, root int, wait bool) (*CollRequest, error) {
+	recv := c.checkBuf("Ireduce", "recv", recvBuf, count, dt)
 	if c.myRank != root {
 		// Significant at the root only. The compilers accumulate in the
 		// receive buffer when they can (schedBuilder.landing): elsewhere
 		// they get none, so whatever the caller passed is never written.
-		recvBuf = nil
-	} else if err := c.checkBuf("Ireduce", "recv", recvBuf, count, dt); err != nil {
-		return nil, err
+		recvBuf, recv = nil, nil
 	}
-	return c.startColl("Ireduce", kindReduce, count*dt.Size(),
-		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op, root: root})
+	return c.startColl("Ireduce", kindReduce, count*dt.Size(), wait,
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op, root: root},
+		c.checkBuf("Ireduce", "send", sendBuf, count, dt), recv)
 }
 
 // Iallreduce starts a nonblocking all-reduce (MPI_Iallreduce) compiled into
@@ -267,14 +273,13 @@ func (c *Comm) Ireduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, r
 // form whose cluster leaders exchange their partials, a ring, or the
 // multi-leader sharded form.
 func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op) (*CollRequest, error) {
-	if err := c.checkBuf("Iallreduce", "send", sendBuf, count, dt); err != nil {
-		return nil, err
-	}
-	if err := c.checkBuf("Iallreduce", "recv", recvBuf, count, dt); err != nil {
-		return nil, err
-	}
-	return c.startColl("Iallreduce", kindAllreduce, count*dt.Size(),
-		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op})
+	return c.allreduce(sendBuf, recvBuf, count, dt, op, false)
+}
+
+func (c *Comm) allreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, wait bool) (*CollRequest, error) {
+	return c.startColl("Iallreduce", kindAllreduce, count*dt.Size(), wait,
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op},
+		c.checkBuf("Iallreduce", "send", sendBuf, count, dt), c.checkBuf("Iallreduce", "recv", recvBuf, count, dt))
 }
 
 // IreduceScatter starts a nonblocking reduce-scatter with equal counts
@@ -283,41 +288,47 @@ func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op
 // schedules throughout — the flat bandwidth-optimal ring, or the two-level
 // variant (intra-cluster ring + leader bundle exchange) on multi-cluster
 // topologies.
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) IreduceScatter(sendBuf, recvBuf []byte, countPerRank int, dt Datatype, op Op) (*CollRequest, error) {
-	if err := c.checkBuf("IreduceScatter", "send", sendBuf, c.Size()*countPerRank, dt); err != nil {
-		return nil, err
-	}
-	if err := c.checkBuf("IreduceScatter", "recv", recvBuf, countPerRank, dt); err != nil {
-		return nil, err
-	}
-	return c.startColl("IreduceScatter", kindReduceScatter, c.Size()*countPerRank*dt.Size(),
-		collArgs{send: sendBuf, recv: recvBuf, count: countPerRank, dt: dt, op: op})
+	return c.reduceScatter(sendBuf, recvBuf, countPerRank, dt, op, false)
+}
+
+func (c *Comm) reduceScatter(sendBuf, recvBuf []byte, countPerRank int, dt Datatype, op Op, wait bool) (*CollRequest, error) {
+	return c.startColl("IreduceScatter", kindReduceScatter, c.Size()*countPerRank*dt.Size(), wait,
+		collArgs{send: sendBuf, recv: recvBuf, count: countPerRank, dt: dt, op: op},
+		c.checkBuf("IreduceScatter", "send", sendBuf, c.Size()*countPerRank, dt),
+		c.checkBuf("IreduceScatter", "recv", recvBuf, countPerRank, dt))
 }
 
 // Igather starts a nonblocking gather to root (MPI_Igather).
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) Igather(sendBuf, recvBuf []byte, count int, dt Datatype, root int) (*CollRequest, error) {
-	if err := c.checkBuf("Igather", "send", sendBuf, count, dt); err != nil {
-		return nil, err
+	return c.gather(sendBuf, recvBuf, count, dt, root, false)
+}
+
+func (c *Comm) gather(sendBuf, recvBuf []byte, count int, dt Datatype, root int, wait bool) (*CollRequest, error) {
+	recv := c.checkBuf("Igather", "recv", recvBuf, c.Size()*count, dt)
+	if c.myRank != root {
+		recv = nil // significant at the root only
 	}
-	if c.myRank == root {
-		if err := c.checkBuf("Igather", "recv", recvBuf, c.Size()*count, dt); err != nil {
-			return nil, err
-		}
-	}
-	return c.startColl("Igather", kindGather, count*dt.Size(),
-		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, root: root})
+	return c.startColl("Igather", kindGather, count*dt.Size(), wait,
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, root: root},
+		c.checkBuf("Igather", "send", sendBuf, count, dt), recv)
 }
 
 // Iallgather starts a nonblocking all-gather (MPI_Iallgather).
+//
+//madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) Iallgather(sendBuf, recvBuf []byte, count int, dt Datatype) (*CollRequest, error) {
-	if err := c.checkBuf("Iallgather", "send", sendBuf, count, dt); err != nil {
-		return nil, err
-	}
-	if err := c.checkBuf("Iallgather", "recv", recvBuf, c.Size()*count, dt); err != nil {
-		return nil, err
-	}
-	return c.startColl("Iallgather", kindAllgather, count*dt.Size(),
-		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt})
+	return c.allgather(sendBuf, recvBuf, count, dt, false)
+}
+
+func (c *Comm) allgather(sendBuf, recvBuf []byte, count int, dt Datatype, wait bool) (*CollRequest, error) {
+	return c.startColl("Iallgather", kindAllgather, count*dt.Size(), wait,
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt},
+		c.checkBuf("Iallgather", "send", sendBuf, count, dt), c.checkBuf("Iallgather", "recv", recvBuf, c.Size()*count, dt))
 }
 
 // Ialltoall starts a nonblocking all-to-all (MPI_Ialltoall). On
@@ -325,11 +336,15 @@ func (c *Comm) Iallgather(sendBuf, recvBuf []byte, count int, dt Datatype) (*Col
 // cluster leaders so each backbone link is crossed O(clusters) times
 // instead of O(n) (see alltoallBundles).
 func (c *Comm) Ialltoall(sendBuf, recvBuf []byte, count int, dt Datatype) (*CollRequest, error) {
+	return c.alltoall(sendBuf, recvBuf, count, dt, false)
+}
+
+func (c *Comm) alltoall(sendBuf, recvBuf []byte, count int, dt Datatype, wait bool) (*CollRequest, error) {
 	want := c.Size() * count * dt.Extent()
 	if len(sendBuf) < want || len(recvBuf) < want {
 		return nil, fmt.Errorf("mpi: Ialltoall: buffers need %d bytes (send %d, recv %d)",
 			want, len(sendBuf), len(recvBuf))
 	}
-	return c.startColl("Ialltoall", kindAlltoall, c.Size()*count*dt.Size(),
+	return c.startColl("Ialltoall", kindAlltoall, c.Size()*count*dt.Size(), wait,
 		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt})
 }

@@ -7,23 +7,27 @@ package mpi_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"mpichmad/internal/cluster"
+	"mpichmad/internal/experiments"
 	"mpichmad/internal/mpi"
 	"mpichmad/internal/vtime"
 )
 
-// icollSuiteOutputs runs all seven collectives on a two-cluster session —
+// icollSuiteOutputs runs all seven collectives on a session of the shape —
 // blocking when nb is false, as started-then-waited I-variants when nb is
-// true — and returns every observable output buffer keyed for comparison.
-func icollSuiteOutputs(t *testing.T, nA, nB int, mode mpi.CollMode, nb bool,
-	seed byte, count, root int, op mpi.Op) map[string][]byte {
+// true — and returns every observable output buffer keyed by world rank for
+// comparison. The session must pass the Finalize audit (sess.Run fails
+// otherwise) and end with every buffer of its list home.
+func icollSuiteOutputs(t *testing.T, sh fpShape, mode mpi.CollMode, nb bool,
+	seed byte, count, rootSel int, op mpi.Op) map[string][]byte {
 	t.Helper()
-	n := nA + nB
-	sess, err := cluster.Build(twoClusterTopo(nA, nB))
+	sess, err := cluster.Build(sh.topo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,18 +45,18 @@ func icollSuiteOutputs(t *testing.T, nA, nB int, mode mpi.CollMode, nb bool,
 		}
 		return v
 	}
-	// run executes op either blocking (start and immediately wait) or as
-	// the nonblocking variant waited later by the caller.
-	wait := func(req *mpi.CollRequest, err error) error {
-		if err != nil {
-			return err
-		}
-		return req.Wait()
-	}
 	err = sess.Run(func(rank int, comm *mpi.Comm) error {
+		if sh.island {
+			sub, err := comm.Split(rank%2, rank)
+			if err != nil {
+				return err
+			}
+			comm = sub
+		}
+		n, me, root := comm.Size(), comm.Rank(), rootSel%comm.Size()
 		// Bcast
 		buf := make([]byte, 8*count)
-		if rank == root {
+		if me == root {
 			copy(buf, mpi.Int64Bytes(input(rank)))
 		}
 		if nb {
@@ -72,7 +76,7 @@ func icollSuiteOutputs(t *testing.T, nA, nB int, mode mpi.CollMode, nb bool,
 		} else if err := comm.Reduce(mpi.Int64Bytes(input(rank)), red, count, mpi.Int64, op, root); err != nil {
 			return err
 		}
-		if rank == root {
+		if me == root {
 			record("reduce", rank, red)
 		}
 		// Allreduce
@@ -94,7 +98,7 @@ func icollSuiteOutputs(t *testing.T, nA, nB int, mode mpi.CollMode, nb bool,
 		} else if err := comm.Gather(mpi.Int64Bytes(input(rank)), gat, count, mpi.Int64, root); err != nil {
 			return err
 		}
-		if rank == root {
+		if me == root {
 			record("gather", rank, gat)
 		}
 		// Allgather
@@ -128,46 +132,78 @@ func icollSuiteOutputs(t *testing.T, nA, nB int, mode mpi.CollMode, nb bool,
 		return comm.Barrier()
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", sh.name, err)
+	}
+	if out := sess.Ranks[0].Eng.Bufs.Out(); out != 0 {
+		t.Errorf("%s: %d buffers of the session's list still out at the end of the session", sh.name, out)
 	}
 	return out
 }
 
-// TestIcollMatchesBlocking: for randomized cluster shapes, payload sizes,
-// roots, ops and algorithm families, every I-collective produces
-// byte-identical results to its blocking counterpart.
+// wait waits for a started Icoll.
+func wait(req *mpi.CollRequest, err error) error {
+	if err != nil {
+		return err
+	}
+	return req.Wait()
+}
+
+// sameOutputs compares what the blocking forms and the I-forms left behind.
+func sameOutputs(t *testing.T, what string, blocking, icoll map[string][]byte) bool {
+	t.Helper()
+	if len(blocking) != len(icoll) {
+		t.Errorf("%s: output key sets differ: blocking %d, icoll %d", what, len(blocking), len(icoll))
+		return false
+	}
+	for k, bv := range blocking {
+		iv, ok := icoll[k]
+		if !ok {
+			t.Errorf("%s: icoll missing output %s", what, k)
+			return false
+		}
+		if !bytes.Equal(bv, iv) {
+			t.Errorf("%s: %s differs: blocking %v icoll %v", what, k, mpi.BytesInt64(bv), mpi.BytesInt64(iv))
+			return false
+		}
+	}
+	return true
+}
+
+// TestIcollMatchesBlocking: every I-collective, queued for the engine thread
+// and waited on, produces byte-identical results to its blocking
+// counterpart, which runs on its caller — for randomized two-cluster shapes,
+// payload sizes, roots, ops and algorithm families, and on the four shapes
+// of the schedule fingerprint two clusters cannot draw: the capped pair, the
+// bridged triangle, one island and the islands' sub-communicators.
 func TestIcollMatchesBlocking(t *testing.T) {
-	modes := []mpi.CollMode{mpi.CollAuto, mpi.CollFlat, mpi.CollHier}
+	modes := []mpi.CollMode{mpi.CollAuto, mpi.CollFlat, mpi.CollHier, mpi.CollHierMulti}
 	ops := []mpi.Op{mpi.OpSum, mpi.OpMax, mpi.OpMin, mpi.OpProd}
 	f := func(seed, shapeA, shapeB, rootSel, opIdx, length, modeSel uint8) bool {
 		nA := int(shapeA)%3 + 1
 		nB := int(shapeB)%3 + 1
-		root := int(rootSel) % (nA + nB)
+		sh := fpShape{name: fmt.Sprintf("%d+%d", nA, nB), topo: func() cluster.Topology { return twoClusterTopo(nA, nB) }}
 		op := ops[int(opIdx)%len(ops)]
 		count := int(length)%7 + 1
 		mode := modes[int(modeSel)%len(modes)]
-		blocking := icollSuiteOutputs(t, nA, nB, mode, false, byte(seed), count, root, op)
-		icoll := icollSuiteOutputs(t, nA, nB, mode, true, byte(seed), count, root, op)
-		if len(blocking) != len(icoll) {
-			t.Errorf("output key sets differ: blocking %d, icoll %d", len(blocking), len(icoll))
-			return false
-		}
-		for k, bv := range blocking {
-			iv, ok := icoll[k]
-			if !ok {
-				t.Errorf("icoll missing output %s", k)
-				return false
-			}
-			if !bytes.Equal(bv, iv) {
-				t.Errorf("shape %d+%d root %d op %s count %d mode %d: %s differs: blocking %v icoll %v",
-					nA, nB, root, op.Name(), count, mode, k, mpi.BytesInt64(bv), mpi.BytesInt64(iv))
-				return false
-			}
-		}
-		return true
+		what := fmt.Sprintf("shape %s root %d op %s count %d mode %d", sh.name, rootSel, op.Name(), count, mode)
+		return sameOutputs(t, what,
+			icollSuiteOutputs(t, sh, mode, false, seed, count, int(rootSel), op),
+			icollSuiteOutputs(t, sh, mode, true, seed, count, int(rootSel), op))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
+	}
+	for _, sh := range fpShapes {
+		if !sh.island && !slices.Contains([]string{"4+4capped", "triangle", "single5"}, sh.name) {
+			continue
+		}
+		for i, mode := range modes {
+			what := fmt.Sprintf("shape %s mode %d", sh.name, mode)
+			seed, root := byte(17*i+3), 2*i+1
+			sameOutputs(t, what,
+				icollSuiteOutputs(t, sh, mode, false, seed, 5, root, ops[i]),
+				icollSuiteOutputs(t, sh, mode, true, seed, 5, root, ops[i]))
+		}
 	}
 }
 
@@ -454,12 +490,13 @@ func TestWaitAllStatuses(t *testing.T) {
 	}
 }
 
-// A communicator has one progress thread for its life: what a program
-// spawns does not grow with the collectives it calls. The count is the
-// distance between the ids of two probe threads rank 0 starts before the
-// first collective and after the last.
+// A blocking collective runs on its caller, so a program of blocking
+// collectives starts no engine thread on any communicator; the first Icoll
+// on a communicator starts exactly one, and none follows however many more
+// are issued. The count is the distance between the ids of two probe
+// threads rank 0 starts before the first collective and after the last.
 func TestOneProgressThreadPerComm(t *testing.T) {
-	spawned := func(onWorld, onDup int) int {
+	spawned := func(barriers, icolls int) int {
 		sess, err := cluster.Build(twoClusterTopo(2, 2))
 		if err != nil {
 			t.Fatal(err)
@@ -474,16 +511,21 @@ func TestOneProgressThreadPerComm(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			for i := 0; i < onWorld+onDup; i++ {
+			for i := 0; i < barriers+2*icolls; i++ {
 				comm := c
-				if i%4 == 3 && i/4 < onDup {
+				if i%2 == 1 {
 					comm = dup
 				}
-				if err := comm.Barrier(); err != nil {
+				if i < barriers {
+					err = comm.Barrier()
+				} else {
+					err = wait(comm.Ibarrier())
+				}
+				if err != nil {
 					return err
 				}
 			}
-			// Every rank is in or past its last barrier: whatever it
+			// Every rank is in or past its last collective: whatever it
 			// spawns for one has been spawned.
 			sess.Ranks[rank].Proc.Sleep(vtime.Millisecond)
 			if rank == 0 {
@@ -496,13 +538,69 @@ func TestOneProgressThreadPerComm(t *testing.T) {
 		}
 		return last - first
 	}
-	few, many := spawned(20, 5), spawned(40, 10)
-	if few != many {
-		t.Fatalf("25 barriers spawn %d threads and 50 spawn %d, want the same number", few, many)
+	// The probe itself, and with Icolls, per rank, the world's engine and
+	// the Dup's.
+	if got := spawned(25, 0); got != 1 {
+		t.Errorf("25 barriers on two communicators spawn %d threads, want only the probe", got-1)
 	}
-	// The probe itself and, per rank, the world's engine and the Dup's.
-	if want := 1 + 4*2; few != want {
-		t.Fatalf("%d threads spawned by a program of 25 barriers on two communicators, want %d", few, want)
+	few, many := spawned(25, 1), spawned(25, 10)
+	if want := 1 + 4*2; few != want || many != want {
+		t.Errorf("one Ibarrier per communicator spawns %d threads and ten spawn %d, want %d",
+			few-1, many-1, want-1)
+	}
+}
+
+// A blocking collective issued while earlier ones are pending on its
+// communicator queues behind them: a Barrier called with an Ibarrier in
+// flight returns once the Ibarrier has completed. And one that runs on its
+// caller holds the engine until it returns: an Ibarrier another thread of
+// rank 0 issues meanwhile completes after it, on every rank.
+func TestBlockingQueuesBehindPendingIcoll(t *testing.T) {
+	sess, err := cluster.Build(twoClusterTopo(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		req, err := c.Ibarrier()
+		if err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if !req.Done() {
+			return fmt.Errorf("rank %d: a Barrier returned before the Ibarrier issued first", rank)
+		}
+		if err := req.Wait(); err != nil {
+			return err
+		}
+		// Rank 0's helper issues its Ibarrier while rank 0's main is inside
+		// a Barrier that waits for rank 3, which comes late.
+		p := sess.Ranks[rank].Proc
+		var icoll *mpi.CollRequest
+		var ierr error
+		issued := vtime.NewEvent(p.S, "test.issued")
+		if rank == 0 {
+			p.Spawn("helper", func() {
+				p.Sleep(10 * vtime.Microsecond)
+				icoll, ierr = c.Ibarrier()
+				issued.Fire()
+			})
+		} else if rank == 3 {
+			p.Sleep(vtime.Millisecond)
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if rank != 0 {
+			icoll, ierr = c.Ibarrier()
+		} else if issued.Wait(); ierr == nil && icoll.Done() {
+			return errors.New("rank 0: an Ibarrier issued during a Barrier on the caller completed before it")
+		}
+		return wait(icoll, ierr)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -540,5 +638,64 @@ func TestUnwaitedIcollDoesNotHoldRun(t *testing.T) {
 		if rank != 1 && onDup[rank].Done() {
 			t.Errorf("rank %d: a barrier rank 1 never joined completed", rank)
 		}
+	}
+}
+
+// At scale the rule is the paper's: a rank's threads are its application's
+// and its pollers. On 64 clusters of 16 ranks the blocking collectives
+// after the opening Barrier spawn no task at all, and one Iallreduce per
+// rank spawns exactly one per rank, its world engine. (Rooted at rank 0, a
+// cluster leader: a root elsewhere has its messages relayed by a gateway,
+// which forwards each on a thread of its own, as in the paper.)
+func TestScaleSpawnsProgressThreadsOnlyForIcoll(t *testing.T) {
+	sess, err := cluster.Build(experiments.ScaleTopo(64, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened, blocking, icoll int
+	tasks := func() int { n, _ := sess.S.Counts(); return n }
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if rank == 0 {
+			opened = tasks()
+		}
+		send, recv := fpFill(rank, 64), make([]byte, 64*c.Size())
+		for _, err := range []error{
+			c.Bcast(send, 64, mpi.Byte, 0),
+			c.Allreduce(send, recv[:64], 64, mpi.Byte, mpi.OpMax),
+			c.Reduce(send, recv[:64], 64, mpi.Byte, mpi.OpSum, 0),
+			c.Allgather(send[:1], recv[:c.Size()], 1, mpi.Byte),
+			c.Barrier(),
+		} {
+			if err != nil {
+				return err
+			}
+		}
+		// Every rank has entered the last Barrier, so it has run all the
+		// blocking collectives before it.
+		if rank == 0 {
+			blocking = tasks()
+		}
+		if err := wait(c.Iallreduce(send, recv[:64], 64, mpi.Byte, mpi.OpMax)); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if rank == 0 {
+			icoll = tasks()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocking != opened {
+		t.Errorf("blocking collectives on 1024 ranks spawned %d tasks, want none", blocking-opened)
+	}
+	if icoll-blocking != len(sess.Ranks) {
+		t.Errorf("one Iallreduce per rank spawned %d tasks on %d ranks, want one per rank", icoll-blocking, len(sess.Ranks))
 	}
 }

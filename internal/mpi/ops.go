@@ -126,7 +126,7 @@ const lanesHi = 0x8080808080808080 // the top bit of each byte lane
 // element is combined alone, so its result does not depend on its
 // neighbours.
 func (o numericOp) Apply(dst, src []byte, count int, dt Datatype) error {
-	if !dt.basic {
+	if dt.base != nil {
 		return fmt.Errorf("mpi: %s not defined for datatype %s", o.name, dt.Name())
 	}
 	step := max(8, 4*dt.Size()) // four elements, or a word of byte lanes

@@ -279,8 +279,8 @@ func (b *schedBuilder) build(fin func()) *schedule {
 func (st *step) lands() bool { return st.kind == stepRecv || st.kind == stepFold }
 
 // local reports whether the schedule moves no bytes over the network
-// (size-1 communicators, self-rooted trivial cases); such schedules run
-// inline at submit instead of through the progress engine.
+// (size-1 communicators, self-rooted trivial cases); such a schedule runs
+// on its caller, Icoll or not, unless earlier work is pending (submit).
 func (sch *schedule) local() bool {
 	for _, rd := range sch.rounds {
 		for _, st := range rd.steps {
@@ -293,10 +293,11 @@ func (sch *schedule) local() bool {
 }
 
 // execSchedule runs a compiled schedule to completion on the calling
-// (engine) thread. All messages travel on the communicator's collective
-// context under the schedule's unique tag; FIFO matching per (source, tag)
-// pairs same-peer transfers of different rounds correctly because both
-// sides order them identically.
+// thread: the engine thread, or the caller of a blocking collective. All
+// messages travel on the communicator's collective context under the
+// schedule's unique tag; FIFO matching per (source, tag) pairs same-peer
+// transfers of different rounds correctly because both sides order them
+// identically.
 //
 // Receives are pre-posted with an adi completion hook counting down to a
 // per-round event, so a round with many receives blocks exactly once
