@@ -208,12 +208,12 @@ func (d *ProtoDevice) inShort(env Envelope, inline []byte) {
 	if r := d.eng.MatchPosted(env); r != nil {
 		n, err := CheckLen(r, env)
 		d.eng.P.Charge(d.dev.CopyCost(n))
-		copy(r.Buf, inline[:n])
+		netsim.Copy(r.Buf, inline[:n])
 		FinishRecv(r, env, err)
 		return
 	}
 	stash := d.eng.Bufs.Get(len(inline))
-	copy(stash.B, inline)
+	netsim.Copy(stash.B, inline)
 	d.eng.AddUnexpected(env, func(r *RecvReq) { d.landStash(r, env, stash) })
 }
 
@@ -222,7 +222,7 @@ func (d *ProtoDevice) inShort(env Envelope, inline []byte) {
 func (d *ProtoDevice) landStash(r *RecvReq, env Envelope, stash *netsim.Buf) {
 	n, err := CheckLen(r, env)
 	d.eng.P.Charge(d.dev.CopyCost(n))
-	copy(r.Buf, stash.B[:n])
+	netsim.Copy(r.Buf, stash.B[:n])
 	stash.Release()
 	FinishRecv(r, env, err)
 }

@@ -111,7 +111,7 @@ func (t *Transport) bulkFrom(src int) *vtime.Queue[*netsim.Buf] {
 // caller): a wire buffer of the network's list, released by the receiver.
 func (t *Transport) socketCopy(data []byte) *netsim.Buf {
 	cp := t.ep.Net.Bufs().Get(len(data))
-	copy(cp.B, data)
+	netsim.Copy(cp.B, data)
 	return cp
 }
 
@@ -175,7 +175,7 @@ func (t *Transport) RecvBulk(src int, dst []byte) {
 	}
 	t.proc.Charge(t.params.RecvOverhead)
 	t.proc.Charge(t.params.CopyTime(len(dst)))
-	copy(dst, data.B)
+	netsim.Copy(dst, data.B)
 	data.Release()
 }
 

@@ -48,7 +48,7 @@ func (d *Device) Send(sr *adi.SendReq) {
 	if r := d.eng.MatchPosted(env); r != nil {
 		n, err := adi.CheckLen(r, env)
 		d.proc.Charge(d.params.CopyTime(n))
-		copy(r.Buf, sr.Data[:n])
+		netsim.Copy(r.Buf, sr.Data[:n])
 		adi.FinishRecv(r, env, err)
 		sr.Done.Fire()
 		return
@@ -57,7 +57,7 @@ func (d *Device) Send(sr *adi.SendReq) {
 	// moment Send completes (MPI contract), deliver on match.
 	stash := d.eng.Bufs.Get(len(sr.Data))
 	d.proc.Charge(d.params.CopyTime(len(sr.Data)))
-	copy(stash.B, sr.Data)
+	netsim.Copy(stash.B, sr.Data)
 	// The match may come after a standard send has completed and its
 	// request has gone back to a free list: only a synchronous one is
 	// still the sender's then.
@@ -65,7 +65,7 @@ func (d *Device) Send(sr *adi.SendReq) {
 	d.eng.AddUnexpected(env, func(r *adi.RecvReq) {
 		n, err := adi.CheckLen(r, env)
 		d.proc.Charge(d.params.CopyTime(n))
-		copy(r.Buf, stash.B[:n])
+		netsim.Copy(r.Buf, stash.B[:n])
 		stash.Release()
 		adi.FinishRecv(r, env, err)
 		if sync {

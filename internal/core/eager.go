@@ -83,7 +83,7 @@ func (d *Device) landEager(ch *madeleine.Channel, r *adi.RecvReq, env adi.Envelo
 	n, err := adi.CheckLen(r, env)
 	d.proc.Charge(ch.Params.CopyTime(n))
 	if scratch != nil {
-		copy(r.Buf, scratch.B[:n])
+		netsim.Copy(r.Buf, scratch.B[:n])
 		scratch.Release()
 	}
 	adi.FinishRecv(r, env, err)

@@ -6,6 +6,7 @@ import (
 
 	"mpichmad/internal/adi"
 	"mpichmad/internal/madeleine"
+	"mpichmad/internal/netsim"
 	"mpichmad/internal/trace"
 	"mpichmad/internal/vtime"
 )
@@ -324,7 +325,7 @@ func (d *Device) inRndvBody(ch *madeleine.Channel, conn *madeleine.Connection, h
 	delete(d.rndvRx, h.SyncID)
 	if lenErr != nil {
 		d.proc.Charge(ch.Params.CopyTime(n))
-		copy(st.r.Buf, st.scratch[:n])
+		netsim.Copy(st.r.Buf, st.scratch[:n])
 	}
 	adi.FinishRecv(st.r, st.env, lenErr)
 }

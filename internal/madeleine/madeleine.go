@@ -329,13 +329,13 @@ func (c *Connection) settle(b *body, seq uint64) {
 	data := b.pkt.Body
 	if peer, ok := c.Ch.Net.Endpoint(c.Remote); ok && peer.Landing != nil {
 		if dst := peer.Landing(c.Ch.ep.Node, seq, len(data)); dst != nil {
-			copy(dst, data)
+			netsim.Copy(dst, data)
 			b.pkt.Body, b.state = dst, bodyLanded
 			return
 		}
 	}
 	b.buf = c.Ch.Net.Bufs().Get(len(data))
-	copy(b.buf.B, data)
+	netsim.Copy(b.buf.B, data)
 	b.pkt.Body, b.state = b.buf.B, bodyWired
 }
 
@@ -383,7 +383,7 @@ func (c *Connection) Unpack(dst []byte, sm SendMode, rm RecvMode) error {
 	if err != nil {
 		return err
 	}
-	copy(dst, src)
+	netsim.Copy(dst, src)
 	if held != nil {
 		held.Release()
 	}
@@ -405,7 +405,7 @@ func (c *Connection) Take(n int, sm SendMode, rm RecvMode) (*netsim.Buf, error) 
 	}
 	if held == nil {
 		held = c.Ch.Net.Bufs().Get(n)
-		copy(held.B, src)
+		netsim.Copy(held.B, src)
 	}
 	return held, nil
 }

@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"mpichmad/internal/netsim"
 )
 
 // Datatype describes the memory layout of one element (MPI_Datatype): a
@@ -258,7 +260,7 @@ func UnpackBuf(buf []byte, count int, dt Datatype, src []byte) {
 	if !IsContiguous(dt) {
 		dt.move(buf, src, n, false)
 	} else if !sameMemory(buf, src) {
-		copy(buf[:n*dt.size], src)
+		netsim.Copy(buf[:n*dt.size], src)
 	}
 }
 

@@ -393,7 +393,7 @@ func (c *Comm) execRounds(sch *schedule, tag int, tr *trace.Tracer) error {
 				}
 			case stepCopy:
 				c.p.M.Charge(c.p.memTime(len(st.src)))
-				copy(st.buf, st.src)
+				netsim.Copy(st.buf, st.src)
 			case stepSend, stepRecv:
 				// Network steps were issued at round start; nothing to
 				// apply locally.

@@ -88,7 +88,7 @@ func (d *Device) Send(sr *adi.SendReq) {
 	d.proc.Charge(p.SendOverhead)
 	d.proc.Charge(p.CopyTime(len(sr.Data))) // copy into the segment
 	seg := d.eng.Bufs.Get(len(sr.Data))     // a slot of the segment, from the sender's list
-	copy(seg.B, sr.Data)
+	netsim.Copy(seg.B, sr.Data)
 	msg := &segMsg{env: sr.Env, data: seg}
 	if sr.Sync {
 		msg.ack = sr.Done
@@ -128,7 +128,7 @@ func (d *Device) recvLoop() {
 // land copies the first n bytes out of the segment (the caller charged the
 // copy), frees the slot and completes the receive.
 func (msg *segMsg) land(r *adi.RecvReq, n int, err error) {
-	copy(r.Buf, msg.data.B[:n])
+	netsim.Copy(r.Buf, msg.data.B[:n])
 	msg.data.Release()
 	adi.FinishRecv(r, msg.env, err)
 	if msg.ack != nil {
