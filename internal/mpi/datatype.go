@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"mpichmad/internal/netsim"
 )
@@ -39,6 +40,7 @@ type datatype struct {
 	size, extent int
 	runs         []run
 	dense        bool
+	overlaps     bool // two blocks share a byte: a type to send from, never to receive into
 }
 
 // run is count blocks of n bytes, the first off bytes into an element,
@@ -106,6 +108,7 @@ func (t *datatype) push(r run) {
 	if k := len(t.runs) - 1; k >= 0 {
 		l := &t.runs[k]
 		s := r.off - l.off - (l.count-1)*l.stride // from l's last block to r's first
+		t.overlaps = t.overlaps || s < l.n        // r starts before l ends: maybe, seal checks
 		switch {
 		case l.count == 1 && r.count == 1 && s == l.n:
 			l.n += r.n
@@ -190,10 +193,34 @@ func Struct(extent int, fields []StructField) Datatype {
 
 // seal marks t dense when its runs cover [0, extent) in order, exactly once:
 // push merges touching blocks, so that is one run of one block spanning the
-// extent, or no run in an empty extent.
+// extent, or no run in an empty extent. It keeps t marked overlapping only
+// when two of its blocks do share a byte: push marks every type whose runs
+// are out of order, and only those need the sweep.
 func (t *datatype) seal() Datatype {
 	t.dense = len(t.runs) == 0 && t.extent == 0 || len(t.runs) == 1 && t.runs[0] == run{0, t.extent, 1, 0}
+	t.overlaps = t.overlaps && overlapping(t.runs)
 	return t
+}
+
+// overlapping reports whether two blocks of runs share a byte: one sweep
+// over the blocks sorted by offset, each of which must start at or after
+// the end of the one before. (Within a run, blocks never overlap: Vector
+// rejects a block longer than its stride, and push folds only blocks
+// spaced further apart than their length.)
+func overlapping(runs []run) bool {
+	var blocks []run // one block each
+	for _, r := range runs {
+		for k := range r.count {
+			blocks = append(blocks, run{off: r.off + k*r.stride, n: r.n})
+		}
+	}
+	slices.SortFunc(blocks, func(a, b run) int { return a.off - b.off })
+	for k := 1; k < len(blocks); k++ {
+		if blocks[k].off < blocks[k-1].off+blocks[k-1].n {
+			return true
+		}
+	}
+	return false
 }
 
 // IsContiguous reports whether count elements of dt occupy a dense byte

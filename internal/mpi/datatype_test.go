@@ -492,6 +492,37 @@ func TestDenseIsReadFromTheRuns(t *testing.T) {
 	}
 }
 
+// TestOverlapIsSweptAtConstruction: a type overlaps when two of its blocks
+// share a byte, whatever order its constructor lists them in; blocks out of
+// order, interleaved runs or a nest of disjoint types do not overlap, a
+// field reaching into the next element of a Contiguous does.
+func TestOverlapIsSweptAtConstruction(t *testing.T) {
+	for _, c := range []struct {
+		dt       Datatype
+		overlaps bool
+	}{
+		{Struct(8, []StructField{{0, 4}, {0, 4}}), true},
+		{Struct(8, []StructField{{4, 4}, {0, 4}}), false},
+		{Struct(8, []StructField{{4, 4}, {0, 5}}), true},
+		{Indexed([]int{1, 1}, []int{1, 0}, Int32), false},
+		{Indexed([]int{2, 1}, []int{1, 0}, Int32), false},
+		{Indexed([]int{2, 1}, []int{1, 2}, Int32), true},
+		{Struct(16, []StructField{{8, 4}, {0, 4}, {12, 4}, {4, 4}}), false},
+		{Struct(16, []StructField{{8, 4}, {0, 4}, {10, 4}}), true},
+		{Contiguous(2, Struct(4, []StructField{{0, 8}})), true},
+		{Contiguous(3, Indexed([]int{1, 1}, []int{1, 0}, Int32)), false},
+		{Indexed([]int{1, 1}, []int{3, 0}, Vector(2, 1, 2, Int32)), false},
+		{Indexed([]int{1, 1}, []int{1, 0}, Vector(2, 1, 2, Int32)), false},
+		{Indexed([]int{2, 1}, []int{0, 1}, Vector(2, 1, 2, Int32)), true},
+		{Vector(256, 1, 256, Float64), false},
+		{Struct(8, []StructField{{0, 0}, {0, 8}}), false},
+	} {
+		if c.dt.overlaps != c.overlaps {
+			t.Errorf("%s (runs %v): overlaps %v, want %v", c.dt.Name(), c.dt.runs, c.dt.overlaps, c.overlaps)
+		}
+	}
+}
+
 // A derived type formats its name when Name is called, not when it is
 // built: the halo column bench/ builds every step costs the type and its
 // runs, and the name is the one the constructor's arguments spell.

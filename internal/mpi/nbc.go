@@ -37,6 +37,7 @@ package mpi
 import (
 	"cmp"
 	"fmt"
+	"strings"
 
 	"mpichmad/internal/trace"
 	"mpichmad/internal/vtime"
@@ -188,13 +189,21 @@ func (c *Comm) laneStart(rd *round, tag int) {
 
 // startColl is the shared entry of every collective, blocking (wait) or
 // not: the call's own validity checks, in order, then the communicator's
-// and the root's; then the tuning table names a preference (chooseAlgo),
-// sanitizeAlgo degrades it to a form this communicator can run, that
-// collForms row compiles the schedule and submit starts it. nBytes is the
-// operation's dispatch metric — the payload size the tuning brackets are
-// keyed by.
-func (c *Comm) startColl(op string, kind collKind, nBytes int, wait bool, a collArgs, checks ...error) (*CollRequest, error) {
-	if err := cmp.Or(cmp.Or(checks...), c.checkLive(op)); err != nil {
+// and the root's, each error named after the call — Bcast's after Bcast,
+// Ibcast's after Ibcast; then the tuning table names a preference
+// (chooseAlgo), sanitizeAlgo degrades it to a form this communicator can
+// run, that collForms row compiles the schedule and submit starts it.
+// nBytes is the operation's dispatch metric — the payload size the tuning
+// brackets are keyed by.
+func (c *Comm) startColl(kind collKind, nBytes int, wait bool, a collArgs, checks ...error) (*CollRequest, error) {
+	op := collKinds[kind].name
+	if !wait {
+		op = "I" + strings.ToLower(op[:1]) + op[1:]
+	}
+	if err := cmp.Or(checks...); err != nil {
+		return nil, fmt.Errorf("mpi: %s: %w", op, err)
+	}
+	if err := c.checkLive(op); err != nil {
 		return nil, err
 	}
 	if err := c.checkPeer(op, a.root); collKinds[kind].rooted && err != nil {
@@ -205,22 +214,27 @@ func (c *Comm) startColl(op string, kind collKind, nBytes int, wait bool, a coll
 	return c.submit(b.build(f.compile(c, b, c.topo(), a)), wait)
 }
 
-// checkBuf validates a user buffer against the element count before
-// compiling, so misuse fails synchronously at the call site instead of
-// panicking later on the engine thread.
-func (c *Comm) checkBuf(op, which string, buf []byte, elems int, dt Datatype) error {
+// checkBuf validates a user buffer against the element count before any
+// transfer or compiling, so misuse fails synchronously at the call site
+// instead of panicking later on the engine thread; the caller names the
+// call in the error. A receive buffer (recv) may not be laid out by a
+// type whose blocks overlap: where two blocks share a byte, which one
+// lands there last is undefined (MPI-3.1 §4.1).
+func checkBuf(which string, recv bool, buf []byte, elems int, dt Datatype) error {
 	if elems < 0 {
-		return fmt.Errorf("mpi: %s: negative count %d", op, elems)
+		return fmt.Errorf("negative count %d", elems)
 	}
 	if need := elems * dt.Extent(); len(buf) < need {
-		return fmt.Errorf("mpi: %s: %s buffer is %d bytes, need %d", op, which, len(buf), need)
+		return fmt.Errorf("%s buffer is %d bytes, need %d", which, len(buf), need)
+	}
+	if recv && dt.overlaps {
+		return fmt.Errorf("%s buffer's type %s has overlapping blocks", which, dt.Name())
 	}
 	return nil
 }
 
 // Each Icoll below starts the collective its blocking twin (collectives.go)
-// runs; both go through the lower-case form, which validates the call and
-// reports errors under the Icoll's name.
+// runs; both go through the lower-case form, which validates the call.
 
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier).
 //
@@ -228,7 +242,7 @@ func (c *Comm) checkBuf(op, which string, buf []byte, elems int, dt Datatype) er
 func (c *Comm) Ibarrier() (*CollRequest, error) { return c.barrier(false) }
 
 func (c *Comm) barrier(wait bool) (*CollRequest, error) {
-	return c.startColl("Ibarrier", kindBarrier, 0, wait, collArgs{})
+	return c.startColl(kindBarrier, 0, wait, collArgs{})
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast). The root's buf must
@@ -243,9 +257,9 @@ func (c *Comm) Ibcast(buf []byte, count int, dt Datatype, root int) (*CollReques
 }
 
 func (c *Comm) bcast(buf []byte, count int, dt Datatype, root int, wait bool) (*CollRequest, error) {
-	return c.startColl("Ibcast", kindBcast, count*dt.Size(), wait,
+	return c.startColl(kindBcast, count*dt.Size(), wait,
 		collArgs{send: buf, recv: buf, count: count, dt: dt, root: root},
-		c.checkBuf("Ibcast", "data", buf, count, dt))
+		checkBuf("data", c.myRank != root, buf, count, dt))
 }
 
 // Ireduce starts a nonblocking reduction to root (MPI_Ireduce).
@@ -256,16 +270,16 @@ func (c *Comm) Ireduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, r
 }
 
 func (c *Comm) reduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, root int, wait bool) (*CollRequest, error) {
-	recv := c.checkBuf("Ireduce", "recv", recvBuf, count, dt)
+	recv := checkBuf("recv", true, recvBuf, count, dt)
 	if c.myRank != root {
 		// Significant at the root only. The compilers accumulate in the
 		// receive buffer when they can (schedBuilder.landing): elsewhere
 		// they get none, so whatever the caller passed is never written.
 		recvBuf, recv = nil, nil
 	}
-	return c.startColl("Ireduce", kindReduce, count*dt.Size(), wait,
+	return c.startColl(kindReduce, count*dt.Size(), wait,
 		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op, root: root},
-		c.checkBuf("Ireduce", "send", sendBuf, count, dt), recv)
+		checkBuf("send", false, sendBuf, count, dt), recv)
 }
 
 // Iallreduce starts a nonblocking all-reduce (MPI_Iallreduce) compiled into
@@ -277,9 +291,9 @@ func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op
 }
 
 func (c *Comm) allreduce(sendBuf, recvBuf []byte, count int, dt Datatype, op Op, wait bool) (*CollRequest, error) {
-	return c.startColl("Iallreduce", kindAllreduce, count*dt.Size(), wait,
+	return c.startColl(kindAllreduce, count*dt.Size(), wait,
 		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, op: op},
-		c.checkBuf("Iallreduce", "send", sendBuf, count, dt), c.checkBuf("Iallreduce", "recv", recvBuf, count, dt))
+		checkBuf("send", false, sendBuf, count, dt), checkBuf("recv", true, recvBuf, count, dt))
 }
 
 // IreduceScatter starts a nonblocking reduce-scatter with equal counts
@@ -295,10 +309,9 @@ func (c *Comm) IreduceScatter(sendBuf, recvBuf []byte, countPerRank int, dt Data
 }
 
 func (c *Comm) reduceScatter(sendBuf, recvBuf []byte, countPerRank int, dt Datatype, op Op, wait bool) (*CollRequest, error) {
-	return c.startColl("IreduceScatter", kindReduceScatter, c.Size()*countPerRank*dt.Size(), wait,
+	return c.startColl(kindReduceScatter, c.Size()*countPerRank*dt.Size(), wait,
 		collArgs{send: sendBuf, recv: recvBuf, count: countPerRank, dt: dt, op: op},
-		c.checkBuf("IreduceScatter", "send", sendBuf, c.Size()*countPerRank, dt),
-		c.checkBuf("IreduceScatter", "recv", recvBuf, countPerRank, dt))
+		checkBuf("send", false, sendBuf, c.Size()*countPerRank, dt), checkBuf("recv", true, recvBuf, countPerRank, dt))
 }
 
 // Igather starts a nonblocking gather to root (MPI_Igather).
@@ -309,13 +322,13 @@ func (c *Comm) Igather(sendBuf, recvBuf []byte, count int, dt Datatype, root int
 }
 
 func (c *Comm) gather(sendBuf, recvBuf []byte, count int, dt Datatype, root int, wait bool) (*CollRequest, error) {
-	recv := c.checkBuf("Igather", "recv", recvBuf, c.Size()*count, dt)
+	recv := checkBuf("recv", true, recvBuf, c.Size()*count, dt)
 	if c.myRank != root {
 		recv = nil // significant at the root only
 	}
-	return c.startColl("Igather", kindGather, count*dt.Size(), wait,
+	return c.startColl(kindGather, count*dt.Size(), wait,
 		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt, root: root},
-		c.checkBuf("Igather", "send", sendBuf, count, dt), recv)
+		checkBuf("send", false, sendBuf, count, dt), recv)
 }
 
 // Iallgather starts a nonblocking all-gather (MPI_Iallgather).
@@ -326,9 +339,9 @@ func (c *Comm) Iallgather(sendBuf, recvBuf []byte, count int, dt Datatype) (*Col
 }
 
 func (c *Comm) allgather(sendBuf, recvBuf []byte, count int, dt Datatype, wait bool) (*CollRequest, error) {
-	return c.startColl("Iallgather", kindAllgather, count*dt.Size(), wait,
+	return c.startColl(kindAllgather, count*dt.Size(), wait,
 		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt},
-		c.checkBuf("Iallgather", "send", sendBuf, count, dt), c.checkBuf("Iallgather", "recv", recvBuf, c.Size()*count, dt))
+		checkBuf("send", false, sendBuf, count, dt), checkBuf("recv", true, recvBuf, c.Size()*count, dt))
 }
 
 // Ialltoall starts a nonblocking all-to-all (MPI_Ialltoall). On
@@ -340,11 +353,7 @@ func (c *Comm) Ialltoall(sendBuf, recvBuf []byte, count int, dt Datatype) (*Coll
 }
 
 func (c *Comm) alltoall(sendBuf, recvBuf []byte, count int, dt Datatype, wait bool) (*CollRequest, error) {
-	want := c.Size() * count * dt.Extent()
-	if len(sendBuf) < want || len(recvBuf) < want {
-		return nil, fmt.Errorf("mpi: Ialltoall: buffers need %d bytes (send %d, recv %d)",
-			want, len(sendBuf), len(recvBuf))
-	}
-	return c.startColl("Ialltoall", kindAlltoall, c.Size()*count*dt.Size(), wait,
-		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt})
+	return c.startColl(kindAlltoall, c.Size()*count*dt.Size(), wait,
+		collArgs{send: sendBuf, recv: recvBuf, count: count, dt: dt},
+		checkBuf("send", false, sendBuf, c.Size()*count, dt), checkBuf("recv", true, recvBuf, c.Size()*count, dt))
 }

@@ -75,8 +75,8 @@ func (c *Comm) outbound(op, event string, buf []byte, count int, dt Datatype, de
 	if tag < 0 {
 		return nil, nil, nil, fmt.Errorf("mpi: %s: negative tag %d", op, tag)
 	}
-	if err := c.checkBuf(op, "send", buf, count, dt); err != nil {
-		return nil, nil, nil, err
+	if err := checkBuf("send", false, buf, count, dt); err != nil {
+		return nil, nil, nil, fmt.Errorf("mpi: %s: %w", op, err)
 	}
 	dev, sr, err := c.address(event, buf[:count*dt.size], dest, tag, c.ctx)
 	if err != nil || IsContiguous(dt) {
@@ -126,14 +126,10 @@ func sendWait(dev adi.Device, sr *adi.SendReq, lease *netsim.Buf) error {
 }
 
 func (c *Comm) statusOf(rr *adi.RecvReq) *Status {
-	n := rr.Status.Len
-	if n > len(rr.Buf) {
-		n = len(rr.Buf)
-	}
 	return &Status{
 		Source: c.commRankOfWorld(rr.Status.Source),
 		Tag:    rr.Status.Tag,
-		Bytes:  n,
+		Bytes:  min(rr.Status.Len, len(rr.Buf)),
 	}
 }
 
@@ -175,17 +171,15 @@ func (c *Comm) Irecv(buf []byte, count int, dt Datatype, src, tag int) (*Request
 	if err := c.checkLive("Irecv"); err != nil {
 		return nil, err
 	}
+	worldSrc := adi.AnySource
 	if src != AnySource {
 		if err := c.checkPeer("Irecv", src); err != nil {
 			return nil, err
 		}
-	}
-	if err := c.checkBuf("Irecv", "receive", buf, count, dt); err != nil {
-		return nil, err
-	}
-	worldSrc := adi.AnySource
-	if src != AnySource {
 		worldSrc = c.group[src]
+	}
+	if err := checkBuf("receive", true, buf, count, dt); err != nil {
+		return nil, fmt.Errorf("mpi: Irecv: %w", err)
 	}
 	rr := c.p.Eng.NewRecv("mpi.irecv")
 	r := &Request{c: c, rr: rr}

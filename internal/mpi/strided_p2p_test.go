@@ -226,3 +226,101 @@ func TestStridedP2PDeliversTypeMapOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectivesRejectBadArgs: every collective, blocking and I-form,
+// returns an MPI error naming the call for a negative count and for a
+// short buffer, on every rank, before anything moves — Alltoall with a
+// negative count once panicked slicing its landing area.
+func TestCollectivesRejectBadArgs(t *testing.T) {
+	type call func(c *mpi.Comm, buf []byte, count int) error
+	icoll := func(f func(c *mpi.Comm, buf []byte, count int) (*mpi.CollRequest, error)) call {
+		return func(c *mpi.Comm, buf []byte, count int) error { _, err := f(c, buf, count); return err }
+	}
+	forms := []struct {
+		op string
+		f  call
+	}{
+		{"Bcast", func(c *mpi.Comm, b []byte, n int) error { return c.Bcast(b, n, mpi.Byte, 0) }},
+		{"Ibcast", icoll(func(c *mpi.Comm, b []byte, n int) (*mpi.CollRequest, error) { return c.Ibcast(b, n, mpi.Byte, 0) })},
+		{"Reduce", func(c *mpi.Comm, b []byte, n int) error { return c.Reduce(b, b, n, mpi.Byte, mpi.OpSum, 0) }},
+		{"Ireduce", icoll(func(c *mpi.Comm, b []byte, n int) (*mpi.CollRequest, error) {
+			return c.Ireduce(b, b, n, mpi.Byte, mpi.OpSum, 0)
+		})},
+		{"Allreduce", func(c *mpi.Comm, b []byte, n int) error { return c.Allreduce(b, b, n, mpi.Byte, mpi.OpSum) }},
+		{"Iallreduce", icoll(func(c *mpi.Comm, b []byte, n int) (*mpi.CollRequest, error) {
+			return c.Iallreduce(b, b, n, mpi.Byte, mpi.OpSum)
+		})},
+		{"ReduceScatter", func(c *mpi.Comm, b []byte, n int) error { return c.ReduceScatter(b, b, n, mpi.Byte, mpi.OpSum) }},
+		{"IreduceScatter", icoll(func(c *mpi.Comm, b []byte, n int) (*mpi.CollRequest, error) {
+			return c.IreduceScatter(b, b, n, mpi.Byte, mpi.OpSum)
+		})},
+		{"Gather", func(c *mpi.Comm, b []byte, n int) error { return c.Gather(b, b, n, mpi.Byte, 0) }},
+		{"Igather", icoll(func(c *mpi.Comm, b []byte, n int) (*mpi.CollRequest, error) { return c.Igather(b, b, n, mpi.Byte, 0) })},
+		{"Allgather", func(c *mpi.Comm, b []byte, n int) error { return c.Allgather(b, b, n, mpi.Byte) }},
+		{"Iallgather", icoll(func(c *mpi.Comm, b []byte, n int) (*mpi.CollRequest, error) { return c.Iallgather(b, b, n, mpi.Byte) })},
+		{"Alltoall", func(c *mpi.Comm, b []byte, n int) error { return c.Alltoall(b, b, n, mpi.Byte) }},
+		{"Ialltoall", icoll(func(c *mpi.Comm, b []byte, n int) (*mpi.CollRequest, error) { return c.Ialltoall(b, b, n, mpi.Byte) })},
+	}
+	sess, err := cluster.Build(cluster.TwoNodes("bip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		for _, f := range forms {
+			for _, bad := range []struct {
+				what  string
+				count int
+			}{{"negative count", -1}, {"buffer is 2 bytes, need", 4}} {
+				err := f.f(c, make([]byte, 2), bad.count)
+				if want := "mpi: " + f.op + ": "; err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), bad.what) {
+					return fmt.Errorf("%s with %s: %v, want an error starting %q and saying %q", f.op, bad.what, err, want, bad.what)
+				}
+			}
+		}
+		return c.Barrier() // the communicator still works
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOverlappingTypeSendsButIsNoReceiveType: a type two of whose blocks
+// share a byte sends its type map — here bytes 0-3 twice — but is refused,
+// with an MPI error, as the type of a point-to-point or collective receive
+// (MPI-3.1 §4.1).
+func TestOverlappingTypeSendsButIsNoReceiveType(t *testing.T) {
+	ovl := mpi.Struct(8, []mpi.StructField{{Disp: 0, Len: 4}, {Disp: 0, Len: 4}})
+	sess, err := cluster.Build(cluster.TwoNodes("bip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sess.Run(func(rank int, c *mpi.Comm) error {
+		user := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+		for _, call := range []struct {
+			name string
+			err  error
+		}{
+			{"Allgather", c.Allgather(user, make([]byte, 16), 1, ovl)},
+			{"Irecv", func() error { _, err := c.Irecv(make([]byte, 8), 1, ovl, 1-rank, 3); return err }()},
+			{"Recv", func() error { _, err := c.Recv(make([]byte, 8), 1, ovl, 1-rank, 3); return err }()},
+		} {
+			if call.err == nil || !strings.Contains(call.err.Error(), "overlapping blocks") {
+				return fmt.Errorf("%s through %s: %v, want an overlap error", call.name, ovl.Name(), call.err)
+			}
+		}
+		if rank == 0 {
+			return c.Send(user, 1, ovl, 1, 3)
+		}
+		got := make([]byte, 8)
+		if _, err := c.Recv(got, 8, mpi.Byte, 0, 3); err != nil {
+			return err
+		}
+		if want := []byte{1, 2, 3, 4, 1, 2, 3, 4}; !bytes.Equal(got, want) {
+			return fmt.Errorf("received %v, want the type map's bytes %v", got, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
