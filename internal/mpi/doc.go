@@ -647,6 +647,13 @@
 //     internal/vtime included (its tasks are coroutines resumed one at
 //     a time, not goroutines): all parallelism is cooperative tasks
 //     under the scheduler, which is what makes interleavings replayable.
+//     One exemption, on two lines of netsim.Copy: a payload copy of 2 MiB
+//     or more moves its second half on a helper goroutine, joined with a
+//     sync.WaitGroup before Copy returns. It cannot reach virtual time:
+//     the helper touches only the two byte ranges, the bytes are the ones
+//     the builtin copy writes, and the task that called Copy continues
+//     only after the last of them has landed, inside the same scheduler
+//     step — no clock, queue, event or trace sees it, only the host time.
 //   - No map-order effects. Iterating a Go map is randomized per run;
 //     loop bodies must not push, fire, send, spawn or print per entry,
 //     and slices collected from a map must be sorted before use

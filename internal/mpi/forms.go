@@ -136,22 +136,23 @@ func formOf(kind collKind, a collAlgo) *collForm {
 	return nil
 }
 
-// collKinds describes the operations: the MPI name used in snapshots and
-// reports, whether the operation takes a root, and whether the autotuner
+// collKinds describes the operations: the MPI name used in snapshots,
+// reports and the blocking call's errors, the I-form's name for its
+// errors, whether the operation takes a root, and whether the autotuner
 // times its forms (for Barrier, Reduce and Gather the analytic choice is
 // not worth second-guessing with probes).
 var collKinds = [numCollKinds]struct {
-	name          string
+	name, iname   string // the blocking call's name and its I-form's
 	rooted, tuned bool
 }{
-	kindBarrier:       {name: "Barrier"},
-	kindBcast:         {name: "Bcast", rooted: true, tuned: true},
-	kindReduce:        {name: "Reduce", rooted: true},
-	kindAllreduce:     {name: "Allreduce", tuned: true},
-	kindGather:        {name: "Gather", rooted: true},
-	kindAllgather:     {name: "Allgather", tuned: true},
-	kindAlltoall:      {name: "Alltoall", tuned: true},
-	kindReduceScatter: {name: "ReduceScatter", tuned: true},
+	kindBarrier:       {name: "Barrier", iname: "Ibarrier"},
+	kindBcast:         {name: "Bcast", iname: "Ibcast", rooted: true, tuned: true},
+	kindReduce:        {name: "Reduce", iname: "Ireduce", rooted: true},
+	kindAllreduce:     {name: "Allreduce", iname: "Iallreduce", tuned: true},
+	kindGather:        {name: "Gather", iname: "Igather", rooted: true},
+	kindAllgather:     {name: "Allgather", iname: "Iallgather", tuned: true},
+	kindAlltoall:      {name: "Alltoall", iname: "Ialltoall", tuned: true},
+	kindReduceScatter: {name: "ReduceScatter", iname: "IreduceScatter", tuned: true},
 }
 
 // collAlgos describes the algorithm families: the stable name used in

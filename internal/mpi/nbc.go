@@ -37,7 +37,6 @@ package mpi
 import (
 	"cmp"
 	"fmt"
-	"strings"
 
 	"mpichmad/internal/trace"
 	"mpichmad/internal/vtime"
@@ -198,7 +197,7 @@ func (c *Comm) laneStart(rd *round, tag int) {
 func (c *Comm) startColl(kind collKind, nBytes int, wait bool, a collArgs, checks ...error) (*CollRequest, error) {
 	op := collKinds[kind].name
 	if !wait {
-		op = "I" + strings.ToLower(op[:1]) + op[1:]
+		op = collKinds[kind].iname
 	}
 	if err := cmp.Or(checks...); err != nil {
 		return nil, fmt.Errorf("mpi: %s: %w", op, err)
