@@ -44,11 +44,10 @@ type metricSpec struct {
 
 // summary is one side's values of one metric over the pairs.
 type summary struct {
-	Values     []float64 `json:"values"`
-	Median     float64   `json:"median"`
-	Q1         float64   `json:"q1"`
-	Q3         float64   `json:"q3"`
-	FailedFrac float64   `json:"failed_share"`
+	Values []float64 `json:"values"`
+	Median float64   `json:"median"`
+	Q1     float64   `json:"q1"`
+	Q3     float64   `json:"q3"`
 }
 
 // quartiles are those of Python's statistics.quantiles(values, n=4), the
@@ -162,18 +161,21 @@ func failedShare(rs []result) float64 {
 
 // workloadReport is one workload's runs and verdicts.
 type workloadReport struct {
-	Name     string    `json:"name"`
-	Seeds    []int64   `json:"seeds"`
-	BaseRan1 []bool    `json:"base_ran_first"`
-	Verdicts []verdict `json:"metrics"`
-	// FailuresRose is set when the change failed a larger share of its
-	// attempted operations than the base, or a run was not correct.
+	Name      string    `json:"name"`
+	Seeds     []int64   `json:"seeds"`
+	BaseFirst []bool    `json:"base_ran_first"`
+	Verdicts  []verdict `json:"metrics"`
+	// The share of attempted operations that failed, on each side.
+	BaseFailed   float64 `json:"base_failed_share"`
+	ChangeFailed float64 `json:"change_failed_share"`
+	// FailuresRose is set when the change failed a larger share than the
+	// base, or one of its runs was not correct.
 	FailuresRose bool `json:"failures_rose"`
 }
 
 // report judges every end-to-end metric of one workload's pairs.
 func report(name string, seeds []int64, baseFirst []bool, specs []metricSpec, base, change []result) (workloadReport, error) {
-	w := workloadReport{Name: name, Seeds: seeds, BaseRan1: baseFirst}
+	w := workloadReport{Name: name, Seeds: seeds, BaseFirst: baseFirst}
 	for _, spec := range specs {
 		var b, c []float64
 		for i := range base {
@@ -184,11 +186,10 @@ func report(name string, seeds []int64, baseFirst []bool, specs []metricSpec, ba
 			}
 			b, c = append(b, bv.Value), append(c, cv.Value)
 		}
-		v := judge(spec, b, c)
-		v.Base.FailedFrac, v.Change.FailedFrac = failedShare(base), failedShare(change)
-		w.Verdicts = append(w.Verdicts, v)
+		w.Verdicts = append(w.Verdicts, judge(spec, b, c))
 	}
-	w.FailuresRose = failedShare(change) > failedShare(base)
+	w.BaseFailed, w.ChangeFailed = failedShare(base), failedShare(change)
+	w.FailuresRose = w.ChangeFailed > w.BaseFailed
 	for _, r := range change {
 		w.FailuresRose = w.FailuresRose || !r.Correct
 	}

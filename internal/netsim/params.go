@@ -11,6 +11,10 @@
 // dies with its session. The network itself never touches a payload; the
 // Packet comment says who owns Body between the sender's fill and the
 // consumer's Release, and what becomes of packets nobody consumes.
+//
+// Copy is the one function that moves message payload between two
+// buffers, for every device and layer above: the builtin copy, whose long
+// copies it splits across two host cores and joins before returning.
 package netsim
 
 import "mpichmad/internal/vtime"
