@@ -1,8 +1,8 @@
 // Command benchab is the repository benchmark's A/B comparison: it runs
-// the driver's command, bash bench/run.sh --workload W --seed S --seconds T
-// --trace 0, in a checkout of a base revision and in the working tree, one
-// pair per seed, alternating which side runs first, and judges every
-// end-to-end metric of BENCHMARK.json on the pairs.
+// the benchmark's end-to-end command, bash bench/run.sh --workload W --seed
+// S --seconds T --trace 0, in a checkout of a base revision and in the
+// working tree, one pair per seed, alternating which side runs first, and
+// judges every end-to-end metric of BENCHMARK.json on the pairs.
 //
 // For each workload and metric it prints both sides' median and quartiles,
 // the change's pair wins, whether every pair read identical values (every
@@ -185,7 +185,7 @@ func run(ctx context.Context, baseRev, workloads, seedList string, seconds float
 	return rec.Violated, os.WriteFile(out, append(js, '\n'), 0o644)
 }
 
-// bench runs the driver's command once in tree and parses its result.
+// bench runs the benchmark's command once in tree and parses its result.
 func bench(ctx context.Context, tree, workload string, seed int64, seconds float64) (result, error) {
 	cmd := exec.CommandContext(ctx, "bash", "bench/run.sh", "--workload", workload,
 		"--seed", strconv.FormatInt(seed, 10), "--seconds", strconv.FormatFloat(seconds, 'g', -1, 64), "--trace", "0")
