@@ -1,8 +1,9 @@
 // Command benchab is the repository benchmark's A/B comparison: it runs
 // the benchmark's end-to-end command, bash bench/run.sh --workload W --seed
-// S --seconds T --trace 0, in a checkout of a base revision and in the
-// working tree, one pair per seed, alternating which side runs first, and
-// judges every end-to-end metric of BENCHMARK.json on the pairs.
+// S --seconds T --trace 0 with T BENCHMARK.json's run_seconds, the same on
+// both sides, in a checkout of a base revision and in the working tree, one
+// pair per seed, alternating which side runs first, and judges every
+// end-to-end metric of BENCHMARK.json on the pairs.
 //
 // For each workload and metric it prints both sides' median and quartiles,
 // the change's pair wins, whether every pair read identical values (every
@@ -63,15 +64,14 @@ func main() {
 	base := flag.String("base", "", "the revision to compare the working tree against (required)")
 	workloads := flag.String("workloads", "", "comma-separated workloads (default: every workload of BENCHMARK.json)")
 	seedList := flag.String("seeds", "1-10", "the seeds, one pair each: a list (1,3,5), a range (1-10) or both")
-	seconds := flag.Float64("seconds", 0, "each run's --seconds (default: BENCHMARK.json's run_seconds)")
 	out := flag.String("out", "benchab.json", "the JSON file to write")
 	flag.Parse()
 	if *base == "" || flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchab -base REV [-workloads a,b] [-seeds 1-10] [-seconds T] [-out file.json]")
+		fmt.Fprintln(os.Stderr, "usage: benchab -base REV [-workloads a,b] [-seeds 1-10] [-out file.json]")
 		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	violated, err := run(ctx, *base, *workloads, *seedList, *seconds, *out)
+	violated, err := run(ctx, *base, *workloads, *seedList, *out)
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchab:", err)
@@ -82,7 +82,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, baseRev, workloads, seedList string, seconds float64, out string) (bool, error) {
+func run(ctx context.Context, baseRev, workloads, seedList, out string) (bool, error) {
 	root, err := git(ctx, "", "rev-parse", "--show-toplevel")
 	if err != nil {
 		return false, err
@@ -98,9 +98,6 @@ func run(ctx context.Context, baseRev, workloads, seedList string, seconds float
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return false, fmt.Errorf("BENCHMARK.json: %v", err)
 	}
-	if seconds == 0 {
-		seconds = m.RunSeconds
-	}
 	names := strings.Split(workloads, ",")
 	if workloads == "" {
 		names = names[:0]
@@ -112,7 +109,7 @@ func run(ctx context.Context, baseRev, workloads, seedList string, seconds float
 	if err != nil {
 		return false, err
 	}
-	rec := record{Seconds: seconds}
+	rec := record{Seconds: m.RunSeconds}
 	baseCommit, err := git(ctx, root, "rev-parse", "--verify", baseRev+"^{commit}")
 	if err != nil {
 		return false, err
@@ -150,7 +147,7 @@ func run(ctx context.Context, baseRev, workloads, seedList string, seconds float
 			}
 			var got [2]result
 			for k, tree := range order {
-				r, err := bench(ctx, tree, name, seed, seconds)
+				r, err := bench(ctx, tree, name, seed, m.RunSeconds)
 				if err != nil {
 					return false, err
 				}
@@ -172,7 +169,7 @@ func run(ctx context.Context, baseRev, workloads, seedList string, seconds float
 	}
 
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "base %s, change %s (uncommitted edits: %t), --seconds %g\n", rec.Base, rec.Change, rec.Dirty, seconds)
+	fmt.Fprintf(&sb, "base %s, change %s (uncommitted edits: %t), --seconds %g\n", rec.Base, rec.Change, rec.Dirty, m.RunSeconds)
 	for _, w := range rec.Workloads {
 		w.table(&sb)
 	}
