@@ -38,9 +38,10 @@ type datatype struct {
 	args         [3]int
 	base         Datatype
 	size, extent int
+	span         int // where an element's last block ends, at least its extent
 	runs         []run
 	dense        bool
-	overlaps     bool // two blocks share a byte: a type to send from, never to receive into
+	overlaps     bool // two blocks of one element share a byte
 }
 
 // run is count blocks of n bytes, the first off bytes into an element,
@@ -63,7 +64,7 @@ func (t *datatype) Name() string {
 }
 
 func predefined(name string, width int) Datatype {
-	return &datatype{name: name, size: width, extent: width, runs: []run{{0, width, 1, 0}}, dense: true}
+	return &datatype{name: name, size: width, extent: width, span: width, runs: []run{{0, width, 1, 0}}, dense: true}
 }
 
 // Predefined basic datatypes.
@@ -102,6 +103,7 @@ func (t *datatype) push(r run) {
 	if r.n == 0 || r.count == 0 {
 		return
 	}
+	t.span = max(t.span, r.off+(r.count-1)*r.stride+r.n)
 	if r.count == 1 || r.stride == r.n {
 		r = run{r.off, r.n * r.count, 1, 0}
 	}
@@ -199,6 +201,7 @@ func Struct(extent int, fields []StructField) Datatype {
 func (t *datatype) seal() Datatype {
 	t.dense = len(t.runs) == 0 && t.extent == 0 || len(t.runs) == 1 && t.runs[0] == run{0, t.extent, 1, 0}
 	t.overlaps = t.overlaps && overlapping(t.runs)
+	t.span = max(t.span, t.extent)
 	return t
 }
 

@@ -495,30 +495,35 @@ func TestDenseIsReadFromTheRuns(t *testing.T) {
 // TestOverlapIsSweptAtConstruction: a type overlaps when two of its blocks
 // share a byte, whatever order its constructor lists them in; blocks out of
 // order, interleaved runs or a nest of disjoint types do not overlap, a
-// field reaching into the next element of a Contiguous does.
+// field reaching into the next element of a Contiguous does. Its span is
+// where its last block ends, or its extent when that is further.
 func TestOverlapIsSweptAtConstruction(t *testing.T) {
 	for _, c := range []struct {
 		dt       Datatype
 		overlaps bool
+		span     int
 	}{
-		{Struct(8, []StructField{{0, 4}, {0, 4}}), true},
-		{Struct(8, []StructField{{4, 4}, {0, 4}}), false},
-		{Struct(8, []StructField{{4, 4}, {0, 5}}), true},
-		{Indexed([]int{1, 1}, []int{1, 0}, Int32), false},
-		{Indexed([]int{2, 1}, []int{1, 0}, Int32), false},
-		{Indexed([]int{2, 1}, []int{1, 2}, Int32), true},
-		{Struct(16, []StructField{{8, 4}, {0, 4}, {12, 4}, {4, 4}}), false},
-		{Struct(16, []StructField{{8, 4}, {0, 4}, {10, 4}}), true},
-		{Contiguous(2, Struct(4, []StructField{{0, 8}})), true},
-		{Contiguous(3, Indexed([]int{1, 1}, []int{1, 0}, Int32)), false},
-		{Indexed([]int{1, 1}, []int{3, 0}, Vector(2, 1, 2, Int32)), false},
-		{Indexed([]int{1, 1}, []int{1, 0}, Vector(2, 1, 2, Int32)), false},
-		{Indexed([]int{2, 1}, []int{0, 1}, Vector(2, 1, 2, Int32)), true},
-		{Vector(256, 1, 256, Float64), false},
-		{Struct(8, []StructField{{0, 0}, {0, 8}}), false},
+		{Struct(8, []StructField{{0, 4}, {0, 4}}), true, 8},
+		{Struct(8, []StructField{{4, 4}, {0, 4}}), false, 8},
+		{Struct(8, []StructField{{4, 4}, {0, 5}}), true, 8},
+		{Indexed([]int{1, 1}, []int{1, 0}, Int32), false, 8},
+		{Indexed([]int{2, 1}, []int{1, 0}, Int32), false, 12},
+		{Indexed([]int{2, 1}, []int{1, 2}, Int32), true, 12},
+		{Struct(16, []StructField{{8, 4}, {0, 4}, {12, 4}, {4, 4}}), false, 16},
+		{Struct(16, []StructField{{8, 4}, {0, 4}, {10, 4}}), true, 16},
+		{Contiguous(2, Struct(4, []StructField{{0, 8}})), true, 12},
+		{Contiguous(3, Indexed([]int{1, 1}, []int{1, 0}, Int32)), false, 24},
+		{Indexed([]int{1, 1}, []int{3, 0}, Vector(2, 1, 2, Int32)), false, 48},
+		{Indexed([]int{1, 1}, []int{1, 0}, Vector(2, 1, 2, Int32)), false, 24},
+		{Indexed([]int{2, 1}, []int{0, 1}, Vector(2, 1, 2, Int32)), true, 24},
+		{Vector(256, 1, 256, Float64), false, 255*256*8 + 8},
+		{Struct(8, []StructField{{0, 0}, {0, 8}}), false, 8},
+		{Struct(4, []StructField{{0, 8}}), false, 8},
+		{Struct(8, []StructField{{0, 4}}), false, 8},
+		{Struct(0, []StructField{{0, 1}}), false, 1},
 	} {
-		if c.dt.overlaps != c.overlaps {
-			t.Errorf("%s (runs %v): overlaps %v, want %v", c.dt.Name(), c.dt.runs, c.dt.overlaps, c.overlaps)
+		if c.dt.overlaps != c.overlaps || c.dt.span != c.span {
+			t.Errorf("%s (runs %v): overlaps %v, span %d; want %v, %d", c.dt.Name(), c.dt.runs, c.dt.overlaps, c.dt.span, c.overlaps, c.span)
 		}
 	}
 }

@@ -216,18 +216,20 @@ func (c *Comm) startColl(kind collKind, nBytes int, wait bool, a collArgs, check
 // checkBuf validates a user buffer against the element count before any
 // transfer or compiling, so misuse fails synchronously at the call site
 // instead of panicking later on the engine thread; the caller names the
-// call in the error. A receive buffer (recv) may not be laid out by a
-// type whose blocks overlap: where two blocks share a byte, which one
-// lands there last is undefined (MPI-3.1 §4.1).
+// call in the error. The buffer must reach the last element's last block.
+// A receive buffer (recv) may not hold two blocks on one byte, where which
+// lands last is undefined (MPI-3.1 §4.1): no type whose blocks overlap,
+// and no two elements of a type whose blocks reach past its extent, into
+// the next element's (even where they happen to miss its blocks).
 func checkBuf(which string, recv bool, buf []byte, elems int, dt Datatype) error {
 	if elems < 0 {
 		return fmt.Errorf("negative count %d", elems)
 	}
-	if need := elems * dt.Extent(); len(buf) < need {
+	if need := elems*dt.extent + min(elems, 1)*(dt.span-dt.extent); len(buf) < need {
 		return fmt.Errorf("%s buffer is %d bytes, need %d", which, len(buf), need)
 	}
-	if recv && dt.overlaps {
-		return fmt.Errorf("%s buffer's type %s has overlapping blocks", which, dt.Name())
+	if recv && (dt.overlaps || elems > 1 && dt.span > dt.extent) {
+		return fmt.Errorf("%s buffer of %d elements of %s: overlapping blocks", which, elems, dt.Name())
 	}
 	return nil
 }

@@ -78,14 +78,15 @@ func (c *Comm) outbound(op, event string, buf []byte, count int, dt Datatype, de
 	if err := checkBuf("send", false, buf, count, dt); err != nil {
 		return nil, nil, nil, fmt.Errorf("mpi: %s: %w", op, err)
 	}
-	dev, sr, err := c.address(event, buf[:count*dt.size], dest, tag, c.ctx)
+	n := count * dt.size // a dense payload is n bytes of buf; a strided one, packed below, may hold more (overlapping blocks)
+	dev, sr, err := c.address(event, buf[:min(n, len(buf))], dest, tag, c.ctx)
 	if err != nil || IsContiguous(dt) {
 		return dev, sr, nil, err
 	}
-	lease := c.p.Eng.Bufs.Get(len(sr.Data))
+	lease := c.p.Eng.Bufs.Get(n)
 	dt.move(buf, lease.B, count, true)
-	c.p.M.Charge(c.p.memTime(len(lease.B)))
-	sr.Data = lease.B
+	c.p.M.Charge(c.p.memTime(n))
+	sr.Data, sr.Env.Len = lease.B, n
 	return dev, sr, lease, nil
 }
 

@@ -287,36 +287,65 @@ func TestCollectivesRejectBadArgs(t *testing.T) {
 // TestOverlappingTypeSendsButIsNoReceiveType: a type two of whose blocks
 // share a byte sends its type map — here bytes 0-3 twice — but is refused,
 // with an MPI error, as the type of a point-to-point or collective receive
-// (MPI-3.1 §4.1).
+// (MPI-3.1 §4.1). So is a receive of two or more elements of a type whose
+// blocks reach past its extent (Struct(4, {{0, 8}}): element 1 lands on
+// bytes 4-11, over element 0's 4-7), while one element of it receives, and
+// every buffer must reach the last element's last byte.
 func TestOverlappingTypeSendsButIsNoReceiveType(t *testing.T) {
 	ovl := mpi.Struct(8, []mpi.StructField{{Disp: 0, Len: 4}, {Disp: 0, Len: 4}})
+	reach := mpi.Struct(4, []mpi.StructField{{Disp: 0, Len: 8}})
 	sess, err := cluster.Build(cluster.TwoNodes("bip"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = sess.Run(func(rank int, c *mpi.Comm) error {
 		user := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+		recv := func(buf []byte, count int, dt mpi.Datatype) error {
+			_, err := c.Recv(buf, count, dt, 1-rank, 3)
+			return err
+		}
 		for _, call := range []struct {
-			name string
-			err  error
+			name, want string
+			err        error
 		}{
-			{"Allgather", c.Allgather(user, make([]byte, 16), 1, ovl)},
-			{"Irecv", func() error { _, err := c.Irecv(make([]byte, 8), 1, ovl, 1-rank, 3); return err }()},
-			{"Recv", func() error { _, err := c.Recv(make([]byte, 8), 1, ovl, 1-rank, 3); return err }()},
+			{"Allgather", "overlapping blocks", c.Allgather(user, make([]byte, 16), 1, ovl)},
+			{"Irecv", "overlapping blocks", func() error { _, err := c.Irecv(make([]byte, 8), 1, ovl, 1-rank, 3); return err }()},
+			{"Recv", "overlapping blocks", recv(make([]byte, 8), 1, ovl)},
+			{"Recv", "overlapping blocks", recv(make([]byte, 12), 2, reach)},
+			{"Allgather", "overlapping blocks", c.Allgather(make([]byte, 8), make([]byte, 12), 1, reach)},
+			{"Send", "send buffer is 8 bytes, need 12", c.Send(make([]byte, 8), 2, reach, 1-rank, 3)},
+			{"Recv", "receive buffer is 7 bytes, need 8", recv(make([]byte, 7), 1, reach)},
 		} {
-			if call.err == nil || !strings.Contains(call.err.Error(), "overlapping blocks") {
-				return fmt.Errorf("%s through %s: %v, want an overlap error", call.name, ovl.Name(), call.err)
+			if call.err == nil || !strings.Contains(call.err.Error(), call.want) {
+				return fmt.Errorf("%s: %v, want an error saying %q", call.name, call.err, call.want)
 			}
 		}
 		if rank == 0 {
-			return c.Send(user, 1, ovl, 1, 3)
+			twelve := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+			for _, err := range []error{c.Send(user, 1, ovl, 1, 3), c.Send(twelve, 2, reach, 1, 4), c.Send(user, 8, mpi.Byte, 1, 5)} {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		got := make([]byte, 8)
-		if _, err := c.Recv(got, 8, mpi.Byte, 0, 3); err != nil {
-			return err
-		}
-		if want := []byte{1, 2, 3, 4, 1, 2, 3, 4}; !bytes.Equal(got, want) {
-			return fmt.Errorf("received %v, want the type map's bytes %v", got, want)
+		for _, r := range []struct {
+			count int
+			dt    mpi.Datatype
+			tag   int
+			want  []byte
+		}{
+			{8, mpi.Byte, 3, []byte{1, 2, 3, 4, 1, 2, 3, 4}},                             // ovl's type map
+			{16, mpi.Byte, 4, []byte{1, 2, 3, 4, 5, 6, 7, 8, 5, 6, 7, 8, 9, 10, 11, 12}}, // two elements of reach
+			{1, reach, 5, []byte{1, 2, 3, 4, 5, 6, 7, 8}},                                // one element of reach receives
+		} {
+			got := make([]byte, len(r.want))
+			if _, err := c.Recv(got, r.count, r.dt, 0, r.tag); err != nil {
+				return err
+			}
+			if !bytes.Equal(got, r.want) {
+				return fmt.Errorf("tag %d: received %v, want %v", r.tag, got, r.want)
+			}
 		}
 		return nil
 	})
