@@ -280,13 +280,7 @@ func (d *Device) sendRndvBody(sr *adi.SendReq, rails []Route, seg int, sync uint
 // else the whole path's, else a unit. The product is rounded on its own, so
 // no platform fuses it into the sum.
 func finish(r Route, k float64) float64 {
-	pace := r.BottleneckCost
-	if pace <= 0 {
-		pace = r.Cost
-	}
-	if pace <= 0 {
-		pace = 1
-	}
+	pace := cmp.Or(max(r.BottleneckCost, 0), max(r.Cost, 0), 1)
 	return max(r.Cost-pace, 0) + float64(k*pace)
 }
 

@@ -138,12 +138,10 @@ func (p *Process) Finalize() error {
 // calls it after the scheduler returns rather than inside Finalize.
 func (p *Process) AuditDevices() error {
 	for _, d := range p.devices {
-		a, ok := d.(adi.Auditor)
-		if !ok {
-			continue
-		}
-		if err := a.AuditInvariants(); err != nil {
-			return fmt.Errorf("mpi: rank %d device %s: %w", p.rank, d.Name(), err)
+		if a, ok := d.(adi.Auditor); ok {
+			if err := a.AuditInvariants(); err != nil {
+				return fmt.Errorf("mpi: rank %d device %s: %w", p.rank, d.Name(), err)
+			}
 		}
 	}
 	return nil
@@ -246,12 +244,8 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 			members = append(members, member{key: int(vals[2*r+1]), oldRank: r})
 		}
 	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].oldRank < members[j].oldRank
-	})
+	// members is in old-rank order: a stable sort by key keeps it for ties.
+	sort.SliceStable(members, func(i, j int) bool { return members[i].key < members[j].key })
 	group := make([]int, len(members))
 	myNew := -1
 	for i, m := range members {

@@ -124,9 +124,6 @@ type TuneChoice struct {
 // (operation, then size) order, followed by the measured per-device-class
 // switch points in class-tier order; nil when Autotune has not run.
 func (p *Process) TuneSnapshot() []TuneChoice {
-	if p.tuned == nil && p.classSwitch == nil {
-		return nil
-	}
 	var out []TuneChoice
 	if p.tuned != nil {
 		for k := collKind(0); k < numCollKinds; k++ {
@@ -395,47 +392,34 @@ const tuneProbeTag = 0x7357
 // non-zero threshold (0 also when the device toward the peer does not
 // accept per-class tuning and the probe is meaningless).
 func (c *Comm) probeClassSwitch(pr ClassProbe) (int, error) {
-	mine := c.myRank == pr.A || c.myRank == pr.B
 	peer := pr.B
 	if c.myRank == pr.B {
 		peer = pr.A
 	}
-	var tuner adi.ClassTuner
-	if mine {
-		if ct, ok := c.p.route(peer).(adi.ClassTuner); ok {
-			tuner = ct
-		}
+	var tuner adi.ClassTuner // nil off the pair, and on a device that tunes no class
+	if c.myRank == pr.A || c.myRank == pr.B {
+		tuner, _ = c.p.route(peer).(adi.ClassTuner)
 	}
 	const reps = 2
-	var eagerT, rndvT []vtime.Duration
+	var times [2][]vtime.Duration // per mode: eager, rendez-vous
 	for _, size := range switchTuneSizes {
 		for mode := 0; mode < 2; mode++ {
 			if err := c.Barrier(); err != nil {
 				return 0, err
 			}
-			if tuner != nil {
-				if mode == 0 {
-					tuner.SetClassSwitchPoint(pr.Class, size) // payload == threshold: eager
-				} else {
-					tuner.SetClassSwitchPoint(pr.Class, 1) // force rendez-vous
-				}
+			if tuner != nil { // payload == threshold: eager; threshold 1: rendez-vous
+				tuner.SetClassSwitchPoint(pr.Class, [2]int{size, 1}[mode])
 			}
 			var dt vtime.Duration
-			if mine && tuner != nil {
+			if tuner != nil {
 				buf := c.p.Eng.Bufs.Get(size)
 				start := c.p.M.S.Now()
-				for i := 0; i < reps; i++ {
+				for leg := range 2 * reps { // A sends on the even legs, B on the odd ones
 					var err error
-					if c.myRank == pr.A {
+					if (c.myRank == pr.A) == (leg%2 == 0) {
 						err = c.Send(buf.B, size, Byte, peer, tuneProbeTag)
-						if err == nil {
-							_, err = c.Recv(buf.B, size, Byte, peer, tuneProbeTag)
-						}
 					} else {
 						_, err = c.Recv(buf.B, size, Byte, peer, tuneProbeTag)
-						if err == nil {
-							err = c.Send(buf.B, size, Byte, peer, tuneProbeTag)
-						}
 					}
 					if err != nil {
 						return 0, err
@@ -449,18 +433,14 @@ func (c *Comm) probeClassSwitch(pr ClassProbe) (int, error) {
 				return 0, err
 			}
 			if c.myRank == pr.A && tuner != nil {
-				if mode == 0 {
-					eagerT = append(eagerT, dt)
-				} else {
-					rndvT = append(rndvT, dt)
-				}
+				times[mode] = append(times[mode], dt)
 			}
 		}
 	}
 	if c.myRank != pr.A || tuner == nil {
 		return 0, nil
 	}
-	return electSwitchThreshold(switchTuneSizes, eagerT, rndvT), nil
+	return electSwitchThreshold(switchTuneSizes, times[0], times[1]), nil
 }
 
 // electSwitchThreshold places the measured eager->rendez-vous crossover:
