@@ -138,10 +138,12 @@ func (p *Process) Finalize() error {
 // calls it after the scheduler returns rather than inside Finalize.
 func (p *Process) AuditDevices() error {
 	for _, d := range p.devices {
-		if a, ok := d.(adi.Auditor); ok {
-			if err := a.AuditInvariants(); err != nil {
-				return fmt.Errorf("mpi: rank %d device %s: %w", p.rank, d.Name(), err)
-			}
+		a, ok := d.(adi.Auditor)
+		if !ok {
+			continue
+		}
+		if err := a.AuditInvariants(); err != nil {
+			return fmt.Errorf("mpi: rank %d device %s: %w", p.rank, d.Name(), err)
 		}
 	}
 	return nil

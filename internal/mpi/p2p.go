@@ -78,7 +78,7 @@ func (c *Comm) outbound(op, event string, buf []byte, count int, dt Datatype, de
 	if err := checkBuf("send", false, buf, count, dt); err != nil {
 		return nil, nil, nil, fmt.Errorf("mpi: %s: %w", op, err)
 	}
-	n := count * dt.size // a dense payload is n bytes of buf; a strided one, packed below, may hold more (overlapping blocks)
+	n := count * dt.size // packed below when strided: overlapping blocks make it more than buf holds
 	dev, sr, err := c.address(event, buf[:min(n, len(buf))], dest, tag, c.ctx)
 	if err != nil || IsContiguous(dt) {
 		return dev, sr, nil, err
