@@ -68,7 +68,6 @@ type Process struct {
 	// next compile to reuse (newSched, recycle).
 	spare []*schedule
 
-	memcpyBW  float64
 	finalized bool
 }
 
@@ -89,8 +88,7 @@ func NewProcess(m *marcel.Proc, eng *adi.Engine, rank int, world []int,
 		M: m, Eng: eng,
 		rank:  rank,
 		route: route, devices: devices,
-		nextCtx:  2, // 0/1 are world's p2p and collective contexts
-		memcpyBW: 350 * netsim.MB,
+		nextCtx: 2, // 0/1 are world's p2p and collective contexts
 	}
 	p.World = &Comm{p: p, group: world, myRank: rank, ctx: 0}
 	return p
@@ -106,13 +104,16 @@ func WorldGroup(n int) []int {
 	return group
 }
 
+// memcpyBW is the bandwidth of a local memcpy, in bytes per second.
+const memcpyBW = 350 * netsim.MB
+
 // memTime is the CPU cost of an n-byte local memcpy (datatype packing,
 // collective staging).
 func (p *Process) memTime(n int) vtime.Duration {
 	if n <= 0 {
 		return 0
 	}
-	return vtime.Duration(float64(n) / p.memcpyBW * float64(vtime.Second))
+	return vtime.Duration(float64(n) / memcpyBW * float64(vtime.Second))
 }
 
 // Finalize performs the MPI_Finalize sequence: a world barrier, then

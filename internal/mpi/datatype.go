@@ -104,6 +104,13 @@ func (t *datatype) push(r run) {
 		return
 	}
 	t.span = max(t.span, r.off+(r.count-1)*r.stride+r.n)
+	t.place(r)
+}
+
+// place is push's placement of a block or run of blocks. A lone block that
+// lengthens another is placed again, as the one block they are, so it folds
+// into the run before as it would had it come whole.
+func (t *datatype) place(r run) {
 	if r.count == 1 || r.stride == r.n {
 		r = run{r.off, r.n * r.count, 1, 0}
 	}
@@ -113,7 +120,8 @@ func (t *datatype) push(r run) {
 		t.overlaps = t.overlaps || s < l.n        // r starts before l ends: maybe, seal checks
 		switch {
 		case l.count == 1 && r.count == 1 && s == l.n:
-			l.n += r.n
+			t.runs = t.runs[:k]
+			t.place(run{l.off, l.n + r.n, 1, 0})
 			return
 		case l.n == r.n && s > l.n && (l.count == 1 || l.stride == s) && (r.count == 1 || r.stride == s):
 			l.count, l.stride = l.count+r.count, s

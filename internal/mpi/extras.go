@@ -6,10 +6,11 @@ package mpi
 //
 //madlint:ignore deadexport madsim needs it (ROADMAP, "madsim: seeded random MPI programs against a sequential reference")
 func (c *Comm) Ssend(buf []byte, count int, dt Datatype, dest, tag int) error {
-	dev, sr, lease, err := c.outbound("Ssend", "mpi.ssend", buf, count, dt, dest, tag)
+	dev, err := c.outbound("Ssend", buf, count, dt, dest, tag)
 	if err != nil {
 		return err
 	}
+	sr, lease := c.start("mpi.ssend", buf, count, dt, dest, tag)
 	sr.Sync = true
 	return sendWait(dev, sr, lease)
 }

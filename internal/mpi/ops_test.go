@@ -262,3 +262,31 @@ func BenchmarkReduceByteMax(b *testing.B) {
 		}
 	}
 }
+
+// The predefined ops compare by identity: each equals itself and no other,
+// through an Op variable too, and keys a map (an op holding func values by
+// value made both panic).
+func TestPredefinedOpsCompare(t *testing.T) {
+	all := []Op{OpSum, OpProd, OpMin, OpMax, OpBAnd, OpBOr, OpBXor, OpLAnd, OpLOr}
+	byOp := make(map[Op]int)
+	for i, a := range all {
+		byOp[a] = i
+		for j, b := range all {
+			if (a == b) != (i == j) {
+				t.Errorf("%s == %s is %v", a.Name(), b.Name(), a == b)
+			}
+		}
+	}
+	var op Op = OpSum
+	if op != OpSum || op == OpProd {
+		t.Error("an Op variable holding OpSum does not compare as OpSum")
+	}
+	for i, a := range all {
+		if byOp[a] != i {
+			t.Errorf("map[Op] keyed by %s holds %d, want %d", a.Name(), byOp[a], i)
+		}
+	}
+	if len(byOp) != len(all) {
+		t.Errorf("%d ops key %d map entries", len(all), len(byOp))
+	}
+}

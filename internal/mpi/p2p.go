@@ -60,56 +60,65 @@ func (c *Comm) checkPeer(op string, r int) error {
 	return nil
 }
 
-// outbound is what Send, Ssend and Isend do before the transfer: check the
-// communicator, peer, tag and buffer, address the payload, and pack and
-// charge it (op names the call in errors, event the request's completion
-// event). A strided payload is packed into a lease of the rank's buffer
-// list, for the caller to send home once the send is complete.
-func (c *Comm) outbound(op, event string, buf []byte, count int, dt Datatype, dest, tag int) (adi.Device, *adi.SendReq, *netsim.Buf, error) {
+// outbound checks what Send, Ssend, Isend and Sendrecv send: the
+// communicator, peer, tag and buffer (op names the call in errors). It
+// returns the device toward dest, and posts nothing.
+func (c *Comm) outbound(op string, buf []byte, count int, dt Datatype, dest, tag int) (adi.Device, error) {
 	if err := c.checkLive(op); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if err := c.checkPeer(op, dest); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if tag < 0 {
-		return nil, nil, nil, fmt.Errorf("mpi: %s: negative tag %d", op, tag)
+		return nil, fmt.Errorf("mpi: %s: negative tag %d", op, tag)
 	}
 	if err := checkBuf("send", false, buf, count, dt); err != nil {
-		return nil, nil, nil, fmt.Errorf("mpi: %s: %w", op, err)
+		return nil, fmt.Errorf("mpi: %s: %w", op, err)
 	}
+	return c.device(dest)
+}
+
+// start addresses a checked send's payload in a request from the engine's
+// free list (event: its completion event), packing and charging a strided
+// one into a lease of the rank's buffer list, for the caller to send home
+// once the send is complete.
+func (c *Comm) start(event string, buf []byte, count int, dt Datatype, dest, tag int) (*adi.SendReq, *netsim.Buf) {
 	n := count * dt.size // packed below when strided: overlapping blocks make it more than buf holds
-	dev, sr, err := c.address(event, buf[:min(n, len(buf))], dest, tag, c.ctx)
-	if err != nil || IsContiguous(dt) {
-		return dev, sr, nil, err
+	sr := c.address(event, buf[:min(n, len(buf))], dest, tag, c.ctx)
+	if IsContiguous(dt) {
+		return sr, nil
 	}
 	lease := c.p.Eng.Bufs.Get(n)
 	dt.move(buf, lease.B, count, true)
 	c.p.M.Charge(c.p.memTime(n))
 	sr.Data, sr.Env.Len = lease.B, n
-	return dev, sr, lease, nil
+	return sr, lease
 }
 
-// address looks up the device toward dest and fills a request from the
-// engine's free list with packed data on an explicit context.
-func (c *Comm) address(event string, data []byte, dest, tag, ctx int) (adi.Device, *adi.SendReq, error) {
-	dstWorld := c.group[dest]
-	dev := c.p.route(dstWorld)
-	if dev == nil {
-		return nil, nil, fmt.Errorf("mpi: no device for destination world rank %d", dstWorld)
+// device is the device toward comm rank dest.
+func (c *Comm) device(dest int) (adi.Device, error) {
+	if dev := c.p.route(c.group[dest]); dev != nil {
+		return dev, nil
 	}
+	return nil, fmt.Errorf("mpi: no device for destination world rank %d", c.group[dest])
+}
+
+// address fills a request from the engine's free list with packed data on
+// an explicit context.
+func (c *Comm) address(event string, data []byte, dest, tag, ctx int) *adi.SendReq {
 	sr := c.p.Eng.NewSend(event)
-	sr.Env, sr.Dst, sr.Data = adi.Envelope{Src: c.p.rank, Tag: tag, Context: ctx, Len: len(data)}, dstWorld, data
-	return dev, sr, nil
+	sr.Env, sr.Dst, sr.Data = adi.Envelope{Src: c.p.rank, Tag: tag, Context: ctx, Len: len(data)}, c.group[dest], data
+	return sr
 }
 
 // sendRaw transmits packed bytes on an explicit context.
 func (c *Comm) sendRaw(data []byte, dest, tag, ctx int) error {
-	dev, sr, err := c.address("mpi.send", data, dest, tag, ctx)
+	dev, err := c.device(dest)
 	if err != nil {
 		return err
 	}
-	return sendWait(dev, sr, nil)
+	return sendWait(dev, c.address("mpi.send", data, dest, tag, ctx), nil)
 }
 
 // sendWait sends sr on dev and blocks until it is locally complete; the
@@ -138,29 +147,38 @@ func (c *Comm) statusOf(rr *adi.RecvReq) *Status {
 // the buffer is reusable. Eager sends complete locally; rendez-vous sends
 // complete when the receiver's acknowledgement round-trip finishes.
 func (c *Comm) Send(buf []byte, count int, dt Datatype, dest, tag int) error {
-	dev, sr, lease, err := c.outbound("Send", "mpi.send", buf, count, dt, dest, tag)
+	dev, err := c.outbound("Send", buf, count, dt, dest, tag)
 	if err != nil {
 		return err
 	}
+	sr, lease := c.start("mpi.send", buf, count, dt, dest, tag)
 	return sendWait(dev, sr, lease)
 }
 
 // Isend starts a non-blocking send (MPI_Isend). Per the paper (§4.2.3),
 // "the MPI control thread creates a thread for each non-blocking send
 // operation": the blocking device send runs on a temporary Marcel thread.
+//
+//madlint:ignore deadexport bench/ uses it
 func (c *Comm) Isend(buf []byte, count int, dt Datatype, dest, tag int) (*Request, error) {
-	dev, sr, lease, err := c.outbound("Isend", "mpi.isend", buf, count, dt, dest, tag)
+	dev, err := c.outbound("Isend", buf, count, dt, dest, tag)
 	if err != nil {
 		return nil, err
 	}
+	return c.isend(dev, buf, count, dt, dest, tag), nil
+}
+
+// isend starts a checked send on a temporary Marcel thread.
+func (c *Comm) isend(dev adi.Device, buf []byte, count int, dt Datatype, dest, tag int) *Request {
+	sr, lease := c.start("mpi.isend", buf, count, dt, dest, tag)
 	c.p.M.Spawn("mpi.isend", func() { dev.Send(sr) })
-	return &Request{c: c, sr: sr, staged: lease}, nil
+	return &Request{c: c, sr: sr, staged: lease}
 }
 
 // Recv performs a blocking receive (MPI_Recv). src may be AnySource, tag
 // may be AnyTag.
 func (c *Comm) Recv(buf []byte, count int, dt Datatype, src, tag int) (*Status, error) {
-	req, err := c.Irecv(buf, count, dt, src, tag)
+	req, err := c.irecv("Recv", buf, count, dt, src, tag)
 	if err != nil {
 		return nil, err
 	}
@@ -168,19 +186,26 @@ func (c *Comm) Recv(buf []byte, count int, dt Datatype, src, tag int) (*Status, 
 }
 
 // Irecv starts a non-blocking receive (MPI_Irecv).
+//
+//madlint:ignore deadexport bench/ uses it
 func (c *Comm) Irecv(buf []byte, count int, dt Datatype, src, tag int) (*Request, error) {
-	if err := c.checkLive("Irecv"); err != nil {
+	return c.irecv("Irecv", buf, count, dt, src, tag)
+}
+
+// irecv checks a receive and posts it (op names the call in errors).
+func (c *Comm) irecv(op string, buf []byte, count int, dt Datatype, src, tag int) (*Request, error) {
+	if err := c.checkLive(op); err != nil {
 		return nil, err
 	}
 	worldSrc := adi.AnySource
 	if src != AnySource {
-		if err := c.checkPeer("Irecv", src); err != nil {
+		if err := c.checkPeer(op, src); err != nil {
 			return nil, err
 		}
 		worldSrc = c.group[src]
 	}
 	if err := checkBuf("receive", true, buf, count, dt); err != nil {
-		return nil, fmt.Errorf("mpi: Irecv: %w", err)
+		return nil, fmt.Errorf("mpi: %s: %w", op, err)
 	}
 	rr := c.p.Eng.NewRecv("mpi.irecv")
 	r := &Request{c: c, rr: rr}
@@ -242,18 +267,19 @@ func WaitAll(reqs ...*Request) ([]*Status, error) {
 }
 
 // Sendrecv exchanges messages with (possibly different) partners without
-// deadlock (MPI_Sendrecv).
+// deadlock (MPI_Sendrecv). The send side is checked before the receive is
+// posted: a refused call leaves no receive behind to catch a later message.
 func (c *Comm) Sendrecv(sendBuf []byte, sendCount int, sendDT Datatype, dest, sendTag int,
 	recvBuf []byte, recvCount int, recvDT Datatype, src, recvTag int) (*Status, error) {
-	rreq, err := c.Irecv(recvBuf, recvCount, recvDT, src, recvTag)
+	dev, err := c.outbound("Sendrecv", sendBuf, sendCount, sendDT, dest, sendTag)
 	if err != nil {
 		return nil, err
 	}
-	sreq, err := c.Isend(sendBuf, sendCount, sendDT, dest, sendTag)
+	rreq, err := c.irecv("Sendrecv", recvBuf, recvCount, recvDT, src, recvTag)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sreq.Wait(); err != nil {
+	if _, err := c.isend(dev, sendBuf, sendCount, sendDT, dest, sendTag).Wait(); err != nil {
 		return nil, err
 	}
 	return rreq.Wait()
