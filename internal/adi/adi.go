@@ -172,9 +172,9 @@ var ErrTruncate = fmt.Errorf("adi: message truncated: buffer shorter than incomi
 //
 // MPICH's MPID_Device structure (§4.2.2) exposes exactly ONE
 // eager->rendez-vous threshold even when the device multiplexes several
-// networks; SwitchPoint is that device-wide value and remains the
-// fallback. ch_mad, the device behind the per-link device mux,
-// additionally resolves the threshold per destination from the link
+// networks. The threshold is each device's own business: ch_mad, the
+// device behind the per-link device mux, elects that one value as its
+// fallback and resolves the threshold per destination from the link
 // actually carrying it (core.Device.SwitchPointTo) — the fix for the
 // single-protocol limitation.
 type Device interface {
@@ -182,19 +182,8 @@ type Device interface {
 	// Send initiates sr; sr.Done fires at local completion. Called from
 	// the MPI (application) thread of the sending process.
 	Send(sr *SendReq)
-	// SwitchPoint returns the device-wide eager->rendez-vous threshold in
-	// bytes (the MPID_Device fallback).
-	SwitchPoint() int
 	// Shutdown stops device threads. Called once at MPI_Finalize.
 	Shutdown()
-}
-
-// ClassTuner is optionally implemented by devices that accept measured
-// per-device-class eager thresholds from the MPI_Init autotuner. class is
-// a device-class name ("smp", "san", "wan"); bytes <= 0 removes the
-// override, falling back to the link's native switch point.
-type ClassTuner interface {
-	SetClassSwitchPoint(class string, bytes int)
 }
 
 // Auditor is optionally implemented by devices that can verify their

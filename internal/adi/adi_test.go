@@ -390,8 +390,8 @@ func TestDeviceMeta(t *testing.T) {
 	if r.d0.Name() != "proto0" {
 		t.Fatal("name")
 	}
-	if r.d0.SwitchPoint() != 12345 {
-		t.Fatal("switch point")
+	if r.d0.cfg.RndvThreshold != 12345 {
+		t.Fatal("rendez-vous threshold")
 	}
 	r.d0.Shutdown()
 	r.d0.Shutdown() // idempotent

@@ -137,9 +137,6 @@ func NewProtoDevice(name string, eng *Engine, dev ChannelDevice, cfg ProtoConfig
 // Name implements Device.
 func (d *ProtoDevice) Name() string { return d.name }
 
-// SwitchPoint implements Device.
-func (d *ProtoDevice) SwitchPoint() int { return d.cfg.RndvThreshold }
-
 // Shutdown implements Device.
 func (d *ProtoDevice) Shutdown() {
 	if d.stopped {

@@ -31,10 +31,6 @@ func New(p *marcel.Proc, eng *adi.Engine) *Device {
 // Name implements adi.Device.
 func (d *Device) Name() string { return "ch_self" }
 
-// SwitchPoint implements adi.Device: a self-send has no remote side to
-// rendez-vous with, so every message is eager.
-func (d *Device) SwitchPoint() int { return d.params.SwitchPoint }
-
 // Shutdown implements adi.Device (nothing to stop).
 func (d *Device) Shutdown() {}
 

@@ -1,9 +1,9 @@
 // Package cluster assembles simulated MPI sessions: it turns a declarative
 // topology (nodes, networks, rank placement) into wired processes — ch_self
 // for intra-process, smp_plug for intra-node, ch_mad over Madeleine
-// channels for inter-node — and launches rank programs, reproducing the
-// paper's Fig. 3 software organization. It is the substitute for real
-// cluster-of-clusters hardware and mpirun.
+// channels (or the ch_p4 baseline over TCP) for inter-node — and launches
+// rank programs, reproducing the paper's Fig. 3 software organization. It
+// is the substitute for real cluster-of-clusters hardware and mpirun.
 package cluster
 
 import (
@@ -109,10 +109,10 @@ type Topology struct {
 	// branch per hot path. The metrics registry is independent of this
 	// and always on.
 	Trace *trace.Tracer
-
-	// Deadline bounds the session's virtual time (default 1000 s).
-	Deadline vtime.Duration
 }
+
+// deadline bounds every session's virtual time.
+const deadline = 1000 * vtime.Second
 
 // resolvedMaxPaths is the effective planner path count after defaulting:
 // 2 on forwarded topologies (the second rail), 1 otherwise.
@@ -184,7 +184,6 @@ type Session struct {
 
 	traceCtrl int // session-control trace track (replan instants)
 
-	nodeOf     map[int]string      // rank -> node
 	netsOfNode map[string][]string // node -> attached network names
 	places     []placementInfo     // rank -> placement
 	hier       *mpi.Hierarchy      // discovered cluster structure
@@ -198,8 +197,7 @@ type Session struct {
 	// O(blocs²) no matter how many rank pairs are queried. Reset whenever
 	// the plan changes.
 	classMemo map[[2]int]string
-	devs      []*core.Device // rank -> ch_mad device (nil for ch_p4)
-	chanOf    []map[string]*madeleine.Channel
+	chanOf    []map[string]*madeleine.Channel // rank -> network name -> channel (ch_mad only)
 	rankErr   []error
 }
 
@@ -208,25 +206,20 @@ func Build(topo Topology) (*Session, error) {
 	if topo.Device == "" {
 		topo.Device = "ch_mad"
 	}
-	if topo.Deadline == 0 {
-		topo.Deadline = 1000 * vtime.Second
-	}
 	if topo.RelayWindow < 0 || topo.MaxPaths < 0 {
 		return nil, fmt.Errorf("cluster: negative RelayWindow (%d) or MaxPaths (%d)", topo.RelayWindow, topo.MaxPaths)
 	}
 	s := vtime.New()
-	s.SetDeadline(vtime.Time(topo.Deadline))
+	s.SetDeadline(vtime.Time(deadline))
 	sess := &Session{
 		S:        s,
 		Topo:     topo,
 		Networks: make(map[string]*netsim.Network),
 		Metrics:  trace.NewRegistry(),
-		nodeOf:   make(map[int]string),
 		graph:    route.Graph{Nets: make(map[string]netsim.Params, len(topo.Networks))},
 	}
 
 	nodeNets := make(map[string][]string) // node -> network names
-	var nets []*netsim.Network
 	for _, ns := range topo.Networks {
 		var params netsim.Params
 		if ns.Params != nil {
@@ -243,7 +236,6 @@ func Build(topo Topology) (*Session, error) {
 		net.Metrics = sess.Metrics
 		sess.Networks[ns.Name] = net
 		sess.graph.Nets[ns.Name] = params
-		nets = append(nets, net)
 		for _, n := range ns.Nodes {
 			nodeNets[n] = append(nodeNets[n], ns.Name)
 		}
@@ -297,17 +289,73 @@ func Build(topo Topology) (*Session, error) {
 		s.OnDeadlock = func() []string { return tracer.Tail(deadlockTailEvents) }
 	}
 
+	// Every rank, whatever its inter-node device: a process (the Marcel
+	// threads of Fig. 3), its ADI engine and ch_self.
+	sess.Ranks = make([]*Rank, size)
+	muxes := make([]rankMux, size)
+	for r, pl := range places {
+		proc := marcel.NewProc(s, pl.proc)
+		eng := adi.NewEngine(proc, r)
+		eng.Bufs = &sess.bufs
+		sess.Ranks[r] = &Rank{Rank: r, Node: pl.node, Proc: proc, Eng: eng}
+		muxes[r].self = chself.New(proc, eng)
+	}
+
+	// The inter-node device, and the cluster hierarchy the collectives
+	// read: ch_mad over Madeleine channels with smp_plug beside it, or the
+	// ch_p4 baseline over its one TCP network.
 	switch topo.Device {
 	case "ch_mad":
-		if err := sess.buildChMad(places, nodeNets, nets); err != nil {
+		if err := sess.wireChMad(muxes); err != nil {
 			return nil, err
 		}
 	case "ch_p4":
-		if err := sess.buildChP4(places); err != nil {
-			return nil, err
+		if len(sess.Networks) != 1 {
+			return nil, fmt.Errorf("cluster: ch_p4 requires exactly one network")
 		}
+		tcp := sess.Networks[topo.Networks[0].Name]
+		procOf := make(map[int]string, size)
+		for r, pl := range places {
+			procOf[r] = pl.proc
+		}
+		for r, rk := range sess.Ranks {
+			muxes[r].inter = chp4.New(rk.Proc, rk.Eng, tcp, procOf)
+		}
+		sess.discoverHierarchy(0)
 	default:
 		return nil, fmt.Errorf("cluster: unknown device %q", topo.Device)
+	}
+
+	// Every rank's MPI process over its device mux: ch_self toward itself,
+	// smp_plug toward its node, the inter-node device toward the rest. Its
+	// per-class eager thresholds are one table, shared with its ch_mad
+	// device: the MPI_Init autotuner writes it, both read it.
+	probes := sess.classProbes()
+	world := mpi.WorldGroup(size)
+	for r, rk := range sess.Ranks {
+		m := muxes[r]
+		devices := []adi.Device{m.self, m.inter}
+		if m.smp != nil {
+			devices = append(devices, m.smp)
+		}
+		route := func(dst int) adi.Device {
+			switch {
+			case dst == r:
+				return m.self
+			case sess.viaSMP(r, dst):
+				return m.smp
+			}
+			return m.inter
+		}
+		rk.MPI = mpi.NewProcess(rk.Proc, rk.Eng, r, world, route, devices)
+		if rk.ChMad != nil {
+			rk.ChMad.ClassSwitch = rk.MPI.ClassSwitchPoints()
+		}
+		if tracer != nil {
+			rk.MPI.SetTrace(tracer, r)
+		}
+		rk.MPI.SetHierarchy(sess.hier)
+		rk.MPI.SetClassProbes(probes)
 	}
 	return sess, nil
 }
@@ -319,66 +367,63 @@ type placementInfo struct {
 	proc string
 }
 
-func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]string, nets []*netsim.Network) error {
-	s := sess.S
-	size := len(places)
+// rankMux is one rank's devices: ch_self, smp_plug (nil unless viaSMP
+// pairs reach the rank) and the inter-node device.
+type rankMux struct {
+	self, smp, inter adi.Device
+}
 
+// viaSMP reports whether ranks a ≠ b talk over smp_plug: both on one node
+// of a ch_mad session that is not Uniform. Such a pair's link class is
+// "smp", and ch_mad has no route for it.
+func (sess *Session) viaSMP(a, b int) bool {
+	return sess.places[a].node == sess.places[b].node && !sess.Topo.Uniform && sess.Topo.Device == "ch_mad"
+}
+
+// wireChMad gives every rank its ch_mad device, with a Madeleine channel
+// per attached network, and smp_plug on a node of several ranks (the
+// uniform ch_mad-only ablation has no segments: intra-node pairs then
+// ride the fastest shared network through ch_mad like any other link).
+// It then plans the routes, elects the thresholds, discovers the
+// hierarchy and starts the devices.
+func (sess *Session) wireChMad(muxes []rankMux) error {
 	uniform := sess.Topo.Uniform
-
-	// Per-node shared-memory segments for multi-proc nodes. The uniform
-	// ch_mad-only ablation skips them: intra-node pairs then ride the
-	// fastest shared network through ch_mad like any other link.
 	smpNodes := make(map[string]*smpplug.Node)
 	perNode := make(map[string]int)
-	for _, pl := range places {
+	for _, pl := range sess.places {
 		perNode[pl.node]++
 	}
 	for node, n := range perNode {
 		if n > 1 && !uniform {
-			smpNodes[node] = smpplug.NewNode(s, node)
+			smpNodes[node] = smpplug.NewNode(sess.S, node)
 		}
 	}
 
-	type rankWiring struct {
-		rank   *Rank
-		self   *chself.Device
-		smp    *smpplug.Device
-		chanOf map[string]*madeleine.Channel // network name -> channel
-	}
-	wirings := make([]*rankWiring, size)
-
-	for r, pl := range places {
-		proc := marcel.NewProc(s, pl.proc)
-		eng := adi.NewEngine(proc, r)
-		eng.Bufs = &sess.bufs
-		dev := core.New(proc, eng, r)
+	size := len(sess.places)
+	sess.chanOf = make([]map[string]*madeleine.Channel, size)
+	for r, rk := range sess.Ranks {
+		pl := sess.places[r]
+		dev := core.New(rk.Proc, rk.Eng, r)
 		dev.Metrics = sess.Metrics
 		dev.MetricsLabel = fmt.Sprintf("rank%d(%s)", r, pl.node)
 		if sess.Tracer != nil {
 			dev.Trace = sess.Tracer
 			dev.TraceTrack = r
 		}
-		inst := madeleine.New(proc)
-		chanOf := make(map[string]*madeleine.Channel)
-		for _, netName := range nodeNets[pl.node] {
-			net := sess.Networks[netName]
-			ch, err := inst.NewChannel(netName, net)
+		inst := madeleine.New(rk.Proc)
+		sess.chanOf[r] = make(map[string]*madeleine.Channel)
+		for _, netName := range sess.netsOfNode[pl.node] {
+			ch, err := inst.NewChannel(netName, sess.Networks[netName])
 			if err != nil {
 				return err
 			}
 			dev.AddChannel(ch)
-			chanOf[netName] = ch
+			sess.chanOf[r][netName] = ch
 		}
-		w := &rankWiring{
-			rank:   &Rank{Rank: r, Node: pl.node, Proc: proc, Eng: eng, ChMad: dev},
-			self:   chself.New(proc, eng),
-			chanOf: chanOf,
-		}
+		rk.ChMad, muxes[r].inter = dev, dev
 		if seg := smpNodes[pl.node]; seg != nil {
-			w.smp = seg.Join(proc, eng, r)
+			muxes[r].smp = seg.Join(rk.Proc, rk.Eng, r)
 		}
-		wirings[r] = w
-		sess.nodeOf[r] = pl.node
 	}
 
 	// Inter-node routing: the cost-model routing subsystem plans full
@@ -389,16 +434,10 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 	// routes through gateways are installed only when Forwarding is on.
 	g := &sess.graph
 	g.N, g.NetsOf = size, make([][]string, size)
-	for r, pl := range places {
-		g.NetsOf[r] = nodeNets[pl.node]
+	for r, pl := range sess.places {
+		g.NetsOf[r] = sess.netsOfNode[pl.node]
 	}
 	sess.maxPaths = sess.Topo.resolvedMaxPaths()
-	sess.devs = make([]*core.Device, size)
-	sess.chanOf = make([]map[string]*madeleine.Channel, size)
-	for r := 0; r < size; r++ {
-		sess.devs[r] = wirings[r].rank.ChMad
-		sess.chanOf[r] = wirings[r].chanOf
-	}
 	plan := route.ComputeOpts(*g, route.Options{RefBytes: route.DefaultRefBytes, MaxPaths: sess.maxPaths})
 	sess.plan = plan
 	sess.bindLinkClasses()
@@ -411,10 +450,10 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 	// segCap zero and routedInter instead clamps each backbone segment by
 	// the switch points along its actual path.
 	minSwitch := 0
-	for _, dev := range sess.devs {
-		sp := dev.ElectSwitchPoint()
+	for _, rk := range sess.Ranks {
+		sp := rk.ChMad.ElectSwitchPoint()
 		if uniform {
-			dev.SetSwitchPoint(sp)
+			rk.ChMad.SetSwitchPoint(sp)
 		}
 		if minSwitch == 0 || sp < minSwitch {
 			minSwitch = sp
@@ -435,8 +474,9 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 	if sess.Topo.Autotune && sess.Topo.RelayWindow == 0 && sess.Topo.Forwarding {
 		bdp = sess.bdpRelayWindows(hier)
 	}
-	for r, dev := range sess.devs {
-		for _, net := range nodeNets[places[r].node] {
+	for r, rk := range sess.Ranks {
+		dev := rk.ChMad
+		for _, net := range sess.netsOfNode[sess.places[r].node] {
 			dev.RelayWindow = max(dev.RelayWindow, bdp[net])
 		}
 		if dev.RelayWindow == 0 {
@@ -444,39 +484,6 @@ func (sess *Session) buildChMad(places []placementInfo, nodeNets map[string][]st
 		}
 		dev.Start()
 	}
-
-	probes := sess.classProbes()
-	world := mpi.WorldGroup(size)
-	for r := 0; r < size; r++ {
-		w := wirings[r]
-		devices := []adi.Device{w.self, w.rank.ChMad}
-		if w.smp != nil {
-			devices = append(devices, w.smp)
-		}
-		self, smp, chmad := w.self, w.smp, w.rank.ChMad
-		myNode := places[r].node
-		rr := r
-		route := func(dstWorld int) adi.Device {
-			switch {
-			case dstWorld == rr:
-				return self
-			case sess.nodeOf[dstWorld] == myNode && smp != nil:
-				return smp
-			default:
-				return chmad
-			}
-		}
-		w.rank.MPI = mpi.NewProcess(w.rank.Proc, w.rank.Eng, r, world, route, devices)
-		if sess.Tracer != nil {
-			w.rank.MPI.SetTrace(sess.Tracer, r)
-		}
-		w.rank.MPI.SetHierarchy(hier)
-		if !uniform {
-			w.rank.MPI.SetClassProbes(probes)
-		}
-		sess.Ranks = append(sess.Ranks, w.rank)
-	}
-
 	return nil
 }
 
@@ -506,7 +513,7 @@ func (sess *Session) LinkClassOf(src, dst int) string {
 	switch {
 	case dst == src:
 		return route.ClassSelf.String()
-	case sess.places[dst].node == sess.places[src].node && !sess.Topo.Uniform:
+	case sess.viaSMP(src, dst):
 		return route.ClassSMP.String()
 	}
 	key := [2]int{plan.BlocOf(src), plan.BlocOf(dst)}
@@ -526,9 +533,11 @@ func (sess *Session) LinkClassOf(src, dst int) string {
 // crossover — one probe per class, not a sweep over every pair.
 // Deterministic, so every rank installs the identical list. The scan
 // resolves classes lazily through the bloc memo, so even the exhaustive
-// no-such-class case costs O(N²) cache hits, not O(N²) path walks.
+// no-such-class case costs O(N²) cache hits, not O(N²) path walks. None
+// in a ch_p4 session, nor in a Uniform one, where every link keeps the
+// elected threshold.
 func (sess *Session) classProbes() []mpi.ClassProbe {
-	if sess.plan == nil {
+	if sess.plan == nil || sess.Topo.Uniform {
 		return nil
 	}
 	size := len(sess.places)
@@ -557,16 +566,9 @@ func (sess *Session) classProbes() []mpi.ClassProbe {
 // through the device too.
 func (sess *Session) installRoutes(plan *route.Plan) {
 	size := len(sess.places)
-	for r := 0; r < size; r++ {
-		dev := sess.devs[r]
-		if dev == nil {
-			continue
-		}
-		dev.SetRailSource(func(dst int) []core.Route {
-			if dst == r || dst < 0 || dst >= size {
-				return nil
-			}
-			if sess.places[dst].node == sess.places[r].node && !sess.Topo.Uniform {
+	for r, rk := range sess.Ranks {
+		rk.ChMad.SetRailSource(func(dst int) []core.Route {
+			if dst == r || dst < 0 || dst >= size || sess.viaSMP(r, dst) {
 				return nil
 			}
 			return sess.railsFor(plan, r, dst)
@@ -639,10 +641,8 @@ func (sess *Session) Replan() *route.Plan {
 	}
 	cong := make([]float64, len(sess.places))
 	nCongested := 0
-	for r, dev := range sess.devs {
-		if dev == nil {
-			continue
-		}
+	for r, rk := range sess.Ranks {
+		dev := rk.ChMad
 		depth := dev.TakeRelayHigh()
 		if live := dev.RelayQueueDepth(); live > depth {
 			depth = live
@@ -724,42 +724,6 @@ func (sess *Session) RelayStats() []stats.RelayStat {
 		})
 	}
 	return out
-}
-
-func (sess *Session) buildChP4(places []placementInfo) error {
-	if len(sess.Networks) != 1 {
-		return fmt.Errorf("cluster: ch_p4 requires exactly one network")
-	}
-	var tcp *netsim.Network
-	for _, n := range sess.Networks {
-		tcp = n
-	}
-	size := len(places)
-	ranks := make(map[int]string, size)
-	for r, pl := range places {
-		ranks[r] = pl.proc
-	}
-	hier := sess.discoverHierarchy(0)
-	world := mpi.WorldGroup(size)
-	for r, pl := range places {
-		proc := marcel.NewProc(sess.S, pl.proc)
-		eng := adi.NewEngine(proc, r)
-		eng.Bufs = &sess.bufs
-		p4 := chp4.New(proc, eng, tcp, ranks)
-		self := chself.New(proc, eng)
-		rr := r
-		route := func(dstWorld int) adi.Device {
-			if dstWorld == rr {
-				return self
-			}
-			return p4
-		}
-		mp := mpi.NewProcess(proc, eng, r, world, route, []adi.Device{self, p4})
-		mp.SetHierarchy(hier)
-		sess.Ranks = append(sess.Ranks, &Rank{Rank: r, Node: pl.node, Proc: proc, Eng: eng, MPI: mp})
-		sess.nodeOf[r] = pl.node
-	}
-	return nil
 }
 
 // Run spawns main on every rank (receiving MPI_COMM_WORLD), executes the

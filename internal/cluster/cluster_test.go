@@ -62,7 +62,7 @@ func TestTwoNodesHelper(t *testing.T) {
 		t.Fatal("ch_mad device missing")
 	}
 	// Elected switch point for a BIP-only config is BIP's 7 KB.
-	if got := sess.Ranks[0].ChMad.SwitchPoint(); got != 7<<10 {
+	if got := sess.Ranks[0].ChMad.ElectSwitchPoint(); got != 7<<10 {
 		t.Fatalf("switch point = %d", got)
 	}
 }
@@ -80,7 +80,7 @@ func TestSwitchPointElectionInSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	// §4.2.2: SCI present -> 8 KB even though Myrinet is also there.
-	if got := sess.Ranks[0].ChMad.SwitchPoint(); got != 8<<10 {
+	if got := sess.Ranks[0].ChMad.ElectSwitchPoint(); got != 8<<10 {
 		t.Fatalf("elected %d, want 8K", got)
 	}
 }
@@ -209,7 +209,7 @@ func TestDeterministicSessions(t *testing.T) {
 }
 
 // A hung session reports in host milliseconds. Rank 0 waits for a message
-// nobody sends, and both ranks' TCP pollers idle up to the default 1000 s
+// nobody sends, and both ranks' TCP pollers idle up to every session's 1000 s
 // virtual deadline: 30 million idle cycles, which stepping one by one took
 // about 10 s of host time, and which the kernel crosses in a few steps of
 // whole poll periods. The report is the one stepping gave. Rank 1 is in

@@ -129,7 +129,7 @@ func checkLazyEqualsEager(t *testing.T, sess *Session) {
 	t.Helper()
 	size := len(sess.places)
 	for r := 0; r < size; r++ {
-		dev := sess.devs[r]
+		dev := sess.Ranks[r].ChMad
 		if dev == nil {
 			continue
 		}
@@ -199,7 +199,7 @@ func TestLazyRailsFlushOnReplan(t *testing.T) {
 	for r := 0; r < size; r++ {
 		for dst := 0; dst < size; dst++ {
 			want := eagerRails(sess, r, dst)
-			got := sess.devs[r].Rails(dst)
+			got := sess.Ranks[r].ChMad.Rails(dst)
 			if len(want) == 0 && len(got) == 0 {
 				continue
 			}

@@ -556,8 +556,8 @@ func TestBDPRelayWindows(t *testing.T) {
 		}
 	}
 	tuned := 0
-	for r, dev := range sess.devs {
-		want := 0
+	for r, rk := range sess.Ranks {
+		dev, want := rk.ChMad, 0
 		for _, net := range sess.netsOfNode[sess.places[r].node] {
 			if w, ok := windows[net]; ok && w > want {
 				want = w
@@ -594,10 +594,10 @@ func TestBDPRelayWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, dev := range sess2.devs {
-		if dev.RelayWindow != DefaultRelayWindow {
+	for r, rk := range sess2.Ranks {
+		if rk.ChMad.RelayWindow != DefaultRelayWindow {
 			t.Errorf("untuned session: rank %d RelayWindow = %d, want %d",
-				r, dev.RelayWindow, DefaultRelayWindow)
+				r, rk.ChMad.RelayWindow, DefaultRelayWindow)
 		}
 	}
 }

@@ -105,6 +105,28 @@ func TestGoldenTraceTwoClusterBcast(t *testing.T) {
 			t.Errorf("event stream missing %q", want)
 		}
 	}
+	// Both devices' ranks are wired by one loop, tracer included: a 64 B
+	// Bcast over one TCP network records the same schedule spans on ch_p4
+	// as on ch_mad.
+	sched := map[string]int{}
+	for _, device := range []string{"ch_mad", "ch_p4"} {
+		tr := trace.New(nil)
+		topo := TwoNodes("tcp")
+		topo.Device, topo.Trace = device, tr
+		if _, err := Launch(topo, func(rank int, comm *mpi.Comm) error {
+			return comm.Bcast(make([]byte, 64), 64, mpi.Byte, 0)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range tr.Events() {
+			if strings.HasPrefix(ev.Name, "sched.") {
+				sched[device]++
+			}
+		}
+	}
+	if sched["ch_mad"] == 0 || sched["ch_p4"] != sched["ch_mad"] {
+		t.Errorf("sched.* events of a traced 64 B Bcast per device: %v, want the same non-zero count", sched)
+	}
 }
 
 // runTracedMultiBcast runs a 256K Bcast with the multi-leader two-level

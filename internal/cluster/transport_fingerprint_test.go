@@ -122,8 +122,9 @@ func tfWirings() []tfWiring {
 		}, stride: 3},
 		// Built with Autotune for its BDP-sized relay windows; the tweak skips
 		// the MPI_Init sweep (whose own cost the schedule fingerprint pins)
-		// and installs a measured wan-class switch point in its place, the
-		// second level of the threshold resolution.
+		// and writes a measured wan-class switch point into each rank's
+		// shared threshold table in its place, the second level of the
+		// threshold resolution.
 		{name: "triangle-autotuned", topo: func() Topology {
 			topo := bridgedTriangle()
 			topo.Autotune = true
@@ -131,7 +132,7 @@ func tfWirings() []tfWiring {
 		}, stride: 3, extra: []int{32767, 32768, 32769},
 			tweak: func(sess *Session) {
 				sess.Topo.Autotune = false
-				tfEachDevice(func(rk *Rank) { rk.ChMad.SetClassSwitchPoint("wan", 32768) })(sess)
+				tfEachDevice(func(rk *Rank) { rk.ChMad.ClassSwitch["wan"] = 32768 })(sess)
 			}},
 		{name: "triangle-storefwd", topo: bridgedTriangle, stride: 3, aboveSeg: true,
 			tweak: tfEachDevice(func(rk *Rank) { rk.ChMad.RelayPipelining = false })},

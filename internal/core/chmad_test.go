@@ -327,8 +327,8 @@ func TestMonolithicEagerAblationCorrectness(t *testing.T) {
 	r.run(t)
 	// Padded wire: the body packet is switchPoint bytes, so total bytes
 	// must exceed the split scheme's by a wide margin.
-	if got := r.nets[0].Stats.Bytes; got < uint64(r.devs[0].SwitchPoint()) {
-		t.Errorf("wire bytes %d; expected padded buffer >= %d", got, r.devs[0].SwitchPoint())
+	if got, sp := r.nets[0].Stats.Bytes, r.devs[0].ElectSwitchPoint(); got < uint64(sp) {
+		t.Errorf("wire bytes %d; expected padded buffer >= %d", got, sp)
 	}
 }
 

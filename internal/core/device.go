@@ -53,10 +53,11 @@ type Device struct {
 	// the historical single-threshold MPID_Device.
 	forcedSwitch bool
 
-	// classSwitch holds measured per-device-class threshold overrides
-	// installed by the autotuner (adi.ClassTuner); they take precedence
+	// ClassSwitch is the rank's table of measured per-device-class
+	// thresholds, shared with its mpi.Process by the cluster wiring: the
+	// MPI_Init autotuner writes it, and a positive entry takes precedence
 	// over the route's native SwitchBytes for links of that class.
-	classSwitch map[string]int
+	ClassSwitch map[string]int
 
 	// MonolithicEager reverts the §4.2.2 header/body split to the naive
 	// scheme: eager data is copied into a constant-size
@@ -141,7 +142,6 @@ func New(p *marcel.Proc, eng *adi.Engine, rank int) *Device {
 		RelayPipelining: true,
 		RelayStriping:   true,
 		rails:           make(map[int][]Route),
-		classSwitch:     make(map[string]int),
 		rndvTx:          make(map[uint32]rndvSend),
 		rndvRx:          make(map[uint32]*rndvState),
 	}

@@ -4,8 +4,8 @@ import "testing"
 
 // TestSwitchPointToResolution pins the per-link threshold resolution
 // order: forced uniform value (SetSwitchPoint), then the measured
-// per-class override, then the route's native SwitchBytes,
-// then the elected device-wide fallback.
+// per-class threshold of the shared table (ClassSwitch), then the route's
+// native SwitchBytes, then the elected device-wide fallback.
 func TestSwitchPointToResolution(t *testing.T) {
 	d := New(nil, nil, 0)
 	d.switchPoint = 8 << 10 // stand-in for the elected fallback
@@ -23,24 +23,21 @@ func TestSwitchPointToResolution(t *testing.T) {
 		t.Errorf("class without override or SwitchBytes: SwitchPointTo = %d, want elected 8K", got)
 	}
 
-	// A measured per-class override beats the route's native threshold.
-	d.SetClassSwitchPoint("wan", 16<<10)
+	// A measured per-class threshold beats the route's native one.
+	d.ClassSwitch = map[string]int{"wan": 16 << 10}
 	if got := d.SwitchPointTo(1); got != 16<<10 {
 		t.Errorf("class override: SwitchPointTo = %d, want 16K", got)
 	}
-	if got := d.classSwitch["wan"]; got != 16<<10 {
-		t.Errorf("ClassSwitchPoints[wan] = %d, want 16K", got)
-	}
-	// Removing the override falls back to the native threshold.
-	d.SetClassSwitchPoint("wan", 0)
+	// Removing the entry falls back to the native threshold.
+	delete(d.ClassSwitch, "wan")
 	if got := d.SwitchPointTo(1); got != 64<<10 {
 		t.Errorf("override removed: SwitchPointTo = %d, want 64K", got)
 	}
 
 	// A forced SetSwitchPoint wins over everything: the uniform ablation
 	// pins every link to the elected device-wide value this way...
-	d.SetClassSwitchPoint("wan", 16<<10)
-	d.SetSwitchPoint(d.SwitchPoint())
+	d.ClassSwitch["wan"] = 16 << 10
+	d.SetSwitchPoint(d.switchPoint)
 	if got := d.SwitchPointTo(1); got != 8<<10 {
 		t.Errorf("uniform ablation: SwitchPointTo = %d, want 8K", got)
 	}

@@ -145,37 +145,22 @@ func (d *Device) SetSwitchPoint(n int) {
 	d.forcedSwitch = true
 }
 
-// SwitchPoint implements adi.Device: the device-wide fallback threshold.
-func (d *Device) SwitchPoint() int { return d.switchPoint }
-
 // SwitchPointTo resolves the eager->rendez-vous threshold per link, from
-// the route toward dst, where adi.Device.SwitchPoint is device-wide.
-// Resolution order: a forced uniform value (SetSwitchPoint), then a
-// measured per-class override for the route's device class, then the
-// route's native SwitchBytes (smallest switch point along its path), then
-// the elected device-wide fallback — which is all an unroutable
-// destination's zero Route leaves.
+// the route toward dst. Resolution order: a forced uniform value
+// (SetSwitchPoint), then a measured threshold for the route's device class
+// (ClassSwitch), then the route's native SwitchBytes (smallest switch point
+// along its path), then the elected device-wide fallback — which is all an
+// unroutable destination's zero Route leaves.
 func (d *Device) SwitchPointTo(dst int) int {
 	if d.forcedSwitch {
 		return d.switchPoint
 	}
 	rt, _ := d.RouteTo(dst)
-	if sp := d.classSwitch[rt.Class]; rt.Class != "" && sp > 0 {
+	if sp := d.ClassSwitch[rt.Class]; rt.Class != "" && sp > 0 {
 		return sp
 	}
 	if rt.SwitchBytes > 0 {
 		return rt.SwitchBytes
 	}
 	return d.switchPoint
-}
-
-// SetClassSwitchPoint implements adi.ClassTuner: install (or with
-// bytes <= 0 remove) a measured threshold override for every link of a
-// device class.
-func (d *Device) SetClassSwitchPoint(class string, bytes int) {
-	if bytes <= 0 {
-		delete(d.classSwitch, class)
-		return
-	}
-	d.classSwitch[class] = bytes
 }

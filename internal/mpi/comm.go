@@ -53,8 +53,9 @@ type Process struct {
 
 	// classProbes lists the representative rank pairs the autotuner times
 	// to measure per-class eager thresholds ("smp", "san", "wan"),
-	// identical on every rank; classSwitch holds the measured per-class
-	// thresholds once installed.
+	// identical on every rank; classSwitch is the rank's one table of
+	// per-class thresholds (ClassSwitchPoints), shared with its ch_mad
+	// device.
 	classProbes []ClassProbe
 	classSwitch map[string]int
 
@@ -88,7 +89,8 @@ func NewProcess(m *marcel.Proc, eng *adi.Engine, rank int, world []int,
 		M: m, Eng: eng,
 		rank:  rank,
 		route: route, devices: devices,
-		nextCtx: 2, // 0/1 are world's p2p and collective contexts
+		nextCtx:     2, // 0/1 are world's p2p and collective contexts
+		classSwitch: make(map[string]int),
 	}
 	p.World = &Comm{p: p, group: world, myRank: rank, ctx: 0}
 	return p

@@ -571,8 +571,10 @@
 //   - Tuning: the MPI_Init autotuner probes one representative rank
 //     pair per class (ClassProbe) with eager- and rendez-vous-forced
 //     ping-pongs and broadcasts the measured per-class thresholds with
-//     the crossover table; they install through adi.ClassTuner and appear
-//     as "SwitchPoint" rows of TuneSnapshot.
+//     the crossover table. They land in the rank's one class table
+//     (ClassSwitchPoints), which its ch_mad device reads too
+//     (core.Device.ClassSwitch), and appear as "SwitchPoint" rows of
+//     TuneSnapshot.
 //
 // # The MPI_Init autotuner
 //

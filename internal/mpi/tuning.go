@@ -16,11 +16,9 @@ package mpi
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
-	"mpichmad/internal/adi"
 	"mpichmad/internal/trace"
 	"mpichmad/internal/vtime"
 )
@@ -63,23 +61,11 @@ func (p *Process) SetClassProbes(probes []ClassProbe) {
 	p.classProbes = append([]ClassProbe(nil), probes...)
 }
 
-// ClassSwitchPoints returns the measured per-device-class eager
-// thresholds installed by Autotune, nil when none.
-func (p *Process) ClassSwitchPoints() map[string]int { return maps.Clone(p.classSwitch) }
-
-// installClassSwitch records one measured per-class threshold and pushes
-// it into every device that accepts per-class tuning (adi.ClassTuner).
-func (p *Process) installClassSwitch(class string, bytes int) {
-	if p.classSwitch == nil {
-		p.classSwitch = make(map[string]int)
-	}
-	p.classSwitch[class] = bytes
-	for _, d := range p.devices {
-		if ct, ok := d.(adi.ClassTuner); ok {
-			ct.SetClassSwitchPoint(class, bytes)
-		}
-	}
-}
+// ClassSwitchPoints returns the rank's table of per-device-class eager
+// thresholds itself, not a copy: Autotune writes its probe overrides and
+// measured values there, and the cluster wiring hands the same map to the
+// rank's ch_mad device (core.Device.ClassSwitch), so both read one table.
+func (p *Process) ClassSwitchPoints() map[string]int { return p.classSwitch }
 
 // tuneRow is one bracket of the measured table: use algo for payloads up
 // to maxBytes (math.MaxInt on the last, open bracket).
@@ -330,7 +316,7 @@ func (p *Process) installTuneTable(enc []int64) error {
 		}
 	}
 	for _, i := range classes {
-		p.installClassSwitch(deviceClassNames[-enc[i]-1], int(enc[i+1]))
+		p.classSwitch[deviceClassNames[-enc[i]-1]] = int(enc[i+1])
 	}
 	p.tuned = tt
 	return nil
@@ -388,18 +374,15 @@ const tuneProbeTag = 0x7357
 // probeClassSwitch runs one device class's eager/rendez-vous probe. All
 // ranks step through the same barrier sequence; ranks pr.A and pr.B
 // additionally time reps ping-pongs per (size, mode), forcing the mode
-// through the device's per-class threshold override. Only pr.A returns a
-// non-zero threshold (0 also when the device toward the peer does not
-// accept per-class tuning and the probe is meaningless).
+// through the rank's class threshold table, which its ch_mad device reads
+// (a probe pair is a san or wan pair, so ch_mad carries it). Only pr.A
+// returns a non-zero threshold.
 func (c *Comm) probeClassSwitch(pr ClassProbe) (int, error) {
 	peer := pr.B
 	if c.myRank == pr.B {
 		peer = pr.A
 	}
-	var tuner adi.ClassTuner // nil off the pair, and on a device that tunes no class
-	if c.myRank == pr.A || c.myRank == pr.B {
-		tuner, _ = c.p.route(peer).(adi.ClassTuner)
-	}
+	onPair := c.myRank == pr.A || c.myRank == pr.B
 	const reps = 2
 	var times [2][]vtime.Duration // per mode: eager, rendez-vous
 	for _, size := range switchTuneSizes {
@@ -407,11 +390,9 @@ func (c *Comm) probeClassSwitch(pr ClassProbe) (int, error) {
 			if err := c.Barrier(); err != nil {
 				return 0, err
 			}
-			if tuner != nil { // payload == threshold: eager; threshold 1: rendez-vous
-				tuner.SetClassSwitchPoint(pr.Class, [2]int{size, 1}[mode])
-			}
 			var dt vtime.Duration
-			if tuner != nil {
+			if onPair { // payload == threshold: eager; threshold 1: rendez-vous
+				c.p.classSwitch[pr.Class] = [2]int{size, 1}[mode]
 				buf := c.p.Eng.Bufs.Get(size)
 				start := c.p.M.S.Now()
 				for leg := range 2 * reps { // A sends on the even legs, B on the odd ones
@@ -427,17 +408,17 @@ func (c *Comm) probeClassSwitch(pr ClassProbe) (int, error) {
 				}
 				dt = c.p.M.S.Now().Sub(start)
 				buf.Release()
-				tuner.SetClassSwitchPoint(pr.Class, 0) // drop the probe override
+				delete(c.p.classSwitch, pr.Class) // drop the probe override
 			}
 			if err := c.Barrier(); err != nil {
 				return 0, err
 			}
-			if c.myRank == pr.A && tuner != nil {
+			if c.myRank == pr.A {
 				times[mode] = append(times[mode], dt)
 			}
 		}
 	}
-	if c.myRank != pr.A || tuner == nil {
+	if c.myRank != pr.A {
 		return 0, nil
 	}
 	return electSwitchThreshold(switchTuneSizes, times[0], times[1]), nil

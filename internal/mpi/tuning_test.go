@@ -163,6 +163,17 @@ func TestAutotuneMeasuresClassSwitchPoints(t *testing.T) {
 	if rows != len(want) {
 		t.Errorf("snapshot has %d SwitchPoint rows, want %d", rows, len(want))
 	}
+	// Each rank's ch_mad device reads the table its MPI process holds: the
+	// threshold toward a wan peer is the measured wan one.
+	for _, rk := range sess.Ranks {
+		peer := slices.IndexFunc(sess.Ranks, func(p *cluster.Rank) bool { return sess.LinkClassOf(rk.Rank, p.Rank) == "wan" })
+		if peer < 0 {
+			t.Fatalf("rank %d has no wan peer", rk.Rank)
+		}
+		if got, want := rk.ChMad.SwitchPointTo(peer), rk.MPI.ClassSwitchPoints()["wan"]; got != want {
+			t.Errorf("rank %d: ch_mad's threshold toward wan peer %d is %d, the measured wan threshold %d", rk.Rank, peer, got, want)
+		}
+	}
 }
 
 // TestTuneTableRejectsBadTriples: the autotuner's install path refuses a

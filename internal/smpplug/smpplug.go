@@ -68,10 +68,6 @@ func (n *Node) Join(p *marcel.Proc, eng *adi.Engine, rank int) *Device {
 // Name implements adi.Device.
 func (d *Device) Name() string { return "smp_plug" }
 
-// SwitchPoint implements adi.Device: the segment protocol is single-mode;
-// the threshold reported is the preset's (used only for introspection).
-func (d *Device) SwitchPoint() int { return d.node.params.SwitchPoint }
-
 // Shutdown implements adi.Device.
 func (d *Device) Shutdown() { d.stopped = true }
 
